@@ -7,11 +7,9 @@ three runs per row, and fail if the geometric mean of the
 measured/recorded ratios drops below 0.85x (the baseline keeps the
 best rate the throughput bench ever saw, so the remeasured short
 windows sit a little under it even when nothing changed).  A pass
-regression — an
-optimization pass that stops firing, a dispatch tree that degenerates
-to a chain, a batch path that silently falls back to scalar — drags
-every IR row down together; scheduler noise hits rows independently
-and cancels in the mean.
+regression — an optimization pass that stops firing, a dispatch tree
+that degenerates to a chain — drags every IR row down together;
+scheduler noise hits rows independently and cancels in the mean.
 """
 
 import json

@@ -1,18 +1,19 @@
 """Demultiplexer throughput per engine, in real packets per second.
 
-The engine ladder the repo has grown — checked interpreter,
-prevalidated fast path, compiled closures, and the fused filter-set
-engine with its flow cache — measured on the wall clock with 1 and 32
-bound filters.  The acceptance bar: the fused engine with the flow
-cache must demultiplex at least 3x the checked interpreter's rate on
-the 32-filter workload.  Every row lands in ``bench_results.json``
-(paper = 0.0: the paper predates this kind of engine comparison).
+The engine ladder — checked interpreter, prevalidated fast path,
+compiled closures, and the IR filter-set engine with its flow cache —
+measured on the wall clock with 1 and 32 bound filters.  The
+acceptance bar: the IR engine with the flow cache must demultiplex at
+least 3x the checked interpreter's rate on the 32-filter workload.
+Every row lands in ``bench_results.json`` (paper = 0.0: the paper
+predates this kind of engine comparison).
 """
 
 from repro.bench import Row, record_rows, render_table
 from repro.bench.scenarios import measure_demux_throughput
+from repro.core.demux import Engine
 
-ENGINES = ("checked", "prevalidated", "compiled", "fused", "ir")
+ENGINES = tuple(engine.value for engine in Engine)
 FILTER_COUNTS = (1, 32)
 MIN_SECONDS = 0.15
 BEST_OF = 3
@@ -28,10 +29,7 @@ def collect() -> dict:
         for filters in FILTER_COUNTS:
             configs.append(((engine, filters), engine, {}))
     for filters in FILTER_COUNTS:
-        configs.append(
-            (("fused+cache", filters), "fused", {"flow_cache": True})
-        )
-        configs.append((("ir+batch", filters), "ir", {"batch": 64}))
+        configs.append((("ir+cache", filters), "ir", {"flow_cache": True}))
 
     results: dict[tuple[str, int], float] = {}
     for _ in range(BEST_OF):
@@ -70,17 +68,9 @@ def test_perf_demux_throughput(once, emit):
     for filters in FILTER_COUNTS:
         checked = results[("checked", filters)]
         assert results[("compiled", filters)] > checked
-        assert results[("fused", filters)] > checked
-    # Acceptance: fused + flow cache >= 3x checked on 32 filters.
-    assert results[("fused+cache", 32)] >= 3.0 * results[("checked", 32)]
-    # Fused dispatch makes the per-packet cost roughly independent of
-    # the number of bound filters; the linear engines degrade ~16x.
-    assert (
-        results[("fused", 32)]
-        > 0.5 * results[("fused", 1)]
-    )
-    # The IR engine's specialized dispatch must at least keep up with
-    # the fused engine, and batch delivery must beat its own scalar
-    # path on the 32-filter workload (the batch-at-a-time win).
-    assert results[("ir", 32)] > 0.8 * results[("fused", 32)]
-    assert results[("ir+batch", 32)] > results[("ir", 32)]
+        assert results[("ir", filters)] > checked
+    # Acceptance: IR + flow cache >= 3x checked on 32 filters.
+    assert results[("ir+cache", 32)] >= 3.0 * results[("checked", 32)]
+    # Whole-set dispatch makes the per-packet cost roughly independent
+    # of the number of bound filters; the linear engines degrade ~16x.
+    assert results[("ir", 32)] > 0.5 * results[("ir", 1)]

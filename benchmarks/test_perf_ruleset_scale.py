@@ -9,7 +9,7 @@ specialized dispatch tree should make per-packet cost essentially
 independent of the set size.  A second table measures the adversarial
 set — every rule sharing one equality discriminant, distinguished only
 by inequalities — where the tree *cannot* split and the whole-set
-engines are expected to fall back to linear cost.  Every row lands in
+engine is expected to fall back to linear cost.  Every row lands in
 ``bench_results.json`` (paper = 0.0: no analogue).
 """
 
@@ -32,9 +32,7 @@ CONFIGS = (
     # label -> measure_demux_throughput kwargs beyond the workload
     ("scan", {"engine": "compiled"}),
     ("table", {"engine": "compiled", "use_decision_table": True}),
-    ("fused", {"engine": "fused"}),
     ("ir", {"engine": "ir"}),
-    ("ir+batch", {"engine": "ir", "batch": 64}),
 )
 
 
@@ -133,7 +131,7 @@ def test_perf_adversarial_ruleset(once, emit):
         "to one linear bucket.",
     )
 
-    # The whole-set engines lose their scale-independence: against the
+    # The whole-set engine loses its scale-independence: against the
     # adversarial set the IR engine must behave like a linear scan,
     # collapsing with rule count instead of staying flat.
     assert adversarial[("ir", 1000)] < 0.5 * adversarial[("ir", 100)]

@@ -10,6 +10,7 @@ cost-model constant is consulted at reporting time.
 
 from __future__ import annotations
 
+from ..core.demux import Engine
 from ..core.ioctl import PFIoctl
 from ..sim import Ioctl, Open, Read, Sleep, World, Write
 from .scenarios import (
@@ -31,8 +32,6 @@ __all__ = [
     "profile_report",
 ]
 
-_ENGINES = ("checked", "prevalidated", "compiled", "fused", "ir")
-
 
 def classification_costs(
     *, filters: int = 32, min_seconds: float = 0.02
@@ -47,11 +46,11 @@ def classification_costs(
     from .scenarios import measure_demux_throughput
 
     return {
-        engine: 1.0
+        engine.value: 1.0
         / measure_demux_throughput(
             engine=engine, filters=filters, min_seconds=min_seconds
         )
-        for engine in _ENGINES
+        for engine in Engine
     }
 
 

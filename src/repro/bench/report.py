@@ -43,7 +43,7 @@ TITLES = {
     "ablation-write-batching": "Ablation — §7's write batching, measured",
     "section-3-bind-cost": "Section 3 — Filter binding cost",
     "perf-demux-throughput": (
-        "Perf — Demux throughput by engine (fused + flow cache)"
+        "Perf — Demux throughput by engine (IR + flow cache)"
     ),
     "perf-ruleset-scale": (
         "Perf — 5-tuple ACL ruleset scale (100 / 1000 / 10000 rules)"

@@ -83,7 +83,6 @@ def measure_demux_throughput(
     filters: int = 32,
     flow_cache: bool | int = False,
     use_decision_table: bool = False,
-    batch: int = 0,
     min_seconds: float = 0.2,
     programs: "list[FilterProgram] | None" = None,
     packets: "list[bytes] | None" = None,
@@ -95,10 +94,8 @@ def measure_demux_throughput(
     docs/PERFORMANCE.md.  ``filters`` ports bind the kernel-profile
     filter shape ``(word 6 == ethertype) & (word 7 == index)``; traffic
     round-robins over the indices so the linear engines test half the
-    set per packet on average while the fused dispatch and the flow
-    cache resolve each packet in O(1).  ``batch`` > 0 delivers the
-    traffic through ``deliver_batch`` in bursts of that size (the IR
-    engine's batch-at-a-time evaluator).  ``programs``/``packets``
+    set per packet on average while the IR dispatch and the flow
+    cache resolve each packet in O(1).  ``programs``/``packets``
     override the synthetic workload with a caller-supplied one (the
     ruleset-scale benchmark's ACL sets).
     """
@@ -140,19 +137,6 @@ def measure_demux_throughput(
         deliver(packet)
     delivered = 0
     start = time.perf_counter()
-    if batch:
-        bursts = [
-            packets[offset : offset + batch]
-            for offset in range(0, len(packets), batch)
-        ]
-        deliver_batch = demux.deliver_batch
-        while True:
-            for burst in bursts:
-                deliver_batch(burst)
-            delivered += len(packets)
-            elapsed = time.perf_counter() - start
-            if elapsed >= min_seconds:
-                return delivered / elapsed
     while True:
         for packet in packets:
             deliver(packet)
@@ -166,18 +150,16 @@ def demux_label_kwargs(label: str) -> dict:
     """Map a recorded throughput-row label back onto
     :func:`measure_demux_throughput` keyword arguments.
 
-    Labels look like ``"fused+cache, 32 filters"``: an engine name with
-    an optional ``+cache`` (flow cache on) or ``+batch`` (burst
-    delivery) modifier.  Shared by the regression guards so a new row
-    in the throughput bench never needs a second parser.
+    Labels look like ``"ir+cache, 32 filters"``: an engine name with
+    an optional ``+cache`` (flow cache on) modifier.  Shared by the
+    regression guards so a new row in the throughput bench never needs
+    a second parser.
     """
     engine, _, filters = label.partition(", ")
     base, _, modifier = engine.partition("+")
     kwargs: dict = {"engine": base, "filters": int(filters.split()[0])}
     if modifier == "cache":
         kwargs["flow_cache"] = True
-    elif modifier == "batch":
-        kwargs["batch"] = 64
     elif modifier:
         raise ValueError(f"unknown engine modifier in label {label!r}")
     return kwargs

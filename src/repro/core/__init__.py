@@ -15,9 +15,9 @@ Layered exactly as the paper describes it:
 """
 
 from .compiler import And, Expr, Field, Or, Test, compile_expr, word
-from .decision import DecisionTable, necessary_equalities
+from .decision import necessary_equalities
 from .demux import DeliveryReport, Engine, PacketFilterDemux
-from .fused import FlowCache, FusedEntry, FusedFilterSet, fuse_filter_set
+from .flowcache import FlowCache
 from .instructions import (
     BinaryOp,
     EncodingError,
@@ -62,8 +62,7 @@ __all__ = [
     # bind-time machinery
     "validate", "ValidationError", "ValidationReport",
     "compile_filter", "CompiledFilter",
-    "DecisionTable", "necessary_equalities",
-    "fuse_filter_set", "FusedFilterSet", "FusedEntry", "FlowCache",
+    "necessary_equalities", "FlowCache",
     # compiler library
     "word", "compile_expr", "Field", "Test", "And", "Or", "Expr",
     # demux + ports

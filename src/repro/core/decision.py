@@ -1,4 +1,4 @@
-"""Compiling the *set* of active filters into a decision table.
+"""Necessary-equality analysis: the basis of decision-table dispatch.
 
 The last section 7 improvement: "with a redesigned filter language it
 might be possible to compile the set of active filters into a decision
@@ -19,19 +19,23 @@ fallback list.  Programs containing ``COR``/``CNAND`` can return TRUE
 early, which would invalidate "the rest of the program is necessary"
 reasoning, so they are sent to the fallback list wholesale.
 
-The resulting :class:`DecisionTable` is therefore an exact drop-in for
-the linear scan: for every packet it yields exactly the candidate
-filters whose necessary conditions the packet satisfies, in the same
-priority order the figure 4-1 loop would use (a property-based test in
-``tests/core/test_decision.py`` pins this equivalence down).
+The table itself is :class:`repro.core.opt.DispatchTree`, built by
+:func:`repro.core.opt.build_dispatch_tree` from the helpers here
+(:func:`choose_discriminant`, :func:`required_value`).  The
+demultiplexer walks it per packet under ``use_decision_table=True``;
+the IR engine compiles it into nested hash probes.  Either way it is an
+exact drop-in for the linear scan: for every packet it yields exactly
+the candidate filters whose necessary conditions the packet satisfies,
+in the same priority order the figure 4-1 loop would use (a
+property-based test in ``tests/core/test_properties.py`` pins this
+equivalence down).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import merge
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .instructions import BinaryOp, StackAction
 from .program import FilterProgram
@@ -41,7 +45,6 @@ __all__ = [
     "NecessaryTest",
     "necessary_equalities",
     "TableEntry",
-    "DecisionTable",
     "choose_discriminant",
     "required_value",
 ]
@@ -237,16 +240,16 @@ def _as_masked(t2: object, t1: object) -> _Word | None:
     return None
 
 
-# --- the table itself --------------------------------------------------------
+# --- helpers shared by every table builder -----------------------------------
 
 
 @dataclass(frozen=True)
 class TableEntry:
     """One filter in the table, with its global application order.
 
-    Public and stable: :meth:`DecisionTable.entries_for` yields these,
-    and the IR dispatch-tree builder (:mod:`repro.core.opt`) consumes
-    the same type.  ``order`` sorts ascending in application order
+    Public and stable: :func:`repro.core.opt.build_dispatch_tree`
+    consumes these and :meth:`repro.core.opt.DispatchTree.lookup`
+    yields them.  ``order`` sorts ascending in application order
     (priority descending, then bind sequence); ``handle`` is whatever
     opaque payload the builder supplied; ``program`` is the bound
     filter.
@@ -255,10 +258,6 @@ class TableEntry:
     order: tuple
     handle: object
     program: FilterProgram
-
-
-# Backwards-compatible alias for the old private name.
-_Entry = TableEntry
 
 
 def choose_discriminant(
@@ -272,8 +271,7 @@ def choose_discriminant(
     Keys in ``used_keys`` (already split on higher up a tree) are
     excluded — re-splitting on them can never separate anything
     further.  Returns None when no key covers at least ``min_split``
-    entries.  Shared by :class:`DecisionTable` and the IR dispatch-tree
-    builder (:func:`repro.core.opt.build_dispatch_tree`)."""
+    entries."""
     values: dict[tuple[int, int], set[int]] = {}
     coverage: dict[tuple[int, int], int] = {}
     for entry in entries:
@@ -293,124 +291,6 @@ def choose_discriminant(
     return key
 
 
-class DecisionTable:
-    """Hash-dispatch index over a set of filter programs.
-
-    Build once from ``(handle, program, order)`` triples, then
-    :meth:`candidates` yields, for each packet, the handles of exactly
-    the programs whose necessary conditions the packet satisfies, in
-    ascending ``order`` — the same sequence the naive priority loop
-    would test, minus the provably futile ones.
-    """
-
-    #: Stop splitting buckets smaller than this; linear scan is cheaper.
-    MIN_SPLIT = 2
-
-    def __init__(
-        self,
-        entries: Sequence[_Entry],
-        *,
-        depth: int = 0,
-        max_depth: int = 3,
-        used_keys: frozenset = frozenset(),
-    ) -> None:
-        self._discriminant: tuple[int, int] | None = None
-        self._buckets: dict[int, DecisionTable] = {}
-        self._fallback: list[_Entry] = []
-        self._size = len(entries)
-
-        key = (
-            self._choose_discriminant(entries, used_keys)
-            if depth < max_depth
-            else None
-        )
-        if key is None or len(entries) < self.MIN_SPLIT:
-            self._fallback = sorted(entries, key=lambda e: e.order)
-            return
-
-        self._discriminant = key
-        grouped: dict[int, list[_Entry]] = {}
-        leftovers: list[_Entry] = []
-        for entry in entries:
-            value = _required_value(entry.program, key)
-            if value is None:
-                leftovers.append(entry)
-            else:
-                grouped.setdefault(value, []).append(entry)
-        self._fallback = sorted(leftovers, key=lambda e: e.order)
-        self._buckets = {
-            value: DecisionTable(
-                group,
-                depth=depth + 1,
-                max_depth=max_depth,
-                used_keys=used_keys | {key},
-            )
-            for value, group in grouped.items()
-        }
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def build(
-        cls, filters: Iterable[tuple[object, FilterProgram, tuple]]
-    ) -> "DecisionTable":
-        """Build from ``(handle, program, order_key)`` triples.
-
-        ``order_key`` must sort ascending in intended application order
-        (the demultiplexer passes ``(-priority, sequence)``).
-        """
-        entries = [
-            _Entry(order=order, handle=handle, program=program)
-            for handle, program, order in filters
-        ]
-        return cls(entries)
-
-    @staticmethod
-    def _choose_discriminant(
-        entries: Sequence[TableEntry], used_keys: frozenset
-    ) -> tuple[int, int] | None:
-        return choose_discriminant(
-            entries, used_keys, min_split=DecisionTable.MIN_SPLIT
-        )
-
-    # -- queries ---------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def depth(self) -> int:
-        """Longest chain of hash probes a lookup can take."""
-        if not self._buckets:
-            return 0
-        return 1 + max(table.depth for table in self._buckets.values())
-
-    def candidates(self, packet: bytes) -> Iterator[object]:
-        """Handles of filters worth evaluating on ``packet``, in order."""
-        for entry in self.entries_for(packet):
-            yield entry.handle
-
-    def entries_for(self, packet: bytes) -> Iterator[_Entry]:
-        """Table entries worth evaluating on ``packet``, in application
-        order.  Each entry carries the caller's ``handle`` plus the
-        program and order key — the demultiplexer iterates these
-        directly rather than re-looking handles up."""
-        if self._discriminant is None:
-            return iter(self._fallback)
-        index, mask = self._discriminant
-        try:
-            value = get_word(packet, index) & mask
-        except IndexError:
-            # Packet too short for the field: every bucketed filter's
-            # necessary PUSHWORD would fault, so only fallbacks apply.
-            return iter(self._fallback)
-        bucket = self._buckets.get(value)
-        if bucket is None:
-            return iter(self._fallback)
-        return merge(bucket.entries_for(packet), iter(self._fallback),
-                     key=lambda e: e.order)
-
-
 def required_value(program: FilterProgram, key: tuple[int, int]) -> int | None:
     """The value ``program`` necessarily requires for ``key`` (a
     (word, mask) pair), or None when the analysis proves nothing."""
@@ -418,7 +298,3 @@ def required_value(program: FilterProgram, key: tuple[int, int]) -> int | None:
         if test.key == key:
             return test.value
     return None
-
-
-# Backwards-compatible alias for the old private name.
-_required_value = required_value

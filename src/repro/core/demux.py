@@ -18,20 +18,19 @@ Responsibilities implemented here, straight from sections 3.2 and 4:
   packet, the quantities behind the section 6.1 cost estimate
   ``0.8 mSec + 0.122 mSec × predicates`` and table 6-10;
 * engine selection — the baseline checked interpreter, the section 7
-  prevalidated fast path, the compiled-closure "machine code" path, the
-  optional decision-table index over the whole filter set, the fused
-  engine that compiles the entire set into one dispatch function
-  (:mod:`repro.core.fused`), and the IR engine that lowers the set
-  through a real compiler middle-end — cross-filter CSE, dispatch-tree
-  predicate reordering, batch-at-a-time classification
-  (:mod:`repro.core.ir` / :mod:`repro.core.opt` /
-  :mod:`repro.core.irgen`);
+  prevalidated fast path, the compiled-closure "machine code" path
+  (each optionally pruned by a decision-table walk over the whole
+  filter set), and the IR engine that compiles the entire set into one
+  dispatch function through a real compiler middle-end — cross-filter
+  CSE, dispatch-tree predicate reordering (:mod:`repro.core.ir` /
+  :mod:`repro.core.opt` / :mod:`repro.core.irgen`);
 * the opt-in **flow cache** (any engine): a direct-mapped memo of
   classification results keyed by the packet's discriminating header
   prefix, invalidated whenever the filter set or its order changes;
-* batched delivery (:meth:`PacketFilterDemux.deliver_batch`) so the
-  receive path can charge one dispatch overhead per burst — the
-  section 6.4 batching argument applied to demultiplexing itself.
+* batched delivery (:meth:`PacketFilterDemux.deliver_batch`): a loop
+  over :meth:`~PacketFilterDemux.deliver`, there so the receive path
+  can charge one dispatch overhead per burst — the section 6.4
+  batching argument applied to demultiplexing itself.
 """
 
 from __future__ import annotations
@@ -41,15 +40,16 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .decision import DecisionTable
-from .fused import FlowCache, FusedEntry, FusedFilterSet, fuse_filter_set
-from .irgen import CompiledIRSet, IRStats, compile_ir_set
+from .decision import TableEntry
+from .flowcache import FlowCache
+from .irgen import CompiledIRSet, IRStats, SetEntry, compile_ir_set
 from .interpreter import (
     LanguageLevel,
     ShortCircuitMode,
     evaluate,
 )
 from .jit import CompiledFilter, compile_filter
+from .opt import DispatchTree, build_dispatch_tree
 from .port import Port
 from .program import FilterProgram
 from .validator import ValidationReport, validate
@@ -63,7 +63,6 @@ class Engine(enum.Enum):
     CHECKED = "checked"          #: section 4 interpreter, all runtime checks
     PREVALIDATED = "prevalidated"  #: section 7: checks hoisted to bind time
     COMPILED = "compiled"        #: section 7: filters lowered to closures
-    FUSED = "fused"              #: whole filter set fused into one dispatch
     IR = "ir"                    #: set compiled through the SSA/DAG middle-end
 
 
@@ -98,7 +97,7 @@ class _Binding:
     accepts: int = 0
     rank: int = 0
     """Current position in application order; reassigned after each
-    attach/detach/reorder so the decision table, the fused program and
+    attach/detach/reorder so the decision table, the compiled set and
     the linear scan always agree on ordering."""
 
     @property
@@ -115,10 +114,10 @@ class PacketFilterDemux:
     received packet only visits filters whose necessary equality
     conditions it satisfies.  The table requires the default
     ``ShortCircuitMode.PUSH_RESULT`` semantics; with ``NO_PUSH`` the
-    demultiplexer silently stays on the linear scan.  ``Engine.FUSED``
-    subsumes the table: the whole set compiles into one dispatch
-    function at bind time (under ``NO_PUSH`` it fuses without field
-    dispatch).
+    demultiplexer silently stays on the linear scan.  ``Engine.IR``
+    subsumes the table (and ignores the flag): the whole set compiles
+    into one dispatch function at bind time (under ``NO_PUSH``, a
+    single chain without field dispatch).
 
     ``flow_cache=True`` (or an explicit power-of-two size) memoizes
     classification per discriminating header prefix for any engine; the
@@ -141,7 +140,7 @@ class PacketFilterDemux:
         reorder_same_priority: bool = True,
         flow_cache: bool | int = False,
     ) -> None:
-        # Accept the enum or its string value ("ir", "fused", ...):
+        # Accept the enum or its string value ("ir", "checked", ...):
         # every engine check below is an identity test, so a raw string
         # would silently degrade to the checked-interpreter fallback.
         self.engine = engine if isinstance(engine, Engine) else Engine(engine)
@@ -164,8 +163,7 @@ class PacketFilterDemux:
         self._cache_key_bytes = 0
         self._bindings: dict[int, _Binding] = {}  # port_id -> binding
         self._order: list[_Binding] = []          # application order
-        self._table: DecisionTable | None = None
-        self._fused: FusedFilterSet | None = None
+        self._table: DispatchTree | None = None
         self._ir: CompiledIRSet | None = None
         self._hot_classify = None
         self._reports: dict = {}
@@ -237,8 +235,8 @@ class PacketFilterDemux:
         """The single choke point for order mutations.
 
         Every attach, detach and reorder lands here, so the rank
-        assignment, the decision table, the fused dispatch function and
-        the flow cache can never disagree about the filter set: they
+        assignment, the decision table, the compiled dispatch function
+        and the flow cache can never disagree about the filter set: they
         all go stale together.  Construction of the derived artifacts
         — including rank assignment, which walks every binding — is
         deferred to the first classification (:meth:`_refresh`):
@@ -247,7 +245,6 @@ class PacketFilterDemux:
         ACL-scale SETFILTER storm is quadratic.
         """
         self._table = None
-        self._fused = None
         self._ir = None
         self._hot_classify = None
         self._stale = True
@@ -261,31 +258,31 @@ class PacketFilterDemux:
         self._stale = False
         for rank, binding in enumerate(self._order):
             binding.rank = rank
-        if self._use_table:
-            self._table = DecisionTable.build(
-                (binding, binding.program, (binding.rank,))
-                for binding in self._order
+        if self.engine is Engine.IR:
+            self._ir = compile_ir_set(
+                [
+                    SetEntry(
+                        rank=binding.rank,
+                        program=binding.program,
+                        report=binding.report,
+                        copy_all=binding.port.copy_all,
+                    )
+                    for binding in self._order
+                ],
+                mode=self.mode,
             )
-        if self.engine in (Engine.FUSED, Engine.IR):
-            entries = [
-                FusedEntry(
-                    rank=binding.rank,
-                    program=binding.program,
-                    report=binding.report,
-                    copy_all=binding.port.copy_all,
-                )
-                for binding in self._order
-            ]
-            if self.engine is Engine.FUSED:
-                self._fused = fuse_filter_set(
-                    entries, mode=self.mode, level=self.level
-                )
-                self._hot_classify = self._fused._function
-            else:
-                self._ir = compile_ir_set(
-                    entries, mode=self.mode, level=self.level
-                )
-                self._hot_classify = self._ir._function
+            self._hot_classify = self._ir._function
+        elif self._use_table:
+            self._table = build_dispatch_tree(
+                [
+                    TableEntry(
+                        order=(binding.rank,),
+                        handle=binding,
+                        program=binding.program,
+                    )
+                    for binding in self._order
+                ]
+            )
         if self.flow_cache is not None:
             self._rekey_cache()
 
@@ -331,7 +328,7 @@ class PacketFilterDemux:
             key = bytes(packet[: self._cache_key_bytes])
             ranks = cache.lookup(key)
         if ranks is None:
-            # The compiled whole-set engines expose their generated
+            # The compiled whole-set engine exposes its generated
             # function directly; calling it here skips two wrapper
             # frames on the per-packet path.
             hot = self._hot_classify
@@ -353,20 +350,14 @@ class PacketFilterDemux:
         instructions: int,
         timestamp: float | None,
         packet_id: int | None,
-        *,
-        reorder: bool = True,
     ) -> DeliveryReport:
         """Queue an already-classified packet and account for it — the
-        non-memoizable tail of :meth:`deliver`, shared with the batch
-        path (which defers the reorder tick to the end of the burst so
-        classification and delivery order stay consistent batch-wide).
-        """
+        non-memoizable tail of :meth:`deliver`."""
         self.packets_seen += 1
         self.total_predicates_tested += predicates
         self._deliveries += 1
         tick = (
-            reorder
-            and self.reorder_same_priority
+            self.reorder_same_priority
             and self._deliveries % self.REORDER_INTERVAL == 0
         )
 
@@ -480,172 +471,31 @@ class PacketFilterDemux:
         the caller's side — the device layer charges its fixed dispatch
         overhead once per batch instead of once per packet, mirroring
         the section 6.4 batching argument on the read path.
-
-        Under :attr:`Engine.IR` the burst is classified batch-at-a-time
-        (``classify_batch``: the discriminating header word is
-        extracted for the whole burst up front — numpy-bulk when
-        available — then each packet takes one direct dispatch probe),
-        with one difference from the loop: the same-priority reorder
-        tick is deferred to the end of the burst, so every packet in it
-        is classified by the same compiled set.
         """
-        if self._stale:
-            self._refresh()
         packets = list(packets)
         if packet_ids is None:
             packet_ids = [None] * len(packets)
-        if self.engine is not Engine.IR or self._ir is None:
-            deliver = self.deliver
-            return [
-                deliver(packet, timestamp, pid)
-                for packet, pid in zip(packets, packet_ids)
-            ]
-
-        cache = self.flow_cache
-        usable = cache is not None and self._cache_usable
-        results: list[tuple[Sequence[int], int] | None] = [None] * len(packets)
-        if usable:
-            keys = [bytes(p[: self._cache_key_bytes]) for p in packets]
-            # Replay the scalar loop's cache schedule exactly: packet
-            # i's lookup must see the cache as it stands after every
-            # store from packets < i of the same burst.  (An earlier
-            # version did all lookups before any store, so a pre-cached
-            # entry evicted by an earlier in-burst colliding store
-            # still counted as a hit — hit/miss parity with deliver()
-            # drifted; pinned by tests/difftest/test_flowcache_parity.)
-            # In-burst stores are simulated as a slot overlay so the
-            # missing keys can still be classified in one
-            # classify_batch call; the real stores are applied
-            # afterwards in scalar order.
-            overlay: dict[int, bytes] = {}  # slot -> key last "stored"
-            need: dict[bytes, int] = {}     # missing key -> first index
-            pend_hit: list[int] = []        # resolve with 0 predicates
-            pend_miss: list[int] = []       # resolve with full predicates
-            store_order: list[int] = []     # miss indices, packet order
-            hits = misses = 0
-            for i, key in enumerate(keys):
-                slot = cache.slot(key)
-                burst_key = overlay.get(slot)
-                if burst_key is not None:
-                    hit = burst_key == key
-                    ranks = None
-                else:
-                    ranks = cache.peek(key)
-                    hit = ranks is not None
-                if hit:
-                    hits += 1
-                    if ranks is not None:
-                        results[i] = (ranks, 0)
-                    else:
-                        pend_hit.append(i)
-                else:
-                    misses += 1
-                    need.setdefault(key, i)
-                    overlay[slot] = key
-                    store_order.append(i)
-                    pend_miss.append(i)
-            classified = self._ir.classify_batch(
-                [packets[i] for i in need.values()]
+        elif len(packet_ids) != len(packets):
+            raise ValueError(
+                f"{len(packet_ids)} packet ids for {len(packets)} packets"
             )
-            by_key = dict(zip(need, classified))
-            cache.hits += hits
-            cache.misses += misses
-            for i in store_order:
-                cache.store(keys[i], tuple(by_key[keys[i]][0]))
-            for i in pend_miss:
-                results[i] = by_key[keys[i]]
-            for i in pend_hit:
-                results[i] = (by_key[keys[i]][0], 0)
-        else:
-            for i, outcome in enumerate(self._ir.classify_batch(packets)):
-                results[i] = outcome
-
-        start = self._deliveries
-        # Inlined single-accept tail: same accounting and caching as
-        # :meth:`_finish`'s fast path, minus one Python call frame per
-        # packet — the difference between the batch evaluator beating
-        # the scalar loop and merely matching it.  Anything but the
-        # plain one-filter case falls back to :meth:`_finish`;
-        # equivalence with the deliver() loop is pinned by the
-        # property suite and tests/sim/test_batched_input.py.
-        order = self._order
-        report_cache = self._reports
-        finish = self._finish
-        reports: list[DeliveryReport] = []
-        append = reports.append
-        for packet, pid, (ranks, predicates) in zip(
-            packets, packet_ids, results
-        ):
-            if len(ranks) != 1:
-                append(
-                    finish(
-                        packet, ranks, predicates, 0, timestamp, pid,
-                        reorder=False,
-                    )
-                )
-                continue
-            binding = order[ranks[0]]
-            port = binding.port
-            binding.accepts += 1
-            self.packets_seen += 1
-            self.total_predicates_tested += predicates
-            self._deliveries += 1
-            if port.enqueue(packet, timestamp, pid):
-                key = (port.port_id, predicates, 0)
-            elif getattr(port, "last_drop_cause", None) == "nobuf":
-                self.packets_unclaimed += 1
-                key = (port.port_id, predicates, 0, "nobuf")
-            else:
-                key = (port.port_id, predicates, 0, "overflow")
-            report = report_cache.get(key)
-            if report is None:
-                if len(key) == 3:
-                    report = DeliveryReport(
-                        accepted_by=(port.port_id,),
-                        predicates_tested=predicates,
-                    )
-                elif key[3] == "nobuf":
-                    report = DeliveryReport(
-                        nobuf_by=(port.port_id,),
-                        predicates_tested=predicates,
-                    )
-                else:
-                    report = DeliveryReport(
-                        dropped_by=(port.port_id,),
-                        predicates_tested=predicates,
-                    )
-                if len(report_cache) < 4096:
-                    report_cache[key] = report
-            append(report)
-        if (
-            self.reorder_same_priority
-            and self._deliveries // self.REORDER_INTERVAL
-            != start // self.REORDER_INTERVAL
-        ):
-            self._reorder()
-        return reports
+        deliver = self.deliver
+        return [
+            deliver(packet, timestamp, pid)
+            for packet, pid in zip(packets, packet_ids)
+        ]
 
     def _classify(self, packet: bytes) -> tuple[Sequence[int], int, int]:
-        """Which bindings accept ``packet``, and what it cost to learn.
+        """Which bindings accept ``packet``, and what it cost to learn,
+        for the linear engines (``Engine.IR`` goes through
+        ``_hot_classify``).
 
         Returns ``(ranks, predicates, instructions)`` with ranks in
         delivery order — the memoizable core of :meth:`deliver`,
         independent of queueing."""
-        if self._stale:
-            self._refresh()
-        if self.engine is Engine.FUSED:
-            assert self._fused is not None
-            ranks, predicates = self._fused.classify(packet)
-            return ranks, predicates, 0
-
-        if self.engine is Engine.IR:
-            assert self._ir is not None
-            ranks, predicates = self._ir.classify(packet)
-            return ranks, predicates, 0
-
         if self._table is not None:
             scan: Iterable[_Binding] = (
-                entry.handle for entry in self._table.entries_for(packet)
+                entry.handle for entry in self._table.lookup(packet)
             )
         else:
             scan = self._order

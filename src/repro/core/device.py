@@ -571,7 +571,7 @@ class PacketFilterHandle(DeviceHandle):
             changed = self.port.copy_all != bool(argument)
             self.port.copy_all = bool(argument)
             if changed and self.attached:
-                # The fused program and flow cache bake the copy-all
+                # The compiled set and flow cache bake the copy-all
                 # continuation in at bind time — re-derive them.
                 self.device.demux.invalidate()
         elif command == PFIoctl.SETBATCH:

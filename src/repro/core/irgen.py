@@ -1,6 +1,6 @@
-"""IR-to-Python code generation: bodies, dispatch trees, batch entry.
+"""IR-to-Python code generation: bodies and dispatch trees.
 
-Three layers, bottom up:
+Two layers, bottom up:
 
 * :func:`emit_ir_body` turns one optimized :class:`repro.core.ir.FilterIR`
   into straight-line Python statements — the registerized lowering that
@@ -20,17 +20,6 @@ Three layers, bottom up:
   bodies in a chain share are hoisted into the chain preamble, loaded
   through a never-faulting padded form so the preamble cannot raise on
   behalf of a body whose own length guard would have exited first.
-
-* ``classify_batch`` is the batch-at-a-time entry: the root
-  discriminant word is extracted for the whole burst first —
-  structure-of-arrays, with a numpy-backed packed header matrix when
-  numpy is importable, the burst is large enough, and the frames are
-  uniform — then each group of same-key packets runs its (already
-  resolved) subtree back to back, keeping one chain's code hot in
-  cache instead of re-dispatching per packet.
-
-numpy is strictly optional: the import is soft, and every path has a
-pure-Python fallback with identical results.
 """
 
 from __future__ import annotations
@@ -39,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .decision import TableEntry
-from .interpreter import LanguageLevel, ShortCircuitMode
+from .interpreter import ShortCircuitMode
 from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueGraph
 from .ir import lower_program
 from .opt import (
@@ -49,18 +38,17 @@ from .opt import (
     live_nodes,
     specialize_filter,
 )
+from .program import FilterProgram
+from .validator import ValidationReport
 from .words import get_byte, get_word
 
-try:  # pragma: no cover - exercised by the numpy-absent CI leg
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-__all__ = ["IRStats", "CompiledIRSet", "compile_ir_set", "emit_ir_body"]
-
-#: Below this burst size the numpy packed-matrix setup costs more than
-#: the python loop it replaces.
-NUMPY_BATCH_MIN = 16
+__all__ = [
+    "SetEntry",
+    "IRStats",
+    "CompiledIRSet",
+    "compile_ir_set",
+    "emit_ir_body",
+]
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 _CMP_NEG = {"eq": "!=", "ne": "==", "lt": ">=", "le": ">", "gt": "<=", "ge": "<"}
@@ -217,6 +205,22 @@ def emit_ir_body(
 
 
 @dataclass(frozen=True)
+class SetEntry:
+    """One bound filter as the set compiler sees it.
+
+    ``rank`` is the filter's position in global application order
+    (priority descending, then bind sequence); ``copy_all`` is baked in
+    at compile time, so flipping it on a live port must recompile (the
+    demultiplexer's ``invalidate()`` does).
+    """
+
+    rank: int
+    program: FilterProgram
+    report: ValidationReport
+    copy_all: bool
+
+
+@dataclass(frozen=True)
 class IRStats:
     """Compiler accounting, published as gauges by the device layer."""
 
@@ -232,10 +236,12 @@ class IRStats:
 class CompiledIRSet:
     """A bound filter set compiled through the IR pipeline.
 
-    Same classification contract as
-    :class:`repro.core.fused.FusedFilterSet` — ``classify(packet)``
-    returns ``(ranks, predicates)`` — plus the batch entry point and
-    the pass statistics.
+    ``classify(packet)`` returns ``(ranks, predicates)``: the ranks of
+    the accepting filters in delivery order (first-match unless an
+    accepting filter opted into copy-all), and how many filter bodies
+    were entered before resolution — the figure-of-merit the cost model
+    charges for.  ``source`` keeps the generated module for inspection
+    and tests; ``stats`` carries the pass statistics.
     """
 
     source: str
@@ -243,16 +249,9 @@ class CompiledIRSet:
     discriminant: tuple[int, int] | None  #: root (word index, mask)
     stats: IRStats
     _function: object
-    _batch_function: object
 
     def classify(self, packet: bytes) -> tuple[Sequence[int], int]:
         return self._function(packet)  # type: ignore[operator]
-
-    def classify_batch(
-        self, packets: Sequence[bytes]
-    ) -> list[tuple[Sequence[int], int]]:
-        """Classify a burst; element i is ``classify(packets[i])``."""
-        return self._batch_function(packets)  # type: ignore[operator]
 
 
 _IR_MEMO: dict = {}
@@ -260,29 +259,27 @@ _IR_MEMO_MAX = 8
 
 
 def compile_ir_set(
-    entries: Sequence,
+    entries: Sequence[SetEntry],
     *,
     mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
-    level: LanguageLevel = LanguageLevel.CLASSIC,
     max_depth: int = 3,
 ) -> CompiledIRSet:
-    """Compile ``entries`` (:class:`repro.core.fused.FusedEntry`-shaped:
-    rank/program/report/copy_all, already validated, in rank order)
-    through lower → CSE → dispatch-tree → specialize → emit.
+    """Compile ``entries`` (already validated, in rank order) through
+    lower → CSE → dispatch-tree → specialize → emit.
 
     The necessary-equality analysis behind the dispatch tree assumes
     the figure 3-6 push-result discipline, so under ``NO_PUSH`` the set
-    compiles as a single chain (still one call, no dispatch) — same
-    rule as the fused engine.
+    compiles as a single chain (still one call, no dispatch).
 
-    Compiled sets are memoized on set value (small LRU, same scheme as
-    :func:`repro.core.fused.fuse_filter_set`): SETFILTER churn that
-    restores an earlier set, or several demultiplexers bound to the
-    same ACL, reuse one immutable artifact instead of re-running the
-    whole middle-end — at 10k rules a fresh compile is seconds, a memo
-    hit is microseconds.
+    Compiled sets are memoized on set value (small LRU): SETFILTER
+    churn that restores an earlier set, or several demultiplexers bound
+    to the same ACL, reuse one immutable artifact instead of re-running
+    the whole middle-end — at 10k rules a fresh compile is seconds, a
+    memo hit is microseconds.  The validation report is a pure function
+    of (program, mode), so it stays out of the key; everything the
+    generated code bakes in — rank order, program identity, copy-all —
+    is in it.
     """
-    del level  # validation already happened; kept for engine-call parity
     entries = sorted(entries, key=lambda e: e.rank)
     memo_key = (
         tuple((e.rank, e.program, e.copy_all) for e in entries),
@@ -438,23 +435,14 @@ def compile_ir_set(
             f"{value:#x}: {fn}" for value, fn in sorted(targets.items())
         )
         lines.append(f"{name}_MAP = {{{mapping}}}")
-        lines.append(f"{name}_FB = {fallback}")
         return name
 
     root = emit_tree(tree, {})
     lines.append("def _classify(packet):")
     lines.append(f"    return {root}(packet, len(packet))")
 
-    _emit_batch(lines, tree, root)
-
     source = "\n".join(lines) + "\n"
-    namespace = {
-        "_get_word": get_word,
-        "_get_byte": get_byte,
-        "_ONE": (0,),
-        "_np": _np,
-        "_NUMPY_BATCH_MIN": NUMPY_BATCH_MIN,
-    }
+    namespace = {"_get_word": get_word, "_get_byte": get_byte, "_ONE": (0,)}
     exec(compile(source, f"<ir set of {len(entries)}>", "exec"), namespace)
     stats = IRStats(
         filters=len(entries),
@@ -470,59 +458,8 @@ def compile_ir_set(
         discriminant=tree.discriminant,
         stats=stats,
         _function=namespace["_classify"],
-        _batch_function=namespace["_classify_batch"],
     )
     if len(_IR_MEMO) >= _IR_MEMO_MAX:
         _IR_MEMO.pop(next(iter(_IR_MEMO)))
     _IR_MEMO[memo_key] = compiled
     return compiled
-
-
-def _emit_batch(lines: list[str], tree: DispatchTree, root: str) -> None:
-    """Emit ``_classify_batch``: SoA extraction of the root
-    discriminant for the whole burst (numpy-bulk when available), then
-    one direct dispatch probe per packet with the probe callables bound
-    to locals — measurably cheaper than materializing per-value groups
-    first, since a group saves only one dict probe per member."""
-    if tree.discriminant is None:
-        lines.append("def _classify_batch(packets):")
-        lines.append(f"    return [{root}(p, len(p)) for p in packets]")
-        return
-
-    index, mask = tree.discriminant
-    offset = 2 * index
-    lines.append("def _batch_keys(packets):")
-    lines.append("    if _np is not None and len(packets) >= _NUMPY_BATCH_MIN:")
-    lines.append("        _L = len(packets[0])")
-    lines.append(
-        f"        if _L > {offset + 1} and"
-        " all(len(p) == _L for p in packets):"
-    )
-    lines.append(
-        "            _m = _np.frombuffer(b''.join(packets),"
-        " dtype=_np.uint8).reshape(len(packets), _L)"
-    )
-    lines.append(
-        f"            return (((_m[:, {offset}].astype(_np.int32) << 8)"
-        f" | _m[:, {offset + 1}]) & {mask:#x}).tolist()"
-    )
-    lines.append("    _keys = []")
-    lines.append("    _ap = _keys.append")
-    lines.append("    for p in packets:")
-    lines.append("        _n = len(p)")
-    lines.append(f"        if _n > {offset + 1}:")
-    lines.append(
-        f"            _ap(((p[{offset}] << 8) | p[{offset + 1}]) & {mask:#x})"
-    )
-    lines.append(f"        elif _n > {offset}:")
-    lines.append(f"            _ap((p[{offset}] << 8) & {mask:#x})")
-    lines.append("        else:")
-    lines.append("            _ap(None)")
-    lines.append("    return _keys")
-    lines.append("def _classify_batch(packets):")
-    lines.append(f"    _get = {root}_MAP.get")
-    lines.append(f"    _fb = {root}_FB")
-    lines.append("    return [")
-    lines.append("        _get(_k, _fb)(_p, len(_p))")
-    lines.append("        for _k, _p in zip(_batch_keys(packets), packets)")
-    lines.append("    ]")

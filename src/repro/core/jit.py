@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from .interpreter import LanguageLevel, ShortCircuitMode
 from .ir import lower_program
@@ -31,7 +30,7 @@ from .program import FilterProgram
 from .validator import ValidationReport, validate
 from .words import get_byte, get_word
 
-__all__ = ["CompiledFilter", "compile_filter", "emit_filter_body"]
+__all__ = ["CompiledFilter", "compile_filter"]
 
 
 @dataclass(frozen=True)
@@ -93,54 +92,22 @@ def _compile_filter_cached(
     )
 
 
-def emit_filter_body(
-    program: FilterProgram,
-    report: ValidationReport,
-    mode: ShortCircuitMode,
-    emit: Callable[[str], None],
-    indent: str,
-    *,
-    terminate: Callable[[str], str],
-    length_expr: str = "len(packet)",
-    name_prefix: str = "t",
-) -> None:
-    """Lower ``program``'s instructions to Python statements.
-
-    Shared between the single-filter JIT below and the fused filter-set
-    compiler (:mod:`repro.core.fused`).  ``emit`` receives one generated
-    line at a time; ``terminate(expr)`` must return a single statement
-    (semicolons allowed) that ends evaluation with the truth value of
-    ``expr`` — ``return {expr}`` for a standalone function, an
-    assignment plus ``break`` for a body inlined into a dispatch chain.
-    ``length_expr`` names an expression (or precomputed local) holding
-    the packet length; ``name_prefix`` keeps temporaries of co-inlined
-    filters from colliding.
-
-    Since the IR middle-end landed this is a thin front door: the
-    program is lowered to :class:`repro.core.ir.FilterIR` (which
-    constant-folds and value-numbers on the way) and emitted by
-    :func:`repro.core.irgen.emit_ir_body`.  The contract the old
-    stack-walking emitter established is unchanged: one up-front
-    length check covers every access provably reachable before an
-    early-TRUE exit, and later/deeper accesses get their own inline
-    checks at the exact execution point the interpreter would fault
-    at (so "accept before touching the deep word" programs behave
-    identically — hypothesis found this one).
-    """
-    fir = lower_program(program, report, mode)
-    emit_ir_body(
-        fir, emit, indent,
-        terminate=terminate,
-        length_expr=length_expr,
-        name_prefix=name_prefix,
-    )
-
-
 def _generate(
     program: FilterProgram,
     report: ValidationReport,
     mode: ShortCircuitMode,
 ) -> str:
+    """Lower ``program`` to the source of ``_filter(packet)``.
+
+    The program is lowered to :class:`repro.core.ir.FilterIR` (which
+    constant-folds and value-numbers on the way) and emitted by
+    :func:`repro.core.irgen.emit_ir_body`: one up-front length check
+    covers every access provably reachable before an early-TRUE exit,
+    and later/deeper accesses get their own inline checks at the exact
+    execution point the interpreter would fault at (so "accept before
+    touching the deep word" programs behave identically — hypothesis
+    found this one).
+    """
     lines = ["def _filter(packet):"]
     indent = "    "
     emit = lines.append
@@ -150,8 +117,8 @@ def _generate(
         emit(f"{indent}try:")
         indent += "    "
 
-    emit_filter_body(
-        program, report, mode, emit, indent,
+    emit_ir_body(
+        lower_program(program, report, mode), emit, indent,
         terminate=lambda expr: f"return {expr}",
     )
 

@@ -20,11 +20,12 @@ mechanism gives all four classic passes:
   rewrites the corresponding loads to constants and lets folding delete
   the now-redundant predicate the dispatch probe already paid for.
 
-The dispatch tree itself (:func:`build_dispatch_tree`) generalizes the
-section 5 decision table's necessary-equality bucketing into a
-recursive plan the backend (:mod:`repro.core.irgen`) turns into nested
-hash probes.  It consumes and produces the same public
-:class:`repro.core.decision.TableEntry` the decision table yields, and
+The dispatch tree itself (:func:`build_dispatch_tree`) turns the
+necessary-equality bucketing of :mod:`repro.core.decision` into a
+recursive plan.  It is the section 7 decision table in both its forms:
+the backend (:mod:`repro.core.irgen`) compiles it into nested hash
+probes, and the linear engines walk it per packet
+(:meth:`DispatchTree.lookup`) under ``use_decision_table=True``.  It
 reorders *predicates*, never priorities: every leaf chain is sorted by
 the caller's order key, so delivery order is exactly the figure 4-1
 loop's.
@@ -47,6 +48,7 @@ from .ir import (
     FilterIR,
     ValueGraph,
 )
+from .words import get_word
 
 __all__ = [
     "live_nodes",
@@ -202,8 +204,7 @@ class DispatchTree:
     bucket (or too short for the field).  Leaves carry the ``entries``
     to evaluate in application order.  Entries the analysis could not
     bucket at a node are merged *into every bucket subtree* (and form
-    the fallback), preserving total order — the same discipline the
-    fused engine uses at depth one.
+    the fallback), preserving total order.
     """
 
     discriminant: tuple[int, int] | None
@@ -229,6 +230,23 @@ class DispatchTree:
             count += self.fallback.leaves
         return count
 
+    def lookup(self, packet: bytes) -> tuple[TableEntry, ...]:
+        """Entries worth evaluating on ``packet``, in application order:
+        every filter the probes on the way down did not rule out."""
+        node = self
+        while node.discriminant is not None:
+            index, mask = node.discriminant
+            try:
+                value = get_word(packet, index) & mask
+            except IndexError:
+                # Packet too short for the field: every bucketed
+                # filter's necessary PUSHWORD would fault, so only
+                # fallbacks apply.
+                node = node.fallback
+            else:
+                node = node.buckets.get(value, node.fallback)
+        return node.entries
+
 
 #: Stop splitting below this many entries; a straight chain is cheaper.
 MIN_SPLIT = 2
@@ -242,7 +260,7 @@ def build_dispatch_tree(
     used_keys: frozenset = frozenset(),
     _depth: int = 0,
 ) -> DispatchTree:
-    """Generalize the section 5 bucketing into a recursive plan.
+    """Bucket ``entries`` by their necessary equalities, recursively.
 
     This is the predicate-reordering pass: instead of each filter
     re-testing the discriminating fields in chain order, the shared

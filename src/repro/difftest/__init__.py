@@ -1,14 +1,14 @@
 """Differential correctness harness for the classification engines.
 
-The demultiplexer can classify a packet five different ways (checked,
-prevalidated, compiled, fused, IR), through an optional decision table,
-an optional flow cache, and two delivery paths (scalar ``deliver`` vs
-``deliver_batch``) — forty configurations that all claim to implement
-the one figure 4-1 contract.  This package runs the same rule set and
-packet stream through every configuration and asserts they cannot be
-told apart: identical per-packet accept/drop/nobuf outcomes, reconciled
-port and demux counters, and identical flow-cache hit/miss statistics
-across engines and delivery paths.
+The demultiplexer can classify a packet four different ways (checked,
+prevalidated, compiled, IR), the three linear ones through an optional
+decision table, all through an optional flow cache — fourteen
+configurations that all claim to implement the one figure 4-1
+contract.  This package runs the same rule set and packet stream
+through every configuration and asserts they cannot be told apart:
+identical per-packet accept/drop/nobuf outcomes, reconciled port and
+demux counters, and identical flow-cache hit/miss statistics across
+engines.
 
 See :mod:`repro.difftest.harness` for the matrix runner,
 :mod:`repro.difftest.mutations` for the adversarial stream builders

@@ -4,8 +4,7 @@ A *stream* is a flat list of events, replayed identically against every
 configuration under test:
 
 ``("packet", bytes)``
-    Deliver one packet (through ``deliver`` or, for batch
-    configurations, buffered into the next ``deliver_batch`` burst).
+    Deliver one packet.
 ``("detach", i)`` / ``("attach", i)``
     Live SETFILTER churn on port ``i`` (ports are created once, up
     front, from the rule list; detach keeps the port's queue, re-attach
@@ -17,18 +16,6 @@ configuration under test:
     Read every port's queue to empty — frees queue space (and pool
     buffers) so overflow/nobuf outcomes keep toggling mid-stream.
 
-Batch configurations flush their pending burst before any non-packet
-event, so mutations land between the same two packets in every
-configuration; within an uninterrupted packet run, bursts are cut at
-``config.batch`` packets.
-
-The one *intended* behavioral difference in the whole matrix is the
-same-priority reorder tick: ``deliver_batch`` under the IR engine
-defers it to the end of the burst (documented in
-:meth:`repro.core.demux.PacketFilterDemux.deliver_batch`), so reorder
-is disabled by default and scenario code that enables it excludes the
-IR batch configuration (:func:`full_matrix` with ``reorder=True``).
-
 Comparison rules (:func:`run_matrix`):
 
 * per-packet outcomes — ``accepted_by``/``dropped_by``/``nobuf_by``
@@ -37,9 +24,9 @@ Comparison rules (:func:`run_matrix`):
   (predicate/instruction counts excluded: engines legitimately do
   different amounts of work);
 * flow-cache hit/miss/invalidation counters equal across **all**
-  cache-enabled configurations, engine and delivery path
-  notwithstanding — the cache keys on the packet's header prefix and
-  stores ranks, neither of which may depend on the engine;
+  cache-enabled configurations, whatever the engine — the cache keys
+  on the packet's header prefix and stores ranks, neither of which
+  may depend on the engine;
 * optionally, the baseline's outcomes equal an independent 30-line
   oracle (:func:`reference_outcomes`) that reimplements priority
   order, first-match, copy-all and queue overflow with nothing but
@@ -82,7 +69,6 @@ class MatrixConfig:
     engine: Engine
     flow_cache: int = 0        #: slots (power of two); 0 = off
     use_decision_table: bool = False
-    batch: int = 0             #: burst size through deliver_batch; 0 = scalar
 
     @property
     def label(self) -> str:
@@ -91,39 +77,26 @@ class MatrixConfig:
             parts.append(f"cache{self.flow_cache}")
         if self.use_decision_table:
             parts.append("table")
-        parts.append(f"batch{self.batch}" if self.batch else "scalar")
         return "+".join(parts)
 
 
 def full_matrix(
-    *,
-    engines: Sequence[Engine] = tuple(Engine),
-    cache_sizes: Sequence[int] = (0, 64),
-    tables: Sequence[bool] = (False, True),
-    batches: Sequence[int] = (0, 32),
-    reorder: bool = False,
+    *, cache_sizes: Sequence[int] = (0, 64)
 ) -> tuple[MatrixConfig, ...]:
-    """Every engine × cache × table × delivery-path combination.
+    """Every engine × cache × table combination that names distinct
+    code: the IR engine compiles the table in, so it has no table-on
+    cell.
 
-    The first configuration returned is always the baseline (checked
-    interpreter, nothing else enabled) when it is in the product.  With
-    ``reorder=True`` the IR batch configurations are omitted — batch
-    delivery defers the reorder tick to burst end by design, so under
-    live reordering they are *specified* to disagree with the scalar
-    loop about same-priority winners.
+    The first configuration returned is the baseline (checked
+    interpreter, nothing else enabled) whenever ``cache_sizes``
+    includes 0.
     """
     configs = [
-        MatrixConfig(
-            engine=engine,
-            flow_cache=cache,
-            use_decision_table=table,
-            batch=batch,
-        )
-        for engine in engines
+        MatrixConfig(engine=engine, flow_cache=cache, use_decision_table=table)
+        for engine in Engine
         for cache in cache_sizes
-        for table in tables
-        for batch in batches
-        if not (reorder and engine is Engine.IR and batch)
+        for table in (False, True)
+        if not (table and engine is Engine.IR)
     ]
     baseline = MatrixConfig(engine=Engine.CHECKED)
     configs.sort(key=lambda c: (c != baseline, c.label))
@@ -256,38 +229,16 @@ def run_config(
         demux.attach(port)
 
     outcomes: list[PacketOutcome] = []
-    pending: list[bytes] = []
-
-    def flush() -> None:
-        if not pending:
-            return
-        for report in demux.deliver_batch(list(pending)):
+    for event in stream:
+        kind = event[0]
+        if kind == "packet":
+            report = demux.deliver(event[1])
             outcomes.append(
                 PacketOutcome(
                     report.accepted_by, report.dropped_by, report.nobuf_by
                 )
             )
-        pending.clear()
-
-    for event in stream:
-        kind = event[0]
-        if kind == "packet":
-            if config.batch:
-                pending.append(event[1])
-                if len(pending) >= config.batch:
-                    flush()
-            else:
-                report = demux.deliver(event[1])
-                outcomes.append(
-                    PacketOutcome(
-                        report.accepted_by,
-                        report.dropped_by,
-                        report.nobuf_by,
-                    )
-                )
-            continue
-        flush()
-        if kind == "detach":
+        elif kind == "detach":
             demux.detach(ports[event[1]])
         elif kind == "attach":
             demux.attach(ports[event[1]])
@@ -299,7 +250,6 @@ def run_config(
                 port.read_packets()
         else:
             raise ValueError(f"unknown stream event {event!r}")
-    flush()
 
     counters: dict[str, int] = {
         "packets_seen": demux.packets_seen,

@@ -1,13 +1,15 @@
-"""Tests for necessary-equality analysis and the decision table."""
+"""Tests for necessary-equality analysis and the decision table (the
+dispatch tree's per-packet lookup)."""
 
 
 from repro.core.compiler import compile_expr, word
 from repro.core.decision import (
-    DecisionTable,
     NecessaryTest,
+    TableEntry,
     necessary_equalities,
 )
 from repro.core.interpreter import evaluate
+from repro.core.opt import build_dispatch_tree
 from repro.core.paper_filters import (
     figure_3_8_pup_type_range,
     figure_3_9_pup_socket_35,
@@ -77,9 +79,16 @@ class TestNecessaryTestMatching:
 
 
 def build_table(programs):
-    return DecisionTable.build(
-        (index, program, (index,)) for index, program in enumerate(programs)
+    return build_dispatch_tree(
+        [
+            TableEntry(order=(index,), handle=index, program=program)
+            for index, program in enumerate(programs)
+        ]
     )
+
+
+def candidates(table, packet):
+    return [entry.handle for entry in table.lookup(packet)]
 
 
 class TestDecisionTable:
@@ -98,10 +107,10 @@ class TestDecisionTable:
         ]
         table = build_table(programs)
         packet = pack_words([0, 0, 0, 0, 0, 0, 1, 10])
-        candidates = list(table.candidates(packet))
-        assert candidates == sorted(candidates)
+        offered = candidates(table, packet)
+        assert offered == sorted(offered)
         # Only filters requiring word6==1 (plus any fallback) may appear.
-        for index in candidates:
+        for index in offered:
             assert index in (0, 1)
 
     def test_exactness_against_linear_scan(self):
@@ -125,7 +134,7 @@ class TestDecisionTable:
             )
             via_table = next(
                 (
-                    i for i in table.candidates(packet)
+                    i for i in candidates(table, packet)
                     if evaluate(programs[i], packet).accepted
                 ),
                 None,
@@ -141,12 +150,11 @@ class TestDecisionTable:
         table = build_table(programs)
         # Too short for word 6: bucketed filters would fault anyway, so
         # only the unanalyzable catch-all is offered.
-        assert list(table.candidates(b"")) == [2]
+        assert candidates(table, b"") == [2]
 
     def test_empty_table(self):
-        table = DecisionTable.build([])
-        assert list(table.candidates(b"\x00\x00")) == []
-        assert len(table) == 0
+        table = build_table([])
+        assert candidates(table, b"\x00\x00") == []
 
     def test_single_filter_no_split(self):
         table = build_table([compile_expr(word(0) == 1)])

@@ -236,6 +236,23 @@ class TestEngines:
         assert demux._table is None
         assert demux.deliver(PACKET_A).accepted
 
+    def test_decision_table_not_built_under_whole_set_engine(self):
+        # Engine.IR compiles the table into its dispatch function and
+        # never consults a separate one, so building it is pure waste.
+        demux = PacketFilterDemux(engine=Engine.IR, use_decision_table=True)
+        demux.attach(port_with(type_filter(0xA), port_id=0))
+        demux.attach(port_with(type_filter(0xB), port_id=1))
+        assert demux.deliver(PACKET_B).accepted_by == (1,)
+        assert demux._table is None
+
+    def test_deliver_batch_rejects_mismatched_packet_ids(self):
+        demux = PacketFilterDemux()
+        demux.attach(port_with(type_filter(0xA)))
+        with pytest.raises(ValueError):
+            demux.deliver_batch([PACKET_A, PACKET_A], packet_ids=[7])
+        # nothing was delivered before the mismatch was noticed
+        assert demux.packets_seen == 0
+
 
 class TestAccounting:
     def test_mean_predicates_tested(self):

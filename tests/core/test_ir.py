@@ -13,7 +13,6 @@ from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.interpreter import LanguageLevel, ShortCircuitMode, evaluate
 from repro.core.ir import (
-    CONST,
     LOAD,
     Anchor,
     Bound,
@@ -21,8 +20,7 @@ from repro.core.ir import (
     ValueGraph,
     lower_program,
 )
-from repro.core.irgen import compile_ir_set
-from repro.core.fused import FusedEntry
+from repro.core.irgen import SetEntry, compile_ir_set
 from repro.core.opt import (
     build_dispatch_tree,
     cse_filter_set,
@@ -43,7 +41,7 @@ def lower(program, mode=ShortCircuitMode.PUSH_RESULT, graph=None):
 
 
 def entry(rank, program):
-    return FusedEntry(
+    return SetEntry(
         rank=rank,
         program=program,
         report=validate(program),
@@ -301,7 +299,7 @@ class TestDispatchTree:
 
 
 # ---------------------------------------------------------------------------
-# The compiled set: scalar/batch agreement, numpy-free fallback
+# The compiled set: statistics, agreement with the interpreter
 # ---------------------------------------------------------------------------
 
 
@@ -325,19 +323,6 @@ class TestCompiledIRSet:
         assert stats.filters == 8
         assert stats.nodes_after_cse < stats.nodes_before_cse
         assert stats.dispatch_depth >= 1
-
-    def test_batch_matches_scalar(self):
-        compiled = build_set()
-        scalar = [compiled.classify(p) for p in PACKETS]
-        assert compiled.classify_batch(PACKETS) == scalar
-
-    def test_batch_matches_scalar_without_numpy(self, monkeypatch):
-        import repro.core.irgen as irgen
-
-        monkeypatch.setattr(irgen, "_np", None)
-        compiled = build_set()
-        scalar = [compiled.classify(p) for p in PACKETS]
-        assert compiled.classify_batch(PACKETS) == scalar
 
     def test_classification_agrees_with_interpreter(self):
         programs = [

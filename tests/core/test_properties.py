@@ -15,7 +15,7 @@ The invariants DESIGN.md §5 promises:
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compiler import compile_expr, word
-from repro.core.decision import DecisionTable
+from repro.core.decision import TableEntry
 from repro.core.instructions import (
     BinaryOp,
     CLASSIC_OPERATORS,
@@ -31,6 +31,7 @@ from repro.core.interpreter import (
     evaluate,
 )
 from repro.core.jit import compile_filter
+from repro.core.opt import build_dispatch_tree
 from repro.core.program import FilterProgram
 from repro.core.validator import ValidationError, validate
 from repro.core.words import get_word, word_count
@@ -269,8 +270,11 @@ class TestDecisionTableProperties:
                 test = word(index) == value
                 expr = test if expr is None else expr & test
             programs.append(compile_expr(expr))
-        table = DecisionTable.build(
-            (i, program, (i,)) for i, program in enumerate(programs)
+        table = build_dispatch_tree(
+            [
+                TableEntry(order=(i,), handle=i, program=program)
+                for i, program in enumerate(programs)
+            ]
         )
         packet = pack_words(packet_words)
 
@@ -278,7 +282,7 @@ class TestDecisionTableProperties:
             i for i, program in enumerate(programs)
             if evaluate(program, packet).accepted
         ]
-        offered = list(table.candidates(packet))
+        offered = [entry.handle for entry in table.lookup(packet)]
         via_table = [
             i for i in offered if evaluate(programs[i], packet).accepted
         ]

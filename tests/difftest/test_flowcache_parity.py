@@ -1,16 +1,15 @@
 """Flow-cache determinism and scalar/batch counter parity.
 
-Two regressions pinned here:
+Two properties pinned here:
 
 * slot indexing must be seed-independent (``zlib.crc32``, not the
   salted ``hash()``) — otherwise collision and eviction patterns, and
   with them the hit/miss counters every cost model reads, differ
   between identically-seeded runs under different ``PYTHONHASHSEED``;
-* ``deliver_batch`` must replay the scalar loop's cache schedule
-  exactly: an early version did all lookups before any store, so a
-  pre-cached entry evicted by an earlier in-burst colliding store
-  still counted as a hit and the batch path's hit/miss counters
-  drifted from ``deliver()``'s.
+* lookups and stores interleave packet by packet, in a burst as in a
+  loop: a pre-cached entry evicted by an earlier colliding store is a
+  miss when its flow comes back (a batch path that did all lookups
+  before any store once counted it a hit).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from zlib import crc32
 
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
-from repro.core.fused import FlowCache
+from repro.core.flowcache import FlowCache
 from repro.core.port import Port
 from repro.core.words import pack_words
 
@@ -58,9 +57,8 @@ def test_slot_indexing_is_crc32():
 
 
 def test_batch_matches_scalar_on_colliding_evict():
-    """The exact shape that exposed the drift: pre-cache key B, then a
-    burst [A, B] where A's store evicts B.  The scalar loop counts B a
-    miss; the batch path must too."""
+    """Pre-cache key B, then [A, B] where A's store evicts B: B's
+    second delivery is a miss, in a loop and in a burst."""
     a, b = _colliding_word_values(4, 2)
     values = [a, b]
     pkt_a = pack_words([a, 0x1111])
@@ -128,7 +126,7 @@ def test_flowcache_stats_identical_across_hashseeds(hashseed_outputs):
     final cache contents.  Fails if slot placement ever goes back to
     the salted ``hash()``."""
     script = """
-from repro.core.fused import FlowCache
+from repro.core.flowcache import FlowCache
 
 cache = FlowCache(16)
 keys = [bytes([i % 23, (i * 13) % 251]) for i in range(400)]
@@ -158,7 +156,7 @@ from repro.core.demux import Engine
 programs, tuples = generate_ruleset(30, seed=7)
 packets = traffic_for(tuples, count=120, seed=8)
 for config in (
-    MatrixConfig(engine=Engine.IR, flow_cache=16, batch=32),
+    MatrixConfig(engine=Engine.IR, flow_cache=16),
     MatrixConfig(engine=Engine.CHECKED, flow_cache=16),
 ):
     result = run_config(programs, packets_only(packets), config)

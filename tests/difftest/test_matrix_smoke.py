@@ -1,8 +1,8 @@
 """Tier-1 smoke coverage of the differential matrix.
 
 Small enough to ride in every test run, but it exercises every axis the
-firewall-scale ``-m difftest`` sweep does: all forty configurations,
-live attach/detach churn, copy-all flips, queue drains, buffer-pool
+firewall-scale ``-m difftest`` sweep does: all fourteen
+configurations, live attach/detach churn, copy-all flips, queue drains, buffer-pool
 exhaustion, same-priority reordering, and the adversarial rule-set
 family the dispatch tree cannot split.
 """
@@ -33,7 +33,7 @@ def test_full_matrix_smoke_with_churn():
     )
     report = run_matrix(programs, stream, full_matrix())
     assert report.ok, report.summary()
-    assert len(report.results) == 40
+    assert len(report.results) == len(full_matrix()) == 14
     cached = [r.cache_stats for r in report.results if r.cache_stats]
     assert cached and all(stats == cached[0] for stats in cached)
     # churn really invalidated the cache mid-stream
@@ -60,20 +60,14 @@ def test_matrix_smoke_nobuf_pool():
 
 
 def test_matrix_smoke_reorder():
-    """Same-priority reordering enabled: the IR batch configurations
-    are excluded by design (they defer the tick to burst end), and
-    everything that remains must still agree — including the cache
-    invalidations the reorders trigger."""
+    """Same-priority reordering enabled: every configuration must still
+    agree — including the cache invalidations the reorders trigger."""
     programs, tuples = generate_ruleset(10, seed=4)
     packets = traffic_for(tuples, count=80, seed=5)
-    configs = full_matrix(reorder=True)
-    assert all(
-        not (c.engine.value == "ir" and c.batch) for c in configs
-    )
     report = run_matrix(
         programs,
         packets_only(packets),
-        configs,
+        full_matrix(),
         reorder=True,
         reorder_interval=8,
     )
