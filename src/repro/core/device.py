@@ -51,7 +51,7 @@ from .demux import Engine, PacketFilterDemux
 from .ioctl import DataLinkInfo, PFIoctl, PortStatus
 from .port import Port, ReadTimeoutPolicy
 from .program import FilterProgram
-from .validator import ValidationError
+from .validator import ValidationError, validate
 
 __all__ = ["PacketFilterDevice", "PacketFilterHandle"]
 
@@ -527,18 +527,20 @@ class PacketFilterHandle(DeviceHandle):
         if command == PFIoctl.SETFILTER:
             if not isinstance(argument, FilterProgram):
                 raise InvalidArgument("SETFILTER needs a FilterProgram")
-            if self.attached:
-                self.device.demux.detach(self.port)
-                self.attached = False
-            previous = self.port.program
-            self.port.bind_filter(argument)
+            demux = self.device.demux
             try:
-                self.device.demux.attach(self.port)
+                # Validate before touching the live binding (the attach
+                # below re-validates from the memo): bad programs are an
+                # ioctl error, never a packet-time surprise, and the old
+                # filter stays attached where it was.
+                validate(argument, level=demux.level, mode=demux.mode)
             except ValidationError as exc:
-                # Bad programs are an ioctl error, never a packet-time
-                # surprise; the old filter (if any) stays unbound.
-                self.port.bind_filter(previous)
                 raise InvalidArgument(f"filter rejected: {exc}") from exc
+            if self.attached:
+                demux.detach(self.port)
+                self.attached = False
+            self.port.bind_filter(argument)
+            demux.attach(self.port)
             self.attached = True
             kernel.account(
                 Primitive.FILTER_BIND, kernel.costs.filter_bind,

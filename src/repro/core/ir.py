@@ -173,8 +173,6 @@ class ValueGraph:
             faultable = self._faultable[node.arg0] or (
                 node.arg1 is not None and self._faultable[node.arg1]
             )
-        elif node.kind in (INDW, INDB):
-            faultable = True
         self._faultable.append(faultable)
         return nid
 
@@ -403,7 +401,7 @@ def lower_program(
                 stack.append(g.const(continue_constant))
         elif op == BinaryOp.DIV:
             nid = g.binop("div", t2, t1)
-            if g.const_value(nid) is None:
+            if g.faultable(nid):  # not when ``x / 1`` folded to ``x``
                 steps.append(Anchor(nid))
             stack.append(nid)
         else:

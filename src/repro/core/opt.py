@@ -38,6 +38,7 @@ from typing import Mapping, Sequence
 
 from .decision import TableEntry, choose_discriminant, required_value
 from .ir import (
+    COMMUTATIVE_KINDS,
     CONST,
     INDB,
     INDW,
@@ -56,6 +57,7 @@ __all__ = [
     "optimize_filter",
     "cse_filter_set",
     "CSEStats",
+    "value_numbers",
     "specialize_filter",
     "DispatchTree",
     "build_dispatch_tree",
@@ -163,12 +165,44 @@ class CSEStats:
 def cse_filter_set(
     firs: Sequence[FilterIR],
 ) -> tuple[list[FilterIR], CSEStats]:
-    """Value-number ``firs`` against each other in one shared graph."""
+    """Value-number ``firs`` against each other in one shared graph.
+
+    Not on the compile path (each leaf chain transfers into its own
+    graph): this is the reference that the per-filter accounting of
+    :func:`value_numbers` is tested against.
+    """
     before = sum(len(live_nodes(fir)) for fir in firs)
     shared = ValueGraph()
     merged = [transfer_filter(fir, shared) for fir in firs]
-    after = len(set().union(*(live_nodes(fir) for fir in merged))) if merged else 0
-    return merged, CSEStats(nodes_before=before, nodes_after=after)
+    after: set[int] = set()
+    for fir in merged:
+        after |= live_nodes(fir)
+    return merged, CSEStats(nodes_before=before, nodes_after=len(after))
+
+
+def value_numbers(fir: FilterIR, live: set[int]) -> frozenset:
+    """Graph-independent value numbers of ``fir``'s ``live`` nodes.
+
+    A node's number is its structure — kind plus operand numbers, with
+    commutative operands in canonical order — so two filters lowered
+    into *separate* graphs number a shared subexpression identically,
+    and the size of the union over a filter set is the live node count
+    :func:`cse_filter_set` would find in one shared graph.
+    """
+    graph = fir.graph
+    numbers: dict[int, tuple] = {}
+    for nid in sorted(live):  # operands precede their users
+        node = graph.node(nid)
+        if node.kind in (CONST, LOAD):
+            numbers[nid] = (node.kind, node.arg0)
+        elif node.arg1 is None:
+            numbers[nid] = (node.kind, numbers[node.arg0])
+        else:
+            a, b = numbers[node.arg0], numbers[node.arg1]
+            if node.kind in COMMUTATIVE_KINDS and b < a:
+                a, b = b, a
+            numbers[nid] = (node.kind, a, b)
+    return frozenset(numbers.values())
 
 
 def specialize_filter(

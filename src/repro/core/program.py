@@ -105,6 +105,17 @@ class FilterProgram:
             )
         object.__setattr__(self, "instructions", instructions)
         object.__setattr__(self, "priority", priority)
+        # Programs key every compile-path memo (validate, the necessary-
+        # equality analysis, chain keys), each of which hashes them again.
+        object.__setattr__(self, "_hash", hash((instructions, priority)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: hashes are per process (``None``
+        # hashes by address), so a pickled ``_hash`` would be stale.
+        return (FilterProgram, (self.instructions, self.priority))
 
     # -- structural properties -------------------------------------------
 

@@ -197,6 +197,32 @@ class TestIoctlSurface:
         world.run_until_done(proc)
         assert proc.result == "InvalidArgument"
 
+    def test_rejected_rebind_leaves_old_filter_attached(self):
+        """SETFILTER is atomic: a rejected program changes nothing."""
+        world, alice, bob = make_world()
+        bad = FilterProgram(asm(("PUSHONE", "AND")))
+
+        def receiver():
+            fd = yield Open("pf")
+            yield Ioctl(fd, PFIoctl.SETFILTER, type_filter())
+            try:
+                yield Ioctl(fd, PFIoctl.SETFILTER, bad)
+            except InvalidArgument:
+                pass
+            [packet] = yield Read(fd)
+            return packet.data
+
+        rx = bob.spawn("rx", receiver())
+
+        def sender():
+            fd = yield Open("pf")
+            yield Sleep(0.02)
+            yield Write(fd, frame_for(alice, bob))
+
+        alice.spawn("tx", sender())
+        world.run_until_done(rx)
+        assert bob.link.payload_of(rx.result) == b"payload"
+
     def test_rebind_filter(self):
         """"A new filter can be bound at any time." (section 3)"""
         world, alice, bob = make_world()

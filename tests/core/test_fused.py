@@ -130,8 +130,8 @@ class TestFuseFilterSet:
             entry(0, word(6) == 0x0900),
             entry(1, word(6) == 0x0901),
         ])
-        assert "_dsp_0_MAP" in compiled.source
-        assert "def _classify(packet):" in compiled.source
+        assert "def _dsp(packet, _n):" in compiled.source
+        assert "def _chain(packet, _n):" in compiled.source
 
 
 class TestFlowCache:

@@ -8,7 +8,9 @@ instead of as a distant counterexample.
 """
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core import irgen
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.interpreter import LanguageLevel, ShortCircuitMode, evaluate
@@ -20,7 +22,13 @@ from repro.core.ir import (
     ValueGraph,
     lower_program,
 )
-from repro.core.irgen import SetEntry, compile_ir_set
+from repro.core.instructions import BinaryOp, Instruction, StackAction, pushword
+from repro.core.irgen import (
+    SetEntry,
+    chain_cache_clear,
+    chain_cache_info,
+    compile_ir_set,
+)
 from repro.core.opt import (
     build_dispatch_tree,
     cse_filter_set,
@@ -340,6 +348,199 @@ class TestCompiledIRSet:
                 if evaluate(p, packet, checked=True)
             )
             assert ranks == expected
+
+
+# ---------------------------------------------------------------------------
+# The chain cache: warm == cold, ranks follow the binding, stats stay exact
+# ---------------------------------------------------------------------------
+
+# A conjunction filter: ((word, value), ...) tests, whether the first
+# test is negated (which makes the filter unbucketable on that word),
+# and a priority.
+conjunctions = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 2)),
+        min_size=1, max_size=3, unique_by=lambda test: test[0],
+    ),
+    st.booleans(),
+    st.integers(0, 2),
+)
+
+# (op, a, b): what each op does with a/b is in ``apply_op``.
+churn_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["attach", "detach", "reattach", "flip", "reorder"]),
+        st.integers(0, 7),
+        conjunctions,
+    ),
+    min_size=1, max_size=8,
+)
+
+
+def conjunction_program(spec):
+    tests, negate_first, priority = spec
+    (index, value), *rest = tests
+    expr = (word(index) != value) if negate_first else (word(index) == value)
+    for index, value in rest:
+        expr = expr & (word(index) == value)
+    return compile_expr(expr, priority=priority)
+
+
+def apply_op(bound, op, pick, spec):
+    """Mutate ``bound`` — [program, copy_all] pairs in application order —
+    the way the demultiplexer's attach/detach/reorder would."""
+
+    def attach(binding):
+        # End of its priority class, as a fresh bind sequence lands.
+        priority = binding[0].priority
+        at = sum(1 for other in bound if other[0].priority >= priority)
+        bound.insert(at, binding)
+
+    if op == "attach" or not bound:
+        attach([conjunction_program(spec), False])
+    elif op == "detach":
+        bound.pop(pick % len(bound))
+    elif op == "reattach":
+        attach(bound.pop(pick % len(bound)))
+    elif op == "flip":
+        binding = bound[pick % len(bound)]
+        binding[1] = not binding[1]
+    else:  # swap two neighbours of equal priority, as _reorder may
+        at = pick % len(bound)
+        if at + 1 < len(bound) and (
+            bound[at][0].priority == bound[at + 1][0].priority
+        ):
+            bound[at], bound[at + 1] = bound[at + 1], bound[at]
+
+
+def scan(bound, packet):
+    """The figure 4-1 loop over ``bound`` with the checked interpreter."""
+    ranks = []
+    for rank, (program, copy_all) in enumerate(bound):
+        if evaluate(program, packet, checked=True).accepted:
+            ranks.append(rank)
+            if not copy_all:
+                break
+    return tuple(ranks)
+
+
+@st.composite
+def stack_programs(draw):
+    """A valid EXTENDED-level program over a tiny vocabulary, so that
+    separate filters share subexpressions, swap commutative operands,
+    and use indirect loads and DIV."""
+    pushes = [
+        Instruction(pushword(0)), Instruction(pushword(1)),
+        Instruction(int(StackAction.PUSHONE)),
+        Instruction(int(StackAction.PUSHLIT), literal=2),
+    ]
+    operators = [
+        BinaryOp.EQ, BinaryOp.AND, BinaryOp.OR, BinaryOp.ADD, BinaryOp.SUB,
+        BinaryOp.DIV, BinaryOp.LT, BinaryOp.CAND, BinaryOp.COR,
+    ]
+    body, depth = [], 0
+    for _ in range(draw(st.integers(1, 10))):
+        choice = draw(st.integers(0, 2))
+        if choice == 0 or depth < 1:
+            body.append(draw(st.sampled_from(pushes)))
+            depth += 1
+        elif choice == 1 and depth >= 2:
+            body.append(Instruction(
+                int(StackAction.NOPUSH), draw(st.sampled_from(operators))
+            ))
+            depth -= 1
+        else:
+            body.append(Instruction(int(draw(st.sampled_from(
+                [StackAction.PUSHIND, StackAction.PUSHBYTEIND]
+            )))))
+    return FilterProgram(body)
+
+
+class TestChainCache:
+    @given(churn_ops, st.lists(
+        st.lists(st.integers(0, 2), min_size=4, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_warm_equals_cold_equals_checked(self, ops, word_lists):
+        # Every prefix: b"", odd lengths, one byte short of each word.
+        probes = [
+            pack_words(words)[:length]
+            for words in word_lists for length in range(9)
+        ]
+        bound = []
+        for op, pick, spec in ops:
+            apply_op(bound, op, pick, spec)
+            entries = [
+                SetEntry(rank, program, validate(program), copy_all)
+                for rank, (program, copy_all) in enumerate(bound)
+            ]
+            warm = compile_ir_set(entries)  # cache holds the previous set
+            chain_cache_clear()
+            cold = compile_ir_set(entries)
+            assert warm.stats == cold.stats
+            for packet in probes:
+                ranks, predicates = warm.classify(packet)
+                cold_ranks, cold_predicates = cold.classify(packet)
+                assert tuple(ranks) == tuple(cold_ranks) == scan(bound, packet)
+                assert predicates == cold_predicates
+
+    def test_ranks_follow_a_reattached_binding(self):
+        programs = [compile_expr(word(6) == 0x0900 + i) for i in range(3)]
+        packets = [
+            pack_words([0, 0, 0, 0, 0, 0, 0x0900 + i]) for i in range(3)
+        ]
+        first = compile_ir_set([entry(i, p) for i, p in enumerate(programs)])
+        assert first.classify(packets[1]) == ((1,), 1)
+        # Detach and re-attach filter 0: it moves behind its priority
+        # class and every later rank shifts down by one.
+        misses = chain_cache_info().misses
+        reordered = [programs[1], programs[2], programs[0]]
+        second = compile_ir_set([entry(i, p) for i, p in enumerate(reordered)])
+        assert chain_cache_info().misses == misses  # same chains, new ranks
+        assert second.classify(packets[1]) == ((0,), 1)
+        assert second.classify(packets[0]) == ((2,), 1)
+        assert first.classify(packets[0]) == ((0,), 1)  # old set untouched
+
+    @given(st.lists(stack_programs(), min_size=1, max_size=6))
+    # ``x / 1`` folds to a dead load: nothing to anchor, nothing live.
+    @example([FilterProgram(
+        asm(("PUSHWORD", 0), ("PUSHONE", "DIV"), ("PUSHWORD", 1))
+    )])
+    # The same sum with its operands swapped is one value, not two.
+    @example([
+        FilterProgram(asm(("PUSHWORD", 0), ("PUSHWORD", 1), "ADD")),
+        FilterProgram(asm(("PUSHWORD", 1), ("PUSHWORD", 0), "ADD")),
+    ])
+    @settings(max_examples=100, deadline=None)
+    def test_stats_equal_whole_set_cse(self, programs):
+        level = LanguageLevel.EXTENDED
+        reports = [validate(program, level=level) for program in programs]
+        compiled = compile_ir_set([
+            SetEntry(rank, program, report, False)
+            for rank, (program, report) in enumerate(zip(programs, reports))
+        ])
+        _, reference = cse_filter_set([
+            lower_program(program, report, ShortCircuitMode.PUSH_RESULT)
+            for program, report in zip(programs, reports)
+        ])
+        assert compiled.stats.nodes_before_cse == reference.nodes_before
+        assert compiled.stats.nodes_after_cse == reference.nodes_after
+
+    def test_bounded_and_eviction_spares_live_sets(self, monkeypatch):
+        monkeypatch.setattr(irgen, "CHAIN_CACHE_MAX", 4)
+        chain_cache_clear()
+        live = build_set(8)  # nine chains through a four-chain cache
+        info = chain_cache_info()
+        assert info.currsize <= info.maxsize == 4
+        assert info.evictions >= 5
+        compile_ir_set([
+            entry(i, compile_expr(word(2) == i)) for i in range(8)
+        ])  # evicts whatever of ``live`` was left
+        assert chain_cache_info().currsize <= 4
+        for n in range(8):
+            packet = pack_words([0, 0, 0, 0, 0, 0, 0x0900, n])
+            assert live.classify(packet) == ((n,), 1)
 
 
 # ---------------------------------------------------------------------------

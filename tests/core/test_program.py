@@ -1,5 +1,7 @@
 """Unit tests for FilterProgram wire encoding and the tiny assembler."""
 
+import pickle
+
 import pytest
 
 from repro.core.instructions import BinaryOp, EncodingError, StackAction
@@ -102,6 +104,17 @@ class TestStructure:
     def test_value_equality_and_hash(self):
         assert figure_3_9_pup_socket_35() == figure_3_9_pup_socket_35()
         assert hash(figure_3_9_pup_socket_35()) == hash(figure_3_9_pup_socket_35())
+
+    def test_cached_hash_stays_out_of_repr_and_pickles(self):
+        program = figure_3_9_pup_socket_35()
+        assert "_hash" not in repr(program)
+        assert hash(program) != hash(program.with_priority(3))
+        # Pickling rebuilds through __init__ (hashes are per process).
+        assert program.__reduce__() == (
+            FilterProgram, (program.instructions, program.priority)
+        )
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone == program and hash(clone) == hash(program)
 
     def test_disassemble_mentions_every_instruction(self):
         text = figure_3_8_pup_type_range().disassemble()
