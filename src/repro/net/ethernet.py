@@ -60,32 +60,38 @@ class LinkSpec:
             )
         return data
 
+    # The accessors test the length themselves — they run several times
+    # per frame per station — and call out only to build the error.
+
     def destination_of(self, frame: bytes) -> bytes:
-        self._check_length(frame)
+        if len(frame) < self.header_length:
+            raise self._too_short(frame)
         return frame[: self.address_length]
 
     def source_of(self, frame: bytes) -> bytes:
-        self._check_length(frame)
+        if len(frame) < self.header_length:
+            raise self._too_short(frame)
         return frame[self.address_length : 2 * self.address_length]
 
     def ethertype_of(self, frame: bytes) -> int:
-        self._check_length(frame)
+        if len(frame) < self.header_length:
+            raise self._too_short(frame)
         offset = 2 * self.address_length
         return int.from_bytes(frame[offset : offset + 2], "big")
 
     def payload_of(self, frame: bytes) -> bytes:
-        self._check_length(frame)
+        if len(frame) < self.header_length:
+            raise self._too_short(frame)
         return frame[self.header_length :]
 
     def transmission_time(self, nbytes: int) -> float:
         """Seconds to serialize ``nbytes`` onto the wire."""
         return (nbytes * 8) / self.bandwidth_bps
 
-    def _check_length(self, frame: bytes) -> None:
-        if len(frame) < self.header_length:
-            raise FrameError(
-                f"{len(frame)}-byte frame shorter than the {self.name} header"
-            )
+    def _too_short(self, frame: bytes) -> FrameError:
+        return FrameError(
+            f"{len(frame)}-byte frame shorter than the {self.name} header"
+        )
 
 
 ETHERNET_10MB = LinkSpec(

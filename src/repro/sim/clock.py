@@ -10,21 +10,24 @@ and the benchmark tables rely on.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 __all__ = ["Event", "EventScheduler"]
 
 
-@dataclass(order=True)
 class Event:
     """A scheduled callback; cancellable until it fires."""
 
-    time: float
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
+
+    def __init__(
+        self, time: float, sequence: int, callback: Callable[..., None], args: tuple = ()
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if it already fired)."""
@@ -35,59 +38,60 @@ class EventScheduler:
     """A min-heap of timed events with a monotonically advancing clock."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: current simulated time, in seconds (read-only for callers)
+        self.now = 0.0
         self._sequence = 0
-        self._heap: list[Event] = []
+        # ``(time, sequence, event)``: the unique sequence number settles
+        # every comparison in C before the tuple reaches the event.
+        self._heap: list[tuple[float, int, Event]] = []
         self.events_fired = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time, in seconds."""
-        return self._now
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Run ``callback(*args)`` after ``delay`` seconds."""
         if delay < 0:
             raise ValueError(f"cannot schedule {delay}s into the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Event:
         """Run ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now:
+        if not time >= self.now:  # also refuses NaN, which no heap can order
             raise ValueError(
-                f"cannot schedule at {time}, clock is already at {self._now}"
+                f"cannot schedule at {time}, clock is already at {self.now}"
             )
-        event = Event(time=time, sequence=self._sequence, callback=callback, args=args)
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        event = Event(time, sequence, callback, args)
+        heapq.heappush(self._heap, (time, sequence, event))
         return event
 
     def pending(self) -> int:
         """Number of live (uncancelled) events still queued."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for _, _, event in self._heap if not event.cancelled)
 
     def next_time(self) -> float | None:
         """Time of the earliest live event (None when none remain).
 
         Cancelled events at the heap head are discarded as a side
         effect, so repeated calls are cheap — the sharded orchestrator
-        polls this every synchronization window.
+        polls this every synchronization window, and :meth:`run` and
+        :meth:`run_until` before every event they fire.
         """
         heap = self._heap
         while heap:
-            if heap[0].cancelled:
-                heapq.heappop(heap)
-                continue
-            return heap[0].time
+            time, _, event = heap[0]
+            if not event.cancelled:
+                return time
+            heapq.heappop(heap)
         return None
 
     def step(self) -> bool:
         """Fire the next event; returns False when none remain."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, event = heapq.heappop(heap)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self.now = time
             self.events_fired += 1
             event.callback(*event.args)
             return True
@@ -105,21 +109,19 @@ class EventScheduler:
         drained earlier, so idle periods are representable.
         """
         fired = 0
-        while self._heap:
+        while True:
+            head = self.next_time()
+            if head is None:
+                break
             if max_events is not None and fired >= max_events:
-                return self._now
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and head.time > until:
+                return self.now
+            if until is not None and head > until:
                 break
-            if not self.step():
-                break
+            self.step()
             fired += 1
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def run_until(self, horizon: float) -> int:
         """Bounded-horizon advance: fire every event strictly before
@@ -138,9 +140,9 @@ class EventScheduler:
         current clock (a zero-width window is a no-op); moving it
         backwards raises.
         """
-        if horizon < self._now:
+        if not horizon >= self.now:  # NaN included
             raise ValueError(
-                f"cannot run until {horizon}, clock is already at {self._now}"
+                f"cannot run until {horizon}, clock is already at {self.now}"
             )
         fired = 0
         while True:
@@ -149,5 +151,5 @@ class EventScheduler:
                 break
             self.step()
             fired += 1
-        self._now = horizon
+        self.now = horizon
         return fired

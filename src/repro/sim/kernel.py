@@ -26,6 +26,7 @@ The kernel never busy-waits: all progress is events on the shared
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Iterable
 
 from .clock import EventScheduler
@@ -61,6 +62,34 @@ from .process import (
 from .stats import KernelStats
 
 __all__ = ["SimKernel", "WaitQueue", "DeviceDriver", "DeviceHandle"]
+
+# The enum members the per-event paths name, bound once: on Python 3.11
+# every ``Primitive.X`` load runs the enum metaclass's ``__getattr__``
+# hook, which costs more than the charge it labels.
+_CONTEXT_SWITCH = Primitive.CONTEXT_SWITCH
+_SYSCALL = Primitive.SYSCALL
+_COMPUTE = Primitive.COMPUTE
+_COPY = Primitive.COPY
+_WAKEUP = Primitive.WAKEUP
+_INTERRUPT = Primitive.INTERRUPT
+_FRAME_RX = Primitive.FRAME_RX
+_BUFFER = Primitive.BUFFER
+_DRIVER_SEND = Primitive.DRIVER_SEND
+_BLOCKED = ProcessState.BLOCKED
+_READY = ProcessState.READY
+_RUNNING = ProcessState.RUNNING
+
+
+def _duration(value: Any, what: str) -> float:
+    """``value`` as a syscall's time argument: a finite, non-negative
+    real, or :class:`InvalidArgument` for the calling process alone —
+    anything else would rewind ``cpu_time``, poison it with NaN, park
+    the clock at infinity or raise out of the event loop."""
+    if isinstance(value, (int, float)) and 0 <= value < math.inf:
+        return value
+    raise InvalidArgument(
+        f"{what} must be a finite, non-negative number, not {value!r}"
+    )
 
 
 class DeviceDriver:
@@ -132,7 +161,7 @@ class WaitQueue:
         If ``timeout`` elapses first, ``on_timeout(process)`` runs
         instead (default: fail the syscall with :class:`SimTimeout`).
         """
-        process.state = ProcessState.BLOCKED
+        process.state = _BLOCKED
         entry: dict = {"process": process, "retry": retry, "timer": None}
         if timeout is not None:
             if on_timeout is None:
@@ -175,7 +204,7 @@ class WaitQueue:
 
     def _deferred_retry(self, entry: dict) -> None:
         process = entry["process"]
-        if process.done or process.state is not ProcessState.BLOCKED:
+        if process.state is not _BLOCKED:
             return  # resolved some other way while the wake was in flight
         entry["retry"](process)
 
@@ -321,15 +350,19 @@ class SimKernel:
         invariant of ``tests/sim/test_ledger.py``).  With no ledger
         attached the extra work is a single ``None`` check.
         """
-        end = self.charge(cost)
-        apply_counters(self.stats, primitive, quantity)
+        now = self.scheduler.now  # charge(), inlined: fourteen times a packet
+        free = self._cpu_free_at
+        end = self._cpu_free_at = (now if now > free else free) + cost
+        stats = self.stats
+        stats.cpu_time += cost
+        apply_counters(stats, primitive, quantity)
         if self.ledger is not None:
             if packet_id is None:
                 packet_id = self._ledger_packet
             self.ledger.record(
                 primitive,
                 host=self.name,
-                at=self.scheduler.now,
+                at=now,
                 cost=cost,
                 quantity=quantity,
                 component=component,
@@ -346,7 +379,7 @@ class SimKernel:
         packet_id: int | None = None,
     ) -> float:
         return self.account(
-            Primitive.COPY,
+            _COPY,
             self.costs.copy_cost(nbytes),
             quantity=nbytes,
             component=component,
@@ -360,7 +393,7 @@ class SimKernel:
         packet_id: int | None = None,
     ) -> float:
         return self.account(
-            Primitive.WAKEUP,
+            _WAKEUP,
             self.costs.wakeup,
             component=component,
             packet_id=packet_id,
@@ -404,10 +437,12 @@ class SimKernel:
         """Finish the in-flight syscall of ``process`` with ``value``."""
         if process.done:
             return  # e.g. a sleep timer firing after the process was killed
-        was_blocked = process.state is ProcessState.BLOCKED
-        process.state = ProcessState.READY
+        was_blocked = process.state is _BLOCKED
+        process.state = _READY
+        now = self.scheduler.now
+        free = self._cpu_free_at
         self.scheduler.schedule_at(
-            self.cpu_available_at, self._resume, process, value, None,
+            now if now > free else free, self._resume, process, value, None,
             was_blocked,
         )
 
@@ -415,8 +450,8 @@ class SimKernel:
         """Finish the in-flight syscall by raising ``error`` in-process."""
         if process.done:
             return
-        was_blocked = process.state is ProcessState.BLOCKED
-        process.state = ProcessState.READY
+        was_blocked = process.state is _BLOCKED
+        process.state = _READY
         self.scheduler.schedule_at(
             self.cpu_available_at, self._resume, process, None, error,
             was_blocked,
@@ -472,12 +507,12 @@ class SimKernel:
             self._last_pid is not None and self._last_pid != process.pid
         ):
             self.account(
-                Primitive.CONTEXT_SWITCH,
+                _CONTEXT_SWITCH,
                 self.costs.context_switch,
                 component="sched",
             )
         self._last_pid = process.pid
-        process.state = ProcessState.RUNNING
+        process.state = _RUNNING
         try:
             if error is not None:
                 call = process.body.throw(error)
@@ -513,31 +548,31 @@ class SimKernel:
                 InvalidArgument(f"process yielded non-syscall {call!r}"),
             )
             return
-        self.account(Primitive.SYSCALL, self.costs.syscall)
+        self.account(_SYSCALL, self.costs.syscall)
 
         try:
-            if isinstance(call, Open):
+            if isinstance(call, Read):
+                self._handle_of(process, call.fd).read(process, call)
+            elif isinstance(call, Write):
+                self._handle_of(process, call.fd).write(process, call)
+            elif isinstance(call, Sleep):
+                duration = _duration(call.duration, "sleep duration")
+                process.state = _BLOCKED
+                self.scheduler.schedule(duration, self.complete, process, None)
+            elif isinstance(call, Ioctl):
+                self._handle_of(process, call.fd).ioctl(process, call)
+            elif isinstance(call, Compute):
+                duration = _duration(call.duration, "compute duration")
+                self.account(_COMPUTE, duration, component="user")
+                self.complete(process, None)
+            elif isinstance(call, Select):
+                self._select(process, call)
+            elif isinstance(call, Open):
                 driver = self.device(call.path)
                 handle = driver.open(self, process)
                 self.complete(process, process.allocate_fd(handle))
             elif isinstance(call, Close):
                 self._close_fd(process, call.fd)
-                self.complete(process, None)
-            elif isinstance(call, Read):
-                self._handle_of(process, call.fd).read(process, call)
-            elif isinstance(call, Write):
-                self._handle_of(process, call.fd).write(process, call)
-            elif isinstance(call, Ioctl):
-                self._handle_of(process, call.fd).ioctl(process, call)
-            elif isinstance(call, Select):
-                self._select(process, call)
-            elif isinstance(call, Sleep):
-                process.state = ProcessState.BLOCKED
-                self.scheduler.schedule(
-                    call.duration, self.complete, process, None
-                )
-            elif isinstance(call, Compute):
-                self.account(Primitive.COMPUTE, call.duration, component="user")
                 self.complete(process, None)
             elif isinstance(call, PipeCreate):
                 self._make_pipe(process)
@@ -565,18 +600,21 @@ class SimKernel:
     # ------------------------------------------------------------------
 
     def _select(self, process: Process, call: Select) -> None:
+        timeout = call.timeout
+        if timeout is not None:
+            timeout = _duration(timeout, "select timeout")
         ready = self._ready_fds(process, call.read_fds)
         if ready:
             self.complete(process, ready)
             return
-        if call.timeout == 0:
+        if timeout == 0:
             self.complete(process, [])
             return
-        process.state = ProcessState.BLOCKED
+        process.state = _BLOCKED
         entry: dict = {"process": process, "call": call, "timer": None}
-        if call.timeout is not None:
+        if timeout is not None:
             entry["timer"] = self.scheduler.schedule(
-                call.timeout, self._select_timeout, entry
+                timeout, self._select_timeout, entry
             )
         self._select_waiters.append(entry)
 
@@ -627,7 +665,7 @@ class SimKernel:
         if process.pending_signals:
             self.complete(process, process.pending_signals.pop(0))
             return
-        process.state = ProcessState.BLOCKED
+        process.state = _BLOCKED
         self._sig_waiters[process.pid] = process
 
     # ------------------------------------------------------------------
@@ -751,15 +789,15 @@ class SimKernel:
                 self.name, at=self.scheduler.now, flow=ethertype, stage=None
             )
         self.account(
-            Primitive.INTERRUPT,
+            _INTERRUPT,
             self.costs.interrupt_service,
             component="nic",
             packet_id=packet_id,
             flow=ethertype,
         )
-        self.account(Primitive.FRAME_RX, component="nic", packet_id=packet_id)
+        self.account(_FRAME_RX, component="nic", packet_id=packet_id)
         self.account(
-            Primitive.BUFFER,
+            _BUFFER,
             self.costs.buffer_cost(len(frame)),
             quantity=len(frame),
             component="nic",
@@ -782,18 +820,17 @@ class SimKernel:
             pf_took = self._packet_filter.packet_arrived(
                 nic, frame, packet_id=packet_id
             )
-        if pf_took:
-            return  # the span stays open until read (or dropped) via the PF
+        if not pf_took:  # else the span stays open until read via the PF
+            self._not_taken(packet_id, claimed)
+
+    def _not_taken(self, packet_id: int | None, claimed: bool) -> None:
+        """Settle a frame the packet filter did not keep: it went to a
+        kernel-resident protocol, or nobody wanted it and it counts."""
         if not claimed:
-            self.account(
-                Primitive.UNCLAIMED, component="nic", packet_id=packet_id
-            )
-            if ledger is not None:
-                ledger.close_packet(packet_id, "unclaimed", self.scheduler.now)
-        elif ledger is not None:
-            ledger.close_packet(
-                packet_id, "kernel_protocol", self.scheduler.now
-            )
+            self.account(Primitive.UNCLAIMED, component="nic", packet_id=packet_id)
+        if self.ledger is not None:
+            outcome = "kernel_protocol" if claimed else "unclaimed"
+            self.ledger.close_packet(packet_id, outcome, self.scheduler.now)
 
     def network_input_batch(
         self,
@@ -829,13 +866,11 @@ class SimKernel:
                 )
                 for pid, ethertype in zip(packet_ids, ethertypes)
             ]
-        self.account(
-            Primitive.INTERRUPT, self.costs.interrupt_service, component="nic"
-        )
+        self.account(_INTERRUPT, self.costs.interrupt_service, component="nic")
         for frame, pid in zip(frames, packet_ids):
-            self.account(Primitive.FRAME_RX, component="nic", packet_id=pid)
+            self.account(_FRAME_RX, component="nic", packet_id=pid)
             self.account(
-                Primitive.BUFFER,
+                _BUFFER,
                 self.costs.buffer_cost(len(frame)),
                 quantity=len(frame),
                 component="nic",
@@ -861,20 +896,8 @@ class SimKernel:
                 nic, pf_frames, packet_ids=pf_ids
             )
             for took, was_claimed, pid in zip(accepted, pf_claimed, pf_ids):
-                if took:
-                    continue
-                if not was_claimed:
-                    self.account(
-                        Primitive.UNCLAIMED, component="nic", packet_id=pid
-                    )
-                    if ledger is not None:
-                        ledger.close_packet(
-                            pid, "unclaimed", self.scheduler.now
-                        )
-                elif ledger is not None:
-                    ledger.close_packet(
-                        pid, "kernel_protocol", self.scheduler.now
-                    )
+                if not took:
+                    self._not_taken(pid, was_claimed)
 
     def _route_batch(
         self,
@@ -886,7 +909,6 @@ class SimKernel:
         """Per-frame ethertype routing for :meth:`network_input_batch`:
         run kernel-protocol handlers, collect the packet-filter-bound
         remainder."""
-        ledger = self.ledger
         pf_frames: list[bytes] = []
         pf_claimed: list[bool] = []
         pf_ids: list[int | None] = []
@@ -907,21 +929,15 @@ class SimKernel:
                 pf_frames.append(frame)
                 pf_claimed.append(claimed)
                 pf_ids.append(pid)
-            elif not claimed:
-                self.account(Primitive.UNCLAIMED, component="nic", packet_id=pid)
-                if ledger is not None:
-                    ledger.close_packet(pid, "unclaimed", self.scheduler.now)
-            elif ledger is not None:
-                ledger.close_packet(pid, "kernel_protocol", self.scheduler.now)
+            else:
+                self._not_taken(pid, claimed)
         return pf_frames, pf_claimed, pf_ids
 
     def network_output(self, nic, frame: bytes) -> None:
         """Queue a frame for transmission (driver side)."""
+        self.account(_DRIVER_SEND, self.costs.driver_send, component="driver")
         self.account(
-            Primitive.DRIVER_SEND, self.costs.driver_send, component="driver"
-        )
-        self.account(
-            Primitive.BUFFER,
+            _BUFFER,
             self.costs.buffer_cost(len(frame)),
             quantity=len(frame),
             component="driver",

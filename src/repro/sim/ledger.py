@@ -138,6 +138,13 @@ _SIMPLE_COUNTERS = {
     Primitive.SIGNAL: "signals_posted",
     Primitive.UNCLAIMED: "packets_unclaimed",
 }
+# Resolved once, here, not per charge: a ``Primitive.X`` load goes through
+# the enum metaclass and a dict keyed by members hashes them in Python.
+# Each member carries the name of the counter one event of it bumps.
+for _primitive in Primitive:
+    _primitive.counter = _SIMPLE_COUNTERS.get(_primitive)
+_SYSCALL, _COPY = Primitive.SYSCALL, Primitive.COPY
+_PREDICATE, _INSTRUCTION = Primitive.FILTER_PREDICATE, Primitive.FILTER_INSTRUCTION
 
 
 def apply_counters(stats: KernelStats, primitive: Primitive, quantity: int = 1) -> None:
@@ -148,20 +155,19 @@ def apply_counters(stats: KernelStats, primitive: Primitive, quantity: int = 1) 
     (:meth:`Ledger.stats_view`), so the two can never disagree about
     which counter a primitive feeds.
     """
-    if primitive is Primitive.SYSCALL:
+    name = primitive.counter
+    if name is not None:
+        setattr(stats, name, getattr(stats, name) + 1)
+    elif primitive is _SYSCALL:
         stats.syscalls += 1
         stats.domain_crossings += 2
-    elif primitive is Primitive.COPY:
+    elif primitive is _COPY:
         stats.copies += 1
         stats.bytes_copied += quantity
-    elif primitive is Primitive.FILTER_PREDICATE:
+    elif primitive is _PREDICATE:
         stats.filter_predicates += quantity
-    elif primitive is Primitive.FILTER_INSTRUCTION:
+    elif primitive is _INSTRUCTION:
         stats.filter_instructions += quantity
-    else:
-        name = _SIMPLE_COUNTERS.get(primitive)
-        if name is not None:
-            setattr(stats, name, getattr(stats, name) + 1)
 
 
 @dataclass(frozen=True, slots=True)

@@ -144,6 +144,10 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
+_DONE = ProcessState.DONE      # bound once: see repro.sim.kernel
+_FAILED = ProcessState.FAILED
+
+
 class Process:
     """One simulated process: a pid, a name, a generator, and fd table."""
 
@@ -162,7 +166,8 @@ class Process:
 
     @property
     def done(self) -> bool:
-        return self.state in (ProcessState.DONE, ProcessState.FAILED)
+        state = self.state
+        return state is _DONE or state is _FAILED
 
     def allocate_fd(self, handle: Any) -> int:
         fd = self.next_fd

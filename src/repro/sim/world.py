@@ -171,7 +171,13 @@ class World:
         should fail loudly, not hang.
         """
         fired = 0
-        while not all(process.done for process in processes):
+        # One ``done`` read per event, not one per process: a finished
+        # process stays finished, so each is waited for in turn.
+        waiting = list(processes)
+        while waiting:
+            if waiting[-1].done:
+                waiting.pop()
+                continue
             if fired >= max_events:
                 raise RuntimeError(
                     f"exceeded {max_events} events; "

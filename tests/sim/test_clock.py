@@ -43,6 +43,18 @@ class TestScheduling:
         with pytest.raises(ValueError):
             scheduler.schedule_at(0.5, lambda: None)
 
+    def test_nan_time_rejected(self):
+        """No heap can order NaN: it never reaches one."""
+        scheduler = EventScheduler()
+        with pytest.raises(ValueError):
+            scheduler.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            scheduler.schedule(float("nan"), lambda: None)
+        with pytest.raises(ValueError):
+            scheduler.run_until(float("nan"))
+        assert scheduler.pending() == 0
+        assert scheduler.now == 0.0
+
     def test_events_can_schedule_events(self):
         scheduler = EventScheduler()
         fired = []
@@ -100,6 +112,14 @@ class TestRunControls:
             scheduler.schedule(0.1 * (index + 1), fired.append, index)
         scheduler.run(max_events=3)
         assert fired == [0, 1, 2]
+
+    def test_spent_budget_with_only_cancelled_events_left_still_idles(self):
+        """The clock's answer depends on live events alone, never on
+        cancelled entries the heap has not discarded yet."""
+        scheduler = EventScheduler()
+        scheduler.schedule(0.1, lambda: None)
+        scheduler.schedule(0.2, lambda: None).cancel()
+        assert scheduler.run(until=1.0, max_events=1) == 1.0
 
     def test_step_returns_false_when_empty(self):
         assert not EventScheduler().step()

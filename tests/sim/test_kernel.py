@@ -1,5 +1,7 @@
 """Tests for the simulated kernel: processes, syscalls, accounting."""
 
+import math
+
 import pytest
 
 from repro.sim import (
@@ -11,6 +13,7 @@ from repro.sim import (
     Open,
     PipeCreate,
     Read,
+    Select,
     SigWait,
     Sleep,
     World,
@@ -222,6 +225,77 @@ class TestTimeAccounting:
         t0 = kernel.charge(0.010)
         t1 = kernel.charge(0.010)
         assert t1 == pytest.approx(t0 + 0.010)
+
+
+HOSTILE_CALLS = [
+    pytest.param(make, value, id=f"{name}({value!r})")
+    for name, make in (
+        ("Sleep", Sleep),
+        ("Compute", Compute),
+        ("Select", lambda timeout: Select((), timeout)),
+    )
+    for value in (-1.0, float("nan"), float("inf"), "x", None)
+    if not (name == "Select" and value is None)  # None: wait for ever
+]
+
+
+class TestHostileTimeArguments:
+    """A duration that is not a finite, non-negative real is the calling
+    process's error and nobody else's: it must not raise out of the
+    event loop, reach the heap, stop the clock at infinity or run
+    ``cpu_time`` backwards."""
+
+    @pytest.mark.parametrize("make, value", HOSTILE_CALLS)
+    def test_only_the_offender_fails(self, make, value):
+        world, host = make_host()
+
+        def offender():
+            yield make(value)
+
+        def sibling():
+            yield Sleep(0.01)
+            yield Compute(0.001)
+            return "fine"
+
+        bad = host.spawn("bad", offender())
+        good = host.spawn("good", sibling())
+        world.run_until_done(good)
+        world.run()
+        assert bad.state is ProcessState.FAILED
+        assert isinstance(bad.error, InvalidArgument)
+        assert good.result == "fine"
+        assert math.isfinite(world.now)
+        assert 0.0 <= host.stats.cpu_time < 1.0
+
+    @pytest.mark.parametrize("make, value", HOSTILE_CALLS)
+    def test_the_offender_may_catch_it_and_carry_on(self, make, value):
+        world, host = make_host()
+
+        def body():
+            try:
+                yield make(value)
+            except InvalidArgument:
+                yield Sleep(0.01)
+                return "recovered"
+
+        proc = host.spawn("p", body())
+        world.run_until_done(proc)
+        assert proc.result == "recovered"
+
+    def test_zero_and_integer_durations_are_legal(self):
+        world, host = make_host()
+
+        def body():
+            yield Sleep(0)
+            yield Compute(0)
+            ready = yield Select((), 0)
+            yield Sleep(1)
+            return ready
+
+        proc = host.spawn("p", body())
+        world.run_until_done(proc)
+        assert proc.result == []
+        assert world.now >= 1.0
 
 
 class TestSignals:

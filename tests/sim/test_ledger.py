@@ -252,6 +252,30 @@ def test_counters_match_event_census(engine):
         )
 
 
+@pytest.mark.parametrize("primitive", list(Primitive), ids=lambda p: p.name)
+def test_account_and_replay_cannot_drift(primitive):
+    """Every member, so a new one cannot be missed: what ``account``
+    books live is what ``stats_view`` replays — ``cpu_time`` bit for
+    bit — and the live books do not depend on the ledger being on."""
+
+    def booked(ledger: bool):
+        world = World(ledger=ledger)
+        kernel = world.host("solo").kernel
+        kernel.account(Primitive.COMPUTE, 0.1)   # so the sums below round
+        kernel.account(primitive, 0.2, quantity=7, component="test")
+        kernel.account(primitive, 1e-7, quantity=3, component="test")
+        return world, kernel.stats
+
+    world, live = booked(ledger=True)
+    replayed = world.ledger.stats_view("solo")
+    assert replayed == live
+    assert replayed.cpu_time.hex() == live.cpu_time.hex()
+    assert live.cpu_time == 0.1 + 0.2 + 1e-7
+    _, unledgered = booked(ledger=False)
+    assert unledgered == live
+    assert unledgered.cpu_time.hex() == live.cpu_time.hex()
+
+
 def test_chaos_soak_reconciles():
     """Reconciliation holds under the acceptance chaos profile too —
     loss, corruption, duplication and every drop path included."""

@@ -1,5 +1,7 @@
 """Property tests on simulator invariants (hypothesis)."""
 
+import bisect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +16,136 @@ from repro.sim import (
 from repro.sim.clock import EventScheduler
 
 
+class ModelScheduler:
+    """What :class:`EventScheduler` promises, as a sorted list.
+
+    Entries are ``(time, sequence, label, spawns)``; cancelling deletes
+    the entry there and then, so nothing here knows about lazily
+    discarded heap entries.  An entry that ``spawns`` schedules a child
+    at the instant it fires — which must queue behind everything
+    already waiting at that instant.
+    """
+
+    def __init__(self):
+        self.now = 0.0
+        self.sequence = 0
+        self.queue = []
+        self.fired = []
+
+    def add(self, time, label, spawns):
+        bisect.insort(self.queue, (time, self.sequence, label, spawns))
+        self.sequence += 1
+
+    def cancel(self, label):
+        self.queue = [entry for entry in self.queue if entry[2] != label]
+
+    def next_time(self):
+        return self.queue[0][0] if self.queue else None
+
+    def step(self):
+        if not self.queue:
+            return False
+        self.now, _, label, spawns = self.queue.pop(0)
+        self.fired.append((label, self.now))
+        if spawns:
+            self.add(self.now, ("child", label), False)
+        return True
+
+    def run(self, until, max_events):
+        fired = 0
+        while self.queue:
+            if max_events is not None and fired >= max_events:
+                return self.now
+            if until is not None and self.queue[0][0] > until:
+                break
+            self.step()
+            fired += 1
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
+
+    def run_until(self, horizon):
+        fired = 0
+        while self.queue and self.queue[0][0] < horizon:
+            self.step()
+            fired += 1
+        self.now = horizon
+        return fired
+
+
+# Quarter-second ticks: few distinct values, so same-instant ties,
+# horizons that land exactly on an event and zero delays are common.
+_ticks = st.integers(0, 8).map(lambda n: n * 0.25)
+_scheduler_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), _ticks, st.booleans()),
+        st.tuples(st.just("schedule_at"), _ticks, st.booleans()),
+        st.tuples(st.just("cancel"), st.integers(0, 1000)),
+        st.tuples(st.just("step")),
+        st.tuples(
+            st.just("run"), st.none() | _ticks, st.none() | st.integers(0, 4)
+        ),
+        st.tuples(st.just("run_until"), _ticks),
+    ),
+    max_size=40,
+)
+
+
 class TestSchedulerProperties:
+    @given(_scheduler_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_sorted_list_model(self, ops):
+        """Arbitrary interleavings of every public operation agree with
+        the model after each step: what fired, in which order and at
+        what time, the clock, ``events_fired``, ``pending`` and
+        ``next_time`` — including cancelling the head, cancelling what
+        already fired, and events that schedule at the current instant."""
+        scheduler = EventScheduler()
+        model = ModelScheduler()
+        fired = []
+        events = {}   # label -> Event, in creation order (children too)
+
+        def fire(label, spawns):
+            fired.append((label, scheduler.now))
+            if spawns:
+                child = ("child", label)
+                events[child] = scheduler.schedule(0.0, fire, child, False)
+
+        for number, (op, *args) in enumerate(ops):
+            if op in ("schedule", "schedule_at"):
+                offset, spawns = args
+                if op == "schedule":
+                    event = scheduler.schedule(offset, fire, number, spawns)
+                else:
+                    event = scheduler.schedule_at(
+                        scheduler.now + offset, fire, number, spawns
+                    )
+                events[number] = event
+                model.add(model.now + offset, number, spawns)
+                assert event.time == model.now + offset
+            elif op == "cancel":
+                if events:
+                    label = list(events)[args[0] % len(events)]
+                    events[label].cancel()
+                    model.cancel(label)
+            elif op == "step":
+                assert scheduler.step() == model.step()
+            elif op == "run":
+                until, max_events = args
+                if until is not None:
+                    until += model.now
+                assert scheduler.run(until, max_events) == model.run(
+                    until, max_events
+                )
+            else:
+                horizon = model.now + args[0]
+                assert scheduler.run_until(horizon) == model.run_until(horizon)
+            assert fired == model.fired
+            assert scheduler.now == model.now
+            assert scheduler.events_fired == len(model.fired)
+            assert scheduler.pending() == len(model.queue)
+            assert scheduler.next_time() == model.next_time()
+
     @given(st.lists(st.floats(0, 10, allow_nan=False), min_size=1, max_size=30))
     def test_fired_in_nondecreasing_time_order(self, delays):
         scheduler = EventScheduler()
