@@ -1,42 +1,28 @@
 """``python -m repro`` — a small front door.
 
-Subcommands:
+* ``info``  — version, package map, experiment inventory (the default)
+* ``demo``  — run the quickstart scenario inline
+* ``trace`` — trace the figure 3-9 filter on a matching and a missing
+              packet (the tracer as a party trick)
+* ``run``   — run one named topology (``run --list`` names them) through
+              ``run_topology`` and print its run summary — as text, or
+              with ``--json`` the dict ``docs/OBSERVABILITY.md``
+              documents.  ``--shards N`` partitions it over N worker
+              processes (1 = in-process, the bitwise oracle for any
+              other count); ``--profile`` adds the per-host charge
+              profile and the sync-protocol table; ``--trace FILE``
+              exports the stitched Perfetto trace; ``--top`` watches the
+              run through the live cluster dashboard; ``--faults``
+              schedules link outages; ``--recover`` arms the
+              crash-recovery supervisor.
 
-* ``info``      — version, package map, experiment inventory
-* ``demo``      — run the quickstart scenario inline
-* ``trace``     — with no argument, trace the figure 3-9 filter on a
-                  matching and a missing packet (the tracer as a party
-                  trick); with a scenario name and ``-o``, run it under
-                  the ledger + telemetry and export a Chrome
-                  trace-event / Perfetto JSON file; with a *topology*
-                  name (``--shards N``), export the stitched N-shard
-                  trace — process track per shard, flow events across
-                  bridges
-* ``profile``   — run a canned scenario under the charge ledger and
-                  print the attributed cost/latency/drop/alert profile
-                  (``--json`` for the machine-readable report,
-                  ``--trace FILE`` to also export the Perfetto trace);
-                  with a *topology* name, profile the synchronization
-                  protocol instead: per-shard grant waits, null grants,
-                  egress depth, checkpoint costs
-* ``top``       — run a topology with the observability plane armed and
-                  render the live cluster dashboard (per-shard window
-                  index, sim-time skew, egress backlog, checkpoint age,
-                  watchdog alerts as they fire)
-* ``shard``     — run a named multi-segment topology partitioned over N
-                  worker processes (``--shards 1`` is the in-process
-                  fallback and the bitwise oracle for any other count);
-                  ``--timeout`` bounds each shard reply and turns a hung
-                  worker into a distinct exit code; ``--trace FILE``
-                  exports the stitched Perfetto trace
-* ``chaos-topo``— run a named topology under a declarative link-fault
-                  schedule (``--faults``) with the crash-recovery
-                  supervisor armed; prints drops, watchdog alerts and
-                  shard restarts
+stdout carries the summary and nothing else; everything live (dashboard
+repaints, alerts as they fire, the trace notice, errors) goes to stderr.
 
-Exit codes for the sharded commands: 0 on success, 3 when a shard died
-(:class:`~repro.sim.shard.ShardDiedError`), 4 when a shard blew its
-reply deadline (:class:`~repro.sim.shard.ShardTimeoutError`).
+Exit codes: 0 on success, 2 for arguments the named topology cannot
+honour, 3 when a shard died (:class:`~repro.sim.shard.ShardDiedError`),
+4 when a shard blew its reply deadline
+(:class:`~repro.sim.shard.ShardTimeoutError`).
 """
 
 from __future__ import annotations
@@ -44,6 +30,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+EXIT_USAGE = 2
 EXIT_SHARD_DIED = 3
 EXIT_SHARD_TIMEOUT = 4
 
@@ -107,192 +94,83 @@ def cmd_trace() -> int:
     return 0
 
 
-def cmd_profile(
-    scenario: str, *, as_json: bool = False, trace_path: str | None = None
-) -> int:
-    import json
+def _build_run(args):
+    """The one validation point: ``(spec, recovery)`` for the parsed
+    ``run`` arguments, or :class:`ValueError` naming the first thing
+    about them that cannot be honoured — before anything runs."""
+    import dataclasses
+    import math
 
-    from repro.bench.profile import profile_report, render_profile, run_scenario
-    from repro.bench.traceout import write_trace
+    from repro.bench.topologies import named_topology
+    from repro.sim.faults import parse_fault_spec
+    from repro.sim.orchestrator import RecoveryConfig
 
-    result = run_scenario(scenario)
-    world, host = result["world"], result["host"]
-    if as_json:
-        print(json.dumps(
-            profile_report(world, host, scenario=scenario), indent=2
-        ))
-    else:
-        print(render_profile(world, host))
-    if trace_path is not None:
-        doc = write_trace(world, trace_path)
-        print(
-            f"wrote {len(doc['traceEvents'])} trace events to {trace_path} "
-            "(load it at https://ui.perfetto.dev)",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def cmd_trace_scenario(scenario: str, output: str) -> int:
-    from repro.bench.profile import run_scenario
-    from repro.bench.traceout import write_trace
-
-    result = run_scenario(scenario)
-    doc = write_trace(result["world"], output)
-    print(
-        f"{scenario}: {result['world'].now * 1000.0:.1f} simulated ms, "
-        f"{len(doc['traceEvents'])} trace events -> {output}"
-    )
-    print("load it at https://ui.perfetto.dev (or chrome://tracing)")
-    return 0
-
-
-def _run_named_topology(
-    topology: str,
-    *,
-    shards: int,
-    segments: int,
-    duration: float,
-    seed: int,
-    timeout: float | None = None,
-    observability=None,
-):
-    """Resolve and run a registry topology; returns the result or an
-    exit code (the shared front half of ``top``/``profile``/``trace``/
-    ``shard``)."""
-    from repro.bench.registry import resolve_topology
-    from repro.sim.orchestrator import run_topology
-    from repro.sim.shard import ShardDiedError, ShardTimeoutError
-
-    spec = resolve_topology(
-        topology, segments=segments, seed=seed, duration=duration
-    )
-    try:
-        return run_topology(
-            spec, shards=shards, timeout=timeout, observability=observability
-        )
-    except ShardDiedError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_SHARD_DIED
-    except ShardTimeoutError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_SHARD_TIMEOUT
-
-
-def cmd_profile_topology(
-    topology: str,
-    *,
-    shards: int,
-    segments: int,
-    duration: float,
-    seed: int,
-    as_json: bool,
-) -> int:
-    import json
-
-    result = _run_named_topology(
-        topology,
-        shards=shards,
-        segments=segments,
-        duration=duration,
-        seed=seed,
-    )
-    if isinstance(result, int):
-        return result
-    span_latency = (
-        result.span_hist.percentiles() if result.span_hist else None
-    )
-    if as_json:
-        print(json.dumps(
-            {
-                "topology": topology,
-                "segments": segments,
-                "shards": result.shards,
-                "seed": seed,
-                "windows": result.windows,
-                "wall_seconds": result.wall_seconds,
-                "wall_per_window": result.wall_per_window,
-                "recovered_shards": result.recovered_shards,
-                "sync": result.sync.as_dict() if result.sync else None,
-                "span_latency": span_latency,
-                "shard_details": result.shard_details,
-            },
-            indent=2,
-        ))
-        return 0
-    print(
-        f"{topology}: {segments} segments on {result.shards} shard(s), "
-        f"seed {seed}"
-    )
-    if result.sync is not None:
-        print(result.sync.render())
-    if span_latency:
-        print(
-            "span latency: "
-            + " ".join(
-                f"{name}={value * 1000.0:.3f}ms"
-                for name, value in span_latency.items()
-                if value is not None
+    for flag in ("shards", "segments"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be at least 1, not {value}")
+    for flag in ("duration", "timeout", "refresh"):
+        value = getattr(args, flag)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            raise ValueError(
+                f"--{flag} must be a positive number of seconds, not {value}"
             )
+    if args.checkpoint_interval is not None and args.checkpoint_interval < 0:
+        raise ValueError("--checkpoint-interval must not be negative")
+    if args.checkpoint_interval is not None and not args.recover:
+        raise ValueError("--checkpoint-interval needs --recover")
+    if (args.plain or args.refresh is not None) and not args.top:
+        raise ValueError("--plain and --refresh need --top")
+
+    try:
+        spec = named_topology(
+            args.name,
+            segments=args.segments,
+            seed=args.seed,
+            duration=args.duration,
         )
-    return 0
+    except ValueError as error:
+        raise ValueError(f"{args.name}: {error}") from None
+    if args.faults is not None:
+        # Watchdog alerts are the point of a run under link faults.
+        spec = dataclasses.replace(
+            spec,
+            telemetry=True,
+            faults=parse_fault_spec(args.faults, seed=args.seed),
+        )
+    spec.validate()
+    workers = min(args.shards, len(spec.segments))
+    if workers < 2 and (args.recover or args.timeout is not None):
+        raise ValueError(
+            "--recover and --timeout supervise worker processes; this run "
+            f"has none ({len(spec.segments)} segment(s), --shards {args.shards})"
+        )
+    recovery = RecoveryConfig() if args.recover else None
+    if args.checkpoint_interval is not None:
+        recovery = dataclasses.replace(
+            recovery, checkpoint_interval=args.checkpoint_interval or None
+        )
+    return spec, recovery
 
 
-def cmd_trace_topology(
-    topology: str,
-    output: str,
-    *,
-    shards: int,
-    segments: int,
-    duration: float,
-    seed: int,
-) -> int:
-    from repro.bench.traceout import write_topology_trace
-
-    result = _run_named_topology(
-        topology,
-        shards=shards,
-        segments=segments,
-        duration=duration,
-        seed=seed,
-    )
-    if isinstance(result, int):
-        return result
-    doc = write_topology_trace(result, output)
-    print(
-        f"{topology}: {result.now * 1000.0:.1f} simulated ms on "
-        f"{result.shards} shard(s), {len(doc['traceEvents'])} trace "
-        f"events -> {output}"
-    )
-    print("load it at https://ui.perfetto.dev (or chrome://tracing)")
-    return 0
-
-
-def cmd_top(
-    topology: str,
-    *,
-    shards: int,
-    segments: int,
-    duration: float,
-    seed: int,
-    refresh: float,
-    plain: bool,
-) -> int:
+def _dashboard(*, refresh: float, plain: bool):
+    """An observability plane that repaints the cluster dashboard (at
+    most every ``refresh`` seconds; never when ``plain``) and announces
+    alerts the moment any shard streams them — on stderr, both."""
     import time
 
     from repro.sim.obsplane import ObservabilityPlane
 
-    last_paint = [0.0]
+    last_paint = 0.0
 
     def repaint(plane) -> None:
-        if plain:
-            return  # plain mode: alerts stream live, one frame at exit
+        nonlocal last_paint
         now = time.monotonic()
-        if now - last_paint[0] < refresh:
+        if plain or now - last_paint < refresh:
             return
-        last_paint[0] = now
-        sys.stdout.write("\x1b[2J\x1b[H" + plane.render() + "\n")
-        sys.stdout.flush()
+        last_paint = now
+        sys.stderr.write("\x1b[2J\x1b[H" + plane.render() + "\n")
+        sys.stderr.flush()
 
     def announce(alert: dict) -> None:
         print(
@@ -301,163 +179,38 @@ def cmd_top(
             file=sys.stderr,
         )
 
-    plane = ObservabilityPlane(on_update=repaint, on_alert=announce)
-    result = _run_named_topology(
-        topology,
-        shards=shards,
-        segments=segments,
-        duration=duration,
-        seed=seed,
-        observability=plane,
-    )
-    if isinstance(result, int):
-        return result
-    if not plain:
-        sys.stdout.write("\x1b[2J\x1b[H")
-    print(plane.render())
-    print(
-        f"done: {result.events_fired} events over {result.windows} "
-        f"windows; sim {result.now * 1000.0:.1f} ms in wall "
-        f"{result.wall_seconds:.3f} s"
-    )
-    return 0
+    return ObservabilityPlane(on_update=repaint, on_alert=announce)
 
 
-def cmd_shard(
-    topology: str,
-    *,
-    shards: int,
-    segments: int,
-    duration: float,
-    seed: int,
-    as_json: bool,
-    timeout: float | None = None,
-    trace_path: str | None = None,
-) -> int:
+def cmd_run(args) -> int:
     import json
 
-    result = _run_named_topology(
-        topology,
-        shards=shards,
-        segments=segments,
-        duration=duration,
-        seed=seed,
-        timeout=timeout,
-    )
-    if isinstance(result, int):
-        return result
-    total = result.total
-    # The machine-readable run summary; docs/OBSERVABILITY.md documents
-    # this schema, keep them in sync.
-    summary = {
-        "topology": topology,
-        "segments": segments,
-        "shards": result.shards,
-        "seed": seed,
-        "duration": duration,
-        "windows": result.windows,
-        "events_fired": result.events_fired,
-        "sim_seconds": result.now,
-        "wall_seconds": result.wall_seconds,
-        "wall_per_window": result.wall_per_window,
-        "recovered_shards": result.recovered_shards,
-        "shard_details": result.shard_details,
-        "sync": result.sync.as_dict() if result.sync else None,
-        "span_latency": (
-            result.span_hist.percentiles() if result.span_hist else None
-        ),
-        "frames_received": total.frames_received,
-        "frames_sent": total.frames_sent,
-        "cpu_time": total.cpu_time,
-        "hosts": {
-            host: {
-                "frames_received": stats.frames_received,
-                "frames_sent": stats.frames_sent,
-                "cpu_time": stats.cpu_time,
-            }
-            for host, stats in sorted(result.stats.items())
-        },
-        "wire": result.wire,
-        "reports": result.reports,
-    }
-    if trace_path is not None:
-        from repro.bench.traceout import write_topology_trace
-
-        doc = write_topology_trace(result, trace_path)
-        print(
-            f"wrote {len(doc['traceEvents'])} stitched trace events to "
-            f"{trace_path} (load it at https://ui.perfetto.dev)",
-            file=sys.stderr,
-        )
-    if as_json:
-        print(json.dumps(summary, indent=2, default=str))
-        return 0
-    print(
-        f"{topology}: {segments} segments on {result.shards} shard(s), "
-        f"seed {seed}"
-    )
-    print(
-        f"  {result.events_fired} events over {result.windows} windows; "
-        f"sim {result.now * 1000.0:.1f} ms in wall "
-        f"{result.wall_seconds:.3f} s "
-        f"({result.wall_per_window * 1000.0:.2f} ms/window)"
-    )
-    print(
-        f"  totals: {total.frames_sent} frames sent, "
-        f"{total.frames_received} received, "
-        f"{total.cpu_time * 1000.0:.2f} ms simulated CPU"
-    )
-    for detail in result.shard_details:
-        print(
-            f"  shard {detail['shard']}: {','.join(detail['segments'])} — "
-            f"{detail['events_fired']} events over {detail['windows']} "
-            f"windows, {detail['restarts']} restart(s)"
-        )
-    for name, report in result.reports.items():
-        print(f"  {name}: {report}")
-    return 0
-
-
-def cmd_chaos_topo(
-    topology: str,
-    *,
-    shards: int,
-    segments: int,
-    duration: float,
-    seed: int,
-    faults: str | None,
-    timeout: float | None,
-    checkpoint_interval: int,
-    as_json: bool,
-) -> int:
-    import dataclasses
-    import json
-
-    from repro.bench.registry import resolve_topology
-    from repro.sim.faults import parse_fault_spec
-    from repro.sim.orchestrator import RecoveryConfig, run_topology
+    from repro.bench.summary import render_summary, run_summary
+    from repro.bench.topologies import TOPOLOGIES
+    from repro.sim.orchestrator import run_topology
     from repro.sim.shard import ShardDiedError, ShardTimeoutError
 
-    spec = resolve_topology(
-        topology, segments=segments, seed=seed, duration=duration
-    )
-    if faults is not None:
-        try:
-            schedule = parse_fault_spec(faults, seed=seed)
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        spec = dataclasses.replace(spec, faults=schedule)
-    if not spec.telemetry:
-        # Watchdog alerts are the point of a chaos run.
-        spec = dataclasses.replace(spec, telemetry=True)
-    recovery = RecoveryConfig(
-        checkpoint_interval=checkpoint_interval or None,
-        recv_timeout=timeout,
-    )
+    if args.list:
+        for name, factory in TOPOLOGIES.items():
+            print(f"{name:20} {factory.__doc__.strip().splitlines()[0]}")
+        return 0
+    try:
+        if args.name is None:
+            raise ValueError("name a topology to run (see run --list)")
+        spec, recovery = _build_run(args)
+    except ValueError as error:
+        print(f"python -m repro run: error: {error}", file=sys.stderr)
+        return EXIT_USAGE
+    plane = None
+    if args.top:
+        plane = _dashboard(refresh=args.refresh or 0.25, plain=args.plain)
     try:
         result = run_topology(
-            spec, shards=shards, recovery=recovery, timeout=timeout
+            spec,
+            shards=args.shards,
+            timeout=args.timeout,
+            recovery=recovery,
+            observability=plane,
         )
     except ShardDiedError as error:
         print(f"error: {error}", file=sys.stderr)
@@ -465,317 +218,116 @@ def cmd_chaos_topo(
     except ShardTimeoutError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_SHARD_TIMEOUT
-    alerts = list(result.telemetry.alerts) if result.telemetry else []
-    dropped = {
-        name: wire.get("frames_dropped_link_down", 0)
-        for name, wire in result.wire.items()
-    }
-    summary = {
-        "topology": topology,
-        "segments": segments,
-        "shards": result.shards,
-        "seed": seed,
-        "duration": duration,
-        "faults": [
-            {
-                "link_id": fault.link_id,
-                "start": fault.start,
-                "end": fault.end,
-                "direction": fault.direction,
-            }
-            for fault in spec.faults
-        ],
-        "windows": result.windows,
-        "events_fired": result.events_fired,
-        "sim_seconds": result.now,
-        "wall_seconds": result.wall_seconds,
-        "dropped_link_down": dropped,
-        "alerts": alerts,
-        "restarts": result.restarts,
-        "reports": result.reports,
-    }
-    if as_json:
+    if args.trace is not None:
+        from repro.bench.traceout import write_topology_trace
+
+        doc = write_topology_trace(result, args.trace)
+        print(
+            f"wrote {len(doc['traceEvents'])} trace events to {args.trace} "
+            "(load it at https://ui.perfetto.dev or chrome://tracing)",
+            file=sys.stderr,
+        )
+    summary = run_summary(
+        args.name, result, profile=args.profile, plane=plane
+    )
+    if args.json:
         print(json.dumps(summary, indent=2, default=str))
         return 0
-    print(
-        f"{topology}: {segments} segments on {result.shards} shard(s), "
-        f"seed {seed}, {len(spec.faults)} scheduled fault(s)"
-    )
-    print(
-        f"  {result.events_fired} events over {result.windows} windows; "
-        f"sim {result.now * 1000.0:.1f} ms in wall "
-        f"{result.wall_seconds:.3f} s"
-    )
-    for fault in spec.faults:
-        print(
-            f"  fault: {fault.link_id} down "
-            f"[{fault.start:.3f}, {fault.end:.3f}) {fault.direction}"
-        )
-    total_dropped = sum(dropped.values())
-    print(f"  dropped_link_down: {total_dropped} ({dropped})")
-    if alerts:
-        print(f"  {len(alerts)} alert(s):")
-        for alert in alerts:
-            cleared = alert.get("cleared_at")
-            cleared_text = (
-                f"cleared {cleared:.3f}" if cleared is not None else "open"
-            )
-            print(
-                f"    [{alert['rule']}] {alert['host']} "
-                f"fired {alert['fired_at']:.3f} {cleared_text}"
-            )
-    else:
-        print("  no alerts fired")
-    if result.restarts:
-        for record in result.restarts:
-            print(
-                f"  restart: shard {record['shard']} {record['reason']} at "
-                f"window {record['window']}, resumed from "
-                f"{record['resumed_from']} (replayed {record['replayed']})"
-            )
+    if plane is not None:
+        print(plane.render())
+    print(render_summary(summary, result.sync if args.profile else None))
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    from repro.bench.registry import runnable_names, topology_names
+def _add_run_parser(subcommands) -> None:
+    from repro.bench.topologies import TOPOLOGIES
 
+    run = subcommands.add_parser(
+        "run", help="run a named topology and print its run summary"
+    )
+    run.add_argument(
+        "name", nargs="?", choices=list(TOPOLOGIES), metavar="NAME",
+        help="the topology to run (run --list names them)",
+    )
+    run.add_argument(
+        "--list", action="store_true",
+        help="list every runnable name and exit",
+    )
+    run.add_argument(
+        "--shards", type=int, default=1,
+        help="worker processes (1 = in-process, the oracle; default 1)",
+    )
+    run.add_argument(
+        "--segments", type=int,
+        help="Ethernet segments (default: the topology's own)",
+    )
+    run.add_argument(
+        "--duration", type=float,
+        help="simulated seconds of offered load (default: the topology's)",
+    )
+    run.add_argument("--seed", type=int, default=0)
+    run.add_argument(
+        "--timeout", type=float,
+        help=(
+            "per-window shard reply deadline in seconds (exit "
+            f"{EXIT_SHARD_TIMEOUT} when blown; default: wait forever, "
+            "or 30 with --recover)"
+        ),
+    )
+    run.add_argument(
+        "--faults",
+        help=(
+            "comma-separated link-fault clauses: down:LINK:START:END[:DIR] "
+            "or flap:LINK:START:END:MEAN_DOWN:MEAN_UP[:DIR] "
+            "(DIR: both|a2b|b2a; omit for the topology's own schedule)"
+        ),
+    )
+    run.add_argument(
+        "--recover", action="store_true",
+        help="arm the crash-recovery supervisor (checkpoint + replay)",
+    )
+    run.add_argument(
+        "--checkpoint-interval", type=int,
+        help="windows between shard checkpoints (0 disables; default 8)",
+    )
+    run.add_argument(
+        "--profile", action="store_true",
+        help="add the per-host charge profile and the sync-protocol table",
+    )
+    run.add_argument(
+        "--trace", metavar="FILE",
+        help="also export the stitched Perfetto/Chrome trace JSON",
+    )
+    run.add_argument(
+        "--top", action="store_true",
+        help="watch the run through the live cluster dashboard (stderr)",
+    )
+    run.add_argument(
+        "--plain", action="store_true",
+        help="with --top: no ANSI repaints, only alerts and a final frame",
+    )
+    run.add_argument(
+        "--refresh", type=float,
+        help="with --top: minimum seconds between repaints (default 0.25)",
+    )
+    run.add_argument(
+        "--json", action="store_true",
+        help="print the summary as JSON instead of text",
+    )
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro")
     subcommands = parser.add_subparsers(dest="command")
     subcommands.add_parser("info", help="version and experiment inventory")
     subcommands.add_parser("demo", help="run the quickstart scenario")
-    trace = subcommands.add_parser(
-        "trace",
-        help=(
-            "no argument: trace the figure 3-9 filter; with a scenario "
-            "and -o: export a Perfetto/Chrome trace JSON; with a "
-            "topology and --shards: export the stitched N-shard trace"
-        ),
+    subcommands.add_parser(
+        "trace", help="trace the figure 3-9 filter on two packets"
     )
-    trace.add_argument(
-        "scenario",
-        nargs="?",
-        choices=runnable_names(),
-        help=(
-            "scenario or topology to run and export (omit for the "
-            "filter tracer)"
-        ),
-    )
-    trace.add_argument(
-        "-o",
-        "--output",
-        help="output file for the trace-event JSON",
-    )
-    trace.add_argument(
-        "--shards", type=int, default=2,
-        help="worker processes for a topology trace (default 2)",
-    )
-    trace.add_argument(
-        "--segments", type=int, default=2,
-        help="Ethernet segments for a topology trace (default 2)",
-    )
-    trace.add_argument(
-        "--duration", type=float, default=0.5,
-        help="simulated seconds for a topology trace (default 0.5)",
-    )
-    trace.add_argument("--seed", type=int, default=0)
-    profile = subcommands.add_parser(
-        "profile",
-        help=(
-            "profile a scenario through the charge ledger, or a "
-            "topology through the sync-protocol profiler"
-        ),
-    )
-    profile.add_argument("scenario", choices=runnable_names())
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable report instead of the table",
-    )
-    profile.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="also export the run as Perfetto/Chrome trace JSON",
-    )
-    profile.add_argument(
-        "--shards", type=int, default=2,
-        help="worker processes for a topology profile (default 2)",
-    )
-    profile.add_argument(
-        "--segments", type=int, default=2,
-        help="Ethernet segments for a topology profile (default 2)",
-    )
-    profile.add_argument(
-        "--duration", type=float, default=0.5,
-        help="simulated seconds for a topology profile (default 0.5)",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    top = subcommands.add_parser(
-        "top",
-        help=(
-            "run a topology with the observability plane armed and "
-            "render the live cluster dashboard"
-        ),
-    )
-    top.add_argument("topology", choices=topology_names())
-    top.add_argument(
-        "--shards", type=int, default=2,
-        help="worker processes (default 2)",
-    )
-    top.add_argument(
-        "--segments", type=int, default=2,
-        help="Ethernet segments in the topology (default 2)",
-    )
-    top.add_argument(
-        "--duration", type=float, default=0.5,
-        help="simulated seconds of offered load (default 0.5)",
-    )
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument(
-        "--refresh", type=float, default=0.25,
-        help="minimum seconds between dashboard repaints (default 0.25)",
-    )
-    top.add_argument(
-        "--plain", action="store_true",
-        help=(
-            "no ANSI repaints: stream alerts as they fire, print one "
-            "final frame (for logs and tests)"
-        ),
-    )
-    shard = subcommands.add_parser(
-        "shard",
-        help="run a multi-segment topology over N worker processes",
-    )
-    shard.add_argument("topology", choices=topology_names())
-    shard.add_argument(
-        "--shards", type=int, default=1,
-        help="worker processes (1 = in-process fallback; default 1)",
-    )
-    shard.add_argument(
-        "--segments", type=int, default=2,
-        help="Ethernet segments in the topology (default 2)",
-    )
-    shard.add_argument(
-        "--duration", type=float, default=0.5,
-        help="simulated seconds of offered load (default 0.5)",
-    )
-    shard.add_argument("--seed", type=int, default=0)
-    shard.add_argument(
-        "--timeout", type=float, default=None,
-        help=(
-            "per-window shard reply deadline in seconds "
-            f"(exit {EXIT_SHARD_TIMEOUT} when blown; default: wait forever)"
-        ),
-    )
-    shard.add_argument(
-        "--json", action="store_true",
-        help="emit a machine-readable summary",
-    )
-    shard.add_argument(
-        "--trace",
-        metavar="FILE",
-        help="also export the stitched Perfetto trace JSON",
-    )
-    chaos = subcommands.add_parser(
-        "chaos-topo",
-        help=(
-            "run a topology under a link-fault schedule with the "
-            "crash-recovery supervisor armed"
-        ),
-    )
-    chaos.add_argument("topology", choices=topology_names())
-    chaos.add_argument(
-        "--faults",
-        help=(
-            "comma-separated fault clauses: down:LINK:START:END[:DIR] "
-            "or flap:LINK:START:END:MEAN_DOWN:MEAN_UP[:DIR] "
-            "(DIR: both|a2b|b2a; omit for the scenario's default schedule)"
-        ),
-    )
-    chaos.add_argument(
-        "--shards", type=int, default=2,
-        help="worker processes (default 2)",
-    )
-    chaos.add_argument(
-        "--segments", type=int, default=2,
-        help="Ethernet segments in the topology (default 2)",
-    )
-    chaos.add_argument(
-        "--duration", type=float, default=1.2,
-        help="simulated seconds of offered load (default 1.2)",
-    )
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-window shard reply deadline in seconds (default 30)",
-    )
-    chaos.add_argument(
-        "--checkpoint-interval", type=int, default=8,
-        help="windows between shard checkpoints (0 disables; default 8)",
-    )
-    chaos.add_argument(
-        "--json", action="store_true",
-        help="emit a machine-readable summary",
-    )
+    _add_run_parser(subcommands)
     args = parser.parse_args(argv)
-    if args.command == "shard":
-        return cmd_shard(
-            args.topology,
-            shards=args.shards,
-            segments=args.segments,
-            duration=args.duration,
-            seed=args.seed,
-            as_json=args.json,
-            timeout=args.timeout,
-            trace_path=args.trace,
-        )
-    if args.command == "chaos-topo":
-        return cmd_chaos_topo(
-            args.topology,
-            shards=args.shards,
-            segments=args.segments,
-            duration=args.duration,
-            seed=args.seed,
-            faults=args.faults,
-            timeout=args.timeout,
-            checkpoint_interval=args.checkpoint_interval,
-            as_json=args.json,
-        )
-    if args.command == "top":
-        return cmd_top(
-            args.topology,
-            shards=args.shards,
-            segments=args.segments,
-            duration=args.duration,
-            seed=args.seed,
-            refresh=args.refresh,
-            plain=args.plain,
-        )
-    if args.command == "profile":
-        if args.scenario in topology_names():
-            return cmd_profile_topology(
-                args.scenario,
-                shards=args.shards,
-                segments=args.segments,
-                duration=args.duration,
-                seed=args.seed,
-                as_json=args.json,
-            )
-        return cmd_profile(
-            args.scenario, as_json=args.json, trace_path=args.trace
-        )
-    if args.command == "trace" and args.scenario is not None:
-        if args.output is None:
-            parser.error("trace <scenario> needs -o/--output FILE")
-        if args.scenario in topology_names():
-            return cmd_trace_topology(
-                args.scenario,
-                args.output,
-                shards=args.shards,
-                segments=args.segments,
-                duration=args.duration,
-                seed=args.seed,
-            )
-        return cmd_trace_scenario(args.scenario, args.output)
+    if args.command == "run":
+        return cmd_run(args)
     command = args.command or "info"
     return {"info": cmd_info, "demo": cmd_demo, "trace": cmd_trace}[command]()
 

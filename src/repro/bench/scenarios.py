@@ -1,16 +1,27 @@
 """Workload scenarios behind every table and figure reproduction.
 
-Each function builds a fresh deterministic :class:`repro.sim.World`,
-runs one of the paper's measurement configurations, and returns the
-number(s) the corresponding table reports.  The benchmark files under
-``benchmarks/`` are thin: they call these, print paper-vs-measured, and
-assert the shape.  Tests reuse them too, so a regression in a scenario
-breaks loudly in both places.
+Each ``measure_*``/``count_*``/``run_*`` function builds a fresh
+deterministic :class:`repro.sim.World`, runs one of the paper's
+measurement configurations, and returns the number(s) the corresponding
+table reports.  The benchmark files under ``benchmarks/`` are thin:
+they call these, print paper-vs-measured, and assert the shape.  Tests
+reuse them too, so a regression in a scenario breaks loudly in both
+places.
+
+No world is written twice.  A world more than one caller needs is
+*populated* by one function that is handed the world (``populate_*``
+and the ``_*_hosts``/``_*_stream`` helpers): the table benchmark makes
+its own ``World`` and runs it until the measured process is done, the
+segment builders in :mod:`repro.bench.topologies` pass ``ctx.world`` and
+``ctx.host`` and let ``run_topology`` drive it.  Shared process bodies
+are module-level generator functions that get *spawned* — never
+``yield from``-delegated to, which would add a frame to every resume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 from ..core.compiler import compile_expr, word
 from ..core.ioctl import PFIoctl
@@ -32,6 +43,8 @@ from ..sim.display import DisplayDevice
 
 __all__ = [
     "TEST_ETHERTYPE",
+    "read_forever",
+    "blast",
     "measure_demux_throughput",
     "demux_label_kwargs",
     "measure_send_cost",
@@ -40,18 +53,21 @@ __all__ = [
     "measure_tcp_bulk",
     "measure_bsp_bulk",
     "measure_telnet",
+    "populate_paced_receive",
     "measure_receive_cost",
     "measure_filter_cost",
     "kernel_profile",
     "CHAOS_SEEDS",
     "ACCEPTANCE_CHAOS",
     "SOAK_RETRIES",
+    "CHAOS_SOAKS",
     "run_bsp_chaos",
     "run_vmtp_chaos",
     "run_rarp_chaos",
     "run_pup_echo_chaos",
     "measure_spurious_retransmissions",
     "receive_saturation_pps",
+    "populate_overload_storm",
     "run_overload_storm",
     "run_flow_storm",
     "run_partition_storm",
@@ -70,6 +86,36 @@ def _payload(host, size: int, dst: bytes) -> bytes:
     """A test frame of exactly ``size`` bytes including the header."""
     body = bytes(max(0, size - host.link.header_length))
     return host.link.frame(dst, host.address, TEST_ETHERTYPE, body)
+
+
+def read_forever(queue_limit: int | None = None, tally: dict | None = None):
+    """Process body: bind the test filter and read until the world ends.
+
+    ``queue_limit`` switches on batched reads over a queue that long;
+    ``tally["frames"]`` (when given) counts completed reads.
+    """
+    fd = yield Open("pf")
+    yield Ioctl(fd, PFIoctl.SETFILTER, _test_filter())
+    if queue_limit is not None:
+        yield Ioctl(fd, PFIoctl.SETBATCH, True)
+        yield Ioctl(fd, PFIoctl.SETQUEUELEN, queue_limit)
+    while True:
+        yield Read(fd)
+        if tally is not None:
+            tally["frames"] += 1
+
+
+def blast(world, frame: bytes, pace: float, *, head_start, until, rng=None):
+    """Process body: write ``frame`` every ``pace`` seconds (jittered
+    +-25 % from ``rng``, when given) until simulated time ``until``,
+    after a ``head_start`` that lets the reader bind its filter."""
+    fd = yield Open("pf")
+    yield Sleep(head_start)
+    while world.now < until:
+        yield Write(fd, frame)
+        yield Sleep(
+            pace if rng is None else pace * (0.75 + 0.5 * rng.random())
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -187,34 +233,28 @@ def measure_send_cost(via: str, packet_bytes: int, count: int = 50) -> float:
     if via == "pf":
         sender.install_packet_filter()
         sink.install_packet_filter()  # nothing bound; frames go unclaimed
-
-        def body():
-            fd = yield Open("pf")
-            frame = _payload(sender, packet_bytes, sink.address)
-            yield Write(fd, frame)      # warm-up
-            marks.append(world.ledger.mark())
-            for _ in range(count):
-                yield Write(fd, frame)
-
+        connect = None
+        data = _payload(sender, packet_bytes, sink.address)
     elif via == "udp":
         stack_a = sender.install_kernel_stack()
         stack_b = sink.install_kernel_stack()
         link_stacks(stack_a, stack_b)
         KernelUDP(stack_a)
         KernelUDP(stack_b)
+        connect = (stack_b.ip_address, 9)
         # IP(20) + UDP(8) headers ride inside the frame size budget.
         data = bytes(max(0, packet_bytes - sender.link.header_length - 28))
-
-        def body():
-            fd = yield Open("udp")
-            yield Ioctl(fd, SockIoctl.CONNECT, (stack_b.ip_address, 9))
-            yield Write(fd, data)       # warm-up
-            marks.append(world.ledger.mark())
-            for _ in range(count):
-                yield Write(fd, data)
-
     else:
         raise ValueError(f"unknown send path {via!r}")
+
+    def body():
+        fd = yield Open(via)
+        if connect is not None:
+            yield Ioctl(fd, SockIoctl.CONNECT, connect)
+        yield Write(fd, data)       # warm-up
+        marks.append(world.ledger.mark())
+        for _ in range(count):
+            yield Write(fd, data)
 
     proc = sender.spawn("sender", body())
     world.run_until_done(proc)
@@ -223,25 +263,68 @@ def measure_send_cost(via: str, packet_bytes: int, count: int = 50) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Tables 6-2/6-3/6-4: VMTP
+# Tables 6-2/6-3/6-4/6-5: VMTP
 # ---------------------------------------------------------------------------
+
+
+def _vmtp_server(host, reply_with: bytes, *, service_time=0.0, batching=True):
+    """Process body: answer every VMTP request with ``reply_with``,
+    ``service_time`` seconds (think: a disk seek) after it arrives."""
+    endpoint = VMTPServer(host, server_id=35, batching=batching)
+    yield from endpoint.start()
+    while True:
+        request, reply = yield from endpoint.receive()
+        if service_time:
+            yield Sleep(service_time)
+        yield from reply(reply_with)
+
+
+def _vmtp_hosts(world, reply_with: bytes, host=None, **server_options):
+    """A client host and a server host on the packet filter, the
+    server answering every request with ``reply_with``."""
+    host = host or world.host
+    client_host = host("client")
+    server_host = host("server")
+    client_host.install_packet_filter()
+    server_host.install_packet_filter()
+    server_host.spawn(
+        "vmtp-server", _vmtp_server(server_host, reply_with, **server_options)
+    )
+    return client_host, server_host
+
+
+def _vmtp_client(client_host, server_host, **options) -> VMTPClient:
+    return VMTPClient(
+        client_host, client_id=7,
+        server_station=server_host.address, server_id=35, **options,
+    )
+
+
+def _kernel_vmtp_hosts(world, reply_with: bytes):
+    """The same pair on the kernel-resident VMTP implementation."""
+    client_host = world.host("client")
+    server_host = world.host("server")
+    KernelVMTP(client_host)
+    KernelVMTP(server_host)
+
+    def server():
+        fd = yield Open("vmtp")
+        yield Ioctl(fd, SockIoctl.BIND, 35)
+        while True:
+            yield Read(fd)
+            yield Write(fd, reply_with)
+
+    server_host.spawn("vmtp-server", server())
+    return client_host, server_host
 
 
 def measure_vmtp_minimal(implementation: str, operations: int = 25) -> float:
     """Elapsed ms per minimal (zero-byte read) VMTP transaction."""
+    if implementation == "pf-userdemux":
+        return _vmtp_user_demux(mode="minimal", operations=operations)
+    world = World()
     if implementation == "kernel":
-        world = World()
-        client_host = world.host("client")
-        server_host = world.host("server")
-        KernelVMTP(client_host)
-        KernelVMTP(server_host)
-
-        def server():
-            fd = yield Open("vmtp")
-            yield Ioctl(fd, SockIoctl.BIND, 35)
-            while True:
-                yield Read(fd)
-                yield Write(fd, b"")
+        client_host, server_host = _kernel_vmtp_hosts(world, b"")
 
         def client():
             fd = yield Open("vmtp")
@@ -254,30 +337,11 @@ def measure_vmtp_minimal(implementation: str, operations: int = 25) -> float:
                 yield Read(fd)
             return (world.now - start) / operations
 
-        server_host.spawn("vmtp-server", server())
-        proc = client_host.spawn("vmtp-client", client())
-        world.run_until_done(proc)
-        return proc.result * 1000.0
-
-    if implementation == "pf":
-        world = World()
-        client_host = world.host("client")
-        server_host = world.host("server")
-        client_host.install_packet_filter()
-        server_host.install_packet_filter()
-
-        def server():
-            endpoint = VMTPServer(server_host, server_id=35)
-            yield from endpoint.start()
-            while True:
-                request, reply = yield from endpoint.receive()
-                yield from reply(b"")
+    elif implementation == "pf":
+        client_host, server_host = _vmtp_hosts(world, b"")
 
         def client():
-            endpoint = VMTPClient(
-                client_host, client_id=7,
-                server_station=server_host.address, server_id=35,
-            )
+            endpoint = _vmtp_client(client_host, server_host)
             yield from endpoint.start()
             yield from endpoint.call(b"")  # warm-up
             start = world.now
@@ -285,18 +349,12 @@ def measure_vmtp_minimal(implementation: str, operations: int = 25) -> float:
                 yield from endpoint.call(b"")
             return (world.now - start) / operations
 
-        server_host.spawn("vmtp-server", server())
-        proc = client_host.spawn("vmtp-client", client())
-        world.run_until_done(proc)
-        return proc.result * 1000.0
+    else:
+        raise ValueError(f"unknown VMTP implementation {implementation!r}")
 
-    if implementation == "pf-userdemux":
-        rate_or_latency = _vmtp_user_demux(
-            mode="minimal", operations=operations
-        )
-        return rate_or_latency
-
-    raise ValueError(f"unknown VMTP implementation {implementation!r}")
+    proc = client_host.spawn("vmtp-client", client())
+    world.run_until_done(proc)
+    return proc.result * 1000.0
 
 
 def _vmtp_user_demux(
@@ -315,10 +373,9 @@ def _vmtp_user_demux(
     from ..protocols.ethertypes import ETHERTYPE_VMTP
 
     world = World()
-    client_host = world.host("client")
-    server_host = world.host("server")
-    client_host.install_packet_filter()
-    server_host.install_packet_filter()
+    client_host, server_host = _vmtp_hosts(
+        world, bytes(segment_bytes) if mode == "bulk" else b""
+    )
 
     def classify(frame: bytes):
         if client_host.link.ethertype_of(frame) == ETHERTYPE_VMTP:
@@ -328,20 +385,8 @@ def _vmtp_user_demux(
     system = UserDemuxSystem(client_host, classify=classify, batching=True)
     inbox = system.add_destination("vmtp")
 
-    def server():
-        endpoint = VMTPServer(server_host, server_id=35)
-        yield from endpoint.start()
-        blob = bytes(segment_bytes)
-        while True:
-            request, reply = yield from endpoint.receive()
-            yield from reply(blob if mode == "bulk" else b"")
-
     def client():
-        endpoint = VMTPClient(
-            client_host, client_id=7,
-            server_station=server_host.address, server_id=35,
-            inbox=inbox,
-        )
+        endpoint = _vmtp_client(client_host, server_host, inbox=inbox)
         yield from endpoint.start()
         yield from endpoint.call(b"warm")
         start = world.now
@@ -354,7 +399,6 @@ def _vmtp_user_demux(
             received += len((yield from endpoint.call(b"read")))
         return (world.now - start, received)
 
-    server_host.spawn("vmtp-server", server())
     client_proc = client_host.spawn("vmtp-client", client())
     system.register(inbox, client_proc)
     demux_proc = client_host.spawn("demuxd", system.run())
@@ -375,20 +419,15 @@ def measure_vmtp_bulk(
     segment_bytes: int = 16 * 1024,
 ) -> float:
     """Bulk-transfer KBytes/sec: repeatedly read a cached file segment."""
+    if implementation == "pf-userdemux":
+        return _vmtp_user_demux(
+            mode="bulk", total_bytes=total_bytes, segment_bytes=segment_bytes
+        )
+    world = World()
     if implementation == "kernel":
-        world = World()
-        client_host = world.host("client")
-        server_host = world.host("server")
-        KernelVMTP(client_host)
-        KernelVMTP(server_host)
-
-        def server():
-            fd = yield Open("vmtp")
-            yield Ioctl(fd, SockIoctl.BIND, 35)
-            blob = bytes(segment_bytes)
-            while True:
-                yield Read(fd)
-                yield Write(fd, blob)
+        client_host, server_host = _kernel_vmtp_hosts(
+            world, bytes(segment_bytes)
+        )
 
         def client():
             fd = yield Open("vmtp")
@@ -402,30 +441,14 @@ def measure_vmtp_bulk(
                 received += len((yield Read(fd)))
             return (world.now - start, received)
 
-        server_host.spawn("vmtp-server", server())
-        proc = client_host.spawn("vmtp-client", client())
-        world.run_until_done(proc)
-
     elif implementation == "pf":
-        world = World()
-        client_host = world.host("client")
-        server_host = world.host("server")
-        client_host.install_packet_filter()
-        server_host.install_packet_filter()
-
-        def server():
-            endpoint = VMTPServer(server_host, server_id=35, batching=batching)
-            yield from endpoint.start()
-            blob = bytes(segment_bytes)
-            while True:
-                request, reply = yield from endpoint.receive()
-                yield from reply(blob)
+        client_host, server_host = _vmtp_hosts(
+            world, bytes(segment_bytes), batching=batching
+        )
 
         def client():
-            endpoint = VMTPClient(
-                client_host, client_id=7,
-                server_station=server_host.address, server_id=35,
-                batching=batching,
+            endpoint = _vmtp_client(
+                client_host, server_host, batching=batching
             )
             yield from endpoint.start()
             yield from endpoint.call(b"read")  # warm-up
@@ -435,40 +458,27 @@ def measure_vmtp_bulk(
                 received += len((yield from endpoint.call(b"read")))
             return (world.now - start, received)
 
-        server_host.spawn("vmtp-server", server())
-        proc = client_host.spawn("vmtp-client", client())
-        world.run_until_done(proc)
-
-    elif implementation == "pf-userdemux":
-        return _vmtp_user_demux(
-            mode="bulk", total_bytes=total_bytes, segment_bytes=segment_bytes
-        )
-
     else:
         raise ValueError(f"unknown VMTP implementation {implementation!r}")
 
+    proc = client_host.spawn("vmtp-client", client())
+    world.run_until_done(proc)
     duration, received = proc.result
     return (received / 1024.0) / duration
 
 
 # ---------------------------------------------------------------------------
 # Table 6-6: byte streams (BSP vs kernel TCP); also feeds table 6-3's TCP row
+# and figure 2-3's domain-crossing counts
 # ---------------------------------------------------------------------------
 
 
-def measure_tcp_bulk(
-    *,
-    mss: int | None = None,
-    total_bytes: int = 256 * 1024,
-    disk_ms_per_kbyte: float = 0.0,
-) -> float:
-    """Kernel TCP process-to-process KBytes/sec.
+def _tcp_stream(world, total_bytes: int, *, mss=None, disk_ms_per_kbyte=0.0):
+    """A kernel-TCP bulk stream from host ``sender`` to ``receiver``.
 
-    ``disk_ms_per_kbyte`` > 0 models the FTP variant: the source does a
-    synchronous disk read before each send (§6.4: file-sourced TCP runs
-    at half the memory-sourced rate).
+    Returns ``(receiver, sink, source)``: the sink process's result is
+    the byte count it read, the source's the time it began sending.
     """
-    world = World()
     sender = world.host("sender")
     receiver = world.host("receiver")
     stack_a = sender.install_kernel_stack()
@@ -502,29 +512,40 @@ def measure_tcp_bulk(
         yield Close(fd)
         return start
 
-    server_proc = receiver.spawn("tcp-sink", server())
-    client_proc = sender.spawn("tcp-source", client())
-    world.run_until_done(server_proc, client_proc)
-    assert server_proc.result == total_bytes
-    duration = world.now - client_proc.result
-    return (total_bytes / 1024.0) / duration
+    sink = receiver.spawn("tcp-sink", server())
+    source = sender.spawn("tcp-source", client())
+    return receiver, sink, source
 
 
-def measure_bsp_bulk(
+def _bsp_stream(
+    world,
+    payload: bytes,
+    host=None,
     *,
-    total_bytes: int = 96 * 1024,
     disk_ms_per_kbyte: float = 0.0,
-) -> float:
-    """Packet-filter BSP process-to-process KBytes/sec."""
-    world = World()
-    sender = world.host("sender")
-    receiver = world.host("receiver")
+    linger: bool = False,
+    **endpoint_options,
+):
+    """A packet-filter BSP stream of ``payload`` from host ``sender``
+    to ``receiver``.
+
+    Returns a namespace: the two hosts, the ``source`` process (result:
+    seconds the transfer took), the ``sink`` process (result: the bytes
+    it received) and ``endpoints``, filled in as each side starts.
+    ``linger`` makes the sink dally past the sender's longest
+    backed-off retransmission gap, so a lost final ack cannot strand it
+    (see :meth:`BSPEndpoint.linger`).
+    """
+    host = host or world.host
+    sender = host("sender")
+    receiver = host("receiver")
     sender.install_packet_filter()
     receiver.install_packet_filter()
-    payload = bytes(total_bytes)
+    endpoints = {}
 
     def source():
-        endpoint = BSPEndpoint(sender, local_socket=0x44)
+        endpoint = BSPEndpoint(sender, local_socket=0x44, **endpoint_options)
+        endpoints["sender"] = endpoint
         yield from endpoint.start()
         destination = PupAddress(
             net=1, host=receiver.address[-1], socket=0x35
@@ -537,16 +558,86 @@ def measure_bsp_bulk(
         return world.now - start
 
     def sink():
-        endpoint = BSPEndpoint(receiver, local_socket=0x35)
+        endpoint = BSPEndpoint(receiver, local_socket=0x35, **endpoint_options)
+        endpoints["receiver"] = endpoint
         yield from endpoint.start()
         data = yield from endpoint.recv_all()
-        return len(data)
+        if linger:
+            yield from endpoint.linger()
+        return data
 
-    receiver.spawn("bsp-sink", sink())
-    source_proc = sender.spawn("bsp-source", source())
-    world.run_until_done(source_proc)
-    duration = source_proc.result
+    return SimpleNamespace(
+        sender=sender,
+        receiver=receiver,
+        endpoints=endpoints,
+        sink=receiver.spawn("bsp-sink", sink()),
+        source=sender.spawn("bsp-source", source()),
+    )
+
+
+def measure_tcp_bulk(
+    *,
+    mss: int | None = None,
+    total_bytes: int = 256 * 1024,
+    disk_ms_per_kbyte: float = 0.0,
+) -> float:
+    """Kernel TCP process-to-process KBytes/sec.
+
+    ``disk_ms_per_kbyte`` > 0 models the FTP variant: the source does a
+    synchronous disk read before each send (§6.4: file-sourced TCP runs
+    at half the memory-sourced rate).
+    """
+    world = World()
+    _, sink, source = _tcp_stream(
+        world, total_bytes, mss=mss, disk_ms_per_kbyte=disk_ms_per_kbyte
+    )
+    world.run_until_done(sink, source)
+    assert sink.result == total_bytes
+    duration = world.now - source.result
     return (total_bytes / 1024.0) / duration
+
+
+def measure_bsp_bulk(
+    *,
+    total_bytes: int = 96 * 1024,
+    disk_ms_per_kbyte: float = 0.0,
+) -> float:
+    """Packet-filter BSP process-to-process KBytes/sec."""
+    world = World()
+    stream = _bsp_stream(
+        world, bytes(total_bytes), disk_ms_per_kbyte=disk_ms_per_kbyte
+    )
+    world.run_until_done(stream.source)
+    return (total_bytes / 1024.0) / stream.source.result
+
+
+def count_stream_crossings(transport: str, total_bytes: int = 64 * 1024) -> dict:
+    """Figure 2-3: kernel-resident protocols confine overhead packets.
+
+    Runs a reliable bulk stream and reports, for the *receiving* host,
+    frames handled per user-visible read and domain crossings per
+    KByte delivered — kernel TCP confines data+ack packets to the
+    kernel; user-level BSP surfaces every one of them to user code.
+    """
+    world = World()
+    if transport == "tcp":
+        receiver, sink, _ = _tcp_stream(world, total_bytes)
+    elif transport == "bsp":
+        stream = _bsp_stream(world, bytes(total_bytes))
+        receiver, sink = stream.receiver, stream.sink
+    else:
+        raise ValueError(f"unknown transport {transport!r}")
+    world.run_until_done(sink)
+
+    stats = receiver.kernel.stats
+    kbytes = total_bytes / 1024.0
+    return {
+        "frames_received": stats.frames_received,
+        "syscalls": stats.syscalls,
+        "domain_crossings": stats.domain_crossings,
+        "crossings_per_kbyte": stats.domain_crossings / kbytes,
+        "syscalls_per_frame": stats.syscalls / max(1, stats.frames_received),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -603,39 +694,44 @@ def measure_telnet(
 
 
 # ---------------------------------------------------------------------------
-# Tables 6-5/6-8/6-9: receive-path cost, kernel vs user-level demux
+# Tables 6-5/6-8/6-9/6-10, figures 2-1/2-2/3-4/3-5: the paced receive path,
+# kernel vs user-level demux
 # ---------------------------------------------------------------------------
 
 
-def measure_receive_cost(
-    demux: str,
-    packet_bytes: int,
+def populate_paced_receive(
+    world,
+    host=None,
     *,
-    batching: bool = False,
+    demux: str = "kernel",
+    program: FilterProgram | None = None,
+    packet_bytes: int = 128,
     count: int = 60,
     pace_seconds: float = 0.012,
     burst: int = 1,
-) -> float:
-    """Receiver-side milliseconds of work per received packet.
+    batching: bool = False,
+):
+    """A paced sender and one packet-filter receiver: the world behind
+    the receive-cost tables, the event-count figures and ``repro run
+    receive``.
 
-    A paced sender (a synthetic load, like the paper's) emits ``count``
-    packets after the receiver has set up; the figure of merit is
-    receiver-host CPU time consumed per packet — interrupt service,
-    filtering, wakeups, context switches, syscalls and every copy on
-    the way to the destination process.  ``burst`` > 1 with batching
-    reproduces the table 6-9 configuration ("the results are about the
-    same for four or more packets per batch").
+    Host ``sender`` (a synthetic load, like the paper's) emits
+    ``count`` frames, ``burst`` at a time, once host ``receiver`` has
+    bound ``program`` (default: the one-field test filter); ``demux``
+    picks who delivers them to the destination process — the kernel's
+    packet filter, or a :class:`UserDemuxSystem` process over a pipe.
 
-    The per-packet cost is regenerated from the charge ledger: the sum
-    of every attributed cost event on the receiving host from the
-    moment sending starts, divided by the packet count.
+    Returns a namespace: ``receiver``, the ``dest`` process to run
+    until, and — set the moment sending starts — the ledger ``mark``
+    and the receiver's stats ``baseline`` a measurement scopes itself
+    to.
     """
-    world = World(ledger=True)
-    sender = world.host("sender")
-    receiver = world.host("receiver")
+    host = host or world.host
+    sender = host("sender")
+    receiver = host("receiver")
     sender.install_packet_filter()
     receiver.install_packet_filter()
-    marks: list[int] = []  # ledger mark taken when sending starts
+    run = SimpleNamespace(receiver=receiver, mark=None, baseline=None)
 
     def send_body():
         fd = yield Open("pf")
@@ -647,7 +743,9 @@ def measure_receive_cost(
         frame = _payload(sender, packet_bytes, receiver.address)
         # Head start: let the receiver finish binding its filter.
         yield Sleep(0.05)
-        marks.append(world.ledger.mark())
+        run.baseline = receiver.kernel.stats.snapshot()
+        if world.ledger is not None:
+            run.mark = world.ledger.mark()
         sent = 0
         while sent < count:
             group = min(burst, count - sent)
@@ -662,16 +760,15 @@ def measure_receive_cost(
 
         def receive_body():
             fd = yield Open("pf")
-            yield Ioctl(fd, PFIoctl.SETFILTER, _test_filter())
+            yield Ioctl(fd, PFIoctl.SETFILTER, program or _test_filter())
             yield Ioctl(fd, PFIoctl.SETBATCH, batching)
             yield Ioctl(fd, PFIoctl.SETQUEUELEN, 64)
             received = 0
             while received < count:
-                batch = yield Read(fd)
-                received += len(batch)
+                received += len((yield Read(fd)))
             return received
 
-        dest = receiver.spawn("dest", receive_body())
+        run.dest = receiver.spawn("dest", receive_body())
 
     elif demux == "user":
         system = UserDemuxSystem(
@@ -686,8 +783,8 @@ def measure_receive_cost(
                 received += 1
             return received
 
-        dest = receiver.spawn("dest", dest_body())
-        system.register(inbox, dest)
+        run.dest = receiver.spawn("dest", dest_body())
+        system.register(inbox, run.dest)
         demux_proc = receiver.spawn("demuxd", system.run())
         system.attach(demux_proc)
 
@@ -695,14 +792,48 @@ def measure_receive_cost(
         raise ValueError(f"unknown demux {demux!r}")
 
     sender.spawn("sender", send_body())
-    world.run_until_done(dest)
-    spent = world.ledger.total_cost(host="receiver", start=marks[0])
+    return run
+
+
+def _receive_cost_ms(count: int, **options) -> float:
+    """Receiver-host ledger cost per packet, from the moment sending
+    starts, over one :func:`populate_paced_receive` world."""
+    world = World(ledger=True)
+    run = populate_paced_receive(world, count=count, **options)
+    world.run_until_done(run.dest)
+    spent = world.ledger.total_cost(host="receiver", start=run.mark)
     return spent / count * 1000.0
 
 
-# ---------------------------------------------------------------------------
-# Table 6-10: cost of interpreting packet filters
-# ---------------------------------------------------------------------------
+def measure_receive_cost(
+    demux: str,
+    packet_bytes: int,
+    *,
+    batching: bool = False,
+    count: int = 60,
+    pace_seconds: float = 0.012,
+    burst: int = 1,
+) -> float:
+    """Receiver-side milliseconds of work per received packet.
+
+    The figure of merit is receiver-host CPU time consumed per packet —
+    interrupt service, filtering, wakeups, context switches, syscalls
+    and every copy on the way to the destination process.  ``burst`` >
+    1 with batching reproduces the table 6-9 configuration ("the
+    results are about the same for four or more packets per batch").
+
+    The per-packet cost is regenerated from the charge ledger: the sum
+    of every attributed cost event on the receiving host from the
+    moment sending starts, divided by the packet count.
+    """
+    return _receive_cost_ms(
+        count,
+        demux=demux,
+        packet_bytes=packet_bytes,
+        batching=batching,
+        pace_seconds=pace_seconds,
+        burst=burst,
+    )
 
 
 def filter_of_length(instructions: int, priority: int = 10) -> FilterProgram:
@@ -736,43 +867,13 @@ def measure_filter_cost(
     """Per-packet receive cost (ms) with one bound filter of the given
     length, batching enabled — the table 6-10 configuration.  Aggregated
     from the charge ledger, like :func:`measure_receive_cost`."""
-    world = World(ledger=True)
-    sender = world.host("sender")
-    receiver = world.host("receiver")
-    sender.install_packet_filter()
-    receiver.install_packet_filter()
-    marks: list[int] = []
-
-    def send_body():
-        fd = yield Open("pf")
-        frame = _payload(sender, packet_bytes, receiver.address)
-        yield Sleep(0.05)
-        marks.append(world.ledger.mark())
-        for _ in range(count):
-            yield Write(fd, frame)
-            yield Sleep(0.010)
-
-    def receive_body():
-        fd = yield Open("pf")
-        yield Ioctl(fd, PFIoctl.SETFILTER, filter_of_length(instructions))
-        yield Ioctl(fd, PFIoctl.SETBATCH, True)
-        yield Ioctl(fd, PFIoctl.SETQUEUELEN, 64)
-        received = 0
-        while received < count:
-            batch = yield Read(fd)
-            received += len(batch)
-        return received
-
-    dest = receiver.spawn("dest", receive_body())
-    sender.spawn("sender", send_body())
-    world.run_until_done(dest)
-    spent = world.ledger.total_cost(host="receiver", start=marks[0])
-    return spent / count * 1000.0
-
-
-# ---------------------------------------------------------------------------
-# Figures 2-1/2-2/3-4/3-5: per-packet event counts under each model
-# ---------------------------------------------------------------------------
+    return _receive_cost_ms(
+        count,
+        program=filter_of_length(instructions),
+        packet_bytes=packet_bytes,
+        batching=True,
+        pace_seconds=0.010,
+    )
 
 
 def count_receive_events(
@@ -790,66 +891,16 @@ def count_receive_events(
     crossings and wakeups per received packet.
     """
     world = World()
-    sender = world.host("sender")
-    receiver = world.host("receiver")
-    sender.install_packet_filter()
-    receiver.install_packet_filter()
-    baseline: list = []
-
-    def send_body():
-        fd = yield Open("pf")
-        if burst > 1:
-            yield Ioctl(fd, PFIoctl.SETWRITEBATCH, True)
-        frame = _payload(sender, packet_bytes, receiver.address)
-        yield Sleep(0.05)
-        baseline.append(receiver.kernel.stats.snapshot())
-        sent = 0
-        while sent < count:
-            group = min(burst, count - sent)
-            if group > 1:
-                yield Write(fd, tuple([frame] * group))
-            else:
-                yield Write(fd, frame)
-            sent += group
-            yield Sleep(0.012 * burst)
-
-    if demux == "kernel":
-
-        def receive_body():
-            fd = yield Open("pf")
-            yield Ioctl(fd, PFIoctl.SETFILTER, _test_filter())
-            yield Ioctl(fd, PFIoctl.SETBATCH, batching)
-            yield Ioctl(fd, PFIoctl.SETQUEUELEN, 64)
-            received = 0
-            while received < count:
-                received += len((yield Read(fd)))
-            return received
-
-        dest = receiver.spawn("dest", receive_body())
-    elif demux == "user":
-        system = UserDemuxSystem(
-            receiver, classify=lambda frame: "dest", batching=batching
-        )
-        inbox = system.add_destination("dest")
-
-        def dest_body():
-            received = 0
-            while received < count:
-                yield from inbox.read()
-                received += 1
-            return received
-
-        dest = receiver.spawn("dest", dest_body())
-        system.register(inbox, dest)
-        demux_proc = receiver.spawn("demuxd", system.run())
-        system.attach(demux_proc)
-    else:
-        raise ValueError(f"unknown demux {demux!r}")
-
-    sender.spawn("sender", send_body())
-    world.run_until_done(dest)
-    delta = receiver.kernel.stats.delta(baseline[0])
-    per_packet = delta.per_packet(count)
+    run = populate_paced_receive(
+        world,
+        demux=demux,
+        batching=batching,
+        burst=burst,
+        packet_bytes=packet_bytes,
+        count=count,
+    )
+    world.run_until_done(run.dest)
+    per_packet = run.receiver.kernel.stats.delta(run.baseline).per_packet(count)
     return {
         "context_switches": per_packet["context_switches"],
         "syscalls": per_packet["syscalls"],
@@ -857,85 +908,6 @@ def count_receive_events(
         "domain_crossings": per_packet["domain_crossings"],
         "wakeups": per_packet["wakeups"],
         "cpu_ms": per_packet["cpu_time"] * 1000.0,
-    }
-
-
-def count_stream_crossings(transport: str, total_bytes: int = 64 * 1024) -> dict:
-    """Figure 2-3: kernel-resident protocols confine overhead packets.
-
-    Runs a reliable bulk stream and reports, for the *receiving* host,
-    frames handled per user-visible read and domain crossings per
-    KByte delivered — kernel TCP confines data+ack packets to the
-    kernel; user-level BSP surfaces every one of them to user code.
-    """
-    if transport == "tcp":
-        world = World()
-        sender = world.host("sender")
-        receiver = world.host("receiver")
-        stack_a = sender.install_kernel_stack()
-        stack_b = receiver.install_kernel_stack()
-        link_stacks(stack_a, stack_b)
-        KernelTCP(stack_a)
-        KernelTCP(stack_b)
-        payload = bytes(total_bytes)
-
-        def server():
-            fd = yield Open("tcp")
-            yield Ioctl(fd, SockIoctl.BIND, 9)
-            received = 0
-            while True:
-                chunk = yield Read(fd)
-                if not chunk:
-                    return received
-                received += len(chunk)
-
-        def client():
-            fd = yield Open("tcp")
-            yield Ioctl(fd, SockIoctl.CONNECT, (stack_b.ip_address, 9))
-            for offset in range(0, len(payload), 4096):
-                yield Write(fd, payload[offset : offset + 4096])
-            yield Close(fd)
-
-        sink = receiver.spawn("sink", server())
-        sender.spawn("source", client())
-        world.run_until_done(sink)
-    elif transport == "bsp":
-        world = World()
-        sender = world.host("sender")
-        receiver = world.host("receiver")
-        sender.install_packet_filter()
-        receiver.install_packet_filter()
-        payload = bytes(total_bytes)
-
-        def source():
-            endpoint = BSPEndpoint(sender, local_socket=0x44)
-            yield from endpoint.start()
-            yield from endpoint.send_stream(
-                receiver.address,
-                PupAddress(net=1, host=receiver.address[-1], socket=0x35),
-                payload,
-            )
-
-        def sink():
-            endpoint = BSPEndpoint(receiver, local_socket=0x35)
-            yield from endpoint.start()
-            data = yield from endpoint.recv_all()
-            return len(data)
-
-        sink = receiver.spawn("sink", sink())
-        sender.spawn("source", source())
-        world.run_until_done(sink)
-    else:
-        raise ValueError(f"unknown transport {transport!r}")
-
-    stats = receiver.kernel.stats
-    kbytes = total_bytes / 1024.0
-    return {
-        "frames_received": stats.frames_received,
-        "syscalls": stats.syscalls,
-        "domain_crossings": stats.domain_crossings,
-        "crossings_per_kbyte": stats.domain_crossings / kbytes,
-        "syscalls_per_frame": stats.syscalls / max(1, stats.frames_received),
     }
 
 
@@ -1124,122 +1096,67 @@ def _telemetry_report(world: World) -> dict:
     }
 
 
-def run_bsp_chaos(
+# Each soak is populated by one function handed the world: it weathers
+# the segment with ``chaos``, builds the hosts through ``host`` and
+# spawns the protocol, and returns ``(watch, outcome)`` — the processes
+# whose completion ends the soak, and a callable giving its result once
+# they are done.
+
+
+def _populate_bsp_chaos(
+    world,
+    host=None,
     *,
-    chaos: ChaosConfig = ACCEPTANCE_CHAOS,
+    chaos: ChaosConfig,
     seed: int = 0,
     payload_bytes: int = 24 * 1024,
     adaptive_rto: bool = True,
     ack_direction_only: bool = False,
-    ledger: bool = False,
-    telemetry: bool = False,
-) -> dict:
-    """One BSP file transfer through a chaotic segment.
-
-    ``ack_direction_only`` applies the profile asymmetrically (the
-    per-sender override): clean data path, chaotic ack path.  Returns
-    a dict with ``intact`` (bytes survived exactly), the
-    sender/receiver :class:`~repro.protocols.bsp.StreamStats`, and the
-    elapsed simulated time.  ``ledger=True`` additionally traces every
-    charge and packet span, adding the :func:`_ledger_report` keys.
-    """
-    world = World(
-        seed=seed,
-        chaos=None if ack_direction_only else chaos,
-        ledger=ledger,
-        telemetry=telemetry,
-    )
-    sender = world.host("sender")
-    receiver = world.host("receiver")
-    if ack_direction_only:
-        world.segment.set_chaos(chaos, sender=receiver.address)
-    sender.install_packet_filter()
-    receiver.install_packet_filter()
+):
     payload = bytes((seed + index) % 251 for index in range(payload_bytes))
-    endpoints = {}
+    stream = _bsp_stream(
+        world, payload, host, linger=True,
+        adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
+    )
+    world.segment.set_chaos(
+        chaos,
+        sender=stream.receiver.address if ack_direction_only else None,
+    )
 
-    def source():
-        endpoint = BSPEndpoint(
-            sender, local_socket=0x44,
-            adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
-        )
-        endpoints["sender"] = endpoint
-        yield from endpoint.start()
-        destination = PupAddress(
-            net=1, host=receiver.address[-1], socket=0x35
-        )
-        yield from endpoint.send_stream(
-            receiver.address, destination, payload
-        )
+    def outcome() -> dict:
+        data = stream.sink.result or b""
+        return {
+            "intact": data == payload,
+            "delivered_bytes": len(data),
+            "duration": world.now,
+            "sender": stream.endpoints["sender"].stats,
+            "receiver": stream.endpoints["receiver"].stats,
+            "segment_lost": world.segment.frames_lost,
+            "segment_corrupted": world.segment.frames_corrupted,
+        }
 
-    def sink():
-        endpoint = BSPEndpoint(
-            receiver, local_socket=0x35,
-            adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
-        )
-        endpoints["receiver"] = endpoint
-        yield from endpoint.start()
-        data = yield from endpoint.recv_all()
-        # Dally past the sender's longest backed-off retransmission gap
-        # so a lost final ack cannot strand it (see BSPEndpoint.linger).
-        yield from endpoint.linger()
-        return data
-
-    sink_proc = receiver.spawn("bsp-sink", sink())
-    source_proc = sender.spawn("bsp-source", source())
-    world.run_until_done(source_proc, sink_proc)
-    result = {
-        "intact": sink_proc.result == payload,
-        "delivered_bytes": len(sink_proc.result),
-        "duration": world.now,
-        "sender": endpoints["sender"].stats,
-        "receiver": endpoints["receiver"].stats,
-        "segment_lost": world.segment.frames_lost,
-        "segment_corrupted": world.segment.frames_corrupted,
-    }
-    if ledger:
-        result.update(_ledger_report(world, "receiver"))
-    if telemetry:
-        result.update(_telemetry_report(world))
-    return result
+    return (stream.source, stream.sink), outcome
 
 
-def run_vmtp_chaos(
+def _populate_vmtp_chaos(
+    world,
+    host=None,
     *,
-    chaos: ChaosConfig = ACCEPTANCE_CHAOS,
+    chaos: ChaosConfig,
     seed: int = 0,
     calls: int = 12,
     segment_bytes: int = 8 * 1024,
     adaptive_rto: bool = True,
-    ledger: bool = False,
-    telemetry: bool = False,
-) -> dict:
-    """A VMTP bulk-read exchange (client pulls ``calls`` segments)
-    through a chaotic segment; replies must arrive byte-identical."""
-    world = World(
-        seed=seed, chaos=chaos, ledger=ledger, telemetry=telemetry
-    )
-    client_host = world.host("client")
-    server_host = world.host("server")
-    client_host.install_packet_filter()
-    server_host.install_packet_filter()
+):
+    world.segment.set_chaos(chaos)
     blob = bytes((seed + index) % 253 for index in range(segment_bytes))
-    clients = {}
-
-    def server():
-        endpoint = VMTPServer(server_host, server_id=35)
-        yield from endpoint.start()
-        while True:
-            request, reply = yield from endpoint.receive()
-            yield from reply(blob)
+    client_host, server_host = _vmtp_hosts(world, blob, host)
+    endpoint = _vmtp_client(
+        client_host, server_host,
+        adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
+    )
 
     def client():
-        endpoint = VMTPClient(
-            client_host, client_id=7,
-            server_station=server_host.address, server_id=35,
-            adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
-        )
-        clients["client"] = endpoint
         yield from endpoint.start()
         intact = 0
         for _ in range(calls):
@@ -1248,121 +1165,151 @@ def run_vmtp_chaos(
                 intact += 1
         return intact
 
-    server_host.spawn("vmtp-server", server())
     proc = client_host.spawn("vmtp-client", client())
-    world.run_until_done(proc)
-    endpoint = clients["client"]
-    result = {
-        "intact": proc.result == calls,
-        "calls_intact": proc.result,
-        "calls": calls,
-        "duration": world.now,
-        "retries": endpoint.retries,
-        "corrupt_dropped": endpoint.corrupt_dropped,
-        "segment_lost": world.segment.frames_lost,
-    }
-    if ledger:
-        result.update(_ledger_report(world, "client"))
-    if telemetry:
-        result.update(_telemetry_report(world))
-    return result
+
+    def outcome() -> dict:
+        return {
+            "intact": proc.result == calls,
+            "calls_intact": proc.result,
+            "calls": calls,
+            "duration": world.now,
+            "retries": endpoint.retries,
+            "corrupt_dropped": endpoint.corrupt_dropped,
+            "segment_lost": world.segment.frames_lost,
+        }
+
+    return (proc,), outcome
 
 
-def run_rarp_chaos(
-    *,
-    chaos: ChaosConfig = ACCEPTANCE_CHAOS,
-    seed: int = 0,
-    ledger: bool = False,
-    telemetry: bool = False,
-) -> dict:
-    """A diskless RARP boot through a chaotic segment.
-
-    The ARP wire format carries no checksum, so corruption is forced
-    off for this protocol: a flipped bit in the address field would be
-    indistinguishable from a legitimate (different) answer.  The
-    retry loop still has to survive burst loss, reordering and
-    duplication.
-    """
-    from dataclasses import replace
-
+def _populate_rarp_chaos(world, host=None, *, chaos: ChaosConfig, seed: int = 0):
     from ..protocols.rarp import RARPServer, rarp_discover
 
-    chaos = replace(chaos, corrupt_rate=0.0)
-    world = World(
-        seed=seed, chaos=chaos, ledger=ledger, telemetry=telemetry
-    )
-    server_host = world.host("rarp-server")
-    client_host = world.host("client")
+    # The ARP wire format carries no checksum, so corruption is forced
+    # off for this protocol: a flipped bit in the address field would be
+    # indistinguishable from a legitimate (different) answer.
+    world.segment.set_chaos(replace(chaos, corrupt_rate=0.0))
+    host = host or world.host
+    server_host = host("rarp-server")
+    client_host = host("client")
     server_host.install_packet_filter()
     client_host.install_packet_filter()
     expected_ip = 0x0A000007
     server = RARPServer(server_host, {client_host.address: expected_ip})
     server_host.spawn("rarpd", server.run())
+    proc = client_host.spawn(
+        "diskless",
+        rarp_discover(client_host, retries=SOAK_RETRIES, timeout=0.25),
+    )
 
-    def boot():
-        return (
-            yield from rarp_discover(
-                client_host, retries=SOAK_RETRIES, timeout=0.25
-            )
-        )
+    def outcome() -> dict:
+        return {
+            "intact": proc.result == expected_ip,
+            "ip": proc.result,
+            "duration": world.now,
+            "segment_lost": world.segment.frames_lost,
+        }
 
-    proc = client_host.spawn("diskless", boot())
-    world.run_until_done(proc)
-    result = {
-        "intact": proc.result == expected_ip,
-        "ip": proc.result,
-        "duration": world.now,
-        "segment_lost": world.segment.frames_lost,
-    }
-    if ledger:
-        result.update(_ledger_report(world, "client"))
-    if telemetry:
-        result.update(_telemetry_report(world))
-    return result
+    return (proc,), outcome
 
 
-def run_pup_echo_chaos(
-    *,
-    chaos: ChaosConfig = ACCEPTANCE_CHAOS,
-    seed: int = 0,
-    count: int = 8,
-    ledger: bool = False,
-    telemetry: bool = False,
-) -> dict:
-    """Pup echo pings through a chaotic segment; every echo must come
-    back with its payload intact (the Pup checksum screens corruption)."""
+def _populate_pup_echo_chaos(
+    world, host=None, *, chaos: ChaosConfig, seed: int = 0, count: int = 8
+):
     from ..protocols.pup_echo import pup_echo_server, pup_ping
 
-    world = World(
-        seed=seed, chaos=chaos, ledger=ledger, telemetry=telemetry
-    )
-    server_host = world.host("echo-server")
-    client_host = world.host("client")
+    world.segment.set_chaos(chaos)
+    host = host or world.host
+    server_host = host("echo-server")
+    client_host = host("client")
     server_host.install_packet_filter()
     client_host.install_packet_filter()
     server_host.spawn("echod", pup_echo_server(server_host))
+    proc = client_host.spawn(
+        "pinger",
+        pup_ping(
+            client_host, server_host.address,
+            count=count, retries=SOAK_RETRIES,
+        ),
+    )
 
-    def ping():
-        return (
-            yield from pup_ping(
-                client_host, server_host.address,
-                count=count, retries=SOAK_RETRIES,
-            )
-        )
+    def outcome() -> dict:
+        return {
+            "intact": len(proc.result or ()) == count,
+            "round_trips": proc.result,
+            "duration": world.now,
+            "segment_lost": world.segment.frames_lost,
+        }
 
-    proc = client_host.spawn("pinger", ping())
-    world.run_until_done(proc)
-    result = {
-        "intact": len(proc.result) == count,
-        "round_trips": proc.result,
-        "duration": world.now,
-        "segment_lost": world.segment.frames_lost,
-    }
+    return (proc,), outcome
+
+
+CHAOS_SOAKS = {
+    "bsp": (_populate_bsp_chaos, "receiver"),
+    "vmtp": (_populate_vmtp_chaos, "client"),
+    "rarp": (_populate_rarp_chaos, "client"),
+    "pup": (_populate_pup_echo_chaos, "client"),
+}
+"""Protocol -> ``(populate, host)``: the function that populates a
+world with that protocol's soak, and the host whose receive path the
+soak is about."""
+
+
+def _run_chaos(
+    protocol: str,
+    *,
+    chaos: ChaosConfig = ACCEPTANCE_CHAOS,
+    seed: int = 0,
+    ledger: bool = False,
+    telemetry: bool = False,
+    **options,
+) -> dict:
+    populate, focus = CHAOS_SOAKS[protocol]
+    world = World(seed=seed, ledger=ledger, telemetry=telemetry)
+    watch, outcome = populate(world, chaos=chaos, seed=seed, **options)
+    world.run_until_done(*watch)
+    result = outcome()
     if ledger:
-        result.update(_ledger_report(world, "client"))
+        result.update(_ledger_report(world, focus))
     if telemetry:
         result.update(_telemetry_report(world))
     return result
+
+
+def run_bsp_chaos(**options) -> dict:
+    """One BSP file transfer (``payload_bytes``, default 24 KB) through
+    a chaotic segment.
+
+    ``chaos`` (default :data:`ACCEPTANCE_CHAOS`) and ``seed`` pick the
+    weather; ``ack_direction_only`` applies it asymmetrically (the
+    per-sender override): clean data path, chaotic ack path.  Returns a
+    dict with ``intact`` (bytes survived exactly), the sender/receiver
+    :class:`~repro.protocols.bsp.StreamStats`, and the elapsed simulated
+    time.  ``ledger=True`` additionally traces every charge and packet
+    span, adding the :func:`_ledger_report` keys; ``telemetry=True``
+    the :func:`_telemetry_report` ones.
+    """
+    return _run_chaos("bsp", **options)
+
+
+def run_vmtp_chaos(**options) -> dict:
+    """A VMTP bulk-read exchange (client pulls ``calls`` segments of
+    ``segment_bytes``) through a chaotic segment; replies must arrive
+    byte-identical.  Options as :func:`run_bsp_chaos`."""
+    return _run_chaos("vmtp", **options)
+
+
+def run_rarp_chaos(**options) -> dict:
+    """A diskless RARP boot through a chaotic segment: the retry loop
+    has to survive burst loss, reordering and duplication.  Options as
+    :func:`run_bsp_chaos`."""
+    return _run_chaos("rarp", **options)
+
+
+def run_pup_echo_chaos(**options) -> dict:
+    """``count`` Pup echo pings through a chaotic segment; every echo
+    must come back with its payload intact (the Pup checksum screens
+    corruption).  Options as :func:`run_bsp_chaos`."""
+    return _run_chaos("pup", **options)
 
 
 def measure_spurious_retransmissions(
@@ -1384,38 +1331,27 @@ def measure_spurious_retransmissions(
     every single call forever; the adaptive timer eats the first
     round trip, learns the path, and stops.
     """
-    chaos = ChaosConfig(reorder_rate=0.3, reorder_jitter=0.1)
     world = World(seed=seed)
-    client_host = world.host("client")
-    server_host = world.host("server")
-    world.segment.set_chaos(chaos, sender=server_host.address)
-    client_host.install_packet_filter()
-    server_host.install_packet_filter()
     blob = bytes(index % 249 for index in range(segment_bytes))
-    clients = {}
-
-    def server():
-        endpoint = VMTPServer(server_host, server_id=35)
-        yield from endpoint.start()
-        while True:
-            request, reply = yield from endpoint.receive()
-            yield Sleep(service_time)
-            yield from reply(blob)
+    client_host, server_host = _vmtp_hosts(
+        world, blob, service_time=service_time
+    )
+    world.segment.set_chaos(
+        ChaosConfig(reorder_rate=0.3, reorder_jitter=0.1),
+        sender=server_host.address,
+    )
 
     def client():
-        endpoint = VMTPClient(
-            client_host, client_id=7,
-            server_station=server_host.address, server_id=35,
+        endpoint = _vmtp_client(
+            client_host, server_host,
             adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
         )
-        clients["client"] = endpoint
         yield from endpoint.start()
         for _ in range(calls):
             response = yield from endpoint.call(b"read")
             assert response == blob, "loss-free exchange must stay intact"
         return endpoint.retries
 
-    server_host.spawn("vmtp-server", server())
     proc = client_host.spawn("vmtp-client", client())
     world.run_until_done(proc)
     return proc.result
@@ -1450,7 +1386,9 @@ def receive_saturation_pps(costs=None, frame_bytes: int = 128) -> float:
     return 1.0 / per_packet
 
 
-def run_overload_storm(
+def populate_overload_storm(
+    world,
+    host=None,
     *,
     mode: str = "interrupt",
     offered_multiplier: float = 1.0,
@@ -1463,8 +1401,7 @@ def run_overload_storm(
     port_share: int = 64,
     policy=None,
     kill_reader_at: float | None = None,
-    telemetry: bool = False,
-) -> dict:
+):
     """A packet storm against one receiver: the livelock experiment.
 
     A zero-cost blaster host offers ``offered_multiplier`` times the
@@ -1482,11 +1419,18 @@ def run_overload_storm(
     admission, and a guaranteed user CPU share — goodput holds a flat
     plateau no matter the offered load.
 
-    Goodput is derived from ledger windows: delivered packet spans
-    whose syscall-return stage lands inside ``[warmup, warmup +
-    duration)``.  ``kill_reader_at`` kills the reading process
-    mid-storm (``SimKernel.kill``); the returned ``pool_audit`` must
-    come back empty regardless — the crash-safety acceptance check.
+    ``world`` needs its ledger on: goodput is derived from ledger
+    windows — delivered packet spans whose syscall-return stage lands
+    inside ``[warmup, warmup + duration)``.  ``kill_reader_at`` kills
+    the reading process mid-storm (``SimKernel.kill``); ``pool_audit``
+    must come back empty regardless — the crash-safety acceptance check.
+
+    Returns a namespace: the ``receiver`` host, the ``reader`` process,
+    the ``pool`` (None in interrupt mode) and ``outcome()``, the plain
+    result numbers, to be called once the world has run to quiescence
+    (the blaster stops by itself, the backlog drains — post-window
+    deliveries don't contaminate the measurement — and only then is
+    the pool audit meaningful).
     """
     from ..sim.costs import FREE
     from ..sim.ledger import STAGE_SYSCALL_RETURN
@@ -1494,11 +1438,9 @@ def run_overload_storm(
 
     if mode not in ("interrupt", "polling"):
         raise ValueError(f"unknown storm mode {mode!r}")
-    world = World(ledger=True, telemetry=telemetry)
-    blaster = world.host("blaster", costs=FREE)
-    receiver = world.host(
-        "receiver", input_queue_limit=input_queue_limit
-    )
+    host = host or world.host
+    blaster = host("blaster", costs=FREE)
+    receiver = host("receiver", input_queue_limit=input_queue_limit)
     blaster.install_packet_filter()
     receiver.install_packet_filter(flow_cache=True)
     pool = None
@@ -1515,72 +1457,77 @@ def run_overload_storm(
 
     saturation = receive_saturation_pps(world.costs, frame_bytes)
     offered_pps = saturation * offered_multiplier
-    gap = 1.0 / offered_pps
-    t_end = warmup + duration + 0.05
-    frame = _payload(blaster, frame_bytes, receiver.address)
-
-    def blast():
-        fd = yield Open("pf")
-        yield Sleep(0.02)  # let the reader bind its filter first
-        while world.now < t_end:
-            yield Write(fd, frame)
-            yield Sleep(gap)
-
-    def reader():
-        fd = yield Open("pf")
-        yield Ioctl(fd, PFIoctl.SETFILTER, _test_filter())
-        yield Ioctl(fd, PFIoctl.SETBATCH, True)
-        yield Ioctl(fd, PFIoctl.SETQUEUELEN, queue_limit)
-        while True:
-            yield Read(fd)
-
-    reader_proc = receiver.spawn("reader", reader())
-    blaster.spawn("blaster", blast())
+    reader = receiver.spawn("reader", read_forever(queue_limit))
+    blaster.spawn(
+        "blaster",
+        blast(
+            world,
+            _payload(blaster, frame_bytes, receiver.address),
+            1.0 / offered_pps,
+            head_start=0.02,
+            until=warmup + duration + 0.05,
+        ),
+    )
     if kill_reader_at is not None:
         world.scheduler.schedule_at(
-            kill_reader_at, receiver.kernel.kill, reader_proc
+            kill_reader_at, receiver.kernel.kill, reader
         )
-    receiver_baseline = receiver.kernel.stats.snapshot()
+    baseline = receiver.kernel.stats.snapshot()
     started_at = world.now
-    # Run to quiescence: the blaster stops at t_end, the backlog drains
-    # (post-window deliveries don't contaminate the measurement), and
-    # only then is the pool audit meaningful.
+
+    def outcome() -> dict:
+        delivered_in_window = 0
+        for span in world.ledger.spans_for(receiver.name):
+            if span.outcome != "delivered":
+                continue
+            done = span.stage_time(STAGE_SYSCALL_RETURN)
+            if done is not None and warmup <= done < warmup + duration:
+                delivered_in_window += 1
+        nic = receiver.nic
+        return {
+            "mode": mode,
+            "offered_multiplier": offered_multiplier,
+            "saturation_pps": saturation,
+            "offered_pps": offered_pps,
+            "goodput_pps": delivered_in_window / duration,
+            "delivered_in_window": delivered_in_window,
+            "drops": world.ledger.drop_summary(),
+            "pool_audit": pool.audit() if pool is not None else {},
+            "nic_polls": nic.polls,
+            "nic_frames_polled": nic.frames_polled,
+            "nic_poll_mode_entries": nic.poll_mode_entries,
+            "nic_frames_shed": nic.frames_shed,
+            "nic_frames_nobuf": nic.frames_nobuf,
+            "nic_frames_dropped": nic.frames_dropped,
+            "receiver_rates": receiver.kernel.stats.rates(
+                baseline, max(world.now - started_at, 1e-12)
+            ),
+            "duration": world.now,
+        }
+
+    return SimpleNamespace(
+        receiver=receiver, reader=reader, pool=pool, outcome=outcome
+    )
+
+
+def run_overload_storm(*, telemetry: bool = False, **options) -> dict:
+    """Run :func:`populate_overload_storm` (which documents the
+    ``options``) in a world of its own, to quiescence.
+
+    Returns its ``outcome()`` numbers plus the live objects tests
+    inspect: ``world``, ``ledger``, ``telemetry`` and its ``alerts``,
+    the ``pool``, the ``reader`` process and the ``receiver_host``.
+    """
+    world = World(ledger=True, telemetry=telemetry)
+    storm = populate_overload_storm(world, **options)
     world.run()
-    elapsed = max(world.now - started_at, 1e-12)
-    receiver_rates = receiver.kernel.stats.rates(receiver_baseline, elapsed)
-
-    ledger = world.ledger
-    delivered_in_window = 0
-    for span in ledger.spans_for("receiver"):
-        if span.outcome != "delivered":
-            continue
-        done = span.stage_time(STAGE_SYSCALL_RETURN)
-        if done is not None and warmup <= done < warmup + duration:
-            delivered_in_window += 1
-
-    nic = receiver.nic
     return {
-        "mode": mode,
-        "offered_multiplier": offered_multiplier,
-        "saturation_pps": saturation,
-        "offered_pps": offered_pps,
-        "goodput_pps": delivered_in_window / duration,
-        "delivered_in_window": delivered_in_window,
-        "drops": ledger.drop_summary(),
-        "pool": pool,
-        "pool_audit": pool.audit() if pool is not None else {},
-        "nic_polls": nic.polls,
-        "nic_frames_polled": nic.frames_polled,
-        "nic_poll_mode_entries": nic.poll_mode_entries,
-        "nic_frames_shed": nic.frames_shed,
-        "nic_frames_nobuf": nic.frames_nobuf,
-        "nic_frames_dropped": nic.frames_dropped,
-        "reader": reader_proc,
-        "receiver_host": receiver,
-        "receiver_rates": receiver_rates,
-        "duration": world.now,
+        **storm.outcome(),
+        "pool": storm.pool,
+        "reader": storm.reader,
+        "receiver_host": storm.receiver,
         "world": world,
-        "ledger": ledger,
+        "ledger": world.ledger,
         "telemetry": world.telemetry,
         "alerts": (
             [] if world.telemetry is None else list(world.telemetry.alerts)

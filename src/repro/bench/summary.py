@@ -1,0 +1,258 @@
+"""What a run looked like: the one summary of a ``TopologyResult``.
+
+:func:`run_summary` is the only place a finished run becomes a dict;
+``python -m repro run NAME --json`` prints it and :func:`render_summary`
+is its text mode.  Everything outside the ``wall`` key is simulated and
+therefore a pure function of ``(name, seed, segments, duration,
+faults)`` — byte-identical across repeats and, apart from ``shards``
+and ``shard_details``, across shard counts.  ``docs/OBSERVABILITY.md``
+documents the schema; ``tests/test_cli.py`` guards it.
+
+``profile=True`` adds what §6.1 got from 28 hours of gprof, per host:
+attributed kernel cost by primitive and by component, the packet-span
+outcome census, receive-path latency percentiles, and where packets
+died.  Everything comes from :class:`repro.sim.ledger.Ledger` events —
+no cost-model constant is consulted at reporting time, and nothing is
+measured here: host-time costs are ``python -m perfbench``'s job.
+"""
+
+from __future__ import annotations
+
+__all__ = ["run_summary", "render_summary"]
+
+
+def _host_profiles(result) -> dict:
+    """The ledger's per-host charge profile, every host of the run."""
+    ledger = result.ledger
+    alerts = result.telemetry.alerts if result.telemetry else []
+    series = result.telemetry.series if result.telemetry else {}
+    by_component: dict[str, dict] = {host: {} for host in result.stats}
+    for event in ledger.events:
+        costs = by_component.get(event.host)
+        if costs is not None:   # wire events belong to no host
+            costs[event.component] = (
+                costs.get(event.component, 0.0) + event.cost
+            )
+    outcomes: dict[str, dict] = {host: {} for host in result.stats}
+    for span in ledger.spans.values():
+        census = outcomes[span.host]
+        key = span.outcome or "open"
+        census[key] = census.get(key, 0) + 1
+    return {
+        host: {
+            "total_cost_seconds": ledger.total_cost(host),
+            "breakdown": ledger.breakdown(host),
+            "by_component": by_component[host],
+            "span_outcomes": outcomes[host],
+            "stage_percentiles_seconds": {
+                # JSON object keys must be strings; "p50"-style reads best.
+                f"p{round(p * 100)}": value
+                for p, value in ledger.stage_percentiles(host=host).items()
+            },
+            "drops": ledger.drop_summary(host),
+            "alerts": [alert for alert in alerts if alert["host"] == host],
+            "telemetry_latest": {
+                name: data["samples"][-1][1]
+                for (owner, name), data in series.items()
+                if owner == host and data["samples"]
+            },
+        }
+        for host in result.stats
+    }
+
+
+def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict:
+    """Everything ``python -m repro run`` reports about ``result``, the
+    :class:`~repro.sim.orchestrator.TopologyResult` of running the
+    topology registered as ``name`` (every registered one keeps a
+    ledger; ``alerts`` is empty for one that runs without telemetry).
+
+    ``profile`` adds the per-host charge profile; ``plane`` (the
+    :class:`~repro.sim.obsplane.ObservabilityPlane` a ``--top`` run was
+    watched through) adds its final cluster view.
+    """
+    spec, total = result.spec, result.total
+    summary = {
+        "topology": name,
+        "segments": len(spec.segments),
+        "shards": result.shards,
+        "seed": spec.seed,
+        "duration": spec.segments[0].options.get("duration"),
+        "faults": [
+            {
+                "link_id": fault.link_id,
+                "start": fault.start,
+                "end": fault.end,
+                "direction": fault.direction,
+            }
+            for fault in spec.faults
+        ],
+        "windows": result.windows,
+        "events_fired": result.events_fired,
+        "sim_seconds": result.now,
+        "recovered_shards": result.recovered_shards,
+        # A restart record's own wall time is in ``wall.sync`` already
+        # (``replay_seconds``); what is left is deterministic.
+        "restarts": [
+            {key: value for key, value in record.items() if key != "wall_seconds"}
+            for record in result.restarts
+        ],
+        "shard_details": result.shard_details,
+        "span_latency": (
+            result.span_hist.percentiles() if result.span_hist else None
+        ),
+        "frames_received": total.frames_received,
+        "frames_sent": total.frames_sent,
+        "cpu_time": total.cpu_time,
+        "hosts": {
+            host: {
+                "frames_received": stats.frames_received,
+                "frames_sent": stats.frames_sent,
+                "cpu_time": stats.cpu_time,
+            }
+            for host, stats in sorted(result.stats.items())
+        },
+        "wire": result.wire,
+        "dropped_link_down": {
+            segment: wire.get("frames_dropped_link_down", 0)
+            for segment, wire in result.wire.items()
+        },
+        "alerts": list(result.telemetry.alerts) if result.telemetry else [],
+        "reports": result.reports,
+        "wall": {
+            "wall_seconds": result.wall_seconds,
+            "wall_per_window": result.wall_per_window,
+            "sync": result.sync.as_dict(),
+        },
+    }
+    if profile:
+        summary["profile"] = _host_profiles(result)
+    if plane is not None:
+        summary["cluster"] = {
+            "deltas": plane.deltas,
+            "shards": [
+                {
+                    "shard": view.shard_id,
+                    "window": view.window,
+                    "events_fired": view.events_fired,
+                    "egress_backlog": view.egress_backlog,
+                    "checkpoint_age": view.checkpoint_age,
+                    "restarts": view.restarts,
+                    "lost": view.lost,
+                }
+                for _, view in sorted(plane.shards.items())
+            ],
+        }
+    return summary
+
+
+def _render_alert(alert: dict) -> str:
+    cleared = alert.get("cleared_at")
+    end = (
+        "still active" if cleared is None
+        else f"cleared {cleared * 1000.0:.1f} ms"
+    )
+    return (
+        f"[{alert['rule']}] {alert['host']} "
+        f"fired {alert['fired_at'] * 1000.0:.1f} ms, {end}"
+    )
+
+
+def _render_host_profile(host: str, profile: dict) -> list[str]:
+    total = profile["total_cost_seconds"]
+    lines = [
+        "",
+        f"=== charge profile: host {host!r} ===",
+        f"attributed kernel cost: {total * 1000.0:.3f} ms",
+        "",
+        f"{'primitive':<20}{'events':>8}{'quantity':>10}"
+        f"{'ms':>10}{'share':>8}",
+    ]
+    for name, row in sorted(
+        profile["breakdown"].items(), key=lambda kv: -kv[1]["cost"]
+    ):
+        share = row["cost"] / total * 100.0 if total else 0.0
+        lines.append(
+            f"{name:<20}{row['events']:>8}{row['quantity']:>10}"
+            f"{row['cost'] * 1000.0:>10.3f}{share:>7.1f}%"
+        )
+    lines += ["", "by component:"]
+    for component, cost in sorted(
+        profile["by_component"].items(), key=lambda kv: -kv[1]
+    ):
+        lines.append(f"  {component:<12}{cost * 1000.0:>10.3f} ms")
+    if profile["span_outcomes"]:
+        lines += ["", "packet spans:"]
+        for outcome, packets in sorted(
+            profile["span_outcomes"].items(), key=lambda kv: -kv[1]
+        ):
+            lines.append(f"  {outcome:<18}{packets:>6}")
+    if profile["stage_percentiles_seconds"]:
+        lines += ["", "wire-arrival -> syscall-return latency:"]
+        for name, value in profile["stage_percentiles_seconds"].items():
+            lines.append(f"  {name:<5}{value * 1000.0:>10.3f} ms")
+    if profile["drops"]:
+        lines += ["", "drops:"]
+        for reason, dropped in sorted(
+            profile["drops"].items(), key=lambda kv: -kv[1]
+        ):
+            lines.append(f"  {reason:<16}{dropped:>6}")
+    lines += ["", "watchdog alerts:"]
+    lines += [f"  {_render_alert(a)}" for a in profile["alerts"]] or ["  none"]
+    return lines
+
+
+def render_summary(summary: dict, sync=None) -> str:
+    """The text mode of :func:`run_summary`.  ``sync`` (the run's
+    :class:`~repro.sim.obsplane.SyncProfile`) appends the sync-protocol
+    table — ``--profile`` passes it."""
+    wall, faults = summary["wall"], summary["faults"]
+    head = (
+        f"{summary['topology']}: {summary['segments']} segment(s) on "
+        f"{summary['shards']} shard(s), seed {summary['seed']}"
+    )
+    if faults:
+        head += f", {len(faults)} scheduled fault(s)"
+    lines = [
+        head,
+        f"  {summary['events_fired']} events over {summary['windows']} "
+        f"windows; sim {summary['sim_seconds'] * 1000.0:.1f} ms in wall "
+        f"{wall['wall_seconds']:.3f} s "
+        f"({wall['wall_per_window'] * 1000.0:.2f} ms/window)",
+        f"  totals: {summary['frames_sent']} frames sent, "
+        f"{summary['frames_received']} received, "
+        f"{summary['cpu_time'] * 1000.0:.2f} ms simulated CPU",
+    ]
+    for detail in summary["shard_details"]:
+        lines.append(
+            f"  shard {detail['shard']}: {','.join(detail['segments'])} — "
+            f"{detail['events_fired']} events over {detail['windows']} "
+            f"windows, {detail['restarts']} restart(s)"
+        )
+    for fault in faults:
+        lines.append(
+            f"  fault: {fault['link_id']} down "
+            f"[{fault['start']:.3f}, {fault['end']:.3f}) {fault['direction']}"
+        )
+    if faults:
+        dropped = summary["dropped_link_down"]
+        lines.append(
+            f"  dropped_link_down: {sum(dropped.values())} ({dropped})"
+        )
+    alerts = summary["alerts"]
+    lines.append(f"  {len(alerts)} alert(s):" if alerts else "  no alerts fired")
+    lines += [f"    {_render_alert(alert)}" for alert in alerts]
+    for record in summary["restarts"]:
+        lines.append(
+            f"  restart: shard {record['shard']} {record['reason']} at "
+            f"window {record['window']}, resumed from "
+            f"{record['resumed_from']} (replayed {record['replayed']})"
+        )
+    for segment, report in summary["reports"].items():
+        lines.append(f"  {segment}: {report}")
+    for host, profile in summary.get("profile", {}).items():
+        if profile["total_cost_seconds"]:   # a costs=FREE host has no bill
+            lines += _render_host_profile(host, profile)
+    if sync is not None:
+        lines += ["", sync.render()]
+    return "\n".join(lines)

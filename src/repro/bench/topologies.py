@@ -1,9 +1,15 @@
-"""Named multi-segment topologies: builders for the sharded simulator.
+"""Everything ``python -m repro run`` can name: one registry of
+:class:`~repro.sim.topology.TopologySpec` factories and the segment
+builders they reference.
 
 Segment builders here are referenced by dotted path
-(``"repro.bench.topologies:flow_storm_segment"``) so a
-:class:`~repro.sim.topology.TopologySpec` stays picklable into shard
-subprocesses under any ``multiprocessing`` start method.
+(``"repro.bench.topologies:flow_storm_segment"``) so a spec stays
+picklable into shard subprocesses under any ``multiprocessing`` start
+method.  A builder populates its segment through the same ``populate_*``
+function the table benchmarks call on a ``World`` of their own
+(:mod:`repro.bench.scenarios`), so no world is written twice; what the
+benchmark reads off its world, the builder registers as ``ctx.report``
+entries.
 
 The workhorse is the **flow-cache miss storm**: every segment runs a
 zero-cost blaster offering a multiple of the receiver's saturation rate
@@ -12,24 +18,39 @@ flow cache has slots — the "millions of short flows" regime where a
 direct-mapped memo thrashes.  A slice of the traffic crosses segments
 (over the bridges), so the storm also exercises the conservative
 synchronization path and gives the sharding difftest oracle real
-cross-shard events to get wrong.
+cross-shard events to get wrong.  The single-world scenarios
+(``receive``, the four ``*-chaos`` soaks, the two ``overload-*`` storms)
+are one-segment topologies: same spec type, same runner, same result.
 """
 
 from __future__ import annotations
 
-from ..core.ioctl import PFIoctl
+from dataclasses import asdict, is_dataclass
+
 from ..protocols.vmtp import VMTPClient, VMTPServer
-from ..sim import Ioctl, Open, Read, Sleep, Write
+from ..sim import Open, Sleep, Write
 from ..sim.costs import FREE
 from ..sim.faults import link_partition
 from ..sim.topology import BridgeSpec, SegmentSpec, TopologySpec
-from .scenarios import TEST_ETHERTYPE, _test_filter, receive_saturation_pps
+from .scenarios import (
+    ACCEPTANCE_CHAOS,
+    CHAOS_SOAKS,
+    TEST_ETHERTYPE,
+    blast,
+    populate_overload_storm,
+    populate_paced_receive,
+    read_forever,
+    receive_saturation_pps,
+)
 
 __all__ = [
     "flow_storm_segment",
     "flow_storm_topology",
     "partition_storm_segment",
     "partition_storm_topology",
+    "receive_segment",
+    "chaos_segment",
+    "overload_segment",
     "TOPOLOGIES",
     "named_topology",
 ]
@@ -100,7 +121,7 @@ def flow_storm_segment(
         )
     sent = {"local": 0, "cross": 0}
 
-    def blast():
+    def storm():
         fd = yield Open("pf")
         yield Sleep(0.02)  # let the reader bind its filter first
         sequence = 0
@@ -118,16 +139,8 @@ def flow_storm_segment(
             # same draws no matter which process runs this segment.
             yield Sleep(pace * (0.75 + 0.5 * rng.random()))
 
-    def read_loop():
-        fd = yield Open("pf")
-        yield Ioctl(fd, PFIoctl.SETFILTER, _test_filter())
-        yield Ioctl(fd, PFIoctl.SETBATCH, True)
-        yield Ioctl(fd, PFIoctl.SETQUEUELEN, queue_limit)
-        while True:
-            yield Read(fd)
-
-    receiver.spawn("reader", read_loop())
-    blaster.spawn("blaster", blast())
+    receiver.spawn("reader", read_forever(queue_limit))
+    blaster.spawn("blaster", storm())
 
     cache = receiver.packet_filter.demux.flow_cache
 
@@ -284,22 +297,13 @@ def partition_storm_segment(
     rng = ctx.rng("partition-storm", "local")
     received = {"frames": 0}
 
-    def pace():
-        fd = yield Open("pf")
-        yield Sleep(0.01)  # let the reader bind its filter first
-        while world.now < duration:
-            yield Write(fd, frame)
-            yield Sleep(local_pace * (0.75 + 0.5 * rng.random()))
-
-    def read_loop():
-        fd = yield Open("pf")
-        yield Ioctl(fd, PFIoctl.SETFILTER, _test_filter())
-        while True:
-            yield Read(fd)
-            received["frames"] += 1
-
-    reader.spawn("local-reader", read_loop())
-    pacer.spawn("local-pacer", pace())
+    reader.spawn("local-reader", read_forever(tally=received))
+    pacer.spawn(
+        "local-pacer",
+        blast(
+            world, frame, local_pace, head_start=0.01, until=duration, rng=rng
+        ),
+    )
     ctx.report("local", lambda: dict(received))
 
 
@@ -366,18 +370,135 @@ def partition_storm_topology(
     )
 
 
+# ---------------------------------------------------------------------------
+# the single-world scenarios, as one-segment topologies
+# ---------------------------------------------------------------------------
+
+
+def receive_segment(ctx, *, packet_bytes: int = 128, count: int = 40) -> None:
+    """The clean paced receive path (table 6-8's kernel-demux row)."""
+    run = populate_paced_receive(
+        ctx.world, ctx.host, packet_bytes=packet_bytes, count=count
+    )
+    ctx.report("received", lambda: run.dest.result)
+
+
+def chaos_segment(ctx, *, protocol: str) -> None:
+    """One protocol's soak (a key of :data:`CHAOS_SOAKS`) under the
+    acceptance chaos profile, weathered from this segment's seed."""
+    populate, _ = CHAOS_SOAKS[protocol]
+    _, outcome = populate(
+        ctx.world, ctx.host, chaos=ACCEPTANCE_CHAOS, seed=ctx.topology.seed
+    )
+    ctx.report(
+        "outcome",
+        lambda: {
+            key: asdict(value) if is_dataclass(value) else value
+            for key, value in outcome().items()
+        },
+    )
+
+
+def overload_segment(ctx, *, mode: str, duration: float) -> None:
+    """The livelock experiment at 4x the receiver's saturation rate."""
+    storm = populate_overload_storm(
+        ctx.world, ctx.host,
+        mode=mode, offered_multiplier=4.0, duration=duration,
+    )
+    ctx.report("outcome", storm.outcome)
+
+
+def _one_segment(summary: str, builder, *, duration=None, **options):
+    """A factory for a single-world runnable: one segment built by
+    ``builder(ctx, **options)``, no bridges, ledger and telemetry on.
+
+    ``duration`` is the default for a runnable that has one; the others
+    run a fixed exchange to completion and refuse to be given one.
+    """
+    default_duration = duration
+
+    def factory(
+        *, segments: int = 1, seed: int = 0, duration: float | None = None
+    ) -> TopologySpec:
+        if segments != 1:
+            raise ValueError(f"a one-segment world, not {segments} segments")
+        timed = {}
+        if default_duration is not None:
+            timed["duration"] = (
+                default_duration if duration is None else duration
+            )
+        elif duration is not None:
+            raise ValueError(
+                "a fixed exchange that runs until it completes; "
+                "it takes no duration"
+            )
+        segment = SegmentSpec(
+            "lan0",
+            f"repro.bench.topologies:{builder.__name__}",
+            {**options, **timed},
+        )
+        return TopologySpec(
+            segments=(segment,), seed=seed, ledger=True, telemetry=True
+        )
+
+    factory.__doc__ = summary
+    return factory
+
+
 TOPOLOGIES = {
+    "receive": _one_segment(
+        "the clean paced receive path (table 6-8's kernel-demux row)",
+        receive_segment,
+    ),
+    "bsp-chaos": _one_segment(
+        "a BSP bulk transfer through burst loss, reordering, corruption",
+        chaos_segment, protocol="bsp",
+    ),
+    "vmtp-chaos": _one_segment(
+        "VMTP bulk reads through the same chaos profile",
+        chaos_segment, protocol="vmtp",
+    ),
+    "rarp-chaos": _one_segment(
+        "a diskless RARP boot through it (corruption off: no checksum)",
+        chaos_segment, protocol="rarp",
+    ),
+    "pup-chaos": _one_segment(
+        "Pup echo pings through it",
+        chaos_segment, protocol="pup",
+    ),
+    "overload-interrupt": _one_segment(
+        "a 4x-saturation packet storm, classic interrupts: livelock",
+        overload_segment, duration=0.5, mode="interrupt",
+    ),
+    "overload-polling": _one_segment(
+        "the same storm with the overload policy armed: a flat plateau",
+        overload_segment, duration=0.5, mode="polling",
+    ),
     "flow_storm": flow_storm_topology,
     "partition_storm": partition_storm_topology,
 }
-"""Topology factories the ``python -m repro shard`` CLI can name."""
+"""Every runnable ``python -m repro run`` can name: name -> factory
+taking ``segments``, ``seed`` and ``duration`` (each optional) and
+returning a :class:`TopologySpec`.  A factory raises :class:`ValueError`
+for a value its topology cannot honour."""
 
 
-def named_topology(name: str, **kwargs) -> TopologySpec:
-    """Build a named topology (see :data:`TOPOLOGIES`)."""
+def named_topology(
+    name: str,
+    *,
+    segments: int | None = None,
+    seed: int = 0,
+    duration: float | None = None,
+) -> TopologySpec:
+    """Build a named topology (see :data:`TOPOLOGIES`); ``None`` leaves
+    ``segments``/``duration`` at the topology's own default."""
     try:
         factory = TOPOLOGIES[name]
     except KeyError:
         known = ", ".join(sorted(TOPOLOGIES))
         raise LookupError(f"unknown topology {name!r} (have: {known})")
-    return factory(**kwargs)
+    chosen = {"segments": segments, "duration": duration}
+    return factory(
+        seed=seed,
+        **{key: value for key, value in chosen.items() if value is not None},
+    )

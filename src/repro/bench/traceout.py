@@ -22,9 +22,9 @@ https://ui.perfetto.dev loads directly):
 Timestamps are simulated microseconds (the format's native unit), so
 one simulated second reads as one second in the viewer.
 
-Use :func:`write_trace` (or ``python -m repro trace <scenario> -o
-trace.json``); :func:`validate_trace` is the structural schema check
-the tests and the CI artifact step share.
+Use :func:`write_trace` on a live world of your own;
+:func:`validate_trace` is the structural schema check the tests and the
+CI artifact step share.
 
 :func:`build_topology_trace` stitches an **N-shard run** into one
 document: a process track per shard (window-boundary slices from the
@@ -35,7 +35,9 @@ same identity the bridges themselves use — plus the merged ledger and
 telemetry rendered exactly like the single-world trace.  Every
 timestamp is simulated time and no wall clock enters the document, so
 repeating a run (same seed, same shard count) exports a byte-identical
-trace on any machine.
+trace on any machine.  ``python -m repro run NAME --trace FILE`` writes
+this one, whatever the shard count (a single-world scenario is a
+one-segment, one-shard stitch).
 """
 
 from __future__ import annotations

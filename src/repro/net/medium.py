@@ -318,9 +318,12 @@ class EthernetSegment:
             config = self._chaos_default
         if config is None:
             return None
+        # The low 64 bits, two's complement: a segment seed derived by
+        # :func:`repro.sim.seeds.derive_seed` is unsigned 64-bit, a
+        # hand-picked one may be negative; both must fit.
         material = (
             b"chaos:"
-            + self.seed.to_bytes(8, "big", signed=True)
+            + (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
             + bytes(sender_address)
         )
         state = _ChaosState(config, material)

@@ -35,7 +35,6 @@ class NIC:
         *,
         input_queue_limit: int = DEFAULT_INPUT_QUEUE,
         promiscuous: bool = False,
-        rx_batch: int = 1,
     ) -> None:
         if len(address) != link.address_length:
             raise ValueError(
@@ -45,18 +44,6 @@ class NIC:
         self.link = link
         self.promiscuous = promiscuous
         self.input_queue_limit = input_queue_limit
-        self.rx_batch = max(1, rx_batch)
-        """Frames handed to the kernel per service event.  1 keeps the
-        classic interrupt-per-frame path; larger values coalesce queued
-        frames into one ``network_input_batch`` call — interrupt
-        mitigation, with the batch size bounding added latency."""
-        self.rx_mitigation = 0.0
-        """Seconds to hold the receive interrupt after a frame arrives
-        (only with ``rx_batch`` > 1), letting a wire burst accumulate in
-        the input queue — frames are spaced by serialization delay, so
-        without a hold window each one gets its own service event.  The
-        interrupt fires early the moment ``rx_batch`` frames are queued,
-        so the window bounds latency, not batch size."""
         self._service_event = None
         self.segment = None   # set by EthernetSegment.attach
         self.kernel = None    # set by SimKernel.attach_nic
@@ -180,85 +167,42 @@ class NIC:
             ledger.close_packet(packet_id, outcome, self.kernel.scheduler.now)
 
     def _schedule_service(self) -> None:
-        """Arrange for the kernel's receive interrupt to drain the queue.
-
-        With ``rx_batch`` == 1, one event per frame so interrupt costs
-        serialize on the host CPU the way per-frame interrupts did.
-        With batching and a mitigation window, the first frame arms a
-        held interrupt; a full batch fires it immediately.
-        """
-        if self.kernel is None:
+        """Arrange for the kernel's receive interrupt to drain the queue:
+        one event per frame, so interrupt costs serialize on the host
+        CPU the way per-frame interrupts did."""
+        if self.kernel is None or self._service_scheduled:
             return
+        self._service_scheduled = True
         if getattr(self.kernel, "rx_policy", None) is not None:
             # CPU-gated: with an overload policy the receive interrupt
             # runs when the CPU cursor frees, not instantaneously, so
             # the ring holds real backlog and can genuinely fill — the
             # precondition for watermarks, shedding and polling.
-            if self._service_scheduled:
-                return
-            self._service_scheduled = True
             self._service_event = self.kernel.scheduler.schedule_at(
                 self.kernel.cpu_available_at, self._service
             )
-            return
-        batching = self.rx_batch > 1 and self.rx_mitigation > 0.0
-        full = len(self._input_queue) >= self.rx_batch
-        if self._service_scheduled:
-            if (
-                batching
-                and full
-                and self._service_event.time > self.kernel.scheduler.now
-            ):
-                # Full batch before the hold expired: fire now.
-                self._service_event.cancel()
-                self._service_event = self.kernel.scheduler.schedule(
-                    0.0, self._service
-                )
-            return
-        self._service_scheduled = True
-        # A hold window only makes sense while the queue is short of a
-        # batch; with one (or more) complete batches already queued the
-        # interrupt fires immediately — the window bounds latency, it
-        # never delays work that is already ready.
-        delay = self.rx_mitigation if batching and not full else 0.0
-        self._service_event = self.kernel.scheduler.schedule(
-            delay, self._service
-        )
+        else:
+            self._service_event = self.kernel.scheduler.schedule(
+                0.0, self._service
+            )
 
     def _service(self) -> None:
         self._service_scheduled = False
         if not self._input_queue or self.polling:
             return
         pool = getattr(self.kernel, "buffer_pool", None)
-        if self.rx_batch <= 1:
-            frame = self._input_queue.popleft()
-            packet_id = self._input_ids.popleft() if self._input_ids else None
-            if pool is not None:
-                # The ring slot frees as the frame is handed up; a port
-                # that keeps it takes its own reservation at enqueue.
-                pool.release(("ring", self.kernel.name))
-            if packet_id is None:
-                # Also the path taken with bare test-stub kernels, whose
-                # network_input doesn't take a packet id.
-                self.kernel.network_input(self, frame)
-            else:
-                self.kernel.network_input(self, frame, packet_id)
+        frame = self._input_queue.popleft()
+        packet_id = self._input_ids.popleft() if self._input_ids else None
+        if pool is not None:
+            # The ring slot frees as the frame is handed up; a port
+            # that keeps it takes its own reservation at enqueue.
+            pool.release(("ring", self.kernel.name))
+        if packet_id is None:
+            # Also the path taken with bare test-stub kernels, whose
+            # network_input doesn't take a packet id.
+            self.kernel.network_input(self, frame)
         else:
-            frames = []
-            packet_ids = []
-            while self._input_queue and len(frames) < self.rx_batch:
-                frames.append(self._input_queue.popleft())
-                packet_ids.append(
-                    self._input_ids.popleft() if self._input_ids else None
-                )
-            if pool is not None:
-                pool.release(("ring", self.kernel.name), len(frames))
-            if any(pid is not None for pid in packet_ids):
-                self.kernel.network_input_batch(
-                    self, frames, packet_ids=packet_ids
-                )
-            else:
-                self.kernel.network_input_batch(self, frames)
+            self.kernel.network_input(self, frame, packet_id)
         if self._input_queue:
             self._schedule_service()
 

@@ -18,8 +18,8 @@ paper's "substantial analysis in real time" stance applied to the
 * :class:`ObservabilityPlane` folds deltas into a live cluster view —
   per-shard :class:`ShardView` records plus skew/backlog aggregates —
   and exposes a callback API (``on_update``, ``on_alert``) that the
-  ``python -m repro top`` dashboard renders from.  Alert records are
-  deduplicated by ``(rule, host, fired_at)``, so checkpoint-replay
+  ``python -m repro run --top`` dashboard renders from.  Alert records
+  are deduplicated by ``(rule, host, fired_at)``, so checkpoint-replay
   after a crash re-announces nothing.
 * :class:`SyncProfile` / :class:`ShardSyncStats` instrument the
   conservative sync protocol itself, supervisor-side: grant-wait
@@ -337,7 +337,7 @@ class ObservabilityPlane:
     # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
-        """One plain-text dashboard frame (the ``repro top`` view)."""
+        """One plain-text dashboard frame (the ``repro run --top`` view)."""
         lines = []
         earliest = self.earliest_time()
         head = f"cluster: {len(self.shards)} shard(s), {self.deltas} deltas"
@@ -505,7 +505,7 @@ class SyncProfile:
         }
 
     def render(self) -> str:
-        """The ``repro profile --shards N`` table."""
+        """The ``repro run --shards N --profile`` table."""
         lines = [
             f"sync protocol: {self.windows} windows, "
             f"{self.wall_per_window * 1000.0:.3f} ms wall/window"

@@ -317,6 +317,15 @@ def _shard_worker(
             pass
 
 
+def _wait_dead(process, timeout: float | None) -> None:
+    """``process.join(timeout)`` by polling ``is_alive()``."""
+    deadline = None if timeout is None else time.monotonic() + timeout
+    while process.is_alive():
+        if deadline is not None and time.monotonic() >= deadline:
+            return
+        time.sleep(0.002)
+
+
 def _default_context():
     """Fork where available (cheap, inherits imports); spawn otherwise."""
     methods = multiprocessing.get_all_start_methods()
@@ -339,12 +348,14 @@ def _accept_with_timeout(listener, timeout: float):
 
 
 class _PidHandle:
-    """A process-like handle over a bare pid.
+    """A process-like handle over a promoted checkpoint child.
 
-    A promoted checkpoint child is not a ``multiprocessing.Process`` —
-    it was forked by the worker, then orphaned — so the supervisor
-    drives it through plain signals.  ``join`` polls liveness (orphans
-    are reaped by init, not by us).
+    It is not a ``multiprocessing.Process`` — it was forked by the
+    worker, then orphaned — so the supervisor drives it through plain
+    signals and cannot ``waitpid`` it: once it exits it stays a zombie
+    until PID 1 gets round to reaping it (never, in a container without
+    an init), and ``kill(pid, 0)`` succeeds on a zombie.  So a zombie
+    counts as dead, and ``join`` polls.
     """
 
     def __init__(self, pid: int) -> None:
@@ -355,7 +366,14 @@ class _PidHandle:
             os.kill(self.pid, 0)
         except OSError:
             return False
-        return True
+        try:
+            with open(f"/proc/{self.pid}/stat", "rb") as stat:
+                # "pid (comm) state ...": comm may hold anything, so
+                # the state letter is the first field after the last ")".
+                state = stat.read().rpartition(b")")[2].split()[0]
+        except (OSError, IndexError):
+            return True   # no procfs: kill(0) is all there is to go on
+        return state not in (b"Z", b"X")
 
     def terminate(self) -> None:
         _kill_quietly(self.pid, signal.SIGTERM)
@@ -364,11 +382,7 @@ class _PidHandle:
         _kill_quietly(self.pid, signal.SIGKILL)
 
     def join(self, timeout: float | None = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self.is_alive():
-            if deadline is not None and time.monotonic() >= deadline:
-                return
-            time.sleep(0.01)
+        _wait_dead(self, timeout)
 
 
 class ProcessShard:
@@ -579,11 +593,16 @@ class ProcessShard:
         frozen checkpoint child and makes promotion possible."""
         process = self._process
         if process.is_alive():
+            # Most often a worker caught between closing its pipe and
+            # exiting.  Its frozen checkpoint child holds a copy of the
+            # ``multiprocessing`` sentinel, so ``join`` would sit out
+            # its whole timeout on a process that is already gone:
+            # poll ``is_alive`` (``waitpid``, which is ours) instead.
             process.terminate()
-            process.join(timeout=2.0)
+            _wait_dead(process, 2.0)
             if process.is_alive():
                 process.kill()
-                process.join(timeout=2.0)
+                _wait_dead(process, 2.0)
         else:
             process.join(timeout=1.0)
         try:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.profile import run_scenario
+from repro.bench.scenarios import run_overload_storm
 from repro.bench.topologies import flow_storm_topology
 from repro.bench.traceout import (
     build_topology_trace,
@@ -21,8 +21,10 @@ def overload_trace():
     """One interrupt-mode overload storm, exported once for the module
     — the run where every event kind (slices, spans, counters, alert
     instants) must appear."""
-    result = run_scenario("overload-interrupt")
-    return result["world"], build_trace(result["world"])
+    world = run_overload_storm(
+        mode="interrupt", offered_multiplier=4.0, duration=0.5, telemetry=True
+    )["world"]
+    return world, build_trace(world)
 
 
 def by_phase(doc):

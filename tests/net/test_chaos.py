@@ -167,6 +167,11 @@ class TestChaosInjection:
             return [(round(when, 9), frame) for when, frame in got]
 
         assert run(12) == run(12)
+        # A topology segment's seed is derive_seed's unsigned 64 bits
+        # (this is derive_seed(0, "segment", "lan0")); the chaos stream
+        # used to pack it as *signed* and overflow on the top bit.
+        assert run(0xA5B2315D665CAB1C) == run(0xA5B2315D665CAB1C)
+        assert run(-3) != run(3)
 
     def test_per_sender_override_is_asymmetric(self):
         scheduler, segment = make_segment(seed=6)

@@ -1,10 +1,10 @@
 """The batched receive path: one interrupt charge per burst.
 
-``NIC.rx_batch`` > 1 coalesces queued frames into a single
-``SimKernel.network_input_batch`` call, which charges interrupt service
-once and hands every filter-bound frame to the packet-filter device in
-one ``packets_arrived`` call (one ``pf_fixed`` charge).  Delivery
-semantics must be indistinguishable from the per-frame path.
+``SimKernel.network_input_batch`` (what the ``RxPolicy`` poll loop hands
+each quantum to) charges interrupt service once for a burst and passes
+every filter-bound frame to the packet-filter device in one
+``packets_arrived`` call (one ``pf_fixed`` charge).  Delivery semantics
+must be indistinguishable from the per-frame path.
 """
 
 from repro.core.compiler import compile_expr, word
@@ -15,11 +15,10 @@ from repro.sim.world import World
 ETHERTYPE = 0x0900
 
 
-def monitor_world(rx_batch):
+def monitor_world():
     """A world with one packet-filtering host accepting ETHERTYPE."""
     world = World()
     host = world.host("monitor", promiscuous=True)
-    host.nic.rx_batch = rx_batch
     host.install_packet_filter()
 
     def setup():
@@ -34,6 +33,16 @@ def monitor_world(rx_batch):
     return world, host
 
 
+def deliver(world, host, frames, *, burst):
+    """Hand ``frames`` up per-frame off the NIC, or as one burst."""
+    if burst:
+        host.kernel.network_input_batch(host.nic, frames)
+    else:
+        for frame in frames:
+            host.nic.receive(frame)
+    world.run()
+
+
 def make_frame(world, ethertype, payload=b"payload!"):
     link = world.link
     dst = (1).to_bytes(link.address_length, "big")
@@ -43,20 +52,19 @@ def make_frame(world, ethertype, payload=b"payload!"):
 
 class TestBatchedInput:
     def test_batch_semantics_match_per_frame_path(self):
-        frames = []
+        payloads = []
         for n in range(8):
             ethertype = ETHERTYPE if n % 2 == 0 else 0x7777
-            frames.append((ethertype, bytes([n]) * 8))
+            payloads.append((ethertype, bytes([n]) * 8))
 
-        worlds = {}
-        for rx_batch in (1, 8):
-            world, host = monitor_world(rx_batch)
-            for ethertype, payload in frames:
-                host.nic.receive(make_frame(world, ethertype, payload))
-            world.run()
-            worlds[rx_batch] = (world, host)
+        hosts = {}
+        for burst in (False, True):
+            world, host = monitor_world()
+            frames = [make_frame(world, *payload) for payload in payloads]
+            deliver(world, host, frames, burst=burst)
+            hosts[burst] = host
 
-        (w1, h1), (w8, h8) = worlds[1], worlds[8]
+        h1, h8 = hosts[False], hosts[True]
         port1 = h1.packet_filter.demux.attached_ports()[0]
         port8 = h8.packet_filter.demux.attached_ports()[0]
         assert port8.queued == port1.queued == 4
@@ -68,12 +76,15 @@ class TestBatchedInput:
         assert h8.kernel.stats.frames_received == 8
 
     def test_batch_charges_one_interrupt_per_burst(self):
-        world1, host1 = monitor_world(1)
-        world8, host8 = monitor_world(8)
-        for world, host in ((world1, host1), (world8, host8)):
-            for n in range(8):
-                host.nic.receive(make_frame(world, ETHERTYPE, bytes([n]) * 8))
-            world.run()
+        world1, host1 = monitor_world()
+        world8, host8 = monitor_world()
+        for world, host, burst in (
+            (world1, host1, False), (world8, host8, True)
+        ):
+            frames = [
+                make_frame(world, ETHERTYPE, bytes([n]) * 8) for n in range(8)
+            ]
+            deliver(world, host, frames, burst=burst)
 
         assert host1.kernel.stats.interrupts == 8
         assert host8.kernel.stats.interrupts == 1
@@ -85,75 +96,13 @@ class TestBatchedInput:
         assert abs(extra.cpu_time - saved) < 1e-12
         assert extra.interrupts == 7
 
-    def test_partial_final_batch(self):
-        world, host = monitor_world(4)
-        for n in range(10):
-            host.nic.receive(make_frame(world, ETHERTYPE, bytes([n]) * 8))
-        world.run()
-        # 4 + 4 + 2: three service events.
-        assert host.kernel.stats.interrupts == 3
-        port = host.packet_filter.demux.attached_ports()[0]
-        assert port.queued == 10
-
-    def test_mitigation_window_coalesces_wire_bursts(self):
-        """Frames arriving off the wire are spaced by serialization
-        delay, so batches only form if the interrupt is held briefly;
-        a full batch fires it early."""
-        from repro.net.medium import EthernetSegment
-
-        world, host = monitor_world(8)
-        host.nic.rx_mitigation = 0.005
-        segment = EthernetSegment(world.scheduler, world.link)
-        segment.attach(host.nic)
-        sender_nic_address = (9).to_bytes(world.link.address_length, "big")
-
-        class Wire:
-            address = sender_nic_address
-            link = world.link
-
-            def receive(self, frame):
-                pass
-
-            def wants(self, frame):
-                return False
-
-        wire = Wire()
-        segment.attach(wire)
-        for n in range(16):
-            segment.transmit(wire, make_frame(world, ETHERTYPE, bytes([n]) * 8))
-        world.run()
-        port = host.packet_filter.demux.attached_ports()[0]
-        assert port.queued == 16
-        # Two full batches of 8, not 16 per-frame interrupts.
-        assert host.kernel.stats.interrupts == 2
-
-    def test_queued_full_batch_services_immediately(self):
-        """Regression: after a service drain, a backlog holding one or
-        more *complete* batches used to re-arm the full mitigation
-        window — delaying work that was already ready by rx_mitigation
-        per batch.  The window bounds latency while a batch *forms*; a
-        formed batch fires now."""
-        world, host = monitor_world(4)
-        host.nic.rx_mitigation = 0.005
-        start = world.now
-        for n in range(12):
-            host.nic.receive(make_frame(world, ETHERTYPE, bytes([n]) * 8))
-        world.run()
-        port = host.packet_filter.demux.attached_ports()[0]
-        assert port.queued == 12
-        assert host.kernel.stats.interrupts == 3
-        # All three batches were complete from the start: no service
-        # event should have waited out a hold window.
-        assert world.now - start < host.nic.rx_mitigation
-
     def test_kernel_handler_still_claims_per_frame(self):
-        world, host = monitor_world(8)
+        world, host = monitor_world()
         claimed = []
         host.kernel.register_ethertype(
             0x0800, lambda nic, frame: claimed.append(frame)
         )
-        host.nic.receive(make_frame(world, 0x0800))
-        host.nic.receive(make_frame(world, ETHERTYPE))
-        world.run()
+        frames = [make_frame(world, 0x0800), make_frame(world, ETHERTYPE)]
+        deliver(world, host, frames, burst=True)
         assert len(claimed) == 1
         assert host.kernel.stats.packets_unclaimed == 0

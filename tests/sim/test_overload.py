@@ -227,13 +227,11 @@ class TestLegacyRingDropCensus:
     def test_mitigation_window_overflow_lands_in_drop_summary(self):
         """Satellite 1: the classic (no-policy) NIC ring drop must show
         up in ``drop_summary()`` as a proper ChargeEvent and a closed
-        span, so ``python -m repro profile`` accounts for every wire
+        span, so ``python -m repro run --profile`` accounts for every wire
         arrival even on the legacy path."""
         world = World(ledger=True)
         sender = world.host("sender", costs=FREE)
         receiver = world.host("receiver", input_queue_limit=2)
-        receiver.nic.rx_batch = 8
-        receiver.nic.rx_mitigation = 0.01  # hold the interrupt
         frame = frame_for(sender, receiver)
         for _ in range(6):
             receiver.nic.receive(frame)

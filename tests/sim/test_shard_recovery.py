@@ -10,6 +10,7 @@ racing signals.
 """
 
 import os
+import time
 
 import pytest
 
@@ -148,6 +149,43 @@ class TestRecovery:
         assert run_digest(recovered) == baseline
         (record,) = recovered.restarts
         assert record["resumed_from"] in (6, 9)
+
+    def test_close_does_not_wait_on_a_promoted_zombie(self):
+        # A promoted checkpoint child is an orphan: after it exits it
+        # is a zombie until PID 1 reaps it, and ``kill(pid, 0)`` cannot
+        # tell that from alive — close() used to poll it for seconds.
+        spec = ping_spec(2, frames=8, seed=4)
+        shard = ProcessShard(
+            spec,
+            [1],
+            shard_id=1,
+            timeout=10.0,
+            checkpoint_interval=2,
+            hazard={"die_at_window": 5},
+        )
+        grants = []
+        try:
+            for window in range(1, 6):
+                grants.append((window * 2e-3, []))
+                shard.step_send(*grants[-1])
+                try:
+                    shard.step_recv()
+                except ShardDiedError:
+                    _, info = shard.recover(grants)
+            assert info["checkpointed"] and info["resumed_from"] == 4
+            promoted = shard._process.pid
+        finally:
+            started = time.monotonic()
+            shard.close()
+            elapsed = time.monotonic() - started
+        assert elapsed < 0.5, f"close() took {elapsed:.2f} s"
+        assert not shard._process.is_alive()
+        try:
+            with open(f"/proc/{promoted}/stat", "rb") as stat:
+                state = stat.read().rpartition(b")")[2].split()[0]
+        except OSError:
+            state = b"X"   # already reaped (or no procfs to ask)
+        assert state in (b"Z", b"X"), "promoted worker still running"
 
     def test_restart_budget_exhausted_reraises(self):
         spec = ping_spec(2, frames=6)

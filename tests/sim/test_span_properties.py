@@ -1,7 +1,8 @@
 """Property test: packet spans are well-formed whatever the world does.
 
 Hypothesis drives the receive path through randomized worlds — engines,
-batch sizes, tiny queues, chaos on or off, receivers that stop reading
+per-frame interrupts or budgeted polling (the burst input path), tiny
+queues, chaos on or off, receivers that stop reading
 early, shrink their queue, and slam the port shut — and asserts the
 span invariants the ledger promises:
 
@@ -22,13 +23,14 @@ from repro.core.port import ReadTimeoutPolicy
 from repro.sim import Close, Ioctl, Open, Read, Sleep, World, Write
 from repro.sim.errors import SimTimeout
 from repro.sim.ledger import SPAN_OUTCOMES, STAGE_WIRE_ARRIVAL
+from repro.sim.overload import RxPolicy
 
 TYPE = 0x0900
 
 ENGINES = tuple(Engine)
 
 
-def run_workload(seed, frames, rx_batch, engine, queue_limit, chaos_on):
+def run_workload(seed, frames, polled, engine, queue_limit, chaos_on):
     world = World(
         seed=seed,
         chaos=ACCEPTANCE_CHAOS if chaos_on else None,
@@ -40,9 +42,10 @@ def run_workload(seed, frames, rx_batch, engine, queue_limit, chaos_on):
     receiver = world.host("receiver", input_queue_limit=2)
     sender.install_packet_filter()
     receiver.install_packet_filter(engine=engine)
-    receiver.nic.rx_batch = rx_batch
-    if rx_batch > 1:
-        receiver.nic.rx_mitigation = 0.001
+    if polled:
+        # The ring's second frame crosses the watermark, so write bursts
+        # go up through the poll loop's ``network_input_batch`` quanta.
+        receiver.enable_overload(policy=RxPolicy(poll_enter=2, poll_quota=4))
 
     def tx():
         fd = yield Open("pf")
@@ -93,15 +96,15 @@ def run_workload(seed, frames, rx_batch, engine, queue_limit, chaos_on):
 @given(
     seed=st.integers(0, 10_000),
     frames=st.integers(1, 25),
-    rx_batch=st.integers(1, 4),
+    polled=st.booleans(),
     engine=st.sampled_from(ENGINES),
     queue_limit=st.integers(1, 8),
     chaos_on=st.booleans(),
 )
 def test_spans_are_well_formed(
-    seed, frames, rx_batch, engine, queue_limit, chaos_on
+    seed, frames, polled, engine, queue_limit, chaos_on
 ):
-    world = run_workload(seed, frames, rx_batch, engine, queue_limit, chaos_on)
+    world = run_workload(seed, frames, polled, engine, queue_limit, chaos_on)
     ledger = world.ledger
 
     assert ledger.open_spans() == []

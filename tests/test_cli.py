@@ -5,6 +5,14 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.bench.topologies import TOPOLOGIES
+from repro.bench.traceout import validate_trace
+
+
+def run_json(capsys, *argv):
+    """``run ARGV --json``, parsed."""
+    assert main(["run", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 class TestCLI:
@@ -32,45 +40,58 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_trace_scenario_exports_valid_json(self, tmp_path, capsys):
-        from repro.bench.traceout import validate_trace
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["profile", "receive"],
+            ["top", "flow_storm"],
+            ["shard", "flow_storm"],
+            ["chaos-topo", "partition_storm"],
+            ["trace", "receive"],
+            ["trace", "flow_storm", "-o", "x.json"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_deleted_verbs_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
+    def test_trace_scenario_exports_valid_json(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
-        assert main(["trace", "receive", "-o", str(path)]) == 0
-        assert "trace events" in capsys.readouterr().out
+        assert main(["run", "receive", "--trace", str(path)]) == 0
+        assert "trace events" in capsys.readouterr().err
         doc = json.loads(path.read_text())
         assert validate_trace(doc) == []
         assert doc["otherData"]["generator"] == "repro.bench.traceout"
-
-    def test_trace_scenario_requires_output(self):
-        with pytest.raises(SystemExit):
-            main(["trace", "receive"])
+        assert "lan0:receiver" in doc["otherData"]["hosts"]
 
     def test_trace_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
-            main(["trace", "nonsense", "-o", "x.json"])
+            main(["run", "nonsense", "--trace", "x.json"])
 
     def test_profile_renders_table(self, capsys):
-        assert main(["profile", "receive"]) == 0
+        assert main(["run", "receive", "--profile"]) == 0
         out = capsys.readouterr().out
-        assert "charge profile" in out
+        assert "charge profile: host 'lan0:receiver'" in out
         assert "watchdog alerts:" in out
+        assert "sync protocol:" in out
 
     def test_profile_json_round_trips(self, capsys):
-        assert main(["profile", "receive", "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["scenario"] == "receive"
-        assert report["host"] == "receiver"
-        assert report["span_outcomes"].get("delivered", 0) > 0
-        assert "p50" in report["stage_percentiles_seconds"]
-        assert isinstance(report["alerts"], list)
-        assert report["telemetry_latest"]
+        report = run_json(capsys, "receive", "--profile")
+        assert report["topology"] == "receive"
+        assert report["reports"]["lan0"]["received"] == 40
+        profile = report["profile"]["lan0:receiver"]
+        assert profile["span_outcomes"].get("delivered", 0) > 0
+        assert "p50" in profile["stage_percentiles_seconds"]
+        assert isinstance(profile["alerts"], list)
+        assert profile["telemetry_latest"]
 
     def test_profile_trace_flag_writes_file(self, tmp_path, capsys):
-        from repro.bench.traceout import validate_trace
-
         path = tmp_path / "profiled.json"
-        assert main(["profile", "receive", "--trace", str(path)]) == 0
+        assert main(
+            ["run", "receive", "--profile", "--trace", str(path)]
+        ) == 0
         assert validate_trace(json.loads(path.read_text())) == []
 
 
@@ -79,45 +100,56 @@ TOPO_ARGS = ["--shards", "2", "--duration", "0.1", "--seed", "0"]
 
 class TestObservabilityCLI:
     def test_profile_topology_reports_sync_breakdown(self, capsys):
-        assert main(["profile", "flow_storm", *TOPO_ARGS]) == 0
+        assert main(["run", "flow_storm", *TOPO_ARGS, "--profile"]) == 0
         out = capsys.readouterr().out
+        assert "charge profile: host 'lan1:receiver'" in out
         assert "sync protocol:" in out
         assert "window advance:" in out
         assert "lan0" in out and "lan1" in out
 
     def test_profile_topology_json_has_nonzero_waits(self, capsys):
-        assert main(["profile", "flow_storm", *TOPO_ARGS, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = run_json(capsys, "flow_storm", *TOPO_ARGS, "--profile")
         assert report["topology"] == "flow_storm"
         assert report["shards"] == 2
-        assert len(report["sync"]["shards"]) == 2
-        for shard in report["sync"]["shards"]:
+        sync = report["wall"]["sync"]
+        assert len(sync["shards"]) == 2
+        for shard in sync["shards"]:
             assert shard["grant_wait_seconds"] > 0.0
             assert shard["grants"] > 0
-        assert report["sync"]["wall_per_window"] > 0.0
+        assert sync["wall_per_window"] > 0.0
         assert report["span_latency"]["p50"] is not None
+        # both halves at once: the ledger profile rides with the sync one
+        assert report["profile"]["lan0:receiver"]["total_cost_seconds"] > 0.0
 
     def test_top_plain_renders_dashboard(self, capsys):
-        assert main(["top", "flow_storm", *TOPO_ARGS, "--plain"]) == 0
-        out = capsys.readouterr().out
-        assert "cluster: 2 shard(s)" in out
-        assert "ckpt age" in out
-        assert "done:" in out
-        assert "\x1b" not in out   # --plain never emits ANSI
+        assert main(
+            ["run", "flow_storm", *TOPO_ARGS, "--top", "--plain"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "cluster: 2 shard(s)" in captured.out
+        assert "ckpt age" in captured.out
+        assert "flow_storm: 2 segment(s) on 2 shard(s)" in captured.out
+        # --plain never emits ANSI, on either stream
+        assert "\x1b" not in captured.out + captured.err
 
     def test_top_plain_streams_alerts(self, capsys):
         assert main([
-            "top", "partition_storm", "--shards", "2", "--plain",
+            "run", "partition_storm", "--shards", "2", "--top", "--plain",
         ]) == 0
         captured = capsys.readouterr()
         assert "ALERT [partition:" in captured.err
 
-    def test_trace_topology_exports_stitched_json(self, tmp_path, capsys):
-        from repro.bench.traceout import validate_trace
+    def test_top_adds_the_cluster_view_to_the_summary(self, capsys):
+        summary = run_json(capsys, "flow_storm", *TOPO_ARGS, "--top")
+        assert [s["shard"] for s in summary["cluster"]["shards"]] == [0, 1]
+        for shard in summary["cluster"]["shards"]:
+            assert shard["window"] == summary["windows"]
+            assert not shard["lost"]
 
+    def test_trace_topology_exports_stitched_json(self, tmp_path, capsys):
         path = tmp_path / "stitched.json"
         assert main([
-            "trace", "flow_storm", *TOPO_ARGS, "-o", str(path),
+            "run", "flow_storm", *TOPO_ARGS, "--trace", str(path),
         ]) == 0
         doc = json.loads(path.read_text())
         assert validate_trace(doc) == []
@@ -126,22 +158,125 @@ class TestObservabilityCLI:
         assert {"s", "f"} <= phases
 
     def test_shard_trace_flag_writes_stitched_file(self, tmp_path, capsys):
-        from repro.bench.traceout import validate_trace
-
+        # The defect this pins: the old ``profile <topology>`` path
+        # dropped ``--trace`` on the floor (exit 0, no file).
         path = tmp_path / "shard.json"
         assert main([
-            "shard", "flow_storm", *TOPO_ARGS, "--trace", str(path),
+            "run", "flow_storm", *TOPO_ARGS,
+            "--profile", "--json", "--trace", str(path),
         ]) == 0
         assert validate_trace(json.loads(path.read_text())) == []
 
     def test_shard_json_surfaces_observability_fields(self, capsys):
-        assert main(["shard", "flow_storm", *TOPO_ARGS, "--json"]) == 0
-        summary = json.loads(capsys.readouterr().out)
+        summary = run_json(capsys, "flow_storm", *TOPO_ARGS)
         assert summary["recovered_shards"] == []
-        assert summary["wall_per_window"] > 0.0
+        assert summary["wall"]["wall_per_window"] > 0.0
         assert [d["shard"] for d in summary["shard_details"]] == [0, 1]
         for detail in summary["shard_details"]:
             assert detail["windows"] == summary["windows"]
             assert detail["events_fired"] > 0
-        assert summary["sync"]["windows"] == summary["windows"]
+        assert summary["wall"]["sync"]["windows"] == summary["windows"]
         assert summary["span_latency"]["p50"] is not None
+
+    def test_faults_and_recovery_ride_the_same_summary(self, capsys):
+        summary = run_json(
+            capsys, "partition_storm", "--shards", "2", "--duration", "0.4",
+            "--faults", "down:lan0~lan1:0.1:0.25", "--recover",
+        )
+        assert summary["faults"] == [{
+            "link_id": "lan0~lan1", "start": 0.1, "end": 0.25,
+            "direction": "both",
+        }]
+        assert sum(summary["dropped_link_down"].values()) > 0
+        assert any(
+            alert["rule"].startswith("partition:")
+            for alert in summary["alerts"]
+        )
+        assert summary["restarts"] == []
+        # checkpoints were taken: the supervisor really was armed
+        assert all(
+            shard["checkpoint_forks"] > 0
+            for shard in summary["wall"]["sync"]["shards"]
+        )
+
+
+# The shortest run each name accepts: the fixed exchanges take no
+# duration, a partition storm has to outlast its own outage.
+SHORTEST = {
+    "overload-interrupt": ["--duration", "0.05"],
+    "overload-polling": ["--duration", "0.05"],
+    "flow_storm": ["--duration", "0.05"],
+    "partition_storm": ["--duration", "0.3"],
+}
+
+
+def outside(summary, *keys):
+    return {key: value for key, value in summary.items() if key not in keys}
+
+
+class TestFrontDoorOracle:
+    """``run`` is one path: what holds for one name holds for all."""
+
+    def test_list_names_the_registry(self, capsys):
+        assert main(["run", "--list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(TOPOLOGIES)
+
+    def test_every_name_yields_the_same_keys(self, capsys):
+        keys = {
+            name: set(run_json(capsys, name, *SHORTEST.get(name, ())))
+            for name in TOPOLOGIES
+        }
+        assert len(TOPOLOGIES) == 9
+        assert all(found == keys["receive"] for found in keys.values()), keys
+
+    def test_shard_count_changes_only_the_shard_keys(self, capsys):
+        argv = ["flow_storm", "--segments", "4", "--duration", "0.1"]
+        one = run_json(capsys, *argv, "--shards", "1")
+        two = run_json(capsys, *argv, "--shards", "2")
+        assert (one["shards"], two["shards"]) == (1, 2)
+        volatile = ("wall", "shards", "shard_details")
+        assert outside(one, *volatile) == outside(two, *volatile)
+
+    def test_profile_json_repeats_byte_for_byte(self, capsys):
+        first, second = (
+            json.dumps(outside(run_json(capsys, "receive", "--profile"), "wall"))
+            for _ in range(2)
+        )
+        assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the five that used to die with a traceback or run nothing
+        ["flow_storm", "--segments", "0"],
+        ["flow_storm", "--shards", "0"],
+        ["partition_storm", "--shards", "2", "--recover",
+         "--checkpoint-interval", "-1"],
+        ["partition_storm", "--segments", "1"],
+        ["flow_storm", "--duration", "nan"],
+        # and their neighbours
+        ["flow_storm", "--shards", "2", "--timeout", "inf"],
+        ["flow_storm", "--top", "--refresh", "0"],
+        ["flow_storm", "--faults", "sideways:lan0~lan1"],
+        ["flow_storm", "--faults", "down:lan7~lan8:0.1:0.2"],
+        # flags the named topology cannot honour are not ignored either
+        ["receive", "--segments", "3"],
+        ["receive", "--duration", "1.0"],
+        ["receive", "--faults", "down:lan0~lan1:0.1:0.2"],
+        ["receive", "--shards", "2", "--recover"],
+        ["flow_storm", "--timeout", "30"],
+        ["flow_storm", "--checkpoint-interval", "4"],
+        ["flow_storm", "--plain"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_hostile_run_arguments_are_usage_errors(argv, capsys):
+    assert main(["run", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""   # nothing ran
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1, captured.err
+    assert captured.err.startswith("python -m repro run: error: ")
