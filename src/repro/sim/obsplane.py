@@ -2,19 +2,19 @@
 
 Since the system of record became a multi-process topology
 (:mod:`repro.sim.orchestrator`), its workers have been invisible until
-they exit: the grant pipes carry only the synchronization protocol, and
-every ledger/telemetry byte arrives post-merge.  This module is the
-paper's "substantial analysis in real time" stance applied to the
-*cluster*, the way :mod:`repro.sim.telemetry` applied it to one world:
+they exit: every ledger/telemetry byte arrives post-merge.  This module
+is the paper's "substantial analysis in real time" stance applied to
+the *cluster*, the way :mod:`repro.sim.telemetry` applied it to one
+world:
 
-* :class:`SidebandSource` builds **bounded, monotonic progress deltas**
+* :class:`ProgressSource` builds **bounded, monotonic progress deltas**
   from a live shard — window index, earliest pending sim-time,
   cumulative events, egress backlog, checkpoint age, newly fired
   watchdog alerts, and a mergeable :class:`~repro.sim.telemetry.LogHistogram`
-  of span latencies.  Worker processes flush one delta per window over
-  a dedicated *sideband* pipe (never the grant channel), best-effort:
-  a dead aggregator silently disables the stream, a dead worker only
-  ends it.
+  of span latencies.  A shard builds one per window, as the last step
+  of the window body, and it rides that window's reply — the same
+  tuple in-process and over a worker's pipe — so the supervisor sees a
+  delta exactly when it sees the window it describes.
 * :class:`ObservabilityPlane` folds deltas into a live cluster view —
   per-shard :class:`ShardView` records plus skew/backlog aggregates —
   and exposes a callback API (``on_update``, ``on_alert``) that the
@@ -46,7 +46,7 @@ from .telemetry import LogHistogram
 
 __all__ = [
     "span_latency_histogram",
-    "SidebandSource",
+    "ProgressSource",
     "ShardView",
     "ObservabilityPlane",
     "ShardSyncStats",
@@ -90,12 +90,13 @@ def span_latency_histogram(
 # ---------------------------------------------------------------------------
 
 
-class SidebandSource:
+class ProgressSource:
     """Builds one shard's progress deltas from its live segments.
 
-    Wraps a :class:`~repro.sim.shard.LocalShard` (in the worker process
-    for sharded runs, in the orchestrator itself for ``shards=1``) and
-    tracks flush cursors so every delta is an incremental read:
+    Owned by the :class:`~repro.sim.shard.LocalShard` it reads (which
+    lives in a worker process for sharded runs, in the orchestrator's
+    for ``shards=1``); tracks flush cursors so every delta is an
+    incremental read:
 
     * alerts are flushed once, by per-segment count cursor;
     * span latencies fold into a cumulative :class:`LogHistogram` as
@@ -128,7 +129,7 @@ class SidebandSource:
 
     def delta(self, *, window: int, egress_backlog: int) -> dict:
         """One bounded, monotonic progress delta (a plain dict, so it
-        crosses the sideband pipe under any start method)."""
+        crosses a worker's pipe under any start method)."""
         events = 0
         next_times: list[float] = []
         segments: dict[str, dict] = {}
@@ -216,17 +217,17 @@ class ShardView:
 
 
 class ObservabilityPlane:
-    """Folds sideband deltas into a live cluster view.
+    """Folds progress deltas into a live cluster view.
 
     Pass an instance to :func:`repro.sim.orchestrator.run_topology` via
     ``observability=`` to arm it.  ``on_update(plane)`` fires after
     every ingested delta; ``on_alert(alert_dict)`` fires once per
-    distinct watchdog alert, as soon as any shard streams it — the live
+    distinct watchdog alert, as soon as any shard reports it — the live
     counterpart of reading the merged alert log post-run.
 
     The plane is loss-tolerant by construction: deltas are cumulative,
     so dropped ones cost staleness, not correctness; a shard that dies
-    mid-stream is flagged ``lost`` (and ``restarted`` again once the
+    mid-run is flagged ``lost`` (and ``restarted`` again once the
     supervisor revives it) without wedging ingestion for the others.
     """
 
@@ -251,7 +252,7 @@ class ObservabilityPlane:
         return self.shards[shard_id]
 
     def ingest(self, delta: dict) -> None:
-        """Fold one sideband delta in and fire callbacks."""
+        """Fold one progress delta in and fire callbacks."""
         view = self.view(delta["shard"])
         view.window = delta["window"]
         view.next_time = delta["next_time"]
@@ -279,8 +280,8 @@ class ObservabilityPlane:
             self.on_update(self)
 
     def mark_lost(self, shard_id: int) -> None:
-        """The supervisor saw this shard die or wedge; its stream may
-        have ended mid-delta.  The plane keeps the last good view."""
+        """The supervisor saw this shard die or wedge; the plane keeps
+        the last good view until replies resume."""
         self.view(shard_id).lost = True
 
     def mark_restarted(self, shard_id: int) -> None:
@@ -437,15 +438,24 @@ class ShardSyncStats:
     restarts: int = 0
     replay_seconds: float = 0.0        #: wall time spent in recovery replay
 
+    def note_restart(self, wall_seconds: float) -> None:
+        self.restarts += 1
+        self.replay_seconds += wall_seconds
+
     def note_grant(self, frames: int) -> None:
         self.grants += 1
         if frames == 0:
             self.null_grants += 1
         self.inbound_frames += frames
 
-    def note_reply(self, wait_seconds: float, egress: int) -> None:
+    def note_reply(
+        self, wait_seconds: float, egress: int, fork_seconds: float | None
+    ) -> None:
         self.grant_wait_seconds += wait_seconds
         self.grant_wait_hist.add(wait_seconds)
+        if fork_seconds is not None:
+            self.checkpoint_forks += 1
+            self.checkpoint_fork_seconds += fork_seconds
         self.egress_frames += egress
         if egress > self.max_egress_depth:
             self.max_egress_depth = egress

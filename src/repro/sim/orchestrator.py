@@ -23,17 +23,24 @@ processes, the merged result is bitwise identical across partitionings
 — the property the difftest oracle (:mod:`repro.difftest.sharding`)
 checks, and what makes the parallel speedup trustworthy.
 
+There is one grant/receive loop and one reply shape — ``(window,
+fired, egress, next_time, delta, fork_seconds)`` from either shard
+class — so the loop never asks which class it holds: a progress delta
+goes to the observability plane where its reply is received, fork
+costs go to the sync profile the same way.
+
 Crash recovery rides the same determinism.  With a
 :class:`RecoveryConfig`, the orchestrator journals every grant it sends
-each shard; when a shard dies (pipe EOF) or wedges (reply deadline
-blown), the supervisor revives it — promoting the shard's fork-based
-checkpoint child when one survives, respawning from scratch otherwise —
-and replays the journal from the resume window.  Replaying identical
-grants through identical per-segment worlds reproduces identical state,
-so a recovered run's digest is bitwise equal to an undisturbed one.
-Restarts are recorded on the result and surfaced as ``shard_restart``
-alerts in the merged telemetry stream (which the digest deliberately
-excludes).
+each shard, and every wait on a shard (a window's reply, the final
+``collect``) goes through one supervised entrance: when the shard dies
+(pipe EOF) or wedges (reply deadline blown), the supervisor revives it
+— promoting the shard's fork-based checkpoint child when one survives,
+respawning from scratch otherwise — and replays the journal from the
+resume window.  Replaying identical grants through identical
+per-segment worlds reproduces identical state, so a recovered run's
+digest is bitwise equal to an undisturbed one.  Restarts are recorded
+on the result and surfaced as ``shard_restart`` alerts in the merged
+telemetry stream (which the digest deliberately excludes).
 """
 
 from __future__ import annotations
@@ -43,11 +50,11 @@ import time
 from dataclasses import dataclass, field
 
 from .ledger import Ledger
-from .obsplane import ShardSyncStats, SidebandSource, SyncProfile
+from .obsplane import ShardSyncStats, SyncProfile
 from .shard import (
     LocalShard,
     ProcessShard,
-    ShardDiedError,
+    ShardError,
     ShardTimeoutError,
     partition,
 )
@@ -57,6 +64,14 @@ from .topology import SegmentReport, TopologySpec
 
 __all__ = ["RecoveryConfig", "TopologyResult", "run_topology"]
 
+#: Synchronization rounds after which a run is declared livelocked.
+MAX_WINDOWS = 1_000_000
+
+#: Restart attempts back off exponentially from ``BACKOFF_BASE`` seconds
+#: (the first retry is immediate), capped at ``BACKOFF_CAP``.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
+
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -65,16 +80,13 @@ class RecoveryConfig:
     ``checkpoint_interval`` is in windows (None disables checkpointing:
     every recovery is a fresh respawn replaying the whole journal).
     ``recv_timeout`` is the per-window reply deadline that classifies a
-    shard as wedged.  Restart attempts back off exponentially from
-    ``backoff_base`` (first retry is immediate), capped at
-    ``backoff_cap`` seconds.
+    shard as wedged.  ``max_restarts`` bounds the revival attempts one
+    failure may cost before it is re-raised.
     """
 
     checkpoint_interval: int | None = 8
     recv_timeout: float | None = 30.0
     max_restarts: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
 
 
 @dataclass
@@ -215,63 +227,11 @@ def _merge_reports(
     )
 
 
-def _recover_shard(
-    handle: ProcessShard,
-    grants: list,
-    failure: Exception,
-    recovery: RecoveryConfig,
-    restarts: list,
-    horizon: float | None,
-    *,
-    final: str = "step",
-):
-    """Revive ``handle`` and replay its journal, with bounded backoff.
-
-    The first attempt is immediate (the common case: a clean crash with
-    a live checkpoint child); subsequent attempts sleep
-    ``backoff_base * 2**(attempt-1)`` capped at ``backoff_cap``.  The
-    last failure is re-raised once the restart budget is spent.
-    """
-    reason = "timed out" if isinstance(failure, ShardTimeoutError) else "died"
-    last_error = failure
-    for attempt in range(1, recovery.max_restarts + 1):
-        if attempt > 1:
-            time.sleep(
-                min(
-                    recovery.backoff_base * 2 ** (attempt - 2),
-                    recovery.backoff_cap,
-                )
-            )
-        started = time.perf_counter()
-        try:
-            reply, info = handle.recover(grants, final=final)
-        except (ShardDiedError, ShardTimeoutError) as error:
-            last_error = error
-            continue
-        restarts.append(
-            {
-                "shard": handle.shard_id,
-                "window": len(grants),
-                "reason": reason,
-                "attempts": attempt,
-                "resumed_from": info["resumed_from"],
-                "checkpointed": info["checkpointed"],
-                "replayed": info["replayed"],
-                "horizon": float(horizon) if horizon is not None else 0.0,
-                "wall_seconds": time.perf_counter() - started,
-            }
-        )
-        return reply
-    raise last_error
-
-
 def run_topology(
     spec: TopologySpec,
     *,
     shards: int = 1,
     until: float | None = None,
-    max_windows: int = 1_000_000,
-    mp_context=None,
     timeout: float | None = None,
     recovery: RecoveryConfig | None = None,
     hazards: dict[int, dict] | None = None,
@@ -282,9 +242,8 @@ def run_topology(
     ``shards=1`` runs everything in-process — same windowed algorithm,
     same per-segment worlds, zero IPC — and is the bitwise oracle for
     any larger shard count.  ``until`` optionally stops once every
-    pending event lies beyond that simulated time.  ``max_windows``
-    bounds the synchronization rounds (a livelocked topology should
-    fail loudly).
+    pending event lies beyond that simulated time.  A topology still
+    running after :data:`MAX_WINDOWS` rounds fails loudly.
 
     ``timeout`` bounds each shard reply wait (typed
     :class:`~repro.sim.shard.ShardTimeoutError` instead of a hang).
@@ -295,12 +254,11 @@ def run_topology(
     (see :class:`~repro.sim.shard.ProcessShard`) for recovery tests.
 
     ``observability`` takes an
-    :class:`~repro.sim.obsplane.ObservabilityPlane`: worker shards then
-    stream per-window progress deltas over dedicated sideband pipes
-    (the ``shards=1`` fallback feeds the plane synchronously) and the
-    plane's callbacks fire live.  The plane only *reads* quiescent
-    state, so the result is bitwise identical armed or off — the
-    observer-effect guard pins this.
+    :class:`~repro.sim.obsplane.ObservabilityPlane`: every window's
+    reply then carries the shard's progress delta, and the plane's
+    callbacks fire live as replies come in.  The plane only *reads*
+    quiescent state, so the result is bitwise identical armed or off —
+    the observer-effect guard pins this.
     """
     spec.validate()
     if shards < 1:
@@ -311,32 +269,27 @@ def run_topology(
     recv_timeout = timeout
     if recv_timeout is None and recovery is not None:
         recv_timeout = recovery.recv_timeout
-    if len(groups) <= 1 or shards == 1:
-        handles = [LocalShard(spec, list(range(len(spec.segments))))]
+    if len(groups) == 1:
+        handles = [LocalShard(spec, groups[0], observe=plane is not None)]
     else:
         handles = [
             ProcessShard(
                 spec,
                 group,
-                context=mp_context,
                 shard_id=index,
                 timeout=recv_timeout,
                 checkpoint_interval=(
                     recovery.checkpoint_interval if recovery else None
                 ),
                 hazard=(hazards or {}).get(index),
-                sideband=plane is not None,
+                observe=plane is not None,
             )
             for index, group in enumerate(groups)
         ]
-    supervised = recovery is not None and isinstance(handles[0], ProcessShard)
     journal: list[list] = [[] for _ in handles]
     restarts: list = []
-    shard_groups = (
-        [list(range(len(spec.segments)))] if len(handles) == 1 else groups
-    )
     shard_of: dict[str, int] = {}
-    for shard_index, group in enumerate(shard_groups):
+    for shard_index, group in enumerate(groups):
         for segment_index in group:
             shard_of[spec.segments[segment_index].name] = shard_index
     sync = SyncProfile(
@@ -345,183 +298,142 @@ def run_topology(
                 shard_id=index,
                 segments=[spec.segments[i].name for i in group],
             )
-            for index, group in enumerate(shard_groups)
+            for index, group in enumerate(groups)
         ]
     )
-    # shards=1 has no worker process and no pipe: the plane is fed
-    # synchronously from the same delta builder the workers use.
-    local_source = None
-    if plane is not None and isinstance(handles[0], LocalShard):
-        local_source = SidebandSource(handles[0], 0)
 
-    def _granted_recv(index: int, horizon: float | None):
-        handle = handles[index]
+    def supervised(index: int, horizon: float | None, call):
+        """Wait on shard ``index`` through ``call`` (its ``step_recv``
+        or ``collect``); on a typed shard failure revive it, replay its
+        journal to the end, and answer from the replayed state.
+
+        The first attempt is immediate (the common case: a clean crash
+        with a live checkpoint child); later ones back off.  The last
+        failure is re-raised once the restart budget is spent.
+        """
         try:
-            return handle.step_recv()
-        except (ShardDiedError, ShardTimeoutError) as failure:
-            if not supervised:
+            return call()
+        except ShardError as error:
+            if recovery is None:
                 raise
-            if plane is not None:
-                # The shard's sideband stream ended mid-run; the plane
-                # keeps its last good view and must not wedge.
-                plane.mark_lost(index)
-            reply = _recover_shard(
-                handle, journal[index], failure, recovery, restarts, horizon
+            failure = error
+        handle = handles[index]
+        grants = journal[index]
+        reason = "timed out" if isinstance(failure, ShardTimeoutError) else "died"
+        if plane is not None:
+            plane.mark_lost(index)
+        for attempt in range(1, recovery.max_restarts + 1):
+            if attempt > 1:
+                time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 2), BACKOFF_CAP))
+            revived = time.perf_counter()
+            try:
+                reply, resumed = handle.recover(grants)
+                if call == handle.collect:
+                    reply = call()   # again, now from the replayed state
+            except ShardError as error:
+                failure = error
+                continue
+            wall_seconds = time.perf_counter() - revived
+            restarts.append(
+                {
+                    "shard": index,
+                    "window": len(grants),
+                    "reason": reason,
+                    "attempts": attempt,
+                    "resumed_from": resumed,
+                    "checkpointed": resumed > 0,
+                    "replayed": len(grants) - resumed,
+                    "horizon": float(horizon) if horizon is not None else 0.0,
+                    "wall_seconds": wall_seconds,
+                }
             )
+            sync.shards[index].note_restart(wall_seconds)
             if plane is not None:
                 plane.mark_restarted(index)
             return reply
-
-    def _drain_plane() -> None:
-        if plane is None:
-            return
-        for handle in handles:
-            if isinstance(handle, ProcessShard):
-                for delta in handle.drain_sideband():
-                    plane.ingest(delta)
+        raise failure
 
     window = spec.window()
+    # No bridges (``window is None``): segments are fully independent,
+    # so one quiescence grant each (``horizon=None``) is the whole run.
+    # Otherwise a priming grant: deliver nothing, report next_time.
+    horizon = None if window is None else 0.0
+    pending: list = []
+    window_index = 0
     windows = 0
     try:
-        if window is None:
-            # No bridges: segments are fully independent; one
-            # quiescence grant each, no exchanges.
+        while True:
+            if windows >= MAX_WINDOWS:
+                raise RuntimeError(
+                    f"exceeded {MAX_WINDOWS} synchronization windows "
+                    f"(clock at {horizon}); topology may be livelocked"
+                )
             window_started = time.perf_counter()
-            for index, handle in enumerate(handles):
-                journal[index].append((None, []))
-                sync.shards[index].note_grant(0)
-                handle.step_send(None, [])
-            for index in range(len(handles)):
-                waited = time.perf_counter()
-                _, shard_egress, _ = _granted_recv(index, None)
-                sync.shards[index].note_reply(
-                    time.perf_counter() - waited, len(shard_egress)
-                )
-                if local_source is not None:
-                    plane.ingest(local_source.delta(window=1, egress_backlog=0))
-            sync.note_window(None, time.perf_counter() - window_started)
-            _drain_plane()
-            windows = 1
-        else:
-            pending: list = []
-            window_index = 0
-            horizon = 0.0   # priming grant: deliver nothing, report next_time
-            while True:
-                if windows >= max_windows:
-                    raise RuntimeError(
-                        f"exceeded {max_windows} synchronization windows "
-                        f"(clock at {horizon}); topology may be livelocked"
-                    )
-                window_started = time.perf_counter()
-                outbound: list[list] = [[] for _ in handles]
-                for record in pending:
-                    outbound[shard_of[record.dst_segment]].append(record)
-                for index, (handle, frames) in enumerate(
-                    zip(handles, outbound)
-                ):
+            outbound: list[list] = [[] for _ in handles]
+            for record in pending:
+                outbound[shard_of[record.dst_segment]].append(record)
+            for index, (handle, frames) in enumerate(zip(handles, outbound)):
+                if recovery is not None:   # only a supervisor replays it
                     journal[index].append((horizon, frames))
-                    # A grant with no frames is a pure null message —
-                    # time permission only, the protocol's overhead.
-                    sync.shards[index].note_grant(len(frames))
-                    handle.step_send(horizon, frames)
-                egress: list = []
-                next_times: list[float] = []
-                for index in range(len(handles)):
-                    waited = time.perf_counter()
-                    _, shard_egress, shard_next = _granted_recv(
-                        index, horizon
-                    )
-                    sync.shards[index].note_reply(
-                        time.perf_counter() - waited, len(shard_egress)
-                    )
-                    egress.extend(shard_egress)
-                    if shard_next is not None:
-                        next_times.append(shard_next)
-                    if local_source is not None:
-                        plane.ingest(
-                            local_source.delta(
-                                window=windows + 1,
-                                egress_backlog=len(shard_egress),
-                            )
-                        )
-                windows += 1
-                sync.note_window(horizon, time.perf_counter() - window_started)
-                _drain_plane()
-                next_times.extend(record.deliver_at for record in egress)
-                if not next_times:
-                    break
-                earliest = min(next_times)
-                if until is not None and earliest > until:
-                    break
-                pending = egress
-                # The smallest window-multiple strictly after
-                # ``earliest``: floor(e/W)*W <= e < (floor(e/W)+1)*W,
-                # and that upper bound is <= e + W, so frames captured
-                # in the window (all at times >= earliest, with
-                # delay >= W) still deliver at or after the horizon
-                # that follows it.  Integer window indices keep the
-                # horizon sequence free of accumulated float error.
-                window_index = max(
-                    window_index + 1, math.floor(earliest / window) + 1
+                # A grant with no frames is a pure null message — time
+                # permission only, the protocol's overhead.
+                sync.shards[index].note_grant(len(frames))
+                handle.step_send(horizon, frames)
+            egress: list = []
+            next_times: list[float] = []
+            for index, handle in enumerate(handles):
+                waited = time.perf_counter()
+                _, _, shard_egress, shard_next, delta, fork_seconds = supervised(
+                    index, horizon, handle.step_recv
                 )
-                horizon = window_index * window
+                sync.shards[index].note_reply(
+                    time.perf_counter() - waited, len(shard_egress), fork_seconds
+                )
+                if delta is not None:
+                    plane.ingest(delta)
+                egress.extend(shard_egress)
+                if shard_next is not None:
+                    next_times.append(shard_next)
+            windows += 1
+            sync.note_window(horizon, time.perf_counter() - window_started)
+            next_times.extend(record.deliver_at for record in egress)
+            if window is None or not next_times:
+                break
+            earliest = min(next_times)
+            if until is not None and earliest > until:
+                break
+            pending = egress
+            # The smallest window-multiple strictly after ``earliest``:
+            # floor(e/W)*W <= e < (floor(e/W)+1)*W, and that upper bound
+            # is <= e + W, so frames captured in the window (all at
+            # times >= earliest, with delay >= W) still deliver at or
+            # after the horizon that follows it.  Integer window indices
+            # keep the horizon sequence free of accumulated float error.
+            window_index = max(
+                window_index + 1, math.floor(earliest / window) + 1
+            )
+            horizon = window_index * window
         by_name: dict[str, SegmentReport] = {}
         for index, handle in enumerate(handles):
-            try:
-                reports = handle.collect()
-            except (ShardDiedError, ShardTimeoutError) as failure:
-                if not supervised:
-                    raise
-                if plane is not None:
-                    plane.mark_lost(index)
-                reports = _recover_shard(
-                    handle,
-                    journal[index],
-                    failure,
-                    recovery,
-                    restarts,
-                    None,
-                    final="collect",
-                )
-                if plane is not None:
-                    plane.mark_restarted(index)
-            for report in reports:
+            for report in supervised(index, None, handle.collect):
                 by_name[report.name] = report
-        _drain_plane()
     finally:
         for handle in handles:
             handle.close()
-    for index, handle in enumerate(handles):
-        stats = sync.shards[index]
-        if isinstance(handle, ProcessShard):
-            stats.checkpoint_forks = handle.checkpoint_forks
-            stats.checkpoint_fork_seconds = handle.checkpoint_fork_seconds
-            stats.restarts = handle.restarts
-    for record in restarts:
-        sync.shards[record["shard"]].replay_seconds += record["wall_seconds"]
     shard_details = [
         {
-            "shard": index,
-            "segments": [spec.segments[i].name for i in group],
-            "windows": (
-                handles[index].last_ack
-                if isinstance(handles[index], ProcessShard)
-                else windows
-            ),
+            "shard": stats.shard_id,
+            "segments": list(stats.segments),
+            "windows": windows,
             "events_fired": sum(
-                by_name[spec.segments[i].name].events_fired for i in group
+                by_name[name].events_fired for name in stats.segments
             ),
             "now": max(
-                (by_name[spec.segments[i].name].now for i in group),
-                default=0.0,
+                (by_name[name].now for name in stats.segments), default=0.0
             ),
-            "restarts": (
-                handles[index].restarts
-                if isinstance(handles[index], ProcessShard)
-                else 0
-            ),
+            "restarts": stats.restarts,
         }
-        for index, group in enumerate(shard_groups)
+        for stats in sync.shards
     ]
     return _merge_reports(
         spec,

@@ -5,51 +5,66 @@ A shard owns one or more :class:`~repro.sim.topology.SegmentRuntime`
 and exposes the conservative-synchronization surface the orchestrator
 drives:
 
-``step(horizon, frames)``
+``step_send(horizon, frames)`` / ``step_recv()``
     A *time grant* (the null message of null-message algorithms, carried
-    on the same call that delivers any actual frames): inject the
-    inbound bridged frames, run every owned segment's world up to — but
-    excluding — ``horizon``, and return the frames captured for other
-    segments plus the earliest pending local event time.
+    on the same call that delivers any actual frames) and its reply.
+    The grant runs one **window**: count it, inject the inbound bridged
+    frames, run every owned world up to — but excluding — ``horizon``,
+    and, when an observability plane is armed, read the shard's
+    progress delta.  The reply is always ``(window, fired, egress,
+    next_time, delta, fork_seconds)``.
 
 ``collect()``
     Per-segment :class:`~repro.sim.topology.SegmentReport` records —
     stats, ledger, telemetry snapshot, builder reports — as picklable
     data.
 
-Two interchangeable implementations: :class:`LocalShard` runs in the
-calling process (the ``shards=1`` fallback — and the oracle that the
-multiprocess path must match bitwise); :class:`ProcessShard` runs a
-:class:`LocalShard` inside a ``multiprocessing`` worker, speaking a
-small tuple protocol over a pipe.  The send/receive halves are split so
-the orchestrator can grant time to every shard before blocking on any
-reply — that concurrency is the whole speedup.
+That window body is written once, in :meth:`LocalShard.run_window`.
+:class:`LocalShard` runs it in the calling process (the ``shards=1``
+fallback — and the oracle the multiprocess path must match bitwise);
+:class:`ProcessShard` runs a :class:`LocalShard` inside a
+``multiprocessing`` worker whose loop runs the same body between a
+``recv`` and a ``send``.  A worker has two channels: the pipe that
+carries grants one way and replies the other, and (with checkpoints
+armed) the listener a promoted checkpoint announces itself on.  The
+send/receive halves are split so the orchestrator can grant time to
+every shard before blocking on any reply — that concurrency is the
+whole speedup.
 
 Failure is a first-class event here.  A dead worker (EOF on the pipe)
 raises :class:`ShardDiedError`; an unresponsive one (no reply within
 the configured deadline) raises :class:`ShardTimeoutError` — both carry
 the shard id, the window being waited on, and the last acknowledged
-window, and ``close()`` always reaps the child either way.
+window, and ``close()`` always reaps the child either way.  A Python
+exception inside the worker (a builder bug, a report callable that
+raises) is neither: the worker answers ``("failed", traceback)`` and
+the supervisor raises it as a plain :class:`RuntimeError` — replaying
+a deterministic failure would only fail again.
 
 Checkpointing uses the cheapest state-capture primitive an OS offers:
 ``fork()``.  Per-segment worlds hold live generator frames — they can
-never be pickled — but at a window boundary every shard is quiescent
-(the conservative protocol guarantees it), so the worker forks a
-*frozen child* whose copy-on-write memory image **is** the checkpoint.
-The frozen child closes its copy of the command pipe immediately (so
-supervisor-side EOF detection still works), then waits to be orphaned;
-if its parent dies, it announces itself on the shard's recovery
-listener and becomes the live worker, resuming from the checkpointed
-window.  The supervisor replays the journaled grants since that window
-— deterministic replay makes the recovered run bitwise identical to an
-undisturbed one (the digest oracle enforces this).
+never be pickled — but once a window has been stepped every shard is
+quiescent (the conservative protocol guarantees it), so the worker
+forks a *frozen child* whose copy-on-write memory image **is** the
+checkpoint, taken mid-body: the window is computed, nothing has been
+reported.  The frozen child closes its copy of the command pipe
+immediately (so supervisor-side EOF detection still works), then waits
+to be orphaned; if its parent dies, it announces itself (window and
+pid) on the shard's recovery listener, becomes the live worker, and
+finishes the body it was frozen in — so the reply its parent may never
+have delivered is the first thing it sends.  The supervisor replays the
+journaled grants since that window — deterministic replay makes the
+recovered run bitwise identical to an undisturbed one (the digest
+oracle enforces this).
 
 Deterministic failure *injection* rides the same protocol: a ``hazard``
 spec makes the worker kill itself (``die_at_window``) or hang
-(``wedge_at_window``/``wedge_seconds``) at an exact window, so recovery
-tests pick their crash sites with a seeded RNG instead of racing real
-signals.  Hazards are one-shot: a promoted checkpoint child and a fresh
-respawn both run hazard-free, so replay does not crash-loop.
+(``wedge_at_window``/``wedge_seconds``) at an exact window — after the
+window is computed and checkpointed, before its reply is sent, the
+crash site the promotion handshake exists for — so recovery tests pick
+their crash sites with a seeded RNG instead of racing real signals.
+Hazards are one-shot: a promoted checkpoint child and a fresh respawn
+both run hazard-free, so replay does not crash-loop.
 """
 
 from __future__ import annotations
@@ -59,7 +74,9 @@ import multiprocessing.connection
 import os
 import signal
 import time
+import traceback
 
+from .obsplane import ProgressSource
 from .topology import SegmentRuntime, TopologySpec
 
 __all__ = [
@@ -119,15 +136,29 @@ def partition(count: int, shards: int) -> list[list[int]]:
 
 
 class LocalShard:
-    """Segments stepped in the calling process."""
+    """Segments stepped in the calling process.
 
-    def __init__(self, topology: TopologySpec, indices: list[int]) -> None:
+    ``observe`` arms the progress delta every window's reply then
+    carries (built by a :class:`~repro.sim.obsplane.ProgressSource`
+    this shard owns, stamped with ``shard_id``).
+    """
+
+    def __init__(
+        self,
+        topology: TopologySpec,
+        indices: list[int],
+        *,
+        shard_id: int = 0,
+        observe: bool = False,
+    ) -> None:
         # Build in index order: construction order is observable (RNG
         # draws, sequence numbers) and must be partition-independent.
         self.runtimes = {
             topology.segments[index].name: SegmentRuntime(topology, index)
             for index in sorted(indices)
         }
+        self.window = 0   #: windows run so far
+        self._source = ProgressSource(self, shard_id) if observe else None
         self._reply = None
 
     # -- stepping -------------------------------------------------------
@@ -158,11 +189,36 @@ class LocalShard:
         ]
         return fired, egress, (min(times) if times else None)
 
+    def run_window(
+        self, horizon: float | None, frames: list, checkpoint=None
+    ) -> tuple:
+        """The whole per-window body — the same code in-process and in
+        a worker; returns the reply ``(window, fired, egress, next_time,
+        delta, fork_seconds)``.
+
+        ``checkpoint(window)`` is the worker's fork hook, called at the
+        one point where the window's state is complete and nothing has
+        been reported; it returns the fork's wall seconds (None when it
+        took no checkpoint).  The frozen child it leaves behind resumes
+        *here* when promoted and finishes the body like its parent.
+        """
+        self.window += 1
+        fired, egress, next_time = self.step(horizon, frames)
+        fork_seconds = None if checkpoint is None else checkpoint(self.window)
+        delta = None
+        if self._source is not None:
+            if fork_seconds is not None:
+                self._source.note_checkpoint(self.window, fork_seconds)
+            delta = self._source.delta(
+                window=self.window, egress_backlog=len(egress)
+            )
+        return self.window, fired, egress, next_time, delta, fork_seconds
+
     # Split halves, so Local and Process shards drive identically: the
     # orchestrator issues every send, then drains every receive.
 
     def step_send(self, horizon: float | None, frames: list) -> None:
-        self._reply = self.step(horizon, frames)
+        self._reply = self.run_window(horizon, frames)
 
     def step_recv(self) -> tuple:
         reply, self._reply = self._reply, None
@@ -191,28 +247,40 @@ def _kill_quietly(pid: int | None, sig: int = signal.SIGKILL) -> None:
         pass
 
 
-def _await_promotion(conn, settings: dict, window: int, pending: tuple):
+def _await_promotion(conn, settings: dict, worker_pid: int, window: int):
     """The frozen checkpoint child: park until orphaned, then offer
     this process as the recovered shard.
 
     Closing the inherited command pipe first is load-bearing — it keeps
     the supervisor's EOF detection crisp (only the live worker holds the
-    pipe).  ``pending`` is the reply the parent had computed but may not
-    have delivered before dying; it rides the promotion handshake so a
-    crash *between compute and send* loses nothing.
+    pipe).  ``worker_pid`` is the forking worker's pid, read *before*
+    the fork: a worker that dies before this child is first scheduled
+    has already been replaced as its parent, so the child's own first
+    ``getppid()`` would name the reaper and it would park forever.  The
+    hello carries this process's pid — the supervisor may never have
+    been told of this checkpoint by the worker that took it.
     """
     try:
         conn.close()
     except OSError:
         pass
-    parent = os.getppid()
-    while os.getppid() == parent:
+    while os.getppid() == worker_pid:
         time.sleep(0.02)
+    address, authkey = settings["promote_address"], settings["authkey"]
     try:
-        fresh = multiprocessing.connection.Client(
-            settings["promote_address"], authkey=settings["authkey"]
-        )
-        fresh.send(("promoted", window, pending))
+        # Connect, then shake hands by hand: ``Client(authkey=...)``
+        # blocks on the supervisor's challenge with no way out, and
+        # closing the listener never resets a queued connection while
+        # forked processes (this one included) hold inherited copies of
+        # the listening socket.  Its *path* is the signal instead: the
+        # supervisor unlinks it once no offer is wanted any more.
+        fresh = multiprocessing.connection.Client(address)
+        while not fresh.poll(0.05):
+            if not os.path.exists(address):
+                os._exit(0)
+        multiprocessing.connection.answer_challenge(fresh, authkey)
+        multiprocessing.connection.deliver_challenge(fresh, authkey)
+        fresh.send(("promoted", window, os.getpid()))
     except (OSError, EOFError, multiprocessing.AuthenticationError):
         os._exit(0)
     return fresh
@@ -223,94 +291,70 @@ def _shard_worker(
 ) -> None:
     """Worker main loop: build the shard, then serve step/collect/exit."""
     settings = settings or {}
-    hazard = dict(settings.get("hazard") or {})
+    hazard = settings.get("hazard") or {}
     interval = settings.get("checkpoint_interval")
-    can_checkpoint = (
-        hasattr(os, "fork")
-        and interval
-        and settings.get("promote_address") is not None
-    )
-    shard = LocalShard(topology, indices)
-    # The observability sideband: a second, send-only pipe the worker
-    # flushes one bounded progress delta down after every window.  It
-    # is strictly best-effort — a vanished aggregator turns the stream
-    # off, never the simulation — and it never carries protocol
-    # traffic, so the grant channel's ordering is untouched.
-    sideband = settings.get("sideband")
-    source = None
-    if sideband is not None:
-        from .obsplane import SidebandSource
-
-        source = SidebandSource(shard, settings.get("shard_id", 0))
-    window = 0
     frozen_pid: int | None = None
+    if interval:
+        # Retired checkpoint children are killed, never waited for: have
+        # the kernel reap them, or every checkpoint leaves a zombie.
+        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+
+    def checkpoint(window: int) -> float | None:
+        nonlocal conn, hazard, frozen_pid
+        if not interval or window % interval:
+            return None
+        # Retire the previous checkpoint *before* forking the new one:
+        # at most one frozen child ever exists, so at most one process
+        # can answer a promotion.
+        _kill_quietly(frozen_pid)
+        frozen_pid = None
+        worker_pid = os.getpid()
+        fork_started = time.perf_counter()
+        pid = os.fork()
+        if pid:
+            frozen_pid = pid
+            return time.perf_counter() - fork_started
+        conn = _await_promotion(conn, settings, worker_pid, window)
+        # We are now the live worker, resumed inside this window's
+        # body: hazards are spent, and there is no checkpoint behind us.
+        hazard = {}
+        return None
+
     try:
+        shard = LocalShard(
+            topology,
+            indices,
+            shard_id=settings.get("shard_id", 0),
+            observe=settings.get("observe", False),
+        )
         while True:
             message = conn.recv()
             command = message[0]
             if command == "step":
-                window += 1
-                if hazard.get("die_at_window") == window:
+                reply = shard.run_window(message[1], message[2], checkpoint)
+                if hazard.get("die_at_window") == shard.window:
                     os._exit(13)
-                if hazard.get("wedge_at_window") == window:
+                if hazard.get("wedge_at_window") == shard.window:
                     time.sleep(float(hazard.get("wedge_seconds", 3600.0)))
-                _, horizon, frames = message
-                reply = shard.step(horizon, frames)
-                checkpoint = None
-                if can_checkpoint and window % interval == 0:
-                    # Retire the previous checkpoint *before* forking
-                    # the new one: at most one frozen child ever exists,
-                    # so at most one process can answer a promotion.
-                    _kill_quietly(frozen_pid)
-                    frozen_pid = None
-                    fork_started = time.perf_counter()
-                    pid = os.fork()
-                    if pid == 0:
-                        conn = _await_promotion(
-                            conn,
-                            settings,
-                            window,
-                            ("stepped", window) + reply + (None,),
-                        )
-                        # We are now the live worker, resumed from this
-                        # window's state: hazards are spent, and any
-                        # checkpoint pid belonged to our dead parent.
-                        # The inherited sideband write end (and the
-                        # source's cursors, frozen with our state) stay
-                        # valid — the stream resumes where it paused.
-                        hazard = {}
-                        frozen_pid = None
-                        continue
-                    fork_seconds = time.perf_counter() - fork_started
-                    frozen_pid = pid
-                    checkpoint = (window, pid, fork_seconds)
-                    if source is not None:
-                        source.note_checkpoint(window, fork_seconds)
-                conn.send(("stepped", window) + reply + (checkpoint,))
-                if sideband is not None and source is not None:
-                    try:
-                        sideband.send(
-                            source.delta(
-                                window=window, egress_backlog=len(reply[1])
-                            )
-                        )
-                    except (BrokenPipeError, OSError):
-                        sideband = None
+                conn.send(("stepped",) + reply)
             elif command == "collect":
                 conn.send(("collected", shard.collect()))
             elif command == "exit":
                 return
             else:
-                conn.send(("error", f"unknown command {command!r}"))
+                raise ValueError(f"unknown command {command!r}")
     except (EOFError, KeyboardInterrupt, BrokenPipeError):
         pass
+    except Exception:
+        # A bug in a builder, a process body or a report callable is
+        # deterministic: say what it was instead of dying mute (the
+        # supervisor would revive us only to replay the same failure).
+        try:
+            conn.send(("failed", traceback.format_exc()))
+        except OSError:
+            pass
     finally:
         _kill_quietly(frozen_pid)
-        if sideband is not None:
-            try:
-                sideband.close()
-            except OSError:
-                pass
         try:
             conn.close()
         except OSError:
@@ -395,7 +439,8 @@ class ProcessShard:
     when one survives, respawning from scratch otherwise — and replays
     the journaled grants the caller hands it.  ``hazard`` injects a
     deterministic failure (``die_at_window``, ``wedge_at_window`` +
-    ``wedge_seconds``) for recovery tests.
+    ``wedge_seconds``) for recovery tests.  ``observe`` has every reply
+    carry the shard's progress delta.
     """
 
     def __init__(
@@ -408,7 +453,7 @@ class ProcessShard:
         timeout: float | None = None,
         checkpoint_interval: int | None = None,
         hazard: dict | None = None,
-        sideband: bool = False,
+        observe: bool = False,
     ) -> None:
         context = context or _default_context()
         if context.get_start_method() == "spawn":
@@ -426,58 +471,34 @@ class ProcessShard:
         self.shard_id = shard_id
         self.timeout = timeout
         self.checkpoint_interval = checkpoint_interval
-        self.sideband = bool(sideband)
+        self.observe = bool(observe)
         self.windows_sent = 0
         self.last_ack = 0
-        self.restarts = 0
-        self.checkpoint_forks = 0
-        self.checkpoint_fork_seconds = 0.0
         self._topology = topology
         self._context = context
-        self._hazard = dict(hazard) if hazard else None
-        self._checkpoint: tuple[int, int] | None = None  # (window, pid)
-        self._pending_reply: tuple | None = None
-        self._send_failed = False
-        self._failed = False
         self._listener = None
-        self._sideband = None
-        self._sideband_buffer: list = []
-        self._authkey: bytes | None = None
-        if checkpoint_interval is not None and hasattr(os, "fork"):
-            self._authkey = bytes(multiprocessing.current_process().authkey)
-            self._listener = multiprocessing.connection.Listener(
-                family="AF_UNIX", authkey=self._authkey
-            )
-        self._spawn(hazard=self._hazard)
+        self._spawn(hazard)
 
     # -- spawning --------------------------------------------------------
 
-    def _settings(self, hazard: dict | None) -> dict:
-        settings: dict = {"shard_id": self.shard_id}
-        if hazard:
-            settings["hazard"] = dict(hazard)
-        if self._listener is not None:
+    def _spawn(self, hazard: dict | None = None) -> None:
+        settings: dict = {
+            "shard_id": self.shard_id,
+            "observe": self.observe,
+            "hazard": hazard,
+        }
+        if self.checkpoint_interval is not None and hasattr(os, "fork"):
+            # One listener per spawned generation: a checkpoint child of
+            # an earlier generation that turns up late finds its address
+            # gone and exits, so it can never be adopted as a stale offer.
+            self._close_listener()
+            authkey = bytes(multiprocessing.current_process().authkey)
+            self._listener = multiprocessing.connection.Listener(
+                family="AF_UNIX", authkey=authkey
+            )
             settings["checkpoint_interval"] = self.checkpoint_interval
             settings["promote_address"] = self._listener.address
-            settings["authkey"] = self._authkey
-        return settings
-
-    def _spawn(self, *, hazard: dict | None) -> None:
-        settings = self._settings(hazard)
-        sideband_child = None
-        if self.sideband:
-            # A fresh stream per worker generation: a respawned worker
-            # rebuilds its cursors from scratch, so its deltas must not
-            # interleave with the dead predecessor's on a shared pipe.
-            # (A *promoted* checkpoint child keeps the old pipe — it
-            # inherited the write end at fork time.)
-            if self._sideband is not None:
-                try:
-                    self._sideband.close()
-                except OSError:
-                    pass
-            self._sideband, sideband_child = self._context.Pipe(duplex=False)
-            settings["sideband"] = sideband_child
+            settings["authkey"] = authkey
         self._conn, child = self._context.Pipe()
         self._process = self._context.Process(
             target=_shard_worker,
@@ -486,104 +507,68 @@ class ProcessShard:
         )
         self._process.start()
         child.close()
-        if sideband_child is not None:
-            sideband_child.close()
-        self._send_failed = False
+        self._origin = 0   # the window this worker's state started from
         self._failed = False
+
+    def _close_listener(self) -> None:
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+            self._listener = None
 
     # -- the wire protocol ----------------------------------------------
 
-    def step_send(self, horizon: float | None, frames: list) -> None:
-        self.windows_sent += 1
+    def _send(self, message: tuple) -> None:
         try:
-            self._conn.send(("step", horizon, frames))
+            self._conn.send(message)
         except (BrokenPipeError, OSError):
-            # Surface the death from step_recv, where the caller is
-            # already prepared to catch typed shard errors.
-            self._send_failed = True
+            # The worker is gone; the reply wait that follows reads
+            # whatever it managed to say, then the EOF, and raises the
+            # typed error where the caller is prepared to catch it.
+            pass
 
-    def _fail_died(self) -> None:
+    def _failure(self, kind: type, what: str) -> ShardError:
         self._failed = True
-        raise ShardDiedError(
-            f"shard {self.shard_id} died at window {self.windows_sent} "
+        return kind(
+            f"shard {self.shard_id} {what} at window {self.windows_sent} "
             f"(last acknowledged window {self.last_ack})",
             shard_id=self.shard_id,
             window_index=self.windows_sent,
             last_ack=self.last_ack,
         )
 
-    def _pump_sideband(self) -> None:
-        """Drain every queued sideband delta into the local buffer.
-
-        Called on every reply wait (including recovery replay), which
-        doubles as backpressure relief: the worker's per-window delta
-        send can never fill the pipe and stall the step protocol,
-        because the supervisor empties it at least once per window.  A
-        closed stream (worker death) just ends the pumping — the
-        deltas already buffered stay readable.
-        """
-        conn = self._sideband
-        if conn is None:
-            return
-        try:
-            while conn.poll(0):
-                self._sideband_buffer.append(conn.recv())
-        except (EOFError, OSError):
-            try:
-                conn.close()
-            except OSError:
-                pass
-            self._sideband = None
-
-    def drain_sideband(self) -> list:
-        """Hand back (and clear) the buffered sideband deltas."""
-        self._pump_sideband()
-        deltas, self._sideband_buffer = self._sideband_buffer, []
-        return deltas
-
-    def _recv(self) -> tuple:
-        self._pump_sideband()
-        if self._send_failed:
-            self._fail_died()
+    def _recv(self, expected: str) -> tuple:
         try:
             if self.timeout is not None and not self._conn.poll(self.timeout):
-                self._failed = True
-                raise ShardTimeoutError(
-                    f"shard {self.shard_id} gave no reply within "
-                    f"{self.timeout}s at window {self.windows_sent} "
-                    f"(last acknowledged window {self.last_ack})",
-                    shard_id=self.shard_id,
-                    window_index=self.windows_sent,
-                    last_ack=self.last_ack,
+                raise self._failure(
+                    ShardTimeoutError, f"gave no reply within {self.timeout}s"
                 )
-            return self._conn.recv()
-        except EOFError:
-            self._fail_died()
-        except (BrokenPipeError, ConnectionResetError):
-            self._fail_died()
+            message = self._conn.recv()
+        except (EOFError, BrokenPipeError, ConnectionResetError):
+            raise self._failure(ShardDiedError, "died") from None
+        if message[0] == "failed":
+            raise RuntimeError(
+                f"shard {self.shard_id} failed at window {self.windows_sent}; "
+                f"worker traceback:\n{message[1]}"
+            )
+        if message[0] != expected:
+            raise RuntimeError(f"shard protocol error: {message!r}")
+        return message[1:]
+
+    def step_send(self, horizon: float | None, frames: list) -> None:
+        self.windows_sent += 1
+        self._send(("step", horizon, frames))
 
     def step_recv(self) -> tuple:
-        reply = self._recv()
-        if reply[0] != "stepped":
-            raise RuntimeError(f"shard protocol error: {reply!r}")
-        _, window, fired, egress, next_time, checkpoint = reply
-        self.last_ack = window
-        if checkpoint is not None:
-            window_taken, pid, fork_seconds = checkpoint
-            self._checkpoint = (window_taken, pid)
-            self.checkpoint_forks += 1
-            self.checkpoint_fork_seconds += fork_seconds
-        return fired, egress, next_time
+        reply = self._recv("stepped")
+        self.last_ack = reply[0]
+        return reply
 
     def collect(self) -> list:
-        try:
-            self._conn.send(("collect",))
-        except (BrokenPipeError, OSError):
-            self._send_failed = True
-        reply = self._recv()
-        if reply[0] != "collected":
-            raise RuntimeError(f"shard protocol error: {reply!r}")
-        return reply[1]
+        self._send(("collect",))
+        return self._recv("collected")[0]
 
     # -- recovery --------------------------------------------------------
 
@@ -610,106 +595,70 @@ class ProcessShard:
         except OSError:
             pass
 
-    def _promote(self) -> int | None:
+    def _promote(self) -> tuple | None:
         """Adopt the frozen checkpoint child as the live worker.
 
-        Returns the window its state resumes from, or None when no
-        checkpoint survives (then the caller respawns from scratch).
+        Returns its reply for the window it was frozen in — the one its
+        parent may have died holding — or None when no checkpoint
+        survives (then the caller respawns from scratch).
         """
-        checkpoint, self._checkpoint = self._checkpoint, None
-        self._pending_reply = None
-        if checkpoint is None or self._listener is None:
+        interval = self.checkpoint_interval
+        if (
+            self._listener is None
+            or self.windows_sent // interval == self._origin // interval
+        ):
+            # No checkpoint window since this worker started (the one
+            # in flight included): it cannot have forked a child, so
+            # there is no offer to wait for — and none left behind.
             return None
-        window, pid = checkpoint
         conn = _accept_with_timeout(self._listener, PROMOTE_TIMEOUT)
         if conn is None:
-            _kill_quietly(pid)
             return None
         try:
-            if not conn.poll(PROMOTE_TIMEOUT):
-                raise EOFError
-            hello = conn.recv()
+            hello = conn.recv() if conn.poll(PROMOTE_TIMEOUT) else None
         except (EOFError, OSError):
-            conn.close()
-            _kill_quietly(pid)
-            return None
+            hello = None
         if not (
             isinstance(hello, tuple) and len(hello) == 3 and hello[0] == "promoted"
         ):
             conn.close()
-            _kill_quietly(pid)
             return None
+        _, window, pid = hello
         self._conn = conn
         self._process = _PidHandle(pid)
-        self._send_failed = False
+        self._origin = self.windows_sent = window
         self._failed = False
-        self._pending_reply = hello[2]
-        return hello[1]
+        return self.step_recv()
 
-    def revive(self) -> int:
-        """Bring a failed shard back; returns the window index its
-        state resumes from (0 = fresh process, replay everything)."""
-        self.restarts += 1
-        self._reap()
-        resume = self._promote()
-        if resume is None:
-            self._spawn(hazard=None)
-            resume = 0
-        self.windows_sent = resume
-        self.last_ack = resume
-        return resume
+    def recover(self, grants: list) -> tuple:
+        """Bring a failed shard back and deterministically replay
+        ``grants`` (the journal of every ``(horizon, frames)`` this
+        shard was ever sent) to its end.
 
-    def recover(self, grants: list, *, final: str = "step") -> tuple:
-        """Revive and deterministically replay ``grants`` (the journal
-        of every ``(horizon, frames)`` this shard was ever sent).
-
-        With ``final="step"`` the last grant's reply is the one the
-        caller was waiting for and is returned; with ``final="collect"``
-        every grant is replayed and a fresh ``collect()`` result is
-        returned.  Also returns a bookkeeping dict (resume window,
-        replay count, whether a checkpoint was used).
+        Returns ``(last_reply, resumed_from)``: the reply to the final
+        grant, and the window the revived state started from (0 = fresh
+        process, everything replayed).  When the checkpoint *is* the
+        final window, that reply is the promoted child's own — the one
+        its parent computed and never delivered.
         """
-        resume = self.revive()
-        pending, self._pending_reply = self._pending_reply, None
-        info = {
-            "resumed_from": resume,
-            "checkpointed": resume > 0,
-            "replayed": 0,
-        }
-        if final == "step":
-            if resume >= len(grants):
-                # The worker died after computing the final window but
-                # before replying; the frozen child carried that reply
-                # across the promotion handshake.
-                if pending is None or pending[1] != len(grants):
-                    raise RuntimeError(
-                        f"shard {self.shard_id} resumed past the journal "
-                        f"({resume} > {len(grants)}) with no pending reply"
-                    )
-                self.last_ack = pending[1]
-                return (pending[2], pending[3], pending[4]), info
-            for horizon, frames in grants[resume:-1]:
-                self.step_send(horizon, frames)
-                self.step_recv()
-            horizon, frames = grants[-1]
+        self._reap()
+        reply = self._promote()
+        if reply is None:
+            self._spawn()
+        resumed = self.windows_sent = self.last_ack = self._origin
+        for horizon, frames in grants[resumed:]:
             self.step_send(horizon, frames)
             reply = self.step_recv()
-            info["replayed"] = len(grants) - resume
-            return reply, info
-        for horizon, frames in grants[resume:]:
-            self.step_send(horizon, frames)
-            self.step_recv()
-        info["replayed"] = len(grants) - resume
-        return self.collect(), info
+        return reply, resumed
 
     # -- teardown --------------------------------------------------------
 
     def close(self) -> None:
+        # First, so that a checkpoint child orphaned by the kills below
+        # finds the listener gone and exits instead of offering itself.
+        self._close_listener()
         if not self._failed:
-            try:
-                self._conn.send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
+            self._send(("exit",))
             self._process.join(timeout=5.0)
         if self._process.is_alive():
             self._process.terminate()
@@ -717,21 +666,6 @@ class ProcessShard:
             if self._process.is_alive():
                 self._process.kill()
                 self._process.join(timeout=2.0)
-        if self._checkpoint is not None:
-            _kill_quietly(self._checkpoint[1])
-            self._checkpoint = None
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        if self._sideband is not None:
-            try:
-                self._sideband.close()
-            except OSError:
-                pass
-            self._sideband = None
         try:
             self._conn.close()
         except OSError:

@@ -136,7 +136,7 @@ class LogHistogram:
 
     * **bounded**: the memory and wire footprint is ``buckets`` ints
       regardless of how many samples were folded in, so a shard can
-      stream its histogram in every sideband delta;
+      send its histogram in every progress delta;
     * **mergeable**: two histograms with the same shape merge by
       bucket-wise addition, and merging per-shard histograms is exactly
       equivalent to histogramming the merged samples — percentiles over
@@ -247,7 +247,7 @@ class LogHistogram:
         return {f"p{q * 100:g}": self.quantile(q) for q in qs}
 
     def to_dict(self) -> dict:
-        """JSON-friendly form (the sideband deltas and ``--json``
+        """JSON-friendly form (the progress deltas and ``--json``
         reports carry this)."""
         return {
             "floor": self.floor,

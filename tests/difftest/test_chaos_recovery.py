@@ -1,6 +1,6 @@
 """Determinism and shard-independence of chaos and recovery.
 
-Two bitwise claims ride on seeded fault schedules:
+Three bitwise claims ride on seeded fault schedules:
 
 * a chaos schedule derives every draw from
   ``derive_seed(seed, "chaos", link_id, ...)`` — never ``hash()`` — so
@@ -8,7 +8,11 @@ Two bitwise claims ride on seeded fault schedules:
   (checked in subprocesses, mirroring the existing determinism legs);
 * the partition-storm digest is identical across shard counts and
   — with the supervisor armed and a shard killed mid-run — identical
-  to the fault-free run (replay-from-checkpoint is invisible).
+  to the fault-free run (replay-from-checkpoint is invisible);
+* that holds at *every* kill site: each victim shard dying with each
+  window's reply in hand, under each checkpoint interval, resumes from
+  exactly the checkpoint the interval implies and never waits out a
+  lost promotion (tier-1 samples this product; here it runs whole).
 
 The cheap legs are tier-1; the full sweeps carry the ``difftest``
 marker like the rest of this directory.
@@ -20,6 +24,12 @@ import pytest
 
 from repro.difftest.sharding import partition_storm_digest
 from repro.sim.orchestrator import RecoveryConfig
+
+from ..sim.test_shard_recovery import (
+    KILL_SITE_INTERVALS,
+    check_kill_site,
+    kill_site_baseline,
+)
 
 needs_fork = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="fork-based checkpoints need os.fork"
@@ -79,3 +89,14 @@ class TestPartitionStormSweep:
             hazards={shards - 1: {"die_at_window": 25}},
         )
         assert recovered == baseline
+
+
+@needs_fork
+@pytest.mark.difftest
+class TestEveryKillSite:
+    @pytest.mark.parametrize("interval", KILL_SITE_INTERVALS)
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_every_window_is_a_recoverable_kill_site(self, victim, interval):
+        _, windows = kill_site_baseline()
+        for kill in range(1, windows + 1):
+            check_kill_site(victim, kill, interval)

@@ -1,5 +1,5 @@
-"""The observability plane: histograms, sideband streaming, loss
-tolerance, and the sync-protocol profiler."""
+"""The observability plane: histograms, progress deltas on the window
+replies, loss tolerance, and the sync-protocol profiler."""
 
 import math
 
@@ -189,7 +189,7 @@ class TestLiveStreaming:
         assert plane.deltas == result.windows
         assert plane.view(0).events_fired == result.events_fired
 
-    def test_worker_shards_stream_over_sideband(self):
+    def test_worker_shards_send_a_delta_with_every_reply(self):
         plane = ObservabilityPlane()
         result = run_topology(storm_spec(), shards=2, observability=plane)
         assert sorted(plane.shards) == [0, 1]
@@ -203,6 +203,26 @@ class TestLiveStreaming:
         assert merged is not None
         assert merged.counts == result.span_hist.counts
 
+    def test_one_and_two_shards_feed_the_plane_the_same_facts(self):
+        # One delta builder, run by the one window body, feeds both.
+        planes = {}
+        for shards in (1, 2):
+            planes[shards] = ObservabilityPlane()
+            run_topology(storm_spec(), shards=shards, observability=planes[shards])
+
+        def segment_events(plane):
+            return {
+                name: segment["events"]
+                for view in plane.shards.values()
+                for name, segment in view.segments.items()
+            }
+
+        assert segment_events(planes[1]) == segment_events(planes[2])
+        assert sorted(segment_events(planes[1])) == ["lan0", "lan1"]
+        one, two = (planes[n].merged_span_hist() for n in (1, 2))
+        assert one.counts == two.counts
+        assert one.percentiles() == two.percentiles()
+
     def test_partition_storm_alerts_stream_live(self):
         announced = []
         plane = ObservabilityPlane(on_alert=announced.append)
@@ -214,10 +234,11 @@ class TestLiveStreaming:
         assert len(announced) == len(result.telemetry.alerts)
 
 
-class TestSidebandLoss:
+class TestDeltaLoss:
     def test_killed_shard_does_not_wedge_the_plane(self):
-        """A shard dying mid-stream (sideband pipe cut) must leave the
-        plane live, and recovery must keep the digest bitwise clean."""
+        """A shard dying mid-run (its reply, and the delta on it, never
+        sent) must leave the plane live, and recovery must keep the
+        digest bitwise clean."""
         clean = run_digest(run_topology(storm_spec(), shards=2))
         plane = ObservabilityPlane()
         result = run_topology(

@@ -7,13 +7,16 @@ count.  The heavyweight sweep lives in the difftest suite; here small
 ping topologies pin the mechanism.
 """
 
+import multiprocessing
+
 import pytest
 
+from repro.bench.topologies import flow_storm_topology
 from repro.core import PFIoctl, compile_expr, word
 from repro.difftest.sharding import outcome_digest, run_digest
 from repro.sim import Ioctl, Open, Read, Sleep, Write
 from repro.sim.orchestrator import run_topology
-from repro.sim.shard import partition
+from repro.sim.shard import LocalShard, ProcessShard, partition
 from repro.sim.topology import BridgeSpec, SegmentSpec, TopologySpec
 
 TEST_TYPE = 0x0C47
@@ -161,3 +164,36 @@ class TestPartitionIndependence:
         assert run_digest(run_topology(spec)) == run_digest(
             run_topology(spec)
         )
+
+
+class TestSpawnStartMethod:
+    """``run_topology`` picks the start method from the platform, so the
+    spawn path (no inherited memory: the spec crosses by pickle, the
+    builders by import path) is driven at the handle."""
+
+    def test_spawned_worker_matches_the_in_process_shard(self):
+        spec = flow_storm_topology(
+            segments=2, seed=0, duration=0.05, flows=16, cache_size=8
+        )
+        local = LocalShard(spec, [0])
+        spawned = ProcessShard(
+            spec, [0], context=multiprocessing.get_context("spawn"),
+            timeout=60.0,
+        )
+        try:
+            for horizon in (0.0, 0.01, 0.02, 0.04, 0.08):
+                local.step_send(horizon, [])
+                spawned.step_send(horizon, [])
+                assert spawned.step_recv() == local.step_recv()
+            (ours,), (theirs,) = local.collect(), spawned.collect()
+            assert theirs.stats == ours.stats
+            assert theirs.events_fired == ours.events_fired > 0
+        finally:
+            spawned.close()
+
+    def test_spawn_refuses_a_bare_callable_builder(self):
+        with pytest.raises(ValueError, match="string builder references"):
+            ProcessShard(
+                ping_spec(2), [0],
+                context=multiprocessing.get_context("spawn"),
+            )
