@@ -67,8 +67,8 @@ def test_partition_watchdog_fires_in_storm():
     assert storm["backoff_alerts"], "RTO backoff storm silent"
     assert storm["livelock_alerts"] == []
     for alert in storm["partition_alerts"]:
-        assert 0.2 <= alert["fired_at"] <= 0.6
-        assert alert["cleared_at"] is not None and alert["cleared_at"] > 0.55
+        assert 0.2 <= alert.fired_at <= 0.6
+        assert alert.cleared_at is not None and alert.cleared_at > 0.55
 
 
 def test_time_to_recover_vs_checkpoint_interval(once, emit):
@@ -151,7 +151,7 @@ def test_partition_goodput_dip(emit):
     """Quantify the dip the watchdog sees: bridged goodput by phase."""
     storm = run_partition_storm(segments=2, shards=1, seed=0, duration=1.2)
     series = storm["result"].telemetry.series
-    samples = series[("segment:lan0", "bridge.lan0~lan1.ingress")]["samples"]
+    samples = series[("segment:lan0", "bridge.lan0~lan1.ingress")].samples
 
     def goodput(t0: float, t1: float) -> float:
         inside = [(t, v) for t, v in samples if t0 <= t <= t1]

@@ -172,12 +172,8 @@ def _dashboard(*, refresh: float, plain: bool):
         sys.stderr.write("\x1b[2J\x1b[H" + plane.render() + "\n")
         sys.stderr.flush()
 
-    def announce(alert: dict) -> None:
-        print(
-            f"ALERT [{alert['rule']}] {alert['host']} "
-            f"fired {alert['fired_at'] * 1000.0:.1f} ms",
-            file=sys.stderr,
-        )
+    def announce(alert) -> None:
+        print(f"ALERT {alert.render()}", file=sys.stderr)
 
     return ObservabilityPlane(on_update=repaint, on_alert=announce)
 

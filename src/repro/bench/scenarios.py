@@ -1673,20 +1673,16 @@ def run_partition_storm(
         "shards": result.shards,
         "duration": duration,
         "partition_alerts": [
-            alert for alert in alerts
-            if str(alert.get("rule", "")).startswith("partition:")
+            alert for alert in alerts if alert.rule.startswith("partition:")
         ],
         "backoff_alerts": [
-            alert for alert in alerts
-            if alert.get("rule") == "rto_backoff_storm"
+            alert for alert in alerts if alert.rule == "rto_backoff_storm"
         ],
         "livelock_alerts": [
-            alert for alert in alerts
-            if alert.get("rule") == "receive_livelock"
+            alert for alert in alerts if alert.rule == "receive_livelock"
         ],
         "restart_alerts": [
-            alert for alert in alerts
-            if alert.get("rule") == "shard_restart"
+            alert for alert in alerts if alert.rule == "shard_restart"
         ],
         "dropped_link_down": dropped_link_down,
         "vmtp": vmtp,

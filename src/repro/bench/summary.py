@@ -18,13 +18,16 @@ measured here: host-time costs are ``python -m perfbench``'s job.
 
 from __future__ import annotations
 
+from ..sim.obsplane import span_latency_histogram
+from ..sim.telemetry import Alert
+
 __all__ = ["run_summary", "render_summary"]
 
 
-def _host_profiles(result) -> dict:
-    """The ledger's per-host charge profile, every host of the run."""
+def _host_profiles(result, alerts: list) -> dict:
+    """The ledger's per-host charge profile, every host of the run
+    (``alerts``: the summary's alert dicts)."""
     ledger = result.ledger
-    alerts = result.telemetry.alerts if result.telemetry else []
     series = result.telemetry.series if result.telemetry else {}
     by_component: dict[str, dict] = {host: {} for host in result.stats}
     for event in ledger.events:
@@ -50,11 +53,11 @@ def _host_profiles(result) -> dict:
                 for p, value in ledger.stage_percentiles(host=host).items()
             },
             "drops": ledger.drop_summary(host),
-            "alerts": [alert for alert in alerts if alert["host"] == host],
+            "alerts": [shown for shown in alerts if shown["host"] == host],
             "telemetry_latest": {
-                name: data["samples"][-1][1]
-                for (owner, name), data in series.items()
-                if owner == host and data["samples"]
+                name: recorded.latest()
+                for (owner, name), recorded in series.items()
+                if owner == host and len(recorded)
             },
         }
         for host in result.stats
@@ -72,6 +75,14 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
     watched through) adds its final cluster view.
     """
     spec, total = result.spec, result.total
+    # The JSON edge: the one place an alert becomes a dict.
+    alerts = [
+        alert.to_dict()
+        for alert in (result.telemetry.alerts if result.telemetry else [])
+    ]
+    span_hist = (
+        span_latency_histogram(result.ledger) if result.ledger is not None else None
+    )
     summary = {
         "topology": name,
         "segments": len(spec.segments),
@@ -98,9 +109,8 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
             for record in result.restarts
         ],
         "shard_details": result.shard_details,
-        "span_latency": (
-            result.span_hist.percentiles() if result.span_hist else None
-        ),
+        # an empty histogram is falsy, like a missing one
+        "span_latency": span_hist.percentiles() if span_hist else None,
         "frames_received": total.frames_received,
         "frames_sent": total.frames_sent,
         "cpu_time": total.cpu_time,
@@ -117,7 +127,7 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
             segment: wire.get("frames_dropped_link_down", 0)
             for segment, wire in result.wire.items()
         },
-        "alerts": list(result.telemetry.alerts) if result.telemetry else [],
+        "alerts": alerts,
         "reports": result.reports,
         "wall": {
             "wall_seconds": result.wall_seconds,
@@ -126,7 +136,7 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
         },
     }
     if profile:
-        summary["profile"] = _host_profiles(result)
+        summary["profile"] = _host_profiles(result, alerts)
     if plane is not None:
         summary["cluster"] = {
             "deltas": plane.deltas,
@@ -140,22 +150,10 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
                     "restarts": view.restarts,
                     "lost": view.lost,
                 }
-                for _, view in sorted(plane.shards.items())
+                for view in plane.sync.shards
             ],
         }
     return summary
-
-
-def _render_alert(alert: dict) -> str:
-    cleared = alert.get("cleared_at")
-    end = (
-        "still active" if cleared is None
-        else f"cleared {cleared * 1000.0:.1f} ms"
-    )
-    return (
-        f"[{alert['rule']}] {alert['host']} "
-        f"fired {alert['fired_at'] * 1000.0:.1f} ms, {end}"
-    )
 
 
 def _render_host_profile(host: str, profile: dict) -> list[str]:
@@ -198,7 +196,9 @@ def _render_host_profile(host: str, profile: dict) -> list[str]:
         ):
             lines.append(f"  {reason:<16}{dropped:>6}")
     lines += ["", "watchdog alerts:"]
-    lines += [f"  {_render_alert(a)}" for a in profile["alerts"]] or ["  none"]
+    lines += [
+        f"  {Alert(**shown).render()}" for shown in profile["alerts"]
+    ] or ["  none"]
     return lines
 
 
@@ -241,7 +241,7 @@ def render_summary(summary: dict, sync=None) -> str:
         )
     alerts = summary["alerts"]
     lines.append(f"  {len(alerts)} alert(s):" if alerts else "  no alerts fired")
-    lines += [f"    {_render_alert(alert)}" for alert in alerts]
+    lines += [f"    {Alert(**shown).render()}" for shown in alerts]
     for record in summary["restarts"]:
         lines.append(
             f"  restart: shard {record['shard']} {record['reason']} at "

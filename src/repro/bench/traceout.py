@@ -150,6 +150,55 @@ def _emit_ledger_events(ids, events, ledger, wanted) -> None:
         )
 
 
+def _emit_telemetry(ids, events, snapshot, wanted) -> None:
+    """Counter tracks and alert instants from one
+    :class:`~repro.sim.telemetry.TelemetrySnapshot` — the one emitter
+    behind both exporters."""
+    for series in snapshot.series.values():
+        if not wanted(series.host):
+            continue
+        pid = ids.pid(series.host)
+        for at, value in series:
+            events.append(
+                {
+                    "name": series.name,
+                    "cat": "telemetry",
+                    "ph": "C",
+                    "ts": _us(at),
+                    "pid": pid,
+                    "args": {"value": value},
+                }
+            )
+    for alert in snapshot.alerts:
+        if not wanted(alert.host):
+            continue
+        pid = ids.pid(alert.host)
+        base = {
+            "cat": "alert",
+            "ph": "i",
+            "s": "p",  # process-scoped instant: a full-height marker
+            "pid": pid,
+            "tid": ids.tid(pid, "watchdog"),
+        }
+        events.append(
+            {
+                "name": f"ALERT {alert.rule}",
+                "ts": _us(alert.fired_at),
+                **base,
+                "args": {"message": alert.message, "values": dict(alert.values)},
+            }
+        )
+        if alert.cleared_at is not None:
+            events.append(
+                {
+                    "name": f"CLEAR {alert.rule}",
+                    "ts": _us(alert.cleared_at),
+                    **base,
+                    "args": {"fired_at_us": _us(alert.fired_at)},
+                }
+            )
+
+
 def _emit_metadata(ids, *, raw_names: frozenset = frozenset()) -> list[dict]:
     """``M`` events naming every allocated process and thread.
 
@@ -190,7 +239,9 @@ def _emit_metadata(ids, *, raw_names: frozenset = frozenset()) -> list[dict]:
 
 
 def build_trace(world, *, host: str | None = None) -> dict:
-    """Serialize one run into a Chrome trace-event document.
+    """Serialize one live world into a Chrome trace-event document — an
+    adapter over the emitters :func:`build_topology_trace` uses, fed
+    the world's own ledger and a telemetry export.
 
     ``host`` restricts charge slices, counters and alerts to one host
     (packet spans and wire events are kept regardless when they belong
@@ -200,74 +251,16 @@ def build_trace(world, *, host: str | None = None) -> dict:
     """
     ids = _IdAllocator()
     events: list[dict] = []
-    ledger = getattr(world, "ledger", None)
-    telemetry = getattr(world, "telemetry", None)
 
     def wanted(event_host: str) -> bool:
         return host is None or event_host in (host, "wire")
 
-    # -- charge slices (context switches included, on their component
-    #    threads) ---------------------------------------------------------
-    if ledger is not None:
-        _emit_ledger_events(ids, events, ledger, wanted)
-
-    # -- telemetry counter tracks ----------------------------------------
-    if telemetry is not None:
-        for series in telemetry.series_for(host):
-            pid = ids.pid(series.host)
-            for sample in series:
-                events.append(
-                    {
-                        "name": series.name,
-                        "cat": "telemetry",
-                        "ph": "C",
-                        "ts": _us(sample.time),
-                        "pid": pid,
-                        "args": {"value": sample.value},
-                    }
-                )
-
-        # -- alert instants ----------------------------------------------
-        for alert in telemetry.alerts:
-            if host is not None and alert.host != host:
-                continue
-            pid = ids.pid(alert.host)
-            base = {
-                "cat": "alert",
-                "ph": "i",
-                "s": "p",  # process-scoped instant: a full-height marker
-                "pid": pid,
-                "tid": ids.tid(pid, "watchdog"),
-            }
-            events.append(
-                {
-                    "name": f"ALERT {alert.rule}",
-                    "ts": _us(alert.fired_at),
-                    **base,
-                    "args": {
-                        "message": alert.message,
-                        "values": {
-                            name: value
-                            for name, value in alert.values.items()
-                        },
-                    },
-                }
-            )
-            if alert.cleared_at is not None:
-                events.append(
-                    {
-                        "name": f"CLEAR {alert.rule}",
-                        "ts": _us(alert.cleared_at),
-                        **base,
-                        "args": {"fired_at_us": _us(alert.fired_at)},
-                    }
-                )
-
-    # -- metadata: name the processes and threads -------------------------
-    metadata = _emit_metadata(ids)
-
+    if world.ledger is not None:
+        _emit_ledger_events(ids, events, world.ledger, wanted)
+    if world.telemetry is not None:
+        _emit_telemetry(ids, events, world.telemetry.export(), wanted)
     return {
-        "traceEvents": metadata + events,
+        "traceEvents": _emit_metadata(ids) + events,
         "displayTimeUnit": "ms",
         "otherData": {
             "generator": "repro.bench.traceout",
@@ -419,50 +412,8 @@ def build_topology_trace(result) -> dict:
         _emit_ledger_events(ids, events, result.ledger, lambda _host: True)
 
     # -- merged telemetry snapshot: counters and alert instants ------------
-    telemetry = result.telemetry
-    if telemetry is not None:
-        for (series_host, series_name), data in telemetry.series.items():
-            pid = ids.pid(series_host)
-            for at, value in data["samples"]:
-                events.append(
-                    {
-                        "name": series_name,
-                        "cat": "telemetry",
-                        "ph": "C",
-                        "ts": _us(at),
-                        "pid": pid,
-                        "args": {"value": value},
-                    }
-                )
-        for alert in telemetry.alerts:
-            pid = ids.pid(alert["host"])
-            base = {
-                "cat": "alert",
-                "ph": "i",
-                "s": "p",
-                "pid": pid,
-                "tid": ids.tid(pid, "watchdog"),
-            }
-            events.append(
-                {
-                    "name": f"ALERT {alert['rule']}",
-                    "ts": _us(alert["fired_at"]),
-                    **base,
-                    "args": {
-                        "message": alert.get("message", ""),
-                        "values": dict(alert.get("values", {})),
-                    },
-                }
-            )
-            if alert.get("cleared_at") is not None:
-                events.append(
-                    {
-                        "name": f"CLEAR {alert['rule']}",
-                        "ts": _us(alert["cleared_at"]),
-                        **base,
-                        "args": {"fired_at_us": _us(alert["fired_at"])},
-                    }
-                )
+    if result.telemetry is not None:
+        _emit_telemetry(ids, events, result.telemetry, lambda _host: True)
 
     metadata = _emit_metadata(ids, raw_names=frozenset(shard_names))
     return {

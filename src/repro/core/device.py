@@ -429,10 +429,15 @@ class PacketFilterHandle(DeviceHandle):
 
     def read(self, process: Process, call: Read) -> None:
         kernel = self.device.kernel
+        size = call.size
+        if size is not None and not (isinstance(size, int) and size >= 1):
+            raise InvalidArgument(
+                f"read size must be a positive packet count or None, not {size!r}"
+            )
         if self.port.readable():
             limit = None if self.port.batching else 1
-            if call.size is not None:
-                limit = call.size if limit is None else min(limit, call.size)
+            if size is not None:
+                limit = size if limit is None else min(limit, size)
             batch = self.port.read_packets(limit)
             self.device.packets_delivered += len(batch)
             ledger = kernel.ledger
@@ -486,6 +491,14 @@ class PacketFilterHandle(DeviceHandle):
                 ),
             )
             return
+        elif not (
+            isinstance(frames, (list, tuple))
+            and all(isinstance(frame, (bytes, bytearray)) for frame in frames)
+        ):
+            raise InvalidArgument(
+                "a batched write takes a list or tuple of frames, each "
+                f"bytes or bytearray, not {frames!r}"
+            )
 
         link = self.device.host.link
         total = 0

@@ -91,16 +91,16 @@ def alert_timeline_fingerprint(result) -> list[str]:
         return []
     lines = []
     for alert in result.telemetry.alerts:
-        if alert["rule"] == "shard_restart":
+        if alert.rule == "shard_restart":
             continue
         values = ",".join(
-            f"{name}={_scalar(alert['values'][name])}"
-            for name in sorted(alert.get("values", {}))
+            f"{name}={_scalar(alert.values[name])}"
+            for name in sorted(alert.values)
         )
         lines.append(
-            f"{alert['rule']}:{alert['host']}"
-            f"@{_scalar(alert['fired_at'])}"
-            f"..{_scalar(alert.get('cleared_at'))}:[{values}]"
+            f"{alert.rule}:{alert.host}"
+            f"@{_scalar(alert.fired_at)}"
+            f"..{_scalar(alert.cleared_at)}:[{values}]"
         )
     return lines
 

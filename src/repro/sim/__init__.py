@@ -54,7 +54,6 @@ from .shard import LocalShard, ProcessShard, partition
 from .stats import KernelStats, merge_stats
 from .telemetry import (
     Alert,
-    Sample,
     Series,
     SeriesView,
     Telemetry,
@@ -89,7 +88,7 @@ __all__ = [
     "derive_seed", "derive_rng",
     "Ledger", "ChargeEvent", "PacketSpan", "Primitive",
     "SPAN_STAGES", "SPAN_OUTCOMES",
-    "Telemetry", "TelemetrySnapshot", "Series", "Sample", "SeriesView",
+    "Telemetry", "TelemetrySnapshot", "Series", "SeriesView",
     "Alert", "WatchdogRule", "builtin_watchdogs",
     "TopologySpec", "SegmentSpec", "BridgeSpec", "BridgeEndpoint",
     "SegmentContext", "SegmentRuntime", "SegmentReport",

@@ -879,18 +879,9 @@ class SimKernel:
             if ledger is not None:
                 ledger.stage(pid, STAGE_INTERRUPT, self.scheduler.now)
 
-        if not self._ethertype_handlers and self._packet_filter is not None:
-            # Burst fast path: no kernel-resident protocol can claim any
-            # frame, so skip the per-frame handler probe and hand the
-            # whole burst to the packet filter in one call — the common
-            # shape for a PF-only receiver under batched input.
-            pf_frames = list(frames)
-            pf_claimed = [False] * len(frames)
-            pf_ids = list(packet_ids)
-        else:
-            pf_frames, pf_claimed, pf_ids = self._route_batch(
-                nic, frames, ethertypes, packet_ids
-            )
+        pf_frames, pf_claimed, pf_ids = self._route_batch(
+            nic, frames, ethertypes, packet_ids
+        )
         if pf_frames:
             accepted = self._packet_filter.packets_arrived(
                 nic, pf_frames, packet_ids=pf_ids

@@ -7,25 +7,28 @@ is the paper's "substantial analysis in real time" stance applied to
 the *cluster*, the way :mod:`repro.sim.telemetry` applied it to one
 world:
 
-* :class:`ProgressSource` builds **bounded, monotonic progress deltas**
-  from a live shard — window index, earliest pending sim-time,
-  cumulative events, egress backlog, checkpoint age, newly fired
-  watchdog alerts, and a mergeable :class:`~repro.sim.telemetry.LogHistogram`
-  of span latencies.  A shard builds one per window, as the last step
-  of the window body, and it rides that window's reply — the same
-  tuple in-process and over a worker's pipe — so the supervisor sees a
-  delta exactly when it sees the window it describes.
-* :class:`ObservabilityPlane` folds deltas into a live cluster view —
-  per-shard :class:`ShardView` records plus skew/backlog aggregates —
-  and exposes a callback API (``on_update``, ``on_alert``) that the
-  ``python -m repro run --top`` dashboard renders from.  Alert records
-  are deduplicated by ``(rule, host, fired_at)``, so checkpoint-replay
-  after a crash re-announces nothing.
-* :class:`SyncProfile` / :class:`ShardSyncStats` instrument the
-  conservative sync protocol itself, supervisor-side: grant-wait
-  stalls, window-advance wall latency, null-message (pure time grant)
-  counts, cross-shard egress depth, and checkpoint fork/replay time —
-  the numbers that attribute the scaling bench's 1-core inversion.
+* :class:`SyncProfile` / :class:`ShardSyncStats` are the supervisor's
+  one record of each shard, always kept: where the shard is (window,
+  earliest pending sim-time, cumulative events, egress backlog,
+  checkpoint age — all read off the window reply itself) and what
+  synchronizing it cost (grant-wait stalls, window-advance wall
+  latency, null-message counts, cross-shard egress depth, checkpoint
+  fork and replay time — the numbers that attribute the scaling
+  bench's 1-core inversion).
+* :class:`ProgressSource` builds a live shard's **progress delta** —
+  the news a reply does not already carry: per-segment clocks, newly
+  fired watchdog alerts, and a mergeable
+  :class:`~repro.sim.telemetry.LogHistogram` of span latencies.  A
+  shard builds one per window, as the last step of the window body,
+  and it rides that window's reply — the same tuple in-process and
+  over a worker's pipe — so the supervisor sees a delta exactly when
+  it sees the window it describes.
+* :class:`ObservabilityPlane` is the live reader: it watches the run's
+  :class:`SyncProfile` (``plane.view(i) is result.sync.shards[i]``),
+  adds skew/backlog aggregates and a callback API (``on_update``,
+  ``on_alert``) that the ``python -m repro run --top`` dashboard
+  renders from.  Alerts are deduplicated by ``(rule, host,
+  fired_at)``, so checkpoint-replay after a crash re-announces nothing.
 
 Everything here *reads* quiescent state at window boundaries and
 records wall-clock on the supervisor; nothing schedules events, draws
@@ -37,17 +40,15 @@ contract, enforced by the observer-effect guard in
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .ledger import STAGE_SYSCALL_RETURN, STAGE_WIRE_ARRIVAL
-from .telemetry import LogHistogram
+from .telemetry import Alert, LogHistogram
 
 __all__ = [
     "span_latency_histogram",
     "ProgressSource",
-    "ShardView",
     "ObservabilityPlane",
     "ShardSyncStats",
     "SyncProfile",
@@ -61,15 +62,8 @@ profiles stay *bounded* even at the orchestrator's million-window
 ceiling; only the per-window detail truncates."""
 
 
-def span_latency_histogram(
-    ledger,
-    start: str = STAGE_WIRE_ARRIVAL,
-    end: str = STAGE_SYSCALL_RETURN,
-    *,
-    floor: float = 1e-7,
-    buckets: int = 64,
-) -> LogHistogram:
-    """Histogram the per-packet latency between two pipeline stages.
+def span_latency_histogram(ledger) -> LogHistogram:
+    """Histogram every packet's wire-arrival → syscall-return latency.
 
     The mergeable counterpart of
     :meth:`~repro.sim.ledger.Ledger.stage_percentiles`: per-segment
@@ -77,9 +71,9 @@ def span_latency_histogram(
     one histogram built over the merged ledger, because octave buckets
     make the fold order-free.
     """
-    hist = LogHistogram(floor=floor, buckets=buckets)
+    hist = LogHistogram()
     for span in ledger.spans.values():
-        latency = span.latency(start, end)
+        latency = span.latency(STAGE_WIRE_ARRIVAL, STAGE_SYSCALL_RETURN)
         if latency is not None:
             hist.add(latency)
     return hist
@@ -95,58 +89,47 @@ class ProgressSource:
 
     Owned by the :class:`~repro.sim.shard.LocalShard` it reads (which
     lives in a worker process for sharded runs, in the orchestrator's
-    for ``shards=1``); tracks flush cursors so every delta is an
-    incremental read:
+    for ``shards=1``).  A delta carries only what the reply it rides in
+    does not already say — the window index, events fired, egress and
+    earliest pending time are the reply's own fields:
 
-    * alerts are flushed once, by per-segment count cursor;
-    * span latencies fold into a cumulative :class:`LogHistogram` as
-      spans close, keyed ``(segment, packet_id)`` so nothing is counted
-      twice;
-    * everything else (window, events, clocks) is a cumulative snapshot
-      — deltas are *monotonic*, so a delta that arrives late or twice
-      (checkpoint replay) simply overwrites the view with the truth.
+    * ``clocks``: each segment's ``now`` and cumulative ``events``;
+    * ``alerts``: copies, as of this window, of the watchdog alerts
+      fired since the last delta (flushed once, by per-segment count
+      cursor) — copies at every shard count, so the plane never holds
+      the sampler's own record while the sampler is still writing it;
+    * ``span_hist``: the cumulative :class:`LogHistogram` of span
+      latencies, folded as spans close and keyed ``(segment,
+      packet_id)`` so nothing is counted twice.
 
-    The source only reads scheduler clocks, telemetry alert lists and
-    closed ledger spans — state that is quiescent at a window boundary —
-    so building a delta cannot perturb the simulation.
+    Clocks and histogram are cumulative, so a delta that arrives late or
+    twice (checkpoint replay) simply overwrites the record with the
+    truth.  The source only reads scheduler clocks, telemetry alert
+    lists and closed ledger spans — state that is quiescent at a window
+    boundary — so building a delta cannot perturb the simulation.
     """
 
-    def __init__(self, shard, shard_id: int = 0) -> None:
+    def __init__(self, shard) -> None:
         self.shard = shard
-        self.shard_id = shard_id
         self.span_hist = LogHistogram()
-        self.checkpoint_window = 0
-        self.checkpoint_forks = 0
-        self.checkpoint_fork_seconds = 0.0
         self._alert_cursor: dict[str, int] = {}
         self._folded: set[tuple[str, int]] = set()
 
-    def note_checkpoint(self, window: int, fork_seconds: float) -> None:
-        """Record a fork-based checkpoint the shard just took."""
-        self.checkpoint_window = window
-        self.checkpoint_forks += 1
-        self.checkpoint_fork_seconds += fork_seconds
-
-    def delta(self, *, window: int, egress_backlog: int) -> dict:
-        """One bounded, monotonic progress delta (a plain dict, so it
+    def delta(self) -> dict:
+        """One bounded progress delta (plain picklable data, so it
         crosses a worker's pipe under any start method)."""
-        events = 0
-        next_times: list[float] = []
-        segments: dict[str, dict] = {}
-        alerts: list[dict] = []
+        clocks: dict[str, dict] = {}
+        alerts: list[Alert] = []
         for name, runtime in self.shard.runtimes.items():
             world = runtime.world
-            fired = world.scheduler.events_fired
-            events += fired
-            pending = runtime.next_time()
-            if pending is not None:
-                next_times.append(pending)
-            segments[name] = {"now": world.scheduler.now, "events": fired}
+            clocks[name] = {
+                "now": world.scheduler.now,
+                "events": world.scheduler.events_fired,
+            }
             telemetry = world.telemetry
             if telemetry is not None:
                 seen = self._alert_cursor.get(name, 0)
-                for alert in telemetry.alerts[seen:]:
-                    alerts.append(alert.to_dict())
+                alerts.extend(replace(alert) for alert in telemetry.alerts[seen:])
                 self._alert_cursor[name] = len(telemetry.alerts)
             ledger = world.ledger
             if ledger is not None:
@@ -162,83 +145,41 @@ class ProgressSource:
                     )
                     if latency is not None:
                         self.span_hist.add(latency)
-        return {
-            "shard": self.shard_id,
-            "window": window,
-            "next_time": min(next_times) if next_times else None,
-            "events_fired": events,
-            "egress_backlog": egress_backlog,
-            "checkpoint_window": self.checkpoint_window,
-            "checkpoint_forks": self.checkpoint_forks,
-            "checkpoint_fork_seconds": self.checkpoint_fork_seconds,
-            "alerts": alerts,
-            "segments": segments,
-            "span_hist": (
-                self.span_hist.to_dict() if self.span_hist.count else None
-            ),
-        }
+        return {"clocks": clocks, "alerts": alerts, "span_hist": self.span_hist}
 
 
 # ---------------------------------------------------------------------------
-# the supervisor side: the aggregator
+# the supervisor side: the live reader
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardView:
-    """The plane's latest knowledge of one shard."""
-
-    shard_id: int
-    window: int = 0
-    next_time: float | None = None
-    events_fired: int = 0
-    egress_backlog: int = 0
-    checkpoint_window: int = 0
-    checkpoint_forks: int = 0
-    checkpoint_fork_seconds: float = 0.0
-    segments: dict = field(default_factory=dict)
-    span_hist: LogHistogram | None = None
-    deltas: int = 0
-    restarts: int = 0
-    lost: bool = False
-    updated_wall: float = 0.0
-
-    @property
-    def checkpoint_age(self) -> int:
-        """Windows since this shard's last checkpoint — the replay
-        bill if it died right now."""
-        return self.window - self.checkpoint_window
-
-    @property
-    def earliest(self) -> float:
-        """Earliest pending sim-time (``inf`` when quiescent, so skew
-        math over live shards stays simple)."""
-        return self.next_time if self.next_time is not None else float("inf")
 
 
 class ObservabilityPlane:
-    """Folds progress deltas into a live cluster view.
+    """The live reader of a sharded run.
 
     Pass an instance to :func:`repro.sim.orchestrator.run_topology` via
-    ``observability=`` to arm it.  ``on_update(plane)`` fires after
-    every ingested delta; ``on_alert(alert_dict)`` fires once per
-    distinct watchdog alert, as soon as any shard reports it — the live
-    counterpart of reading the merged alert log post-run.
+    ``observability=`` to arm it: every window reply then carries a
+    progress delta, and the orchestrator points :attr:`sync` at the
+    run's :class:`SyncProfile` — the per-shard records the plane reads
+    are the run's own, not copies.  ``on_update(plane)`` fires after
+    every ingested delta; ``on_alert(alert)`` fires once per distinct
+    watchdog :class:`~repro.sim.telemetry.Alert`, as soon as any shard
+    reports it — the live counterpart of reading the merged alert log
+    post-run.
 
     The plane is loss-tolerant by construction: deltas are cumulative,
     so dropped ones cost staleness, not correctness; a shard that dies
-    mid-run is flagged ``lost`` (and ``restarted`` again once the
-    supervisor revives it) without wedging ingestion for the others.
+    mid-run shows ``lost`` on its record (until the supervisor revives
+    it) without wedging ingestion for the others.
     """
 
     def __init__(
         self,
         *,
         on_update: Callable[["ObservabilityPlane"], None] | None = None,
-        on_alert: Callable[[dict], None] | None = None,
+        on_alert: Callable[[Alert], None] | None = None,
     ) -> None:
-        self.shards: dict[int, ShardView] = {}
-        self.alerts: list[dict] = []
+        self.sync = SyncProfile()
+        self.alerts: list[Alert] = []
         self.deltas = 0
         self.on_update = on_update
         self.on_alert = on_alert
@@ -246,30 +187,16 @@ class ObservabilityPlane:
 
     # -- ingestion -------------------------------------------------------
 
-    def view(self, shard_id: int) -> ShardView:
-        if shard_id not in self.shards:
-            self.shards[shard_id] = ShardView(shard_id)
-        return self.shards[shard_id]
+    def view(self, shard_id: int) -> "ShardSyncStats":
+        return self.sync.shards[shard_id]
 
     def ingest(self, delta: dict) -> None:
-        """Fold one progress delta in and fire callbacks."""
-        view = self.view(delta["shard"])
-        view.window = delta["window"]
-        view.next_time = delta["next_time"]
-        view.events_fired = delta["events_fired"]
-        view.egress_backlog = delta["egress_backlog"]
-        view.checkpoint_window = delta["checkpoint_window"]
-        view.checkpoint_forks = delta["checkpoint_forks"]
-        view.checkpoint_fork_seconds = delta["checkpoint_fork_seconds"]
-        view.segments = dict(delta["segments"])
-        if delta.get("span_hist"):
-            view.span_hist = LogHistogram.from_dict(delta["span_hist"])
-        view.deltas += 1
-        view.lost = False
-        view.updated_wall = time.monotonic()
+        """Announce one progress delta's new alerts and fire callbacks
+        (its clocks and histogram are already on the shard's record —
+        :meth:`ShardSyncStats.note_reply` read them off the reply)."""
         self.deltas += 1
-        for alert in delta.get("alerts", ()):
-            key = (alert["rule"], alert["host"], alert["fired_at"])
+        for alert in delta["alerts"]:
+            key = (alert.rule, alert.host, alert.fired_at)
             if key in self._alert_keys:
                 continue
             self._alert_keys.add(key)
@@ -279,130 +206,97 @@ class ObservabilityPlane:
         if self.on_update is not None:
             self.on_update(self)
 
-    def mark_lost(self, shard_id: int) -> None:
-        """The supervisor saw this shard die or wedge; the plane keeps
-        the last good view until replies resume."""
-        self.view(shard_id).lost = True
-
-    def mark_restarted(self, shard_id: int) -> None:
-        view = self.view(shard_id)
-        view.lost = False
-        view.restarts += 1
-
     # -- aggregates ------------------------------------------------------
+
+    def _pending_times(self) -> list[float]:
+        return [
+            stats.next_time
+            for stats in self.sync.shards
+            if stats.next_time is not None
+        ]
 
     def earliest_time(self) -> float | None:
         """Earliest pending sim-time across shards (None when all
         quiescent or nothing ingested yet)."""
-        times = [
-            view.earliest
-            for view in self.shards.values()
-            if view.earliest != float("inf")
-        ]
-        return min(times) if times else None
+        return min(self._pending_times(), default=None)
 
     def time_skew(self) -> float:
         """Sim-time spread between the fastest and slowest shard —
         the conservative protocol's idle bubble."""
-        times = [
-            view.earliest
-            for view in self.shards.values()
-            if view.earliest != float("inf")
-        ]
+        times = self._pending_times()
         return max(times) - min(times) if len(times) > 1 else 0.0
 
     def window_skew(self) -> int:
         """Window-index spread (nonzero only transiently: the protocol
         is a barrier, so a persistent skew means a stalled shard)."""
-        windows = [view.window for view in self.shards.values()]
+        windows = [stats.window for stats in self.sync.shards]
         return max(windows) - min(windows) if len(windows) > 1 else 0
 
-    def merged_span_hist(self) -> LogHistogram | None:
+    def merged_span_hist(self) -> LogHistogram:
         """Cluster-wide span-latency histogram, merged across the
         latest per-shard histograms."""
-        merged: LogHistogram | None = None
-        for view in self.shards.values():
-            if view.span_hist is None:
-                continue
-            if merged is None:
-                merged = LogHistogram(
-                    floor=view.span_hist.floor,
-                    buckets=len(view.span_hist.counts),
-                )
-            merged.merge(view.span_hist)
+        merged = LogHistogram()
+        for stats in self.sync.shards:
+            if stats.span_hist is not None:
+                merged.merge(stats.span_hist)
         return merged
 
-    def active_alerts(self) -> list[dict]:
-        return [a for a in self.alerts if a.get("cleared_at") is None]
+    def active_alerts(self) -> list[Alert]:
+        return [alert for alert in self.alerts if alert.active]
 
     # -- rendering -------------------------------------------------------
 
     def render(self) -> str:
         """One plain-text dashboard frame (the ``repro run --top`` view)."""
-        lines = []
+        shards = self.sync.shards
         earliest = self.earliest_time()
-        head = f"cluster: {len(self.shards)} shard(s), {self.deltas} deltas"
+        head = f"cluster: {len(shards)} shard(s), {self.deltas} deltas"
         if earliest is not None:
             head += (
                 f", sim {earliest * 1000.0:.1f} ms"
                 f", skew {self.time_skew() * 1000.0:.2f} ms"
             )
-        lines.append(head)
-        lines.append(
+        lines = [
+            head,
             f"{'shard':>5} {'win':>5} {'sim ms':>9} {'events':>9} "
-            f"{'egress':>7} {'ckpt age':>8} {'state':>9}"
-        )
-        slowest = max(
-            (v.earliest for v in self.shards.values()), default=float("inf")
-        )
-        for shard_id in sorted(self.shards):
-            view = self.shards[shard_id]
+            f"{'egress':>7} {'ckpt age':>8} {'state':>9}",
+        ]
+        for stats in shards:
             sim_ms = (
-                f"{view.earliest * 1000.0:9.1f}"
-                if view.earliest != float("inf")
+                f"{stats.next_time * 1000.0:9.1f}"
+                if stats.next_time is not None
                 else "     idle"
             )
-            state = "LOST" if view.lost else (
-                f"restart:{view.restarts}" if view.restarts else "ok"
+            state = "LOST" if stats.lost else (
+                f"restart:{stats.restarts}" if stats.restarts else "ok"
             )
-            lag = ""
-            if (
-                view.earliest != float("inf")
-                and slowest != float("inf")
-                and view.earliest == slowest
-                and len(self.shards) > 1
-            ):
-                lag = " <- slowest"
+            # The shard everyone waits on holds the earliest pending
+            # event: it sets the next horizon.
+            lag = (
+                " <- slowest"
+                if len(shards) > 1
+                and earliest is not None
+                and stats.next_time == earliest
+                else ""
+            )
             lines.append(
-                f"{shard_id:>5} {view.window:>5} {sim_ms} "
-                f"{view.events_fired:>9} {view.egress_backlog:>7} "
-                f"{view.checkpoint_age:>8} {state:>9}{lag}"
+                f"{stats.shard_id:>5} {stats.window:>5} {sim_ms} "
+                f"{stats.events_fired:>9} {stats.egress_backlog:>7} "
+                f"{stats.checkpoint_age:>8} {state:>9}{lag}"
             )
         hist = self.merged_span_hist()
-        if hist is not None and hist.count:
-            pct = hist.percentiles()
+        if hist.count:
             lines.append(
                 f"span latency: n={hist.count} "
                 + " ".join(
                     f"{name}={value * 1000.0:.3f}ms"
-                    for name, value in pct.items()
-                    if value is not None
+                    for name, value in hist.percentiles().items()
                 )
             )
-        active = self.active_alerts()
-        for alert in self.alerts[-8:]:
-            status = (
-                "active"
-                if alert.get("cleared_at") is None
-                else f"cleared {alert['cleared_at'] * 1000.0:.1f} ms"
-            )
-            lines.append(
-                f"ALERT [{alert['rule']}] {alert['host']} "
-                f"fired {alert['fired_at'] * 1000.0:.1f} ms, {status}"
-            )
+        lines += [f"ALERT {alert.render()}" for alert in self.alerts[-8:]]
         if not self.alerts:
             lines.append("alerts: none")
-        elif not active:
+        elif not self.active_alerts():
             lines.append(f"alerts: {len(self.alerts)} total, none active")
         return "\n".join(lines)
 
@@ -414,17 +308,31 @@ class ObservabilityPlane:
 
 @dataclass
 class ShardSyncStats:
-    """Per-shard synchronization costs, measured by the supervisor.
+    """The supervisor's one record of a shard: where it is, and what
+    synchronizing it cost.
 
+    Every field is filled supervisor-side, from the grants sent and the
+    window replies received — whether or not anything is watching.
     Wall-clock fields (``grant_wait_seconds``, fork/replay times) are
     honest machine time and therefore *outside* the run digest — like
     :attr:`~repro.sim.orchestrator.TopologyResult.wall_seconds` always
-    was.  The event-shaped fields (null grants, egress counts) are
-    sim-deterministic and reproduce bitwise across runs.
+    was.  The event-shaped fields (window, events, null grants, egress
+    counts) are sim-deterministic and reproduce bitwise across runs.
     """
 
     shard_id: int
-    segments: list = field(default_factory=list)
+    segments: list = field(default_factory=list)   #: segment names owned
+    window: int = 0                    #: last window acknowledged
+    next_time: float | None = None     #: earliest pending sim-time (None: idle)
+    events_fired: int = 0
+    egress_backlog: int = 0            #: frames the last window handed back
+    checkpoint_window: int = 0         #: last window a checkpoint was forked at
+    lost: bool = False                 #: died or wedged, not yet revived
+    #: per-segment ``{"now", "events"}`` and the cumulative span-latency
+    #: histogram, from the latest progress delta (only an armed
+    #: observability plane asks shards for deltas)
+    clocks: dict = field(default_factory=dict)
+    span_hist: LogHistogram | None = None
     grants: int = 0
     null_grants: int = 0               #: grants that carried zero frames
     grant_wait_seconds: float = 0.0    #: wall time blocked on step replies
@@ -438,7 +346,14 @@ class ShardSyncStats:
     restarts: int = 0
     replay_seconds: float = 0.0        #: wall time spent in recovery replay
 
+    @property
+    def checkpoint_age(self) -> int:
+        """Windows since this shard's last checkpoint — the replay
+        bill if it died right now."""
+        return self.window - self.checkpoint_window
+
     def note_restart(self, wall_seconds: float) -> None:
+        self.lost = False
         self.restarts += 1
         self.replay_seconds += wall_seconds
 
@@ -448,19 +363,27 @@ class ShardSyncStats:
             self.null_grants += 1
         self.inbound_frames += frames
 
-    def note_reply(
-        self, wait_seconds: float, egress: int, fork_seconds: float | None
-    ) -> None:
+    def note_reply(self, wait_seconds: float, reply: tuple) -> None:
+        """Fold in one window's reply — ``(window, fired, egress,
+        next_time, delta, fork_seconds)`` — received after blocking
+        ``wait_seconds`` on it."""
+        self.window, fired, egress, self.next_time, delta, fork_seconds = reply
+        self.events_fired += fired
+        self.egress_backlog = depth = len(egress)
         self.grant_wait_seconds += wait_seconds
         self.grant_wait_hist.add(wait_seconds)
         if fork_seconds is not None:
+            self.checkpoint_window = self.window
             self.checkpoint_forks += 1
             self.checkpoint_fork_seconds += fork_seconds
-        self.egress_frames += egress
-        if egress > self.max_egress_depth:
-            self.max_egress_depth = egress
+        self.egress_frames += depth
+        if depth > self.max_egress_depth:
+            self.max_egress_depth = depth
         if len(self.egress_per_window) < TRACK_LIMIT:
-            self.egress_per_window.append(egress)
+            self.egress_per_window.append(depth)
+        if delta is not None:
+            self.clocks = delta["clocks"]
+            self.span_hist = delta["span_hist"]
 
     def as_dict(self) -> dict:
         return {

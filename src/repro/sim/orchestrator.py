@@ -25,9 +25,11 @@ checks, and what makes the parallel speedup trustworthy.
 
 There is one grant/receive loop and one reply shape — ``(window,
 fired, egress, next_time, delta, fork_seconds)`` from either shard
-class — so the loop never asks which class it holds: a progress delta
-goes to the observability plane where its reply is received, fork
-costs go to the sync profile the same way.
+class — so the loop never asks which class it holds: each reply is folded
+into the shard's one supervisor-side record
+(:class:`~repro.sim.obsplane.ShardSyncStats`) where it is received, and
+an armed observability plane — which reads those same records — is
+handed the reply's progress delta there too.
 
 Crash recovery rides the same determinism.  With a
 :class:`RecoveryConfig`, the orchestrator journals every grant it sends
@@ -59,7 +61,7 @@ from .shard import (
     partition,
 )
 from .stats import KernelStats, merge_stats
-from .telemetry import LogHistogram, TelemetrySnapshot
+from .telemetry import Alert, TelemetrySnapshot
 from .topology import SegmentReport, TopologySpec
 
 __all__ = ["RecoveryConfig", "TopologyResult", "run_topology"]
@@ -114,9 +116,6 @@ class TopologyResult:
     #: per-shard breakdown: segments owned, windows acknowledged,
     #: events fired, final clock, restart count
     shard_details: list = field(default_factory=list)
-    #: merged span-latency histogram (None without a ledger): the
-    #: bounded-memory p50/p95/p99 source, fold of per-segment histograms
-    span_hist: LogHistogram | None = None
 
     @property
     def recovered_shards(self) -> list[int]:
@@ -158,19 +157,6 @@ def _merge_reports(
         for report in ordered:
             if report.ledger is not None:
                 ledger.merge(report.ledger)
-    # Span-latency percentiles without raw-sample retention: fold the
-    # per-segment histograms (bucket addition is order-free, so this
-    # equals histogramming the merged ledger — a test pins that).
-    span_hist = None
-    for report in ordered:
-        if report.span_hist is None:
-            continue
-        if span_hist is None:
-            span_hist = LogHistogram(
-                floor=report.span_hist.floor,
-                buckets=len(report.span_hist.counts),
-            )
-        span_hist.merge(report.span_hist)
     telemetry = None
     if spec.telemetry:
         telemetry = TelemetrySnapshot()
@@ -184,28 +170,26 @@ def _merge_reports(
             # invisible to the simulation result).
             for record in restarts:
                 telemetry.alerts.append(
-                    {
-                        "rule": "shard_restart",
-                        "host": f"shard:{record['shard']}",
-                        "fired_at": record["horizon"],
-                        "cleared_at": record["horizon"],
-                        "values": {
+                    Alert(
+                        rule="shard_restart",
+                        host=f"shard:{record['shard']}",
+                        fired_at=record["horizon"],
+                        cleared_at=record["horizon"],
+                        values={
                             "window": float(record["window"]),
                             "resumed_from": float(record["resumed_from"]),
                             "replayed": float(record["replayed"]),
                             "attempts": float(record["attempts"]),
                         },
-                        "message": (
+                        message=(
                             f"shard {record['shard']} {record['reason']} at "
                             f"window {record['window']}; resumed from "
                             f"checkpoint window {record['resumed_from']} and "
                             f"replayed {record['replayed']} grants"
                         ),
-                    }
+                    )
                 )
-            telemetry.alerts.sort(
-                key=lambda alert: (alert["fired_at"], alert["host"])
-            )
+            telemetry.alerts.sort(key=lambda alert: (alert.fired_at, alert.host))
     return TopologyResult(
         spec=spec,
         shards=shards,
@@ -223,7 +207,6 @@ def _merge_reports(
         segment_reports=ordered,
         sync=sync,
         shard_details=list(shard_details or []),
-        span_hist=span_hist,
     )
 
 
@@ -254,11 +237,12 @@ def run_topology(
     (see :class:`~repro.sim.shard.ProcessShard`) for recovery tests.
 
     ``observability`` takes an
-    :class:`~repro.sim.obsplane.ObservabilityPlane`: every window's
-    reply then carries the shard's progress delta, and the plane's
-    callbacks fire live as replies come in.  The plane only *reads*
-    quiescent state, so the result is bitwise identical armed or off —
-    the observer-effect guard pins this.
+    :class:`~repro.sim.obsplane.ObservabilityPlane`: it is pointed at
+    this run's sync profile, every window's reply then carries the
+    shard's progress delta, and the plane's callbacks fire live as
+    replies come in.  The plane only *reads* quiescent state, so the
+    result is bitwise identical armed or off — the observer-effect
+    guard pins this.
     """
     spec.validate()
     if shards < 1:
@@ -301,6 +285,8 @@ def run_topology(
             for index, group in enumerate(groups)
         ]
     )
+    if plane is not None:
+        plane.sync = sync
 
     def supervised(index: int, horizon: float | None, call):
         """Wait on shard ``index`` through ``call`` (its ``step_recv``
@@ -320,8 +306,7 @@ def run_topology(
         handle = handles[index]
         grants = journal[index]
         reason = "timed out" if isinstance(failure, ShardTimeoutError) else "died"
-        if plane is not None:
-            plane.mark_lost(index)
+        sync.shards[index].lost = True
         for attempt in range(1, recovery.max_restarts + 1):
             if attempt > 1:
                 time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 2), BACKOFF_CAP))
@@ -348,8 +333,6 @@ def run_topology(
                 }
             )
             sync.shards[index].note_restart(wall_seconds)
-            if plane is not None:
-                plane.mark_restarted(index)
             return reply
         raise failure
 
@@ -383,12 +366,9 @@ def run_topology(
             next_times: list[float] = []
             for index, handle in enumerate(handles):
                 waited = time.perf_counter()
-                _, _, shard_egress, shard_next, delta, fork_seconds = supervised(
-                    index, horizon, handle.step_recv
-                )
-                sync.shards[index].note_reply(
-                    time.perf_counter() - waited, len(shard_egress), fork_seconds
-                )
+                reply = supervised(index, horizon, handle.step_recv)
+                sync.shards[index].note_reply(time.perf_counter() - waited, reply)
+                _, _, shard_egress, shard_next, delta, _ = reply
                 if delta is not None:
                     plane.ingest(delta)
                 egress.extend(shard_egress)

@@ -140,7 +140,7 @@ class LocalShard:
 
     ``observe`` arms the progress delta every window's reply then
     carries (built by a :class:`~repro.sim.obsplane.ProgressSource`
-    this shard owns, stamped with ``shard_id``).
+    this shard owns).
     """
 
     def __init__(
@@ -148,7 +148,6 @@ class LocalShard:
         topology: TopologySpec,
         indices: list[int],
         *,
-        shard_id: int = 0,
         observe: bool = False,
     ) -> None:
         # Build in index order: construction order is observable (RNG
@@ -158,7 +157,7 @@ class LocalShard:
             for index in sorted(indices)
         }
         self.window = 0   #: windows run so far
-        self._source = ProgressSource(self, shard_id) if observe else None
+        self._source = ProgressSource(self) if observe else None
         self._reply = None
 
     # -- stepping -------------------------------------------------------
@@ -205,13 +204,7 @@ class LocalShard:
         self.window += 1
         fired, egress, next_time = self.step(horizon, frames)
         fork_seconds = None if checkpoint is None else checkpoint(self.window)
-        delta = None
-        if self._source is not None:
-            if fork_seconds is not None:
-                self._source.note_checkpoint(self.window, fork_seconds)
-            delta = self._source.delta(
-                window=self.window, egress_backlog=len(egress)
-            )
+        delta = None if self._source is None else self._source.delta()
         return self.window, fired, egress, next_time, delta, fork_seconds
 
     # Split halves, so Local and Process shards drive identically: the
@@ -322,10 +315,7 @@ def _shard_worker(
 
     try:
         shard = LocalShard(
-            topology,
-            indices,
-            shard_id=settings.get("shard_id", 0),
-            observe=settings.get("observe", False),
+            topology, indices, observe=settings.get("observe", False)
         )
         while True:
             message = conn.recv()
@@ -482,11 +472,7 @@ class ProcessShard:
     # -- spawning --------------------------------------------------------
 
     def _spawn(self, hazard: dict | None = None) -> None:
-        settings: dict = {
-            "shard_id": self.shard_id,
-            "observe": self.observe,
-            "hazard": hazard,
-        }
+        settings: dict = {"observe": self.observe, "hazard": hazard}
         if self.checkpoint_interval is not None and hasattr(os, "fork"):
             # One listener per spawned generation: a checkpoint child of
             # an earlier generation that turns up late finds its address

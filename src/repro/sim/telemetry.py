@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from .stats import KernelStats
 
 __all__ = [
     "Series",
-    "Sample",
     "Telemetry",
     "TelemetrySnapshot",
     "Alert",
@@ -64,16 +63,15 @@ DEFAULT_CAPACITY = 4096
 """Samples retained per series (a bounded ring; oldest evicted)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Sample:
-    """One gauge reading: (simulated time, value)."""
-
-    time: float
-    value: float
-
-
 class Series:
-    """A bounded ring buffer of :class:`Sample` for one gauge."""
+    """A bounded ring buffer of ``(time, value)`` samples for one gauge.
+
+    Samples are plain tuples because a series is shipped as it is
+    recorded: a worker pickles its segment's series into the reply to
+    ``collect``, and an instance per sample would pickle by reference
+    to its class — five times the cost on ``partition_storm``'s 30 000
+    samples.
+    """
 
     def __init__(
         self, host: str, name: str, *, unit: str = "", capacity: int = DEFAULT_CAPACITY
@@ -81,10 +79,20 @@ class Series:
         self.host = host
         self.name = name
         self.unit = unit
-        self._samples: deque[Sample] = deque(maxlen=capacity)
+        self._samples: deque[tuple[float, float]] = deque(maxlen=capacity)
 
     def append(self, time: float, value: float) -> None:
-        self._samples.append(Sample(time, value))
+        self._samples.append((time, value))
+
+    def copy(self) -> "Series":
+        """A detached series holding the same samples — what
+        :meth:`Telemetry.export` puts in a snapshot while the sampler
+        keeps appending to this one."""
+        clone = Series(
+            self.host, self.name, unit=self.unit, capacity=self._samples.maxlen
+        )
+        clone._samples.extend(self._samples)
+        return clone
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -93,14 +101,14 @@ class Series:
         return iter(self._samples)
 
     @property
-    def samples(self) -> list[Sample]:
+    def samples(self) -> list[tuple[float, float]]:
         return list(self._samples)
 
     def latest(self) -> float | None:
         """Most recent value (None before the first tick)."""
         if not self._samples:
             return None
-        return self._samples[-1].value
+        return self._samples[-1][1]
 
     def rate(self, window: int = 2) -> float | None:
         """Per-second rate of change over the last ``window`` samples.
@@ -111,12 +119,12 @@ class Series:
         if window < 2 or len(self._samples) < 2:
             return None
         window = min(window, len(self._samples))
-        first = self._samples[-window]
-        last = self._samples[-1]
-        dt = last.time - first.time
+        first_at, first = self._samples[-window]
+        last_at, last = self._samples[-1]
+        dt = last_at - first_at
         if dt <= 0.0:
             return None
-        return (last.value - first.value) / dt
+        return (last - first) / dt
 
     def __repr__(self) -> str:
         tail = f", latest={self.latest():g}" if self._samples else ""
@@ -246,28 +254,6 @@ class LogHistogram:
         """The standard dashboard triple, keyed ``p50``-style."""
         return {f"p{q * 100:g}": self.quantile(q) for q in qs}
 
-    def to_dict(self) -> dict:
-        """JSON-friendly form (the progress deltas and ``--json``
-        reports carry this)."""
-        return {
-            "floor": self.floor,
-            "counts": list(self.counts),
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogHistogram":
-        hist = cls(floor=data["floor"], buckets=len(data["counts"]))
-        hist.counts = list(data["counts"])
-        hist.count = data["count"]
-        hist.total = data["total"]
-        hist.min = data["min"]
-        hist.max = data["max"]
-        return hist
-
     def __len__(self) -> int:
         return self.count
 
@@ -296,9 +282,22 @@ class Alert:
     def active(self) -> bool:
         return self.cleared_at is None
 
+    def render(self) -> str:
+        """The alert in words — the one wording every text surface
+        (run summary, dashboard, live announcements) shows."""
+        end = (
+            "active"
+            if self.active
+            else f"cleared {self.cleared_at * 1000.0:.1f} ms"
+        )
+        return (
+            f"[{self.rule}] {self.host} "
+            f"fired {self.fired_at * 1000.0:.1f} ms, {end}"
+        )
+
     def to_dict(self) -> dict:
-        """JSON-friendly form (the ``--json`` profile report and the
-        trace exporter both use it)."""
+        """JSON-friendly form, for the one place an alert leaves the
+        program as data (:func:`repro.bench.summary.run_summary`)."""
         return {
             "rule": self.rule,
             "host": self.host,
@@ -327,53 +326,32 @@ class SeriesView:
         series = self.series(name)
         return None if series is None else series.rate(window)
 
-    def max_rate(
-        self, *, prefix: str = "", suffix: str = "", window: int = 2
+    def largest(
+        self,
+        read: Callable[[Series], float | None],
+        *,
+        prefix: str = "",
+        suffix: str = "",
+        any_host: bool = False,
     ) -> float | None:
-        """Largest windowed rate over every series whose name matches
-        ``prefix``/``suffix`` — how the RTO detector watches *any*
-        timer on the host without knowing endpoint names."""
-        best: float | None = None
-        for (host, name), series in self._telemetry._series.items():
-            if host != self.host:
-                continue
-            if not (name.startswith(prefix) and name.endswith(suffix)):
-                continue
-            rate = series.rate(window)
-            if rate is not None and (best is None or rate > best):
-                best = rate
-        return best
+        """Largest ``read(series)`` over every series whose name matches
+        ``prefix``/``suffix`` — how the RTO detector watches *any* timer
+        on the host without knowing endpoint names.
 
-    def max_latest(
-        self, *, prefix: str = "", suffix: str = ""
-    ) -> float | None:
-        """Largest latest value over every matching series."""
+        ``any_host`` widens the search to **every** host of this
+        telemetry instance (one world = one segment, so "every host" is
+        segment-local).  The partition watchdog uses it: its own bridge
+        gauges live under a segment pseudo-host, but "local traffic is
+        healthy" is a claim about the real hosts' series."""
         best: float | None = None
         for (host, name), series in self._telemetry._series.items():
-            if host != self.host:
+            if not (any_host or host == self.host):
                 continue
             if not (name.startswith(prefix) and name.endswith(suffix)):
                 continue
-            value = series.latest()
+            value = read(series)
             if value is not None and (best is None or value > best):
                 best = value
-        return best
-
-    def max_rate_any_host(
-        self, *, prefix: str = "", suffix: str = "", window: int = 2
-    ) -> float | None:
-        """Largest windowed rate over matching series on **every** host
-        of this telemetry instance (one world = one segment, so "every
-        host" is segment-local).  The partition watchdog uses this: its
-        own bridge gauges live under a segment pseudo-host, but "local
-        traffic is healthy" is a claim about the real hosts' series."""
-        best: float | None = None
-        for (_, name), series in self._telemetry._series.items():
-            if not (name.startswith(prefix) and name.endswith(suffix)):
-                continue
-            rate = series.rate(window)
-            if rate is not None and (best is None or rate > best):
-                best = rate
         return best
 
 
@@ -444,7 +422,7 @@ def _poll_residency(view: SeriesView) -> bool:
 def _rto_backoff_storm(view: SeriesView) -> bool:
     # Any adaptive retransmission timer at >= 2 consecutive backoffs
     # (4x its base timeout) is in an exponential-backoff episode.
-    backoff = view.max_latest(prefix="rto.", suffix=".backoff")
+    backoff = view.largest(Series.latest, prefix="rto.", suffix=".backoff")
     return backoff is not None and backoff >= 4.0
 
 
@@ -468,8 +446,11 @@ def partition_watchdog(link_id: str) -> WatchdogRule:
         rate = view.rate(ingress, window=8)
         if rate is None or rate > 0.0:
             return False  # cross traffic still arriving
-        local = view.max_rate_any_host(
-            prefix="pf.", suffix="delivered", window=8
+        local = view.largest(
+            lambda series: series.rate(window=8),
+            prefix="pf.",
+            suffix="delivered",
+            any_host=True,
         )
         return local is not None and local > 0.0
 
@@ -550,26 +531,28 @@ class TelemetrySnapshot:
 
     The live sampler holds the scheduler and every kernel — none of it
     picklable, none of it meaningful outside its own process.  A shard
-    therefore ships this snapshot back instead: series samples keyed
-    ``(host, name)`` with their units, the alert log as dicts, and the
-    tick count.  Snapshots from *disjoint-host* worlds merge into a
-    whole-topology view; a shared host means two worlds both claim to
-    have sampled the same kernel, which is a partitioning bug and
-    raises.
+    therefore ships this snapshot back instead: the :class:`Series`
+    keyed ``(host, name)`` and the :class:`Alert` log, the same objects
+    the sampler records into (copies of them — the form does not
+    change on the way out), and the tick count.  Snapshots from
+    *disjoint-host* worlds merge into a whole-topology view; a shared
+    host means two worlds both claim to have sampled the same kernel,
+    which is a partitioning bug and raises.
     """
 
-    series: dict[tuple, dict] = field(default_factory=dict)
-    alerts: list[dict] = field(default_factory=list)
+    series: dict[tuple[str, str], Series] = field(default_factory=dict)
+    alerts: list[Alert] = field(default_factory=list)
     ticks: int = 0
 
     def hosts(self) -> set:
         """Every host that contributed a series or an alert."""
         found = {host for (host, _) in self.series}
-        found.update(alert["host"] for alert in self.alerts)
+        found.update(alert.host for alert in self.alerts)
         return found
 
     def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
-        """Fold ``other``'s series and alerts into this snapshot.
+        """Fold ``other``'s series and alerts into this snapshot (which
+        then shares them: a snapshot's records are never written to).
 
         Alerts are re-sorted by fire time so the merged log reads as
         one timeline.  ``ticks`` takes the maximum — shards tick the
@@ -580,21 +563,11 @@ class TelemetrySnapshot:
             raise ValueError(
                 f"cannot merge telemetry that shares hosts: {sorted(overlap)}"
             )
-        for key, data in other.series.items():
-            self.series[key] = {
-                "unit": data["unit"],
-                "samples": list(data["samples"]),
-            }
-        self.alerts.extend(dict(alert) for alert in other.alerts)
-        self.alerts.sort(key=lambda alert: (alert["fired_at"], alert["host"]))
+        self.series.update(other.series)
+        self.alerts.extend(other.alerts)
+        self.alerts.sort(key=lambda alert: (alert.fired_at, alert.host))
         self.ticks = max(self.ticks, other.ticks)
         return self
-
-    def latest(self, host: str, name: str) -> float | None:
-        data = self.series.get((host, name))
-        if not data or not data["samples"]:
-            return None
-        return data["samples"][-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -824,50 +797,12 @@ class Telemetry:
     # -- exporting --------------------------------------------------------
 
     def export(self) -> TelemetrySnapshot:
-        """The sampler's recorded data as a picklable snapshot.
-
-        Samples become plain ``(time, value)`` tuples; gauge callables,
+        """The sampler's recorded data as a picklable snapshot: copies
+        of every series and alert, as they are.  Gauge callables,
         kernels and the scheduler stay behind.  Safe to call any time.
         """
-        snapshot = TelemetrySnapshot(ticks=self.ticks)
-        for (host, name), series in self._series.items():
-            snapshot.series[(host, name)] = {
-                "unit": series.unit,
-                "samples": [(s.time, s.value) for s in series],
-            }
-        snapshot.alerts = [alert.to_dict() for alert in self.alerts]
-        return snapshot
-
-    # -- rendering --------------------------------------------------------
-
-    def format_summary(self, host: str | None = None) -> str:
-        """A compact text summary: per-series latest values and the
-        alert log (the monitor app renders this live)."""
-        lines: list[str] = []
-        hosts: Iterable[str] = (
-            [host] if host is not None else sorted(self._hosts)
+        return TelemetrySnapshot(
+            series={key: series.copy() for key, series in self._series.items()},
+            alerts=[replace(alert) for alert in self.alerts],
+            ticks=self.ticks,
         )
-        for name in hosts:
-            lines.append(f"telemetry on {name!r} ({self.ticks} ticks):")
-            for series_name in sorted(self.names(name)):
-                series = self._series[(name, series_name)]
-                latest = series.latest()
-                shown = "-" if latest is None else f"{latest:g}"
-                unit = f" {series.unit}" if series.unit else ""
-                lines.append(f"  {series_name:<24}{shown}{unit}")
-        alerts = self.alerts_for(host)
-        if alerts:
-            lines.append("alerts:")
-            for alert in alerts:
-                end = (
-                    "active"
-                    if alert.cleared_at is None
-                    else f"cleared {alert.cleared_at * 1000.0:.1f} ms"
-                )
-                lines.append(
-                    f"  {alert.rule} on {alert.host} "
-                    f"fired {alert.fired_at * 1000.0:.1f} ms, {end}"
-                )
-        else:
-            lines.append("alerts: none")
-        return "\n".join(lines)

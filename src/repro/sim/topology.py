@@ -490,10 +490,6 @@ class SegmentReport:
     #: bridge-crossing records from every endpoint (capture order);
     #: feeds the stitched trace's flow events, outside the digest
     flows: list = field(default_factory=list)
-    #: per-segment span-latency histogram (None without a ledger);
-    #: merging these across shards equals histogramming the merged
-    #: ledger — the bounded-memory percentile path
-    span_hist: object = None
 
 
 class SegmentRuntime:
@@ -605,8 +601,6 @@ class SegmentRuntime:
     # -- collection -----------------------------------------------------
 
     def collect(self) -> SegmentReport:
-        from .obsplane import span_latency_histogram
-
         world = self.world
         segment = world.segment
         return SegmentReport(
@@ -643,9 +637,4 @@ class SegmentRuntime:
                 for endpoint in self.endpoints.values()
                 for record in endpoint.flows
             ],
-            span_hist=(
-                span_latency_histogram(world.ledger)
-                if world.ledger is not None
-                else None
-            ),
         )

@@ -7,6 +7,8 @@ import pytest
 from repro.bench.scenarios import run_overload_storm
 from repro.bench.topologies import flow_storm_topology
 from repro.bench.traceout import (
+    _emit_telemetry,
+    _IdAllocator,
     build_topology_trace,
     build_trace,
     validate_trace,
@@ -100,6 +102,35 @@ class TestBuildTrace:
         ]
         assert len(counters) == len(series)
         assert counters[-1]["args"]["value"] == series.latest()
+
+    def test_counters_and_alerts_come_from_the_topology_emitter(
+        self, overload_trace
+    ):
+        """One emitter: what ``build_trace`` shows of a world's telemetry
+        is what ``build_topology_trace`` would emit for its export."""
+        world, doc = overload_trace
+        ids, emitted = _IdAllocator(), []
+        _emit_telemetry(
+            ids, emitted, world.telemetry.export(), lambda _host: True
+        )
+        direct_hosts = {pid: f"host:{name}" for name, pid in ids.pids.items()}
+        doc_hosts = {
+            e["pid"]: e["args"]["name"]
+            for e in by_phase(doc)["M"]
+            if e["name"] == "process_name"
+        }
+
+        def portable(events, hosts):
+            return [
+                {**e, "pid": hosts[e["pid"]], "tid": None}
+                for e in events
+                if e.get("cat") in ("telemetry", "alert")
+            ]
+
+        assert {"telemetry", "alert"} == {e["cat"] for e in emitted}
+        assert portable(doc["traceEvents"], doc_hosts) == portable(
+            emitted, direct_hosts
+        )
 
     def test_host_filter_scopes_the_export(self, overload_trace):
         world, _ = overload_trace

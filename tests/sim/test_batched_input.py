@@ -51,15 +51,24 @@ def make_frame(world, ethertype, payload=b"payload!"):
 
 
 class TestBatchedInput:
-    def test_batch_semantics_match_per_frame_path(self):
+    def check_batch_matches_per_frame(self, *, kernel_ethertype=None):
+        """Eight frames, every other one for the filter; the rest go
+        unclaimed, or to a kernel-resident handler when one is
+        registered for ``kernel_ethertype``."""
+        other = kernel_ethertype or 0x7777
         payloads = []
         for n in range(8):
-            ethertype = ETHERTYPE if n % 2 == 0 else 0x7777
+            ethertype = ETHERTYPE if n % 2 == 0 else other
             payloads.append((ethertype, bytes([n]) * 8))
 
-        hosts = {}
+        hosts, claimed = {}, {False: [], True: []}
         for burst in (False, True):
             world, host = monitor_world()
+            if kernel_ethertype is not None:
+                host.kernel.register_ethertype(
+                    kernel_ethertype,
+                    lambda nic, frame, seen=claimed[burst]: seen.append(frame),
+                )
             frames = [make_frame(world, *payload) for payload in payloads]
             deliver(world, host, frames, burst=burst)
             hosts[burst] = host
@@ -71,9 +80,18 @@ class TestBatchedInput:
         assert [p.data for p in port8.read_packets(None)] == [
             p.data for p in port1.read_packets(None)
         ]
-        assert h8.kernel.stats.packets_unclaimed == 4
-        assert h1.kernel.stats.packets_unclaimed == 4
+        unclaimed = 0 if kernel_ethertype is not None else 4
+        assert h8.kernel.stats.packets_unclaimed == unclaimed
+        assert h1.kernel.stats.packets_unclaimed == unclaimed
+        assert claimed[True] == claimed[False]
+        assert len(claimed[True]) == 4 - unclaimed
         assert h8.kernel.stats.frames_received == 8
+
+    def test_batch_semantics_match_per_frame_path(self):
+        self.check_batch_matches_per_frame()
+
+    def test_batch_semantics_match_with_a_kernel_handler_registered(self):
+        self.check_batch_matches_per_frame(kernel_ethertype=0x0800)
 
     def test_batch_charges_one_interrupt_per_burst(self):
         world1, host1 = monitor_world()

@@ -4,11 +4,13 @@ import math
 
 import pytest
 
+from repro.core import PFIoctl, compile_expr, word
 from repro.sim import (
     BadFileDescriptor,
     Close,
     Compute,
     InvalidArgument,
+    Ioctl,
     NoSuchDevice,
     Open,
     PipeCreate,
@@ -296,6 +298,97 @@ class TestHostileTimeArguments:
         world.run_until_done(proc)
         assert proc.result == []
         assert world.now >= 1.0
+
+
+FRAME = bytes(64)   # long enough to carry the data-link header
+
+HOSTILE_PF_CALLS = [
+    pytest.param(option, make, value, id=f"{option.name}-{make.__name__}({label})")
+    for option, make, values in (
+        (
+            PFIoctl.SETWRITEBATCH,
+            Write,
+            {
+                "5": 5,
+                "[1, 2]": [1, 2],
+                "None": None,
+                "[frame, str]": [FRAME, "x" * 64],
+            },
+        ),
+        (PFIoctl.SETBATCH, Read, {"'x'": "x", "-1": -1, "0": 0, "1.5": 1.5}),
+        # ... and with read batching off (any other option would do)
+        (PFIoctl.SETTIMESTAMP, Read, {"'x'": "x", "-1": -1, "0": 0, "1.5": 1.5}),
+    )
+    for label, value in values.items()
+]
+
+
+class TestHostilePacketFilterArguments:
+    """``Write.data`` and ``Read.size`` reach the packet filter straight
+    from user code: a value of the wrong type or range is the calling
+    process's error, never an exception out of the event loop and never
+    a read that quietly returns the wrong number of packets."""
+
+    @pytest.mark.parametrize("option, make, value", HOSTILE_PF_CALLS)
+    def test_only_the_offender_fails(self, option, make, value):
+        world = World()
+        host = world.host("h", promiscuous=True)
+        host.install_packet_filter()
+        bystander = world.host("bystander")
+        survived = []
+
+        def offender():
+            fd = yield Open("pf")
+            yield Ioctl(fd, PFIoctl.SETFILTER, compile_expr(word(0) == 0))
+            yield Ioctl(fd, option, True)
+            yield Sleep(0.01)           # three packets queue up meanwhile
+            try:
+                yield make(fd, value)
+            except InvalidArgument:
+                survived.append((yield Read(fd)))
+                raise
+
+        def sibling():
+            yield Sleep(0.02)
+            yield Compute(0.001)
+            return "fine"
+
+        for _ in range(3):
+            world.scheduler.schedule(0.005, host.nic.receive, FRAME)
+        bad = host.spawn("bad", offender())
+        good = bystander.spawn("good", sibling())
+        world.run_until_done(good)
+        world.run()
+        assert bad.state is ProcessState.FAILED
+        assert isinstance(bad.error, InvalidArgument)
+        assert good.result == "fine"
+        assert math.isfinite(world.now)
+        # the refused call consumed nothing: every queued packet is
+        # still there for the read that follows
+        [batch] = survived
+        assert len(batch) == (3 if option is PFIoctl.SETBATCH else 1)
+
+    def test_legal_sizes_and_batches_still_work(self):
+        world = World()
+        host = world.host("h", promiscuous=True)
+        host.install_packet_filter()
+
+        def body():
+            fd = yield Open("pf")
+            yield Ioctl(fd, PFIoctl.SETFILTER, compile_expr(word(0) == 0))
+            yield Ioctl(fd, PFIoctl.SETBATCH, True)
+            yield Ioctl(fd, PFIoctl.SETWRITEBATCH, True)
+            sent = yield Write(fd, [FRAME, bytearray(FRAME)])
+            yield Sleep(0.01)
+            two = yield Read(fd, 2)
+            rest = yield Read(fd)
+            return sent, len(two), len(rest)
+
+        for _ in range(3):
+            world.scheduler.schedule(0.005, host.nic.receive, FRAME)
+        proc = host.spawn("p", body())
+        world.run_until_done(proc)
+        assert proc.result == (128, 2, 1)
 
 
 class TestSignals:

@@ -10,7 +10,7 @@ import pytest
 
 from repro.sim.ledger import Ledger, Primitive
 from repro.sim.stats import KernelStats, merge_stats
-from repro.sim.telemetry import TelemetrySnapshot
+from repro.sim.telemetry import Alert, Series, TelemetrySnapshot
 
 
 class TestMergeStats:
@@ -161,23 +161,19 @@ class TestMergeLedgers:
 
 class TestMergeTelemetry:
     def _snapshot(self, host: str) -> TelemetrySnapshot:
+        series = Series(host, "cpu_util", unit="fraction")
+        series.append(0.1, 0.5)
+        series.append(0.2, 0.6)
         return TelemetrySnapshot(
-            series={
-                (host, "cpu_util"): {
-                    "unit": "fraction",
-                    "samples": [(0.1, 0.5), (0.2, 0.6)],
-                }
-            },
-            alerts=[
-                {"host": host, "rule": "r", "fired_at": 0.15, "value": 1.0}
-            ],
+            series={(host, "cpu_util"): series},
+            alerts=[Alert(rule="r", host=host, fired_at=0.15)],
             ticks=2,
         )
 
     def test_disjoint_hosts_combine(self):
         merged = self._snapshot("alice").merge(self._snapshot("bob"))
         assert merged.hosts() == {"alice", "bob"}
-        assert merged.latest("bob", "cpu_util") == 0.6
+        assert merged.series[("bob", "cpu_util")].latest() == 0.6
         assert merged.ticks == 2
 
     def test_same_host_rejected(self):
@@ -186,13 +182,13 @@ class TestMergeTelemetry:
 
     def test_alerts_resorted_into_one_timeline(self):
         a = TelemetrySnapshot(
-            alerts=[{"host": "alice", "rule": "r", "fired_at": 0.9}]
+            alerts=[Alert(rule="r", host="alice", fired_at=0.9)]
         )
         b = TelemetrySnapshot(
-            alerts=[{"host": "bob", "rule": "r", "fired_at": 0.1}]
+            alerts=[Alert(rule="r", host="bob", fired_at=0.1)]
         )
         merged = a.merge(b)
-        assert [alert["fired_at"] for alert in merged.alerts] == [0.1, 0.9]
+        assert [alert.fired_at for alert in merged.alerts] == [0.1, 0.9]
 
     def test_merge_empty(self):
         merged = TelemetrySnapshot().merge(TelemetrySnapshot())

@@ -7,9 +7,14 @@ import pytest
 
 from repro.bench.topologies import flow_storm_topology, partition_storm_topology
 from repro.difftest.sharding import run_digest
-from repro.sim.obsplane import ObservabilityPlane, span_latency_histogram
+from repro.sim.obsplane import (
+    ObservabilityPlane,
+    ShardSyncStats,
+    SyncProfile,
+    span_latency_histogram,
+)
 from repro.sim.orchestrator import RecoveryConfig, run_topology
-from repro.sim.telemetry import LogHistogram
+from repro.sim.telemetry import Alert, LogHistogram
 
 STORM = dict(segments=2, seed=0, duration=0.1, flows=64, cache_size=16)
 
@@ -91,17 +96,6 @@ class TestLogHistogram:
         with pytest.raises(ValueError):
             LogHistogram(floor=1e-3).merge(LogHistogram(floor=1e-6))
 
-    def test_dict_round_trip(self):
-        hist = LogHistogram(floor=1e-5, buckets=16)
-        for value in (2e-4, 3e-3, 0.5):
-            hist.add(value)
-        clone = LogHistogram.from_dict(hist.to_dict())
-        assert clone.counts == hist.counts
-        assert clone.count == hist.count
-        assert clone.floor == hist.floor
-        assert clone.min == hist.min
-        assert clone.max == hist.max
-
 
 class TestSpanLatencyHistogram:
     def test_per_segment_merge_equals_merged_ledger(self):
@@ -109,77 +103,92 @@ class TestSpanLatencyHistogram:
         merged ledger — the bounded-memory percentile claim."""
         result = run_topology(storm_spec(), shards=1)
         merged = span_latency_histogram(result.ledger)
-        assert result.span_hist is not None
-        assert result.span_hist.counts == merged.counts
-        assert result.span_hist.count == merged.count
+        folded = LogHistogram()
+        for report in result.segment_reports:
+            folded.merge(span_latency_histogram(report.ledger))
+        assert merged.count > 0
+        assert folded.counts == merged.counts
+        assert folded.count == merged.count
 
     def test_sharded_histogram_matches_single(self):
-        one = run_topology(storm_spec(), shards=1).span_hist
-        two = run_topology(storm_spec(), shards=2).span_hist
+        one, two = (
+            span_latency_histogram(run_topology(storm_spec(), shards=n).ledger)
+            for n in (1, 2)
+        )
         assert one.counts == two.counts
         assert one.percentiles() == two.percentiles()
 
 
 class TestObservabilityPlane:
-    def delta(self, shard=0, window=1, **overrides):
-        base = {
-            "shard": shard,
-            "window": window,
-            "next_time": 0.01,
-            "events_fired": 10,
-            "egress_backlog": 2,
-            "checkpoint_window": 0,
-            "checkpoint_forks": 0,
-            "checkpoint_fork_seconds": 0.0,
-            "alerts": [],
-            "segments": {"lan0": {"now": 0.01, "events": 10}},
-            "span_hist": None,
+    def plane(self, shards=2, **callbacks):
+        """A plane watching a hand-built profile, as ``run_topology``
+        leaves it."""
+        plane = ObservabilityPlane(**callbacks)
+        plane.sync = SyncProfile(
+            shards=[ShardSyncStats(shard_id=n) for n in range(shards)]
+        )
+        return plane
+
+    def reply(self, plane, shard=0, window=1, next_time=0.01, alerts=(),
+              fork_seconds=None):
+        """One window's reply from ``shard``, folded in the way the
+        orchestrator's receive loop does."""
+        delta = {
+            "clocks": {"lan0": {"now": 0.01, "events": 10}},
+            "alerts": list(alerts),
+            "span_hist": LogHistogram(),
         }
-        base.update(overrides)
-        return base
+        plane.view(shard).note_reply(
+            0.0, (window, 10, [None, None], next_time, delta, fork_seconds)
+        )
+        plane.ingest(delta)
 
     def test_ingest_builds_views_and_fires_callbacks(self):
         seen = []
-        plane = ObservabilityPlane(on_update=lambda p: seen.append(p.deltas))
-        plane.ingest(self.delta(shard=0, window=3, next_time=0.03))
-        plane.ingest(self.delta(shard=1, window=3, next_time=0.05))
+        plane = self.plane(on_update=lambda p: seen.append(p.deltas))
+        self.reply(plane, shard=0, window=3, next_time=0.03)
+        self.reply(plane, shard=1, window=3, next_time=0.05)
         assert seen == [1, 2]
         assert plane.view(0).window == 3
+        assert plane.view(0).egress_backlog == 2
         assert plane.earliest_time() == 0.03
         assert plane.time_skew() == pytest.approx(0.02)
         assert plane.window_skew() == 0
 
     def test_alerts_dedupe_and_announce_once(self):
-        alert = {
-            "rule": "partition", "host": "segment:lan0",
-            "fired_at": 0.2, "cleared_at": None,
-        }
+        alert = Alert(rule="partition", host="segment:lan0", fired_at=0.2)
         announced = []
-        plane = ObservabilityPlane(on_alert=announced.append)
-        plane.ingest(self.delta(window=1, alerts=[alert]))
-        plane.ingest(self.delta(window=2, alerts=[dict(alert)]))  # replayed
+        plane = self.plane(on_alert=announced.append)
+        self.reply(plane, window=1, alerts=[alert])
+        self.reply(plane, window=2, alerts=[Alert(**vars(alert))])  # replayed
         assert len(plane.alerts) == 1
         assert announced == [alert]
         assert plane.active_alerts() == [alert]
 
     def test_checkpoint_age_and_loss_marks(self):
-        plane = ObservabilityPlane()
-        plane.ingest(self.delta(window=9, checkpoint_window=6))
+        plane = self.plane()
+        self.reply(plane, window=6, fork_seconds=0.001)
+        self.reply(plane, window=9)
         assert plane.view(0).checkpoint_age == 3
-        plane.mark_lost(0)
-        assert plane.view(0).lost
-        plane.mark_restarted(0)
+        plane.view(0).lost = True            # the supervisor saw it die
+        assert "LOST" in plane.render()
+        plane.view(0).note_restart(0.1)      # ... and revived it
         assert not plane.view(0).lost
         assert plane.view(0).restarts == 1
 
     def test_render_is_plain_text(self):
-        plane = ObservabilityPlane()
-        plane.ingest(self.delta(shard=0))
-        plane.ingest(self.delta(shard=1))
+        plane = self.plane()
+        self.reply(plane, shard=0, next_time=0.02)
+        self.reply(plane, shard=1, next_time=0.01)
         frame = plane.render()
         assert "cluster: 2 shard(s)" in frame
         assert "alerts: none" in frame
         assert "\x1b" not in frame   # no ANSI: callers own the repaint
+        # the shard everyone waits on is the one with the earliest
+        # pending event, not the one furthest ahead
+        rows = {int(line.split()[0]): line for line in frame.splitlines()[2:4]}
+        assert rows[1].endswith("<- slowest")
+        assert "slowest" not in rows[0]
 
 
 class TestLiveStreaming:
@@ -192,7 +201,7 @@ class TestLiveStreaming:
     def test_worker_shards_send_a_delta_with_every_reply(self):
         plane = ObservabilityPlane()
         result = run_topology(storm_spec(), shards=2, observability=plane)
-        assert sorted(plane.shards) == [0, 1]
+        assert plane.sync is result.sync and len(plane.sync.shards) == 2
         # one delta per shard per window, none lost on a clean run
         assert plane.deltas == 2 * result.windows
         assert (
@@ -200,21 +209,41 @@ class TestLiveStreaming:
             == result.events_fired
         )
         merged = plane.merged_span_hist()
-        assert merged is not None
-        assert merged.counts == result.span_hist.counts
+        assert merged.count > 0
+        assert merged.counts == span_latency_histogram(result.ledger).counts
 
-    def test_one_and_two_shards_feed_the_plane_the_same_facts(self):
-        # One delta builder, run by the one window body, feeds both.
-        planes = {}
+    @pytest.fixture(scope="class")
+    def watched_storms(self):
+        """The partition storm at one and two shards, each watched by a
+        plane: ``{shards: (plane, result, announced)}``, ``announced``
+        being what each alert looked like the moment it was announced."""
+        runs = {}
         for shards in (1, 2):
-            planes[shards] = ObservabilityPlane()
-            run_topology(storm_spec(), shards=shards, observability=planes[shards])
+            announced = []
+            plane = ObservabilityPlane(
+                on_alert=lambda alert, seen=announced: seen.append(
+                    vars(alert).copy()
+                )
+            )
+            result = run_topology(
+                partition_storm_topology(segments=2, seed=0),
+                shards=shards,
+                observability=plane,
+            )
+            runs[shards] = plane, result, announced
+        return runs
+
+    def test_one_and_two_shards_feed_the_plane_the_same_facts(
+        self, watched_storms
+    ):
+        # One delta builder, run by the one window body, feeds both.
+        planes = {n: plane for n, (plane, _, _) in watched_storms.items()}
 
         def segment_events(plane):
             return {
-                name: segment["events"]
-                for view in plane.shards.values()
-                for name, segment in view.segments.items()
+                name: clock["events"]
+                for view in plane.sync.shards
+                for name, clock in view.clocks.items()
             }
 
         assert segment_events(planes[1]) == segment_events(planes[2])
@@ -222,12 +251,19 @@ class TestLiveStreaming:
         one, two = (planes[n].merged_span_hist() for n in (1, 2))
         assert one.counts == two.counts
         assert one.percentiles() == two.percentiles()
+        # ... and the same alerts, field for field, each a copy taken in
+        # the window it fired in: still active when announced and for
+        # ever after, whatever the sampler's own record went on to say.
+        assert watched_storms[1][2] == watched_storms[2][2]
+        for plane, result, announced in watched_storms.values():
+            assert [vars(alert) for alert in plane.alerts] == announced
+            assert all(alert.cleared_at is None for alert in plane.alerts)
+            assert all(
+                alert.cleared_at is not None for alert in result.telemetry.alerts
+            )
 
-    def test_partition_storm_alerts_stream_live(self):
-        announced = []
-        plane = ObservabilityPlane(on_alert=announced.append)
-        spec = partition_storm_topology(segments=2, seed=0)
-        result = run_topology(spec, shards=2, observability=plane)
+    def test_partition_storm_alerts_stream_live(self, watched_storms):
+        _, result, announced = watched_storms[2]
         rules = {alert["rule"] for alert in announced}
         assert any(rule.startswith("partition:") for rule in rules)
         # the live stream saw exactly the merged post-run alert log
@@ -252,6 +288,7 @@ class TestDeltaLoss:
         assert result.recovered_shards == [0]
         # the plane survived the stream loss: both shards progressed to
         # the final window and the revived one is flagged
+        assert plane.view(0) is result.sync.shards[0]
         assert plane.view(0).restarts == 1
         assert not plane.view(0).lost
         assert plane.view(0).window == result.windows

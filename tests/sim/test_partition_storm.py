@@ -8,6 +8,8 @@ delivery is exactly what degrades.  After the link heals and the
 client's backed-off retry lands, the partition alert clears.
 """
 
+import pickle
+
 import pytest
 
 from repro.bench.scenarios import run_partition_storm
@@ -33,17 +35,17 @@ class TestPartitionWatchdog:
         alerts = storm["partition_alerts"]
         assert alerts, "partition watchdog never fired"
         # Both endpoints of the downed link notice.
-        assert {alert["host"] for alert in alerts} == {
+        assert {alert.host for alert in alerts} == {
             "segment:lan0",
             "segment:lan1",
         }
         for alert in alerts:
-            assert PARTITION_AT <= alert["fired_at"] <= HEAL_AT + 0.05
+            assert PARTITION_AT <= alert.fired_at <= HEAL_AT + 0.05
 
     def test_clears_after_heal(self, storm):
         for alert in storm["partition_alerts"]:
-            assert alert["cleared_at"] is not None
-            assert alert["cleared_at"] > HEAL_AT
+            assert alert.cleared_at is not None
+            assert alert.cleared_at > HEAL_AT
 
     def test_livelock_watchdogs_stay_silent(self, storm):
         # Local traffic is healthy throughout: a partition must not be
@@ -54,10 +56,10 @@ class TestPartitionWatchdog:
 class TestBackoffStorm:
     def test_rto_backoff_storm_fires_and_clears(self, storm):
         (alert,) = storm["backoff_alerts"]
-        assert alert["host"] == "lan0:client"
-        assert alert["fired_at"] > PARTITION_AT
-        assert alert["cleared_at"] is not None
-        assert alert["cleared_at"] > HEAL_AT
+        assert alert.host == "lan0:client"
+        assert alert.fired_at > PARTITION_AT
+        assert alert.cleared_at is not None
+        assert alert.cleared_at > HEAL_AT
 
     def test_client_retries_through_the_outage(self, storm):
         client = storm["vmtp"]["lan0"]
@@ -91,3 +93,17 @@ class TestLedgerReconciliation:
             wire["frames_ingress"] for wire in storm["result"].wire.values()
         )
         assert total_ingress == total_forwarded
+
+
+class TestShippedTelemetry:
+    def test_segment_snapshot_survives_the_pipe_as_it_is(self, storm):
+        """What a spawned worker ships is the recorded form itself:
+        pickling a segment's snapshot changes nothing in it."""
+        snapshot = storm["result"].segment_reports[0].telemetry
+        assert snapshot.alerts and any(map(len, snapshot.series.values()))
+        clone = pickle.loads(pickle.dumps(snapshot))
+        assert list(clone.series) == list(snapshot.series)
+        for key, series in snapshot.series.items():
+            assert vars(clone.series[key]) == vars(series), key
+        assert clone.alerts == snapshot.alerts
+        assert clone.ticks == snapshot.ticks

@@ -556,11 +556,11 @@ class TestRecovery:
         alerts = [
             alert
             for alert in recovered.telemetry.alerts
-            if alert.get("rule") == "shard_restart"
+            if alert.rule == "shard_restart"
         ]
         assert len(alerts) == 1
-        assert alerts[0]["host"] == "shard:0"
-        assert alerts[0]["values"]["resumed_from"] == 4.0
+        assert alerts[0].host == "shard:0"
+        assert alerts[0].values["resumed_from"] == 4.0
 
     def test_hazard_not_replayed_after_respawn(self):
         # A fresh respawn (no checkpoint) replays through the original

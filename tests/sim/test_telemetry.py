@@ -57,14 +57,14 @@ class TestSeries:
         series.append(0.0, 1.0)
         series.append(0.1, 3.0)
         assert series.latest() == 3.0
-        assert [(s.time, s.value) for s in series] == [(0.0, 1.0), (0.1, 3.0)]
+        assert list(series) == series.samples == [(0.0, 1.0), (0.1, 3.0)]
 
     def test_bounded_ring_evicts_oldest(self):
         series = Series("h", "g", capacity=3)
         for n in range(5):
             series.append(float(n), float(n))
         assert len(series) == 3
-        assert [s.value for s in series.samples] == [2.0, 3.0, 4.0]
+        assert [value for _, value in series.samples] == [2.0, 3.0, 4.0]
 
     def test_rate_is_windowed(self):
         series = Series("h", "g")
@@ -320,11 +320,9 @@ class TestEndToEnd:
             result = run_bsp_chaos(seed=5, telemetry=True)
             telemetry = result["world"].telemetry
             series = {
-                (s.host, s.name): [(x.time, x.value) for x in s]
-                for s in telemetry.series_for()
+                (s.host, s.name): s.samples for s in telemetry.series_for()
             }
-            alerts = [a.to_dict() for a in telemetry.alerts]
-            return series, alerts
+            return series, telemetry.alerts
 
         assert capture() == capture()
 
@@ -348,11 +346,3 @@ class TestEndToEnd:
         assert result["telemetry"] is result["world"].telemetry
         assert "syscalls" in result["receiver_rates"]
         assert isinstance(result["alerts"], list)
-
-    def test_format_summary_renders(self):
-        scheduler, telemetry, kernel = armed_telemetry(horizon=1.0)
-        scheduler.run(until=0.05)
-        text = telemetry.format_summary("h")
-        assert "telemetry on 'h'" in text
-        assert "cpu_util" in text
-        assert "alerts: none" in text
