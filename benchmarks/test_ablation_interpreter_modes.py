@@ -61,8 +61,8 @@ def single_filter_modes() -> dict:
 
 
 def demux_scan_vs_table() -> dict:
-    def build(engine, use_table):
-        demux = PacketFilterDemux(engine=engine, use_decision_table=use_table)
+    def build(engine):
+        demux = PacketFilterDemux(engine=engine)
         for index in range(32):
             port = Port(index, queue_limit=1_000_000)
             port.bind_filter(
@@ -76,20 +76,18 @@ def demux_scan_vs_table() -> dict:
         for index in range(64)
     ]
     configs = (
-        # The section 7 conjecture, in three stages: loop over compiled
-        # closures; prune the loop with the interpreted decision table;
-        # compile the whole set *into* the table (the IR engine).
-        ("linear scan", Engine.COMPILED, False),
-        ("interpreted table", Engine.COMPILED, True),
-        ("decision table", Engine.IR, False),
+        # The section 7 conjecture: loop over compiled closures, or
+        # compile the whole set into a decision table (the IR engine).
+        ("linear scan", Engine.COMPILED),
+        ("decision table", Engine.IR),
     )
     results = {}
-    for label, engine, use_table in configs:
-        demux = build(engine, use_table)
-        # Warm up: the first delivery pays the one-time set compile
-        # (decision table / IR dispatch); the ablation compares
-        # steady-state per-packet cost, not bind-time amortization
-        # (section-3-bind-cost measures that separately).
+    for label, engine in configs:
+        demux = build(engine)
+        # Warm up: the first delivery pays the one-time set compile;
+        # the ablation compares steady-state per-packet cost, not
+        # bind-time amortization (section-3-bind-cost measures that
+        # separately).
         for packet in packets:
             demux.deliver(packet)
 
@@ -113,10 +111,6 @@ def test_ablation_interpreter_modes(once, emit):
         Row("checked interpreter", 1.0, 1.0, "(baseline)"),
         Row("prevalidated", 0.8, single["prevalidated"] / base, "rel time"),
         Row("compiled closure", 0.3, single["compiled"] / base, "rel time"),
-        Row(
-            "interpreted table vs scan", 0.6,
-            demux["interpreted table"] / demux["linear scan"], "rel time",
-        ),
         Row(
             "table vs scan (32 filters)", 0.2,
             demux["decision table"] / demux["linear scan"], "rel time",
@@ -144,9 +138,7 @@ def test_ablation_interpreter_modes(once, emit):
     # Each section 7 improvement actually improves things.
     assert single["prevalidated"] <= single["checked"] * 1.05
     assert single["compiled"] < single["prevalidated"]
-    assert demux["interpreted table"] < demux["linear scan"]
-    # Compiling the set into the table beats interpreting the table.
-    assert demux["decision table"] < demux["interpreted table"]
+    assert demux["decision table"] < demux["linear scan"]
     # The table examines ~1 filter where the scan examines ~half of 32.
     assert demux["decision table predicates"] <= 2.0
     assert demux["linear scan predicates"] >= 10.0

@@ -4,13 +4,13 @@ The paper's section 7 conjecture is about 32 filters; this benchmark
 asks how each engine holds up when the bound set looks like a modern
 5-tuple ACL (see :mod:`ruleset_gen`), out to the 10k-rule firewall
 scale the differential harness sweeps.  The linear engines degrade with
-the rule count; the decision table prunes the scan; the IR engine's
-specialized dispatch tree should make per-packet cost essentially
-independent of the set size.  A second table measures the adversarial
-set — every rule sharing one equality discriminant, distinguished only
-by inequalities — where the tree *cannot* split and the whole-set
-engine is expected to fall back to linear cost.  Every row lands in
-``bench_results.json`` (paper = 0.0: no analogue).
+the rule count; the IR engine's specialized dispatch tree should make
+per-packet cost essentially independent of the set size.  A second
+table measures the adversarial set — every rule sharing one equality
+discriminant, distinguished only by inequalities — where the tree
+*cannot* split and the whole-set engine is expected to fall back to
+linear cost.  Every row lands in ``bench_results.json`` (paper = 0.0:
+no analogue).
 """
 
 from repro.bench import Row, record_rows, render_table
@@ -31,7 +31,6 @@ ADVERSARIAL_SIZES = (100, 1000)
 CONFIGS = (
     # label -> measure_demux_throughput kwargs beyond the workload
     ("scan", {"engine": "compiled"}),
-    ("table", {"engine": "compiled", "use_decision_table": True}),
     ("ir", {"engine": "ir"}),
 )
 
@@ -99,10 +98,8 @@ def test_perf_ruleset_scale(once, emit):
     )
 
     for size in RULESET_SIZES:
-        # Pruning the scan must help, and compiling the set must beat
-        # interpreting the table's surviving candidates.
-        assert results[("table", size)] > results[("scan", size)]
-        assert results[("ir", size)] > results[("table", size)]
+        # Compiling the set into a decision table must beat the scan.
+        assert results[("ir", size)] > results[("scan", size)]
     # The specialized dispatch tree makes per-packet cost roughly
     # independent of rule count; a linear engine collapses instead.
     assert results[("ir", 1000)] > 0.4 * results[("ir", 100)]
@@ -127,8 +124,8 @@ def test_perf_adversarial_ruleset(once, emit):
         rows,
         notes="Same harness as perf-ruleset-scale, but every rule tests "
         "the same dst-port equality and differs only via source-port "
-        "inequalities, so the decision table and dispatch tree collapse "
-        "to one linear bucket.",
+        "inequalities, so the dispatch tree collapses to one linear "
+        "bucket.",
     )
 
     # The whole-set engine loses its scale-independence: against the
@@ -138,6 +135,3 @@ def test_perf_adversarial_ruleset(once, emit):
     # And the structured set at the same size must be far faster than
     # the adversarial one — the tree really was doing the work.
     assert adversarial[("structured-ir", 1000)] > 2.0 * adversarial[("ir", 1000)]
-    # The decision table cannot prune what it cannot discriminate: at
-    # best it tracks the plain scan (generous bound for timing noise).
-    assert adversarial[("table", 1000)] < 2.0 * adversarial[("scan", 1000)]

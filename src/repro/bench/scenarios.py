@@ -128,7 +128,6 @@ def measure_demux_throughput(
     *,
     filters: int = 32,
     flow_cache: bool | int = False,
-    use_decision_table: bool = False,
     min_seconds: float = 0.2,
     programs: "list[FilterProgram] | None" = None,
     packets: "list[bytes] | None" = None,
@@ -154,7 +153,6 @@ def measure_demux_throughput(
     demux = PacketFilterDemux(
         engine=engine if isinstance(engine, Engine) else Engine(engine),
         flow_cache=flow_cache,
-        use_decision_table=use_decision_table,
         reorder_same_priority=False,
     )
     if programs is None:

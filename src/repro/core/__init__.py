@@ -5,7 +5,8 @@ Layered exactly as the paper describes it:
 * the **language** (:mod:`.instructions`, :mod:`.program`) — figure 3-6;
 * the **interpreter** (:mod:`.interpreter`) with the section 4 runtime
   checks, plus the section 7 fast paths (:mod:`.validator`, :mod:`.jit`,
-  :mod:`.decision`) and language extensions (:mod:`.extensions`);
+  the :mod:`.ir`/:mod:`.opt`/:mod:`.irgen` decision table) and language
+  extensions (:mod:`.extensions`);
 * the **compiler library** (:mod:`.compiler`) that user code builds
   filters with;
 * the **demultiplexer** (:mod:`.demux`, :mod:`.port`) — figure 4-1 and
@@ -15,7 +16,6 @@ Layered exactly as the paper describes it:
 """
 
 from .compiler import And, Expr, Field, Or, Test, compile_expr, word
-from .decision import necessary_equalities
 from .demux import DeliveryReport, Engine, PacketFilterDemux
 from .flowcache import FlowCache
 from .instructions import (
@@ -42,6 +42,7 @@ from .library import (
     tcp_port_filter,
     udp_port_filter,
 )
+from .opt import necessary_equalities
 from .paper_filters import (
     figure_3_8_pup_type_range,
     figure_3_9_pup_socket_35,

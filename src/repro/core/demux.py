@@ -18,11 +18,10 @@ Responsibilities implemented here, straight from sections 3.2 and 4:
   packet, the quantities behind the section 6.1 cost estimate
   ``0.8 mSec + 0.122 mSec × predicates`` and table 6-10;
 * engine selection — the baseline checked interpreter, the section 7
-  prevalidated fast path, the compiled-closure "machine code" path
-  (each optionally pruned by a decision-table walk over the whole
-  filter set), and the IR engine that compiles the entire set into one
-  dispatch function through a real compiler middle-end — cross-filter
-  CSE, dispatch-tree predicate reordering (:mod:`repro.core.ir` /
+  prevalidated fast path, the compiled-closure "machine code" path,
+  and the IR engine that compiles the entire set into one decision
+  table through a real compiler middle-end — cross-filter CSE,
+  dispatch-tree predicate reordering (:mod:`repro.core.ir` /
   :mod:`repro.core.opt` / :mod:`repro.core.irgen`);
 * the opt-in **flow cache** (any engine): a direct-mapped memo of
   classification results keyed by the packet's discriminating header
@@ -40,7 +39,6 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .decision import TableEntry
 from .flowcache import FlowCache
 from .irgen import CompiledIRSet, IRStats, SetEntry, compile_ir_set
 from .interpreter import (
@@ -49,7 +47,6 @@ from .interpreter import (
     evaluate,
 )
 from .jit import CompiledFilter, compile_filter
-from .opt import DispatchTree, build_dispatch_tree
 from .port import Port
 from .program import FilterProgram
 from .validator import ValidationReport, validate
@@ -97,8 +94,8 @@ class _Binding:
     accepts: int = 0
     rank: int = 0
     """Current position in application order; reassigned after each
-    attach/detach/reorder so the decision table, the compiled set and
-    the linear scan always agree on ordering."""
+    attach/detach/reorder so the compiled set and the linear scan
+    always agree on ordering."""
 
     @property
     def order(self) -> tuple[int, int]:
@@ -109,15 +106,11 @@ class _Binding:
 class PacketFilterDemux:
     """Priority-ordered packet demultiplexer over a set of ports.
 
-    ``use_decision_table=True`` additionally indexes the bound filter
-    set (rebuilt at each bind/unbind — bind time, not packet time) so a
-    received packet only visits filters whose necessary equality
-    conditions it satisfies.  The table requires the default
-    ``ShortCircuitMode.PUSH_RESULT`` semantics; with ``NO_PUSH`` the
-    demultiplexer silently stays on the linear scan.  ``Engine.IR``
-    subsumes the table (and ignores the flag): the whole set compiles
-    into one dispatch function at bind time (under ``NO_PUSH``, a
-    single chain without field dispatch).
+    ``Engine.IR`` is the section 7 decision table: the whole bound set
+    compiles into one dispatch function (rebuilt after each
+    bind/unbind — bind time, not packet time), so a received packet
+    only visits filters whose necessary equality conditions it
+    satisfies.  The other engines apply the figure 4-1 loop.
 
     ``flow_cache=True`` (or an explicit power-of-two size) memoizes
     classification per discriminating header prefix for any engine; the
@@ -136,7 +129,6 @@ class PacketFilterDemux:
         engine: Engine = Engine.CHECKED,
         mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
         level: LanguageLevel = LanguageLevel.CLASSIC,
-        use_decision_table: bool = False,
         reorder_same_priority: bool = True,
         flow_cache: bool | int = False,
     ) -> None:
@@ -147,9 +139,6 @@ class PacketFilterDemux:
         self.mode = mode
         self.level = level
         self.reorder_same_priority = reorder_same_priority
-        self._use_table = (
-            use_decision_table and mode is ShortCircuitMode.PUSH_RESULT
-        )
         if flow_cache:
             size = (
                 flow_cache
@@ -163,7 +152,6 @@ class PacketFilterDemux:
         self._cache_key_bytes = 0
         self._bindings: dict[int, _Binding] = {}  # port_id -> binding
         self._order: list[_Binding] = []          # application order
-        self._table: DispatchTree | None = None
         self._ir: CompiledIRSet | None = None
         self._hot_classify = None
         self._reports: dict = {}
@@ -235,16 +223,15 @@ class PacketFilterDemux:
         """The single choke point for order mutations.
 
         Every attach, detach and reorder lands here, so the rank
-        assignment, the decision table, the compiled dispatch function
-        and the flow cache can never disagree about the filter set: they
-        all go stale together.  Construction of the derived artifacts
+        assignment, the compiled dispatch function and the flow cache
+        can never disagree about the filter set: they all go stale
+        together.  Construction of the derived artifacts
         — including rank assignment, which walks every binding — is
         deferred to the first classification (:meth:`_refresh`):
         binding N filters costs one validation each, not N whole-set
         recompilations or N rank sweeps — without the deferral, an
         ACL-scale SETFILTER storm is quadratic.
         """
-        self._table = None
         self._ir = None
         self._hot_classify = None
         self._stale = True
@@ -272,37 +259,24 @@ class PacketFilterDemux:
                 mode=self.mode,
             )
             self._hot_classify = self._ir._function
-        elif self._use_table:
-            self._table = build_dispatch_tree(
-                [
-                    TableEntry(
-                        order=(binding.rank,),
-                        handle=binding,
-                        program=binding.program,
-                    )
-                    for binding in self._order
-                ]
-            )
         if self.flow_cache is not None:
             self._rekey_cache()
 
     def _rekey_cache(self) -> None:
         """Recompute the flow-cache key width: every byte any bound
-        filter can statically read.  Indirect loads compute offsets at
-        packet time — no bind-time prefix bounds them, so they disable
-        the cache until the offending filter detaches."""
-        max_index = -1
-        usable = True
-        for binding in self._order:
-            for ins in binding.program.instructions:
-                if ins.is_indirect:
-                    usable = False
-                elif ins.is_pushword:
-                    index = ins.push_index
-                    if index > max_index:
-                        max_index = index
-        self._cache_usable = usable
-        self._cache_key_bytes = 2 * (max_index + 1)
+        filter can statically read, from the bind-time reports (the
+        deepest word's first byte, plus its second).  Indirect loads
+        compute offsets at packet time — no bind-time prefix bounds
+        them, so they disable the cache until the offending filter
+        detaches."""
+        reports = [binding.report for binding in self._order]
+        touched = max(
+            (report.max_packet_bytes_touched for report in reports), default=0
+        )
+        self._cache_usable = not any(
+            report.needs_runtime_bounds_check for report in reports
+        )
+        self._cache_key_bytes = touched + 1 if touched else 0
 
     # -- the application loop (figure 4-1) ------------------------------------
 
@@ -493,17 +467,10 @@ class PacketFilterDemux:
         Returns ``(ranks, predicates, instructions)`` with ranks in
         delivery order — the memoizable core of :meth:`deliver`,
         independent of queueing."""
-        if self._table is not None:
-            scan: Iterable[_Binding] = (
-                entry.handle for entry in self._table.lookup(packet)
-            )
-        else:
-            scan = self._order
-
         ranks_out: list[int] = []
         predicates = 0
         instructions = 0
-        for binding in scan:
+        for binding in self._order:
             predicates += 1
             matched, executed = self._apply(binding, packet)
             instructions += executed

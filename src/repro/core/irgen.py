@@ -34,19 +34,17 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .decision import TableEntry
 from .interpreter import ShortCircuitMode
 from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueGraph
 from .ir import lower_program
 from .opt import (
     DispatchTree,
+    SetEntry,
     build_dispatch_tree,
     live_nodes,
     specialize_filter,
     value_numbers,
 )
-from .program import FilterProgram
-from .validator import ValidationReport
 from .words import get_byte, get_word
 
 __all__ = [
@@ -215,22 +213,6 @@ def emit_ir_body(
 
 
 # -- leaf chains: the unit of compilation ------------------------------------
-
-
-@dataclass(frozen=True)
-class SetEntry:
-    """One bound filter as the set compiler sees it.
-
-    ``rank`` is the filter's position in global application order
-    (priority descending, then bind sequence); ``copy_all`` is baked in
-    at compile time, so flipping it on a live port must recompile (the
-    demultiplexer's ``invalidate()`` does).
-    """
-
-    rank: int
-    program: FilterProgram
-    report: ValidationReport
-    copy_all: bool
 
 
 CHAIN_CACHE_MAX = 16384
@@ -476,7 +458,7 @@ def _fold_tree(node: DispatchTree, context: dict, leaf, branch):
     at every chain, ``branch(discriminant, targets, fallback)`` above,
     with ``context`` the probe values established on the way down."""
     if node.discriminant is None:
-        return leaf([entry.handle for entry in node.entries], context)
+        return leaf(node.entries, context)
     targets = {
         value: _fold_tree(
             subtree, {**context, node.discriminant: value}, leaf, branch
@@ -563,15 +545,10 @@ def compile_ir_set(
     entries: Sequence[SetEntry],
     *,
     mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
-    max_depth: int = 3,
 ) -> CompiledIRSet:
     """Compile ``entries`` (already validated, in rank order): build the
     dispatch tree over the whole set, then lower → specialize → emit →
     ``compile()`` each leaf chain the process has not compiled before.
-
-    The necessary-equality analysis behind the dispatch tree assumes
-    the figure 3-6 push-result discipline, so under ``NO_PUSH`` the set
-    compiles as a single chain (still one call, no dispatch).
 
     Chains are memoized by value (:func:`_chain_for`), not whole sets:
     a SETFILTER on an N-rule set leaves N-1 chains byte-for-byte what
@@ -587,15 +564,7 @@ def compile_ir_set(
     from per-filter facts cached with the chains instead of a whole-set
     transfer per compile.
     """
-    entries = sorted(entries, key=lambda e: e.rank)
-    table_entries = [
-        TableEntry(order=(e.rank,), handle=e, program=e.program)
-        for e in entries
-    ]
-    if mode is ShortCircuitMode.PUSH_RESULT:
-        tree = build_dispatch_tree(table_entries, max_depth=max_depth)
-    else:
-        tree = DispatchTree(None, {}, None, tuple(table_entries))
+    tree = build_dispatch_tree(entries, mode)
 
     facts: dict[int, tuple] = {}  # rank -> (live nodes, value numbers)
     hoisted = []

@@ -20,23 +20,28 @@ mechanism gives all four classic passes:
   rewrites the corresponding loads to constants and lets folding delete
   the now-redundant predicate the dispatch probe already paid for.
 
-The dispatch tree itself (:func:`build_dispatch_tree`) turns the
-necessary-equality bucketing of :mod:`repro.core.decision` into a
-recursive plan.  It is the section 7 decision table in both its forms:
-the backend (:mod:`repro.core.irgen`) compiles it into nested hash
-probes, and the linear engines walk it per packet
-(:meth:`DispatchTree.lookup`) under ``use_decision_table=True``.  It
-reorders *predicates*, never priorities: every leaf chain is sorted by
-the caller's order key, so delivery order is exactly the figure 4-1
-loop's.
+The dispatch tree itself (:func:`build_dispatch_tree`) is the section 7
+decision table — "compile the set of active filters into a decision
+table, which should provide the best possible performance".  It buckets
+the set by the equality tests each filter provably needs
+(:func:`necessary_equalities`, read off the same lowered IR), and the
+backend (:mod:`repro.core.irgen`) compiles it into nested hash probes.
+It is an exact drop-in for the linear scan: for every packet it yields
+exactly the candidate filters whose necessary conditions the packet
+satisfies (:meth:`DispatchTree.lookup` is the reference reading; a
+property-based test in ``tests/core/test_properties.py`` pins the
+equivalence down).  It reorders *predicates*, never priorities: every
+leaf chain is sorted by rank, so delivery order is exactly the figure
+4-1 loop's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .decision import TableEntry, choose_discriminant, required_value
+from .interpreter import ShortCircuitMode
 from .ir import (
     COMMUTATIVE_KINDS,
     CONST,
@@ -48,7 +53,10 @@ from .ir import (
     ExitIf,
     FilterIR,
     ValueGraph,
+    lower_program,
 )
+from .program import FilterProgram
+from .validator import ValidationReport
 from .words import get_word
 
 __all__ = [
@@ -59,6 +67,9 @@ __all__ = [
     "CSEStats",
     "value_numbers",
     "specialize_filter",
+    "NecessaryTest",
+    "necessary_equalities",
+    "SetEntry",
     "DispatchTree",
     "build_dispatch_tree",
 ]
@@ -230,6 +241,105 @@ def specialize_filter(
 
 
 @dataclass(frozen=True)
+class NecessaryTest:
+    """``packet.word[index] & mask == value`` must hold for acceptance."""
+
+    index: int
+    mask: int
+    value: int
+
+    @property
+    def key(self) -> tuple[int, int]:
+        return (self.index, self.mask)
+
+    def matches(self, packet: bytes) -> bool:
+        try:
+            return (get_word(packet, self.index) & self.mask) == self.value
+        except IndexError:
+            return False
+
+
+@lru_cache(maxsize=65536)
+def necessary_equalities(
+    program: FilterProgram,
+    report: ValidationReport,
+    mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
+) -> frozenset[NecessaryTest]:
+    """Equality conditions provably necessary for ``program`` to accept.
+
+    Most real filters are conjunctions that include an equality test on
+    a shared discriminating field (the Ethernet type word, a Pup
+    socket); a packet whose field differs can skip such a filter
+    entirely.  The conditions are read off the lowered IR: the program
+    accepts only by falling through every reject exit and ending on a
+    nonzero verdict, and a nonzero ``eq(field, const)`` is a test, a
+    nonzero ``and`` needs both operands nonzero (union), a nonzero
+    ``or`` either (intersection).  An exit that can return TRUE early
+    voids "everything later is necessary", so such programs yield the
+    empty set.  Sound but incomplete: always a subset of the true
+    necessary conditions.  Memoized: programs and reports are immutable,
+    and every re-link of a bound set asks again for every filter.
+    """
+    fir = lower_program(program, report, mode)
+    node, const_value = fir.graph.node, fir.graph.const_value
+
+    def field(nid: int) -> tuple[int, int] | None:
+        """(word, mask) when ``nid`` is a load under constant masks."""
+        mask = 0xFFFF
+        while (this := node(nid)).kind == "and":
+            nid, other = this.arg0, this.arg1
+            if const_value(nid) is not None:
+                nid, other = other, nid
+            if const_value(other) is None:
+                return None
+            mask &= const_value(other)
+        return (this.arg0, mask) if this.kind == LOAD else None
+
+    def implied(nid: int) -> frozenset[NecessaryTest]:
+        """What ``nid`` being nonzero proves about the packet."""
+        this = node(nid)
+        a, b = this.arg0, this.arg1
+        if this.kind == "and":
+            return implied(a) | implied(b)
+        if this.kind == "or":
+            return implied(a) & implied(b)
+        if this.kind == "eq":
+            if const_value(a) is not None:
+                a, b = b, a
+            value, key = const_value(b), field(a)
+            # A constant with bits outside the mask can never be equal;
+            # treated as unanalyzable rather than proving emptiness.
+            if value is not None and key is not None and not value & ~key[1]:
+                return frozenset({NecessaryTest(*key, value)})
+        return frozenset()
+
+    necessary = implied(fir.result)
+    for step in fir.steps:
+        if isinstance(step, ExitIf):
+            if step.returns:
+                return frozenset()
+            if not step.when:
+                necessary |= implied(step.cond)
+    return necessary
+
+
+@dataclass(frozen=True)
+class SetEntry:
+    """One bound filter as the set compiler sees it.
+
+    ``rank`` is the filter's position in global application order
+    (priority descending, then bind sequence); ``copy_all`` is baked in
+    at compile time, so flipping it on a live port must recompile (the
+    demultiplexer's ``invalidate()`` does).
+    """
+
+    rank: int
+    program: FilterProgram
+    report: ValidationReport
+    copy_all: bool
+
+
+@dataclass(frozen=True)
 class DispatchTree:
     """A recursive dispatch plan over a filter set.
 
@@ -244,7 +354,7 @@ class DispatchTree:
     discriminant: tuple[int, int] | None
     buckets: Mapping[int, "DispatchTree"]
     fallback: "DispatchTree | None"
-    entries: tuple[TableEntry, ...]
+    entries: tuple[SetEntry, ...]
 
     @property
     def depth(self) -> int:
@@ -264,9 +374,11 @@ class DispatchTree:
             count += self.fallback.leaves
         return count
 
-    def lookup(self, packet: bytes) -> tuple[TableEntry, ...]:
+    def lookup(self, packet: bytes) -> tuple[SetEntry, ...]:
         """Entries worth evaluating on ``packet``, in application order:
-        every filter the probes on the way down did not rule out."""
+        every filter the probes on the way down did not rule out.  The
+        tree's reference reading — the backend compiles the same walk
+        into nested hash probes."""
         node = self
         while node.discriminant is not None:
             index, mask = node.discriminant
@@ -282,57 +394,65 @@ class DispatchTree:
         return node.entries
 
 
-#: Stop splitting below this many entries; a straight chain is cheaper.
-MIN_SPLIT = 2
-
-
 def build_dispatch_tree(
-    entries: Sequence[TableEntry],
+    entries: Sequence[SetEntry],
+    mode: ShortCircuitMode,
     *,
     max_depth: int = 3,
-    min_split: int = MIN_SPLIT,
     used_keys: frozenset = frozenset(),
-    _depth: int = 0,
 ) -> DispatchTree:
     """Bucket ``entries`` by their necessary equalities, recursively.
 
     This is the predicate-reordering pass: instead of each filter
     re-testing the discriminating fields in chain order, the shared
-    probe runs once up front.  Priority order is *not* reordered —
-    every leaf chain sorts by ``TableEntry.order``.
+    probe runs once up front.  Each node splits on the most
+    discriminating (word, mask) not already split on above it — the one
+    with the most distinct required values, coverage breaking ties —
+    and stops where no key covers two entries; a straight chain is
+    cheaper.  Priority order is *not* reordered — every leaf chain
+    sorts by ``SetEntry.rank``.
     """
-    ordered = tuple(sorted(entries, key=lambda e: e.order))
-    if _depth >= max_depth or len(ordered) < min_split:
-        return DispatchTree(None, {}, None, ordered)
-    key = choose_discriminant(ordered, used_keys, min_split=min_split)
-    if key is None:
-        return DispatchTree(None, {}, None, ordered)
+    ordered = tuple(sorted(entries, key=lambda e: e.rank))
+    leaf = DispatchTree(None, {}, None, ordered)
+    # Every level above added exactly one key, so ``used_keys`` is the depth.
+    if len(used_keys) >= max_depth or len(ordered) < 2:
+        return leaf
+    required = [
+        {
+            test.key: test.value
+            for test in necessary_equalities(entry.program, entry.report, mode)
+            if test.key not in used_keys
+        }
+        for entry in ordered
+    ]
+    values: dict[tuple[int, int], list[int]] = {}  # one per covered entry
+    for tests in required:
+        for key, value in tests.items():
+            values.setdefault(key, []).append(value)
+    if not values:
+        return leaf
+    key = max(
+        values, key=lambda k: (len(set(values[k])), len(values[k]), -k[0])
+    )
+    if len(values[key]) < 2:
+        return leaf
 
-    grouped: dict[int, list[TableEntry]] = {}
-    leftovers: list[TableEntry] = []
-    for entry in ordered:
-        value = required_value(entry.program, key)
-        if value is None:
-            leftovers.append(entry)
+    grouped: dict[int, list[SetEntry]] = {}
+    leftovers: list[SetEntry] = []
+    for entry, tests in zip(ordered, required):
+        if key in tests:
+            grouped.setdefault(tests[key], []).append(entry)
         else:
-            grouped.setdefault(value, []).append(entry)
+            leftovers.append(entry)
 
     deeper = used_keys | {key}
     buckets = {
         value: build_dispatch_tree(
-            group + leftovers,
-            max_depth=max_depth,
-            min_split=min_split,
-            used_keys=deeper,
-            _depth=_depth + 1,
+            group + leftovers, mode, max_depth=max_depth, used_keys=deeper
         )
         for value, group in grouped.items()
     }
     fallback = build_dispatch_tree(
-        leftovers,
-        max_depth=max_depth,
-        min_split=min_split,
-        used_keys=deeper,
-        _depth=_depth + 1,
+        leftovers, mode, max_depth=max_depth, used_keys=deeper
     )
     return DispatchTree(key, buckets, fallback, ())

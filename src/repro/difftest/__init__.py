@@ -1,9 +1,8 @@
 """Differential correctness harness for the classification engines.
 
 The demultiplexer can classify a packet four different ways (checked,
-prevalidated, compiled, IR), the three linear ones through an optional
-decision table, all through an optional flow cache — fourteen
-configurations that all claim to implement the one figure 4-1
+prevalidated, compiled, IR), each through an optional flow cache —
+eight configurations that all claim to implement the one figure 4-1
 contract.  This package runs the same rule set and packet stream
 through every configuration and asserts they cannot be told apart:
 identical per-packet accept/drop/nobuf outcomes, reconciled port and

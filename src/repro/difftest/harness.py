@@ -68,35 +68,28 @@ class MatrixConfig:
 
     engine: Engine
     flow_cache: int = 0        #: slots (power of two); 0 = off
-    use_decision_table: bool = False
 
     @property
     def label(self) -> str:
         parts = [self.engine.value]
         if self.flow_cache:
             parts.append(f"cache{self.flow_cache}")
-        if self.use_decision_table:
-            parts.append("table")
         return "+".join(parts)
 
 
 def full_matrix(
     *, cache_sizes: Sequence[int] = (0, 64)
 ) -> tuple[MatrixConfig, ...]:
-    """Every engine × cache × table combination that names distinct
-    code: the IR engine compiles the table in, so it has no table-on
-    cell.
+    """Every engine × cache combination.
 
     The first configuration returned is the baseline (checked
     interpreter, nothing else enabled) whenever ``cache_sizes``
     includes 0.
     """
     configs = [
-        MatrixConfig(engine=engine, flow_cache=cache, use_decision_table=table)
+        MatrixConfig(engine=engine, flow_cache=cache)
         for engine in Engine
         for cache in cache_sizes
-        for table in (False, True)
-        if not (table and engine is Engine.IR)
     ]
     baseline = MatrixConfig(engine=Engine.CHECKED)
     configs.sort(key=lambda c: (c != baseline, c.label))
@@ -219,7 +212,6 @@ def run_config(
     ports = _build_ports(programs, queue_limit, copy_all, pool)
     demux = PacketFilterDemux(
         engine=config.engine,
-        use_decision_table=config.use_decision_table,
         flow_cache=config.flow_cache or False,
         reorder_same_priority=reorder,
     )

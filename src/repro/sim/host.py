@@ -89,7 +89,7 @@ class Host:
         Returns the driver; processes then ``Open(device_name)`` to get
         a port.  ``demux_options`` pass through to
         :class:`repro.core.demux.PacketFilterDemux` (engine selection,
-        decision table, short-circuit mode...).
+        flow cache, short-circuit mode...).
         """
         from ..core.device import PacketFilterDevice  # assembly-time import
 

@@ -1,44 +1,49 @@
 """Tests for necessary-equality analysis and the decision table (the
-dispatch tree's per-packet lookup)."""
+dispatch tree, read through :meth:`DispatchTree.lookup`)."""
 
 
 from repro.core.compiler import compile_expr, word
-from repro.core.decision import (
+from repro.core.interpreter import ShortCircuitMode, evaluate
+from repro.core.opt import (
     NecessaryTest,
-    TableEntry,
+    SetEntry,
+    build_dispatch_tree,
     necessary_equalities,
 )
-from repro.core.interpreter import evaluate
-from repro.core.opt import build_dispatch_tree
 from repro.core.paper_filters import (
     figure_3_8_pup_type_range,
     figure_3_9_pup_socket_35,
 )
 from repro.core.program import FilterProgram, asm
+from repro.core.validator import validate
 from repro.core.words import pack_words
+
+
+def necessary(program):
+    return necessary_equalities(program, validate(program))
 
 
 class TestNecessaryEqualities:
     def test_figure_3_9_full_extraction(self):
-        tests = necessary_equalities(figure_3_9_pup_socket_35())
+        tests = necessary(figure_3_9_pup_socket_35())
         assert NecessaryTest(8, 0xFFFF, 35) in tests
         assert NecessaryTest(7, 0xFFFF, 0) in tests
         assert NecessaryTest(1, 0xFFFF, 2) in tests
 
     def test_figure_3_8_extracts_type_test(self):
-        tests = necessary_equalities(figure_3_8_pup_type_range())
+        tests = necessary(figure_3_8_pup_type_range())
         assert NecessaryTest(1, 0xFFFF, 2) in tests
 
     def test_masked_equality(self):
         program = compile_expr(word(3).low_byte() == 7)
-        tests = necessary_equalities(program)
+        tests = necessary(program)
         assert NecessaryTest(3, 0x00FF, 7) in tests
 
     def test_disjunction_yields_intersection(self):
         program = compile_expr(
             ((word(0) == 1) & (word(5) == 9)) | ((word(0) == 2) & (word(5) == 9))
         )
-        tests = necessary_equalities(program)
+        tests = necessary(program)
         # word 5 == 9 is necessary on both branches.
         assert NecessaryTest(5, 0xFFFF, 9) in tests
         # word 0 differs per branch: not necessary.
@@ -51,12 +56,12 @@ class TestNecessaryEqualities:
                 ("PUSHWORD", 1), ("PUSHLIT", "EQ", 2),
             )
         )
-        assert necessary_equalities(program) == frozenset()
+        assert necessary(program) == frozenset()
 
     def test_soundness_on_paper_filters(self):
         """If a necessary test fails, the program must reject."""
         for program in (figure_3_8_pup_type_range(), figure_3_9_pup_socket_35()):
-            tests = necessary_equalities(program)
+            tests = necessary(program)
             accept = pack_words([0x0102, 2, 30, 0x0132, 0, 0, 0x0101, 0, 35])
             assert evaluate(program, accept).accepted
             for test in tests:
@@ -65,7 +70,7 @@ class TestNecessaryEqualities:
                 assert not evaluate(program, pack_words(words)).accepted
 
     def test_always_true_program(self):
-        assert necessary_equalities(FilterProgram(asm("PUSHONE"))) == frozenset()
+        assert necessary(FilterProgram(asm("PUSHONE"))) == frozenset()
 
 
 class TestNecessaryTestMatching:
@@ -81,14 +86,15 @@ class TestNecessaryTestMatching:
 def build_table(programs):
     return build_dispatch_tree(
         [
-            TableEntry(order=(index,), handle=index, program=program)
-            for index, program in enumerate(programs)
-        ]
+            SetEntry(rank, program, validate(program), copy_all=False)
+            for rank, program in enumerate(programs)
+        ],
+        ShortCircuitMode.PUSH_RESULT,
     )
 
 
 def candidates(table, packet):
-    return [entry.handle for entry in table.lookup(packet)]
+    return [entry.rank for entry in table.lookup(packet)]
 
 
 class TestDecisionTable:

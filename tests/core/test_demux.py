@@ -220,7 +220,7 @@ class TestEngines:
         assert not demux.deliver(b"\x00").accepted
 
     def test_decision_table_mode(self):
-        demux = PacketFilterDemux(use_decision_table=True)
+        demux = PacketFilterDemux(engine=Engine.IR)
         for index, value in enumerate((0xA, 0xB, 0xC)):
             demux.attach(port_with(type_filter(value), port_id=index))
         report = demux.deliver(PACKET_B)
@@ -228,22 +228,15 @@ class TestEngines:
         # The table routes straight to the one candidate filter.
         assert report.predicates_tested == 1
 
-    def test_decision_table_disabled_under_no_push_mode(self):
+    def test_decision_table_under_no_push_mode(self):
         demux = PacketFilterDemux(
-            use_decision_table=True, mode=ShortCircuitMode.NO_PUSH
+            engine=Engine.IR, mode=ShortCircuitMode.NO_PUSH
         )
-        demux.attach(port_with(type_filter(0xA)))
-        assert demux._table is None
-        assert demux.deliver(PACKET_A).accepted
-
-    def test_decision_table_not_built_under_whole_set_engine(self):
-        # Engine.IR compiles the table into its dispatch function and
-        # never consults a separate one, so building it is pure waste.
-        demux = PacketFilterDemux(engine=Engine.IR, use_decision_table=True)
-        demux.attach(port_with(type_filter(0xA), port_id=0))
-        demux.attach(port_with(type_filter(0xB), port_id=1))
-        assert demux.deliver(PACKET_B).accepted_by == (1,)
-        assert demux._table is None
+        for index, value in enumerate((0xA, 0xB, 0xC)):
+            demux.attach(port_with(type_filter(value), port_id=index))
+        report = demux.deliver(PACKET_B)
+        assert report.accepted_by == (1,)
+        assert report.predicates_tested == 1
 
     def test_deliver_batch_rejects_mismatched_packet_ids(self):
         demux = PacketFilterDemux()

@@ -1,9 +1,8 @@
 """Property tests for the demultiplexer against a reference oracle.
 
 The figure 4-1 loop's contract — priority order, first-match,
-copy-all continuation, every engine, with or without the decision
-table — is pinned against a 15-line reference implementation over
-randomized filter sets and packets.
+copy-all continuation, every engine — is pinned against a 15-line
+reference implementation over randomized filter sets and packets.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -68,18 +67,15 @@ class TestDemuxAgainstOracle:
         expected = [reference_delivery(specs, packet) for packet in packets]
 
         for engine in Engine:
-            for use_table in (False, True):
-                demux = PacketFilterDemux(
-                    engine=engine,
-                    use_decision_table=use_table,
-                    reorder_same_priority=False,
+            demux = PacketFilterDemux(
+                engine=engine, reorder_same_priority=False
+            )
+            build(demux, specs)
+            for packet, expect in zip(packets, expected):
+                report = demux.deliver(packet)
+                assert list(report.accepted_by) == expect, (
+                    engine, packet.hex()
                 )
-                build(demux, specs)
-                for packet, expect in zip(packets, expected):
-                    report = demux.deliver(packet)
-                    assert list(report.accepted_by) == expect, (
-                        engine, use_table, packet.hex()
-                    )
 
     @given(filter_specs, st.lists(packet_word_lists, min_size=1, max_size=12))
     @settings(max_examples=120)

@@ -3,8 +3,8 @@
 Structure tests pin what the set compiler is supposed to *generate*
 (field dispatch, inlined bodies, constant predicate counts); the
 demux-level tests pin the invalidation discipline — every mutation of
-the bound set flows through one hook, so the compiled set, the decision
-table and the flow cache can never disagree.
+the bound set flows through one hook, so the compiled set and the flow
+cache can never disagree.
 
 The file and class names predate the removal of the second whole-set
 engine (the "fused" one); every case now runs on ``Engine.IR`` under
@@ -105,12 +105,12 @@ class TestFuseFilterSet:
         ranks, _ = compiled.classify(packet)
         assert tuple(ranks) == (1,)       # word 6 reads as 0x0A00
 
-    def test_no_push_mode_fuses_without_dispatch(self):
+    def test_no_push_mode_dispatches(self):
         compiled = compile_ir_set(
             [entry(0, word(6) == 0x0900), entry(1, word(6) == 0x0901)],
             mode=ShortCircuitMode.NO_PUSH,
         )
-        assert compiled.discriminant is None
+        assert compiled.discriminant == (6, 0xFFFF)
         packet = pack_words([0, 0, 0, 0, 0, 0, 0x0901, 0])
         assert tuple(compiled.classify(packet)[0]) == (1,)
 

@@ -37,7 +37,6 @@ from repro.core.opt import (
     specialize_filter,
     transfer_filter,
 )
-from repro.core.decision import TableEntry
 from repro.core.port import Port
 from repro.core.program import FilterProgram, asm
 from repro.core.validator import validate
@@ -243,10 +242,7 @@ class TestPasses:
 
 
 def table_entries(programs):
-    return [
-        TableEntry(order=(i,), handle=i, program=p)
-        for i, p in enumerate(programs)
-    ]
+    return [entry(i, p) for i, p in enumerate(programs)]
 
 
 class TestDispatchTree:
@@ -257,7 +253,7 @@ class TestDispatchTree:
                 for i in range(6)
             ]
         )
-        tree = build_dispatch_tree(entries)
+        tree = build_dispatch_tree(entries, ShortCircuitMode.PUSH_RESULT)
         assert tree.discriminant is not None
         word_index, mask = tree.discriminant
         assert word_index == 7 and mask == 0xFFFF
@@ -273,10 +269,10 @@ class TestDispatchTree:
                 compile_expr(word(7) == 2),
             ]
         )
-        tree = build_dispatch_tree(entries)
+        tree = build_dispatch_tree(entries, ShortCircuitMode.PUSH_RESULT)
         bucket = tree.buckets[1]
-        orders = [e.order for e in bucket.entries]
-        assert orders == sorted(orders)
+        ranks = [e.rank for e in bucket.entries]
+        assert ranks == sorted(ranks)
 
     def test_leftovers_reach_every_bucket_and_fallback(self):
         wildcard = compile_expr(word(0) >= 0)  # bucketable nowhere
@@ -287,7 +283,7 @@ class TestDispatchTree:
                 wildcard,
             ]
         )
-        tree = build_dispatch_tree(entries)
+        tree = build_dispatch_tree(entries, ShortCircuitMode.PUSH_RESULT)
         wild = [e for e in entries if e.program is wildcard][0]
         for bucket in tree.buckets.values():
             assert wild in bucket.entries
@@ -302,7 +298,9 @@ class TestDispatchTree:
                 for j in range(3)
             ]
         )
-        tree = build_dispatch_tree(entries, max_depth=1)
+        tree = build_dispatch_tree(
+            entries, ShortCircuitMode.PUSH_RESULT, max_depth=1
+        )
         assert tree.depth <= 1
 
 

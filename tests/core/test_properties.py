@@ -7,7 +7,9 @@ The invariants DESIGN.md §5 promises:
   arbitrary packets, in both short-circuit modes;
 * validator soundness: validated programs never fault at runtime on
   long-enough packets (classic level);
-* the decision table yields exactly the linear scan's outcome;
+* the decision table yields exactly the linear scan's outcome, in both
+  short-circuit modes, from an analysis that only ever reports tests an
+  accepted packet really passes;
 * the compiler's output accepts exactly the packets its expression
   describes (checked against a python-level oracle).
 """
@@ -15,7 +17,7 @@ The invariants DESIGN.md §5 promises:
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compiler import compile_expr, word
-from repro.core.decision import TableEntry
+from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.instructions import (
     BinaryOp,
     CLASSIC_OPERATORS,
@@ -31,10 +33,11 @@ from repro.core.interpreter import (
     evaluate,
 )
 from repro.core.jit import compile_filter
-from repro.core.opt import build_dispatch_tree
+from repro.core.opt import SetEntry, build_dispatch_tree, necessary_equalities
+from repro.core.port import Port
 from repro.core.program import FilterProgram
 from repro.core.validator import ValidationError, validate
-from repro.core.words import get_word, word_count
+from repro.core.words import get_word, pack_words, word_count
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -254,6 +257,17 @@ eq_conjunctions = st.lists(
 )
 
 
+def conjunctions(filter_specs):
+    programs = []
+    for spec in filter_specs:
+        expr = None
+        for index, value in spec:
+            test = word(index) == value
+            expr = test if expr is None else expr & test
+        programs.append(compile_expr(expr))
+    return programs
+
+
 class TestDecisionTableProperties:
     @given(
         st.lists(eq_conjunctions, min_size=1, max_size=8),
@@ -261,20 +275,13 @@ class TestDecisionTableProperties:
     )
     @settings(max_examples=150)
     def test_table_equals_linear_scan(self, filter_specs, packet_words):
-        from repro.core.words import pack_words
-
-        programs = []
-        for spec in filter_specs:
-            expr = None
-            for index, value in spec:
-                test = word(index) == value
-                expr = test if expr is None else expr & test
-            programs.append(compile_expr(expr))
+        programs = conjunctions(filter_specs)
         table = build_dispatch_tree(
             [
-                TableEntry(order=(i,), handle=i, program=program)
+                SetEntry(i, program, validate(program), copy_all=False)
                 for i, program in enumerate(programs)
-            ]
+            ],
+            ShortCircuitMode.PUSH_RESULT,
         )
         packet = pack_words(packet_words)
 
@@ -282,9 +289,51 @@ class TestDecisionTableProperties:
             i for i, program in enumerate(programs)
             if evaluate(program, packet).accepted
         ]
-        offered = [entry.handle for entry in table.lookup(packet)]
+        offered = [entry.rank for entry in table.lookup(packet)]
         via_table = [
             i for i in offered if evaluate(programs[i], packet).accepted
         ]
         assert naive == via_table
         assert offered == sorted(offered)
+
+    @given(valid_programs(), packets, st.sampled_from(ShortCircuitMode))
+    @settings(max_examples=300)
+    def test_necessary_equalities_are_necessary(self, program, packet, mode):
+        """Whatever the analysis reports, an accepted packet passes."""
+        try:
+            report = validate(program, mode=mode)
+        except ValidationError:
+            return  # only meaningful for programs valid in that mode
+        if evaluate(program, packet, mode=mode).accepted:
+            for test in necessary_equalities(program, report, mode):
+                assert test.matches(packet), test
+
+    @given(
+        st.lists(eq_conjunctions, min_size=1, max_size=8),
+        st.lists(
+            st.lists(st.integers(0, 4), min_size=7, max_size=7),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_push_sets_dispatch_and_agree(self, filter_specs, word_lists):
+        """The lowering knows the mode, so a ``NO_PUSH`` set gets the
+        same decision table a ``PUSH_RESULT`` one does."""
+        demuxes = {}
+        for engine in (Engine.CHECKED, Engine.IR):
+            demux = demuxes[engine] = PacketFilterDemux(
+                engine=engine, mode=ShortCircuitMode.NO_PUSH
+            )
+            for index, program in enumerate(conjunctions(filter_specs)):
+                port = Port(index, queue_limit=64)
+                port.bind_filter(program)
+                demux.attach(port)
+        for words in word_lists:
+            packet = pack_words(words)
+            assert (
+                demuxes[Engine.IR].deliver(packet).accepted_by
+                == demuxes[Engine.CHECKED].deliver(packet).accepted_by
+            )
+        tested = [index for spec in filter_specs for index in {i for i, _ in spec}]
+        if len(tested) > len(set(tested)):  # two filters test one word
+            assert demuxes[Engine.IR].ir_stats.dispatch_depth >= 1

@@ -9,18 +9,30 @@ Two properties pinned here:
 * lookups and stores interleave packet by packet, in a burst as in a
   loop: a pre-cached entry evicted by an earlier colliding store is a
   miss when its flow comes back (a batch path that did all lookups
-  before any store once counted it a hit).
+  before any store once counted it a hit);
+* the key width the demultiplexer derives from its bind-time reports
+  equals the instruction-walking mirror the stream builders use.
 """
 
 from __future__ import annotations
 
 from zlib import crc32
 
+import pytest
+
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.flowcache import FlowCache
+from repro.core.interpreter import LanguageLevel
 from repro.core.port import Port
+from repro.core.program import FilterProgram, asm
 from repro.core.words import pack_words
+from repro.difftest import cache_key_bytes
+from ruleset_gen import (
+    generate_adversarial_ruleset,
+    generate_prefix_ruleset,
+    generate_ruleset,
+)
 
 
 def _colliding_word_values(slots: int, count: int) -> list[int]:
@@ -164,3 +176,32 @@ for config in (
 """
     first, second = hashseed_outputs(script)
     assert first == second
+
+
+INDIRECT = FilterProgram(asm("PUSHONE", "PUSHIND", ("PUSHLIT", "EQ", 0x0304)))
+
+
+@pytest.mark.parametrize(
+    "programs",
+    [
+        generate_ruleset(100)[0],
+        generate_prefix_ruleset(100)[0],
+        generate_adversarial_ruleset(100)[0],
+        generate_ruleset(4)[0] + [INDIRECT],
+        [FilterProgram(asm("PUSHONE"))],
+    ],
+    ids=["structured", "prefix", "adversarial", "indirect", "no-loads"],
+)
+def test_key_width_from_reports_equals_the_mirror(programs):
+    demux = PacketFilterDemux(flow_cache=True, level=LanguageLevel.EXTENDED)
+    for index, program in enumerate(programs):
+        port = Port(index)
+        port.bind_filter(program)
+        demux.attach(port)
+    demux.cached_targets(b"")  # builds what the attaches tore down
+    expected = cache_key_bytes(programs)
+    if expected is None:
+        assert not demux._cache_usable
+    else:
+        assert demux._cache_usable
+        assert demux._cache_key_bytes == expected

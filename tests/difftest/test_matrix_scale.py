@@ -1,11 +1,11 @@
 """The firewall-scale differential sweep (``pytest -m difftest``).
 
 Every test replays one generated workload through the full engine ×
-flow-cache × decision-table matrix (fourteen configurations) and
-asserts zero divergences: identical per-packet accept/drop/nobuf
-outcomes, reconciled lifetime counters, and identical flow-cache
-statistics across engines.  The seed-0 legs at 100 and 1000 rules
-(structured and churn) carry no marker and ride in tier-1.
+flow-cache matrix (eight configurations) and asserts zero divergences:
+identical per-packet accept/drop/nobuf outcomes, reconciled lifetime
+counters, and identical flow-cache statistics across engines.  The
+seed-0 legs at 100 and 1000 rules (structured and churn) carry no
+marker and ride in tier-1.
 
 Coverage axes:
 
@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.decision import necessary_equalities
+from repro.core.opt import necessary_equalities
+from repro.core.validator import validate
 from repro.difftest import (
     cache_key_bytes,
     churn_stream,
@@ -84,7 +85,7 @@ def test_structured_scale(size, count, seed):
         oracle=size <= 100,
     )
     assert report.ok, report.summary()
-    assert len(report.results) == 14
+    assert len(report.results) == 8
 
 
 @pytest.mark.parametrize(
@@ -92,9 +93,9 @@ def test_structured_scale(size, count, seed):
 )
 def test_churn_matrix(seed):
     """Mid-stream SETFILTER churn, copy-all flips and drains at 100
-    rules: every mutation tears down the decision table, the IR set,
-    the rank assignment and the flow cache — all fourteen
-    configurations must rebuild into agreement."""
+    rules: every mutation tears down the IR set, the rank assignment
+    and the flow cache — all eight configurations must rebuild into
+    agreement."""
     programs, tuples = generate_ruleset(100, seed=seed)
     packets = traffic_for(tuples, count=192, seed=seed + 200)
     stream = churn_stream(
@@ -146,12 +147,11 @@ def test_collision_flood_matrix(seed):
 @difftest
 @pytest.mark.parametrize("seed", SEEDS)
 def test_adversarial_matrix(seed):
-    """1000 rules sharing one equality discriminant: the decision
-    table and dispatch tree collapse to a single linear bucket, so the
-    whole-set engine takes its fallback path — which must still
-    agree with everything else."""
+    """1000 rules sharing one equality discriminant: the dispatch tree
+    collapses to a single linear bucket, so the whole-set engine takes
+    its fallback path — which must still agree with everything else."""
     programs, tuples = generate_adversarial_ruleset(1000, seed=seed)
-    assert len({necessary_equalities(p) for p in programs}) == 1
+    assert len({necessary_equalities(p, validate(p)) for p in programs}) == 1
     packets = traffic_for(tuples, count=64, seed=seed + 500, spread=True)
     report = run_matrix(
         programs, packets_only(packets), full_matrix(), oracle=False

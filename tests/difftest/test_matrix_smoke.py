@@ -1,15 +1,20 @@
 """Tier-1 smoke coverage of the differential matrix.
 
 Small enough to ride in every test run, but it exercises every axis the
-firewall-scale ``-m difftest`` sweep does: all fourteen
-configurations, live attach/detach churn, copy-all flips, queue drains, buffer-pool
+firewall-scale ``-m difftest`` sweep does: all eight configurations,
+live attach/detach churn, copy-all flips, queue drains, buffer-pool
 exhaustion, same-priority reordering, and the adversarial rule-set
 family the dispatch tree cannot split.
 """
 
 from __future__ import annotations
 
-from repro.core.decision import necessary_equalities
+import pytest
+
+from repro.core.demux import Engine, PacketFilterDemux
+from repro.core.opt import necessary_equalities
+from repro.core.port import Port
+from repro.core.validator import validate
 from repro.difftest import (
     full_matrix,
     packets_only,
@@ -33,7 +38,7 @@ def test_full_matrix_smoke_with_churn():
     )
     report = run_matrix(programs, stream, full_matrix())
     assert report.ok, report.summary()
-    assert len(report.results) == len(full_matrix()) == 14
+    assert len(report.results) == len(full_matrix()) == 8
     cached = [r.cache_stats for r in report.results if r.cache_stats]
     assert cached and all(stats == cached[0] for stats in cached)
     # churn really invalidated the cache mid-stream
@@ -77,8 +82,10 @@ def test_matrix_smoke_reorder():
 def test_matrix_smoke_adversarial_and_prefix():
     adv_programs, adv_tuples = generate_adversarial_ruleset(24, seed=1)
     # the whole point of the family: one shared equality discriminant,
-    # so the decision table / dispatch tree see a single bucket
-    assert len({necessary_equalities(p) for p in adv_programs}) == 1
+    # so the dispatch tree sees a single bucket
+    assert len(
+        {necessary_equalities(p, validate(p)) for p in adv_programs}
+    ) == 1
     packets = traffic_for(adv_tuples, count=72, seed=2)
     report = run_matrix(adv_programs, packets_only(packets), full_matrix())
     assert report.ok, report.summary()
@@ -87,3 +94,32 @@ def test_matrix_smoke_adversarial_and_prefix():
     packets = traffic_for(pre_tuples, count=64, seed=4)
     report = run_matrix(pre_programs, packets_only(packets), full_matrix())
     assert report.ok, report.summary()
+
+
+@pytest.mark.parametrize(
+    "generate, shape, predicates",
+    [
+        (generate_ruleset, (1, 101, 0, 2100, 1210), 256),
+        (generate_prefix_ruleset, (1, 101, 0, 2100, 425), 256),
+        (generate_adversarial_ruleset, (1, 2, 1, 900, 405), 11696),
+    ],
+    ids=["structured", "prefix", "adversarial"],
+)
+def test_compiled_shape_at_100_rules(generate, shape, predicates):
+    """The tree and chains ``Engine.IR`` builds for each family, as
+    recorded at the commit before the analysis moved onto the IR: an
+    edit to the necessary-equality fold that changes a tree says so."""
+    programs, tuples = generate(100)
+    demux = PacketFilterDemux(engine=Engine.IR, reorder_same_priority=False)
+    for index, program in enumerate(programs):
+        port = Port(index)
+        port.bind_filter(program)
+        demux.attach(port)
+    for packet in traffic_for(tuples, count=256, spread=True):
+        demux.deliver(packet)
+    stats = demux.ir_stats
+    assert (
+        stats.dispatch_depth, stats.chains, stats.hoisted,
+        stats.nodes_before_cse, stats.nodes_after_cse,
+    ) == shape
+    assert demux.total_predicates_tested == predicates
