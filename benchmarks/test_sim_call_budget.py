@@ -10,17 +10,29 @@ four-segment flow storm under ``sys.setprofile`` and fails if
 
 * the calls made per fired event (Python frames and C functions both,
   what ``cProfile`` totals) exceed :data:`CALLS_PER_EVENT_BUDGET` — this
-  storm took 48.4 before the budget was spent and takes 33.8 after, on
-  Python 3.10 to 3.13 alike; or
+  storm took 48.4 before the budget was spent and takes 33.3 after, on
+  Python 3.10 to 3.13 alike;
 * any ``Enum.__hash__`` frame runs under ``SimKernel.account``: a dict
   or set keyed by ``Primitive`` members hashes them in Python, once per
-  charge, fourteen charges a packet.
+  charge, fourteen charges a packet; or
+* any ledger, telemetry or watchdog code runs at all: the storm has
+  both switched off, and off means free.
+
+The same hook counts the calls one ``PacketFilterDemux.deliver`` makes
+on the 32-filter :func:`measure_demux_throughput` workload, for every
+engine with and without the flow cache — the demultiplexer's hot path
+as a count, with nothing to record first.
 """
 
 import enum
 import sys
+import types
 
-from repro.bench.scenarios import run_flow_storm
+import pytest
+
+from repro.bench.scenarios import measure_demux_throughput, run_flow_storm
+from repro.core.demux import PacketFilterDemux
+from repro.sim import ledger, telemetry
 from repro.sim.kernel import SimKernel
 
 CALLS_PER_EVENT_BUDGET = 36.0
@@ -36,48 +48,140 @@ STORM = dict(
     ledger=False,   # the path every benchmark workload times
 )
 
+OBSERVERS = (
+    ledger.Ledger,
+    ledger.PacketSpan,
+    telemetry.Telemetry,
+    telemetry.Series,
+    telemetry.SeriesView,
+    telemetry.WatchdogRule,
+    telemetry._RuleState,
+    telemetry.partition_watchdog,
+    telemetry.builtin_watchdogs,
+    telemetry._livelock,
+    telemetry._pool_exhausted,
+    telemetry._poll_residency,
+    telemetry._rto_backoff_storm,
+)
+"""What must stay idle with the ledger and telemetry off.
+``LogHistogram`` is not here: the always-on sync profile feeds it."""
 
-def count_calls(job):
-    """Run ``job`` counting calls; returns ``(result, calls,
-    enum_hashes_under_account)``."""
-    account = SimKernel.account.__code__
+DELIVER_CALLS = {
+    ("checked", False): 291.94,
+    ("checked", True): 9.0,
+    ("prevalidated", False): 220.94,
+    ("prevalidated", True): 9.0,
+    ("compiled", False): 91.5,
+    ("compiled", True): 9.0,
+    ("ir", False): 12.0,
+    ("ir", True): 9.0,
+}
+"""Calls per steady-state deliver, measured on Python 3.11 before the
+demultiplexer lost its ``last_drop_cause`` probe (one call fewer since)."""
+
+DELIVER_HEADROOM = 1
+"""For how CPython 3.12+ reports C calls to a profile hook."""
+
+
+def code_of(*owners) -> set:
+    """Every code object ``owners`` (classes or functions) define,
+    nested functions and lambdas included."""
+    pending = []
+    for owner in owners:
+        members = vars(owner).values() if isinstance(owner, type) else [owner]
+        for member in members:
+            if isinstance(member, property):
+                member = member.fget
+            if hasattr(member, "__code__"):
+                pending.append(member.__code__)
+    found = set()
+    while pending:
+        code = pending.pop()
+        if code not in found:
+            found.add(code)
+            pending.extend(
+                const for const in code.co_consts
+                if isinstance(const, types.CodeType)
+            )
+    return found
+
+
+def count_calls(job, *, scope=SimKernel.account, watched=frozenset()):
+    """Run ``job`` counting calls; returns ``(result, tally)``.
+
+    ``tally.calls`` is every call, ``tally.scoped`` the calls made by
+    each outermost ``scope`` frame (its own call included),
+    ``tally.enum_hashes`` the ``Enum.__hash__`` frames under ``scope``
+    and ``tally.watched`` the frames run of code in ``watched``."""
+    scope_code = scope.__code__
     enum_hash = enum.Enum.__hash__.__code__
-    calls = 0
-    in_account = 0
-    hashes = 0
+    tally = types.SimpleNamespace(calls=0, scoped=[], enum_hashes=0, watched=0)
+    depth = entered = 0
 
     def hook(frame, event, arg):
-        nonlocal calls, in_account, hashes
+        nonlocal depth, entered
         if event == "call":
-            calls += 1
+            tally.calls += 1
             code = frame.f_code
-            if code is account:
-                in_account += 1
-            elif code is enum_hash and in_account:
-                hashes += 1
+            if code is scope_code:
+                if not depth:
+                    entered = tally.calls
+                depth += 1
+            elif code is enum_hash and depth:
+                tally.enum_hashes += 1
+            elif code in watched:
+                tally.watched += 1
         elif event == "c_call":
-            calls += 1
-        elif event == "return" and frame.f_code is account:
-            in_account -= 1
+            tally.calls += 1
+        elif event == "return" and frame.f_code is scope_code:
+            depth -= 1
+            if not depth:
+                tally.scoped.append(tally.calls - entered + 1)
 
     sys.setprofile(hook)
     try:
         result = job()
     finally:
         sys.setprofile(None)
-    return result, calls, hashes
+    return result, tally
 
 
 def test_sim_call_budget(emit):
     run_flow_storm(**STORM)  # imports and first-use caches, uncounted
-    outcome, calls, hashes = count_calls(lambda: run_flow_storm(**STORM))
+    outcome, tally = count_calls(
+        lambda: run_flow_storm(**STORM), watched=code_of(*OBSERVERS)
+    )
     events = outcome["events_fired"]
     assert events > 8_000, "the storm did not run"
-    per_event = calls / events
+    per_event = tally.calls / events
     emit(
-        f"flow storm: {events} events, {calls} calls, "
+        f"flow storm: {events} events, {tally.calls} calls, "
         f"{per_event:.1f} calls/event (budget {CALLS_PER_EVENT_BUDGET:.0f}); "
-        f"{hashes} Enum.__hash__ frames under account"
+        f"{tally.enum_hashes} Enum.__hash__ frames under account; "
+        f"{tally.watched} ledger/telemetry/watchdog frames"
     )
-    assert hashes == 0
+    assert tally.enum_hashes == 0
+    assert tally.watched == 0
     assert per_event <= CALLS_PER_EVENT_BUDGET
+
+
+@pytest.mark.parametrize("engine, flow_cache", sorted(DELIVER_CALLS), ids=str)
+def test_deliver_call_budget(emit, engine, flow_cache):
+    """``min_seconds=0`` makes the workload one warm-up pass over its
+    256 packets (the set compiles, the cache fills, every queue fills)
+    and one steady-state pass, the one counted."""
+    _, tally = count_calls(
+        lambda: measure_demux_throughput(
+            engine, filters=32, flow_cache=flow_cache, min_seconds=0
+        ),
+        scope=PacketFilterDemux.deliver,
+    )
+    assert len(tally.scoped) == 512
+    steady = tally.scoped[256:]
+    per_deliver = sum(steady) / len(steady)
+    budget = DELIVER_CALLS[engine, flow_cache] + DELIVER_HEADROOM
+    emit(
+        f"{engine}{'+cache' if flow_cache else ''}: "
+        f"{per_deliver:.2f} calls/deliver (budget {budget:.2f})"
+    )
+    assert per_deliver <= budget

@@ -46,7 +46,6 @@ __all__ = [
     "read_forever",
     "blast",
     "measure_demux_throughput",
-    "demux_label_kwargs",
     "measure_send_cost",
     "measure_vmtp_minimal",
     "measure_vmtp_bulk",
@@ -188,25 +187,6 @@ def measure_demux_throughput(
         elapsed = time.perf_counter() - start
         if elapsed >= min_seconds:
             return delivered / elapsed
-
-
-def demux_label_kwargs(label: str) -> dict:
-    """Map a recorded throughput-row label back onto
-    :func:`measure_demux_throughput` keyword arguments.
-
-    Labels look like ``"ir+cache, 32 filters"``: an engine name with
-    an optional ``+cache`` (flow cache on) modifier.  Shared by the
-    regression guards so a new row in the throughput bench never needs
-    a second parser.
-    """
-    engine, _, filters = label.partition(", ")
-    base, _, modifier = engine.partition("+")
-    kwargs: dict = {"engine": base, "filters": int(filters.split()[0])}
-    if modifier == "cache":
-        kwargs["flow_cache"] = True
-    elif modifier:
-        raise ValueError(f"unknown engine modifier in label {label!r}")
-    return kwargs
 
 
 # ---------------------------------------------------------------------------

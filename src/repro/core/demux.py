@@ -335,70 +335,49 @@ class PacketFilterDemux:
             and self._deliveries % self.REORDER_INTERVAL == 0
         )
 
-        # Fast path: exactly one accepting filter whose enqueue succeeds
-        # — the overwhelming steady-state case.  No per-packet list
-        # churn, and since DeliveryReport is frozen, identical outcomes
-        # share one cached instance instead of paying the (slow) frozen
-        # dataclass constructor every packet.
+        # Fast path: exactly one accepting filter — the overwhelming
+        # steady-state case, and with a full queue the steady state of
+        # every overload scenario.  No per-packet list churn, and since
+        # DeliveryReport is frozen, identical outcomes share one cached
+        # instance, keyed by the packet's fate (the report field its
+        # port lands in), instead of paying the (slow) frozen dataclass
+        # constructor every packet.
         if len(ranks) == 1:
             binding = self._order[ranks[0]]
             port = binding.port
             binding.accepts += 1
             if port.enqueue(packet, timestamp, packet_id):
-                if tick:
-                    self._reorder()
-                key = (port.port_id, predicates, instructions)
-                report = self._reports.get(key)
-                if report is None:
-                    report = DeliveryReport(
-                        accepted_by=(port.port_id,),
-                        predicates_tested=predicates,
-                        instructions_executed=instructions,
-                    )
-                    if len(self._reports) < 4096:
-                        self._reports[key] = report
-                return report
-            # Single-filter drop: same caching as the accept path —
-            # this is the steady state of every overload scenario, so
-            # it must not be slower than acceptance.
+                fate = "accepted_by"
+            elif port.last_drop_cause == "nobuf":
+                self.packets_unclaimed += 1
+                fate = "nobuf_by"
+            else:
+                fate = "dropped_by"
             if tick:
                 self._reorder()
-            if getattr(port, "last_drop_cause", None) == "nobuf":
-                self.packets_unclaimed += 1
-                key = (port.port_id, predicates, instructions, "nobuf")
-                report = self._reports.get(key)
-                if report is None:
-                    report = DeliveryReport(
-                        nobuf_by=(port.port_id,),
-                        predicates_tested=predicates,
-                        instructions_executed=instructions,
-                    )
-                    if len(self._reports) < 4096:
-                        self._reports[key] = report
-                return report
-            key = (port.port_id, predicates, instructions, "overflow")
+            key = (port.port_id, predicates, instructions, fate)
             report = self._reports.get(key)
             if report is None:
                 report = DeliveryReport(
-                    dropped_by=(port.port_id,),
                     predicates_tested=predicates,
                     instructions_executed=instructions,
+                    **{fate: (port.port_id,)},
                 )
                 if len(self._reports) < 4096:
                     self._reports[key] = report
             return report
-        else:
-            accepted_by, dropped_by, nobuf_by = [], [], []
-            order = self._order
-            for rank in ranks:
-                binding = order[rank]
-                binding.accepts += 1
-                if binding.port.enqueue(packet, timestamp, packet_id):
-                    accepted_by.append(binding.port.port_id)
-                elif getattr(binding.port, "last_drop_cause", None) == "nobuf":
-                    nobuf_by.append(binding.port.port_id)
-                else:
-                    dropped_by.append(binding.port.port_id)
+
+        accepted_by, dropped_by, nobuf_by = [], [], []
+        order = self._order
+        for rank in ranks:
+            binding = order[rank]
+            binding.accepts += 1
+            if binding.port.enqueue(packet, timestamp, packet_id):
+                accepted_by.append(binding.port.port_id)
+            elif binding.port.last_drop_cause == "nobuf":
+                nobuf_by.append(binding.port.port_id)
+            else:
+                dropped_by.append(binding.port.port_id)
 
         if not accepted_by and not dropped_by:
             self.packets_unclaimed += 1

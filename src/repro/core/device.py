@@ -47,7 +47,7 @@ from ..sim.ledger import (
     STAGE_WAKEUP,
 )
 from ..sim.process import Ioctl, Process, Read, Write
-from .demux import Engine, PacketFilterDemux
+from .demux import DeliveryReport, Engine, PacketFilterDemux
 from .ioctl import DataLinkInfo, PFIoctl, PortStatus
 from .port import Port, ReadTimeoutPolicy
 from .program import FilterProgram
@@ -93,51 +93,39 @@ class PacketFilterDevice(DeviceDriver):
         self.packets_accepted = 0
         self.packets_delivered = 0         #: packets handed to readers
         self.packets_dropped_overflow = 0  #: port-queue overflow drops
-        register = getattr(self.kernel, "register_rx_classifier", None)
-        if register is not None:
-            register(self._admission_full)
-        publish = getattr(self.kernel, "publish_gauges", None)
-        if publish is not None:
-            # Device-wide delivery/overflow counters: what the
-            # receive-livelock watchdog computes its rates from.
+        self.kernel.register_rx_classifier(self._admission_full)
+        publish = self.kernel.publish_gauges
+        # Device-wide delivery/overflow counters: what the
+        # receive-livelock watchdog computes its rates from.
+        publish(
+            "pf.",
+            {
+                "delivered": lambda: self.packets_delivered,
+                "drop_overflow": lambda: self.packets_dropped_overflow,
+            },
+            unit="packets",
+        )
+        if self.demux.flow_cache is not None:
             publish(
-                "pf.",
+                "pf.flowcache.",
                 {
-                    "delivered": lambda: self.packets_delivered,
-                    "drop_overflow": lambda: self.packets_dropped_overflow,
+                    "hit_rate": cache_gauge(self.demux, "hit_rate"),
+                    "hits": cache_gauge(self.demux, "hits"),
+                    "misses": cache_gauge(self.demux, "misses"),
+                    "invalidations": cache_gauge(self.demux, "invalidations"),
                 },
-                unit="packets",
+                unit="",
             )
-            cache = self.demux.flow_cache
-            if cache is not None:
-                publish(
-                    "pf.flowcache.",
-                    {
-                        "hit_rate": cache_gauge(self.demux, "hit_rate"),
-                        "hits": cache_gauge(self.demux, "hits"),
-                        "misses": cache_gauge(self.demux, "misses"),
-                        "invalidations": cache_gauge(
-                            self.demux, "invalidations"
-                        ),
-                    },
-                    unit="",
-                )
-            if self.demux.engine is Engine.IR:
-                publish(
-                    "pf.ir.",
-                    {
-                        "nodes_before_cse": ir_gauge(
-                            self.demux, "nodes_before_cse"
-                        ),
-                        "nodes_after_cse": ir_gauge(
-                            self.demux, "nodes_after_cse"
-                        ),
-                        "dispatch_depth": ir_gauge(
-                            self.demux, "dispatch_depth"
-                        ),
-                    },
-                    unit="nodes",
-                )
+        if self.demux.engine is Engine.IR:
+            publish(
+                "pf.ir.",
+                {
+                    "nodes_before_cse": ir_gauge(self.demux, "nodes_before_cse"),
+                    "nodes_after_cse": ir_gauge(self.demux, "nodes_after_cse"),
+                    "dispatch_depth": ir_gauge(self.demux, "dispatch_depth"),
+                },
+                unit="nodes",
+            )
 
     def _admission_full(self, frame: bytes) -> bool:
         """Early-shed query for the kernel's admission control: does
@@ -165,17 +153,13 @@ class PacketFilterDevice(DeviceDriver):
             raise DeviceBusy("all packet filter ports are in use")
         port = Port(self._next_port_id)
         port.on_drop = self._port_drop
-        port.pool = getattr(kernel, "buffer_pool", None)
+        port.pool = kernel.buffer_pool
         self._next_port_id += 1
         handle = PacketFilterHandle(self, port, process)
         self._handles[port.port_id] = handle
-        publish = getattr(kernel, "publish_gauges", None)
-        if publish is not None:
-            publish(
-                f"pf.port{port.port_id}.",
-                port.telemetry_gauges(),
-                unit="packets",
-            )
+        kernel.publish_gauges(
+            f"pf.port{port.port_id}.", port.telemetry_gauges(), unit="packets"
+        )
         return handle
 
     def _release(self, handle: "PacketFilterHandle") -> None:
@@ -198,9 +182,7 @@ class PacketFilterDevice(DeviceDriver):
                 if packet.packet_id is not None:
                     ledger.close_packet(packet.packet_id, "closed_port", now)
         self._handles.pop(handle.port.port_id, None)
-        retract = getattr(self.kernel, "retract_gauges", None)
-        if retract is not None:
-            retract(f"pf.port{handle.port.port_id}.")
+        self.kernel.retract_gauges(f"pf.port{handle.port.port_id}.")
         handle.readers.fail_all(
             BadFileDescriptor(f"packet-filter port {handle.port.port_id} closed")
         )
@@ -234,67 +216,14 @@ class PacketFilterDevice(DeviceDriver):
         """
         self.packets_processed += 1
         kernel = self.kernel
-        ledger = kernel.ledger
         now = kernel.scheduler.now
         report = self.demux.deliver(frame, timestamp=now, packet_id=packet_id)
-
-        costs = kernel.costs
         kernel.account(
-            Primitive.PF_FIXED, costs.pf_fixed, component="pf",
+            Primitive.PF_FIXED, kernel.costs.pf_fixed, component="pf",
             packet_id=packet_id,
         )
-        if report.predicates_tested:
-            kernel.account(
-                Primitive.FILTER_PREDICATE,
-                costs.filter_cost(report.predicates_tested, 0),
-                quantity=report.predicates_tested,
-                component="pf",
-                packet_id=packet_id,
-            )
-        if report.instructions_executed:
-            kernel.account(
-                Primitive.FILTER_INSTRUCTION,
-                costs.filter_cost(0, report.instructions_executed),
-                quantity=report.instructions_executed,
-                component="pf",
-                packet_id=packet_id,
-            )
-        if ledger is not None and packet_id is not None:
-            ledger.stage(packet_id, STAGE_FILTER_EVAL, now)
-        for port_id in report.accepted_by:
-            if self._handles[port_id].port.timestamping:
-                kernel.account(
-                    Primitive.MICROTIME, costs.microtime, component="pf",
-                    packet_id=packet_id,
-                )
-        if ledger is not None and packet_id is not None:
-            if report.accepted_by:
-                ledger.stage(packet_id, STAGE_ENQUEUE, now)
-        self.packets_dropped_overflow += len(report.dropped_by)
-        for port_id in report.dropped_by:
-            kernel.account(
-                Primitive.DROP_OVERFLOW, component="pf",
-                packet_id=packet_id, flow=port_id,
-            )
-        for port_id in report.nobuf_by:
-            kernel.account(
-                Primitive.DROP_NOBUF, component="pf",
-                packet_id=packet_id, flow=port_id,
-            )
-        if (
-            ledger is not None
-            and packet_id is not None
-            and (report.dropped_by or report.nobuf_by)
-            and not report.accepted_by
-        ):
-            outcome = (
-                "dropped_overflow" if report.dropped_by else "dropped_nobuf"
-            )
-            ledger.close_packet(packet_id, outcome, now)
-
-        if not report.accepted:
+        if not self._settle(report, packet_id, now):
             return False
-        self.packets_accepted += 1
         woke = False
         for port_id in report.accepted_by:
             handle = self._handles[port_id]
@@ -303,6 +232,7 @@ class PacketFilterDevice(DeviceDriver):
             handle.readers.wake_all()
             if handle.port.signal is not None:
                 kernel.post_signal(handle.owner, handle.port.signal)
+        ledger = kernel.ledger
         if woke and ledger is not None and packet_id is not None:
             ledger.stage(packet_id, STAGE_WAKEUP, kernel.scheduler.now)
         kernel.readiness_changed()
@@ -335,63 +265,13 @@ class PacketFilterDevice(DeviceDriver):
             frames, timestamp=now, packet_ids=packet_ids
         )
 
-        costs = kernel.costs
-        kernel.account(Primitive.PF_FIXED, costs.pf_fixed, component="pf")
+        kernel.account(Primitive.PF_FIXED, kernel.costs.pf_fixed, component="pf")
         notify: dict[int, "PacketFilterHandle"] = {}
         accepted_flags: list[bool] = []
         for report, pid in zip(reports, packet_ids):
-            if report.predicates_tested:
-                kernel.account(
-                    Primitive.FILTER_PREDICATE,
-                    costs.filter_cost(report.predicates_tested, 0),
-                    quantity=report.predicates_tested,
-                    component="pf",
-                    packet_id=pid,
-                )
-            if report.instructions_executed:
-                kernel.account(
-                    Primitive.FILTER_INSTRUCTION,
-                    costs.filter_cost(0, report.instructions_executed),
-                    quantity=report.instructions_executed,
-                    component="pf",
-                    packet_id=pid,
-                )
-            if ledger is not None and pid is not None:
-                ledger.stage(pid, STAGE_FILTER_EVAL, now)
+            accepted_flags.append(self._settle(report, pid, now))
             for port_id in report.accepted_by:
-                handle = self._handles[port_id]
-                if handle.port.timestamping:
-                    kernel.account(
-                        Primitive.MICROTIME, costs.microtime,
-                        component="pf", packet_id=pid,
-                    )
-                notify[port_id] = handle
-            if ledger is not None and pid is not None and report.accepted_by:
-                ledger.stage(pid, STAGE_ENQUEUE, now)
-            self.packets_dropped_overflow += len(report.dropped_by)
-            for port_id in report.dropped_by:
-                kernel.account(
-                    Primitive.DROP_OVERFLOW, component="pf",
-                    packet_id=pid, flow=port_id,
-                )
-            for port_id in report.nobuf_by:
-                kernel.account(
-                    Primitive.DROP_NOBUF, component="pf",
-                    packet_id=pid, flow=port_id,
-                )
-            if (
-                ledger is not None
-                and pid is not None
-                and (report.dropped_by or report.nobuf_by)
-                and not report.accepted_by
-            ):
-                outcome = (
-                    "dropped_overflow" if report.dropped_by else "dropped_nobuf"
-                )
-                ledger.close_packet(pid, outcome, now)
-            if report.accepted:
-                self.packets_accepted += 1
-            accepted_flags.append(report.accepted)
+                notify[port_id] = self._handles[port_id]
 
         woken_ports: set[int] = set()
         for port_id, handle in notify.items():
@@ -410,6 +290,69 @@ class PacketFilterDevice(DeviceDriver):
         if notify:
             kernel.readiness_changed()
         return accepted_flags
+
+    def _settle(
+        self, report: DeliveryReport, packet_id: int | None, now: float
+    ) -> bool:
+        """One demultiplexed frame's own share of the interrupt-side
+        work, alone or in a burst: the filter work it cost, a
+        ``microtime`` per timestamping port it reached, its overflow and
+        no-buffer drops, and its span up to the enqueue (or the drop
+        that ends it).  Returns whether some port accepted it."""
+        kernel = self.kernel
+        costs = kernel.costs
+        ledger = kernel.ledger
+        traced = ledger is not None and packet_id is not None
+        if report.predicates_tested:
+            kernel.account(
+                Primitive.FILTER_PREDICATE,
+                costs.filter_cost(report.predicates_tested, 0),
+                quantity=report.predicates_tested,
+                component="pf",
+                packet_id=packet_id,
+            )
+        if report.instructions_executed:
+            kernel.account(
+                Primitive.FILTER_INSTRUCTION,
+                costs.filter_cost(0, report.instructions_executed),
+                quantity=report.instructions_executed,
+                component="pf",
+                packet_id=packet_id,
+            )
+        if traced:
+            ledger.stage(packet_id, STAGE_FILTER_EVAL, now)
+        for port_id in report.accepted_by:
+            if self._handles[port_id].port.timestamping:
+                kernel.account(
+                    Primitive.MICROTIME, costs.microtime, component="pf",
+                    packet_id=packet_id,
+                )
+        if traced and report.accepted_by:
+            ledger.stage(packet_id, STAGE_ENQUEUE, now)
+        self.packets_dropped_overflow += len(report.dropped_by)
+        for port_id in report.dropped_by:
+            kernel.account(
+                Primitive.DROP_OVERFLOW, component="pf",
+                packet_id=packet_id, flow=port_id,
+            )
+        for port_id in report.nobuf_by:
+            kernel.account(
+                Primitive.DROP_NOBUF, component="pf",
+                packet_id=packet_id, flow=port_id,
+            )
+        if (
+            traced
+            and (report.dropped_by or report.nobuf_by)
+            and not report.accepted_by
+        ):
+            outcome = (
+                "dropped_overflow" if report.dropped_by else "dropped_nobuf"
+            )
+            ledger.close_packet(packet_id, outcome, now)
+        if not report.accepted:
+            return False
+        self.packets_accepted += 1
+        return True
 
 
 class PacketFilterHandle(DeviceHandle):
@@ -465,6 +408,7 @@ class PacketFilterHandle(DeviceHandle):
             return
         policy = self.port.read_policy
         if not policy.blocking:
+            # Not a raise: a woken reader re-runs read() outside _syscall.
             kernel.fail(process, WouldBlock("no packets queued"))
             return
         self.readers.block(
@@ -484,13 +428,7 @@ class PacketFilterHandle(DeviceHandle):
         if isinstance(frames, (bytes, bytearray)):
             frames = (bytes(frames),)
         elif not self.write_batching:
-            kernel.fail(
-                process,
-                InvalidArgument(
-                    "multiple frames per write need SETWRITEBATCH"
-                ),
-            )
-            return
+            raise InvalidArgument("multiple frames per write need SETWRITEBATCH")
         elif not (
             isinstance(frames, (list, tuple))
             and all(isinstance(frame, (bytes, bytearray)) for frame in frames)
@@ -504,19 +442,9 @@ class PacketFilterHandle(DeviceHandle):
         total = 0
         for frame in frames:
             if len(frame) < link.header_length:
-                kernel.fail(
-                    process,
-                    InvalidArgument(
-                        "frame must include the data-link header"
-                    ),
-                )
-                return
+                raise InvalidArgument("frame must include the data-link header")
             if len(frame) > link.max_frame_bytes:
-                kernel.fail(
-                    process,
-                    InvalidArgument(f"frame exceeds {link.name} maximum"),
-                )
-                return
+                raise InvalidArgument(f"frame exceeds {link.name} maximum")
         for frame in frames:
             kernel.account(
                 Primitive.PF_SEND_FIXED,

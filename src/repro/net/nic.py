@@ -102,29 +102,27 @@ class NIC:
         if not self.wants(frame):
             self.frames_ignored += 1
             return
-        # The kernel may be a bare test stub; only touch its ledger (and
-        # name/clock) when one is actually attached.
         kernel = self.kernel
-        ledger = getattr(kernel, "ledger", None)
-        policy = getattr(kernel, "rx_policy", None)
-        if policy is not None or getattr(kernel, "buffer_pool", None) is not None:
+        ledger = kernel.ledger
+        packet_id = None
+        if ledger is not None:
+            packet_id = ledger.begin_packet(
+                kernel.name,
+                at=kernel.scheduler.now,
+                flow=self.link.ethertype_of(frame),
+                stage=STAGE_WIRE_ARRIVAL,
+            )
+        policy = kernel.rx_policy
+        if policy is not None or kernel.buffer_pool is not None:
             cause = kernel.admit_frame(self, frame)
         elif len(self._input_queue) >= self.input_queue_limit:
             cause = Primitive.DROP_INTERFACE
         else:
             cause = None
         if cause is not None:
-            self._drop_at_admission(frame, cause, ledger)
+            self._drop_at_admission(cause, packet_id)
             return
         self.frames_received += 1
-        packet_id = None
-        if ledger is not None:
-            packet_id = ledger.begin_packet(
-                self.kernel.name,
-                at=self.kernel.scheduler.now,
-                flow=self.link.ethertype_of(frame),
-                stage=STAGE_WIRE_ARRIVAL,
-            )
         self._input_queue.append(frame)
         self._input_ids.append(packet_id)
         if self.polling:
@@ -134,7 +132,7 @@ class NIC:
         else:
             self._schedule_service()
 
-    def _drop_at_admission(self, frame: bytes, cause, ledger) -> None:
+    def _drop_at_admission(self, cause, packet_id: int | None) -> None:
         """Refused at ring enqueue: count it and close its fate in the
         ledger, so the drop census accounts for every wire arrival —
         the charge goes through ``kernel.account`` like any other event."""
@@ -144,18 +142,8 @@ class NIC:
             self.frames_nobuf += 1
         else:
             self.frames_dropped += 1
-        account = getattr(self.kernel, "account", None)
-        if account is None:
-            return  # bare test-stub kernel: local counters only
-        packet_id = None
-        if ledger is not None:
-            packet_id = ledger.begin_packet(
-                self.kernel.name,
-                at=self.kernel.scheduler.now,
-                flow=self.link.ethertype_of(frame),
-                stage=STAGE_WIRE_ARRIVAL,
-            )
-        account(cause, component="nic", packet_id=packet_id)
+        self.kernel.account(cause, component="nic", packet_id=packet_id)
+        ledger = self.kernel.ledger
         if ledger is not None:
             # The legacy primitive's value predates the "dropped_*"
             # outcome naming; every newer cause matches its outcome.
@@ -170,10 +158,10 @@ class NIC:
         """Arrange for the kernel's receive interrupt to drain the queue:
         one event per frame, so interrupt costs serialize on the host
         CPU the way per-frame interrupts did."""
-        if self.kernel is None or self._service_scheduled:
+        if self._service_scheduled:
             return
         self._service_scheduled = True
-        if getattr(self.kernel, "rx_policy", None) is not None:
+        if self.kernel.rx_policy is not None:
             # CPU-gated: with an overload policy the receive interrupt
             # runs when the CPU cursor frees, not instantaneously, so
             # the ring holds real backlog and can genuinely fill — the
@@ -190,19 +178,14 @@ class NIC:
         self._service_scheduled = False
         if not self._input_queue or self.polling:
             return
-        pool = getattr(self.kernel, "buffer_pool", None)
+        kernel = self.kernel
         frame = self._input_queue.popleft()
-        packet_id = self._input_ids.popleft() if self._input_ids else None
-        if pool is not None:
+        packet_id = self._input_ids.popleft()
+        if kernel.buffer_pool is not None:
             # The ring slot frees as the frame is handed up; a port
             # that keeps it takes its own reservation at enqueue.
-            pool.release(("ring", self.kernel.name))
-        if packet_id is None:
-            # Also the path taken with bare test-stub kernels, whose
-            # network_input doesn't take a packet id.
-            self.kernel.network_input(self, frame)
-        else:
-            self.kernel.network_input(self, frame, packet_id)
+            kernel.buffer_pool.release(("ring", kernel.name))
+        kernel.network_input(self, frame, packet_id)
         if self._input_queue:
             self._schedule_service()
 
@@ -226,7 +209,7 @@ class NIC:
         enough that user processes keep their guaranteed share.
         """
         kernel = self.kernel
-        policy = getattr(kernel, "rx_policy", None)
+        policy = kernel.rx_policy
         self._poll_event = None
         if policy is None or not self._input_queue:
             # Load has passed (or the policy was removed mid-flight):
@@ -240,18 +223,12 @@ class NIC:
         packet_ids: list[int | None] = []
         while self._input_queue and len(frames) < policy.poll_quota:
             frames.append(self._input_queue.popleft())
-            packet_ids.append(
-                self._input_ids.popleft() if self._input_ids else None
-            )
-        pool = getattr(kernel, "buffer_pool", None)
-        if pool is not None:
-            pool.release(("ring", kernel.name), len(frames))
+            packet_ids.append(self._input_ids.popleft())
+        if kernel.buffer_pool is not None:
+            kernel.buffer_pool.release(("ring", kernel.name), len(frames))
         self.polls += 1
         self.frames_polled += len(frames)
-        if any(pid is not None for pid in packet_ids):
-            kernel.network_input_batch(self, frames, packet_ids=packet_ids)
-        else:
-            kernel.network_input_batch(self, frames)
+        kernel.network_input_batch(self, frames, packet_ids=packet_ids)
         if not self._input_queue:
             self.polling = False
             return

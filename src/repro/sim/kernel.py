@@ -141,9 +141,7 @@ class WaitQueue:
         # Register with the kernel so kill() can evict a victim from
         # every queue it might be parked on without the queues having
         # to know about each other.
-        registry = getattr(kernel, "_wait_queues", None)
-        if registry is not None:
-            registry.append(self)
+        kernel._wait_queues.append(self)
 
     def __len__(self) -> int:
         return len(self._waiters)
@@ -697,13 +695,11 @@ class SimKernel:
     def attach_nic(self, nic) -> None:
         nic.kernel = self
         self._nics.append(nic)
-        gauges = getattr(nic, "telemetry_gauges", None)
-        if gauges is not None:
-            # Second and later interfaces get an index so series names
-            # stay unique ("nic.ring_depth", "nic1.ring_depth", ...).
-            index = len(self._nics) - 1
-            prefix = "nic." if index == 0 else f"nic{index}."
-            self.publish_gauges(prefix, gauges())
+        # Second and later interfaces get an index so series names stay
+        # unique ("nic.ring_depth", "nic1.ring_depth", ...).
+        index = len(self._nics) - 1
+        prefix = "nic." if index == 0 else f"nic{index}."
+        self.publish_gauges(prefix, nic.telemetry_gauges())
 
     @property
     def nics(self) -> list:
@@ -755,18 +751,14 @@ class SimKernel:
         if len(nic._input_queue) >= nic.input_queue_limit:
             return Primitive.DROP_RING
         policy = self.rx_policy
-        if policy is not None and getattr(nic, "polling", False):
+        if policy is not None and nic.polling:
             occupancy = len(nic._input_queue)
             if (
                 policy.shed_watermark is not None
                 and occupancy >= policy.shed_watermark
             ):
                 return Primitive.DROP_SHED
-            if (
-                policy.early_shed_classified
-                and self._rx_classifier is not None
-                and self._rx_classifier(frame)
-            ):
+            if self._rx_classifier is not None and self._rx_classifier(frame):
                 return Primitive.DROP_SHED
         pool = self.buffer_pool
         if pool is not None and not pool.reserve(("ring", self.name)):
@@ -795,6 +787,20 @@ class SimKernel:
             packet_id=packet_id,
             flow=ethertype,
         )
+        self._frame_in(frame, packet_id)
+        claimed = self._claim(nic, frame, ethertype, packet_id)
+        pf_took = False
+        if self._packet_filter is not None and (not claimed or self.pf_sees_all):
+            pf_took = self._packet_filter.packet_arrived(
+                nic, frame, packet_id=packet_id
+            )
+        if not pf_took:  # else the span stays open until read via the PF
+            self._not_taken(packet_id, claimed)
+
+    def _frame_in(self, frame: bytes, packet_id: int | None) -> None:
+        """One frame's own share of a receive interrupt, whether the
+        interrupt serviced it alone or in a burst: the frame count, its
+        buffer handling and the span's interrupt stage."""
         self.account(_FRAME_RX, component="nic", packet_id=packet_id)
         self.account(
             _BUFFER,
@@ -803,25 +809,25 @@ class SimKernel:
             component="nic",
             packet_id=packet_id,
         )
-        if ledger is not None:
-            ledger.stage(packet_id, STAGE_INTERRUPT, self.scheduler.now)
+        if self.ledger is not None:
+            self.ledger.stage(packet_id, STAGE_INTERRUPT, self.scheduler.now)
+
+    def _claim(
+        self, nic, frame: bytes, ethertype: int, packet_id: int | None
+    ) -> bool:
+        """Run the kernel-resident protocol registered for ``ethertype``,
+        if any, with its charges attributed to ``packet_id``; True when
+        one claimed the frame."""
         handler = self._ethertype_handlers.get(ethertype)
-        claimed = False
-        if handler is not None:
-            previous = self._ledger_packet
-            self._ledger_packet = packet_id
-            try:
-                handler(nic, frame)
-            finally:
-                self._ledger_packet = previous
-            claimed = True
-        pf_took = False
-        if self._packet_filter is not None and (not claimed or self.pf_sees_all):
-            pf_took = self._packet_filter.packet_arrived(
-                nic, frame, packet_id=packet_id
-            )
-        if not pf_took:  # else the span stays open until read via the PF
-            self._not_taken(packet_id, claimed)
+        if handler is None:
+            return False
+        previous = self._ledger_packet
+        self._ledger_packet = packet_id
+        try:
+            handler(nic, frame)
+        finally:
+            self._ledger_packet = previous
+        return True
 
     def _not_taken(self, packet_id: int | None, claimed: bool) -> None:
         """Settle a frame the packet filter did not keep: it went to a
@@ -867,62 +873,27 @@ class SimKernel:
                 for pid, ethertype in zip(packet_ids, ethertypes)
             ]
         self.account(_INTERRUPT, self.costs.interrupt_service, component="nic")
+        # Every frame's own share is charged before any protocol runs,
+        # as the interrupt handler takes the burst off the ring first.
         for frame, pid in zip(frames, packet_ids):
-            self.account(_FRAME_RX, component="nic", packet_id=pid)
-            self.account(
-                _BUFFER,
-                self.costs.buffer_cost(len(frame)),
-                quantity=len(frame),
-                component="nic",
-                packet_id=pid,
-            )
-            if ledger is not None:
-                ledger.stage(pid, STAGE_INTERRUPT, self.scheduler.now)
-
-        pf_frames, pf_claimed, pf_ids = self._route_batch(
-            nic, frames, ethertypes, packet_ids
-        )
-        if pf_frames:
-            accepted = self._packet_filter.packets_arrived(
-                nic, pf_frames, packet_ids=pf_ids
-            )
-            for took, was_claimed, pid in zip(accepted, pf_claimed, pf_ids):
-                if not took:
-                    self._not_taken(pid, was_claimed)
-
-    def _route_batch(
-        self,
-        nic,
-        frames: list[bytes],
-        ethertypes: list[int],
-        packet_ids: list[int | None],
-    ) -> tuple[list[bytes], list[bool], list[int | None]]:
-        """Per-frame ethertype routing for :meth:`network_input_batch`:
-        run kernel-protocol handlers, collect the packet-filter-bound
-        remainder."""
+            self._frame_in(frame, pid)
+        pf = self._packet_filter
         pf_frames: list[bytes] = []
         pf_claimed: list[bool] = []
         pf_ids: list[int | None] = []
         for frame, ethertype, pid in zip(frames, ethertypes, packet_ids):
-            handler = self._ethertype_handlers.get(ethertype)
-            claimed = False
-            if handler is not None:
-                previous = self._ledger_packet
-                self._ledger_packet = pid
-                try:
-                    handler(nic, frame)
-                finally:
-                    self._ledger_packet = previous
-                claimed = True
-            if self._packet_filter is not None and (
-                not claimed or self.pf_sees_all
-            ):
+            claimed = self._claim(nic, frame, ethertype, pid)
+            if pf is not None and (not claimed or self.pf_sees_all):
                 pf_frames.append(frame)
                 pf_claimed.append(claimed)
                 pf_ids.append(pid)
             else:
                 self._not_taken(pid, claimed)
-        return pf_frames, pf_claimed, pf_ids
+        if pf_frames:
+            accepted = pf.packets_arrived(nic, pf_frames, packet_ids=pf_ids)
+            for took, was_claimed, pid in zip(accepted, pf_claimed, pf_ids):
+                if not took:
+                    self._not_taken(pid, was_claimed)
 
     def network_output(self, nic, frame: bytes) -> None:
         """Queue a frame for transmission (driver side)."""

@@ -74,13 +74,9 @@ class RxPolicy:
     """Ring occupancy at which *polling-mode* arrivals are shed on
     admission (``dropped_shed``) before any buffer is taken — early
     drop strictly cheaper than a ring slot.  ``None`` disables the
-    watermark; the hard ring limit still applies (``dropped_ring``)."""
-
-    early_shed_classified: bool = True
-    """Consult the packet filter's flow cache at admission (polling
-    mode only): a frame whose cached classification says every target
-    port is already at its queue limit or pool share is shed at the
-    ring, before filter interpretation or any copy."""
+    watermark; the hard ring limit still applies (``dropped_ring``).
+    Polling-mode arrivals whose cached classification says every target
+    port is already full are shed too, watermark or not."""
 
     def __post_init__(self) -> None:
         if self.poll_enter < 1:

@@ -20,10 +20,18 @@ def make_nic(segment, station, **kwargs):
     received = []
 
     class FakeKernel:
+        """Everything the NIC reads: no overload control, no ledger."""
+
+        name = "fake"
+        ledger = rx_policy = buffer_pool = None
+
         def __init__(self):
             self.scheduler = segment.scheduler
 
-        def network_input(self, nic, frame):
+        def account(self, primitive, cost=0.0, **charge):
+            pass
+
+        def network_input(self, nic, frame, packet_id=None):
             received.append((segment.scheduler.now, frame))
 
     nic.kernel = FakeKernel()

@@ -20,16 +20,26 @@ def make_nic(segment, station, **kwargs):
     )
     segment.attach(nic)
     received = []
-    # Stand-in kernel: record frames instead of interrupting.
-    class FakeKernel:
-        def __init__(self):
-            self.scheduler = segment.scheduler
-
-        def network_input(self, nic, frame):
-            received.append(frame)
-
-    nic.kernel = FakeKernel()
+    nic.kernel = FakeKernel(segment, received.append)
     return nic, received
+
+
+class FakeKernel:
+    """Stand-in kernel: everything the NIC reads, no overload control,
+    no ledger, and frames recorded instead of interrupting."""
+
+    name = "fake"
+    ledger = rx_policy = buffer_pool = None
+
+    def __init__(self, segment, record):
+        self.scheduler = segment.scheduler
+        self.record = record
+
+    def account(self, primitive, cost=0.0, **charge):
+        pass
+
+    def network_input(self, nic, frame, packet_id=None):
+        self.record(frame)
 
 
 def frame_to(station, payload=b"data"):
@@ -151,7 +161,8 @@ class TestNICQueue:
         sender, _ = make_nic(segment, 1)
         receiver = NIC((2).to_bytes(6, "big"), ETHERNET_10MB, input_queue_limit=2)
         segment.attach(receiver)
-        # No kernel attached: the queue cannot drain.
+        receiver.kernel = FakeKernel(segment, lambda frame: None)
+        # The scheduler never runs, so the queue cannot drain.
         for _ in range(5):
             receiver.receive(frame_to(2))
         assert receiver.frames_received == 2

@@ -7,6 +7,8 @@ every filter-bound frame to the packet-filter device in one
 must be indistinguishable from the per-frame path.
 """
 
+from collections import Counter
+
 from repro.core.compiler import compile_expr, word
 from repro.core.ioctl import PFIoctl
 from repro.sim.process import Ioctl, Open, SigWait
@@ -15,16 +17,18 @@ from repro.sim.world import World
 ETHERTYPE = 0x0900
 
 
-def monitor_world():
+def monitor_world(*, ledger=False, queue_limit=64, timestamping=False):
     """A world with one packet-filtering host accepting ETHERTYPE."""
-    world = World()
+    world = World(ledger=ledger)
     host = world.host("monitor", promiscuous=True)
     host.install_packet_filter()
 
     def setup():
         fd = yield Open("pf")
         yield Ioctl(fd, PFIoctl.SETFILTER, compile_expr(word(6) == ETHERTYPE))
-        yield Ioctl(fd, PFIoctl.SETQUEUELEN, 64)
+        yield Ioctl(fd, PFIoctl.SETQUEUELEN, queue_limit)
+        if timestamping:
+            yield Ioctl(fd, PFIoctl.SETTIMESTAMP, True)
         # Park forever: exiting would close the fd and detach the port.
         yield SigWait()
 
@@ -92,6 +96,43 @@ class TestBatchedInput:
 
     def test_batch_semantics_match_with_a_kernel_handler_registered(self):
         self.check_batch_matches_per_frame(kernel_ethertype=0x0800)
+
+    def test_batch_books_match_per_frame_with_the_ledger_on(self):
+        """The same eight frames into a timestamping port that holds
+        two, so both paths timestamp, overflow and close spans: every
+        charge but the two the burst pays once is booked identically."""
+        runs = {}
+        for burst in (False, True):
+            world, host = monitor_world(
+                ledger=True, queue_limit=2, timestamping=True
+            )
+            mark = world.ledger.mark()
+            frames = [
+                make_frame(world, ETHERTYPE if n % 2 == 0 else 0x7777)
+                for n in range(8)
+            ]
+            deliver(world, host, frames, burst=burst)
+            outcomes = Counter(
+                span.outcome for span in world.ledger.spans_for(host.name)
+            )
+            runs[burst] = (
+                world.ledger.breakdown(host.name, start=mark),
+                outcomes,
+                host.packet_filter,
+            )
+
+        (per_frame, spans1, pf1), (burst, spans8, pf8) = runs.values()
+        # No kernel protocol claims a frame, so all eight reach the
+        # filter: eight interrupts and eight pf_fixed become one each.
+        for primitive in ("interrupt", "pf_fixed"):
+            assert per_frame.pop(primitive)["events"] == 8
+            assert burst.pop(primitive)["events"] == 1
+        assert per_frame == burst
+        assert burst["microtime"]["events"] == 2
+        assert spans8 == spans1 == {
+            None: 2, "unclaimed": 4, "dropped_overflow": 2
+        }
+        assert pf8.packets_dropped_overflow == pf1.packets_dropped_overflow == 2
 
     def test_batch_charges_one_interrupt_per_burst(self):
         world1, host1 = monitor_world()
