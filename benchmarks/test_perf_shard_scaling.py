@@ -29,7 +29,6 @@ WORKLOAD = dict(
     duration=0.1 if QUICK else 0.4,
     flows=128,
     cache_size=32,
-    offered_multiplier=2.0,
     seed=1987,
     ledger=False,   # measure the simulator, not span bookkeeping
 )

@@ -44,7 +44,6 @@ STORM = dict(
     duration=0.4,
     flows=128,
     cache_size=32,
-    offered_multiplier=2.0,
     ledger=False,   # the path every benchmark workload times
 )
 
@@ -112,7 +111,9 @@ def count_calls(job, *, scope=SimKernel.account, watched=frozenset()):
     ``tally.calls`` is every call, ``tally.scoped`` the calls made by
     each outermost ``scope`` frame (its own call included),
     ``tally.enum_hashes`` the ``Enum.__hash__`` frames under ``scope``
-    and ``tally.watched`` the frames run of code in ``watched``."""
+    and ``tally.watched`` the frames run of code in ``watched``.  A
+    profile hook installed before (a coverage census) is put back
+    afterwards, not switched off."""
     scope_code = scope.__code__
     enum_hash = enum.Enum.__hash__.__code__
     tally = types.SimpleNamespace(calls=0, scoped=[], enum_hashes=0, watched=0)
@@ -138,12 +139,26 @@ def count_calls(job, *, scope=SimKernel.account, watched=frozenset()):
             if not depth:
                 tally.scoped.append(tally.calls - entered + 1)
 
+    outer = sys.getprofile()
     sys.setprofile(hook)
     try:
         result = job()
     finally:
-        sys.setprofile(None)
+        sys.setprofile(outer)
     return result, tally
+
+
+def test_outer_profile_hook_survives_the_count():
+    def outer(frame, event, arg):
+        pass
+
+    previous = sys.getprofile()
+    sys.setprofile(outer)
+    try:
+        count_calls(lambda: None)
+        assert sys.getprofile() is outer
+    finally:
+        sys.setprofile(previous)
 
 
 def test_sim_call_budget(emit):

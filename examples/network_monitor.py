@@ -92,7 +92,7 @@ def main():
     world.run_until_done(monitor_proc)
 
     print("=== captured trace (first 20 packets) ===")
-    print(monitor.format_trace(20))
+    print(monitor.format_trace())
     print()
     print("=== traffic summary ===")
     print(f"{monitor.summary.packets} packets, {monitor.summary.bytes} bytes")

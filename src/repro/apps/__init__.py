@@ -1,9 +1,7 @@
 """Applications built on the packet filter (section 5)."""
 
 from .monitor import NetworkMonitor, TraceRecord, TrafficSummary, decode_frame
-from .tracefile import load_trace, save_trace, summarize_trace
 
 __all__ = [
     "NetworkMonitor", "TraceRecord", "TrafficSummary", "decode_frame",
-    "save_trace", "load_trace", "summarize_trace",
 ]

@@ -170,10 +170,10 @@ class NetworkMonitor:
                 ):
                     return self.trace
 
-    def format_trace(self, limit: int = 20) -> str:
-        """tcpdump-style rendering of the first ``limit`` records."""
+    def format_trace(self) -> str:
+        """tcpdump-style rendering of the first 20 records."""
         lines = []
-        for record in self.trace[:limit]:
+        for record in self.trace[:20]:
             stamp = (
                 f"{record.timestamp:.6f}" if record.timestamp is not None
                 else "-"
@@ -189,7 +189,7 @@ class NetworkMonitor:
         analysis in real time" extended to the kernel's own time, read
         from the world's charge ledger.  Needs a ledger-enabled world
         (``World(ledger=True)``); says so when there isn't one."""
-        ledger = getattr(self.host.kernel, "ledger", None)
+        ledger = self.host.kernel.ledger
         if ledger is None:
             return "(charge ledger not enabled on this world)"
         rows = ledger.breakdown(self.host.name)

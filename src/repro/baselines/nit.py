@@ -60,14 +60,14 @@ class NITDemux:
         self._entries.append((predicate, port))
         self._entries.sort(key=lambda item: -item[0].priority)
 
-    def deliver(self, packet: bytes, timestamp: float | None = None) -> bool:
+    def deliver(self, packet: bytes) -> bool:
         self.packets_seen += 1
         tested = 0
         for predicate, port in self._entries:
             tested += 1
             if predicate.matches(packet):
                 self.total_predicates_tested += tested
-                port.enqueue(packet, timestamp)
+                port.enqueue(packet)
                 return True
         self.total_predicates_tested += tested
         self.packets_unclaimed += 1

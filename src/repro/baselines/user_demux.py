@@ -98,15 +98,10 @@ class UserDemuxSystem:
         classify: Callable[[bytes], object],
         *,
         batching: bool = False,
-        decision_compute: float = 0.0,
     ) -> None:
         self.host = host
         self.classify = classify
         self.batching = batching
-        #: Extra per-packet user CPU the demultiplexer spends deciding;
-        #: tables 6-8/6-9 were measured "without any real
-        #: decision-making on the part of the demultiplexer", i.e. 0.
-        self.decision_compute = decision_compute
         self._pipes: dict[object, Pipe] = {}
         self._write_fds: dict[object, int] = {}
         self.packets_forwarded = 0
@@ -139,8 +134,6 @@ class UserDemuxSystem:
 
     def run(self):
         """Process body: receive everything, forward by key."""
-        from ..sim.process import Compute
-
         fd = yield Open("pf")
         yield Ioctl(fd, PFIoctl.SETFILTER, catch_all_filter())
         yield Ioctl(fd, PFIoctl.SETBATCH, self.batching)
@@ -152,8 +145,9 @@ class UserDemuxSystem:
             batch = yield Read(fd)
             grouped: dict[object, list[bytes]] = {}
             for delivered in batch:
-                if self.decision_compute:
-                    yield Compute(self.decision_compute)
+                # No decision cost: tables 6-8/6-9 were measured "without
+                # any real decision-making on the part of the
+                # demultiplexer".
                 key = self.classify(delivered.data)
                 if key not in self._write_fds:
                     self.packets_unroutable += 1

@@ -76,9 +76,9 @@ TEST_ETHERTYPE = 0x0900
 """Data-link type used by synthetic benchmark traffic."""
 
 
-def _test_filter(priority: int = 10) -> FilterProgram:
+def _test_filter() -> FilterProgram:
     """Accept the synthetic benchmark traffic (one-field test)."""
-    return compile_expr(word(6) == TEST_ETHERTYPE, priority=priority)
+    return compile_expr(word(6) == TEST_ETHERTYPE, priority=10)
 
 
 def _payload(host, size: int, dst: bytes) -> bytes:
@@ -299,7 +299,7 @@ def _kernel_vmtp_hosts(world, reply_with: bytes):
 def measure_vmtp_minimal(implementation: str, operations: int = 25) -> float:
     """Elapsed ms per minimal (zero-byte read) VMTP transaction."""
     if implementation == "pf-userdemux":
-        return _vmtp_user_demux(mode="minimal", operations=operations)
+        return _vmtp_user_demux("minimal", operations)
     world = World()
     if implementation == "kernel":
         client_host, server_host = _kernel_vmtp_hosts(world, b"")
@@ -335,24 +335,20 @@ def measure_vmtp_minimal(implementation: str, operations: int = 25) -> float:
     return proc.result * 1000.0
 
 
-def _vmtp_user_demux(
-    *,
-    mode: str,
-    operations: int = 25,
-    total_bytes: int = 256 * 1024,
-    segment_bytes: int = 16 * 1024,
-):
+def _vmtp_user_demux(mode: str, amount: int):
     """Table 6-5: the client receives through a demultiplexing process.
 
     "This is done by using an extra process to receive packets, which
     are then passed to the actual VMTP process via a Unix pipe.  (In
-    this case, the server process was not modified.)"
+    this case, the server process was not modified.)"  ``amount`` is the
+    number of transactions (``mode="minimal"``) or of bytes to read
+    (``mode="bulk"``).
     """
     from ..protocols.ethertypes import ETHERTYPE_VMTP
 
     world = World()
     client_host, server_host = _vmtp_hosts(
-        world, bytes(segment_bytes) if mode == "bulk" else b""
+        world, bytes(VMTP_BULK_SEGMENT) if mode == "bulk" else b""
     )
 
     def classify(frame: bytes):
@@ -369,11 +365,11 @@ def _vmtp_user_demux(
         yield from endpoint.call(b"warm")
         start = world.now
         if mode == "minimal":
-            for _ in range(operations):
+            for _ in range(amount):
                 yield from endpoint.call(b"")
-            return (world.now - start) / operations
+            return (world.now - start) / amount
         received = 0
-        while received < total_bytes:
+        while received < amount:
             received += len((yield from endpoint.call(b"read")))
         return (world.now - start, received)
 
@@ -389,22 +385,24 @@ def _vmtp_user_demux(
     return (received / 1024.0) / duration
 
 
+VMTP_BULK_SEGMENT = 16 * 1024
+"""The cached file segment every bulk read returns: one full segment
+group."""
+
+
 def measure_vmtp_bulk(
     implementation: str,
     *,
     batching: bool = True,
     total_bytes: int = 384 * 1024,
-    segment_bytes: int = 16 * 1024,
 ) -> float:
     """Bulk-transfer KBytes/sec: repeatedly read a cached file segment."""
     if implementation == "pf-userdemux":
-        return _vmtp_user_demux(
-            mode="bulk", total_bytes=total_bytes, segment_bytes=segment_bytes
-        )
+        return _vmtp_user_demux("bulk", total_bytes)
     world = World()
     if implementation == "kernel":
         client_host, server_host = _kernel_vmtp_hosts(
-            world, bytes(segment_bytes)
+            world, bytes(VMTP_BULK_SEGMENT)
         )
 
         def client():
@@ -421,7 +419,7 @@ def measure_vmtp_bulk(
 
     elif implementation == "pf":
         client_host, server_host = _vmtp_hosts(
-            world, bytes(segment_bytes), batching=batching
+            world, bytes(VMTP_BULK_SEGMENT), batching=batching
         )
 
         def client():
@@ -789,7 +787,6 @@ def measure_receive_cost(
     *,
     batching: bool = False,
     count: int = 60,
-    pace_seconds: float = 0.012,
     burst: int = 1,
 ) -> float:
     """Receiver-side milliseconds of work per received packet.
@@ -809,12 +806,11 @@ def measure_receive_cost(
         demux=demux,
         packet_bytes=packet_bytes,
         batching=batching,
-        pace_seconds=pace_seconds,
         burst=burst,
     )
 
 
-def filter_of_length(instructions: int, priority: int = 10) -> FilterProgram:
+def filter_of_length(instructions: int) -> FilterProgram:
     """An always-true filter executing exactly ``instructions`` words.
 
     Zero instructions is modelled as the 1-word PUSHONE program (the
@@ -822,7 +818,7 @@ def filter_of_length(instructions: int, priority: int = 10) -> FilterProgram:
     marginal cost per instruction is what the table is about).
     """
     if instructions <= 1:
-        return FilterProgram(asm("PUSHONE"), priority=priority)
+        return FilterProgram(asm("PUSHONE"), priority=10)
     items: list = []
     remaining = instructions
     items.append("PUSHONE")
@@ -833,22 +829,16 @@ def filter_of_length(instructions: int, priority: int = 10) -> FilterProgram:
         remaining -= 2
     if remaining:
         items.append(("NOPUSH", "NOP"))
-    return FilterProgram(asm(*items), priority=priority)
+    return FilterProgram(asm(*items), priority=10)
 
 
-def measure_filter_cost(
-    instructions: int,
-    *,
-    packet_bytes: int = 128,
-    count: int = 60,
-) -> float:
+def measure_filter_cost(instructions: int, *, count: int = 60) -> float:
     """Per-packet receive cost (ms) with one bound filter of the given
     length, batching enabled — the table 6-10 configuration.  Aggregated
     from the charge ledger, like :func:`measure_receive_cost`."""
     return _receive_cost_ms(
         count,
         program=filter_of_length(instructions),
-        packet_bytes=packet_bytes,
         batching=True,
         pace_seconds=0.010,
     )
@@ -859,7 +849,6 @@ def count_receive_events(
     *,
     batching: bool = False,
     burst: int = 1,
-    packet_bytes: int = 128,
     count: int = 60,
 ) -> dict[str, float]:
     """Per-packet receiver-host event counts — the quantities the
@@ -874,7 +863,6 @@ def count_receive_events(
         demux=demux,
         batching=batching,
         burst=burst,
-        packet_bytes=packet_bytes,
         count=count,
     )
     world.run_until_done(run.dest)
@@ -905,12 +893,11 @@ class KernelProfile:
     ip_layer_only_ms: float          #: IP layer alone
 
 
-def kernel_profile(
-    *,
-    ports: int = 12,
-    packets: int = 120,
-    packet_bytes: int = 128,
-) -> KernelProfile:
+PROFILE_PACKET_BYTES = 128
+"""Frame size of both halves of the §6.1 profile's traffic."""
+
+
+def kernel_profile(*, ports: int = 12, packets: int = 120) -> KernelProfile:
     """Run a mixed workload and profile kernel CPU per packet.
 
     ``ports`` processes with distinct single-field filters receive a
@@ -954,7 +941,7 @@ def kernel_profile(
         fd = yield Open("pf")
         for sequence in range(packets):
             index = sequence % ports
-            body = index.to_bytes(2, "big") + bytes(packet_bytes - 16 - 2)
+            body = index.to_bytes(2, "big") + bytes(PROFILE_PACKET_BYTES - 16 - 2)
             frame = sender.link.frame(
                 receiver.address, sender.address, TEST_ETHERTYPE, body
             )
@@ -975,7 +962,9 @@ def kernel_profile(
     def udp_sender():
         fd = yield Open("udp")
         yield Ioctl(fd, SockIoctl.CONNECT, (stack_b.ip_address, 9))
-        data = bytes(max(0, packet_bytes - ip_sender.link.header_length - 28))
+        data = bytes(
+            max(0, PROFILE_PACKET_BYTES - ip_sender.link.header_length - 28)
+        )
         for _ in range(packets // 3):
             yield Write(fd, data)
             yield Sleep(0.008)
@@ -1088,18 +1077,12 @@ def _populate_bsp_chaos(
     chaos: ChaosConfig,
     seed: int = 0,
     payload_bytes: int = 24 * 1024,
-    adaptive_rto: bool = True,
-    ack_direction_only: bool = False,
 ):
     payload = bytes((seed + index) % 251 for index in range(payload_bytes))
     stream = _bsp_stream(
-        world, payload, host, linger=True,
-        adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
+        world, payload, host, linger=True, max_retries=SOAK_RETRIES
     )
-    world.segment.set_chaos(
-        chaos,
-        sender=stream.receiver.address if ack_direction_only else None,
-    )
+    world.segment.set_chaos(chaos)
 
     def outcome() -> dict:
         data = stream.sink.result or b""
@@ -1124,15 +1107,11 @@ def _populate_vmtp_chaos(
     seed: int = 0,
     calls: int = 12,
     segment_bytes: int = 8 * 1024,
-    adaptive_rto: bool = True,
 ):
     world.segment.set_chaos(chaos)
     blob = bytes((seed + index) % 253 for index in range(segment_bytes))
     client_host, server_host = _vmtp_hosts(world, blob, host)
-    endpoint = _vmtp_client(
-        client_host, server_host,
-        adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
-    )
+    endpoint = _vmtp_client(client_host, server_host, max_retries=SOAK_RETRIES)
 
     def client():
         yield from endpoint.start()
@@ -1258,13 +1237,11 @@ def run_bsp_chaos(**options) -> dict:
     a chaotic segment.
 
     ``chaos`` (default :data:`ACCEPTANCE_CHAOS`) and ``seed`` pick the
-    weather; ``ack_direction_only`` applies it asymmetrically (the
-    per-sender override): clean data path, chaotic ack path.  Returns a
-    dict with ``intact`` (bytes survived exactly), the sender/receiver
-    :class:`~repro.protocols.bsp.StreamStats`, and the elapsed simulated
-    time.  ``ledger=True`` additionally traces every charge and packet
-    span, adding the :func:`_ledger_report` keys; ``telemetry=True``
-    the :func:`_telemetry_report` ones.
+    weather.  Returns a dict with ``intact`` (bytes survived exactly),
+    the sender/receiver :class:`~repro.protocols.bsp.StreamStats`, and
+    the elapsed simulated time.  ``ledger=True`` additionally traces
+    every charge and packet span, adding the :func:`_ledger_report`
+    keys; ``telemetry=True`` the :func:`_telemetry_report` ones.
     """
     return _run_chaos("bsp", **options)
 
@@ -1290,29 +1267,28 @@ def run_pup_echo_chaos(**options) -> dict:
     return _run_chaos("pup", **options)
 
 
-def measure_spurious_retransmissions(
-    *,
-    adaptive_rto: bool,
-    seed: int = 0,
-    calls: int = 16,
-    service_time: float = 0.18,
-    segment_bytes: int = 2048,
-) -> int:
+SPURIOUS_CALLS = 16
+SPURIOUS_SERVICE_TIME = 0.18
+SPURIOUS_SEGMENT_BYTES = 2048
+
+
+def measure_spurious_retransmissions(*, adaptive_rto: bool, seed: int = 0) -> int:
     """Request retries against a slow-but-reliable VMTP server.
 
-    The server takes ``service_time`` (think: a disk seek) to answer —
-    longer than the historical fixed 100 ms retry timeout — and the
-    response path carries seeded reordering jitter (the per-sender
-    chaos override; no loss anywhere).  Every answer arrives intact,
+    :data:`SPURIOUS_CALLS` reads of a :data:`SPURIOUS_SEGMENT_BYTES`
+    reply; the server takes :data:`SPURIOUS_SERVICE_TIME` (think: a disk
+    seek) to answer — longer than the historical fixed 100 ms retry
+    timeout — and the response path carries seeded reordering jitter
+    (the per-sender chaos override; no loss anywhere).  Every answer arrives intact,
     so every retry counted here re-asks a question the server is
     already working on: pure spurious load.  The fixed timer fires on
     every single call forever; the adaptive timer eats the first
     round trip, learns the path, and stops.
     """
     world = World(seed=seed)
-    blob = bytes(index % 249 for index in range(segment_bytes))
+    blob = bytes(index % 249 for index in range(SPURIOUS_SEGMENT_BYTES))
     client_host, server_host = _vmtp_hosts(
-        world, blob, service_time=service_time
+        world, blob, service_time=SPURIOUS_SERVICE_TIME
     )
     world.segment.set_chaos(
         ChaosConfig(reorder_rate=0.3, reorder_jitter=0.1),
@@ -1325,7 +1301,7 @@ def measure_spurious_retransmissions(
             adaptive_rto=adaptive_rto, max_retries=SOAK_RETRIES,
         )
         yield from endpoint.start()
-        for _ in range(calls):
+        for _ in range(SPURIOUS_CALLS):
             response = yield from endpoint.call(b"read")
             assert response == blob, "loss-free exchange must stay intact"
         return endpoint.retries
@@ -1340,28 +1316,43 @@ def measure_spurious_retransmissions(
 # ---------------------------------------------------------------------------
 
 
-def receive_saturation_pps(costs=None, frame_bytes: int = 128) -> float:
+STORM_FRAME_BYTES = 128
+"""Frame size of every storm's traffic, and the size the saturation
+rate is quoted for."""
+
+
+def receive_saturation_pps(costs=None) -> float:
     """Estimated receive-path saturation rate, packets/second.
 
     The offered-load axis of the livelock benchmark is expressed as
     multiples of this: the rate at which the full per-packet receive
     cost (interrupt, buffer, filter, copy, syscall, context switch,
-    wakeup) exactly consumes the CPU.
+    wakeup) of a :data:`STORM_FRAME_BYTES` frame exactly consumes the
+    CPU.
     """
     from ..sim.costs import MICROVAX_II
 
     costs = costs or MICROVAX_II
     per_packet = (
         costs.interrupt_service
-        + costs.buffer_cost(frame_bytes)
+        + costs.buffer_cost(STORM_FRAME_BYTES)
         + costs.pf_fixed
         + costs.filter_cost(1, 4)
-        + costs.copy_cost(frame_bytes)
+        + costs.copy_cost(STORM_FRAME_BYTES)
         + costs.syscall
         + costs.context_switch
         + costs.wakeup
     )
     return 1.0 / per_packet
+
+
+OVERLOAD_RING = 64
+"""The storm receiver's NIC input ring, in frames."""
+OVERLOAD_QUEUE = 32
+"""Its reader's port queue, in packets."""
+OVERLOAD_POOL = 192
+OVERLOAD_PORT_SHARE = 64
+"""Polling mode's shared buffer pool, and the share one port may hold."""
 
 
 def populate_overload_storm(
@@ -1372,12 +1363,6 @@ def populate_overload_storm(
     offered_multiplier: float = 1.0,
     warmup: float = 0.25,
     duration: float = 1.0,
-    frame_bytes: int = 128,
-    input_queue_limit: int = 64,
-    queue_limit: int = 32,
-    pool_capacity: int = 192,
-    port_share: int = 64,
-    policy=None,
     kill_reader_at: float | None = None,
 ):
     """A packet storm against one receiver: the livelock experiment.
@@ -1418,29 +1403,28 @@ def populate_overload_storm(
         raise ValueError(f"unknown storm mode {mode!r}")
     host = host or world.host
     blaster = host("blaster", costs=FREE)
-    receiver = host("receiver", input_queue_limit=input_queue_limit)
+    receiver = host("receiver", input_queue_limit=OVERLOAD_RING)
     blaster.install_packet_filter()
     receiver.install_packet_filter(flow_cache=True)
     pool = None
     if mode == "polling":
-        if policy is None:
-            policy = RxPolicy(
-                poll_enter=8,
-                poll_quota=16,
-                user_share=0.25,
-                shed_watermark=input_queue_limit // 2,
-            )
-        pool = BufferPool(pool_capacity, port_share=port_share)
+        policy = RxPolicy(
+            poll_enter=8,
+            poll_quota=16,
+            user_share=0.25,
+            shed_watermark=OVERLOAD_RING // 2,
+        )
+        pool = BufferPool(OVERLOAD_POOL, port_share=OVERLOAD_PORT_SHARE)
         receiver.enable_overload(policy=policy, pool=pool)
 
-    saturation = receive_saturation_pps(world.costs, frame_bytes)
+    saturation = receive_saturation_pps(world.costs)
     offered_pps = saturation * offered_multiplier
-    reader = receiver.spawn("reader", read_forever(queue_limit))
+    reader = receiver.spawn("reader", read_forever(OVERLOAD_QUEUE))
     blaster.spawn(
         "blaster",
         blast(
             world,
-            _payload(blaster, frame_bytes, receiver.address),
+            _payload(blaster, STORM_FRAME_BYTES, receiver.address),
             1.0 / offered_pps,
             head_start=0.02,
             until=warmup + duration + 0.05,
@@ -1526,8 +1510,6 @@ def run_flow_storm(
     duration: float = 0.5,
     flows: int = 256,
     cache_size: int = 64,
-    offered_multiplier: float = 2.0,
-    bridge_delay: float = 2e-3,
     ledger: bool = True,
     **options,
 ) -> dict:
@@ -1554,8 +1536,6 @@ def run_flow_storm(
         duration=duration,
         flows=flows,
         cache_size=cache_size,
-        offered_multiplier=offered_multiplier,
-        bridge_delay=bridge_delay,
         ledger=ledger,
         **options,
     )
@@ -1592,22 +1572,19 @@ def run_partition_storm(
     shards: int = 1,
     seed: int = 0,
     duration: float = 1.2,
-    partition_at: float = 0.2,
-    heal_at: float = 0.55,
-    bridge_delay: float = 2e-3,
     recovery=None,
     hazards: dict | None = None,
-    timeout: float | None = None,
     **options,
 ) -> dict:
     """An adaptive-RTO backoff storm across a healing partition.
 
     A VMTP client on ``lan0`` calls a server on the chain's far end
-    while the middle bridge link goes down over
-    ``[partition_at, heal_at)``.  Requests in flight during the outage
-    are dropped under ``dropped_link_down``; the client's Jacobson
-    timer backs off exponentially (firing the ``rto_backoff_storm``
-    watchdog) until a backed-off retry lands on the healed link.  The
+    while the middle bridge link goes down over ``[PARTITION_AT,
+    HEAL_AT)`` (:mod:`repro.bench.topologies`).  Requests in flight
+    during the outage are dropped under ``dropped_link_down``; the
+    client's Jacobson timer backs off exponentially (firing the
+    ``rto_backoff_storm`` watchdog) until a backed-off retry lands on
+    the healed link.  The
     cross-segment ``partition:*`` watchdog must fire during the outage
     — and the per-segment livelock watchdogs must *not*: local traffic
     stays healthy throughout, which is exactly the signature that
@@ -1623,17 +1600,10 @@ def run_partition_storm(
         segments=segments,
         seed=seed,
         duration=duration,
-        partition_at=partition_at,
-        heal_at=heal_at,
-        bridge_delay=bridge_delay,
         **options,
     )
     result = run_topology(
-        spec,
-        shards=shards,
-        recovery=recovery,
-        hazards=hazards,
-        timeout=timeout,
+        spec, shards=shards, recovery=recovery, hazards=hazards
     )
     alerts = list(result.telemetry.alerts) if result.telemetry else []
     dropped_link_down = sum(

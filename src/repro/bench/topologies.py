@@ -35,6 +35,7 @@ from ..sim.topology import BridgeSpec, SegmentSpec, TopologySpec
 from .scenarios import (
     ACCEPTANCE_CHAOS,
     CHAOS_SOAKS,
+    STORM_FRAME_BYTES,
     TEST_ETHERTYPE,
     blast,
     populate_overload_storm,
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 
+BRIDGE_DELAY = 2e-3
+"""Every storm's bridge latency, and so its synchronization window."""
+
+
 def _spoofed_source(segment_index: int, flow: int) -> bytes:
     """A distinct source address per (segment, flow).
 
@@ -70,38 +75,41 @@ def _spoofed_source(segment_index: int, flow: int) -> bytes:
     )
 
 
+FLOW_STORM_LOAD = 2.0
+"""Offered load, in multiples of the receiver's saturation rate."""
+FLOW_STORM_CROSS_EVERY = 16
+"""Every this-many-th storm frame crosses to the next segment."""
+FLOW_STORM_QUEUE = 64
+"""The storm receiver's NIC input ring and its port queue."""
+
+
 def flow_storm_segment(
     ctx,
     *,
     duration: float = 0.5,
-    offered_multiplier: float = 2.0,
     flows: int = 256,
     cache_size: int = 64,
-    frame_bytes: int = 128,
-    cross_every: int = 16,
     cross_target: str | None = None,
-    queue_limit: int = 64,
-    input_queue_limit: int = 64,
 ) -> None:
     """One segment of the flow-cache miss storm.
 
     A receiver with a ``cache_size``-slot flow cache reads everything
     matching the test filter; a free-CPU blaster offers
-    ``offered_multiplier`` times the receiver's saturation rate for
+    :data:`FLOW_STORM_LOAD` times the receiver's saturation rate for
     ``duration`` simulated seconds, rotating through ``flows`` spoofed
     source addresses (``flows > cache_size`` guarantees steady-state
-    misses).  Every ``cross_every``-th frame goes to ``cross_target``'s
-    receiver instead — bridged, cross-shard traffic.
+    misses).  Every :data:`FLOW_STORM_CROSS_EVERY`-th frame goes to
+    ``cross_target``'s receiver instead — bridged, cross-shard traffic.
     """
-    receiver = ctx.host("receiver", input_queue_limit=input_queue_limit)
+    receiver = ctx.host("receiver", input_queue_limit=FLOW_STORM_QUEUE)
     receiver.install_packet_filter(flow_cache=cache_size)
     blaster = ctx.host("blaster", costs=FREE)
     blaster.install_packet_filter()
 
-    saturation = receive_saturation_pps(ctx.world.costs, frame_bytes)
-    pace = 1.0 / (saturation * offered_multiplier)
+    saturation = receive_saturation_pps(ctx.world.costs)
+    pace = 1.0 / (saturation * FLOW_STORM_LOAD)
     rng = ctx.rng("flow-storm", "pace")
-    body = bytes(max(0, frame_bytes - receiver.link.header_length))
+    body = bytes(max(0, STORM_FRAME_BYTES - receiver.link.header_length))
     local_frames = [
         blaster.link.frame(
             receiver.address,
@@ -126,8 +134,8 @@ def flow_storm_segment(
         yield Sleep(0.02)  # let the reader bind its filter first
         sequence = 0
         while ctx.world.now < duration:
-            if cross_frame is not None and sequence % cross_every == (
-                cross_every - 1
+            if cross_frame is not None and (
+                sequence % FLOW_STORM_CROSS_EVERY == FLOW_STORM_CROSS_EVERY - 1
             ):
                 yield Write(fd, cross_frame)
                 sent["cross"] += 1
@@ -139,7 +147,7 @@ def flow_storm_segment(
             # same draws no matter which process runs this segment.
             yield Sleep(pace * (0.75 + 0.5 * rng.random()))
 
-    receiver.spawn("reader", read_forever(queue_limit))
+    receiver.spawn("reader", read_forever(FLOW_STORM_QUEUE))
     blaster.spawn("blaster", storm())
 
     cache = receiver.packet_filter.demux.flow_cache
@@ -165,9 +173,7 @@ def flow_storm_topology(
     segments: int = 2,
     seed: int = 0,
     duration: float = 0.5,
-    bridge_delay: float = 2e-3,
     ledger: bool = True,
-    telemetry: bool = False,
     **options,
 ) -> TopologySpec:
     """A chain of ``segments`` flow-storm segments.
@@ -196,15 +202,11 @@ def flow_storm_topology(
             )
         )
     bridges = tuple(
-        BridgeSpec(names[index], names[index + 1], delay=bridge_delay)
+        BridgeSpec(names[index], names[index + 1], delay=BRIDGE_DELAY)
         for index in range(segments - 1)
     )
     return TopologySpec(
-        segments=tuple(specs),
-        bridges=bridges,
-        seed=seed,
-        ledger=ledger,
-        telemetry=telemetry,
+        segments=tuple(specs), bridges=bridges, seed=seed, ledger=ledger
     )
 
 
@@ -214,16 +216,20 @@ def _storm_blob(segment_bytes: int) -> bytes:
     return bytes(index % 251 for index in range(segment_bytes))
 
 
+PARTITION_SEGMENT_BYTES = 2048
+"""The reply every partition-storm call reads."""
+PARTITION_RETRIES = 64
+"""The client's retry budget: enough to outlast the outage."""
+PARTITION_LOCAL_PACE = 2e-3
+"""Seconds between the local frames every segment paces."""
+
+
 def partition_storm_segment(
     ctx,
     *,
     duration: float = 1.2,
     role: str = "relay",
     peer: str | None = None,
-    segment_bytes: int = 2048,
-    max_retries: int = 64,
-    local_pace: float = 2e-3,
-    frame_bytes: int = 128,
 ) -> None:
     """One segment of the adaptive-RTO partition storm.
 
@@ -238,7 +244,7 @@ def partition_storm_segment(
     watchdog's predicate.
     """
     world = ctx.world
-    blob = _storm_blob(segment_bytes)
+    blob = _storm_blob(PARTITION_SEGMENT_BYTES)
     counters = {"calls": 0, "intact": 0, "retries": 0, "timeouts": 0}
 
     if role == "client":
@@ -253,8 +259,7 @@ def partition_storm_segment(
                 client_id=7,
                 server_station=ctx.address_of(peer, 1),
                 server_id=35,
-                adaptive_rto=True,
-                max_retries=max_retries,
+                max_retries=PARTITION_RETRIES,
             )
             yield from endpoint.start()
             while world.now < duration:
@@ -263,9 +268,7 @@ def partition_storm_segment(
                 if response == blob:
                     counters["intact"] += 1
                 counters["retries"] = endpoint.retries
-                counters["timeouts"] = (
-                    endpoint.rto.timeouts if endpoint.rto else 0
-                )
+                counters["timeouts"] = endpoint.rto.timeouts
 
         protocol.spawn("vmtp-client", client())
         ctx.report("vmtp", lambda: dict(counters))
@@ -290,7 +293,7 @@ def partition_storm_segment(
     reader.install_packet_filter()
     pacer = ctx.host("local-tx", costs=FREE)
     pacer.install_packet_filter()
-    body = bytes(max(0, frame_bytes - pacer.link.header_length))
+    body = bytes(max(0, STORM_FRAME_BYTES - pacer.link.header_length))
     frame = pacer.link.frame(
         reader.address, pacer.address, TEST_ETHERTYPE, body
     )
@@ -301,10 +304,17 @@ def partition_storm_segment(
     pacer.spawn(
         "local-pacer",
         blast(
-            world, frame, local_pace, head_start=0.01, until=duration, rng=rng
+            world, frame, PARTITION_LOCAL_PACE,
+            head_start=0.01, until=duration, rng=rng,
         ),
     )
     ctx.report("local", lambda: dict(received))
+
+
+PARTITION_AT = 0.2
+HEAL_AT = 0.55
+"""The simulated seconds the partition storm's middle link is down
+over: ``[PARTITION_AT, HEAL_AT)``."""
 
 
 def partition_storm_topology(
@@ -312,22 +322,14 @@ def partition_storm_topology(
     segments: int = 2,
     seed: int = 0,
     duration: float = 1.2,
-    bridge_delay: float = 2e-3,
-    partition_at: float = 0.2,
-    heal_at: float = 0.55,
-    ledger: bool = True,
-    telemetry: bool = True,
-    telemetry_interval: float = 5e-3,
-    faults: tuple | None = None,
     **options,
 ) -> TopologySpec:
     """A VMTP exchange across a chain that partitions and heals.
 
     The client lives on ``lan0``, the server on the last segment, and
-    (unless an explicit ``faults`` schedule is given) the chain's middle
-    link goes down over ``[partition_at, heal_at)``.  Telemetry defaults
-    *on* — the partition watchdog and RTO backoff storm alerts are the
-    point of this scenario.
+    the chain's middle link goes down over ``[PARTITION_AT, HEAL_AT)``.
+    Telemetry is on — the partition watchdog and RTO backoff storm
+    alerts are the point of this scenario.
     """
     if segments < 2:
         raise ValueError("a partition storm needs at least two segments")
@@ -353,20 +355,17 @@ def partition_storm_topology(
             )
         )
     bridges = tuple(
-        BridgeSpec(names[index], names[index + 1], delay=bridge_delay)
+        BridgeSpec(names[index], names[index + 1], delay=BRIDGE_DELAY)
         for index in range(segments - 1)
     )
-    if faults is None:
-        middle = bridges[(len(bridges) - 1) // 2]
-        faults = link_partition(middle.link_id, partition_at, heal_at)
+    middle = bridges[(len(bridges) - 1) // 2]
     return TopologySpec(
         segments=tuple(specs),
         bridges=bridges,
         seed=seed,
-        ledger=ledger,
-        telemetry=telemetry,
-        telemetry_interval=telemetry_interval,
-        faults=faults,
+        telemetry=True,
+        telemetry_interval=5e-3,
+        faults=link_partition(middle.link_id, PARTITION_AT, HEAL_AT),
     )
 
 
@@ -375,11 +374,10 @@ def partition_storm_topology(
 # ---------------------------------------------------------------------------
 
 
-def receive_segment(ctx, *, packet_bytes: int = 128, count: int = 40) -> None:
-    """The clean paced receive path (table 6-8's kernel-demux row)."""
-    run = populate_paced_receive(
-        ctx.world, ctx.host, packet_bytes=packet_bytes, count=count
-    )
+def receive_segment(ctx) -> None:
+    """The clean paced receive path (table 6-8's kernel-demux row), 40
+    packets of 128 bytes."""
+    run = populate_paced_receive(ctx.world, ctx.host, count=40)
     ctx.report("received", lambda: run.dest.result)
 
 

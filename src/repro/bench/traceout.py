@@ -431,10 +431,10 @@ def build_topology_trace(result) -> dict:
     }
 
 
-def write_trace(world, path, *, host: str | None = None) -> dict:
+def write_trace(world, path) -> dict:
     """Build the trace document and write it to ``path`` as JSON;
     returns the document."""
-    doc = build_trace(world, host=host)
+    doc = build_trace(world)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle, separators=(",", ":"))
     return doc

@@ -149,7 +149,6 @@ def evaluate(
     *,
     mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
     level: LanguageLevel = LanguageLevel.CLASSIC,
-    max_stack: int = DEFAULT_STACK_DEPTH,
     checked: bool = True,
 ) -> FilterResult:
     """Apply ``program`` to ``packet`` and decide acceptance.
@@ -161,7 +160,7 @@ def evaluate(
     skipped, and only the unavoidable packet-bounds checks remain.
     """
     if checked:
-        return _evaluate_checked(program, packet, mode, level, max_stack)
+        return _evaluate_checked(program, packet, mode, level, DEFAULT_STACK_DEPTH)
     return _evaluate_unchecked(program, packet, mode)
 
 

@@ -62,7 +62,6 @@ from .words import get_word
 __all__ = [
     "live_nodes",
     "transfer_filter",
-    "optimize_filter",
     "cse_filter_set",
     "CSEStats",
     "value_numbers",
@@ -158,11 +157,6 @@ def transfer_filter(
                 )
             # else: provably never taken — drop the step.
     return FilterIR(graph=graph, steps=tuple(steps), result=tx(fir.result))
-
-
-def optimize_filter(fir: FilterIR) -> FilterIR:
-    """Fold + DCE one filter into a fresh minimal graph."""
-    return transfer_filter(fir, ValueGraph())
 
 
 @dataclass(frozen=True)
@@ -364,15 +358,6 @@ class DispatchTree:
         if self.fallback is not None:
             deepest = max(deepest, self.fallback.depth)
         return 1 + deepest
-
-    @property
-    def leaves(self) -> int:
-        if self.discriminant is None:
-            return 1
-        count = sum(tree.leaves for tree in self.buckets.values())
-        if self.fallback is not None:
-            count += self.fallback.leaves
-        return count
 
     def lookup(self, packet: bytes) -> tuple[SetEntry, ...]:
         """Entries worth evaluating on ``packet``, in application order:

@@ -93,7 +93,7 @@ def figure_3_9_pup_socket_35() -> FilterProgram:
     )
 
 
-def pup_socket_filter(socket: int, priority: int = 10) -> FilterProgram:
+def pup_socket_filter(socket: int) -> FilterProgram:
     """Figure 3-9 generalized to any 32-bit Pup destination socket."""
     high = (socket >> 16) & 0xFFFF
     low = socket & 0xFFFF
@@ -103,5 +103,5 @@ def pup_socket_filter(socket: int, priority: int = 10) -> FilterProgram:
             ("PUSHWORD", 7), ("PUSHLIT", "CAND", high),
             ("PUSHWORD", 1), ("PUSHLIT", "EQ", ETHERTYPE_PUP_3MB),
         ),
-        priority=priority,
+        priority=10,
     )

@@ -275,10 +275,6 @@ class Port:
         self._queue.clear()
         return pending
 
-    def pending(self) -> tuple[DeliveredPacket, ...]:
-        """The queued-but-unread packets (closing ports reports these)."""
-        return tuple(self._queue)
-
     def __repr__(self) -> str:
         return (
             f"Port({self.port_id}, queued={self.queued}, "

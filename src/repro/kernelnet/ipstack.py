@@ -58,14 +58,7 @@ class KernelNetworkStack:
 
     # -- output ----------------------------------------------------------------
 
-    def send(
-        self,
-        dst_ip: int,
-        protocol: int,
-        payload: bytes,
-        *,
-        options: bytes = b"",
-    ) -> None:
+    def send(self, dst_ip: int, protocol: int, payload: bytes) -> None:
         """Build and transmit one IP datagram (kernel context)."""
         station = self._routes.get(dst_ip)
         if station is None:
@@ -77,7 +70,6 @@ class KernelNetworkStack:
             dst=dst_ip,
             protocol=protocol,
             identification=self._ip_id,
-            options=options,
         )
         frame = self.host.link.frame(
             station, self.host.address, ETHERTYPE_IP, header.encode(payload)

@@ -61,14 +61,14 @@ class TCPState(enum.Enum):
 class KernelTCP(DeviceDriver):
     """The TCP protocol module + its socket device."""
 
-    def __init__(self, stack: KernelNetworkStack, device_name: str = "tcp") -> None:
+    def __init__(self, stack: KernelNetworkStack) -> None:
         self.stack = stack
         self.kernel = stack.kernel
         self._ports: dict[int, TCPSocketHandle] = {}
         self._next_ephemeral = 2048
         self._next_iss = 100
         stack.register_transport(PROTO_TCP, self._tcp_input)
-        self.kernel.register_device(device_name, self)
+        self.kernel.register_device("tcp", self)
         self.segments_in = 0
         self.segments_no_port = 0
 

@@ -45,14 +45,14 @@ __all__ = ["KernelVMTP"]
 class KernelVMTP(DeviceDriver):
     """The kernel VMTP module + its ``"vmtp"`` socket device."""
 
-    def __init__(self, host: Host, device_name: str = "vmtp") -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
         self.kernel: SimKernel = host.kernel
         self._clients: dict[int, VMTPClientHandle] = {}
         self._servers: dict[int, VMTPServerHandle] = {}
         self._next_client_id = 1
         self.kernel.register_ethertype(ETHERTYPE_VMTP, self._input)
-        self.kernel.register_device(device_name, self)
+        self.kernel.register_device("vmtp", self)
         self.packets_in = 0
         self.packets_unwanted = 0
 

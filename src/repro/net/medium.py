@@ -195,6 +195,10 @@ class _ChaosState:
         return bytes(data)
 
 
+PROPAGATION_DELAY = 5e-6
+"""Seconds from the end of a transmission to its arrival at every NIC."""
+
+
 class EthernetSegment:
     """One cable, many NICs."""
 
@@ -206,7 +210,6 @@ class EthernetSegment:
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
         seed: int = 0,
-        propagation_delay: float = 5e-6,
     ) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
@@ -218,7 +221,6 @@ class EthernetSegment:
         self.link = link
         self.loss_rate = loss_rate
         self.duplicate_rate = duplicate_rate
-        self.propagation_delay = propagation_delay
         self.seed = seed
         self._random = random.Random(seed)
         self._nics: list = []
@@ -371,7 +373,7 @@ class EthernetSegment:
             self.frames_corrupted += 1
             self._note(Primitive.WIRE_CORRUPT)
 
-        deliver_at = end + self.propagation_delay
+        deliver_at = end + PROPAGATION_DELAY
         if chaos is not None:
             jitter = chaos.sample_reorder()
             if jitter > 0.0:

@@ -60,12 +60,16 @@ BSP_DATA = 0o20   #: data Pup; identifier = byte sequence number
 BSP_ACK = 0o23    #: ack Pup; identifier = next byte expected
 BSP_END = 0o31    #: end-of-stream marker; consumes one sequence number
 
-DEFAULT_WINDOW_PACKETS = 4
+WINDOW_PACKETS = 4
 RETRANSMIT_TIMEOUT = 0.2
-"""Initial retransmission timeout.  With ``adaptive_rto`` (the
-default) this only seeds the :class:`~repro.protocols.rto.
-RetransmitTimer`, which then tracks the measured round trip."""
+"""Initial retransmission timeout.  It only seeds the
+:class:`~repro.protocols.rto.RetransmitTimer`, which then tracks the
+measured round trip."""
 MAX_RETRIES = 10
+LINGER_TIMEOUT = 1.0
+LINGER_QUIET = 3
+""":meth:`BSPEndpoint.linger` stays until this many consecutive
+``LINGER_TIMEOUT`` windows pass in silence."""
 
 
 def pup_ethertype(link: LinkSpec) -> int:
@@ -73,9 +77,7 @@ def pup_ethertype(link: LinkSpec) -> int:
     return ETHERTYPE_PUP_3MB if link.address_length == 1 else ETHERTYPE_PUP_10MB
 
 
-def bsp_socket_filter(
-    link: LinkSpec, socket: int, priority: int = 10
-) -> FilterProgram:
+def bsp_socket_filter(link: LinkSpec, socket: int) -> FilterProgram:
     """The figure 3-9 filter generalized: accept Pups for ``socket``.
 
     Socket-low word first (CAND), socket-high second (CAND), packet
@@ -93,7 +95,7 @@ def bsp_socket_filter(
             ("PUSHWORD", base + 5), ("PUSHLIT", "CAND", high),
             ("PUSHWORD", ether_word), ("PUSHLIT", "EQ", pup_ethertype(link)),
         ),
-        priority=priority,
+        priority=10,
     )
 
 
@@ -128,40 +130,22 @@ class BSPEndpoint:
         host,
         local_socket: int,
         *,
-        net: int = 1,
-        batching: bool = True,
-        window_packets: int = DEFAULT_WINDOW_PACKETS,
         data_per_packet: int = PUP_MAX_DATA,
-        device: str = "pf",
-        adaptive_rto: bool = True,
         max_retries: int = MAX_RETRIES,
-        checksumming: bool = True,
     ) -> None:
         if not 1 <= data_per_packet <= PUP_MAX_DATA:
             raise ValueError("data_per_packet outside 1..532")
         self.host = host
-        self.net = net
         self.local_socket = local_socket
-        self.batching = batching
-        self.window_bytes = window_packets * data_per_packet
+        self.window_bytes = WINDOW_PACKETS * data_per_packet
         self.data_per_packet = data_per_packet
-        self.device = device
         self.max_retries = max_retries
-        self.checksumming = checksumming
-        #: Jacobson-style adaptive retransmission timer; None runs the
-        #: historical fixed-timeout behaviour (the benchmark baseline).
-        self.rto: RetransmitTimer | None = (
-            RetransmitTimer(RETRANSMIT_TIMEOUT) if adaptive_rto else None
+        #: Jacobson-style adaptive retransmission timer.
+        self.rto = RetransmitTimer(RETRANSMIT_TIMEOUT)
+        host.kernel.publish_gauges(
+            f"rto.bsp{local_socket:#x}.", self.rto.telemetry_gauges(), unit="s"
         )
-        if self.rto is not None:
-            publish = getattr(host.kernel, "publish_gauges", None)
-            if publish is not None:
-                publish(
-                    f"rto.bsp{local_socket:#x}.",
-                    self.rto.telemetry_gauges(),
-                    unit="s",
-                )
-        self._armed_timeout = RETRANSMIT_TIMEOUT
+        self._armed_timeout = self.rto.timeout
         self.fd: int | None = None
         self.stats = StreamStats()
         # receiver state
@@ -174,7 +158,7 @@ class BSPEndpoint:
     def address(self) -> PupAddress:
         """This endpoint's Pup address (host byte from the station)."""
         return PupAddress(
-            net=self.net,
+            net=1,
             host=self.host.address[-1],
             socket=self.local_socket,
         )
@@ -185,16 +169,13 @@ class BSPEndpoint:
 
     def start(self):
         """Open the PF port and bind the socket filter (yield from)."""
-        self.fd = yield Open(self.device)
+        self.fd = yield Open("pf")
         yield Ioctl(
             self.fd,
             PFIoctl.SETFILTER,
             bsp_socket_filter(self.host.link, self.local_socket),
         )
-        yield Ioctl(self.fd, PFIoctl.SETBATCH, self.batching)
-        self._armed_timeout = (
-            self.rto.timeout if self.rto is not None else RETRANSMIT_TIMEOUT
-        )
+        yield Ioctl(self.fd, PFIoctl.SETBATCH, True)
         yield Ioctl(
             self.fd, PFIoctl.SETTIMEOUT,
             ReadTimeoutPolicy.after(self._armed_timeout),
@@ -202,8 +183,8 @@ class BSPEndpoint:
 
     def _rearm_timer(self):
         """Push the adaptive timeout to the port when it drifted enough
-        to matter (sub-generator; no-op for the fixed baseline)."""
-        if self.rto is not None and self.rto.needs_rearm(self._armed_timeout):
+        to matter (sub-generator)."""
+        if self.rto.needs_rearm(self._armed_timeout):
             self._armed_timeout = self.rto.timeout
             yield Ioctl(
                 self.fd, PFIoctl.SETTIMEOUT,
@@ -232,7 +213,7 @@ class BSPEndpoint:
             station,
             self.host.address,
             pup_ethertype(self.host.link),
-            header.encode(data, with_checksum=self.checksumming),
+            header.encode(data, with_checksum=True),
         )
 
     # ------------------------------------------------------------------
@@ -286,7 +267,7 @@ class BSPEndpoint:
                 )
                 self.stats.data_packets_sent += 1
                 nxt += len(chunk)
-                if self.rto is not None and sample_seq is None:
+                if sample_seq is None:
                     sample_seq = nxt
                     sample_time = clock.now
             if nxt >= len(data) and una >= len(data) and end_sent_at_una != una:
@@ -295,7 +276,7 @@ class BSPEndpoint:
                     self.fd, self._pup_frame(station, dst, BSP_END, end_seq)
                 )
                 end_sent_at_una = una
-                if self.rto is not None and sample_seq is None:
+                if sample_seq is None:
                     sample_seq = done_seq
                     sample_time = clock.now
 
@@ -310,10 +291,9 @@ class BSPEndpoint:
                 nxt = una           # go-back-N
                 end_sent_at_una = -1
                 self.stats.retransmissions += 1
-                if self.rto is not None:
-                    self.rto.note_timeout()
-                    sample_seq = None     # Karn: ambiguous from here on
-                    yield from self._rearm_timer()
+                self.rto.note_timeout()
+                sample_seq = None     # Karn: ambiguous from here on
+                yield from self._rearm_timer()
                 continue
             for delivered in batch:
                 yield Compute(self._costs.user_transport_per_packet)
@@ -333,11 +313,7 @@ class BSPEndpoint:
                     una = header.identifier
                     retries = 0
                     self.stats.acks_received += 1
-                    if (
-                        self.rto is not None
-                        and sample_seq is not None
-                        and una >= sample_seq
-                    ):
+                    if sample_seq is not None and una >= sample_seq:
                         self.rto.observe(clock.now - sample_time)
                         sample_seq = None
                         yield from self._rearm_timer()
@@ -377,22 +353,22 @@ class BSPEndpoint:
                 return b"".join(parts)
             parts.append(chunk)
 
-    def linger(self, *, timeout: float = 1.0, quiet: int = 3):
+    def linger(self):
         """Dally after the stream ends, re-acking retransmitted ENDs
         (yield from) — Pup BSP's dally period, TCP's TIME_WAIT.
 
         The final ack can be lost like any other packet; a receiver
         that closes the moment END arrives leaves the sender
         retransmitting into a deaf port until its retry budget aborts
-        the stream.  Stay subscribed until ``quiet`` consecutive
-        timeout windows pass in silence; the quiet span must outlast
-        the sender's longest backed-off retransmission gap.
+        the stream.  Stay subscribed until :data:`LINGER_QUIET`
+        consecutive timeout windows pass in silence; the quiet span must
+        outlast the sender's longest backed-off retransmission gap.
         """
         yield Ioctl(
-            self.fd, PFIoctl.SETTIMEOUT, ReadTimeoutPolicy.after(timeout)
+            self.fd, PFIoctl.SETTIMEOUT, ReadTimeoutPolicy.after(LINGER_TIMEOUT)
         )
         silent = 0
-        while silent < quiet:
+        while silent < LINGER_QUIET:
             try:
                 batch = yield Read(self.fd)
             except SimTimeout:

@@ -33,15 +33,17 @@ PUP_ECHO_ME = 1      #: Pup type: please echo this
 PUP_IM_AN_ECHO = 2   #: Pup type: the echo
 ECHO_SOCKET = 5      #: the well-known Pup echo socket
 
+PING_SOCKET = 0x77   #: the pinger's own Pup socket
+PING_DATA = b"pup echo probe"
 PING_TIMEOUT = 0.25
 PING_RETRIES = 4
 
 
-def pup_echo_server(host, *, socket: int = ECHO_SOCKET):
-    """Process body: answer every EchoMe on ``socket``, forever."""
+def pup_echo_server(host):
+    """Process body: answer every EchoMe on :data:`ECHO_SOCKET`, forever."""
     fd = yield Open("pf")
     yield Ioctl(
-        fd, PFIoctl.SETFILTER, bsp_socket_filter(host.link, socket)
+        fd, PFIoctl.SETFILTER, bsp_socket_filter(host.link, ECHO_SOCKET)
     )
     while True:
         batch = yield Read(fd)
@@ -77,13 +79,9 @@ def pup_ping(
     station: bytes,
     *,
     count: int = 3,
-    data: bytes = b"pup echo probe",
-    local_socket: int = 0x77,
-    remote_socket: int = ECHO_SOCKET,
     retries: int = PING_RETRIES,
-    timeout: float = PING_TIMEOUT,
 ):
-    """Sub-generator: ping ``station`` ``count`` times.
+    """Sub-generator: ping ``station``'s echo socket ``count`` times.
 
     Returns a list of round-trip times in seconds (one per successful
     echo); raises :class:`SimTimeout` if an echo never comes back after
@@ -92,9 +90,9 @@ def pup_ping(
     """
     fd = yield Open("pf")
     yield Ioctl(
-        fd, PFIoctl.SETFILTER, bsp_socket_filter(host.link, local_socket)
+        fd, PFIoctl.SETFILTER, bsp_socket_filter(host.link, PING_SOCKET)
     )
-    yield Ioctl(fd, PFIoctl.SETTIMEOUT, ReadTimeoutPolicy.after(timeout))
+    yield Ioctl(fd, PFIoctl.SETTIMEOUT, ReadTimeoutPolicy.after(PING_TIMEOUT))
 
     scheduler = host.kernel.scheduler
     round_trips = []
@@ -102,12 +100,12 @@ def pup_ping(
         probe = PupHeader(
             pup_type=PUP_ECHO_ME,
             identifier=sequence,
-            dst=PupAddress(net=1, host=station[-1], socket=remote_socket),
-            src=PupAddress(net=1, host=host.address[-1], socket=local_socket),
+            dst=PupAddress(net=1, host=station[-1], socket=ECHO_SOCKET),
+            src=PupAddress(net=1, host=host.address[-1], socket=PING_SOCKET),
         )
         frame = host.link.frame(
             station, host.address, pup_ethertype(host.link),
-            probe.encode(data, with_checksum=True),
+            probe.encode(PING_DATA, with_checksum=True),
         )
         echoed = None
         for _attempt in range(retries):
@@ -127,7 +125,7 @@ def pup_ping(
                 if (
                     header.pup_type == PUP_IM_AN_ECHO
                     and header.identifier == sequence
-                    and payload == data
+                    and payload == PING_DATA
                 ):
                     echoed = scheduler.now - sent_at
                     break

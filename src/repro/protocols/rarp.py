@@ -99,21 +99,21 @@ class RARPPacket:
         )
 
 
-def rarp_server_filter(priority: int = 5) -> FilterProgram:
+def rarp_server_filter() -> FilterProgram:
     """Accept reverse-ARP requests (and nothing else)."""
     return compile_expr(
         (word(_WORD_ETHERTYPE) == ETHERTYPE_RARP).likely(0.1)
         & (word(_WORD_OP) == OP_REVERSE_REQUEST).likely(0.5),
-        priority=priority,
+        priority=5,
     )
 
 
-def rarp_client_filter(priority: int = 5) -> FilterProgram:
+def rarp_client_filter() -> FilterProgram:
     """Accept reverse-ARP replies."""
     return compile_expr(
         (word(_WORD_ETHERTYPE) == ETHERTYPE_RARP).likely(0.1)
         & (word(_WORD_OP) == OP_REVERSE_REPLY).likely(0.5),
-        priority=priority,
+        priority=5,
     )
 
 

@@ -12,8 +12,8 @@ sits idle after a genuine loss.
 (SIGCOMM '88) that both BSP and VMTP now share:
 
 * ``observe(rtt)`` folds in a round-trip sample —
-  ``srtt += alpha * err`` and ``rttvar`` tracks mean deviation; the
-  timeout is ``srtt + k * rttvar`` (but never below ``slack * srtt`` —
+  ``srtt += ALPHA * err`` and ``rttvar`` tracks mean deviation; the
+  timeout is ``srtt + K * rttvar`` (but never below ``slack * srtt`` —
   a steady path decays the variance term to nothing, and a timer equal
   to the typical round trip fires spuriously on any hiccup), clamped
   to ``[min_timeout, max_timeout]``;
@@ -33,6 +33,10 @@ from __future__ import annotations
 
 __all__ = ["RetransmitTimer"]
 
+ALPHA = 0.125   #: gain of the smoothed round trip (Jacobson's 1/8)
+BETA = 0.25     #: gain of the mean deviation (1/4)
+K = 4.0         #: deviations the timeout sits above the smoothed round trip
+
 
 class RetransmitTimer:
     """Jacobson/Karels smoothed-RTT retransmission timer."""
@@ -47,9 +51,6 @@ class RetransmitTimer:
         *,
         min_timeout: float | None = None,
         max_timeout: float = 2.0,
-        alpha: float = 0.125,
-        beta: float = 0.25,
-        k: float = 4.0,
         slack: float = 2.0,
         backoff_factor: float = 2.0,
     ) -> None:
@@ -72,9 +73,6 @@ class RetransmitTimer:
             raise ValueError("slack factor must be at least 1")
         self.min_timeout = min_timeout
         self.max_timeout = max_timeout
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
         self.slack = slack
         self.backoff_factor = backoff_factor
         self.srtt: float | None = None
@@ -88,11 +86,6 @@ class RetransmitTimer:
     def timeout(self) -> float:
         """The current retransmission timeout, backoff and cap applied."""
         return min(self._base * self._backoff, self.max_timeout)
-
-    @property
-    def backoff(self) -> float:
-        """The current backoff multiplier (1.0 outside an episode)."""
-        return self._backoff
 
     def telemetry_gauges(self) -> dict:
         """Gauge callables for the telemetry sampler — the live timeout,
@@ -117,10 +110,8 @@ class RetransmitTimer:
             self.rttvar = rtt / 2.0
         else:
             error = rtt - self.srtt
-            self.rttvar = (1.0 - self.beta) * self.rttvar + self.beta * abs(
-                error
-            )
-            self.srtt = self.srtt + self.alpha * error
+            self.rttvar = (1.0 - BETA) * self.rttvar + BETA * abs(error)
+            self.srtt = self.srtt + ALPHA * error
         # When samples are steady, rttvar decays and srtt + k*rttvar
         # collapses onto the mean round trip itself — and a timer equal
         # to the typical RTT fires spuriously on any hiccup (the reason
@@ -128,7 +119,7 @@ class RetransmitTimer:
         # the timeout a multiple of srtt even at zero variance.
         self._base = min(
             max(
-                self.srtt + self.k * self.rttvar,
+                self.srtt + K * self.rttvar,
                 self.srtt * self.slack,
                 self.min_timeout,
             ),

@@ -50,14 +50,14 @@ def telnet_bsp_server(host, user_station: bytes, text: bytes):
     return endpoint.stats
 
 
-def telnet_bsp_user(host, display_device: str = "display"):
+def telnet_bsp_user(host):
     """User side over BSP: display every received character.
 
     Returns ``(characters_displayed, finished_at)``.
     """
     endpoint = BSPEndpoint(host, local_socket=TELNET_BSP_USER_SOCKET)
     yield from endpoint.start()
-    display_fd = yield Open(display_device)
+    display_fd = yield Open("display")
     total = 0
     while True:
         chunk = yield from endpoint.recv_some()
@@ -78,11 +78,11 @@ def telnet_tcp_server(host, peer_ip: int, text: bytes):
     return len(text)
 
 
-def telnet_tcp_user(host, display_device: str = "display"):
+def telnet_tcp_user(host):
     """User side over kernel TCP: display every received character."""
     fd = yield Open("tcp")
     yield Ioctl(fd, SockIoctl.BIND, TELNET_TCP_PORT)
-    display_fd = yield Open(display_device)
+    display_fd = yield Open("display")
     total = 0
     while True:
         chunk = yield Read(fd)

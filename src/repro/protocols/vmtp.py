@@ -122,7 +122,7 @@ class VMTPPacket:
     segment_mask: int = ALL_SEGMENTS
     payload: bytes = b""
 
-    def encode(self, *, with_checksum: bool = True) -> bytes:
+    def encode(self) -> bytes:
         head = bytearray(VMTP_HEADER_BYTES)
         head[0] = self.kind
         head[2:4] = self.client.to_bytes(2, "big")
@@ -133,8 +133,7 @@ class VMTPPacket:
         head[10:12] = self.total_length.to_bytes(2, "big")
         head[12:14] = self.segment_mask.to_bytes(2, "big")
         body = bytes(head) + self.payload
-        checksum = pup_checksum(body) if with_checksum else NO_CHECKSUM
-        return body + checksum.to_bytes(2, "big")
+        return body + pup_checksum(body).to_bytes(2, "big")
 
     @classmethod
     def decode(cls, data: bytes) -> "VMTPPacket":
@@ -232,7 +231,7 @@ class MessageAssembler:
 # ---------------------------------------------------------------------------
 
 
-def client_filter(client_id: int, priority: int = 12) -> FilterProgram:
+def client_filter(client_id: int) -> FilterProgram:
     """Accept RESPONSE packets addressed to this client.
 
     The client-id word is tested first via CAND — it is the
@@ -243,16 +242,16 @@ def client_filter(client_id: int, priority: int = 12) -> FilterProgram:
         & (word(WORD_KIND).high_byte() == VMTPKind.RESPONSE << 8).likely(0.4)
         & (word(WORD_ETHERTYPE) == ETHERTYPE_VMTP).likely(0.6)
     )
-    return compile_expr(expr, priority=priority)
+    return compile_expr(expr, priority=12)
 
 
-def server_filter(server_id: int, priority: int = 10) -> FilterProgram:
+def server_filter(server_id: int) -> FilterProgram:
     """Accept REQUEST (and RSPACK) packets addressed to this server."""
     expr = (
         (word(WORD_SERVER) == server_id).likely(0.05)
         & (word(WORD_ETHERTYPE) == ETHERTYPE_VMTP).likely(0.6)
     )
-    return compile_expr(expr, priority=priority)
+    return compile_expr(expr, priority=10)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,6 @@ class VMTPClient:
         server_id: int,
         *,
         batching: bool = True,
-        device: str = "pf",
         inbox=None,
         adaptive_rto: bool = True,
         max_retries: int = MAX_REQUEST_RETRIES,
@@ -292,7 +290,6 @@ class VMTPClient:
         self.server_station = server_station
         self.server_id = server_id
         self.batching = batching
-        self.device = device
         self.max_retries = max_retries
         #: Jacobson-style adaptive retry timer; None keeps the
         #: historical fixed-timeout behaviour (the benchmark baseline).
@@ -300,13 +297,9 @@ class VMTPClient:
             RetransmitTimer(REQUEST_RETRY_TIMEOUT) if adaptive_rto else None
         )
         if self.rto is not None:
-            publish = getattr(host.kernel, "publish_gauges", None)
-            if publish is not None:
-                publish(
-                    f"rto.vmtp{client_id}.",
-                    self.rto.telemetry_gauges(),
-                    unit="s",
-                )
+            host.kernel.publish_gauges(
+                f"rto.vmtp{client_id}.", self.rto.telemetry_gauges(), unit="s"
+            )
         self._armed_timeout = REQUEST_RETRY_TIMEOUT
         self.corrupt_dropped = 0
         #: When set (a :class:`repro.baselines.user_demux.Inbox`), receive
@@ -329,7 +322,7 @@ class VMTPClient:
     def start(self):
         """Open the port and bind the client's filter (a sub-generator:
         call with ``yield from``)."""
-        self.fd = yield Open(self.device)
+        self.fd = yield Open("pf")
         if self.inbox is not None:
             return  # receive side goes through the demux process's pipe
         yield Ioctl(self.fd, PFIoctl.SETFILTER, client_filter(self.client_id))
@@ -500,12 +493,10 @@ class VMTPServer:
     packets" figure 2-3 talks about.
     """
 
-    def __init__(self, host, server_id: int, *, batching: bool = True,
-                 device: str = "pf") -> None:
+    def __init__(self, host, server_id: int, *, batching: bool = True) -> None:
         self.host = host
         self.server_id = server_id
         self.batching = batching
-        self.device = device
         self.fd: int | None = None
         # Client identity is (station, client id), as ids are only
         # unique per host.
@@ -522,7 +513,7 @@ class VMTPServer:
         return self.host.kernel.costs
 
     def start(self):
-        self.fd = yield Open(self.device)
+        self.fd = yield Open("pf")
         yield Ioctl(self.fd, PFIoctl.SETFILTER, server_filter(self.server_id))
         yield Ioctl(self.fd, PFIoctl.SETBATCH, self.batching)
 

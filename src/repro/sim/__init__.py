@@ -69,7 +69,6 @@ from .topology import (
     SegmentRuntime,
     SegmentSpec,
     TopologySpec,
-    register_builder,
     resolve_builder,
     segment_index_of,
     station_address,
@@ -92,7 +91,7 @@ __all__ = [
     "Alert", "WatchdogRule", "builtin_watchdogs",
     "TopologySpec", "SegmentSpec", "BridgeSpec", "BridgeEndpoint",
     "SegmentContext", "SegmentRuntime", "SegmentReport",
-    "register_builder", "resolve_builder",
+    "resolve_builder",
     "station_address", "segment_index_of",
     "TopologyResult", "run_topology",
     "LocalShard", "ProcessShard", "partition",

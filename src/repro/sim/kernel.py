@@ -152,31 +152,25 @@ class WaitQueue:
         retry: Callable[[Process], None],
         *,
         timeout: float | None = None,
-        on_timeout: Callable[[Process], None] | None = None,
     ) -> None:
         """Park ``process``; ``retry(process)`` runs on wake.
 
-        If ``timeout`` elapses first, ``on_timeout(process)`` runs
-        instead (default: fail the syscall with :class:`SimTimeout`).
+        If ``timeout`` elapses first, the syscall fails with
+        :class:`SimTimeout` instead.
         """
         process.state = _BLOCKED
         entry: dict = {"process": process, "retry": retry, "timer": None}
         if timeout is not None:
-            if on_timeout is None:
-                on_timeout = self._default_timeout
             entry["timer"] = self._kernel.scheduler.schedule(
-                timeout, self._fire_timeout, entry, on_timeout
+                timeout, self._fire_timeout, entry
             )
         self._waiters.append(entry)
 
-    def _default_timeout(self, process: Process) -> None:
-        self._kernel.fail(process, SimTimeout())
-
-    def _fire_timeout(self, entry: dict, on_timeout: Callable[[Process], None]) -> None:
+    def _fire_timeout(self, entry: dict) -> None:
         if entry not in self._waiters:
             return
         self._waiters.remove(entry)
-        on_timeout(entry["process"])
+        self._kernel.fail(entry["process"], SimTimeout())
 
     def wake_all(self) -> None:
         """Retry every parked operation (each may complete or re-block).
@@ -318,17 +312,6 @@ class SimKernel:
     # CPU time accounting
     # ------------------------------------------------------------------
 
-    def charge(self, cost: float) -> float:
-        """Consume ``cost`` seconds of CPU; returns when the CPU frees.
-
-        Work starts no earlier than now and no earlier than the end of
-        previously charged work — the single-CPU serialization.
-        """
-        start = max(self.scheduler.now, self._cpu_free_at)
-        self._cpu_free_at = start + cost
-        self.stats.cpu_time += cost
-        return self._cpu_free_at
-
     def account(
         self,
         primitive: Primitive,
@@ -384,18 +367,8 @@ class SimKernel:
             packet_id=packet_id,
         )
 
-    def charge_wakeup(
-        self,
-        *,
-        component: str = "kernel",
-        packet_id: int | None = None,
-    ) -> float:
-        return self.account(
-            _WAKEUP,
-            self.costs.wakeup,
-            component=component,
-            packet_id=packet_id,
-        )
+    def charge_wakeup(self, *, component: str = "kernel") -> float:
+        return self.account(_WAKEUP, self.costs.wakeup, component=component)
 
     @property
     def cpu_available_at(self) -> float:
@@ -455,7 +428,7 @@ class SimKernel:
             was_blocked,
         )
 
-    def kill(self, process: Process, *, error: SimError | None = None) -> None:
+    def kill(self, process: Process) -> None:
         """Forcibly terminate ``process`` — the simulated SIGKILL.
 
         The crash-safety contract: after ``kill`` returns, no wait queue
@@ -467,8 +440,7 @@ class SimKernel:
         """
         if process.done:
             return
-        if error is None:
-            error = ProcessKilled(f"{process.name} (pid {process.pid}) killed")
+        error = ProcessKilled(f"{process.name} (pid {process.pid}) killed")
         for queue in self._wait_queues:
             queue.discard(process)
         kept = []
@@ -700,10 +672,6 @@ class SimKernel:
         index = len(self._nics) - 1
         prefix = "nic." if index == 0 else f"nic{index}."
         self.publish_gauges(prefix, nic.telemetry_gauges())
-
-    @property
-    def nics(self) -> list:
-        return list(self._nics)
 
     def register_ethertype(self, ethertype: int, handler: Callable) -> None:
         """Claim a data-link type for a kernel-resident protocol.

@@ -432,12 +432,9 @@ class Ledger:
         host: str | None = None,
         *,
         start: int = 0,
-        since: float | None = None,
     ) -> Iterator[ChargeEvent]:
         for event in self.events[start:]:
             if host is not None and event.host != host:
-                continue
-            if since is not None and event.sim_time < since:
                 continue
             yield event
 
@@ -446,13 +443,12 @@ class Ledger:
         host: str | None = None,
         *,
         start: int = 0,
-        since: float | None = None,
         primitives: Iterable[Primitive] | None = None,
     ) -> float:
-        """Sum of event costs, optionally scoped by host / window / set."""
+        """Sum of event costs, optionally scoped by host / mark / set."""
         wanted = None if primitives is None else frozenset(primitives)
         total = 0.0
-        for event in self.iter_events(host, start=start, since=since):
+        for event in self.iter_events(host, start=start):
             if wanted is None or event.primitive in wanted:
                 total += event.cost
         return total
@@ -536,15 +532,17 @@ class Ledger:
 
     def stage_percentiles(
         self,
-        start_stage: str = STAGE_WIRE_ARRIVAL,
-        end_stage: str = STAGE_SYSCALL_RETURN,
         *,
         host: str | None = None,
         percentiles: tuple[float, ...] = (0.5, 0.9, 0.99),
     ) -> dict[float, float]:
-        """Nearest-rank latency percentiles between two stages (empty
-        dict when no span reached both — e.g. a pure-drop run)."""
-        data = sorted(self.stage_latencies(start_stage, end_stage, host=host))
+        """Nearest-rank wire-arrival to syscall-return latency percentiles
+        (empty dict when no span reached both — e.g. a pure-drop run)."""
+        data = sorted(
+            self.stage_latencies(
+                STAGE_WIRE_ARRIVAL, STAGE_SYSCALL_RETURN, host=host
+            )
+        )
         if not data:
             return {}
         n = len(data)

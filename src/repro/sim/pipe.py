@@ -32,9 +32,8 @@ PIPE_CAPACITY = 4096
 class Pipe:
     """A unidirectional message pipe with kernel-copy costs."""
 
-    def __init__(self, kernel: SimKernel, capacity: int = PIPE_CAPACITY) -> None:
+    def __init__(self, kernel: SimKernel) -> None:
         self.kernel = kernel
-        self.capacity = capacity
         self._chunks: deque[bytes] = deque()
         self._buffered = 0
         self._readers_open = True
@@ -57,7 +56,7 @@ class Pipe:
             else tuple(call.data)
         )
         total = sum(len(chunk) for chunk in chunks)
-        if self._buffered + total > self.capacity and self._buffered > 0:
+        if self._buffered + total > PIPE_CAPACITY and self._buffered > 0:
             self._write_waiters.block(
                 process, lambda proc: self.write(proc, call)
             )

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from .stats import KernelStats
 
@@ -194,10 +194,6 @@ class LogHistogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Bucket-wise fold of ``other`` into this histogram (shapes
@@ -599,16 +595,12 @@ class Telemetry:
         scheduler,
         *,
         interval: float = DEFAULT_INTERVAL,
-        capacity: int = DEFAULT_CAPACITY,
         watchdogs: bool = True,
     ) -> None:
         if interval <= 0.0:
             raise ValueError("telemetry interval must be positive")
-        if capacity < 2:
-            raise ValueError("series capacity must be at least 2")
         self.scheduler = scheduler
         self.interval = interval
-        self.capacity = capacity
         self.armed = False
         self.ticks = 0
         self.alerts: list[Alert] = []
@@ -636,7 +628,7 @@ class Telemetry:
         self._prev_stats_at[name] = self.scheduler.now
         for _, gauge_name, unit in _STAT_RATE_GAUGES:
             self._ensure_series(name, gauge_name, unit)
-        for prefix, gauges, unit in getattr(kernel, "_gauge_providers", ()):
+        for prefix, gauges, unit in kernel._gauge_providers:
             self.register_gauges(name, prefix, gauges, unit=unit)
         view = SeriesView(self, name)
         for rule in self._default_rules:
@@ -675,7 +667,7 @@ class Telemetry:
         key = (host, name)
         series = self._series.get(key)
         if series is None:
-            series = Series(host, name, unit=unit, capacity=self.capacity)
+            series = Series(host, name, unit=unit)
             self._series[key] = series
         return series
 
@@ -684,21 +676,11 @@ class Telemetry:
     def series(self, host: str, name: str) -> Series | None:
         return self._series.get((host, name))
 
-    def series_for(self, host: str | None = None) -> list[Series]:
-        return [
-            series
-            for (series_host, _), series in self._series.items()
-            if host is None or series_host == host
-        ]
+    def series_for(self) -> list[Series]:
+        return list(self._series.values())
 
     def names(self, host: str) -> list[str]:
         return [name for (h, name) in self._series if h == host]
-
-    def view(self, host: str) -> SeriesView:
-        return SeriesView(self, host)
-
-    def active_alerts(self) -> list[Alert]:
-        return [alert for alert in self.alerts if alert.active]
 
     def alerts_for(
         self, host: str | None = None, *, rule: str | None = None
@@ -719,13 +701,6 @@ class Telemetry:
         self.armed = True
         self._schedule_tick()
 
-    def disarm(self) -> None:
-        """Stop sampling; recorded series and alerts remain readable."""
-        self.armed = False
-        if self._tick_event is not None:
-            self._tick_event.cancel()
-            self._tick_event = None
-
     def resume(self) -> None:
         """Restart the tick after the sampler parked itself quiescent
         (new load arrived after the world went idle)."""
@@ -737,8 +712,6 @@ class Telemetry:
 
     def _tick(self) -> None:
         self._tick_event = None
-        if not self.armed:
-            return
         now = self.scheduler.now
         self.ticks += 1
         self._sample_stat_rates(now)

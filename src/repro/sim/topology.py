@@ -54,7 +54,6 @@ __all__ = [
     "SegmentReport",
     "station_address",
     "segment_index_of",
-    "register_builder",
     "resolve_builder",
     "BRIDGE_STATION_BASE",
 ]
@@ -101,32 +100,15 @@ def segment_index_of(address: bytes) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-#: Builders registered by name (:func:`register_builder`).
-_BUILDERS: dict[str, Callable] = {}
-
-
-def register_builder(name: str):
-    """Decorator: make a builder invocable by plain name in specs."""
-
-    def decorate(fn: Callable) -> Callable:
-        _BUILDERS[name] = fn
-        return fn
-
-    return decorate
-
-
 def resolve_builder(ref: "str | Callable") -> Callable:
     """A builder callable from a spec reference.
 
-    References are preferably strings — ``"pkg.module:function"`` dotted
-    paths or :func:`register_builder` names — because strings survive
-    pickling into shard subprocesses under any start method.  A bare
-    callable also works for in-process runs.
+    References are preferably ``"pkg.module:function"`` strings, because
+    strings survive pickling into shard subprocesses under any start
+    method.  A bare callable also works for in-process runs.
     """
     if callable(ref):
         return ref
-    if ref in _BUILDERS:
-        return _BUILDERS[ref]
     if ":" in ref:
         module_name, _, attr = ref.partition(":")
         module = importlib.import_module(module_name)
@@ -135,7 +117,7 @@ def resolve_builder(ref: "str | Callable") -> Callable:
             raise LookupError(f"module {module_name!r} has no {attr!r}")
         return fn
     raise LookupError(
-        f"unknown builder {ref!r} (not registered, not a module:function path)"
+        f"unknown builder {ref!r} (not a module:function path)"
     )
 
 

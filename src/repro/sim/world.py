@@ -6,18 +6,18 @@ completely deterministic: same construction, same outcome, always.
 
 from __future__ import annotations
 
-import random
-
 from ..net.ethernet import ETHERNET_10MB, LinkSpec
 from .clock import EventScheduler
 from .costs import MICROVAX_II, CostModel
 from .host import Host
 from .ledger import Ledger
 from .process import Process
-from .seeds import derive_seed
 from .telemetry import Telemetry
 
 __all__ = ["World"]
+
+MAX_EVENTS = 5_000_000
+"""Events a run fires at most: a runaway simulation stops, not hangs."""
 
 
 class World:
@@ -39,7 +39,7 @@ class World:
 
         self.link = link
         self.costs = costs
-        #: root of the world's seed namespace; see :meth:`seed_for`.
+        #: the seed the segment's loss and chaos streams derive from.
         self.seed = seed
         self.scheduler = EventScheduler()
         self.segment = EthernetSegment(
@@ -75,27 +75,16 @@ class World:
                 host.kernel.ledger = self.ledger
         return self.ledger
 
-    def enable_telemetry(
-        self,
-        *,
-        interval: float | None = None,
-        capacity: int | None = None,
-        watchdogs: bool = True,
-    ) -> Telemetry:
+    def enable_telemetry(self, *, interval: float | None = None) -> Telemetry:
         """Arm the live-telemetry sampler on every host (current and
-        future); idempotent, returns the :class:`Telemetry`.
+        future), with the built-in detector set (receive livelock, pool
+        exhaustion, poll-mode residency, RTO backoff storms) on each;
+        idempotent, returns the :class:`Telemetry`.
 
-        ``interval`` is the sim-time tick spacing, ``capacity`` the
-        per-series ring size, ``watchdogs`` installs the built-in
-        detector set (receive livelock, pool exhaustion, poll-mode
-        residency, RTO backoff storms) on each host.
+        ``interval`` is the sim-time tick spacing.
         """
         if self.telemetry is None:
-            kwargs: dict = {"watchdogs": watchdogs}
-            if interval is not None:
-                kwargs["interval"] = interval
-            if capacity is not None:
-                kwargs["capacity"] = capacity
+            kwargs = {} if interval is None else {"interval": interval}
             self.telemetry = Telemetry(self.scheduler, **kwargs)
             for host in self.hosts:
                 self.telemetry.attach_host(host.kernel)
@@ -105,23 +94,6 @@ class World:
     @property
     def now(self) -> float:
         return self.scheduler.now
-
-    # -- derived randomness ------------------------------------------------
-
-    def seed_for(self, *path: "str | int | bytes") -> int:
-        """A child seed under this world's root, named by ``path``.
-
-        Derivation (:func:`repro.sim.seeds.derive_seed`) is a pure
-        function of ``(seed, *path)`` — independent of host count,
-        creation order, process boundaries and ``PYTHONHASHSEED`` — so
-        a sharded topology and a single-process run hand every consumer
-        the identical stream.
-        """
-        return derive_seed(self.seed, *path)
-
-    def rng(self, *path: "str | int | bytes") -> random.Random:
-        """A ``random.Random`` seeded by :meth:`seed_for`."""
-        return random.Random(self.seed_for(*path))
 
     def host(
         self,
@@ -155,14 +127,15 @@ class World:
 
     # -- running ----------------------------------------------------------
 
-    def run(self, until: float | None = None, max_events: int = 5_000_000) -> float:
-        """Fire events until quiescent (or ``until``); returns the time."""
-        return self.scheduler.run(until=until, max_events=max_events)
+    def run(self, until: float | None = None) -> float:
+        """Fire events until quiescent (or ``until``, or
+        :data:`MAX_EVENTS`); returns the time."""
+        return self.scheduler.run(until=until, max_events=MAX_EVENTS)
 
     def run_until_done(
         self,
         *processes: Process,
-        max_events: int = 5_000_000,
+        max_events: int = MAX_EVENTS,
     ) -> float:
         """Run until every given process finishes.
 

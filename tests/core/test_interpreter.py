@@ -182,7 +182,7 @@ class TestFaults:
 
     def test_stack_overflow(self):
         items = ["PUSHONE"] * 40
-        result = run(*items, max_stack=32)
+        result = run(*items)
         assert result.fault == FaultCode.STACK_OVERFLOW
 
     def test_extension_op_rejected_in_classic(self):

@@ -33,7 +33,6 @@ from repro.core.opt import (
     build_dispatch_tree,
     cse_filter_set,
     live_nodes,
-    optimize_filter,
     specialize_filter,
     transfer_filter,
 )
@@ -175,16 +174,16 @@ class TestPasses:
         program = compile_expr(word(2) == 5)
         fir = lower(program, graph=g)
         g.binop("mul", g.load(11), g.load(12))  # dead: never referenced
-        out = optimize_filter(fir)
+        out = transfer_filter(fir, ValueGraph())
         kinds = {out.graph.node(n).kind for n in live_nodes(out)}
         assert "mul" not in kinds
         assert len(out.graph) <= len(live_nodes(fir))
 
     def test_dce_never_removes_side_exit_predicates(self):
         program = compile_expr((word(0) == 1) & (word(1) == 2))
-        fir = optimize_filter(lower(program))
+        fir = transfer_filter(lower(program), ValueGraph())
         exits = [s for s in fir.steps if isinstance(s, ExitIf)]
-        assert exits, "optimize_filter must keep the live side exit"
+        assert exits, "folding must keep the live side exit"
         for step in exits:
             assert step.cond in live_nodes(fir)
 

@@ -10,7 +10,7 @@ from repro.sim import World
 
 
 def transfer(payload, *, loss_rate=0.0, duplicate_rate=0.0, seed=1,
-             data_per_packet=532, window_packets=4):
+             data_per_packet=532):
     world = World(loss_rate=loss_rate, duplicate_rate=duplicate_rate, seed=seed)
     sender = world.host("sender")
     receiver = world.host("receiver")
@@ -20,7 +20,7 @@ def transfer(payload, *, loss_rate=0.0, duplicate_rate=0.0, seed=1,
     def tx():
         endpoint = BSPEndpoint(
             sender, local_socket=0x44,
-            data_per_packet=data_per_packet, window_packets=window_packets,
+            data_per_packet=data_per_packet,
         )
         yield from endpoint.start()
         destination = PupAddress(net=1, host=receiver.address[-1], socket=0x35)

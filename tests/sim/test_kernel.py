@@ -14,6 +14,7 @@ from repro.sim import (
     NoSuchDevice,
     Open,
     PipeCreate,
+    Primitive,
     Read,
     Select,
     SigWait,
@@ -224,8 +225,8 @@ class TestTimeAccounting:
     def test_cpu_serializes_charges(self):
         world, host = make_host()
         kernel = host.kernel
-        t0 = kernel.charge(0.010)
-        t1 = kernel.charge(0.010)
+        t0 = kernel.account(Primitive.COMPUTE, 0.010)
+        t1 = kernel.account(Primitive.COMPUTE, 0.010)
         assert t1 == pytest.approx(t0 + 0.010)
 
 

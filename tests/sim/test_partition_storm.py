@@ -13,21 +13,12 @@ import pickle
 import pytest
 
 from repro.bench.scenarios import run_partition_storm
-
-PARTITION_AT = 0.2
-HEAL_AT = 0.55
+from repro.bench.topologies import HEAL_AT, PARTITION_AT
 
 
 @pytest.fixture(scope="module")
 def storm():
-    return run_partition_storm(
-        segments=2,
-        shards=1,
-        seed=0,
-        duration=1.2,
-        partition_at=PARTITION_AT,
-        heal_at=HEAL_AT,
-    )
+    return run_partition_storm(segments=2, shards=1, seed=0, duration=1.2)
 
 
 class TestPartitionWatchdog:

@@ -11,9 +11,12 @@ perturb the simulation it observes).
 import pytest
 
 from repro.bench.scenarios import run_bsp_chaos, run_overload_storm
+from repro.core import Engine, PFIoctl, compile_expr, word
 from repro.sim import (
     Close,
+    Ioctl,
     Open,
+    SigWait,
     Sleep,
     Telemetry,
     WatchdogRule,
@@ -177,6 +180,33 @@ class TestSampler:
                 "pool.in_use", "pool.available"} <= names
         assert any(n.startswith("pf.port") and n.endswith(".depth")
                    for n in names)
+
+    def test_ir_gauges_read_the_compiled_set(self):
+        """The ``pf.ir.*`` gauges docs/PERFORMANCE.md documents: 0 until
+        the first attach compiles a set, then the demultiplexer's
+        ``IRStats``."""
+        world = World(telemetry=True)
+        host = world.host("h")
+        device = host.install_packet_filter(engine=Engine.IR)
+
+        def binder():
+            yield Sleep(0.02)
+            for index in range(4):
+                fd = yield Open("pf")
+                program = compile_expr((word(6) == 0x0900) & (word(7) == index))
+                yield Ioctl(fd, PFIoctl.SETFILTER, program)
+            yield Sleep(0.02)
+            yield SigWait()  # keep the ports bound once the world idles
+
+        host.spawn("binder", binder())
+        world.run()
+        stats = device.demux.ir_stats
+        assert stats.nodes_before_cse > 0 and stats.dispatch_depth > 0
+        for field in ("nodes_before_cse", "nodes_after_cse", "dispatch_depth"):
+            samples = world.telemetry.series("h", f"pf.ir.{field}").samples
+            first_at, first = samples[0]
+            assert first_at < 0.02 and first == 0.0
+            assert samples[-1][1] == getattr(stats, field)
 
     def test_port_close_retracts_port_gauges(self):
         world = World(telemetry=True)

@@ -9,7 +9,6 @@ from repro.sim.topology import (
     SegmentRuntime,
     SegmentSpec,
     TopologySpec,
-    register_builder,
     resolve_builder,
     segment_index_of,
     station_address,
@@ -162,13 +161,6 @@ class TestViaIndices:
 class TestResolveBuilder:
     def test_callable_passes_through(self):
         assert resolve_builder(_noop_builder) is _noop_builder
-
-    def test_registered_name(self):
-        @register_builder("test-topology-noop")
-        def builder(ctx):
-            pass
-
-        assert resolve_builder("test-topology-noop") is builder
 
     def test_module_colon_function_path(self):
         from repro.bench.topologies import flow_storm_segment
