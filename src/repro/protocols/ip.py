@@ -52,14 +52,18 @@ def format_ip(address: int) -> str:
 
 
 def internet_checksum(data: bytes) -> int:
-    """RFC 1071 ones-complement sum of 16-bit words."""
-    total = 0
-    if len(data) % 2:
-        data = data + b"\x00"
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
+    """RFC 1071 ones-complement sum of 16-bit words.
+
+    2^16 = 1 mod 0xFFFF, so the packet read as one big-endian integer
+    is congruent to the sum of its words, and end-around-carry addition
+    is addition mod 0xFFFF.  Ones complement has two zeros: the sum is
+    +0 only when every word is zero, and any other multiple of 0xFFFF
+    sums to -0 (0xFFFF).
+    """
+    total = int.from_bytes(data, "big") << (8 * (len(data) % 2))
+    if total:
+        total = total % 0xFFFF or 0xFFFF
+    return 0xFFFF - total
 
 
 @dataclass(frozen=True)

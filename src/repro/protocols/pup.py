@@ -36,6 +36,9 @@ measurements.
 
 from __future__ import annotations
 
+import struct
+import sys
+from array import array
 from dataclasses import dataclass
 
 from ..net.ethernet import LinkSpec
@@ -64,19 +67,32 @@ class PupError(ValueError):
     """Malformed Pup packet."""
 
 
+_HEADER = struct.Struct(">HBBIBBIBBI")  # figure 3-7, length to SrcSocket
+_U16 = struct.Struct(">H")
+_SWAP_WORDS = sys.byteorder == "little"
+
+
 def pup_checksum(data: bytes) -> int:
     """Pup's add-and-left-cycle ones-complement checksum over 16-bit
-    words (never yields 0xFFFF, which is reserved for "none")."""
-    total = 0
+    words (never yields 0xFFFF, which is reserved for "none").
+
+    Ones-complement addition with end-around carry is addition mod
+    2^16 - 1, and a 1-bit left cycle is a doubling, so over n words the
+    checksum is sum(w[i] * 2^((n - i) mod 16)) mod 0xFFFF.  Words whose
+    index agrees mod 16 share a weight, so sixteen C-level lane sums do
+    the whole packet (a lane past the last word sums to 0), and the
+    final ``% 0xFFFF`` folds the loop's 0xFFFF to 0 by itself.
+    """
     if len(data) % 2:
         data = data + b"\x00"
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-        total = (total & 0xFFFF) + (total >> 16)
-        total = ((total << 1) | (total >> 15)) & 0xFFFF  # left cycle
-    if total == NO_CHECKSUM:
-        total = 0
-    return total
+    words = array("H", data)
+    if _SWAP_WORDS:
+        words.byteswap()
+    n = len(words)
+    total = 0
+    for lane in range(16):
+        total += sum(words[lane::16]) << ((n - lane) % 16)
+    return total % 0xFFFF
 
 
 def pup_word_base(link: LinkSpec) -> int:
@@ -119,20 +135,20 @@ class PupHeader:
         if len(data) > PUP_MAX_DATA:
             raise PupError(f"{len(data)} bytes exceeds Pup data maximum")
         length = PUP_HEADER_BYTES + len(data) + PUP_CHECKSUM_BYTES
-        head = bytearray(PUP_HEADER_BYTES)
-        head[0:2] = length.to_bytes(2, "big")
-        head[2] = self.hop_count
-        head[3] = self.pup_type
-        head[4:8] = self.identifier.to_bytes(4, "big")
-        head[8] = self.dst.net
-        head[9] = self.dst.host
-        head[10:14] = self.dst.socket.to_bytes(4, "big")
-        head[14] = self.src.net
-        head[15] = self.src.host
-        head[16:20] = self.src.socket.to_bytes(4, "big")
-        body = bytes(head) + data
+        dst, src = self.dst, self.src
+        try:
+            head = _HEADER.pack(
+                length, self.hop_count, self.pup_type, self.identifier,
+                dst.net, dst.host, dst.socket, src.net, src.host, src.socket,
+            )
+        except struct.error as exc:
+            raise PupError(
+                f"hop count {self.hop_count!r}, type {self.pup_type!r} or "
+                f"identifier {self.identifier!r} does not fit its field: {exc}"
+            ) from None
+        body = head + data
         checksum = pup_checksum(body) if with_checksum else NO_CHECKSUM
-        return body + checksum.to_bytes(2, "big")
+        return body + _U16.pack(checksum)
 
     @classmethod
     def decode(cls, packet: bytes) -> tuple["PupHeader", bytes]:
@@ -140,27 +156,20 @@ class PupHeader:
         one is present."""
         if len(packet) < PUP_HEADER_BYTES + PUP_CHECKSUM_BYTES:
             raise PupError("packet shorter than a minimal Pup")
-        length = int.from_bytes(packet[0:2], "big")
+        (length, hop_count, pup_type, identifier, dst_net, dst_host,
+         dst_socket, src_net, src_host, src_socket) = _HEADER.unpack_from(packet)
         if length < PUP_HEADER_BYTES + PUP_CHECKSUM_BYTES or length > len(packet):
             raise PupError(f"bad Pup length {length}")
-        checksum = int.from_bytes(packet[length - 2 : length], "big")
+        (checksum,) = _U16.unpack_from(packet, length - 2)
         if checksum != NO_CHECKSUM:
             expected = pup_checksum(packet[: length - 2])
             if checksum != expected:
                 raise PupError("Pup checksum mismatch")
         header = cls(
-            pup_type=packet[3],
-            identifier=int.from_bytes(packet[4:8], "big"),
-            dst=PupAddress(
-                net=packet[8],
-                host=packet[9],
-                socket=int.from_bytes(packet[10:14], "big"),
-            ),
-            src=PupAddress(
-                net=packet[14],
-                host=packet[15],
-                socket=int.from_bytes(packet[16:20], "big"),
-            ),
-            hop_count=packet[2],
+            pup_type=pup_type,
+            identifier=identifier,
+            dst=PupAddress(net=dst_net, host=dst_host, socket=dst_socket),
+            src=PupAddress(net=src_net, host=src_host, socket=src_socket),
+            hop_count=hop_count,
         )
         return header, packet[PUP_HEADER_BYTES : length - 2]

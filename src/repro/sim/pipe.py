@@ -13,13 +13,16 @@ analogue of received-packet batching, and the reason batching helps the
 user-level demultiplexer at all (table 6-9).  Writers may pass a tuple
 of byte strings (a vectored write: one system call, several chunks).
 The capacity limit and writer blocking of the real thing are kept.
+Arguments are checked at the descriptor, before anything blocks, so a
+bad ``Write.data`` or ``Read.size`` fails the caller with
+:class:`InvalidArgument` and nobody else.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .errors import BrokenPipe
+from .errors import BrokenPipe, InvalidArgument
 from .kernel import DeviceHandle, SimKernel, WaitQueue
 from .process import Process, Read, Write
 
@@ -131,6 +134,11 @@ class _PipeEnd(DeviceHandle):
 
 class _ReadEnd(_PipeEnd):
     def read(self, process: Process, call: Read) -> None:
+        size = call.size
+        if size is not None and not (isinstance(size, int) and size >= 0):
+            raise InvalidArgument(
+                f"pipe read size must be a byte count or None, not {size!r}"
+            )
         self.pipe.read(process, call)
 
     def poll_readable(self) -> bool:
@@ -142,6 +150,16 @@ class _ReadEnd(_PipeEnd):
 
 class _WriteEnd(_PipeEnd):
     def write(self, process: Process, call: Write) -> None:
+        data = call.data
+        if not (
+            isinstance(data, (bytes, bytearray))
+            or isinstance(data, (list, tuple))
+            and all(isinstance(chunk, (bytes, bytearray)) for chunk in data)
+        ):
+            raise InvalidArgument(
+                "a pipe write takes bytes, or a list or tuple of byte "
+                f"strings, not {data!r}"
+            )
         self.pipe.write(process, call)
 
     def _really_close(self) -> None:

@@ -1,6 +1,9 @@
 """Codec tests: IP, UDP, TCP, Pup, VMTP, RARP headers round-trip and
 reject malformed input."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -31,6 +34,111 @@ from repro.protocols.vmtp import (
     segment_message,
     MessageAssembler,
 )
+
+
+def reference_pup_checksum(data: bytes) -> int:
+    """The per-word add-and-left-cycle loop, kept as the oracle."""
+    total = 0
+    if len(data) % 2:
+        data = data + b"\x00"
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+        total = ((total << 1) | (total >> 15)) & 0xFFFF  # left cycle
+    if total == NO_CHECKSUM:
+        total = 0
+    return total
+
+
+def reference_internet_checksum(data: bytes) -> int:
+    """The per-word RFC 1071 loop, kept as the oracle."""
+    total = 0
+    if len(data) % 2:
+        data = data + b"\x00"
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return (~total) & 0xFFFF
+
+
+EDGE_INPUTS = [
+    pytest.param(data, id=name)
+    for name, data in (
+        ("empty", b""),
+        ("one-byte", b"\x01"),
+        ("one-0xff", b"\xff"),
+        ("odd-3", b"\xab\xcd\xef"),
+        ("odd-553", bytes(range(256)) * 2 + bytes(41)),
+        ("zeros-554", bytes(554)),
+        ("ones-554", b"\xff" * 554),
+        ("ones-555", b"\xff" * 555),
+        ("word-fffe", b"\xff\xfe"),
+        ("word-ffff", b"\xff\xff"),
+        ("fffe-then-0001", b"\xff\xfe\x00\x01"),
+        ("fffe-x17", b"\xff\xfe" * 17),
+        ("random-554", random.Random(554).randbytes(554)),
+    )
+]
+
+# Recorded from the per-word loops; (pup, internet) for each input.
+KNOWN_ANSWERS = [
+    pytest.param(b"\x00\x01\xf2\x03\xf4\xf5\xf6\xf7", (0x51F7, 0x220D), id="rfc1071"),
+    pytest.param(bytes(range(256)) * 2 + b"\x2a", (0x4BF8, 0x5580), id="513-bytes"),
+    pytest.param(b"\xff" * 554, (0x0, 0x0), id="ones-554"),
+]
+
+
+def _line_events(function, *args) -> int:
+    """Python line events executed by ``function(*args)`` and whatever
+    Python it calls."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return tracer
+
+    outer = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+class TestChecksumsAgainstTheLoops:
+    @given(st.binary(max_size=1500))
+    def test_equal_to_the_reference_loops(self, data):
+        assert pup_checksum(data) == reference_pup_checksum(data)
+        assert internet_checksum(data) == reference_internet_checksum(data)
+
+    @pytest.mark.parametrize("data", EDGE_INPUTS)
+    def test_edge_cases(self, data):
+        assert pup_checksum(data) == reference_pup_checksum(data)
+        assert internet_checksum(data) == reference_internet_checksum(data)
+
+    @pytest.mark.parametrize("data, expected", KNOWN_ANSWERS)
+    def test_known_answers(self, data, expected):
+        assert (pup_checksum(data), internet_checksum(data)) == expected
+        assert (
+            reference_pup_checksum(data), reference_internet_checksum(data)
+        ) == expected
+
+    def test_pup_checksum_does_no_per_word_work(self):
+        """A count guard, not a timing one: the line events a minimal
+        and a maximal Pup's checksum execute are the same, so a loop
+        over words cannot come back unnoticed."""
+        address = PupAddress(net=1, host=5, socket=35)
+        header = PupHeader(pup_type=1, identifier=1, dst=address, src=address)
+        short = header.encode(b"", with_checksum=True)
+        full = header.encode(bytes(range(256)) * 2 + bytes(20), with_checksum=True)
+        assert (len(short), len(full)) == (22, 554)
+        counts = [_line_events(pup_checksum, pup[:-2]) for pup in (short, full)]
+        # 40 on CPython 3.11; the slack absorbs how other versions count
+        # a loop's exit, while one word per iteration would be > 1 000.
+        assert counts[0] == counts[1] <= 48
 
 
 class TestIPAddresses:
@@ -196,6 +304,45 @@ class TestPup:
     def test_checksum_never_returns_reserved_value(self):
         # The add-and-cycle sum maps 0xFFFF to 0 by construction.
         assert pup_checksum(b"\xff\xfe") != NO_CHECKSUM
+
+    @given(st.binary(max_size=PUP_MAX_DATA), st.data())
+    def test_any_single_bit_flip_is_caught(self, payload, draw):
+        """Every bit after the length word up to the checksum is
+        covered: a flip changes one word by 2^k, which moves the sum by
+        a power of two, never a multiple of 0xFFFF."""
+        header = PupHeader(
+            pup_type=1, identifier=7, dst=self.address(), src=self.address()
+        )
+        packet = bytearray(header.encode(payload, with_checksum=True))
+        bit = draw.draw(st.integers(16, 8 * (len(packet) - 2) - 1))
+        packet[bit // 8] ^= 0x80 >> (bit % 8)
+        with pytest.raises(PupError):
+            PupHeader.decode(bytes(packet))
+
+    def test_length_word_bit_flips_are_caught(self):
+        # A flipped length either overruns the packet, falls below a
+        # minimal Pup, or moves the checksum field: checked exhaustively
+        # here, because a moved field may land on bytes that read 0xFFFF.
+        header = PupHeader(
+            pup_type=1, identifier=7, dst=self.address(), src=self.address()
+        )
+        packet = header.encode(b"stream data", with_checksum=True)
+        for bit in range(16):
+            flipped = bytearray(packet)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            with pytest.raises(PupError):
+                PupHeader.decode(bytes(flipped))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("hop_count", 256), ("pup_type", 256), ("identifier", 1 << 32)],
+    )
+    def test_out_of_range_header_field_is_a_pup_error(self, field, value):
+        fields = dict(pup_type=1, identifier=1, hop_count=0)
+        fields[field] = value
+        header = PupHeader(dst=self.address(), src=self.address(), **fields)
+        with pytest.raises(PupError, match=str(value)):
+            header.encode(b"data")
 
 
 class TestVMTP:

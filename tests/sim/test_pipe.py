@@ -1,7 +1,18 @@
 """Tests for the byte-stream pipe with copy charging."""
 
+import pytest
 
-from repro.sim import BrokenPipe, Close, PipeCreate, Read, Sleep, World, Write
+from repro.sim import (
+    BrokenPipe,
+    Close,
+    InvalidArgument,
+    PipeCreate,
+    Read,
+    Sleep,
+    World,
+    Write,
+)
+from repro.sim.process import ProcessState
 
 
 def run_pipe(body_factory):
@@ -128,3 +139,73 @@ class TestBlockingAndCosts:
         _, host, _ = run_pipe(body)
         assert host.stats.copies == 2  # one in, one out
         assert host.stats.bytes_copied == 2048
+
+
+HOSTILE_PIPE_CALLS = [
+    pytest.param(make, id=name)
+    for name, make in (
+        ("Write(5)", lambda rfd, wfd: Write(wfd, 5)),
+        ("Write(None)", lambda rfd, wfd: Write(wfd, None)),
+        ("Write('text')", lambda rfd, wfd: Write(wfd, "text")),
+        ("Write([b'ok', 5])", lambda rfd, wfd: Write(wfd, [b"ok", 5])),
+        ("Write(memoryview)", lambda rfd, wfd: Write(wfd, memoryview(b"x"))),
+        ("Read('abc')", lambda rfd, wfd: Read(rfd, "abc")),
+        ("Read(-1)", lambda rfd, wfd: Read(rfd, -1)),
+        ("Read(1.5)", lambda rfd, wfd: Read(rfd, 1.5)),
+    )
+]
+
+
+class TestHostilePipeArguments:
+    """A bad ``Write.data`` or ``Read.size`` is the calling process's
+    error and nobody else's: it is rejected before the call can block,
+    and never raises out of the event loop."""
+
+    @pytest.mark.parametrize("buffered", [b"", b"queued"], ids=["empty", "full"])
+    @pytest.mark.parametrize("make", HOSTILE_PIPE_CALLS)
+    def test_only_the_offender_fails(self, make, buffered):
+        world = World()
+        host = world.host("h")
+
+        def offender():
+            rfd, wfd = yield PipeCreate()
+            if buffered:
+                yield Write(wfd, buffered)
+            yield make(rfd, wfd)
+
+        def bystander():
+            rfd, wfd = yield PipeCreate()
+            yield Write(wfd, b"fine")
+            yield Sleep(0.01)
+            return (yield Read(rfd))
+
+        bad = host.spawn("bad", offender())
+        good = host.spawn("good", bystander())
+        world.run_until_done(good)
+        world.run()
+        assert bad.state is ProcessState.FAILED
+        assert isinstance(bad.error, InvalidArgument)
+        assert good.result == b"fine"
+
+    @pytest.mark.parametrize("make", HOSTILE_PIPE_CALLS)
+    def test_the_offender_may_catch_it_and_carry_on(self, make):
+        def body():
+            rfd, wfd = yield PipeCreate()
+            try:
+                yield make(rfd, wfd)
+            except InvalidArgument:
+                yield Write(wfd, b"after")
+                return (yield Read(rfd))
+
+        _, _, proc = run_pipe(body)
+        assert proc.result == b"after"
+
+    def test_zero_size_read_and_list_write_are_legal(self):
+        def body():
+            rfd, wfd = yield PipeCreate()
+            yield Write(wfd, [b"a", bytearray(b"b")])
+            empty = yield Read(rfd, 0)
+            return empty, (yield Read(rfd))
+
+        _, _, proc = run_pipe(body)
+        assert proc.result == (b"", b"ab")
