@@ -12,8 +12,15 @@ from __future__ import annotations
 import enum
 from collections import deque
 from ..sim.errors import InvalidArgument
-from ..sim.kernel import DeviceHandle, SimKernel, WaitQueue
-from ..sim.process import Ioctl, Process, Read
+from ..sim.kernel import (
+    DeviceHandle,
+    SimKernel,
+    WaitQueue,
+    checked_payload,
+    checked_read_size,
+)
+from ..sim.pipe import take_bytes
+from ..sim.process import Ioctl, Process, Read, Write
 
 __all__ = ["SockIoctl", "BufferedSocketHandle"]
 
@@ -33,12 +40,16 @@ class BufferedSocketHandle(DeviceHandle):
 
     Subclasses deposit received data with :meth:`_deposit` (datagram
     sockets deposit message chunks; stream sockets deposit bytes) and
-    implement their own ``write``/``ioctl``.
+    implement their own ``_write``/``ioctl``.  ``Write.data`` and
+    ``Read.size`` are checked here, once for every socket, so a bad one
+    fails the caller with :class:`InvalidArgument` and nobody else.
     """
 
     #: Datagram sockets: queued messages before drops.  Stream sockets
     #: override flow control with windows instead.
     RECEIVE_QUEUE_LIMIT = 32
+    #: Longest ``Write.data`` accepted; None for a stream.
+    max_write: int | None = None
 
     def __init__(self, kernel: SimKernel) -> None:
         self.kernel = kernel
@@ -86,8 +97,9 @@ class BufferedSocketHandle(DeviceHandle):
         return bool(self._chunks) or self._eof
 
     def read(self, process: Process, call: Read) -> None:
+        size = checked_read_size(call.size)
         if self._chunks:
-            data = self._take(call.size)
+            data = self._take(size)
             self.kernel.charge_copy(len(data), component="socket")
             self.kernel.complete(process, data)
             self._after_read()
@@ -111,6 +123,11 @@ class BufferedSocketHandle(DeviceHandle):
     def _after_read(self) -> None:
         """Hook for flow control (stream sockets reopen their window)."""
 
+    # -- writer side -------------------------------------------------------
+
+    def write(self, process: Process, call: Write) -> None:
+        self._write(process, checked_payload(call.data, self.max_write))
+
     # -- defaults ------------------------------------------------------------
 
     def ioctl(self, process: Process, call: Ioctl) -> None:
@@ -121,16 +138,8 @@ class StreamReadMixin:
     """Byte-stream ``_take``: coalesce chunks up to the requested size."""
 
     def _take(self, size: int | None) -> bytes:
-        if size is None:
-            size = self._buffered_bytes
-        out = bytearray()
-        while self._chunks and len(out) < size:
-            chunk = self._chunks[0]
-            need = size - len(out)
-            if len(chunk) <= need:
-                out.extend(self._chunks.popleft())
-            else:
-                out.extend(chunk[:need])
-                self._chunks[0] = chunk[need:]
-        self._buffered_bytes -= len(out)
-        return bytes(out)
+        data, _ = take_bytes(
+            self._chunks, self._buffered_bytes if size is None else size
+        )
+        self._buffered_bytes -= len(data)
+        return data

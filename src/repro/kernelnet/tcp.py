@@ -36,7 +36,7 @@ from ..protocols.tcp import (
 from ..sim.errors import InvalidArgument, SimTimeout
 from ..sim.kernel import DeviceDriver, SimKernel, WaitQueue
 from ..sim.ledger import Primitive
-from ..sim.process import Ioctl, Process, Write
+from ..sim.process import Ioctl, Process
 from .ipstack import KernelNetworkStack
 from .sockets import BufferedSocketHandle, SockIoctl, StreamReadMixin
 
@@ -186,12 +186,11 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
     # user data path
     # ------------------------------------------------------------------
 
-    def write(self, process: Process, call: Write) -> None:
+    def _write(self, process: Process, data: bytes) -> None:
         if self.state is not TCPState.ESTABLISHED:
             raise InvalidArgument(f"socket is {self.state.value}, not established")
-        data = bytes(call.data)
         if len(self._send_queue) + len(data) > SEND_BUFFER_LIMIT and self._send_queue:
-            self._writers.block(process, lambda proc: self.write(proc, call))
+            self._writers.block(process, lambda proc: self._write(proc, data))
             return
         self.kernel.charge_copy(len(data), component="tcp")  # user -> buffer
         self._send_queue.extend(data)

@@ -10,12 +10,12 @@ default because that is the variant the paper measured.
 
 from __future__ import annotations
 
-from ..protocols.ip import PROTO_UDP
-from ..protocols.udp import UDPError, UDPHeader
+from ..protocols.ip import IP_MIN_HEADER, PROTO_UDP
+from ..protocols.udp import UDP_HEADER_BYTES, UDPError, UDPHeader
 from ..sim.errors import InvalidArgument
 from ..sim.kernel import DeviceDriver, SimKernel
 from ..sim.ledger import Primitive
-from ..sim.process import Ioctl, Process, Write
+from ..sim.process import Ioctl, Process
 from .ipstack import KernelNetworkStack
 from .sockets import BufferedSocketHandle, SockIoctl
 
@@ -92,6 +92,11 @@ class UDPSocketHandle(BufferedSocketHandle):
         self.peer: tuple[int, int] | None = None   # (ip, port)
         self.with_checksum = False
         self.last_sender: tuple[int, int] | None = None
+        link = protocol.stack.host.link
+        self.max_write = (
+            link.max_frame_bytes - link.header_length
+            - IP_MIN_HEADER - UDP_HEADER_BYTES
+        )
 
     # -- control --------------------------------------------------------------
 
@@ -113,12 +118,11 @@ class UDPSocketHandle(BufferedSocketHandle):
 
     # -- data ---------------------------------------------------------------------
 
-    def write(self, process: Process, call: Write) -> None:
+    def _write(self, process: Process, data: bytes) -> None:
         if self.peer is None:
             raise InvalidArgument("UDP socket is not connected")
         if self.local_port is None:
             self.local_port = self.protocol.bind(self, None)
-        data = bytes(call.data)
         kernel = self.kernel
         kernel.charge_copy(len(data), component="udp")      # user -> kernel
         kernel.account(                                     # socket + route

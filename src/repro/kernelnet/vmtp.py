@@ -2,10 +2,11 @@
 
 "Although there is a kernel-resident implementation of VMTP for 4.3BSD,
 the first implementation used the packet filter."  This module is that
-kernel-resident implementation, deliberately exchanging the *same*
-packets as the user-level one in :mod:`repro.protocols.vmtp` (shared
-wire format, same segment groups, same retransmission discipline), so
-the measured difference between them is purely *where the code runs*:
+kernel-resident implementation.  It drives the same transaction core as
+the user-level one in :mod:`repro.protocols.vmtp` (shared wire format,
+segment groups, duplicate suppression, response cache and RSPACK rule),
+so it exchanges the *same* packets and the measured difference between
+them is *where the code runs*:
 
 * all protocol processing (segmentation, reassembly, duplicate
   suppression, retransmission) happens at interrupt level or in the
@@ -15,28 +16,32 @@ the measured difference between them is purely *where the code runs*:
   transaction on each side (one write, one read), however many packets
   the message needed — figure 2-3's point about kernel residency
   confining overhead packets.
+
+The one placement difference beyond that is the request-retry *timer*:
+a fixed :data:`~repro.protocols.vmtp.REQUEST_RETRY_TIMEOUT` here, a
+Jacobson adaptive timer in the user-level client.  Loss-free table rows
+never retry, so they cannot see it.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..protocols.ethertypes import ETHERTYPE_VMTP
 from ..protocols.vmtp import (
     MAX_REQUEST_RETRIES,
     REQUEST_RETRY_TIMEOUT,
-    MessageAssembler,
+    VMTP_MAX_MESSAGE_BYTES,
     VMTPError,
     VMTPKind,
     VMTPPacket,
-    segment_message,
-    select_segments,
+    VMTPRequest,
+    VMTPServerCore,
+    VMTPTransaction,
 )
 from ..sim.errors import InvalidArgument, SimTimeout
 from ..sim.host import Host
-from ..sim.kernel import DeviceDriver, SimKernel
+from ..sim.kernel import DeviceDriver, DeviceHandle, SimKernel
 from ..sim.ledger import Primitive
-from ..sim.process import Ioctl, Process, Write
+from ..sim.process import Ioctl, Process
 from .sockets import BufferedSocketHandle, SockIoctl
 
 __all__ = ["KernelVMTP"]
@@ -109,24 +114,19 @@ class KernelVMTP(DeviceDriver):
         self.kernel.network_output(self.host.nic, frame)
 
 
-class VMTPRoleHandle(BufferedSocketHandle):
+class VMTPRoleHandle(DeviceHandle):
     """A freshly opened VMTP socket, before its role is chosen.
 
-    BIND makes it a server; CONNECT makes it a client.  The first ioctl
-    swaps in the role-specific handle behaviour by rebinding the fd's
-    methods — a tiny trick that keeps each role's logic in its own
-    class.
+    BIND makes it a server; CONNECT makes it a client.  The role's
+    handle then takes this one's place in the descriptor table, which
+    keeps each role's logic in its own class; until then, reads and
+    writes fail.
     """
 
     def __init__(self, protocol: KernelVMTP) -> None:
-        super().__init__(protocol.kernel)
         self.protocol = protocol
-        self._role: BufferedSocketHandle | None = None
 
     def ioctl(self, process: Process, call: Ioctl) -> None:
-        if self._role is not None:
-            self._role.ioctl(process, call)
-            return
         if call.command == SockIoctl.BIND:
             role = VMTPServerHandle(self.protocol, int(call.argument))
         elif call.command == SockIoctl.CONNECT:
@@ -134,32 +134,14 @@ class VMTPRoleHandle(BufferedSocketHandle):
             role = VMTPClientHandle(self.protocol, bytes(station), int(server_id))
         else:
             raise InvalidArgument("VMTP socket needs BIND or CONNECT first")
-        self._role = role
-        self.kernel.complete(process, role.describe())
-
-    # Delegate data operations to the chosen role.
-
-    def read(self, process, call):
-        self._require_role().read(process, call)
-
-    def write(self, process, call):
-        self._require_role().write(process, call)
-
-    def poll_readable(self) -> bool:
-        return self._role is not None and self._role.poll_readable()
-
-    def close(self, process) -> None:
-        if self._role is not None:
-            self._role.close(process)
-
-    def _require_role(self) -> BufferedSocketHandle:
-        if self._role is None:
-            raise InvalidArgument("VMTP socket needs BIND or CONNECT first")
-        return self._role
+        process.fds[call.fd] = role
+        self.protocol.kernel.complete(process, role.describe())
 
 
 class VMTPClientHandle(BufferedSocketHandle):
     """Client role: write a request, read the response."""
+
+    max_write = VMTP_MAX_MESSAGE_BYTES
 
     def __init__(self, protocol: KernelVMTP, station: bytes, server_id: int) -> None:
         super().__init__(protocol.kernel)
@@ -168,162 +150,93 @@ class VMTPClientHandle(BufferedSocketHandle):
         self.server_id = server_id
         self.client_id = protocol.new_client(self)
         self._transaction = 0
-        self._outstanding: Optional[dict] = None
+        self._outstanding: VMTPTransaction | None = None
+        self._timer = None
         self.retries = 0
 
     def describe(self) -> int:
         return self.client_id
 
-    def write(self, process: Process, call: Write) -> None:
-        request = bytes(call.data)
+    def _write(self, process: Process, request: bytes) -> None:
         self.kernel.charge_copy(len(request), component="vmtp")
         self._transaction = (self._transaction + 1) & 0xFFFF
-        self._outstanding = {
-            "transaction": self._transaction,
-            "request": request,
-            "assembler": MessageAssembler(),
-            "retries": 0,
-            "timer": None,
-        }
-        self._send_request()
+        self._outstanding = VMTPTransaction(
+            self.client_id, self.server_id, self._transaction, request
+        )
+        self._send_request(1)
         self.kernel.complete(process, len(request))
 
-    def _send_request(self) -> None:
+    def _send_request(self, attempt: int) -> None:
         outstanding = self._outstanding
-        assert outstanding is not None
-        # Retries carry the selective-retransmission mask of response
-        # segments still missing; the first send asks for everything.
-        group = segment_message(
-            VMTPKind.REQUEST, self.client_id, self.server_id,
-            outstanding["transaction"], outstanding["request"],
-            segment_mask=outstanding["assembler"].missing_mask(),
-        )
-        for packet in group:
+        for packet in outstanding.request_group():
             self.protocol.send_packet(self.station, packet)
-        outstanding["timer"] = self.kernel.scheduler.schedule(
-            REQUEST_RETRY_TIMEOUT, self._retry, outstanding["transaction"]
+        self._timer = self.kernel.scheduler.schedule(
+            REQUEST_RETRY_TIMEOUT, self._retry, outstanding, attempt
         )
 
-    def _retry(self, transaction: int) -> None:
-        outstanding = self._outstanding
-        if outstanding is None or outstanding["transaction"] != transaction:
-            return
-        outstanding["retries"] += 1
-        if outstanding["retries"] >= MAX_REQUEST_RETRIES:
+    def _retry(self, outstanding: VMTPTransaction, attempt: int) -> None:
+        if outstanding is not self._outstanding:
+            return  # answered, or superseded by a newer write
+        if attempt >= MAX_REQUEST_RETRIES:
             self._outstanding = None
             self._post_error(
-                SimTimeout(f"VMTP transaction {transaction}: no response")
+                SimTimeout(f"VMTP transaction {outstanding.transaction}: no response")
             )
             return
         self.retries += 1
-        self._send_request()
+        self._send_request(attempt + 1)
 
     def packet_arrived(self, station: bytes, packet: VMTPPacket) -> None:
         outstanding = self._outstanding
-        if (
-            outstanding is None
-            or packet.transaction != outstanding["transaction"]
-        ):
+        if outstanding is None or not outstanding.wants(packet):
             return  # stale response from an abandoned transaction
-        message = outstanding["assembler"].add(packet)
+        message = outstanding.accept(packet)
         if message is None:
             return
-        if outstanding["timer"] is not None:
-            outstanding["timer"].cancel()
+        self._timer.cancel()
         self._outstanding = None
-        ack = VMTPPacket(
-            kind=VMTPKind.RSPACK,
-            client=self.client_id,
-            server=self.server_id,
-            transaction=packet.transaction,
-            seg_index=0,
-            seg_count=1,
-            total_length=0,
-        )
-        self.protocol.send_packet(self.station, ack)
+        self.protocol.send_packet(self.station, outstanding.ack())
         self._deposit(message)
 
     def close(self, process: Process) -> None:
-        outstanding, self._outstanding = self._outstanding, None
-        if outstanding is not None and outstanding["timer"] is not None:
-            outstanding["timer"].cancel()
+        if self._outstanding is not None:
+            self._outstanding = None
+            self._timer.cancel()
         self.protocol._clients.pop(self.client_id, None)
 
 
 class VMTPServerHandle(BufferedSocketHandle):
     """Server role: read requests, write responses (FIFO pairing)."""
 
+    max_write = VMTP_MAX_MESSAGE_BYTES
+
     def __init__(self, protocol: KernelVMTP, server_id: int) -> None:
         super().__init__(protocol.kernel)
         self.protocol = protocol
         self.server_id = server_id
         protocol.bind_server(server_id, self)
-        self._assemblers: dict[tuple, MessageAssembler] = {}
-        self._pending_replies: list[dict] = []   # FIFO of request contexts
-        # Client identity is (station, client id): ids are only unique
-        # per host, as in VMTP's entity identifiers.
-        self._response_cache: dict[tuple, dict] = {}
-        self._in_progress: dict[tuple, int] = {}
-        self.duplicate_requests = 0
+        self.transactions = VMTPServerCore(server_id)
+        self._pending_replies: list[VMTPRequest] = []   # FIFO of requests read
 
     def describe(self) -> int:
         return self.server_id
 
     def packet_arrived(self, station: bytes, packet: VMTPPacket) -> None:
-        who = (station, packet.client)
-        if packet.kind == VMTPKind.RSPACK:
-            cached = self._response_cache.get(who)
-            if cached is not None and cached["transaction"] == packet.transaction:
-                del self._response_cache[who]
+        outcome = self.transactions.packet_in(station, packet)
+        if isinstance(outcome, VMTPRequest):
+            self._pending_replies.append(outcome)
+            self._deposit(outcome.message)
             return
-        if packet.kind != VMTPKind.REQUEST:
-            return
-        cached = self._response_cache.get(who)
-        if cached is not None and cached["transaction"] == packet.transaction:
-            # Duplicate of an answered request: retransmit from cache
-            # without bothering the server process (at-most-once), and
-            # only the segments the retry's mask still wants.
-            self.duplicate_requests += 1
-            for response_packet in select_segments(
-                cached["group"], packet.segment_mask
-            ):
-                self.protocol.send_packet(station, response_packet)
-            return
-        if self._in_progress.get(who) == packet.transaction:
-            self.duplicate_requests += 1
-            return
-        key = (who, packet.transaction)
-        assembler = self._assemblers.setdefault(key, MessageAssembler())
-        request = assembler.add(packet)
-        if request is None:
-            return
-        del self._assemblers[key]
-        self._in_progress[who] = packet.transaction
-        self._pending_replies.append(
-            {
-                "station": station,
-                "client": packet.client,
-                "transaction": packet.transaction,
-            }
-        )
-        self._deposit(request)
+        for response_packet in outcome:
+            self.protocol.send_packet(station, response_packet)
 
-    def write(self, process: Process, call: Write) -> None:
+    def _write(self, process: Process, response: bytes) -> None:
         if not self._pending_replies:
             raise InvalidArgument("no request is awaiting a response")
-        context = self._pending_replies.pop(0)
-        response = bytes(call.data)
+        request = self._pending_replies.pop(0)
         self.kernel.charge_copy(len(response), component="vmtp")
-        group = segment_message(
-            VMTPKind.RESPONSE, context["client"], self.server_id,
-            context["transaction"], response,
-        )
-        self._response_cache[(context["station"], context["client"])] = {
-            "transaction": context["transaction"],
-            "group": group,
-        }
-        for packet in group:
-            self.protocol.send_packet(context["station"], packet)
+        for packet in self.transactions.respond(request, response):
+            self.protocol.send_packet(request.station, packet)
         self.kernel.complete(process, len(response))
 
     def close(self, process: Process) -> None:

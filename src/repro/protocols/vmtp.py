@@ -10,11 +10,16 @@ essentially the same pattern of packet transport."
 
 We reproduce that structure exactly:
 
-* this module defines the **wire format** (shared, so the two
-  implementations really do exchange the same packets) and the
-  **user-level implementation** — processes speaking VMTP through the
-  packet filter, with received-packet batching (table 6-4's knob);
-* :mod:`repro.kernelnet.vmtp` is the kernel-resident implementation.
+* this module defines the **wire format** and the **transaction core**
+  — every protocol decision (reassembly, at-most-once duplicate
+  suppression, the response cache and its selective retransmission,
+  accepting a response and acknowledging it), free of I/O — so the two
+  implementations really do exchange the same packets;
+* it also holds the **user-level implementation**: processes driving
+  that core through the packet filter, with received-packet batching
+  (table 6-4's knob);
+* :mod:`repro.kernelnet.vmtp` is the kernel-resident implementation,
+  driving the same core at interrupt level.
 
 The header is laid out on 16-bit boundaries so packet-filter programs
 can select on it the way figure 3-9 selects on Pup sockets — after the
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.compiler import compile_expr, word
 from ..core.ioctl import PFIoctl
@@ -60,6 +66,10 @@ __all__ = [
     "VMTP_TRAILER_BYTES",
     "VMTP_SEGMENT_BYTES",
     "VMTP_MAX_SEGMENTS",
+    "VMTP_MAX_MESSAGE_BYTES",
+    "VMTPRequest",
+    "VMTPServerCore",
+    "VMTPTransaction",
     "client_filter",
     "server_filter",
     "VMTPClient",
@@ -73,6 +83,8 @@ VMTP_SEGMENT_BYTES = 1024
 """Payload bytes per packet — 1 KByte segments, as in VMTP."""
 VMTP_MAX_SEGMENTS = 16
 """Segments per message group (16 KBytes), VMTP's segment-group size."""
+VMTP_MAX_MESSAGE_BYTES = VMTP_SEGMENT_BYTES * VMTP_MAX_SEGMENTS
+"""The longest message: one full segment group."""
 
 REQUEST_RETRY_TIMEOUT = 0.1
 """Initial request-retry timeout; with ``adaptive_rto`` (the default)
@@ -170,10 +182,10 @@ def segment_message(
     segment_mask: int = ALL_SEGMENTS,
 ) -> list[VMTPPacket]:
     """Split ``message`` into its segment group."""
-    if len(message) > VMTP_SEGMENT_BYTES * VMTP_MAX_SEGMENTS:
+    if len(message) > VMTP_MAX_MESSAGE_BYTES:
         raise VMTPError(
             f"{len(message)}-byte message exceeds the "
-            f"{VMTP_SEGMENT_BYTES * VMTP_MAX_SEGMENTS}-byte group limit"
+            f"{VMTP_MAX_MESSAGE_BYTES}-byte group limit"
         )
     chunks = [
         message[offset : offset + VMTP_SEGMENT_BYTES]
@@ -193,11 +205,6 @@ def segment_message(
         )
         for index, chunk in enumerate(chunks)
     ]
-
-
-def select_segments(group: list[VMTPPacket], mask: int) -> list[VMTPPacket]:
-    """The subset of a cached group a selective-retransmit mask asks for."""
-    return [packet for packet in group if mask & (1 << packet.seg_index)]
 
 
 class MessageAssembler:
@@ -224,6 +231,129 @@ class MessageAssembler:
             if index not in self._segments:
                 mask |= 1 << index
         return mask
+
+
+# ---------------------------------------------------------------------------
+# the transaction core: every VMTP decision, free of I/O
+# ---------------------------------------------------------------------------
+
+
+class VMTPRequest(NamedTuple):
+    """A complete new request, as the server core hands it to the service."""
+
+    station: bytes
+    client: int
+    transaction: int
+    message: bytes
+
+
+class VMTPServerCore:
+    """The server side of VMTP's message transactions.
+
+    Both placements drive one: the kernel socket at interrupt level, the
+    user-level :class:`VMTPServer` from its process; each keeps only its
+    I/O and its cost charges.  Client identity is (station, client id),
+    as ids are only unique per host — VMTP's entity identifiers.
+    """
+
+    def __init__(self, server_id: int) -> None:
+        self.server_id = server_id
+        self._assemblers: dict[tuple, MessageAssembler] = {}
+        self._in_progress: dict[tuple, int] = {}
+        self._responses: dict[tuple, tuple[int, list[VMTPPacket]]] = {}
+        self.duplicate_requests = 0
+
+    def packet_in(
+        self, station: bytes, packet: VMTPPacket
+    ) -> VMTPRequest | list[VMTPPacket]:
+        """One arriving packet's outcome: a complete new request for the
+        service, or the cached response segments to re-send (usually
+        none)."""
+        who = (station, packet.client)
+        cached = self._responses.get(who)
+        answered = cached is not None and cached[0] == packet.transaction
+        if packet.kind == VMTPKind.RSPACK:
+            # Only the acknowledged transaction frees the cache: a late
+            # RSPACK of an older one must not drop the current response.
+            if answered:
+                del self._responses[who]
+            return []
+        if packet.kind != VMTPKind.REQUEST:
+            return []
+        if answered:
+            # Duplicate of an answered request: re-send from the cache
+            # without bothering the service (at-most-once), and only the
+            # segments the retry's mask still wants.
+            self.duplicate_requests += 1
+            mask = packet.segment_mask
+            return [p for p in cached[1] if mask & (1 << p.seg_index)]
+        if self._in_progress.get(who) == packet.transaction:
+            # Retry of a request still being served: the response is on
+            # its way, so the service is not invoked again.
+            self.duplicate_requests += 1
+            return []
+        key = (who, packet.transaction)
+        assembler = self._assemblers.setdefault(key, MessageAssembler())
+        message = assembler.add(packet)
+        if message is None:
+            return []
+        del self._assemblers[key]
+        self._in_progress[who] = packet.transaction
+        return VMTPRequest(station, packet.client, packet.transaction, message)
+
+    def respond(self, request: VMTPRequest, message: bytes) -> list[VMTPPacket]:
+        """The response's segment group, cached for duplicate requests
+        until the client's RSPACK frees it."""
+        group = segment_message(
+            VMTPKind.RESPONSE, request.client, self.server_id,
+            request.transaction, message,
+        )
+        self._responses[(request.station, request.client)] = (
+            request.transaction, group,
+        )
+        return group
+
+
+class VMTPTransaction:
+    """One client transaction: the request, and the response as it
+    reassembles.  Both client placements drive one per call."""
+
+    def __init__(
+        self, client: int, server: int, transaction: int, request: bytes
+    ) -> None:
+        self.client = client
+        self.server = server
+        self.transaction = transaction
+        self.request = request
+        self._response = MessageAssembler()
+
+    def request_group(self) -> list[VMTPPacket]:
+        """The request's segment group.  The first send asks for the whole
+        response; a retry carries the selective-retransmission mask of
+        the response segments still missing."""
+        return segment_message(
+            VMTPKind.REQUEST, self.client, self.server, self.transaction,
+            self.request, segment_mask=self._response.missing_mask(),
+        )
+
+    def wants(self, packet: VMTPPacket) -> bool:
+        """A response segment of this transaction, not a stale duplicate
+        from an earlier one."""
+        return (
+            packet.kind == VMTPKind.RESPONSE
+            and packet.transaction == self.transaction
+        )
+
+    def accept(self, packet: VMTPPacket) -> bytes | None:
+        """Reassemble a wanted segment; the whole response once complete."""
+        return self._response.add(packet)
+
+    def ack(self) -> VMTPPacket:
+        """The RSPACK that lets the server free its cached response."""
+        return VMTPPacket(
+            VMTPKind.RSPACK, self.client, self.server, self.transaction,
+            seg_index=0, seg_count=1, total_length=0,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +490,16 @@ class VMTPClient:
                 ReadTimeoutPolicy.after(self._armed_timeout),
             )
 
-    def _frame(self, packet: VMTPPacket) -> bytes:
-        return self.host.link.frame(
-            self.server_station,
-            self.host.address,
-            ETHERTYPE_VMTP,
-            packet.encode(),
+    def _send(self, packet: VMTPPacket):
+        yield Compute(self._costs.user_transport_per_packet)
+        yield Write(
+            self.fd,
+            self.host.link.frame(
+                self.server_station, self.host.address, ETHERTYPE_VMTP,
+                packet.encode(),
+            ),
         )
+        self.packets_sent += 1
 
     def call(self, request: bytes):
         """One message transaction; returns the response message.
@@ -378,8 +511,9 @@ class VMTPClient:
         if self.fd is None:
             raise RuntimeError("call start() first")
         self._transaction = (self._transaction + 1) & 0xFFFF
-        transaction = self._transaction
-        assembler = MessageAssembler()
+        transaction = VMTPTransaction(
+            self.client_id, self.server_id, self._transaction, request
+        )
         clock = self.host.kernel.scheduler
 
         for attempt in range(self.max_retries):
@@ -388,48 +522,22 @@ class VMTPClient:
                 if self.rto is not None:
                     self.rto.note_timeout()
                     yield from self._rearm_timer()
-            # First attempt asks for everything; retries carry the
-            # selective-retransmission mask of still-missing segments.
-            segments = segment_message(
-                VMTPKind.REQUEST, self.client_id, self.server_id,
-                transaction, request,
-                segment_mask=assembler.missing_mask(),
-            )
-            for packet in segments:
-                yield Compute(self._costs.user_transport_per_packet)
-                yield Write(self.fd, self._frame(packet))
-                self.packets_sent += 1
+            for packet in transaction.request_group():
+                yield from self._send(packet)
 
             # Karn: only the first attempt yields an unambiguous
             # request -> first-response-segment round-trip sample.
             sample_time = (
                 clock.now if self.rto is not None and attempt == 0 else None
             )
-            response = yield from self._await_response(
-                transaction, assembler, sample_time
-            )
+            response = yield from self._await_response(transaction, sample_time)
             if response is not None:
-                # Acknowledge the response group so the server can free it.
-                ack = VMTPPacket(
-                    kind=VMTPKind.RSPACK,
-                    client=self.client_id,
-                    server=self.server_id,
-                    transaction=transaction,
-                    seg_index=0,
-                    seg_count=1,
-                    total_length=0,
-                )
-                yield Compute(self._costs.user_transport_per_packet)
-                yield Write(self.fd, self._frame(ack))
-                self.packets_sent += 1
+                yield from self._send(transaction.ack())
                 return response
         raise SimTimeout(f"no response after {self.max_retries} attempts")
 
     def _await_response(
-        self,
-        transaction: int,
-        assembler: MessageAssembler,
-        sample_time: float | None = None,
+        self, transaction: VMTPTransaction, sample_time: float | None
     ):
         """Collect response segments until complete or read timeout."""
         clock = self.host.kernel.scheduler
@@ -462,16 +570,13 @@ class VMTPClient:
                         Primitive.DROP_CORRUPT, component="vmtp"
                     )
                     continue
-                if (
-                    packet.kind != VMTPKind.RESPONSE
-                    or packet.transaction != transaction
-                ):
-                    continue  # stale duplicate from an earlier transaction
+                if not transaction.wants(packet):
+                    continue
                 if sample_time is not None and self.rto is not None:
                     self.rto.observe(clock.now - sample_time)
                     sample_time = None
                     yield from self._rearm_timer()
-                message = assembler.add(packet)
+                message = transaction.accept(packet)
                 if message is not None:
                     return message
 
@@ -489,8 +594,9 @@ class VMTPServer:
 
     Duplicate requests for the last completed transaction retransmit the
     cached response instead of re-invoking the service — VMTP's
-    at-most-once transaction behaviour, and a supply of the "duplicate
-    packets" figure 2-3 talks about.
+    at-most-once transaction behaviour (decided by a
+    :class:`VMTPServerCore`), and a supply of the "duplicate packets"
+    figure 2-3 talks about.
     """
 
     def __init__(self, host, server_id: int, *, batching: bool = True) -> None:
@@ -498,14 +604,9 @@ class VMTPServer:
         self.server_id = server_id
         self.batching = batching
         self.fd: int | None = None
-        # Client identity is (station, client id), as ids are only
-        # unique per host.
-        self._assemblers: dict[tuple, MessageAssembler] = {}
-        self._done: dict[tuple, tuple[int, list[VMTPPacket]]] = {}
-        self._in_progress: dict[tuple, int] = {}
+        self.transactions = VMTPServerCore(server_id)
         self.packets_received = 0
         self.packets_sent = 0
-        self.duplicate_requests = 0
         self.corrupt_dropped = 0
 
     @property
@@ -543,45 +644,15 @@ class VMTPServer:
                     )
                     continue
                 station = self.host.link.source_of(delivered.data)
-                who = (station, packet.client)
-                if packet.kind == VMTPKind.RSPACK:
-                    self._done.pop(who, None)
-                    continue
-                if packet.kind != VMTPKind.REQUEST:
-                    continue
-                done = self._done.get(who)
-                if done is not None and done[0] == packet.transaction:
-                    # Duplicate of an answered request: resend from the
-                    # cache — only the segments the mask still wants.
-                    self.duplicate_requests += 1
-                    wanted = select_segments(done[1], packet.segment_mask)
-                    yield from self._send_group(station, wanted)
-                    continue
-                if self._in_progress.get(who) == packet.transaction:
-                    # Retry of a request we are still serving: the
-                    # response is on its way, don't re-invoke the service.
-                    self.duplicate_requests += 1
-                    continue
-                key = (who, packet.transaction)
-                assembler = self._assemblers.setdefault(key, MessageAssembler())
-                request = assembler.add(packet)
-                if request is None:
-                    continue
-                del self._assemblers[key]
-                self._in_progress[who] = packet.transaction
-                return request, self._make_reply(station, packet)
+                outcome = self.transactions.packet_in(station, packet)
+                if isinstance(outcome, VMTPRequest):
+                    return outcome.message, self._make_reply(outcome)
+                yield from self._send_group(station, outcome)
 
-    def _make_reply(self, station: bytes, request: VMTPPacket):
+    def _make_reply(self, request: VMTPRequest):
         def reply(message: bytes):
-            group = segment_message(
-                VMTPKind.RESPONSE,
-                request.client,
-                self.server_id,
-                request.transaction,
-                message,
-            )
-            self._done[(station, request.client)] = (request.transaction, group)
-            yield from self._send_group(station, group)
+            group = self.transactions.respond(request, message)
+            yield from self._send_group(request.station, group)
 
         return reply
 

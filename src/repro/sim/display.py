@@ -15,7 +15,7 @@ network-limited, and BSP ≈ TCP there.
 
 from __future__ import annotations
 
-from .kernel import DeviceDriver, DeviceHandle, SimKernel
+from .kernel import DeviceDriver, DeviceHandle, SimKernel, checked_payload
 from .ledger import Primitive
 from .process import Process, Write
 
@@ -65,7 +65,7 @@ class DisplayHandle(DeviceHandle):
         self.kernel = kernel
 
     def write(self, process: Process, call: Write) -> None:
-        data = bytes(call.data)
+        data = checked_payload(call.data)
         # One kernel copy (it is a character device write)...
         self.kernel.charge_copy(len(data), component="display")
         self.device.characters_displayed += len(data)

@@ -92,6 +92,30 @@ def _duration(value: Any, what: str) -> float:
     )
 
 
+def checked_payload(data: Any, limit: int | None = None) -> bytes:
+    """``Write.data`` for a byte device: bytes or a bytearray of at most
+    ``limit`` bytes, or :class:`InvalidArgument` for the calling process
+    alone — ``bytes(5)`` would quietly send five zero bytes, and a str,
+    a float or a negative count would raise out of the event loop."""
+    if not isinstance(data, (bytes, bytearray)):
+        raise InvalidArgument(f"a write takes bytes, not {type(data).__name__}")
+    if limit is not None and len(data) > limit:
+        raise InvalidArgument(
+            f"{len(data)}-byte write exceeds the {limit}-byte limit"
+        )
+    return bytes(data)
+
+
+def checked_read_size(size: Any) -> int | None:
+    """``Read.size`` for a byte device: None (everything) or a byte
+    count, or :class:`InvalidArgument` for the calling process alone."""
+    if size is None or isinstance(size, int) and size >= 0:
+        return size
+    raise InvalidArgument(
+        f"read size must be a byte count or None, not {size!r}"
+    )
+
+
 class DeviceDriver:
     """Base class for character-device drivers (the packet filter, the
     display of table 6-7, kernel sockets...).  ``open`` returns a

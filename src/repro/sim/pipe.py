@@ -22,14 +22,37 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import BrokenPipe, InvalidArgument
-from .kernel import DeviceHandle, SimKernel, WaitQueue
+from .errors import BrokenPipe
+from .kernel import (
+    DeviceHandle,
+    SimKernel,
+    WaitQueue,
+    checked_payload,
+    checked_read_size,
+)
 from .process import Process, Read, Write
 
-__all__ = ["Pipe", "PIPE_CAPACITY"]
+__all__ = ["Pipe", "PIPE_CAPACITY", "take_bytes"]
 
 PIPE_CAPACITY = 4096
 """Maximum buffered bytes before writers block (4.3BSD's 4KB)."""
+
+
+def take_bytes(chunks: deque[bytes], size: int) -> tuple[bytes, int]:
+    """A byte-stream read: coalesce up to ``size`` bytes off the front of
+    ``chunks``; returns them and how many chunks were consumed whole."""
+    out = bytearray()
+    whole = 0
+    while chunks and len(out) < size:
+        chunk = chunks[0]
+        need = size - len(out)
+        if len(chunk) <= need:
+            out.extend(chunks.popleft())
+            whole += 1
+        else:
+            out.extend(chunk[:need])
+            chunks[0] = chunk[need:]
+    return bytes(out), whole
 
 
 class Pipe:
@@ -49,19 +72,14 @@ class Pipe:
 
     # -- writer side -----------------------------------------------------
 
-    def write(self, process: Process, call: Write) -> None:
+    def write(self, process: Process, chunks: tuple[bytes, ...]) -> None:
         if not self._readers_open:
             self.kernel.fail(process, BrokenPipe("pipe has no reader"))
             return
-        chunks = (
-            (bytes(call.data),)
-            if isinstance(call.data, (bytes, bytearray))
-            else tuple(call.data)
-        )
         total = sum(len(chunk) for chunk in chunks)
         if self._buffered + total > PIPE_CAPACITY and self._buffered > 0:
             self._write_waiters.block(
-                process, lambda proc: self.write(proc, call)
+                process, lambda proc: self.write(proc, chunks)
             )
             return
         for chunk in chunks:
@@ -84,19 +102,11 @@ class Pipe:
             )
             return
         size = call.size if call.size is not None else self._buffered
-        out = bytearray()
-        while self._chunks and len(out) < size:
-            chunk = self._chunks[0]
-            need = size - len(out)
-            if len(chunk) <= need:
-                out.extend(self._chunks.popleft())
-                self.messages_transferred += 1
-            else:
-                out.extend(chunk[:need])
-                self._chunks[0] = chunk[need:]
-        self._buffered -= len(out)
-        self.kernel.charge_copy(len(out), component="pipe")  # kernel -> user
-        self.kernel.complete(process, bytes(out))
+        data, whole = take_bytes(self._chunks, size)
+        self.messages_transferred += whole
+        self._buffered -= len(data)
+        self.kernel.charge_copy(len(data), component="pipe")  # kernel -> user
+        self.kernel.complete(process, data)
         self._write_waiters.wake_all()
 
     def readable(self) -> bool:
@@ -134,11 +144,7 @@ class _PipeEnd(DeviceHandle):
 
 class _ReadEnd(_PipeEnd):
     def read(self, process: Process, call: Read) -> None:
-        size = call.size
-        if size is not None and not (isinstance(size, int) and size >= 0):
-            raise InvalidArgument(
-                f"pipe read size must be a byte count or None, not {size!r}"
-            )
+        checked_read_size(call.size)
         self.pipe.read(process, call)
 
     def poll_readable(self) -> bool:
@@ -151,16 +157,8 @@ class _ReadEnd(_PipeEnd):
 class _WriteEnd(_PipeEnd):
     def write(self, process: Process, call: Write) -> None:
         data = call.data
-        if not (
-            isinstance(data, (bytes, bytearray))
-            or isinstance(data, (list, tuple))
-            and all(isinstance(chunk, (bytes, bytearray)) for chunk in data)
-        ):
-            raise InvalidArgument(
-                "a pipe write takes bytes, or a list or tuple of byte "
-                f"strings, not {data!r}"
-            )
-        self.pipe.write(process, call)
+        chunks = data if isinstance(data, (list, tuple)) else (data,)
+        self.pipe.write(process, tuple(map(checked_payload, chunks)))
 
     def _really_close(self) -> None:
         self.pipe.close_write()

@@ -1,9 +1,30 @@
 """Edge cases in the kernel socket layer: overflow, pipelining, misuse."""
 
+import math
 
-from repro.kernelnet import KernelUDP, KernelVMTP, SockIoctl, link_stacks
+import pytest
+
+from repro.kernelnet import (
+    KernelTCP,
+    KernelUDP,
+    KernelVMTP,
+    SockIoctl,
+    link_stacks,
+)
 from repro.kernelnet.sockets import BufferedSocketHandle
-from repro.sim import Ioctl, Open, Read, Sleep, World, Write
+from repro.sim import (
+    Compute,
+    InvalidArgument,
+    Ioctl,
+    Open,
+    Read,
+    SimTimeout,
+    Sleep,
+    World,
+    Write,
+)
+from repro.sim.display import TERMINAL_9600_CPS, DisplayDevice
+from repro.sim.process import ProcessState
 
 
 class TestUDPReceiveQueue:
@@ -122,3 +143,180 @@ class TestBufferedSocketContract:
         assert not sock.poll_readable()
         sock._mark_eof()
         assert sock.poll_readable()
+
+
+# ---------------------------------------------------------------------------
+# hostile Write.data / Read.size, checked once for every byte device
+# ---------------------------------------------------------------------------
+
+
+def _ip_pair(world, transport):
+    a, b = world.host("a"), world.host("b")
+    stack_a, stack_b = a.install_kernel_stack(), b.install_kernel_stack()
+    link_stacks(stack_a, stack_b)
+    transport(stack_a)
+    transport(stack_b)
+    return a, b, stack_b.ip_address
+
+
+def udp_socket(world):
+    a, _, peer = _ip_pair(world, KernelUDP)
+
+    def prelude():
+        fd = yield Open("udp")
+        yield Ioctl(fd, SockIoctl.CONNECT, (peer, 7))
+        return fd
+
+    return a, prelude
+
+
+def tcp_socket(world):
+    a, b, peer = _ip_pair(world, KernelTCP)
+
+    def listener():
+        fd = yield Open("tcp")
+        yield Ioctl(fd, SockIoctl.BIND, 80)
+        yield Read(fd)
+
+    b.spawn("listener", listener())
+
+    def prelude():
+        fd = yield Open("tcp")
+        yield Ioctl(fd, SockIoctl.CONNECT, (peer, 80))   # established
+        return fd
+
+    return a, prelude
+
+
+def vmtp_client_socket(world):
+    a, b = world.host("a"), world.host("b")
+    KernelVMTP(a)
+    KernelVMTP(b)
+
+    def prelude():
+        fd = yield Open("vmtp")
+        yield Ioctl(fd, SockIoctl.CONNECT, (b.address, 35))
+        return fd
+
+    return a, prelude
+
+
+def vmtp_server_socket(world):
+    """A server holding one request, so its next write is a response."""
+    a, b = world.host("a"), world.host("b")
+    KernelVMTP(a)
+    KernelVMTP(b)
+
+    def asker():
+        fd = yield Open("vmtp")
+        yield Ioctl(fd, SockIoctl.CONNECT, (a.address, 35))
+        yield Write(fd, b"ask")
+        try:
+            yield Read(fd)
+        except SimTimeout:
+            pass
+
+    b.spawn("asker", asker())
+
+    def prelude():
+        fd = yield Open("vmtp")
+        yield Ioctl(fd, SockIoctl.BIND, 35)
+        yield Read(fd)
+        return fd
+
+    return a, prelude
+
+
+def display(world):
+    a = world.host("a")
+    a.kernel.register_device("display", DisplayDevice(TERMINAL_9600_CPS))
+
+    def prelude():
+        return (yield Open("display"))
+
+    return a, prelude
+
+
+SOCKETS = {
+    "udp": udp_socket,
+    "tcp": tcp_socket,
+    "vmtp-client": vmtp_client_socket,
+    "vmtp-server": vmtp_server_socket,
+}
+BAD_DATA = {"'abc'": "abc", "-1": -1, "10**8": 10**8, "5": 5, "3.5": 3.5, "None": None}
+BAD_SIZES = {"'x'": "x", "-1": -1, "1.5": 1.5}
+HOSTILE_DEVICE_CALLS = (
+    [
+        pytest.param(device, Write, value, id=f"{device}-Write({label})")
+        for device in [*SOCKETS, "display"]
+        for label, value in BAD_DATA.items()
+    ]
+    + [
+        pytest.param(device, Read, value, id=f"{device}-Read({label})")
+        for device in SOCKETS
+        for label, value in BAD_SIZES.items()
+    ]
+    + [
+        pytest.param("udp", Write, bytes(1473), id="udp-Write(oversize)"),
+        pytest.param(
+            "vmtp-client", Write, bytes(16 * 1024 + 1), id="vmtp-client-Write(oversize)"
+        ),
+        pytest.param(
+            "vmtp-server", Write, bytes(16 * 1024 + 1), id="vmtp-server-Write(oversize)"
+        ),
+    ]
+)
+
+
+class TestHostileDeviceArguments:
+    """``Write.data`` and ``Read.size`` reach a socket or the display
+    straight from user code: a value of the wrong type or range is the
+    calling process's error and nobody else's — never an exception out
+    of the event loop, and never zero bytes sent for an integer."""
+
+    @pytest.mark.parametrize("device, make, value", HOSTILE_DEVICE_CALLS)
+    def test_only_the_offender_fails(self, device, make, value):
+        world = World()
+        host, prelude = {**SOCKETS, "display": display}[device](world)
+        bystander = world.host("bystander")
+
+        def offender():
+            fd = yield from prelude()
+            yield make(fd, value)
+
+        def sibling():
+            yield Sleep(0.01)
+            yield Compute(0.001)
+            return "fine"
+
+        bad = host.spawn("bad", offender())
+        good = bystander.spawn("good", sibling())
+        world.run_until_done(good)
+        world.run()
+        assert bad.state is ProcessState.FAILED
+        assert isinstance(bad.error, InvalidArgument)
+        assert good.result == "fine"
+        assert math.isfinite(world.now)
+
+    def test_legal_payloads_still_work(self):
+        world = World()
+        a, b, peer = _ip_pair(world, KernelUDP)
+
+        def server():
+            fd = yield Open("udp")
+            yield Ioctl(fd, SockIoctl.BIND, 7)
+            return [(yield Read(fd, 0)), (yield Read(fd))]
+
+        def client():
+            fd = yield Open("udp")
+            yield Ioctl(fd, SockIoctl.CONNECT, (peer, 7))
+            return [
+                (yield Write(fd, bytearray(b"ok"))),
+                (yield Write(fd, bytes(1472))),
+            ]
+
+        listening = b.spawn("server", server())
+        sending = a.spawn("client", client())
+        world.run_until_done(sending, listening)
+        assert sending.result == [2, 1472]
+        assert listening.result == [b"ok", bytes(1472)]
