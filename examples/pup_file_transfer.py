@@ -13,6 +13,7 @@ Run:  python examples/pup_file_transfer.py
 
 import hashlib
 
+from repro.net import ChaosConfig
 from repro.protocols.bsp import BSPEndpoint
 from repro.protocols.pup import PupAddress
 from repro.sim import World
@@ -28,7 +29,7 @@ def make_file(size: int = 60_000) -> bytes:
 
 
 def main():
-    world = World(loss_rate=0.05, seed=1987)
+    world = World(chaos=ChaosConfig(loss_rate=0.05), seed=1987)
     server_host = world.host("file-server")
     client_host = world.host("client")
     server_host.install_packet_filter()

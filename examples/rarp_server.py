@@ -13,6 +13,7 @@ lossy cable (the retry loop earns its keep).
 Run:  python examples/rarp_server.py
 """
 
+from repro.net import ChaosConfig
 from repro.protocols.ip import format_ip, ip_address
 from repro.protocols.rarp import RARPServer, rarp_discover
 from repro.sim import World
@@ -20,7 +21,7 @@ from repro.sim import World
 
 def main():
     # A mildly lossy Ethernet, to exercise the retry path.
-    world = World(loss_rate=0.15, seed=20260707)
+    world = World(chaos=ChaosConfig(loss_rate=0.15), seed=20260707)
     server_host = world.host("boot-server")
     stations = [world.host(f"ws-{index}") for index in range(3)]
     server_host.install_packet_filter()

@@ -539,7 +539,7 @@ class PacketFilterHandle(DeviceHandle):
                 accepted=self.port.stats.accepted,
                 delivered=self.port.stats.delivered,
                 dropped_queue_overflow=self.port.stats.dropped_overflow,
-                dropped_interface=self.device.host.nic.frames_dropped,
+                dropped_ring=self.device.host.nic.frames_dropped,
                 dropped_resize=self.port.stats.dropped_resize,
                 dropped_nobuf=self.port.stats.dropped_nobuf,
             )

@@ -170,10 +170,18 @@ def _evaluate_checked(
     mode: ShortCircuitMode,
     level: LanguageLevel,
     max_stack: int,
+    stacks: list | None = None,
 ) -> FilterResult:
+    """Figure 3-6 with every check.  ``stacks`` is the tracer's: when a
+    list, it receives the live stack, then a snapshot of it before each
+    instruction — so one run records every step."""
     stack: list[int] = []
+    if stacks is not None:
+        stacks.append(stack)
     executed = 0
     for ins in program.instructions:
+        if stacks is not None:
+            stacks.append(tuple(stack))
         executed += 1
         action = ins.action_code
 

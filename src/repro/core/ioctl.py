@@ -61,6 +61,6 @@ class PortStatus:
     accepted: int
     delivered: int
     dropped_queue_overflow: int
-    dropped_interface: int    #: losses in the network interface itself
+    dropped_ring: int         #: losses to the interface's full input ring
     dropped_resize: int = 0   #: discards from shrinking the queue limit
     dropped_nobuf: int = 0    #: refusals by the shared kernel buffer pool

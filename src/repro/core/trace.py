@@ -4,8 +4,8 @@ The original filter author's tools were a disassembly and a frown.
 :func:`trace_evaluation` executes a program one instruction at a time
 and records, for each step, the instruction, the stack before and
 after, and any early termination — so a filter that mysteriously
-rejects can be read like a ledger.  Semantics are the checked
-interpreter's, verified against it by tests.
+rejects can be read like a ledger.  The steps are recorded by the
+checked interpreter itself, so its semantics are the trace's.
 
     >>> from repro.core.paper_filters import figure_3_9_pup_socket_35
     >>> report = trace_evaluation(figure_3_9_pup_socket_35(), packet)
@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 from .instructions import Instruction
 from .interpreter import (
+    DEFAULT_STACK_DEPTH,
     FaultCode,
     FilterResult,
     LanguageLevel,
     ShortCircuitMode,
-    evaluate,
+    _evaluate_checked,
 )
 from .program import FilterProgram
 
@@ -90,117 +91,28 @@ def trace_evaluation(
 ) -> EvaluationTrace:
     """Run ``program`` on ``packet``, recording every step.
 
-    Implemented by running each prefix of the program through the
-    reference interpreter and differencing stack snapshots would be
-    quadratic; instead the prefix *results* come from one reference run
-    and the per-step stacks from prefix evaluations of an
-    instrumentation-free kind: each step re-evaluates the prefix ending
-    at that instruction.  Programs are at most a few dozen instructions,
-    so clarity beats cleverness here — and agreement with
-    :func:`repro.core.interpreter.evaluate` is by construction.
+    One run of the checked interpreter records the stack before each
+    instruction it executes, so every step — including the one that
+    faults or short-circuits — shows exactly what the interpreter did.
     """
-    reference = evaluate(program, packet, mode=mode, level=level)
-    steps: list[TraceStep] = []
-    previous_stack: tuple[int, ...] = ()
-
-    for index in range(reference.instructions_executed):
-        prefix = FilterProgram(
-            program.instructions[: index + 1], priority=program.priority
+    stacks: list = []
+    result = _evaluate_checked(
+        program, packet, mode, level, DEFAULT_STACK_DEPTH, stacks
+    )
+    live, *befores = stacks
+    afters = [*befores[1:], tuple(live)]
+    last = len(befores) - 1
+    steps = tuple(
+        TraceStep(
+            index=index,
+            instruction=program.instructions[index],
+            stack_before=before,
+            stack_after=after,
+            terminated=index == last and result.short_circuited,
+            fault=result.fault if index == last else FaultCode.NONE,
         )
-        partial = evaluate(
-            prefix, packet, mode=mode, level=level
-        )
-        stack_after = _final_stack(prefix, packet, mode, level)
-        terminated = (
-            partial.short_circuited
-            and index == reference.instructions_executed - 1
-            and reference.short_circuited
-        )
-        fault = (
-            reference.fault
-            if index == reference.instructions_executed - 1
-            else FaultCode.NONE
-        )
-        steps.append(
-            TraceStep(
-                index=index,
-                instruction=program.instructions[index],
-                stack_before=previous_stack,
-                stack_after=stack_after,
-                terminated=terminated,
-                fault=fault,
-            )
-        )
-        previous_stack = stack_after
-
+        for index, (before, after) in enumerate(zip(befores, afters))
+    )
     return EvaluationTrace(
-        program=program,
-        packet=packet,
-        steps=tuple(steps),
-        result=reference,
+        program=program, packet=packet, steps=steps, result=result
     )
-
-
-def _final_stack(
-    prefix: FilterProgram,
-    packet: bytes,
-    mode: ShortCircuitMode,
-    level: LanguageLevel,
-) -> tuple[int, ...]:
-    """Reference-interpreter re-execution that keeps the stack.
-
-    A tiny duplicate of the interpreter loop would risk divergence;
-    instead we exploit that the interpreter is pure and cheap and
-    recover the stack by simulating with the same helpers it uses.
-    """
-    from .instructions import (
-        CONSTANT_ACTIONS,
-        BinaryOp,
-        StackAction,
-    )
-    from .interpreter import _ARITHMETIC, _BITWISE, _COMPARISONS, _SHORT_CIRCUIT
-    from .words import get_byte, get_word
-
-    stack: list[int] = []
-    for ins in prefix.instructions:
-        action = ins.action_code
-        try:
-            if action == StackAction.NOPUSH:
-                pass
-            elif action == StackAction.PUSHLIT:
-                stack.append(ins.literal)  # type: ignore[arg-type]
-            elif action in CONSTANT_ACTIONS:
-                stack.append(CONSTANT_ACTIONS[StackAction(action)])
-            elif action == StackAction.PUSHIND:
-                stack.append(get_word(packet, stack.pop()))
-            elif action == StackAction.PUSHBYTEIND:
-                stack.append(get_byte(packet, stack.pop()))
-            else:
-                stack.append(get_word(packet, ins.push_index))  # type: ignore[arg-type]
-        except IndexError:
-            return tuple(stack)
-
-        op = ins.operator
-        if op == BinaryOp.NOP:
-            continue
-        if len(stack) < 2:
-            return tuple(stack)
-        t1, t2 = stack.pop(), stack.pop()
-        if op in _SHORT_CIRCUIT:
-            result = t1 == t2
-            terminate_when, _ = _SHORT_CIRCUIT[op]
-            if result == terminate_when:
-                return tuple(stack)
-            if mode is ShortCircuitMode.PUSH_RESULT:
-                stack.append(1 if result else 0)
-        elif op in _COMPARISONS:
-            stack.append(1 if _COMPARISONS[op](t2, t1) else 0)
-        elif op in _BITWISE:
-            stack.append(_BITWISE[op](t2, t1))
-        elif op == BinaryOp.DIV:
-            if t1 == 0:
-                return tuple(stack)
-            stack.append(t2 // t1)
-        elif op in _ARITHMETIC:
-            stack.append(_ARITHMETIC[op](t2, t1))
-    return tuple(stack)

@@ -50,6 +50,9 @@ class KernelNetworkStack:
         """Map a peer IP address to its data-link station address."""
         self._routes[ip] = station
 
+    def routes_to(self, ip: int) -> bool:
+        return ip in self._routes
+
     def register_transport(self, protocol: int, handler: Callable) -> None:
         """``handler(ip_header, payload)`` runs at interrupt level."""
         if protocol in self._transports:

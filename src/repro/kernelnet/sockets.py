@@ -2,15 +2,18 @@
 
 The paper's baselines (figure 3-2) expose kernel-resident protocols to
 user processes through sockets; this module is the shared machinery —
-ioctl command codes, the buffered-handle base class with blocking reads
-— that :mod:`repro.kernelnet.udp`, :mod:`.tcp` and :mod:`.vmtp` build
-their devices on.
+ioctl command codes, the buffered-handle base class with blocking reads,
+the port table, and the checks on every ioctl argument — that
+:mod:`repro.kernelnet.udp`, :mod:`.tcp` and :mod:`.vmtp` build their
+devices on.  An argument of the wrong type or range fails the calling
+process with :class:`InvalidArgument` and nobody else.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
+from ..protocols.ip import format_ip
 from ..sim.errors import InvalidArgument
 from ..sim.kernel import (
     DeviceHandle,
@@ -22,7 +25,7 @@ from ..sim.kernel import (
 from ..sim.pipe import take_bytes
 from ..sim.process import Ioctl, Process, Read, Write
 
-__all__ = ["SockIoctl", "BufferedSocketHandle"]
+__all__ = ["SockIoctl", "BufferedSocketHandle", "PortTable"]
 
 
 class SockIoctl(enum.IntEnum):
@@ -33,6 +36,80 @@ class SockIoctl(enum.IntEnum):
     SET_MSS = 102    #: arg: max payload bytes per packet (TCP: table 6-6)
     SET_CHECKSUM = 103  #: arg: bool (UDP: table 6-1 measured it off)
     GET_STATS = 104  #: returns a protocol-specific stats object
+
+
+def checked_int(value, low: int, high: int, what: str) -> int:
+    """``value`` if it is an ``int`` in ``low..high``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not (
+        low <= value <= high
+    ):
+        raise InvalidArgument(f"{what} must be an int in {low}..{high}, got {value!r}")
+    return value
+
+
+def _checked_pair(value, what: str) -> tuple:
+    """``value`` if it is a 2-tuple (a CONNECT peer address)."""
+    if not isinstance(value, tuple) or len(value) != 2:
+        raise InvalidArgument(f"{what} must be a 2-tuple, got {value!r}")
+    return value
+
+
+def checked_port(value) -> int | None:
+    """A BIND argument: None (any free port) or a port number."""
+    return None if value is None else checked_int(value, 1, 0xFFFF, "port")
+
+
+def checked_ip_peer(stack, value) -> tuple[int, int]:
+    """A UDP/TCP CONNECT argument: an ``(ip, port)`` the stack routes to."""
+    ip, port = _checked_pair(value, "peer")
+    checked_int(ip, 0, 0xFFFFFFFF, "peer IP address")
+    checked_int(port, 1, 0xFFFF, "peer port")
+    if not stack.routes_to(ip):
+        raise InvalidArgument(f"no route to {format_ip(ip)}")
+    return ip, port
+
+
+def checked_station_peer(link, value) -> tuple[bytes, int]:
+    """A VMTP CONNECT argument: a ``(station address, server id)``."""
+    station, server_id = _checked_pair(value, "peer")
+    if not isinstance(station, (bytes, bytearray)) or (
+        len(station) != link.address_length
+    ):
+        raise InvalidArgument(
+            f"station must be {link.address_length} address bytes, got {station!r}"
+        )
+    return bytes(station), checked_int(server_id, 0, 0xFFFF, "server id")
+
+
+class PortTable:
+    """One transport's bound ports: explicit BINDs, and ephemeral ports
+    counted up from ``first_ephemeral`` for the rest."""
+
+    def __init__(self, protocol: str, first_ephemeral: int) -> None:
+        self.protocol = protocol
+        self._handles: dict[int, DeviceHandle] = {}
+        self._next_ephemeral = first_ephemeral
+
+    def get(self, port: int) -> DeviceHandle | None:
+        return self._handles.get(port)
+
+    def bind(self, handle: DeviceHandle, port) -> int:
+        port = checked_port(port)
+        if port is None:
+            while self._next_ephemeral in self._handles:
+                self._next_ephemeral += 1
+            port = checked_int(
+                self._next_ephemeral, 1, 0xFFFF, f"{self.protocol} ephemeral port"
+            )
+            self._next_ephemeral += 1
+        if port in self._handles:
+            raise InvalidArgument(f"{self.protocol} port {port} is in use")
+        self._handles[port] = handle
+        return port
+
+    def release(self, port: int | None) -> None:
+        if port is not None:
+            self._handles.pop(port, None)
 
 
 class BufferedSocketHandle(DeviceHandle):

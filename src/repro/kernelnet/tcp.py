@@ -26,9 +26,10 @@ smaller [568-byte] packet size" experiment of §6.4.
 from __future__ import annotations
 
 import enum
-from ..protocols.ip import PROTO_TCP
+from ..protocols.ip import IP_MIN_HEADER, PROTO_TCP
 from ..protocols.tcp import (
     DEFAULT_MSS,
+    TCP_HEADER_BYTES,
     TCPError,
     TCPFlags,
     TCPSegment,
@@ -38,7 +39,14 @@ from ..sim.kernel import DeviceDriver, SimKernel, WaitQueue
 from ..sim.ledger import Primitive
 from ..sim.process import Ioctl, Process
 from .ipstack import KernelNetworkStack
-from .sockets import BufferedSocketHandle, SockIoctl, StreamReadMixin
+from .sockets import (
+    BufferedSocketHandle,
+    PortTable,
+    SockIoctl,
+    StreamReadMixin,
+    checked_int,
+    checked_ip_peer,
+)
 
 __all__ = ["KernelTCP", "TCPSocketHandle"]
 
@@ -64,8 +72,7 @@ class KernelTCP(DeviceDriver):
     def __init__(self, stack: KernelNetworkStack) -> None:
         self.stack = stack
         self.kernel = stack.kernel
-        self._ports: dict[int, TCPSocketHandle] = {}
-        self._next_ephemeral = 2048
+        self.ports = PortTable("TCP", 2048)
         self._next_iss = 100
         stack.register_transport(PROTO_TCP, self._tcp_input)
         self.kernel.register_device("tcp", self)
@@ -74,21 +81,6 @@ class KernelTCP(DeviceDriver):
 
     def open(self, kernel: SimKernel, process: Process) -> "TCPSocketHandle":
         return TCPSocketHandle(self)
-
-    def bind(self, handle: "TCPSocketHandle", port: int | None) -> int:
-        if port is None:
-            while self._next_ephemeral in self._ports:
-                self._next_ephemeral += 1
-            port = self._next_ephemeral
-            self._next_ephemeral += 1
-        if port in self._ports:
-            raise InvalidArgument(f"TCP port {port} is in use")
-        self._ports[port] = handle
-        return port
-
-    def release(self, port: int | None) -> None:
-        if port is not None:
-            self._ports.pop(port, None)
 
     def issue_iss(self) -> int:
         """Deterministic initial sequence numbers keep runs replayable."""
@@ -110,7 +102,7 @@ class KernelTCP(DeviceDriver):
             segment = TCPSegment.decode(payload)
         except TCPError:
             return
-        handle = self._ports.get(segment.dst_port)
+        handle = self.ports.get(segment.dst_port)
         if handle is None:
             self.segments_no_port += 1
             return
@@ -155,26 +147,30 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
 
     def ioctl(self, process: Process, call: Ioctl) -> None:
         if call.command == SockIoctl.BIND:
-            self.local_port = self.protocol.bind(self, call.argument)
+            self.local_port = self.protocol.ports.bind(self, call.argument)
             self.state = TCPState.LISTEN
             self.kernel.complete(process, self.local_port)
         elif call.command == SockIoctl.CONNECT:
             self._connect(process, call.argument)
         elif call.command == SockIoctl.SET_MSS:
-            mss = int(call.argument)
-            if mss < 1:
-                raise InvalidArgument("MSS must be positive")
-            self.mss = mss
+            link = self.protocol.stack.host.link
+            self.mss = checked_int(
+                call.argument,
+                1,
+                link.max_frame_bytes - link.header_length
+                - IP_MIN_HEADER - TCP_HEADER_BYTES,
+                "MSS",
+            )
             self.kernel.complete(process, None)
         else:
             raise InvalidArgument(f"unsupported TCP ioctl {call.command!r}")
 
-    def _connect(self, process: Process, peer: tuple[int, int]) -> None:
+    def _connect(self, process: Process, peer) -> None:
         if self.state is not TCPState.CLOSED:
             raise InvalidArgument("socket is not closed")
+        self.peer = checked_ip_peer(self.protocol.stack, peer)
         if self.local_port is None:
-            self.local_port = self.protocol.bind(self, None)
-        self.peer = (int(peer[0]), int(peer[1]))
+            self.local_port = self.protocol.ports.bind(self, None)
         iss = self.protocol.issue_iss()
         self.snd_una = iss
         self.snd_nxt = iss + 1
@@ -219,18 +215,25 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
             inflight_bytes = self.snd_nxt - self.snd_una
             room = self.peer_window - inflight_bytes
             if room < min(self.mss, len(self._send_queue)):
+                if not self._inflight:
+                    # Only the peer's window update can restart us, and
+                    # it may be lost: persist, probing on the timer.
+                    self._arm_retransmit()
                 return
-            chunk = bytes(self._send_queue[: self.mss])
-            del self._send_queue[: len(chunk)]
-            seq = self.snd_nxt
-            self.snd_nxt += len(chunk)
-            self._transmit(seq, chunk, TCPFlags.ACK | TCPFlags.PSH, track=True)
+            self._send_data(self.mss)
         if self._fin_pending and not self._send_queue:
             self._fin_pending = False
             seq = self.snd_nxt
             self.snd_nxt += 1
             self.state = TCPState.FIN_SENT
             self._transmit(seq, b"", TCPFlags.FIN | TCPFlags.ACK, track=True)
+
+    def _send_data(self, size: int) -> None:
+        chunk = bytes(self._send_queue[:size])
+        del self._send_queue[: len(chunk)]
+        seq = self.snd_nxt
+        self.snd_nxt += len(chunk)
+        self._transmit(seq, chunk, TCPFlags.ACK | TCPFlags.PSH, track=True)
 
     def _transmit(
         self, seq: int, payload: bytes, flags: TCPFlags, *, track: bool
@@ -282,7 +285,13 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
 
     def _retransmit_fire(self) -> None:
         self._retransmit_event = None
-        if not self._inflight or self.state is TCPState.CLOSED:
+        if self.state is TCPState.CLOSED:
+            return
+        if not self._inflight:
+            if self._send_queue:
+                # Zero-window probe: one byte past the closed window;
+                # its ACK carries the peer's current window.
+                self._send_data(1)
             return
         self._retransmit_count += 1
         if self._retransmit_count > MAX_RETRANSMITS:
@@ -351,6 +360,8 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
             if self.state is TCPState.SYN_RCVD:
                 self.state = TCPState.ESTABLISHED
             self._writers.wake_all()
+        elif not self._inflight:
+            self._cancel_retransmit()  # a window update ends persisting
         self._pump()
         fully_drained = (
             not self._inflight
@@ -358,7 +369,7 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
             and not self._fin_pending
         )
         if self._release_when_drained and fully_drained:
-            self.protocol.release(self.local_port)
+            self.protocol.ports.release(self.local_port)
             self.local_port = None
             self._release_when_drained = False
 
@@ -396,5 +407,5 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
             return
         if self.state in (TCPState.LISTEN, TCPState.SYN_SENT):
             self.state = TCPState.CLOSED
-        self.protocol.release(self.local_port)
+        self.protocol.ports.release(self.local_port)
         self.local_port = None

@@ -17,7 +17,7 @@ from ..sim.kernel import DeviceDriver, SimKernel
 from ..sim.ledger import Primitive
 from ..sim.process import Ioctl, Process
 from .ipstack import KernelNetworkStack
-from .sockets import BufferedSocketHandle, SockIoctl
+from .sockets import BufferedSocketHandle, PortTable, SockIoctl, checked_ip_peer
 
 __all__ = ["KernelUDP"]
 
@@ -28,8 +28,7 @@ class KernelUDP(DeviceDriver):
     def __init__(self, stack: KernelNetworkStack, device_name: str = "udp") -> None:
         self.stack = stack
         self.kernel = stack.kernel
-        self._ports: dict[int, UDPSocketHandle] = {}
-        self._next_ephemeral = 1024
+        self.ports = PortTable("UDP", 1024)
         stack.register_transport(PROTO_UDP, self._udp_input)
         self.kernel.register_device(device_name, self)
         self.datagrams_in = 0
@@ -37,23 +36,6 @@ class KernelUDP(DeviceDriver):
 
     def open(self, kernel: SimKernel, process: Process) -> "UDPSocketHandle":
         return UDPSocketHandle(self)
-
-    # -- port table -----------------------------------------------------------
-
-    def bind(self, handle: "UDPSocketHandle", port: int | None) -> int:
-        if port is None:
-            while self._next_ephemeral in self._ports:
-                self._next_ephemeral += 1
-            port = self._next_ephemeral
-            self._next_ephemeral += 1
-        if port in self._ports:
-            raise InvalidArgument(f"UDP port {port} is in use")
-        self._ports[port] = handle
-        return port
-
-    def release(self, port: int | None) -> None:
-        if port is not None:
-            self._ports.pop(port, None)
 
     # -- input (interrupt level, below the IP layer's 0.49 ms) -------------------
 
@@ -74,7 +56,7 @@ class KernelUDP(DeviceDriver):
                 quantity=len(payload),
                 component="udp",
             )
-        handle = self._ports.get(header.dst_port)
+        handle = self.ports.get(header.dst_port)
         if handle is None:
             self.datagrams_no_port += 1
             return
@@ -102,13 +84,12 @@ class UDPSocketHandle(BufferedSocketHandle):
 
     def ioctl(self, process: Process, call: Ioctl) -> None:
         if call.command == SockIoctl.BIND:
-            self.local_port = self.protocol.bind(self, call.argument)
+            self.local_port = self.protocol.ports.bind(self, call.argument)
             self.kernel.complete(process, self.local_port)
         elif call.command == SockIoctl.CONNECT:
-            ip, port = call.argument
-            self.peer = (int(ip), int(port))
+            self.peer = checked_ip_peer(self.protocol.stack, call.argument)
             if self.local_port is None:
-                self.local_port = self.protocol.bind(self, None)
+                self.local_port = self.protocol.ports.bind(self, None)
             self.kernel.complete(process, None)
         elif call.command == SockIoctl.SET_CHECKSUM:
             self.with_checksum = bool(call.argument)
@@ -122,7 +103,7 @@ class UDPSocketHandle(BufferedSocketHandle):
         if self.peer is None:
             raise InvalidArgument("UDP socket is not connected")
         if self.local_port is None:
-            self.local_port = self.protocol.bind(self, None)
+            self.local_port = self.protocol.ports.bind(self, None)
         kernel = self.kernel
         kernel.charge_copy(len(data), component="udp")      # user -> kernel
         kernel.account(                                     # socket + route
@@ -150,5 +131,5 @@ class UDPSocketHandle(BufferedSocketHandle):
         self._deposit(data)
 
     def close(self, process: Process) -> None:
-        self.protocol.release(self.local_port)
+        self.protocol.ports.release(self.local_port)
         self.local_port = None

@@ -42,7 +42,12 @@ from ..sim.host import Host
 from ..sim.kernel import DeviceDriver, DeviceHandle, SimKernel
 from ..sim.ledger import Primitive
 from ..sim.process import Ioctl, Process
-from .sockets import BufferedSocketHandle, SockIoctl
+from .sockets import (
+    BufferedSocketHandle,
+    SockIoctl,
+    checked_int,
+    checked_station_peer,
+)
 
 __all__ = ["KernelVMTP"]
 
@@ -128,10 +133,13 @@ class VMTPRoleHandle(DeviceHandle):
 
     def ioctl(self, process: Process, call: Ioctl) -> None:
         if call.command == SockIoctl.BIND:
-            role = VMTPServerHandle(self.protocol, int(call.argument))
+            server_id = checked_int(call.argument, 0, 0xFFFF, "VMTP server id")
+            role = VMTPServerHandle(self.protocol, server_id)
         elif call.command == SockIoctl.CONNECT:
-            station, server_id = call.argument
-            role = VMTPClientHandle(self.protocol, bytes(station), int(server_id))
+            station, server_id = checked_station_peer(
+                self.protocol.host.link, call.argument
+            )
+            role = VMTPClientHandle(self.protocol, station, server_id)
         else:
             raise InvalidArgument("VMTP socket needs BIND or CONNECT first")
         process.fds[call.fd] = role

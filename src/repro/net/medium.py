@@ -7,17 +7,14 @@ station sees every frame (so address filtering happens in the NIC and a
 promiscuous monitor sees it all — section 5.4).
 
 Deterministic fault injection lives here too.  The section 3 protocols
-are built on "write; read with timeout; retry if necessary", and the
-tests drive that paradigm through this module two ways:
-
-* the legacy knobs — ``loss_rate`` (uniform), ``duplicate_rate`` and the
-  ``drop_filter`` predicate — for simple "lose exactly the third data
-  packet" setups;
-* a :class:`ChaosConfig`, attachable per sender direction via
-  :meth:`EthernetSegment.set_chaos`, adding burst loss (a two-state
-  Gilbert–Elliott channel), bounded reordering jitter, bit-flip
-  corruption and delayed duplication, all drawn from per-direction
-  seeded generators so runs replay exactly.
+are built on "write; read with timeout; retry if necessary", and one
+fault model drives that paradigm: a :class:`ChaosConfig`, attachable
+per sender direction via :meth:`EthernetSegment.set_chaos` — uniform
+or burst loss (a two-state Gilbert–Elliott channel), bounded reordering
+jitter, bit-flip corruption and delayed duplication, all drawn from
+per-direction seeded generators so runs replay exactly.  Beside it,
+the ``drop_filter`` test hook loses exactly the frames a predicate
+names ("the third data packet").
 """
 
 from __future__ import annotations
@@ -207,22 +204,12 @@ class EthernetSegment:
         scheduler: EventScheduler,
         link: LinkSpec,
         *,
-        loss_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss rate must be in [0, 1)")
-        # Duplicating every frame is a legitimate stress mode (unlike
-        # losing every frame), so 1.0 stays legal here.
-        if not 0.0 <= duplicate_rate <= 1.0:
-            raise ValueError("duplicate rate must be in [0, 1]")
         self.scheduler = scheduler
         self.link = link
-        self.loss_rate = loss_rate
-        self.duplicate_rate = duplicate_rate
+        #: what every direction's chaos stream is seeded from.
         self.seed = seed
-        self._random = random.Random(seed)
         self._nics: list = []
         self._busy_until = 0.0
         self.frames_carried = 0
@@ -353,16 +340,10 @@ class EthernetSegment:
         if chaos is not None:
             chaos.advance_channel()
 
-        dropped = False
-        if self.drop_filter is not None and self.drop_filter(
-            frame, self.frames_carried
-        ):
-            dropped = True
-        elif self.loss_rate and self._random.random() < self.loss_rate:
-            dropped = True
-        elif chaos is not None and chaos.sample_loss():
-            dropped = True
-        if dropped:
+        if (
+            self.drop_filter is not None
+            and self.drop_filter(frame, self.frames_carried)
+        ) or (chaos is not None and chaos.sample_loss()):
             self.frames_lost += 1
             self._note(Primitive.WIRE_LOSS)
             return end
@@ -381,19 +362,13 @@ class EthernetSegment:
                 self.frames_reordered += 1
                 self._note(Primitive.WIRE_REORDER)
 
-        duplicate_rng = None
-        if self.duplicate_rate and self._random.random() < self.duplicate_rate:
-            duplicate_rng = self._random
-        elif chaos is not None and chaos.sample_duplicate():
-            duplicate_rng = chaos.random
-
         self._deliver(sender, delivered, deliver_at)
-        if duplicate_rng is not None:
+        if chaos is not None and chaos.sample_duplicate():
             # The copy is a distinct, later arrival: real duplicates
             # (bridge echoes, retransmitting repeaters) trail the
             # original by at least its own wire time, so a duplicate
             # can land *behind* frames transmitted after it.
-            lag = wire_time * (1.0 + duplicate_rng.random())
+            lag = wire_time * (1.0 + chaos.random.random())
             self._deliver(sender, delivered, deliver_at + lag)
             self.frames_duplicated += 1
             self._note(Primitive.WIRE_DUPLICATE)

@@ -113,10 +113,11 @@ class NIC:
                 stage=STAGE_WIRE_ARRIVAL,
             )
         policy = kernel.rx_policy
-        if policy is not None or kernel.buffer_pool is not None:
-            cause = kernel.admit_frame(self, frame)
-        elif len(self._input_queue) >= self.input_queue_limit:
-            cause = Primitive.DROP_INTERFACE
+        depth = len(self._input_queue)
+        if depth >= self.input_queue_limit:
+            cause = Primitive.DROP_RING
+        elif policy is not None or kernel.buffer_pool is not None:
+            cause = kernel.admit_frame(self, frame, depth)
         else:
             cause = None
         if cause is not None:
@@ -145,14 +146,8 @@ class NIC:
         self.kernel.account(cause, component="nic", packet_id=packet_id)
         ledger = self.kernel.ledger
         if ledger is not None:
-            # The legacy primitive's value predates the "dropped_*"
-            # outcome naming; every newer cause matches its outcome.
-            outcome = (
-                "dropped_interface"
-                if cause is Primitive.DROP_INTERFACE
-                else cause.value
-            )
-            ledger.close_packet(packet_id, outcome, self.kernel.scheduler.now)
+            # Each admission cause's value is its span outcome.
+            ledger.close_packet(packet_id, cause.value, self.kernel.scheduler.now)
 
     def _schedule_service(self) -> None:
         """Arrange for the kernel's receive interrupt to drain the queue:

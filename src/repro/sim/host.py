@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from ..net.ethernet import LinkSpec
-from ..net.nic import NIC
+from ..net.nic import DEFAULT_INPUT_QUEUE, NIC
 from .costs import CostModel
 from .kernel import SimKernel
 from .process import Process
@@ -31,7 +31,7 @@ class Host:
         costs: CostModel,
         *,
         promiscuous: bool = False,
-        input_queue_limit: int = 16,
+        input_queue_limit: int = DEFAULT_INPUT_QUEUE,
     ) -> None:
         self.name = name
         self.address = address

@@ -723,16 +723,17 @@ class SimKernel:
         """
         self._rx_classifier = classifier
 
-    def admit_frame(self, nic, frame: bytes) -> Primitive | None:
+    def admit_frame(self, nic, frame: bytes, depth: int) -> Primitive | None:
         """Admission control at ring enqueue — pre-filter, pre-copy.
 
-        Returns ``None`` to admit (when a :class:`BufferPool
-        <repro.sim.overload.BufferPool>` is installed the frame now
-        holds one ``("ring", host)`` reservation, which the NIC releases
-        as it drains the slot), or the drop primitive to account the
-        refusal under:
+        The NIC has already refused a frame its full ring cannot hold
+        (``DROP_RING``); this decides the rest, given the ``depth`` of
+        frames already in that ring.  Returns ``None`` to admit (when a
+        :class:`BufferPool <repro.sim.overload.BufferPool>` is installed
+        the frame now holds one ``("ring", host)`` reservation, which
+        the NIC releases as it drains the slot), or the drop primitive
+        to account the refusal under:
 
-        * ``DROP_RING`` — the input ring itself is full;
         * ``DROP_SHED`` — the overload policy shed it early: ring
           occupancy past ``shed_watermark``, or the registered
           classifier says every cached target port is full (both only
@@ -740,14 +741,11 @@ class SimKernel:
           frames are never shed);
         * ``DROP_NOBUF`` — the shared buffer pool cannot cover a slot.
         """
-        if len(nic._input_queue) >= nic.input_queue_limit:
-            return Primitive.DROP_RING
         policy = self.rx_policy
         if policy is not None and nic.polling:
-            occupancy = len(nic._input_queue)
             if (
                 policy.shed_watermark is not None
-                and occupancy >= policy.shed_watermark
+                and depth >= policy.shed_watermark
             ):
                 return Primitive.DROP_SHED
             if self._rx_classifier is not None and self._rx_classifier(frame):

@@ -97,7 +97,6 @@ class Primitive(enum.Enum):
     # -- device driver ---------------------------------------------------
     DRIVER_SEND = "driver_send"
     # -- drop accounting (cost-free counting events) ---------------------
-    DROP_INTERFACE = "drop_interface"    #: NIC input queue overflow (legacy)
     DROP_RING = "dropped_ring"           #: input ring full at admission
     DROP_NOBUF = "dropped_nobuf"         #: kernel buffer pool/share exhausted
     DROP_SHED = "dropped_shed"           #: early drop by the overload policy
@@ -118,7 +117,6 @@ class Primitive(enum.Enum):
 DROP_PRIMITIVES = (
     Primitive.WIRE_LOSS,
     Primitive.WIRE_CORRUPT,
-    Primitive.DROP_INTERFACE,
     Primitive.DROP_RING,
     Primitive.DROP_NOBUF,
     Primitive.DROP_SHED,
@@ -212,7 +210,6 @@ SPAN_OUTCOMES = frozenset(
         "delivered",          #: read by a user process
         "kernel_protocol",    #: claimed by a kernel-resident protocol
         "unclaimed",          #: no protocol or filter wanted it
-        "dropped_interface",  #: NIC input queue overflow (legacy path)
         "dropped_ring",       #: input ring full at admission
         "dropped_nobuf",      #: kernel buffer pool/share exhausted
         "dropped_shed",       #: shed early by the overload policy

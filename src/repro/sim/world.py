@@ -7,6 +7,7 @@ completely deterministic: same construction, same outcome, always.
 from __future__ import annotations
 
 from ..net.ethernet import ETHERNET_10MB, LinkSpec
+from ..net.nic import DEFAULT_INPUT_QUEUE
 from .clock import EventScheduler
 from .costs import MICROVAX_II, CostModel
 from .host import Host
@@ -28,8 +29,6 @@ class World:
         link: LinkSpec = ETHERNET_10MB,
         costs: CostModel = MICROVAX_II,
         *,
-        loss_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
         seed: int = 0,
         chaos=None,
         ledger: bool = False,
@@ -39,19 +38,14 @@ class World:
 
         self.link = link
         self.costs = costs
-        #: the seed the segment's loss and chaos streams derive from.
+        #: the seed the segment's chaos streams derive from.
         self.seed = seed
         self.scheduler = EventScheduler()
-        self.segment = EthernetSegment(
-            self.scheduler,
-            link,
-            loss_rate=loss_rate,
-            duplicate_rate=duplicate_rate,
-            seed=seed,
-        )
+        self.segment = EthernetSegment(self.scheduler, link, seed=seed)
         if chaos is not None:
-            # A repro.net.ChaosConfig: burst loss, reordering jitter,
-            # corruption, duplication — applied to every direction.
+            # A repro.net.ChaosConfig — the segment's one fault model:
+            # loss, reordering jitter, corruption, duplication — applied
+            # to every direction.
             self.segment.set_chaos(chaos)
         self.hosts: list[Host] = []
         #: one shared charge ledger for the whole world (None = off, the
@@ -102,7 +96,7 @@ class World:
         *,
         promiscuous: bool = False,
         costs: CostModel | None = None,
-        input_queue_limit: int = 16,
+        input_queue_limit: int = DEFAULT_INPUT_QUEUE,
     ) -> Host:
         """Add a host; addresses default to 1, 2, 3... station numbers."""
         if address is None:

@@ -1,5 +1,6 @@
 """Tests for the common-filter library and the evaluation tracer."""
 
+import pytest
 
 from repro.core.interpreter import FaultCode, evaluate
 from repro.core.library import (
@@ -156,6 +157,29 @@ class TestTracer:
         trace = trace_evaluation(program, self.PACKET)
         assert trace.result.fault == FaultCode.PACKET_BOUNDS
         assert trace.steps[-1].fault == FaultCode.PACKET_BOUNDS
+
+    @pytest.mark.parametrize(
+        "items, fault, last_after",
+        [
+            # The 33rd push is refused: the stack holds 32, not 33.
+            ((("PUSHONE",),) * 33, FaultCode.STACK_OVERFLOW, (1,) * 32),
+            # PUSHIND is not CLASSIC: refused before it pops or pushes.
+            ((("PUSHLIT", 3), ("PUSHIND",)), FaultCode.BAD_INSTRUCTION, (3,)),
+        ],
+        ids=["overflow", "pushind-at-classic"],
+    )
+    def test_faulting_step_shows_what_the_interpreter_did(
+        self, items, fault, last_after
+    ):
+        from repro.core.program import FilterProgram, asm
+
+        program = FilterProgram(asm(*items))
+        trace = trace_evaluation(program, self.PACKET)
+        assert trace.result == evaluate(program, self.PACKET)
+        assert trace.result.fault == fault
+        assert len(trace.steps) == len(items)
+        assert trace.steps[-1].fault == fault
+        assert trace.steps[-1].stack_after == last_after
 
     def test_format_is_readable(self):
         trace = trace_evaluation(figure_3_9_pup_socket_35(), self.PACKET)

@@ -12,6 +12,7 @@ from repro.kernelnet import (
     link_stacks,
 )
 from repro.kernelnet.sockets import BufferedSocketHandle
+from repro.protocols.ip import ip_address
 from repro.sim import (
     Compute,
     InvalidArgument,
@@ -237,12 +238,86 @@ def display(world):
     return a, prelude
 
 
+def fresh_socket(transport, path):
+    """A just-opened socket on host a; host b (10.0.0.2) listens on
+    TCP port 80 when the transport is TCP."""
+
+    def build(world):
+        if transport is KernelVMTP:
+            a = world.host("a")
+            KernelVMTP(a)
+            KernelVMTP(world.host("b"))
+        else:
+            a, b, _ = _ip_pair(world, transport)
+            if transport is KernelTCP:
+
+                def listener():
+                    fd = yield Open("tcp")
+                    yield Ioctl(fd, SockIoctl.BIND, 80)
+                    yield Read(fd)
+
+                b.spawn("listener", listener())
+
+        def prelude():
+            return (yield Open(path))
+
+        return a, prelude
+
+    return build
+
+
 SOCKETS = {
     "udp": udp_socket,
     "tcp": tcp_socket,
     "vmtp-client": vmtp_client_socket,
     "vmtp-server": vmtp_server_socket,
 }
+FRESH_SOCKETS = {
+    "udp-fresh": fresh_socket(KernelUDP, "udp"),
+    "tcp-fresh": fresh_socket(KernelTCP, "tcp"),
+    "vmtp-fresh": fresh_socket(KernelVMTP, "vmtp"),
+}
+PEER_IP = ip_address("10.0.0.2")
+UNROUTED_IP = ip_address("10.0.0.99")
+
+
+def ioctl_then(command, *after):
+    """The ioctl carrying the hostile argument, then the calls that
+    used to trip over what it let through."""
+
+    def make(fd, value):
+        return [Ioctl(fd, command, value), *(call(fd) for call in after)]
+
+    return make
+
+
+def write(fd):
+    return Write(fd, b"x")
+
+
+def write_3000(fd):
+    return Write(fd, bytes(3000))
+
+
+def connect_80(fd):
+    return Ioctl(fd, SockIoctl.CONNECT, (PEER_IP, 80))
+
+
+CONNECT, SET_MSS, BIND = SockIoctl.CONNECT, SockIoctl.SET_MSS, SockIoctl.BIND
+HOSTILE_IOCTLS = [  # device, command, label, argument, calls after it
+    ("udp-fresh", CONNECT, "unrouted", (UNROUTED_IP, 7), [write]),
+    ("udp-fresh", CONNECT, "'abc'", "abc", [write]),
+    ("udp-fresh", CONNECT, "port 70000", (PEER_IP, 70000), [write]),
+    ("udp-fresh", CONNECT, "port 0", (PEER_IP, 0), [write]),
+    ("tcp-fresh", CONNECT, "unrouted", (UNROUTED_IP, 80), []),
+    ("tcp-fresh", CONNECT, "None", None, []),
+    ("tcp-fresh", SET_MSS, "'abc'", "abc", []),
+    ("tcp-fresh", SET_MSS, "1500", 1500, [connect_80, write_3000]),
+    ("vmtp-fresh", BIND, "'x'", "x", []),
+    ("vmtp-fresh", CONNECT, "'junk'", "junk", []),
+    ("vmtp-fresh", CONNECT, "server 'x'", (bytes(6), "x"), []),
+    ("vmtp-fresh", CONNECT, "station 12345", (12345, 35), [write]),
+]
 BAD_DATA = {"'abc'": "abc", "-1": -1, "10**8": 10**8, "5": 5, "3.5": 3.5, "None": None}
 BAD_SIZES = {"'x'": "x", "-1": -1, "1.5": 1.5}
 HOSTILE_DEVICE_CALLS = (
@@ -265,24 +340,38 @@ HOSTILE_DEVICE_CALLS = (
             "vmtp-server", Write, bytes(16 * 1024 + 1), id="vmtp-server-Write(oversize)"
         ),
     ]
+    + [
+        pytest.param(
+            device,
+            ioctl_then(command, *after),
+            value,
+            id=f"{device}-{command.name}({label})",
+        )
+        for device, command, label, value, after in HOSTILE_IOCTLS
+    ]
 )
 
 
 class TestHostileDeviceArguments:
-    """``Write.data`` and ``Read.size`` reach a socket or the display
-    straight from user code: a value of the wrong type or range is the
-    calling process's error and nobody else's — never an exception out
-    of the event loop, and never zero bytes sent for an integer."""
+    """``Write.data``, ``Read.size`` and socket ioctl arguments reach a
+    socket or the display straight from user code: a value of the wrong
+    type or range is the calling process's error and nobody else's —
+    never an exception out of the event loop, and never zero bytes sent
+    for an integer."""
 
     @pytest.mark.parametrize("device, make, value", HOSTILE_DEVICE_CALLS)
     def test_only_the_offender_fails(self, device, make, value):
         world = World()
-        host, prelude = {**SOCKETS, "display": display}[device](world)
+        host, prelude = {**SOCKETS, **FRESH_SOCKETS, "display": display}[
+            device
+        ](world)
         bystander = world.host("bystander")
 
         def offender():
             fd = yield from prelude()
-            yield make(fd, value)
+            calls = make(fd, value)
+            for call in calls if isinstance(calls, list) else [calls]:
+                yield call
 
         def sibling():
             yield Sleep(0.01)

@@ -2,6 +2,7 @@
 
 
 from repro.kernelnet import KernelTCP, SockIoctl, link_stacks
+from repro.net import ChaosConfig
 from repro.sim import Close, Ioctl, Open, Read, World, Write
 
 
@@ -58,17 +59,23 @@ class TestStreamIntegrity:
         assert received == PAYLOAD[:8000]
 
     def test_lossy_link(self):
-        world, a, b, _, stack_b, tcp_a, _ = tcp_world(loss_rate=0.08, seed=3)
+        world, a, b, _, stack_b, tcp_a, _ = tcp_world(
+            chaos=ChaosConfig(loss_rate=0.08), seed=3
+        )
         received = stream_pair(world, a, b, stack_b, PAYLOAD[:20_000])
         assert received == PAYLOAD[:20_000]
 
     def test_duplicating_link(self):
-        world, a, b, _, stack_b, *_ = tcp_world(duplicate_rate=0.2, seed=5)
+        world, a, b, _, stack_b, *_ = tcp_world(
+            chaos=ChaosConfig(duplicate_rate=0.2), seed=5
+        )
         received = stream_pair(world, a, b, stack_b, PAYLOAD[:10_000])
         assert received == PAYLOAD[:10_000]
 
     def test_retransmissions_happen_under_loss(self):
-        world, a, b, _, stack_b, tcp_a, tcp_b = tcp_world(loss_rate=0.1, seed=11)
+        world, a, b, _, stack_b, tcp_a, tcp_b = tcp_world(
+            chaos=ChaosConfig(loss_rate=0.1), seed=11
+        )
         stream_pair(world, a, b, stack_b, PAYLOAD[:10_000])
         # Ports may be released after teardown, so check the segment's
         # loss counter: the stream only completes if the endpoints
@@ -81,7 +88,9 @@ class TestStreamIntegrity:
 
     def test_deterministic(self):
         def run():
-            world, a, b, _, stack_b, *_ = tcp_world(loss_rate=0.05, seed=9)
+            world, a, b, _, stack_b, *_ = tcp_world(
+                chaos=ChaosConfig(loss_rate=0.05), seed=9
+            )
             stream_pair(world, a, b, stack_b, PAYLOAD[:5000])
             return world.now
 

@@ -174,7 +174,7 @@ class TestReliability:
 
     def test_unreachable_server_times_out(self):
         world, a, b = vmtp_world()
-        world.segment.loss_rate = 0.0
+        world.segment.set_chaos(None)
         world.segment.drop_filter = lambda frame, n: True  # black hole
 
         def client():

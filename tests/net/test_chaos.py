@@ -145,17 +145,6 @@ class TestChaosInjection:
         assert second_time - first_time >= wire_time
         assert segment.frames_duplicated == 1
 
-    def test_legacy_duplicate_is_distinct_later_event(self):
-        scheduler, segment = make_segment(duplicate_rate=1.0)
-        sender, _ = make_nic(segment, 1)
-        _, got = make_nic(segment, 2)
-        sender.transmit(frame_to(2))
-        scheduler.run()
-        assert len(got) == 2
-        (first_time, _), (second_time, _) = got
-        wire_time = ETHERNET_10MB.transmission_time(len(frame_to(2)))
-        assert second_time - first_time >= wire_time
-
     def test_same_seed_replays_exactly(self):
         def run(seed):
             scheduler, segment = make_segment(seed=seed)

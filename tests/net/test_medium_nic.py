@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.ethernet import ETHERNET_10MB
-from repro.net.medium import EthernetSegment
+from repro.net.medium import ChaosConfig, EthernetSegment
 from repro.net.nic import NIC
 from repro.sim.clock import EventScheduler
 
@@ -111,7 +111,8 @@ class TestDelivery:
 
 class TestLossInjection:
     def test_loss_rate_drops_some(self):
-        scheduler, segment = make_segment(loss_rate=0.5, seed=7)
+        scheduler, segment = make_segment(seed=7)
+        segment.set_chaos(ChaosConfig(loss_rate=0.5))
         sender, _ = make_nic(segment, 1)
         _, got = make_nic(segment, 2)
         for _ in range(40):
@@ -122,7 +123,8 @@ class TestLossInjection:
 
     def test_deterministic_with_seed(self):
         def run(seed):
-            scheduler, segment = make_segment(loss_rate=0.3, seed=seed)
+            scheduler, segment = make_segment(seed=seed)
+            segment.set_chaos(ChaosConfig(loss_rate=0.3))
             sender, _ = make_nic(segment, 1)
             _, got = make_nic(segment, 2)
             for _ in range(30):
@@ -143,7 +145,8 @@ class TestLossInjection:
         assert len(got) == 2
 
     def test_duplication(self):
-        scheduler, segment = make_segment(duplicate_rate=1.0)
+        scheduler, segment = make_segment()
+        segment.set_chaos(ChaosConfig(duplicate_rate=1.0))
         sender, _ = make_nic(segment, 1)
         _, got = make_nic(segment, 2)
         sender.transmit(frame_to(2))
@@ -152,7 +155,7 @@ class TestLossInjection:
 
     def test_bad_loss_rate(self):
         with pytest.raises(ValueError):
-            make_segment(loss_rate=1.0)
+            ChaosConfig(loss_rate=1.0)
 
 
 class TestNICQueue:

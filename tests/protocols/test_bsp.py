@@ -5,13 +5,13 @@ import pytest
 from repro.protocols.bsp import BSPEndpoint, bsp_socket_filter
 from repro.protocols.pup import PupAddress
 from repro.core.interpreter import evaluate
+from repro.net import ChaosConfig
 from repro.net.ethernet import ETHERNET_3MB, ETHERNET_10MB
 from repro.sim import World
 
 
-def transfer(payload, *, loss_rate=0.0, duplicate_rate=0.0, seed=1,
-             data_per_packet=532):
-    world = World(loss_rate=loss_rate, duplicate_rate=duplicate_rate, seed=seed)
+def transfer(payload, *, chaos=None, seed=1, data_per_packet=532):
+    world = World(chaos=chaos, seed=seed)
     sender = world.host("sender")
     receiver = world.host("receiver")
     sender.install_packet_filter()
@@ -59,7 +59,7 @@ class TestStreamIntegrity:
 
     def test_lossy_link_recovers(self):
         data, tx_stats, _, world = transfer(
-            PAYLOAD[:10_000], loss_rate=0.08, seed=13
+            PAYLOAD[:10_000], chaos=ChaosConfig(loss_rate=0.08), seed=13
         )
         assert data == PAYLOAD[:10_000]
         assert world.segment.frames_lost > 0
@@ -67,7 +67,7 @@ class TestStreamIntegrity:
 
     def test_duplicating_link(self):
         data, _, rx_stats, _ = transfer(
-            PAYLOAD[:8_000], duplicate_rate=0.3, seed=2
+            PAYLOAD[:8_000], chaos=ChaosConfig(duplicate_rate=0.3), seed=2
         )
         assert data == PAYLOAD[:8_000]
         assert rx_stats.duplicates_dropped > 0
@@ -84,7 +84,9 @@ class TestStreamIntegrity:
 
     def test_deterministic(self):
         def run():
-            _, _, _, world = transfer(PAYLOAD[:4_000], loss_rate=0.05, seed=4)
+            _, _, _, world = transfer(
+                PAYLOAD[:4_000], chaos=ChaosConfig(loss_rate=0.05), seed=4
+            )
             return world.now
 
         assert run() == run()

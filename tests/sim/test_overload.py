@@ -225,10 +225,11 @@ class TestAdmission:
 
 class TestLegacyRingDropCensus:
     def test_mitigation_window_overflow_lands_in_drop_summary(self):
-        """Satellite 1: the classic (no-policy) NIC ring drop must show
-        up in ``drop_summary()`` as a proper ChargeEvent and a closed
-        span, so ``python -m repro run --profile`` accounts for every wire
-        arrival even on the legacy path."""
+        """The classic (no-policy) NIC ring drop has the same name as
+        with a policy armed, ``dropped_ring``, and shows up in
+        ``drop_summary()`` as a proper ChargeEvent and a closed span, so
+        ``python -m repro run --profile`` accounts for every wire arrival
+        on the interrupt path too."""
         world = World(ledger=True)
         sender = world.host("sender", costs=FREE)
         receiver = world.host("receiver", input_queue_limit=2)
@@ -236,9 +237,11 @@ class TestLegacyRingDropCensus:
         for _ in range(6):
             receiver.nic.receive(frame)
         assert receiver.nic.frames_dropped == 4
+        assert receiver.nic.frames_received == 2
         world.run()
         drops = world.ledger.drop_summary()
-        assert drops["drop_interface"] == 4
+        assert drops["dropped_ring"] == 4
+        assert "drop_interface" not in drops
         assert not world.ledger.open_spans("receiver")
         # The charge went through the accounting choke point, so the
         # live stats and the ledger replay can never disagree.

@@ -38,7 +38,7 @@ def run_workload(seed, frames, polled, engine, queue_limit, chaos_on):
     )
     sender = world.host("sender")
     # A two-frame interface queue: write bursts overflow it, exercising
-    # the dropped_interface path.
+    # the dropped_ring path.
     receiver = world.host("receiver", input_queue_limit=2)
     sender.install_packet_filter()
     receiver.install_packet_filter(engine=engine)

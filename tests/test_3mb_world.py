@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.ioctl import PFIoctl
 from repro.core.paper_filters import figure_3_9_pup_socket_35
+from repro.net import ChaosConfig
 from repro.net.ethernet import ETHERNET_3MB
 from repro.protocols.bsp import BSPEndpoint, pup_ethertype
 from repro.protocols.pup import PupAddress, PupHeader
@@ -99,7 +100,7 @@ class TestPupEcho:
             assert 0 < rtt < 0.05
 
     def test_ping_survives_loss(self):
-        world, (alice, bob) = make_world(loss_rate=0.25, seed=6)
+        world, (alice, bob) = make_world(chaos=ChaosConfig(loss_rate=0.25), seed=6)
         bob.spawn("echo-server", pup_echo_server(bob))
 
         def pinger():
