@@ -63,6 +63,12 @@ class Engine(enum.Enum):
     IR = "ir"                    #: set compiled through the SSA/DAG middle-end
 
 
+# Bound once for the per-predicate path: on Python 3.11 every
+# ``Engine.X`` load runs the enum metaclass's ``__getattr__`` hook.
+_COMPILED = Engine.COMPILED
+_PREVALIDATED = Engine.PREVALIDATED
+
+
 @dataclass(frozen=True)
 class DeliveryReport:
     """What happened to one received packet."""
@@ -335,33 +341,36 @@ class PacketFilterDemux:
             and self._deliveries % self.REORDER_INTERVAL == 0
         )
 
-        # Fast path: exactly one accepting filter — the overwhelming
+        # Fast path: at most one accepting filter — the overwhelming
         # steady-state case, and with a full queue the steady state of
         # every overload scenario.  No per-packet list churn, and since
         # DeliveryReport is frozen, identical outcomes share one cached
         # instance, keyed by the packet's fate (the report field its
-        # port lands in), instead of paying the (slow) frozen dataclass
-        # constructor every packet.
-        if len(ranks) == 1:
-            binding = self._order[ranks[0]]
-            port = binding.port
-            binding.accepts += 1
-            if port.enqueue(packet, timestamp, packet_id):
-                fate = "accepted_by"
-            elif port.last_drop_cause == "nobuf":
-                self.packets_unclaimed += 1
-                fate = "nobuf_by"
+        # port lands in, or none), instead of paying the (slow) frozen
+        # dataclass constructor every packet.
+        if len(ranks) <= 1:
+            if ranks:
+                binding = self._order[ranks[0]]
+                port = binding.port
+                binding.accepts += 1
+                if port.enqueue(packet, timestamp, packet_id):
+                    fate = "accepted_by"
+                elif port.last_drop_cause == "nobuf":
+                    fate = "nobuf_by"
+                else:
+                    fate = "dropped_by"
+                key = (port.port_id, predicates, instructions, fate)
             else:
-                fate = "dropped_by"
+                self.packets_unclaimed += 1
+                key = (predicates, instructions)
             if tick:
                 self._reorder()
-            key = (port.port_id, predicates, instructions, fate)
             report = self._reports.get(key)
             if report is None:
                 report = DeliveryReport(
                     predicates_tested=predicates,
                     instructions_executed=instructions,
-                    **{fate: (port.port_id,)},
+                    **({fate: (port.port_id,)} if ranks else {}),
                 )
                 if len(self._reports) < 4096:
                     self._reports[key] = report
@@ -378,9 +387,6 @@ class PacketFilterDemux:
                 nobuf_by.append(binding.port.port_id)
             else:
                 dropped_by.append(binding.port.port_id)
-
-        if not accepted_by and not dropped_by:
-            self.packets_unclaimed += 1
         if tick:
             self._reorder()
 
@@ -465,10 +471,10 @@ class PacketFilterDemux:
 
     def _apply(self, binding: _Binding, packet: bytes) -> tuple[bool, int]:
         """Evaluate one filter; returns (accepted, instructions executed)."""
-        if self.engine is Engine.COMPILED:
+        if self.engine is _COMPILED:
             assert binding.compiled is not None
             return binding.compiled.accepts(packet), 0
-        if self.engine is Engine.PREVALIDATED:
+        if self.engine is _PREVALIDATED:
             assert binding.report is not None
             if len(packet) < binding.report.min_packet_bytes:
                 # The one check the fast path still needs, done once per

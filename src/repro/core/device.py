@@ -55,6 +55,19 @@ from .validator import ValidationError, validate
 
 __all__ = ["PacketFilterDevice", "PacketFilterHandle"]
 
+# Bound once, as in repro.sim.kernel: on Python 3.11 every
+# ``Primitive.X`` load runs the enum metaclass's ``__getattr__`` hook.
+_DROP_RESIZE = Primitive.DROP_RESIZE
+_DROP_FLUSH = Primitive.DROP_FLUSH
+_PF_FIXED = Primitive.PF_FIXED
+_FILTER_PREDICATE = Primitive.FILTER_PREDICATE
+_FILTER_INSTRUCTION = Primitive.FILTER_INSTRUCTION
+_MICROTIME = Primitive.MICROTIME
+_DROP_OVERFLOW = Primitive.DROP_OVERFLOW
+_DROP_NOBUF = Primitive.DROP_NOBUF
+_PF_SEND_FIXED = Primitive.PF_SEND_FIXED
+_FILTER_BIND = Primitive.FILTER_BIND
+
 
 def cache_gauge(demux: PacketFilterDemux, field: str):
     """A gauge reading one flow-cache statistic, robust to the cache
@@ -192,9 +205,9 @@ class PacketFilterDevice(DeviceDriver):
         (queue-limit shrink or FLUSH) — account the drop and close its
         span."""
         if reason == "resize":
-            primitive, outcome = Primitive.DROP_RESIZE, "dropped_resize"
+            primitive, outcome = _DROP_RESIZE, "dropped_resize"
         else:
-            primitive, outcome = Primitive.DROP_FLUSH, "flushed"
+            primitive, outcome = _DROP_FLUSH, "flushed"
         self.kernel.account(
             primitive, component="pf", packet_id=packet.packet_id
         )
@@ -219,7 +232,7 @@ class PacketFilterDevice(DeviceDriver):
         now = kernel.scheduler.now
         report = self.demux.deliver(frame, timestamp=now, packet_id=packet_id)
         kernel.account(
-            Primitive.PF_FIXED, kernel.costs.pf_fixed, component="pf",
+            _PF_FIXED, kernel.costs.pf_fixed, component="pf",
             packet_id=packet_id,
         )
         if not self._settle(report, packet_id, now):
@@ -265,7 +278,7 @@ class PacketFilterDevice(DeviceDriver):
             frames, timestamp=now, packet_ids=packet_ids
         )
 
-        kernel.account(Primitive.PF_FIXED, kernel.costs.pf_fixed, component="pf")
+        kernel.account(_PF_FIXED, kernel.costs.pf_fixed, component="pf")
         notify: dict[int, "PacketFilterHandle"] = {}
         accepted_flags: list[bool] = []
         for report, pid in zip(reports, packet_ids):
@@ -305,7 +318,7 @@ class PacketFilterDevice(DeviceDriver):
         traced = ledger is not None and packet_id is not None
         if report.predicates_tested:
             kernel.account(
-                Primitive.FILTER_PREDICATE,
+                _FILTER_PREDICATE,
                 costs.filter_cost(report.predicates_tested, 0),
                 quantity=report.predicates_tested,
                 component="pf",
@@ -313,7 +326,7 @@ class PacketFilterDevice(DeviceDriver):
             )
         if report.instructions_executed:
             kernel.account(
-                Primitive.FILTER_INSTRUCTION,
+                _FILTER_INSTRUCTION,
                 costs.filter_cost(0, report.instructions_executed),
                 quantity=report.instructions_executed,
                 component="pf",
@@ -324,7 +337,7 @@ class PacketFilterDevice(DeviceDriver):
         for port_id in report.accepted_by:
             if self._handles[port_id].port.timestamping:
                 kernel.account(
-                    Primitive.MICROTIME, costs.microtime, component="pf",
+                    _MICROTIME, costs.microtime, component="pf",
                     packet_id=packet_id,
                 )
         if traced and report.accepted_by:
@@ -332,12 +345,12 @@ class PacketFilterDevice(DeviceDriver):
         self.packets_dropped_overflow += len(report.dropped_by)
         for port_id in report.dropped_by:
             kernel.account(
-                Primitive.DROP_OVERFLOW, component="pf",
+                _DROP_OVERFLOW, component="pf",
                 packet_id=packet_id, flow=port_id,
             )
         for port_id in report.nobuf_by:
             kernel.account(
-                Primitive.DROP_NOBUF, component="pf",
+                _DROP_NOBUF, component="pf",
                 packet_id=packet_id, flow=port_id,
             )
         if (
@@ -447,7 +460,7 @@ class PacketFilterHandle(DeviceHandle):
                 raise InvalidArgument(f"frame exceeds {link.name} maximum")
         for frame in frames:
             kernel.account(
-                Primitive.PF_SEND_FIXED,
+                _PF_SEND_FIXED,
                 kernel.costs.pf_send_fixed,
                 component="pf",
             )
@@ -484,7 +497,7 @@ class PacketFilterHandle(DeviceHandle):
             demux.attach(self.port)
             self.attached = True
             kernel.account(
-                Primitive.FILTER_BIND, kernel.costs.filter_bind,
+                _FILTER_BIND, kernel.costs.filter_bind,
                 component="pf",
             )
         elif command == PFIoctl.SETTIMEOUT:

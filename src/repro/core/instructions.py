@@ -85,6 +85,9 @@ class StackAction(enum.IntEnum):
     # 9..15 reserved; 16..63 are PUSHWORD+n.
 
 
+_RESERVED_ACTIONS = range(StackAction.PUSHBYTEIND + 1, PUSHWORD_BASE)
+
+
 #: Stack actions that push a fixed constant, and the constant they push.
 CONSTANT_ACTIONS: dict[StackAction, int] = {
     StackAction.PUSHZERO: 0x0000,
@@ -183,16 +186,32 @@ class Instruction:
     literal: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 <= self.action_code <= _ACTION_MASK:
+        # The one boundary every program crosses, decoded or built in
+        # user code: what gets past it is a well-formed instruction, so
+        # no engine ever meets a reserved code or a foreign operator.
+        code = self.action_code
+        if not isinstance(code, int) or not 0 <= code <= _ACTION_MASK:
             raise EncodingError(
-                f"stack action code {self.action_code} outside 6-bit field"
+                f"stack action code {code!r} outside 6-bit field"
             )
+        if code in _RESERVED_ACTIONS:
+            raise EncodingError(f"reserved stack action code {code}")
+        if type(self.operator) is not BinaryOp:
+            try:
+                operator = BinaryOp(self.operator)
+            except (TypeError, ValueError):
+                raise EncodingError(
+                    f"unknown binary operator code {self.operator!r}"
+                ) from None
+            object.__setattr__(self, "operator", operator)
         if self.is_pushlit:
             if self.literal is None:
                 raise EncodingError("PUSHLIT instruction requires a literal")
-            if not 0 <= self.literal <= 0xFFFF:
+            if not isinstance(self.literal, int) or not (
+                0 <= self.literal <= 0xFFFF
+            ):
                 raise EncodingError(
-                    f"literal {self.literal:#x} does not fit in 16 bits"
+                    f"literal {self.literal!r} does not fit in 16 bits"
                 )
         elif self.literal is not None:
             raise EncodingError(
@@ -282,20 +301,14 @@ def encode_instruction_word(instruction: Instruction) -> int:
 def decode_instruction_word(word: int, literal: int | None = None) -> Instruction:
     """Unpack a 16-bit instruction word (plus its literal, if PUSHLIT).
 
-    Raises :class:`EncodingError` for operator codes outside the defined
-    set — the interpreter treats such words as invalid instructions and
-    rejects the packet, per section 4's runtime validity check.
+    Raises :class:`EncodingError` for reserved stack-action codes and
+    operator codes outside the defined set — :class:`Instruction`
+    refuses both, so the kernel turns such words away when the filter
+    is bound, never at packet time.
     """
     if not 0 <= word <= 0xFFFF:
         raise EncodingError(f"instruction word {word:#x} is not 16 bits")
     action_code = word & _ACTION_MASK
-    operator_code = word >> ACTION_FIELD_BITS
-    try:
-        operator = BinaryOp(operator_code)
-    except ValueError as exc:
-        raise EncodingError(f"unknown binary operator code {operator_code}") from exc
-    if 8 < action_code < PUSHWORD_BASE:
-        raise EncodingError(f"reserved stack action code {action_code}")
     if action_code != StackAction.PUSHLIT:
         literal = None
-    return Instruction(action_code=action_code, operator=operator, literal=literal)
+    return Instruction(action_code, word >> ACTION_FIELD_BITS, literal)

@@ -47,6 +47,7 @@ from .instructions import (
     CONSTANT_ACTIONS,
     EXTENDED_ACTIONS,
     FALSE,
+    PUSHWORD_BASE,
     TRUE,
     BinaryOp,
     StackAction,
@@ -93,7 +94,7 @@ class FaultCode(enum.Enum):
     DIVIDE_BY_ZERO = "divide-by-zero"      #: extension DIV with T1 == 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FilterResult:
     """Outcome of applying one filter to one packet.
 
@@ -110,6 +111,17 @@ class FilterResult:
     def __bool__(self) -> bool:
         return self.accepted
 
+
+# The members both loops load per instruction, bound once: on Python
+# 3.11 every ``Enum.X`` load runs the enum metaclass's ``__getattr__``
+# hook, which costs more than the comparison it feeds.
+_NOPUSH = StackAction.NOPUSH
+_PUSHLIT = StackAction.PUSHLIT
+_PUSHIND = StackAction.PUSHIND
+_NOP = BinaryOp.NOP
+_DIV = BinaryOp.DIV
+_EXTENDED = LanguageLevel.EXTENDED
+_PUSH_RESULT = ShortCircuitMode.PUSH_RESULT
 
 # Short-circuit behaviour table: operator -> (terminate_when_R, value_returned).
 _SHORT_CIRCUIT = {
@@ -186,24 +198,24 @@ def _evaluate_checked(
         action = ins.action_code
 
         # --- stack action ---
-        if action == StackAction.NOPUSH:
+        if action == _NOPUSH:
             pass
-        elif action == StackAction.PUSHLIT:
+        elif action == _PUSHLIT:
             if len(stack) >= max_stack:
                 return _fault(FaultCode.STACK_OVERFLOW, executed)
             stack.append(ins.literal)  # type: ignore[arg-type]
         elif action in CONSTANT_ACTIONS:
             if len(stack) >= max_stack:
                 return _fault(FaultCode.STACK_OVERFLOW, executed)
-            stack.append(CONSTANT_ACTIONS[StackAction(action)])
+            stack.append(CONSTANT_ACTIONS[action])
         elif action in EXTENDED_ACTIONS:
-            if level is not LanguageLevel.EXTENDED:
+            if level is not _EXTENDED:
                 return _fault(FaultCode.BAD_INSTRUCTION, executed)
             if not stack:
                 return _fault(FaultCode.STACK_UNDERFLOW, executed)
             index = stack.pop()
             try:
-                if action == StackAction.PUSHIND:
+                if action == _PUSHIND:
                     stack.append(get_word(packet, index))
                 else:
                     stack.append(get_byte(packet, index))
@@ -213,15 +225,15 @@ def _evaluate_checked(
             if len(stack) >= max_stack:
                 return _fault(FaultCode.STACK_OVERFLOW, executed)
             try:
-                stack.append(get_word(packet, ins.push_index))  # type: ignore[arg-type]
+                stack.append(get_word(packet, action - PUSHWORD_BASE))
             except IndexError:
                 return _fault(FaultCode.PACKET_BOUNDS, executed)
 
         # --- binary operator ---
         op = ins.operator
-        if op == BinaryOp.NOP:
+        if op == _NOP:
             continue
-        if level is not LanguageLevel.EXTENDED and op not in CLASSIC_OPERATORS:
+        if level is not _EXTENDED and op not in CLASSIC_OPERATORS:
             return _fault(FaultCode.BAD_INSTRUCTION, executed)
         if len(stack) < 2:
             return _fault(FaultCode.STACK_UNDERFLOW, executed)
@@ -237,13 +249,13 @@ def _evaluate_checked(
                     instructions_executed=executed,
                     short_circuited=True,
                 )
-            if mode is ShortCircuitMode.PUSH_RESULT:
+            if mode is _PUSH_RESULT:
                 stack.append(TRUE if result else FALSE)
         elif op in _COMPARISONS:
             stack.append(TRUE if _COMPARISONS[op](t2, t1) else FALSE)
         elif op in _BITWISE:
             stack.append(_BITWISE[op](t2, t1))
-        elif op == BinaryOp.DIV:
+        elif op == _DIV:
             if t1 == 0:
                 return _fault(FaultCode.DIVIDE_BY_ZERO, executed)
             stack.append(t2 // t1)
@@ -264,7 +276,7 @@ def _evaluate_unchecked(
     at bind time); packet-bounds faults are still caught and reject."""
     stack: list[int] = []
     executed = 0
-    push_on_continue = mode is ShortCircuitMode.PUSH_RESULT
+    push_on_continue = mode is _PUSH_RESULT
     try:
         for ins in program.instructions:
             executed += 1
@@ -272,21 +284,21 @@ def _evaluate_unchecked(
 
             if action >= 16:  # PUSHWORD+n — the common case, tested first
                 stack.append(get_word(packet, action - 16))
-            elif action == StackAction.NOPUSH:
+            elif action == _NOPUSH:
                 pass
-            elif action == StackAction.PUSHLIT:
+            elif action == _PUSHLIT:
                 stack.append(ins.literal)  # type: ignore[arg-type]
-            elif action in (StackAction.PUSHIND, StackAction.PUSHBYTEIND):
+            elif action in EXTENDED_ACTIONS:
                 index = stack.pop()
-                if action == StackAction.PUSHIND:
+                if action == _PUSHIND:
                     stack.append(get_word(packet, index))
                 else:
                     stack.append(get_byte(packet, index))
             else:
-                stack.append(CONSTANT_ACTIONS[StackAction(action)])
+                stack.append(CONSTANT_ACTIONS[action])
 
             op = ins.operator
-            if op == BinaryOp.NOP:
+            if op == _NOP:
                 continue
             t1 = stack.pop()
             t2 = stack.pop()
@@ -305,7 +317,7 @@ def _evaluate_unchecked(
                 stack.append(TRUE if _COMPARISONS[op](t2, t1) else FALSE)
             elif op in _BITWISE:
                 stack.append(_BITWISE[op](t2, t1))
-            elif op == BinaryOp.DIV:
+            elif op == _DIV:
                 if t1 == 0:
                     return _fault(FaultCode.DIVIDE_BY_ZERO, executed)
                 stack.append(t2 // t1)

@@ -35,7 +35,7 @@ the historical driver's was; section 3.3 lets the user raise it (and a
 batching client should, or bursts overflow: see table 6-4's analysis)."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DeliveredPacket:
     """One packet as handed to a reading process.
 
@@ -200,9 +200,10 @@ class Port:
         The drop count carried by the *next* successfully queued packet
         reports losses, as section 3.3 describes.
         """
-        self.stats.accepted += 1
+        stats = self.stats
+        stats.accepted += 1
         if len(self._queue) >= self.queue_limit:
-            self.stats.dropped_overflow += 1
+            stats.dropped_overflow += 1
             self.last_drop_cause = "overflow"
             return False
         if self.pool is not None and not self.pool.reserve(self.pool_owner):
@@ -210,18 +211,18 @@ class Port:
             # the filter's work is sunk, but no buffer is consumed.  Kept
             # out of ``dropped_overflow`` so the section 3.3
             # ``drops_before`` mark keeps meaning queue congestion.
-            self.stats.dropped_nobuf += 1
+            stats.dropped_nobuf += 1
             self.last_drop_cause = "nobuf"
             return False
         self._queue.append(
             DeliveredPacket(
-                data=data,
-                timestamp=timestamp if self.timestamping else None,
-                drops_before=self.stats.dropped_overflow,
-                packet_id=packet_id,
+                data,
+                timestamp if self.timestamping else None,
+                stats.dropped_overflow,
+                packet_id,
             )
         )
-        self.stats.delivered += 1
+        stats.delivered += 1
         return True
 
     # -- reader side ---------------------------------------------------------
@@ -240,11 +241,13 @@ class Port:
         passes ``None`` so "all pending packets [are] returned in a
         batch", amortizing the system call (figure 3-5).
         """
-        if max_packets is None:
-            max_packets = len(self._queue)
-        batch: list[DeliveredPacket] = []
-        while self._queue and len(batch) < max_packets:
-            batch.append(self._queue.popleft())
+        queue = self._queue
+        if max_packets is None or max_packets >= len(queue):
+            batch = list(queue)
+            queue.clear()
+        else:
+            popleft = queue.popleft
+            batch = [popleft() for _ in range(max_packets)]
         if batch:
             self.stats.reads += 1
             self.stats.read += len(batch)

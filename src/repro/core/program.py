@@ -99,6 +99,9 @@ class FilterProgram:
         priority: int = DEFAULT_PRIORITY,
     ) -> None:
         instructions = tuple(instructions)
+        for ins in instructions:
+            if not isinstance(ins, Instruction):
+                raise EncodingError(f"{ins!r} is not an Instruction")
         if not 0 <= priority <= MAX_PRIORITY:
             raise EncodingError(
                 f"priority {priority} outside 0..{MAX_PRIORITY}"

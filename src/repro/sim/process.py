@@ -47,22 +47,24 @@ __all__ = [
 class Syscall:
     """Marker base class for syscall request objects."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class Open(Syscall):
     """Open a device by name; returns a file descriptor."""
 
     path: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Close(Syscall):
     """Close a file descriptor; returns None."""
 
     fd: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Read(Syscall):
     """Read from a descriptor.
 
@@ -77,7 +79,7 @@ class Read(Syscall):
     size: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Write(Syscall):
     """Write to a descriptor; returns the byte count accepted."""
 
@@ -85,7 +87,7 @@ class Write(Syscall):
     data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Ioctl(Syscall):
     """Device control; returns a command-specific result."""
 
@@ -94,7 +96,7 @@ class Ioctl(Syscall):
     argument: Any = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Select(Syscall):
     """Block until any of ``read_fds`` is readable; returns the ready
     subset (empty on timeout) — the 4.3BSD select of section 3."""
@@ -102,19 +104,18 @@ class Select(Syscall):
     read_fds: tuple[int, ...]
     timeout: float | None = None
 
-    def __init__(self, read_fds, timeout: float | None = None) -> None:
-        object.__setattr__(self, "read_fds", tuple(read_fds))
-        object.__setattr__(self, "timeout", timeout)
+    def __post_init__(self) -> None:
+        self.read_fds = tuple(self.read_fds)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sleep(Syscall):
     """Block for a fixed simulated duration; returns None."""
 
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute(Syscall):
     """Consume CPU in user mode for ``duration`` seconds.
 
@@ -124,12 +125,12 @@ class Compute(Syscall):
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PipeCreate(Syscall):
     """Create a pipe; returns ``(read_fd, write_fd)``."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SigWait(Syscall):
     """Block until a signal is posted to this process; returns its
     number.  With the packet filter's SETSIGNAL this is the

@@ -9,6 +9,7 @@ from repro.core.port import Port
 from repro.core.program import FilterProgram, asm
 from repro.core.validator import ValidationError
 from repro.core.words import pack_words
+from repro.sim.overload import BufferPool
 
 
 def port_with(program, port_id=0, **attrs):
@@ -42,6 +43,17 @@ class TestBasicDelivery:
         report = demux.deliver(PACKET_B)
         assert not report.accepted
         assert demux.packets_unclaimed == 1
+
+    def test_pool_refusal_is_not_unclaimed(self):
+        """A packet a filter accepted is claimed even when the buffer
+        pool refuses it — the kernel's ``packets_unclaimed`` agrees."""
+        demux = PacketFilterDemux()
+        port = port_with(type_filter(0xA), pool=BufferPool(1))
+        demux.attach(port)
+        demux.deliver(PACKET_A)
+        report = demux.deliver(PACKET_A)
+        assert report.nobuf_by == (0,) and report.accepted
+        assert demux.packets_unclaimed == 0
 
     def test_first_match_wins(self):
         """"Once a packet has been accepted for delivery to a process,

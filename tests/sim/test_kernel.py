@@ -5,6 +5,8 @@ import math
 import pytest
 
 from repro.core import PFIoctl, compile_expr, word
+from repro.core.instructions import BinaryOp, EncodingError, Instruction
+from repro.core.program import FilterProgram
 from repro.sim import (
     BadFileDescriptor,
     Close,
@@ -324,6 +326,19 @@ HOSTILE_PF_CALLS = [
 ]
 
 
+HOSTILE_PROGRAMS = {
+    "reserved-action": lambda: FilterProgram([Instruction(9)]),
+    "operator-99": lambda: FilterProgram([Instruction(16, operator=99)]),
+    "operator-str": lambda: FilterProgram([Instruction(16, operator="x")]),
+    "not-an-instruction": lambda: FilterProgram([5]),
+    # these two pass validation at bind time, then raise at packet time
+    "float-action": lambda: FilterProgram([Instruction(16.0)]),
+    "float-literal": lambda: FilterProgram(
+        [Instruction(16), Instruction(1, operator=BinaryOp.AND, literal=2.5)]
+    ),
+}
+
+
 class TestHostilePacketFilterArguments:
     """``Write.data`` and ``Read.size`` reach the packet filter straight
     from user code: a value of the wrong type or range is the calling
@@ -368,6 +383,36 @@ class TestHostilePacketFilterArguments:
         # still there for the read that follows
         [batch] = survived
         assert len(batch) == (3 if option is PFIoctl.SETBATCH else 1)
+
+    @pytest.mark.parametrize(
+        "make", HOSTILE_PROGRAMS.values(), ids=list(HOSTILE_PROGRAMS)
+    )
+    def test_hostile_program_fails_only_its_author(self, make):
+        """A malformed ``SETFILTER`` program is refused where it is
+        built, in its author's own code: it never reaches the kernel,
+        so no ioctl handler can raise anything but a ``SimError``."""
+        world = World()
+        a = world.host("a", promiscuous=True)
+        a.install_packet_filter()
+        b = world.host("b")
+
+        def offender():
+            fd = yield Open("pf")
+            yield Ioctl(fd, PFIoctl.SETFILTER, make())
+            yield Sleep(0.01)           # three packets arrive meanwhile
+
+        def bystander():
+            yield Sleep(0.02)
+            return "fine"
+
+        for _ in range(3):
+            world.scheduler.schedule(0.005, a.nic.receive, FRAME)
+        bad = a.spawn("bad", offender())
+        good = b.spawn("good", bystander())
+        world.run_until_done(good)
+        assert bad.state is ProcessState.FAILED
+        assert isinstance(bad.error, EncodingError)
+        assert good.result == "fine"
 
     def test_legal_sizes_and_batches_still_work(self):
         world = World()
