@@ -1,4 +1,4 @@
-"""Guard: the simulator's fixed cost per fired event, counted not timed.
+"""Guard: the simulator's fixed cost per received frame, counted not timed.
 
 ROADMAP item 1(c) spends the simulator half of the host-time budget by
 cutting what every event and every charge costs in Python-level calls
@@ -8,11 +8,11 @@ not — the storm is seeded, so the number of calls the interpreter makes
 to run it repeats exactly on any host.  This bench runs a fixed
 four-segment flow storm under ``sys.setprofile`` and fails if
 
-* the calls made per fired event (Python frames and C functions both,
-  what ``cProfile`` totals) exceed :data:`CALLS_PER_EVENT_BUDGET` — this
-  storm took 48.4 before the budget was spent and 33.3 after, on Python
-  3.10 to 3.13 alike, and takes 32.6 on 3.11 since the per-packet
-  records became slotted;
+* the calls made per received frame (Python frames and C functions
+  both, what ``cProfile`` totals) exceed :data:`CALLS_PER_FRAME_BUDGET`;
+* the events fired per received frame exceed
+  :data:`EVENTS_PER_FRAME_CEILING` — what catches a per-station arrival
+  event or an unfolded sleep wake coming back;
 * any ``Enum.__hash__`` frame runs under ``SimKernel.account``: a dict
   or set keyed by ``Primitive`` members hashes them in Python, once per
   charge, fourteen charges a packet; or
@@ -23,6 +23,16 @@ The same hook counts the calls one ``PacketFilterDemux.deliver`` makes
 on the 32-filter :func:`measure_demux_throughput` workload, for every
 engine with and without the flow cache — the demultiplexer's hot path
 as a count, with nothing to record first.
+
+The budget was first set per fired event: the storm took 48.4 calls an
+event before the budget was spent and 33.3 after, on Python 3.10 to
+3.13 alike, and 32.6 on 3.11 once the per-packet records became
+slotted.  Then one frame on the cable became one event, and a sleeper
+began to wake inside its own timer: events fell 9 874 → 6 083 and
+calls 321 611 → 294 952, so calls per event *rose* 32.6 → 48.5 while
+the work fell.  Per received frame (1 426 of them) the same change
+reads 225.5 → 206.8 calls and 6.9 → 4.3 events, which is why the
+guard divides by frames now.
 """
 
 import enum
@@ -36,7 +46,12 @@ from repro.core.demux import PacketFilterDemux
 from repro.sim import ledger, telemetry
 from repro.sim.kernel import SimKernel
 
-CALLS_PER_EVENT_BUDGET = 36.0
+CALLS_PER_FRAME_BUDGET = 228.0
+"""~10 % over the measured 206.8, and below the old per-event budget's
+per-frame equivalent (36 × 9 874 / 1 426 ≈ 249)."""
+
+EVENTS_PER_FRAME_CEILING = 4.5
+"""Measured 4.27."""
 
 STORM = dict(
     segments=4,
@@ -169,18 +184,23 @@ def test_sim_call_budget(emit):
     outcome, tally = count_calls(
         lambda: run_flow_storm(**STORM), watched=code_of(*OBSERVERS)
     )
+    frames = outcome["frames_received"]
     events = outcome["events_fired"]
-    assert events > 8_000, "the storm did not run"
-    per_event = tally.calls / events
+    assert frames > 1_200, "the storm did not run"
+    per_frame = tally.calls / frames
+    events_per_frame = events / frames
     emit(
-        f"flow storm: {events} events, {tally.calls} calls, "
-        f"{per_event:.1f} calls/event (budget {CALLS_PER_EVENT_BUDGET:.0f}); "
+        f"flow storm: {frames} frames, {events} events, {tally.calls} calls, "
+        f"{per_frame:.1f} calls/frame (budget {CALLS_PER_FRAME_BUDGET:.0f}), "
+        f"{events_per_frame:.2f} events/frame "
+        f"(ceiling {EVENTS_PER_FRAME_CEILING}); "
         f"{tally.enum_hashes} Enum.__hash__ frames under account; "
         f"{tally.watched} ledger/telemetry/watchdog frames"
     )
     assert tally.enum_hashes == 0
     assert tally.watched == 0
-    assert per_event <= CALLS_PER_EVENT_BUDGET
+    assert per_frame <= CALLS_PER_FRAME_BUDGET
+    assert events_per_frame <= EVENTS_PER_FRAME_CEILING
 
 
 @pytest.mark.parametrize("engine, flow_cache", sorted(DELIVER_CALLS), ids=str)

@@ -210,7 +210,10 @@ class EthernetSegment:
         self.link = link
         #: what every direction's chaos stream is seeded from.
         self.seed = seed
-        self._nics: list = []
+        #: attached stations, in attach order.  A tuple, rebuilt on
+        #: :meth:`attach`: each arrival event holds the one current when
+        #: its frame was sent, so a late attacher never sees that frame.
+        self._nics: tuple = ()
         self._busy_until = 0.0
         self.frames_carried = 0
         self.frames_lost = 0
@@ -269,7 +272,7 @@ class EthernetSegment:
 
     def attach(self, nic) -> None:
         nic.segment = self
-        self._nics.append(nic)
+        self._nics = self._nics + (nic,)
 
     # -- chaos configuration ------------------------------------------------
 
@@ -321,8 +324,8 @@ class EthernetSegment:
 
     # -- transmission -------------------------------------------------------
 
-    def transmit(self, sender, frame: bytes) -> float:
-        """Serialize ``frame`` onto the cable; returns delivery time.
+    def transmit(self, sender, frame: bytes) -> None:
+        """Serialize ``frame`` onto the cable and schedule its arrival.
 
         The cable is half-duplex: a transmission begins when the cable
         falls idle (an idealized CSMA — no collisions are modelled, as
@@ -346,7 +349,7 @@ class EthernetSegment:
         ) or (chaos is not None and chaos.sample_loss()):
             self.frames_lost += 1
             self._note(Primitive.WIRE_LOSS)
-            return end
+            return
 
         delivered = frame
         if chaos is not None and chaos.sample_corrupt():
@@ -372,10 +375,21 @@ class EthernetSegment:
             self._deliver(sender, delivered, deliver_at + lag)
             self.frames_duplicated += 1
             self._note(Primitive.WIRE_DUPLICATE)
-        return deliver_at
 
     def _deliver(self, sender, frame: bytes, deliver_at: float) -> None:
-        for nic in self._nics:
-            if nic is sender:
-                continue
-            self.scheduler.schedule_at(deliver_at, nic.receive, frame)
+        # One event per frame per arrival time, not one per station: the
+        # per-station events would have had consecutive sequence numbers
+        # at one instant, so nothing could fire between them, and
+        # whatever their receives schedule fires after all of them
+        # either way.
+        self.scheduler.schedule_at(
+            deliver_at, self._arrive, self._nics, sender, frame
+        )
+
+    @staticmethod
+    def _arrive(nics: tuple, sender, frame: bytes) -> None:
+        """Every station attached at transmit time but the sender sees
+        ``frame``, in attach order."""
+        for nic in nics:
+            if nic is not sender:
+                nic.receive(frame)

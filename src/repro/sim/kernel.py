@@ -431,7 +431,7 @@ class SimKernel:
     def complete(self, process: Process, value: Any) -> None:
         """Finish the in-flight syscall of ``process`` with ``value``."""
         if process.done:
-            return  # e.g. a sleep timer firing after the process was killed
+            return  # e.g. a timer firing after the process was killed
         was_blocked = process.state is _BLOCKED
         process.state = _READY
         now = self.scheduler.now
@@ -440,6 +440,21 @@ class SimKernel:
             now if now > free else free, self._resume, process, value, None,
             was_blocked,
         )
+
+    def _wake(self, process: Process) -> None:
+        """A sleep timer fired: :meth:`complete` the sleep — but when the
+        CPU is free and no live event is due at or before now, the
+        ``_resume`` that would schedule is by definition the next event,
+        so run it inside this one instead."""
+        if process.done:
+            return  # killed while asleep
+        now = self.scheduler.now
+        if self._cpu_free_at <= now:
+            head = self.scheduler.next_time()
+            if head is None or head > now:
+                self._resume(process, None, None, process.state is _BLOCKED)
+                return
+        self.complete(process, None)
 
     def fail(self, process: Process, error: SimError) -> None:
         """Finish the in-flight syscall by raising ``error`` in-process."""
@@ -552,7 +567,7 @@ class SimKernel:
             elif isinstance(call, Sleep):
                 duration = _duration(call.duration, "sleep duration")
                 process.state = _BLOCKED
-                self.scheduler.schedule(duration, self.complete, process, None)
+                self.scheduler.schedule(duration, self._wake, process)
             elif isinstance(call, Ioctl):
                 self._handle_of(process, call.fd).ioctl(process, call)
             elif isinstance(call, Compute):

@@ -1,12 +1,19 @@
 """Property tests on simulator invariants (hypothesis)."""
 
 import bisect
+import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import PFIoctl, compile_expr, word
+from repro.difftest.sharding import outcome_digest, stats_digest
+from repro.net.medium import EthernetSegment
 from repro.sim import (
     Compute,
+    Ioctl,
+    Open,
     PipeCreate,
     Read,
     Sleep,
@@ -14,6 +21,9 @@ from repro.sim import (
     Write,
 )
 from repro.sim.clock import EventScheduler
+from repro.sim.kernel import SimKernel
+from repro.sim.orchestrator import run_topology
+from repro.sim.topology import SegmentSpec, TopologySpec
 
 
 class ModelScheduler:
@@ -267,3 +277,170 @@ class TestAccountingProperties:
             return world.now, host.stats.cpu_time, host.stats.syscalls
 
         assert run() == run()
+
+
+# -- event folding: folded equals unfolded ------------------------------------
+
+TIE_TYPE = 0x0C47
+
+
+def per_station_deliver(self, sender, frame, deliver_at):
+    """The unfolded reference: one ``receive`` event per station."""
+    for nic in self._nics:
+        if nic is not sender:
+            self.scheduler.schedule_at(deliver_at, nic.receive, frame)
+
+
+def wake_by_complete(self, process):
+    """The unfolded reference: a sleep timer only ever ``complete``s."""
+    self.complete(process, None)
+
+
+@contextlib.contextmanager
+def unfolded():
+    """Both folds patched back to the event-per-step design."""
+    with mock.patch.object(
+        EthernetSegment, "_deliver", per_station_deliver
+    ), mock.patch.object(SimKernel, "_wake", wake_by_complete):
+        yield
+
+
+def tie_builder(ctx, *, plans, naps):
+    """Senders pacing frames at one another and a promiscuous monitor,
+    every host reading ``TIE_TYPE`` through the packet filter; the
+    monitor also runs sleepers that all nap on the same grid."""
+    hosts = [ctx.host(f"h{index}") for index in range(len(plans))]
+    monitor = ctx.host("monitor", promiscuous=True)
+    link = monitor.link
+    for host in hosts + [monitor]:
+        host.install_packet_filter()
+
+    def reader():
+        fd = yield Open("pf")
+        yield Ioctl(fd, PFIoctl.SETQUEUELEN, 64)
+        yield Ioctl(
+            fd, PFIoctl.SETFILTER,
+            compile_expr(word(link.header_length // 2 - 1) == TIE_TYPE),
+        )
+        while True:
+            yield Read(fd)
+
+    def sender(host, plan):
+        fd = yield Open("pf")
+        for kind, argument in plan:
+            if kind == "sleep":
+                yield Sleep(argument)
+            elif kind == "compute":
+                yield Compute(argument)
+            else:
+                target = hosts[argument % len(hosts)]
+                destination = (
+                    link.broadcast if target is host else target.address
+                )
+                yield Write(fd, link.frame(
+                    destination, host.address, TIE_TYPE, bytes(46),
+                ))
+
+    def sleeper():
+        for nap in naps:
+            yield Sleep(nap)
+
+    for host, plan in zip(hosts, plans):
+        host.spawn("reader", reader())
+        host.spawn("sender", sender(host, plan))
+    monitor.spawn("reader", reader())
+    for index in range(2):
+        monitor.spawn(f"sleeper{index}", sleeper())
+
+
+def run_tie_world(plans, naps):
+    spec = TopologySpec(
+        segments=(
+            SegmentSpec("lan0", tie_builder, {"plans": plans, "naps": naps}),
+        ),
+        ledger=True,
+    )
+    result = run_topology(spec, shards=1)
+    return (
+        list(result.ledger.events),
+        stats_digest(result),
+        outcome_digest(result),
+        result.events_fired,
+    )
+
+
+# A millisecond grid: sleeps and paces coincide across processes and
+# hosts, so same-instant wakes and arrivals are common.
+_grid = st.integers(0, 3).map(lambda n: n * 1e-3)
+_step = st.one_of(
+    st.tuples(st.just("sleep"), _grid),
+    st.tuples(st.just("compute"), st.sampled_from((1e-4, 1e-3))),
+    st.tuples(st.just("send"), st.integers(0, 3)),
+)
+_plan = st.lists(_step, max_size=8).map(
+    lambda steps: tuple(steps) + (("send", 1),)
+)
+
+
+class TestEventFolding:
+    """One frame on the cable is one event, and a sleeper wakes inside
+    its own timer when nothing else is due: both folds must leave every
+    simulated number exactly where the per-station, ``complete``-only
+    design put it."""
+
+    @given(
+        st.lists(_plan, min_size=2, max_size=3).map(tuple),
+        st.lists(_grid, max_size=6).map(tuple),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_folded_equals_unfolded(self, plans, naps):
+        charges, stats, outcome, events = run_tie_world(plans, naps)
+        with unfolded():
+            ref_charges, ref_stats, ref_outcome, ref_events = run_tie_world(
+                plans, naps
+            )
+        assert charges == ref_charges
+        assert stats == ref_stats
+        assert outcome == ref_outcome
+        assert events < ref_events  # every world sends a frame to fold
+
+    def test_nic_attached_after_a_transmit_misses_that_frame(self):
+        world = World()
+        sender = world.host("sender")
+        receiver = world.host("receiver")
+        link = world.link
+        sender.nic.transmit(
+            link.frame(receiver.address, sender.address, TIE_TYPE, bytes(46))
+        )
+        late = world.host("late", promiscuous=True)
+        world.run()
+        assert receiver.nic.frames_received == 1
+        assert late.nic.frames_received == late.nic.frames_ignored == 0
+        sender.nic.transmit(
+            link.frame(receiver.address, sender.address, TIE_TYPE, bytes(46))
+        )
+        world.run()
+        assert late.nic.frames_received == 1
+
+    def test_same_instant_sleepers_resume_in_complete_order(self):
+        def run():
+            world = World(ledger=True)
+            host = world.host("h")
+            order = []
+
+            def sleeper(name):
+                for nap in (1e-3, 1e-3, 0.0):
+                    yield Sleep(nap)
+                    order.append((name, world.now))
+
+            processes = [
+                host.spawn(name, sleeper(name)) for name in ("a", "b", "c")
+            ]
+            world.run_until_done(*processes)
+            return order, list(world.ledger.events)
+
+        folded = run()
+        with unfolded():
+            assert run() == folded
+        names = [name for name, _ in folded[0]]
+        assert names == ["a", "b", "c"] * 3
