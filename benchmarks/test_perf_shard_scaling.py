@@ -79,14 +79,20 @@ def test_perf_shard_scaling(once, emit):
         "Shard scaling — flow storm events/sec (wall-clock)", rows
     ))
     cores = os.cpu_count() or 1
+    # Workers pin themselves to CPUs of this set, so it is the usable
+    # parallelism, whatever the host's core count says.
+    usable = (
+        sorted(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity") else "unknown"
+    )
     record_rows(
         "shard_scaling_pps",
         rows,
         notes=(
             f"Aggregate wall-clock events/sec of the {WORKLOAD['segments']}"
             f"-segment flow-cache miss storm vs worker-process count "
-            f"(quick={QUICK}, host cores={cores}). Results are bitwise "
-            "identical across shard counts (tests/difftest/"
+            f"(quick={QUICK}, host cores={cores}, usable CPUs={usable}). "
+            "Results are bitwise identical across shard counts (tests/difftest/"
             "test_shard_oracle.py); only wall time may move."
         ),
     )

@@ -29,7 +29,9 @@ carries grants one way and replies the other, and (with checkpoints
 armed) the listener a promoted checkpoint announces itself on.  The
 send/receive halves are split so the orchestrator can grant time to
 every shard before blocking on any reply — that concurrency is the
-whole speedup.
+whole speedup, and it needs each worker on a CPU of its own: a worker
+pins itself by shard id and polls briefly for its next grant before it
+blocks (:func:`_pin`, :func:`_await_grant`).
 
 Failure is a first-class event here.  A dead worker (EOF on the pipe)
 raises :class:`ShardDiedError`; an unresponsive one (no reply within
@@ -72,6 +74,7 @@ from __future__ import annotations
 import multiprocessing
 import multiprocessing.connection
 import os
+import select
 import signal
 import time
 import traceback
@@ -89,8 +92,13 @@ __all__ = [
 ]
 
 #: How long the supervisor waits for a frozen checkpoint child to
-#: notice it was orphaned and offer itself for promotion.
+#: notice it was orphaned and offer itself for promotion (only once the
+#: lifeline says such a child exists).
 PROMOTE_TIMEOUT = 5.0
+
+#: How long a worker with a CPU of its own polls for its next grant
+#: before it blocks (see :func:`_await_grant`).
+GRANT_SPIN = 1e-3
 
 
 class ShardError(RuntimeError):
@@ -240,6 +248,46 @@ def _kill_quietly(pid: int | None, sig: int = signal.SIGKILL) -> None:
         pass
 
 
+def _pin(shard_id: int) -> bool:
+    """Pin this worker to one CPU of the set it inherited, by shard id;
+    True when it now has a CPU of its own.
+
+    Linux places a task woken by a pipe write on the waker's CPU, so
+    workers the supervisor wakes back to back queue behind it on one
+    CPU and a window costs every shard's work in series.  One CPU per
+    worker makes them run at once.  A single-CPU set (or no affinity
+    call) leaves the worker where it is; a checkpoint child inherits
+    its parent's pin, and a respawned worker pins itself again.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return False
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return False
+    try:
+        os.sched_setaffinity(0, {cpus[shard_id % len(cpus)]})
+    except OSError:
+        return False
+    return True
+
+
+def _await_grant(conn, spin: float) -> None:
+    """Poll ``conn`` for up to ``spin`` seconds before the caller's
+    blocking ``recv``.
+
+    A pinned worker that blocks lets its CPU go idle, and waking an idle
+    virtual CPU costs a hypervisor round trip — often more than a
+    window's work.  The next grant usually comes within a millisecond
+    (the other shards' remaining work plus the supervisor's routing), so
+    poll for it first, yielding to anything else runnable on this CPU.
+    """
+    ready = select.poll()
+    ready.register(conn, select.POLLIN)
+    deadline = time.perf_counter() + spin
+    while not ready.poll(0) and time.perf_counter() < deadline:
+        os.sched_yield()
+
+
 def _await_promotion(conn, settings: dict, worker_pid: int, window: int):
     """The frozen checkpoint child: park until orphaned, then offer
     this process as the recovered shard.
@@ -283,7 +331,10 @@ def _shard_worker(
     topology: TopologySpec, indices: list[int], conn, settings: dict | None = None
 ) -> None:
     """Worker main loop: build the shard, then serve step/collect/exit."""
+    # With checkpoints armed, ``settings`` holds the lifeline's write end
+    # for as long as this process lives; every child it forks inherits it.
     settings = settings or {}
+    spin = GRANT_SPIN if _pin(settings.get("shard_id", 0)) else 0.0
     hazard = settings.get("hazard") or {}
     interval = settings.get("checkpoint_interval")
     frozen_pid: int | None = None
@@ -318,6 +369,8 @@ def _shard_worker(
             topology, indices, observe=settings.get("observe", False)
         )
         while True:
+            if spin:
+                _await_grant(conn, spin)
             message = conn.recv()
             command = message[0]
             if command == "step":
@@ -472,7 +525,10 @@ class ProcessShard:
     # -- spawning --------------------------------------------------------
 
     def _spawn(self, hazard: dict | None = None) -> None:
-        settings: dict = {"observe": self.observe, "hazard": hazard}
+        settings: dict = {
+            "observe": self.observe, "hazard": hazard, "shard_id": self.shard_id,
+        }
+        lifeline = None
         if self.checkpoint_interval is not None and hasattr(os, "fork"):
             # One listener per spawned generation: a checkpoint child of
             # an earlier generation that turns up late finds its address
@@ -482,9 +538,14 @@ class ProcessShard:
             self._listener = multiprocessing.connection.Listener(
                 family="AF_UNIX", authkey=authkey
             )
+            # The lifeline's write end lives only in the worker and the
+            # checkpoint children it forks: once the worker is reaped,
+            # an open lifeline means a frozen child is there to promote.
+            self._lifeline, lifeline = self._context.Pipe(duplex=False)
             settings["checkpoint_interval"] = self.checkpoint_interval
             settings["promote_address"] = self._listener.address
             settings["authkey"] = authkey
+            settings["lifeline"] = lifeline
         self._conn, child = self._context.Pipe()
         self._process = self._context.Process(
             target=_shard_worker,
@@ -493,8 +554,18 @@ class ProcessShard:
         )
         self._process.start()
         child.close()
+        if lifeline is not None:
+            lifeline.close()
+        self._watch()
         self._origin = 0   # the window this worker's state started from
         self._failed = False
+
+    def _watch(self) -> None:
+        """Point the reply poller at the current connection: one
+        ``poll`` syscall per timed wait, where ``Connection.poll``
+        builds a fresh selector every call."""
+        self._poller = select.poll()
+        self._poller.register(self._conn, select.POLLIN)
 
     def _close_listener(self) -> None:
         if self._listener is not None:
@@ -503,6 +574,7 @@ class ProcessShard:
             except OSError:
                 pass
             self._listener = None
+            self._lifeline.close()
 
     # -- the wire protocol ----------------------------------------------
 
@@ -527,7 +599,9 @@ class ProcessShard:
 
     def _recv(self, expected: str) -> tuple:
         try:
-            if self.timeout is not None and not self._conn.poll(self.timeout):
+            if self.timeout is not None and not self._poller.poll(
+                self.timeout * 1000.0
+            ):
                 raise self._failure(
                     ShardTimeoutError, f"gave no reply within {self.timeout}s"
                 )
@@ -588,14 +662,10 @@ class ProcessShard:
         parent may have died holding — or None when no checkpoint
         survives (then the caller respawns from scratch).
         """
-        interval = self.checkpoint_interval
-        if (
-            self._listener is None
-            or self.windows_sent // interval == self._origin // interval
-        ):
-            # No checkpoint window since this worker started (the one
-            # in flight included): it cannot have forked a child, so
-            # there is no offer to wait for — and none left behind.
+        if self._listener is None or self._lifeline.poll(0):
+            # The lifeline reads EOF: the reaped worker forked no child
+            # that is still alive (none yet, or it died inside its first
+            # checkpoint window before forking), so no offer can come.
             return None
         conn = _accept_with_timeout(self._listener, PROMOTE_TIMEOUT)
         if conn is None:
@@ -611,6 +681,7 @@ class ProcessShard:
             return None
         _, window, pid = hello
         self._conn = conn
+        self._watch()
         self._process = _PidHandle(pid)
         self._origin = self.windows_sent = window
         self._failed = False

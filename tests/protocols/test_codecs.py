@@ -1,6 +1,7 @@
 """Codec tests: IP, UDP, TCP, Pup, VMTP, RARP headers round-trip and
 reject malformed input."""
 
+import gc
 import random
 import sys
 
@@ -99,12 +100,18 @@ def _line_events(function, *args) -> int:
             count += 1
         return tracer
 
+    # A cyclic collection inside the call would run unrelated Python
+    # finalizers (``Connection.__del__``, say) and count their lines.
+    collecting = gc.isenabled()
+    gc.disable()
     outer = sys.gettrace()
     sys.settrace(tracer)
     try:
         function(*args)
     finally:
         sys.settrace(outer)
+        if collecting:
+            gc.enable()
     return count
 
 

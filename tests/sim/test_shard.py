@@ -8,6 +8,7 @@ ping topologies pin the mechanism.
 """
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -16,7 +17,7 @@ from repro.core import PFIoctl, compile_expr, word
 from repro.difftest.sharding import outcome_digest, run_digest
 from repro.sim import Ioctl, Open, Read, Sleep, Write
 from repro.sim.orchestrator import run_topology
-from repro.sim.shard import LocalShard, ProcessShard, partition
+from repro.sim.shard import LocalShard, ProcessShard, ShardDiedError, partition
 from repro.sim.topology import BridgeSpec, SegmentSpec, TopologySpec
 
 TEST_TYPE = 0x0C47
@@ -197,3 +198,78 @@ class TestSpawnStartMethod:
                 ping_spec(2), [0],
                 context=multiprocessing.get_context("spawn"),
             )
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity"
+)
+
+
+def worker_cpus(shard: ProcessShard) -> set[int]:
+    """The CPU set of ``shard``'s live worker, once it has answered a
+    window (it pins itself before serving its first command)."""
+    shard.step_send(2e-3, [])
+    shard.step_recv()
+    return os.sched_getaffinity(shard._process.pid)
+
+
+@needs_affinity
+class TestWorkerPlacement:
+    """Each worker pins itself to one CPU of the set it inherited, by
+    shard id, so the shards of a window run at the same time instead of
+    queueing behind the supervisor that woke them."""
+
+    @pytest.mark.skipif(
+        hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) < 2,
+        reason="needs two usable CPUs",
+    )
+    def test_two_workers_get_two_distinct_single_cpus(self):
+        parent = os.sched_getaffinity(0)
+        spec = ping_spec(2)
+        shards = [
+            ProcessShard(spec, [index], shard_id=index, timeout=10.0)
+            for index in (0, 1)
+        ]
+        try:
+            placed = [worker_cpus(shard) for shard in shards]
+        finally:
+            for shard in shards:
+                shard.close()
+        assert all(len(cpus) == 1 and cpus <= parent for cpus in placed)
+        assert placed[0] != placed[1]
+        assert os.sched_getaffinity(0) == parent   # the caller is not pinned
+
+    def test_a_single_cpu_parent_leaves_its_worker_there(self):
+        parent = os.sched_getaffinity(0)
+        only = {max(parent)}
+        os.sched_setaffinity(0, only)
+        try:
+            shard = ProcessShard(ping_spec(2), [1], shard_id=1, timeout=10.0)
+            try:
+                assert worker_cpus(shard) == only
+            finally:
+                shard.close()
+        finally:
+            os.sched_setaffinity(0, parent)
+
+    def test_a_respawned_worker_pins_itself_again(self):
+        cpus = sorted(os.sched_getaffinity(0))
+        expected = {cpus[1 % len(cpus)]}
+        shard = ProcessShard(
+            ping_spec(2), [1], shard_id=1, timeout=10.0,
+            hazard={"die_at_window": 2},
+        )
+        try:
+            grants = [(2e-3, []), (4e-3, [])]
+            shard.step_send(*grants[0])
+            shard.step_recv()
+            first = shard._process.pid
+            assert os.sched_getaffinity(first) == expected
+            shard.step_send(*grants[1])
+            with pytest.raises(ShardDiedError):
+                shard.step_recv()
+            _, resumed = shard.recover(grants)
+            assert resumed == 0 and shard._process.pid != first
+            assert os.sched_getaffinity(shard._process.pid) == expected
+        finally:
+            shard.close()

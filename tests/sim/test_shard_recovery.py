@@ -23,6 +23,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.topologies import flow_storm_topology
 from repro.difftest.sharding import run_digest
 from repro.sim.orchestrator import RecoveryConfig, run_topology
 from repro.sim.shard import (
@@ -561,6 +562,43 @@ class TestRecovery:
         assert len(alerts) == 1
         assert alerts[0].host == "shard:0"
         assert alerts[0].values["resumed_from"] == 4.0
+
+    def test_death_before_the_first_fork_respawns_without_waiting(
+        self, monkeypatch, tmp_path
+    ):
+        # The worker dies inside window 8's body — the first checkpoint
+        # window — before it gets to fork.  No frozen child exists, so
+        # no offer can come: the supervisor must respawn at once, not
+        # wait out PROMOTE_TIMEOUT (5 s) on the listener.
+        spec = flow_storm_topology(
+            segments=2, seed=0, duration=0.05, flows=16, cache_size=8
+        )
+        oracle = run_digest(run_topology(spec, shards=1))
+        supervisor, marker = os.getpid(), str(tmp_path / "died")
+        step = LocalShard.step
+
+        def step_dying_once(shard, horizon, frames):
+            if shard.window == 8 and os.getpid() != supervisor:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(13)
+            return step(shard, horizon, frames)
+
+        monkeypatch.setattr(LocalShard, "step", step_dying_once)
+        recovered = run_topology(
+            spec,
+            shards=2,
+            recovery=RecoveryConfig(checkpoint_interval=8, recv_timeout=10.0),
+        )
+        assert os.path.exists(marker)
+        (record,) = recovered.restarts
+        assert record["window"] == 8
+        assert (record["resumed_from"], record["checkpointed"]) == (0, False)
+        assert record["wall_seconds"] < 1.0, record
+        assert run_digest(recovered) == oracle
 
     def test_hazard_not_replayed_after_respawn(self):
         # A fresh respawn (no checkpoint) replays through the original
