@@ -1,18 +1,15 @@
-"""Recovery resilience: kill-a-shard acceptance and the checkpoint knob.
+"""Recovery resilience: kill-a-shard acceptance and the replay bill.
 
 Not a paper table — the acceptance matrix for crash-recoverable
-sharding.  A worker killed at a *seeded-random* window must come back
-from its fork checkpoint and finish with a digest bitwise equal to the
-undisturbed run, across shard counts and seeds.  The benchmark half
-measures what the ``checkpoint_interval`` knob actually buys: the
-longer the interval, the more journaled windows a revival replays and
-the longer the stall (time-to-recover); interval 1 checkpoints every
-window and replays almost nothing.  A last leg quantifies the partition
-storm's goodput dip from the bridge-ingress telemetry series — the
-number the partition watchdog's rate predicate is watching.
+sharding.  A worker killed at a *seeded-random* window must be
+respawned, replay the journal, and finish with a digest bitwise equal
+to the undisturbed run, across shard counts and seeds.  The benchmark
+half measures what a revival costs: a respawn replays every window up
+to the kill, so the stall (time-to-recover) grows with the kill window.
+A last leg quantifies the partition storm's goodput dip from the
+bridge-ingress telemetry series — the number the partition watchdog's
+rate predicate is watching.
 """
-
-import os
 
 import pytest
 
@@ -22,13 +19,7 @@ from repro.difftest.sharding import partition_storm_digest
 from repro.sim.orchestrator import RecoveryConfig
 from repro.sim.seeds import derive_rng
 
-pytestmark = [
-    pytest.mark.chaos,
-    pytest.mark.skipif(
-        not hasattr(os, "fork"),
-        reason="fork-based checkpoints need os.fork",
-    ),
-]
+pytestmark = pytest.mark.chaos
 
 DURATION = 0.8
 #: Windows this scenario/duration reliably exceeds (it runs ~400); the
@@ -51,7 +42,7 @@ def test_randomized_kill_recovers_bitwise(shards, seed):
         shards=shards,
         seed=seed,
         duration=DURATION,
-        recovery=RecoveryConfig(checkpoint_interval=8, recv_timeout=30.0),
+        recovery=RecoveryConfig(recv_timeout=30.0),
         hazards={victim: {"die_at_window": kill_at}},
     )
     assert recovered == baseline, (
@@ -71,78 +62,58 @@ def test_partition_watchdog_fires_in_storm():
         assert alert.cleared_at is not None and alert.cleared_at > 0.55
 
 
-def test_time_to_recover_vs_checkpoint_interval(once, emit):
-    """Sweep the knob: replayed windows and recovery stall per interval.
+def test_time_to_recover_vs_kill_window(once, emit):
+    """Sweep the kill site: windows replayed and recovery stall.
 
-    ``None`` (no checkpointing) is the degenerate point — a fresh
-    respawn replays the whole journal from window zero.  The worker
-    dies holding window 63's reply: one short of a multiple of 4 and
-    16, so the four intervals replay 0 / 3 / 15 / 63 windows (interval
-    1 checkpointed window 63 itself, and its frozen child still holds
-    the reply).
+    Shard 1 dies holding the reply of window 63, of the middle window
+    and of the last window of the run.  A respawn replays the whole
+    journal, so the windows replayed are the kill window itself.
     """
-    kill_at = 63
+
+    def storm(**options):
+        return run_partition_storm(
+            segments=3, shards=2, seed=3, duration=DURATION, **options
+        )
 
     def collect():
-        results = {}
-        for interval in (1, 4, 16, None):
-            storm = run_partition_storm(
-                segments=3,
-                shards=2,
-                seed=3,
-                duration=DURATION,
-                recovery=RecoveryConfig(
-                    checkpoint_interval=interval, recv_timeout=30.0
-                ),
+        windows = storm()["result"].windows
+        records = {}
+        for kill_at in (63, windows // 2, windows):
+            (records[kill_at],) = storm(
+                recovery=RecoveryConfig(recv_timeout=30.0),
                 hazards={1: {"die_at_window": kill_at}},
-            )
-            (record,) = storm["restarts"]
-            results[interval] = record
-        return results
+            )["restarts"]
+        return windows, records
 
-    results = once(collect)
+    windows, records = once(collect)
     rows = []
-    for interval, record in results.items():
-        label = f"interval {interval}" if interval else "no checkpoints"
+    for kill_at, record in records.items():
+        assert record["window"] == kill_at   # every window is replayed
+        assert record["attempts"] == 1
         rows.append(
             Row(
-                label,
-                record["replayed"],
+                f"killed at window {kill_at}",
+                record["window"],
                 record["wall_seconds"] * 1000.0,
                 "windows replayed / ms to recover",
             )
         )
-        if interval is not None:
-            # A checkpoint every k windows bounds replay to < k.
-            assert record["replayed"] == kill_at % interval
-            assert record["resumed_from"] == kill_at - kill_at % interval
-        else:
-            assert record["resumed_from"] == 0
-            assert record["replayed"] == kill_at
-    # More frequent checkpoints must never replay more.
-    assert (
-        results[1]["replayed"]
-        <= results[4]["replayed"]
-        <= results[16]["replayed"]
-        <= results[None]["replayed"]
-    )
     emit(
         render_table(
-            "Time to recover vs checkpoint interval "
+            "Time to recover vs kill window "
             "(baseline column = windows replayed; measured = stall ms)",
             rows,
         )
     )
     record_rows(
-        "recovery-checkpoint-interval",
+        "recovery-replay-vs-kill-window",
         rows,
         notes=(
-            "Partition storm, 3 segments on 2 shards, shard 1 killed "
-            f"holding window {kill_at}'s reply (computed and, at interval "
-            "1, checkpointed, but never sent).  Replay is deterministic, "
-            "so the only cost of a sparse checkpoint is the stall: "
-            "windows since the last fork must be re-stepped before the "
-            "run proceeds."
+            f"Partition storm, 3 segments on 2 shards, {windows} windows; "
+            "shard 1 killed holding a window's reply (computed, never "
+            "sent).  The supervisor respawns the worker and replays the "
+            "journal from window 1, so the stall is every window up to "
+            "the kill re-stepped before the run proceeds."
         ),
     )
 

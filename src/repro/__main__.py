@@ -115,10 +115,6 @@ def _build_run(args):
             raise ValueError(
                 f"--{flag} must be a positive number of seconds, not {value}"
             )
-    if args.checkpoint_interval is not None and args.checkpoint_interval < 0:
-        raise ValueError("--checkpoint-interval must not be negative")
-    if args.checkpoint_interval is not None and not args.recover:
-        raise ValueError("--checkpoint-interval needs --recover")
     if (args.plain or args.refresh is not None) and not args.top:
         raise ValueError("--plain and --refresh need --top")
 
@@ -145,12 +141,7 @@ def _build_run(args):
             "--recover and --timeout supervise worker processes; this run "
             f"has none ({len(spec.segments)} segment(s), --shards {args.shards})"
         )
-    recovery = RecoveryConfig() if args.recover else None
-    if args.checkpoint_interval is not None:
-        recovery = dataclasses.replace(
-            recovery, checkpoint_interval=args.checkpoint_interval or None
-        )
-    return spec, recovery
+    return spec, (RecoveryConfig() if args.recover else None)
 
 
 def _dashboard(*, refresh: float, plain: bool):
@@ -178,7 +169,7 @@ def _dashboard(*, refresh: float, plain: bool):
     return ObservabilityPlane(on_update=repaint, on_alert=announce)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, unknown=()) -> int:
     import json
 
     from repro.bench.summary import render_summary, run_summary
@@ -191,6 +182,8 @@ def cmd_run(args) -> int:
             print(f"{name:20} {factory.__doc__.strip().splitlines()[0]}")
         return 0
     try:
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         if args.name is None:
             raise ValueError("name a topology to run (see run --list)")
         spec, recovery = _build_run(args)
@@ -280,11 +273,7 @@ def _add_run_parser(subcommands) -> None:
     )
     run.add_argument(
         "--recover", action="store_true",
-        help="arm the crash-recovery supervisor (checkpoint + replay)",
-    )
-    run.add_argument(
-        "--checkpoint-interval", type=int,
-        help="windows between shard checkpoints (0 disables; default 8)",
+        help="arm the crash-recovery supervisor (respawn + replay)",
     )
     run.add_argument(
         "--profile", action="store_true",
@@ -321,9 +310,13 @@ def main(argv: list[str] | None = None) -> int:
         "trace", help="trace the figure 3-9 filter on two packets"
     )
     _add_run_parser(subcommands)
-    args = parser.parse_args(argv)
+    # ``run`` reports an unknown flag like any other usage error: one
+    # stderr line and exit 2, not argparse's usage dump.
+    args, unknown = parser.parse_known_args(argv)
     if args.command == "run":
-        return cmd_run(args)
+        return cmd_run(args, unknown)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     command = args.command or "info"
     return {"info": cmd_info, "demo": cmd_demo, "trace": cmd_trace}[command]()
 

@@ -63,9 +63,9 @@ TITLES = {
         "Overload — Goodput under storm, interrupt collapse vs "
         "polling plateau"
     ),
-    "recovery-checkpoint-interval": (
-        "Recovery — Windows replayed and stall vs shard checkpoint "
-        "interval (kill-a-shard, bitwise-equal finish)"
+    "recovery-replay-vs-kill-window": (
+        "Recovery — Windows replayed and stall vs kill window "
+        "(kill-a-shard, respawn and full replay, bitwise-equal finish)"
     ),
     "partition-goodput-dip": (
         "Chaos — Bridged goodput collapse and recovery across a "

@@ -131,7 +131,6 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
         "reports": result.reports,
         "wall": {
             "wall_seconds": result.wall_seconds,
-            "wall_per_window": result.wall_per_window,
             "sync": result.sync.as_dict(),
         },
     }
@@ -146,7 +145,6 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
                     "window": view.window,
                     "events_fired": view.events_fired,
                     "egress_backlog": view.egress_backlog,
-                    "checkpoint_age": view.checkpoint_age,
                     "restarts": view.restarts,
                     "lost": view.lost,
                 }
@@ -218,7 +216,7 @@ def render_summary(summary: dict, sync=None) -> str:
         f"  {summary['events_fired']} events over {summary['windows']} "
         f"windows; sim {summary['sim_seconds'] * 1000.0:.1f} ms in wall "
         f"{wall['wall_seconds']:.3f} s "
-        f"({wall['wall_per_window'] * 1000.0:.2f} ms/window)",
+        f"({wall['sync']['wall_per_window'] * 1000.0:.2f} ms/window)",
         f"  totals: {summary['frames_sent']} frames sent, "
         f"{summary['frames_received']} received, "
         f"{summary['cpu_time'] * 1000.0:.2f} ms simulated CPU",
@@ -245,8 +243,8 @@ def render_summary(summary: dict, sync=None) -> str:
     for record in summary["restarts"]:
         lines.append(
             f"  restart: shard {record['shard']} {record['reason']} at "
-            f"window {record['window']}, resumed from "
-            f"{record['resumed_from']} (replayed {record['replayed']})"
+            f"window {record['window']}, respawned and replayed "
+            f"{record['window']} window(s) in {record['attempts']} attempt(s)"
         )
     for segment, report in summary["reports"].items():
         lines.append(f"  {segment}: {report}")

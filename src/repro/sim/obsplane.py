@@ -9,12 +9,11 @@ world:
 
 * :class:`SyncProfile` / :class:`ShardSyncStats` are the supervisor's
   one record of each shard, always kept: where the shard is (window,
-  earliest pending sim-time, cumulative events, egress backlog,
-  checkpoint age — all read off the window reply itself) and what
-  synchronizing it cost (grant-wait stalls, window-advance wall
-  latency, null-message counts, cross-shard egress depth, checkpoint
-  fork and replay time — the numbers that attribute the scaling
-  bench's 1-core inversion).
+  earliest pending sim-time, cumulative events, egress backlog — all
+  read off the window reply itself) and what synchronizing it cost
+  (grant-wait stalls, window-advance wall latency, null-message counts,
+  cross-shard egress depth, replay time — the numbers that attribute
+  the scaling bench's 1-core inversion).
 * :class:`ProgressSource` builds a live shard's **progress delta** —
   the news a reply does not already carry: per-segment clocks, newly
   fired watchdog alerts, and a mergeable
@@ -28,7 +27,7 @@ world:
   adds skew/backlog aggregates and a callback API (``on_update``,
   ``on_alert``) that the ``python -m repro run --top`` dashboard
   renders from.  Alerts are deduplicated by ``(rule, host,
-  fired_at)``, so checkpoint-replay after a crash re-announces nothing.
+  fired_at)``, so replay after a crash re-announces nothing.
 
 Everything here *reads* quiescent state at window boundaries and
 records wall-clock on the supervisor; nothing schedules events, draws
@@ -103,7 +102,7 @@ class ProgressSource:
       packet_id)`` so nothing is counted twice.
 
     Clocks and histogram are cumulative, so a delta that arrives late or
-    twice (checkpoint replay) simply overwrites the record with the
+    twice (recovery replay) simply overwrites the record with the
     truth.  The source only reads scheduler clocks, telemetry alert
     lists and closed ledger spans — state that is quiescent at a window
     boundary — so building a delta cannot perturb the simulation.
@@ -259,7 +258,7 @@ class ObservabilityPlane:
         lines = [
             head,
             f"{'shard':>5} {'win':>5} {'sim ms':>9} {'events':>9} "
-            f"{'egress':>7} {'ckpt age':>8} {'state':>9}",
+            f"{'egress':>7} {'state':>9}",
         ]
         for stats in shards:
             sim_ms = (
@@ -282,7 +281,7 @@ class ObservabilityPlane:
             lines.append(
                 f"{stats.shard_id:>5} {stats.window:>5} {sim_ms} "
                 f"{stats.events_fired:>9} {stats.egress_backlog:>7} "
-                f"{stats.checkpoint_age:>8} {state:>9}{lag}"
+                f"{state:>9}{lag}"
             )
         hist = self.merged_span_hist()
         if hist.count:
@@ -313,7 +312,7 @@ class ShardSyncStats:
 
     Every field is filled supervisor-side, from the grants sent and the
     window replies received — whether or not anything is watching.
-    Wall-clock fields (``grant_wait_seconds``, fork/replay times) are
+    Wall-clock fields (``grant_wait_seconds``, ``replay_seconds``) are
     honest machine time and therefore *outside* the run digest — like
     :attr:`~repro.sim.orchestrator.TopologyResult.wall_seconds` always
     was.  The event-shaped fields (window, events, null grants, egress
@@ -326,7 +325,6 @@ class ShardSyncStats:
     next_time: float | None = None     #: earliest pending sim-time (None: idle)
     events_fired: int = 0
     egress_backlog: int = 0            #: frames the last window handed back
-    checkpoint_window: int = 0         #: last window a checkpoint was forked at
     lost: bool = False                 #: died or wedged, not yet revived
     #: per-segment ``{"now", "events"}`` and the cumulative span-latency
     #: histogram, from the latest progress delta (only an armed
@@ -341,16 +339,8 @@ class ShardSyncStats:
     max_egress_depth: int = 0          #: largest single-window egress
     egress_per_window: list = field(default_factory=list)
     inbound_frames: int = 0            #: frames routed into this shard
-    checkpoint_forks: int = 0
-    checkpoint_fork_seconds: float = 0.0
     restarts: int = 0
     replay_seconds: float = 0.0        #: wall time spent in recovery replay
-
-    @property
-    def checkpoint_age(self) -> int:
-        """Windows since this shard's last checkpoint — the replay
-        bill if it died right now."""
-        return self.window - self.checkpoint_window
 
     def note_restart(self, wall_seconds: float) -> None:
         self.lost = False
@@ -365,17 +355,13 @@ class ShardSyncStats:
 
     def note_reply(self, wait_seconds: float, reply: tuple) -> None:
         """Fold in one window's reply — ``(window, fired, egress,
-        next_time, delta, fork_seconds)`` — received after blocking
-        ``wait_seconds`` on it."""
-        self.window, fired, egress, self.next_time, delta, fork_seconds = reply
+        next_time, delta)`` — received after blocking ``wait_seconds``
+        on it."""
+        self.window, fired, egress, self.next_time, delta = reply
         self.events_fired += fired
         self.egress_backlog = depth = len(egress)
         self.grant_wait_seconds += wait_seconds
         self.grant_wait_hist.add(wait_seconds)
-        if fork_seconds is not None:
-            self.checkpoint_window = self.window
-            self.checkpoint_forks += 1
-            self.checkpoint_fork_seconds += fork_seconds
         self.egress_frames += depth
         if depth > self.max_egress_depth:
             self.max_egress_depth = depth
@@ -396,8 +382,6 @@ class ShardSyncStats:
             "egress_frames": self.egress_frames,
             "max_egress_depth": self.max_egress_depth,
             "inbound_frames": self.inbound_frames,
-            "checkpoint_forks": self.checkpoint_forks,
-            "checkpoint_fork_seconds": self.checkpoint_fork_seconds,
             "restarts": self.restarts,
             "replay_seconds": self.replay_seconds,
         }
@@ -456,7 +440,7 @@ class SyncProfile:
         lines.append(
             f"{'shard':>5} {'segments':<18} {'grants':>7} {'null':>6} "
             f"{'wait ms':>9} {'wait p95':>9} {'egress':>7} {'depth':>6} "
-            f"{'forks':>6} {'fork ms':>8} {'restarts':>8}"
+            f"{'restarts':>8}"
         )
         for stats in self.shards:
             p95 = stats.grant_wait_hist.quantile(0.95)
@@ -467,8 +451,6 @@ class SyncProfile:
                 f"{stats.grant_wait_seconds * 1000.0:>9.2f} "
                 f"{(p95 or 0.0) * 1000.0:>9.3f} "
                 f"{stats.egress_frames:>7} {stats.max_egress_depth:>6} "
-                f"{stats.checkpoint_forks:>6} "
-                f"{stats.checkpoint_fork_seconds * 1000.0:>8.2f} "
                 f"{stats.restarts:>8}"
             )
         return "\n".join(lines)

@@ -24,9 +24,9 @@ processes, the merged result is bitwise identical across partitionings
 checks, and what makes the parallel speedup trustworthy.
 
 There is one grant/receive loop and one reply shape — ``(window,
-fired, egress, next_time, delta, fork_seconds)`` from either shard
-class — so the loop never asks which class it holds: each reply is folded
-into the shard's one supervisor-side record
+fired, egress, next_time, delta)`` from either shard class — so the
+loop never asks which class it holds: each reply is folded into the
+shard's one supervisor-side record
 (:class:`~repro.sim.obsplane.ShardSyncStats`) where it is received, and
 an armed observability plane — which reads those same records — is
 handed the reply's progress delta there too.
@@ -35,14 +35,12 @@ Crash recovery rides the same determinism.  With a
 :class:`RecoveryConfig`, the orchestrator journals every grant it sends
 each shard, and every wait on a shard (a window's reply, the final
 ``collect``) goes through one supervised entrance: when the shard dies
-(pipe EOF) or wedges (reply deadline blown), the supervisor revives it
-— promoting the shard's fork-based checkpoint child when one survives,
-respawning from scratch otherwise — and replays the journal from the
-resume window.  Replaying identical grants through identical
-per-segment worlds reproduces identical state, so a recovered run's
-digest is bitwise equal to an undisturbed one.  Restarts are recorded
-on the result and surfaced as ``shard_restart`` alerts in the merged
-telemetry stream (which the digest deliberately excludes).
+(pipe EOF) or wedges (reply deadline blown), the supervisor respawns
+it and replays the whole journal.  Replaying identical grants through
+identical per-segment worlds reproduces identical state, so a recovered
+run's digest is bitwise equal to an undisturbed one.  Restarts are
+recorded on the result and surfaced as ``shard_restart`` alerts in the
+merged telemetry stream (which the digest deliberately excludes).
 """
 
 from __future__ import annotations
@@ -58,6 +56,7 @@ from .shard import (
     ProcessShard,
     ShardError,
     ShardTimeoutError,
+    check_deadline,
     partition,
 )
 from .stats import KernelStats, merge_stats
@@ -79,16 +78,21 @@ BACKOFF_CAP = 2.0
 class RecoveryConfig:
     """Supervisor policy for crash-recoverable sharded runs.
 
-    ``checkpoint_interval`` is in windows (None disables checkpointing:
-    every recovery is a fresh respawn replaying the whole journal).
     ``recv_timeout`` is the per-window reply deadline that classifies a
-    shard as wedged.  ``max_restarts`` bounds the revival attempts one
-    failure may cost before it is re-raised.
+    shard as wedged (None: only a dead worker is revived).
+    ``max_restarts`` bounds the revival attempts one failure may cost
+    before it is re-raised.
     """
 
-    checkpoint_interval: int | None = 8
     recv_timeout: float | None = 30.0
     max_restarts: int = 3
+
+    def __post_init__(self) -> None:
+        check_deadline("recv_timeout", self.recv_timeout)
+        if self.max_restarts < 1:
+            raise ValueError(
+                f"max_restarts must be at least 1, not {self.max_restarts}"
+            )
 
 
 @dataclass
@@ -110,7 +114,7 @@ class TopologyResult:
     restarts: list = field(default_factory=list)  #: shard revival records
     segment_reports: list = field(default_factory=list, repr=False)
     #: sync-protocol profile (grant waits, null grants, egress depth,
-    #: checkpoint costs); always collected — per-window wall clocks on
+    #: replay costs); always collected — per-window wall clocks on
     #: the supervisor, so free for the worlds and outside the digest
     sync: SyncProfile | None = None
     #: per-shard breakdown: segments owned, windows acknowledged,
@@ -121,11 +125,6 @@ class TopologyResult:
     def recovered_shards(self) -> list[int]:
         """Shard ids the supervisor revived at least once."""
         return sorted({record["shard"] for record in self.restarts})
-
-    @property
-    def wall_per_window(self) -> float:
-        """Mean wall seconds per synchronization window."""
-        return self.wall_seconds / self.windows if self.windows else 0.0
 
 
 def _merge_reports(
@@ -177,15 +176,12 @@ def _merge_reports(
                         cleared_at=record["horizon"],
                         values={
                             "window": float(record["window"]),
-                            "resumed_from": float(record["resumed_from"]),
-                            "replayed": float(record["replayed"]),
                             "attempts": float(record["attempts"]),
                         },
                         message=(
                             f"shard {record['shard']} {record['reason']} at "
-                            f"window {record['window']}; resumed from "
-                            f"checkpoint window {record['resumed_from']} and "
-                            f"replayed {record['replayed']} grants"
+                            f"window {record['window']}; respawned and "
+                            f"replayed {record['window']} grants"
                         ),
                     )
                 )
@@ -230,11 +226,11 @@ def run_topology(
 
     ``timeout`` bounds each shard reply wait (typed
     :class:`~repro.sim.shard.ShardTimeoutError` instead of a hang).
-    ``recovery`` arms the crash supervisor: grants are journaled,
-    checkpoints taken every ``checkpoint_interval`` windows, and a dead
-    or wedged shard is revived and replayed instead of aborting the
-    run.  ``hazards`` maps shard index to a deterministic failure spec
-    (see :class:`~repro.sim.shard.ProcessShard`) for recovery tests.
+    ``recovery`` arms the crash supervisor: grants are journaled, and a
+    dead or wedged shard is respawned and replayed instead of aborting
+    the run.  ``hazards`` maps shard index to a deterministic failure
+    spec (see :class:`~repro.sim.shard.ProcessShard`) for recovery
+    tests.
 
     ``observability`` takes an
     :class:`~repro.sim.obsplane.ObservabilityPlane`: it is pointed at
@@ -247,6 +243,7 @@ def run_topology(
     spec.validate()
     if shards < 1:
         raise ValueError("shards must be at least 1")
+    check_deadline("timeout", timeout)
     plane = observability
     started = time.perf_counter()
     groups = partition(len(spec.segments), shards)
@@ -262,9 +259,6 @@ def run_topology(
                 group,
                 shard_id=index,
                 timeout=recv_timeout,
-                checkpoint_interval=(
-                    recovery.checkpoint_interval if recovery else None
-                ),
                 hazard=(hazards or {}).get(index),
                 observe=plane is not None,
             )
@@ -290,11 +284,10 @@ def run_topology(
 
     def supervised(index: int, horizon: float | None, call):
         """Wait on shard ``index`` through ``call`` (its ``step_recv``
-        or ``collect``); on a typed shard failure revive it, replay its
+        or ``collect``); on a typed shard failure respawn it, replay its
         journal to the end, and answer from the replayed state.
 
-        The first attempt is immediate (the common case: a clean crash
-        with a live checkpoint child); later ones back off.  The last
+        The first attempt is immediate; later ones back off.  The last
         failure is re-raised once the restart budget is spent.
         """
         try:
@@ -312,7 +305,7 @@ def run_topology(
                 time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 2), BACKOFF_CAP))
             revived = time.perf_counter()
             try:
-                reply, resumed = handle.recover(grants)
+                reply = handle.recover(grants)
                 if call == handle.collect:
                     reply = call()   # again, now from the replayed state
             except ShardError as error:
@@ -325,9 +318,6 @@ def run_topology(
                     "window": len(grants),
                     "reason": reason,
                     "attempts": attempt,
-                    "resumed_from": resumed,
-                    "checkpointed": resumed > 0,
-                    "replayed": len(grants) - resumed,
                     "horizon": float(horizon) if horizon is not None else 0.0,
                     "wall_seconds": wall_seconds,
                 }
@@ -368,7 +358,7 @@ def run_topology(
                 waited = time.perf_counter()
                 reply = supervised(index, horizon, handle.step_recv)
                 sync.shards[index].note_reply(time.perf_counter() - waited, reply)
-                _, _, shard_egress, shard_next, delta, _ = reply
+                _, _, shard_egress, shard_next, delta = reply
                 if delta is not None:
                     plane.ingest(delta)
                 egress.extend(shard_egress)

@@ -12,7 +12,7 @@ drives:
     frames, run every owned world up to — but excluding — ``horizon``,
     and, when an observability plane is armed, read the shard's
     progress delta.  The reply is always ``(window, fired, egress,
-    next_time, delta, fork_seconds)``.
+    next_time, delta)``.
 
 ``collect()``
     Per-segment :class:`~repro.sim.topology.SegmentReport` records —
@@ -24,14 +24,12 @@ That window body is written once, in :meth:`LocalShard.run_window`.
 fallback — and the oracle the multiprocess path must match bitwise);
 :class:`ProcessShard` runs a :class:`LocalShard` inside a
 ``multiprocessing`` worker whose loop runs the same body between a
-``recv`` and a ``send``.  A worker has two channels: the pipe that
-carries grants one way and replies the other, and (with checkpoints
-armed) the listener a promoted checkpoint announces itself on.  The
-send/receive halves are split so the orchestrator can grant time to
-every shard before blocking on any reply — that concurrency is the
-whole speedup, and it needs each worker on a CPU of its own: a worker
-pins itself by shard id and polls briefly for its next grant before it
-blocks (:func:`_pin`, :func:`_await_grant`).
+``recv`` and a ``send``, over the one pipe that carries grants one way
+and replies the other.  The send/receive halves are split so the
+orchestrator can grant time to every shard before blocking on any
+reply — that concurrency is the whole speedup, and it needs each worker
+on a CPU of its own: a worker pins itself by shard id and polls briefly
+for its next grant before it blocks (:func:`_pin`, :func:`_await_grant`).
 
 Failure is a first-class event here.  A dead worker (EOF on the pipe)
 raises :class:`ShardDiedError`; an unresponsive one (no reply within
@@ -43,39 +41,29 @@ raises) is neither: the worker answers ``("failed", traceback)`` and
 the supervisor raises it as a plain :class:`RuntimeError` — replaying
 a deterministic failure would only fail again.
 
-Checkpointing uses the cheapest state-capture primitive an OS offers:
-``fork()``.  Per-segment worlds hold live generator frames — they can
-never be pickled — but once a window has been stepped every shard is
-quiescent (the conservative protocol guarantees it), so the worker
-forks a *frozen child* whose copy-on-write memory image **is** the
-checkpoint, taken mid-body: the window is computed, nothing has been
-reported.  The frozen child closes its copy of the command pipe
-immediately (so supervisor-side EOF detection still works), then waits
-to be orphaned; if its parent dies, it announces itself (window and
-pid) on the shard's recovery listener, becomes the live worker, and
-finishes the body it was frozen in — so the reply its parent may never
-have delivered is the first thing it sends.  The supervisor replays the
-journaled grants since that window — deterministic replay makes the
-recovered run bitwise identical to an undisturbed one (the digest
-oracle enforces this).
+Recovery is respawn and replay.  Per-segment worlds hold live generator
+frames — they can never be pickled — but they are a pure function of
+the topology and the grants they were sent, so
+:meth:`ProcessShard.recover` reaps the failed worker, starts a fresh
+one and replays the supervisor's journal of every grant from window 1.
+Deterministic replay makes the recovered run bitwise identical to an
+undisturbed one (the digest oracle enforces this).
 
 Deterministic failure *injection* rides the same protocol: a ``hazard``
 spec makes the worker kill itself (``die_at_window``) or hang
 (``wedge_at_window``/``wedge_seconds``) at an exact window — after the
-window is computed and checkpointed, before its reply is sent, the
-crash site the promotion handshake exists for — so recovery tests pick
+window is computed, before its reply is sent — so recovery tests pick
 their crash sites with a seeded RNG instead of racing real signals.
-Hazards are one-shot: a promoted checkpoint child and a fresh respawn
-both run hazard-free, so replay does not crash-loop.
+Hazards are one-shot: a respawned worker runs hazard-free, so replay
+does not crash-loop.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
-import multiprocessing.connection
 import os
 import select
-import signal
 import time
 import traceback
 
@@ -88,13 +76,9 @@ __all__ = [
     "ShardError",
     "ShardDiedError",
     "ShardTimeoutError",
+    "check_deadline",
     "partition",
 ]
-
-#: How long the supervisor waits for a frozen checkpoint child to
-#: notice it was orphaned and offer itself for promotion (only once the
-#: lifeline says such a child exists).
-PROMOTE_TIMEOUT = 5.0
 
 #: How long a worker with a CPU of its own polls for its next grant
 #: before it blocks (see :func:`_await_grant`).
@@ -141,6 +125,20 @@ def partition(count: int, shards: int) -> list[list[int]]:
     for index in range(count):
         groups[index % len(groups)].append(index)
     return groups
+
+
+def check_deadline(name: str, seconds: float | None) -> None:
+    """Refuse a reply deadline that is neither None (wait forever) nor a
+    finite number of seconds above zero.
+
+    ``poll`` reads a negative timeout as "block forever" and refuses a
+    NaN only once it is called, mid-run; both must fail here instead.
+    """
+    if seconds is not None and not (math.isfinite(seconds) and seconds > 0.0):
+        raise ValueError(
+            f"{name} must be None or a positive number of seconds, "
+            f"not {seconds!r}"
+        )
 
 
 class LocalShard:
@@ -196,24 +194,14 @@ class LocalShard:
         ]
         return fired, egress, (min(times) if times else None)
 
-    def run_window(
-        self, horizon: float | None, frames: list, checkpoint=None
-    ) -> tuple:
+    def run_window(self, horizon: float | None, frames: list) -> tuple:
         """The whole per-window body — the same code in-process and in
         a worker; returns the reply ``(window, fired, egress, next_time,
-        delta, fork_seconds)``.
-
-        ``checkpoint(window)`` is the worker's fork hook, called at the
-        one point where the window's state is complete and nothing has
-        been reported; it returns the fork's wall seconds (None when it
-        took no checkpoint).  The frozen child it leaves behind resumes
-        *here* when promoted and finishes the body like its parent.
-        """
+        delta)``."""
         self.window += 1
         fired, egress, next_time = self.step(horizon, frames)
-        fork_seconds = None if checkpoint is None else checkpoint(self.window)
         delta = None if self._source is None else self._source.delta()
-        return self.window, fired, egress, next_time, delta, fork_seconds
+        return self.window, fired, egress, next_time, delta
 
     # Split halves, so Local and Process shards drive identically: the
     # orchestrator issues every send, then drains every receive.
@@ -239,15 +227,6 @@ class LocalShard:
 # ---------------------------------------------------------------------------
 
 
-def _kill_quietly(pid: int | None, sig: int = signal.SIGKILL) -> None:
-    if pid is None:
-        return
-    try:
-        os.kill(pid, sig)
-    except OSError:
-        pass
-
-
 def _pin(shard_id: int) -> bool:
     """Pin this worker to one CPU of the set it inherited, by shard id;
     True when it now has a CPU of its own.
@@ -256,8 +235,8 @@ def _pin(shard_id: int) -> bool:
     workers the supervisor wakes back to back queue behind it on one
     CPU and a window costs every shard's work in series.  One CPU per
     worker makes them run at once.  A single-CPU set (or no affinity
-    call) leaves the worker where it is; a checkpoint child inherits
-    its parent's pin, and a respawned worker pins itself again.
+    call) leaves the worker where it is; a respawned worker pins itself
+    again.
     """
     if not hasattr(os, "sched_setaffinity"):
         return False
@@ -288,82 +267,13 @@ def _await_grant(conn, spin: float) -> None:
         os.sched_yield()
 
 
-def _await_promotion(conn, settings: dict, worker_pid: int, window: int):
-    """The frozen checkpoint child: park until orphaned, then offer
-    this process as the recovered shard.
-
-    Closing the inherited command pipe first is load-bearing — it keeps
-    the supervisor's EOF detection crisp (only the live worker holds the
-    pipe).  ``worker_pid`` is the forking worker's pid, read *before*
-    the fork: a worker that dies before this child is first scheduled
-    has already been replaced as its parent, so the child's own first
-    ``getppid()`` would name the reaper and it would park forever.  The
-    hello carries this process's pid — the supervisor may never have
-    been told of this checkpoint by the worker that took it.
-    """
-    try:
-        conn.close()
-    except OSError:
-        pass
-    while os.getppid() == worker_pid:
-        time.sleep(0.02)
-    address, authkey = settings["promote_address"], settings["authkey"]
-    try:
-        # Connect, then shake hands by hand: ``Client(authkey=...)``
-        # blocks on the supervisor's challenge with no way out, and
-        # closing the listener never resets a queued connection while
-        # forked processes (this one included) hold inherited copies of
-        # the listening socket.  Its *path* is the signal instead: the
-        # supervisor unlinks it once no offer is wanted any more.
-        fresh = multiprocessing.connection.Client(address)
-        while not fresh.poll(0.05):
-            if not os.path.exists(address):
-                os._exit(0)
-        multiprocessing.connection.answer_challenge(fresh, authkey)
-        multiprocessing.connection.deliver_challenge(fresh, authkey)
-        fresh.send(("promoted", window, os.getpid()))
-    except (OSError, EOFError, multiprocessing.AuthenticationError):
-        os._exit(0)
-    return fresh
-
-
 def _shard_worker(
     topology: TopologySpec, indices: list[int], conn, settings: dict | None = None
 ) -> None:
     """Worker main loop: build the shard, then serve step/collect/exit."""
-    # With checkpoints armed, ``settings`` holds the lifeline's write end
-    # for as long as this process lives; every child it forks inherits it.
     settings = settings or {}
     spin = GRANT_SPIN if _pin(settings.get("shard_id", 0)) else 0.0
     hazard = settings.get("hazard") or {}
-    interval = settings.get("checkpoint_interval")
-    frozen_pid: int | None = None
-    if interval:
-        # Retired checkpoint children are killed, never waited for: have
-        # the kernel reap them, or every checkpoint leaves a zombie.
-        signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-
-    def checkpoint(window: int) -> float | None:
-        nonlocal conn, hazard, frozen_pid
-        if not interval or window % interval:
-            return None
-        # Retire the previous checkpoint *before* forking the new one:
-        # at most one frozen child ever exists, so at most one process
-        # can answer a promotion.
-        _kill_quietly(frozen_pid)
-        frozen_pid = None
-        worker_pid = os.getpid()
-        fork_started = time.perf_counter()
-        pid = os.fork()
-        if pid:
-            frozen_pid = pid
-            return time.perf_counter() - fork_started
-        conn = _await_promotion(conn, settings, worker_pid, window)
-        # We are now the live worker, resumed inside this window's
-        # body: hazards are spent, and there is no checkpoint behind us.
-        hazard = {}
-        return None
-
     try:
         shard = LocalShard(
             topology, indices, observe=settings.get("observe", False)
@@ -374,7 +284,7 @@ def _shard_worker(
             message = conn.recv()
             command = message[0]
             if command == "step":
-                reply = shard.run_window(message[1], message[2], checkpoint)
+                reply = shard.run_window(message[1], message[2])
                 if hazard.get("die_at_window") == shard.window:
                     os._exit(13)
                 if hazard.get("wedge_at_window") == shard.window:
@@ -397,20 +307,10 @@ def _shard_worker(
         except OSError:
             pass
     finally:
-        _kill_quietly(frozen_pid)
         try:
             conn.close()
         except OSError:
             pass
-
-
-def _wait_dead(process, timeout: float | None) -> None:
-    """``process.join(timeout)`` by polling ``is_alive()``."""
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while process.is_alive():
-        if deadline is not None and time.monotonic() >= deadline:
-            return
-        time.sleep(0.002)
 
 
 def _default_context():
@@ -421,66 +321,13 @@ def _default_context():
     return multiprocessing.get_context("spawn")
 
 
-def _accept_with_timeout(listener, timeout: float):
-    """Accept on a ``multiprocessing.connection.Listener`` with a
-    deadline (None on timeout or a failed authentication handshake)."""
-    try:
-        listener._listener._socket.settimeout(timeout)
-    except AttributeError:
-        return None
-    try:
-        return listener.accept()
-    except (OSError, EOFError, multiprocessing.AuthenticationError):
-        return None
-
-
-class _PidHandle:
-    """A process-like handle over a promoted checkpoint child.
-
-    It is not a ``multiprocessing.Process`` — it was forked by the
-    worker, then orphaned — so the supervisor drives it through plain
-    signals and cannot ``waitpid`` it: once it exits it stays a zombie
-    until PID 1 gets round to reaping it (never, in a container without
-    an init), and ``kill(pid, 0)`` succeeds on a zombie.  So a zombie
-    counts as dead, and ``join`` polls.
-    """
-
-    def __init__(self, pid: int) -> None:
-        self.pid = pid
-
-    def is_alive(self) -> bool:
-        try:
-            os.kill(self.pid, 0)
-        except OSError:
-            return False
-        try:
-            with open(f"/proc/{self.pid}/stat", "rb") as stat:
-                # "pid (comm) state ...": comm may hold anything, so
-                # the state letter is the first field after the last ")".
-                state = stat.read().rpartition(b")")[2].split()[0]
-        except (OSError, IndexError):
-            return True   # no procfs: kill(0) is all there is to go on
-        return state not in (b"Z", b"X")
-
-    def terminate(self) -> None:
-        _kill_quietly(self.pid, signal.SIGTERM)
-
-    def kill(self) -> None:
-        _kill_quietly(self.pid, signal.SIGKILL)
-
-    def join(self, timeout: float | None = None) -> None:
-        _wait_dead(self, timeout)
-
-
 class ProcessShard:
     """A :class:`LocalShard` behind a pipe, in its own process.
 
-    ``timeout`` bounds every reply wait (None blocks forever, the
-    legacy behaviour).  ``checkpoint_interval`` arms fork-based
-    checkpointing every that-many windows; :meth:`recover` then brings
-    a dead or wedged shard back — promoting the frozen checkpoint child
-    when one survives, respawning from scratch otherwise — and replays
-    the journaled grants the caller hands it.  ``hazard`` injects a
+    ``timeout`` bounds every reply wait: None blocks forever, anything
+    else must be a finite number of seconds above zero.  :meth:`recover`
+    brings a dead or wedged shard back — a fresh worker replaying the
+    journaled grants the caller hands it.  ``hazard`` injects a
     deterministic failure (``die_at_window``, ``wedge_at_window`` +
     ``wedge_seconds``) for recovery tests.  ``observe`` has every reply
     carry the shard's progress delta.
@@ -494,7 +341,6 @@ class ProcessShard:
         context=None,
         shard_id: int = 0,
         timeout: float | None = None,
-        checkpoint_interval: int | None = None,
         hazard: dict | None = None,
         observe: bool = False,
     ) -> None:
@@ -508,44 +354,21 @@ class ProcessShard:
                         f"(segment {topology.segments[index].name!r} has a "
                         "bare callable); use 'module:function' paths"
                     )
-        if checkpoint_interval is not None and checkpoint_interval < 1:
-            raise ValueError("checkpoint interval must be at least 1")
+        check_deadline("timeout", timeout)
         self.indices = list(indices)
         self.shard_id = shard_id
         self.timeout = timeout
-        self.checkpoint_interval = checkpoint_interval
         self.observe = bool(observe)
-        self.windows_sent = 0
-        self.last_ack = 0
         self._topology = topology
         self._context = context
-        self._listener = None
         self._spawn(hazard)
 
     # -- spawning --------------------------------------------------------
 
     def _spawn(self, hazard: dict | None = None) -> None:
-        settings: dict = {
+        settings = {
             "observe": self.observe, "hazard": hazard, "shard_id": self.shard_id,
         }
-        lifeline = None
-        if self.checkpoint_interval is not None and hasattr(os, "fork"):
-            # One listener per spawned generation: a checkpoint child of
-            # an earlier generation that turns up late finds its address
-            # gone and exits, so it can never be adopted as a stale offer.
-            self._close_listener()
-            authkey = bytes(multiprocessing.current_process().authkey)
-            self._listener = multiprocessing.connection.Listener(
-                family="AF_UNIX", authkey=authkey
-            )
-            # The lifeline's write end lives only in the worker and the
-            # checkpoint children it forks: once the worker is reaped,
-            # an open lifeline means a frozen child is there to promote.
-            self._lifeline, lifeline = self._context.Pipe(duplex=False)
-            settings["checkpoint_interval"] = self.checkpoint_interval
-            settings["promote_address"] = self._listener.address
-            settings["authkey"] = authkey
-            settings["lifeline"] = lifeline
         self._conn, child = self._context.Pipe()
         self._process = self._context.Process(
             target=_shard_worker,
@@ -554,27 +377,12 @@ class ProcessShard:
         )
         self._process.start()
         child.close()
-        if lifeline is not None:
-            lifeline.close()
-        self._watch()
-        self._origin = 0   # the window this worker's state started from
-        self._failed = False
-
-    def _watch(self) -> None:
-        """Point the reply poller at the current connection: one
-        ``poll`` syscall per timed wait, where ``Connection.poll``
-        builds a fresh selector every call."""
+        # One ``poll`` syscall per timed reply wait, where
+        # ``Connection.poll`` builds a fresh selector every call.
         self._poller = select.poll()
         self._poller.register(self._conn, select.POLLIN)
-
-    def _close_listener(self) -> None:
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-            self._lifeline.close()
+        self.windows_sent = self.last_ack = 0
+        self._failed = False
 
     # -- the wire protocol ----------------------------------------------
 
@@ -630,100 +438,38 @@ class ProcessShard:
         self._send(("collect",))
         return self._recv("collected")[0]
 
-    # -- recovery --------------------------------------------------------
+    # -- recovery and teardown -------------------------------------------
 
     def _reap(self) -> None:
-        """Take the (dead or wedged) worker down for certain and drop
-        its connection.  Killing a wedged worker is what orphans its
-        frozen checkpoint child and makes promotion possible."""
+        """Take the worker down for certain and drop its connection."""
         process = self._process
         if process.is_alive():
-            # Most often a worker caught between closing its pipe and
-            # exiting.  Its frozen checkpoint child holds a copy of the
-            # ``multiprocessing`` sentinel, so ``join`` would sit out
-            # its whole timeout on a process that is already gone:
-            # poll ``is_alive`` (``waitpid``, which is ours) instead.
             process.terminate()
-            _wait_dead(process, 2.0)
+            process.join(timeout=5.0)
             if process.is_alive():
                 process.kill()
-                _wait_dead(process, 2.0)
-        else:
-            process.join(timeout=1.0)
+        process.join(timeout=2.0)
         try:
             self._conn.close()
         except OSError:
             pass
 
-    def _promote(self) -> tuple | None:
-        """Adopt the frozen checkpoint child as the live worker.
-
-        Returns its reply for the window it was frozen in — the one its
-        parent may have died holding — or None when no checkpoint
-        survives (then the caller respawns from scratch).
-        """
-        if self._listener is None or self._lifeline.poll(0):
-            # The lifeline reads EOF: the reaped worker forked no child
-            # that is still alive (none yet, or it died inside its first
-            # checkpoint window before forking), so no offer can come.
-            return None
-        conn = _accept_with_timeout(self._listener, PROMOTE_TIMEOUT)
-        if conn is None:
-            return None
-        try:
-            hello = conn.recv() if conn.poll(PROMOTE_TIMEOUT) else None
-        except (EOFError, OSError):
-            hello = None
-        if not (
-            isinstance(hello, tuple) and len(hello) == 3 and hello[0] == "promoted"
-        ):
-            conn.close()
-            return None
-        _, window, pid = hello
-        self._conn = conn
-        self._watch()
-        self._process = _PidHandle(pid)
-        self._origin = self.windows_sent = window
-        self._failed = False
-        return self.step_recv()
-
     def recover(self, grants: list) -> tuple:
-        """Bring a failed shard back and deterministically replay
-        ``grants`` (the journal of every ``(horizon, frames)`` this
-        shard was ever sent) to its end.
+        """Bring a failed shard back: reap the worker, respawn it
+        hazard-free and deterministically replay ``grants`` (the journal
+        of every ``(horizon, frames)`` this shard was ever sent).
 
-        Returns ``(last_reply, resumed_from)``: the reply to the final
-        grant, and the window the revived state started from (0 = fresh
-        process, everything replayed).  When the checkpoint *is* the
-        final window, that reply is the promoted child's own — the one
-        its parent computed and never delivered.
+        Returns the reply to the final grant.
         """
         self._reap()
-        reply = self._promote()
-        if reply is None:
-            self._spawn()
-        resumed = self.windows_sent = self.last_ack = self._origin
-        for horizon, frames in grants[resumed:]:
+        self._spawn()
+        for horizon, frames in grants:
             self.step_send(horizon, frames)
             reply = self.step_recv()
-        return reply, resumed
-
-    # -- teardown --------------------------------------------------------
+        return reply
 
     def close(self) -> None:
-        # First, so that a checkpoint child orphaned by the kills below
-        # finds the listener gone and exits instead of offering itself.
-        self._close_listener()
         if not self._failed:
             self._send(("exit",))
             self._process.join(timeout=5.0)
-        if self._process.is_alive():
-            self._process.terminate()
-            self._process.join(timeout=5.0)
-            if self._process.is_alive():
-                self._process.kill()
-                self._process.join(timeout=2.0)
-        try:
-            self._conn.close()
-        except OSError:
-            pass
+        self._reap()

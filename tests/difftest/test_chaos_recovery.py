@@ -8,17 +8,14 @@ Three bitwise claims ride on seeded fault schedules:
   (checked in subprocesses, mirroring the existing determinism legs);
 * the partition-storm digest is identical across shard counts and
   — with the supervisor armed and a shard killed mid-run — identical
-  to the fault-free run (replay-from-checkpoint is invisible);
-* that holds at *every* kill site: each victim shard dying with each
-  window's reply in hand, under each checkpoint interval, resumes from
-  exactly the checkpoint the interval implies and never waits out a
-  lost promotion (tier-1 samples this product; here it runs whole).
+  to the fault-free run (respawn and replay are invisible);
+* that holds at *every* kill site: each victim shard dying or wedging
+  with each window's reply in hand is respawned once and replayed to
+  the same digest (tier-1 samples this product; here it runs whole).
 
 The cheap legs are tier-1; the full sweeps carry the ``difftest``
 marker like the rest of this directory.
 """
-
-import os
 
 import pytest
 
@@ -26,13 +23,10 @@ from repro.difftest.sharding import partition_storm_digest
 from repro.sim.orchestrator import RecoveryConfig
 
 from ..sim.test_shard_recovery import (
-    KILL_SITE_INTERVALS,
+    KILL_SITE_FAULTS,
     check_kill_site,
     kill_site_baseline,
-)
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork-based checkpoints need os.fork"
+    needs_fork,
 )
 
 FLAP_SNIPPET = """\
@@ -73,7 +67,6 @@ class TestPartitionStormSweep:
                 == baseline
             )
 
-    @needs_fork
     @pytest.mark.parametrize("shards", [2, 3])
     @pytest.mark.parametrize("seed", [0, 1987])
     def test_killed_shard_recovers_bitwise(self, shards, seed):
@@ -85,7 +78,7 @@ class TestPartitionStormSweep:
             shards=shards,
             seed=seed,
             duration=0.8,
-            recovery=RecoveryConfig(checkpoint_interval=8, recv_timeout=30.0),
+            recovery=RecoveryConfig(recv_timeout=30.0),
             hazards={shards - 1: {"die_at_window": 25}},
         )
         assert recovered == baseline
@@ -94,9 +87,9 @@ class TestPartitionStormSweep:
 @needs_fork
 @pytest.mark.difftest
 class TestEveryKillSite:
-    @pytest.mark.parametrize("interval", KILL_SITE_INTERVALS)
+    @pytest.mark.parametrize("fault", sorted(KILL_SITE_FAULTS))
     @pytest.mark.parametrize("victim", [0, 1])
-    def test_every_window_is_a_recoverable_kill_site(self, victim, interval):
+    def test_every_window_is_a_recoverable_kill_site(self, victim, fault):
         _, windows = kill_site_baseline()
         for kill in range(1, windows + 1):
-            check_kill_site(victim, kill, interval)
+            check_kill_site(victim, kill, fault)

@@ -129,8 +129,7 @@ class TestObservabilityPlane:
         )
         return plane
 
-    def reply(self, plane, shard=0, window=1, next_time=0.01, alerts=(),
-              fork_seconds=None):
+    def reply(self, plane, shard=0, window=1, next_time=0.01, alerts=()):
         """One window's reply from ``shard``, folded in the way the
         orchestrator's receive loop does."""
         delta = {
@@ -139,7 +138,7 @@ class TestObservabilityPlane:
             "span_hist": LogHistogram(),
         }
         plane.view(shard).note_reply(
-            0.0, (window, 10, [None, None], next_time, delta, fork_seconds)
+            0.0, (window, 10, [None, None], next_time, delta)
         )
         plane.ingest(delta)
 
@@ -165,11 +164,9 @@ class TestObservabilityPlane:
         assert announced == [alert]
         assert plane.active_alerts() == [alert]
 
-    def test_checkpoint_age_and_loss_marks(self):
+    def test_loss_and_restart_marks(self):
         plane = self.plane()
-        self.reply(plane, window=6, fork_seconds=0.001)
         self.reply(plane, window=9)
-        assert plane.view(0).checkpoint_age == 3
         plane.view(0).lost = True            # the supervisor saw it die
         assert "LOST" in plane.render()
         plane.view(0).note_restart(0.1)      # ... and revived it
@@ -280,7 +277,7 @@ class TestDeltaLoss:
         result = run_topology(
             storm_spec(),
             shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=2),
+            recovery=RecoveryConfig(),
             hazards={0: {"die_at_window": 3}},
             observability=plane,
         )
@@ -336,6 +333,6 @@ class TestSyncProfile:
             assert detail["windows"] == result.windows
             assert detail["restarts"] == 0
         assert result.recovered_shards == []
-        assert result.wall_per_window == pytest.approx(
-            result.wall_seconds / result.windows
-        )
+        # one wall-per-window answer, on the sync profile
+        assert not hasattr(result, "wall_per_window")
+        assert result.sync.wall_per_window > 0.0

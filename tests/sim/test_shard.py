@@ -268,8 +268,8 @@ class TestWorkerPlacement:
             shard.step_send(*grants[1])
             with pytest.raises(ShardDiedError):
                 shard.step_recv()
-            _, resumed = shard.recover(grants)
-            assert resumed == 0 and shard._process.pid != first
+            shard.recover(grants)
+            assert shard._process.pid != first
             assert os.sched_getaffinity(shard._process.pid) == expected
         finally:
             shard.close()

@@ -1,24 +1,21 @@
-"""Crash-recoverable shards: typed failures, checkpoints, replay.
+"""Crash-recoverable shards: typed failures, respawn, replay.
 
 The acceptance bar is bitwise: a shard killed (or wedged) mid-run is
-respawned from its fork-based checkpoint, the supervisor replays the
-journaled grants, and the final :func:`~repro.difftest.sharding.run_digest`
-equals the same scenario run with no fault at all.  Failure *injection*
-is deterministic (the worker kills or hangs itself at an exact window
-via a hazard spec — after computing and checkpointing the window,
-before replying), so these tests pick their crash sites instead of
-racing signals.  :func:`check_kill_site` is the whole property for one
-site; tier-1 samples it, ``tests/difftest/test_chaos_recovery.py``
-sweeps the full product.
+respawned, the supervisor replays the whole journal of grants, and the
+final :func:`~repro.difftest.sharding.run_digest` equals the same
+scenario run with no fault at all.  Failure *injection* is
+deterministic (the worker kills or hangs itself at an exact window via
+a hazard spec — after computing the window, before replying), so these
+tests pick their crash sites instead of racing signals.
+:func:`check_kill_site` is the whole property for one site; tier-1
+samples it, ``tests/difftest/test_chaos_recovery.py`` sweeps the full
+product.
 """
 
 import dataclasses
 import functools
-import multiprocessing
-import multiprocessing.connection
+import math
 import os
-import signal
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,19 +28,20 @@ from repro.sim.shard import (
     ProcessShard,
     ShardDiedError,
     ShardTimeoutError,
-    _accept_with_timeout,
-    _await_promotion,
-    _PidHandle,
 )
 from repro.sim.topology import SegmentSpec
 
 from .test_shard import ping_builder, ping_spec
 
 needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork-based checkpoints need os.fork"
+    not hasattr(os, "fork"),
+    reason="callable builders need fork-started workers",
 )
 
-KILL_SITE_INTERVALS = (None, 1, 2, 3, 5)
+#: The two ways a kill site fails a shard, and the reply deadline each
+#: runs under: a dead worker is seen at once (EOF), a wedged one only
+#: once its reply is overdue.
+KILL_SITE_FAULTS = {"die_at_window": 10.0, "wedge_at_window": 0.3}
 
 
 def children_of(pid: int) -> list[int]:
@@ -67,28 +65,24 @@ def kill_site_baseline() -> tuple[str, int]:
     return run_digest(result), result.windows
 
 
-def check_kill_site(victim: int, kill: int, interval: int | None) -> None:
+def check_kill_site(victim: int, kill: int, fault: str) -> None:
     """One kill site, the whole recovery contract: shard ``victim`` dies
-    holding window ``kill``'s reply; the run must finish bitwise equal to
-    the fault-free one, from exactly the checkpoint the interval implies,
-    without ever waiting out a lost promotion (that costs 5 s)."""
+    or wedges (``fault``) holding window ``kill``'s reply; the run must
+    finish bitwise equal to the fault-free one after one respawn."""
     digest, _ = kill_site_baseline()
     recovered = run_topology(
         ping_spec(2, frames=6, seed=4),
         shards=2,
-        recovery=RecoveryConfig(checkpoint_interval=interval, recv_timeout=10.0),
-        hazards={victim: {"die_at_window": kill}},
+        recovery=RecoveryConfig(recv_timeout=KILL_SITE_FAULTS[fault]),
+        hazards={victim: {fault: kill, "wedge_seconds": 60.0}},
     )
-    site = f"shard {victim} killed at window {kill}, interval {interval}"
+    site = f"shard {victim} {fault} {kill}"
     assert run_digest(recovered) == digest, site
     (record,) = recovered.restarts
-    resumed = (kill // interval) * interval if interval else 0
     assert record["shard"] == victim and record["window"] == kill, site
-    assert record["resumed_from"] == resumed, site
-    assert record["checkpointed"] is (resumed > 0), site
-    assert record["replayed"] == kill - resumed, site
+    reason = "died" if fault == "die_at_window" else "timed out"
+    assert record["reason"] == reason, site
     assert record["attempts"] == 1, site
-    assert record["wall_seconds"] < 2.0, site
     assert recovered.sync.shards[victim].restarts == 1, site
 
 
@@ -166,7 +160,7 @@ class TestWorkerExceptions:
     )
     @pytest.mark.parametrize(
         "recovery",
-        [None, RecoveryConfig(checkpoint_interval=2, recv_timeout=10.0)],
+        [None, RecoveryConfig(recv_timeout=10.0)],
         ids=["unsupervised", "supervised"],
     )
     def test_worker_exception_surfaces_and_is_not_retried(
@@ -193,136 +187,29 @@ class TestWorkerExceptions:
         assert revivals == []
 
 
-@needs_fork
-class TestPromotionHandshake:
-    def test_checkpoint_child_whose_worker_is_already_dead_offers_at_once(self):
-        # The child must wait on the pid its worker had *before* the
-        # fork.  Handing it a pid that is not its parent is the worker
-        # that died before the child was first scheduled: it used to
-        # record whoever its parent had become and park forever.
-        authkey = b"promotion-test"
-        listener = multiprocessing.connection.Listener(
-            family="AF_UNIX", authkey=authkey
-        )
-        settings = {"promote_address": listener.address, "authkey": authkey}
-        ours, theirs = multiprocessing.Pipe()
-        foreign_pid = os.getppid()
-        child = os.fork()
-        if child == 0:
-            try:
-                _await_promotion(theirs, settings, foreign_pid, 7)
-            finally:
-                os._exit(0)
-        try:
-            theirs.close()
-            conn = _accept_with_timeout(listener, 2.0)
-            assert conn is not None, "frozen child never offered itself"
-            assert conn.poll(2.0)
-            assert conn.recv() == ("promoted", 7, child)
-            conn.close()
-        finally:
-            os.kill(child, signal.SIGKILL)
-            os.waitpid(child, 0)
-            listener.close()
-            ours.close()
+class TestDeadlines:
+    """A reply deadline or restart budget that cannot work is refused
+    where it is given, before any worker exists — not mid-run, where a
+    negative ``poll`` timeout blocks forever and a NaN raises from deep
+    inside the reply wait."""
 
-    def drive(self, shard, windows):
-        """Grant ``windows`` windows, recovering whenever the shard
-        dies; returns (journal, replies, resume windows)."""
-        grants, replies, resumes = [], [], []
-        for window in range(1, windows + 1):
-            grants.append((window * 2e-3, []))
-            shard.step_send(*grants[-1])
-            try:
-                replies.append(shard.step_recv())
-            except ShardDiedError:
-                reply, resumed = shard.recover(grants)
-                replies.append(reply)
-                resumes.append(resumed)
-        return grants, replies, resumes
+    BAD = [-1.0, 0.0, math.nan, math.inf]
 
-    def test_pending_reply_promotion_adopts_the_promoted_pid(self):
-        # Dying *at* a checkpoint window: the only process that knows
-        # the new checkpoint's pid is the one that just died with the
-        # reply.  The supervisor must adopt the pid the hello carries —
-        # not a stale one — or it can never reap the promoted worker.
-        spec = ping_spec(2, frames=8, seed=4)
-        shard = ProcessShard(
-            spec, [1], shard_id=1, timeout=10.0,
-            checkpoint_interval=2, hazard={"die_at_window": 4},
-        )
-        oracle = LocalShard(spec, [1])
-        try:
-            grants, replies, resumes = self.drive(shard, 6)
-            assert resumes == [4]
-            for grant, reply in zip(grants, replies):
-                oracle.step_send(*grant)
-                assert reply[:4] == oracle.step_recv()[:4]
-            promoted = shard._process
-            assert isinstance(promoted, _PidHandle)
-            assert promoted.is_alive()
-        finally:
-            shard.close()
-        assert not promoted.is_alive()
+    @pytest.mark.parametrize("seconds", BAD, ids=str)
+    def test_bad_reply_deadlines_are_refused_at_construction(self, seconds):
+        before = set(children_of(os.getpid()))
+        with pytest.raises(ValueError, match="recv_timeout"):
+            RecoveryConfig(recv_timeout=seconds)
+        with pytest.raises(ValueError, match="timeout"):
+            ProcessShard(ping_spec(2), [0], timeout=seconds)
+        with pytest.raises(ValueError, match="timeout"):
+            run_topology(ping_spec(2), shards=2, timeout=seconds)
+        assert set(children_of(os.getpid())) <= before, "a worker was started"
 
-    def test_death_after_first_checkpoint_promotes_and_leaves_no_offer(self):
-        # No reply ever told the supervisor a checkpoint exists; it
-        # knows the interval, so it knows the in-flight window forked
-        # one.  Respawning instead would strand the frozen child on the
-        # listener as a stale offer for the *next* recovery to adopt.
-        spec = ping_spec(2, frames=8, seed=4)
-        shard = ProcessShard(
-            spec, [1], shard_id=1, timeout=10.0,
-            checkpoint_interval=3, hazard={"die_at_window": 3},
-        )
-        try:
-            _, _, resumes = self.drive(shard, 4)
-            assert resumes == [3]
-            assert _accept_with_timeout(shard._listener, 0.1) is None
-        finally:
-            shard.close()
-
-    def test_close_dismisses_the_checkpoint_child_of_a_wedged_worker(self):
-        # close() has to kill a wedged worker, which orphans its frozen
-        # child.  The supervisor was never told that child's pid (and
-        # forked processes keep the listening socket open), so the
-        # child must see the listener's path go and leave by itself —
-        # promptly, or it also pins close() on the worker's sentinel.
-        spec = ping_spec(2, frames=8, seed=4)
-        shard = ProcessShard(
-            spec, [1], shard_id=1, timeout=0.3, checkpoint_interval=2,
-            hazard={"wedge_at_window": 4, "wedge_seconds": 60.0},
-        )
-        try:
-            for window in range(1, 4):
-                shard.step_send(window * 2e-3, [])
-                shard.step_recv()
-            shard.step_send(8e-3, [])
-            with pytest.raises(ShardTimeoutError):
-                shard.step_recv()
-            frozen = [_PidHandle(pid) for pid in children_of(shard._process.pid)]
-            assert len(frozen) == 1 and frozen[0].is_alive()
-        finally:
-            started = time.monotonic()
-            shard.close()
-            elapsed = time.monotonic() - started
-        assert elapsed < 1.0, f"close() took {elapsed:.2f} s"
-        frozen[0].join(timeout=2.0)
-        assert not frozen[0].is_alive(), "checkpoint child outlived close()"
-
-    def test_death_before_any_checkpoint_window_respawns_without_waiting(self):
-        spec = ping_spec(2, frames=8, seed=4)
-        shard = ProcessShard(
-            spec, [1], shard_id=1, timeout=10.0,
-            checkpoint_interval=3, hazard={"die_at_window": 2},
-        )
-        try:
-            started = time.monotonic()
-            _, _, resumes = self.drive(shard, 3)
-            assert resumes == [0]
-            assert time.monotonic() - started < 2.0
-        finally:
-            shard.close()
+    @pytest.mark.parametrize("max_restarts", [0, -2])
+    def test_restart_budget_below_one_is_refused(self, max_restarts):
+        with pytest.raises(ValueError, match="max_restarts"):
+            RecoveryConfig(max_restarts=max_restarts)
 
 
 @needs_fork
@@ -330,45 +217,33 @@ class TestRecovery:
     @given(
         victim=st.integers(0, 1),
         kill=st.integers(1, 23),
-        interval=st.sampled_from(KILL_SITE_INTERVALS),
+        fault=st.sampled_from(sorted(KILL_SITE_FAULTS)),
     )
     @settings(max_examples=16, deadline=None, derandomize=True, database=None)
-    def test_sampled_kill_sites_recover_bitwise(self, victim, kill, interval):
+    def test_sampled_kill_sites_recover_bitwise(self, victim, kill, fault):
         assert kill_site_baseline()[1] == 23   # the range above is every window
-        check_kill_site(victim, kill, interval)
+        check_kill_site(victim, kill, fault)
 
-    def test_kill_recovers_from_checkpoint_bitwise(self):
+    def test_supervised_workers_never_fork(self, monkeypatch):
+        # Recovery is respawn and replay: a worker's only process is
+        # itself, at every window of a supervised run.
         spec = ping_spec(2, frames=8, seed=4)
-        baseline = run_digest(run_topology(spec, shards=2))
-        recovered = run_topology(
-            spec,
-            shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=4, recv_timeout=10.0),
-            hazards={1: {"die_at_window": 7}},
-        )
-        assert run_digest(recovered) == baseline
-        (record,) = recovered.restarts
-        assert record["shard"] == 1
-        assert record["reason"] == "died"
-        assert record["resumed_from"] == 4
-        assert record["checkpointed"] is True
-        assert record["replayed"] == 3
-        assert record["attempts"] == 1
+        step_recv, checked = ProcessShard.step_recv, []
 
-    def test_wedge_recovers_from_checkpoint_bitwise(self):
-        spec = ping_spec(2, frames=8, seed=4)
-        baseline = run_digest(run_topology(spec, shards=2))
-        recovered = run_topology(
-            spec,
-            shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=4, recv_timeout=0.3),
-            hazards={0: {"wedge_at_window": 6, "wedge_seconds": 60.0}},
+        def step_recv_checking_children(shard):
+            reply = step_recv(shard)
+            assert children_of(shard._process.pid) == [], (
+                f"shard {shard.shard_id} has a child at window {reply[0]}"
+            )
+            checked.append(shard.shard_id)
+            return reply
+
+        monkeypatch.setattr(ProcessShard, "step_recv", step_recv_checking_children)
+        result = run_topology(
+            spec, shards=2, recovery=RecoveryConfig(recv_timeout=10.0)
         )
-        assert run_digest(recovered) == baseline
-        (record,) = recovered.restarts
-        assert record["shard"] == 0
-        assert record["reason"] == "timed out"
-        assert record["resumed_from"] == 4
+        assert result.windows > 16
+        assert checked.count(0) == checked.count(1) == result.windows
 
     def test_wedge_without_checkpoints_recovers_by_full_replay(self):
         spec = ping_spec(2, frames=6, seed=9)
@@ -376,13 +251,13 @@ class TestRecovery:
         recovered = run_topology(
             spec,
             shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=None, recv_timeout=0.3),
+            recovery=RecoveryConfig(recv_timeout=0.3),
             hazards={1: {"wedge_at_window": 4, "wedge_seconds": 60.0}},
         )
         assert run_digest(recovered) == baseline
         (record,) = recovered.restarts
+        assert (record["shard"], record["window"]) == (1, 4)
         assert record["reason"] == "timed out"
-        assert (record["resumed_from"], record["replayed"]) == (0, 4)
 
     def test_no_checkpoint_recovers_by_full_replay(self):
         spec = ping_spec(2, frames=6, seed=9)
@@ -390,83 +265,35 @@ class TestRecovery:
         recovered = run_topology(
             spec,
             shards=2,
-            recovery=RecoveryConfig(
-                checkpoint_interval=None, recv_timeout=10.0
-            ),
+            recovery=RecoveryConfig(recv_timeout=10.0),
             hazards={1: {"die_at_window": 5}},
         )
         assert run_digest(recovered) == baseline
         (record,) = recovered.restarts
-        assert record["resumed_from"] == 0
-        assert record["checkpointed"] is False
-        assert record["replayed"] == 5
+        assert set(record) == {
+            "shard", "window", "reason", "attempts", "horizon", "wall_seconds",
+        }
+        assert (record["shard"], record["window"]) == (1, 5)
+        assert (record["reason"], record["attempts"]) == ("died", 1)
 
-    def test_kill_at_checkpoint_window_uses_pending_reply(self):
-        # Dying exactly at a checkpoint window exercises the race the
-        # promotion handshake exists for: the frozen child's state
-        # already includes the window whose reply never got sent, so
-        # nothing at all is replayed.
-        spec = ping_spec(2, frames=8, seed=4)
-        baseline = run_digest(run_topology(spec, shards=2))
-        recovered = run_topology(
-            spec,
-            shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=3, recv_timeout=10.0),
-            hazards={1: {"die_at_window": 9}},
-        )
-        assert run_digest(recovered) == baseline
-        (record,) = recovered.restarts
-        assert record["resumed_from"] == 9
-        assert record["replayed"] == 0
+    def test_restart_budget_exhausted_reraises(self, monkeypatch):
+        # Every revival fails: the budget is spent attempt by attempt
+        # (with backoff between them), then the last failure surfaces.
+        attempts = []
 
-    def test_close_does_not_wait_on_a_promoted_zombie(self):
-        # A promoted checkpoint child is an orphan: after it exits it
-        # is a zombie until PID 1 reaps it, and ``kill(pid, 0)`` cannot
-        # tell that from alive — close() used to poll it for seconds.
-        spec = ping_spec(2, frames=8, seed=4)
-        shard = ProcessShard(
-            spec,
-            [1],
-            shard_id=1,
-            timeout=10.0,
-            checkpoint_interval=2,
-            hazard={"die_at_window": 5},
-        )
-        grants = []
-        try:
-            for window in range(1, 6):
-                grants.append((window * 2e-3, []))
-                shard.step_send(*grants[-1])
-                try:
-                    shard.step_recv()
-                except ShardDiedError:
-                    _, resumed_from = shard.recover(grants)
-            assert resumed_from == 4
-            promoted = shard._process.pid
-        finally:
-            started = time.monotonic()
-            shard.close()
-            elapsed = time.monotonic() - started
-        assert elapsed < 0.5, f"close() took {elapsed:.2f} s"
-        assert not shard._process.is_alive()
-        try:
-            with open(f"/proc/{promoted}/stat", "rb") as stat:
-                state = stat.read().rpartition(b")")[2].split()[0]
-        except OSError:
-            state = b"X"   # already reaped (or no procfs to ask)
-        assert state in (b"Z", b"X"), "promoted worker still running"
+        def recover_failing(shard, grants):
+            attempts.append(len(grants))
+            raise shard._failure(ShardDiedError, "died again")
 
-    def test_restart_budget_exhausted_reraises(self):
-        spec = ping_spec(2, frames=6)
-        with pytest.raises(ShardDiedError):
+        monkeypatch.setattr(ProcessShard, "recover", recover_failing)
+        with pytest.raises(ShardDiedError, match="died again"):
             run_topology(
-                spec,
+                ping_spec(2, frames=6),
                 shards=2,
-                recovery=RecoveryConfig(
-                    checkpoint_interval=4, recv_timeout=10.0, max_restarts=0
-                ),
+                recovery=RecoveryConfig(recv_timeout=10.0, max_restarts=2),
                 hazards={1: {"die_at_window": 5}},
             )
+        assert attempts == [5, 5]
 
     def test_death_between_last_reply_and_collect_recovers(self, monkeypatch):
         # The one supervised wait no hazard reaches: every window is
@@ -480,21 +307,17 @@ class TestRecovery:
             if shard.shard_id == 1 and not killed:
                 killed.append(shard._process.pid)
                 shard._process.kill()
-                while shard._process.is_alive():   # not join(): the frozen
-                    time.sleep(0.002)              # child holds the sentinel
+                shard._process.join()
             return collect(shard)
 
         monkeypatch.setattr(ProcessShard, "collect", collect_from_a_dead_worker)
         recovered = run_topology(
-            spec,
-            shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=5, recv_timeout=10.0),
+            spec, shards=2, recovery=RecoveryConfig(recv_timeout=10.0)
         )
         assert len(killed) == 1
         assert run_digest(recovered) == run_digest(clean)
         (record,) = recovered.restarts
         assert record["window"] == clean.windows == 23
-        assert (record["resumed_from"], record["replayed"]) == (20, 3)
         assert record["horizon"] == 0.0
 
     @pytest.mark.parametrize("max_restarts", [1, 2])
@@ -514,10 +337,7 @@ class TestRecovery:
             spawn(shard, hazard)
 
         monkeypatch.setattr(ProcessShard, "_spawn", spawn_one_doomed_revival)
-        recovery = RecoveryConfig(
-            checkpoint_interval=None, recv_timeout=10.0,
-            max_restarts=max_restarts,
-        )
+        recovery = RecoveryConfig(recv_timeout=10.0, max_restarts=max_restarts)
 
         def run():
             return run_topology(
@@ -535,8 +355,7 @@ class TestRecovery:
         monkeypatch.undo()
         assert run_digest(recovered) == run_digest(run_topology(spec, shards=2))
         (record,) = recovered.restarts
-        assert record["attempts"] == 2
-        assert (record["resumed_from"], record["replayed"]) == (0, 5)
+        assert (record["attempts"], record["window"]) == (2, 5)
         assert recovered.sync.shards[1].restarts == 1
 
     def test_unsupervised_failure_propagates(self):
@@ -551,7 +370,7 @@ class TestRecovery:
         recovered = run_topology(
             spec,
             shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=4, recv_timeout=10.0),
+            recovery=RecoveryConfig(recv_timeout=10.0),
             hazards={0: {"die_at_window": 6}},
         )
         alerts = [
@@ -561,15 +380,13 @@ class TestRecovery:
         ]
         assert len(alerts) == 1
         assert alerts[0].host == "shard:0"
-        assert alerts[0].values["resumed_from"] == 4.0
+        assert alerts[0].values == {"window": 6.0, "attempts": 1.0}
 
-    def test_death_before_the_first_fork_respawns_without_waiting(
+    def test_death_inside_a_window_body_recovers_bitwise(
         self, monkeypatch, tmp_path
     ):
-        # The worker dies inside window 8's body — the first checkpoint
-        # window — before it gets to fork.  No frozen child exists, so
-        # no offer can come: the supervisor must respawn at once, not
-        # wait out PROMOTE_TIMEOUT (5 s) on the listener.
+        # The worker dies inside window 8's body, before the window is
+        # computed — a site no hazard reaches (hazards fire after it).
         spec = flow_storm_topology(
             segments=2, seed=0, duration=0.05, flows=16, cache_size=8
         )
@@ -589,28 +406,21 @@ class TestRecovery:
 
         monkeypatch.setattr(LocalShard, "step", step_dying_once)
         recovered = run_topology(
-            spec,
-            shards=2,
-            recovery=RecoveryConfig(checkpoint_interval=8, recv_timeout=10.0),
+            spec, shards=2, recovery=RecoveryConfig(recv_timeout=10.0)
         )
         assert os.path.exists(marker)
         (record,) = recovered.restarts
-        assert record["window"] == 8
-        assert (record["resumed_from"], record["checkpointed"]) == (0, False)
-        assert record["wall_seconds"] < 1.0, record
+        assert (record["window"], record["reason"]) == (8, "died")
         assert run_digest(recovered) == oracle
 
     def test_hazard_not_replayed_after_respawn(self):
-        # A fresh respawn (no checkpoint) replays through the original
-        # crash window; the hazard must have been stripped or the shard
-        # would die forever.
+        # A respawn replays through the original crash window; the
+        # hazard must have been stripped or the shard would die forever.
         spec = ping_spec(2, frames=6, seed=9)
         recovered = run_topology(
             spec,
             shards=2,
-            recovery=RecoveryConfig(
-                checkpoint_interval=None, recv_timeout=10.0, max_restarts=2
-            ),
+            recovery=RecoveryConfig(recv_timeout=10.0, max_restarts=2),
             hazards={1: {"die_at_window": 3}},
         )
         assert len(recovered.restarts) == 1

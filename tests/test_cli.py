@@ -127,7 +127,7 @@ class TestObservabilityCLI:
         ) == 0
         captured = capsys.readouterr()
         assert "cluster: 2 shard(s)" in captured.out
-        assert "ckpt age" in captured.out
+        assert " state" in captured.out and "ckpt" not in captured.out
         assert "flow_storm: 2 segment(s) on 2 shard(s)" in captured.out
         # --plain never emits ANSI, on either stream
         assert "\x1b" not in captured.out + captured.err
@@ -170,7 +170,9 @@ class TestObservabilityCLI:
     def test_shard_json_surfaces_observability_fields(self, capsys):
         summary = run_json(capsys, "flow_storm", *TOPO_ARGS)
         assert summary["recovered_shards"] == []
-        assert summary["wall"]["wall_per_window"] > 0.0
+        # one wall-per-window answer, under wall.sync
+        assert "wall_per_window" not in summary["wall"]
+        assert summary["wall"]["sync"]["wall_per_window"] > 0.0
         assert [d["shard"] for d in summary["shard_details"]] == [0, 1]
         for detail in summary["shard_details"]:
             assert detail["windows"] == summary["windows"]
@@ -193,11 +195,6 @@ class TestObservabilityCLI:
             for alert in summary["alerts"]
         )
         assert summary["restarts"] == []
-        # checkpoints were taken: the supervisor really was armed
-        assert all(
-            shard["checkpoint_forks"] > 0
-            for shard in summary["wall"]["sync"]["shards"]
-        )
 
 
 # The shortest run each name accepts: the fixed exchanges take no
@@ -267,6 +264,7 @@ class TestFrontDoorOracle:
         ["receive", "--faults", "down:lan0~lan1:0.1:0.2"],
         ["receive", "--shards", "2", "--recover"],
         ["flow_storm", "--timeout", "30"],
+        # a deleted flag is refused like any other unknown one
         ["flow_storm", "--checkpoint-interval", "4"],
         ["flow_storm", "--plain"],
         [],
