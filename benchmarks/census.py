@@ -153,9 +153,6 @@ OWNERS = (
     ("repro.core.words.word_count", _ACCESSORS),
     ("repro.core.words.get_long", _ACCESSORS),
     ("repro.core.words.words_of", _ACCESSORS),
-    ("repro.sim.telemetry.LogHistogram.mean", _ACCESSORS),
-    ("repro.sim.telemetry.Telemetry.series_for", _ACCESSORS),
-    ("repro.sim.telemetry.Telemetry.names", _ACCESSORS),
 )
 
 

@@ -216,9 +216,7 @@ def cmd_run(args, unknown=()) -> int:
             "(load it at https://ui.perfetto.dev or chrome://tracing)",
             file=sys.stderr,
         )
-    summary = run_summary(
-        args.name, result, profile=args.profile, plane=plane
-    )
+    summary = run_summary(args.name, result, profile=args.profile)
     if args.json:
         print(json.dumps(summary, indent=2, default=str))
         return 0

@@ -1629,12 +1629,9 @@ def run_partition_storm(
         "livelock_alerts": [
             alert for alert in alerts if alert.rule == "receive_livelock"
         ],
-        "restart_alerts": [
-            alert for alert in alerts if alert.rule == "shard_restart"
-        ],
         "dropped_link_down": dropped_link_down,
         "vmtp": vmtp,
-        "restarts": result.restarts,
+        "restarts": result.sync.restarts,
         "windows": result.windows,
         "wall_seconds": result.wall_seconds,
     }

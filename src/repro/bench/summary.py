@@ -5,8 +5,9 @@
 is its text mode.  Everything outside the ``wall`` key is simulated and
 therefore a pure function of ``(name, seed, segments, duration,
 faults)`` — byte-identical across repeats and, apart from ``shards``
-and ``shard_details``, across shard counts.  ``docs/OBSERVABILITY.md``
-documents the schema; ``tests/test_cli.py`` guards it.
+and ``shard_details``, across shard counts.  Each fact appears once,
+under one name.  ``docs/OBSERVABILITY.md`` documents the schema;
+``tests/test_cli.py`` guards it.
 
 ``profile=True`` adds what §6.1 got from 28 hours of gprof, per host:
 attributed kernel cost by primitive and by component, the packet-span
@@ -18,15 +19,22 @@ measured here: host-time costs are ``python -m perfbench``'s job.
 
 from __future__ import annotations
 
-from ..sim.obsplane import span_latency_histogram
 from ..sim.telemetry import Alert
 
 __all__ = ["run_summary", "render_summary"]
 
 
-def _host_profiles(result, alerts: list) -> dict:
-    """The ledger's per-host charge profile, every host of the run
-    (``alerts``: the summary's alert dicts)."""
+def _span_latency(ledger, host: str | None = None) -> dict:
+    """Nearest-rank wire-arrival → syscall-return percentiles from the
+    ledger, keyed ``p50``-style (JSON object keys must be strings)."""
+    return {
+        f"p{round(p * 100)}": value
+        for p, value in ledger.stage_percentiles(host=host).items()
+    }
+
+
+def _host_profiles(result) -> dict:
+    """The ledger's per-host charge profile, every host of the run."""
     ledger = result.ledger
     series = result.telemetry.series if result.telemetry else {}
     by_component: dict[str, dict] = {host: {} for host in result.stats}
@@ -43,17 +51,11 @@ def _host_profiles(result, alerts: list) -> dict:
         census[key] = census.get(key, 0) + 1
     return {
         host: {
-            "total_cost_seconds": ledger.total_cost(host),
             "breakdown": ledger.breakdown(host),
             "by_component": by_component[host],
             "span_outcomes": outcomes[host],
-            "stage_percentiles_seconds": {
-                # JSON object keys must be strings; "p50"-style reads best.
-                f"p{round(p * 100)}": value
-                for p, value in ledger.stage_percentiles(host=host).items()
-            },
+            "span_latency": _span_latency(ledger, host),
             "drops": ledger.drop_summary(host),
-            "alerts": [shown for shown in alerts if shown["host"] == host],
             "telemetry_latest": {
                 name: recorded.latest()
                 for (owner, name), recorded in series.items()
@@ -64,25 +66,15 @@ def _host_profiles(result, alerts: list) -> dict:
     }
 
 
-def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict:
+def run_summary(name: str, result, *, profile: bool = False) -> dict:
     """Everything ``python -m repro run`` reports about ``result``, the
     :class:`~repro.sim.orchestrator.TopologyResult` of running the
     topology registered as ``name`` (every registered one keeps a
     ledger; ``alerts`` is empty for one that runs without telemetry).
 
-    ``profile`` adds the per-host charge profile; ``plane`` (the
-    :class:`~repro.sim.obsplane.ObservabilityPlane` a ``--top`` run was
-    watched through) adds its final cluster view.
+    ``profile`` adds the per-host charge profile.
     """
     spec, total = result.spec, result.total
-    # The JSON edge: the one place an alert becomes a dict.
-    alerts = [
-        alert.to_dict()
-        for alert in (result.telemetry.alerts if result.telemetry else [])
-    ]
-    span_hist = (
-        span_latency_histogram(result.ledger) if result.ledger is not None else None
-    )
     summary = {
         "topology": name,
         "segments": len(spec.segments),
@@ -101,16 +93,14 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
         "windows": result.windows,
         "events_fired": result.events_fired,
         "sim_seconds": result.now,
-        "recovered_shards": result.recovered_shards,
         # A restart record's own wall time is in ``wall.sync`` already
         # (``replay_seconds``); what is left is deterministic.
         "restarts": [
             {key: value for key, value in record.items() if key != "wall_seconds"}
-            for record in result.restarts
+            for record in result.sync.restarts
         ],
         "shard_details": result.shard_details,
-        # an empty histogram is falsy, like a missing one
-        "span_latency": span_hist.percentiles() if span_hist else None,
+        "span_latency": _span_latency(result.ledger),
         "frames_received": total.frames_received,
         "frames_sent": total.frames_sent,
         "cpu_time": total.cpu_time,
@@ -123,11 +113,11 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
             for host, stats in sorted(result.stats.items())
         },
         "wire": result.wire,
-        "dropped_link_down": {
-            segment: wire.get("frames_dropped_link_down", 0)
-            for segment, wire in result.wire.items()
-        },
-        "alerts": alerts,
+        # The JSON edge: the one place an alert becomes a dict.
+        "alerts": [
+            alert.to_dict()
+            for alert in (result.telemetry.alerts if result.telemetry else [])
+        ],
         "reports": result.reports,
         "wall": {
             "wall_seconds": result.wall_seconds,
@@ -135,27 +125,16 @@ def run_summary(name: str, result, *, profile: bool = False, plane=None) -> dict
         },
     }
     if profile:
-        summary["profile"] = _host_profiles(result, alerts)
-    if plane is not None:
-        summary["cluster"] = {
-            "deltas": plane.deltas,
-            "shards": [
-                {
-                    "shard": view.shard_id,
-                    "window": view.window,
-                    "events_fired": view.events_fired,
-                    "egress_backlog": view.egress_backlog,
-                    "restarts": view.restarts,
-                    "lost": view.lost,
-                }
-                for view in plane.sync.shards
-            ],
-        }
+        summary["profile"] = _host_profiles(result)
     return summary
 
 
-def _render_host_profile(host: str, profile: dict) -> list[str]:
-    total = profile["total_cost_seconds"]
+def _render_host_profile(
+    host: str, profile: dict, total: float, alerts: list
+) -> list[str]:
+    """One host's charge profile (``total``: its simulated CPU time,
+    every second of which the ledger attributes; ``alerts``: its
+    alert dicts)."""
     lines = [
         "",
         f"=== charge profile: host {host!r} ===",
@@ -183,9 +162,9 @@ def _render_host_profile(host: str, profile: dict) -> list[str]:
             profile["span_outcomes"].items(), key=lambda kv: -kv[1]
         ):
             lines.append(f"  {outcome:<18}{packets:>6}")
-    if profile["stage_percentiles_seconds"]:
+    if profile["span_latency"]:
         lines += ["", "wire-arrival -> syscall-return latency:"]
-        for name, value in profile["stage_percentiles_seconds"].items():
+        for name, value in profile["span_latency"].items():
             lines.append(f"  {name:<5}{value * 1000.0:>10.3f} ms")
     if profile["drops"]:
         lines += ["", "drops:"]
@@ -194,9 +173,7 @@ def _render_host_profile(host: str, profile: dict) -> list[str]:
         ):
             lines.append(f"  {reason:<16}{dropped:>6}")
     lines += ["", "watchdog alerts:"]
-    lines += [
-        f"  {Alert(**shown).render()}" for shown in profile["alerts"]
-    ] or ["  none"]
+    lines += [f"  {Alert(**shown).render()}" for shown in alerts] or ["  none"]
     return lines
 
 
@@ -222,10 +199,12 @@ def render_summary(summary: dict, sync=None) -> str:
         f"{summary['cpu_time'] * 1000.0:.2f} ms simulated CPU",
     ]
     for detail in summary["shard_details"]:
+        restarts = sum(
+            record["shard"] == detail["shard"] for record in summary["restarts"]
+        )
         lines.append(
             f"  shard {detail['shard']}: {','.join(detail['segments'])} — "
-            f"{detail['events_fired']} events over {detail['windows']} "
-            f"windows, {detail['restarts']} restart(s)"
+            f"{detail['events_fired']} events, {restarts} restart(s)"
         )
     for fault in faults:
         lines.append(
@@ -233,7 +212,10 @@ def render_summary(summary: dict, sync=None) -> str:
             f"[{fault['start']:.3f}, {fault['end']:.3f}) {fault['direction']}"
         )
     if faults:
-        dropped = summary["dropped_link_down"]
+        dropped = {
+            segment: wire["frames_dropped_link_down"]
+            for segment, wire in summary["wire"].items()
+        }
         lines.append(
             f"  dropped_link_down: {sum(dropped.values())} ({dropped})"
         )
@@ -249,8 +231,14 @@ def render_summary(summary: dict, sync=None) -> str:
     for segment, report in summary["reports"].items():
         lines.append(f"  {segment}: {report}")
     for host, profile in summary.get("profile", {}).items():
-        if profile["total_cost_seconds"]:   # a costs=FREE host has no bill
-            lines += _render_host_profile(host, profile)
+        total = summary["hosts"][host]["cpu_time"]
+        if total:   # a costs=FREE host has no bill
+            lines += _render_host_profile(
+                host,
+                profile,
+                total,
+                [shown for shown in alerts if shown["host"] == host],
+            )
     if sync is not None:
         lines += ["", sync.render()]
     return "\n".join(lines)

@@ -301,49 +301,45 @@ def build_topology_trace(result) -> dict:
     shard_names: list[str] = []
 
     shard_of: dict[str, int] = {}
-    for detail in result.shard_details:
-        name = f"shard:{detail['shard']}"
+    sync = result.sync
+    for stats in sync.shards:
+        name = f"shard:{stats.shard_id}"
         shard_names.append(name)
         pid = ids.pid(name)
-        for segment in detail["segments"]:
+        for segment in stats.segments:
             shard_of[segment] = pid
 
     # -- window-boundary slices and per-shard egress counters -------------
-    sync = result.sync
-    if sync is not None:
-        horizons = [h for h in sync.horizons if h is not None]
-        for name in shard_names:
-            pid = ids.pid(name)
-            tid = ids.tid(pid, "sync")
-            stats = sync.shards[pid - 1]
-            previous = 0.0
-            for index, horizon in enumerate(horizons):
+    horizons = [h for h in sync.horizons if h is not None]
+    for name, stats in zip(shard_names, sync.shards):
+        pid = ids.pid(name)
+        tid = ids.tid(pid, "sync")
+        previous = 0.0
+        for index, horizon in enumerate(horizons):
+            events.append(
+                {
+                    "name": f"window {index}",
+                    "cat": "sync",
+                    "ph": "X",
+                    "ts": _us(previous),
+                    "dur": _us(max(horizon - previous, 0.0)),
+                    "pid": pid,
+                    "tid": tid,
+                    "args": {"horizon": horizon},
+                }
+            )
+            if index < len(stats.egress_per_window):
                 events.append(
                     {
-                        "name": f"window {index}",
+                        "name": "egress",
                         "cat": "sync",
-                        "ph": "X",
-                        "ts": _us(previous),
-                        "dur": _us(max(horizon - previous, 0.0)),
+                        "ph": "C",
+                        "ts": _us(horizon),
                         "pid": pid,
-                        "tid": tid,
-                        "args": {"horizon": horizon},
+                        "args": {"value": stats.egress_per_window[index]},
                     }
                 )
-                if index < len(stats.egress_per_window):
-                    events.append(
-                        {
-                            "name": "egress",
-                            "cat": "sync",
-                            "ph": "C",
-                            "ts": _us(horizon),
-                            "pid": pid,
-                            "args": {
-                                "value": stats.egress_per_window[index]
-                            },
-                        }
-                    )
-                previous = horizon
+            previous = horizon
 
     # -- bridge crossings: hop slices + s/f flow events --------------------
     # Capture order within an endpoint is deterministic; reports iterate

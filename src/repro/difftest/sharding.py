@@ -84,15 +84,12 @@ def alert_timeline_fingerprint(result) -> list[str]:
     The merged telemetry re-sorts alerts by ``(fired_at, host)``, so a
     1-shard and an N-shard run must produce the identical timeline —
     watchdogs evaluate per-world state, which partitioning may not
-    change.  ``shard_restart`` records are excluded: revivals are
-    supervisor events, deliberately outside every digest.
+    change.
     """
     if result.telemetry is None:
         return []
     lines = []
     for alert in result.telemetry.alerts:
-        if alert.rule == "shard_restart":
-            continue
         values = ",".join(
             f"{name}={_scalar(alert.values[name])}"
             for name in sorted(alert.values)
@@ -120,8 +117,8 @@ def outcome_digest(result) -> str:
 
 
 def alert_timeline_digest(result) -> str:
-    """SHA-256 over the merged watchdog alert timeline (restarts
-    excluded) — the sharded-telemetry parity oracle."""
+    """SHA-256 over the merged watchdog alert timeline — the
+    sharded-telemetry parity oracle."""
     return _digest(alert_timeline_fingerprint(result))
 
 

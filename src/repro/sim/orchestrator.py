@@ -24,12 +24,12 @@ processes, the merged result is bitwise identical across partitionings
 checks, and what makes the parallel speedup trustworthy.
 
 There is one grant/receive loop and one reply shape — ``(window,
-fired, egress, next_time, delta)`` from either shard class — so the
+fired, egress, next_time, alerts)`` from either shard class — so the
 loop never asks which class it holds: each reply is folded into the
 shard's one supervisor-side record
 (:class:`~repro.sim.obsplane.ShardSyncStats`) where it is received, and
 an armed observability plane — which reads those same records — is
-handed the reply's progress delta there too.
+handed the reply's alerts there too.
 
 Crash recovery rides the same determinism.  With a
 :class:`RecoveryConfig`, the orchestrator journals every grant it sends
@@ -38,9 +38,9 @@ each shard, and every wait on a shard (a window's reply, the final
 (pipe EOF) or wedges (reply deadline blown), the supervisor respawns
 it and replays the whole journal.  Replaying identical grants through
 identical per-segment worlds reproduces identical state, so a recovered
-run's digest is bitwise equal to an undisturbed one.  Restarts are
-recorded on the result and surfaced as ``shard_restart`` alerts in the
-merged telemetry stream (which the digest deliberately excludes).
+run's digest is bitwise equal to an undisturbed one.  Each revival is
+one record in ``result.sync.restarts`` — a supervisor event, outside
+the world and so outside every digest.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .shard import (
     partition,
 )
 from .stats import KernelStats, merge_stats
-from .telemetry import Alert, TelemetrySnapshot
+from .telemetry import TelemetrySnapshot
 from .topology import SegmentReport, TopologySpec
 
 __all__ = ["RecoveryConfig", "TopologyResult", "run_topology"]
@@ -111,20 +111,14 @@ class TopologyResult:
     now: float                             #: latest per-world clock
     windows: int                           #: synchronization rounds run
     wall_seconds: float
-    restarts: list = field(default_factory=list)  #: shard revival records
-    segment_reports: list = field(default_factory=list, repr=False)
     #: sync-protocol profile (grant waits, null grants, egress depth,
-    #: replay costs); always collected — per-window wall clocks on
-    #: the supervisor, so free for the worlds and outside the digest
-    sync: SyncProfile | None = None
-    #: per-shard breakdown: segments owned, windows acknowledged,
-    #: events fired, final clock, restart count
+    #: replay costs) and the log of shard revivals; always collected —
+    #: per-window wall clocks on the supervisor, so free for the worlds
+    #: and outside the digest
+    sync: SyncProfile
+    segment_reports: list = field(default_factory=list, repr=False)
+    #: per-shard breakdown: segments owned, events fired, final clock
     shard_details: list = field(default_factory=list)
-
-    @property
-    def recovered_shards(self) -> list[int]:
-        """Shard ids the supervisor revived at least once."""
-        return sorted({record["shard"] for record in self.restarts})
 
 
 def _merge_reports(
@@ -134,9 +128,8 @@ def _merge_reports(
     shards: int,
     windows: int,
     wall_seconds: float,
-    restarts: list | None = None,
-    sync: SyncProfile | None = None,
-    shard_details: list | None = None,
+    sync: SyncProfile,
+    shard_details: list,
 ) -> TopologyResult:
     """Reassemble the whole-world view, always in spec order.
 
@@ -162,30 +155,6 @@ def _merge_reports(
         for report in ordered:
             if report.telemetry is not None:
                 telemetry.merge(report.telemetry)
-        if restarts:
-            # Shard revivals are supervisor events, not world events:
-            # they join the alert stream (operators should see them)
-            # but stay out of the digest (recovery must be bitwise
-            # invisible to the simulation result).
-            for record in restarts:
-                telemetry.alerts.append(
-                    Alert(
-                        rule="shard_restart",
-                        host=f"shard:{record['shard']}",
-                        fired_at=record["horizon"],
-                        cleared_at=record["horizon"],
-                        values={
-                            "window": float(record["window"]),
-                            "attempts": float(record["attempts"]),
-                        },
-                        message=(
-                            f"shard {record['shard']} {record['reason']} at "
-                            f"window {record['window']}; respawned and "
-                            f"replayed {record['window']} grants"
-                        ),
-                    )
-                )
-            telemetry.alerts.sort(key=lambda alert: (alert.fired_at, alert.host))
     return TopologyResult(
         spec=spec,
         shards=shards,
@@ -199,10 +168,9 @@ def _merge_reports(
         now=max((report.now for report in ordered), default=0.0),
         windows=windows,
         wall_seconds=wall_seconds,
-        restarts=list(restarts or []),
-        segment_reports=ordered,
         sync=sync,
-        shard_details=list(shard_details or []),
+        segment_reports=ordered,
+        shard_details=shard_details,
     )
 
 
@@ -234,11 +202,10 @@ def run_topology(
 
     ``observability`` takes an
     :class:`~repro.sim.obsplane.ObservabilityPlane`: it is pointed at
-    this run's sync profile, every window's reply then carries the
-    shard's progress delta, and the plane's callbacks fire live as
-    replies come in.  The plane only *reads* quiescent state, so the
-    result is bitwise identical armed or off — the observer-effect
-    guard pins this.
+    this run's sync profile, handed every window reply's alerts, and
+    its callbacks fire live as replies come in.  The plane only *reads*
+    quiescent state, so the result is bitwise identical armed or off —
+    the observer-effect guard pins this.
     """
     spec.validate()
     if shards < 1:
@@ -251,7 +218,7 @@ def run_topology(
     if recv_timeout is None and recovery is not None:
         recv_timeout = recovery.recv_timeout
     if len(groups) == 1:
-        handles = [LocalShard(spec, groups[0], observe=plane is not None)]
+        handles = [LocalShard(spec, groups[0])]
     else:
         handles = [
             ProcessShard(
@@ -260,12 +227,10 @@ def run_topology(
                 shard_id=index,
                 timeout=recv_timeout,
                 hazard=(hazards or {}).get(index),
-                observe=plane is not None,
             )
             for index, group in enumerate(groups)
         ]
     journal: list[list] = [[] for _ in handles]
-    restarts: list = []
     shard_of: dict[str, int] = {}
     for shard_index, group in enumerate(groups):
         for segment_index in group:
@@ -299,7 +264,6 @@ def run_topology(
         handle = handles[index]
         grants = journal[index]
         reason = "timed out" if isinstance(failure, ShardTimeoutError) else "died"
-        sync.shards[index].lost = True
         for attempt in range(1, recovery.max_restarts + 1):
             if attempt > 1:
                 time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 2), BACKOFF_CAP))
@@ -312,7 +276,7 @@ def run_topology(
                 failure = error
                 continue
             wall_seconds = time.perf_counter() - revived
-            restarts.append(
+            sync.restarts.append(
                 {
                     "shard": index,
                     "window": len(grants),
@@ -322,7 +286,7 @@ def run_topology(
                     "wall_seconds": wall_seconds,
                 }
             )
-            sync.shards[index].note_restart(wall_seconds)
+            sync.shards[index].replay_seconds += wall_seconds
             return reply
         raise failure
 
@@ -358,9 +322,9 @@ def run_topology(
                 waited = time.perf_counter()
                 reply = supervised(index, horizon, handle.step_recv)
                 sync.shards[index].note_reply(time.perf_counter() - waited, reply)
-                _, _, shard_egress, shard_next, delta = reply
-                if delta is not None:
-                    plane.ingest(delta)
+                _, _, shard_egress, shard_next, alerts = reply
+                if plane is not None:
+                    plane.ingest(alerts)
                 egress.extend(shard_egress)
                 if shard_next is not None:
                     next_times.append(shard_next)
@@ -394,14 +358,12 @@ def run_topology(
         {
             "shard": stats.shard_id,
             "segments": list(stats.segments),
-            "windows": windows,
             "events_fired": sum(
                 by_name[name].events_fired for name in stats.segments
             ),
             "now": max(
                 (by_name[name].now for name in stats.segments), default=0.0
             ),
-            "restarts": stats.restarts,
         }
         for stats in sync.shards
     ]
@@ -411,7 +373,6 @@ def run_topology(
         shards=len(handles),
         windows=windows,
         wall_seconds=time.perf_counter() - started,
-        restarts=restarts,
         sync=sync,
         shard_details=shard_details,
     )

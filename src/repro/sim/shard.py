@@ -10,9 +10,8 @@ drives:
     on the same call that delivers any actual frames) and its reply.
     The grant runs one **window**: count it, inject the inbound bridged
     frames, run every owned world up to — but excluding — ``horizon``,
-    and, when an observability plane is armed, read the shard's
-    progress delta.  The reply is always ``(window, fired, egress,
-    next_time, delta)``.
+    and copy the watchdog alerts its segments fired meanwhile.  The
+    reply is always ``(window, fired, egress, next_time, alerts)``.
 
 ``collect()``
     Per-segment :class:`~repro.sim.topology.SegmentReport` records —
@@ -66,8 +65,8 @@ import os
 import select
 import time
 import traceback
+from dataclasses import replace
 
-from .obsplane import ProgressSource
 from .topology import SegmentRuntime, TopologySpec
 
 __all__ = [
@@ -142,20 +141,9 @@ def check_deadline(name: str, seconds: float | None) -> None:
 
 
 class LocalShard:
-    """Segments stepped in the calling process.
+    """Segments stepped in the calling process."""
 
-    ``observe`` arms the progress delta every window's reply then
-    carries (built by a :class:`~repro.sim.obsplane.ProgressSource`
-    this shard owns).
-    """
-
-    def __init__(
-        self,
-        topology: TopologySpec,
-        indices: list[int],
-        *,
-        observe: bool = False,
-    ) -> None:
+    def __init__(self, topology: TopologySpec, indices: list[int]) -> None:
         # Build in index order: construction order is observable (RNG
         # draws, sequence numbers) and must be partition-independent.
         self.runtimes = {
@@ -163,7 +151,9 @@ class LocalShard:
             for index in sorted(indices)
         }
         self.window = 0   #: windows run so far
-        self._source = ProgressSource(self) if observe else None
+        #: per segment, how many of its telemetry's alerts replies have
+        #: already carried
+        self._alerts_sent = dict.fromkeys(self.runtimes, 0)
         self._reply = None
 
     # -- stepping -------------------------------------------------------
@@ -197,11 +187,25 @@ class LocalShard:
     def run_window(self, horizon: float | None, frames: list) -> tuple:
         """The whole per-window body — the same code in-process and in
         a worker; returns the reply ``(window, fired, egress, next_time,
-        delta)``."""
+        alerts)``.
+
+        ``alerts`` are copies, as of this window, of the watchdog alerts
+        the segments that run telemetry fired during it — copies at
+        every shard count, so a reader never holds the sampler's own
+        record while the sampler is still writing it.  They are read
+        from telemetry alert lists, quiescent at a window boundary, so
+        copying them cannot perturb the simulation.
+        """
         self.window += 1
         fired, egress, next_time = self.step(horizon, frames)
-        delta = None if self._source is None else self._source.delta()
-        return self.window, fired, egress, next_time, delta
+        alerts: list = []
+        for name, runtime in self.runtimes.items():
+            telemetry = runtime.world.telemetry
+            if telemetry is not None:
+                fresh = telemetry.alerts[self._alerts_sent[name]:]
+                alerts.extend(replace(alert) for alert in fresh)
+                self._alerts_sent[name] = len(telemetry.alerts)
+        return self.window, fired, egress, next_time, alerts
 
     # Split halves, so Local and Process shards drive identically: the
     # orchestrator issues every send, then drains every receive.
@@ -275,9 +279,7 @@ def _shard_worker(
     spin = GRANT_SPIN if _pin(settings.get("shard_id", 0)) else 0.0
     hazard = settings.get("hazard") or {}
     try:
-        shard = LocalShard(
-            topology, indices, observe=settings.get("observe", False)
-        )
+        shard = LocalShard(topology, indices)
         while True:
             if spin:
                 _await_grant(conn, spin)
@@ -329,8 +331,7 @@ class ProcessShard:
     brings a dead or wedged shard back — a fresh worker replaying the
     journaled grants the caller hands it.  ``hazard`` injects a
     deterministic failure (``die_at_window``, ``wedge_at_window`` +
-    ``wedge_seconds``) for recovery tests.  ``observe`` has every reply
-    carry the shard's progress delta.
+    ``wedge_seconds``) for recovery tests.
     """
 
     def __init__(
@@ -342,7 +343,6 @@ class ProcessShard:
         shard_id: int = 0,
         timeout: float | None = None,
         hazard: dict | None = None,
-        observe: bool = False,
     ) -> None:
         context = context or _default_context()
         if context.get_start_method() == "spawn":
@@ -358,7 +358,6 @@ class ProcessShard:
         self.indices = list(indices)
         self.shard_id = shard_id
         self.timeout = timeout
-        self.observe = bool(observe)
         self._topology = topology
         self._context = context
         self._spawn(hazard)
@@ -366,9 +365,7 @@ class ProcessShard:
     # -- spawning --------------------------------------------------------
 
     def _spawn(self, hazard: dict | None = None) -> None:
-        settings = {
-            "observe": self.observe, "hazard": hazard, "shard_id": self.shard_id,
-        }
+        settings = {"hazard": hazard, "shard_id": self.shard_id}
         self._conn, child = self._context.Pipe()
         self._process = self._context.Process(
             target=_shard_worker,

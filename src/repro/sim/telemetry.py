@@ -139,16 +139,10 @@ class LogHistogram:
     Bucket ``i`` covers ``[floor * 2**i, floor * 2**(i+1))`` — octave
     buckets, so relative error is bounded by a factor of ``sqrt(2)`` at
     the geometric bucket midpoint no matter how wide the value range.
-    The shape is fixed at construction, which buys the two properties
-    the cross-shard observability plane needs:
-
-    * **bounded**: the memory and wire footprint is ``buckets`` ints
-      regardless of how many samples were folded in, so a shard can
-      send its histogram in every progress delta;
-    * **mergeable**: two histograms with the same shape merge by
-      bucket-wise addition, and merging per-shard histograms is exactly
-      equivalent to histogramming the merged samples — percentiles over
-      an N-shard run need no raw-sample retention anywhere.
+    The shape is fixed at construction, so the footprint is ``buckets``
+    ints however many samples were folded in: the supervisor's
+    always-on sync profile keeps one per shard (grant waits) and one per
+    run (window advances) without retaining a sample.
 
     ``quantile`` mirrors the nearest-rank convention of
     :meth:`repro.sim.ledger.Ledger.stage_percentiles`: it finds the
@@ -159,8 +153,7 @@ class LogHistogram:
     Values below ``floor`` land in bucket 0, values off the top end in
     the last bucket; both stay inside the observed min/max clamp.  The
     default shape (``floor=1e-7``, 64 buckets) spans 100 ns to ~10^12 s
-    of simulated latency — every span and grant-wait this simulator can
-    produce.
+    — every grant wait and window advance a run can take.
     """
 
     __slots__ = ("floor", "counts", "count", "total", "min", "max")
@@ -195,33 +188,9 @@ class LogHistogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def merge(self, other: "LogHistogram") -> "LogHistogram":
-        """Bucket-wise fold of ``other`` into this histogram (shapes
-        must match — merging is only meaningful between histograms of
-        the same metric)."""
-        if other.floor != self.floor or len(other.counts) != len(self.counts):
-            raise ValueError(
-                "cannot merge histograms of different shapes: "
-                f"floor {self.floor} x{len(self.counts)} vs "
-                f"{other.floor} x{len(other.counts)}"
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        return self
-
     def bounds(self, index: int) -> tuple[float, float]:
         """The ``[low, high)`` value range bucket ``index`` covers."""
         return self.floor * 2.0**index, self.floor * 2.0 ** (index + 1)
-
-    @property
-    def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
 
     def quantile(self, q: float) -> float | None:
         """Nearest-rank quantile estimate (None while empty).
@@ -675,12 +644,6 @@ class Telemetry:
 
     def series(self, host: str, name: str) -> Series | None:
         return self._series.get((host, name))
-
-    def series_for(self) -> list[Series]:
-        return list(self._series.values())
-
-    def names(self, host: str) -> list[str]:
-        return [name for (h, name) in self._series if h == host]
 
     def alerts_for(
         self, host: str | None = None, *, rule: str | None = None

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.topologies import flow_storm_topology
-from repro.difftest.sharding import run_digest
+from repro.difftest.sharding import alert_timeline_digest, run_digest
 from repro.sim.orchestrator import RecoveryConfig, run_topology
 from repro.sim.shard import (
     LocalShard,
@@ -78,12 +78,12 @@ def check_kill_site(victim: int, kill: int, fault: str) -> None:
     )
     site = f"shard {victim} {fault} {kill}"
     assert run_digest(recovered) == digest, site
-    (record,) = recovered.restarts
+    (record,) = recovered.sync.restarts
     assert record["shard"] == victim and record["window"] == kill, site
     reason = "died" if fault == "die_at_window" else "timed out"
     assert record["reason"] == reason, site
     assert record["attempts"] == 1, site
-    assert recovered.sync.shards[victim].restarts == 1, site
+    assert recovered.sync.shards[victim].replay_seconds > 0.0, site
 
 
 class TestTypedFailures:
@@ -255,7 +255,7 @@ class TestRecovery:
             hazards={1: {"wedge_at_window": 4, "wedge_seconds": 60.0}},
         )
         assert run_digest(recovered) == baseline
-        (record,) = recovered.restarts
+        (record,) = recovered.sync.restarts
         assert (record["shard"], record["window"]) == (1, 4)
         assert record["reason"] == "timed out"
 
@@ -269,7 +269,7 @@ class TestRecovery:
             hazards={1: {"die_at_window": 5}},
         )
         assert run_digest(recovered) == baseline
-        (record,) = recovered.restarts
+        (record,) = recovered.sync.restarts
         assert set(record) == {
             "shard", "window", "reason", "attempts", "horizon", "wall_seconds",
         }
@@ -316,7 +316,7 @@ class TestRecovery:
         )
         assert len(killed) == 1
         assert run_digest(recovered) == run_digest(clean)
-        (record,) = recovered.restarts
+        (record,) = recovered.sync.restarts
         assert record["window"] == clean.windows == 23
         assert record["horizon"] == 0.0
 
@@ -354,16 +354,18 @@ class TestRecovery:
         del spawned[:]
         monkeypatch.undo()
         assert run_digest(recovered) == run_digest(run_topology(spec, shards=2))
-        (record,) = recovered.restarts
+        (record,) = recovered.sync.restarts
         assert (record["attempts"], record["window"]) == (2, 5)
-        assert recovered.sync.shards[1].restarts == 1
+        assert recovered.sync.shards[1].replay_seconds > 0.0
 
     def test_unsupervised_failure_propagates(self):
         spec = ping_spec(2, frames=6)
         with pytest.raises(ShardDiedError):
             run_topology(spec, shards=2, hazards={1: {"die_at_window": 5}})
 
-    def test_restart_surfaces_as_telemetry_alert(self):
+    def test_restart_is_one_record_and_no_alert(self):
+        """A revival is a supervisor event: one record in the restart
+        log, and the merged alert stream stays the clean run's."""
         spec = dataclasses.replace(
             ping_spec(2, frames=8, seed=4), telemetry=True
         )
@@ -373,14 +375,12 @@ class TestRecovery:
             recovery=RecoveryConfig(recv_timeout=10.0),
             hazards={0: {"die_at_window": 6}},
         )
-        alerts = [
-            alert
-            for alert in recovered.telemetry.alerts
-            if alert.rule == "shard_restart"
-        ]
-        assert len(alerts) == 1
-        assert alerts[0].host == "shard:0"
-        assert alerts[0].values == {"window": 6.0, "attempts": 1.0}
+        (record,) = recovered.sync.restarts
+        assert (record["shard"], record["window"], record["attempts"]) == (
+            0, 6, 1
+        )
+        clean = run_topology(spec, shards=2)
+        assert alert_timeline_digest(recovered) == alert_timeline_digest(clean)
 
     def test_death_inside_a_window_body_recovers_bitwise(
         self, monkeypatch, tmp_path
@@ -409,7 +409,7 @@ class TestRecovery:
             spec, shards=2, recovery=RecoveryConfig(recv_timeout=10.0)
         )
         assert os.path.exists(marker)
-        (record,) = recovered.restarts
+        (record,) = recovered.sync.restarts
         assert (record["window"], record["reason"]) == (8, "died")
         assert run_digest(recovered) == oracle
 
@@ -423,4 +423,4 @@ class TestRecovery:
             recovery=RecoveryConfig(recv_timeout=10.0, max_restarts=2),
             hazards={1: {"die_at_window": 3}},
         )
-        assert len(recovered.restarts) == 1
+        assert len(recovered.sync.restarts) == 1

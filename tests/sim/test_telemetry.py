@@ -159,7 +159,7 @@ class TestSampler:
         late = world.host("late")
         for host in (early, late):
             assert host.kernel.telemetry is world.telemetry
-            assert "cpu_util" in world.telemetry.names(host.name)
+            assert world.telemetry.series(host.name, "cpu_util") is not None
 
     def test_components_publish_gauges(self):
         """Every instrumented layer shows up as series: NIC, device,
@@ -175,7 +175,9 @@ class TestSampler:
 
         host.spawn("op", opener())
         world.run()
-        names = set(world.telemetry.names("h"))
+        names = {
+            name for host, name in world.telemetry.export().series if host == "h"
+        }
         assert {"nic.ring_depth", "nic.polling", "pf.delivered",
                 "pool.in_use", "pool.available"} <= names
         assert any(n.startswith("pf.port") and n.endswith(".depth")
@@ -338,7 +340,7 @@ class TestEndToEnd:
         result = run_bsp_chaos(seed=11, telemetry=True)
         telemetry = result["world"].telemetry
         rto_series = [
-            series for series in telemetry.series_for()
+            series for series in telemetry.export().series.values()
             if series.name.startswith("rto.bsp")
         ]
         assert any(series.name.endswith(".backoff") for series in rto_series)
@@ -350,7 +352,7 @@ class TestEndToEnd:
             result = run_bsp_chaos(seed=5, telemetry=True)
             telemetry = result["world"].telemetry
             series = {
-                (s.host, s.name): s.samples for s in telemetry.series_for()
+                key: s.samples for key, s in telemetry.export().series.items()
             }
             return series, telemetry.alerts
 
