@@ -13,9 +13,12 @@ four-segment flow storm under ``sys.setprofile`` and fails if
 * the events fired per received frame exceed
   :data:`EVENTS_PER_FRAME_CEILING` — what catches a per-station arrival
   event or an unfolded sleep wake coming back;
+* the ``SimKernel.account`` calls per received frame exceed
+  :data:`ACCOUNT_CALLS_PER_FRAME_CEILING` — what catches a receive,
+  filter or send charge that left its path's one fold;
 * any ``Enum.__hash__`` frame runs under ``SimKernel.account``: a dict
   or set keyed by ``Primitive`` members hashes them in Python, once per
-  charge, fourteen charges a packet; or
+  charge, about four ``account`` charges a packet; or
 * any ledger, telemetry or watchdog code runs at all: the storm has
   both switched off, and off means free.
 
@@ -32,7 +35,9 @@ began to wake inside its own timer: events fell 9 874 → 6 083 and
 calls 321 611 → 294 952, so calls per event *rose* 32.6 → 48.5 while
 the work fell.  Per received frame (1 426 of them) the same change
 reads 225.5 → 206.8 calls and 6.9 → 4.3 events, which is why the
-guard divides by frames now.
+guard divides by frames now.  Folding each receive, filter and send
+path's fixed charges into one call took it to 207.0 → 177.1 calls and
+14.0 → 4.1 ``account`` calls per frame.
 """
 
 import enum
@@ -46,12 +51,15 @@ from repro.core.demux import PacketFilterDemux
 from repro.sim import ledger, telemetry
 from repro.sim.kernel import SimKernel
 
-CALLS_PER_FRAME_BUDGET = 228.0
-"""~10 % over the measured 206.8, and below the old per-event budget's
-per-frame equivalent (36 × 9 874 / 1 426 ≈ 249)."""
+CALLS_PER_FRAME_BUDGET = 195.0
+"""~10 % over the measured 177.1."""
 
 EVENTS_PER_FRAME_CEILING = 4.5
 """Measured 4.27."""
+
+ACCOUNT_CALLS_PER_FRAME_CEILING = 4.5
+"""Measured 4.09: two syscalls, a context switch and a read copy per
+frame.  Any one unfolded path charge adds ~1."""
 
 STORM = dict(
     segments=4,
@@ -189,11 +197,14 @@ def test_sim_call_budget(emit):
     assert frames > 1_200, "the storm did not run"
     per_frame = tally.calls / frames
     events_per_frame = events / frames
+    accounts_per_frame = len(tally.scoped) / frames
     emit(
         f"flow storm: {frames} frames, {events} events, {tally.calls} calls, "
         f"{per_frame:.1f} calls/frame (budget {CALLS_PER_FRAME_BUDGET:.0f}), "
         f"{events_per_frame:.2f} events/frame "
-        f"(ceiling {EVENTS_PER_FRAME_CEILING}); "
+        f"(ceiling {EVENTS_PER_FRAME_CEILING}), "
+        f"{accounts_per_frame:.2f} account calls/frame "
+        f"(ceiling {ACCOUNT_CALLS_PER_FRAME_CEILING}); "
         f"{tally.enum_hashes} Enum.__hash__ frames under account; "
         f"{tally.watched} ledger/telemetry/watchdog frames"
     )
@@ -201,6 +212,7 @@ def test_sim_call_budget(emit):
     assert tally.watched == 0
     assert per_frame <= CALLS_PER_FRAME_BUDGET
     assert events_per_frame <= EVENTS_PER_FRAME_CEILING
+    assert accounts_per_frame <= ACCOUNT_CALLS_PER_FRAME_CEILING
 
 
 @pytest.mark.parametrize("engine, flow_cache", sorted(DELIVER_CALLS), ids=str)

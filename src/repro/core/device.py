@@ -60,12 +60,10 @@ __all__ = ["PacketFilterDevice", "PacketFilterHandle"]
 _DROP_RESIZE = Primitive.DROP_RESIZE
 _DROP_FLUSH = Primitive.DROP_FLUSH
 _PF_FIXED = Primitive.PF_FIXED
-_FILTER_PREDICATE = Primitive.FILTER_PREDICATE
-_FILTER_INSTRUCTION = Primitive.FILTER_INSTRUCTION
 _MICROTIME = Primitive.MICROTIME
 _DROP_OVERFLOW = Primitive.DROP_OVERFLOW
 _DROP_NOBUF = Primitive.DROP_NOBUF
-_PF_SEND_FIXED = Primitive.PF_SEND_FIXED
+_COPY = Primitive.COPY
 _FILTER_BIND = Primitive.FILTER_BIND
 
 
@@ -231,11 +229,7 @@ class PacketFilterDevice(DeviceDriver):
         kernel = self.kernel
         now = kernel.scheduler.now
         report = self.demux.deliver(frame, timestamp=now, packet_id=packet_id)
-        kernel.account(
-            _PF_FIXED, kernel.costs.pf_fixed, component="pf",
-            packet_id=packet_id,
-        )
-        if not self._settle(report, packet_id, now):
+        if not self._settle(report, packet_id, now, True):
             return False
         woke = False
         for port_id in report.accepted_by:
@@ -282,7 +276,7 @@ class PacketFilterDevice(DeviceDriver):
         notify: dict[int, "PacketFilterHandle"] = {}
         accepted_flags: list[bool] = []
         for report, pid in zip(reports, packet_ids):
-            accepted_flags.append(self._settle(report, pid, now))
+            accepted_flags.append(self._settle(report, pid, now, False))
             for port_id in report.accepted_by:
                 notify[port_id] = self._handles[port_id]
 
@@ -305,33 +299,28 @@ class PacketFilterDevice(DeviceDriver):
         return accepted_flags
 
     def _settle(
-        self, report: DeliveryReport, packet_id: int | None, now: float
+        self,
+        report: DeliveryReport,
+        packet_id: int | None,
+        now: float,
+        alone: bool,
     ) -> bool:
         """One demultiplexed frame's own share of the interrupt-side
-        work, alone or in a burst: the filter work it cost, a
-        ``microtime`` per timestamping port it reached, its overflow and
-        no-buffer drops, and its span up to the enqueue (or the drop
-        that ends it).  Returns whether some port accepted it."""
+        work: the filter work it cost (with ``pf_fixed`` when it came
+        ``alone``, not in a burst), a ``microtime`` per timestamping
+        port it reached, its overflow and no-buffer drops, and its span
+        up to the enqueue (or the drop that ends it).  Returns whether
+        some port accepted it."""
         kernel = self.kernel
         costs = kernel.costs
         ledger = kernel.ledger
         traced = ledger is not None and packet_id is not None
-        if report.predicates_tested:
-            kernel.account(
-                _FILTER_PREDICATE,
-                costs.filter_cost(report.predicates_tested, 0),
-                quantity=report.predicates_tested,
-                component="pf",
-                packet_id=packet_id,
-            )
-        if report.instructions_executed:
-            kernel.account(
-                _FILTER_INSTRUCTION,
-                costs.filter_cost(0, report.instructions_executed),
-                quantity=report.instructions_executed,
-                component="pf",
-                packet_id=packet_id,
-            )
+        kernel.charge_pf_input(
+            report.predicates_tested,
+            report.instructions_executed,
+            packet_id,
+            alone,
+        )
         if traced:
             ledger.stage(packet_id, STAGE_FILTER_EVAL, now)
         for port_id in report.accepted_by:
@@ -401,9 +390,10 @@ class PacketFilterHandle(DeviceHandle):
             for packet in batch:
                 if ledger is not None and packet.packet_id is not None:
                     ledger.stage(packet.packet_id, STAGE_DEQUEUE, now)
-                copy_done = kernel.charge_copy(
-                    len(packet.data), component="pf",
-                    packet_id=packet.packet_id,
+                nbytes = len(packet.data)
+                copy_done = kernel.account(
+                    _COPY, kernel.costs.copy_cost(nbytes), nbytes, "pf",
+                    packet.packet_id,
                 )
                 if ledger is not None and packet.packet_id is not None:
                     ledger.stage(packet.packet_id, STAGE_COPY_OUT, copy_done)
@@ -459,12 +449,7 @@ class PacketFilterHandle(DeviceHandle):
             if len(frame) > link.max_frame_bytes:
                 raise InvalidArgument(f"frame exceeds {link.name} maximum")
         for frame in frames:
-            kernel.account(
-                _PF_SEND_FIXED,
-                kernel.costs.pf_send_fixed,
-                component="pf",
-            )
-            kernel.charge_copy(len(frame), component="pf")
+            kernel.charge_pf_output(len(frame))
             kernel.network_output(self.device.host.nic, frame)
             total += len(frame)
         # "control returns to the user once the packet is queued for

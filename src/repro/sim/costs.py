@@ -97,7 +97,9 @@ class CostModel:
 
     def copy_cost(self, nbytes: int) -> float:
         """One kernel<->user (or pipe) data transfer of ``nbytes``."""
-        extra = max(0, nbytes - SHORT_PACKET_BYTES)
+        extra = nbytes - SHORT_PACKET_BYTES
+        if extra < 0:  # max(0, ...) without a builtin call: twice a packet
+            extra = 0
         return self.copy_short + (extra / 1024.0) * self.copy_per_kbyte
 
     def buffer_cost(self, nbytes: int) -> float:

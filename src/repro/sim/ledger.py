@@ -10,12 +10,12 @@ Two kinds of record:
 
 * a :class:`ChargeEvent` — one attributed cost
   ``(primitive, component, host, sim_time, cost, quantity, packet_id,
-  flow)``, emitted by :meth:`repro.sim.kernel.SimKernel.account` for
-  every charge the kernel makes.  The sum of event costs for a host is
-  exactly that host's ``stats.cpu_time``, and each ``KernelStats``
-  counter is exactly the count (or quantity sum) of its primitive —
-  :meth:`Ledger.stats_view` replays the events into a fresh
-  ``KernelStats`` and the reconciliation test asserts equality.
+  flow)``, emitted by :meth:`repro.sim.kernel.SimKernel.account` or a
+  kernel path fold for every charge the kernel makes.  The sum of
+  event costs for a host is exactly that host's ``stats.cpu_time``, and
+  each ``KernelStats`` counter is exactly the count (or quantity sum)
+  of its primitive — :meth:`Ledger.stats_view` replays the events into
+  a fresh ``KernelStats`` and the reconciliation test asserts equality.
 
 * a :class:`PacketSpan` — the life of one received packet as a sequence
   of ``(stage, sim_time)`` marks: wire arrival → interrupt → filter
@@ -64,8 +64,8 @@ class Primitive(enum.Enum):
     Each value corresponds either to a :class:`~repro.sim.costs.CostModel`
     primitive (those carry a cost) or to a pure counting event (cost 0 —
     drop accounting, wire fates).  The mapping from primitive to
-    ``KernelStats`` counter lives in :func:`apply_counters` and is the
-    single source of truth for both live accounting and ledger replay.
+    ``KernelStats`` counter lives in :func:`apply_counters`, which live
+    accounting and ledger replay share.
     """
 
     # -- process/kernel boundary ---------------------------------------
@@ -151,7 +151,10 @@ def apply_counters(stats: KernelStats, primitive: Primitive, quantity: int = 1) 
     Used by both the live accounting path
     (:meth:`repro.sim.kernel.SimKernel.account`) and the replay path
     (:meth:`Ledger.stats_view`), so the two can never disagree about
-    which counter a primitive feeds.
+    which counter a primitive feeds.  The kernel's receive, filter and
+    send folds write their primitives' bumps out instead; the census
+    and ledger on/off tests of ``tests/sim/test_ledger.py`` hold them
+    to this rule.
     """
     name = primitive.counter
     if name is not None:
@@ -468,7 +471,7 @@ class Ledger:
         """Replay ``host``'s events into a fresh :class:`KernelStats`.
 
         Because the live path adds the identical costs in the identical
-        order through :meth:`SimKernel.account`, the result equals the
+        order through its charge sites, the result equals the
         kernel's live ``stats`` exactly (bitwise, floats included) —
         the reconciliation invariant.
         """

@@ -2,16 +2,18 @@
 
 The invariant the ledger refactor rests on: the ledger is not a second
 bookkeeping system that can drift from :class:`KernelStats`.  Every
-charge site goes through ``SimKernel.account``, which updates the live
-counters and appends the ledger event in the same call — so replaying
-the event stream (:meth:`Ledger.stats_view`) must reproduce the live
-stats *exactly*: bitwise-equal floats, identical integers, for every
-engine and under chaos.
+charge site — ``SimKernel.account`` and the receive, filter and send
+path folds — updates the live counters and appends the ledger events in
+the same call, so replaying the event stream (:meth:`Ledger.stats_view`)
+must reproduce the live stats *exactly*: bitwise-equal floats, identical
+integers, for every engine and under chaos.  A fold writes out the
+counter bumps ``apply_counters`` would make, so the census test and the
+on/off oracle below check it against that rule.
 """
 
 import pytest
 
-from repro.bench.scenarios import run_bsp_chaos
+from repro.bench.scenarios import ACCEPTANCE_CHAOS, CHAOS_SOAKS, run_bsp_chaos
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine
 from repro.core.ioctl import PFIoctl
@@ -25,6 +27,8 @@ from repro.sim.ledger import (
     STAGE_INTERRUPT,
     STAGE_WIRE_ARRIVAL,
 )
+
+from .test_batched_input import ETHERTYPE, deliver, make_frame, monitor_world
 
 TYPE = 0x0900
 STRAY_TYPE = 0x0801   # no handler, no filter: goes unclaimed
@@ -170,14 +174,15 @@ class TestLedgerUnit:
 # ---------------------------------------------------------------------------
 
 
-def run_pf_workload(engine: Engine, frames: int = 6):
-    """The canonical two-host packet-filter exchange, ledger enabled.
+def run_pf_workload(engine: Engine, frames: int = 6, ledger: bool = True):
+    """The canonical two-host packet-filter exchange, ledger enabled
+    unless ``ledger`` is False.
 
     The sender also emits one stray-ethertype frame nobody claims, so
     the UNCLAIMED accounting path is always part of what reconciliation
     checks.
     """
-    world = World(ledger=True)
+    world = World(ledger=ledger)
     alice = world.host("alice")
     bob = world.host("bob")
     alice.install_packet_filter(engine=engine)
@@ -288,6 +293,51 @@ def test_chaos_soak_reconciles():
     assert result["drops"].get("wire_loss", 0) > 0
     known = {p.value for p in DROP_PRIMITIVES}
     assert set(result["drops"]) <= known
+
+
+def booked_worlds(ledger: bool) -> list:
+    """``(world, host)`` for every host of the worlds the on/off oracle
+    compares: the canonical exchange on each engine; a batched-input
+    world whose timestamping port holds two, fed one burst and then
+    frame by frame; and the BSP chaos soak."""
+    booked = []
+    for engine in ENGINES:
+        world, alice, bob = run_pf_workload(engine, ledger=ledger)
+        booked += [(world, alice), (world, bob)]
+    world, monitor = monitor_world(
+        ledger=ledger, queue_limit=2, timestamping=True
+    )
+    frames = [
+        make_frame(world, ETHERTYPE if n % 2 else 0x7777, bytes(8 + 61 * n))
+        for n in range(8)
+    ]
+    deliver(world, monitor, frames, burst=True)
+    deliver(world, monitor, frames[:4], burst=False)
+    booked.append((world, monitor))
+    populate, _ = CHAOS_SOAKS["bsp"]
+    world = World(seed=11, ledger=ledger)
+    watch, _ = populate(world, chaos=ACCEPTANCE_CHAOS, seed=11)
+    world.run_until_done(*watch)
+    booked += [(world, host) for host in world.hosts]
+    return booked
+
+
+def test_books_agree_with_the_ledger_on_and_off():
+    """Whole worlds book the same stats with the ledger on and off, and
+    both equal the ledger's replay — floats bit for bit, the CPU cursor
+    included.  A path fold that sums its charges in another order, or
+    bumps a counter only on one side of its ledger branch, fails here."""
+    on, off = booked_worlds(ledger=True), booked_worlds(ledger=False)
+    assert [host.name for _, host in on] == [host.name for _, host in off]
+    for (world, live), (_, unledgered) in zip(on, off):
+        replayed = world.ledger.stats_view(live.name)
+        books = (replayed, live.kernel.stats, unledgered.kernel.stats)
+        assert books[0] == books[1] == books[2], live.name
+        assert len({stats.cpu_time.hex() for stats in books}) == 1, live.name
+        assert (
+            live.kernel._cpu_free_at.hex()
+            == unledgered.kernel._cpu_free_at.hex()
+        ), live.name
 
 
 def test_disabled_ledger_stays_off():
