@@ -2,7 +2,9 @@
 
 The incremental re-bind is pinned as a same-process *ratio* —
 re-binding one of 128 never-seen rules against compiling that set cold
-— next to the chain cache's hit and miss counts.  The IR passes
+— next to the chain cache's hit and miss counts, and, compiled against
+the set it replaces, as counts: chain-cache lookups and rebuilt
+dispatch subtrees per re-bind.  The IR passes
 themselves are pinned as counts by ``test_compiled_shape_at_100_rules``
 (``tests/difftest/test_matrix_smoke.py``), and the per-packet path
 by ``test_sim_call_budget.py``'s calls per deliver.
@@ -19,6 +21,7 @@ from repro.core.irgen import (
     compile_ir_set,
 )
 from repro.core.validator import validate
+from repro.core.words import pack_words
 
 REBIND_RULES = 128
 REBIND_MIN_SPEEDUP = 5.0
@@ -73,4 +76,53 @@ def test_rebind_compiles_one_chain_not_the_set(emit):
     assert ratio >= REBIND_MIN_SPEEDUP, (
         f"re-binding 1 of {REBIND_RULES} rules is only {ratio:.1f}x faster "
         f"than the cold compile (floor {REBIND_MIN_SPEEDUP}x)"
+    )
+
+
+def _nodes(tree):
+    yield tree
+    for subtree in tree.buckets.values():
+        yield from _nodes(subtree)
+    if tree.fallback is not None:
+        yield from _nodes(tree.fallback)
+
+
+def test_rebind_against_the_previous_set_rebuilds_one_bucket(emit):
+    """SETFILTER on one of 128 rules, compiled against the set it
+    replaces, rebuilds the root and the re-bound rule's bucket and looks
+    up that bucket's chain; the other 127 buckets and their linked
+    chains are the previous set's own.  Counted, not timed."""
+    programs = [_acl_rule(1024 + slot, slot) for slot in range(REBIND_RULES)]
+    entries = [
+        SetEntry(slot, program, validate(program), False)
+        for slot, program in enumerate(programs)
+    ]
+    compiled = compile_ir_set(entries)
+    for serial in range(9):
+        # The re-bound port keeps its key and moves to the end of its
+        # priority class; the rule has never been seen.
+        slot = (serial * 37) % REBIND_RULES
+        program = _acl_rule(1024 + slot, 1000 + serial)
+        entries = [entry for entry in entries if entry.key != slot]
+        entries.append(SetEntry(slot, program, validate(program), False))
+        before = chain_cache_info()
+        previous, compiled = compiled, compile_ir_set(
+            entries, previous=compiled
+        )
+        after = chain_cache_info()
+        lookups = (after.hits + after.misses) - (before.hits + before.misses)
+        kept = {id(node) for node in _nodes(previous._root.tree)}
+        rebuilt = [
+            node for node in _nodes(compiled._root.tree)
+            if id(node) not in kept
+        ]
+        assert lookups <= 2, f"{lookups} chain-cache lookups for one re-bind"
+        assert len(rebuilt) <= 2, f"{len(rebuilt)} subtrees rebuilt"
+        sport = 1000 + serial
+        packet = pack_words([0x0A00, sport ^ 0x5555, 0, 0, 6, sport, 1024 + slot])
+        assert compiled.classify(packet) == ((slot,), 1)
+    emit(
+        f"re-bind against the previous set: {lookups} chain lookup(s), "
+        f"{len(rebuilt)} of {len(list(_nodes(compiled._root.tree)))} "
+        "subtrees rebuilt"
     )

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .flowcache import FlowCache
@@ -88,9 +88,13 @@ class DeliveryReport:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class _Binding:
-    """A port, its filter, and everything computed at bind time."""
+    """A port, its filter, and everything computed at bind time.
+
+    Bindings compare by identity: a port is bound at most once, and
+    ``detach``'s list removal and the reorder's before/after check must
+    not compare every earlier binding field by field."""
 
     port: Port
     program: FilterProgram
@@ -98,10 +102,10 @@ class _Binding:
     report: ValidationReport | None = None
     compiled: CompiledFilter | None = None
     accepts: int = 0
-    rank: int = 0
-    """Current position in application order; reassigned after each
-    attach/detach/reorder so the compiled set and the linear scan
-    always agree on ordering."""
+    entry: SetEntry | None = None
+    """``Engine.IR``: this filter as the set compiler sees it, kept
+    across compiles (the compiler reuses whatever it built for the same
+    entries) and replaced only when the port's copy-all flag flips."""
 
     @property
     def order(self) -> tuple[int, int]:
@@ -228,17 +232,15 @@ class PacketFilterDemux:
     def _invalidate(self) -> None:
         """The single choke point for order mutations.
 
-        Every attach, detach and reorder lands here, so the rank
-        assignment, the compiled dispatch function and the flow cache
-        can never disagree about the filter set: they all go stale
-        together.  Construction of the derived artifacts
-        — including rank assignment, which walks every binding — is
-        deferred to the first classification (:meth:`_refresh`):
-        binding N filters costs one validation each, not N whole-set
-        recompilations or N rank sweeps — without the deferral, an
-        ACL-scale SETFILTER storm is quadratic.
+        Every attach, detach and reorder lands here, so the compiled
+        dispatch function and the flow cache can never disagree about
+        the filter set: they go stale together.  Construction of the
+        derived artifacts is deferred to the first classification
+        (:meth:`_refresh`): binding N filters costs one validation
+        each, not N whole-set recompilations — without the deferral, an
+        ACL-scale SETFILTER storm is quadratic.  The stale compiled set
+        stays as the one the next compile reuses from.
         """
-        self._ir = None
         self._hot_classify = None
         self._stale = True
         if self.flow_cache is not None:
@@ -249,21 +251,23 @@ class PacketFilterDemux:
         if not self._stale:
             return
         self._stale = False
-        for rank, binding in enumerate(self._order):
-            binding.rank = rank
         if self.engine is Engine.IR:
-            self._ir = compile_ir_set(
-                [
-                    SetEntry(
-                        rank=binding.rank,
-                        program=binding.program,
-                        report=binding.report,
-                        copy_all=binding.port.copy_all,
+            entries = []
+            for binding in self._order:
+                entry = binding.entry
+                if entry is None:
+                    entry = binding.entry = SetEntry(
+                        binding.port.port_id,
+                        binding.program,
+                        binding.report,
+                        binding.port.copy_all,
                     )
-                    for binding in self._order
-                ],
-                mode=self.mode,
-            )
+                elif entry.copy_all != binding.port.copy_all:
+                    entry = binding.entry = replace(
+                        entry, copy_all=binding.port.copy_all
+                    )
+                entries.append(entry)
+            self._ir = compile_ir_set(entries, mode=self.mode, previous=self._ir)
             self._hot_classify = self._ir._function
         if self.flow_cache is not None:
             self._rekey_cache()
@@ -300,38 +304,39 @@ class PacketFilterDemux:
         """
         if self._stale:
             self._refresh()
-        ranks: Sequence[int] | None = None
+        ports: Sequence[int] | None = None
         predicates = instructions = 0
         cache = self.flow_cache
         key = None
         if cache is not None and self._cache_usable:
             key = bytes(packet[: self._cache_key_bytes])
-            ranks = cache.lookup(key)
-        if ranks is None:
+            ports = cache.lookup(key)
+        if ports is None:
             # The compiled whole-set engine exposes its generated
             # function directly; calling it here skips two wrapper
             # frames on the per-packet path.
             hot = self._hot_classify
             if hot is not None:
-                ranks, predicates = hot(packet)
+                ports, predicates = hot(packet)
             else:
-                ranks, predicates, instructions = self._classify(packet)
+                ports, predicates, instructions = self._classify(packet)
             if key is not None:
-                cache.store(key, tuple(ranks))
+                cache.store(key, tuple(ports))
         return self._finish(
-            packet, ranks, predicates, instructions, timestamp, packet_id
+            packet, ports, predicates, instructions, timestamp, packet_id
         )
 
     def _finish(
         self,
         packet: bytes,
-        ranks: Sequence[int],
+        ports: Sequence[int],
         predicates: int,
         instructions: int,
         timestamp: float | None,
         packet_id: int | None,
     ) -> DeliveryReport:
-        """Queue an already-classified packet and account for it — the
+        """Queue an already-classified packet (``ports``: the accepting
+        port ids, in delivery order) and account for it — the
         non-memoizable tail of :meth:`deliver`."""
         self.packets_seen += 1
         self.total_predicates_tested += predicates
@@ -348,9 +353,9 @@ class PacketFilterDemux:
         # instance, keyed by the packet's fate (the report field its
         # port lands in, or none), instead of paying the (slow) frozen
         # dataclass constructor every packet.
-        if len(ranks) <= 1:
-            if ranks:
-                binding = self._order[ranks[0]]
+        if len(ports) <= 1:
+            if ports:
+                binding = self._bindings[ports[0]]
                 port = binding.port
                 binding.accepts += 1
                 if port.enqueue(packet, timestamp, packet_id):
@@ -370,16 +375,16 @@ class PacketFilterDemux:
                 report = DeliveryReport(
                     predicates_tested=predicates,
                     instructions_executed=instructions,
-                    **({fate: (port.port_id,)} if ranks else {}),
+                    **({fate: (port.port_id,)} if ports else {}),
                 )
                 if len(self._reports) < 4096:
                     self._reports[key] = report
             return report
 
         accepted_by, dropped_by, nobuf_by = [], [], []
-        order = self._order
-        for rank in ranks:
-            binding = order[rank]
+        bindings = self._bindings
+        for port_id in ports:
+            binding = bindings[port_id]
             binding.accepts += 1
             if binding.port.enqueue(packet, timestamp, packet_id):
                 accepted_by.append(binding.port.port_id)
@@ -412,10 +417,10 @@ class PacketFilterDemux:
         cache = self.flow_cache
         if cache is None or not self._cache_usable:
             return None
-        ranks = cache.peek(bytes(packet[: self._cache_key_bytes]))
-        if ranks is None:
+        ports = cache.peek(bytes(packet[: self._cache_key_bytes]))
+        if ports is None:
             return None
-        return tuple(self._order[rank].port for rank in ranks)
+        return tuple(self._bindings[port_id].port for port_id in ports)
 
     def deliver_batch(
         self,
@@ -449,10 +454,10 @@ class PacketFilterDemux:
         for the linear engines (``Engine.IR`` goes through
         ``_hot_classify``).
 
-        Returns ``(ranks, predicates, instructions)`` with ranks in
-        delivery order — the memoizable core of :meth:`deliver`,
-        independent of queueing."""
-        ranks_out: list[int] = []
+        Returns ``(ports, predicates, instructions)`` with the accepting
+        port ids in delivery order — the memoizable core of
+        :meth:`deliver`, independent of queueing."""
+        ports: list[int] = []
         predicates = 0
         instructions = 0
         for binding in self._order:
@@ -461,13 +466,13 @@ class PacketFilterDemux:
             instructions += executed
             if not matched:
                 continue
-            ranks_out.append(binding.rank)
+            ports.append(binding.port.port_id)
             # "Normally, once a packet has been accepted ... it will not
             # be submitted to the filters of any other processes" unless
             # the accepting port opted into copy-all.
             if not binding.port.copy_all:
                 break
-        return ranks_out, predicates, instructions
+        return ports, predicates, instructions
 
     def _apply(self, binding: _Binding, packet: bytes) -> tuple[bool, int]:
         """Evaluate one filter; returns (accepted, instructions executed)."""

@@ -19,7 +19,7 @@ class FlowCache:
 
     Keyed by the packet's discriminating header prefix (extracted by the
     demultiplexer at bind time: every byte any bound filter can read),
-    each slot memoizes the full delivery decision — the accepting ranks,
+    each slot memoizes the full delivery decision — the accepting port ids,
     copy-all continuation included.  Identical prefixes provably
     classify identically, so a hit skips filter evaluation entirely;
     the paper's observation that consecutive packets overwhelmingly
@@ -59,7 +59,7 @@ class FlowCache:
         return crc32(key) & self._mask
 
     def lookup(self, key: bytes) -> tuple[int, ...] | None:
-        """Cached accepting ranks for ``key``, or None on a miss."""
+        """Cached accepting port ids for ``key``, or None on a miss."""
         slot = crc32(key) & self._mask
         if self._keys[slot] == key:
             self.hits += 1
@@ -76,10 +76,10 @@ class FlowCache:
             return self._values[slot]
         return None
 
-    def store(self, key: bytes, ranks: tuple[int, ...]) -> None:
+    def store(self, key: bytes, ports: tuple[int, ...]) -> None:
         slot = crc32(key) & self._mask
         self._keys[slot] = key
-        self._values[slot] = ranks
+        self._values[slot] = ports
 
     def invalidate(self) -> None:
         """Drop every entry (the bound filter set changed under us)."""

@@ -124,7 +124,7 @@ _FOLD = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     """One value in the DAG.
 

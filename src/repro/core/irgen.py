@@ -18,14 +18,16 @@ Three layers, bottom up:
   padded form so the preamble cannot raise on behalf of a body whose own
   length guard would have exited first.  Compiled chains live in one
   bounded, value-keyed LRU (:data:`CHAIN_CACHE_MAX`,
-  :func:`chain_cache_info`); ranks stay out of the cached code, which is
-  a *factory* closed over per-entry result constants.
+  :func:`chain_cache_info`); result keys stay out of the cached code,
+  which is a *factory* closed over per-entry result constants.
 
 * :func:`compile_ir_set` compiles a whole bound filter set: build the
   dispatch tree (:func:`repro.core.opt.build_dispatch_tree`), ask the
   chain cache for every leaf, and link the instantiated chains under
-  nested hash probes over the discriminating header words.  Re-binding
-  one filter therefore recompiles one chain, not the set.
+  nested hash probes over the discriminating header words.  Given the
+  set it replaces, it keeps every subtree and linked leaf whose entries
+  did not change, so a re-bind rebuilds the tree nodes above the one
+  filter and compiles one chain; the rest of the set costs nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .opt import (
     SetEntry,
     build_dispatch_tree,
     live_nodes,
+    lower_entry,
     specialize_filter,
     value_numbers,
 )
@@ -268,12 +271,12 @@ def _load_factory(source: str) -> Callable:
 
 def _result_constants(entries: Sequence[SetEntry]) -> list:
     """What a chain returns (or appends) when entry *i* accepts — the
-    only rank-dependent part of a chain, so it is closed over instead of
-    emitted: a re-bind that merely shifts ranks re-instantiates."""
+    entries' result keys, closed over instead of emitted so that equal
+    filters under different keys share one cached chain."""
     if any(entry.copy_all for entry in entries):
-        return [entry.rank for entry in entries]
+        return [entry.key for entry in entries]
     return [
-        ((entry.rank,), examined) for examined, entry in enumerate(entries, 1)
+        ((entry.key,), examined) for examined, entry in enumerate(entries, 1)
     ]
 
 
@@ -281,16 +284,20 @@ def _emit_chain(
     entries: Sequence[SetEntry],
     context: Mapping[tuple[int, int], int],
     mode: ShortCircuitMode,
+    lowered: dict | None = None,
 ) -> tuple[str, int, tuple]:
     """Factory source, hoist count and per-entry stats facts for one
     leaf chain.  Temporaries and accept flags are named by position in
     the chain and results come in as ``_r<position>`` parameters, so the
-    text depends only on what :func:`_chain_for` keys on."""
+    text depends only on what :func:`_chain_for` keys on.  ``lowered``
+    holds lowerings the caller already made, taken out as they are used."""
     chain_graph = ValueGraph()
     bodies = []
     facts = []
     for entry in entries:
-        fir = lower_program(entry.program, entry.report, mode)
+        fir = lowered.pop(entry, None) if lowered else None
+        if fir is None:
+            fir = lower_program(entry.program, entry.report, mode)
         live = live_nodes(fir)
         # A tuple, not the set: once its atoms are seen the collector
         # untracks it, where a thousand cached sets are re-traversed by
@@ -387,6 +394,7 @@ def _chain_for(
     entries: Sequence[SetEntry],
     context: Mapping[tuple[int, int], int],
     mode: ShortCircuitMode,
+    lowered: dict | None = None,
 ) -> _Chain:
     """The compiled chain for ``entries`` under ``context``, from the
     cache when an equal chain was compiled before.
@@ -395,7 +403,8 @@ def _chain_for(
     program and copy-all flag in order, the full-word facts
     :func:`repro.core.opt.specialize_filter` folds away, and the mode.
     The validation report is a pure function of (program, mode), so it
-    stays out; ranks stay out because the body does not contain them.
+    stays out; result keys stay out because the body does not contain
+    them.
     """
     key = (
         mode,
@@ -412,7 +421,7 @@ def _chain_for(
         _chain_counts["hits"] += 1
         return chain
     _chain_counts["misses"] += 1
-    source, hoisted, facts = _emit_chain(entries, context, mode)
+    source, hoisted, facts = _emit_chain(entries, context, mode, lowered)
     chain = _Chain(_load_factory(source), hoisted, facts)
     if len(_CHAINS) >= CHAIN_CACHE_MAX:
         _CHAINS.pop(next(iter(_CHAINS)))
@@ -451,6 +460,56 @@ def _dispatch_factory(index: int, mask: int) -> Callable:
     """``factory(map, fallback) -> probe(packet, _n)`` for one (word,
     mask) discriminant; the bucket map is a real dict of callables."""
     return _load_factory(_dispatch_source(index, mask))
+
+
+class _Link(NamedTuple):
+    """One dispatch-tree node, linked: what the next compile reuses."""
+
+    tree: DispatchTree
+    function: Callable              #: function(packet, _n)
+    chain: _Chain | None            #: leaves: the instantiated chain
+    buckets: Mapping[int, "_Link"]  #: branches: one per bucket value
+    fallback: "_Link | None"
+
+
+def _link(
+    node: DispatchTree,
+    context: dict,
+    previous: _Link | None,
+    mode: ShortCircuitMode,
+    lowered: dict,
+) -> _Link:
+    """Link ``node`` under the probe values ``context``.  ``previous``
+    is the link at the same place in the set being replaced: a subtree
+    the tree builder kept is kept linked as it is."""
+    if previous is not None and previous.tree is node:
+        return previous
+    discriminant = node.discriminant
+    if discriminant is None:
+        chain = _chain_for(node.entries, context, mode, lowered)
+        function = chain.factory(*_result_constants(node.entries))
+        return _Link(node, function, chain, {}, None)
+    if previous is not None and previous.tree.discriminant != discriminant:
+        previous = None
+    buckets = {}
+    for value, subtree in node.buckets.items():
+        before = previous.buckets.get(value) if previous else None
+        if before is not None and before.tree is subtree:
+            buckets[value] = before
+        else:
+            buckets[value] = _link(
+                subtree, {**context, discriminant: value}, before, mode,
+                lowered,
+            )
+    fallback = _link(
+        node.fallback, context, previous.fallback if previous else None,
+        mode, lowered,
+    )
+    function = _dispatch_factory(*discriminant)(
+        {value: link.function for value, link in buckets.items()},
+        fallback.function,
+    )
+    return _Link(node, function, None, buckets, fallback)
 
 
 def _fold_tree(node: DispatchTree, context: dict, leaf, branch):
@@ -516,89 +575,109 @@ class IRStats:
 class CompiledIRSet:
     """A bound filter set compiled through the IR pipeline.
 
-    ``classify(packet)`` returns ``(ranks, predicates)``: the ranks of
-    the accepting filters in delivery order (first-match unless an
+    ``classify(packet)`` returns ``(keys, predicates)``: the result keys
+    of the accepting filters in delivery order (first-match unless an
     accepting filter opted into copy-all), and how many filter bodies
     were entered before resolution — the figure-of-merit the cost model
     charges for.  ``source`` lists every generated chain and dispatch
-    node for inspection and tests (built on first read); ``stats``
-    carries the pass statistics.  The set holds its linked functions,
-    so chain-cache eviction never affects a live set.
+    node for inspection and tests, and ``stats`` carries the pass
+    statistics; both are built on first read.  The set holds its linked
+    functions, so chain-cache eviction never affects a live set.
     """
 
     size: int
     discriminant: tuple[int, int] | None  #: root (word index, mask)
-    stats: IRStats
     _function: object
-    _tree: DispatchTree = field(repr=False)
+    _root: _Link = field(repr=False)
     _mode: ShortCircuitMode = field(repr=False)
 
-    def classify(self, packet: bytes) -> tuple[Sequence[int], int]:
+    def classify(self, packet: bytes) -> tuple[Sequence, int]:
         return self._function(packet)  # type: ignore[operator]
 
     @cached_property
     def source(self) -> str:
-        return _listing(self._tree, self._mode)
+        return _listing(self._root.tree, self._mode)
+
+    @cached_property
+    def stats(self) -> IRStats:
+        """Filters, whole-set CSE node counts, dispatch depth, chains
+        and hoisted values.  The two node counts equal what
+        :func:`repro.core.opt.cse_filter_set` reports for the set,
+        assembled from per-filter facts cached with the chains instead
+        of a whole-set transfer."""
+        facts: dict[SetEntry, tuple] = {}  # (live nodes, value numbers)
+        hoisted = []
+        pending = [self._root]
+        while pending:
+            link = pending.pop()
+            if link.chain is None:
+                pending.extend(link.buckets.values())
+                pending.append(link.fallback)
+            else:
+                hoisted.append(link.chain.hoisted)
+                facts.update(zip(link.tree.entries, link.chain.facts))
+        return IRStats(
+            filters=self.size,
+            nodes_before_cse=sum(before for before, _ in facts.values()),
+            nodes_after_cse=len(
+                set().union(*(numbers for _, numbers in facts.values()))
+            ),
+            dispatch_depth=self._root.tree.depth,
+            chains=len(hoisted),
+            hoisted=sum(hoisted),
+        )
 
 
 def compile_ir_set(
     entries: Sequence[SetEntry],
     *,
     mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
+    previous: CompiledIRSet | None = None,
 ) -> CompiledIRSet:
-    """Compile ``entries`` (already validated, in rank order): build the
-    dispatch tree over the whole set, then lower → specialize → emit →
-    ``compile()`` each leaf chain the process has not compiled before.
+    """Compile ``entries`` (already validated, in application order):
+    build the dispatch tree over the whole set, then lower → specialize
+    → emit → ``compile()`` each leaf chain the process has not compiled
+    before, and link the chains under the tree's hash probes.
 
-    Chains are memoized by value (:func:`_chain_for`), not whole sets:
-    a SETFILTER on an N-rule set leaves N-1 chains byte-for-byte what
-    they were except for their ranks, which the cached factories take
-    as arguments — so a re-bind compiles one chain and re-links the
-    rest, and several demultiplexers bound to overlapping ACLs share
-    code.  Two cases cost a full compile, as they always did: a set the
-    analysis cannot bucket is one chain, and re-binding an unbucketable
-    filter (merged into every bucket) misses every chain.
+    ``previous`` is the set this one replaces.  Every subtree whose
+    entries are the same objects in the same order as at the same place
+    in ``previous`` is reused, linked functions included; only the rest
+    is rebuilt and linked.  A SETFILTER on an N-rule set therefore
+    rebuilds the root, the one bucket the filter lands in and the one it
+    left, and compiles one chain.  Chains are also memoized by value
+    (:func:`_chain_for`), so a rebuilt leaf whose filters were compiled
+    before — ahead of a same-priority reorder, say, or in another
+    demultiplexer bound to an overlapping ACL — costs one cache hit.  A
+    set the analysis cannot bucket is one chain, and a change to an
+    unbucketable filter (merged into every bucket) rebuilds every
+    bucket.  ``previous=None`` is the same compile with nothing to
+    reuse.
 
-    ``IRStats.nodes_before_cse``/``nodes_after_cse`` equal what
-    :func:`repro.core.opt.cse_filter_set` reports for the set, assembled
-    from per-filter facts cached with the chains instead of a whole-set
-    transfer per compile.
+    A filter the process has not seen is lowered once: the lowering
+    yields the necessary tests the tree groups by (kept on the entry)
+    and feeds the filter's first chain.
     """
-    tree = build_dispatch_tree(entries, mode)
-
-    facts: dict[int, tuple] = {}  # rank -> (live nodes, value numbers)
-    hoisted = []
-
-    def leaf(bound, context):
-        chain = _chain_for(bound, context, mode)
-        hoisted.append(chain.hoisted)
-        for entry, fact in zip(bound, chain.facts):
-            facts[entry.rank] = fact
-        return chain.factory(*_result_constants(bound))
-
-    def branch(discriminant, targets, fallback):
-        return _dispatch_factory(*discriminant)(targets, fallback)
-
-    root = _fold_tree(tree, {}, leaf, branch)
+    if previous is not None and previous._mode is not mode:
+        previous = None
+    lowered = {}
+    for entry in entries:
+        if entry.necessary is None:
+            fir = lower_entry(entry, mode)
+            if fir is not None:
+                lowered[entry] = fir
+    tree = build_dispatch_tree(
+        entries, mode, previous=previous._root.tree if previous else None
+    )
+    root = _link(tree, {}, previous._root if previous else None, mode, lowered)
+    function = root.function
 
     def _classify(packet):
-        return root(packet, len(packet))
+        return function(packet, len(packet))
 
-    stats = IRStats(
-        filters=len(entries),
-        nodes_before_cse=sum(before for before, _ in facts.values()),
-        nodes_after_cse=len(
-            set().union(*(numbers for _, numbers in facts.values()))
-        ),
-        dispatch_depth=tree.depth,
-        chains=len(hoisted),
-        hoisted=sum(hoisted),
-    )
     return CompiledIRSet(
         size=len(entries),
         discriminant=tree.discriminant,
-        stats=stats,
         _function=_classify,
-        _tree=tree,
+        _root=root,
         _mode=mode,
     )

@@ -31,15 +31,15 @@ exactly the candidate filters whose necessary conditions the packet
 satisfies (:meth:`DispatchTree.lookup` is the reference reading; a
 property-based test in ``tests/core/test_properties.py`` pins the
 equivalence down).  It reorders *predicates*, never priorities: every
-leaf chain is sorted by rank, so delivery order is exactly the figure
-4-1 loop's.
+leaf chain keeps the order the set was given in, so delivery order is
+exactly the figure 4-1 loop's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Sequence
+from collections import defaultdict
+from dataclasses import dataclass, field
+from typing import Hashable, Mapping, Sequence
 
 from .interpreter import ShortCircuitMode
 from .ir import (
@@ -67,8 +67,10 @@ __all__ = [
     "value_numbers",
     "specialize_filter",
     "NecessaryTest",
+    "necessary_tests",
     "necessary_equalities",
     "SetEntry",
+    "lower_entry",
     "DispatchTree",
     "build_dispatch_tree",
 ]
@@ -253,13 +255,18 @@ class NecessaryTest:
             return False
 
 
-@lru_cache(maxsize=65536)
 def necessary_equalities(
     program: FilterProgram,
     report: ValidationReport,
     mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
 ) -> frozenset[NecessaryTest]:
-    """Equality conditions provably necessary for ``program`` to accept.
+    """Equality conditions provably necessary for ``program`` to accept:
+    :func:`necessary_tests` of its lowering."""
+    return necessary_tests(lower_program(program, report, mode))
+
+
+def necessary_tests(fir: FilterIR) -> frozenset[NecessaryTest]:
+    """Equality conditions provably necessary for ``fir`` to accept.
 
     Most real filters are conjunctions that include an equality test on
     a shared discriminating field (the Ethernet type word, a Pup
@@ -271,10 +278,8 @@ def necessary_equalities(
     ``or`` either (intersection).  An exit that can return TRUE early
     voids "everything later is necessary", so such programs yield the
     empty set.  Sound but incomplete: always a subset of the true
-    necessary conditions.  Memoized: programs and reports are immutable,
-    and every re-link of a bound set asks again for every filter.
+    necessary conditions.
     """
-    fir = lower_program(program, report, mode)
     node, const_value = fir.graph.node, fir.graph.const_value
 
     def field(nid: int) -> tuple[int, int] | None:
@@ -317,20 +322,60 @@ def necessary_equalities(
     return necessary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetEntry:
     """One bound filter as the set compiler sees it.
 
-    ``rank`` is the filter's position in global application order
-    (priority descending, then bind sequence); ``copy_all`` is baked in
-    at compile time, so flipping it on a live port must recompile (the
-    demultiplexer's ``invalidate()`` does).
+    ``key`` is what the compiled set reports when the filter accepts
+    (the demultiplexer uses the port id): stable across re-binds, so a
+    filter that merely moves in application order keeps its linked
+    chain.  ``copy_all`` is baked in at compile time, so flipping it on
+    a live port needs a new entry.  Entries compare by identity: a
+    compile reuses the previous set's subtrees whose entries are the
+    same objects in the same order.
+
+    ``necessary`` is the filter's :func:`necessary_tests` as
+    ``{(word, mask): value}``, recorded by :func:`lower_entry` the first
+    time a compile sees the entry; an entry belongs to one short-circuit
+    mode, that of the set it is bound into.
     """
 
-    rank: int
+    key: Hashable
     program: FilterProgram
     report: ValidationReport
     copy_all: bool
+    necessary: Mapping[tuple[int, int], int] | None = field(
+        default=None, repr=False
+    )
+
+
+NECESSARY_MAX = 65536
+"""Most programs whose necessary tests the process remembers (LRU
+beyond that), so a filter bound again — re-attached, or bound into a
+second set — is not lowered again for them."""
+
+#: (program, report, mode) -> {(word, mask): value}; dict order is LRU order
+_NECESSARY: dict[tuple, Mapping[tuple[int, int], int]] = {}
+
+
+def lower_entry(entry: SetEntry, mode: ShortCircuitMode) -> FilterIR | None:
+    """Record ``entry``'s necessary tests on it.
+
+    Returns the lowering when the program had to be lowered for them (it
+    is not remembered), for the caller to emit the filter's first chain
+    from; None when the tests were remembered.
+    """
+    key = (entry.program, entry.report, mode)
+    tests = _NECESSARY.pop(key, None)
+    fir = None
+    if tests is None:
+        fir = lower_program(entry.program, entry.report, mode)
+        tests = {test.key: test.value for test in necessary_tests(fir)}
+        if len(_NECESSARY) >= NECESSARY_MAX:
+            _NECESSARY.pop(next(iter(_NECESSARY)))
+    _NECESSARY[key] = tests  # (re-)insert: most recently used
+    object.__setattr__(entry, "necessary", tests)
+    return fir
 
 
 @dataclass(frozen=True)
@@ -339,10 +384,11 @@ class DispatchTree:
 
     Internal nodes carry a ``discriminant`` (word, mask), per-value
     ``buckets``, and a ``fallback`` subtree for packets matching no
-    bucket (or too short for the field).  Leaves carry the ``entries``
-    to evaluate in application order.  Entries the analysis could not
-    bucket at a node are merged *into every bucket subtree* (and form
-    the fallback), preserving total order.
+    bucket (or too short for the field).  Every node carries the
+    ``entries`` under it in application order; a leaf evaluates them.
+    Entries the analysis could not bucket at a node are merged *into
+    every bucket subtree* (and form the fallback), preserving total
+    order.
     """
 
     discriminant: tuple[int, int] | None
@@ -385,8 +431,10 @@ def build_dispatch_tree(
     *,
     max_depth: int = 3,
     used_keys: frozenset = frozenset(),
+    previous: DispatchTree | None = None,
 ) -> DispatchTree:
-    """Bucket ``entries`` by their necessary equalities, recursively.
+    """Bucket ``entries`` (in application order) by their necessary
+    equalities, recursively.
 
     This is the predicate-reordering pass: instead of each filter
     re-testing the discriminating fields in chain order, the shared
@@ -394,26 +442,32 @@ def build_dispatch_tree(
     discriminating (word, mask) not already split on above it — the one
     with the most distinct required values, coverage breaking ties —
     and stops where no key covers two entries; a straight chain is
-    cheaper.  Priority order is *not* reordered — every leaf chain
-    sorts by ``SetEntry.rank``.
+    cheaper.  Priority order is *not* reordered — every node keeps its
+    entries in the order they were given.
+
+    ``previous`` is the tree this one replaces: any subtree whose
+    entries are the same objects in the same order, at the same place,
+    is that subtree, so a re-bind rebuilds only the nodes it changed.
     """
-    ordered = tuple(sorted(entries, key=lambda e: e.rank))
+    ordered = tuple(entries)
+    if previous is not None and previous.entries == ordered:
+        return previous
     leaf = DispatchTree(None, {}, None, ordered)
     # Every level above added exactly one key, so ``used_keys`` is the depth.
     if len(used_keys) >= max_depth or len(ordered) < 2:
         return leaf
-    required = [
-        {
-            test.key: test.value
-            for test in necessary_equalities(entry.program, entry.report, mode)
-            if test.key not in used_keys
-        }
-        for entry in ordered
-    ]
-    values: dict[tuple[int, int], list[int]] = {}  # one per covered entry
-    for tests in required:
+    required = []
+    for entry in ordered:
+        if entry.necessary is None:
+            lower_entry(entry, mode)
+        tests = entry.necessary
+        if used_keys:
+            tests = {k: v for k, v in tests.items() if k not in used_keys}
+        required.append(tests)
+    values: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for tests in required:  # one value per covered entry
         for key, value in tests.items():
-            values.setdefault(key, []).append(value)
+            values[key].append(value)
     if not values:
         return leaf
     key = max(
@@ -422,22 +476,33 @@ def build_dispatch_tree(
     if len(values[key]) < 2:
         return leaf
 
-    grouped: dict[int, list[SetEntry]] = {}
-    leftovers: list[SetEntry] = []
-    for entry, tests in zip(ordered, required):
+    grouped: defaultdict[int, list[int]] = defaultdict(list)
+    leftovers: list[int] = []  # positions in ``ordered``
+    for position, tests in enumerate(required):
         if key in tests:
-            grouped.setdefault(tests[key], []).append(entry)
+            grouped[tests[key]].append(position)
         else:
-            leftovers.append(entry)
+            leftovers.append(position)
 
     deeper = used_keys | {key}
+    same = previous is not None and previous.discriminant == key
+    pick = ordered.__getitem__
+
+    def subtree(positions: list[int], before: DispatchTree | None):
+        members = tuple(map(pick, positions))
+        if before is not None and before.entries == members:
+            return before
+        return build_dispatch_tree(
+            members, mode, max_depth=max_depth, used_keys=deeper,
+            previous=before,
+        )
+
     buckets = {
-        value: build_dispatch_tree(
-            group + leftovers, mode, max_depth=max_depth, used_keys=deeper
+        value: subtree(
+            sorted(group + leftovers) if leftovers else group,
+            previous.buckets.get(value) if same else None,
         )
         for value, group in grouped.items()
     }
-    fallback = build_dispatch_tree(
-        leftovers, mode, max_depth=max_depth, used_keys=deeper
-    )
-    return DispatchTree(key, buckets, fallback, ())
+    fallback = subtree(leftovers, previous.fallback if same else None)
+    return DispatchTree(key, buckets, fallback, ordered)

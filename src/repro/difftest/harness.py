@@ -25,7 +25,7 @@ Comparison rules (:func:`run_matrix`):
   different amounts of work);
 * flow-cache hit/miss/invalidation counters equal across **all**
   cache-enabled configurations, whatever the engine — the cache keys
-  on the packet's header prefix and stores ranks, neither of which
+  on the packet's header prefix and stores port ids, neither of which
   may depend on the engine;
 * optionally, the baseline's outcomes equal an independent 30-line
   oracle (:func:`reference_outcomes`) that reimplements priority

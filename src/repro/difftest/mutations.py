@@ -5,9 +5,8 @@ Each builder returns a flat event stream (see
 surface:
 
 * :func:`churn_stream` — mid-stream SETFILTER attach/detach toggles and
-  copy-all flips, so every derived artifact (IR set, flow cache, rank
-  assignment) is repeatedly torn down and rebuilt while packets are in
-  flight;
+  copy-all flips, so every derived artifact (IR set, flow cache) is
+  repeatedly torn down and rebuilt while packets are in flight;
 * :func:`collision_flood` — packets reordered so consecutive distinct
   flows index the *same* direct-mapped flow-cache slot, maximizing
   evictions;

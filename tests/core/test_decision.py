@@ -94,7 +94,7 @@ def build_table(programs):
 
 
 def candidates(table, packet):
-    return [entry.rank for entry in table.lookup(packet)]
+    return [entry.key for entry in table.lookup(packet)]
 
 
 class TestDecisionTable:

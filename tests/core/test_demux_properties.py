@@ -147,3 +147,100 @@ class TestDemuxAgainstOracle:
         assert queued == len(report.accepted_by)
         assert demux.packets_seen == 1
         assert demux.packets_unclaimed == (0 if report.accepted else 1)
+
+
+# --- Engine.IR: a compile that reuses the previous set equals a cold one --
+
+churn_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["attach", "detach", "rebind", "copyall", "reorder"]),
+        st.integers(0, 7),     # which attached port
+        st.tuples(
+            st.integers(0, 3),  # discriminating word index
+            st.integers(0, 3),  # required value
+            st.integers(0, 1),  # priority: few classes, so ties reorder
+            st.booleans(),      # copy_all
+        ),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def bind_port(port, spec):
+    field, value, priority, copy_all = spec
+    port.copy_all = copy_all
+    port.bind_filter(compile_expr(word(field) == value, priority=priority))
+
+
+def cold_twin(demux):
+    """A fresh IR demux bound, port for port, in ``demux``'s order."""
+    twin = PacketFilterDemux(engine=Engine.IR, reorder_same_priority=False)
+    for port in demux.attached_ports():
+        copy = Port(port.port_id, queue_limit=10_000)
+        copy.copy_all = port.copy_all
+        copy.bind_filter(port.program)
+        twin.attach(copy)
+    twin.invalidate()  # compile even an empty set, as ``demux`` has
+    return twin
+
+
+def drain(demux):
+    for port in demux.attached_ports():
+        port.read_packets()
+
+
+class TestIncrementalIRCompile:
+    @given(
+        churn_steps,
+        st.lists(packet_word_lists, min_size=1, max_size=8),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_step_equals_a_cold_compile(self, steps, packet_lists, cached):
+        """Attach, detach, SETFILTER re-bind, copy-all flip and
+        same-priority reorder each recompile against the previous set;
+        after every step the accepting ports, ``ir_stats`` and the
+        generated source equal those of a demux compiled from nothing."""
+        packets = [pack_words(words) for words in packet_lists]
+        demux = PacketFilterDemux(
+            engine=Engine.IR,
+            reorder_same_priority=False,
+            flow_cache=64 if cached else False,
+        )
+        demux.REORDER_INTERVAL = 1
+        serial = 0
+        for op, pick, spec in steps:
+            attached = demux.attached_ports()
+            if op == "attach" or not attached:
+                port = Port(serial, queue_limit=10_000)
+                serial += 1
+                bind_port(port, spec)
+                demux.attach(port)
+            else:
+                port = attached[pick % len(attached)]
+                if op == "detach":
+                    demux.detach(port)
+                elif op == "rebind":
+                    demux.detach(port)
+                    bind_port(port, spec)
+                    demux.attach(port)
+                elif op == "copyall":
+                    port.copy_all = not port.copy_all
+                    demux.invalidate()
+                else:  # busier-first, one reorder pass per delivery
+                    demux.reorder_same_priority = True
+                    for packet in packets:
+                        demux.deliver(packet)
+                    demux.reorder_same_priority = False
+                    drain(demux)
+
+            twin = cold_twin(demux)
+            assert demux.ir_stats == twin.ir_stats, op
+            assert demux._ir.source == twin._ir.source, op
+            for packet in packets:
+                got = demux.deliver(packet).accepted_by
+                assert got == twin.deliver(packet).accepted_by, (
+                    op, packet.hex()
+                )
+            drain(demux)

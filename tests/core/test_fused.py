@@ -27,7 +27,7 @@ from repro.core.words import pack_words
 def entry(rank, expr, *, copy_all=False, priority=0):
     program = compile_expr(expr, priority=priority)
     return SetEntry(
-        rank=rank,
+        key=rank,
         program=program,
         report=validate(program),
         copy_all=copy_all,

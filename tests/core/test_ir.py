@@ -10,7 +10,7 @@ instead of as a distant counterexample.
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import irgen
+from repro.core import demux as demux_module, irgen, opt
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.interpreter import LanguageLevel, ShortCircuitMode, evaluate
@@ -48,7 +48,7 @@ def lower(program, mode=ShortCircuitMode.PUSH_RESULT, graph=None):
 
 def entry(rank, program):
     return SetEntry(
-        rank=rank,
+        key=rank,
         program=program,
         report=validate(program),
         copy_all=False,
@@ -270,7 +270,7 @@ class TestDispatchTree:
         )
         tree = build_dispatch_tree(entries, ShortCircuitMode.PUSH_RESULT)
         bucket = tree.buckets[1]
-        ranks = [e.rank for e in bucket.entries]
+        ranks = [e.key for e in bucket.entries]
         assert ranks == sorted(ranks)
 
     def test_leftovers_reach_every_bucket_and_fallback(self):
@@ -597,6 +597,39 @@ class TestEngineChurn:
         before = demux.flow_cache.hits
         demux.deliver_batch(packets)
         assert demux.flow_cache.hits >= before + len(packets)
+
+    def test_a_never_seen_filter_is_lowered_once(self, monkeypatch):
+        # The lowering that yields a filter's necessary tests for the
+        # dispatch tree also feeds its first chain.
+        monkeypatch.setattr(opt, "_NECESSARY", {})
+        chain_cache_clear()
+        lowered = []
+
+        def counting(program, *args, **kwargs):
+            lowered.append(program)
+            return lower_program(program, *args, **kwargs)
+
+        monkeypatch.setattr(opt, "lower_program", counting)
+        monkeypatch.setattr(irgen, "lower_program", counting)
+        demux, ports = self.make()
+        demux.deliver(b"")
+        assert len(lowered) == len(ports) == len(set(lowered))
+        original = ports[2].program
+        for program, calls in [
+            (compile_expr((word(6) == 0x0900) & (word(7) == 77)), 1),
+            (original, 0),  # seen before: its tests and chain are kept
+        ]:
+            del lowered[:]
+            demux.detach(ports[2])
+            ports[2].bind_filter(program)
+            demux.attach(ports[2])
+            demux.deliver(b"")
+            assert len(lowered) == calls
+
+    def test_bindings_compare_by_identity(self):
+        # A port is bound at most once, so detach's list removal and the
+        # reorder's before/after check need no field-by-field compare.
+        assert demux_module._Binding.__eq__ is object.__eq__
 
     def test_ir_stats_exposed(self):
         demux, _ = self.make()

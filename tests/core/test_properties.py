@@ -289,7 +289,7 @@ class TestDecisionTableProperties:
             i for i, program in enumerate(programs)
             if evaluate(program, packet).accepted
         ]
-        offered = [entry.rank for entry in table.lookup(packet)]
+        offered = [entry.key for entry in table.lookup(packet)]
         via_table = [
             i for i in offered if evaluate(programs[i], packet).accepted
         ]
