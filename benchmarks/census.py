@@ -99,6 +99,10 @@ OWNERS = (
     ("repro.core.opt.cse_filter_set", "perfbench/tracer.py TARGETS, ROADMAP 1(b)"),
     ("repro.core.opt.DispatchTree.lookup", _TREE),
     ("repro.core.opt.NecessaryTest.matches", _TREE),
+    ("repro.core.opt.necessary_equalities",
+     "docs/LANGUAGE.md, Tooling map: the set-level analysis"),
+    ("repro.core.opt.DispatchTree.depth",
+     "perfbench: the core.irgen.dispatch_depth metric"),
     ("repro.core.demux.PacketFilterDemux.ir_stats", _IR),
     ("repro.core.device.ir_gauge*", _IR),
     ("repro.core.irgen._emit_chain.<locals>.hoist_operand", _IR),
@@ -118,6 +122,10 @@ OWNERS = (
     ("repro.sim.faults.schedule_fingerprint",
      "oracle: fault schedules compared across processes"),
     ("repro.sim.faults.*", _FAULTS),
+    ("repro.sim.seeds.derive_rng", _FAULTS),
+    ("repro.bench.scenarios.run_partition_storm(duration)",
+     "tests/difftest/test_chaos_recovery.py: the hash-seed leg runs 0.8 "
+     "in a python -c child the hook does not see"),
     ("repro.bench.topologies.*(seed)", "README, Install & run: run --seed"),
     ("repro.sim.topology.SegmentContext.address_of(station)",
      "ROADMAP item 1: perfbench/worlds.py passes it positionally"),
@@ -361,7 +369,7 @@ def commands(python: str) -> dict[str, list[list[str]]]:
             [python, "-c", validate, "stitched_trace.json"],
             repro("run", "partition_storm", "--shards", "2", "--top", "--plain"),
             repro("run", "partition_storm", "--shards", "2", "--faults",
-                  "down:lan0~lan1:0.2:0.55", "--recover", "--json"),
+                  "down:lan0~lan1:0.2:0.55", "--json"),
             [python, "-m", "repro.bench.report"],
         ],
         "perfbench": [

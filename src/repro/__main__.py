@@ -13,8 +13,7 @@
               profile and the sync-protocol table; ``--trace FILE``
               exports the stitched Perfetto trace; ``--top`` watches the
               run through the live cluster dashboard; ``--faults``
-              schedules link outages; ``--recover`` arms the
-              crash-recovery supervisor.
+              schedules link outages.
 
 stdout carries the summary and nothing else; everything live (dashboard
 repaints, alerts as they fire, the trace notice, errors) goes to stderr.
@@ -95,15 +94,14 @@ def cmd_trace() -> int:
 
 
 def _build_run(args):
-    """The one validation point: ``(spec, recovery)`` for the parsed
-    ``run`` arguments, or :class:`ValueError` naming the first thing
-    about them that cannot be honoured — before anything runs."""
+    """The one validation point: the spec for the parsed ``run``
+    arguments, or :class:`ValueError` naming the first thing about them
+    that cannot be honoured — before anything runs."""
     import dataclasses
     import math
 
     from repro.bench.topologies import named_topology
     from repro.sim.faults import parse_fault_spec
-    from repro.sim.orchestrator import RecoveryConfig
 
     for flag in ("shards", "segments"):
         value = getattr(args, flag)
@@ -135,13 +133,12 @@ def _build_run(args):
             faults=parse_fault_spec(args.faults, seed=args.seed),
         )
     spec.validate()
-    workers = min(args.shards, len(spec.segments))
-    if workers < 2 and (args.recover or args.timeout is not None):
+    if args.timeout is not None and min(args.shards, len(spec.segments)) < 2:
         raise ValueError(
-            "--recover and --timeout supervise worker processes; this run "
-            f"has none ({len(spec.segments)} segment(s), --shards {args.shards})"
+            "--timeout bounds worker replies; this run has no workers "
+            f"({len(spec.segments)} segment(s), --shards {args.shards})"
         )
-    return spec, (RecoveryConfig() if args.recover else None)
+    return spec
 
 
 def _dashboard(*, refresh: float, plain: bool):
@@ -186,7 +183,7 @@ def cmd_run(args, unknown=()) -> int:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         if args.name is None:
             raise ValueError("name a topology to run (see run --list)")
-        spec, recovery = _build_run(args)
+        spec = _build_run(args)
     except ValueError as error:
         print(f"python -m repro run: error: {error}", file=sys.stderr)
         return EXIT_USAGE
@@ -198,7 +195,6 @@ def cmd_run(args, unknown=()) -> int:
             spec,
             shards=args.shards,
             timeout=args.timeout,
-            recovery=recovery,
             observability=plane,
         )
     except ShardDiedError as error:
@@ -257,8 +253,7 @@ def _add_run_parser(subcommands) -> None:
         "--timeout", type=float,
         help=(
             "per-window shard reply deadline in seconds (exit "
-            f"{EXIT_SHARD_TIMEOUT} when blown; default: wait forever, "
-            "or 30 with --recover)"
+            f"{EXIT_SHARD_TIMEOUT} when blown; default: wait forever)"
         ),
     )
     run.add_argument(
@@ -268,10 +263,6 @@ def _add_run_parser(subcommands) -> None:
             "or flap:LINK:START:END:MEAN_DOWN:MEAN_UP[:DIR] "
             "(DIR: both|a2b|b2a; omit for the topology's own schedule)"
         ),
-    )
-    run.add_argument(
-        "--recover", action="store_true",
-        help="arm the crash-recovery supervisor (respawn + replay)",
     )
     run.add_argument(
         "--profile", action="store_true",
@@ -299,7 +290,8 @@ def _add_run_parser(subcommands) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command line: every verb and every ``run`` flag."""
     parser = argparse.ArgumentParser(prog="python -m repro")
     subcommands = parser.add_subparsers(dest="command")
     subcommands.add_parser("info", help="version and experiment inventory")
@@ -308,6 +300,11 @@ def main(argv: list[str] | None = None) -> int:
         "trace", help="trace the figure 3-9 filter on two packets"
     )
     _add_run_parser(subcommands)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     # ``run`` reports an unknown flag like any other usage error: one
     # stderr line and exit 2, not argparse's usage dump.
     args, unknown = parser.parse_known_args(argv)

@@ -63,10 +63,6 @@ TITLES = {
         "Overload — Goodput under storm, interrupt collapse vs "
         "polling plateau"
     ),
-    "recovery-replay-vs-kill-window": (
-        "Recovery — Windows replayed and stall vs kill window "
-        "(kill-a-shard, respawn and full replay, bitwise-equal finish)"
-    ),
     "partition-goodput-dip": (
         "Chaos — Bridged goodput collapse and recovery across a "
         "healing link partition"

@@ -1572,8 +1572,6 @@ def run_partition_storm(
     shards: int = 1,
     seed: int = 0,
     duration: float = 1.2,
-    recovery=None,
-    hazards: dict | None = None,
     **options,
 ) -> dict:
     """An adaptive-RTO backoff storm across a healing partition.
@@ -1602,9 +1600,7 @@ def run_partition_storm(
         duration=duration,
         **options,
     )
-    result = run_topology(
-        spec, shards=shards, recovery=recovery, hazards=hazards
-    )
+    result = run_topology(spec, shards=shards)
     alerts = list(result.telemetry.alerts) if result.telemetry else []
     dropped_link_down = sum(
         wire.get("frames_dropped_link_down", 0)
@@ -1631,7 +1627,6 @@ def run_partition_storm(
         ],
         "dropped_link_down": dropped_link_down,
         "vmtp": vmtp,
-        "restarts": result.sync.restarts,
         "windows": result.windows,
         "wall_seconds": result.wall_seconds,
     }

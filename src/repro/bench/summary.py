@@ -93,12 +93,6 @@ def run_summary(name: str, result, *, profile: bool = False) -> dict:
         "windows": result.windows,
         "events_fired": result.events_fired,
         "sim_seconds": result.now,
-        # A restart record's own wall time is in ``wall.sync`` already
-        # (``replay_seconds``); what is left is deterministic.
-        "restarts": [
-            {key: value for key, value in record.items() if key != "wall_seconds"}
-            for record in result.sync.restarts
-        ],
         "shard_details": result.shard_details,
         "span_latency": _span_latency(result.ledger),
         "frames_received": total.frames_received,
@@ -199,12 +193,9 @@ def render_summary(summary: dict, sync=None) -> str:
         f"{summary['cpu_time'] * 1000.0:.2f} ms simulated CPU",
     ]
     for detail in summary["shard_details"]:
-        restarts = sum(
-            record["shard"] == detail["shard"] for record in summary["restarts"]
-        )
         lines.append(
             f"  shard {detail['shard']}: {','.join(detail['segments'])} — "
-            f"{detail['events_fired']} events, {restarts} restart(s)"
+            f"{detail['events_fired']} events"
         )
     for fault in faults:
         lines.append(
@@ -222,12 +213,6 @@ def render_summary(summary: dict, sync=None) -> str:
     alerts = summary["alerts"]
     lines.append(f"  {len(alerts)} alert(s):" if alerts else "  no alerts fired")
     lines += [f"    {Alert(**shown).render()}" for shown in alerts]
-    for record in summary["restarts"]:
-        lines.append(
-            f"  restart: shard {record['shard']} {record['reason']} at "
-            f"window {record['window']}, respawned and replayed "
-            f"{record['window']} window(s) in {record['attempts']} attempt(s)"
-        )
     for segment, report in summary["reports"].items():
         lines.append(f"  {segment}: {report}")
     for host, profile in summary.get("profile", {}).items():

@@ -186,11 +186,9 @@ def partition_storm_digest(
 ) -> str:
     """Run the partition storm and digest it.
 
-    Link faults and (when ``recovery``/``hazards`` options inject them)
-    shard crashes must both be invisible to this digest's
-    shard-count/fault-free comparisons: dropped frames land in the
-    ledger identically no matter who owns the segment, and a recovered
-    shard replays to bitwise-identical state.
+    Link faults must be invisible to this digest's shard-count
+    comparisons: dropped frames land in the ledger identically no
+    matter who owns the segment.
     """
     from ..bench.scenarios import run_partition_storm
 

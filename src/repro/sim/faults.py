@@ -25,6 +25,7 @@ determinism suite can assert that in subprocesses.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 from .seeds import derive_rng
@@ -77,6 +78,7 @@ class LinkFault:
     def __post_init__(self) -> None:
         if not self.link_id:
             raise ValueError("fault needs a link id")
+        _check_finite(start=self.start, end=self.end)
         if not 0.0 <= self.start < self.end:
             raise ValueError(
                 f"fault interval must satisfy 0 <= start < end, "
@@ -117,6 +119,9 @@ def flap_schedule(
     ``derive_seed(seed, "chaos", link_id, "flap")`` — the schedule is a
     pure function of ``(seed, link_id)`` and the shape parameters.
     """
+    _check_finite(
+        start=start, until=until, mean_down=mean_down, mean_up=mean_up
+    )
     if mean_down <= 0.0 or mean_up <= 0.0:
         raise ValueError("mean dwell times must be positive")
     if not 0.0 <= start < until:
@@ -129,6 +134,16 @@ def flap_schedule(
         faults.append(LinkFault(link_id, t, down_end, direction))
         t = down_end + rng.expovariate(1.0 / mean_up)
     return tuple(faults)
+
+
+def _check_finite(**times: float) -> None:
+    """Refuse a fault time or dwell that is not a finite number: an
+    infinite ``until`` never ends a flap schedule, an infinite dwell
+    divides by zero in ``expovariate``, and an infinite ``end`` is not
+    valid JSON in the run summary."""
+    for name, value in times.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite time, not {value!r}")
 
 
 def intervals_for(faults, link_id: str, direction: str) -> tuple:

@@ -384,19 +384,9 @@ class SimKernel:
             )
         return end
 
-    def charge_copy(
-        self,
-        nbytes: int,
-        *,
-        component: str = "kernel",
-        packet_id: int | None = None,
-    ) -> float:
+    def charge_copy(self, nbytes: int, *, component: str = "kernel") -> float:
         return self.account(
-            _COPY,
-            self.costs.copy_cost(nbytes),
-            quantity=nbytes,
-            component=component,
-            packet_id=packet_id,
+            _COPY, self.costs.copy_cost(nbytes), quantity=nbytes, component=component
         )
 
     def charge_pf_input(

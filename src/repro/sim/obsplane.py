@@ -12,8 +12,8 @@ world:
   earliest pending sim-time, cumulative events, egress backlog — all
   read off the window reply itself), what synchronizing it cost
   (grant-wait stalls, window-advance wall latency, null-message counts,
-  cross-shard egress depth, replay time — the numbers that attribute
-  the scaling bench's 1-core inversion) and the log of shard revivals.
+  cross-shard egress depth — the numbers that attribute the scaling
+  bench's 1-core inversion).
 * A window's reply carries, as its last field, copies of the watchdog
   alerts its segments fired during that window
   (:meth:`~repro.sim.shard.LocalShard.run_window`) — the only news a
@@ -22,8 +22,7 @@ world:
   :class:`SyncProfile` (``plane.view(i) is result.sync.shards[i]``),
   adds skew aggregates and a callback API (``on_update``,
   ``on_alert``) that the ``python -m repro run --top`` dashboard
-  renders from.  Alerts are deduplicated by ``(rule, host,
-  fired_at)``, so replay after a crash re-announces nothing.
+  renders from.
 
 Everything here *reads* quiescent state at window boundaries and
 records wall-clock on the supervisor; nothing schedules events, draws
@@ -62,13 +61,13 @@ class ObservabilityPlane:
     at the run's :class:`SyncProfile` — the per-shard records the plane
     reads are the run's own, not copies — and hands it the alerts of
     every window reply it receives.  ``on_update(plane)`` fires after
-    every reply; ``on_alert(alert)`` fires once per distinct watchdog
-    :class:`~repro.sim.telemetry.Alert`, as soon as any shard reports
-    it — the live counterpart of reading the merged alert log post-run.
+    every reply; ``on_alert(alert)`` fires once per watchdog
+    :class:`~repro.sim.telemetry.Alert`, as soon as its shard reports
+    it (a reply carries only the alerts fired in its window) — the live
+    counterpart of reading the merged alert log post-run.
 
-    A reply that never arrives (its worker died) costs staleness, not
-    correctness: the plane shows each shard's last good record until
-    the supervisor revives it.
+    A reply that never arrives (its worker died) leaves the plane
+    readable: it shows each shard's last good record.
     """
 
     def __init__(
@@ -82,7 +81,6 @@ class ObservabilityPlane:
         self.deltas = 0   #: window replies ingested
         self.on_update = on_update
         self.on_alert = on_alert
-        self._alert_keys: set[tuple] = set()
 
     # -- ingestion -------------------------------------------------------
 
@@ -95,10 +93,6 @@ class ObservabilityPlane:
         :meth:`ShardSyncStats.note_reply` read it)."""
         self.deltas += 1
         for alert in alerts:
-            key = (alert.rule, alert.host, alert.fired_at)
-            if key in self._alert_keys:
-                continue
-            self._alert_keys.add(key)
             self.alerts.append(alert)
             if self.on_alert is not None:
                 self.on_alert(alert)
@@ -143,7 +137,7 @@ class ObservabilityPlane:
         lines = [
             head,
             f"{'shard':>5} {'win':>5} {'sim ms':>9} {'events':>9} "
-            f"{'egress':>7} {'state':>9}",
+            f"{'egress':>7}",
         ]
         for stats in shards:
             sim_ms = (
@@ -151,11 +145,6 @@ class ObservabilityPlane:
                 if stats.next_time is not None
                 else "     idle"
             )
-            restarts = sum(
-                record["shard"] == stats.shard_id
-                for record in self.sync.restarts
-            )
-            state = f"restart:{restarts}" if restarts else "ok"
             # The shard everyone waits on holds the earliest pending
             # event: it sets the next horizon.
             lag = (
@@ -167,8 +156,7 @@ class ObservabilityPlane:
             )
             lines.append(
                 f"{stats.shard_id:>5} {stats.window:>5} {sim_ms} "
-                f"{stats.events_fired:>9} {stats.egress_backlog:>7} "
-                f"{state:>9}{lag}"
+                f"{stats.events_fired:>9} {stats.egress_backlog:>7}{lag}"
             )
         lines += [f"ALERT {alert.render()}" for alert in self.alerts[-8:]]
         if not self.alerts:
@@ -190,8 +178,8 @@ class ShardSyncStats:
 
     Every field is filled supervisor-side, from the grants sent and the
     window replies received — whether or not anything is watching.
-    Wall-clock fields (``grant_wait_seconds``, ``replay_seconds``) are
-    honest machine time and therefore *outside* the run digest — like
+    The wall-clock field (``grant_wait_seconds``) is honest machine
+    time and therefore *outside* the run digest — like
     :attr:`~repro.sim.orchestrator.TopologyResult.wall_seconds` always
     was.  The event-shaped fields (window, events, null grants, egress
     counts) are sim-deterministic and reproduce bitwise across runs.
@@ -211,7 +199,6 @@ class ShardSyncStats:
     max_egress_depth: int = 0          #: largest single-window egress
     egress_per_window: list = field(default_factory=list)
     inbound_frames: int = 0            #: frames routed into this shard
-    replay_seconds: float = 0.0        #: wall time spent in recovery replay
 
     def note_grant(self, frames: int) -> None:
         self.grants += 1
@@ -244,22 +231,16 @@ class ShardSyncStats:
             "egress_frames": self.egress_frames,
             "max_egress_depth": self.max_egress_depth,
             "inbound_frames": self.inbound_frames,
-            "replay_seconds": self.replay_seconds,
         }
 
 
 @dataclass
 class SyncProfile:
-    """Whole-run synchronization profile: per-shard stats, the window
+    """Whole-run synchronization profile: per-shard stats and the window
     cadence (horizons are sim-deterministic; wall latencies are not,
-    and the stitched trace uses only the deterministic subset) and the
-    run's one log of shard revivals."""
+    and the stitched trace uses only the deterministic subset)."""
 
     shards: list = field(default_factory=list)
-    #: one record per revival: ``shard``, ``window`` (the windows
-    #: replayed), ``reason``, ``attempts``, ``horizon`` and the replay's
-    #: ``wall_seconds``
-    restarts: list = field(default_factory=list)
     windows: int = 0
     horizons: list = field(default_factory=list)      #: sim-time grant horizons
     window_walls: list = field(default_factory=list)  #: wall secs per window
@@ -305,8 +286,7 @@ class SyncProfile:
             )
         lines.append(
             f"{'shard':>5} {'segments':<18} {'grants':>7} {'null':>6} "
-            f"{'wait ms':>9} {'wait p95':>9} {'egress':>7} {'depth':>6} "
-            f"{'replay ms':>9}"
+            f"{'wait ms':>9} {'wait p95':>9} {'egress':>7} {'depth':>6}"
         )
         for stats in self.shards:
             p95 = stats.grant_wait_hist.quantile(0.95)
@@ -316,7 +296,6 @@ class SyncProfile:
                 f"{stats.grants:>7} {stats.null_grants:>6} "
                 f"{stats.grant_wait_seconds * 1000.0:>9.2f} "
                 f"{(p95 or 0.0) * 1000.0:>9.3f} "
-                f"{stats.egress_frames:>7} {stats.max_egress_depth:>6} "
-                f"{stats.replay_seconds * 1000.0:>9.2f}"
+                f"{stats.egress_frames:>7} {stats.max_egress_depth:>6}"
             )
         return "\n".join(lines)

@@ -31,16 +31,10 @@ shard's one supervisor-side record
 an armed observability plane — which reads those same records — is
 handed the reply's alerts there too.
 
-Crash recovery rides the same determinism.  With a
-:class:`RecoveryConfig`, the orchestrator journals every grant it sends
-each shard, and every wait on a shard (a window's reply, the final
-``collect``) goes through one supervised entrance: when the shard dies
-(pipe EOF) or wedges (reply deadline blown), the supervisor respawns
-it and replays the whole journal.  Replaying identical grants through
-identical per-segment worlds reproduces identical state, so a recovered
-run's digest is bitwise equal to an undisturbed one.  Each revival is
-one record in ``result.sync.restarts`` — a supervisor event, outside
-the world and so outside every digest.
+A shard that dies (pipe EOF) or misses its reply deadline fails the
+run with a typed :class:`~repro.sim.shard.ShardDiedError` or
+:class:`~repro.sim.shard.ShardTimeoutError`; every worker is reaped on
+the way out.
 """
 
 from __future__ import annotations
@@ -51,49 +45,15 @@ from dataclasses import dataclass, field
 
 from .ledger import Ledger
 from .obsplane import ShardSyncStats, SyncProfile
-from .shard import (
-    LocalShard,
-    ProcessShard,
-    ShardError,
-    ShardTimeoutError,
-    check_deadline,
-    partition,
-)
+from .shard import LocalShard, ProcessShard, check_deadline, partition
 from .stats import KernelStats, merge_stats
 from .telemetry import TelemetrySnapshot
 from .topology import SegmentReport, TopologySpec
 
-__all__ = ["RecoveryConfig", "TopologyResult", "run_topology"]
+__all__ = ["TopologyResult", "run_topology"]
 
 #: Synchronization rounds after which a run is declared livelocked.
 MAX_WINDOWS = 1_000_000
-
-#: Restart attempts back off exponentially from ``BACKOFF_BASE`` seconds
-#: (the first retry is immediate), capped at ``BACKOFF_CAP``.
-BACKOFF_BASE = 0.05
-BACKOFF_CAP = 2.0
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Supervisor policy for crash-recoverable sharded runs.
-
-    ``recv_timeout`` is the per-window reply deadline that classifies a
-    shard as wedged (None: only a dead worker is revived).
-    ``max_restarts`` bounds the revival attempts one failure may cost
-    before it is re-raised.
-    """
-
-    recv_timeout: float | None = 30.0
-    max_restarts: int = 3
-
-    def __post_init__(self) -> None:
-        check_deadline("recv_timeout", self.recv_timeout)
-        if self.max_restarts < 1:
-            raise ValueError(
-                f"max_restarts must be at least 1, not {self.max_restarts}"
-            )
-
 
 @dataclass
 class TopologyResult:
@@ -111,10 +71,9 @@ class TopologyResult:
     now: float                             #: latest per-world clock
     windows: int                           #: synchronization rounds run
     wall_seconds: float
-    #: sync-protocol profile (grant waits, null grants, egress depth,
-    #: replay costs) and the log of shard revivals; always collected —
-    #: per-window wall clocks on the supervisor, so free for the worlds
-    #: and outside the digest
+    #: sync-protocol profile (grant waits, null grants, egress depth);
+    #: always collected — per-window wall clocks on the supervisor, so
+    #: free for the worlds and outside the digest
     sync: SyncProfile
     segment_reports: list = field(default_factory=list, repr=False)
     #: per-shard breakdown: segments owned, events fired, final clock
@@ -180,8 +139,6 @@ def run_topology(
     shards: int = 1,
     until: float | None = None,
     timeout: float | None = None,
-    recovery: RecoveryConfig | None = None,
-    hazards: dict[int, dict] | None = None,
     observability=None,
 ) -> TopologyResult:
     """Run ``spec`` to quiescence on ``shards`` processes.
@@ -194,11 +151,6 @@ def run_topology(
 
     ``timeout`` bounds each shard reply wait (typed
     :class:`~repro.sim.shard.ShardTimeoutError` instead of a hang).
-    ``recovery`` arms the crash supervisor: grants are journaled, and a
-    dead or wedged shard is respawned and replayed instead of aborting
-    the run.  ``hazards`` maps shard index to a deterministic failure
-    spec (see :class:`~repro.sim.shard.ProcessShard`) for recovery
-    tests.
 
     ``observability`` takes an
     :class:`~repro.sim.obsplane.ObservabilityPlane`: it is pointed at
@@ -214,23 +166,13 @@ def run_topology(
     plane = observability
     started = time.perf_counter()
     groups = partition(len(spec.segments), shards)
-    recv_timeout = timeout
-    if recv_timeout is None and recovery is not None:
-        recv_timeout = recovery.recv_timeout
     if len(groups) == 1:
         handles = [LocalShard(spec, groups[0])]
     else:
         handles = [
-            ProcessShard(
-                spec,
-                group,
-                shard_id=index,
-                timeout=recv_timeout,
-                hazard=(hazards or {}).get(index),
-            )
+            ProcessShard(spec, group, shard_id=index, timeout=timeout)
             for index, group in enumerate(groups)
         ]
-    journal: list[list] = [[] for _ in handles]
     shard_of: dict[str, int] = {}
     for shard_index, group in enumerate(groups):
         for segment_index in group:
@@ -246,49 +188,6 @@ def run_topology(
     )
     if plane is not None:
         plane.sync = sync
-
-    def supervised(index: int, horizon: float | None, call):
-        """Wait on shard ``index`` through ``call`` (its ``step_recv``
-        or ``collect``); on a typed shard failure respawn it, replay its
-        journal to the end, and answer from the replayed state.
-
-        The first attempt is immediate; later ones back off.  The last
-        failure is re-raised once the restart budget is spent.
-        """
-        try:
-            return call()
-        except ShardError as error:
-            if recovery is None:
-                raise
-            failure = error
-        handle = handles[index]
-        grants = journal[index]
-        reason = "timed out" if isinstance(failure, ShardTimeoutError) else "died"
-        for attempt in range(1, recovery.max_restarts + 1):
-            if attempt > 1:
-                time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 2), BACKOFF_CAP))
-            revived = time.perf_counter()
-            try:
-                reply = handle.recover(grants)
-                if call == handle.collect:
-                    reply = call()   # again, now from the replayed state
-            except ShardError as error:
-                failure = error
-                continue
-            wall_seconds = time.perf_counter() - revived
-            sync.restarts.append(
-                {
-                    "shard": index,
-                    "window": len(grants),
-                    "reason": reason,
-                    "attempts": attempt,
-                    "horizon": float(horizon) if horizon is not None else 0.0,
-                    "wall_seconds": wall_seconds,
-                }
-            )
-            sync.shards[index].replay_seconds += wall_seconds
-            return reply
-        raise failure
 
     window = spec.window()
     # No bridges (``window is None``): segments are fully independent,
@@ -310,8 +209,6 @@ def run_topology(
             for record in pending:
                 outbound[shard_of[record.dst_segment]].append(record)
             for index, (handle, frames) in enumerate(zip(handles, outbound)):
-                if recovery is not None:   # only a supervisor replays it
-                    journal[index].append((horizon, frames))
                 # A grant with no frames is a pure null message — time
                 # permission only, the protocol's overhead.
                 sync.shards[index].note_grant(len(frames))
@@ -320,7 +217,7 @@ def run_topology(
             next_times: list[float] = []
             for index, handle in enumerate(handles):
                 waited = time.perf_counter()
-                reply = supervised(index, horizon, handle.step_recv)
+                reply = handle.step_recv()
                 sync.shards[index].note_reply(time.perf_counter() - waited, reply)
                 _, _, shard_egress, shard_next, alerts = reply
                 if plane is not None:
@@ -348,8 +245,8 @@ def run_topology(
             )
             horizon = window_index * window
         by_name: dict[str, SegmentReport] = {}
-        for index, handle in enumerate(handles):
-            for report in supervised(index, None, handle.collect):
+        for handle in handles:
+            for report in handle.collect():
                 by_name[report.name] = report
     finally:
         for handle in handles:

@@ -30,31 +30,14 @@ reply — that concurrency is the whole speedup, and it needs each worker
 on a CPU of its own: a worker pins itself by shard id and polls briefly
 for its next grant before it blocks (:func:`_pin`, :func:`_await_grant`).
 
-Failure is a first-class event here.  A dead worker (EOF on the pipe)
-raises :class:`ShardDiedError`; an unresponsive one (no reply within
-the configured deadline) raises :class:`ShardTimeoutError` — both carry
-the shard id, the window being waited on, and the last acknowledged
-window, and ``close()`` always reaps the child either way.  A Python
-exception inside the worker (a builder bug, a report callable that
-raises) is neither: the worker answers ``("failed", traceback)`` and
-the supervisor raises it as a plain :class:`RuntimeError` — replaying
-a deterministic failure would only fail again.
-
-Recovery is respawn and replay.  Per-segment worlds hold live generator
-frames — they can never be pickled — but they are a pure function of
-the topology and the grants they were sent, so
-:meth:`ProcessShard.recover` reaps the failed worker, starts a fresh
-one and replays the supervisor's journal of every grant from window 1.
-Deterministic replay makes the recovered run bitwise identical to an
-undisturbed one (the digest oracle enforces this).
-
-Deterministic failure *injection* rides the same protocol: a ``hazard``
-spec makes the worker kill itself (``die_at_window``) or hang
-(``wedge_at_window``/``wedge_seconds``) at an exact window — after the
-window is computed, before its reply is sent — so recovery tests pick
-their crash sites with a seeded RNG instead of racing real signals.
-Hazards are one-shot: a respawned worker runs hazard-free, so replay
-does not crash-loop.
+A failed worker fails the run with a typed error.  A dead worker (EOF
+on the pipe) raises :class:`ShardDiedError`; an unresponsive one (no
+reply within the configured deadline) raises :class:`ShardTimeoutError`
+— both carry the shard id, the window being waited on, and the last
+acknowledged window, and ``close()`` always reaps the child either way.
+A Python exception inside the worker (a builder bug, a report callable
+that raises) is neither: the worker answers ``("failed", traceback)``
+and the supervisor raises it as a plain :class:`RuntimeError`.
 """
 
 from __future__ import annotations
@@ -239,8 +222,7 @@ def _pin(shard_id: int) -> bool:
     workers the supervisor wakes back to back queue behind it on one
     CPU and a window costs every shard's work in series.  One CPU per
     worker makes them run at once.  A single-CPU set (or no affinity
-    call) leaves the worker where it is; a respawned worker pins itself
-    again.
+    call) leaves the worker where it is.
     """
     if not hasattr(os, "sched_setaffinity"):
         return False
@@ -277,7 +259,6 @@ def _shard_worker(
     """Worker main loop: build the shard, then serve step/collect/exit."""
     settings = settings or {}
     spin = GRANT_SPIN if _pin(settings.get("shard_id", 0)) else 0.0
-    hazard = settings.get("hazard") or {}
     try:
         shard = LocalShard(topology, indices)
         while True:
@@ -287,10 +268,6 @@ def _shard_worker(
             command = message[0]
             if command == "step":
                 reply = shard.run_window(message[1], message[2])
-                if hazard.get("die_at_window") == shard.window:
-                    os._exit(13)
-                if hazard.get("wedge_at_window") == shard.window:
-                    time.sleep(float(hazard.get("wedge_seconds", 3600.0)))
                 conn.send(("stepped",) + reply)
             elif command == "collect":
                 conn.send(("collected", shard.collect()))
@@ -301,9 +278,8 @@ def _shard_worker(
     except (EOFError, KeyboardInterrupt, BrokenPipeError):
         pass
     except Exception:
-        # A bug in a builder, a process body or a report callable is
-        # deterministic: say what it was instead of dying mute (the
-        # supervisor would revive us only to replay the same failure).
+        # A bug in a builder, a process body or a report callable: say
+        # what it was instead of dying mute.
         try:
             conn.send(("failed", traceback.format_exc()))
         except OSError:
@@ -327,11 +303,7 @@ class ProcessShard:
     """A :class:`LocalShard` behind a pipe, in its own process.
 
     ``timeout`` bounds every reply wait: None blocks forever, anything
-    else must be a finite number of seconds above zero.  :meth:`recover`
-    brings a dead or wedged shard back — a fresh worker replaying the
-    journaled grants the caller hands it.  ``hazard`` injects a
-    deterministic failure (``die_at_window``, ``wedge_at_window`` +
-    ``wedge_seconds``) for recovery tests.
+    else must be a finite number of seconds above zero.
     """
 
     def __init__(
@@ -342,7 +314,6 @@ class ProcessShard:
         context=None,
         shard_id: int = 0,
         timeout: float | None = None,
-        hazard: dict | None = None,
     ) -> None:
         context = context or _default_context()
         if context.get_start_method() == "spawn":
@@ -355,21 +326,12 @@ class ProcessShard:
                         "bare callable); use 'module:function' paths"
                     )
         check_deadline("timeout", timeout)
-        self.indices = list(indices)
         self.shard_id = shard_id
         self.timeout = timeout
-        self._topology = topology
-        self._context = context
-        self._spawn(hazard)
-
-    # -- spawning --------------------------------------------------------
-
-    def _spawn(self, hazard: dict | None = None) -> None:
-        settings = {"hazard": hazard, "shard_id": self.shard_id}
-        self._conn, child = self._context.Pipe()
-        self._process = self._context.Process(
+        self._conn, child = context.Pipe()
+        self._process = context.Process(
             target=_shard_worker,
-            args=(self._topology, self.indices, child, settings),
+            args=(topology, list(indices), child, {"shard_id": shard_id}),
             daemon=True,
         )
         self._process.start()
@@ -435,11 +397,15 @@ class ProcessShard:
         self._send(("collect",))
         return self._recv("collected")[0]
 
-    # -- recovery and teardown -------------------------------------------
+    # -- teardown --------------------------------------------------------
 
-    def _reap(self) -> None:
-        """Take the worker down for certain and drop its connection."""
+    def close(self) -> None:
+        """Ask a healthy worker to exit, then take it down for certain
+        (a dead or wedged one is not asked) and drop its connection."""
         process = self._process
+        if not self._failed:
+            self._send(("exit",))
+            process.join(timeout=5.0)
         if process.is_alive():
             process.terminate()
             process.join(timeout=5.0)
@@ -450,23 +416,3 @@ class ProcessShard:
             self._conn.close()
         except OSError:
             pass
-
-    def recover(self, grants: list) -> tuple:
-        """Bring a failed shard back: reap the worker, respawn it
-        hazard-free and deterministically replay ``grants`` (the journal
-        of every ``(horizon, frames)`` this shard was ever sent).
-
-        Returns the reply to the final grant.
-        """
-        self._reap()
-        self._spawn()
-        for horizon, frames in grants:
-            self.step_send(horizon, frames)
-            reply = self.step_recv()
-        return reply
-
-    def close(self) -> None:
-        if not self._failed:
-            self._send(("exit",))
-            self._process.join(timeout=5.0)
-        self._reap()

@@ -1,17 +1,12 @@
-"""Determinism and shard-independence of chaos and recovery.
+"""Determinism and shard-independence of link chaos.
 
-Three bitwise claims ride on seeded fault schedules:
+Two bitwise claims ride on seeded fault schedules:
 
 * a chaos schedule derives every draw from
   ``derive_seed(seed, "chaos", link_id, ...)`` — never ``hash()`` — so
   the same seed replays the same outages under any ``PYTHONHASHSEED``
   (checked in subprocesses, mirroring the existing determinism legs);
-* the partition-storm digest is identical across shard counts and
-  — with the supervisor armed and a shard killed mid-run — identical
-  to the fault-free run (respawn and replay are invisible);
-* that holds at *every* kill site: each victim shard dying or wedging
-  with each window's reply in hand is respawned once and replayed to
-  the same digest (tier-1 samples this product; here it runs whole).
+* the partition-storm digest is identical across shard counts.
 
 The cheap legs are tier-1; the full sweeps carry the ``difftest``
 marker like the rest of this directory.
@@ -20,14 +15,6 @@ marker like the rest of this directory.
 import pytest
 
 from repro.difftest.sharding import partition_storm_digest
-from repro.sim.orchestrator import RecoveryConfig
-
-from ..sim.test_shard_recovery import (
-    KILL_SITE_FAULTS,
-    check_kill_site,
-    kill_site_baseline,
-    needs_fork,
-)
 
 FLAP_SNIPPET = """\
 from repro.sim.faults import flap_schedule, schedule_fingerprint
@@ -66,30 +53,3 @@ class TestPartitionStormSweep:
                 partition_storm_digest(segments=3, shards=shards, seed=3)
                 == baseline
             )
-
-    @pytest.mark.parametrize("shards", [2, 3])
-    @pytest.mark.parametrize("seed", [0, 1987])
-    def test_killed_shard_recovers_bitwise(self, shards, seed):
-        baseline = partition_storm_digest(
-            segments=3, shards=shards, seed=seed, duration=0.8
-        )
-        recovered = partition_storm_digest(
-            segments=3,
-            shards=shards,
-            seed=seed,
-            duration=0.8,
-            recovery=RecoveryConfig(recv_timeout=30.0),
-            hazards={shards - 1: {"die_at_window": 25}},
-        )
-        assert recovered == baseline
-
-
-@needs_fork
-@pytest.mark.difftest
-class TestEveryKillSite:
-    @pytest.mark.parametrize("fault", sorted(KILL_SITE_FAULTS))
-    @pytest.mark.parametrize("victim", [0, 1])
-    def test_every_window_is_a_recoverable_kill_site(self, victim, fault):
-        _, windows = kill_site_baseline()
-        for kill in range(1, windows + 1):
-            check_kill_site(victim, kill, fault)

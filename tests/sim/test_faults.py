@@ -127,6 +127,22 @@ class TestParseFaultSpec:
             with pytest.raises(ValueError):
                 parse_fault_spec(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "flap:l:0:inf:0.05:0.1",   # a schedule that never ends
+            "flap:l:0:1:inf:0.1",      # expovariate(1 / inf) divides by zero
+            "flap:l:0:1:0.05:nan",
+            "flap:l:nan:1:0.05:0.1",
+            "down:l:0:inf",            # an end that is not JSON
+            "down:l:0:1e400",
+            "down:l:nan:1",
+        ],
+    )
+    def test_rejects_times_that_are_not_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            parse_fault_spec(bad)
+
 
 class TestTopologyFaults:
     def test_unknown_link_rejected_by_validate(self):

@@ -7,11 +7,12 @@ import sys
 import pytest
 
 from repro.bench.topologies import flow_storm_topology, partition_storm_topology
-from repro.difftest.sharding import run_digest
 from repro.sim.obsplane import ObservabilityPlane, ShardSyncStats, SyncProfile
-from repro.sim.orchestrator import RecoveryConfig, run_topology
-from repro.sim.shard import LocalShard
+from repro.sim.orchestrator import run_topology
+from repro.sim.shard import LocalShard, ShardDiedError
 from repro.sim.telemetry import Alert, LogHistogram
+
+from .test_shard import fail_in_workers
 
 STORM = dict(segments=2, seed=0, duration=0.1, flows=64, cache_size=16)
 
@@ -105,15 +106,18 @@ class TestObservabilityPlane:
         assert plane.time_skew() == pytest.approx(0.02)
         assert plane.view(1).window == 3
 
-    def test_alerts_dedupe_and_announce_once(self):
-        alert = Alert(rule="partition", host="segment:lan0", fired_at=0.2)
+    def test_each_reply_alert_is_announced_once(self):
+        # A reply carries only the alerts fired in its window, so the
+        # plane announces each as it arrives and keeps them in order.
+        first = Alert(rule="partition", host="segment:lan0", fired_at=0.2)
+        second = Alert(rule="partition", host="segment:lan1", fired_at=0.3)
         announced = []
         plane = self.plane(on_alert=announced.append)
-        self.reply(plane, window=1, alerts=[alert])
-        self.reply(plane, window=2, alerts=[Alert(**vars(alert))])  # replayed
-        assert len(plane.alerts) == 1
-        assert announced == [alert]
-        assert plane.active_alerts() == [alert]
+        self.reply(plane, window=1, alerts=[first])
+        self.reply(plane, window=2)
+        self.reply(plane, window=3, alerts=[second])
+        assert plane.alerts == announced == [first, second]
+        assert plane.active_alerts() == [first, second]
 
     def test_render_is_plain_text(self):
         plane = self.plane()
@@ -128,10 +132,6 @@ class TestObservabilityPlane:
         rows = {int(line.split()[0]): line for line in frame.splitlines()[2:4]}
         assert rows[1].endswith("<- slowest")
         assert "slowest" not in rows[0]
-        # a revived shard's state counts its records in the restart log
-        assert "restart:" not in frame
-        plane.sync.restarts.append({"shard": 1, "window": 1})
-        assert "restart:1" in plane.render().splitlines()[3]
 
 
 class TestLiveStreaming:
@@ -251,28 +251,18 @@ class TestWatchingCost:
 
 
 class TestDeltaLoss:
-    def test_killed_shard_does_not_wedge_the_plane(self):
+    def test_killed_shard_does_not_wedge_the_plane(self, monkeypatch):
         """A shard dying mid-run (its reply, and the alerts on it, never
-        sent) must leave the plane live, and recovery must keep the
-        digest bitwise clean."""
-        clean = run_digest(run_topology(storm_spec(), shards=2))
+        sent) fails the run with a typed error and leaves the plane
+        readable at each shard's last good record."""
+        fail_in_workers(monkeypatch, 3, "die")
         plane = ObservabilityPlane()
-        result = run_topology(
-            storm_spec(),
-            shards=2,
-            recovery=RecoveryConfig(),
-            hazards={0: {"die_at_window": 3}},
-            observability=plane,
-        )
-        assert run_digest(result) == clean
-        assert [record["shard"] for record in result.sync.restarts] == [0]
-        # the plane survived the stream loss: both shards progressed to
-        # the final window and the revived one is flagged
-        assert plane.view(0) is result.sync.shards[0]
-        assert plane.view(0).window == result.windows
-        assert plane.view(1).window == result.windows
-        assert "restart:1" in plane.render().splitlines()[2]
-        assert result.sync.shards[0].replay_seconds > 0.0
+        with pytest.raises(ShardDiedError) as excinfo:
+            run_topology(storm_spec(), shards=2, observability=plane)
+        assert (excinfo.value.shard_id, excinfo.value.last_ack) == (0, 2)
+        assert plane.view(0).window == 2
+        assert plane.deltas == 4   # two windows from each shard
+        assert "cluster: 2 shard(s), 4 deltas" in plane.render()
 
 
 class TestSyncProfile:
@@ -313,7 +303,6 @@ class TestSyncProfile:
         assert [d["segments"] for d in result.shard_details] == [
             stats.segments for stats in result.sync.shards
         ]
-        assert result.sync.restarts == []
         # one wall-per-window answer, on the sync profile
         assert not hasattr(result, "wall_per_window")
         assert result.sync.wall_per_window > 0.0

@@ -5,19 +5,34 @@ identical to ``run_topology(spec, shards=1)`` for every N — same
 per-host counters (floats included), same packet spans, same window
 count.  The heavyweight sweep lives in the difftest suite; here small
 ping topologies pin the mechanism.
+
+A worker that dies or hangs fails the run with a typed error, and every
+worker is reaped.  Those tests make a worker fail by monkeypatching
+:meth:`LocalShard.step` before the worker is forked, so the failure
+happens inside the real window body of the real worker process.
 """
 
+import dataclasses
+import math
 import multiprocessing
 import os
+import time
 
 import pytest
 
+from repro.__main__ import EXIT_SHARD_DIED, EXIT_SHARD_TIMEOUT, main
 from repro.bench.topologies import flow_storm_topology
 from repro.core import PFIoctl, compile_expr, word
 from repro.difftest.sharding import outcome_digest, run_digest
 from repro.sim import Ioctl, Open, Read, Sleep, Write
 from repro.sim.orchestrator import run_topology
-from repro.sim.shard import LocalShard, ProcessShard, ShardDiedError, partition
+from repro.sim.shard import (
+    LocalShard,
+    ProcessShard,
+    ShardDiedError,
+    ShardTimeoutError,
+    partition,
+)
 from repro.sim.topology import BridgeSpec, SegmentSpec, TopologySpec
 
 TEST_TYPE = 0x0C47
@@ -252,24 +267,176 @@ class TestWorkerPlacement:
         finally:
             os.sched_setaffinity(0, parent)
 
-    def test_a_respawned_worker_pins_itself_again(self):
-        cpus = sorted(os.sched_getaffinity(0))
-        expected = {cpus[1 % len(cpus)]}
-        shard = ProcessShard(
-            ping_spec(2), [1], shard_id=1, timeout=10.0,
-            hazard={"die_at_window": 2},
-        )
+
+def children_of(pid: int) -> list[int]:
+    """Pids whose parent is ``pid``, read from procfs."""
+    children = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
         try:
-            grants = [(2e-3, []), (4e-3, [])]
-            shard.step_send(*grants[0])
+            with open(f"/proc/{entry}/stat", "rb") as stat:
+                ppid = stat.read().rpartition(b")")[2].split()[1]
+        except OSError:
+            continue
+        if int(ppid) == pid:
+            children.append(int(entry))
+    return children
+
+
+def fail_in_workers(monkeypatch, window: int, fault: str, segment=None):
+    """Make a forked worker fail inside the body of its window
+    ``window``: exit at once (``fault="die"``) or hang for a minute
+    (``"wedge"``).  ``segment`` limits it to the worker owning that
+    segment; the calling process is never touched."""
+    supervisor, step = os.getpid(), LocalShard.step
+
+    def failing_step(shard, horizon, frames):
+        if (
+            shard.window == window
+            and os.getpid() != supervisor
+            and (segment is None or segment in shard.runtimes)
+        ):
+            if fault == "die":
+                os._exit(13)
+            time.sleep(60.0)
+        return step(shard, horizon, frames)
+
+    monkeypatch.setattr(LocalShard, "step", failing_step)
+
+
+class TestTypedFailures:
+    """A dead worker and a wedged one each fail with their own typed
+    error, naming the shard and where the run stood, and ``close()``
+    reaps the worker either way."""
+
+    def test_dead_worker_raises_typed_error(self, monkeypatch):
+        fail_in_workers(monkeypatch, 2, "die")
+        shard = ProcessShard(ping_spec(2), [0], shard_id=3)
+        try:
+            shard.step_send(0.0, [])
             shard.step_recv()
-            first = shard._process.pid
-            assert os.sched_getaffinity(first) == expected
-            shard.step_send(*grants[1])
-            with pytest.raises(ShardDiedError):
+            shard.step_send(0.002, [])
+            with pytest.raises(ShardDiedError) as excinfo:
                 shard.step_recv()
-            shard.recover(grants)
-            assert shard._process.pid != first
-            assert os.sched_getaffinity(shard._process.pid) == expected
+            error = excinfo.value
+            assert error.shard_id == 3
+            assert error.window_index == 2
+            assert error.last_ack == 1
         finally:
             shard.close()
+        assert not shard._process.is_alive()
+
+    def test_wedged_worker_raises_timeout_and_close_reaps(self, monkeypatch):
+        fail_in_workers(monkeypatch, 1, "wedge")
+        shard = ProcessShard(ping_spec(2), [0], shard_id=1, timeout=0.2)
+        try:
+            shard.step_send(0.0, [])
+            with pytest.raises(ShardTimeoutError) as excinfo:
+                shard.step_recv()
+            assert excinfo.value.shard_id == 1
+            assert excinfo.value.window_index == 1
+            assert excinfo.value.last_ack == 0
+        finally:
+            # close() must reap the (still sleeping) child promptly —
+            # a failed shard is not asked to exit politely.
+            shard.close()
+        assert not shard._process.is_alive()
+
+    def test_untimed_recv_still_detects_eof(self, monkeypatch):
+        fail_in_workers(monkeypatch, 1, "die")
+        shard = ProcessShard(ping_spec(2), [0])
+        try:
+            shard.step_send(0.0, [])
+            with pytest.raises(ShardDiedError):
+                shard.step_recv()
+        finally:
+            shard.close()
+
+    def test_death_before_collect_raises_typed_error(self):
+        shard = ProcessShard(ping_spec(2), [0], shard_id=2, timeout=10.0)
+        try:
+            shard.step_send(0.0, [])
+            shard.step_recv()
+            shard._process.kill()
+            shard._process.join()
+            with pytest.raises(ShardDiedError) as excinfo:
+                shard.collect()
+            assert (excinfo.value.shard_id, excinfo.value.last_ack) == (2, 1)
+        finally:
+            shard.close()
+
+    @pytest.mark.parametrize(
+        "fault, flags, code",
+        [
+            ("die", [], EXIT_SHARD_DIED),
+            ("wedge", ["--timeout", "0.3"], EXIT_SHARD_TIMEOUT),
+        ],
+        ids=["died", "timed-out"],
+    )
+    def test_run_exits_typed_and_reaps_every_worker(
+        self, fault, flags, code, monkeypatch, capsys
+    ):
+        # Through the front door: shard 1 fails inside window 8's body;
+        # the run stops with the failure's own exit code and one line,
+        # and leaves no worker behind.
+        before = set(children_of(os.getpid()))
+        fail_in_workers(monkeypatch, 8, fault, segment="lan1")
+        argv = ["run", "flow_storm", "--shards", "2", "--duration", "0.05"]
+        assert main([*argv, *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: shard 1 ")
+        assert "at window 8 (last acknowledged window 7)" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert set(children_of(os.getpid())) <= before
+
+
+def buggy_builder(ctx, **options):
+    raise KeyError("builder bug")
+
+
+def bad_report_builder(ctx, **options):
+    ping_builder(ctx, **options)
+    ctx.report("boom", lambda: {}["report bug"])
+
+
+class TestWorkerExceptions:
+    """A Python exception inside a worker surfaces as itself
+    (``shards=1`` simply raises it), never as a mute
+    ``ShardDiedError``."""
+
+    @pytest.mark.parametrize(
+        "builder, text",
+        [(buggy_builder, "builder bug"), (bad_report_builder, "report bug")],
+        ids=["build", "collect"],
+    )
+    def test_worker_exception_surfaces_as_itself(self, builder, text):
+        good = ping_spec(2, frames=2)
+        spec = dataclasses.replace(
+            good,
+            segments=(
+                good.segments[0],
+                SegmentSpec("lan1", builder, {"frames": 2}),
+            ),
+        )
+        with pytest.raises(KeyError, match=text):
+            run_topology(spec, shards=1)
+        with pytest.raises(RuntimeError, match=f"KeyError.*{text}") as excinfo:
+            run_topology(spec, shards=2)
+        assert not isinstance(excinfo.value, ShardDiedError)
+        assert "shard 1 failed at window" in str(excinfo.value)
+
+
+class TestDeadlines:
+    """A reply deadline that cannot work is refused where it is given,
+    before any worker exists — not mid-run, where a negative ``poll``
+    timeout blocks forever and a NaN raises from deep inside the reply
+    wait."""
+
+    @pytest.mark.parametrize("seconds", [-1.0, 0.0, math.nan, math.inf], ids=str)
+    def test_bad_reply_deadlines_are_refused_at_construction(self, seconds):
+        before = set(children_of(os.getpid()))
+        with pytest.raises(ValueError, match="timeout"):
+            ProcessShard(ping_spec(2), [0], timeout=seconds)
+        with pytest.raises(ValueError, match="timeout"):
+            run_topology(ping_spec(2), shards=2, timeout=seconds)
+        assert set(children_of(os.getpid())) <= before, "a worker was started"

@@ -1,24 +1,32 @@
 """Tests for the ``python -m repro`` front door."""
 
+import argparse
 import json
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _build_run, build_parser, main
 from repro.bench.summary import run_summary
 from repro.bench.topologies import TOPOLOGIES, named_topology
 from repro.bench.traceout import validate_trace
 from repro.sim.orchestrator import run_topology
 
-OBSERVABILITY_MD = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+REPO = Path(__file__).resolve().parents[1]
+OBSERVABILITY_MD = REPO / "docs" / "OBSERVABILITY.md"
+
+
+def refuse_constant(name):
+    raise ValueError(f"run --json printed {name}, which is not JSON")
 
 
 def run_json(capsys, *argv):
-    """``run ARGV --json``, parsed."""
+    """``run ARGV --json``, parsed as strict JSON: an ``Infinity`` or
+    ``NaN`` anywhere in the summary fails the caller."""
     assert main(["run", *argv, "--json"]) == 0
-    return json.loads(capsys.readouterr().out)
+    return json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
 
 
 class TestCLI:
@@ -132,7 +140,7 @@ class TestObservabilityCLI:
         ) == 0
         captured = capsys.readouterr()
         assert "cluster: 2 shard(s)" in captured.out
-        assert " state" in captured.out and "ckpt" not in captured.out
+        assert "state" not in captured.out and "restart" not in captured.out
         assert "flow_storm: 2 segment(s) on 2 shard(s)" in captured.out
         # --plain never emits ANSI, on either stream
         assert "\x1b" not in captured.out + captured.err
@@ -167,7 +175,7 @@ class TestObservabilityCLI:
 
     def test_shard_json_surfaces_observability_fields(self, capsys):
         summary = run_json(capsys, "flow_storm", *TOPO_ARGS)
-        assert summary["restarts"] == []
+        assert "restarts" not in summary
         # one wall-per-window answer, under wall.sync
         assert "wall_per_window" not in summary["wall"]
         assert summary["wall"]["sync"]["wall_per_window"] > 0.0
@@ -177,10 +185,10 @@ class TestObservabilityCLI:
         assert summary["wall"]["sync"]["windows"] == summary["windows"]
         assert summary["span_latency"]["p50"] is not None
 
-    def test_faults_and_recovery_ride_the_same_summary(self, capsys):
+    def test_faults_ride_the_sharded_summary(self, capsys):
         summary = run_json(
             capsys, "partition_storm", "--shards", "2", "--duration", "0.4",
-            "--faults", "down:lan0~lan1:0.1:0.25", "--recover",
+            "--faults", "down:lan0~lan1:0.1:0.25",
         )
         assert summary["faults"] == [{
             "link_id": "lan0~lan1", "start": 0.1, "end": 0.25,
@@ -193,7 +201,6 @@ class TestObservabilityCLI:
             alert["rule"].startswith("partition:")
             for alert in summary["alerts"]
         )
-        assert summary["restarts"] == []
 
     def test_span_latency_is_the_ledgers_percentiles(self):
         """One estimator: the top-level value is the merged ledger's
@@ -298,14 +305,20 @@ class TestFrontDoorOracle:
         ["flow_storm", "--top", "--refresh", "0"],
         ["flow_storm", "--faults", "sideways:lan0~lan1"],
         ["flow_storm", "--faults", "down:lan7~lan8:0.1:0.2"],
+        # fault times that are not finite: a flap that never ends, a
+        # dwell that divides by zero, an end that is not JSON
+        ["partition_storm", "--faults", "flap:lan0~lan1:0:inf:0.05:0.1"],
+        ["partition_storm", "--faults", "flap:lan0~lan1:0:1:inf:0.1"],
+        ["partition_storm", "--faults", "down:lan0~lan1:0:inf"],
+        ["partition_storm", "--faults", "down:lan0~lan1:0:1e400"],
         # flags the named topology cannot honour are not ignored either
         ["receive", "--segments", "3"],
         ["receive", "--duration", "1.0"],
         ["receive", "--faults", "down:lan0~lan1:0.1:0.2"],
-        ["receive", "--shards", "2", "--recover"],
         ["flow_storm", "--timeout", "30"],
         # a deleted flag is refused like any other unknown one
         ["flow_storm", "--checkpoint-interval", "4"],
+        ["receive", "--shards", "2", "--recover"],
         ["flow_storm", "--plain"],
         [],
     ],
@@ -318,3 +331,73 @@ def test_hostile_run_arguments_are_usage_errors(argv, capsys):
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1, captured.err
     assert captured.err.startswith("python -m repro run: error: ")
+
+
+RUN = "python -m repro run"
+#: A synopsis token: ``NAME``, ``N``, ``[--shards``, ``<topology>``, ``...``.
+PLACEHOLDER = re.compile(r"[A-Z]+\]*|[\[<].*|\.\.\.|…")
+
+
+def doc_run_commands() -> list:
+    """Every ``python -m repro run`` command README.md, DESIGN.md and
+    ``docs/*.md`` show — a line of a fenced block (with its indented
+    continuation lines) or an inline code span — as ``(FILE:LINE,
+    argv after run)``."""
+    found = []
+    docs = [REPO / "README.md", REPO / "DESIGN.md", *sorted(REPO.glob("docs/*.md"))]
+    for path in docs:
+        text = path.read_text()
+        fenced, command = False, None
+        for number, line in enumerate(text.splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced, command = not fenced, None
+            elif fenced and line.startswith(RUN):
+                command = [f"{path.name}:{number}", line]
+                found.append(command)
+            elif fenced and command is not None and line.startswith(" "):
+                command[1] += " " + line
+            else:
+                command = None
+        for match in re.finditer(f"`({RUN}[^`]*)`", text):
+            number = text.count("\n", 0, match.start()) + 1
+            found.append([f"{path.name}:{number}", match.group(1)])
+    return [(where, shlex.split(line, comments=True)[4:]) for where, line in found]
+
+
+def doc_run_command_fault(argv: list) -> str | None:
+    """Why the front door would refuse ``run ARGV``, or None.  The real
+    parser and ``_build_run`` judge it (nothing runs); a synopsis line,
+    with placeholders, may only name flags that exist."""
+    if any(PLACEHOLDER.fullmatch(token) for token in argv):
+        (verbs,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        known = set(verbs.choices["run"]._option_string_actions)
+        flags = {
+            token.strip("[]") for token in argv if token.lstrip("[").startswith("-")
+        }
+        return f"unknown flags {sorted(flags - known)}" if flags - known else None
+    try:
+        args, unknown = build_parser().parse_known_args(["run", *argv])
+        if unknown:
+            return f"unrecognized arguments {unknown}"
+        if not args.list:
+            _build_run(args)
+    except (SystemExit, ValueError) as error:
+        return f"refused: {error}"
+    return None
+
+
+def test_doc_run_commands_parse():
+    """Each ``python -m repro run`` command the docs show is one the
+    front door accepts."""
+    commands = doc_run_commands()
+    assert len(commands) > 20
+    faults = [
+        f"{where}: run {' '.join(argv)}: {fault}"
+        for where, argv in commands
+        if (fault := doc_run_command_fault(argv)) is not None
+    ]
+    assert faults == []
