@@ -364,6 +364,19 @@ class TestTypedFailures:
         finally:
             shard.close()
 
+    def test_run_topology_raises_when_a_worker_dies(self, monkeypatch):
+        # Below the CLI: the orchestrator lets the typed error through
+        # as itself and still reaps the surviving worker.
+        before = set(children_of(os.getpid()))
+        fail_in_workers(monkeypatch, 5, "die", segment="lan1")
+        with pytest.raises(ShardDiedError) as excinfo:
+            run_topology(ping_spec(2, frames=6), shards=2)
+        error = excinfo.value
+        assert (error.shard_id, error.window_index, error.last_ack) == (
+            1, 5, 4
+        )
+        assert set(children_of(os.getpid())) <= before
+
     @pytest.mark.parametrize(
         "fault, flags, code",
         [
