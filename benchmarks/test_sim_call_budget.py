@@ -37,7 +37,11 @@ the work fell.  Per received frame (1 426 of them) the same change
 reads 225.5 → 206.8 calls and 6.9 → 4.3 events, which is why the
 guard divides by frames now.  Folding each receive, filter and send
 path's fixed charges into one call took it to 207.0 → 177.1 calls and
-14.0 → 4.1 ``account`` calls per frame.
+14.0 → 4.1 ``account`` calls per frame.  Running the receive interrupt
+inside its frame's arrival event, reading ``Process.done`` as a field
+and booking the syscall charge in one fold took it to 177.0 → 164.7
+calls, 4.27 → 3.27 events and 4.09 → 2.01 ``account`` calls per frame;
+each ceiling below sits under what undoing its own cut would read.
 """
 
 import enum
@@ -51,15 +55,15 @@ from repro.core.demux import PacketFilterDemux
 from repro.sim import ledger, telemetry
 from repro.sim.kernel import SimKernel
 
-CALLS_PER_FRAME_BUDGET = 195.0
-"""~10 % over the measured 177.1."""
+CALLS_PER_FRAME_BUDGET = 167.0
+"""Measured 164.7.  ``Process.done`` as a property again reads 168.8."""
 
-EVENTS_PER_FRAME_CEILING = 4.5
-"""Measured 4.27."""
+EVENTS_PER_FRAME_CEILING = 3.4
+"""Measured 3.27.  A service event per received frame again reads 4.27."""
 
-ACCOUNT_CALLS_PER_FRAME_CEILING = 4.5
-"""Measured 4.09: two syscalls, a context switch and a read copy per
-frame.  Any one unfolded path charge adds ~1."""
+ACCOUNT_CALLS_PER_FRAME_CEILING = 2.2
+"""Measured 2.01: a context switch and a read copy per frame.  Any one
+unfolded path charge adds ~1; the syscall charge unfolded reads 4.09."""
 
 STORM = dict(
     segments=4,

@@ -167,7 +167,6 @@ class PacketFilterDemux:
         self._reports: dict = {}
         self._stale = False
         self._sequence = 0
-        self._deliveries = 0
         self.packets_seen = 0
         self.packets_unclaimed = 0
         self.total_predicates_tested = 0
@@ -338,12 +337,11 @@ class PacketFilterDemux:
         """Queue an already-classified packet (``ports``: the accepting
         port ids, in delivery order) and account for it — the
         non-memoizable tail of :meth:`deliver`."""
-        self.packets_seen += 1
+        self.packets_seen = seen = self.packets_seen + 1
         self.total_predicates_tested += predicates
-        self._deliveries += 1
         tick = (
             self.reorder_same_priority
-            and self._deliveries % self.REORDER_INTERVAL == 0
+            and seen % self.REORDER_INTERVAL == 0
         )
 
         # Fast path: at most one accepting filter — the overwhelming

@@ -240,6 +240,10 @@ class EthernetSegment:
         #: segments.  Drained by the shard runtime at synchronization
         #: barriers; plain picklable records.
         self._egress: list[EgressFrame] = []
+        #: NICs whose receive interrupt runs inside the arrival event
+        #: being fired (see :meth:`NIC._schedule_service`); None outside
+        #: one.
+        self._handoffs: list | None = None
 
     def _note(self, primitive: Primitive) -> None:
         if self.ledger is not None:
@@ -386,10 +390,16 @@ class EthernetSegment:
             deliver_at, self._arrive, self._nics, sender, frame
         )
 
-    @staticmethod
-    def _arrive(nics: tuple, sender, frame: bytes) -> None:
+    def _arrive(self, nics: tuple, sender, frame: bytes) -> None:
         """Every station attached at transmit time but the sender sees
-        ``frame``, in attach order."""
+        ``frame``, in attach order; then the receive interrupts the NICs
+        handed over run, in the same order.  Each was handed over only
+        while no live event was due at or before now, so its service
+        event would have been the next to fire after theirs."""
+        self._handoffs = handoffs = []
         for nic in nics:
             if nic is not sender:
                 nic.receive(frame)
+        self._handoffs = None
+        for nic in handoffs:
+            nic._service()

@@ -151,23 +151,33 @@ class NIC:
 
     def _schedule_service(self) -> None:
         """Arrange for the kernel's receive interrupt to drain the queue:
-        one event per frame, so interrupt costs serialize on the host
-        CPU the way per-frame interrupts did."""
+        one interrupt per frame, so interrupt costs serialize on the
+        host CPU the way per-frame interrupts did."""
         if self._service_scheduled:
             return
         self._service_scheduled = True
-        if self.kernel.rx_policy is not None:
+        kernel = self.kernel
+        scheduler = kernel.scheduler
+        if kernel.rx_policy is not None:
             # CPU-gated: with an overload policy the receive interrupt
             # runs when the CPU cursor frees, not instantaneously, so
             # the ring holds real backlog and can genuinely fill — the
             # precondition for watermarks, shedding and polling.
-            self._service_event = self.kernel.scheduler.schedule_at(
-                self.kernel.cpu_available_at, self._service
+            self._service_event = scheduler.schedule_at(
+                kernel.cpu_available_at, self._service
             )
-        else:
-            self._service_event = self.kernel.scheduler.schedule(
-                0.0, self._service
-            )
+            return
+        segment = self.segment
+        if segment is not None and segment._handoffs is not None:
+            # Inside the segment's arrival event, with no live event due
+            # at or before now: this service would fire next after the
+            # ones handed over before it, so the segment runs it once
+            # every station has seen the frame.
+            head = scheduler.next_time()
+            if head is None or head > scheduler.now:
+                segment._handoffs.append(self)
+                return
+        self._service_event = scheduler.schedule(0.0, self._service)
 
     def _service(self) -> None:
         self._service_scheduled = False

@@ -41,6 +41,7 @@ __all__ = [
     "interval_covers",
     "parse_fault_spec",
     "schedule_fingerprint",
+    "MAX_FLAP_FAULTS",
 ]
 
 DIRECTION_BOTH = "both"
@@ -48,6 +49,11 @@ DIRECTION_A_TO_B = "a->b"
 DIRECTION_B_TO_A = "b->a"
 
 _DIRECTIONS = (DIRECTION_BOTH, DIRECTION_A_TO_B, DIRECTION_B_TO_A)
+
+MAX_FLAP_FAULTS = 10_000
+"""The most outages one flap clause may expect to draw: a dwell of
+1e-9 s over one second would otherwise ask for ~1e9 :class:`LinkFault`
+objects."""
 
 #: CLI spellings (colon-separated specs can't contain ``->``).
 _DIRECTION_ALIASES = {
@@ -118,6 +124,8 @@ def flap_schedule(
     period.  All randomness comes from
     ``derive_seed(seed, "chaos", link_id, "flap")`` — the schedule is a
     pure function of ``(seed, link_id)`` and the shape parameters.
+    A clause that expects more than :data:`MAX_FLAP_FAULTS` outages is
+    refused before anything is drawn.
     """
     _check_finite(
         start=start, until=until, mean_down=mean_down, mean_up=mean_up
@@ -126,6 +134,13 @@ def flap_schedule(
         raise ValueError("mean dwell times must be positive")
     if not 0.0 <= start < until:
         raise ValueError("need 0 <= start < until")
+    expected = (until - start) / (mean_down + mean_up)
+    if expected > MAX_FLAP_FAULTS:
+        raise ValueError(
+            f"a flap of {until - start!r}s at mean dwells {mean_down!r}s "
+            f"down and {mean_up!r}s up expects {expected:.0f} outages, "
+            f"more than {MAX_FLAP_FAULTS}"
+        )
     rng = derive_rng(seed, "chaos", link_id, "flap")
     faults = []
     t = start + rng.expovariate(1.0 / mean_up)

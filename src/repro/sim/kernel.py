@@ -353,10 +353,11 @@ class SimKernel:
         together, so they can never drift apart (the reconciliation
         invariant of ``tests/sim/test_ledger.py``).  With no ledger
         attached the extra work is a single ``None`` check.  The
-        receive, filter and send paths book their fixed primitives
-        through one fold each instead (:meth:`_frame_in`,
-        :meth:`charge_pf_input`, :meth:`charge_pf_output`,
-        :meth:`network_output`): the same cursor sum, ``cpu_time``
+        receive, filter and send paths and the syscall entry book their
+        fixed primitives through one fold each instead
+        (:meth:`_frame_in`, :meth:`charge_pf_input`,
+        :meth:`charge_pf_output`, :meth:`network_output`,
+        :meth:`_syscall`): the same cursor sum, ``cpu_time``
         additions, counters and ledger events as one ``account`` call
         per primitive, in the same order, with the counter bumps that
         :func:`apply_counters` would make written out.  The per-packet
@@ -614,6 +615,7 @@ class SimKernel:
 
     def _finish(self, process, state, result=None, error=None) -> None:
         process.state = state
+        process.done = True
         process.result = result
         process.error = error
         process.finished_at = self.scheduler.now
@@ -631,7 +633,22 @@ class SimKernel:
                 InvalidArgument(f"process yielded non-syscall {call!r}"),
             )
             return
-        self.account(_SYSCALL, self.costs.syscall)
+        # ``account(_SYSCALL, costs.syscall)``, written out (see
+        # :meth:`account`).
+        cost = self.costs.syscall
+        now = self.scheduler.now
+        free = self._cpu_free_at
+        self._cpu_free_at = (now if now > free else free) + cost
+        stats = self.stats
+        stats.cpu_time += cost
+        stats.syscalls += 1
+        stats.domain_crossings += 2
+        ledger = self.ledger
+        if ledger is not None:
+            ledger.record(
+                _SYSCALL, host=self.name, at=now, cost=cost,
+                component="kernel", packet_id=self._ledger_packet,
+            )
 
         try:
             if isinstance(call, Read):

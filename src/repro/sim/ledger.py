@@ -151,10 +151,10 @@ def apply_counters(stats: KernelStats, primitive: Primitive, quantity: int = 1) 
     Used by both the live accounting path
     (:meth:`repro.sim.kernel.SimKernel.account`) and the replay path
     (:meth:`Ledger.stats_view`), so the two can never disagree about
-    which counter a primitive feeds.  The kernel's receive, filter and
-    send folds write their primitives' bumps out instead; the census
-    and ledger on/off tests of ``tests/sim/test_ledger.py`` hold them
-    to this rule.
+    which counter a primitive feeds.  The kernel's receive, filter,
+    send and syscall folds write their primitives' bumps out instead;
+    the census and ledger on/off tests of ``tests/sim/test_ledger.py``
+    hold them to this rule.
     """
     name = primitive.counter
     if name is not None:

@@ -145,10 +145,6 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
-_DONE = ProcessState.DONE      # bound once: see repro.sim.kernel
-_FAILED = ProcessState.FAILED
-
-
 class Process:
     """One simulated process: a pid, a name, a generator, and fd table."""
 
@@ -164,11 +160,10 @@ class Process:
         self.error: BaseException | None = None
         self.started_at: float | None = None
         self.finished_at: float | None = None
-
-    @property
-    def done(self) -> bool:
-        state = self.state
-        return state is _DONE or state is _FAILED
+        #: In a terminal state, DONE or FAILED.  A plain field, read
+        #: several times a packet: :meth:`SimKernel._finish` is the one
+        #: place that sets either state, and it sets this with it.
+        self.done = False
 
     def allocate_fd(self, handle: Any) -> int:
         fd = self.next_fd

@@ -91,6 +91,12 @@ class TestFlapSchedule:
         for (s0, e0), (s1, e1) in zip(intervals, intervals[1:]):
             assert e0 < s1
 
+    def test_refuses_a_clause_expecting_too_many_outages(self):
+        with pytest.raises(ValueError, match="expects 50000 outages"):
+            parse_fault_spec("flap:lan0~lan1:0:1:1e-5:1e-5")
+        # at the cap's side of it the clause still draws
+        assert parse_fault_spec("flap:lan0~lan1:0:1:1e-4:1e-4")
+
     def test_fingerprint_round_trips_exact_floats(self):
         faults = flap_schedule(
             3, "a~b", start=0.0, until=0.5, mean_down=0.02, mean_up=0.05

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.topologies import named_topology
 from repro.core import PFIoctl, compile_expr, word
 from repro.difftest.sharding import outcome_digest, stats_digest
 from repro.net.medium import EthernetSegment
@@ -296,12 +297,27 @@ def wake_by_complete(self, process):
     self.complete(process, None)
 
 
+def arrive_without_handoffs(self, nics, sender, frame):
+    """The unfolded reference: no NIC hands its receive interrupt to the
+    arrival, so each schedules its own service event."""
+    for nic in nics:
+        if nic is not sender:
+            nic.receive(frame)
+
+
+def services_unfolded():
+    """Only the receive-interrupt fold patched back."""
+    return mock.patch.object(EthernetSegment, "_arrive", arrive_without_handoffs)
+
+
 @contextlib.contextmanager
 def unfolded():
-    """Both folds patched back to the event-per-step design."""
+    """All three folds patched back to the event-per-step design."""
     with mock.patch.object(
         EthernetSegment, "_deliver", per_station_deliver
-    ), mock.patch.object(SimKernel, "_wake", wake_by_complete):
+    ), services_unfolded(), mock.patch.object(
+        SimKernel, "_wake", wake_by_complete
+    ):
         yield
 
 
@@ -383,9 +399,10 @@ _plan = st.lists(_step, max_size=8).map(
 
 
 class TestEventFolding:
-    """One frame on the cable is one event, and a sleeper wakes inside
-    its own timer when nothing else is due: both folds must leave every
-    simulated number exactly where the per-station, ``complete``-only
+    """One frame on the cable is one event, its receive interrupts run
+    inside it, and a sleeper wakes inside its own timer, each when
+    nothing else is due: the folds must leave every simulated number
+    exactly where the per-station, event-per-service, ``complete``-only
     design put it."""
 
     @given(
@@ -444,3 +461,84 @@ class TestEventFolding:
             assert run() == folded
         names = [name for name, _ in folded[0]]
         assert names == ["a", "b", "c"] * 3
+
+    def test_service_waits_behind_an_event_due_at_its_arrival(self):
+        def run():
+            world = World(ledger=True)
+            sender = world.host("sender")
+            receiver = world.host("receiver")
+            link = world.link
+            sender.nic.transmit(
+                link.frame(receiver.address, sender.address, TIE_TYPE, bytes(46))
+            )
+            seen = []
+            world.scheduler.schedule_at(
+                world.scheduler.next_time(),
+                lambda: seen.append(receiver.kernel.stats.interrupts),
+            )
+            world.run()
+            return seen, receiver.kernel.stats.interrupts, list(world.ledger.events)
+
+        folded = run()
+        with unfolded():
+            assert run() == folded
+        assert folded[:2] == ([0], 1)   # the tie fired before the service
+
+    def test_service_handed_over_after_a_gated_one_waits_behind_it(self):
+        # ``gated`` has an overload policy and a free CPU, so its receive
+        # schedules a service at the arrival instant mid-loop; ``last``
+        # is handed over after that and must run behind it.
+        def run():
+            world = World(ledger=True)
+            sender = world.host("sender")
+            hosts = [world.host(name) for name in ("first", "gated", "last")]
+            hosts[1].enable_overload()
+            link = world.link
+            sender.nic.transmit(
+                link.frame(link.broadcast, sender.address, TIE_TYPE, bytes(46))
+            )
+            world.run()
+            return [
+                (event.host, event.primitive) for event in world.ledger.events
+            ]
+
+        folded = run()
+        with unfolded():
+            assert run() == folded
+        assert [host for host, _ in folded[::4]] == ["first", "gated", "last"]
+
+    def test_direct_receive_outside_an_arrival_still_delivers(self):
+        world = World()
+        receiver = world.host("receiver")
+        receiver.install_packet_filter()
+        link = world.link
+        got = []
+
+        def reader():
+            fd = yield Open("pf")
+            yield Ioctl(
+                fd, PFIoctl.SETFILTER,
+                compile_expr(word(link.header_length // 2 - 1) == TIE_TYPE),
+            )
+            got.extend((yield Read(fd)))
+
+        process = receiver.spawn("reader", reader())
+        world.run()   # the reader binds its filter and blocks
+        frame = link.frame(
+            receiver.address, bytes(link.address_length), TIE_TYPE, bytes(46)
+        )
+        receiver.nic.receive(frame)
+        assert world.scheduler.pending() == 1   # its own service event
+        world.run_until_done(process)
+        assert [packet.data for packet in got] == [frame]
+
+    def test_each_serviced_frame_is_one_event_fewer(self):
+        spec = named_topology("receive")
+        folded = run_topology(spec, shards=1)
+        with services_unfolded():
+            reference = run_topology(spec, shards=1)
+        serviced = folded.total.frames_received
+        assert serviced == reference.total.frames_received >= 40
+        assert stats_digest(folded) == stats_digest(reference)
+        assert outcome_digest(folded) == outcome_digest(reference)
+        assert reference.events_fired - folded.events_fired == serviced

@@ -311,6 +311,8 @@ class TestFrontDoorOracle:
         ["partition_storm", "--faults", "flap:lan0~lan1:0:1:inf:0.1"],
         ["partition_storm", "--faults", "down:lan0~lan1:0:inf"],
         ["partition_storm", "--faults", "down:lan0~lan1:0:1e400"],
+        # a flap that expects 50 000 outages
+        ["partition_storm", "--faults", "flap:lan0~lan1:0:1:1e-5:1e-5"],
         # flags the named topology cannot honour are not ignored either
         ["receive", "--segments", "3"],
         ["receive", "--duration", "1.0"],
