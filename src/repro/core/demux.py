@@ -267,7 +267,7 @@ class PacketFilterDemux:
                     )
                 entries.append(entry)
             self._ir = compile_ir_set(entries, mode=self.mode, previous=self._ir)
-            self._hot_classify = self._ir._function
+            self._hot_classify = self._ir._root.function
         if self.flow_cache is not None:
             self._rekey_cache()
 
@@ -311,32 +311,18 @@ class PacketFilterDemux:
             key = bytes(packet[: self._cache_key_bytes])
             ports = cache.lookup(key)
         if ports is None:
-            # The compiled whole-set engine exposes its generated
-            # function directly; calling it here skips two wrapper
-            # frames on the per-packet path.
+            # The compiled whole-set engine's root function, called
+            # here with no wrapper frame between.
             hot = self._hot_classify
             if hot is not None:
-                ports, predicates = hot(packet)
+                ports, predicates = hot(packet, len(packet))
             else:
                 ports, predicates, instructions = self._classify(packet)
             if key is not None:
                 cache.store(key, tuple(ports))
-        return self._finish(
-            packet, ports, predicates, instructions, timestamp, packet_id
-        )
 
-    def _finish(
-        self,
-        packet: bytes,
-        ports: Sequence[int],
-        predicates: int,
-        instructions: int,
-        timestamp: float | None,
-        packet_id: int | None,
-    ) -> DeliveryReport:
-        """Queue an already-classified packet (``ports``: the accepting
-        port ids, in delivery order) and account for it — the
-        non-memoizable tail of :meth:`deliver`."""
+        # Queue the classified packet and account for it — the
+        # non-memoizable tail.
         self.packets_seen = seen = self.packets_seen + 1
         self.total_predicates_tested += predicates
         tick = (
@@ -362,13 +348,13 @@ class PacketFilterDemux:
                     fate = "nobuf_by"
                 else:
                     fate = "dropped_by"
-                key = (port.port_id, predicates, instructions, fate)
+                outcome = (port.port_id, predicates, instructions, fate)
             else:
                 self.packets_unclaimed += 1
-                key = (predicates, instructions)
+                outcome = (predicates, instructions)
             if tick:
                 self._reorder()
-            report = self._reports.get(key)
+            report = self._reports.get(outcome)
             if report is None:
                 report = DeliveryReport(
                     predicates_tested=predicates,
@@ -376,7 +362,7 @@ class PacketFilterDemux:
                     **({fate: (port.port_id,)} if ports else {}),
                 )
                 if len(self._reports) < 4096:
-                    self._reports[key] = report
+                    self._reports[outcome] = report
             return report
 
         accepted_by, dropped_by, nobuf_by = [], [], []
@@ -449,8 +435,8 @@ class PacketFilterDemux:
 
     def _classify(self, packet: bytes) -> tuple[Sequence[int], int, int]:
         """Which bindings accept ``packet``, and what it cost to learn,
-        for the linear engines (``Engine.IR`` goes through
-        ``_hot_classify``).
+        for the linear engines (``Engine.IR`` calls its compiled set's
+        root function, ``_hot_classify``, from :meth:`deliver`).
 
         Returns ``(ports, predicates, instructions)`` with the accepting
         port ids in delivery order — the memoizable core of

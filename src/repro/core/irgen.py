@@ -7,7 +7,10 @@ Three layers, bottom up:
   used to live as a stack-walk in :mod:`repro.core.jit` now runs off
   the DAG, so single-use values inline into their consumers, multi-use
   values get one temp, and values a surrounding chain pre-computed
-  (hoisted) are referenced by name instead of recomputed.
+  (hoisted) are referenced by name instead of recomputed.  A run of
+  reject exits that each compare a whole in-bounds word with a literal
+  is tested as bytes: one ``packet[a:b] == b'…'`` per contiguous
+  stretch of words.
 
 * A *leaf chain* is the unit of compilation: the filters one dispatch
   leaf evaluates in order, lowered (:func:`repro.core.ir.lower_program`),
@@ -190,7 +193,84 @@ def emit_ir_body(
         expression = subexpr(nid)
         return f"{expression} != 0" if want_true else f"{expression} == 0"
 
-    for step in fir.steps:
+    def word_test(nid: int, kind: str) -> tuple[int, int] | None:
+        """``(word index, constant)`` when ``nid`` is a ``kind`` compare
+        of a whole word the length guard covers with a constant, inlined
+        at its one use — a test a byte-slice compare can take over."""
+        node = graph.node(nid)
+        if node.kind != kind or nid in names or uses.get(nid, 0) > 1:
+            return None
+        load, const = graph.node(node.arg0), graph.node(node.arg1)
+        if load.kind == CONST:
+            load, const = const, load
+        if (
+            load.kind != LOAD
+            or const.kind != CONST
+            or 2 * load.arg0 + 2 > state["guaranteed"]  # odd-tail word
+        ):
+            return None
+        return load.arg0, const.arg0
+
+    def reject_test(step) -> tuple[int, int] | None:
+        """A word test on a side exit that rejects unless it holds."""
+        if not isinstance(step, ExitIf) or step.returns:
+            return None
+        return word_test(step.cond, "ne" if step.when else "eq")
+
+    def emit_exit(step: ExitIf) -> None:
+        emit(
+            f"{indent}if {bool_expr(step.cond, step.when)}: "
+            f"{terminate('True' if step.returns else 'False')}"
+        )
+
+    def emit_word_run(run: list[ExitIf], at_end: bool) -> bool:
+        """Emit a run of reject exits that each test one word against a
+        constant (``at_end``: nothing but the verdict follows).  Words
+        tested once merge into byte-slice compares, one per contiguous
+        stretch; the verdict joins them when it is the same kind of
+        test.  True when the verdict was emitted too."""
+        tests = [reject_test(step) for step in run]
+        tested = [index for index, _ in tests]
+        verdict = word_test(fir.result, "eq") if at_end else None
+        if verdict is not None:
+            tests.append(verdict)
+            tested.append(verdict[0])
+        merged = {i: value for i, value in tests if tested.count(i) == 1}
+        if len(merged) < 2:
+            for step in run:
+                emit_exit(step)
+            return False
+        for step, (index, _) in zip(run, tests):
+            if index not in merged:
+                emit_exit(step)
+        if verdict is not None and verdict[0] not in merged:
+            verdict = None
+        stretches: list[list[int]] = []
+        for index in sorted(merged):
+            if stretches and stretches[-1][-1] == index - 1:
+                stretches[-1].append(index)
+            else:
+                stretches.append([index])
+        compares = [
+            (
+                f"packet[{2 * s[0]}:{2 * s[-1] + 2}]",
+                repr(b"".join(merged[i].to_bytes(2, "big") for i in s)),
+            )
+            for s in stretches
+        ]
+        last = compares.pop() if verdict is not None else None
+        for window, literal in compares:
+            emit(f"{indent}if {window} != {literal}: {terminate('False')}")
+        if last is None:
+            return False
+        emit(f"{indent}{terminate(f'{last[0]} == {last[1]}')}")
+        return True
+
+    steps = fir.steps
+    position = 0
+    while position < len(steps):
+        step = steps[position]
+        position += 1
         if isinstance(step, Bound):
             if step.min_bytes > state["guaranteed"]:
                 emit(
@@ -201,12 +281,15 @@ def emit_ir_body(
         elif isinstance(step, Anchor):
             if step.node not in names:
                 materialize(step.node)
+        elif reject_test(step) is None:
+            emit_exit(step)
         else:
-            verdict = "True" if step.returns else "False"
-            emit(
-                f"{indent}if {bool_expr(step.cond, step.when)}: "
-                f"{terminate(verdict)}"
-            )
+            run = [step]
+            while position < len(steps) and reject_test(steps[position]):
+                run.append(steps[position])
+                position += 1
+            if emit_word_run(run, position == len(steps)):
+                return
 
     result = graph.node(fir.result)
     if result.kind == CONST:
@@ -354,17 +437,33 @@ def _emit_chain(
     ):
         accept = f"_a{position}"
         guarded = any(chain_graph.faultable(n) for n in live)
-        lines.append(f"        {accept} = False")
-        lines.append("        for _ in _ONE:")
-        indent = "            "
-        if guarded:
-            lines.append(f"{indent}try:")
-            indent += "    "
+        last = position == len(entries) - 1 and not (has_copy_all or guarded)
+        if last:
+            # The last body needs no accept flag: each exit returns.
+            indent = "        "
 
-        def terminate(expr: str, _accept: str = accept) -> str:
-            if expr == "False":
-                return "break"
-            return f"{_accept} = {expr}; break"
+            def terminate(
+                expr: str,
+                _result: str = f"_r{position}",
+                _miss: str = f"((), {len(entries)})",
+            ) -> str:
+                if expr == "False":
+                    return f"return {_miss}"
+                if expr == "True":
+                    return f"return {_result}"
+                return f"return {_result} if {expr} else {_miss}"
+        else:
+            lines.append(f"        {accept} = False")
+            lines.append("        for _ in _ONE:")
+            indent = "            "
+            if guarded:
+                lines.append(f"{indent}try:")
+                indent += "    "
+
+            def terminate(expr: str, _accept: str = accept) -> str:
+                if expr == "False":
+                    return "break"
+                return f"{_accept} = {expr}; break"
 
         emit_ir_body(
             fir, lines.append, indent,
@@ -374,6 +473,8 @@ def _emit_chain(
             prebound=hoisted,
             live=live,
         )
+        if last:
+            break
         if guarded:
             lines.append("            except (IndexError, ZeroDivisionError):")
             lines.append("                break")
@@ -384,8 +485,9 @@ def _emit_chain(
                 lines.append(f"            return _res, {position + 1}")
         else:
             lines.append(f"            return _r{position}")
-    empty = "_res" if has_copy_all else "()"
-    lines.append(f"        return ({empty}, {len(entries)})")
+    else:
+        empty = "_res" if has_copy_all else "()"
+        lines.append(f"        return ({empty}, {len(entries)})")
     lines.append("    return _chain")
     return "\n".join(lines) + "\n", len(hoisted), tuple(facts)
 
@@ -587,12 +689,11 @@ class CompiledIRSet:
 
     size: int
     discriminant: tuple[int, int] | None  #: root (word index, mask)
-    _function: object
     _root: _Link = field(repr=False)
     _mode: ShortCircuitMode = field(repr=False)
 
     def classify(self, packet: bytes) -> tuple[Sequence, int]:
-        return self._function(packet)  # type: ignore[operator]
+        return self._root.function(packet, len(packet))
 
     @cached_property
     def source(self) -> str:
@@ -669,15 +770,9 @@ def compile_ir_set(
         entries, mode, previous=previous._root.tree if previous else None
     )
     root = _link(tree, {}, previous._root if previous else None, mode, lowered)
-    function = root.function
-
-    def _classify(packet):
-        return function(packet, len(packet))
-
     return CompiledIRSet(
         size=len(entries),
         discriminant=tree.discriminant,
-        _function=_classify,
         _root=root,
         _mode=mode,
     )

@@ -37,6 +37,7 @@ from .sharding import (
     stats_fingerprint,
 )
 from .mutations import (
+    boundary_packets,
     cache_key_bytes,
     churn_stream,
     collision_flood,
@@ -57,6 +58,7 @@ __all__ = [
     "reference_outcomes",
     "packets_only",
     "with_drains",
+    "boundary_packets",
     "churn_stream",
     "collision_flood",
     "truncation_stream",

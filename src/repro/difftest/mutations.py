@@ -16,7 +16,10 @@ surface:
   interpreter's bounds handling and the prevalidated/compiled/IR
   engines' hoisted pre-checks must still agree packet for packet;
 * :func:`with_drains` — periodic full queue drains so overflow
-  outcomes keep toggling instead of saturating.
+  outcomes keep toggling instead of saturating;
+* :func:`boundary_packets` — packets derived from one program's own
+  literals, so agreement on a comparison-only program covers every
+  truth-value boundary it has instead of a sample.
 
 Everything is seeded through ``random.Random`` (Mersenne Twister —
 independent of ``PYTHONHASHSEED``), so the same seed yields the same
@@ -29,9 +32,13 @@ from random import Random
 from typing import Iterable, Sequence
 from zlib import crc32
 
+from ..core.ir import COMPARE_KINDS, CONST, LOAD, lower_program
 from ..core.program import FilterProgram
+from ..core.validator import validate
+from ..core.words import pack_words
 
 __all__ = [
+    "boundary_packets",
     "cache_key_bytes",
     "churn_stream",
     "collision_flood",
@@ -201,3 +208,66 @@ def truncation_stream(
         for cut in sorted(c for c in cuts if 0 <= c < len(packet)):
             out.append(packet[:cut])
     return out
+
+
+def boundary_packets(program: FilterProgram) -> list[bytes]:
+    """Packets built from ``program``'s own literals, no randomness.
+
+    Every word the program compares with a literal, whole or under an
+    ``AND`` mask, takes that literal, the literal ± 1, 0 and 0xFFFF
+    (under a mask also the literal with every bit outside the mask
+    set), one word at a time, over a base packet that holds each tested
+    word at its first literal.  Each such packet is sent whole — one
+    byte past the highest byte read — and cut at the highest byte read,
+    so the deepest word is also read as a zero-padded odd tail; the
+    base packet is cut at every length from 0 up.  Words read but never
+    compared with a literal stay 0.
+    """
+    graph = lower_program(program, validate(program)).graph
+
+    def word_of(nid: int) -> tuple[int, int] | None:
+        """``(word index, mask)`` for a load, or a load under a mask."""
+        node = graph.node(nid)
+        if node.kind == LOAD:
+            return node.arg0, 0xFFFF
+        if node.kind == "and":
+            for load, mask in (
+                (graph.node(node.arg0), graph.node(node.arg1)),
+                (graph.node(node.arg1), graph.node(node.arg0)),
+            ):
+                if load.kind == LOAD and mask.kind == CONST:
+                    return load.arg0, mask.arg0
+        return None
+
+    read = [node.arg0 for node in graph.nodes if node.kind == LOAD]
+    if not read:
+        return [b""]
+    values: dict[int, dict[int, None]] = {}  # word -> values, in order
+    for node in graph.nodes:
+        if node.kind not in COMPARE_KINDS:
+            continue
+        for tested, other in ((node.arg0, node.arg1), (node.arg1, node.arg0)):
+            found = word_of(tested)
+            if found is None or graph.node(other).kind != CONST:
+                continue
+            index, mask = found
+            literal = graph.node(other).arg0
+            extremes = (literal | (~mask & 0xFFFF),) if mask != 0xFFFF else ()
+            values.setdefault(index, {}).update(
+                dict.fromkeys(
+                    (literal, (literal + 1) & 0xFFFF, (literal - 1) & 0xFFFF,
+                     0, 0xFFFF, *extremes)
+                )
+            )
+    base = [0] * (max(read) + 1)
+    for index, choices in values.items():
+        base[index] = next(iter(choices))
+    whole = pack_words(base) + b"\x00"
+    packets = [whole[:cut] for cut in range(len(whole) + 1)]
+    for index, choices in values.items():
+        for value in choices:
+            variant = list(base)
+            variant[index] = value
+            packet = pack_words(variant) + b"\x00"
+            packets += (packet, packet[:-2])
+    return list(dict.fromkeys(packets))

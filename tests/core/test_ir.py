@@ -7,6 +7,8 @@ DCE must never delete — so a pass regression fails here by name
 instead of as a distant counterexample.
 """
 
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from repro.core import demux as demux_module, irgen, opt
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.interpreter import LanguageLevel, ShortCircuitMode, evaluate
+from repro.core.jit import compile_filter
 from repro.core.ir import (
     LOAD,
     Anchor,
@@ -40,6 +43,13 @@ from repro.core.port import Port
 from repro.core.program import FilterProgram, asm
 from repro.core.validator import validate
 from repro.core.words import pack_words
+from repro.difftest import (
+    boundary_packets,
+    full_matrix,
+    packets_only,
+    run_matrix,
+    with_drains,
+)
 
 
 def lower(program, mode=ShortCircuitMode.PUSH_RESULT, graph=None):
@@ -345,6 +355,178 @@ class TestCompiledIRSet:
                 if evaluate(p, packet, checked=True)
             )
             assert ranks == expected
+
+
+# ---------------------------------------------------------------------------
+# Emission: a run of word equalities is one byte-slice compare
+# ---------------------------------------------------------------------------
+
+
+def five_tuple(dport, sport=4000):
+    return compile_expr(
+        (word(6) == dport) & (word(4) == 6) & (word(5) == sport)
+        & (word(0) == 0x0A00) & (word(1) == 0x0001)
+        & (word(2) == 0x0A00) & (word(3) == 0x0002),
+        priority=10,
+    )
+
+
+def chain_blocks(compiled):
+    """The source of every chain in a compiled set that has entries."""
+    return [
+        block for block in compiled.source.split("\n# node ")
+        if ": chain, _factory((" in block
+    ]
+
+
+def slices(source):
+    """``(start, stop)`` of every byte-slice compare in ``source``."""
+    return [
+        (int(start), int(stop))
+        for start, stop in re.findall(r"packet\[(\d+):(\d+)\]", source)
+    ]
+
+
+def sliced(source, index):
+    """Whether word ``index`` is tested inside a byte-slice compare."""
+    return any(start <= 2 * index < stop for start, stop in slices(source))
+
+
+def assert_engines_agree(programs):
+    """IR and COMPILED, cached or not, agree with CHECKED (and the
+    oracle) on every program's boundary packets."""
+    packets = [p for program in programs for p in boundary_packets(program)]
+    report = run_matrix(
+        programs, with_drains(packets_only(packets), 6), full_matrix()
+    )
+    assert report.ok, report.summary()
+
+
+def adjacent_tests(*tests):
+    """A stack program of ``(word, value, operator)`` tests in order,
+    the last one's operator ``EQ`` (the verdict)."""
+    code = []
+    for index, value, operator in tests:
+        code += [("PUSHWORD", index), ("PUSHLIT", operator, value)]
+    return FilterProgram(asm(*code), priority=10)
+
+
+class TestWordRunCoalescing:
+    def test_five_tuple_chain_is_one_slice_compare(self):
+        programs = [five_tuple(1024 + i) for i in range(8)]
+        compiled = compile_ir_set(
+            [entry(i, p) for i, p in enumerate(programs)]
+        )
+        assert compiled.discriminant == (6, 0xFFFF)
+        chains = chain_blocks(compiled)
+        assert len(chains) == 8
+        for chain in chains:
+            # Word 6 went to the probe; words 0-5 are one 12-byte run.
+            assert slices(chain) == [(0, 12)]
+            assert "<< 8" not in chain
+            assert "_ONE" not in chain and "_a0" not in chain
+        # The single-filter JIT merges the same run; word 6 is the
+        # 13-byte guard's zero-padded tail, so it keeps its own test.
+        source = compile_filter(programs[0]).source
+        assert slices(source) == [(0, 12)]
+        assert source.count("<< 8") == 1
+        assert_engines_agree(programs)
+
+    def test_masked_test_is_left_unmerged(self):
+        program = compile_expr(
+            (word(1) == 0x0800) & (word(2).masked(0xFF00) == 0x4500)
+            & (word(3) == 7) & (word(4) == 9) & (word(0) == 1),
+            priority=10,
+        )
+        for source in (
+            compile_filter(program).source,
+            compile_ir_set([entry(0, program)]).source,
+        ):
+            assert slices(source) and not sliced(source, 2)
+        assert_engines_agree([program])
+
+    def test_odd_tail_word_is_left_unmerged(self):
+        program = five_tuple(1024)
+        for source in (
+            compile_filter(program).source,
+            compile_ir_set([entry(0, program)]).source,
+        ):
+            assert slices(source) == [(0, 12)]
+            assert "packet[13] if" in source
+        assert_engines_agree([program])
+
+    def test_repeated_word_is_left_unmerged(self):
+        # Word 2 must equal 5 and 6 at once: nothing accepts, and a
+        # merge keeping either literal would accept one of them.  Words
+        # 3 and 4 still merge; word 5, tested first, is the guard's
+        # odd tail.
+        program = adjacent_tests(
+            (5, 1, "CAND"), (2, 5, "CAND"), (3, 7, "CAND"), (2, 6, "CAND"),
+            (4, 9, "EQ"),
+        )
+        for source in (
+            compile_filter(program).source,
+            compile_ir_set([entry(0, program)]).source,
+        ):
+            assert slices(source) == [(6, 10)]
+        assert_engines_agree([program])
+
+    def test_early_accept_exit_is_left_unmerged(self):
+        # Word 1 accepts early when it is *not* 2: an exit with the
+        # shape of a reject test but the opposite verdict.
+        program = adjacent_tests(
+            (3, 4, "CAND"), (1, 2, "CNAND"), (2, 3, "CAND"), (0, 5, "EQ")
+        )
+        exits = [s for s in lower(program).steps if isinstance(s, ExitIf)]
+        assert [s.returns for s in exits] == [False, True, False]
+        for source in (
+            compile_filter(program).source,
+            compile_ir_set([entry(0, program)]).source,
+        ):
+            assert not sliced(source, 1) and not sliced(source, 3)
+            assert sliced(source, 0) and sliced(source, 2)
+        assert_engines_agree([program])
+
+    def test_inequality_verdict_is_left_unmerged(self):
+        program = adjacent_tests(
+            (3, 7, "CAND"), (1, 2, "CAND"), (2, 5, "NEQ")
+        )
+        for source in (
+            compile_filter(program).source,
+            compile_ir_set([entry(0, program)]).source,
+        ):
+            assert slices(source) == []
+        assert_engines_agree([program])
+
+    def test_hoisted_shared_compare_is_left_unmerged(self):
+        # Two rules in one chain (no probe above it) share the protocol
+        # test: the chain hoists it, and neither body re-tests its word.
+        programs = [
+            adjacent_tests(
+                (6, dport, "CAND"), (4, 6, "CAND"), (0, host, "CAND"),
+                (1, host + 1, "EQ"),
+            )
+            for dport, host in ((1024, 1), (1025, 3))
+        ]
+        entries = [entry(i, p) for i, p in enumerate(programs)]
+        mode = ShortCircuitMode.PUSH_RESULT
+        source, _, _ = irgen._emit_chain(entries, {}, mode)
+        assert re.search(r"if _h\d+ == 0: break", source)
+        assert slices(source) == [(0, 4), (0, 4)]
+        chain = irgen._load_factory(source)(*irgen._result_constants(entries))
+        for packet in (
+            p for program in programs for p in boundary_packets(program)
+        ):
+            want = next(
+                (
+                    ((i,), i + 1)
+                    for i, program in enumerate(programs)
+                    if evaluate(program, packet, checked=True).accepted
+                ),
+                ((), 2),
+            )
+            assert chain(packet, len(packet)) == want, packet.hex()
+        assert_engines_agree(programs)
 
 
 # ---------------------------------------------------------------------------
