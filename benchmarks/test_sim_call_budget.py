@@ -25,7 +25,9 @@ four-segment flow storm under ``sys.setprofile`` and fails if
 The same hook counts the calls one ``PacketFilterDemux.deliver`` makes
 on the 32-filter :func:`measure_demux_throughput` workload, for every
 engine with and without the flow cache — the demultiplexer's hot path
-as a count, with nothing to record first.
+as a count, with nothing to record first — and the calls per frame a
+fixed user-level BSP transfer (table 6-6) makes, the Pup codec and the
+BSP endpoint included, against :data:`BSP_CALLS_PER_FRAME_CEILING`.
 
 The budget was first set per fired event: the storm took 48.4 calls an
 event before the budget was spent and 33.3 after, on Python 3.10 to
@@ -55,8 +57,11 @@ import pytest
 
 from repro.bench.scenarios import measure_demux_throughput, run_flow_storm
 from repro.core.demux import PacketFilterDemux
+from repro.protocols.bsp import BSPEndpoint
+from repro.protocols.pup import PupAddress
 from repro.sim import ledger, telemetry
 from repro.sim.kernel import SimKernel
+from repro.sim.world import World
 
 CALLS_PER_FRAME_BUDGET = 164.5
 """Measured 163.7.  ``deliver`` calling through ``_finish`` again reads
@@ -116,6 +121,22 @@ profile hook cannot see is not counted: a frozen dataclass's
 
 DELIVER_HEADROOM = 1 if sys.version_info >= (3, 12) else 0
 """For how CPython 3.12+ reports C calls to a profile hook."""
+
+BSP_BYTES = 32 * 1024
+"""The counted BSP transfer: 62 data Pups and an END, each acked, so
+126 frames carried; loss-free, so the count repeats exactly."""
+
+BSP_CALLS_PER_FRAME_CEILING = 240.0
+"""Measured 236.5 on Python 3.11 with the folded ``pup_checksum``, the
+address-pair table in ``PupHeader.decode`` and ``BSPEndpoint`` packing
+its frames through ``encode_pup``.  Undoing one of the three reads:
+the sixteen strided ``sum()`` checksum 270.5; a decode that builds and
+range-checks two addresses per frame 251.5; the endpoint building a
+``PupHeader``, its address and the reply address per frame 252.3."""
+
+BSP_HEADROOM = 8 if sys.version_info >= (3, 12) else 0
+"""For how CPython 3.12+ reports C calls to a profile hook (not
+measured here); it keeps the 3.12+ ceiling under every undo above."""
 
 
 def code_of(*owners) -> set:
@@ -245,3 +266,45 @@ def test_deliver_call_budget(emit, engine, flow_cache):
         f"{per_deliver:.2f} calls/deliver (budget {budget:.2f})"
     )
     assert per_deliver <= budget
+
+
+def bsp_transfer() -> World:
+    """One :data:`BSP_BYTES` stream between two user-level endpoints."""
+    world = World()
+    sender = world.host("sender")
+    receiver = world.host("receiver")
+    sender.install_packet_filter()
+    receiver.install_packet_filter()
+    source = BSPEndpoint(sender, local_socket=0x44)
+    sink = BSPEndpoint(receiver, local_socket=0x35)
+    destination = PupAddress(net=1, host=receiver.address[-1], socket=0x35)
+
+    def send():
+        yield from source.start()
+        yield from source.send_stream(
+            receiver.address, destination, bytes(BSP_BYTES)
+        )
+
+    def receive():
+        yield from sink.start()
+        yield from sink.recv_all()
+
+    world.run_until_done(
+        sender.spawn("bsp-source", send()),
+        receiver.spawn("bsp-sink", receive()),
+    )
+    assert sink.stats.bytes_delivered == BSP_BYTES
+    return world
+
+
+def test_bsp_call_budget(emit):
+    bsp_transfer()  # imports and first-use caches, uncounted
+    world, tally = count_calls(bsp_transfer)
+    frames = world.segment.frames_carried
+    per_frame = tally.calls / frames
+    emit(
+        f"bsp transfer: {frames} frames, {tally.calls} calls, "
+        f"{per_frame:.1f} calls/frame "
+        f"(ceiling {BSP_CALLS_PER_FRAME_CEILING + BSP_HEADROOM})"
+    )
+    assert per_frame <= BSP_CALLS_PER_FRAME_CEILING + BSP_HEADROOM

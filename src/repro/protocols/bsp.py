@@ -42,6 +42,7 @@ from .pup import (
     PupAddress,
     PupError,
     PupHeader,
+    encode_pup,
     pup_word_base,
 )
 from .rto import RetransmitTimer
@@ -137,6 +138,11 @@ class BSPEndpoint:
             raise ValueError("data_per_packet outside 1..532")
         self.host = host
         self.local_socket = local_socket
+        #: This endpoint's Pup address (host byte from the station).
+        self.address = PupAddress(
+            net=1, host=host.address[-1], socket=local_socket
+        )
+        self._ethertype = pup_ethertype(host.link)
         self.window_bytes = WINDOW_PACKETS * data_per_packet
         self.data_per_packet = data_per_packet
         self.max_retries = max_retries
@@ -152,16 +158,6 @@ class BSPEndpoint:
         self._rcv_next = 0
         self._chunks: list[bytes] = []
         self._ended = False
-        self._peer: tuple[bytes, PupAddress] | None = None
-
-    @property
-    def address(self) -> PupAddress:
-        """This endpoint's Pup address (host byte from the station)."""
-        return PupAddress(
-            net=1,
-            host=self.host.address[-1],
-            socket=self.local_socket,
-        )
 
     @property
     def _costs(self):
@@ -203,17 +199,14 @@ class BSPEndpoint:
         identifier: int,
         data: bytes = b"",
     ) -> bytes:
-        header = PupHeader(
-            pup_type=pup_type,
-            identifier=identifier,
-            dst=dst,
-            src=self.address,
-        )
         return self.host.link.frame(
             station,
             self.host.address,
-            pup_ethertype(self.host.link),
-            header.encode(data, with_checksum=True),
+            self._ethertype,
+            encode_pup(
+                pup_type, identifier, dst, self.address, data,
+                with_checksum=True,
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -394,9 +387,6 @@ class BSPEndpoint:
             self.host.kernel.account(Primitive.DROP_CORRUPT, component="bsp")
             return
         station = self.host.link.source_of(frame)
-        reply_to = PupAddress(
-            net=header.src.net, host=header.src.host, socket=header.src.socket
-        )
 
         if header.pup_type == BSP_DATA:
             if header.identifier == self._rcv_next:
@@ -405,12 +395,12 @@ class BSPEndpoint:
                 self.stats.data_packets_received += 1
             else:
                 self.stats.duplicates_dropped += 1
-            yield from self._send_ack(station, reply_to)
+            yield from self._send_ack(station, header.src)
         elif header.pup_type == BSP_END:
             if header.identifier == self._rcv_next:
                 self._rcv_next += 1
                 self._ended = True
-            yield from self._send_ack(station, reply_to)
+            yield from self._send_ack(station, header.src)
 
     def _send_ack(self, station: bytes, dst: PupAddress):
         yield Compute(self._costs.user_transport_per_packet)

@@ -3,6 +3,7 @@ reject malformed input."""
 
 import gc
 import random
+import struct
 import sys
 
 import pytest
@@ -17,6 +18,7 @@ from repro.protocols.ip import (
     internet_checksum,
     ip_address,
 )
+from repro.protocols import pup
 from repro.protocols.pup import (
     NO_CHECKSUM,
     PUP_MAX_DATA,
@@ -51,6 +53,30 @@ def reference_pup_checksum(data: bytes) -> int:
     return total
 
 
+def reference_pup_decode(packet: bytes) -> tuple[PupHeader, bytes]:
+    """``PupHeader.decode`` as a plain parse: both addresses and the
+    header built through their constructors, the checksum by the loop."""
+    if len(packet) < 22:
+        raise PupError("short")
+    fields = struct.unpack_from(">HBBIBBIBBI", packet)
+    length = fields[0]
+    if not 22 <= length <= len(packet):
+        raise PupError("length")
+    checksum = int.from_bytes(packet[length - 2 : length], "big")
+    if checksum != NO_CHECKSUM and checksum != reference_pup_checksum(
+        bytes(packet[: length - 2])
+    ):
+        raise PupError("checksum")
+    header = PupHeader(
+        pup_type=fields[2],
+        identifier=fields[3],
+        dst=PupAddress(net=fields[4], host=fields[5], socket=fields[6]),
+        src=PupAddress(net=fields[7], host=fields[8], socket=fields[9]),
+        hop_count=fields[1],
+    )
+    return header, packet[20 : length - 2]
+
+
 def reference_internet_checksum(data: bytes) -> int:
     """The per-word RFC 1071 loop, kept as the oracle."""
     total = 0
@@ -78,8 +104,47 @@ EDGE_INPUTS = [
         ("fffe-then-0001", b"\xff\xfe\x00\x01"),
         ("fffe-x17", b"\xff\xfe" * 17),
         ("random-554", random.Random(554).randbytes(554)),
+        ("ones-1024", b"\xff" * 1024),
+        ("ones-1025", b"\xff" * 1025),
+        ("random-2049", random.Random(2049).randbytes(2049)),
+        ("ones-4096", b"\xff" * 4096),
     )
 ]
+
+BYTES_LIKE = [bytes, bytearray, memoryview]
+
+ADDRESS_FIELDS = st.tuples(
+    st.integers(0, 0xFF), st.integers(0, 0xFF), st.integers(0, 0xFFFFFFFF)
+)
+
+# Lengths to 4 200 bytes, so every fold width and the piecewise path
+# over 1 KiB (up to five pieces) are drawn.
+ANY_LENGTH = st.integers(0, 4200).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+
+
+def assert_decodes_like_the_reference(packet: bytes):
+    """``PupHeader.decode`` of ``packet`` in each bytes-like form raises
+    ``PupError`` exactly when the plain parse does, and otherwise
+    returns an equal header, equal data and addresses that hash like
+    ones built by their constructor."""
+    try:
+        expected = reference_pup_decode(packet)
+    except PupError:
+        expected = None
+    for kind in BYTES_LIKE:
+        if expected is None:
+            with pytest.raises(PupError):
+                PupHeader.decode(kind(packet))
+            continue
+        header, data = PupHeader.decode(kind(packet))
+        assert (header, data) == expected
+        assert hash(header) == hash(expected[0])
+        assert hash(header.dst) == hash(expected[0].dst)
+        assert hash(header.src) == hash(expected[0].src)
+    return expected
+
 
 # Recorded from the per-word loops; (pup, internet) for each input.
 KNOWN_ANSWERS = [
@@ -116,10 +181,22 @@ def _line_events(function, *args) -> int:
 
 
 class TestChecksumsAgainstTheLoops:
-    @given(st.binary(max_size=1500))
+    @given(ANY_LENGTH)
     def test_equal_to_the_reference_loops(self, data):
-        assert pup_checksum(data) == reference_pup_checksum(data)
-        assert internet_checksum(data) == reference_internet_checksum(data)
+        pup = reference_pup_checksum(data)
+        internet = reference_internet_checksum(data)
+        for kind in BYTES_LIKE:
+            assert pup_checksum(kind(data)) == pup
+            assert internet_checksum(kind(data)) == internet
+
+    @pytest.mark.parametrize("kind", BYTES_LIKE, ids=lambda kind: kind.__name__)
+    @pytest.mark.parametrize(
+        "data", [b"ab", b"abc", b"\xff" * 555], ids=["2", "3", "555"]
+    )
+    def test_every_bytes_like_type_agrees(self, kind, data):
+        expected = reference_pup_checksum(data)
+        assert pup_checksum(kind(data)) == expected
+        assert pup_checksum(memoryview(b"x" + data)[1:]) == expected
 
     @pytest.mark.parametrize("data", EDGE_INPUTS)
     def test_edge_cases(self, data):
@@ -143,7 +220,7 @@ class TestChecksumsAgainstTheLoops:
         full = header.encode(bytes(range(256)) * 2 + bytes(20), with_checksum=True)
         assert (len(short), len(full)) == (22, 554)
         counts = [_line_events(pup_checksum, pup[:-2]) for pup in (short, full)]
-        # 40 on CPython 3.11; the slack absorbs how other versions count
+        # 17 on CPython 3.11; the slack absorbs how other versions count
         # a loop's exit, while one word per iteration would be > 1 000.
         assert counts[0] == counts[1] <= 48
 
@@ -307,6 +384,43 @@ class TestPup:
             PupAddress(net=256, host=0, socket=0)
         with pytest.raises(PupError):
             PupAddress(net=0, host=0, socket=1 << 32)
+
+    @pytest.mark.parametrize("value", [1.5, "1", None], ids=repr)
+    @pytest.mark.parametrize("field", ["net", "host", "socket"])
+    def test_field_that_is_not_an_int_is_a_pup_error(self, field, value):
+        fields = dict(net=1, host=2, socket=3)
+        fields[field] = value
+        with pytest.raises(PupError, match=f"{field} {value!r}"):
+            PupAddress(**fields)
+
+    @given(st.binary(max_size=600))
+    def test_decode_of_arbitrary_bytes_matches_the_plain_parse(self, packet):
+        assert_decodes_like_the_reference(packet)
+
+    @given(
+        st.integers(0, 0xFF), st.integers(0, 0xFF), st.integers(0, 0xFFFFFFFF),
+        ADDRESS_FIELDS, ADDRESS_FIELDS,
+        st.binary(max_size=PUP_MAX_DATA), st.booleans(), st.binary(max_size=8),
+    )
+    def test_decode_of_valid_pups_matches_the_plain_parse(
+        self, hop_count, pup_type, identifier, dst, src, data, checksummed, tail
+    ):
+        header = PupHeader(
+            pup_type=pup_type, identifier=identifier, hop_count=hop_count,
+            dst=PupAddress(*dst), src=PupAddress(*src),
+        )
+        packet = header.encode(data, with_checksum=checksummed) + tail
+        decoded, _ = assert_decodes_like_the_reference(packet)
+        assert decoded == header
+
+    def test_address_table_stays_bounded(self):
+        for socket in range(pup._ADDRESS_PAIRS_LIMIT + 8):
+            sent = PupHeader(
+                pup_type=1, identifier=socket, dst=self.address(),
+                src=PupAddress(net=2, host=7, socket=socket),
+            )
+            assert PupHeader.decode(sent.encode(b"x"))[0] == sent
+        assert len(pup._ADDRESS_PAIRS) <= pup._ADDRESS_PAIRS_LIMIT
 
     def test_checksum_never_returns_reserved_value(self):
         # The add-and-cycle sum maps 0xFFFF to 0 by construction.
