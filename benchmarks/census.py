@@ -27,13 +27,19 @@ For each parameter whose default is a simple value — None, a bool,
 number, string or bytes, or an enum member — it reports the values the
 calls carried: simple values by ``repr``, enum members by name, anything
 else by type.  A parameter whose default is an object (or a container)
-is left out, since every ``LinkSpec`` would print alike.
+is left out, since every ``LinkSpec`` would print alike.  A dataclass
+field with a simple default is a parameter of its class, named
+``module.Class(field)``: its generated ``__init__`` has no source line
+in the package, so the hook keys each construction by the instance's
+class instead.
 
-Everything that no user reaches, and every parameter that only ever
-holds its default, must match an entry of :data:`OWNERS` — the document,
-CI step, oracle or ROADMAP item that keeps it.  What matches none is
-listed as **unowned**.  The census is a report, not a gate: it exits 0
-whatever it finds, and non-zero only when it could not run.
+Everything that no user reaches, every parameter or field that only
+ever holds its default, and every one that a non-test run (``user``,
+``perfbench``) leaves at its default while only tests set another value,
+must match an entry of :data:`OWNERS` — the document, CI step, oracle or
+ROADMAP item that keeps it.  What matches none is listed as
+**unowned**.  The census is a report, not a gate: it exits 0 whatever it
+finds, and non-zero only when it could not run.
 
 How the hook gets everywhere: a generated ``sitecustomize.py`` on
 ``PYTHONPATH`` loads this file in every Python process the commands
@@ -63,24 +69,33 @@ one reported."""
 
 _EXTENDED = ("LanguageLevel.EXTENDED and ShortCircuitMode.NO_PUSH: README, "
              "The section 7 extensions, implemented; docs/LANGUAGE.md")
-_WIRE = "ROADMAP item 4(a); docs/LANGUAGE.md, Wire encoding"
+_MODES = ("paper-mode enums: LanguageLevel and ShortCircuitMode select the "
+          "section 7 language and short-circuit variants (docs/LANGUAGE.md)")
+_WIRE = "ROADMAP item 5(a); docs/LANGUAGE.md, Wire encoding"
+_CODECS = ("wire-codec fields: tests/protocols/test_codecs.py round-trips "
+           "every header field")
 _SHARDS = "ROADMAP item 2: the process-shard runtime awaits its verdict"
 _SAFETY = "docs/SIMULATOR.md, Processes: failure semantics"
-_DEVICES = "docs/SIMULATOR.md, Devices: the DeviceHandle interface"
+_BOUNDS = "safety bound: a runaway run fails loudly instead of hanging"
+_DEVICES = "docs/SIMULATOR.md, Devices: the DeviceHandle interface, device names"
 _SYSCALLS = "docs/SIMULATOR.md, Processes and Recipes: signals, pipes, share_fd"
 _SAMPLER = "docs/OBSERVABILITY.md, The sampler: reading series, the pool gauges"
 _SPANS = "docs/OBSERVABILITY.md, Per-packet spans: the span property test, FLUSH"
 _PROFILE = "docs/OBSERVABILITY.md, The profile: ledger=True soaks, format_costs"
-_TRACE = "docs/OBSERVABILITY.md, Trace export"
 _FAULTS = "docs/OBSERVABILITY.md, Topology chaos: the --faults grammar"
+_RUN_FLAGS = "README, Install & run: run --segments, --duration, --seed"
+_SIZES = ("size: tier-1 runs the paper scenarios and soaks smaller "
+          "(tests/bench/test_scenarios.py)")
+_STATE = ("state record: each field starts at its default and is counted "
+          "or filled in after construction")
 _IR = "docs/PERFORMANCE.md, The filter compiler: pf.ir.* gauges, hoisted values"
-_EMITTED = "ROADMAP item 7(b): the emitted source the mutation oracle edits"
+_EMITTED = "ROADMAP item 6(b): the emitted source the mutation oracle edits"
 _TREE = "oracle: the dispatch tree's own reading, checked against the linear scan"
-_ACCESSORS = "ROADMAP item 8(d): an accessor only tests read"
 
 # (fnmatch pattern over ``module.qualname``, or ``module.qualname(param)``
-#  for a parameter; the owner that keeps it).  The first match wins, and a
-#  module-wide pattern owns that module's parameters too.
+#  for a parameter or dataclass field; the owner that keeps it).  The
+#  first match wins, and a module-wide pattern owns that module's
+#  parameters and fields too.
 OWNERS = (
     ("repro.difftest.*", "oracle: the difftest matrix (CI job difftest)"),
     ("repro.sim.shard.*", _SHARDS),
@@ -88,47 +103,89 @@ OWNERS = (
     ("repro.sim.obsplane.*", _SHARDS),
     ("repro.core.library.*", "docs/LANGUAGE.md, Tooling map: canned predicates"),
     ("repro.core.extensions.*", _EXTENDED),
-    ("repro.core.trace.trace_evaluation(*)", _EXTENDED),
+    ("repro.core.trace.*", "docs/LANGUAGE.md, Tooling map: the step tracer"),
     ("repro.core.instructions.Instruction.is_indirect", _EXTENDED),
+    ("repro.core.instructions.Instruction.pushes",
+     "docs/LANGUAGE.md, Stack actions: an instruction's stack effect"),
+    ("repro.core.instructions.Instruction.pops",
+     "docs/LANGUAGE.md, Stack actions: an instruction's stack effect"),
     ("repro.core.ir.ValueGraph.indirect", _EXTENDED),
     ("repro.core.words.get_byte", _EXTENDED),
+    ("repro.core.*(level)", _MODES),
+    ("repro.core.*(mode)", _MODES),
     ("repro.core.compiler.*", "docs/LANGUAGE.md, Tooling map: the compiler"),
     ("repro.core.program.FilterProgram.encode", _WIRE),
     ("repro.core.program.FilterProgram.decode", _WIRE),
     ("repro.core.instructions.*_instruction_word", _WIRE),
-    ("repro.core.opt.cse_filter_set", "perfbench/tracer.py TARGETS, ROADMAP 1(b)"),
+    ("repro.core.paper_filters.pup_socket_filter",
+     "docs/LANGUAGE.md, Tooling map: the paper's filters"),
+    ("repro.core.validator.validate(max_stack)", _BOUNDS),
+    ("repro.sim.world.World.run_until_done(max_events)", _BOUNDS),
+    ("repro.core.opt.cse_filter_set", "perfbench/tracer.py TARGETS, ROADMAP 1(c)"),
     ("repro.core.opt.DispatchTree.lookup", _TREE),
     ("repro.core.opt.NecessaryTest.matches", _TREE),
     ("repro.core.opt.necessary_equalities",
      "docs/LANGUAGE.md, Tooling map: the set-level analysis"),
     ("repro.core.opt.DispatchTree.depth",
      "perfbench: the core.irgen.dispatch_depth metric"),
+    ("repro.core.opt.SetEntry(necessary)", _STATE),
     ("repro.core.demux.PacketFilterDemux.ir_stats", _IR),
+    ("repro.core.demux.PacketFilterDemux.attached_ports",
+     "docs/LANGUAGE.md, Tooling map: bound filters in try order"),
+    ("repro.core.demux._Binding(*)", _STATE),
     ("repro.core.device.ir_gauge*", _IR),
     ("repro.core.irgen._emit_chain.<locals>.hoist_operand", _IR),
     ("repro.core.irgen.*", _EMITTED),
     ("repro.core.port.Port.flush", _SPANS),
+    ("repro.core.port.ReadTimeoutPolicy.immediate",
+     "docs/SIMULATOR.md, Devices: section 3.3's three read modes"),
+    ("repro.core.port.ReadTimeoutPolicy(blocking)",
+     "docs/SIMULATOR.md, Devices: section 3.3's three read modes"),
+    ("repro.core.port.PortStats(*)", _STATE),
     ("repro.sim.ledger.PacketSpan.*", _SPANS),
     ("repro.sim.ledger.Ledger.open_spans", _SPANS),
     ("repro.sim.telemetry.Telemetry.series", _SAMPLER),
     ("repro.sim.overload.BufferPool.in_use", _SAMPLER),
     ("repro.sim.overload.BufferPool.available", _SAMPLER),
+    ("repro.sim.overload.PoolStats(*)", _STATE),
+    ("repro.sim.stats.KernelStats(*)", _STATE),
+    ("repro.protocols.bsp.StreamStats(*)", _STATE),
+    ("repro.apps.monitor.TrafficSummary(*)", _STATE),
+    ("repro.protocols.ip.IPHeader(*)", _CODECS),
+    ("repro.protocols.udp.UDPHeader(*)", _CODECS),
+    ("repro.protocols.pup.*(hop_count)", _CODECS),
     ("repro.bench.scenarios._*_report", _PROFILE),
+    ("repro.bench.scenarios._run_chaos(ledger)", _PROFILE),
+    ("repro.bench.scenarios._run_chaos(telemetry)", _PROFILE),
+    ("repro.bench.scenarios.measure_*(*)", _SIZES),
+    ("repro.bench.scenarios.count_*(*)", _SIZES),
+    ("repro.bench.scenarios.kernel_profile(*)", _SIZES),
+    ("repro.bench.scenarios._populate_*_chaos(*)", _SIZES),
+    ("repro.bench.scenarios.run_partition_storm(*)",
+     "oracle: repro.difftest.sharding.partition_storm_digest runs it at "
+     "3 segments, seed 3, and 0.8 s in a python -c child the hook does "
+     "not see"),
+    ("repro.bench.report.generate(results_path)",
+     "README: the EXPERIMENTS.md report reads bench_results.json; tests "
+     "point it at a temporary copy"),
+    ("repro.__main__.main(argv)",
+     "README, Install & run: python -m repro reads its command line"),
     ("repro.apps.monitor.NetworkMonitor.format_costs", _PROFILE),
-    ("repro.bench.traceout.build_trace*", _TRACE),
-    ("repro.bench.traceout.write_trace", _TRACE),
     ("repro.net.medium.ChaosConfig.expected_loss_rate",
      "docs/SIMULATOR.md, Chaos injection"),
     ("repro.sim.faults.schedule_fingerprint",
      "oracle: fault schedules compared across processes"),
     ("repro.sim.faults.*", _FAULTS),
     ("repro.sim.seeds.derive_rng", _FAULTS),
-    ("repro.bench.scenarios.run_partition_storm(duration)",
-     "tests/difftest/test_chaos_recovery.py: the hash-seed leg runs 0.8 "
-     "in a python -c child the hook does not see"),
-    ("repro.bench.topologies.*(seed)", "README, Install & run: run --seed"),
+    ("repro.bench.topologies.*(seed)", _RUN_FLAGS),
+    ("repro.bench.topologies.*(segments)", _RUN_FLAGS),
+    ("repro.bench.topologies.*(duration)", _RUN_FLAGS),
     ("repro.sim.topology.SegmentContext.address_of(station)",
      "ROADMAP item 1: perfbench/worlds.py passes it positionally"),
+    ("repro.sim.host.Host.install_packet_filter(device_name)", _DEVICES),
+    ("repro.kernelnet.*(device_name)", _DEVICES),
+    ("repro.sim.process.Read(size)",
+     "docs/SIMULATOR.md, Processes: Read.size, a byte device's read count"),
     ("repro.sim.kernel.SimKernel.post_signal", _SYSCALLS),
     ("repro.sim.kernel.SimKernel._sigwait", _SYSCALLS),
     ("repro.sim.kernel.SimKernel._make_pipe", _SYSCALLS),
@@ -147,20 +204,6 @@ OWNERS = (
     ("*Handle.poll_readable", _DEVICES),
     ("*Handle.ioctl", _DEVICES),
     ("*.__*__", "ROADMAP, Settled (census owners): protocol methods, reprs"),
-    ("repro.core.demux.PacketFilterDemux.attached_ports", _ACCESSORS),
-    ("repro.core.flowcache.FlowCache.slot", _ACCESSORS),
-    ("repro.core.instructions.Instruction.pushes", _ACCESSORS),
-    ("repro.core.instructions.Instruction.pops", _ACCESSORS),
-    ("repro.core.paper_filters.pup_socket_filter", _ACCESSORS),
-    ("repro.core.port.ReadTimeoutPolicy.immediate", _ACCESSORS),
-    ("repro.core.port.PortStats.packets_per_read", _ACCESSORS),
-    ("repro.core.port.Port.priority", _ACCESSORS),
-    ("repro.core.program.FilterProgram.words_examined", _ACCESSORS),
-    ("repro.core.program.FilterProgram.uses_short_circuit", _ACCESSORS),
-    ("repro.core.program.FilterProgram.with_priority", _ACCESSORS),
-    ("repro.core.words.word_count", _ACCESSORS),
-    ("repro.core.words.get_long", _ACCESSORS),
-    ("repro.core.words.words_of", _ACCESSORS),
 )
 
 
@@ -194,19 +237,22 @@ def install(out_dir: str, package: str, table_path: str) -> None:
     """Install the census hook in this process (and its future threads).
 
     ``table_path`` is the JSON list of ``[file, firstlineno, name,
-    [param, ...]]`` whose simple-default parameters are fingerprinted.
+    [param, ...], class]`` whose simple-default parameters are
+    fingerprinted; ``class`` is ``module.qualname`` for a dataclass,
+    whose fields are read from its generated ``__init__``, and None for
+    a function.
     """
     import threading
 
     with open(table_path) as handle:
-        table = {
-            (rel, line, name): tuple(params)
-            for rel, line, name, params in json.load(handle)
-        }
+        rows = json.load(handle)
+    table = {tuple(row[:3]): tuple(row[3]) for row in rows if not row[4]}
+    classes = {row[4]: row for row in rows if row[4]}
     prefix = package + os.sep
-    seen: dict = {}         # code -> params still fingerprinted (None: not ours)
-    values: dict = {}       # (code, param) -> fingerprints written so far
-    where: dict = {}        # code -> (rel, line, name)
+    generated = object()    # a dataclass __init__: keyed by the instance's class
+    seen: dict = {}         # code -> [key, params] (None: not ours)
+    built: dict = {}        # dataclass -> [key, params] (None: not ours)
+    values: dict = {}       # (key, param) -> fingerprints written so far
     sink = {"pid": None, "file": None}
 
     def write(line: str) -> None:
@@ -219,39 +265,54 @@ def install(out_dir: str, package: str, table_path: str) -> None:
         sink["file"].write(line)
         sink["file"].flush()
 
+    def sighted(key, params):
+        write("F\t%s\t%d\t%s\n" % key)
+        return [key, params]
+
     def first_sighting(code):
         path = os.path.abspath(code.co_filename)
         if not path.startswith(prefix):
-            seen[code] = None
-            return None
+            made = code.co_name == "__init__" and code.co_filename == "<string>"
+            seen[code] = generated if made else None
+            return seen[code]
         key = (os.path.relpath(path, package), code.co_firstlineno, code.co_name)
-        where[code] = key
-        write("F\t%s\t%d\t%s\n" % key)
-        params = seen[code] = table.get(key, ())
-        return params
+        target = seen[code] = sighted(key, table.get(key, ()))
+        return target
+
+    def constructed(cls):
+        row = classes.get(f"{cls.__module__}.{cls.__qualname__}")
+        target = built[cls] = row and sighted(tuple(row[:3]), tuple(row[3]))
+        return target
 
     def hook(frame, event, arg):
         if event != "call":
             return
         code = frame.f_code
         try:
-            params = seen[code]
+            target = seen[code]
         except KeyError:
-            params = first_sighting(code)
-        if not params:
+            target = first_sighting(code)
+        if target is generated:
+            cls = type(frame.f_locals[code.co_varnames[0]])
+            try:
+                target = built[cls]
+            except KeyError:
+                target = constructed(cls)
+        if not target or not target[1]:
             return
+        key, params = target
         local = frame.f_locals
         for param in params:
             if param not in local:
                 continue
             mark = fingerprint(local[param])
-            known = values.setdefault((code, param), set())
+            known = values.setdefault((key, param), set())
             if mark in known:
                 continue
             known.add(mark)
-            write("A\t%s\t%d\t%s\t%s\t%s\n" % (*where[code], param, mark))
+            write("A\t%s\t%d\t%s\t%s\t%s\n" % (*key, param, mark))
             if len(known) > 1:  # more than one value: no longer a suspect
-                seen[code] = tuple(p for p in seen[code] if p != param)
+                target[1] = tuple(p for p in target[1] if p != param)
 
     sys.setprofile(hook)
     threading.setprofile(hook)
@@ -263,7 +324,8 @@ def install(out_dir: str, package: str, table_path: str) -> None:
 
 
 def inventory() -> list[dict]:
-    """Every ``def`` under ``src/repro``, with its defaulted parameters."""
+    """Every ``def`` under ``src/repro`` with its defaulted parameters, and
+    every dataclass with its defaulted fields (``"fields": True``)."""
     import ast
 
     functions = []
@@ -281,11 +343,57 @@ def inventory() -> list[dict]:
     return functions
 
 
+def names(functions: list[dict]) -> list[str]:
+    """Every name an :data:`OWNERS` pattern can match: each function,
+    dataclass, and defaulted parameter or field."""
+    out = []
+    for function in functions:
+        full = f"{function['module']}.{function['qualname']}"
+        out.append(full)
+        out.extend(f"{full}({param})" for param, _ in function["defaults"])
+    return out
+
+
+def _is_dataclass(node) -> bool:
+    import ast
+
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if ast.unparse(target) in ("dataclass", "dataclasses.dataclass"):
+            return True
+    return False
+
+
+def _entry(node, module, rel, scope, method, defaults, fields=False) -> dict:
+    import ast
+
+    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+    return {
+        "module": module,
+        "file": rel,
+        "line": first,
+        "def_line": node.lineno,
+        "name": node.name,
+        "qualname": ".".join([*scope, node.name]),
+        "method": method,
+        "fields": fields,
+        "defaults": [(name, ast.unparse(expr)) for name, expr in defaults],
+    }
+
+
 def _collect(node, module, rel, scope, in_class, out) -> None:
     import ast
 
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.ClassDef):
+            if _is_dataclass(child):
+                fields = [
+                    (item.target.id, item.value) for item in child.body
+                    if isinstance(item, ast.AnnAssign) and item.value is not None
+                    and isinstance(item.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(item.annotation)
+                ]
+                out.append(_entry(child, module, rel, scope, False, fields, True))
             _collect(child, module, rel, [*scope, child.name], True, out)
         elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = child.args
@@ -297,17 +405,8 @@ def _collect(node, module, rel, scope, in_class, out) -> None:
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                 if default is not None
             ]
-            first = min([child.lineno, *(d.lineno for d in child.decorator_list)])
-            out.append({
-                "module": module,
-                "file": rel,
-                "line": first,
-                "def_line": child.lineno,
-                "name": child.name,
-                "qualname": ".".join([*scope, child.name]),
-                "method": in_class,
-                "defaults": [(arg.arg, ast.unparse(expr)) for arg, expr in defaults],
-            })
+            defaults = [(arg.arg, expr) for arg, expr in defaults]
+            out.append(_entry(child, module, rel, scope, in_class, defaults))
             _collect(child, module, rel, [*scope, child.name, "<locals>"], False, out)
         else:
             _collect(child, module, rel, scope, in_class, out)
@@ -315,7 +414,12 @@ def _collect(node, module, rel, scope, in_class, out) -> None:
 
 def simple_defaults(functions: list[dict]) -> None:
     """Evaluate each default in its module; keep the simple ones as
-    ``function["simple"] = {param: fingerprint}``."""
+    ``function["simple"] = {param: fingerprint}``.  A dataclass's are
+    read from its fields, so ``field(default=...)`` counts and
+    ``default_factory`` or ``init=False`` does not; one that writes its
+    own ``__init__`` has none, since that ``__init__``'s parameters are
+    counted as a function's."""
+    import dataclasses
     import importlib
 
     for function in functions:
@@ -323,6 +427,16 @@ def simple_defaults(functions: list[dict]) -> None:
         if not function["defaults"]:
             continue
         namespace = vars(importlib.import_module(function["module"]))
+        if function["fields"]:
+            cls = namespace
+            for part in function["qualname"].split("."):
+                cls = cls[part] if isinstance(cls, dict) else getattr(cls, part)
+            if cls.__init__.__code__.co_filename != "<string>":
+                continue
+            for field in dataclasses.fields(cls):
+                if field.init and is_simple(field.default):
+                    function["simple"][field.name] = fingerprint(field.default)
+            continue
         for param, source in function["defaults"]:
             try:
                 value = eval(source, dict(namespace))
@@ -393,7 +507,8 @@ def run_groups(logs: str, functions: list[dict]) -> list[dict]:
     table_path = os.path.join(logs, "table.json")
     with open(table_path, "w") as handle:
         json.dump([
-            [f["file"], f["line"], f["name"], sorted(f["simple"])]
+            [f["file"], f["line"], f["name"], sorted(f["simple"]),
+             f"{f['module']}.{f['qualname']}" if f["fields"] else None]
             for f in functions if f["simple"]
         ], handle)
     boot = os.path.join(logs, "boot")
@@ -503,47 +618,71 @@ def owner_of(name: str) -> str | None:
 
 
 def verdicts(functions: list[dict], reached: dict, passed: dict) -> dict:
-    named = static_names(functions, reached)
-    rows, params = [], []
-    for index, function in enumerate(functions):
+    named = static_names([f for f in functions if not f["fields"]], reached)
+    rows, views = [], {"parameters": [], "fields": []}
+    for function in functions:
         key = (function["file"], function["line"], function["name"])
         full = f"{function['module']}.{function['qualname']}"
-        groups = reached.get(key, set())
-        reach = next((g for g in GROUPS if g in groups), "nothing")
-        row = {"function": full, "file": function["file"],
-               "line": function["def_line"], "reach": reach}
-        if index in named:
-            row["named_by"] = named[index]
-        if reach != "user" and not row.get("named_by", "").startswith(
-                ("benchmarks", "examples", "docs")):
-            row["owner"] = owner_of(full)
-        rows.append(row)
+        if function["fields"]:
+            # a class body runs at import, so only a construction counts
+            groups = {group for param in function["simple"]
+                      for group in passed.get((key, param), {})}
+        else:
+            groups = reached.get(key, set())
+        if not function["fields"]:
+            reach = next((g for g in GROUPS if g in groups), "nothing")
+            row = {"function": full, "file": function["file"],
+                   "line": function["def_line"], "reach": reach}
+            if len(rows) in named:
+                row["named_by"] = named[len(rows)]
+            if reach != "user" and not row.get("named_by", "").startswith(
+                    ("benchmarks", "examples", "docs")):
+                row["owner"] = owner_of(full)
+            rows.append(row)
         if not groups:
             continue
         for param, default in sorted(function["simple"].items()):
             marks = passed.get((key, param), {})
             used = set().union(*marks.values()) if marks else set()
-            if used != {default}:
+            outside = set().union(*(marks.get(g, ()) for g in GROUPS[:2]))
+            if used == {default}:
+                view = "one value"
+            elif groups & set(GROUPS[:2]) and outside <= {default}:
+                view = "only tests set it"
+            else:
                 continue
             name = f"{full}({param})"
-            params.append({"parameter": name, "default": default,
-                           "by": sorted(marks), "owner": owner_of(name)})
-    return {"functions": rows, "parameters": params}
+            views["fields" if function["fields"] else "parameters"].append({
+                "name": name, "default": default, "view": view,
+                "tests": sorted(used - {default}), "by": sorted(marks),
+                "owner": owner_of(name)})
+    return {"functions": rows, **views}
 
 
 def summary(functions: list[dict], result: dict) -> dict:
     rows = result["functions"]
     count = {reach: sum(r["reach"] == reach for r in rows)
              for reach in (*GROUPS, "nothing")}
+    views = {kind: {view: sum(p["view"] == view for p in result[kind])
+                    for view in ("one value", "only tests set it")}
+             for kind in ("parameters", "fields")}
     return {
         "functions": len(rows),
         **{f"reached_by_{reach}": n for reach, n in count.items()},
         "named_only": sum("named_by" in r for r in rows),
-        "parameters_with_default": sum(len(f["defaults"]) for f in functions),
-        "simple_defaults": sum(len(f["simple"]) for f in functions),
-        "one_value_parameters": len(result["parameters"]),
+        "parameters_with_default": sum(
+            len(f["defaults"]) for f in functions if not f["fields"]),
+        "simple_defaults": sum(len(f["simple"]) for f in functions if not f["fields"]),
+        "one_value_parameters": views["parameters"]["one value"],
+        "test_only_parameters": views["parameters"]["only tests set it"],
+        "fields_with_default": sum(
+            len(f["defaults"]) for f in functions if f["fields"]),
+        "simple_fields": sum(len(f["simple"]) for f in functions if f["fields"]),
+        "one_value_fields": views["fields"]["one value"],
+        "test_only_fields": views["fields"]["only tests set it"],
         "unowned_functions": sum("owner" in r and r["owner"] is None for r in rows),
         "unowned_parameters": sum(p["owner"] is None for p in result["parameters"]),
+        "unowned_fields": sum(p["owner"] is None for p in result["fields"]),
     }
 
 
@@ -555,9 +694,13 @@ def render(report: dict) -> str:
         f"{s['reached_by_tests']}, nothing {s['reached_by_nothing']} "
         f"({s['named_only']} of them named)",
         f"parameters with a default {s['parameters_with_default']}: simple "
-        f"{s['simple_defaults']}, one value in use {s['one_value_parameters']}",
+        f"{s['simple_defaults']}, one value in use {s['one_value_parameters']}, "
+        f"only tests set another {s['test_only_parameters']}",
+        f"dataclass fields with a default {s['fields_with_default']}: simple "
+        f"{s['simple_fields']}, one value in use {s['one_value_fields']}, "
+        f"only tests set another {s['test_only_fields']}",
         f"unowned: {s['unowned_functions']} functions, "
-        f"{s['unowned_parameters']} parameters",
+        f"{s['unowned_parameters']} parameters, {s['unowned_fields']} fields",
     ]
     failed = [r for r in report["runs"] if r["returncode"] != 0]
     for run in failed:
@@ -569,13 +712,17 @@ def render(report: dict) -> str:
             named = f"  named by {row['named_by']}" if "named_by" in row else ""
             lines.append(f"  {row['reach']:9} {row['function']}  "
                          f"({row['file']}:{row['line']}){named}")
-    unowned = [p for p in report["parameters"] if p["owner"] is None]
-    if unowned:
-        lines.append("\nunowned one-value parameters:")
-        for row in unowned:
-            lines.append(f"  {row['parameter']} = {row['default']}")
+    for kind in ("parameters", "fields"):
+        for view in ("one value", "only tests set it"):
+            rows = [p for p in report[kind] if p["view"] == view]
+            if rows:
+                lines.append(f"\n{kind}, {view}:")
+            for row in rows:
+                tests = f"  (tests: {', '.join(row['tests'])})" if row["tests"] else ""
+                owner = row["owner"] or "UNOWNED"
+                lines.append(f"  {row['name']} = {row['default']}{tests}  -- {owner}")
     owners: dict = {}
-    for row in report["functions"] + report["parameters"]:
+    for row in report["functions"] + report["parameters"] + report["fields"]:
         if row.get("owner"):
             owners[row["owner"]] = owners.get(row["owner"], 0) + 1
     if owners:

@@ -107,14 +107,14 @@ def _build_run(args):
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise ValueError(f"--{flag} must be at least 1, not {value}")
-    for flag in ("duration", "timeout", "refresh"):
+    for flag in ("duration", "timeout"):
         value = getattr(args, flag)
         if value is not None and not (math.isfinite(value) and value > 0.0):
             raise ValueError(
                 f"--{flag} must be a positive number of seconds, not {value}"
             )
-    if (args.plain or args.refresh is not None) and not args.top:
-        raise ValueError("--plain and --refresh need --top")
+    if args.plain and not args.top:
+        raise ValueError("--plain needs --top")
 
     try:
         spec = named_topology(
@@ -141,9 +141,13 @@ def _build_run(args):
     return spec
 
 
-def _dashboard(*, refresh: float, plain: bool):
+REPAINT_PERIOD = 0.25
+"""Minimum seconds between two ``run --top`` dashboard repaints."""
+
+
+def _dashboard(*, plain: bool):
     """An observability plane that repaints the cluster dashboard (at
-    most every ``refresh`` seconds; never when ``plain``) and announces
+    most every :data:`REPAINT_PERIOD`; never when ``plain``) and announces
     alerts the moment any shard streams them — on stderr, both."""
     import time
 
@@ -154,7 +158,7 @@ def _dashboard(*, refresh: float, plain: bool):
     def repaint(plane) -> None:
         nonlocal last_paint
         now = time.monotonic()
-        if plain or now - last_paint < refresh:
+        if plain or now - last_paint < REPAINT_PERIOD:
             return
         last_paint = now
         sys.stderr.write("\x1b[2J\x1b[H" + plane.render() + "\n")
@@ -189,7 +193,7 @@ def cmd_run(args, unknown=()) -> int:
         return EXIT_USAGE
     plane = None
     if args.top:
-        plane = _dashboard(refresh=args.refresh or 0.25, plain=args.plain)
+        plane = _dashboard(plain=args.plain)
     try:
         result = run_topology(
             spec,
@@ -279,10 +283,6 @@ def _add_run_parser(subcommands) -> None:
     run.add_argument(
         "--plain", action="store_true",
         help="with --top: no ANSI repaints, only alerts and a final frame",
-    )
-    run.add_argument(
-        "--refresh", type=float,
-        help="with --top: minimum seconds between repaints (default 0.25)",
     )
     run.add_argument(
         "--json", action="store_true",

@@ -44,7 +44,7 @@ class TraceRecord:
     destination: str
     protocol: str
     info: str
-    drops_before: int = 0
+    drops_before: int
 
 
 @dataclass
@@ -124,18 +124,16 @@ class NetworkMonitor:
         self,
         host,
         *,
-        capture_limit: int | None = None,
         idle_timeout: float = 0.5,
     ) -> None:
         self.host = host
-        self.capture_limit = capture_limit
         self.idle_timeout = idle_timeout
         self.trace: list[TraceRecord] = []
         self.summary = TrafficSummary()
 
     def run(self):
-        """Capture until ``capture_limit`` packets or the wire goes
-        idle for ``idle_timeout``; returns the trace."""
+        """Capture until the wire goes idle for ``idle_timeout``;
+        returns the trace."""
         fd = yield Open("pf")
         yield Ioctl(fd, PFIoctl.SETFILTER, catch_all_filter(priority=255))
         yield Ioctl(fd, PFIoctl.SETCOPYALL, True)
@@ -164,11 +162,6 @@ class NetworkMonitor:
                 )
                 self.trace.append(record)
                 self.summary.account(record)
-                if (
-                    self.capture_limit is not None
-                    and len(self.trace) >= self.capture_limit
-                ):
-                    return self.trace
 
     def format_trace(self) -> str:
         """tcpdump-style rendering of the first 20 records."""

@@ -7,7 +7,7 @@ include our packet-filtering mechanism in a future release of NIT.)"
 
 This module implements that weaker design so its cost can be measured:
 a kernel demultiplexer whose per-port predicate is exactly one
-``(word offset, mask, value)`` triple.  A protocol that discriminates
+``(word offset, value)`` pair, tried in attach order.  A protocol that discriminates
 on one field (an Ethernet type) fits; anything finer — a Pup socket
 *and* the Pup type, a VMTP client *and* kind — cannot be expressed, so
 a NIT-based program must over-capture and finish demultiplexing in user
@@ -28,16 +28,14 @@ __all__ = ["SingleFieldPredicate", "NITDemux"]
 
 @dataclass(frozen=True)
 class SingleFieldPredicate:
-    """All NIT lets you say: ``packet.word[offset] & mask == value``."""
+    """All NIT lets you say: ``packet.word[offset] == value``."""
 
     offset: int
     value: int
-    mask: int = 0xFFFF
-    priority: int = 0
 
     def matches(self, packet: bytes) -> bool:
         try:
-            return (get_word(packet, self.offset) & self.mask) == self.value
+            return get_word(packet, self.offset) == self.value
         except IndexError:
             return False
 
@@ -58,7 +56,6 @@ class NITDemux:
 
     def attach(self, port: Port, predicate: SingleFieldPredicate) -> None:
         self._entries.append((predicate, port))
-        self._entries.sort(key=lambda item: -item[0].priority)
 
     def deliver(self, packet: bytes) -> bool:
         self.packets_seen += 1

@@ -1408,12 +1408,7 @@ def populate_overload_storm(
     receiver.install_packet_filter(flow_cache=True)
     pool = None
     if mode == "polling":
-        policy = RxPolicy(
-            poll_enter=8,
-            poll_quota=16,
-            user_share=0.25,
-            shed_watermark=OVERLOAD_RING // 2,
-        )
+        policy = RxPolicy(shed_watermark=OVERLOAD_RING // 2)
         pool = BufferPool(OVERLOAD_POOL, port_share=OVERLOAD_PORT_SHARE)
         receiver.enable_overload(policy=policy, pool=pool)
 

@@ -364,7 +364,6 @@ def partition_storm_topology(
         bridges=bridges,
         seed=seed,
         telemetry=True,
-        telemetry_interval=5e-3,
         faults=link_partition(middle.link_id, PARTITION_AT, HEAL_AT),
     )
 

@@ -22,7 +22,6 @@ https://ui.perfetto.dev loads directly):
 Timestamps are simulated microseconds (the format's native unit), so
 one simulated second reads as one second in the viewer.
 
-Use :func:`write_trace` on a live world of your own;
 :func:`validate_trace` is the structural schema check the tests and the
 CI artifact step share.
 
@@ -32,7 +31,7 @@ sync profile's deterministic horizons, an egress-depth counter), flow
 events (``ph: "s"/"f"``) joining each packet's bridge crossing from the
 capturing shard to the delivering one — keyed ``(link_id, seq)``, the
 same identity the bridges themselves use — plus the merged ledger and
-telemetry rendered exactly like the single-world trace.  Every
+telemetry as described above.  Every
 timestamp is simulated time and no wall clock enters the document, so
 repeating a run (same seed, same shard count) exports a byte-identical
 trace on any machine.  ``python -m repro run NAME --trace FILE`` writes
@@ -45,9 +44,7 @@ from __future__ import annotations
 import json
 
 __all__ = [
-    "build_trace",
     "build_topology_trace",
-    "write_trace",
     "write_topology_trace",
     "validate_trace",
 ]
@@ -81,11 +78,10 @@ class _IdAllocator:
         return self.tids[key]
 
 
-def _emit_ledger_events(ids, events, ledger, wanted) -> None:
-    """Charge slices and packet-span async events from one ledger —
-    shared by the single-world and the stitched topology exporters."""
+def _emit_ledger_events(ids, events, ledger) -> None:
+    """Charge slices and packet-span async events from one ledger."""
     for event in ledger.events:
-        if not wanted(event.host) or event.cost <= 0.0:
+        if event.cost <= 0.0:
             continue
         pid = ids.pid(event.host)
         events.append(
@@ -107,7 +103,7 @@ def _emit_ledger_events(ids, events, ledger, wanted) -> None:
 
     # -- packet spans as async (nestable) events --------------------------
     for span in ledger.spans.values():
-        if not wanted(span.host) or not span.stages:
+        if not span.stages:
             continue
         pid = ids.pid(span.host)
         span_id = str(span.packet_id)
@@ -150,13 +146,10 @@ def _emit_ledger_events(ids, events, ledger, wanted) -> None:
         )
 
 
-def _emit_telemetry(ids, events, snapshot, wanted) -> None:
+def _emit_telemetry(ids, events, snapshot) -> None:
     """Counter tracks and alert instants from one
-    :class:`~repro.sim.telemetry.TelemetrySnapshot` — the one emitter
-    behind both exporters."""
+    :class:`~repro.sim.telemetry.TelemetrySnapshot`."""
     for series in snapshot.series.values():
-        if not wanted(series.host):
-            continue
         pid = ids.pid(series.host)
         for at, value in series:
             events.append(
@@ -170,8 +163,6 @@ def _emit_telemetry(ids, events, snapshot, wanted) -> None:
                 }
             )
     for alert in snapshot.alerts:
-        if not wanted(alert.host):
-            continue
         pid = ids.pid(alert.host)
         base = {
             "cat": "alert",
@@ -199,12 +190,11 @@ def _emit_telemetry(ids, events, snapshot, wanted) -> None:
             )
 
 
-def _emit_metadata(ids, *, raw_names: frozenset = frozenset()) -> list[dict]:
+def _emit_metadata(ids, raw_names: frozenset) -> list[dict]:
     """``M`` events naming every allocated process and thread.
 
-    Names in ``raw_names`` (the stitched trace's ``shard:N`` tracks)
-    are used verbatim; everything else is a host and labelled
-    ``host:<name>`` like the single-world exporter always did.
+    Names in ``raw_names`` (the ``shard:N`` tracks) are used verbatim;
+    everything else is a host and labelled ``host:<name>``.
     """
     metadata: list[dict] = []
     for name, pid in sorted(ids.pids.items(), key=lambda kv: kv[1]):
@@ -238,38 +228,6 @@ def _emit_metadata(ids, *, raw_names: frozenset = frozenset()) -> list[dict]:
     return metadata
 
 
-def build_trace(world, *, host: str | None = None) -> dict:
-    """Serialize one live world into a Chrome trace-event document — an
-    adapter over the emitters :func:`build_topology_trace` uses, fed
-    the world's own ledger and a telemetry export.
-
-    ``host`` restricts charge slices, counters and alerts to one host
-    (packet spans and wire events are kept regardless when they belong
-    to it).  Works with whatever the world recorded: a ledger-less run
-    still exports telemetry counters, a telemetry-less run still
-    exports spans and slices.
-    """
-    ids = _IdAllocator()
-    events: list[dict] = []
-
-    def wanted(event_host: str) -> bool:
-        return host is None or event_host in (host, "wire")
-
-    if world.ledger is not None:
-        _emit_ledger_events(ids, events, world.ledger, wanted)
-    if world.telemetry is not None:
-        _emit_telemetry(ids, events, world.telemetry.export(), wanted)
-    return {
-        "traceEvents": _emit_metadata(ids) + events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "generator": "repro.bench.traceout",
-            "sim_seconds": world.now,
-            "hosts": sorted(ids.pids),
-        },
-    }
-
-
 def build_topology_trace(result) -> dict:
     """Stitch one N-shard :class:`~repro.sim.orchestrator.TopologyResult`
     into a single Chrome trace-event document.
@@ -286,9 +244,8 @@ def build_topology_trace(result) -> dict:
       the identity bridges already stamp — each anchored to an ``X``
       slice (the hop in flight on the source, a zero-width delivery
       mark on the destination);
-    * merged ledger and telemetry render exactly as in
-      :func:`build_trace`: per-host processes with charge slices,
-      packet spans, counter tracks and alert instants.
+    * the merged ledger and telemetry: per-host processes with charge
+      slices, packet spans, counter tracks and alert instants.
 
     Everything is keyed to simulated time; repeating the same run
     (seed, shard count) emits a byte-identical document — pinned by a
@@ -405,13 +362,13 @@ def build_topology_trace(result) -> dict:
 
     # -- merged ledger: charge slices and packet spans ---------------------
     if result.ledger is not None:
-        _emit_ledger_events(ids, events, result.ledger, lambda _host: True)
+        _emit_ledger_events(ids, events, result.ledger)
 
     # -- merged telemetry snapshot: counters and alert instants ------------
     if result.telemetry is not None:
-        _emit_telemetry(ids, events, result.telemetry, lambda _host: True)
+        _emit_telemetry(ids, events, result.telemetry)
 
-    metadata = _emit_metadata(ids, raw_names=frozenset(shard_names))
+    metadata = _emit_metadata(ids, frozenset(shard_names))
     return {
         "traceEvents": metadata + events,
         "displayTimeUnit": "ms",
@@ -425,15 +382,6 @@ def build_topology_trace(result) -> dict:
             ),
         },
     }
-
-
-def write_trace(world, path) -> dict:
-    """Build the trace document and write it to ``path`` as JSON;
-    returns the document."""
-    doc = build_trace(world)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, separators=(",", ":"))
-    return doc
 
 
 def write_topology_trace(result, path) -> dict:

@@ -93,11 +93,13 @@ def ir_gauge(demux: PacketFilterDemux, field: str):
 class PacketFilterDevice(DeviceDriver):
     """The driver: demultiplexer plus a table of open ports."""
 
-    def __init__(self, host, *, max_ports: int = 64, **demux_options: Any) -> None:
+    MAX_PORTS = 64
+    """Ports open at once; the next ``Open`` fails with ``DeviceBusy``."""
+
+    def __init__(self, host, **demux_options: Any) -> None:
         self.host = host
         self.kernel: SimKernel = host.kernel
         self.demux = PacketFilterDemux(**demux_options)
-        self.max_ports = max_ports
         self._handles: dict[int, PacketFilterHandle] = {}  # port_id -> handle
         self._next_port_id = 0
         self.packets_processed = 0
@@ -160,7 +162,7 @@ class PacketFilterDevice(DeviceDriver):
     # -- character-device entry points ------------------------------------
 
     def open(self, kernel: SimKernel, process: Process) -> "PacketFilterHandle":
-        if len(self._handles) >= self.max_ports:
+        if len(self._handles) >= self.MAX_PORTS:
             raise DeviceBusy("all packet filter ports are in use")
         port = Port(self._next_port_id)
         port.on_drop = self._port_drop

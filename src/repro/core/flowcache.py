@@ -53,11 +53,6 @@ class FlowCache:
         self.misses = 0
         self.invalidations = 0
 
-    def slot(self, key: bytes) -> int:
-        """The direct-mapped slot ``key`` indexes — seed-independent,
-        so colliding-flow eviction patterns are reproducible."""
-        return crc32(key) & self._mask
-
     def lookup(self, key: bytes) -> tuple[int, ...] | None:
         """Cached accepting port ids for ``key``, or None on a miss."""
         slot = crc32(key) & self._mask

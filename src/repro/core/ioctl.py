@@ -62,5 +62,5 @@ class PortStatus:
     delivered: int
     dropped_queue_overflow: int
     dropped_ring: int         #: losses to the interface's full input ring
-    dropped_resize: int = 0   #: discards from shrinking the queue limit
-    dropped_nobuf: int = 0    #: refusals by the shared kernel buffer pool
+    dropped_resize: int       #: discards from shrinking the queue limit
+    dropped_nobuf: int        #: refusals by the shared kernel buffer pool

@@ -334,17 +334,15 @@ def lower_program(
     program: FilterProgram,
     report: ValidationReport,
     mode: ShortCircuitMode = ShortCircuitMode.PUSH_RESULT,
-    *,
-    graph: ValueGraph | None = None,
 ) -> FilterIR:
-    """Lower a *validated* stack program to :class:`FilterIR`.
+    """Lower a *validated* stack program to :class:`FilterIR`, in a
+    graph of its own.
 
     ``report`` must come from :func:`repro.core.validator.validate` on
     the same program and mode — lowering trusts its stack-shape
     guarantees and its ``min_packet_bytes`` pre-check exactly as the
-    JIT does.  Passing a shared ``graph`` value-numbers this filter
-    against everything already lowered into it."""
-    g = graph if graph is not None else ValueGraph()
+    JIT does."""
+    g = ValueGraph()
     steps: list[Step] = []
     guaranteed = report.min_packet_bytes
     if guaranteed:

@@ -425,11 +425,15 @@ class DispatchTree:
         return node.entries
 
 
+MAX_DEPTH = 3
+"""Levels of probes a dispatch tree stacks before it falls back to
+chains."""
+
+
 def build_dispatch_tree(
     entries: Sequence[SetEntry],
     mode: ShortCircuitMode,
     *,
-    max_depth: int = 3,
     used_keys: frozenset = frozenset(),
     previous: DispatchTree | None = None,
 ) -> DispatchTree:
@@ -454,7 +458,7 @@ def build_dispatch_tree(
         return previous
     leaf = DispatchTree(None, {}, None, ordered)
     # Every level above added exactly one key, so ``used_keys`` is the depth.
-    if len(used_keys) >= max_depth or len(ordered) < 2:
+    if len(used_keys) >= MAX_DEPTH or len(ordered) < 2:
         return leaf
     required = []
     for entry in ordered:
@@ -493,8 +497,7 @@ def build_dispatch_tree(
         if before is not None and before.entries == members:
             return before
         return build_dispatch_tree(
-            members, mode, max_depth=max_depth, used_keys=deeper,
-            previous=before,
+            members, mode, used_keys=deeper, previous=before,
         )
 
     buckets = {

@@ -93,13 +93,6 @@ class PortStats:
     read: int = 0              #: packets handed to the reader
     reads: int = 0             #: read operations (batch = 1 read)
 
-    @property
-    def packets_per_read(self) -> float:
-        """Average batch size — the figure 3-5 amortization factor."""
-        if self.reads == 0:
-            return 0.0
-        return self.read / self.reads
-
 
 class Port:
     """One packet-filter port.
@@ -181,11 +174,6 @@ class Port:
                 self.pool.release(self.pool_owner)
             if self.on_drop is not None:
                 self.on_drop(packet, "resize")
-
-    @property
-    def priority(self) -> int:
-        """Priority of the bound filter (ports with no filter sort last)."""
-        return self.program.priority if self.program is not None else -1
 
     # -- kernel side -----------------------------------------------------------
 
@@ -279,7 +267,9 @@ class Port:
         return pending
 
     def __repr__(self) -> str:
+        # -1: no filter bound
+        priority = self.program.priority if self.program is not None else -1
         return (
             f"Port({self.port_id}, queued={self.queued}, "
-            f"priority={self.priority}, copy_all={self.copy_all})"
+            f"priority={priority}, copy_all={self.copy_all})"
         )

@@ -8,8 +8,7 @@ counting PUSHLIT literal words), then the instruction words themselves.
 
 Programs contain no branches, so their static structure is fully
 analyzable — :mod:`repro.core.validator` exploits that (a section 7
-improvement), and :meth:`FilterProgram.words_examined` lets the
-demultiplexer know how deep into a packet a filter can look.
+improvement), down to how deep into a packet a filter can look.
 """
 
 from __future__ import annotations
@@ -134,25 +133,6 @@ class FilterProgram:
         ``struct enfilter`` length field counts literal words too)."""
         return sum(ins.encoded_length for ins in self.instructions)
 
-    def words_examined(self) -> int:
-        """1 + the highest packet word any ``PUSHWORD`` can touch.
-
-        Used by the demultiplexer to reject too-short packets cheaply and
-        by tests as a structural invariant.  Indirect pushes (extension)
-        are unbounded and make this return ``-1``.
-        """
-        highest = -1
-        for ins in self.instructions:
-            index = ins.push_index
-            if index is not None:
-                highest = max(highest, index)
-        return highest + 1
-
-    def uses_short_circuit(self) -> bool:
-        from .instructions import SHORT_CIRCUIT_OPERATORS
-
-        return any(ins.operator in SHORT_CIRCUIT_OPERATORS for ins in self)
-
     # -- wire encoding ----------------------------------------------------
 
     def encode(self) -> array:
@@ -214,9 +194,3 @@ class FilterProgram:
 
     def __str__(self) -> str:
         return self.disassemble()
-
-    # -- derivation -----------------------------------------------------------
-
-    def with_priority(self, priority: int) -> "FilterProgram":
-        """Copy of this program at a different priority."""
-        return FilterProgram(self.instructions, priority=priority)

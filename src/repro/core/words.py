@@ -16,11 +16,8 @@ from __future__ import annotations
 
 __all__ = [
     "WORD_SIZE",
-    "word_count",
     "get_word",
     "get_byte",
-    "get_long",
-    "words_of",
     "pack_words",
 ]
 
@@ -28,15 +25,6 @@ WORD_SIZE = 2
 """Bytes per filter-language word (the language is 16-bit biased)."""
 
 _U16_MAX = 0xFFFF
-
-
-def word_count(packet: bytes) -> int:
-    """Number of addressable 16-bit words in ``packet``.
-
-    An odd trailing byte still yields one (zero-padded) word, so a 5-byte
-    packet has 3 addressable words.
-    """
-    return (len(packet) + 1) // WORD_SIZE
 
 
 def get_word(packet: bytes, index: int) -> int:
@@ -69,24 +57,8 @@ def get_byte(packet: bytes, index: int) -> int:
     return packet[index]
 
 
-def get_long(packet: bytes, word_index: int) -> int:
-    """Return the 32-bit value at word ``word_index`` (section 7 extension).
-
-    Two adjacent 16-bit words combined big-endian; the second word may be
-    the zero-padded tail word.
-    """
-    hi = get_word(packet, word_index)
-    lo = get_word(packet, word_index + 1)
-    return (hi << 16) | lo
-
-
-def words_of(packet: bytes) -> list[int]:
-    """Decode the whole packet into its list of 16-bit words."""
-    return [get_word(packet, i) for i in range(word_count(packet))]
-
-
 def pack_words(words: list[int]) -> bytes:
-    """Inverse of :func:`words_of` for even-length packets.
+    """A packet made of ``words``, each big-endian.
 
     Each value must fit in 16 bits; used heavily by tests and workload
     generators to author packets word-by-word the way the paper's figures

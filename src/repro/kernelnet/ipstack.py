@@ -28,13 +28,11 @@ __all__ = ["KernelNetworkStack", "link_stacks"]
 class KernelNetworkStack:
     """One host's in-kernel IP layer plus its transport registry."""
 
-    def __init__(self, host: Host, ip_address: int | None = None) -> None:
+    def __init__(self, host: Host) -> None:
         self.host = host
         self.kernel = host.kernel
-        if ip_address is None:
-            # Default: 10.0.0.<station> from the data-link address.
-            ip_address = (10 << 24) | int.from_bytes(host.address[-1:], "big")
-        self.ip_address = ip_address
+        #: 10.0.0.<station>, from the data-link address.
+        self.ip_address = (10 << 24) | int.from_bytes(host.address[-1:], "big")
         self._routes: dict[int, bytes] = {}
         self._transports: dict[int, Callable] = {}
         self._ip_id = 0

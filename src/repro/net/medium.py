@@ -83,11 +83,10 @@ class ChaosConfig:
 
     Reordering holds a selected frame back by a uniform draw from
     (0, ``reorder_jitter``] seconds of extra delivery delay, so it can
-    land behind frames transmitted after it.  Corruption flips
-    ``corrupt_bits`` random bits per selected frame — by default only in
-    the data-link *payload*, so damage reaches the protocols (whose
-    checksums must catch it) rather than being absorbed by address
-    filtering; set ``corrupt_headers`` to also damage the link header.
+    land behind frames transmitted after it.  Corruption flips one
+    random bit per selected frame, in the data-link *payload*, so damage
+    reaches the protocols (whose checksums must catch it) rather than
+    being absorbed by address filtering.
     Duplicates are delivered as distinct, later events (at least one
     frame serialization time after the original).
     """
@@ -100,8 +99,6 @@ class ChaosConfig:
     reorder_rate: float = 0.0       #: P(frame is held back)
     reorder_jitter: float = 2e-3    #: max extra delay for held frames (s)
     corrupt_rate: float = 0.0       #: P(frame is bit-flipped)
-    corrupt_bits: int = 1           #: bits flipped per corrupted frame
-    corrupt_headers: bool = False   #: allow flips in the link header too
 
     def __post_init__(self) -> None:
         _check_rate("loss_rate", self.loss_rate, closed=False)
@@ -113,8 +110,6 @@ class ChaosConfig:
         _check_rate("corrupt_rate", self.corrupt_rate)
         if self.reorder_jitter < 0.0:
             raise ValueError("reorder_jitter must be non-negative")
-        if self.corrupt_bits < 1:
-            raise ValueError("corrupt_bits must be at least 1")
 
     def expected_loss_rate(self) -> float:
         """Long-run frame loss probability of the Gilbert–Elliott chain.
@@ -181,14 +176,12 @@ class _ChaosState:
         )
 
     def corrupt(self, frame: bytes, header_bytes: int) -> bytes:
-        config = self.config
-        start = 0 if config.corrupt_headers else header_bytes
-        if start >= len(frame):
-            start = 0
+        """Flip one random bit past the link header (anywhere in a
+        frame too short to have a payload)."""
+        start = header_bytes if header_bytes < len(frame) else 0
         data = bytearray(frame)
-        for _ in range(config.corrupt_bits):
-            position = self.random.randrange(start, len(data))
-            data[position] ^= 1 << self.random.randrange(8)
+        position = self.random.randrange(start, len(data))
+        data[position] ^= 1 << self.random.randrange(8)
         return bytes(data)
 
 

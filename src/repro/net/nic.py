@@ -17,6 +17,7 @@ from ..sim.ledger import (
     Primitive,
     STAGE_WIRE_ARRIVAL,
 )
+from ..sim.overload import POLL_ENTER, POLL_PERIOD, POLL_QUOTA
 from .ethernet import LinkSpec
 
 __all__ = ["NIC", "DEFAULT_INPUT_QUEUE"]
@@ -128,7 +129,7 @@ class NIC:
         self._input_ids.append(packet_id)
         if self.polling:
             return  # the poll loop owns draining; arrivals just queue
-        if policy is not None and len(self._input_queue) >= policy.poll_enter:
+        if policy is not None and len(self._input_queue) >= POLL_ENTER:
             self._enter_polling()
         else:
             self._schedule_service()
@@ -198,7 +199,7 @@ class NIC:
 
     def _enter_polling(self) -> None:
         """Abandon per-frame interrupts for budgeted polling: the ring
-        crossed the policy's ``poll_enter`` watermark."""
+        crossed the :data:`~repro.sim.overload.POLL_ENTER` watermark."""
         self.polling = True
         self.poll_mode_entries += 1
         if self._service_scheduled and self._service_event is not None:
@@ -209,7 +210,7 @@ class NIC:
         )
 
     def _poll(self) -> None:
-        """One poll quantum: drain up to ``poll_quota`` frames under a
+        """One poll quantum: drain up to ``POLL_QUOTA`` frames under a
         single interrupt-service charge, then leave the CPU alone long
         enough that user processes keep their guaranteed share.
         """
@@ -226,7 +227,7 @@ class NIC:
         start = kernel.cpu_available_at
         frames: list[bytes] = []
         packet_ids: list[int | None] = []
-        while self._input_queue and len(frames) < policy.poll_quota:
+        while self._input_queue and len(frames) < POLL_QUOTA:
             frames.append(self._input_queue.popleft())
             packet_ids.append(self._input_ids.popleft())
         if kernel.buffer_pool is not None:
@@ -240,10 +241,10 @@ class NIC:
         # The user-share reservation: this quantum consumed
         # ``end - start`` of CPU, so the next one waits out a
         # proportional gap — receive processing can never exceed
-        # ``1 - user_share`` of the timeline no matter the offered load.
+        # ``1 - USER_SHARE`` of the timeline no matter the offered load.
         end = kernel.cpu_available_at
         next_at = max(
             end + policy.user_gap(end - start),
-            kernel.scheduler.now + policy.poll_period,
+            kernel.scheduler.now + POLL_PERIOD,
         )
         self._poll_event = kernel.scheduler.schedule_at(next_at, self._poll)

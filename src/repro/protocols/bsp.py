@@ -45,7 +45,7 @@ from .pup import (
     encode_pup,
     pup_word_base,
 )
-from .rto import RetransmitTimer
+from .rto import MAX_TIMEOUT, RetransmitTimer
 
 __all__ = [
     "BSP_DATA",
@@ -67,10 +67,6 @@ RETRANSMIT_TIMEOUT = 0.2
 :class:`~repro.protocols.rto.RetransmitTimer`, which then tracks the
 measured round trip."""
 MAX_RETRIES = 10
-LINGER_TIMEOUT = 1.0
-LINGER_QUIET = 3
-""":meth:`BSPEndpoint.linger` stays until this many consecutive
-``LINGER_TIMEOUT`` windows pass in silence."""
 
 
 def pup_ethertype(link: LinkSpec) -> int:
@@ -353,15 +349,17 @@ class BSPEndpoint:
         The final ack can be lost like any other packet; a receiver
         that closes the moment END arrives leaves the sender
         retransmitting into a deaf port until its retry budget aborts
-        the stream.  Stay subscribed until :data:`LINGER_QUIET`
-        consecutive timeout windows pass in silence; the quiet span must
-        outlast the sender's longest backed-off retransmission gap.
+        the stream.  The sender retransmits END at most ``max_retries + 1``
+        times in a row, each at most :data:`~repro.protocols.rto.MAX_TIMEOUT`
+        after the last, so stay subscribed until that many such windows
+        pass in silence: by then the peer has its ack or has given up.
+        Both ends are assumed to share one retry budget.
         """
         yield Ioctl(
-            self.fd, PFIoctl.SETTIMEOUT, ReadTimeoutPolicy.after(LINGER_TIMEOUT)
+            self.fd, PFIoctl.SETTIMEOUT, ReadTimeoutPolicy.after(MAX_TIMEOUT)
         )
         silent = 0
-        while silent < LINGER_QUIET:
+        while silent <= self.max_retries:
             try:
                 batch = yield Read(self.fd)
             except SimTimeout:

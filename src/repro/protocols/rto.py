@@ -13,10 +13,10 @@ sits idle after a genuine loss.
 
 * ``observe(rtt)`` folds in a round-trip sample —
   ``srtt += ALPHA * err`` and ``rttvar`` tracks mean deviation; the
-  timeout is ``srtt + K * rttvar`` (but never below ``slack * srtt`` —
+  timeout is ``srtt + K * rttvar`` (but never below ``SLACK * srtt`` —
   a steady path decays the variance term to nothing, and a timer equal
   to the typical round trip fires spuriously on any hiccup), clamped
-  to ``[min_timeout, max_timeout]``;
+  between the initial timeout and ``MAX_TIMEOUT``;
 * ``note_timeout()`` applies exponential backoff (doubling, capped) —
   and the caller must then stop sampling retransmitted packets until an
   unambiguous exchange completes (Karn's algorithm; both protocol
@@ -36,6 +36,11 @@ __all__ = ["RetransmitTimer"]
 ALPHA = 0.125   #: gain of the smoothed round trip (Jacobson's 1/8)
 BETA = 0.25     #: gain of the mean deviation (1/4)
 K = 4.0         #: deviations the timeout sits above the smoothed round trip
+SLACK = 2.0     #: smoothed round trips the timeout never falls below
+BACKOFF = 2.0   #: factor each retransmission timeout multiplies the timer by
+MAX_TIMEOUT = 2.0
+"""The cap on the timer, backoff included: the longest gap between two
+retransmissions."""
 
 
 class RetransmitTimer:
@@ -45,39 +50,20 @@ class RetransmitTimer:
     #: worth a syscall (see :meth:`needs_rearm`).
     REARM_TOLERANCE = 0.1
 
-    def __init__(
-        self,
-        initial: float,
-        *,
-        min_timeout: float | None = None,
-        max_timeout: float = 2.0,
-        slack: float = 2.0,
-        backoff_factor: float = 2.0,
-    ) -> None:
+    def __init__(self, initial: float) -> None:
         if initial <= 0.0:
             raise ValueError("initial timeout must be positive")
-        if min_timeout is None:
-            # Default floor = the protocol's historical fixed timeout:
-            # adaptation only ever *raises* the timer above the old
-            # constant (RFC 6298's conservative-minimum stance).  RTT
-            # samples under-represent ack silence when a slow consumer
-            # acknowledges in clusters, so an unfloored estimator
-            # converges below the real ack gap and retransmits whole
-            # windows that were never lost.
-            min_timeout = min(initial, max_timeout)
-        if not 0.0 < min_timeout <= max_timeout:
-            raise ValueError("need 0 < min_timeout <= max_timeout")
-        if backoff_factor < 1.0:
-            raise ValueError("backoff factor must be at least 1")
-        if slack < 1.0:
-            raise ValueError("slack factor must be at least 1")
-        self.min_timeout = min_timeout
-        self.max_timeout = max_timeout
-        self.slack = slack
-        self.backoff_factor = backoff_factor
+        # The floor is the protocol's historical fixed timeout:
+        # adaptation only ever *raises* the timer above the old constant
+        # (RFC 6298's conservative-minimum stance).  RTT samples
+        # under-represent ack silence when a slow consumer acknowledges
+        # in clusters, so an unfloored estimator converges below the
+        # real ack gap and retransmits whole windows that were never
+        # lost.
+        self.min_timeout = min(initial, MAX_TIMEOUT)
         self.srtt: float | None = None
         self.rttvar: float | None = None
-        self._base = min(max(initial, min_timeout), max_timeout)
+        self._base = self.min_timeout
         self._backoff = 1.0
         self.samples = 0     #: RTT observations folded in
         self.timeouts = 0    #: backoff events (retransmission timeouts)
@@ -85,7 +71,7 @@ class RetransmitTimer:
     @property
     def timeout(self) -> float:
         """The current retransmission timeout, backoff and cap applied."""
-        return min(self._base * self._backoff, self.max_timeout)
+        return min(self._base * self._backoff, MAX_TIMEOUT)
 
     def telemetry_gauges(self) -> dict:
         """Gauge callables for the telemetry sampler — the live timeout,
@@ -115,15 +101,15 @@ class RetransmitTimer:
         # When samples are steady, rttvar decays and srtt + k*rttvar
         # collapses onto the mean round trip itself — and a timer equal
         # to the typical RTT fires spuriously on any hiccup (the reason
-        # TCP keeps a conservative RTO floor).  The slack factor keeps
-        # the timeout a multiple of srtt even at zero variance.
+        # TCP keeps a conservative RTO floor).  SLACK keeps the timeout a
+        # multiple of srtt even at zero variance.
         self._base = min(
             max(
                 self.srtt + K * self.rttvar,
-                self.srtt * self.slack,
+                self.srtt * SLACK,
                 self.min_timeout,
             ),
-            self.max_timeout,
+            MAX_TIMEOUT,
         )
         # A fresh unambiguous sample ends any backoff episode.
         self._backoff = 1.0
@@ -132,8 +118,8 @@ class RetransmitTimer:
     def note_timeout(self) -> None:
         """A retransmission timer fired: back off exponentially."""
         self.timeouts += 1
-        if self._base * self._backoff < self.max_timeout:
-            self._backoff *= self.backoff_factor
+        if self._base * self._backoff < MAX_TIMEOUT:
+            self._backoff *= BACKOFF
 
     def needs_rearm(self, armed: float) -> bool:
         """Whether ``timeout`` has drifted enough from the value last

@@ -109,13 +109,12 @@ class Host:
 
     # -- the kernel-resident stack --------------------------------------------
 
-    def install_kernel_stack(self, ip_address: int | None = None):
+    def install_kernel_stack(self):
         """Install the kernel-resident IP/UDP/TCP stack (the baseline
         the paper compares against).  Returns the stack object."""
         from ..kernelnet.ipstack import KernelNetworkStack
 
-        stack = KernelNetworkStack(self, ip_address=ip_address)
-        return stack
+        return KernelNetworkStack(self)
 
     def __repr__(self) -> str:
         return f"Host({self.name!r}, {self.address.hex()})"

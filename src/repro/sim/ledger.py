@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 from .stats import KernelStats
 
@@ -397,9 +397,12 @@ class Ledger:
         *,
         at: float,
         flow: Any = None,
-        stage: str | None = STAGE_WIRE_ARRIVAL,
+        stage: str | None,
     ) -> int:
-        """Open a span for a newly arrived packet; returns its id."""
+        """Open a span for a newly arrived packet; returns its id.
+
+        ``stage`` is its first stage (:data:`STAGE_WIRE_ARRIVAL` off a
+        NIC), or None for a frame handed straight to the kernel."""
         packet_id = self._next_packet_id
         self._next_packet_id += 1
         span = PacketSpan(packet_id, host, flow)
@@ -438,27 +441,17 @@ class Ledger:
                 continue
             yield event
 
-    def total_cost(
-        self,
-        host: str | None = None,
-        *,
-        start: int = 0,
-        primitives: Iterable[Primitive] | None = None,
-    ) -> float:
-        """Sum of event costs, optionally scoped by host / mark / set."""
-        wanted = None if primitives is None else frozenset(primitives)
+    def total_cost(self, host: str | None = None, *, start: int = 0) -> float:
+        """Sum of event costs, optionally scoped by host and mark."""
         total = 0.0
         for event in self.iter_events(host, start=start):
-            if wanted is None or event.primitive in wanted:
-                total += event.cost
+            total += event.cost
         return total
 
-    def breakdown(
-        self, host: str | None = None, *, start: int = 0
-    ) -> dict[str, dict[str, float]]:
+    def breakdown(self, host: str | None = None) -> dict[str, dict[str, float]]:
         """Per-primitive totals: ``{name: {events, quantity, cost}}``."""
         out: dict[str, dict[str, float]] = {}
-        for event in self.iter_events(host, start=start):
+        for event in self.iter_events(host):
             row = out.setdefault(
                 event.primitive.value, {"events": 0, "quantity": 0, "cost": 0.0}
             )
@@ -483,9 +476,7 @@ class Ledger:
             apply_counters(stats, event.primitive, event.quantity)
         return stats
 
-    def drop_summary(
-        self, host: str | None = None, *, start: int = 0
-    ) -> dict[str, int]:
+    def drop_summary(self, host: str | None = None) -> dict[str, int]:
         """Packets lost per stage, wire to user space.
 
         Keys are :data:`DROP_PRIMITIVES` value names.  Wire-level fates
@@ -495,7 +486,7 @@ class Ledger:
         segment (``wire:<segment>``); every ``wire*`` label counts.
         """
         summary: dict[str, int] = {}
-        for event in self.events[start:]:
+        for event in self.events:
             if event.primitive not in DROP_PRIMITIVES:
                 continue
             if (

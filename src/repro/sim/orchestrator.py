@@ -137,7 +137,6 @@ def run_topology(
     spec: TopologySpec,
     *,
     shards: int = 1,
-    until: float | None = None,
     timeout: float | None = None,
     observability=None,
 ) -> TopologyResult:
@@ -145,9 +144,8 @@ def run_topology(
 
     ``shards=1`` runs everything in-process — same windowed algorithm,
     same per-segment worlds, zero IPC — and is the bitwise oracle for
-    any larger shard count.  ``until`` optionally stops once every
-    pending event lies beyond that simulated time.  A topology still
-    running after :data:`MAX_WINDOWS` rounds fails loudly.
+    any larger shard count.  A topology still running after
+    :data:`MAX_WINDOWS` rounds fails loudly.
 
     ``timeout`` bounds each shard reply wait (typed
     :class:`~repro.sim.shard.ShardTimeoutError` instead of a hang).
@@ -231,8 +229,6 @@ def run_topology(
             if window is None or not next_times:
                 break
             earliest = min(next_times)
-            if until is not None and earliest > until:
-                break
             pending = egress
             # The smallest window-multiple strictly after ``earliest``:
             # floor(e/W)*W <= e < (floor(e/W)+1)*W, and that upper bound

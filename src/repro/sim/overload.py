@@ -11,12 +11,12 @@ cure — bounded rings, polling quotas, early drop — as first-class.
 
 This module holds the two policy objects the cure is built from:
 
-* :class:`RxPolicy` — when to leave per-packet interrupt charging for
-  budgeted polling (a ring-occupancy watermark), how much work one poll
-  quantum may do (``poll_quota``), and what fraction of the CPU is
-  *guaranteed* to non-receive work (``user_share``): after each poll
-  batch the next poll is pushed out far enough that receive processing
-  can never exceed ``1 - user_share`` of the timeline.
+* :class:`RxPolicy` — budgeted polling for a host: it leaves
+  per-packet interrupt charging when the ring holds :data:`POLL_ENTER`
+  frames, takes at most :data:`POLL_QUOTA` per poll quantum, and
+  guarantees :data:`USER_SHARE` of the CPU to non-receive work: after
+  each poll batch the next poll is pushed out far enough that receive
+  processing can never exceed ``1 - USER_SHARE`` of the timeline.
 
 * :class:`BufferPool` — a shared, bounded kernel buffer pool (mbuf
   style) with per-port share limits.  Every frame sitting in an input
@@ -39,6 +39,25 @@ from typing import Hashable
 
 __all__ = ["RxPolicy", "BufferPool", "PoolStats"]
 
+POLL_ENTER = 8
+"""Input-ring occupancy at which the kernel abandons per-frame
+interrupts and switches the interface to budgeted polling."""
+
+POLL_QUOTA = 16
+"""Maximum frames one poll quantum may take off the ring.  One
+interrupt-service charge covers the whole quantum (mitigation)."""
+
+POLL_PERIOD = 2e-3
+"""Minimum spacing between poll quanta, seconds.  The user-share gap
+usually dominates; the period is the floor."""
+
+USER_SHARE = 0.25
+"""Guaranteed CPU fraction for non-receive work.  After a poll quantum
+that charged ``work`` seconds, the next poll is scheduled no earlier
+than ``work * USER_SHARE / (1 - USER_SHARE)`` seconds after the work
+completes, so receive processing is capped at ``1 - USER_SHARE`` of the
+CPU timeline no matter the offered load."""
+
 
 @dataclass(frozen=True)
 class RxPolicy:
@@ -51,25 +70,6 @@ class RxPolicy:
     mechanism here.
     """
 
-    poll_enter: int = 8
-    """Input-ring occupancy at which the kernel abandons per-frame
-    interrupts and switches the interface to budgeted polling."""
-
-    poll_quota: int = 16
-    """Maximum frames one poll quantum may take off the ring.  One
-    interrupt-service charge covers the whole quantum (mitigation)."""
-
-    poll_period: float = 2e-3
-    """Minimum spacing between poll quanta, seconds.  The user-share
-    gap below usually dominates; the period is the floor."""
-
-    user_share: float = 0.25
-    """Guaranteed CPU fraction for non-receive work.  After a poll
-    quantum that charged ``work`` seconds, the next poll is scheduled no
-    earlier than ``work * user_share / (1 - user_share)`` seconds after
-    the work completes, so receive processing is capped at
-    ``1 - user_share`` of the CPU timeline no matter the offered load."""
-
     shed_watermark: int | None = None
     """Ring occupancy at which *polling-mode* arrivals are shed on
     admission (``dropped_shed``) before any buffer is taken — early
@@ -79,24 +79,15 @@ class RxPolicy:
     port is already full are shed too, watermark or not."""
 
     def __post_init__(self) -> None:
-        if self.poll_enter < 1:
-            raise ValueError("poll_enter must be at least 1")
-        if self.poll_quota < 1:
-            raise ValueError("poll_quota must be at least 1")
-        if self.poll_period < 0.0:
-            raise ValueError("poll_period must be non-negative")
-        if not (0.0 <= self.user_share < 1.0):
-            raise ValueError("user_share must be in [0, 1)")
         if self.shed_watermark is not None and self.shed_watermark < 1:
             raise ValueError("shed_watermark must be at least 1")
 
-    def user_gap(self, work: float) -> float:
+    @staticmethod
+    def user_gap(work: float) -> float:
         """Idle gap owed to user processes after ``work`` seconds of
-        receive processing — the reservation that makes ``user_share``
-        a guarantee rather than a hope."""
-        if self.user_share <= 0.0:
-            return 0.0
-        return work * self.user_share / (1.0 - self.user_share)
+        receive processing — the reservation that makes
+        :data:`USER_SHARE` a guarantee rather than a hope."""
+        return work * USER_SHARE / (1.0 - USER_SHARE)
 
 
 @dataclass
@@ -189,24 +180,23 @@ class BufferPool:
 
     # -- reserve / release ------------------------------------------------
 
-    def reserve(self, owner: Hashable, count: int = 1) -> bool:
-        """Take ``count`` buffers for ``owner``; all-or-nothing.
+    def reserve(self, owner: Hashable) -> bool:
+        """Take one buffer for ``owner``.
 
         Returns False — and takes nothing — when the pool or the
-        owner's share cannot cover the request.
+        owner's share is full.
         """
-        if count < 1:
-            raise ValueError("count must be at least 1")
-        if self._in_use + count > self.capacity:
+        if self._in_use >= self.capacity:
             self.stats.denied_pool += 1
             return False
+        held = self.held(owner)
         share = self.share_of(owner)
-        if share is not None and self.held(owner) + count > share:
+        if share is not None and held >= share:
             self.stats.denied_share += 1
             return False
-        self._held[owner] = self.held(owner) + count
-        self._in_use += count
-        self.stats.reserved += count
+        self._held[owner] = held + 1
+        self._in_use += 1
+        self.stats.reserved += 1
         if self._in_use > self.stats.peak_in_use:
             self.stats.peak_in_use = self._in_use
         return True

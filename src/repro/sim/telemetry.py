@@ -52,14 +52,14 @@ __all__ = [
     "LogHistogram",
     "builtin_watchdogs",
     "partition_watchdog",
-    "DEFAULT_INTERVAL",
-    "DEFAULT_CAPACITY",
+    "INTERVAL",
+    "CAPACITY",
 ]
 
-DEFAULT_INTERVAL = 0.005
+INTERVAL = 0.005
 """Seconds of simulated time between sampler ticks."""
 
-DEFAULT_CAPACITY = 4096
+CAPACITY = 4096
 """Samples retained per series (a bounded ring; oldest evicted)."""
 
 
@@ -73,13 +73,11 @@ class Series:
     samples.
     """
 
-    def __init__(
-        self, host: str, name: str, *, unit: str = "", capacity: int = DEFAULT_CAPACITY
-    ) -> None:
+    def __init__(self, host: str, name: str, *, unit: str = "") -> None:
         self.host = host
         self.name = name
         self.unit = unit
-        self._samples: deque[tuple[float, float]] = deque(maxlen=capacity)
+        self._samples: deque[tuple[float, float]] = deque(maxlen=CAPACITY)
 
     def append(self, time: float, value: float) -> None:
         self._samples.append((time, value))
@@ -88,9 +86,7 @@ class Series:
         """A detached series holding the same samples — what
         :meth:`Telemetry.export` puts in a snapshot while the sampler
         keeps appending to this one."""
-        clone = Series(
-            self.host, self.name, unit=self.unit, capacity=self._samples.maxlen
-        )
+        clone = Series(self.host, self.name, unit=self.unit)
         clone._samples.extend(self._samples)
         return clone
 
@@ -136,13 +132,13 @@ class Series:
 class LogHistogram:
     """A fixed-bucket log2-scale histogram of positive values.
 
-    Bucket ``i`` covers ``[floor * 2**i, floor * 2**(i+1))`` — octave
+    Bucket ``i`` covers ``[FLOOR * 2**i, FLOOR * 2**(i+1))`` — octave
     buckets, so relative error is bounded by a factor of ``sqrt(2)`` at
     the geometric bucket midpoint no matter how wide the value range.
-    The shape is fixed at construction, so the footprint is ``buckets``
-    ints however many samples were folded in: the supervisor's
-    always-on sync profile keeps one per shard (grant waits) and one per
-    run (window advances) without retaining a sample.
+    The shape is fixed, so the footprint is ``BUCKETS`` ints however
+    many samples were folded in: the supervisor's always-on sync profile
+    keeps one per shard (grant waits) and one per run (window advances)
+    without retaining a sample.
 
     ``quantile`` mirrors the nearest-rank convention of
     :meth:`repro.sim.ledger.Ledger.stage_percentiles`: it finds the
@@ -150,32 +146,30 @@ class LogHistogram:
     geometric midpoint, clamped to the observed min/max so tiny
     populations stay exact.
 
-    Values below ``floor`` land in bucket 0, values off the top end in
+    Values below ``FLOOR`` land in bucket 0, values off the top end in
     the last bucket; both stay inside the observed min/max clamp.  The
-    default shape (``floor=1e-7``, 64 buckets) spans 100 ns to ~10^12 s
-    — every grant wait and window advance a run can take.
+    shape (``FLOOR`` 1e-7, 64 buckets) spans 100 ns to ~10^12 s — every
+    grant wait and window advance a run can take.
     """
 
-    __slots__ = ("floor", "counts", "count", "total", "min", "max")
+    __slots__ = ("counts", "count", "total", "min", "max")
 
-    def __init__(self, *, floor: float = 1e-7, buckets: int = 64) -> None:
-        if floor <= 0.0:
-            raise ValueError("histogram floor must be positive")
-        if buckets < 2:
-            raise ValueError("histogram needs at least 2 buckets")
-        self.floor = floor
-        self.counts = [0] * buckets
+    FLOOR = 1e-7
+    BUCKETS = 64
+
+    def __init__(self) -> None:
+        self.counts = [0] * self.BUCKETS
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
         self.max: float | None = None
 
     def _index(self, value: float) -> int:
-        if value < self.floor:
+        if value < self.FLOOR:
             return 0
         # frexp is exact: value/floor == m * 2**e with m in [0.5, 1),
         # so the bucket index is e-1 — no log() rounding at powers of 2.
-        _, exponent = math.frexp(value / self.floor)
+        _, exponent = math.frexp(value / self.FLOOR)
         return min(exponent - 1, len(self.counts) - 1)
 
     def add(self, value: float) -> None:
@@ -190,7 +184,7 @@ class LogHistogram:
 
     def bounds(self, index: int) -> tuple[float, float]:
         """The ``[low, high)`` value range bucket ``index`` covers."""
-        return self.floor * 2.0**index, self.floor * 2.0 ** (index + 1)
+        return self.FLOOR * 2.0**index, self.FLOOR * 2.0 ** (index + 1)
 
     def quantile(self, q: float) -> float | None:
         """Nearest-rank quantile estimate (None while empty).
@@ -559,17 +553,8 @@ class Telemetry:
     tick callback, on simulated time.
     """
 
-    def __init__(
-        self,
-        scheduler,
-        *,
-        interval: float = DEFAULT_INTERVAL,
-        watchdogs: bool = True,
-    ) -> None:
-        if interval <= 0.0:
-            raise ValueError("telemetry interval must be positive")
+    def __init__(self, scheduler) -> None:
         self.scheduler = scheduler
-        self.interval = interval
         self.armed = False
         self.ticks = 0
         self.alerts: list[Alert] = []
@@ -579,7 +564,7 @@ class Telemetry:
         self._prev_stats: dict[str, KernelStats] = {}
         self._prev_stats_at: dict[str, float] = {}
         self._rules: list[_RuleState] = []
-        self._default_rules = builtin_watchdogs() if watchdogs else []
+        self._default_rules = builtin_watchdogs()
         self._tick_event = None
 
     # -- registration ----------------------------------------------------
@@ -671,7 +656,7 @@ class Telemetry:
             self._schedule_tick()
 
     def _schedule_tick(self) -> None:
-        self._tick_event = self.scheduler.schedule(self.interval, self._tick)
+        self._tick_event = self.scheduler.schedule(INTERVAL, self._tick)
 
     def _tick(self) -> None:
         self._tick_event = None

@@ -146,15 +146,17 @@ class BridgeSpec:
     a: str
     b: str
     delay: float = 1e-3
-    link_id: str = ""
 
     def __post_init__(self) -> None:
         if self.delay <= 0.0:
             raise ValueError("bridge delay must be positive (it is the lookahead)")
         if self.a == self.b:
             raise ValueError(f"bridge must join two distinct segments, got {self.a!r} twice")
-        if not self.link_id:
-            object.__setattr__(self, "link_id", f"{self.a}~{self.b}")
+
+    @property
+    def link_id(self) -> str:
+        """``a~b``: the name faults, flows and endpoints know it by."""
+        return f"{self.a}~{self.b}"
 
     def other(self, segment: str) -> str:
         return self.b if segment == self.a else self.a
@@ -174,7 +176,6 @@ class TopologySpec:
     seed: int = 0
     ledger: bool = True
     telemetry: bool = False
-    telemetry_interval: float | None = None
     #: Declarative link-fault schedule (:class:`repro.sim.faults.LinkFault`
     #: records).  Plain frozen data, so every shard sees identical
     #: outages and link chaos stays partition-independent.
@@ -409,21 +410,20 @@ class SegmentContext:
         self._next_station = 1
         self._reports: dict[str, Callable[[], Any]] = {}
 
-    def host(self, name: str, *, station: int | None = None, **kwargs):
+    def host(self, name: str, **kwargs):
         """Add a host to this segment.
 
         The world-visible name is ``{segment}:{name}`` (host names must
         be disjoint across segments for stats/ledger merging) and the
         address encodes the segment prefix.  Stations allocate from 1
-        upward unless given explicitly.
+        upward.
         """
-        if station is None:
-            station = self._next_station
+        station = self._next_station
         if station >= BRIDGE_STATION_BASE:
             raise ValueError(
                 f"stations >= {BRIDGE_STATION_BASE:#x} are reserved for bridges"
             )
-        self._next_station = max(self._next_station, station + 1)
+        self._next_station = station + 1
         address = station_address(self.index, station, self.world.link)
         return self.world.host(f"{self.name}:{name}", address, **kwargs)
 
@@ -494,10 +494,7 @@ class SegmentRuntime:
         )
         self.world.segment.wire_label = f"wire:{name}"
         if topology.telemetry:
-            kwargs = {}
-            if topology.telemetry_interval is not None:
-                kwargs["interval"] = topology.telemetry_interval
-            self.world.enable_telemetry(**kwargs)
+            self.world.enable_telemetry()
         self.endpoints: dict[str, BridgeEndpoint] = {}
         for bridge in topology.bridges_of(name):
             station = BRIDGE_STATION_BASE + len(self.endpoints)

@@ -69,17 +69,13 @@ class World:
                 host.kernel.ledger = self.ledger
         return self.ledger
 
-    def enable_telemetry(self, *, interval: float | None = None) -> Telemetry:
+    def enable_telemetry(self) -> Telemetry:
         """Arm the live-telemetry sampler on every host (current and
         future), with the built-in detector set (receive livelock, pool
         exhaustion, poll-mode residency, RTO backoff storms) on each;
-        idempotent, returns the :class:`Telemetry`.
-
-        ``interval`` is the sim-time tick spacing.
-        """
+        idempotent, returns the :class:`Telemetry`."""
         if self.telemetry is None:
-            kwargs = {} if interval is None else {"interval": interval}
-            self.telemetry = Telemetry(self.scheduler, **kwargs)
+            self.telemetry = Telemetry(self.scheduler)
             for host in self.hosts:
                 self.telemetry.attach_host(host.kernel)
             self.telemetry.arm()

@@ -57,23 +57,6 @@ class TestCapture:
         [record] = monitor.trace
         assert record.timestamp is not None
 
-    def test_capture_limit(self):
-        world, alice, bob, watcher = monitored_world()
-        monitor = NetworkMonitor(watcher, capture_limit=2, idle_timeout=1.0)
-        proc = watcher.spawn("monitor", monitor.run())
-
-        def chat():
-            fd = yield Open("pf")
-            for _ in range(5):
-                yield Write(fd, alice.link.frame(
-                    bob.address, alice.address, 0x0900, b"x"
-                ))
-                yield Sleep(0.01)
-
-        alice.spawn("chat", chat())
-        world.run_until_done(proc)
-        assert len(monitor.trace) == 2
-
     def test_monitoring_does_not_disturb_the_monitored(self):
         """Copy-all means the watched conversation still completes."""
         from repro.core.compiler import compile_expr, word

@@ -4,29 +4,24 @@ import json
 
 import pytest
 
-from repro.bench.scenarios import run_overload_storm
-from repro.bench.topologies import flow_storm_topology
+from dataclasses import replace
+
+from repro.bench.topologies import TOPOLOGIES, flow_storm_topology
 from repro.bench.traceout import (
-    _emit_telemetry,
-    _IdAllocator,
     build_topology_trace,
-    build_trace,
     validate_trace,
     write_topology_trace,
-    write_trace,
 )
 from repro.sim.orchestrator import run_topology
 
 
 @pytest.fixture(scope="module")
 def overload_trace():
-    """One interrupt-mode overload storm, exported once for the module
-    — the run where every event kind (slices, spans, counters, alert
-    instants) must appear."""
-    world = run_overload_storm(
-        mode="interrupt", offered_multiplier=4.0, duration=0.5, telemetry=True
-    )["world"]
-    return world, build_trace(world)
+    """One interrupt-mode overload storm (``run overload-interrupt``),
+    exported once for the module — the run where every event kind
+    (slices, spans, counters, alert instants) must appear."""
+    result = run_topology(TOPOLOGIES["overload-interrupt"]())
+    return result, build_topology_trace(result)
 
 
 def by_phase(doc):
@@ -51,11 +46,13 @@ class TestBuildTrace:
         assert phases.get("M"), "no process/thread metadata"
 
     def test_alert_instants_include_the_livelock(self, overload_trace):
-        world, doc = overload_trace
+        result, doc = overload_trace
         names = {e["name"] for e in by_phase(doc)["i"]}
         assert "ALERT receive_livelock" in names
         # and the alert's timestamp round-trips the telemetry record
-        [alert] = world.telemetry.alerts_for(rule="receive_livelock")
+        [alert] = [
+            a for a in result.telemetry.alerts if a.rule == "receive_livelock"
+        ]
         [instant] = [
             e for e in by_phase(doc)["i"]
             if e["name"] == "ALERT receive_livelock"
@@ -79,7 +76,7 @@ class TestBuildTrace:
             for e in by_phase(doc)["M"]
             if e["name"] == "process_name"
         }
-        assert "host:receiver" in process_names
+        assert "host:lan0:receiver" in process_names
         thread_names = {
             e["args"]["name"]
             for e in by_phase(doc)["M"]
@@ -88,13 +85,13 @@ class TestBuildTrace:
         assert "nic" in thread_names
 
     def test_counter_values_match_series(self, overload_trace):
-        world, doc = overload_trace
-        series = world.telemetry.series("receiver", "pf.delivered")
+        result, doc = overload_trace
+        series = result.telemetry.series[("lan0:receiver", "pf.delivered")]
         [receiver_pid] = [
             e["pid"]
             for e in by_phase(doc)["M"]
             if e["name"] == "process_name"
-            and e["args"]["name"] == "host:receiver"
+            and e["args"]["name"] == "host:lan0:receiver"
         ]
         counters = [
             e for e in by_phase(doc)["C"]
@@ -103,54 +100,9 @@ class TestBuildTrace:
         assert len(counters) == len(series)
         assert counters[-1]["args"]["value"] == series.latest()
 
-    def test_counters_and_alerts_come_from_the_topology_emitter(
-        self, overload_trace
-    ):
-        """One emitter: what ``build_trace`` shows of a world's telemetry
-        is what ``build_topology_trace`` would emit for its export."""
-        world, doc = overload_trace
-        ids, emitted = _IdAllocator(), []
-        _emit_telemetry(
-            ids, emitted, world.telemetry.export(), lambda _host: True
-        )
-        direct_hosts = {pid: f"host:{name}" for name, pid in ids.pids.items()}
-        doc_hosts = {
-            e["pid"]: e["args"]["name"]
-            for e in by_phase(doc)["M"]
-            if e["name"] == "process_name"
-        }
-
-        def portable(events, hosts):
-            return [
-                {**e, "pid": hosts[e["pid"]], "tid": None}
-                for e in events
-                if e.get("cat") in ("telemetry", "alert")
-            ]
-
-        assert {"telemetry", "alert"} == {e["cat"] for e in emitted}
-        assert portable(doc["traceEvents"], doc_hosts) == portable(
-            emitted, direct_hosts
-        )
-
-    def test_host_filter_scopes_the_export(self, overload_trace):
-        world, _ = overload_trace
-        doc = build_trace(world, host="receiver")
-        hosts = set(doc["otherData"]["hosts"])
-        assert "receiver" in hosts
-        assert hosts <= {"receiver", "wire"}
-
     def test_ledgerless_world_still_exports_counters(self):
-        from repro.sim import Sleep, World
-
-        world = World(telemetry=True)
-        host = world.host("solo")
-
-        def napper():
-            yield Sleep(0.05)
-
-        host.spawn("nap", napper())
-        world.run()
-        doc = build_trace(world)
+        spec = replace(TOPOLOGIES["receive"](), ledger=False)
+        doc = build_topology_trace(run_topology(spec))
         assert validate_trace(doc) == []
         phases = by_phase(doc)
         assert phases.get("C")
@@ -159,12 +111,13 @@ class TestBuildTrace:
 
 class TestWriteTrace:
     def test_round_trips_as_json(self, overload_trace, tmp_path):
-        world, _ = overload_trace
+        result, _ = overload_trace
         path = tmp_path / "trace.json"
-        doc = write_trace(world, path)
+        doc = write_topology_trace(result, path)
         loaded = json.loads(path.read_text())
         assert loaded == doc
         assert validate_trace(loaded) == []
+        assert loaded["otherData"]["shards"] == 1
 
 
 STORM = dict(segments=2, seed=0, duration=0.1, flows=64, cache_size=16)

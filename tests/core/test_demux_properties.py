@@ -133,7 +133,7 @@ class TestDemuxAgainstOracle:
                 reference_winner = next(
                     p for p in ports if p.port_id == expected[0]
                 )
-                assert winner.priority == reference_winner.priority
+                assert winner.program.priority == reference_winner.program.priority
 
     @given(filter_specs, packet_word_lists)
     @settings(max_examples=120)

@@ -33,6 +33,7 @@ from repro.core.irgen import (
     compile_ir_set,
 )
 from repro.core.opt import (
+    MAX_DEPTH,
     build_dispatch_tree,
     cse_filter_set,
     live_nodes,
@@ -52,8 +53,8 @@ from repro.difftest import (
 )
 
 
-def lower(program, mode=ShortCircuitMode.PUSH_RESULT, graph=None):
-    return lower_program(program, validate(program, mode=mode), mode, graph=graph)
+def lower(program, mode=ShortCircuitMode.PUSH_RESULT):
+    return lower_program(program, validate(program, mode=mode), mode)
 
 
 def entry(rank, program):
@@ -180,9 +181,9 @@ class TestPasses:
             assert load6 in live_nodes(fir)
 
     def test_dce_drops_unused_nodes(self):
-        g = ValueGraph()
         program = compile_expr(word(2) == 5)
-        fir = lower(program, graph=g)
+        fir = lower(program)
+        g = fir.graph
         g.binop("mul", g.load(11), g.load(12))  # dead: never referenced
         out = transfer_filter(fir, ValueGraph())
         kinds = {out.graph.node(n).kind for n in live_nodes(out)}
@@ -300,17 +301,21 @@ class TestDispatchTree:
         assert wild in tree.fallback.entries
 
     def test_depth_respects_max(self):
+        """Four discriminating words, but the tree stops at MAX_DEPTH."""
         entries = table_entries(
             [
-                compile_expr((word(6) == i) & (word(7) == j))
-                for i in range(3)
-                for j in range(3)
+                compile_expr(
+                    (word(6) == i) & (word(7) == j) & (word(8) == k)
+                    & (word(9) == m)
+                )
+                for i in range(2)
+                for j in range(2)
+                for k in range(2)
+                for m in range(2)
             ]
         )
-        tree = build_dispatch_tree(
-            entries, ShortCircuitMode.PUSH_RESULT, max_depth=1
-        )
-        assert tree.depth <= 1
+        tree = build_dispatch_tree(entries, ShortCircuitMode.PUSH_RESULT)
+        assert tree.depth == MAX_DEPTH == 3
 
 
 # ---------------------------------------------------------------------------

@@ -161,15 +161,16 @@ class TestScale:
         assert demux.mean_predicates_tested < PORTS
 
     def test_port_exhaustion(self):
+        from repro.core.device import PacketFilterDevice
         from repro.sim import DeviceBusy
 
         world = World()
         host = world.host("h")
-        host.install_packet_filter(max_ports=2)
+        host.install_packet_filter()
 
         def body():
-            yield Open("pf")
-            yield Open("pf")
+            for _ in range(PacketFilterDevice.MAX_PORTS):
+                yield Open("pf")
             try:
                 yield Open("pf")
             except DeviceBusy:

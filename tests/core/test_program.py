@@ -10,6 +10,7 @@ from repro.core.paper_filters import (
     figure_3_9_pup_socket_35,
 )
 from repro.core.program import FilterProgram, MAX_PRIORITY, asm
+from repro.core.validator import validate
 
 
 class TestAsm:
@@ -82,24 +83,21 @@ class TestStructure:
             FilterProgram(asm("PUSHONE"), priority=-1)
 
     def test_words_examined(self):
-        assert figure_3_9_pup_socket_35().words_examined() == 9
-        assert figure_3_8_pup_type_range().words_examined() == 4
+        """How deep into a packet a filter looks: figure 3-9 reads word
+        8, which a 17-byte packet holds (zero-padded), figure 3-8 word 3."""
+        assert validate(figure_3_9_pup_socket_35()).max_packet_bytes_touched == 17
+        assert validate(figure_3_8_pup_type_range()).max_packet_bytes_touched == 7
 
     def test_words_examined_no_pushes(self):
-        assert FilterProgram(asm("PUSHONE")).words_examined() == 0
+        assert validate(FilterProgram(asm("PUSHONE"))).max_packet_bytes_touched == 0
 
     def test_uses_short_circuit(self):
-        assert figure_3_9_pup_socket_35().uses_short_circuit()
-        assert not figure_3_8_pup_type_range().uses_short_circuit()
+        assert validate(figure_3_9_pup_socket_35()).uses_short_circuit
+        assert not validate(figure_3_8_pup_type_range()).uses_short_circuit
 
     def test_len_counts_instructions_not_words(self):
         assert len(figure_3_9_pup_socket_35()) == 6
         assert figure_3_9_pup_socket_35().encoded_length == 8
-
-    def test_with_priority(self):
-        program = figure_3_9_pup_socket_35().with_priority(3)
-        assert program.priority == 3
-        assert program.instructions == figure_3_9_pup_socket_35().instructions
 
     def test_value_equality_and_hash(self):
         assert figure_3_9_pup_socket_35() == figure_3_9_pup_socket_35()
@@ -108,7 +106,9 @@ class TestStructure:
     def test_cached_hash_stays_out_of_repr_and_pickles(self):
         program = figure_3_9_pup_socket_35()
         assert "_hash" not in repr(program)
-        assert hash(program) != hash(program.with_priority(3))
+        assert hash(program) != hash(
+            FilterProgram(program.instructions, priority=3)
+        )
         # Pickling rebuilds through __init__ (hashes are per process).
         assert program.__reduce__() == (
             FilterProgram, (program.instructions, program.priority)

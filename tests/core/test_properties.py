@@ -11,7 +11,11 @@ The invariants DESIGN.md §5 promises:
   short-circuit modes, from an analysis that only ever reports tests an
   accepted packet really passes;
 * the compiler's output accepts exactly the packets its expression
-  describes (checked against a python-level oracle).
+  describes (checked against a python-level oracle);
+* untrusted filter words either fail ``decode``/``validate`` with a
+  typed error or bind a program every engine, cached or not, runs
+  exactly as the checked interpreter does, on empty, odd and short
+  packets alike.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -19,8 +23,10 @@ from hypothesis import given, settings, strategies as st
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.instructions import (
+    ACTION_FIELD_BITS,
     BinaryOp,
     CLASSIC_OPERATORS,
+    EncodingError,
     Instruction,
     StackAction,
     decode_instruction_word,
@@ -29,6 +35,7 @@ from repro.core.instructions import (
 )
 from repro.core.interpreter import (
     FaultCode,
+    LanguageLevel,
     ShortCircuitMode,
     evaluate,
 )
@@ -37,7 +44,7 @@ from repro.core.opt import SetEntry, build_dispatch_tree, necessary_equalities
 from repro.core.port import Port
 from repro.core.program import FilterProgram
 from repro.core.validator import ValidationError, validate
-from repro.core.words import get_word, pack_words, word_count
+from repro.core.words import get_word, pack_words
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -102,6 +109,50 @@ def valid_programs(draw):
 # ---------------------------------------------------------------------------
 # round trips
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def untrusted_filter_words(draw):
+    """A filter as a user hands it to ``SETFILTER``: raw 16-bit words.
+
+    The body is either a run of words or a valid program's encoding with
+    one or two words replaced.  Most words are drawn field by field, so
+    that many lists get past ``decode``: a defined action or any 6-bit
+    one (reserved codes included), under a defined operator or any code
+    up to 31 (holes included).  The rest are arbitrary words, and the
+    length and priority fields are sometimes out of bounds.
+    """
+    def rarely(common, rare):
+        return st.integers(0, 15).flatmap(lambda n: rare if n == 0 else common)
+
+    action = rarely(
+        st.sampled_from([*StackAction, *(pushword(n) for n in range(12))]),
+        st.integers(0, (1 << ACTION_FIELD_BITS) - 1),
+    )
+    operator = rarely(st.sampled_from(BinaryOp), st.integers(0, 31))
+    field_word = st.builds(
+        lambda a, o: (int(o) << ACTION_FIELD_BITS) | int(a), action, operator
+    )
+    if draw(st.booleans()):
+        body = draw(st.lists(rarely(field_word, u16), max_size=8))
+    else:  # a valid program's encoding with a word or two replaced
+        body = list(draw(valid_programs()).encode())[2:]
+        for _ in range(draw(st.integers(1, 2))):
+            body[draw(st.integers(0, len(body) - 1))] = draw(
+                rarely(field_word, u16)
+            )
+    length = draw(rarely(st.just(len(body)), u16))
+    priority = draw(rarely(st.integers(0, 255), u16))
+    return [priority, length, *body]
+
+
+# Empty, one odd byte, odd and even short packets, one past figure 3-9's
+# reach: what the boundary must survive on every engine.
+edge_packets = st.lists(
+    st.one_of(st.binary(max_size=19), st.sampled_from([b"", b"\x01"])),
+    min_size=1,
+    max_size=4,
+)
 
 
 class TestEncodingProperties:
@@ -226,7 +277,7 @@ class TestCompilerProperties:
         expected = all(oracle_test(packet, spec) for spec in specs)
         result = evaluate(program, packet)
         if any(
-            spec[0] >= word_count(packet) for spec in specs
+            spec[0] >= (len(packet) + 1) // 2 for spec in specs
         ):
             # Some field is off the end: the filter faults and rejects,
             # matching the oracle's False.
@@ -238,7 +289,7 @@ class TestCompilerProperties:
     @given(st.lists(field_tests, min_size=1, max_size=4), packets)
     @settings(max_examples=200)
     def test_disjunction_matches_oracle(self, specs, packet):
-        if any(spec[0] >= word_count(packet) for spec in specs):
+        if any(spec[0] >= (len(packet) + 1) // 2 for spec in specs):
             return  # bounds faulting inside OR legs diverges from oracle
         expr = build_expr(specs[0])
         for spec in specs[1:]:
@@ -337,3 +388,41 @@ class TestDecisionTableProperties:
         tested = [index for spec in filter_specs for index in {i for i, _ in spec}]
         if len(tested) > len(set(tested)):  # two filters test one word
             assert demuxes[Engine.IR].ir_stats.dispatch_depth >= 1
+
+
+class TestUntrustedWords:
+    @given(
+        untrusted_filter_words(),
+        st.sampled_from(LanguageLevel),
+        st.sampled_from(ShortCircuitMode),
+        edge_packets,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_typed_error_or_engines_agree(self, words, level, mode, packets):
+        """The bind-time boundary: ``decode`` then ``validate`` refuse
+        a word list with a typed error, or every engine with and without
+        the flow cache accepts exactly what ``CHECKED`` accepts."""
+        try:
+            program = FilterProgram.decode(words)
+            validate(program, level=level, mode=mode)
+        except (EncodingError, ValidationError):
+            return
+        outcomes = {}
+        for engine in Engine:
+            for cache in (False, True):
+                demux = PacketFilterDemux(
+                    engine=engine, mode=mode, level=level, flow_cache=cache
+                )
+                port = Port(0, queue_limit=64)
+                port.bind_filter(program)
+                demux.attach(port)
+                # each packet twice: the second delivery of a cached
+                # engine is a flow-cache hit
+                outcomes[engine, cache] = [
+                    demux.deliver(packet).accepted_by
+                    for packet in packets
+                    for _ in range(2)
+                ]
+        reference = outcomes[Engine.CHECKED, False]
+        for key, accepted in outcomes.items():
+            assert accepted == reference, key

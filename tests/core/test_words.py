@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.core.words import (
-    get_byte,
-    get_long,
-    get_word,
-    pack_words,
-    word_count,
-    words_of,
-)
+from repro.core.extensions import long_equals
+from repro.core.interpreter import FaultCode, evaluate
+from repro.core.words import get_byte, get_word, pack_words
+
+
+def word_count(packet):
+    """How many words ``get_word`` addresses before it raises."""
+    count = 0
+    while True:
+        try:
+            get_word(packet, count)
+        except IndexError:
+            return count
+        count += 1
 
 
 class TestWordCount:
@@ -63,21 +69,28 @@ class TestGetByte:
 
 
 class TestGetLong:
+    """A 32-bit field at a word index, as a filter reads it: two
+    big-endian words, high first (``extensions.long_equals``)."""
+
     def test_combines_two_words(self):
-        assert get_long(b"\x12\x34\x56\x78", 0) == 0x12345678
+        packet = b"\x12\x34\x56\x78"
+        assert evaluate(long_equals(0, 0x12345678), packet).accepted
+        assert not evaluate(long_equals(0, 0x12345679), packet).accepted
 
     def test_padded_low_word(self):
-        assert get_long(b"\x12\x34\x56", 0) == 0x12345600
+        assert evaluate(long_equals(0, 0x12345600), b"\x12\x34\x56").accepted
 
     def test_out_of_range_raises(self):
-        with pytest.raises(IndexError):
-            get_long(b"\x12\x34", 0)
+        result = evaluate(long_equals(0, 0x12340000), b"\x12\x34")
+        assert not result.accepted
+        assert result.fault is FaultCode.PACKET_BOUNDS
 
 
 class TestPackRoundtrip:
     def test_roundtrip(self):
         values = [0, 1, 0xFFFF, 0x1234, 0xFF00]
-        assert words_of(pack_words(values)) == values
+        packet = pack_words(values)
+        assert [get_word(packet, i) for i in range(word_count(packet))] == values
 
     def test_pack_rejects_oversized(self):
         with pytest.raises(ValueError):
@@ -88,4 +101,5 @@ class TestPackRoundtrip:
             pack_words([-1])
 
     def test_words_of_empty(self):
-        assert words_of(b"") == []
+        assert pack_words([]) == b""
+        assert word_count(b"") == 0

@@ -63,9 +63,21 @@ def _demux_with_rules(values, *, flow_cache: int) -> PacketFilterDemux:
 
 
 def test_slot_indexing_is_crc32():
+    """Keys whose crc32 agree in the low six bits share a slot of a
+    64-slot cache: storing one evicts the other, and a key in another
+    slot survives both."""
     cache = FlowCache(64)
-    for key in (b"", b"\x00\x01", b"collide", bytes(range(14))):
-        assert cache.slot(key) == crc32(key) & 63
+    keys = [b"", b"\x00\x01", b"collide", bytes(range(14))]
+    keys += [bytes([n]) for n in range(256)]
+    first = keys[0]
+    same = next(k for k in keys[1:] if crc32(k) & 63 == crc32(first) & 63)
+    other = next(k for k in keys[1:] if crc32(k) & 63 != crc32(first) & 63)
+    cache.store(first, (1,))
+    cache.store(other, (2,))
+    cache.store(same, (3,))
+    assert cache.lookup(first) is None
+    assert cache.lookup(other) == (2,)
+    assert cache.lookup(same) == (3,)
 
 
 def test_batch_matches_scalar_on_colliding_evict():

@@ -39,12 +39,6 @@ class TestStackBasics:
         stack = host.install_kernel_stack()
         assert format_ip(stack.ip_address) == "10.0.0.1"
 
-    def test_explicit_ip(self):
-        world = World()
-        host = world.host("h")
-        stack = host.install_kernel_stack(ip_address=ip_address("192.168.1.5"))
-        assert format_ip(stack.ip_address) == "192.168.1.5"
-
     def test_no_route_raises(self):
         from repro.protocols.ip import IPError
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.scenarios import run_bsp_chaos
 from repro.protocols.bsp import BSPEndpoint, bsp_socket_filter
 from repro.protocols.pup import PupAddress
 from repro.core.interpreter import evaluate
@@ -90,6 +91,18 @@ class TestStreamIntegrity:
             return world.now
 
         assert run() == run()
+
+
+class TestLinger:
+    def test_dally_outlasts_the_senders_retry_budget(self):
+        """Seed 3 at the soak's 24 KiB: burst loss eats END
+        retransmissions for longer than a few seconds, and a sink that
+        dallied any shorter than the sender's whole retry budget left
+        it retransmitting into a deaf port until it abandoned the
+        stream."""
+        result = run_bsp_chaos(seed=3, payload_bytes=24 * 1024)
+        assert result["intact"]
+        assert result["sender"].retransmissions > 0
 
 
 class TestMaximumPacketSize:

@@ -29,7 +29,6 @@ chaos_profiles = st.builds(
     reorder_rate=st.floats(0.0, 0.3),
     reorder_jitter=st.floats(0.0, 4e-3),
     corrupt_rate=st.floats(0.0, 0.1),
-    corrupt_bits=st.integers(1, 3),
 )
 
 seeds = st.integers(min_value=0, max_value=2**16)

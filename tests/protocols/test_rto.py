@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.protocols.rto import RetransmitTimer
+from repro.protocols.rto import MAX_TIMEOUT, RetransmitTimer
 
 
 class TestConstruction:
@@ -10,19 +10,11 @@ class TestConstruction:
         assert RetransmitTimer(0.2).timeout == 0.2
 
     def test_initial_clamped_to_cap(self):
-        assert RetransmitTimer(5.0, max_timeout=2.0).timeout == 2.0
+        assert RetransmitTimer(5.0).timeout == MAX_TIMEOUT
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetransmitTimer(0.0)
-        with pytest.raises(ValueError):
-            RetransmitTimer(0.2, min_timeout=0.0)
-        with pytest.raises(ValueError):
-            RetransmitTimer(0.2, min_timeout=3.0, max_timeout=2.0)
-        with pytest.raises(ValueError):
-            RetransmitTimer(0.2, backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            RetransmitTimer(0.2, slack=0.9)
 
     def test_negative_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -31,7 +23,7 @@ class TestConstruction:
 
 class TestEstimation:
     def test_first_sample_initializes_srtt_and_rttvar(self):
-        timer = RetransmitTimer(0.2, min_timeout=0.01)
+        timer = RetransmitTimer(0.01)
         timer.observe(0.08)
         assert timer.srtt == 0.08
         assert timer.rttvar == 0.04
@@ -39,7 +31,7 @@ class TestEstimation:
         assert timer.samples == 1
 
     def test_converges_toward_steady_samples(self):
-        timer = RetransmitTimer(0.2, min_timeout=0.01)
+        timer = RetransmitTimer(0.01)
         for _ in range(200):
             timer.observe(0.05)
         assert timer.srtt == pytest.approx(0.05, rel=1e-3)
@@ -58,7 +50,7 @@ class TestEstimation:
         """Steady samples decay rttvar toward zero; without slack the
         timeout would collapse onto the mean round trip and fire on
         any hiccup."""
-        timer = RetransmitTimer(0.2, min_timeout=0.01, slack=2.0)
+        timer = RetransmitTimer(0.01)
         for _ in range(500):
             timer.observe(0.4)
         assert timer.rttvar < 0.01
@@ -72,18 +64,18 @@ class TestEstimation:
 
 class TestBackoff:
     def test_timeout_doubles_and_caps(self):
-        timer = RetransmitTimer(0.2, max_timeout=1.0)
+        timer = RetransmitTimer(0.2)
         timer.note_timeout()
         assert timer.timeout == pytest.approx(0.4)
         timer.note_timeout()
         assert timer.timeout == pytest.approx(0.8)
         for _ in range(10):
             timer.note_timeout()
-        assert timer.timeout == 1.0
+        assert timer.timeout == MAX_TIMEOUT
         assert timer.timeouts == 12
 
     def test_fresh_sample_ends_backoff(self):
-        timer = RetransmitTimer(0.2, min_timeout=0.01)
+        timer = RetransmitTimer(0.01)
         timer.note_timeout()
         timer.note_timeout()
         timer.observe(0.02)

@@ -115,8 +115,17 @@ class TestBatchedInput:
             outcomes = Counter(
                 span.outcome for span in world.ledger.spans_for(host.name)
             )
+            books = {}
+            for event in world.ledger.iter_events(host.name, start=mark):
+                row = books.setdefault(
+                    event.primitive.value,
+                    {"events": 0, "quantity": 0, "cost": 0.0},
+                )
+                row["events"] += 1
+                row["quantity"] += event.quantity
+                row["cost"] += event.cost
             runs[burst] = (
-                world.ledger.breakdown(host.name, start=mark),
+                books,
                 outcomes,
                 host.packet_filter,
             )

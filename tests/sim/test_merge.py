@@ -8,7 +8,7 @@ and the reassembled whole reconciles exactly with its parts.
 
 import pytest
 
-from repro.sim.ledger import Ledger, Primitive
+from repro.sim.ledger import STAGE_WIRE_ARRIVAL, Ledger, Primitive
 from repro.sim.stats import KernelStats, merge_stats
 from repro.sim.telemetry import Alert, Series, TelemetrySnapshot
 
@@ -62,7 +62,9 @@ class TestMergeStats:
 def _ledger_with(host: str, packets: int = 2) -> Ledger:
     ledger = Ledger()
     for index in range(packets):
-        packet_id = ledger.begin_packet(host, at=0.1 * index, flow="f")
+        packet_id = ledger.begin_packet(
+            host, at=0.1 * index, flow="f", stage=STAGE_WIRE_ARRIVAL
+        )
         ledger.record(
             Primitive.FRAME_RX,
             host=host,
@@ -80,7 +82,7 @@ class TestMergeLedgers:
         assert merged.events == []
         assert merged.spans == {}
         # and the merged ledger keeps allocating from 1
-        assert merged.begin_packet("alice", at=0.0) == 1
+        assert merged.begin_packet("alice", at=0.0, stage=None) == 1
 
     def test_disjoint_hosts_combine_with_id_offset(self):
         a = _ledger_with("alice", packets=2)
@@ -103,7 +105,7 @@ class TestMergeLedgers:
     def test_id_allocation_continues_past_merge(self):
         a = _ledger_with("alice", packets=2)
         a.merge(_ledger_with("bob", packets=3))
-        assert a.begin_packet("carol", at=9.0) == 6
+        assert a.begin_packet("carol", at=9.0, stage=None) == 6
 
     def test_wire_labels_count_as_hosts(self):
         a = Ledger()

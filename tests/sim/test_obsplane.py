@@ -32,28 +32,30 @@ class TestLogHistogram:
         assert hist.total / len(hist) == pytest.approx((1e-3 + 2e-3 + 4e-3) / 3)
 
     def test_buckets_are_octaves(self):
-        hist = LogHistogram(floor=1.0, buckets=8)
-        hist.add(1.5)    # [1, 2)
-        hist.add(3.0)    # [2, 4)
-        hist.add(3.9)
+        hist = LogHistogram()
+        floor = LogHistogram.FLOOR
+        hist.add(1.5 * floor)    # [floor, 2 floor)
+        hist.add(3.0 * floor)    # [2 floor, 4 floor)
+        hist.add(3.9 * floor)
         lo, hi = hist.bounds(1)
-        assert (lo, hi) == (2.0, 4.0)
+        assert (lo, hi) == (2.0 * floor, 4.0 * floor)
         assert hist.counts[0] == 1
         assert hist.counts[1] == 2
 
     def test_below_floor_clamps_to_first_bucket(self):
-        hist = LogHistogram(floor=1e-3)
-        hist.add(1e-9)
+        hist = LogHistogram()
+        hist.add(LogHistogram.FLOOR / 100)
         assert hist.counts[0] == 1
-        assert hist.min == 1e-9
+        assert hist.min == LogHistogram.FLOOR / 100
 
     def test_above_range_clamps_to_last_bucket(self):
-        hist = LogHistogram(floor=1.0, buckets=4)
-        hist.add(1e12)
+        hist = LogHistogram()
+        hist.add(LogHistogram.FLOOR * 2.0 ** (LogHistogram.BUCKETS + 4))
         assert hist.counts[-1] == 1
+        assert len(hist.counts) == LogHistogram.BUCKETS
 
     def test_quantiles_without_raw_samples(self):
-        hist = LogHistogram(floor=1e-6)
+        hist = LogHistogram()
         values = [1e-4 * (1.1 ** n) for n in range(200)]
         for value in values:
             hist.add(value)
@@ -65,7 +67,7 @@ class TestLogHistogram:
             assert exact / 2 <= estimate <= exact * 2
 
     def test_quantile_clamped_to_observed_range(self):
-        hist = LogHistogram(floor=1.0)
+        hist = LogHistogram()
         hist.add(5.0)
         assert hist.quantile(0.5) == 5.0
         assert hist.quantile(0.99) == 5.0

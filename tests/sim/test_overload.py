@@ -29,6 +29,7 @@ from repro.sim import (
 )
 from repro.sim.costs import FREE
 from repro.sim.ledger import Primitive
+from repro.sim.overload import POLL_ENTER, USER_SHARE
 
 TYPE = 0x0900
 
@@ -49,7 +50,7 @@ def frame_for(src, dst, payload=b"payload", ethertype=TYPE):
 class TestBufferPool:
     def test_reserve_and_release(self):
         pool = BufferPool(4)
-        assert pool.reserve("a", 2)
+        assert pool.reserve("a") and pool.reserve("a")
         assert pool.in_use == 2 and pool.available == 2
         assert pool.held("a") == 2
         pool.release("a")
@@ -60,21 +61,22 @@ class TestBufferPool:
 
     def test_capacity_is_all_or_nothing(self):
         pool = BufferPool(3)
-        assert pool.reserve("a", 2)
-        assert not pool.reserve("b", 2)   # would exceed capacity
-        assert pool.held("b") == 0        # nothing was taken
+        assert pool.reserve("a") and pool.reserve("a") and pool.reserve("b")
+        assert not pool.reserve("b")      # the pool is full
+        assert pool.held("b") == 1        # nothing more was taken
         assert pool.stats.denied_pool == 1
-        assert pool.reserve("b", 1)
+        pool.release("a")
+        assert pool.reserve("b")
 
     def test_port_share_caps_one_owner(self):
         pool = BufferPool(8, port_share=2)
         owner = ("port", 0)
-        assert pool.reserve(owner, 2)
+        assert pool.reserve(owner) and pool.reserve(owner)
         assert not pool.reserve(owner)
         assert pool.stats.denied_share == 1
         assert pool.at_share(owner)
         # Non-port owners (the NIC ring) are not share-limited.
-        assert pool.reserve(("ring", "host"), 5)
+        assert all(pool.reserve(("ring", "host")) for _ in range(5))
 
     def test_over_release_raises(self):
         pool = BufferPool(4)
@@ -84,16 +86,18 @@ class TestBufferPool:
 
     def test_release_all(self):
         pool = BufferPool(4)
-        pool.reserve("a", 3)
+        for _ in range(3):
+            pool.reserve("a")
         assert pool.release_all("a") == 3
         assert pool.audit() == {}
         assert pool.release_all("a") == 0
 
     def test_peak_in_use_tracks_high_water(self):
         pool = BufferPool(4)
-        pool.reserve("a", 3)
+        for _ in range(3):
+            pool.reserve("a")
         pool.release("a", 2)
-        pool.reserve("b", 1)
+        pool.reserve("b")
         assert pool.stats.peak_in_use == 3
 
     def test_validation(self):
@@ -106,29 +110,20 @@ class TestBufferPool:
 class TestRxPolicy:
     def test_validation(self):
         with pytest.raises(ValueError):
-            RxPolicy(poll_enter=0)
-        with pytest.raises(ValueError):
-            RxPolicy(poll_quota=0)
-        with pytest.raises(ValueError):
-            RxPolicy(user_share=1.0)
-        with pytest.raises(ValueError):
-            RxPolicy(user_share=-0.1)
-        with pytest.raises(ValueError):
             RxPolicy(shed_watermark=0)
-        with pytest.raises(ValueError):
-            RxPolicy(poll_period=-1.0)
 
     def test_user_gap_arithmetic(self):
-        policy = RxPolicy(user_share=0.25)
+        policy = RxPolicy()
         # 3 ms of receive work owes 1 ms to user processes: 25% share.
+        assert USER_SHARE == 0.25
         assert policy.user_gap(0.003) == pytest.approx(0.001)
-        assert RxPolicy(user_share=0.0).user_gap(1.0) == 0.0
+        assert policy.user_gap(0.0) == 0.0
 
     def test_user_gap_is_the_share_guarantee(self):
-        policy = RxPolicy(user_share=0.25)
+        policy = RxPolicy()
         work = 0.007
         gap = policy.user_gap(work)
-        assert work / (work + gap) == pytest.approx(1.0 - policy.user_share)
+        assert work / (work + gap) == pytest.approx(1.0 - USER_SHARE)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +142,7 @@ def _storm_receiver(*, queue_limit=4, policy=None, pool=None):
 
 class TestAdmission:
     def test_ring_full_drops_as_dropped_ring(self):
-        policy = RxPolicy(poll_enter=100)  # never enter polling
+        policy = RxPolicy()  # a 3-frame ring never reaches POLL_ENTER
         world, sender, receiver = _storm_receiver(
             queue_limit=3, policy=policy
         )
@@ -180,15 +175,15 @@ class TestAdmission:
         assert pool.audit() == {}
 
     def test_shed_watermark_drops_as_dropped_shed(self):
-        policy = RxPolicy(poll_enter=2, shed_watermark=2)
+        policy = RxPolicy(shed_watermark=POLL_ENTER)
         world, sender, receiver = _storm_receiver(
             queue_limit=16, policy=policy
         )
         frame = frame_for(sender, receiver)
-        for _ in range(5):
+        for _ in range(POLL_ENTER + 3):
             receiver.nic.receive(frame)
-        # Second arrival crossed poll_enter; from then on the watermark
-        # sheds at admission, before any buffer is taken.
+        # The POLL_ENTER-th arrival crossed into polling; from then on
+        # the watermark sheds at admission, before any buffer is taken.
         assert receiver.nic.polling
         assert receiver.nic.poll_mode_entries == 1
         assert receiver.nic.frames_shed == 3
@@ -201,10 +196,10 @@ class TestAdmission:
     def test_every_wire_arrival_is_accounted(self):
         """The drop census invariant: wire arrivals partition exactly
         into closed span outcomes — nothing vanishes."""
-        policy = RxPolicy(poll_enter=2, shed_watermark=3)
-        pool = BufferPool(8)
+        policy = RxPolicy(shed_watermark=POLL_ENTER + 1)
+        pool = BufferPool(16)
         world, sender, receiver = _storm_receiver(
-            queue_limit=4, policy=policy, pool=pool
+            queue_limit=POLL_ENTER + 2, policy=policy, pool=pool
         )
         frame = frame_for(sender, receiver)
         for _ in range(20):
@@ -294,10 +289,7 @@ class TestPollingMode:
         receiver.install_packet_filter(flow_cache=True)
         if mode == "polling":
             receiver.enable_overload(
-                policy=RxPolicy(
-                    poll_enter=8, poll_quota=16,
-                    user_share=0.25, shed_watermark=32,
-                ),
+                policy=RxPolicy(shed_watermark=32),
                 pool=BufferPool(192, port_share=64),
             )
         ticks = []

@@ -23,7 +23,7 @@ from repro.core.port import ReadTimeoutPolicy
 from repro.sim import Close, Ioctl, Open, Read, Sleep, World, Write
 from repro.sim.errors import SimTimeout
 from repro.sim.ledger import SPAN_OUTCOMES, STAGE_WIRE_ARRIVAL
-from repro.sim.overload import RxPolicy
+from repro.sim.overload import POLL_ENTER, RxPolicy
 
 TYPE = 0x0900
 
@@ -37,15 +37,17 @@ def run_workload(seed, frames, polled, engine, queue_limit, chaos_on):
         ledger=True,
     )
     sender = world.host("sender")
-    # A two-frame interface queue: write bursts overflow it, exercising
+    # A ring just deep enough to cross into polling (two frames without
+    # a policy): write bursts two frames longer overflow it, exercising
     # the dropped_ring path.
-    receiver = world.host("receiver", input_queue_limit=2)
+    ring = POLL_ENTER if polled else 2
+    receiver = world.host("receiver", input_queue_limit=ring)
     sender.install_packet_filter()
     receiver.install_packet_filter(engine=engine)
     if polled:
-        # The ring's second frame crosses the watermark, so write bursts
-        # go up through the poll loop's ``network_input_batch`` quanta.
-        receiver.enable_overload(policy=RxPolicy(poll_enter=2, poll_quota=4))
+        # The ring's last slot crosses the watermark, so write bursts go
+        # up through the poll loop's ``network_input_batch`` quanta.
+        receiver.enable_overload(policy=RxPolicy())
 
     def tx():
         fd = yield Open("pf")
@@ -53,7 +55,7 @@ def run_workload(seed, frames, polled, engine, queue_limit, chaos_on):
         yield Sleep(0.01)
         sent = 0
         while sent < frames:
-            group = min(4, frames - sent)
+            group = min(ring + 2, frames - sent)
             batch = tuple(
                 sender.link.frame(
                     receiver.address, sender.address, TYPE, bytes(40 + n)

@@ -26,7 +26,7 @@ from repro.sim import (
 from repro.sim.overload import BufferPool
 from repro.sim.clock import EventScheduler
 from repro.sim.stats import KernelStats
-from repro.sim.telemetry import Series
+from repro.sim.telemetry import CAPACITY, INTERVAL, Series
 
 
 class _FakeKernel:
@@ -39,13 +39,12 @@ class _FakeKernel:
         self.telemetry = None
 
 
-def armed_telemetry(
-    *, interval: float = 0.01, watchdogs: bool = True, horizon: float = 10.0
-):
+def armed_telemetry(*, horizon: float = 10.0):
     """A telemetry instance on a bare scheduler, kept alive by one
-    far-future keepalive event so ticks self-sustain until ``horizon``."""
+    far-future keepalive event so ticks self-sustain until ``horizon``.
+    It ticks every ``INTERVAL`` (5 ms)."""
     scheduler = EventScheduler()
-    telemetry = Telemetry(scheduler, interval=interval, watchdogs=watchdogs)
+    telemetry = Telemetry(scheduler)
     kernel = _FakeKernel()
     telemetry.attach_host(kernel)
     scheduler.schedule(horizon, lambda: None)
@@ -63,11 +62,12 @@ class TestSeries:
         assert list(series) == series.samples == [(0.0, 1.0), (0.1, 3.0)]
 
     def test_bounded_ring_evicts_oldest(self):
-        series = Series("h", "g", capacity=3)
-        for n in range(5):
+        series = Series("h", "g")
+        for n in range(CAPACITY + 2):
             series.append(float(n), float(n))
-        assert len(series) == 3
-        assert [value for _, value in series.samples] == [2.0, 3.0, 4.0]
+        assert len(series) == CAPACITY
+        assert series.samples[0] == (2.0, 2.0)
+        assert series.latest() == float(CAPACITY + 1)
 
     def test_rate_is_windowed(self):
         series = Series("h", "g")
@@ -100,13 +100,11 @@ class TestSampler:
         assert telemetry.series("h", "cpu_util").latest() == 0.0
 
     def test_cpu_util_is_windowed_utilization(self):
-        scheduler, telemetry, kernel = armed_telemetry(
-            interval=0.01, horizon=0.1
-        )
+        scheduler, telemetry, kernel = armed_telemetry(horizon=0.1)
         # burn half a tick of CPU every tick via a scheduled burner
         def burn():
-            kernel.stats.cpu_time += 0.005
-            scheduler.schedule(0.01, burn)
+            kernel.stats.cpu_time += INTERVAL / 2
+            scheduler.schedule(INTERVAL, burn)
 
         scheduler.schedule(0.0, burn)
         scheduler.run(until=0.055)
@@ -147,10 +145,6 @@ class TestSampler:
         world.telemetry.resume()
         world.run()
         assert world.telemetry.ticks > parked_ticks
-
-    def test_interval_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Telemetry(EventScheduler(), interval=0.0)
 
     def test_world_hook_attaches_later_hosts(self):
         world = World()
@@ -236,9 +230,7 @@ class TestWatchdogs:
             WatchdogRule("bad", lambda view: True, fire_after=0)
 
     def test_hysteresis_fire_and_clear(self):
-        scheduler, telemetry, kernel = armed_telemetry(
-            interval=0.01, watchdogs=False, horizon=1.0
-        )
+        scheduler, telemetry, kernel = armed_telemetry(horizon=1.0)
         box = {"hot": 0.0}
         telemetry.register_gauges("h", "sig.", {"hot": lambda: box["hot"]})
         telemetry.add_rule(
@@ -251,27 +243,25 @@ class TestWatchdogs:
             ),
             host="h",
         )
-        scheduler.run(until=0.025)          # two cold ticks
+        scheduler.run(until=0.0125)         # two cold ticks
         box["hot"] = 1.0
-        scheduler.run(until=0.045)          # two hot ticks: not yet
+        scheduler.run(until=0.0225)         # two hot ticks: not yet
         assert telemetry.alerts == []
-        scheduler.run(until=0.055)          # third consecutive hot tick
+        scheduler.run(until=0.0275)         # third consecutive hot tick
         [alert] = telemetry.alerts
         assert alert.rule == "synthetic"
         assert alert.active
-        assert alert.fired_at == pytest.approx(0.05)
+        assert alert.fired_at == pytest.approx(0.025)
         assert alert.values == {"sig.hot": 1.0}
         box["hot"] = 0.0
-        scheduler.run(until=0.065)          # one cold tick: still active
+        scheduler.run(until=0.0325)         # one cold tick: still active
         assert alert.active
-        scheduler.run(until=0.075)          # second: clears
+        scheduler.run(until=0.0375)         # second: clears
         assert not alert.active
-        assert alert.cleared_at == pytest.approx(0.07)
+        assert alert.cleared_at == pytest.approx(0.035)
 
     def test_flapping_below_threshold_never_fires(self):
-        scheduler, telemetry, kernel = armed_telemetry(
-            interval=0.01, watchdogs=False, horizon=1.0
-        )
+        scheduler, telemetry, kernel = armed_telemetry(horizon=1.0)
         calls = iter(range(10_000))
 
         def flapping_gauge():

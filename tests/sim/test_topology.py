@@ -122,8 +122,8 @@ class TestValidation:
                 SegmentSpec(n, _noop_builder) for n in ("a", "b", "c")
             ),
             bridges=(
-                BridgeSpec("a", "b", link_id="x"),
-                BridgeSpec("b", "c", link_id="x"),
+                BridgeSpec("a", "b"),
+                BridgeSpec("a", "b", delay=2e-3),
             ),
         )
         with pytest.raises(ValueError, match="link ids"):
@@ -216,9 +216,12 @@ class TestSegmentContext:
         assert (a, b) == (1, 2)
 
     def test_bridge_station_range_reserved(self):
+        """A segment that has allocated every host station refuses the
+        next host rather than hand it a bridge's address."""
         def builder(ctx):
+            ctx._next_station = BRIDGE_STATION_BASE
             with pytest.raises(ValueError, match="reserved"):
-                ctx.host("bad", station=BRIDGE_STATION_BASE)
+                ctx.host("bad")
 
         self._runtime(builder)
 

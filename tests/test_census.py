@@ -1,0 +1,46 @@
+"""The reachability census's owner table stays in step with the code.
+
+``benchmarks/census.py`` reports what nothing but tests reaches, and
+which parameters and dataclass fields only ever hold their default,
+unless an ``OWNERS`` pattern names the document or oracle that keeps
+it.  A pattern that matches nothing would keep nothing: deleting code
+must take its owner line with it.
+"""
+
+import importlib.util
+import os
+from fnmatch import fnmatchcase
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def census():
+    spec = importlib.util.spec_from_file_location(
+        "census", os.path.join(ROOT, "benchmarks", "census.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def names(census):
+    return census.names(census.inventory())
+
+
+def test_every_owner_matches_a_name_in_the_inventory(census, names):
+    stale = [
+        pattern
+        for pattern, _ in census.OWNERS
+        if not any(fnmatchcase(name, pattern) for name in names)
+    ]
+    assert stale == []
+
+
+def test_inventory_names_dataclass_fields(names):
+    assert "repro.net.medium.ChaosConfig(loss_rate)" in names
+    assert "repro.sim.topology.TopologySpec(telemetry)" in names
+    assert "repro.sim.world.World.run_until_done(max_events)" in names

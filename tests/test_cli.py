@@ -302,7 +302,6 @@ class TestFrontDoorOracle:
         ["flow_storm", "--duration", "nan"],
         # and their neighbours
         ["flow_storm", "--shards", "2", "--timeout", "inf"],
-        ["flow_storm", "--top", "--refresh", "0"],
         ["flow_storm", "--faults", "sideways:lan0~lan1"],
         ["flow_storm", "--faults", "down:lan7~lan8:0.1:0.2"],
         # fault times that are not finite: a flap that never ends, a
@@ -321,6 +320,7 @@ class TestFrontDoorOracle:
         # a deleted flag is refused like any other unknown one
         ["flow_storm", "--checkpoint-interval", "4"],
         ["receive", "--shards", "2", "--recover"],
+        ["flow_storm", "--top", "--refresh", "0"],
         ["flow_storm", "--plain"],
         [],
     ],
