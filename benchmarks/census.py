@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Reachability census of ``src/repro``: who reaches each function, and
-which values each defaulted parameter is ever given.
+"""Reachability census of ``src/repro``: who reaches each function,
+which values each defaulted parameter is ever given, and which stored
+attributes nothing reads.
 
     PYTHONPATH=src python benchmarks/census.py [--json FILE] [--logs DIR [--no-run]]
 
@@ -33,10 +34,17 @@ field with a simple default is a parameter of its class, named
 in the package, so the hook keys each construction by the instance's
 class instead.
 
+A static view needs no run: every attribute the package stores (``x.a =
+...``, ``x.a += ...``, a class-body field) whose name no module under
+``src``, ``tests``, ``benchmarks``, ``perfbench`` or ``examples`` reads
+(:func:`unread_state`).  Writing is not reading: ``x.a[k] = ...`` and
+``x.a.append(...)`` (``extend``, ``add``, ``update``) leave ``a`` unread.
+
 Everything that no user reaches, every parameter or field that only
-ever holds its default, and every one that a non-test run (``user``,
+ever holds its default, every one that a non-test run (``user``,
 ``perfbench``) leaves at its default while only tests set another value,
-must match an entry of :data:`OWNERS` — the document, CI step, oracle or
+and every attribute stored and never read, must match an entry of
+:data:`OWNERS` — the document, CI step, oracle or
 ROADMAP item that keeps it.  What matches none is listed as
 **unowned**.  The census is a report, not a gate: it exits 0 whatever it
 finds, and non-zero only when it could not run.
@@ -91,6 +99,8 @@ _STATE = ("state record: each field starts at its default and is counted "
 _IR = "docs/PERFORMANCE.md, The filter compiler: pf.ir.* gauges, hoisted values"
 _EMITTED = "ROADMAP item 6(b): the emitted source the mutation oracle edits"
 _TREE = "oracle: the dispatch tree's own reading, checked against the linear scan"
+_IOCTL = ("docs/SIMULATOR.md, Devices: a GETINFO/GETSTATS result is section "
+          "3.3's record for the user process that issued the ioctl")
 
 # (fnmatch pattern over ``module.qualname``, or ``module.qualname(param)``
 #  for a parameter or dataclass field; the owner that keeps it).  The
@@ -123,6 +133,8 @@ OWNERS = (
     ("repro.sim.world.World.run_until_done(max_events)", _BOUNDS),
     ("repro.core.opt.cse_filter_set", "perfbench/tracer.py TARGETS, ROADMAP 1(c)"),
     ("repro.core.opt.DispatchTree.lookup", _TREE),
+    ("repro.sim.clock.EventScheduler.pending",
+     "oracle: the scheduler model test counts live events against its model"),
     ("repro.core.opt.NecessaryTest.matches", _TREE),
     ("repro.core.opt.necessary_equalities",
      "docs/LANGUAGE.md, Tooling map: the set-level analysis"),
@@ -142,6 +154,8 @@ OWNERS = (
     ("repro.core.port.ReadTimeoutPolicy(blocking)",
      "docs/SIMULATOR.md, Devices: section 3.3's three read modes"),
     ("repro.core.port.PortStats(*)", _STATE),
+    ("repro.core.ioctl.DataLinkInfo.max_packet_bytes", _IOCTL),
+    ("repro.core.ioctl.PortStatus.dropped_queue_overflow", _IOCTL),
     ("repro.sim.ledger.PacketSpan.*", _SPANS),
     ("repro.sim.ledger.Ledger.open_spans", _SPANS),
     ("repro.sim.telemetry.Telemetry.series", _SAMPLER),
@@ -608,6 +622,133 @@ def static_names(functions: list[dict], reached: dict) -> dict:
     return named
 
 
+READERS = ("tests", "benchmarks", "perfbench", "examples")
+"""Where the state view looks, besides the package itself, for a module
+that reads an attribute."""
+
+_WRITE_CALLS = {"append", "extend", "add", "update"}
+_KEY_CALLS = {"get", "pop", "setdefault"}
+
+
+def _modules(top: str):
+    for folder, _, files in sorted(os.walk(top)):
+        for filename in sorted(files):
+            if filename.endswith(".py"):
+                yield os.path.join(folder, filename)
+
+
+def _stored(tree, module: str, rel: str) -> list[dict]:
+    """Every attribute a module of the package stores: ``x.a = ...``,
+    ``x.a += ...``, ``x.a: T = ...`` and a class-body field.  A store
+    on ``self`` or in a class body is named ``module.Class.attr``, any
+    other ``module.attr``."""
+    import ast
+
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, ast.ClassDef):
+                inner = [*scope, child.name]
+                for item in child.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)
+                            and "ClassVar" not in ast.unparse(item.annotation)):
+                        found.append(_store(module, rel, inner, item.target.id,
+                                            item.lineno))
+            elif (isinstance(child, ast.Attribute)
+                  and isinstance(child.ctx, ast.Store)):
+                on_self = (isinstance(child.value, ast.Name)
+                           and child.value.id in ("self", "cls"))
+                found.append(_store(module, rel, scope if on_self else [],
+                                    child.attr, child.lineno))
+            visit(child, inner)
+
+    visit(tree, [])
+    return found
+
+
+def _store(module, rel, scope, attr, line) -> dict:
+    return {"name": ".".join([module, *scope, attr]), "attribute": attr,
+            "file": rel, "line": line}
+
+
+def _loaded(tree) -> set:
+    """Every attribute name a module reads: an attribute load, or a
+    string constant (``getattr(x, "a")``, a field list).  Write idioms
+    are not reads: the ``x.a`` of ``x.a[k] = ...`` or ``x.a.append(...)``
+    (``extend``, ``add``, ``update``), nor is a string that keys a dict
+    (``{"a": ...}``, ``d["a"]``, ``d.get("a")``)."""
+    import ast
+
+    skip = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript):
+            if isinstance(node.ctx, (ast.Store, ast.Del)):
+                skip.add(id(node.value))
+            if isinstance(node.slice, ast.Constant):
+                skip.add(id(node.slice))
+        elif isinstance(node, ast.Dict):
+            skip.update(id(key) for key in node.keys)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in _WRITE_CALLS:
+                skip.add(id(node.func.value))
+            elif node.func.attr in _KEY_CALLS and node.args:
+                skip.add(id(node.args[0]))
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _package_trees():
+    import ast
+
+    for path in _modules(PACKAGE):
+        rel = os.path.relpath(path, PACKAGE)
+        module = "repro." + rel[:-3].replace(os.sep, ".")
+        with open(path, encoding="utf-8") as handle:
+            yield module.removesuffix(".__init__"), rel, ast.parse(handle.read())
+
+
+def unread_state() -> list[dict]:
+    """The state view: one row per attribute name that ``src/repro``
+    stores and no module under :data:`READERS` reads, named by its first
+    store and carrying the owner that keeps it.
+
+    A module outside the package is parsed only when its text spells a
+    candidate, so the view costs one parse of the package and a text
+    search of the rest.
+    """
+    import ast
+    import re
+
+    first: dict = {}
+    read = set()
+    for module, rel, tree in _package_trees():
+        for row in _stored(tree, module, rel):
+            first.setdefault(row["attribute"], row)
+        read |= _loaded(tree)
+    unread = set(first) - read
+    for top in READERS:
+        for path in _modules(os.path.join(ROOT, top)):
+            if not unread:
+                break
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            spelled = r"\b(?:%s)\b" % "|".join(map(re.escape, sorted(unread)))
+            if re.search(spelled, text):
+                unread -= _loaded(ast.parse(text))
+    return [{**first[attr], "owner": owner_of(first[attr]["name"])}
+            for attr in sorted(unread)]
+
+
 def owner_of(name: str) -> str | None:
     from fnmatch import fnmatchcase
 
@@ -683,6 +824,8 @@ def summary(functions: list[dict], result: dict) -> dict:
         "unowned_functions": sum("owner" in r and r["owner"] is None for r in rows),
         "unowned_parameters": sum(p["owner"] is None for p in result["parameters"]),
         "unowned_fields": sum(p["owner"] is None for p in result["fields"]),
+        "unread_state": len(result["state"]),
+        "unowned_state": sum(row["owner"] is None for row in result["state"]),
     }
 
 
@@ -699,8 +842,10 @@ def render(report: dict) -> str:
         f"dataclass fields with a default {s['fields_with_default']}: simple "
         f"{s['simple_fields']}, one value in use {s['one_value_fields']}, "
         f"only tests set another {s['test_only_fields']}",
+        f"attributes stored and never read {s['unread_state']}",
         f"unowned: {s['unowned_functions']} functions, "
-        f"{s['unowned_parameters']} parameters, {s['unowned_fields']} fields",
+        f"{s['unowned_parameters']} parameters, {s['unowned_fields']} fields, "
+        f"{s['unowned_state']} attributes",
     ]
     failed = [r for r in report["runs"] if r["returncode"] != 0]
     for run in failed:
@@ -721,8 +866,14 @@ def render(report: dict) -> str:
                 tests = f"  (tests: {', '.join(row['tests'])})" if row["tests"] else ""
                 owner = row["owner"] or "UNOWNED"
                 lines.append(f"  {row['name']} = {row['default']}{tests}  -- {owner}")
+    if report["state"]:
+        lines.append("\nattributes stored and never read:")
+    for row in report["state"]:
+        lines.append(f"  {row['name']}  ({row['file']}:{row['line']})  "
+                     f"-- {row['owner'] or 'UNOWNED'}")
     owners: dict = {}
-    for row in report["functions"] + report["parameters"] + report["fields"]:
+    for row in (report["functions"] + report["parameters"] + report["fields"]
+                + report["state"]):
         if row.get("owner"):
             owners[row["owner"]] = owners.get(row["owner"], 0) + 1
     if owners:
@@ -769,6 +920,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.logs:
             shutil.rmtree(logs, ignore_errors=True)
     report = verdicts(functions, reached, passed)
+    report["state"] = unread_state()
     report["summary"] = summary(functions, report)
     report["runs"] = runs
     print(render(report))

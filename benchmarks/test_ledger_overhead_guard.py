@@ -2,9 +2,7 @@
 
 That the ledger and telemetry run no code at all when switched off is
 a count, in ``test_sim_call_budget.py``.  What stays here: an unarmed
-telemetry sampler must leave the simulation bitwise unchanged, and the
-one observability primitive that runs on a per-event path
-(``LogHistogram.add``) must stay cheap.
+telemetry sampler must leave the simulation bitwise unchanged.
 """
 
 
@@ -46,33 +44,3 @@ def test_telemetry_disabled_is_free(emit):
     assert kernel.stats == observed["receiver_host"].kernel.stats
     assert plain["goodput_pps"] == observed["goodput_pps"]
 
-
-def test_histogram_hot_path_stays_cheap(emit):
-    """Guard for the observability plane's one per-sample primitive.
-
-    ``LogHistogram.add`` runs once per closed span and once per grant
-    reply — the only plane code on a per-event path.  It must stay a
-    ``frexp`` + list increment: no log(), no allocation, no resize.
-    Best of three runs; the floor is set ~10x
-    under a cold CPython's measured rate, so only an algorithmic
-    regression (per-add allocation, accidental O(buckets) scan) trips
-    it."""
-    import time
-
-    from repro.sim.telemetry import LogHistogram
-
-    samples = [1e-6 * (1.01 ** (n % 1500)) for n in range(200_000)]
-    best = 0.0
-    for _ in range(3):
-        hist = LogHistogram()
-        t0 = time.perf_counter()
-        for value in samples:
-            hist.add(value)
-        elapsed = time.perf_counter() - t0
-        best = max(best, len(samples) / elapsed)
-    emit(f"LogHistogram.add: best {best:,.0f} adds/s over 3 runs")
-    assert hist.count == len(samples)
-    assert best >= 2e5, (
-        f"histogram hot path collapsed to {best:,.0f} adds/s "
-        "(floor 200k/s)"
-    )

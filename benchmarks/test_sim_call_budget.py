@@ -100,7 +100,8 @@ OBSERVERS = (
     telemetry._rto_backoff_storm,
 )
 """What must stay idle with the ledger and telemetry off.
-``LogHistogram`` is not here: the always-on sync profile feeds it."""
+The sync profile (:mod:`repro.sim.obsplane`) is not here: the supervisor
+keeps it whether or not anything watches."""
 
 DELIVER_CALLS = {
     ("checked", False): 251.0,

@@ -21,17 +21,21 @@ repaints, alerts as they fire, the trace notice, errors) goes to stderr.
 Exit codes: 0 on success, 2 for arguments the named topology cannot
 honour, 3 when a shard died (:class:`~repro.sim.shard.ShardDiedError`),
 4 when a shard blew its reply deadline
-(:class:`~repro.sim.shard.ShardTimeoutError`).
+(:class:`~repro.sim.shard.ShardTimeoutError`), 141 when stdout's reader
+closed the pipe (``run NAME --json | head``) — quietly, the status a
+shell reports for a program that SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 EXIT_USAGE = 2
 EXIT_SHARD_DIED = 3
 EXIT_SHARD_TIMEOUT = 4
+EXIT_BROKEN_PIPE = 141
 
 
 def cmd_info() -> int:
@@ -304,6 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()   # a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # What the reader left unread is lost either way; point stdout
+        # at /dev/null so the interpreter's own flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = build_parser()
     # ``run`` reports an unknown flag like any other usage error: one
     # stderr line and exit 2, not argparse's usage dump.

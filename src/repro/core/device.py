@@ -102,8 +102,6 @@ class PacketFilterDevice(DeviceDriver):
         self.demux = PacketFilterDemux(**demux_options)
         self._handles: dict[int, PacketFilterHandle] = {}  # port_id -> handle
         self._next_port_id = 0
-        self.packets_processed = 0
-        self.packets_accepted = 0
         self.packets_delivered = 0         #: packets handed to readers
         self.packets_dropped_overflow = 0  #: port-queue overflow drops
         self.kernel.register_rx_classifier(self._admission_full)
@@ -227,7 +225,6 @@ class PacketFilterDevice(DeviceDriver):
         Returns True when some port accepted it (the kernel uses this
         to decide whether the frame went unclaimed).
         """
-        self.packets_processed += 1
         kernel = self.kernel
         now = kernel.scheduler.now
         report = self.demux.deliver(frame, timestamp=now, packet_id=packet_id)
@@ -264,7 +261,6 @@ class PacketFilterDevice(DeviceDriver):
         """
         if not frames:
             return []
-        self.packets_processed += len(frames)
         kernel = self.kernel
         ledger = kernel.ledger
         now = kernel.scheduler.now
@@ -355,7 +351,6 @@ class PacketFilterDevice(DeviceDriver):
             ledger.close_packet(packet_id, outcome, now)
         if not report.accepted:
             return False
-        self.packets_accepted += 1
         return True
 
 

@@ -36,10 +36,6 @@ class KernelNetworkStack:
         self._routes: dict[int, bytes] = {}
         self._transports: dict[int, Callable] = {}
         self._ip_id = 0
-        self.datagrams_received = 0
-        self.datagrams_sent = 0
-        self.bad_datagrams = 0
-        self.undeliverable = 0
         self.kernel.register_ethertype(ETHERTYPE_IP, self._ip_input)
 
     # -- configuration ------------------------------------------------------
@@ -63,7 +59,6 @@ class KernelNetworkStack:
         """Build and transmit one IP datagram (kernel context)."""
         station = self._routes.get(dst_ip)
         if station is None:
-            self.undeliverable += 1
             raise IPError(f"no route to {format_ip(dst_ip)}")
         self._ip_id = (self._ip_id + 1) & 0xFFFF
         header = IPHeader(
@@ -75,7 +70,6 @@ class KernelNetworkStack:
         frame = self.host.link.frame(
             station, self.host.address, ETHERTYPE_IP, header.encode(payload)
         )
-        self.datagrams_sent += 1
         self.kernel.network_output(self.host.nic, frame)
 
     # -- input ------------------------------------------------------------------
@@ -87,16 +81,12 @@ class KernelNetworkStack:
         try:
             header, payload = IPHeader.decode(self.host.link.payload_of(frame))
         except IPError:
-            self.bad_datagrams += 1
             return
         if header.dst != self.ip_address:
             return  # not ours; a router we are not
-        self.datagrams_received += 1
         handler = self._transports.get(header.protocol)
-        if handler is None:
-            self.undeliverable += 1
-            return
-        handler(header, payload)
+        if handler is not None:
+            handler(header, payload)
 
 
 def link_stacks(*stacks: KernelNetworkStack) -> None:

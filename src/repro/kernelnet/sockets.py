@@ -215,7 +215,7 @@ class StreamReadMixin:
     """Byte-stream ``_take``: coalesce chunks up to the requested size."""
 
     def _take(self, size: int | None) -> bytes:
-        data, _ = take_bytes(
+        data = take_bytes(
             self._chunks, self._buffered_bytes if size is None else size
         )
         self._buffered_bytes -= len(data)

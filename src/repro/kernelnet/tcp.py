@@ -76,8 +76,6 @@ class KernelTCP(DeviceDriver):
         self._next_iss = 100
         stack.register_transport(PROTO_TCP, self._tcp_input)
         self.kernel.register_device("tcp", self)
-        self.segments_in = 0
-        self.segments_no_port = 0
 
     def open(self, kernel: SimKernel, process: Process) -> "TCPSocketHandle":
         return TCPSocketHandle(self)
@@ -103,11 +101,8 @@ class KernelTCP(DeviceDriver):
         except TCPError:
             return
         handle = self.ports.get(segment.dst_port)
-        if handle is None:
-            self.segments_no_port += 1
-            return
-        self.segments_in += 1
-        handle.segment_arrived(ip_header.src, segment)
+        if handle is not None:
+            handle.segment_arrived(ip_header.src, segment)
 
 
 class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
@@ -136,10 +131,6 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
         self._fin_pending = False
         self._window_was_closed = False
         self._release_when_drained = False
-
-        self.segments_sent = 0
-        self.acks_sent = 0
-        self.retransmits = 0
 
     # ------------------------------------------------------------------
     # control
@@ -257,14 +248,12 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
             window=self._advertised_window(),
             payload=payload,
         )
-        self.segments_sent += 1
         self.protocol.stack.send(self.peer[0], PROTO_TCP, segment.encode())
         if track:
             self._inflight.append((seq, payload, flags))
             self._arm_retransmit()
 
     def _send_ack(self) -> None:
-        self.acks_sent += 1
         self._transmit(self.snd_nxt, b"", TCPFlags.ACK, track=False)
 
     # ------------------------------------------------------------------
@@ -298,7 +287,6 @@ class TCPSocketHandle(StreamReadMixin, BufferedSocketHandle):
             self._abort(SimTimeout("TCP retransmission limit reached"))
             return
         seq, payload, flags = self._inflight[0]
-        self.retransmits += 1
         self._transmit(seq, payload, flags, track=False)
         self._arm_retransmit()
 

@@ -31,8 +31,6 @@ class KernelUDP(DeviceDriver):
         self.ports = PortTable("UDP", 1024)
         stack.register_transport(PROTO_UDP, self._udp_input)
         self.kernel.register_device(device_name, self)
-        self.datagrams_in = 0
-        self.datagrams_no_port = 0
 
     def open(self, kernel: SimKernel, process: Process) -> "UDPSocketHandle":
         return UDPSocketHandle(self)
@@ -57,11 +55,8 @@ class KernelUDP(DeviceDriver):
                 component="udp",
             )
         handle = self.ports.get(header.dst_port)
-        if handle is None:
-            self.datagrams_no_port += 1
-            return
-        self.datagrams_in += 1
-        handle.deposit_datagram(ip_header.src, header.src_port, data)
+        if handle is not None:
+            handle._deposit(data)
 
 
 class UDPSocketHandle(BufferedSocketHandle):
@@ -73,7 +68,6 @@ class UDPSocketHandle(BufferedSocketHandle):
         self.local_port: int | None = None
         self.peer: tuple[int, int] | None = None   # (ip, port)
         self.with_checksum = False
-        self.last_sender: tuple[int, int] | None = None
         link = protocol.stack.host.link
         self.max_write = (
             link.max_frame_bytes - link.header_length
@@ -125,10 +119,6 @@ class UDPSocketHandle(BufferedSocketHandle):
         )
         self.protocol.stack.send(self.peer[0], PROTO_UDP, header.encode(data))
         kernel.complete(process, len(data))
-
-    def deposit_datagram(self, src_ip: int, src_port: int, data: bytes) -> None:
-        self.last_sender = (src_ip, src_port)
-        self._deposit(data)
 
     def close(self, process: Process) -> None:
         self.protocol.ports.release(self.local_port)

@@ -63,8 +63,6 @@ class KernelVMTP(DeviceDriver):
         self._next_client_id = 1
         self.kernel.register_ethertype(ETHERTYPE_VMTP, self._input)
         self.kernel.register_device("vmtp", self)
-        self.packets_in = 0
-        self.packets_unwanted = 0
 
     def open(self, kernel: SimKernel, process: Process) -> "VMTPRoleHandle":
         return VMTPRoleHandle(self)
@@ -99,11 +97,8 @@ class KernelVMTP(DeviceDriver):
             endpoint = self._clients.get(packet.client)
         else:  # REQUEST or RSPACK go to the server
             endpoint = self._servers.get(packet.server)
-        if endpoint is None:
-            self.packets_unwanted += 1
-            return
-        self.packets_in += 1
-        endpoint.packet_arrived(station, packet)
+        if endpoint is not None:
+            endpoint.packet_arrived(station, packet)
 
     # -- output helper (kernel context) ------------------------------------------
 

@@ -35,7 +35,6 @@ class LinkSpec:
     address_length: int    #: bytes per station address
     header_length: int     #: dst + src + type
     max_frame_bytes: int   #: MTU including the data-link header
-    min_frame_bytes: int   #: shortest legal frame
     bandwidth_bps: int     #: raw signalling rate
     broadcast: bytes       #: the all-stations address
 
@@ -99,7 +98,6 @@ ETHERNET_10MB = LinkSpec(
     address_length=6,
     header_length=14,
     max_frame_bytes=1514,
-    min_frame_bytes=64,
     bandwidth_bps=10_000_000,
     broadcast=b"\xff" * 6,
 )
@@ -110,7 +108,6 @@ ETHERNET_3MB = LinkSpec(
     address_length=1,
     header_length=4,
     max_frame_bytes=600,
-    min_frame_bytes=4,
     bandwidth_bps=2_940_000,
     broadcast=b"\x00",
 )

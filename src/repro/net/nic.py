@@ -59,7 +59,6 @@ class NIC:
         """In budgeted-polling mode: an ``RxPolicy`` watermark was
         crossed and the poll loop, not per-frame interrupts, drains the
         ring (receive-livelock avoidance)."""
-        self._poll_event = None
         self.polls = 0              #: poll quanta executed
         self.frames_polled = 0      #: frames drained by the poll loop
         self.poll_mode_entries = 0  #: interrupt -> polling transitions
@@ -205,7 +204,7 @@ class NIC:
         if self._service_scheduled and self._service_event is not None:
             self._service_event.cancel()
             self._service_scheduled = False
-        self._poll_event = self.kernel.scheduler.schedule_at(
+        self.kernel.scheduler.schedule_at(
             self.kernel.cpu_available_at, self._poll
         )
 
@@ -216,7 +215,6 @@ class NIC:
         """
         kernel = self.kernel
         policy = kernel.rx_policy
-        self._poll_event = None
         if policy is None or not self._input_queue:
             # Load has passed (or the policy was removed mid-flight):
             # back to interrupt-per-frame service.
@@ -247,4 +245,4 @@ class NIC:
             end + policy.user_gap(end - start),
             kernel.scheduler.now + POLL_PERIOD,
         )
-        self._poll_event = kernel.scheduler.schedule_at(next_at, self._poll)
+        kernel.scheduler.schedule_at(next_at, self._poll)

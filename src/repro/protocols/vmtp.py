@@ -261,7 +261,6 @@ class VMTPServerCore:
         self._assemblers: dict[tuple, MessageAssembler] = {}
         self._in_progress: dict[tuple, int] = {}
         self._responses: dict[tuple, tuple[int, list[VMTPPacket]]] = {}
-        self.duplicate_requests = 0
 
     def packet_in(
         self, station: bytes, packet: VMTPPacket
@@ -284,13 +283,11 @@ class VMTPServerCore:
             # Duplicate of an answered request: re-send from the cache
             # without bothering the service (at-most-once), and only the
             # segments the retry's mask still wants.
-            self.duplicate_requests += 1
             mask = packet.segment_mask
             return [p for p in cached[1] if mask & (1 << p.seg_index)]
         if self._in_progress.get(who) == packet.transaction:
             # Retry of a request still being served: the response is on
             # its way, so the service is not invoked again.
-            self.duplicate_requests += 1
             return []
         key = (who, packet.transaction)
         assembler = self._assemblers.setdefault(key, MessageAssembler())
@@ -441,8 +438,6 @@ class VMTPClient:
         self.inbox = inbox
         self.fd: int | None = None
         self._transaction = 0
-        self.packets_sent = 0
-        self.packets_received = 0
         self.retries = 0
 
     @property
@@ -499,7 +494,6 @@ class VMTPClient:
                 packet.encode(),
             ),
         )
-        self.packets_sent += 1
 
     def call(self, request: bytes):
         """One message transaction; returns the response message.
@@ -554,7 +548,6 @@ class VMTPClient:
                     return None  # retry the request
                 frames = [delivered.data for delivered in batch]
             for frame in frames:
-                self.packets_received += 1
                 payload = self.host.link.payload_of(frame)
                 yield Compute(
                     self._costs.user_transport_per_packet
@@ -605,8 +598,6 @@ class VMTPServer:
         self.batching = batching
         self.fd: int | None = None
         self.transactions = VMTPServerCore(server_id)
-        self.packets_received = 0
-        self.packets_sent = 0
         self.corrupt_dropped = 0
 
     @property
@@ -627,7 +618,6 @@ class VMTPServer:
         while True:
             batch = yield Read(self.fd)
             for delivered in batch:
-                self.packets_received += 1
                 payload = self.host.link.payload_of(delivered.data)
                 yield Compute(
                     self._costs.user_transport_per_packet
@@ -667,4 +657,3 @@ class VMTPServer:
             )
         for frame in frames:
             yield Write(self.fd, frame)
-            self.packets_sent += 1

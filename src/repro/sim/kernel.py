@@ -501,7 +501,6 @@ class SimKernel:
         process = Process(self._next_pid, name, body)
         self._next_pid += 1
         self.processes[process.pid] = process
-        process.started_at = self.scheduler.now
         self.scheduler.schedule_at(
             self.cpu_available_at, self._resume, process, None, None
         )

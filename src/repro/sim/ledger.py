@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from .stats import KernelStats
+from .stats import KernelStats, nearest_rank
 
 __all__ = [
     "Primitive",
@@ -529,15 +529,9 @@ class Ledger:
     ) -> dict[float, float]:
         """Nearest-rank wire-arrival to syscall-return latency percentiles
         (empty dict when no span reached both — e.g. a pure-drop run)."""
-        data = sorted(
+        return nearest_rank(
             self.stage_latencies(
                 STAGE_WIRE_ARRIVAL, STAGE_SYSCALL_RETURN, host=host
-            )
+            ),
+            percentiles,
         )
-        if not data:
-            return {}
-        n = len(data)
-        return {
-            p: data[min(n - 1, max(0, math.ceil(p * n) - 1))]
-            for p in percentiles
-        }

@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .telemetry import Alert, LogHistogram
+from .stats import nearest_rank
+from .telemetry import Alert
 
 __all__ = [
     "ObservabilityPlane",
@@ -48,9 +49,19 @@ __all__ = [
 
 TRACK_LIMIT = 4096
 """Per-window samples kept by :class:`SyncProfile` (horizons, wall
-times, egress depths).  Aggregates keep accumulating past the cap, so
-profiles stay *bounded* even at the orchestrator's million-window
-ceiling; only the per-window detail truncates."""
+times, grant waits, egress depths).  Aggregates keep accumulating past
+the cap, so profiles stay *bounded* even at the orchestrator's
+million-window ceiling; only the per-window detail (and the percentiles
+read off it) truncates."""
+
+_DASHBOARD = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
+
+
+def _percentiles(samples: list) -> dict[str, float | None]:
+    """The dashboard triple of wall times, keyed ``p50``-style (None
+    while there are no samples)."""
+    found = nearest_rank(samples, _DASHBOARD.values())
+    return {key: found.get(q) for key, q in _DASHBOARD.items()}
 
 
 class ObservabilityPlane:
@@ -178,8 +189,8 @@ class ShardSyncStats:
 
     Every field is filled supervisor-side, from the grants sent and the
     window replies received — whether or not anything is watching.
-    The wall-clock field (``grant_wait_seconds``) is honest machine
-    time and therefore *outside* the run digest — like
+    The wall-clock fields (``grant_wait_seconds``, ``grant_waits``) are
+    honest machine time and therefore *outside* the run digest — like
     :attr:`~repro.sim.orchestrator.TopologyResult.wall_seconds` always
     was.  The event-shaped fields (window, events, null grants, egress
     counts) are sim-deterministic and reproduce bitwise across runs.
@@ -194,7 +205,7 @@ class ShardSyncStats:
     grants: int = 0
     null_grants: int = 0               #: grants that carried zero frames
     grant_wait_seconds: float = 0.0    #: wall time blocked on step replies
-    grant_wait_hist: LogHistogram = field(default_factory=LogHistogram)
+    grant_waits: list = field(default_factory=list)  #: wall secs per window
     egress_frames: int = 0             #: frames this shard handed back
     max_egress_depth: int = 0          #: largest single-window egress
     egress_per_window: list = field(default_factory=list)
@@ -214,12 +225,12 @@ class ShardSyncStats:
         self.events_fired += fired
         self.egress_backlog = depth = len(egress)
         self.grant_wait_seconds += wait_seconds
-        self.grant_wait_hist.add(wait_seconds)
         self.egress_frames += depth
         if depth > self.max_egress_depth:
             self.max_egress_depth = depth
         if len(self.egress_per_window) < TRACK_LIMIT:
             self.egress_per_window.append(depth)
+            self.grant_waits.append(wait_seconds)
 
     def as_dict(self) -> dict:
         return {
@@ -227,7 +238,7 @@ class ShardSyncStats:
             "grants": self.grants,
             "null_grants": self.null_grants,
             "grant_wait_seconds": self.grant_wait_seconds,
-            "grant_wait": self.grant_wait_hist.percentiles(),
+            "grant_wait": _percentiles(self.grant_waits),
             "egress_frames": self.egress_frames,
             "max_egress_depth": self.max_egress_depth,
             "inbound_frames": self.inbound_frames,
@@ -245,12 +256,10 @@ class SyncProfile:
     horizons: list = field(default_factory=list)      #: sim-time grant horizons
     window_walls: list = field(default_factory=list)  #: wall secs per window
     window_wall_seconds: float = 0.0
-    advance_hist: LogHistogram = field(default_factory=LogHistogram)
 
     def note_window(self, horizon: float | None, wall_seconds: float) -> None:
         self.windows += 1
         self.window_wall_seconds += wall_seconds
-        self.advance_hist.add(wall_seconds)
         if len(self.horizons) < TRACK_LIMIT:
             self.horizons.append(horizon)
             self.window_walls.append(wall_seconds)
@@ -264,7 +273,7 @@ class SyncProfile:
         return {
             "windows": self.windows,
             "wall_per_window": self.wall_per_window,
-            "window_advance": self.advance_hist.percentiles(),
+            "window_advance": _percentiles(self.window_walls),
             "shards": [stats.as_dict() for stats in self.shards],
         }
 
@@ -274,8 +283,8 @@ class SyncProfile:
             f"sync protocol: {self.windows} windows, "
             f"{self.wall_per_window * 1000.0:.3f} ms wall/window"
         ]
-        advance = self.advance_hist.percentiles()
-        if advance.get("p50") is not None:
+        advance = _percentiles(self.window_walls)
+        if advance["p50"] is not None:
             lines.append(
                 "window advance: "
                 + " ".join(
@@ -289,7 +298,7 @@ class SyncProfile:
             f"{'wait ms':>9} {'wait p95':>9} {'egress':>7} {'depth':>6}"
         )
         for stats in self.shards:
-            p95 = stats.grant_wait_hist.quantile(0.95)
+            p95 = _percentiles(stats.grant_waits)["p95"]
             lines.append(
                 f"{stats.shard_id:>5} "
                 f"{','.join(stats.segments):<18} "

@@ -38,21 +38,19 @@ PIPE_CAPACITY = 4096
 """Maximum buffered bytes before writers block (4.3BSD's 4KB)."""
 
 
-def take_bytes(chunks: deque[bytes], size: int) -> tuple[bytes, int]:
+def take_bytes(chunks: deque[bytes], size: int) -> bytes:
     """A byte-stream read: coalesce up to ``size`` bytes off the front of
-    ``chunks``; returns them and how many chunks were consumed whole."""
+    ``chunks``."""
     out = bytearray()
-    whole = 0
     while chunks and len(out) < size:
         chunk = chunks[0]
         need = size - len(out)
         if len(chunk) <= need:
             out.extend(chunks.popleft())
-            whole += 1
         else:
             out.extend(chunk[:need])
             chunks[0] = chunk[need:]
-    return bytes(out), whole
+    return bytes(out)
 
 
 class Pipe:
@@ -68,7 +66,6 @@ class Pipe:
         self._write_waiters = WaitQueue(kernel, component="pipe")
         self.read_end = _ReadEnd(self)
         self.write_end = _WriteEnd(self)
-        self.messages_transferred = 0
 
     # -- writer side -----------------------------------------------------
 
@@ -102,8 +99,7 @@ class Pipe:
             )
             return
         size = call.size if call.size is not None else self._buffered
-        data, whole = take_bytes(self._chunks, size)
-        self.messages_transferred += whole
+        data = take_bytes(self._chunks, size)
         self._buffered -= len(data)
         self.kernel.charge_copy(len(data), component="pipe")  # kernel -> user
         self.kernel.complete(process, data)

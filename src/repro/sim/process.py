@@ -158,7 +158,6 @@ class Process:
         self.pending_signals: list[int] = []
         self.result: Any = None
         self.error: BaseException | None = None
-        self.started_at: float | None = None
         self.finished_at: float | None = None
         #: In a terminal state, DONE or FAILED.  A plain field, read
         #: several times a packet: :meth:`SimKernel._finish` is the one

@@ -9,10 +9,11 @@ packet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
-__all__ = ["KernelStats", "merge_stats"]
+__all__ = ["KernelStats", "merge_stats", "nearest_rank"]
 
 
 @dataclass
@@ -50,10 +51,11 @@ class KernelStats:
     def rates(self, earlier: "KernelStats", seconds: float) -> dict[str, float]:
         """Per-second rates of everything accumulated since ``earlier``.
 
-        The windowed-rate helper the telemetry sampler and the bench
-        scenarios share: snapshot before, call after, no hand-written
-        per-field subtraction.  ``cpu_time``'s rate is CPU seconds per
-        second — utilization.
+        The bench scenarios' windowed-rate helper: snapshot before, call
+        after, no hand-written per-field subtraction.  ``cpu_time``'s
+        rate is CPU seconds per second — utilization.  (The telemetry
+        sampler records the counters themselves and takes rates with
+        :meth:`repro.sim.telemetry.Series.rate`.)
         """
         if seconds <= 0:
             raise ValueError("seconds must be positive")
@@ -106,3 +108,20 @@ def merge_stats(
                 )
             merged[host] = stats.snapshot()
     return merged
+
+
+def nearest_rank(
+    samples: Iterable[float], quantiles: Iterable[float]
+) -> dict[float, float]:
+    """Nearest-rank quantiles of ``samples``: for each ``q`` in
+    ``quantiles``, the ``ceil(q * n)``-th smallest of the ``n`` samples
+    (the smallest for ``q == 0``).  Empty when there are no samples.
+
+    The one percentile estimator: the ledger's span latencies and the
+    sync profile's wall times both report through it.
+    """
+    data = sorted(samples)
+    n = len(data)
+    if not n:
+        return {}
+    return {q: data[min(n - 1, max(0, math.ceil(q * n) - 1))] for q in quantiles}

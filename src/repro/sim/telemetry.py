@@ -35,12 +35,10 @@ once the simulation is otherwise quiescent the sampler parks itself so
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
-
-from .stats import KernelStats
+from functools import partial
+from typing import Callable
 
 __all__ = [
     "Series",
@@ -49,11 +47,11 @@ __all__ = [
     "Alert",
     "WatchdogRule",
     "SeriesView",
-    "LogHistogram",
     "builtin_watchdogs",
     "partition_watchdog",
     "INTERVAL",
     "CAPACITY",
+    "STAT_GAUGES",
 ]
 
 INTERVAL = 0.005
@@ -126,102 +124,6 @@ class Series:
         tail = f", latest={self.latest():g}" if self._samples else ""
         return (
             f"Series({self.host}/{self.name}, {len(self._samples)} samples{tail})"
-        )
-
-
-class LogHistogram:
-    """A fixed-bucket log2-scale histogram of positive values.
-
-    Bucket ``i`` covers ``[FLOOR * 2**i, FLOOR * 2**(i+1))`` — octave
-    buckets, so relative error is bounded by a factor of ``sqrt(2)`` at
-    the geometric bucket midpoint no matter how wide the value range.
-    The shape is fixed, so the footprint is ``BUCKETS`` ints however
-    many samples were folded in: the supervisor's always-on sync profile
-    keeps one per shard (grant waits) and one per run (window advances)
-    without retaining a sample.
-
-    ``quantile`` mirrors the nearest-rank convention of
-    :meth:`repro.sim.ledger.Ledger.stage_percentiles`: it finds the
-    bucket holding the k-th smallest sample and reports the bucket's
-    geometric midpoint, clamped to the observed min/max so tiny
-    populations stay exact.
-
-    Values below ``FLOOR`` land in bucket 0, values off the top end in
-    the last bucket; both stay inside the observed min/max clamp.  The
-    shape (``FLOOR`` 1e-7, 64 buckets) spans 100 ns to ~10^12 s — every
-    grant wait and window advance a run can take.
-    """
-
-    __slots__ = ("counts", "count", "total", "min", "max")
-
-    FLOOR = 1e-7
-    BUCKETS = 64
-
-    def __init__(self) -> None:
-        self.counts = [0] * self.BUCKETS
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-
-    def _index(self, value: float) -> int:
-        if value < self.FLOOR:
-            return 0
-        # frexp is exact: value/floor == m * 2**e with m in [0.5, 1),
-        # so the bucket index is e-1 — no log() rounding at powers of 2.
-        _, exponent = math.frexp(value / self.FLOOR)
-        return min(exponent - 1, len(self.counts) - 1)
-
-    def add(self, value: float) -> None:
-        """Fold one sample in (non-negative; zeros join bucket 0)."""
-        self.counts[self._index(value)] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    def bounds(self, index: int) -> tuple[float, float]:
-        """The ``[low, high)`` value range bucket ``index`` covers."""
-        return self.FLOOR * 2.0**index, self.FLOOR * 2.0 ** (index + 1)
-
-    def quantile(self, q: float) -> float | None:
-        """Nearest-rank quantile estimate (None while empty).
-
-        The answer is the geometric midpoint of the bucket holding the
-        k-th smallest sample, clamped to the observed extremes — exact
-        to within one octave, and exactly ``min``/``max`` at the ends.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return None
-        rank = max(1, math.ceil(q * self.count))
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                low, high = self.bounds(index)
-                estimate = math.sqrt(low * high)
-                return min(max(estimate, self.min), self.max)
-        return self.max  # unreachable: counts sum to self.count
-
-    def percentiles(
-        self, qs: tuple[float, ...] = (0.5, 0.95, 0.99)
-    ) -> dict[str, float | None]:
-        """The standard dashboard triple, keyed ``p50``-style."""
-        return {f"p{q * 100:g}": self.quantile(q) for q in qs}
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:
-        if not self.count:
-            return "LogHistogram(empty)"
-        return (
-            f"LogHistogram({self.count} samples, "
-            f"min={self.min:g}, p50={self.quantile(0.5):g}, max={self.max:g})"
         )
 
 
@@ -442,7 +344,7 @@ def builtin_watchdogs() -> list[WatchdogRule]:
             _livelock,
             fire_after=4,
             clear_after=8,
-            capture=("pf.drop_overflow", "pf.delivered", "cpu_util"),
+            capture=("pf.drop_overflow", "pf.delivered", "cpu_time"),
             message=(
                 "drop_overflow rate exceeds delivery rate: CPU is being "
                 "sunk into packets that are then thrown away"
@@ -533,14 +435,12 @@ class TelemetrySnapshot:
 # the sampler
 # ---------------------------------------------------------------------------
 
-#: KernelStats counters sampled as built-in rate gauges every tick.
-#: ``cpu_time`` rate is CPU-seconds per second — utilization.
-_STAT_RATE_GAUGES = (
-    ("cpu_time", "cpu_util", "fraction"),
-    ("syscalls", "syscalls_per_s", "1/s"),
-    ("frames_received", "frames_rx_per_s", "1/s"),
-    ("context_switches", "ctx_switches_per_s", "1/s"),
-    ("interrupts", "interrupts_per_s", "1/s"),
+#: ``KernelStats`` counters every host is sampled for, as cumulative
+#: gauges under their field names (the ``run --json`` ``hosts.<h>``
+#: names).  A rate is :meth:`Series.rate`; ``cpu_time``'s is CPU
+#: seconds per second — utilization.
+STAT_GAUGES = (
+    "cpu_time", "syscalls", "frames_received", "context_switches", "interrupts",
 )
 
 
@@ -560,9 +460,7 @@ class Telemetry:
         self.alerts: list[Alert] = []
         self._series: dict[tuple[str, str], Series] = {}
         self._gauges: dict[tuple[str, str], Callable[[], float]] = {}
-        self._hosts: dict[str, Any] = {}          # name -> SimKernel
-        self._prev_stats: dict[str, KernelStats] = {}
-        self._prev_stats_at: dict[str, float] = {}
+        self._hosts: set[str] = set()
         self._rules: list[_RuleState] = []
         self._default_rules = builtin_watchdogs()
         self._tick_event = None
@@ -570,18 +468,19 @@ class Telemetry:
     # -- registration ----------------------------------------------------
 
     def attach_host(self, kernel) -> None:
-        """Wire one host kernel in: built-in stat gauges, any gauges its
-        components already published, the stock watchdogs, and the
+        """Wire one host kernel in: its :data:`STAT_GAUGES`, any gauges
+        its components already published, the stock watchdogs, and the
         publish-forwarding hook for components created later."""
         name = kernel.name
         if name in self._hosts:
             return
-        self._hosts[name] = kernel
+        self._hosts.add(name)
         kernel.telemetry = self
-        self._prev_stats[name] = kernel.stats.snapshot()
-        self._prev_stats_at[name] = self.scheduler.now
-        for _, gauge_name, unit in _STAT_RATE_GAUGES:
-            self._ensure_series(name, gauge_name, unit)
+        self.register_gauges(
+            name,
+            "",
+            {stat: partial(getattr, kernel.stats, stat) for stat in STAT_GAUGES},
+        )
         for prefix, gauges, unit in kernel._gauge_providers:
             self.register_gauges(name, prefix, gauges, unit=unit)
         view = SeriesView(self, name)
@@ -662,28 +561,14 @@ class Telemetry:
         self._tick_event = None
         now = self.scheduler.now
         self.ticks += 1
-        self._sample_stat_rates(now)
         for (host, name), fn in self._gauges.items():
             self._series[(host, name)].append(now, float(fn()))
         self._evaluate_watchdogs(now)
         # Keep ticking only while the world has other live events —
         # otherwise the sampler itself would keep the simulation from
         # ever quiescing.  A parked sampler can be resume()d.
-        if self.scheduler.pending() > 0:
+        if self.scheduler.next_time() is not None:
             self._schedule_tick()
-
-    def _sample_stat_rates(self, now: float) -> None:
-        for name, kernel in self._hosts.items():
-            prev = self._prev_stats[name]
-            prev_at = self._prev_stats_at[name]
-            dt = now - prev_at
-            if dt <= 0.0:
-                continue
-            rates = kernel.stats.rates(prev, dt)
-            for counter, gauge_name, _ in _STAT_RATE_GAUGES:
-                self._series[(name, gauge_name)].append(now, rates[counter])
-            self._prev_stats[name] = kernel.stats.snapshot()
-            self._prev_stats_at[name] = now
 
     def _evaluate_watchdogs(self, now: float) -> None:
         for state in self._rules:

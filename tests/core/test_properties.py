@@ -18,6 +18,9 @@ The invariants DESIGN.md §5 promises:
   packets alike.
 """
 
+import ast
+import re
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.compiler import compile_expr, word
@@ -33,6 +36,7 @@ from repro.core.instructions import (
     encode_instruction_word,
     pushword,
 )
+from repro.core.irgen import compile_ir_set
 from repro.core.interpreter import (
     FaultCode,
     LanguageLevel,
@@ -153,6 +157,117 @@ edge_packets = st.lists(
     min_size=1,
     max_size=4,
 )
+
+INDIRECT = (StackAction.PUSHIND, StackAction.PUSHBYTEIND)
+
+
+@st.composite
+def extended_programs(draw, max_length=8, indirect=False):
+    """Stack-safe ``EXTENDED`` programs: every operator, the arithmetic
+    ones (``DIV`` included) among them, and indirect pushes whose index
+    is whatever the stack holds — a packet word, a literal, or
+    arithmetic over them.  ``indirect`` also splices in, anywhere, a
+    packet word used as an indirect index and folded into the value
+    below it."""
+    body, depths, depth = [], [], 0
+    for _ in range(draw(st.integers(1, max_length))):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            action = int(draw(plain_actions))
+        elif kind == 1:
+            action = pushword(draw(st.integers(0, 12)))
+        elif kind == 2 and depth >= 1:
+            action = int(draw(st.sampled_from(INDIRECT)))
+        else:
+            action = int(StackAction.NOPUSH)
+        literal = draw(u16) if action == StackAction.PUSHLIT else None
+        ins = Instruction(action, draw(st.sampled_from(BinaryOp)), literal)
+        if ins.pops and depth + ins.pushes < 2:
+            ins = Instruction(action, BinaryOp.NOP, literal)
+        depths.append(depth)
+        depth += ins.pushes - ins.pops
+        body.append(ins)
+    depths.append(depth)
+    if indirect:
+        at = draw(st.integers(0, len(body)))
+        fold = draw(st.sampled_from(BinaryOp)) if depths[at] else BinaryOp.NOP
+        body[at:at] = [
+            Instruction(pushword(draw(st.integers(0, 12)))),
+            Instruction(draw(st.sampled_from(INDIRECT)), fold),
+        ]
+        depth += 0 if depths[at] else 1
+    if depth < 1:
+        body.append(Instruction(StackAction.PUSHONE))
+    return FilterProgram(body, priority=draw(st.integers(0, 255)))
+
+
+@st.composite
+def past_the_end_packets(draw):
+    """Packets whose words, read as an indirect index (of a word or of a
+    byte), land on the last field, just past the end, or far beyond."""
+    packets = []
+    for size in draw(st.lists(st.integers(0, 24), min_size=1, max_size=3)):
+        near = [0, 1, size // 2 - 1, size // 2, size // 2 + 1, size - 1,
+                size, size + 1, 0xFFFF]
+        values = st.sampled_from([value & 0xFFFF for value in near])
+        words = draw(st.lists(values, min_size=(size + 1) // 2,
+                              max_size=(size + 1) // 2))
+        packets.append(pack_words(words)[:size])
+    return packets
+
+
+def engine_outcomes(program, level, mode, packets) -> dict:
+    """What every engine, with and without the flow cache, accepts of
+    ``packets`` — each delivered twice, so that a cached engine's second
+    delivery is a flow-cache hit."""
+    outcomes = {}
+    for engine in Engine:
+        for cache in (False, True):
+            demux = PacketFilterDemux(
+                engine=engine, mode=mode, level=level, flow_cache=cache
+            )
+            port = Port(0, queue_limit=64)
+            port.bind_filter(program)
+            demux.attach(port)
+            outcomes[engine, cache] = [
+                demux.deliver(packet).accepted_by
+                for packet in packets
+                for _ in range(2)
+            ]
+    return outcomes
+
+
+def assert_engines_agree(program, level, mode, packets) -> None:
+    outcomes = engine_outcomes(program, level, mode, packets)
+    reference = outcomes[Engine.CHECKED, False]
+    for key, accepted in outcomes.items():
+        assert accepted == reference, key
+
+
+#: Every name the COMPILED and IR code generators may emit.  The
+#: numbered ones (``t3``, ``t0_2``, ``_a1``, ``_h7``, ``_r0``) count
+#: filters in a set and values in a filter, so their numbers stay below
+#: a bound set by the programs' lengths.
+EMITTED_NAMES = frozenset({
+    "packet", "len", "min", "get", "IndexError", "ZeroDivisionError",
+    "_filter", "_get_byte", "_get_word", "_", "_ONE", "_factory",
+    "_chain", "_n", "_dsp", "_map", "_fallback", "_w", "_c",
+})
+NUMBERED_NAME = re.compile(r"(?:t|_a|_h|_r)(\d+)(?:_(\d+))?")
+
+
+def emitted_identifiers(source: str) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
 
 
 class TestEncodingProperties:
@@ -407,22 +522,73 @@ class TestUntrustedWords:
             validate(program, level=level, mode=mode)
         except (EncodingError, ValidationError):
             return
-        outcomes = {}
-        for engine in Engine:
-            for cache in (False, True):
-                demux = PacketFilterDemux(
-                    engine=engine, mode=mode, level=level, flow_cache=cache
-                )
-                port = Port(0, queue_limit=64)
-                port.bind_filter(program)
-                demux.attach(port)
-                # each packet twice: the second delivery of a cached
-                # engine is a flow-cache hit
-                outcomes[engine, cache] = [
-                    demux.deliver(packet).accepted_by
-                    for packet in packets
-                    for _ in range(2)
-                ]
-        reference = outcomes[Engine.CHECKED, False]
-        for key, accepted in outcomes.items():
-            assert accepted == reference, key
+        assert_engines_agree(program, level, mode, packets)
+
+    @given(
+        extended_programs(indirect=True),
+        st.sampled_from(ShortCircuitMode),
+        past_the_end_packets(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_indirect_loads_past_the_end(self, program, mode, packets):
+        """An indirect push indexed off the end faults the packet out on
+        every engine alike, wherever in the program it sits."""
+        try:
+            validate(program, level=LanguageLevel.EXTENDED, mode=mode)
+        except ValidationError:
+            return
+        assert_engines_agree(program, LanguageLevel.EXTENDED, mode, packets)
+
+    @given(
+        extended_programs(max_length=5),
+        st.sampled_from(ShortCircuitMode),
+        edge_packets,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_divide_by_zero_at_every_position(self, program, mode, packets):
+        """A zero divisor inserted before each instruction in turn (and
+        after the last): the fault rejects, or a short circuit ahead of
+        it decides, identically on every engine — no engine evaluates a
+        division early that ``CHECKED`` would not reach."""
+        divide = Instruction(StackAction.PUSHZERO, BinaryOp.DIV)
+        body = list(program.instructions)
+        for at in range(len(body) + 1):
+            faulty = FilterProgram(
+                [*body[:at], divide, *body[at:]], priority=program.priority
+            )
+            try:
+                validate(faulty, level=LanguageLevel.EXTENDED, mode=mode)
+            except ValidationError:
+                continue   # nothing on the stack to divide there
+            assert_engines_agree(faulty, LanguageLevel.EXTENDED, mode, packets)
+
+    @given(
+        st.lists(st.one_of(valid_programs(), extended_programs()),
+                 min_size=1, max_size=2),
+        st.sampled_from(ShortCircuitMode),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_emitted_identifiers_do_not_derive_from_content(
+        self, programs, mode
+    ):
+        """The source ``COMPILED`` and ``IR`` generate names nothing
+        after program content: every identifier is one of a fixed set,
+        or a counter of filters and values below the programs' length —
+        never a literal, an offset or a priority."""
+        level = LanguageLevel.EXTENDED
+        entries, sources = [], []
+        for key, program in enumerate(programs):
+            try:
+                report = validate(program, level=level, mode=mode)
+            except ValidationError:
+                return
+            entries.append(SetEntry(key, program, report, False))
+            sources.append(compile_filter(program, mode=mode, level=level).source)
+        sources.append(compile_ir_set(entries, mode=mode).source)
+        bound = 4 * sum(len(program.instructions) for program in programs) + 4
+        for source in sources:
+            for name in emitted_identifiers(source) - EMITTED_NAMES:
+                numbered = NUMBERED_NAME.fullmatch(name)
+                assert numbered is not None, name
+                counters = [int(n) for n in numbered.groups() if n is not None]
+                assert max(counters) < bound, name

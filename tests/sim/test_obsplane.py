@@ -1,16 +1,21 @@
-"""The observability plane: histograms, alerts on the window replies,
+"""The observability plane: percentiles, alerts on the window replies,
 loss tolerance, the cost of watching, and the sync-protocol profiler."""
 
-import math
 import sys
 
 import pytest
 
 from repro.bench.topologies import flow_storm_topology, partition_storm_topology
-from repro.sim.obsplane import ObservabilityPlane, ShardSyncStats, SyncProfile
+from repro.sim.obsplane import (
+    TRACK_LIMIT,
+    ObservabilityPlane,
+    ShardSyncStats,
+    SyncProfile,
+)
 from repro.sim.orchestrator import run_topology
 from repro.sim.shard import LocalShard, ShardDiedError
-from repro.sim.telemetry import Alert, LogHistogram
+from repro.sim.stats import nearest_rank
+from repro.sim.telemetry import Alert
 
 from .test_shard import fail_in_workers
 
@@ -21,62 +26,45 @@ def storm_spec(**overrides):
     return flow_storm_topology(**{**STORM, **overrides})
 
 
-class TestLogHistogram:
-    def test_counts_min_max_mean(self):
-        hist = LogHistogram()
-        for value in (1e-3, 2e-3, 4e-3):
-            hist.add(value)
-        assert len(hist) == 3
-        assert hist.min == 1e-3
-        assert hist.max == 4e-3
-        assert hist.total / len(hist) == pytest.approx((1e-3 + 2e-3 + 4e-3) / 3)
+class TestPercentiles:
+    """``wall.sync``'s percentiles are nearest-rank over the samples the
+    profile keeps: the estimator ``Ledger.stage_percentiles`` uses."""
 
-    def test_buckets_are_octaves(self):
-        hist = LogHistogram()
-        floor = LogHistogram.FLOOR
-        hist.add(1.5 * floor)    # [floor, 2 floor)
-        hist.add(3.0 * floor)    # [2 floor, 4 floor)
-        hist.add(3.9 * floor)
-        lo, hi = hist.bounds(1)
-        assert (lo, hi) == (2.0 * floor, 4.0 * floor)
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 2
-
-    def test_below_floor_clamps_to_first_bucket(self):
-        hist = LogHistogram()
-        hist.add(LogHistogram.FLOOR / 100)
-        assert hist.counts[0] == 1
-        assert hist.min == LogHistogram.FLOOR / 100
-
-    def test_above_range_clamps_to_last_bucket(self):
-        hist = LogHistogram()
-        hist.add(LogHistogram.FLOOR * 2.0 ** (LogHistogram.BUCKETS + 4))
-        assert hist.counts[-1] == 1
-        assert len(hist.counts) == LogHistogram.BUCKETS
-
-    def test_quantiles_without_raw_samples(self):
-        hist = LogHistogram()
+    def test_nearest_rank_is_exact(self):
         values = [1e-4 * (1.1 ** n) for n in range(200)]
-        for value in values:
-            hist.add(value)
-        values.sort()
-        for q in (0.5, 0.95, 0.99):
-            exact = values[math.ceil(q * len(values)) - 1]
-            estimate = hist.quantile(q)
-            # octave buckets bound the relative error by 2x each way
-            assert exact / 2 <= estimate <= exact * 2
-
-    def test_quantile_clamped_to_observed_range(self):
-        hist = LogHistogram()
-        hist.add(5.0)
-        assert hist.quantile(0.5) == 5.0
-        assert hist.quantile(0.99) == 5.0
-
-    def test_empty_quantile_is_none(self):
-        assert LogHistogram().quantile(0.5) is None
-        assert LogHistogram().percentiles() == {
-            "p50": None, "p95": None, "p99": None
+        found = nearest_rank(reversed(values), (0.0, 0.5, 0.95, 0.99, 1.0))
+        assert found == {
+            0.0: values[0],
+            0.5: values[99],
+            0.95: values[189],
+            0.99: values[197],
+            1.0: values[-1],
         }
+
+    def test_one_sample_is_every_percentile(self):
+        assert nearest_rank([5.0], (0.5, 0.99)) == {0.5: 5.0, 0.99: 5.0}
+
+    def test_empty_profile_reports_none(self):
+        assert nearest_rank([], (0.5,)) == {}
+        report = SyncProfile(shards=[ShardSyncStats(shard_id=0)]).as_dict()
+        empty = {"p50": None, "p95": None, "p99": None}
+        assert report["window_advance"] == empty
+        assert report["shards"][0]["grant_wait"] == empty
+
+    def test_read_off_the_first_track_limit_windows(self):
+        profile = SyncProfile(shards=[ShardSyncStats(shard_id=0)])
+        stats = profile.shards[0]
+        for n in range(TRACK_LIMIT + 10):
+            wall = 1.0 if n < TRACK_LIMIT else 1e6
+            profile.note_window(float(n), wall)
+            stats.note_reply(wall, (n, 0, [], None, []))
+        assert profile.windows == TRACK_LIMIT + 10
+        assert profile.window_walls == [1.0] * TRACK_LIMIT
+        assert stats.grant_waits == [1.0] * TRACK_LIMIT
+        report = profile.as_dict()
+        assert report["window_advance"]["p99"] == 1.0
+        assert report["shards"][0]["grant_wait"]["p99"] == 1.0
+        assert stats.grant_wait_seconds == TRACK_LIMIT + 10 * 1e6
 
 
 class TestObservabilityPlane:
@@ -278,7 +266,7 @@ class TestSyncProfile:
             assert stats.grants == result.windows
             assert stats.null_grants > 0      # idle windows exist
             assert stats.grant_wait_seconds > 0.0
-            assert stats.grant_wait_hist.count == stats.grants
+            assert len(stats.grant_waits) == stats.grants
             assert stats.egress_frames > 0    # bridges crossed
         report = sync.as_dict()
         assert report["windows"] == result.windows

@@ -26,7 +26,7 @@ from repro.sim import (
 from repro.sim.overload import BufferPool
 from repro.sim.clock import EventScheduler
 from repro.sim.stats import KernelStats
-from repro.sim.telemetry import CAPACITY, INTERVAL, Series
+from repro.sim.telemetry import CAPACITY, INTERVAL, STAT_GAUGES, Series
 
 
 class _FakeKernel:
@@ -91,13 +91,15 @@ class TestSeries:
 class TestSampler:
     def test_stat_rate_series_sampled_each_tick(self):
         scheduler, telemetry, kernel = armed_telemetry(horizon=0.1)
-        kernel.stats.syscalls = 0
+        kernel.stats.syscalls = 3
         scheduler.run(until=0.055)
-        series = telemetry.series("h", "syscalls_per_s")
+        series = telemetry.series("h", "syscalls")
         assert len(series) == telemetry.ticks > 0
-        # counters flat -> rate zero, and cpu_util exists alongside
-        assert series.latest() == 0.0
-        assert telemetry.series("h", "cpu_util").latest() == 0.0
+        # the counter itself, cumulative; flat -> rate zero
+        assert series.latest() == 3.0
+        assert series.rate() == 0.0
+        for stat in STAT_GAUGES:
+            assert len(telemetry.series("h", stat)) == telemetry.ticks
 
     def test_cpu_util_is_windowed_utilization(self):
         scheduler, telemetry, kernel = armed_telemetry(horizon=0.1)
@@ -108,9 +110,7 @@ class TestSampler:
 
         scheduler.schedule(0.0, burn)
         scheduler.run(until=0.055)
-        assert telemetry.series("h", "cpu_util").latest() == pytest.approx(
-            0.5
-        )
+        assert telemetry.series("h", "cpu_time").rate() == pytest.approx(0.5)
 
     def test_registered_gauges_sampled_and_retracted(self):
         scheduler, telemetry, kernel = armed_telemetry(horizon=1.0)
@@ -153,7 +153,7 @@ class TestSampler:
         late = world.host("late")
         for host in (early, late):
             assert host.kernel.telemetry is world.telemetry
-            assert world.telemetry.series(host.name, "cpu_util") is not None
+            assert world.telemetry.series(host.name, "cpu_time") is not None
 
     def test_components_publish_gauges(self):
         """Every instrumented layer shows up as series: NIC, device,

@@ -1,12 +1,15 @@
 """The reachability census's owner table stays in step with the code.
 
-``benchmarks/census.py`` reports what nothing but tests reaches, and
-which parameters and dataclass fields only ever hold their default,
-unless an ``OWNERS`` pattern names the document or oracle that keeps
-it.  A pattern that matches nothing would keep nothing: deleting code
-must take its owner line with it.
+``benchmarks/census.py`` reports what nothing but tests reaches, which
+parameters and dataclass fields only ever hold their default, and which
+stored attributes no module reads, unless an ``OWNERS`` pattern names
+the document or oracle that keeps it.  A pattern that matches nothing
+would keep nothing: deleting code must take its owner line with it.
+The attribute view is static, so it is checked here outright: state
+nobody reads is deleted or owned.
 """
 
+import ast
 import importlib.util
 import os
 from fnmatch import fnmatchcase
@@ -27,8 +30,13 @@ def census():
 
 
 @pytest.fixture(scope="module")
-def names(census):
-    return census.names(census.inventory())
+def unread(census):
+    return census.unread_state()
+
+
+@pytest.fixture(scope="module")
+def names(census, unread):
+    return census.names(census.inventory()) + [row["name"] for row in unread]
 
 
 def test_every_owner_matches_a_name_in_the_inventory(census, names):
@@ -44,3 +52,17 @@ def test_inventory_names_dataclass_fields(names):
     assert "repro.net.medium.ChaosConfig(loss_rate)" in names
     assert "repro.sim.topology.TopologySpec(telemetry)" in names
     assert "repro.sim.world.World.run_until_done(max_events)" in names
+
+
+def test_every_attribute_stored_is_read_or_owned(unread):
+    assert [row["name"] for row in unread if row["owner"] is None] == []
+
+
+def test_writing_is_not_reading(census):
+    tree = ast.parse(
+        "x.a = 1\nx.b += 1\nx.c[k] = 1\nx.d.append(1)\nx.e.update({})\n"
+        "d['f'] = x.g\ny = {'h': 1}.get('i') or getattr(x, 'j')\n"
+    )
+    loaded = census._loaded(tree)
+    assert {"g", "j"} <= loaded
+    assert not set("abcdefhi") & loaded

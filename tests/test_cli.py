@@ -2,13 +2,16 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.__main__ import _build_run, build_parser, main
+from repro.__main__ import EXIT_BROKEN_PIPE, _build_run, build_parser, main
 from repro.bench.summary import run_summary
 from repro.bench.topologies import TOPOLOGIES, named_topology
 from repro.bench.traceout import validate_trace
@@ -333,6 +336,26 @@ def test_hostile_run_arguments_are_usage_errors(argv, capsys):
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == 1, captured.err
     assert captured.err.startswith("python -m repro run: error: ")
+
+
+def test_run_survives_a_closed_pipe():
+    """``run NAME --json --profile | head``: the reader leaves before the
+    summary is written, and the run exits with one documented status and
+    no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)   # a reader that left before the first byte
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "receive", "--json",
+             "--profile"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == EXIT_BROKEN_PIPE
+    assert done.stderr == ""
 
 
 RUN = "python -m repro run"
