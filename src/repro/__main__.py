@@ -226,7 +226,7 @@ def cmd_run(args, unknown=()) -> int:
         return 0
     if plane is not None:
         print(plane.render())
-    print(render_summary(summary, result.sync if args.profile else None))
+    print(render_summary(summary))
     return 0
 
 

@@ -19,18 +19,20 @@ measured here: host-time costs are ``python -m perfbench``'s job.
 
 from __future__ import annotations
 
+from ..sim.stats import nearest_rank
 from ..sim.telemetry import Alert
 
 __all__ = ["run_summary", "render_summary"]
 
+#: The quantiles of ``wall.sync``'s wall-time blocks (``span_latency``
+#: keeps the ledger's own).
+WALL_QUANTILES = (0.5, 0.95, 0.99)
 
-def _span_latency(ledger, host: str | None = None) -> dict:
-    """Nearest-rank wire-arrival → syscall-return percentiles from the
-    ledger, keyed ``p50``-style (JSON object keys must be strings)."""
-    return {
-        f"p{round(p * 100)}": value
-        for p, value in ledger.stage_percentiles(host=host).items()
-    }
+
+def _pnn(found: dict[float, float]) -> dict[str, float]:
+    """Nearest-rank quantiles keyed ``p50``-style (JSON object keys must
+    be strings); ``{}`` when there were no samples."""
+    return {f"p{round(q * 100)}": value for q, value in found.items()}
 
 
 def _host_profiles(result) -> dict:
@@ -54,7 +56,7 @@ def _host_profiles(result) -> dict:
             "breakdown": ledger.breakdown(host),
             "by_component": by_component[host],
             "span_outcomes": outcomes[host],
-            "span_latency": _span_latency(ledger, host),
+            "span_latency": _pnn(ledger.stage_percentiles(host=host)),
             "drops": ledger.drop_summary(host),
             "telemetry_latest": {
                 name: recorded.latest()
@@ -74,7 +76,7 @@ def run_summary(name: str, result, *, profile: bool = False) -> dict:
 
     ``profile`` adds the per-host charge profile.
     """
-    spec, total = result.spec, result.total
+    spec, total, sync = result.spec, result.total, result.sync
     summary = {
         "topology": name,
         "segments": len(spec.segments),
@@ -93,8 +95,19 @@ def run_summary(name: str, result, *, profile: bool = False) -> dict:
         "windows": result.windows,
         "events_fired": result.events_fired,
         "sim_seconds": result.now,
-        "shard_details": result.shard_details,
-        "span_latency": _span_latency(result.ledger),
+        "shard_details": [
+            {
+                "shard": stats.shard_id,
+                "segments": stats.segments,
+                "events_fired": stats.events_fired,
+                "null_grants": stats.null_grants,
+                "egress_frames": stats.egress_frames,
+                "max_egress_depth": stats.max_egress_depth,
+                "inbound_frames": stats.inbound_frames,
+            }
+            for stats in sync.shards
+        ],
+        "span_latency": _pnn(result.ledger.stage_percentiles()),
         "frames_received": total.frames_received,
         "frames_sent": total.frames_sent,
         "cpu_time": total.cpu_time,
@@ -115,7 +128,22 @@ def run_summary(name: str, result, *, profile: bool = False) -> dict:
         "reports": result.reports,
         "wall": {
             "wall_seconds": result.wall_seconds,
-            "sync": result.sync.as_dict(),
+            "sync": {
+                "wall_per_window": sync.wall_per_window,
+                "window_advance": _pnn(
+                    nearest_rank(sync.window_walls, WALL_QUANTILES)
+                ),
+                # listed in shard_details order
+                "shards": [
+                    {
+                        "grant_wait_seconds": stats.grant_wait_seconds,
+                        "grant_wait": _pnn(
+                            nearest_rank(stats.grant_waits, WALL_QUANTILES)
+                        ),
+                    }
+                    for stats in sync.shards
+                ],
+            },
         },
     }
     if profile:
@@ -171,10 +199,37 @@ def _render_host_profile(
     return lines
 
 
-def render_summary(summary: dict, sync=None) -> str:
-    """The text mode of :func:`run_summary`.  ``sync`` (the run's
-    :class:`~repro.sim.obsplane.SyncProfile`) appends the sync-protocol
-    table — ``--profile`` passes it."""
+def _render_sync(summary: dict) -> list[str]:
+    """The sync-protocol table: the run's windows, and per shard its
+    null grants, grant waits and egress."""
+    sync = summary["wall"]["sync"]
+    lines = [
+        "",
+        f"sync protocol: {summary['windows']} windows, "
+        f"{sync['wall_per_window'] * 1000.0:.3f} ms wall/window",
+        "window advance: "
+        + " ".join(
+            f"{name}={value * 1000.0:.3f}ms"
+            for name, value in sync["window_advance"].items()
+        ),
+        f"{'shard':>5} {'segments':<18} {'null':>6} "
+        f"{'wait ms':>9} {'wait p95':>9} {'egress':>7} {'depth':>6}",
+    ]
+    for detail, wall in zip(summary["shard_details"], sync["shards"]):
+        lines.append(
+            f"{detail['shard']:>5} "
+            f"{','.join(detail['segments']):<18} "
+            f"{detail['null_grants']:>6} "
+            f"{wall['grant_wait_seconds'] * 1000.0:>9.2f} "
+            f"{wall['grant_wait']['p95'] * 1000.0:>9.3f} "
+            f"{detail['egress_frames']:>7} {detail['max_egress_depth']:>6}"
+        )
+    return lines
+
+
+def render_summary(summary: dict) -> str:
+    """The text mode of :func:`run_summary`; a ``--profile`` summary
+    also gets each host's charge profile and the sync-protocol table."""
     wall, faults = summary["wall"], summary["faults"]
     head = (
         f"{summary['topology']}: {summary['segments']} segment(s) on "
@@ -224,6 +279,6 @@ def render_summary(summary: dict, sync=None) -> str:
                 total,
                 [shown for shown in alerts if shown["host"] == host],
             )
-    if sync is not None:
-        lines += ["", sync.render()]
+    if "profile" in summary:
+        lines += _render_sync(summary)
     return "\n".join(lines)

@@ -114,7 +114,6 @@ class PacketFilterDevice(DeviceDriver):
                 "delivered": lambda: self.packets_delivered,
                 "drop_overflow": lambda: self.packets_dropped_overflow,
             },
-            unit="packets",
         )
         if self.demux.flow_cache is not None:
             publish(
@@ -125,7 +124,6 @@ class PacketFilterDevice(DeviceDriver):
                     "misses": cache_gauge(self.demux, "misses"),
                     "invalidations": cache_gauge(self.demux, "invalidations"),
                 },
-                unit="",
             )
         if self.demux.engine is Engine.IR:
             publish(
@@ -135,7 +133,6 @@ class PacketFilterDevice(DeviceDriver):
                     "nodes_after_cse": ir_gauge(self.demux, "nodes_after_cse"),
                     "dispatch_depth": ir_gauge(self.demux, "dispatch_depth"),
                 },
-                unit="nodes",
             )
 
     def _admission_full(self, frame: bytes) -> bool:
@@ -169,7 +166,7 @@ class PacketFilterDevice(DeviceDriver):
         handle = PacketFilterHandle(self, port, process)
         self._handles[port.port_id] = handle
         kernel.publish_gauges(
-            f"pf.port{port.port_id}.", port.telemetry_gauges(), unit="packets"
+            f"pf.port{port.port_id}.", port.telemetry_gauges()
         )
         return handle
 

@@ -145,7 +145,7 @@ class BSPEndpoint:
         #: Jacobson-style adaptive retransmission timer.
         self.rto = RetransmitTimer(RETRANSMIT_TIMEOUT)
         host.kernel.publish_gauges(
-            f"rto.bsp{local_socket:#x}.", self.rto.telemetry_gauges(), unit="s"
+            f"rto.bsp{local_socket:#x}.", self.rto.telemetry_gauges()
         )
         self._armed_timeout = self.rto.timeout
         self.fd: int | None = None

@@ -425,7 +425,7 @@ class VMTPClient:
         )
         if self.rto is not None:
             host.kernel.publish_gauges(
-                f"rto.vmtp{client_id}.", self.rto.telemetry_gauges(), unit="s"
+                f"rto.vmtp{client_id}.", self.rto.telemetry_gauges()
             )
         self._armed_timeout = REQUEST_RETRY_TIMEOUT
         self.corrupt_dropped = 0

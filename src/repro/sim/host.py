@@ -76,9 +76,7 @@ class Host:
         self.kernel.rx_policy = policy
         if pool is not None:
             self.kernel.buffer_pool = pool
-            self.kernel.publish_gauges(
-                "pool.", pool.telemetry_gauges(), unit="buffers"
-            )
+            self.kernel.publish_gauges("pool.", pool.telemetry_gauges())
         return policy, self.kernel.buffer_pool
 
     # -- the packet filter device ------------------------------------------------

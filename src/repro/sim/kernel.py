@@ -296,9 +296,9 @@ class SimKernel:
         #: the zero-overhead default (no sampler tick, no gauges read).
         self.telemetry = None
         #: gauges components published before (or without) telemetry
-        #: being armed: ``(prefix, {name: fn}, unit)`` triples.  One
-        #: list append per component, never per packet.
-        self._gauge_providers: list[tuple[str, dict, str]] = []
+        #: being armed: ``(prefix, {name: fn})`` pairs.  One list
+        #: append per component, never per packet.
+        self._gauge_providers: list[tuple[str, dict]] = []
 
     # ------------------------------------------------------------------
     # telemetry gauge publication
@@ -308,8 +308,6 @@ class SimKernel:
         self,
         prefix: str,
         gauges: dict[str, Callable[[], float]],
-        *,
-        unit: str = "",
     ) -> None:
         """Offer named gauge callables to the world's telemetry sampler.
 
@@ -318,9 +316,9 @@ class SimKernel:
         never has to import the layers it observes.  With no telemetry
         armed this is a single list append — the free-when-off contract.
         """
-        self._gauge_providers.append((prefix, gauges, unit))
+        self._gauge_providers.append((prefix, gauges))
         if self.telemetry is not None:
-            self.telemetry.register_gauges(self.name, prefix, gauges, unit=unit)
+            self.telemetry.register_gauges(self.name, prefix, gauges)
 
     def retract_gauges(self, prefix: str) -> None:
         """Withdraw every gauge published under ``prefix`` (port close:

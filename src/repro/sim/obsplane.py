@@ -7,13 +7,15 @@ is the paper's "substantial analysis in real time" stance applied to
 the *cluster*, the way :mod:`repro.sim.telemetry` applied it to one
 world:
 
-* :class:`SyncProfile` / :class:`ShardSyncStats` are the supervisor's
-  one record of each shard, always kept: where the shard is (window,
-  earliest pending sim-time, cumulative events, egress backlog — all
-  read off the window reply itself), what synchronizing it cost
-  (grant-wait stalls, window-advance wall latency, null-message counts,
-  cross-shard egress depth — the numbers that attribute the scaling
-  bench's 1-core inversion).
+* :class:`SyncProfile` is the supervisor's one record of the run's
+  windows, and :class:`ShardSyncStats` its one record of each shard,
+  always kept: where the shard is (earliest pending sim-time,
+  cumulative events, egress backlog — all read off the window reply
+  itself), what synchronizing it cost (grant-wait stalls,
+  window-advance wall latency, null-message counts, cross-shard egress
+  depth — the numbers that attribute the scaling bench's 1-core
+  inversion).  ``run --json`` renders them
+  (:func:`repro.bench.summary.run_summary`); nothing here formats them.
 * A window's reply carries, as its last field, copies of the watchdog
   alerts its segments fired during that window
   (:meth:`~repro.sim.shard.LocalShard.run_window`) — the only news a
@@ -37,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .stats import nearest_rank
 from .telemetry import Alert
 
 __all__ = [
@@ -53,15 +54,6 @@ times, grant waits, egress depths).  Aggregates keep accumulating past
 the cap, so profiles stay *bounded* even at the orchestrator's
 million-window ceiling; only the per-window detail (and the percentiles
 read off it) truncates."""
-
-_DASHBOARD = {"p50": 0.5, "p95": 0.95, "p99": 0.99}
-
-
-def _percentiles(samples: list) -> dict[str, float | None]:
-    """The dashboard triple of wall times, keyed ``p50``-style (None
-    while there are no samples)."""
-    found = nearest_rank(samples, _DASHBOARD.values())
-    return {key: found.get(q) for key, q in _DASHBOARD.items()}
 
 
 class ObservabilityPlane:
@@ -89,7 +81,6 @@ class ObservabilityPlane:
     ) -> None:
         self.sync = SyncProfile()
         self.alerts: list[Alert] = []
-        self.deltas = 0   #: window replies ingested
         self.on_update = on_update
         self.on_alert = on_alert
 
@@ -102,7 +93,6 @@ class ObservabilityPlane:
         """Announce one window reply's new alerts and fire callbacks
         (the rest of the reply is already on the shard's record —
         :meth:`ShardSyncStats.note_reply` read it)."""
-        self.deltas += 1
         for alert in alerts:
             self.alerts.append(alert)
             if self.on_alert is not None:
@@ -139,7 +129,7 @@ class ObservabilityPlane:
         """One plain-text dashboard frame (the ``repro run --top`` view)."""
         shards = self.sync.shards
         earliest = self.earliest_time()
-        head = f"cluster: {len(shards)} shard(s), {self.deltas} deltas"
+        head = f"cluster: {len(shards)} shard(s), {self.sync.windows} windows"
         if earliest is not None:
             head += (
                 f", sim {earliest * 1000.0:.1f} ms"
@@ -147,8 +137,7 @@ class ObservabilityPlane:
             )
         lines = [
             head,
-            f"{'shard':>5} {'win':>5} {'sim ms':>9} {'events':>9} "
-            f"{'egress':>7}",
+            f"{'shard':>5} {'sim ms':>9} {'events':>9} {'egress':>7}",
         ]
         for stats in shards:
             sim_ms = (
@@ -166,7 +155,7 @@ class ObservabilityPlane:
                 else ""
             )
             lines.append(
-                f"{stats.shard_id:>5} {stats.window:>5} {sim_ms} "
+                f"{stats.shard_id:>5} {sim_ms} "
                 f"{stats.events_fired:>9} {stats.egress_backlog:>7}{lag}"
             )
         lines += [f"ALERT {alert.render()}" for alert in self.alerts[-8:]]
@@ -192,17 +181,17 @@ class ShardSyncStats:
     The wall-clock fields (``grant_wait_seconds``, ``grant_waits``) are
     honest machine time and therefore *outside* the run digest — like
     :attr:`~repro.sim.orchestrator.TopologyResult.wall_seconds` always
-    was.  The event-shaped fields (window, events, null grants, egress
-    counts) are sim-deterministic and reproduce bitwise across runs.
+    was.  The event-shaped fields (events, null grants, egress counts)
+    are sim-deterministic and reproduce bitwise across runs.  A shard
+    is granted every window, so its grant count is
+    :attr:`SyncProfile.windows`.
     """
 
     shard_id: int
     segments: list = field(default_factory=list)   #: segment names owned
-    window: int = 0                    #: last window acknowledged
     next_time: float | None = None     #: earliest pending sim-time (None: idle)
     events_fired: int = 0
     egress_backlog: int = 0            #: frames the last window handed back
-    grants: int = 0
     null_grants: int = 0               #: grants that carried zero frames
     grant_wait_seconds: float = 0.0    #: wall time blocked on step replies
     grant_waits: list = field(default_factory=list)  #: wall secs per window
@@ -212,7 +201,6 @@ class ShardSyncStats:
     inbound_frames: int = 0            #: frames routed into this shard
 
     def note_grant(self, frames: int) -> None:
-        self.grants += 1
         if frames == 0:
             self.null_grants += 1
         self.inbound_frames += frames
@@ -221,7 +209,7 @@ class ShardSyncStats:
         """Fold in one window's reply — ``(window, fired, egress,
         next_time, alerts)`` — received after blocking ``wait_seconds``
         on it."""
-        self.window, fired, egress, self.next_time, _ = reply
+        _, fired, egress, self.next_time, _ = reply
         self.events_fired += fired
         self.egress_backlog = depth = len(egress)
         self.grant_wait_seconds += wait_seconds
@@ -232,18 +220,6 @@ class ShardSyncStats:
             self.egress_per_window.append(depth)
             self.grant_waits.append(wait_seconds)
 
-    def as_dict(self) -> dict:
-        return {
-            "shard": self.shard_id,
-            "grants": self.grants,
-            "null_grants": self.null_grants,
-            "grant_wait_seconds": self.grant_wait_seconds,
-            "grant_wait": _percentiles(self.grant_waits),
-            "egress_frames": self.egress_frames,
-            "max_egress_depth": self.max_egress_depth,
-            "inbound_frames": self.inbound_frames,
-        }
-
 
 @dataclass
 class SyncProfile:
@@ -252,7 +228,7 @@ class SyncProfile:
     and the stitched trace uses only the deterministic subset)."""
 
     shards: list = field(default_factory=list)
-    windows: int = 0
+    windows: int = 0                   #: synchronization rounds run
     horizons: list = field(default_factory=list)      #: sim-time grant horizons
     window_walls: list = field(default_factory=list)  #: wall secs per window
     window_wall_seconds: float = 0.0
@@ -268,43 +244,3 @@ class SyncProfile:
     def wall_per_window(self) -> float:
         """Mean wall seconds per synchronization window."""
         return self.window_wall_seconds / self.windows if self.windows else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "windows": self.windows,
-            "wall_per_window": self.wall_per_window,
-            "window_advance": _percentiles(self.window_walls),
-            "shards": [stats.as_dict() for stats in self.shards],
-        }
-
-    def render(self) -> str:
-        """The ``repro run --shards N --profile`` table."""
-        lines = [
-            f"sync protocol: {self.windows} windows, "
-            f"{self.wall_per_window * 1000.0:.3f} ms wall/window"
-        ]
-        advance = _percentiles(self.window_walls)
-        if advance["p50"] is not None:
-            lines.append(
-                "window advance: "
-                + " ".join(
-                    f"{name}={value * 1000.0:.3f}ms"
-                    for name, value in advance.items()
-                    if value is not None
-                )
-            )
-        lines.append(
-            f"{'shard':>5} {'segments':<18} {'grants':>7} {'null':>6} "
-            f"{'wait ms':>9} {'wait p95':>9} {'egress':>7} {'depth':>6}"
-        )
-        for stats in self.shards:
-            p95 = _percentiles(stats.grant_waits)["p95"]
-            lines.append(
-                f"{stats.shard_id:>5} "
-                f"{','.join(stats.segments):<18} "
-                f"{stats.grants:>7} {stats.null_grants:>6} "
-                f"{stats.grant_wait_seconds * 1000.0:>9.2f} "
-                f"{(p95 or 0.0) * 1000.0:>9.3f} "
-                f"{stats.egress_frames:>7} {stats.max_egress_depth:>6}"
-            )
-        return "\n".join(lines)

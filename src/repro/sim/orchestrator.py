@@ -69,15 +69,18 @@ class TopologyResult:
     wire: dict[str, dict]                  #: per-segment cable counters
     events_fired: int
     now: float                             #: latest per-world clock
-    windows: int                           #: synchronization rounds run
     wall_seconds: float
-    #: sync-protocol profile (grant waits, null grants, egress depth);
-    #: always collected — per-window wall clocks on the supervisor, so
-    #: free for the worlds and outside the digest
+    #: sync-protocol profile (windows, per-shard events, grant waits,
+    #: null grants, egress depth); always collected — per-window wall
+    #: clocks on the supervisor, so free for the worlds and outside the
+    #: digest
     sync: SyncProfile
     segment_reports: list = field(default_factory=list, repr=False)
-    #: per-shard breakdown: segments owned, events fired, final clock
-    shard_details: list = field(default_factory=list)
+
+    @property
+    def windows(self) -> int:
+        """Synchronization rounds run, each acknowledged by every shard."""
+        return self.sync.windows
 
 
 def _merge_reports(
@@ -85,10 +88,8 @@ def _merge_reports(
     by_name: dict[str, SegmentReport],
     *,
     shards: int,
-    windows: int,
     wall_seconds: float,
     sync: SyncProfile,
-    shard_details: list,
 ) -> TopologyResult:
     """Reassemble the whole-world view, always in spec order.
 
@@ -125,11 +126,9 @@ def _merge_reports(
         wire={report.name: report.wire for report in ordered},
         events_fired=sum(report.events_fired for report in ordered),
         now=max((report.now for report in ordered), default=0.0),
-        windows=windows,
         wall_seconds=wall_seconds,
         sync=sync,
         segment_reports=ordered,
-        shard_details=shard_details,
     )
 
 
@@ -194,10 +193,9 @@ def run_topology(
     horizon = None if window is None else 0.0
     pending: list = []
     window_index = 0
-    windows = 0
     try:
         while True:
-            if windows >= MAX_WINDOWS:
+            if sync.windows >= MAX_WINDOWS:
                 raise RuntimeError(
                     f"exceeded {MAX_WINDOWS} synchronization windows "
                     f"(clock at {horizon}); topology may be livelocked"
@@ -223,7 +221,6 @@ def run_topology(
                 egress.extend(shard_egress)
                 if shard_next is not None:
                     next_times.append(shard_next)
-            windows += 1
             sync.note_window(horizon, time.perf_counter() - window_started)
             next_times.extend(record.deliver_at for record in egress)
             if window is None or not next_times:
@@ -247,25 +244,10 @@ def run_topology(
     finally:
         for handle in handles:
             handle.close()
-    shard_details = [
-        {
-            "shard": stats.shard_id,
-            "segments": list(stats.segments),
-            "events_fired": sum(
-                by_name[name].events_fired for name in stats.segments
-            ),
-            "now": max(
-                (by_name[name].now for name in stats.segments), default=0.0
-            ),
-        }
-        for stats in sync.shards
-    ]
     return _merge_reports(
         spec,
         by_name,
         shards=len(handles),
-        windows=windows,
         wall_seconds=time.perf_counter() - started,
         sync=sync,
-        shard_details=shard_details,
     )

@@ -71,10 +71,9 @@ class Series:
     samples.
     """
 
-    def __init__(self, host: str, name: str, *, unit: str = "") -> None:
+    def __init__(self, host: str, name: str) -> None:
         self.host = host
         self.name = name
-        self.unit = unit
         self._samples: deque[tuple[float, float]] = deque(maxlen=CAPACITY)
 
     def append(self, time: float, value: float) -> None:
@@ -84,7 +83,7 @@ class Series:
         """A detached series holding the same samples — what
         :meth:`Telemetry.export` puts in a snapshot while the sampler
         keeps appending to this one."""
-        clone = Series(self.host, self.name, unit=self.unit)
+        clone = Series(self.host, self.name)
         clone._samples.extend(self._samples)
         return clone
 
@@ -395,7 +394,7 @@ class TelemetrySnapshot:
     therefore ships this snapshot back instead: the :class:`Series`
     keyed ``(host, name)`` and the :class:`Alert` log, the same objects
     the sampler records into (copies of them — the form does not
-    change on the way out), and the tick count.  Snapshots from
+    change on the way out).  Snapshots from
     *disjoint-host* worlds merge into a whole-topology view; a shared
     host means two worlds both claim to have sampled the same kernel,
     which is a partitioning bug and raises.
@@ -403,7 +402,6 @@ class TelemetrySnapshot:
 
     series: dict[tuple[str, str], Series] = field(default_factory=dict)
     alerts: list[Alert] = field(default_factory=list)
-    ticks: int = 0
 
     def hosts(self) -> set:
         """Every host that contributed a series or an alert."""
@@ -416,8 +414,7 @@ class TelemetrySnapshot:
         then shares them: a snapshot's records are never written to).
 
         Alerts are re-sorted by fire time so the merged log reads as
-        one timeline.  ``ticks`` takes the maximum — shards tick the
-        same simulated clock, so the counts describe the same span.
+        one timeline.
         """
         overlap = self.hosts() & other.hosts()
         if overlap:
@@ -427,7 +424,6 @@ class TelemetrySnapshot:
         self.series.update(other.series)
         self.alerts.extend(other.alerts)
         self.alerts.sort(key=lambda alert: (alert.fired_at, alert.host))
-        self.ticks = max(self.ticks, other.ticks)
         return self
 
 
@@ -481,8 +477,8 @@ class Telemetry:
             "",
             {stat: partial(getattr, kernel.stats, stat) for stat in STAT_GAUGES},
         )
-        for prefix, gauges, unit in kernel._gauge_providers:
-            self.register_gauges(name, prefix, gauges, unit=unit)
+        for prefix, gauges in kernel._gauge_providers:
+            self.register_gauges(name, prefix, gauges)
         view = SeriesView(self, name)
         for rule in self._default_rules:
             self._rules.append(_RuleState(rule, view))
@@ -492,14 +488,12 @@ class Telemetry:
         host: str,
         prefix: str,
         gauges: dict[str, Callable[[], float]],
-        *,
-        unit: str = "",
     ) -> None:
         """Register named gauge callables for ``host``; sampled every
         tick into ``prefix + name`` series."""
         for name, fn in gauges.items():
             full = prefix + name
-            self._ensure_series(host, full, unit)
+            self._ensure_series(host, full)
             self._gauges[(host, full)] = fn
 
     def retract_gauges(self, host: str, prefix: str) -> None:
@@ -516,11 +510,11 @@ class Telemetry:
         """Bind an additional watchdog rule to one host."""
         self._rules.append(_RuleState(rule, SeriesView(self, host)))
 
-    def _ensure_series(self, host: str, name: str, unit: str = "") -> Series:
+    def _ensure_series(self, host: str, name: str) -> Series:
         key = (host, name)
         series = self._series.get(key)
         if series is None:
-            series = Series(host, name, unit=unit)
+            series = Series(host, name)
             self._series[key] = series
         return series
 
@@ -610,5 +604,4 @@ class Telemetry:
         return TelemetrySnapshot(
             series={key: series.copy() for key, series in self._series.items()},
             alerts=[replace(alert) for alert in self.alerts],
-            ticks=self.ticks,
         )

@@ -531,7 +531,6 @@ class SegmentRuntime:
                             e.frames_dropped_link_down
                         ),
                     },
-                    unit="frames",
                 )
                 self.world.telemetry.add_rule(
                     partition_watchdog(link_id), host=pseudo

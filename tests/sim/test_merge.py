@@ -163,20 +163,22 @@ class TestMergeLedgers:
 
 class TestMergeTelemetry:
     def _snapshot(self, host: str) -> TelemetrySnapshot:
-        series = Series(host, "cpu_time", unit="s")
+        series = Series(host, "cpu_time")
         series.append(0.1, 0.5)
         series.append(0.2, 0.6)
         return TelemetrySnapshot(
             series={(host, "cpu_time"): series},
             alerts=[Alert(rule="r", host=host, fired_at=0.15)],
-            ticks=2,
         )
 
     def test_disjoint_hosts_combine(self):
         merged = self._snapshot("alice").merge(self._snapshot("bob"))
         assert merged.hosts() == {"alice", "bob"}
         assert merged.series[("bob", "cpu_time")].latest() == 0.6
-        assert merged.ticks == 2
+        assert merged.series[("alice", "cpu_time")].samples == [
+            (0.1, 0.5),
+            (0.2, 0.6),
+        ]
 
     def test_same_host_rejected(self):
         with pytest.raises(ValueError, match="alice"):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro.bench.summary import WALL_QUANTILES, _pnn, render_summary, run_summary
 from repro.bench.topologies import flow_storm_topology, partition_storm_topology
 from repro.sim.obsplane import (
     TRACK_LIMIT,
@@ -12,7 +13,7 @@ from repro.sim.obsplane import (
     ShardSyncStats,
     SyncProfile,
 )
-from repro.sim.orchestrator import run_topology
+from repro.sim.orchestrator import TopologyResult, run_topology
 from repro.sim.shard import LocalShard, ShardDiedError
 from repro.sim.stats import nearest_rank
 from repro.sim.telemetry import Alert
@@ -46,10 +47,9 @@ class TestPercentiles:
 
     def test_empty_profile_reports_none(self):
         assert nearest_rank([], (0.5,)) == {}
-        report = SyncProfile(shards=[ShardSyncStats(shard_id=0)]).as_dict()
-        empty = {"p50": None, "p95": None, "p99": None}
-        assert report["window_advance"] == empty
-        assert report["shards"][0]["grant_wait"] == empty
+        profile = SyncProfile(shards=[ShardSyncStats(shard_id=0)])
+        assert _pnn(nearest_rank(profile.window_walls, WALL_QUANTILES)) == {}
+        assert _pnn(nearest_rank(profile.shards[0].grant_waits, (0.5,))) == {}
 
     def test_read_off_the_first_track_limit_windows(self):
         profile = SyncProfile(shards=[ShardSyncStats(shard_id=0)])
@@ -61,9 +61,8 @@ class TestPercentiles:
         assert profile.windows == TRACK_LIMIT + 10
         assert profile.window_walls == [1.0] * TRACK_LIMIT
         assert stats.grant_waits == [1.0] * TRACK_LIMIT
-        report = profile.as_dict()
-        assert report["window_advance"]["p99"] == 1.0
-        assert report["shards"][0]["grant_wait"]["p99"] == 1.0
+        for samples in (profile.window_walls, stats.grant_waits):
+            assert _pnn(nearest_rank(samples, WALL_QUANTILES))["p99"] == 1.0
         assert stats.grant_wait_seconds == TRACK_LIMIT + 10 * 1e6
 
 
@@ -86,15 +85,18 @@ class TestObservabilityPlane:
 
     def test_ingest_builds_views_and_fires_callbacks(self):
         seen = []
-        plane = self.plane(on_update=lambda p: seen.append(p.deltas))
+        plane = self.plane(
+            on_update=lambda p: seen.append(
+                [stats.events_fired for stats in p.sync.shards]
+            )
+        )
         self.reply(plane, shard=0, window=3, next_time=0.03)
         self.reply(plane, shard=1, window=3, next_time=0.05)
-        assert seen == [1, 2]
-        assert plane.view(0).window == 3
+        assert seen == [[10, 0], [10, 10]]
         assert plane.view(0).egress_backlog == 2
         assert plane.earliest_time() == 0.03
         assert plane.time_skew() == pytest.approx(0.02)
-        assert plane.view(1).window == 3
+        assert plane.view(1).next_time == 0.05
 
     def test_each_reply_alert_is_announced_once(self):
         # A reply carries only the alerts fired in its window, so the
@@ -126,17 +128,19 @@ class TestObservabilityPlane:
 
 class TestLiveStreaming:
     def test_single_shard_feeds_plane_synchronously(self):
-        plane = ObservabilityPlane()
+        updates = []
+        plane = ObservabilityPlane(on_update=updates.append)
         result = run_topology(storm_spec(), shards=1, observability=plane)
-        assert plane.deltas == result.windows
+        assert len(updates) == result.windows
         assert plane.view(0).events_fired == result.events_fired
 
     def test_worker_shards_send_a_delta_with_every_reply(self):
-        plane = ObservabilityPlane()
+        updates = []
+        plane = ObservabilityPlane(on_update=updates.append)
         result = run_topology(storm_spec(), shards=2, observability=plane)
         assert plane.sync is result.sync and len(plane.sync.shards) == 2
-        # one delta per shard per window, none lost on a clean run
-        assert plane.deltas == 2 * result.windows
+        # one update per shard per window, none lost on a clean run
+        assert len(updates) == 2 * result.windows
         assert (
             plane.view(0).events_fired + plane.view(1).events_fired
             == result.events_fired
@@ -246,32 +250,32 @@ class TestDeltaLoss:
         sent) fails the run with a typed error and leaves the plane
         readable at each shard's last good record."""
         fail_in_workers(monkeypatch, 3, "die")
-        plane = ObservabilityPlane()
+        updates = []
+        plane = ObservabilityPlane(on_update=updates.append)
         with pytest.raises(ShardDiedError) as excinfo:
             run_topology(storm_spec(), shards=2, observability=plane)
         assert (excinfo.value.shard_id, excinfo.value.last_ack) == (0, 2)
-        assert plane.view(0).window == 2
-        assert plane.deltas == 4   # two windows from each shard
-        assert "cluster: 2 shard(s), 4 deltas" in plane.render()
+        assert plane.sync.windows == 2
+        assert len(updates) == 4   # two windows from each shard
+        assert "cluster: 2 shard(s), 2 windows" in plane.render()
 
 
 class TestSyncProfile:
     def test_profile_populated_per_shard(self):
         result = run_topology(storm_spec(segments=4), shards=2)
         sync = result.sync
-        assert sync.windows == result.windows
+        assert result.windows == sync.windows > 0
         assert sync.wall_per_window > 0.0
         assert len(sync.shards) == 2
         for stats in sync.shards:
-            assert stats.grants == result.windows
             assert stats.null_grants > 0      # idle windows exist
             assert stats.grant_wait_seconds > 0.0
-            assert len(stats.grant_waits) == stats.grants
+            # every shard is granted every window
+            assert len(stats.grant_waits) == sync.windows
             assert stats.egress_frames > 0    # bridges crossed
-        report = sync.as_dict()
-        assert report["windows"] == result.windows
-        assert report["shards"][0]["grant_wait"]["p95"] is not None
-        assert "wait" in sync.render()
+        summary = run_summary("flow_storm", result, profile=True)
+        assert summary["wall"]["sync"]["shards"][0]["grant_wait"]["p95"] > 0.0
+        assert "wait p95" in render_summary(summary)
 
     def test_horizons_are_deterministic(self):
         first = run_topology(storm_spec(), shards=2).sync
@@ -286,13 +290,27 @@ class TestSyncProfile:
 
     def test_shard_details_surface_per_shard_progress(self):
         result = run_topology(storm_spec(), shards=2)
-        assert [d["shard"] for d in result.shard_details] == [0, 1]
-        assert sum(d["events_fired"] for d in result.shard_details) == (
-            result.events_fired
-        )
-        assert [d["segments"] for d in result.shard_details] == [
-            stats.segments for stats in result.sync.shards
-        ]
+        details = run_summary("flow_storm", result)["shard_details"]
+        assert [d["shard"] for d in details] == [0, 1]
+        assert sum(d["events_fired"] for d in details) == result.events_fired
+        assert [d["segments"] for d in details] == [["lan0"], ["lan1"]]
+        for detail, stats in zip(details, result.sync.shards):
+            assert detail["null_grants"] == stats.null_grants
+            assert detail["egress_frames"] == stats.egress_frames
         # one wall-per-window answer, on the sync profile
         assert not hasattr(result, "wall_per_window")
         assert result.sync.wall_per_window > 0.0
+
+    def test_window_and_shard_facts_are_stored_once(self):
+        """``SyncProfile.windows`` is the one stored window count and
+        ``ShardSyncStats`` the one per-shard record: the result reads
+        through to them instead of keeping copies."""
+        assert "windows" in SyncProfile.__dataclass_fields__
+        assert not {"windows", "shard_details"} & set(
+            TopologyResult.__dataclass_fields__
+        )
+        assert not {"grants", "window"} & set(ShardSyncStats.__dataclass_fields__)
+        assert not hasattr(ObservabilityPlane(), "deltas")
+        assert not hasattr(SyncProfile, "render")
+        result = run_topology(storm_spec(), shards=2)
+        assert result.windows == result.sync.windows

@@ -115,12 +115,10 @@ class TestSampler:
     def test_registered_gauges_sampled_and_retracted(self):
         scheduler, telemetry, kernel = armed_telemetry(horizon=1.0)
         box = {"v": 7.0}
-        telemetry.register_gauges(
-            "h", "dev.", {"depth": lambda: box["v"]}, unit="pkts"
-        )
+        telemetry.register_gauges("h", "dev.", {"depth": lambda: box["v"]})
         scheduler.run(until=0.035)
         series = telemetry.series("h", "dev.depth")
-        assert series.unit == "pkts"
+        assert (series.host, series.name) == ("h", "dev.depth")
         before = len(series)
         assert series.latest() == 7.0
         telemetry.retract_gauges("h", "dev.")
