@@ -35,10 +35,12 @@ in the package, so the hook keys each construction by the instance's
 class instead.
 
 A static view needs no run: every attribute the package stores (``x.a =
-...``, ``x.a += ...``, a class-body field) whose name no module under
-``src``, ``tests``, ``benchmarks``, ``perfbench`` or ``examples`` reads
-(:func:`unread_state`).  Writing is not reading: ``x.a[k] = ...`` and
-``x.a.append(...)`` (``extend``, ``add``, ``update``) leave ``a`` unread.
+...``, ``x.a += ...``, a class-body field) that no module under ``src``,
+``tests``, ``benchmarks``, ``perfbench`` or ``examples`` reads
+(:func:`unread_state`).  A store on ``self`` is its class's: a read on
+``self`` in an unrelated class does not count for it.  Writing is not
+reading: ``x.a[k] = ...`` and ``x.a.append(...)`` (``extend``, ``add``,
+``update``) leave ``a`` unread.
 
 Everything that no user reaches, every parameter or field that only
 ever holds its default, every one that a non-test run (``user``,
@@ -135,6 +137,9 @@ OWNERS = (
     ("repro.core.opt.DispatchTree.lookup", _TREE),
     ("repro.sim.clock.EventScheduler.pending",
      "oracle: the scheduler model test counts live events against its model"),
+    ("repro.core.interpreter.FilterResult(fault)",
+     "oracle: tests/core/reference_interpreter.py builds its results by "
+     "keyword, a fault-free one at this default; evaluate() passes all four"),
     ("repro.core.opt.NecessaryTest.matches", _TREE),
     ("repro.core.opt.necessary_equalities",
      "docs/LANGUAGE.md, Tooling map: the set-level analysis"),
@@ -207,7 +212,7 @@ OWNERS = (
     ("repro.sim.pipe.Pipe.close_write", _SYSCALLS),
     ("repro.sim.pipe._*", _SYSCALLS),
     ("repro.core.device.PacketFilterDevice._port_drop", _SAFETY),
-    ("repro.core.interpreter._fault", _SAFETY),
+    ("repro.core.interpreter._operand_fault", _SAFETY),
     ("repro.kernelnet.sockets.BufferedSocketHandle._post_error", _SAFETY),
     ("repro.kernelnet.tcp.TCPSocketHandle._retransmit_fire", _SAFETY),
     ("repro.kernelnet.tcp.TCPSocketHandle._abort", _SAFETY),
@@ -640,8 +645,9 @@ def _modules(top: str):
 def _stored(tree, module: str, rel: str) -> list[dict]:
     """Every attribute a module of the package stores: ``x.a = ...``,
     ``x.a += ...``, ``x.a: T = ...`` and a class-body field.  A store
-    on ``self`` or in a class body is named ``module.Class.attr``, any
-    other ``module.attr``."""
+    on ``self`` or in a class body is named ``module.Class.attr`` and
+    owned by that class (``"cls"``), any other ``module.attr`` and
+    owned by none."""
     import ast
 
     found = []
@@ -659,9 +665,8 @@ def _stored(tree, module: str, rel: str) -> list[dict]:
                                             item.lineno))
             elif (isinstance(child, ast.Attribute)
                   and isinstance(child.ctx, ast.Store)):
-                on_self = (isinstance(child.value, ast.Name)
-                           and child.value.id in ("self", "cls"))
-                found.append(_store(module, rel, scope if on_self else [],
+                found.append(_store(module, rel,
+                                    scope if _on_self(child) else [],
                                     child.attr, child.lineno))
             visit(child, inner)
 
@@ -671,39 +676,56 @@ def _stored(tree, module: str, rel: str) -> list[dict]:
 
 def _store(module, rel, scope, attr, line) -> dict:
     return {"name": ".".join([module, *scope, attr]), "attribute": attr,
-            "file": rel, "line": line}
+            "cls": scope[-1] if scope else None, "file": rel, "line": line}
 
 
-def _loaded(tree) -> set:
+def _on_self(node) -> bool:
+    import ast
+
+    return isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+
+
+def _loaded(tree, owned: set | None = None) -> set:
     """Every attribute name a module reads: an attribute load, or a
     string constant (``getattr(x, "a")``, a field list).  Write idioms
     are not reads: the ``x.a`` of ``x.a[k] = ...`` or ``x.a.append(...)``
     (``extend``, ``add``, ``update``), nor is a string that keys a dict
-    (``{"a": ...}``, ``d["a"]``, ``d.get("a")``)."""
+    (``{"a": ...}``, ``d["a"]``, ``d.get("a")``).  Given ``owned``, a
+    load on ``self`` or ``cls`` inside a class goes there instead, as
+    ``(class, attr)``: its receiver's class is known."""
     import ast
 
-    skip = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript):
-            if isinstance(node.ctx, (ast.Store, ast.Del)):
-                skip.add(id(node.value))
-            if isinstance(node.slice, ast.Constant):
-                skip.add(id(node.slice))
-        elif isinstance(node, ast.Dict):
-            skip.update(id(key) for key in node.keys)
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _WRITE_CALLS:
-                skip.add(id(node.func.value))
-            elif node.func.attr in _KEY_CALLS and node.args:
-                skip.add(id(node.args[0]))
-    names = set()
-    for node in ast.walk(tree):
-        if id(node) in skip:
-            continue
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+    names, skip = set(), set()
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if id(child) not in skip:
+                if isinstance(child, ast.Attribute) and isinstance(
+                        child.ctx, ast.Load):
+                    if owned is not None and cls and _on_self(child):
+                        owned.add((cls, child.attr))
+                    else:
+                        names.add(child.attr)
+                elif (isinstance(child, ast.Constant)
+                      and isinstance(child.value, str)):
+                    names.add(child.value)
+            # what is written or keyed under this node is not read
+            if isinstance(child, ast.Subscript):
+                if isinstance(child.ctx, (ast.Store, ast.Del)):
+                    skip.add(id(child.value))
+                if isinstance(child.slice, ast.Constant):
+                    skip.add(id(child.slice))
+            elif isinstance(child, ast.Dict):
+                skip.update(id(key) for key in child.keys)
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)):
+                if child.func.attr in _WRITE_CALLS:
+                    skip.add(id(child.func.value))
+                elif child.func.attr in _KEY_CALLS and child.args:
+                    skip.add(id(child.args[0]))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, None)
     return names
 
 
@@ -717,36 +739,94 @@ def _package_trees():
             yield module.removesuffix(".__init__"), rel, ast.parse(handle.read())
 
 
-def unread_state() -> list[dict]:
-    """The state view: one row per attribute name that ``src/repro``
-    stores and no module under :data:`READERS` reads, named by its first
-    store and carrying the owner that keeps it.
+def _kin(trees) -> dict:
+    """Each package class's ancestors and descendants, itself included,
+    by bare class name: the classes whose ``self`` may be its instance.
+    A class defined inside a function is its own kin only."""
+    import ast
 
-    A module outside the package is parsed only when its text spells a
-    candidate, so the view costs one parse of the package and a text
-    search of the rest.
+    parents: dict = {}
+    pending = [node for tree in trees for node in tree.body]
+    while pending:  # classes at module level, nested in classes
+        node = pending.pop()
+        if isinstance(node, ast.ClassDef):
+            parents.setdefault(node.name, set()).update(
+                base.id if isinstance(base, ast.Name) else base.attr
+                for base in node.bases
+                if isinstance(base, (ast.Name, ast.Attribute)))
+            pending.extend(node.body)
+
+    def ancestors(name, seen):
+        for parent in parents.get(name, ()):
+            if parent not in seen:
+                seen.add(parent)
+                ancestors(parent, seen)
+        return seen
+
+    kin = {name: ancestors(name, {name}) for name in parents}
+    for name, line in list(kin.items()):
+        for elder in line - {name}:
+            kin.setdefault(elder, {elder}).add(name)
+    return kin
+
+
+def unread_state() -> list[dict]:
+    """The state view: one row per attribute that ``src/repro`` stores
+    and no module under :data:`READERS` reads, named by its first store
+    and carrying the owner that keeps it (:func:`unread`)."""
+    def reader_texts():
+        for top in READERS:
+            for path in _modules(os.path.join(ROOT, top)):
+                with open(path, encoding="utf-8") as handle:
+                    yield handle.read()
+
+    return unread(_package_trees(), reader_texts())
+
+
+def unread(package, readers) -> list[dict]:
+    """The stores of ``package`` (``(module, file, tree)`` triples) that
+    neither it nor the ``readers`` (module texts) read.
+
+    A store on ``self`` belongs to its class: a read on ``self`` counts
+    for it only inside that class or one it inherits from or passes on
+    to, so another class's ``self.a`` hides no write-only ``a``.  A read
+    on any other receiver, or a string, counts for every store of the
+    name.  A reader is parsed only when its text spells a candidate, so
+    the view costs one parse of the package and a text search of the
+    rest.
     """
     import ast
     import re
 
     first: dict = {}
-    read = set()
-    for module, rel, tree in _package_trees():
+    read, owned, trees = set(), set(), []
+    for module, rel, tree in package:
+        trees.append(tree)
         for row in _stored(tree, module, rel):
-            first.setdefault(row["attribute"], row)
-        read |= _loaded(tree)
-    unread = set(first) - read
-    for top in READERS:
-        for path in _modules(os.path.join(ROOT, top)):
-            if not unread:
-                break
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-            spelled = r"\b(?:%s)\b" % "|".join(map(re.escape, sorted(unread)))
-            if re.search(spelled, text):
-                unread -= _loaded(ast.parse(text))
-    return [{**first[attr], "owner": owner_of(first[attr]["name"])}
-            for attr in sorted(unread)]
+            first.setdefault((row["cls"], row["attribute"]), row)
+        read |= _loaded(tree, owned)
+    kin = _kin(trees)
+    readers_of: dict = {}
+    for reader, attr in owned:
+        readers_of.setdefault(attr, set()).add(reader)
+
+    def unread_key(key):
+        cls, attr = key
+        return attr not in read and not any(
+            cls is None or cls in kin.get(reader, {reader})
+            for reader in readers_of.get(attr, ()))
+
+    left = {key for key in first if unread_key(key)}
+    for text in readers:
+        if not left:
+            break
+        spelled = r"\b(?:%s)\b" % "|".join(
+            map(re.escape, sorted({attr for _, attr in left})))
+        if re.search(spelled, text):
+            names = _loaded(ast.parse(text))
+            left = {key for key in left if key[1] not in names}
+    return [{**first[key], "owner": owner_of(first[key]["name"])}
+            for key in sorted(left, key=lambda key: first[key]["name"])]
 
 
 def owner_of(name: str) -> str | None:

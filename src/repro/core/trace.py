@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 from .instructions import Instruction
 from .interpreter import (
-    DEFAULT_STACK_DEPTH,
     FaultCode,
     FilterResult,
     LanguageLevel,
     ShortCircuitMode,
-    _evaluate_checked,
+    run_plan,
 )
 from .program import FilterProgram
 
@@ -91,14 +90,20 @@ def trace_evaluation(
 ) -> EvaluationTrace:
     """Run ``program`` on ``packet``, recording every step.
 
-    One run of the checked interpreter records the stack before each
-    instruction it executes, so every step — including the one that
-    faults or short-circuits — shows exactly what the interpreter did.
+    One checked run of the interpreter's plan loop records the stack
+    before each instruction it executes, so every step — including the
+    one that faults or short-circuits — shows exactly what the
+    interpreter did.
     """
     stacks: list = []
-    result = _evaluate_checked(
-        program, packet, mode, level, DEFAULT_STACK_DEPTH, stacks
-    )
+    result = FilterResult(*run_plan(
+        program.plan,
+        packet,
+        mode is ShortCircuitMode.PUSH_RESULT,
+        level is LanguageLevel.EXTENDED,
+        True,
+        stacks,
+    ))
     live, *befores = stacks
     afters = [*befores[1:], tuple(live)]
     last = len(befores) - 1

@@ -77,7 +77,6 @@ class IPHeader:
     identification: int = 0
     tos: int = 0
     options: bytes = b""
-    total_length: int | None = None  # filled in by encode/decode
 
     @property
     def header_length(self) -> int:
@@ -144,6 +143,5 @@ class IPHeader:
             identification=int.from_bytes(datagram[4:6], "big"),
             tos=datagram[1],
             options=datagram[IP_MIN_HEADER:header_length],
-            total_length=total_length,
         )
         return header, datagram[header_length:total_length]

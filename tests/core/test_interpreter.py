@@ -8,7 +8,9 @@ from repro.core.interpreter import (
     ShortCircuitMode,
     evaluate,
 )
+from repro.core.instructions import BinaryOp, Instruction, StackAction
 from repro.core.program import FilterProgram, asm
+from repro.core.validator import ValidationError
 from repro.core.words import pack_words
 
 
@@ -309,6 +311,14 @@ class TestUncheckedFastPath:
         result = run(("PUSHWORD", 30), packet=PACKET, checked=False)
         assert not result.accepted
         assert result.fault == FaultCode.PACKET_BOUNDS
+
+    def test_fast_path_refuses_what_validate_rejects(self):
+        """An operator with nothing to pop is a stack underflow, never
+        a packet-bounds fault: the fast path refuses the program."""
+        program = FilterProgram([Instruction(StackAction.NOPUSH, BinaryOp.EQ)])
+        assert evaluate(program, PACKET).fault == FaultCode.STACK_UNDERFLOW
+        with pytest.raises(ValidationError, match="underflows"):
+            evaluate(program, PACKET, checked=False)
 
 
 class TestInstructionCounting:

@@ -66,3 +66,37 @@ def test_writing_is_not_reading(census):
     loaded = census._loaded(tree)
     assert {"g", "j"} <= loaded
     assert not set("abcdefhi") & loaded
+
+
+PLANTED = """
+class Kept:
+    def __init__(self):
+        self.count = 0
+
+    def bump(self):
+        self.count += 1
+        return self.count
+
+
+class Lost:
+    def __init__(self):
+        self.count = 0
+
+    def bump(self):
+        self.count += 1
+
+
+class Heir(Kept):
+    def reset(self):
+        self.count = 0
+"""
+
+
+def test_a_read_on_self_counts_for_its_own_class_only(census):
+    """``Kept`` reads its ``count`` and ``Heir`` inherits that read;
+    ``Lost`` only writes its own, which a name-keyed view would miss."""
+    package = [("planted", "planted.py", ast.parse(PLANTED))]
+    assert [row["name"] for row in census.unread(package, [])] == [
+        "planted.Lost.count"
+    ]
+    assert census.unread(package, ["print(tally.count)"]) == []
