@@ -226,6 +226,16 @@ class TestEngines:
         with pytest.raises(ValidationError):
             demux.attach(bad)
 
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_no_engine_keeps_a_plan_on_the_program(self, engine):
+        # The linear interpreters keep their plan on the binding, so a
+        # detached filter that a memo still holds carries none.
+        program = type_filter(0xA)
+        demux = PacketFilterDemux(engine=engine)
+        demux.attach(port_with(program))
+        assert demux.deliver(PACKET_A).accepted_by == (0,)
+        assert "plan" not in vars(program)
+
     def test_prevalidated_skips_short_packets(self):
         demux = PacketFilterDemux(engine=Engine.PREVALIDATED)
         demux.attach(port_with(type_filter(0xA)))
