@@ -1,12 +1,14 @@
-"""Guard: re-binding one rule under the IR engine compiles one chain,
-and a packet through the compiled set costs a counted number of
+"""Guard: re-binding one rule under the IR engine compiles one chain
+and reads the necessary tests of the buckets it changes, not of the
+set, and a packet through the compiled set costs a counted number of
 bytecodes.
 
 The incremental re-bind is pinned as a same-process *ratio* —
 re-binding one of 128 never-seen rules against compiling that set cold
 — next to the chain cache's hit and miss counts, and, compiled against
-the set it replaces, as counts: chain-cache lookups and rebuilt
-dispatch subtrees per re-bind.  The IR passes
+the set it replaces, as counts: chain-cache lookups, rebuilt dispatch
+subtrees and entries whose necessary tests are read per re-bind, the
+last at 128 and at 2 000 rules under one bound.  The IR passes
 themselves are pinned as counts by ``test_compiled_shape_at_100_rules``
 (``tests/difftest/test_matrix_smoke.py``), the per-packet path by
 ``test_sim_call_budget.py``'s calls per deliver and, below, by the
@@ -16,6 +18,8 @@ bytecodes one ``deliver`` executes on a 100-rule ACL.
 import statistics
 import sys
 import time
+
+import pytest
 
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
@@ -140,6 +144,66 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(emit):
         f"re-bind against the previous set: {lookups} chain lookup(s), "
         f"{len(rebuilt)} of {len(list(_nodes(compiled._root.tree)))} "
         "subtrees rebuilt"
+    )
+
+
+REBIND_READS_SLACK = 2
+"""Entries outside the buckets a re-bind changes whose necessary tests
+it may read: the detached entry and the attached one."""
+
+_READ: set = set()
+
+
+class _CountedEntry(SetEntry):
+    """A set entry that notes, by key, each read of its necessary tests."""
+
+    def __getattribute__(self, name):
+        if name == "necessary":
+            _READ.add(object.__getattribute__(self, "key"))
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("rules", [128, 2000])
+def test_rebind_reads_the_changed_buckets_not_the_set(rules, emit):
+    """SETFILTER compiled against the set it replaces reads the
+    necessary tests of the entries in the buckets it leaves and enters,
+    plus :data:`REBIND_READS_SLACK`, whatever the set's size: the root
+    applies the delta to the tallies it keeps instead of regrouping
+    every entry (which read all of them: 128 and 2 000).  Odd re-binds
+    move the rule into its neighbour's bucket, so a bucket of two is
+    rebuilt; even ones keep its own destination port.  Counted, not
+    timed."""
+    entries = [
+        _CountedEntry(slot, program, validate(program), False)
+        for slot, program in enumerate(
+            _acl_rule(1024 + slot, slot) for slot in range(rules)
+        )
+    ]
+    compiled = compile_ir_set(entries)
+    worst = 0
+    for serial in range(9):
+        slot = (serial * 37) % rules
+        entered = 1024 + (slot + serial % 2) % rules
+        program = _acl_rule(entered, 0x4000 + serial)  # a never-seen rule
+        entries = [entry for entry in entries if entry.key != slot]
+        entries.append(_CountedEntry(slot, program, validate(program), False))
+        _READ.clear()
+        compiled = compile_ir_set(entries, previous=compiled)
+        read = len(_READ)
+        buckets = compiled._root.tree.buckets
+        affected = sum(
+            len(buckets[port].entries)
+            for port in {1024 + slot, entered}
+            if port in buckets
+        )
+        assert read <= affected + REBIND_READS_SLACK, (
+            f"{read} entries read re-binding 1 of {rules} rules into a "
+            f"bucket of {affected}"
+        )
+        worst = max(worst, read - affected)
+    emit(
+        f"re-bind at {rules} rules: at most {worst} entries read beyond "
+        f"the changed buckets (slack {REBIND_READS_SLACK})"
     )
 
 

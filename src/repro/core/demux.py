@@ -37,6 +37,7 @@ from __future__ import annotations
 import enum
 from bisect import insort
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .flowcache import FlowCache
@@ -65,6 +66,7 @@ _COMPILED = Engine.COMPILED
 _PREVALIDATED = Engine.PREVALIDATED
 _PUSH_RESULT = ShortCircuitMode.PUSH_RESULT
 _EXTENDED = LanguageLevel.EXTENDED
+_ENTRY = attrgetter("entry")
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,10 @@ class _Binding:
     detached filter's plan goes with its binding."""
     accepts: int = 0
     entry: SetEntry | None = None
-    """``Engine.IR``: this filter as the set compiler sees it, kept
-    across compiles (the compiler reuses whatever it built for the same
-    entries) and replaced only when the port's copy-all flag flips."""
+    """``Engine.IR``: this filter as the set compiler sees it, made at
+    attach and kept across compiles (the compiler reuses whatever it
+    built for the same entries); :meth:`PacketFilterDemux.invalidate`
+    replaces it when the port's copy-all flag has flipped."""
 
     @property
     def order(self) -> tuple[int, int]:
@@ -199,11 +202,15 @@ class PacketFilterDemux:
         binding.report = validate(
             port.program, level=self.level, mode=self.mode
         )
-        if self.engine is Engine.COMPILED:
+        if self.engine is Engine.IR:
+            binding.entry = SetEntry(
+                port.port_id, port.program, binding.report, port.copy_all
+            )
+        elif self.engine is Engine.COMPILED:
             binding.compiled = compile_filter(
                 port.program, mode=self.mode, level=self.level
             )
-        elif self.engine is not Engine.IR:
+        else:
             binding.plan = decode_plan(port.program)
         self._bindings[port.port_id] = binding
         # Insertion keeps the list sorted in O(log n) comparisons plus
@@ -228,8 +235,21 @@ class PacketFilterDemux:
 
         The device layer calls this when per-port state the compiled
         artifacts bake in changes out-of-band (a live copy-all flip);
-        attach/detach/reorder route through it internally.
+        attach/detach/reorder route through :meth:`_invalidate`.  Under
+        ``Engine.IR`` a flipped port gets a new set entry here, which the
+        next compile swaps in like a re-bind.
+
+        A change to an attached port's ``copy_all`` must be followed by
+        a call to this method.  Nothing else looks for the flip: the
+        flow cache and the IR set keep the old continuation until it is
+        called, even across later attaches and detaches (a per-compile
+        scan of every binding would cost ~1 ms of a 10 000-rule
+        re-bind).
         """
+        for binding in self._order:
+            entry = binding.entry
+            if entry is not None and entry.copy_all != binding.port.copy_all:
+                binding.entry = replace(entry, copy_all=binding.port.copy_all)
         self._invalidate()
 
     def _invalidate(self) -> None:
@@ -255,22 +275,11 @@ class PacketFilterDemux:
             return
         self._stale = False
         if self.engine is Engine.IR:
-            entries = []
-            for binding in self._order:
-                entry = binding.entry
-                if entry is None:
-                    entry = binding.entry = SetEntry(
-                        binding.port.port_id,
-                        binding.program,
-                        binding.report,
-                        binding.port.copy_all,
-                    )
-                elif entry.copy_all != binding.port.copy_all:
-                    entry = binding.entry = replace(
-                        entry, copy_all=binding.port.copy_all
-                    )
-                entries.append(entry)
-            self._ir = compile_ir_set(entries, mode=self.mode, previous=self._ir)
+            self._ir = compile_ir_set(
+                list(map(_ENTRY, self._order)),
+                mode=self.mode,
+                previous=self._ir,
+            )
             self._hot_classify = self._ir._root.function
         if self.flow_cache is not None:
             self._rekey_cache()

@@ -25,12 +25,14 @@ Three layers, bottom up:
   which is a *factory* closed over per-entry result constants.
 
 * :func:`compile_ir_set` compiles a whole bound filter set: build the
-  dispatch tree (:func:`repro.core.opt.build_dispatch_tree`), ask the
-  chain cache for every leaf, and link the instantiated chains under
-  nested hash probes over the discriminating header words.  Given the
-  set it replaces, it keeps every subtree and linked leaf whose entries
-  did not change, so a re-bind rebuilds the tree nodes above the one
-  filter and compiles one chain; the rest of the set costs nothing.
+  dispatch tree (:func:`repro.core.opt.dispatch_root`), ask the chain
+  cache for every leaf, and link the instantiated chains under nested
+  hash probes over the discriminating header words.  Given the set it
+  replaces, it applies the entries detached and attached to the root's
+  grouping and keeps every subtree and linked leaf whose entries did
+  not change, so a re-bind rebuilds the bucket the filter left and the
+  one it entered and compiles one chain; the rest of the set costs
+  nothing.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueG
 from .ir import lower_program
 from .opt import (
     DispatchTree,
+    RootIndex,
     SetEntry,
-    build_dispatch_tree,
+    dispatch_root,
     live_nodes,
-    lower_entry,
     specialize_filter,
     value_numbers,
 )
@@ -572,6 +574,7 @@ class _Link(NamedTuple):
     chain: _Chain | None            #: leaves: the instantiated chain
     buckets: Mapping[int, "_Link"]  #: branches: one per bucket value
     fallback: "_Link | None"
+    targets: Mapping[int, Callable]  #: branches: the probe's bucket map
 
 
 def _link(
@@ -580,51 +583,62 @@ def _link(
     previous: _Link | None,
     mode: ShortCircuitMode,
     lowered: dict,
+    touched: frozenset | None = None,
 ) -> _Link:
     """Link ``node`` under the probe values ``context``.  ``previous``
     is the link at the same place in the set being replaced: a subtree
-    the tree builder kept is kept linked as it is."""
+    the tree builder kept is kept linked as it is.  ``touched`` (the
+    root of a patched tree) names the only bucket values whose subtrees
+    may differ from ``previous``'s, so the bucket maps are copies of
+    the previous ones with those values replaced."""
     if previous is not None and previous.tree is node:
         return previous
     discriminant = node.discriminant
     if discriminant is None:
         chain = _chain_for(node.entries, context, mode, lowered)
         function = chain.factory(*_result_constants(node.entries))
-        return _Link(node, function, chain, {}, None)
+        return _Link(node, function, chain, {}, None, {})
     if previous is not None and previous.tree.discriminant != discriminant:
         previous = None
-    buckets = {}
-    for value, subtree in node.buckets.items():
+    if previous is None or touched is None:
+        values, buckets, targets = node.buckets, {}, {}
+    else:
+        values = touched
+        buckets, targets = dict(previous.buckets), dict(previous.targets)
+    for value in values:
+        subtree = node.buckets.get(value)
         before = previous.buckets.get(value) if previous else None
-        if before is not None and before.tree is subtree:
-            buckets[value] = before
-        else:
-            buckets[value] = _link(
+        if subtree is None:  # the bucket emptied
+            del buckets[value], targets[value]
+            continue
+        if before is None or before.tree is not subtree:
+            before = _link(
                 subtree, {**context, discriminant: value}, before, mode,
                 lowered,
             )
+        buckets[value] = before
+        targets[value] = before.function
     fallback = _link(
         node.fallback, context, previous.fallback if previous else None,
         mode, lowered,
     )
-    function = _dispatch_factory(*discriminant)(
-        {value: link.function for value, link in buckets.items()},
-        fallback.function,
-    )
-    return _Link(node, function, None, buckets, fallback)
+    function = _dispatch_factory(*discriminant)(targets, fallback.function)
+    return _Link(node, function, None, buckets, fallback, targets)
 
 
 def _fold_tree(node: DispatchTree, context: dict, leaf, branch):
     """Bottom-up fold over a dispatch tree: ``leaf(entries, context)``
     at every chain, ``branch(discriminant, targets, fallback)`` above,
-    with ``context`` the probe values established on the way down."""
+    with ``context`` the probe values established on the way down.
+    Buckets are visited by value, so a patched root folds as a cold one
+    does, whatever order its buckets were added in."""
     if node.discriminant is None:
         return leaf(node.entries, context)
     targets = {
         value: _fold_tree(
             subtree, {**context, node.discriminant: value}, leaf, branch
         )
-        for value, subtree in node.buckets.items()
+        for value, subtree in sorted(node.buckets.items())
     }
     fallback = _fold_tree(node.fallback, context, leaf, branch)
     return branch(node.discriminant, targets, fallback)
@@ -691,6 +705,7 @@ class CompiledIRSet:
     discriminant: tuple[int, int] | None  #: root (word index, mask)
     _root: _Link = field(repr=False)
     _mode: ShortCircuitMode = field(repr=False)
+    _index: RootIndex = field(repr=False)  #: what the next compile patches
 
     def classify(self, packet: bytes) -> tuple[Sequence, int]:
         return self._root.function(packet, len(packet))
@@ -736,23 +751,28 @@ def compile_ir_set(
     previous: CompiledIRSet | None = None,
 ) -> CompiledIRSet:
     """Compile ``entries`` (already validated, in application order):
-    build the dispatch tree over the whole set, then lower → specialize
-    → emit → ``compile()`` each leaf chain the process has not compiled
-    before, and link the chains under the tree's hash probes.
+    group the dispatch tree's root (:func:`repro.core.opt.dispatch_root`),
+    then lower → specialize → emit → ``compile()`` each leaf chain the
+    process has not compiled before, and link the chains under the
+    tree's hash probes.
 
-    ``previous`` is the set this one replaces.  Every subtree whose
-    entries are the same objects in the same order as at the same place
-    in ``previous`` is reused, linked functions included; only the rest
-    is rebuilt and linked.  A SETFILTER on an N-rule set therefore
-    rebuilds the root, the one bucket the filter lands in and the one it
-    left, and compiles one chain.  Chains are also memoized by value
-    (:func:`_chain_for`), so a rebuilt leaf whose filters were compiled
-    before — ahead of a same-priority reorder, say, or in another
-    demultiplexer bound to an overlapping ACL — costs one cache hit.  A
-    set the analysis cannot bucket is one chain, and a change to an
-    unbucketable filter (merged into every bucket) rebuilds every
-    bucket.  ``previous=None`` is the same compile with nothing to
-    reuse.
+    ``previous`` is the set this one replaces.  The root applies the
+    entries detached and attached since ``previous`` to the tallies the
+    set keeps (:class:`repro.core.opt.RootIndex`), and every subtree
+    whose entries are the same objects in the same order as at the same
+    place in ``previous`` is reused, linked functions included.  A
+    SETFILTER on an N-rule set therefore rebuilds the one bucket the
+    filter lands in and the one it left, compiles one chain, and copies
+    the root's bucket maps with those two values replaced; the other
+    entries are not regrouped.  The root is regrouped (still reusing
+    every unchanged subtree) when the change moves its key, changes an
+    unbucketable filter (merged into every bucket, so every bucket is
+    rebuilt) or reorders the filters both sets hold.  Chains are also
+    memoized by value (:func:`_chain_for`), so a rebuilt leaf whose
+    filters were compiled before — ahead of a same-priority reorder,
+    say, or in another demultiplexer bound to an overlapping ACL — costs
+    one cache hit.  A set the analysis cannot bucket is one chain.
+    ``previous=None`` is the same compile from an empty set.
 
     A filter the process has not seen is lowered once: the lowering
     yields the necessary tests the tree groups by (kept on the entry)
@@ -760,19 +780,19 @@ def compile_ir_set(
     """
     if previous is not None and previous._mode is not mode:
         previous = None
-    lowered = {}
-    for entry in entries:
-        if entry.necessary is None:
-            fir = lower_entry(entry, mode)
-            if fir is not None:
-                lowered[entry] = fir
-    tree = build_dispatch_tree(
-        entries, mode, previous=previous._root.tree if previous else None
+    lowered: dict = {}
+    tree, index, touched = dispatch_root(
+        entries, mode,
+        (previous._root.tree, previous._index) if previous else None,
+        lowered,
     )
-    root = _link(tree, {}, previous._root if previous else None, mode, lowered)
+    root = _link(
+        tree, {}, previous._root if previous else None, mode, lowered, touched
+    )
     return CompiledIRSet(
-        size=len(entries),
+        size=len(tree.entries),
         discriminant=tree.discriminant,
         _root=root,
         _mode=mode,
+        _index=index,
     )

@@ -32,13 +32,16 @@ satisfies (:meth:`DispatchTree.lookup` is the reference reading; a
 property-based test in ``tests/core/test_properties.py`` pins the
 equivalence down).  It reorders *predicates*, never priorities: every
 leaf chain keeps the order the set was given in, so delivery order is
-exactly the figure 4-1 loop's.
+exactly the figure 4-1 loop's.  A compiled set's root is grouped by
+:func:`dispatch_root`, which keeps the root's tallies with the set
+(:class:`RootIndex`) so that a re-bind patches the buckets it changes
+instead of regrouping every filter.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from typing import Hashable, Mapping, Sequence
 
 from .interpreter import ShortCircuitMode
@@ -73,6 +76,8 @@ __all__ = [
     "lower_entry",
     "DispatchTree",
     "build_dispatch_tree",
+    "RootIndex",
+    "dispatch_root",
 ]
 
 
@@ -430,6 +435,37 @@ MAX_DEPTH = 3
 chains."""
 
 
+def _count(counts: dict, cover: dict, tests: Mapping, step: int) -> None:
+    """Add ``step`` (+1 or -1) entries requiring ``tests`` to the
+    per-key tallies: ``counts[key][value]`` entries require ``value``
+    of ``key``, ``cover[key]`` require any.  A tally that reaches zero
+    is deleted, so ``len(counts[key])`` is the key's distinct values."""
+    for key, value in tests.items():
+        values = counts.setdefault(key, {})
+        number = values.get(value, 0) + step
+        if number:
+            values[value] = number
+        else:
+            del values[value]
+        number = cover[key] = cover.get(key, 0) + step
+        if not number:
+            del counts[key], cover[key]
+
+
+def _split_key(counts: Mapping, cover: Mapping) -> tuple[int, int] | None:
+    """The (word, mask) a node splits on: the most distinct required
+    values, then the most entries covered, then the lowest word, then
+    the larger mask.  A total order, so the choice never depends on the
+    order in which the keys were first seen; None when no key covers
+    two entries (a straight chain is cheaper)."""
+    key = max(
+        counts,
+        key=lambda k: (len(counts[k]), cover[k], -k[0], k[1]),
+        default=None,
+    )
+    return key if key is not None and cover[key] >= 2 else None
+
+
 def build_dispatch_tree(
     entries: Sequence[SetEntry],
     mode: ShortCircuitMode,
@@ -442,53 +478,56 @@ def build_dispatch_tree(
 
     This is the predicate-reordering pass: instead of each filter
     re-testing the discriminating fields in chain order, the shared
-    probe runs once up front.  Each node splits on the most
-    discriminating (word, mask) not already split on above it — the one
-    with the most distinct required values, coverage breaking ties —
-    and stops where no key covers two entries; a straight chain is
-    cheaper.  Priority order is *not* reordered — every node keeps its
-    entries in the order they were given.
+    probe runs once up front.  Each node splits on :func:`_split_key`
+    of the keys not already split on above it, and stops where no key
+    covers two entries.  Priority order is *not* reordered — every node
+    keeps its entries in the order they were given.
 
     ``previous`` is the tree this one replaces: any subtree whose
     entries are the same objects in the same order, at the same place,
     is that subtree, so a re-bind rebuilds only the nodes it changed.
+    The root of a compiled set is grouped by :func:`dispatch_root`,
+    which keeps the tallies this function recounts at every node.
     """
     ordered = tuple(entries)
     if previous is not None and previous.entries == ordered:
         return previous
-    leaf = DispatchTree(None, {}, None, ordered)
     # Every level above added exactly one key, so ``used_keys`` is the depth.
-    if len(used_keys) >= MAX_DEPTH or len(ordered) < 2:
-        return leaf
-    required = []
-    for entry in ordered:
-        if entry.necessary is None:
-            lower_entry(entry, mode)
-        tests = entry.necessary
-        if used_keys:
-            tests = {k: v for k, v in tests.items() if k not in used_keys}
-        required.append(tests)
-    values: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-    for tests in required:  # one value per covered entry
-        for key, value in tests.items():
-            values[key].append(value)
-    if not values:
-        return leaf
-    key = max(
-        values, key=lambda k: (len(set(values[k])), len(values[k]), -k[0])
-    )
-    if len(values[key]) < 2:
-        return leaf
+    if len(used_keys) < MAX_DEPTH and len(ordered) >= 2:
+        counts: dict = {}
+        cover: dict = {}
+        for entry in ordered:
+            if entry.necessary is None:
+                lower_entry(entry, mode)
+            tests = entry.necessary
+            if used_keys:
+                tests = {k: v for k, v in tests.items() if k not in used_keys}
+            _count(counts, cover, tests, 1)
+        key = _split_key(counts, cover)
+        if key is not None:
+            return _branch(ordered, key, mode, used_keys | {key}, previous)
+    return DispatchTree(None, {}, None, ordered)
 
-    grouped: defaultdict[int, list[int]] = defaultdict(list)
+
+def _branch(
+    ordered: tuple[SetEntry, ...],
+    key: tuple[int, int],
+    mode: ShortCircuitMode,
+    deeper: frozenset,
+    previous: DispatchTree | None,
+) -> DispatchTree:
+    """Split ``ordered`` on ``key``: one bucket per required value, and
+    the entries that do not require one (the leftovers) merged into
+    every bucket and forming the fallback."""
+    grouped: dict[int, list[int]] = {}
     leftovers: list[int] = []  # positions in ``ordered``
-    for position, tests in enumerate(required):
-        if key in tests:
-            grouped[tests[key]].append(position)
-        else:
+    for position, entry in enumerate(ordered):
+        value = entry.necessary.get(key)
+        if value is None:
             leftovers.append(position)
+        else:
+            grouped.setdefault(value, []).append(position)
 
-    deeper = used_keys | {key}
     same = previous is not None and previous.discriminant == key
     pick = ordered.__getitem__
 
@@ -509,3 +548,136 @@ def build_dispatch_tree(
     }
     fallback = subtree(leftovers, previous.fallback if same else None)
     return DispatchTree(key, buckets, fallback, ordered)
+
+
+class RootIndex:
+    """What the root of a compiled set's dispatch tree groups by, kept
+    with the set so that the next compile applies the entries detached
+    and attached instead of regrouping every entry.
+
+    ``members`` are the entries under ``tree``, the root it describes;
+    ``counts`` and ``cover`` are :func:`_count`'s tallies over them,
+    which is all the key choice reads.  The bucket member tuples and the
+    unbucketable (fallback) tuple are the tree's own ``buckets`` and
+    ``fallback``.  A compile hands the index on to the set it builds,
+    updating the tallies in place rather than copying them; a second
+    compile from the same previous set finds the index describing
+    another tree and counts from nothing."""
+
+    __slots__ = ("tree", "members", "counts", "cover")
+
+    def __init__(self) -> None:
+        self.tree: DispatchTree | None = None
+        self.members: frozenset = frozenset()
+        self.counts: dict[tuple[int, int], dict[int, int]] = {}
+        self.cover: dict[tuple[int, int], int] = {}
+
+
+def _without(entries: tuple, drop: frozenset) -> tuple:
+    return tuple(filterfalse(drop.__contains__, entries)) if drop else entries
+
+
+def dispatch_root(
+    entries: Sequence[SetEntry],
+    mode: ShortCircuitMode,
+    previous: tuple[DispatchTree, RootIndex] | None,
+    lowered: dict,
+) -> tuple[DispatchTree, RootIndex, frozenset | None]:
+    """The dispatch tree over ``entries`` (in application order) and its
+    root index, from the tree and index of the set they replace.
+
+    The delta is the entries detached (in the previous set, not in
+    ``entries``) and attached; the tallies change by those alone.  When
+    the root keeps its key, every changed entry requires a value of it,
+    and the entries both sets hold keep their relative order, only the
+    buckets the changed entries leave or enter are rebuilt (through
+    :func:`build_dispatch_tree`, reusing what they can) and the rest of
+    the root is the previous tree's.  Otherwise the root is regrouped
+    on the key the tallies choose, reusing every subtree that did not
+    change.  ``previous=None`` is the delta from an empty set, so a cold
+    compile is this same function; the tree equals
+    :func:`build_dispatch_tree`'s over ``entries`` either way.
+
+    An attached entry whose necessary tests are not known is lowered
+    for them (:func:`lower_entry`), in application order, and the
+    lowering is put in ``lowered`` for the caller's first chain.
+    Returns ``(tree, index, touched)``: ``touched`` are the bucket
+    values whose subtrees may differ from the previous tree's, or None
+    when the root was regrouped.
+    """
+    ordered = tuple(entries)
+    tree, index = previous if previous is not None else (None, None)
+    if tree is not None and tree.entries == ordered:
+        return tree, index, frozenset()
+    if index is None or index.tree is not tree:
+        index = RootIndex()  # nothing counted: every entry is attached
+    base, index.tree = index.tree, None  # spent until this compile ends
+    members = frozenset(ordered)
+    if len(members) != len(ordered):
+        raise ValueError("an entry appears twice in one set")
+    gone = index.members - members
+    attached = tuple(filterfalse(index.members.__contains__, ordered))
+    for entry in attached:
+        if entry.necessary is None:
+            fir = lower_entry(entry, mode)
+            if fir is not None:
+                lowered[entry] = fir
+    counts, cover = index.counts, index.cover
+    for entry in gone:
+        _count(counts, cover, entry.necessary, -1)
+    for entry in attached:
+        _count(counts, cover, entry.necessary, 1)
+    index.members = members
+    key = _split_key(counts, cover)
+    touched = None
+    if key is None:
+        root = DispatchTree(None, {}, None, ordered)
+    elif (
+        base is None
+        or base.discriminant != key
+        or not all(key in entry.necessary for entry in gone)
+        or not all(key in entry.necessary for entry in attached)
+        or _without(base.entries, gone) != _without(ordered, frozenset(attached))
+    ):
+        root = _branch(ordered, key, mode, frozenset({key}), tree)
+    else:
+        root, touched = _patch(
+            base, ordered, key, counts[key], mode, gone, attached
+        )
+    index.tree = root
+    return root, index, touched
+
+
+def _patch(
+    base: DispatchTree,
+    ordered: tuple[SetEntry, ...],
+    key: tuple[int, int],
+    values: Mapping[int, int],
+    mode: ShortCircuitMode,
+    gone: frozenset,
+    attached: tuple[SetEntry, ...],
+) -> tuple[DispatchTree, frozenset]:
+    """``base`` with only the buckets ``gone`` leave and ``attached``
+    enter rebuilt.  Every changed entry requires a value of ``key``, so
+    the fallback is ``base``'s; ``values`` are the values some entry
+    now requires, one bucket each."""
+    deeper = frozenset({key})
+    buckets = dict(base.buckets)
+    touched = frozenset(
+        entry.necessary[key] for group in (gone, attached) for entry in group
+    )
+    rank = None
+    for value in touched:
+        before = buckets.pop(value, None)
+        if value not in values:
+            continue  # the bucket emptied
+        kept = _without(before.entries if before else base.fallback.entries, gone)
+        joining = tuple(e for e in attached if e.necessary[key] == value)
+        if kept and joining:
+            if rank is None:
+                rank = dict(zip(ordered, range(len(ordered))))
+            joining = tuple(sorted(kept + joining, key=rank.__getitem__))
+        buckets[value] = build_dispatch_tree(
+            joining or kept, mode, used_keys=deeper, previous=before,
+        )
+    return DispatchTree(key, buckets, base.fallback, ordered), touched

@@ -114,7 +114,9 @@ class Port:
         self.port_id = port_id
         self.program: FilterProgram | None = None
         self.queue_limit = queue_limit
-        self.copy_all = False          #: submit accepted packets onward too
+        #: submit accepted packets onward too; while attached, follow a
+        #: change with ``PacketFilterDemux.invalidate()``
+        self.copy_all = False
         self.timestamping = False      #: mark packets with receive time
         self.signal: int | None = None  #: signal to post on reception
         self.read_policy = ReadTimeoutPolicy.forever()

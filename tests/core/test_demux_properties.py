@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
+from repro.core import irgen
 from repro.core.interpreter import evaluate
+from repro.core.opt import build_dispatch_tree
 from repro.core.port import Port
 from repro.core.words import pack_words
 
@@ -156,6 +158,7 @@ churn_steps = st.lists(
         st.sampled_from(["attach", "detach", "rebind", "copyall", "reorder"]),
         st.integers(0, 7),     # which attached port
         st.tuples(
+            st.sampled_from(["word", "high", "low", "wild"]),
             st.integers(0, 3),  # discriminating word index
             st.integers(0, 3),  # required value
             st.integers(0, 1),  # priority: few classes, so ties reorder
@@ -167,10 +170,25 @@ churn_steps = st.lists(
 )
 
 
+def churn_filter(kind, field, value, priority):
+    """A filter of one of the shapes the dispatch root's paths turn on:
+    a whole word, the high or low byte of one (two masks of one word,
+    which can tie), or an unbucketable disjunction."""
+    if kind == "word":
+        expr = word(field) == value
+    elif kind == "high":
+        expr = word(field).masked(0xFF00) == value << 8
+    elif kind == "low":
+        expr = word(field).masked(0x00FF) == value
+    else:
+        expr = (word(field) == value) | (word((field + 1) % 4) == value)
+    return compile_expr(expr, priority=priority)
+
+
 def bind_port(port, spec):
-    field, value, priority, copy_all = spec
+    kind, field, value, priority, copy_all = spec
     port.copy_all = copy_all
-    port.bind_filter(compile_expr(word(field) == value, priority=priority))
+    port.bind_filter(churn_filter(kind, field, value, priority))
 
 
 def cold_twin(demux):
@@ -190,6 +208,56 @@ def drain(demux):
         port.read_packets()
 
 
+def churn_step(demux, op, port, spec, packets):
+    """Apply one churn operation to ``port``, an attached port."""
+    if op == "detach":
+        demux.detach(port)
+    elif op == "rebind":
+        demux.detach(port)
+        bind_port(port, spec)
+        demux.attach(port)
+    elif op == "copyall":
+        port.copy_all = not port.copy_all
+        demux.invalidate()
+    else:  # busier-first, one reorder pass per delivery
+        demux.reorder_same_priority = True
+        for packet in packets:
+            demux.deliver(packet)
+        demux.reorder_same_priority = False
+        drain(demux)
+
+
+def tree_shape(tree):
+    """A dispatch tree as plain data: the discriminant, the subtree of
+    every bucket value, the fallback and the port ids at each node."""
+    if tree is None:
+        return None
+    return (
+        tree.discriminant,
+        {value: tree_shape(sub) for value, sub in tree.buckets.items()},
+        tree_shape(tree.fallback),
+        tuple(entry.key for entry in tree.entries),
+    )
+
+
+def assert_equals_cold(demux, packets, step):
+    """``demux``, compiled against the set it replaced, has the
+    ``ir_stats``, generated source and dispatch-tree structure of a
+    demux compiled from nothing (whose tree is in turn the recursive
+    reference builder's), and delivers as that demux does."""
+    twin = cold_twin(demux)
+    assert demux.ir_stats == twin.ir_stats, step
+    assert demux._ir.source == twin._ir.source, step
+    cold = twin._ir._root.tree
+    assert tree_shape(demux._ir._root.tree) == tree_shape(cold), step
+    reference = build_dispatch_tree(cold.entries, demux.mode)
+    assert tree_shape(reference) == tree_shape(cold), step
+    for packet in packets:
+        got = demux.deliver(packet).accepted_by
+        assert got == twin.deliver(packet).accepted_by, (step, packet.hex())
+    drain(demux)
+
+
 class TestIncrementalIRCompile:
     @given(
         churn_steps,
@@ -199,9 +267,12 @@ class TestIncrementalIRCompile:
     @settings(max_examples=80, deadline=None)
     def test_every_step_equals_a_cold_compile(self, steps, packet_lists, cached):
         """Attach, detach, SETFILTER re-bind, copy-all flip and
-        same-priority reorder each recompile against the previous set;
-        after every step the accepting ports, ``ir_stats`` and the
-        generated source equal those of a demux compiled from nothing."""
+        same-priority reorder each recompile against the previous set,
+        over whole-word, high-byte, low-byte and unbucketable filters
+        (root-key changes, tied masks of one word, the root's patch and
+        regroup paths); after every step the accepting ports,
+        ``ir_stats``, the generated source and the dispatch tree's
+        structure equal those of a demux compiled from nothing."""
         packets = [pack_words(words) for words in packet_lists]
         demux = PacketFilterDemux(
             engine=Engine.IR,
@@ -219,28 +290,88 @@ class TestIncrementalIRCompile:
                 demux.attach(port)
             else:
                 port = attached[pick % len(attached)]
-                if op == "detach":
-                    demux.detach(port)
-                elif op == "rebind":
-                    demux.detach(port)
-                    bind_port(port, spec)
-                    demux.attach(port)
-                elif op == "copyall":
-                    port.copy_all = not port.copy_all
-                    demux.invalidate()
-                else:  # busier-first, one reorder pass per delivery
-                    demux.reorder_same_priority = True
-                    for packet in packets:
-                        demux.deliver(packet)
-                    demux.reorder_same_priority = False
-                    drain(demux)
+                churn_step(demux, op, port, spec, packets)
+            assert_equals_cold(demux, packets, op)
 
-            twin = cold_twin(demux)
-            assert demux.ir_stats == twin.ir_stats, op
-            assert demux._ir.source == twin._ir.source, op
-            for packet in packets:
-                got = demux.deliver(packet).accepted_by
-                assert got == twin.deliver(packet).accepted_by, (
-                    op, packet.hex()
-                )
-            drain(demux)
+    def test_each_root_path(self, monkeypatch):
+        """A scripted churn that takes every path of the root at least
+        once — patch, key change, an unbucketable filter attached and
+        detached, a re-bind that must re-sort its bucket, a reorder, a
+        copy-all flip, a tie between two masks of one word — and equals
+        a cold compile after each step."""
+        paths = []
+        dispatch_root = irgen.dispatch_root
+
+        def spy(entries, mode, previous, lowered):
+            tree, index, touched = dispatch_root(
+                entries, mode, previous, lowered
+            )
+            if previous is not None:  # not a cold twin's compile
+                paths.append("regroup" if touched is None else "patch")
+            return tree, index, touched
+
+        monkeypatch.setattr(irgen, "dispatch_root", spy)
+        packets = [
+            pack_words([a, b, 0x0100 | c, 0]) for a in range(4)
+            for b in range(3) for c in range(3)
+        ]
+        demux = PacketFilterDemux(engine=Engine.IR, reorder_same_priority=False)
+        demux.REORDER_INTERVAL = 1
+        ports = {}
+
+        def attach(port_id, *spec):
+            ports[port_id] = Port(port_id, queue_limit=10_000)
+            bind_port(ports[port_id], (*spec, 0, False))
+            demux.attach(ports[port_id])
+
+        def step(name, *expected):
+            assert_equals_cold(demux, packets, name)
+            assert paths == list(expected), name
+            paths.clear()
+
+        for port_id in range(3):
+            attach(port_id, "word", 0, port_id + 1)
+        step("cold")
+        assert demux._ir.discriminant == (0, 0xFFFF)
+        churn_step(demux, "rebind", ports[1], ("word", 0, 0, 0, False), packets)
+        step("re-bind within the key", "patch")
+        churn_step(demux, "copyall", ports[0], None, packets)
+        step("copy-all flip", "patch")
+        attach(3, "wild", 0, 1)
+        step("unbucketable attached", "regroup")
+        # Higher priority than the unbucketable filter it joins in its
+        # bucket, so the bucket's entries must be re-sorted.
+        churn_step(demux, "rebind", ports[2], ("word", 0, 2, 1, False), packets)
+        step("re-bind beside an unbucketable filter", "patch")
+        # The unbucketable filter, made busiest, passes each of the two
+        # filters that share its buckets: no entry changes, the order
+        # does, twice.
+        busy = [pack_words([3, 1, 0, 0])] * 64
+        churn_step(demux, "reorder", None, None, busy)
+        step("reorder within buckets", "regroup", "regroup")
+        demux.detach(ports[3])
+        step("unbucketable detached", "regroup")
+        for port_id in (4, 5, 6, 7):
+            attach(port_id, "word", 1, port_id - 4)
+        step("root key changed", "regroup")
+        assert demux._ir.discriminant == (1, 0xFFFF)
+
+        # Two masks of one word tie on distinct values and coverage: the
+        # larger mask wins whichever was seen first.
+        for first, second in (("low", "high"), ("high", "low")):
+            tied = PacketFilterDemux(
+                engine=Engine.IR, reorder_same_priority=False
+            )
+            for port_id, (kind, value) in enumerate(
+                [(first, 1), (first, 2), (second, 1), (second, 2)]
+            ):
+                port = Port(port_id, queue_limit=10_000)
+                bind_port(port, (kind, 2, value, 0, False))
+                tied.attach(port)
+            tied.ir_stats
+            assert tied._ir.discriminant == (2, 0xFF00), first
+            churn_step(
+                tied, "rebind", tied.attached_ports()[0],
+                (first, 2, 3, 0, False), packets,
+            )
+            assert_equals_cold(tied, packets, f"tie, {first} first")

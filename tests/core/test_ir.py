@@ -8,6 +8,7 @@ instead of as a distant counterexample.
 """
 
 import re
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -42,7 +43,7 @@ from repro.core.opt import (
 )
 from repro.core.port import Port
 from repro.core.program import FilterProgram, asm
-from repro.core.validator import validate
+from repro.core.validator import _validate_cached, validate
 from repro.core.words import pack_words
 from repro.difftest import (
     boundary_packets,
@@ -725,6 +726,43 @@ class TestChainCache:
         for n in range(8):
             packet = pack_words([0, 0, 0, 0, 0, 0, 0x0900, n])
             assert live.classify(packet) == ((n,), 1)
+
+
+class TestRebindMemory:
+    def test_a_rebind_adds_one_memo_entry_and_frees_the_old_set(self):
+        """One SETFILTER of a never-seen rule adds at most one entry to
+        each process-wide memo — the validator's, the necessary tests'
+        and the chain cache — and the set it replaces is freed: the root
+        index moves to the new set and holds no set."""
+        demux = PacketFilterDemux(
+            engine=Engine.IR, reorder_same_priority=False
+        )
+        ports = []
+        for i in range(16):
+            port = Port(i, queue_limit=64)
+            port.bind_filter(five_tuple(0x7100 + i, sport=0x7100))
+            demux.attach(port)
+            ports.append(port)
+        demux.ir_stats  # compile
+
+        def sizes():
+            return (
+                _validate_cached.cache_info().currsize,
+                len(opt._NECESSARY),
+                len(irgen._CHAINS),
+            )
+
+        for serial in range(3):
+            before = sizes()
+            replaced = weakref.ref(demux._ir)
+            port = ports[5 * serial]
+            demux.detach(port)
+            port.bind_filter(five_tuple(0x7100 + 5 * serial, 0x7200 + serial))
+            demux.attach(port)
+            demux.ir_stats  # compile against the replaced set
+            grown = [after - then for after, then in zip(sizes(), before)]
+            assert max(grown) <= 1, grown
+            assert replaced() is None, "the replaced set is still referenced"
 
 
 # ---------------------------------------------------------------------------
