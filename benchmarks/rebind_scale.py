@@ -11,7 +11,7 @@ compiles the new set against the one it replaces.  Prints the median and
     PYTHONPATH=src python benchmarks/rebind_scale.py [--rules 128 1000 10000]
 
 Each size runs ``REBINDS`` re-binds of ACL seed ``SEED`` in a fresh
-process, so one size's memos cannot warm another's.  Times are host
+process, so no size runs on another's heap.  Times are host
 wall clock: compare two trees only in alternating runs on one host.
 """
 

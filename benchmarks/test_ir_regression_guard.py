@@ -3,38 +3,29 @@ and reads the necessary tests of the buckets it changes, not of the
 set, and a packet through the compiled set costs a counted number of
 bytecodes.
 
-The incremental re-bind is pinned as a same-process *ratio* —
-re-binding one of 128 never-seen rules against compiling that set cold
-— next to the chain cache's hit and miss counts, and, compiled against
-the set it replaces, as counts: chain-cache lookups, rebuilt dispatch
-subtrees and entries whose necessary tests are read per re-bind, the
-last at 128 and at 2 000 rules under one bound.  The IR passes
+The incremental re-bind, compiled against the set it replaces, is
+pinned as counts: code objects compiled, rebuilt dispatch subtrees and
+entries whose necessary tests are read per re-bind, the last at 128
+and at 2 000 rules under one bound.  The IR passes
 themselves are pinned as counts by ``test_compiled_shape_at_100_rules``
 (``tests/difftest/test_matrix_smoke.py``), the per-packet path by
 ``test_sim_call_budget.py``'s calls per deliver and, below, by the
 bytecodes one ``deliver`` executes on a 100-rule ACL.
 """
 
-import statistics
 import sys
-import time
 
 import pytest
 
+from repro.core import irgen
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
-from repro.core.irgen import (
-    SetEntry,
-    chain_cache_clear,
-    chain_cache_info,
-    compile_ir_set,
-)
+from repro.core.irgen import SetEntry, compile_ir_set
 from repro.core.port import Port
 from repro.core.validator import validate
 from repro.core.words import pack_words
 
 REBIND_RULES = 128
-REBIND_MIN_SPEEDUP = 5.0
 
 DELIVER_BYTECODE_RULES = 100
 DELIVER_BYTECODE_CEILING = 228.0
@@ -54,50 +45,6 @@ def _acl_rule(port: int, serial: int):
     )
 
 
-def _compile_seconds(programs) -> float:
-    entries = [
-        SetEntry(rank, program, validate(program), False)
-        for rank, program in enumerate(programs)
-    ]
-    start = time.perf_counter()
-    compile_ir_set(entries)
-    return time.perf_counter() - start
-
-
-def test_rebind_compiles_one_chain_not_the_set(emit):
-    """SETFILTER on one of 128 rules re-links 127 cached chains and
-    compiles one: at least 5x faster than compiling the set cold, in
-    the same process (measured ~20x; the floor only catches a key that
-    stops hitting — a rank or a counter leaking back into chain code)."""
-    programs = [_acl_rule(1024 + i, i) for i in range(REBIND_RULES)]
-    cold = []
-    for _ in range(3):
-        chain_cache_clear()
-        cold.append(_compile_seconds(programs))
-    rebinds = []
-    for serial in range(9):
-        # The re-bound port moves to the end of its priority class, so
-        # every later rank shifts — and the rule has never been seen.
-        slot = (serial * 37) % REBIND_RULES
-        programs.append(_acl_rule(1024 + slot, 1000 + serial))
-        del programs[slot]
-        before = chain_cache_info()
-        rebinds.append(_compile_seconds(programs))
-        after = chain_cache_info()
-        assert after.misses - before.misses == 1
-        assert after.hits - before.hits == REBIND_RULES  # 127 + fallback
-    ratio = min(cold) / statistics.median(rebinds)
-    emit(
-        f"cold compile {min(cold) * 1e3:.1f} ms, re-bind "
-        f"{statistics.median(rebinds) * 1e3:.2f} ms: {ratio:.1f}x; "
-        f"{chain_cache_info()}"
-    )
-    assert ratio >= REBIND_MIN_SPEEDUP, (
-        f"re-binding 1 of {REBIND_RULES} rules is only {ratio:.1f}x faster "
-        f"than the cold compile (floor {REBIND_MIN_SPEEDUP}x)"
-    )
-
-
 def _nodes(tree):
     yield tree
     for subtree in tree.buckets.values():
@@ -106,11 +53,22 @@ def _nodes(tree):
         yield from _nodes(tree.fallback)
 
 
-def test_rebind_against_the_previous_set_rebuilds_one_bucket(emit):
+def test_rebind_against_the_previous_set_rebuilds_one_bucket(
+    monkeypatch, emit
+):
     """SETFILTER on one of 128 rules, compiled against the set it
-    replaces, rebuilds the root and the re-bound rule's bucket and looks
-    up that bucket's chain; the other 127 buckets and their linked
-    chains are the previous set's own.  Counted, not timed."""
+    replaces, rebuilds the root and the re-bound rule's bucket and
+    compiles that bucket's chain, and nothing else; the other 127
+    buckets and their linked chains are the previous set's own.
+    Counted, not timed."""
+    load_factory = irgen._load_factory
+    compiled_sources = []
+
+    def counting(source):
+        compiled_sources.append(source)
+        return load_factory(source)
+
+    monkeypatch.setattr(irgen, "_load_factory", counting)
     programs = [_acl_rule(1024 + slot, slot) for slot in range(REBIND_RULES)]
     entries = [
         SetEntry(slot, program, validate(program), False)
@@ -124,24 +82,23 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(emit):
         program = _acl_rule(1024 + slot, 1000 + serial)
         entries = [entry for entry in entries if entry.key != slot]
         entries.append(SetEntry(slot, program, validate(program), False))
-        before = chain_cache_info()
+        del compiled_sources[:]
         previous, compiled = compiled, compile_ir_set(
             entries, previous=compiled
         )
-        after = chain_cache_info()
-        lookups = (after.hits + after.misses) - (before.hits + before.misses)
+        compiles = len(compiled_sources)
         kept = {id(node) for node in _nodes(previous._root.tree)}
         rebuilt = [
             node for node in _nodes(compiled._root.tree)
             if id(node) not in kept
         ]
-        assert lookups <= 2, f"{lookups} chain-cache lookups for one re-bind"
+        assert compiles == 1, f"{compiles} code objects compiled for one re-bind"
         assert len(rebuilt) <= 2, f"{len(rebuilt)} subtrees rebuilt"
         sport = 1000 + serial
         packet = pack_words([0x0A00, sport ^ 0x5555, 0, 0, 6, sport, 1024 + slot])
         assert compiled.classify(packet) == ((slot,), 1)
     emit(
-        f"re-bind against the previous set: {lookups} chain lookup(s), "
+        f"re-bind against the previous set: {compiles} chain compiled, "
         f"{len(rebuilt)} of {len(list(_nodes(compiled._root.tree)))} "
         "subtrees rebuilt"
     )

@@ -199,19 +199,23 @@ class PacketFilterDemux:
         # the interpreter could only ever fault on is an ioctl error,
         # not a per-packet surprise.  Only the non-CHECKED engines
         # additionally *rely* on the report to skip runtime checks.
-        binding.report = validate(
-            port.program, level=self.level, mode=self.mode
-        )
-        if self.engine is Engine.IR:
-            binding.entry = SetEntry(
-                port.port_id, port.program, binding.report, port.copy_all
-            )
-        elif self.engine is Engine.COMPILED:
+        # Compiling validates, so the compiled filter brings its report.
+        if self.engine is Engine.COMPILED:
             binding.compiled = compile_filter(
                 port.program, mode=self.mode, level=self.level
             )
+            binding.report = binding.compiled.report
         else:
-            binding.plan = decode_plan(port.program)
+            binding.report = validate(
+                port.program, level=self.level, mode=self.mode
+            )
+            if self.engine is Engine.IR:
+                binding.entry = SetEntry(
+                    port.port_id, port.program, binding.report,
+                    port.copy_all,
+                )
+            else:
+                binding.plan = decode_plan(port.program)
         self._bindings[port.port_id] = binding
         # Insertion keeps the list sorted in O(log n) comparisons plus
         # one memmove; a per-attach full sort re-evaluates the key for

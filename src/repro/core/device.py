@@ -463,9 +463,9 @@ class PacketFilterHandle(DeviceHandle):
             demux = self.device.demux
             try:
                 # Validate before touching the live binding (the attach
-                # below re-validates from the memo): bad programs are an
-                # ioctl error, never a packet-time surprise, and the old
-                # filter stays attached where it was.
+                # below validates once more, for its own report): bad
+                # programs are an ioctl error, never a packet-time
+                # surprise, and the old filter stays attached where it was.
                 validate(argument, level=demux.level, mode=demux.mode)
             except ValidationError as exc:
                 raise InvalidArgument(f"filter rejected: {exc}") from exc

@@ -308,7 +308,7 @@ def evaluate(
     original interpreter performed (section 4).  ``checked=False`` is the
     section 7 fast path: it runs only a program
     :func:`repro.core.validator.validate` clears at ``level`` and
-    ``mode`` (memoized), and raises its
+    ``mode`` (once per program and pair), and raises its
     :class:`~repro.core.validator.ValidationError` otherwise, so the
     only faults left are the packet-bounds and divide-by-zero ones.
     """

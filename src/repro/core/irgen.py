@@ -19,20 +19,21 @@ Three layers, bottom up:
   emitted as one function.  Values any two bodies in a chain share are
   hoisted into the chain preamble, loaded through a never-faulting
   padded form so the preamble cannot raise on behalf of a body whose own
-  length guard would have exited first.  Compiled chains live in one
-  bounded, value-keyed LRU (:data:`CHAIN_CACHE_MAX`,
-  :func:`chain_cache_info`); result keys stay out of the cached code,
-  which is a *factory* closed over per-entry result constants.
+  length guard would have exited first.  Result keys stay out of the
+  emitted code, which is a *factory* closed over per-entry result
+  constants.
 
 * :func:`compile_ir_set` compiles a whole bound filter set: build the
-  dispatch tree (:func:`repro.core.opt.dispatch_root`), ask the chain
-  cache for every leaf, and link the instantiated chains under nested
-  hash probes over the discriminating header words.  Given the set it
+  dispatch tree (:func:`repro.core.opt.dispatch_root`), compile a chain
+  for every leaf, and link the instantiated chains under nested hash
+  probes over the discriminating header words.  Given the set it
   replaces, it applies the entries detached and attached to the root's
   grouping and keeps every subtree and linked leaf whose entries did
   not change, so a re-bind rebuilds the bucket the filter left and the
   one it entered and compiles one chain; the rest of the set costs
-  nothing.
+  nothing.  A compiled chain lives on its link and dies with the sets
+  that hold it; nothing is kept process-wide but the dispatch probes,
+  one per (word, mask).
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ __all__ = [
     "CompiledIRSet",
     "compile_ir_set",
     "emit_ir_body",
-    "CHAIN_CACHE_MAX",
-    "chain_cache_info",
-    "chain_cache_clear",
 ]
 
 _CMP = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -303,49 +301,16 @@ def emit_ir_body(
 # -- leaf chains: the unit of compilation ------------------------------------
 
 
-CHAIN_CACHE_MAX = 16384
-"""Most leaf chains the process keeps compiled (LRU beyond that) — the
-same order as :func:`repro.core.jit.compile_filter`'s memo.  The memory
-a full cache holds is measured in docs/PERFORMANCE.md ("Incremental
-re-bind")."""
-
-
 class _Chain(NamedTuple):
-    """One cached leaf chain."""
+    """One compiled leaf chain."""
 
     factory: Callable  #: factory(*result constants) -> chain(packet, _n)
     hoisted: int       #: values the chain preamble computes once
     facts: tuple       #: per entry: (live nodes, value numbers) for IRStats
 
 
-class ChainCacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    evictions: int
-    maxsize: int
-    currsize: int
-
-
-_CHAINS: dict[tuple, _Chain] = {}  # dict order is LRU order
-_chain_counts = {"hits": 0, "misses": 0, "evictions": 0}
-
 #: Globals of every generated function.
 _RUNTIME = {"_get_word": get_word, "_get_byte": get_byte, "_ONE": (0,)}
-
-
-def chain_cache_info() -> ChainCacheInfo:
-    """Hits, misses and evictions of the chain cache since the process
-    started (or :func:`chain_cache_clear`).  Deliberately not an
-    :class:`IRStats` field: it depends on process history, which must
-    not reach telemetry digests."""
-    return ChainCacheInfo(
-        maxsize=CHAIN_CACHE_MAX, currsize=len(_CHAINS), **_chain_counts
-    )
-
-
-def chain_cache_clear() -> None:
-    _CHAINS.clear()
-    _chain_counts.update(hits=0, misses=0, evictions=0)
 
 
 def _load_factory(source: str) -> Callable:
@@ -356,8 +321,8 @@ def _load_factory(source: str) -> Callable:
 
 def _result_constants(entries: Sequence[SetEntry]) -> list:
     """What a chain returns (or appends) when entry *i* accepts — the
-    entries' result keys, closed over instead of emitted so that equal
-    filters under different keys share one cached chain."""
+    entries' result keys, closed over instead of emitted, so the chain
+    text does not depend on them."""
     if any(entry.copy_all for entry in entries):
         return [entry.key for entry in entries]
     return [
@@ -374,8 +339,10 @@ def _emit_chain(
     """Factory source, hoist count and per-entry stats facts for one
     leaf chain.  Temporaries and accept flags are named by position in
     the chain and results come in as ``_r<position>`` parameters, so the
-    text depends only on what :func:`_chain_for` keys on.  ``lowered``
-    holds lowerings the caller already made, taken out as they are used."""
+    text depends only on each entry's program and copy-all flag in
+    order, the full-word facts :func:`repro.core.opt.specialize_filter`
+    folds away, and the mode.  ``lowered`` holds lowerings the caller
+    already made, taken out as they are used."""
     chain_graph = ValueGraph()
     bodies = []
     facts = []
@@ -385,8 +352,8 @@ def _emit_chain(
             fir = lower_program(entry.program, entry.report, mode)
         live = live_nodes(fir)
         # A tuple, not the set: once its atoms are seen the collector
-        # untracks it, where a thousand cached sets are re-traversed by
-        # every full collection for the life of the process.
+        # untracks it, where a thousand sets held by a compiled filter
+        # set are re-traversed by every full collection.
         facts.append((len(live), tuple(value_numbers(fir, live))))
         bodies.append(specialize_filter(fir, chain_graph, context))
     params = ", ".join(f"_r{position}" for position in range(len(entries)))
@@ -494,46 +461,6 @@ def _emit_chain(
     return "\n".join(lines) + "\n", len(hoisted), tuple(facts)
 
 
-def _chain_for(
-    entries: Sequence[SetEntry],
-    context: Mapping[tuple[int, int], int],
-    mode: ShortCircuitMode,
-    lowered: dict | None = None,
-) -> _Chain:
-    """The compiled chain for ``entries`` under ``context``, from the
-    cache when an equal chain was compiled before.
-
-    The key is exactly what the generated body bakes in: each entry's
-    program and copy-all flag in order, the full-word facts
-    :func:`repro.core.opt.specialize_filter` folds away, and the mode.
-    The validation report is a pure function of (program, mode), so it
-    stays out; result keys stay out because the body does not contain
-    them.
-    """
-    key = (
-        mode,
-        tuple(sorted(
-            (index, value)
-            for (index, mask), value in context.items()
-            if mask == 0xFFFF
-        )),
-        *(part for e in entries for part in (e.program, e.copy_all)),
-    )
-    chain = _CHAINS.pop(key, None)
-    if chain is not None:
-        _CHAINS[key] = chain  # re-insert: most recently used
-        _chain_counts["hits"] += 1
-        return chain
-    _chain_counts["misses"] += 1
-    source, hoisted, facts = _emit_chain(entries, context, mode, lowered)
-    chain = _Chain(_load_factory(source), hoisted, facts)
-    if len(_CHAINS) >= CHAIN_CACHE_MAX:
-        _CHAINS.pop(next(iter(_CHAINS)))
-        _chain_counts["evictions"] += 1
-    _CHAINS[key] = chain
-    return chain
-
-
 # -- dispatch nodes and whole-set linking ------------------------------------
 
 
@@ -595,7 +522,10 @@ def _link(
         return previous
     discriminant = node.discriminant
     if discriminant is None:
-        chain = _chain_for(node.entries, context, mode, lowered)
+        source, hoisted, facts = _emit_chain(
+            node.entries, context, mode, lowered
+        )
+        chain = _Chain(_load_factory(source), hoisted, facts)
         function = chain.factory(*_result_constants(node.entries))
         return _Link(node, function, chain, {}, None, {})
     if previous is not None and previous.tree.discriminant != discriminant:
@@ -647,7 +577,7 @@ def _fold_tree(node: DispatchTree, context: dict, leaf, branch):
 def _listing(tree: DispatchTree, mode: ShortCircuitMode) -> str:
     """Every chain and dispatch node of a compiled set as text.
 
-    Emission is a pure function of what the chain cache keys on, so
+    Emission is a pure function of the tree and the mode, so
     re-emitting on demand yields the source that was compiled."""
     blocks: list[str] = []
 
@@ -697,8 +627,7 @@ class CompiledIRSet:
     were entered before resolution — the figure-of-merit the cost model
     charges for.  ``source`` lists every generated chain and dispatch
     node for inspection and tests, and ``stats`` carries the pass
-    statistics; both are built on first read.  The set holds its linked
-    functions, so chain-cache eviction never affects a live set.
+    statistics; both are built on first read.
     """
 
     size: int
@@ -719,7 +648,7 @@ class CompiledIRSet:
         """Filters, whole-set CSE node counts, dispatch depth, chains
         and hoisted values.  The two node counts equal what
         :func:`repro.core.opt.cse_filter_set` reports for the set,
-        assembled from per-filter facts cached with the chains instead
+        assembled from per-filter facts kept with the chains instead
         of a whole-set transfer."""
         facts: dict[SetEntry, tuple] = {}  # (live nodes, value numbers)
         hoisted = []
@@ -752,9 +681,8 @@ def compile_ir_set(
 ) -> CompiledIRSet:
     """Compile ``entries`` (already validated, in application order):
     group the dispatch tree's root (:func:`repro.core.opt.dispatch_root`),
-    then lower → specialize → emit → ``compile()`` each leaf chain the
-    process has not compiled before, and link the chains under the
-    tree's hash probes.
+    then lower → specialize → emit → ``compile()`` each leaf chain, and
+    link the chains under the tree's hash probes.
 
     ``previous`` is the set this one replaces.  The root applies the
     entries detached and attached since ``previous`` to the tallies the
@@ -767,16 +695,13 @@ def compile_ir_set(
     entries are not regrouped.  The root is regrouped (still reusing
     every unchanged subtree) when the change moves its key, changes an
     unbucketable filter (merged into every bucket, so every bucket is
-    rebuilt) or reorders the filters both sets hold.  Chains are also
-    memoized by value (:func:`_chain_for`), so a rebuilt leaf whose
-    filters were compiled before — ahead of a same-priority reorder,
-    say, or in another demultiplexer bound to an overlapping ACL — costs
-    one cache hit.  A set the analysis cannot bucket is one chain.
-    ``previous=None`` is the same compile from an empty set.
+    rebuilt) or reorders the filters both sets hold.  A set the analysis
+    cannot bucket is one chain.  ``previous=None`` is the same compile
+    from an empty set.
 
-    A filter the process has not seen is lowered once: the lowering
-    yields the necessary tests the tree groups by (kept on the entry)
-    and feeds the filter's first chain.
+    A newly attached entry is lowered once: the lowering yields the
+    necessary tests the tree groups by (kept on the entry) and feeds
+    the entry's first chain.
     """
     if previous is not None and previous._mode is not mode:
         previous = None

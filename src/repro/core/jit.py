@@ -21,7 +21,6 @@ accept/reject decision is enforced by property-based tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .interpreter import LanguageLevel, ShortCircuitMode
 from .ir import lower_program
@@ -64,22 +63,10 @@ def compile_filter(
 
     Raises :class:`repro.core.validator.ValidationError` for programs the
     kernel would refuse to bind — compilation implies validation, just as
-    in the paper's sketch (both happen once, at ioctl time).
-
-    Memoized on (program, mode, level): programs hash by value and the
-    compiled artifact is immutable, so rebinding the same filter — or an
-    ACL-scale set shared by several demultiplexers — pays one
-    ``compile``/``exec`` total, not one per bind.
+    in the paper's sketch (both happen once, at ioctl time).  The
+    result carries the report, so a caller that compiles need not
+    validate again.
     """
-    return _compile_filter_cached(program, mode, level)
-
-
-@lru_cache(maxsize=16384)
-def _compile_filter_cached(
-    program: FilterProgram,
-    mode: ShortCircuitMode,
-    level: LanguageLevel,
-) -> CompiledFilter:
     report = validate(program, level=level, mode=mode)
     source = _generate(program, report, mode)
     namespace = {"_get_word": get_word, "_get_byte": get_byte}

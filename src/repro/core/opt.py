@@ -354,31 +354,12 @@ class SetEntry:
     )
 
 
-NECESSARY_MAX = 65536
-"""Most programs whose necessary tests the process remembers (LRU
-beyond that), so a filter bound again — re-attached, or bound into a
-second set — is not lowered again for them."""
-
-#: (program, report, mode) -> {(word, mask): value}; dict order is LRU order
-_NECESSARY: dict[tuple, Mapping[tuple[int, int], int]] = {}
-
-
-def lower_entry(entry: SetEntry, mode: ShortCircuitMode) -> FilterIR | None:
-    """Record ``entry``'s necessary tests on it.
-
-    Returns the lowering when the program had to be lowered for them (it
-    is not remembered), for the caller to emit the filter's first chain
-    from; None when the tests were remembered.
-    """
-    key = (entry.program, entry.report, mode)
-    tests = _NECESSARY.pop(key, None)
-    fir = None
-    if tests is None:
-        fir = lower_program(entry.program, entry.report, mode)
-        tests = {test.key: test.value for test in necessary_tests(fir)}
-        if len(_NECESSARY) >= NECESSARY_MAX:
-            _NECESSARY.pop(next(iter(_NECESSARY)))
-    _NECESSARY[key] = tests  # (re-)insert: most recently used
+def lower_entry(entry: SetEntry, mode: ShortCircuitMode) -> FilterIR:
+    """Lower ``entry``'s program, record its necessary tests on the
+    entry and return the lowering, for the caller to emit the filter's
+    first chain from."""
+    fir = lower_program(entry.program, entry.report, mode)
+    tests = {test.key: test.value for test in necessary_tests(fir)}
     object.__setattr__(entry, "necessary", tests)
     return fir
 
@@ -619,9 +600,7 @@ def dispatch_root(
     attached = tuple(filterfalse(index.members.__contains__, ordered))
     for entry in attached:
         if entry.necessary is None:
-            fir = lower_entry(entry, mode)
-            if fir is not None:
-                lowered[entry] = fir
+            lowered[entry] = lower_entry(entry, mode)
     counts, cover = index.counts, index.cover
     for entry in gone:
         _count(counts, cover, entry.necessary, -1)

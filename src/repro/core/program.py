@@ -86,8 +86,7 @@ def asm(*items: int | str | tuple) -> list[Instruction]:
 class FilterProgram:
     """An immutable filter: a priority and a sequence of instructions.
 
-    Instances compare and hash by value, so demultiplexer bookkeeping and
-    decision-table construction can use programs as dictionary keys.
+    Instances compare and hash by value.
     """
 
     instructions: tuple[Instruction, ...]
@@ -108,17 +107,6 @@ class FilterProgram:
             )
         object.__setattr__(self, "instructions", instructions)
         object.__setattr__(self, "priority", priority)
-        # Programs key every compile-path memo (validate, the necessary-
-        # equality analysis, chain keys), each of which hashes them again.
-        object.__setattr__(self, "_hash", hash((instructions, priority)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # Rebuild through __init__: hashes are per process (``None``
-        # hashes by address), so a pickled ``_hash`` would be stale.
-        return (FilterProgram, (self.instructions, self.priority))
 
     # -- structural properties -------------------------------------------
 
@@ -143,11 +131,7 @@ class FilterProgram:
     def _cleared(self) -> set:
         """The ``(extended, push_result)`` pairs this program has passed
         :func:`~repro.core.validator.validate` for on ``evaluate``'s
-        unchecked path.  The validator's memo is no substitute: a hit on
-        a value-equal program compares it instruction by instruction,
-        which made the unchecked path 3.2x the checked one in
-        ``benchmarks/test_ablation_interpreter_modes.py``
-        (``docs/PERFORMANCE.md``)."""
+        unchecked path, so it is validated once, not per packet."""
         return set()
 
     @property

@@ -24,12 +24,12 @@ the irreducible dynamic ones the report declares
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .instructions import (
     CLASSIC_OPERATORS,
     EXTENDED_ACTIONS,
     EXTENDED_OPERATORS,
+    PUSHWORD_BASE,
     SHORT_CIRCUIT_OPERATORS,
     BinaryOp,
     StackAction,
@@ -80,6 +80,12 @@ class ValidationReport:
     """Program contains COR/CAND/CNOR/CNAND."""
 
 
+def _rejected(position: int, ins, reason: str) -> ValidationError:
+    """The error rejecting instruction ``position``: its text is built
+    only for a program that fails, never on the path that passes."""
+    return ValidationError(f"instruction {position} ({ins}): {reason}")
+
+
 def validate(
     program: FilterProgram,
     *,
@@ -90,23 +96,10 @@ def validate(
     """Statically check ``program``; raise :class:`ValidationError` or
     return the :class:`ValidationReport` the fast path relies on.
 
-    Memoized: programs are immutable and hash by value, the report is
-    frozen, and the demultiplexer validates on every attach — at
-    firewall scale (10k rules churned across many configurations) the
-    repeat validations would otherwise dominate bind time.  Programs
-    that *fail* validation are not cached (``lru_cache`` does not cache
-    exceptions), which is fine: rejecting is the rare path.
+    One pass over the instructions.  Nothing is kept: the caller holds
+    the report for as long as it holds the program (the demultiplexer
+    keeps it on the port's binding).
     """
-    return _validate_cached(program, level, mode, max_stack)
-
-
-@lru_cache(maxsize=65536)
-def _validate_cached(
-    program: FilterProgram,
-    level: LanguageLevel,
-    mode: ShortCircuitMode,
-    max_stack: int,
-) -> ValidationReport:
     depth = 0
     max_depth = 0
     max_word_index = -1        # words reachable before an early-TRUE exit
@@ -118,7 +111,6 @@ def _validate_cached(
     uses_short_circuit = False
 
     for position, ins in enumerate(program.instructions):
-        where = f"instruction {position} ({ins})"
         action = ins.action_code
 
         # --- stack action effects ---
@@ -126,24 +118,28 @@ def _validate_cached(
             pass
         elif action in EXTENDED_ACTIONS:
             if level is not LanguageLevel.EXTENDED:
-                raise ValidationError(
-                    f"{where}: indirect push requires LanguageLevel.EXTENDED"
+                raise _rejected(
+                    position, ins,
+                    "indirect push requires LanguageLevel.EXTENDED",
                 )
             uses_extensions = True
             needs_runtime_bounds = True
             if depth < 1:
-                raise ValidationError(f"{where}: indirect push underflows stack")
+                raise _rejected(
+                    position, ins, "indirect push underflows stack"
+                )
             # net effect 0: pops the index, pushes the field
         else:
-            if ins.is_pushword:
-                index = ins.push_index
-                max_word_anywhere = max(max_word_anywhere, index)  # type: ignore[arg-type]
+            if action >= PUSHWORD_BASE:
+                index = action - PUSHWORD_BASE
+                max_word_anywhere = max(max_word_anywhere, index)
                 if not early_true_possible:
-                    max_word_index = max(max_word_index, index)  # type: ignore[arg-type]
+                    max_word_index = max(max_word_index, index)
             depth += 1
             if depth > max_stack:
-                raise ValidationError(
-                    f"{where}: stack depth {depth} exceeds limit {max_stack}"
+                raise _rejected(
+                    position, ins,
+                    f"stack depth {depth} exceeds limit {max_stack}",
                 )
 
         max_depth = max(max_depth, depth)
@@ -154,17 +150,19 @@ def _validate_cached(
             continue
         if op in EXTENDED_OPERATORS:
             if level is not LanguageLevel.EXTENDED:
-                raise ValidationError(
-                    f"{where}: operator {op.name} requires LanguageLevel.EXTENDED"
+                raise _rejected(
+                    position, ins,
+                    f"operator {op.name} requires LanguageLevel.EXTENDED",
                 )
             uses_extensions = True
             if op == BinaryOp.DIV:
                 may_div_zero = True
         elif op not in CLASSIC_OPERATORS:
-            raise ValidationError(f"{where}: unknown operator {op!r}")
+            raise _rejected(position, ins, f"unknown operator {op!r}")
         if depth < 2:
-            raise ValidationError(
-                f"{where}: operator {op.name} underflows stack (depth {depth})"
+            raise _rejected(
+                position, ins,
+                f"operator {op.name} underflows stack (depth {depth})",
             )
         if op in SHORT_CIRCUIT_OPERATORS:
             uses_short_circuit = True

@@ -2,12 +2,13 @@
 
 import pytest
 
+from repro.core import demux as demux_module, jit
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.interpreter import ShortCircuitMode
 from repro.core.port import Port
 from repro.core.program import FilterProgram, asm
-from repro.core.validator import ValidationError
+from repro.core.validator import ValidationError, validate
 from repro.core.words import pack_words
 from repro.sim.overload import BufferPool
 
@@ -229,12 +230,28 @@ class TestEngines:
     @pytest.mark.parametrize("engine", list(Engine))
     def test_no_engine_keeps_a_plan_on_the_program(self, engine):
         # The linear interpreters keep their plan on the binding, so a
-        # detached filter that a memo still holds carries none.
+        # program that outlives its binding carries none.
         program = type_filter(0xA)
         demux = PacketFilterDemux(engine=engine)
         demux.attach(port_with(program))
         assert demux.deliver(PACKET_A).accepted_by == (0,)
         assert "plan" not in vars(program)
+
+    @pytest.mark.parametrize("engine", list(Engine))
+    def test_attach_validates_once(self, engine, monkeypatch):
+        # COMPILED takes its report from the compiled filter.
+        calls = []
+
+        def counting(program, **kwargs):
+            calls.append(program)
+            return validate(program, **kwargs)
+
+        monkeypatch.setattr(demux_module, "validate", counting)
+        monkeypatch.setattr(jit, "validate", counting)
+        demux = PacketFilterDemux(engine=engine)
+        demux.attach(port_with(type_filter(0xA)))
+        assert demux.deliver(PACKET_A).accepted_by == (0,)
+        assert len(calls) == 1
 
     def test_prevalidated_skips_short_packets(self):
         demux = PacketFilterDemux(engine=Engine.PREVALIDATED)

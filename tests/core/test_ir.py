@@ -8,6 +8,7 @@ instead of as a distant counterexample.
 """
 
 import re
+import sys
 import weakref
 
 import pytest
@@ -27,12 +28,7 @@ from repro.core.ir import (
     lower_program,
 )
 from repro.core.instructions import BinaryOp, Instruction, StackAction, pushword
-from repro.core.irgen import (
-    SetEntry,
-    chain_cache_clear,
-    chain_cache_info,
-    compile_ir_set,
-)
+from repro.core.irgen import SetEntry, compile_ir_set
 from repro.core.opt import (
     MAX_DEPTH,
     build_dispatch_tree,
@@ -43,7 +39,7 @@ from repro.core.opt import (
 )
 from repro.core.port import Port
 from repro.core.program import FilterProgram, asm
-from repro.core.validator import _validate_cached, validate
+from repro.core.validator import validate
 from repro.core.words import pack_words
 from repro.difftest import (
     boundary_packets,
@@ -536,77 +532,8 @@ class TestWordRunCoalescing:
 
 
 # ---------------------------------------------------------------------------
-# The chain cache: warm == cold, ranks follow the binding, stats stay exact
+# Leaf chains: ranks follow the binding, stats stay exact
 # ---------------------------------------------------------------------------
-
-# A conjunction filter: ((word, value), ...) tests, whether the first
-# test is negated (which makes the filter unbucketable on that word),
-# and a priority.
-conjunctions = st.tuples(
-    st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 2)),
-        min_size=1, max_size=3, unique_by=lambda test: test[0],
-    ),
-    st.booleans(),
-    st.integers(0, 2),
-)
-
-# (op, a, b): what each op does with a/b is in ``apply_op``.
-churn_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["attach", "detach", "reattach", "flip", "reorder"]),
-        st.integers(0, 7),
-        conjunctions,
-    ),
-    min_size=1, max_size=8,
-)
-
-
-def conjunction_program(spec):
-    tests, negate_first, priority = spec
-    (index, value), *rest = tests
-    expr = (word(index) != value) if negate_first else (word(index) == value)
-    for index, value in rest:
-        expr = expr & (word(index) == value)
-    return compile_expr(expr, priority=priority)
-
-
-def apply_op(bound, op, pick, spec):
-    """Mutate ``bound`` — [program, copy_all] pairs in application order —
-    the way the demultiplexer's attach/detach/reorder would."""
-
-    def attach(binding):
-        # End of its priority class, as a fresh bind sequence lands.
-        priority = binding[0].priority
-        at = sum(1 for other in bound if other[0].priority >= priority)
-        bound.insert(at, binding)
-
-    if op == "attach" or not bound:
-        attach([conjunction_program(spec), False])
-    elif op == "detach":
-        bound.pop(pick % len(bound))
-    elif op == "reattach":
-        attach(bound.pop(pick % len(bound)))
-    elif op == "flip":
-        binding = bound[pick % len(bound)]
-        binding[1] = not binding[1]
-    else:  # swap two neighbours of equal priority, as _reorder may
-        at = pick % len(bound)
-        if at + 1 < len(bound) and (
-            bound[at][0].priority == bound[at + 1][0].priority
-        ):
-            bound[at], bound[at + 1] = bound[at + 1], bound[at]
-
-
-def scan(bound, packet):
-    """The figure 4-1 loop over ``bound`` with the checked interpreter."""
-    ranks = []
-    for rank, (program, copy_all) in enumerate(bound):
-        if evaluate(program, packet, checked=True).accepted:
-            ranks.append(rank)
-            if not copy_all:
-                break
-    return tuple(ranks)
 
 
 @st.composite
@@ -642,33 +569,8 @@ def stack_programs(draw):
 
 
 class TestChainCache:
-    @given(churn_ops, st.lists(
-        st.lists(st.integers(0, 2), min_size=4, max_size=4),
-        min_size=1, max_size=3,
-    ))
-    @settings(max_examples=60, deadline=None)
-    def test_warm_equals_cold_equals_checked(self, ops, word_lists):
-        # Every prefix: b"", odd lengths, one byte short of each word.
-        probes = [
-            pack_words(words)[:length]
-            for words in word_lists for length in range(9)
-        ]
-        bound = []
-        for op, pick, spec in ops:
-            apply_op(bound, op, pick, spec)
-            entries = [
-                SetEntry(rank, program, validate(program), copy_all)
-                for rank, (program, copy_all) in enumerate(bound)
-            ]
-            warm = compile_ir_set(entries)  # cache holds the previous set
-            chain_cache_clear()
-            cold = compile_ir_set(entries)
-            assert warm.stats == cold.stats
-            for packet in probes:
-                ranks, predicates = warm.classify(packet)
-                cold_ranks, cold_predicates = cold.classify(packet)
-                assert tuple(ranks) == tuple(cold_ranks) == scan(bound, packet)
-                assert predicates == cold_predicates
+    """Leaf chains: result keys are arguments, not chain text, and the
+    set's stats are summed from facts kept with its chains."""
 
     def test_ranks_follow_a_reattached_binding(self):
         programs = [compile_expr(word(6) == 0x0900 + i) for i in range(3)]
@@ -679,10 +581,8 @@ class TestChainCache:
         assert first.classify(packets[1]) == ((1,), 1)
         # Detach and re-attach filter 0: it moves behind its priority
         # class and every later rank shifts down by one.
-        misses = chain_cache_info().misses
         reordered = [programs[1], programs[2], programs[0]]
         second = compile_ir_set([entry(i, p) for i, p in enumerate(reordered)])
-        assert chain_cache_info().misses == misses  # same chains, new ranks
         assert second.classify(packets[1]) == ((0,), 1)
         assert second.classify(packets[0]) == ((2,), 1)
         assert first.classify(packets[0]) == ((0,), 1)  # old set untouched
@@ -712,28 +612,28 @@ class TestChainCache:
         assert compiled.stats.nodes_before_cse == reference.nodes_before
         assert compiled.stats.nodes_after_cse == reference.nodes_after
 
-    def test_bounded_and_eviction_spares_live_sets(self, monkeypatch):
-        monkeypatch.setattr(irgen, "CHAIN_CACHE_MAX", 4)
-        chain_cache_clear()
-        live = build_set(8)  # nine chains through a four-chain cache
-        info = chain_cache_info()
-        assert info.currsize <= info.maxsize == 4
-        assert info.evictions >= 5
-        compile_ir_set([
-            entry(i, compile_expr(word(2) == i)) for i in range(8)
-        ])  # evicts whatever of ``live`` was left
-        assert chain_cache_info().currsize <= 4
-        for n in range(8):
-            packet = pack_words([0, 0, 0, 0, 0, 0, 0x0900, n])
-            assert live.classify(packet) == ((n,), 1)
+
+def module_tables():
+    """Length of every module-level dict, list and set in
+    :mod:`repro.core`, and the size of every ``lru_cache`` there."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name != "repro.core" and not name.startswith("repro.core."):
+            continue
+        for attr, value in vars(module).items():
+            if isinstance(value, (dict, list, set)):
+                sizes[name, attr] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[name, attr] = value.cache_info().currsize
+    return sizes
 
 
 class TestRebindMemory:
-    def test_a_rebind_adds_one_memo_entry_and_frees_the_old_set(self):
-        """One SETFILTER of a never-seen rule adds at most one entry to
-        each process-wide memo — the validator's, the necessary tests'
-        and the chain cache — and the set it replaces is freed: the root
-        index moves to the new set and holds no set."""
+    def test_a_rebind_frees_the_replaced_set_and_program(self):
+        """One SETFILTER of a never-seen rule keeps nothing of what it
+        replaced: the replaced compiled set and the replaced program are
+        freed, and no module-level table in :mod:`repro.core` grows —
+        bind-time work lives on the binding and dies with it."""
         demux = PacketFilterDemux(
             engine=Engine.IR, reorder_same_priority=False
         )
@@ -745,24 +645,26 @@ class TestRebindMemory:
             ports.append(port)
         demux.ir_stats  # compile
 
-        def sizes():
-            return (
-                _validate_cached.cache_info().currsize,
-                len(opt._NECESSARY),
-                len(irgen._CHAINS),
-            )
-
         for serial in range(3):
-            before = sizes()
-            replaced = weakref.ref(demux._ir)
+            before = module_tables()
             port = ports[5 * serial]
+            replaced_set = weakref.ref(demux._ir)
+            replaced_program = weakref.ref(port.program)
             demux.detach(port)
             port.bind_filter(five_tuple(0x7100 + 5 * serial, 0x7200 + serial))
             demux.attach(port)
             demux.ir_stats  # compile against the replaced set
-            grown = [after - then for after, then in zip(sizes(), before)]
-            assert max(grown) <= 1, grown
-            assert replaced() is None, "the replaced set is still referenced"
+            assert replaced_set() is None, "the replaced set is still referenced"
+            assert replaced_program() is None, (
+                "the replaced program is still referenced"
+            )
+            after = module_tables()
+            grown = {
+                table: (before.get(table, 0), size)
+                for table, size in after.items()
+                if size > before.get(table, 0)
+            }
+            assert not grown, grown
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +728,6 @@ class TestEngineChurn:
     def test_a_never_seen_filter_is_lowered_once(self, monkeypatch):
         # The lowering that yields a filter's necessary tests for the
         # dispatch tree also feeds its first chain.
-        monkeypatch.setattr(opt, "_NECESSARY", {})
-        chain_cache_clear()
         lowered = []
 
         def counting(program, *args, **kwargs):
@@ -842,7 +742,9 @@ class TestEngineChurn:
         original = ports[2].program
         for program, calls in [
             (compile_expr((word(6) == 0x0900) & (word(7) == 77)), 1),
-            (original, 0),  # seen before: its tests and chain are kept
+            # Seen before, but its tests and chain went with its old
+            # binding: a new binding lowers it once again.
+            (original, 1),
         ]:
             del lowered[:]
             demux.detach(ports[2])

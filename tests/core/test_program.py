@@ -100,18 +100,23 @@ class TestStructure:
         assert figure_3_9_pup_socket_35().encoded_length == 8
 
     def test_value_equality_and_hash(self):
-        assert figure_3_9_pup_socket_35() == figure_3_9_pup_socket_35()
-        assert hash(figure_3_9_pup_socket_35()) == hash(figure_3_9_pup_socket_35())
+        program = figure_3_9_pup_socket_35()
+        assert program == figure_3_9_pup_socket_35()
+        assert hash(program) == hash(figure_3_9_pup_socket_35())
+        assert program != FilterProgram(program.instructions, priority=3)
 
     def test_cached_hash_stays_out_of_repr_and_pickles(self):
+        # The hash is computed from the fields, and the per-object
+        # caches (``plan``, ``_cleared``) change neither the value,
+        # the repr nor a pickle round-trip.
         program = figure_3_9_pup_socket_35()
-        assert "_hash" not in repr(program)
+        before = (repr(program), hash(program))
+        program.plan
+        program._cleared
+        assert (repr(program), hash(program)) == before
+        assert "plan" not in repr(program) and "_cleared" not in repr(program)
         assert hash(program) != hash(
             FilterProgram(program.instructions, priority=3)
-        )
-        # Pickling rebuilds through __init__ (hashes are per process).
-        assert program.__reduce__() == (
-            FilterProgram, (program.instructions, program.priority)
         )
         clone = pickle.loads(pickle.dumps(program))
         assert clone == program and hash(clone) == hash(program)

@@ -21,9 +21,10 @@ Coverage axes:
 * the adversarial and prefix-structured rule-set families.
 
 The whole module is budgeted to stay under a few minutes on CI
-hardware; the dominant cost is the one-time whole-set compile per
-(rule set, engine), which the compile memo shares across the
-configurations of each engine.
+hardware; the dominant cost is the bind-time compile each
+configuration pays for its rule set (the whole set under ``IR``, one
+closure per rule under ``COMPILED``), since no compile outlives the
+demultiplexer that made it.
 """
 
 from __future__ import annotations
