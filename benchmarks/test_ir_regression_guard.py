@@ -4,7 +4,7 @@ set, and a packet through the compiled set costs a counted number of
 bytecodes.
 
 The incremental re-bind, compiled against the set it replaces, is
-pinned as counts: code objects compiled, rebuilt dispatch subtrees and
+pinned as counts: code objects compiled, rebuilt dispatch-tree nodes and
 entries whose necessary tests are read per re-bind, the last at 128
 and at 2 000 rules under one bound.  The IR passes
 themselves are pinned as counts by ``test_compiled_shape_at_100_rules``
@@ -93,14 +93,14 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(
             if id(node) not in kept
         ]
         assert compiles == 1, f"{compiles} code objects compiled for one re-bind"
-        assert len(rebuilt) <= 2, f"{len(rebuilt)} subtrees rebuilt"
+        assert len(rebuilt) <= 2, f"{len(rebuilt)} tree nodes rebuilt"
         sport = 1000 + serial
         packet = pack_words([0x0A00, sport ^ 0x5555, 0, 0, 6, sport, 1024 + slot])
         assert compiled.classify(packet) == ((slot,), 1)
     emit(
         f"re-bind against the previous set: {compiles} chain compiled, "
         f"{len(rebuilt)} of {len(list(_nodes(compiled._root.tree)))} "
-        "subtrees rebuilt"
+        "tree nodes rebuilt"
     )
 
 

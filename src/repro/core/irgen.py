@@ -1,4 +1,4 @@
-"""IR-to-Python code generation: bodies, leaf chains and dispatch trees.
+"""IR-to-Python code generation: bodies, leaf chains and the dispatch probe.
 
 Three layers, bottom up:
 
@@ -14,8 +14,8 @@ Three layers, bottom up:
 
 * A *leaf chain* is the unit of compilation: the filters one dispatch
   leaf evaluates in order, lowered (:func:`repro.core.ir.lower_program`),
-  *specialized* to the probe values above the leaf (a filter's own test
-  of the dispatched field folds away; the probe already paid for it) and
+  *specialized* to the bucket's probe value (a filter's own test of the
+  dispatched field folds away; the probe already paid for it) and
   emitted as one function.  Values any two bodies in a chain share are
   hoisted into the chain preamble, loaded through a never-faulting
   padded form so the preamble cannot raise on behalf of a body whose own
@@ -25,15 +25,14 @@ Three layers, bottom up:
 
 * :func:`compile_ir_set` compiles a whole bound filter set: build the
   dispatch tree (:func:`repro.core.opt.dispatch_root`), compile a chain
-  for every leaf, and link the instantiated chains under nested hash
-  probes over the discriminating header words.  Given the set it
-  replaces, it applies the entries detached and attached to the root's
-  grouping and keeps every subtree and linked leaf whose entries did
-  not change, so a re-bind rebuilds the bucket the filter left and the
-  one it entered and compiles one chain; the rest of the set costs
-  nothing.  A compiled chain lives on its link and dies with the sets
-  that hold it; nothing is kept process-wide but the dispatch probes,
-  one per (word, mask).
+  for every leaf, and link the instantiated chains under one hash probe
+  over the discriminating header word.  Given the set it replaces, it
+  applies the entries detached and attached to the root's grouping and
+  keeps every linked leaf whose entries did not change, so a re-bind
+  rebuilds the bucket the filter left and the one it entered and
+  compiles one chain; the rest of the set costs nothing.  A compiled
+  chain lives on its link and dies with the sets that hold it; nothing
+  is kept process-wide but the dispatch probes, one per (word, mask).
 """
 
 from __future__ import annotations
@@ -499,83 +498,64 @@ class _Link(NamedTuple):
     tree: DispatchTree
     function: Callable              #: function(packet, _n)
     chain: _Chain | None            #: leaves: the instantiated chain
-    buckets: Mapping[int, "_Link"]  #: branches: one per bucket value
+    buckets: Mapping[int, "_Link"]  #: the root: one leaf per bucket value
     fallback: "_Link | None"
-    targets: Mapping[int, Callable]  #: branches: the probe's bucket map
+    targets: Mapping[int, Callable]  #: the root: the probe's bucket map
 
 
 def _link(
-    node: DispatchTree,
-    context: dict,
+    tree: DispatchTree,
     previous: _Link | None,
     mode: ShortCircuitMode,
     lowered: dict,
-    touched: frozenset | None = None,
+    touched: frozenset | None,
 ) -> _Link:
-    """Link ``node`` under the probe values ``context``.  ``previous``
-    is the link at the same place in the set being replaced: a subtree
-    the tree builder kept is kept linked as it is.  ``touched`` (the
-    root of a patched tree) names the only bucket values whose subtrees
-    may differ from ``previous``'s, so the bucket maps are copies of
-    the previous ones with those values replaced."""
-    if previous is not None and previous.tree is node:
+    """Link the set's ``tree``.  ``previous`` is the root link of the set
+    being replaced: a leaf the tree builder kept is kept linked as it
+    is.  ``touched`` (a patched tree) names the only bucket values whose
+    leaves may differ from ``previous``'s, so the bucket maps are copies
+    of the previous ones with those values replaced."""
+    if previous is not None and previous.tree is tree:
         return previous
-    discriminant = node.discriminant
-    if discriminant is None:
-        source, hoisted, facts = _emit_chain(
-            node.entries, context, mode, lowered
-        )
+
+    def link_leaf(leaf: DispatchTree, context: dict) -> _Link:
+        """``leaf``'s chain, compiled under the probe value ``context``."""
+        entries = leaf.entries
+        source, hoisted, facts = _emit_chain(entries, context, mode, lowered)
         chain = _Chain(_load_factory(source), hoisted, facts)
-        function = chain.factory(*_result_constants(node.entries))
-        return _Link(node, function, chain, {}, None, {})
+        function = chain.factory(*_result_constants(entries))
+        return _Link(leaf, function, chain, {}, None, {})
+
+    discriminant = tree.discriminant
+    if discriminant is None:
+        return link_leaf(tree, {})
     if previous is not None and previous.tree.discriminant != discriminant:
         previous = None
     if previous is None or touched is None:
-        values, buckets, targets = node.buckets, {}, {}
+        values, buckets, targets = tree.buckets, {}, {}
     else:
         values = touched
         buckets, targets = dict(previous.buckets), dict(previous.targets)
     for value in values:
-        subtree = node.buckets.get(value)
-        before = previous.buckets.get(value) if previous else None
-        if subtree is None:  # the bucket emptied
+        leaf = tree.buckets.get(value)
+        if leaf is None:  # the bucket emptied
             del buckets[value], targets[value]
             continue
-        if before is None or before.tree is not subtree:
-            before = _link(
-                subtree, {**context, discriminant: value}, before, mode,
-                lowered,
-            )
-        buckets[value] = before
-        targets[value] = before.function
-    fallback = _link(
-        node.fallback, context, previous.fallback if previous else None,
-        mode, lowered,
-    )
+        link = previous.buckets.get(value) if previous else None
+        if link is None or link.tree is not leaf:
+            link = link_leaf(leaf, {discriminant: value})
+        buckets[value] = link
+        targets[value] = link.function
+    fallback = previous.fallback if previous else None
+    if fallback is None or fallback.tree is not tree.fallback:
+        fallback = link_leaf(tree.fallback, {})
     function = _dispatch_factory(*discriminant)(targets, fallback.function)
-    return _Link(node, function, None, buckets, fallback, targets)
-
-
-def _fold_tree(node: DispatchTree, context: dict, leaf, branch):
-    """Bottom-up fold over a dispatch tree: ``leaf(entries, context)``
-    at every chain, ``branch(discriminant, targets, fallback)`` above,
-    with ``context`` the probe values established on the way down.
-    Buckets are visited by value, so a patched root folds as a cold one
-    does, whatever order its buckets were added in."""
-    if node.discriminant is None:
-        return leaf(node.entries, context)
-    targets = {
-        value: _fold_tree(
-            subtree, {**context, node.discriminant: value}, leaf, branch
-        )
-        for value, subtree in sorted(node.buckets.items())
-    }
-    fallback = _fold_tree(node.fallback, context, leaf, branch)
-    return branch(node.discriminant, targets, fallback)
+    return _Link(tree, function, None, buckets, fallback, targets)
 
 
 def _listing(tree: DispatchTree, mode: ShortCircuitMode) -> str:
-    """Every chain and dispatch node of a compiled set as text.
+    """Every chain and the dispatch probe of a compiled set as text:
+    the buckets' chains by value, the fallback's, then the probe.
 
     Emission is a pure function of the tree and the mode, so
     re-emitting on demand yields the source that was compiled."""
@@ -586,21 +566,24 @@ def _listing(tree: DispatchTree, mode: ShortCircuitMode) -> str:
         blocks.append(f"# {name}: {header}\n{source}")
         return name
 
-    def leaf(entries, context):
-        results = ", ".join(map(repr, _result_constants(entries)))
-        source, _, _ = _emit_chain(entries, context, mode)
+    def chain(leaf: DispatchTree, context: dict) -> str:
+        results = ", ".join(map(repr, _result_constants(leaf.entries)))
+        source, _, _ = _emit_chain(leaf.entries, context, mode)
         return add(f"chain, _factory({results})", source)
 
-    def branch(discriminant, targets, fallback):
+    discriminant = tree.discriminant
+    if discriminant is None:
+        root = chain(tree, {})
+    else:
         mapping = ", ".join(
-            f"{value:#x}: {name}" for value, name in sorted(targets.items())
+            f"{value:#x}: {chain(leaf, {discriminant: value})}"
+            for value, leaf in sorted(tree.buckets.items())
         )
-        return add(
+        fallback = chain(tree.fallback, {})
+        root = add(
             f"dispatch, _factory({{{mapping}}}, {fallback})",
             _dispatch_source(*discriminant),
         )
-
-    root = _fold_tree(tree, {}, leaf, branch)
     blocks.append(f"# classify(packet) = {root}(packet, len(packet))\n")
     return "\n".join(blocks)
 
@@ -650,26 +633,22 @@ class CompiledIRSet:
         :func:`repro.core.opt.cse_filter_set` reports for the set,
         assembled from per-filter facts kept with the chains instead
         of a whole-set transfer."""
+        root = self._root
+        leaves = (
+            [root] if root.chain else [*root.buckets.values(), root.fallback]
+        )
         facts: dict[SetEntry, tuple] = {}  # (live nodes, value numbers)
-        hoisted = []
-        pending = [self._root]
-        while pending:
-            link = pending.pop()
-            if link.chain is None:
-                pending.extend(link.buckets.values())
-                pending.append(link.fallback)
-            else:
-                hoisted.append(link.chain.hoisted)
-                facts.update(zip(link.tree.entries, link.chain.facts))
+        for link in leaves:
+            facts.update(zip(link.tree.entries, link.chain.facts))
         return IRStats(
             filters=self.size,
             nodes_before_cse=sum(before for before, _ in facts.values()),
             nodes_after_cse=len(
                 set().union(*(numbers for _, numbers in facts.values()))
             ),
-            dispatch_depth=self._root.tree.depth,
-            chains=len(hoisted),
-            hoisted=sum(hoisted),
+            dispatch_depth=root.tree.depth,
+            chains=len(leaves),
+            hoisted=sum(link.chain.hoisted for link in leaves),
         )
 
 
@@ -682,18 +661,18 @@ def compile_ir_set(
     """Compile ``entries`` (already validated, in application order):
     group the dispatch tree's root (:func:`repro.core.opt.dispatch_root`),
     then lower → specialize → emit → ``compile()`` each leaf chain, and
-    link the chains under the tree's hash probes.
+    link the chains under the root's hash probe.
 
     ``previous`` is the set this one replaces.  The root applies the
     entries detached and attached since ``previous`` to the tallies the
-    set keeps (:class:`repro.core.opt.RootIndex`), and every subtree
+    set keeps (:class:`repro.core.opt.RootIndex`), and every leaf
     whose entries are the same objects in the same order as at the same
     place in ``previous`` is reused, linked functions included.  A
     SETFILTER on an N-rule set therefore rebuilds the one bucket the
     filter lands in and the one it left, compiles one chain, and copies
     the root's bucket maps with those two values replaced; the other
     entries are not regrouped.  The root is regrouped (still reusing
-    every unchanged subtree) when the change moves its key, changes an
+    every unchanged leaf) when the change moves its key, changes an
     unbucketable filter (merged into every bucket, so every bucket is
     rebuilt) or reorders the filters both sets hold.  A set the analysis
     cannot bucket is one chain.  ``previous=None`` is the same compile
@@ -712,7 +691,7 @@ def compile_ir_set(
         lowered,
     )
     root = _link(
-        tree, {}, previous._root if previous else None, mode, lowered, touched
+        tree, previous._root if previous else None, mode, lowered, touched
     )
     return CompiledIRSet(
         size=len(tree.entries),

@@ -15,7 +15,7 @@ mechanism gives all four classic passes:
   graph value-numbers them against each other: thirty filters that all
   compare the Ethernet-type word own one load node and one comparison
   node between them (:func:`cse_filter_set`).
-* **Dispatch specialization** — under a dispatch-tree bucket the
+* **Dispatch specialization** — under a dispatch bucket the
   discriminating field's value is known, so :func:`specialize_filter`
   rewrites the corresponding loads to constants and lets folding delete
   the now-redundant predicate the dispatch probe already paid for.
@@ -23,19 +23,20 @@ mechanism gives all four classic passes:
 The dispatch tree itself (:func:`build_dispatch_tree`) is the section 7
 decision table — "compile the set of active filters into a decision
 table, which should provide the best possible performance".  It buckets
-the set by the equality tests each filter provably needs
-(:func:`necessary_equalities`, read off the same lowered IR), and the
-backend (:mod:`repro.core.irgen`) compiles it into nested hash probes.
-It is an exact drop-in for the linear scan: for every packet it yields
-exactly the candidate filters whose necessary conditions the packet
-satisfies (:meth:`DispatchTree.lookup` is the reference reading; a
-property-based test in ``tests/core/test_properties.py`` pins the
-equivalence down).  It reorders *predicates*, never priorities: every
-leaf chain keeps the order the set was given in, so delivery order is
-exactly the figure 4-1 loop's.  A compiled set's root is grouped by
-:func:`dispatch_root`, which keeps the root's tallies with the set
-(:class:`RootIndex`) so that a re-bind patches the buckets it changes
-instead of regrouping every filter.
+the set by the values of one header field that the filters provably
+test for equality (:func:`necessary_equalities`, read off the same
+lowered IR), and the backend (:mod:`repro.core.irgen`) compiles it into
+one hash probe over leaf chains.  It is an exact drop-in for the linear
+scan: for every packet it yields exactly the candidate filters whose
+necessary conditions the packet satisfies (:meth:`DispatchTree.lookup`
+is the reference reading; a property-based test in
+``tests/core/test_properties.py`` pins the equivalence down).  It
+reorders *predicates*, never priorities: every leaf chain keeps the
+order the set was given in, so delivery order is exactly the figure 4-1
+loop's.  A compiled set's root is grouped by :func:`dispatch_root`,
+which keeps the root's tallies with the set (:class:`RootIndex`) so
+that a re-bind patches the buckets it changes instead of regrouping
+every filter.
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ class SetEntry:
     filter that merely moves in application order keeps its linked
     chain.  ``copy_all`` is baked in at compile time, so flipping it on
     a live port needs a new entry.  Entries compare by identity: a
-    compile reuses the previous set's subtrees whose entries are the
+    compile reuses the previous set's leaves whose entries are the
     same objects in the same order.
 
     ``necessary`` is the filter's :func:`necessary_tests` as
@@ -366,15 +367,16 @@ def lower_entry(entry: SetEntry, mode: ShortCircuitMode) -> FilterIR:
 
 @dataclass(frozen=True)
 class DispatchTree:
-    """A recursive dispatch plan over a filter set.
+    """The section 7 decision table over a filter set: one probe.
 
-    Internal nodes carry a ``discriminant`` (word, mask), per-value
-    ``buckets``, and a ``fallback`` subtree for packets matching no
-    bucket (or too short for the field).  Every node carries the
-    ``entries`` under it in application order; a leaf evaluates them.
-    Entries the analysis could not bucket at a node are merged *into
-    every bucket subtree* (and form the fallback), preserving total
-    order.
+    The root carries a ``discriminant`` (word, mask), per-value
+    ``buckets`` and a ``fallback`` for packets matching no bucket (or
+    too short for the field); each of those is a leaf, a tree whose
+    ``discriminant`` is None and whose ``entries`` are the chain it
+    evaluates.  Every tree carries the ``entries`` under it in
+    application order.  Entries the analysis could not bucket are
+    merged *into every bucket* (and form the fallback), preserving
+    total order.  A set no key can split is one leaf.
     """
 
     discriminant: tuple[int, int] | None
@@ -384,36 +386,32 @@ class DispatchTree:
 
     @property
     def depth(self) -> int:
-        if self.discriminant is None:
-            return 0
-        deepest = max(tree.depth for tree in self.buckets.values())
-        if self.fallback is not None:
-            deepest = max(deepest, self.fallback.depth)
-        return 1 + deepest
+        return 0 if self.discriminant is None else 1
 
     def lookup(self, packet: bytes) -> tuple[SetEntry, ...]:
         """Entries worth evaluating on ``packet``, in application order:
-        every filter the probes on the way down did not rule out.  The
-        tree's reference reading — the backend compiles the same walk
-        into nested hash probes."""
-        node = self
-        while node.discriminant is not None:
-            index, mask = node.discriminant
-            try:
-                value = get_word(packet, index) & mask
-            except IndexError:
-                # Packet too short for the field: every bucketed
-                # filter's necessary PUSHWORD would fault, so only
-                # fallbacks apply.
-                node = node.fallback
-            else:
-                node = node.buckets.get(value, node.fallback)
-        return node.entries
+        every filter the probe did not rule out.  The tree's reference
+        reading — the backend compiles the same probe into a hash
+        lookup."""
+        if self.discriminant is None:
+            return self.entries
+        index, mask = self.discriminant
+        try:
+            value = get_word(packet, index) & mask
+        except IndexError:
+            # Packet too short for the field: every bucketed filter's
+            # necessary PUSHWORD would fault, so only fallbacks apply.
+            return self.fallback.entries
+        return self.buckets.get(value, self.fallback).entries
 
 
-MAX_DEPTH = 3
-"""Levels of probes a dispatch tree stacks before it falls back to
-chains."""
+def _leaf(members: tuple, before: DispatchTree | None) -> DispatchTree:
+    """The leaf chain over ``members``: ``before`` (the leaf at the same
+    place in the tree being replaced) when it holds the same entry
+    objects in the same order."""
+    if before is not None and before.entries == members:
+        return before
+    return DispatchTree(None, {}, None, members)
 
 
 def _count(counts: dict, cover: dict, tests: Mapping, step: int) -> None:
@@ -434,7 +432,7 @@ def _count(counts: dict, cover: dict, tests: Mapping, step: int) -> None:
 
 
 def _split_key(counts: Mapping, cover: Mapping) -> tuple[int, int] | None:
-    """The (word, mask) a node splits on: the most distinct required
+    """The (word, mask) the root probes: the most distinct required
     values, then the most entries covered, then the lowest word, then
     the larger mask.  A total order, so the choice never depends on the
     order in which the keys were first seen; None when no key covers
@@ -448,58 +446,44 @@ def _split_key(counts: Mapping, cover: Mapping) -> tuple[int, int] | None:
 
 
 def build_dispatch_tree(
-    entries: Sequence[SetEntry],
-    mode: ShortCircuitMode,
-    *,
-    used_keys: frozenset = frozenset(),
-    previous: DispatchTree | None = None,
+    entries: Sequence[SetEntry], mode: ShortCircuitMode
 ) -> DispatchTree:
     """Bucket ``entries`` (in application order) by their necessary
-    equalities, recursively.
+    equalities.
 
     This is the predicate-reordering pass: instead of each filter
-    re-testing the discriminating fields in chain order, the shared
-    probe runs once up front.  Each node splits on :func:`_split_key`
-    of the keys not already split on above it, and stops where no key
-    covers two entries.  Priority order is *not* reordered — every node
-    keeps its entries in the order they were given.
+    re-testing the discriminating field in chain order, the shared
+    probe runs once up front.  The root probes :func:`_split_key` of
+    the tallies over every entry; no key covering two entries leaves
+    one chain.  Priority order is *not* reordered — every leaf keeps
+    its entries in the order they were given.
 
-    ``previous`` is the tree this one replaces: any subtree whose
-    entries are the same objects in the same order, at the same place,
-    is that subtree, so a re-bind rebuilds only the nodes it changed.
-    The root of a compiled set is grouped by :func:`dispatch_root`,
-    which keeps the tallies this function recounts at every node.
+    The reference grouping: a compiled set's root is grouped by
+    :func:`dispatch_root`, which keeps the tallies this function counts
+    and yields the same tree.
     """
     ordered = tuple(entries)
-    if previous is not None and previous.entries == ordered:
-        return previous
-    # Every level above added exactly one key, so ``used_keys`` is the depth.
-    if len(used_keys) < MAX_DEPTH and len(ordered) >= 2:
-        counts: dict = {}
-        cover: dict = {}
-        for entry in ordered:
-            if entry.necessary is None:
-                lower_entry(entry, mode)
-            tests = entry.necessary
-            if used_keys:
-                tests = {k: v for k, v in tests.items() if k not in used_keys}
-            _count(counts, cover, tests, 1)
-        key = _split_key(counts, cover)
-        if key is not None:
-            return _branch(ordered, key, mode, used_keys | {key}, previous)
-    return DispatchTree(None, {}, None, ordered)
+    counts: dict = {}
+    cover: dict = {}
+    for entry in ordered:
+        if entry.necessary is None:
+            lower_entry(entry, mode)
+        _count(counts, cover, entry.necessary, 1)
+    key = _split_key(counts, cover)
+    if key is None:
+        return DispatchTree(None, {}, None, ordered)
+    return _branch(ordered, key, None)
 
 
 def _branch(
     ordered: tuple[SetEntry, ...],
     key: tuple[int, int],
-    mode: ShortCircuitMode,
-    deeper: frozenset,
     previous: DispatchTree | None,
 ) -> DispatchTree:
     """Split ``ordered`` on ``key``: one bucket per required value, and
     the entries that do not require one (the leftovers) merged into
-    every bucket and forming the fallback."""
+    every bucket and forming the fallback.  A leaf of ``previous`` at
+    the same place is kept when its entries did not change."""
     grouped: dict[int, list[int]] = {}
     leftovers: list[int] = []  # positions in ``ordered``
     for position, entry in enumerate(ordered):
@@ -508,26 +492,19 @@ def _branch(
             leftovers.append(position)
         else:
             grouped.setdefault(value, []).append(position)
-
-    same = previous is not None and previous.discriminant == key
+    if previous is not None and previous.discriminant != key:
+        previous = None
     pick = ordered.__getitem__
-
-    def subtree(positions: list[int], before: DispatchTree | None):
-        members = tuple(map(pick, positions))
-        if before is not None and before.entries == members:
-            return before
-        return build_dispatch_tree(
-            members, mode, used_keys=deeper, previous=before,
-        )
-
     buckets = {
-        value: subtree(
-            sorted(group + leftovers) if leftovers else group,
-            previous.buckets.get(value) if same else None,
+        value: _leaf(
+            tuple(map(pick, sorted(group + leftovers) if leftovers else group)),
+            previous.buckets.get(value) if previous else None,
         )
         for value, group in grouped.items()
     }
-    fallback = subtree(leftovers, previous.fallback if same else None)
+    fallback = _leaf(
+        tuple(map(pick, leftovers)), previous.fallback if previous else None
+    )
     return DispatchTree(key, buckets, fallback, ordered)
 
 
@@ -571,10 +548,9 @@ def dispatch_root(
     ``entries``) and attached; the tallies change by those alone.  When
     the root keeps its key, every changed entry requires a value of it,
     and the entries both sets hold keep their relative order, only the
-    buckets the changed entries leave or enter are rebuilt (through
-    :func:`build_dispatch_tree`, reusing what they can) and the rest of
-    the root is the previous tree's.  Otherwise the root is regrouped
-    on the key the tallies choose, reusing every subtree that did not
+    buckets the changed entries leave or enter are rebuilt and the rest
+    of the root is the previous tree's.  Otherwise the root is regrouped
+    on the key the tallies choose, reusing every leaf that did not
     change.  ``previous=None`` is the delta from an empty set, so a cold
     compile is this same function; the tree equals
     :func:`build_dispatch_tree`'s over ``entries`` either way.
@@ -583,7 +559,7 @@ def dispatch_root(
     for them (:func:`lower_entry`), in application order, and the
     lowering is put in ``lowered`` for the caller's first chain.
     Returns ``(tree, index, touched)``: ``touched`` are the bucket
-    values whose subtrees may differ from the previous tree's, or None
+    values whose leaves may differ from the previous tree's, or None
     when the root was regrouped.
     """
     ordered = tuple(entries)
@@ -618,11 +594,9 @@ def dispatch_root(
         or not all(key in entry.necessary for entry in attached)
         or _without(base.entries, gone) != _without(ordered, frozenset(attached))
     ):
-        root = _branch(ordered, key, mode, frozenset({key}), tree)
+        root = _branch(ordered, key, tree)
     else:
-        root, touched = _patch(
-            base, ordered, key, counts[key], mode, gone, attached
-        )
+        root, touched = _patch(base, ordered, key, counts[key], gone, attached)
     index.tree = root
     return root, index, touched
 
@@ -632,7 +606,6 @@ def _patch(
     ordered: tuple[SetEntry, ...],
     key: tuple[int, int],
     values: Mapping[int, int],
-    mode: ShortCircuitMode,
     gone: frozenset,
     attached: tuple[SetEntry, ...],
 ) -> tuple[DispatchTree, frozenset]:
@@ -640,7 +613,6 @@ def _patch(
     enter rebuilt.  Every changed entry requires a value of ``key``, so
     the fallback is ``base``'s; ``values`` are the values some entry
     now requires, one bucket each."""
-    deeper = frozenset({key})
     buckets = dict(base.buckets)
     touched = frozenset(
         entry.necessary[key] for group in (gone, attached) for entry in group
@@ -656,7 +628,5 @@ def _patch(
             if rank is None:
                 rank = dict(zip(ordered, range(len(ordered))))
             joining = tuple(sorted(kept + joining, key=rank.__getitem__))
-        buckets[value] = build_dispatch_tree(
-            joining or kept, mode, used_keys=deeper, previous=before,
-        )
+        buckets[value] = _leaf(joining or kept, before)
     return DispatchTree(key, buckets, base.fallback, ordered), touched

@@ -154,22 +154,24 @@ class DeviceHandle:
         return False
 
 
+_SIGWAIT = {"timer": None, "waiters": None}
+"""The wait of a process blocked in sigwait(): no timer, on no list.
+:meth:`SimKernel.post_signal` ends it."""
+
+
 class WaitQueue:
     """Processes blocked on one condition, with optional timeouts.
 
     The retry-based protocol keeps blocking logic in one place: a
     blocked operation is simply re-executed when the queue is woken,
-    and either completes or blocks again.
+    and either completes or blocks again.  A parked process names its
+    entry as its ``wait``, which is how :meth:`SimKernel.kill` finds it.
     """
 
     def __init__(self, kernel: "SimKernel", component: str = "kernel") -> None:
         self._kernel = kernel
         self.component = component
         self._waiters: list[dict] = []
-        # Register with the kernel so kill() can evict a victim from
-        # every queue it might be parked on without the queues having
-        # to know about each other.
-        kernel._wait_queues.append(self)
 
     def __len__(self) -> int:
         return len(self._waiters)
@@ -187,17 +189,22 @@ class WaitQueue:
         :class:`SimTimeout` instead.
         """
         process.state = _BLOCKED
-        entry: dict = {"process": process, "retry": retry, "timer": None}
+        entry: dict = {
+            "process": process, "retry": retry, "timer": None,
+            "waiters": self._waiters,
+        }
         if timeout is not None:
             entry["timer"] = self._kernel.scheduler.schedule(
                 timeout, self._fire_timeout, entry
             )
         self._waiters.append(entry)
+        process.wait = entry
 
     def _fire_timeout(self, entry: dict) -> None:
         if entry not in self._waiters:
             return
         self._waiters.remove(entry)
+        entry["process"].wait = None
         self._kernel.fail(entry["process"], SimTimeout())
 
     def wake_all(self) -> None:
@@ -209,11 +216,16 @@ class WaitQueue:
         keep arriving during that window — which is how read batches
         form at all (figure 3-5).
         """
-        waiters, self._waiters = self._waiters, []
+        # Emptied in place: each entry names this list, so swapping in
+        # a new one would leave the old list and its entries a cycle
+        # for the garbage collector, one per wakeup.
+        waiters = self._waiters[:]
+        del self._waiters[:]
         kernel = self._kernel
         for entry in waiters:
             if entry["timer"] is not None:
                 entry["timer"].cancel()
+            entry["process"].wait = None
             kernel.account(_WAKEUP, kernel.costs.wakeup, 1, self.component)
             runs_at = kernel.cpu_available_at + kernel.costs.context_switch
             kernel.scheduler.schedule_at(runs_at, self._deferred_retry, entry)
@@ -224,28 +236,18 @@ class WaitQueue:
             return  # resolved some other way while the wake was in flight
         entry["retry"](process)
 
-    def discard(self, process: Process) -> None:
-        """Forget any parked operation of ``process`` (kill teardown):
-        its timers are cancelled and its retries will never run."""
-        kept = []
-        for entry in self._waiters:
-            if entry["process"] is process:
-                if entry["timer"] is not None:
-                    entry["timer"].cancel()
-            else:
-                kept.append(entry)
-        self._waiters = kept
-
     def fail_all(self, error: SimError) -> None:
         """Fail every parked operation with ``error`` — the queue's
         condition can never come true again (its device closed, its
         peer died).  A blocked read must error out, not hang forever."""
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters[:]
+        del self._waiters[:]
         kernel = self._kernel
         for entry in waiters:
             if entry["timer"] is not None:
                 entry["timer"].cancel()
             process = entry["process"]
+            process.wait = None
             if process.done:
                 continue
             kernel.account(_WAKEUP, kernel.costs.wakeup, component=self.component)
@@ -279,8 +281,6 @@ class SimKernel:
         self._cpu_free_at = 0.0
         self._last_pid: int | None = None
         self._select_waiters: list[dict] = []
-        self._sig_waiters: dict[int, Process] = {}
-        self._wait_queues: list[WaitQueue] = []
         #: optional :class:`repro.sim.overload.RxPolicy`; None keeps the
         #: classic ungated interrupt-per-frame receive path.
         self.rx_policy = None
@@ -487,7 +487,7 @@ class SimKernel:
     def device(self, name: str) -> DeviceDriver:
         try:
             return self._devices[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise NoSuchDevice(name) from None
 
     # ------------------------------------------------------------------
@@ -546,27 +546,24 @@ class SimKernel:
     def kill(self, process: Process) -> None:
         """Forcibly terminate ``process`` — the simulated SIGKILL.
 
-        The crash-safety contract: after ``kill`` returns, no wait queue
-        or select list holds the victim, its generator body has been
-        closed (``finally`` blocks ran), and every fd it owned has been
-        closed — which is what detaches its filters, returns its port
-        queues to the buffer pool, and errors any peer blocked on it.
+        The crash-safety contract: after ``kill`` returns, the one wait
+        the victim was parked in (:attr:`Process.wait`: a wait queue's,
+        the select list's or sigwait's) is undone and its timer
+        cancelled, its generator body has been closed (``finally``
+        blocks ran), and every fd it owned has been closed — which is
+        what detaches its filters, returns its port queues to the buffer
+        pool, and errors any peer blocked on it.
         A crashed consumer must never leak buffers or wedge the demux.
         """
         if process.done:
             return
         error = ProcessKilled(f"{process.name} (pid {process.pid}) killed")
-        for queue in self._wait_queues:
-            queue.discard(process)
-        kept = []
-        for entry in self._select_waiters:
-            if entry["process"] is process:
-                if entry["timer"] is not None:
-                    entry["timer"].cancel()
-            else:
-                kept.append(entry)
-        self._select_waiters = kept
-        self._sig_waiters.pop(process.pid, None)
+        wait, process.wait = process.wait, None
+        if wait is not None:
+            if wait["timer"] is not None:
+                wait["timer"].cancel()
+            if wait["waiters"] is not None:
+                wait["waiters"].remove(wait)
         try:
             process.body.close()
         except Exception:
@@ -683,13 +680,14 @@ class SimKernel:
     def _handle_of(self, process: Process, fd: int) -> DeviceHandle:
         try:
             return process.fds[fd]
-        except KeyError:
-            raise BadFileDescriptor(f"fd {fd} in {process.name}") from None
+        except (KeyError, TypeError):  # TypeError: an unhashable fd
+            raise BadFileDescriptor(f"fd {fd!r} in {process.name}") from None
 
     def _close_fd(self, process: Process, fd: int) -> None:
-        handle = process.fds.pop(fd, None)
-        if handle is None:
-            raise BadFileDescriptor(f"fd {fd} in {process.name}")
+        try:
+            handle = process.fds.pop(fd)
+        except (KeyError, TypeError):  # TypeError: an unhashable fd
+            raise BadFileDescriptor(f"fd {fd!r} in {process.name}") from None
         handle.close(process)
 
     # ------------------------------------------------------------------
@@ -708,12 +706,16 @@ class SimKernel:
             self.complete(process, [])
             return
         process.state = _BLOCKED
-        entry: dict = {"process": process, "call": call, "timer": None}
+        entry: dict = {
+            "process": process, "call": call, "timer": None,
+            "waiters": self._select_waiters,
+        }
         if timeout is not None:
             entry["timer"] = self.scheduler.schedule(
                 timeout, self._select_timeout, entry
             )
         self._select_waiters.append(entry)
+        process.wait = entry
 
     def _ready_fds(self, process: Process, fds: Iterable[int]) -> list[int]:
         ready = []
@@ -727,6 +729,7 @@ class SimKernel:
         if entry not in self._select_waiters:
             return
         self._select_waiters.remove(entry)
+        entry["process"].wait = None
         self.complete(entry["process"], [])
 
     def readiness_changed(self) -> None:
@@ -739,11 +742,12 @@ class SimKernel:
             if ready:
                 if entry["timer"] is not None:
                     entry["timer"].cancel()
+                entry["process"].wait = None
                 self.account(_WAKEUP, self.costs.wakeup, component="select")
                 self.complete(entry["process"], ready)
             else:
                 still_waiting.append(entry)
-        self._select_waiters = still_waiting
+        self._select_waiters[:] = still_waiting
 
     # ------------------------------------------------------------------
     # signals
@@ -753,8 +757,8 @@ class SimKernel:
         """Deliver ``signal`` to ``process`` (the SETSIGNAL facility)."""
         self.account(Primitive.SIGNAL, component="signal")
         process.pending_signals.append(signal)
-        waiter = self._sig_waiters.pop(process.pid, None)
-        if waiter is not None:
+        if process.wait is _SIGWAIT:
+            process.wait = None
             self.account(_WAKEUP, self.costs.wakeup, component="signal")
             self.complete(process, process.pending_signals.pop(0))
 
@@ -763,7 +767,7 @@ class SimKernel:
             self.complete(process, process.pending_signals.pop(0))
             return
         process.state = _BLOCKED
-        self._sig_waiters[process.pid] = process
+        process.wait = _SIGWAIT
 
     # ------------------------------------------------------------------
     # pipes

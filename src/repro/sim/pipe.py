@@ -115,6 +115,7 @@ class Pipe:
     def close_write(self) -> None:
         self._writers_open = False
         self._read_waiters.wake_all()  # readers now see EOF
+        self.kernel.readiness_changed()  # and so does select()
 
 
 class _PipeEnd(DeviceHandle):

@@ -156,6 +156,12 @@ class Process:
         self.fds: dict[int, Any] = {}          # fd -> device handle
         self.next_fd = 3                        # 0..2 reserved, as ever
         self.pending_signals: list[int] = []
+        #: The one wait a blocked process is parked in, for
+        #: :meth:`SimKernel.kill` to undo: a dict whose ``"timer"`` is
+        #: its timeout event (or None) and whose ``"waiters"`` is the
+        #: list holding it (None for sigwait).  Set by the wait queue,
+        #: the select list or sigwait, and cleared when the wait ends.
+        self.wait: dict | None = None
         self.result: Any = None
         self.error: BaseException | None = None
         self.finished_at: float | None = None

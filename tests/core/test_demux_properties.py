@@ -243,8 +243,8 @@ def tree_shape(tree):
 def assert_equals_cold(demux, packets, step):
     """``demux``, compiled against the set it replaced, has the
     ``ir_stats``, generated source and dispatch-tree structure of a
-    demux compiled from nothing (whose tree is in turn the recursive
-    reference builder's), and delivers as that demux does."""
+    demux compiled from nothing (whose tree is in turn the reference
+    builder's), and delivers as that demux does."""
     twin = cold_twin(demux)
     assert demux.ir_stats == twin.ir_stats, step
     assert demux._ir.source == twin._ir.source, step

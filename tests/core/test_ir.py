@@ -30,7 +30,7 @@ from repro.core.ir import (
 from repro.core.instructions import BinaryOp, Instruction, StackAction, pushword
 from repro.core.irgen import SetEntry, compile_ir_set
 from repro.core.opt import (
-    MAX_DEPTH,
+    NecessaryTest,
     build_dispatch_tree,
     cse_filter_set,
     live_nodes,
@@ -297,8 +297,12 @@ class TestDispatchTree:
         assert tree.fallback is not None
         assert wild in tree.fallback.entries
 
-    def test_depth_respects_max(self):
-        """Four discriminating words, but the tree stops at MAX_DEPTH."""
+    def test_four_discriminating_words_make_one_probe(self):
+        """Four words each split the set in two, but the tree probes one
+        (the lowest, on a tie) and every bucket is a chain in
+        application order: the section 7 table is one probe.  For every
+        packet, ``lookup`` is exactly the linear scan's candidates, the
+        filters whose test of the probed word the packet passes."""
         entries = table_entries(
             [
                 compile_expr(
@@ -312,7 +316,26 @@ class TestDispatchTree:
             ]
         )
         tree = build_dispatch_tree(entries, ShortCircuitMode.PUSH_RESULT)
-        assert tree.depth == MAX_DEPTH == 3
+        assert tree.depth == 1
+        assert tree.discriminant == (6, 0xFFFF)
+        for value, bucket in tree.buckets.items():
+            assert bucket.discriminant is None and not bucket.buckets
+            assert bucket.entries == tuple(
+                e for e in entries if e.necessary[(6, 0xFFFF)] == value
+            )
+        assert tree.fallback.discriminant is None
+        assert tree.fallback.entries == ()
+        for words in [
+            [0] * 6 + [i, j, k, m] for i in range(3) for j in range(2)
+            for k in range(2) for m in range(2)
+        ] + [[0] * 6, [0] * 7]:
+            packet = pack_words(words)
+            scan = tuple(
+                e for e in entries
+                if NecessaryTest(6, 0xFFFF, e.necessary[(6, 0xFFFF)])
+                .matches(packet)
+            )
+            assert tree.lookup(packet) == scan
 
 
 # ---------------------------------------------------------------------------

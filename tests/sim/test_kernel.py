@@ -1,6 +1,8 @@
 """Tests for the simulated kernel: processes, syscalls, accounting."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -162,6 +164,37 @@ class TestFileDescriptors:
         assert proc.result == "ebadf"
 
 
+    def test_closed_descriptors_leave_no_wait_queue_behind(self):
+        """The wait queues of a closed packet-filter port and a closed
+        pipe die with them: the kernel keeps no registry of every queue
+        ever made for :meth:`SimKernel.kill` to scan."""
+        world, host = make_host()
+        host.install_packet_filter()
+        queues = []
+
+        def body():
+            for _ in range(3):
+                fd = yield Open("pf")
+                rfd, wfd = yield PipeCreate()
+                pipe = proc.fds[rfd].pipe
+                queues.extend(
+                    weakref.ref(queue) for queue in (
+                        proc.fds[fd].readers,
+                        pipe._read_waiters,
+                        pipe._write_waiters,
+                    )
+                )
+                del pipe
+                for each in (fd, rfd, wfd):
+                    yield Close(each)
+
+        proc = host.spawn("p", body())
+        world.run_until_done(proc)
+        gc.collect()
+        assert len(queues) == 9
+        assert [ref for ref in queues if ref() is not None] == []
+
+
 class TestTimeAccounting:
     def test_sleep_advances_clock_without_cpu(self):
         world, host = make_host()
@@ -301,6 +334,47 @@ class TestHostileTimeArguments:
         world.run_until_done(proc)
         assert proc.result == []
         assert world.now >= 1.0
+
+
+HOSTILE_DESCRIPTORS = [
+    pytest.param(call, error, id=name)
+    for name, call, error in (
+        ("Read([])", Read([]), BadFileDescriptor),
+        ("Write([])", Write([], b"x"), BadFileDescriptor),
+        ("Ioctl([])", Ioctl([], PFIoctl.SETFILTER, None), BadFileDescriptor),
+        ("Select([[]])", Select([[]]), BadFileDescriptor),
+        ("Open({})", Open({}), NoSuchDevice),
+        ("Close([])", Close([]), BadFileDescriptor),
+    )
+]
+
+
+class TestHostileDescriptors:
+    """An unhashable descriptor or device name is the caller's bad fd or
+    missing device, not a ``TypeError`` out of the event loop: a
+    process on another host runs to completion."""
+
+    @pytest.mark.parametrize("call, error", HOSTILE_DESCRIPTORS)
+    def test_only_the_offender_fails(self, call, error):
+        world, host = make_host()
+        bystander = world.host("bystander")
+
+        def offender():
+            yield Open("echo")  # Close([]) hashes only when fds exist
+            yield call
+
+        def sibling():
+            yield Sleep(0.01)
+            yield Compute(0.001)
+            return "fine"
+
+        bad = host.spawn("bad", offender())
+        good = bystander.spawn("good", sibling())
+        world.run_until_done(good)
+        world.run()
+        assert bad.state is ProcessState.FAILED
+        assert isinstance(bad.error, error)
+        assert good.result == "fine"
 
 
 FRAME = bytes(64)   # long enough to carry the data-link header

@@ -12,17 +12,20 @@ import pytest
 
 from repro.core.compiler import compile_expr, word
 from repro.core.ioctl import PFIoctl
+from repro.core.port import ReadTimeoutPolicy
 from repro.sim import (
     BadFileDescriptor,
     BufferPool,
     Compute,
     Ioctl,
     Open,
+    PipeCreate,
     ProcessKilled,
     ProcessState,
     Read,
     RxPolicy,
     Select,
+    SigWait,
     Sleep,
     World,
     Write,
@@ -423,20 +426,65 @@ class TestKill:
         assert isinstance(peer_proc.error, BadFileDescriptor)
 
     def test_kill_removes_select_waiter(self):
+        """A killed selector leaves no wait and no timer behind, and a
+        frame for its (detached) port afterwards wakes nobody."""
         world = World()
+        sender = world.host("sender", costs=FREE)
         receiver = world.host("receiver")
+        sender.install_packet_filter()
         receiver.install_packet_filter()
 
         def victim():
             fd = yield Open("pf")
             yield Ioctl(fd, PFIoctl.SETFILTER, type_filter())
-            yield Select((fd,))
+            yield Select((fd,), timeout=5.0)
+
+        def late_frame():
+            yield Sleep(0.1)
+            fd = yield Open("pf")
+            yield Write(fd, frame_for(sender, receiver))
 
         proc = receiver.spawn("victim", victim())
+        sender.spawn("late", late_frame())
         world.scheduler.schedule_at(0.05, receiver.kernel.kill, proc)
         world.run()
         assert proc.state is ProcessState.FAILED
-        assert receiver.kernel._select_waiters == []
+        assert proc.wait is None
+        assert world.now < 1.0, "the select timeout's timer outlived the kill"
+        assert receiver.stats.wakeups == 0
+
+    @pytest.mark.parametrize("parked", ["read", "select", "sigwait", "pipe-write"])
+    def test_kill_undoes_the_one_wait_and_leaves_no_live_timer(self, parked):
+        """Killed while parked in a read (with a timeout), a select (with
+        a timeout), a sigwait or a write to a full pipe, the process
+        names no wait, and no event is left live on the clock."""
+        world = World()
+        host = world.host("h")
+        host.install_packet_filter()
+
+        def victim():
+            if parked == "pipe-write":
+                _, wfd = yield PipeCreate()
+                yield Write(wfd, bytes(4096))
+                yield Write(wfd, b"x")  # full: blocks
+            elif parked == "sigwait":
+                yield SigWait()
+            else:
+                fd = yield Open("pf")
+                yield Ioctl(fd, PFIoctl.SETFILTER, type_filter())
+                yield Ioctl(fd, PFIoctl.SETTIMEOUT, ReadTimeoutPolicy.after(5.0))
+                yield Read(fd) if parked == "read" else Select((fd,), 5.0)
+
+        proc = host.spawn("victim", victim())
+        world.run(until=0.05)
+        assert proc.state is ProcessState.BLOCKED
+        assert proc.wait is not None
+        host.kernel.kill(proc)
+        assert proc.state is ProcessState.FAILED
+        assert proc.wait is None
+        assert world.scheduler.pending() == 0
+        host.kernel.post_signal(proc, 1)  # wakes nobody
+        assert host.stats.wakeups == 0
 
     def test_kill_during_sleep_stays_dead(self):
         """The sleep timer fires after the kill; the completion must

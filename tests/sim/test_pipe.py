@@ -8,6 +8,7 @@ from repro.sim import (
     InvalidArgument,
     PipeCreate,
     Read,
+    Select,
     Sleep,
     World,
     Write,
@@ -105,6 +106,36 @@ class TestBlockingAndCosts:
         when, data = consumer_proc.result
         assert data == b"late data"
         assert when >= 0.2
+
+    @pytest.mark.parametrize("timeout", [1.0, None])
+    def test_select_sees_eof_when_the_last_writer_closes(self, timeout):
+        """A read end at EOF is readable (a read returns ``b""`` at once),
+        so closing the last write end wakes a select on it then, not at
+        its timeout or never."""
+        world = World()
+        host = world.host("h")
+        fds = {}
+
+        def writer():
+            rfd, wfd = yield PipeCreate()
+            fds["r"] = host.kernel.share_fd(writer_proc, rfd, reader_proc)
+            yield Close(rfd)
+            yield Sleep(0.01)
+            yield Close(wfd)
+
+        def reader():
+            yield Sleep(0.001)
+            ready = yield Select((fds["r"],), timeout)
+            at = world.now
+            return ready, at, (yield Read(fds["r"]))
+
+        writer_proc = host.spawn("writer", writer())
+        reader_proc = host.spawn("reader", reader())
+        world.run_until_done(reader_proc)
+        ready, at, data = reader_proc.result
+        assert ready == [fds["r"]]
+        assert data == b""
+        assert at < 0.02
 
     def test_writer_blocks_when_full(self):
         from repro.sim.pipe import PIPE_CAPACITY
