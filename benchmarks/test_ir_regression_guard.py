@@ -1,6 +1,7 @@
-"""Guard: re-binding one rule under the IR engine compiles one chain
-and reads the necessary tests of the buckets it changes, not of the
-set, and a packet through the compiled set costs a counted number of
+"""Guard: re-binding one rule under the IR engine compiles a chain only
+for a never-seen shape and reads the necessary tests of the buckets it
+changes, not of the set; a cold compile compiles once per chain shape;
+and a packet through the compiled set costs a counted number of
 bytecodes.
 
 The incremental re-bind, compiled against the set it replaces, is
@@ -45,6 +46,31 @@ def _acl_rule(port: int, serial: int):
     )
 
 
+def _extra_word_rule(port: int, serial: int, extra: int):
+    """:func:`_acl_rule` plus a test of word ``7 + extra``: a shape no
+    other ``extra`` has."""
+    return compile_expr(
+        (word(6) == port) & (word(4) == 6) & (word(5) == serial)
+        & (word(0) == 0x0A00) & (word(1) == serial ^ 0x5555)
+        & (word(7 + extra) == extra),
+        priority=10,
+    )
+
+
+def _counting_loads(monkeypatch) -> list:
+    """Patch :func:`repro.core.irgen._load_factory` to note the source
+    of every factory it compiles, in the returned list."""
+    load_factory = irgen._load_factory
+    compiled_sources = []
+
+    def counting(source):
+        compiled_sources.append(source)
+        return load_factory(source)
+
+    monkeypatch.setattr(irgen, "_load_factory", counting)
+    return compiled_sources
+
+
 def _nodes(tree):
     yield tree
     for subtree in tree.buckets.values():
@@ -57,18 +83,13 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(
     monkeypatch, emit
 ):
     """SETFILTER on one of 128 rules, compiled against the set it
-    replaces, rebuilds the root and the re-bound rule's bucket and
-    compiles that bucket's chain, and nothing else; the other 127
-    buckets and their linked chains are the previous set's own.
-    Counted, not timed."""
-    load_factory = irgen._load_factory
-    compiled_sources = []
-
-    def counting(source):
-        compiled_sources.append(source)
-        return load_factory(source)
-
-    monkeypatch.setattr(irgen, "_load_factory", counting)
+    replaces, rebuilds the root and the re-bound rule's bucket, and
+    nothing else; the other 127 buckets and their linked chains are the
+    previous set's own.  The rebuilt chain is compiled only when its
+    shape is new to the set: a rule with the five-tuple's shape and
+    different constants loads no factory, a rule testing one more word
+    than any before it loads exactly one.  Counted, not timed."""
+    compiled_sources = _counting_loads(monkeypatch)
     programs = [_acl_rule(1024 + slot, slot) for slot in range(REBIND_RULES)]
     entries = [
         SetEntry(slot, program, validate(program), False)
@@ -77,9 +98,14 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(
     compiled = compile_ir_set(entries)
     for serial in range(9):
         # The re-bound port keeps its key and moves to the end of its
-        # priority class; the rule has never been seen.
+        # priority class; the rule has never been seen, and on odd
+        # re-binds neither has its shape.
         slot = (serial * 37) % REBIND_RULES
-        program = _acl_rule(1024 + slot, 1000 + serial)
+        new_shape = serial % 2 == 1
+        if new_shape:
+            program = _extra_word_rule(1024 + slot, 1000 + serial, serial)
+        else:
+            program = _acl_rule(1024 + slot, 1000 + serial)
         entries = [entry for entry in entries if entry.key != slot]
         entries.append(SetEntry(slot, program, validate(program), False))
         del compiled_sources[:]
@@ -92,15 +118,55 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(
             node for node in _nodes(compiled._root.tree)
             if id(node) not in kept
         ]
-        assert compiles == 1, f"{compiles} code objects compiled for one re-bind"
+        assert compiles == new_shape, (
+            f"{compiles} code objects compiled for one re-bind "
+            f"({'new' if new_shape else 'known'} shape)"
+        )
         assert len(rebuilt) <= 2, f"{len(rebuilt)} tree nodes rebuilt"
         sport = 1000 + serial
-        packet = pack_words([0x0A00, sport ^ 0x5555, 0, 0, 6, sport, 1024 + slot])
+        words = [0x0A00, sport ^ 0x5555, 0, 0, 6, sport, 1024 + slot]
+        if new_shape:
+            words += [0] * serial + [serial]
+        assert compiled.classify(pack_words(words)) == ((slot,), 1)
+    emit(
+        "re-bind against the previous set: 0 chains compiled for a known "
+        f"shape, 1 for a new one; {len(rebuilt)} of "
+        f"{len(list(_nodes(compiled._root.tree)))} tree nodes rebuilt"
+    )
+
+
+COLD_RULES = 1000
+COLD_CHAIN_LOADS = 2
+"""Chain factories a cold compile of :data:`COLD_RULES` one-shape rules
+may load: the rules' shape and the empty fallback chain's.  The probe
+is one more shape, loaded once."""
+
+
+def test_cold_compile_loads_one_factory_per_shape(monkeypatch, emit):
+    """A cold compile of 1 000 rules that differ only in their
+    constants compiles each chain shape once, not each chain: the
+    chains and the probe are instantiated from factories the set's
+    shape table already holds.  Loaded 1 002 factories while each chain
+    was its own source text.  Counted, not timed."""
+    compiled_sources = _counting_loads(monkeypatch)
+    programs = [_acl_rule(1024 + slot, slot) for slot in range(COLD_RULES)]
+    compiled = compile_ir_set([
+        SetEntry(slot, program, validate(program), False)
+        for slot, program in enumerate(programs)
+    ])
+    assert compiled.stats.chains == COLD_RULES + 1
+    probes = compiled_sources.count(irgen._DISPATCH_SOURCE)
+    chains = len(compiled_sources) - probes
+    assert probes == 1, f"{probes} probe factories loaded"
+    assert chains <= COLD_CHAIN_LOADS, (
+        f"{chains} chain factories loaded for {COLD_RULES} one-shape rules"
+    )
+    for slot in (0, COLD_RULES // 2, COLD_RULES - 1):
+        packet = _acl_packet(1024 + slot, slot)
         assert compiled.classify(packet) == ((slot,), 1)
     emit(
-        f"re-bind against the previous set: {compiles} chain compiled, "
-        f"{len(rebuilt)} of {len(list(_nodes(compiled._root.tree)))} "
-        "tree nodes rebuilt"
+        f"cold compile of {COLD_RULES} one-shape rules: {chains} chain "
+        f"factories and {probes} probe loaded"
     )
 
 

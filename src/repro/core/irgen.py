@@ -19,9 +19,8 @@ Three layers, bottom up:
   emitted as one function.  Values any two bodies in a chain share are
   hoisted into the chain preamble, loaded through a never-faulting
   padded form so the preamble cannot raise on behalf of a body whose own
-  length guard would have exited first.  Result keys stay out of the
-  emitted code, which is a *factory* closed over per-entry result
-  constants.
+  length guard would have exited first.  Result keys and constants stay
+  out of the emitted code, which is a *factory* closed over them.
 
 * :func:`compile_ir_set` compiles a whole bound filter set: build the
   dispatch tree (:func:`repro.core.opt.dispatch_root`), compile a chain
@@ -30,16 +29,19 @@ Three layers, bottom up:
   applies the entries detached and attached to the root's grouping and
   keeps every linked leaf whose entries did not change, so a re-bind
   rebuilds the bucket the filter left and the one it entered and
-  compiles one chain; the rest of the set costs nothing.  A compiled
-  chain lives on its link and dies with the sets that hold it; nothing
-  is kept process-wide but the dispatch probes, one per (word, mask).
+  compiles one chain; the rest of the set costs nothing.  Chains of one
+  shape share one loaded factory: the set keeps a table from shape text
+  to factory, handed from set to set, so ``compile()`` runs once per
+  shape, and a shape leaves the table with its last linked chain.  The
+  dispatch probe is one more shape.  Nothing is kept process-wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Mapping, NamedTuple, Sequence
+from weakref import WeakValueDictionary
 
 from .interpreter import ShortCircuitMode
 from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueGraph
@@ -86,12 +88,20 @@ def _binop_src(kind: str, a: str, b: str) -> str:
     raise AssertionError(f"unknown binop kind {kind!r}")
 
 
+def _lift(constants: list, value: int | bytes) -> str:
+    """Append ``value`` to ``constants`` and name the factory parameter
+    that will hold it."""
+    constants.append(value)
+    return f"_k{len(constants) - 1}"
+
+
 def emit_ir_body(
     fir: FilterIR,
     emit: Callable[[str], None],
     indent: str,
     *,
     terminate: Callable[[str], str],
+    constants: list,
     length_expr: str = "len(packet)",
     name_prefix: str = "t",
     prebound: Mapping[int, str] | None = None,
@@ -102,7 +112,10 @@ def emit_ir_body(
     Same contract as the old stack-walking emitter: ``emit`` receives
     one statement at a time, ``terminate(expr)`` ends evaluation with
     the truth of ``expr`` (``'False'``/``'True'`` are the constant
-    verdicts), ``length_expr`` names the packet length.  ``prebound``
+    verdicts), ``length_expr`` names the packet length.  Each constant
+    the body uses is appended to ``constants`` and read as the parameter
+    ``_k<i>``, ``i`` its position there, which the caller's factory
+    declares; offsets and lengths stay in the text.  ``prebound``
     maps node ids to local names the caller already computed (chain
     hoisting); everything else materializes lazily — at its first use,
     which is always at or after its guarding ``Bound`` step.  ``live``
@@ -147,7 +160,7 @@ def emit_ir_body(
         node = graph.node(nid)
         kind = node.kind
         if kind == CONST:
-            return str(node.arg0)
+            return _lift(constants, node.arg0)
         if kind == LOAD:
             return load_expr(node.arg0)
         if kind == INDW:
@@ -164,7 +177,7 @@ def emit_ir_body(
             return name
         node = graph.node(nid)
         if node.kind == CONST:
-            return str(node.arg0)
+            return _lift(constants, node.arg0)
         if uses.get(nid, 0) > 1:
             return materialize(nid)
         return f"({raw_expr(nid)})"
@@ -253,13 +266,16 @@ def emit_ir_body(
         compares = [
             (
                 f"packet[{2 * s[0]}:{2 * s[-1] + 2}]",
-                repr(b"".join(merged[i].to_bytes(2, "big") for i in s)),
+                _lift(
+                    constants,
+                    b"".join(merged[i].to_bytes(2, "big") for i in s),
+                ),
             )
             for s in stretches
         ]
         last = compares.pop() if verdict is not None else None
-        for window, literal in compares:
-            emit(f"{indent}if {window} != {literal}: {terminate('False')}")
+        for window, run_bytes in compares:
+            emit(f"{indent}if {window} != {run_bytes}: {terminate('False')}")
         if last is None:
             return False
         emit(f"{indent}{terminate(f'{last[0]} == {last[1]}')}")
@@ -301,11 +317,10 @@ def emit_ir_body(
 
 
 class _Chain(NamedTuple):
-    """One compiled leaf chain."""
+    """What one linked leaf chain keeps for :class:`IRStats`."""
 
-    factory: Callable  #: factory(*result constants) -> chain(packet, _n)
     hoisted: int       #: values the chain preamble computes once
-    facts: tuple       #: per entry: (live nodes, value numbers) for IRStats
+    facts: tuple       #: per entry: (live nodes, value numbers)
 
 
 #: Globals of every generated function.
@@ -334,14 +349,16 @@ def _emit_chain(
     context: Mapping[tuple[int, int], int],
     mode: ShortCircuitMode,
     lowered: dict | None = None,
-) -> tuple[str, int, tuple]:
-    """Factory source, hoist count and per-entry stats facts for one
-    leaf chain.  Temporaries and accept flags are named by position in
-    the chain and results come in as ``_r<position>`` parameters, so the
-    text depends only on each entry's program and copy-all flag in
-    order, the full-word facts :func:`repro.core.opt.specialize_filter`
-    folds away, and the mode.  ``lowered`` holds lowerings the caller
-    already made, taken out as they are used."""
+) -> tuple[str, list, int, tuple]:
+    """Factory source, its constants, hoist count and per-entry stats
+    facts for one leaf chain.  Temporaries and accept flags are named by
+    position in the chain, results come in as ``_r<position>``
+    parameters and the constants as ``_k<i>`` after them, so the text
+    depends only on each entry's shape and copy-all flag in order, the
+    full-word facts :func:`repro.core.opt.specialize_filter` folds away,
+    which values the chain shares, and the mode.  The factory is called
+    as ``_factory(*results, *constants)``.  ``lowered`` holds lowerings
+    the caller already made, taken out as they are used."""
     chain_graph = ValueGraph()
     bodies = []
     facts = []
@@ -355,8 +372,8 @@ def _emit_chain(
         # set are re-traversed by every full collection.
         facts.append((len(live), tuple(value_numbers(fir, live))))
         bodies.append(specialize_filter(fir, chain_graph, context))
-    params = ", ".join(f"_r{position}" for position in range(len(entries)))
-    lines = [f"def _factory({params}):", "    def _chain(packet, _n):"]
+    constants: list = []
+    lines = ["", "    def _chain(packet, _n):"]  # the def line comes last
 
     # Hoist values shared by two or more bodies.  Only non-faultable
     # nodes qualify, and loads use a never-raising padded form: a
@@ -374,7 +391,7 @@ def _emit_chain(
             return hoisted[nid]
         node = chain_graph.node(nid)
         assert node.kind == CONST, "hoisted operands are hoisted or const"
-        return str(node.arg0)
+        return _lift(constants, node.arg0)
 
     for nid in sorted(n for n, c in counts.items() if c >= 2):
         node = chain_graph.node(nid)
@@ -436,6 +453,7 @@ def _emit_chain(
         emit_ir_body(
             fir, lines.append, indent,
             terminate=terminate,
+            constants=constants,
             length_expr="_n",
             name_prefix=f"t{position}_",
             prebound=hoisted,
@@ -457,39 +475,40 @@ def _emit_chain(
         empty = "_res" if has_copy_all else "()"
         lines.append(f"        return ({empty}, {len(entries)})")
     lines.append("    return _chain")
-    return "\n".join(lines) + "\n", len(hoisted), tuple(facts)
+    params = [f"_r{position}" for position in range(len(entries))]
+    params += [f"_k{i}" for i in range(len(constants))]
+    lines[0] = f"def _factory({', '.join(params)}):"
+    return "\n".join(lines) + "\n", constants, len(hoisted), tuple(facts)
 
 
 # -- dispatch nodes and whole-set linking ------------------------------------
 
 
-def _dispatch_source(index: int, mask: int) -> str:
-    offset = 2 * index
-    return (
-        "def _factory(_map, _fallback):\n"
-        "    def _dsp(packet, _n):\n"
-        f"        if _n > {offset + 1}:\n"
-        f"            _w = ((packet[{offset}] << 8)"
-        f" | packet[{offset + 1}]) & {mask:#x}\n"
-        f"        elif _n > {offset}:\n"
-        f"            _w = (packet[{offset}] << 8) & {mask:#x}\n"
-        "        else:\n"
-        # Field entirely outside the packet: every bucketed filter's
-        # necessary PUSHWORD would fault, so only fallbacks apply.
-        "            return _fallback(packet, _n)\n"
-        "        _c = _map.get(_w)\n"
-        "        if _c is None:\n"
-        "            return _fallback(packet, _n)\n"
-        "        return _c(packet, _n)\n"
-        "    return _dsp\n"
-    )
+#: ``factory(map, fallback, offset, offset + 1, mask) -> probe(packet,
+#: _n)``: the one dispatch probe text, for every (word, mask)
+#: discriminant; the bucket map is a real dict of callables.
+_DISPATCH_SOURCE = (
+    "def _factory(_map, _fallback, _k0, _k1, _k2):\n"
+    "    def _dsp(packet, _n):\n"
+    "        if _n > _k1:\n"
+    "            _w = ((packet[_k0] << 8) | packet[_k1]) & _k2\n"
+    "        elif _n > _k0:\n"
+    "            _w = (packet[_k0] << 8) & _k2\n"
+    "        else:\n"
+    # Field entirely outside the packet: every bucketed filter's
+    # necessary PUSHWORD would fault, so only fallbacks apply.
+    "            return _fallback(packet, _n)\n"
+    "        _c = _map.get(_w)\n"
+    "        if _c is None:\n"
+    "            return _fallback(packet, _n)\n"
+    "        return _c(packet, _n)\n"
+    "    return _dsp\n"
+)
 
 
-@lru_cache(maxsize=256)
-def _dispatch_factory(index: int, mask: int) -> Callable:
-    """``factory(map, fallback) -> probe(packet, _n)`` for one (word,
-    mask) discriminant; the bucket map is a real dict of callables."""
-    return _load_factory(_dispatch_source(index, mask))
+def _probe_constants(discriminant: tuple[int, int]) -> tuple[int, int, int]:
+    index, mask = discriminant
+    return 2 * index, 2 * index + 1, mask
 
 
 class _Link(NamedTuple):
@@ -497,7 +516,8 @@ class _Link(NamedTuple):
 
     tree: DispatchTree
     function: Callable              #: function(packet, _n)
-    chain: _Chain | None            #: leaves: the instantiated chain
+    factory: Callable               #: what made it; keeps its shape loaded
+    chain: _Chain | None            #: leaves: the chain's stats facts
     buckets: Mapping[int, "_Link"]  #: the root: one leaf per bucket value
     fallback: "_Link | None"
     targets: Mapping[int, Callable]  #: the root: the probe's bucket map
@@ -509,22 +529,34 @@ def _link(
     mode: ShortCircuitMode,
     lowered: dict,
     touched: frozenset | None,
+    shapes: WeakValueDictionary,
 ) -> _Link:
     """Link the set's ``tree``.  ``previous`` is the root link of the set
     being replaced: a leaf the tree builder kept is kept linked as it
     is.  ``touched`` (a patched tree) names the only bucket values whose
     leaves may differ from ``previous``'s, so the bucket maps are copies
-    of the previous ones with those values replaced."""
+    of the previous ones with those values replaced.  ``shapes`` maps
+    factory source to the factory loaded from it; only a source it
+    lacks is compiled."""
     if previous is not None and previous.tree is tree:
         return previous
+
+    def load(source: str) -> Callable:
+        factory = shapes.get(source)
+        if factory is None:
+            factory = shapes[source] = _load_factory(source)
+        return factory
 
     def link_leaf(leaf: DispatchTree, context: dict) -> _Link:
         """``leaf``'s chain, compiled under the probe value ``context``."""
         entries = leaf.entries
-        source, hoisted, facts = _emit_chain(entries, context, mode, lowered)
-        chain = _Chain(_load_factory(source), hoisted, facts)
-        function = chain.factory(*_result_constants(entries))
-        return _Link(leaf, function, chain, {}, None, {})
+        source, constants, hoisted, facts = _emit_chain(
+            entries, context, mode, lowered
+        )
+        factory = load(source)
+        function = factory(*_result_constants(entries), *constants)
+        chain = _Chain(hoisted, facts)
+        return _Link(leaf, function, factory, chain, {}, None, {})
 
     discriminant = tree.discriminant
     if discriminant is None:
@@ -549,13 +581,17 @@ def _link(
     fallback = previous.fallback if previous else None
     if fallback is None or fallback.tree is not tree.fallback:
         fallback = link_leaf(tree.fallback, {})
-    function = _dispatch_factory(*discriminant)(targets, fallback.function)
-    return _Link(tree, function, None, buckets, fallback, targets)
+    factory = load(_DISPATCH_SOURCE)
+    function = factory(
+        targets, fallback.function, *_probe_constants(discriminant)
+    )
+    return _Link(tree, function, factory, None, buckets, fallback, targets)
 
 
 def _listing(tree: DispatchTree, mode: ShortCircuitMode) -> str:
     """Every chain and the dispatch probe of a compiled set as text:
-    the buckets' chains by value, the fallback's, then the probe.
+    the buckets' chains by value, the fallback's, then the probe, each
+    headed by the arguments its factory was called with.
 
     Emission is a pure function of the tree and the mode, so
     re-emitting on demand yields the source that was compiled."""
@@ -567,9 +603,9 @@ def _listing(tree: DispatchTree, mode: ShortCircuitMode) -> str:
         return name
 
     def chain(leaf: DispatchTree, context: dict) -> str:
-        results = ", ".join(map(repr, _result_constants(leaf.entries)))
-        source, _, _ = _emit_chain(leaf.entries, context, mode)
-        return add(f"chain, _factory({results})", source)
+        source, constants, _, _ = _emit_chain(leaf.entries, context, mode)
+        arguments = [*_result_constants(leaf.entries), *constants]
+        return add(f"chain, _factory({', '.join(map(repr, arguments))})", source)
 
     discriminant = tree.discriminant
     if discriminant is None:
@@ -580,9 +616,10 @@ def _listing(tree: DispatchTree, mode: ShortCircuitMode) -> str:
             for value, leaf in sorted(tree.buckets.items())
         )
         fallback = chain(tree.fallback, {})
+        probe = ", ".join(map(repr, _probe_constants(discriminant)))
         root = add(
-            f"dispatch, _factory({{{mapping}}}, {fallback})",
-            _dispatch_source(*discriminant),
+            f"dispatch, _factory({{{mapping}}}, {fallback}, {probe})",
+            _DISPATCH_SOURCE,
         )
     blocks.append(f"# classify(packet) = {root}(packet, len(packet))\n")
     return "\n".join(blocks)
@@ -618,6 +655,7 @@ class CompiledIRSet:
     _root: _Link = field(repr=False)
     _mode: ShortCircuitMode = field(repr=False)
     _index: RootIndex = field(repr=False)  #: what the next compile patches
+    _shapes: WeakValueDictionary = field(repr=False)  #: source -> factory
 
     def classify(self, packet: bytes) -> tuple[Sequence, int]:
         return self._root.function(packet, len(packet))
@@ -660,8 +698,8 @@ def compile_ir_set(
 ) -> CompiledIRSet:
     """Compile ``entries`` (already validated, in application order):
     group the dispatch tree's root (:func:`repro.core.opt.dispatch_root`),
-    then lower → specialize → emit → ``compile()`` each leaf chain, and
-    link the chains under the root's hash probe.
+    then lower → specialize → emit each leaf chain, ``compile()`` each
+    new chain shape, and link the chains under the root's hash probe.
 
     ``previous`` is the set this one replaces.  The root applies the
     entries detached and attached since ``previous`` to the tallies the
@@ -680,8 +718,11 @@ def compile_ir_set(
 
     A newly attached entry is lowered once: the lowering yields the
     necessary tests the tree groups by (kept on the entry) and feeds
-    the entry's first chain.
+    the entry's first chain.  A chain's factory is loaded only when no
+    chain of its shape is linked in ``previous`` or earlier in this
+    compile: the shape table is handed on with the root's tallies.
     """
+    shapes = previous._shapes if previous else WeakValueDictionary()
     if previous is not None and previous._mode is not mode:
         previous = None
     lowered: dict = {}
@@ -691,7 +732,8 @@ def compile_ir_set(
         lowered,
     )
     root = _link(
-        tree, previous._root if previous else None, mode, lowered, touched
+        tree, previous._root if previous else None, mode, lowered, touched,
+        shapes,
     )
     return CompiledIRSet(
         size=len(tree.entries),
@@ -699,4 +741,5 @@ def compile_ir_set(
         _root=root,
         _mode=mode,
         _index=index,
+        _shapes=shapes,
     )

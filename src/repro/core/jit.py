@@ -4,9 +4,11 @@
 at the cost of greatly increased implementation complexity."
 
 The Python stand-in for "machine code" is a generated Python function
-compiled with :func:`compile`/``exec``.  Because the language has no
-branches, the evaluation stack has a statically known shape at every
-instruction (see :mod:`repro.core.validator`), so the compiler
+compiled with :func:`compile`/``exec``; the constants the filter
+compares against are arguments of the factory that makes it, not source
+text.  Because the language has no branches, the evaluation stack has a
+statically known shape at every instruction (see
+:mod:`repro.core.validator`), so the compiler
 *registerizes* the stack: every stack slot becomes a local variable, and
 the interpreter's per-instruction dispatch, stack manipulation and
 validity checks all disappear.  Short-circuit operators become early
@@ -38,7 +40,8 @@ class CompiledFilter:
 
     ``accepts(packet)`` returns the same accept/reject decision the
     checked interpreter would (runtime faults reject).  ``source`` keeps
-    the generated code for inspection and tests.
+    the generated code for inspection and tests, headed by a comment
+    naming the arguments its factory was called with.
     """
 
     program: FilterProgram
@@ -68,14 +71,14 @@ def compile_filter(
     validate again.
     """
     report = validate(program, level=level, mode=mode)
-    source = _generate(program, report, mode)
+    source, constants = _generate(program, report, mode)
     namespace = {"_get_word": get_word, "_get_byte": get_byte}
     exec(compile(source, f"<filter priority={program.priority}>", "exec"), namespace)
     return CompiledFilter(
         program=program,
         report=report,
-        source=source,
-        _function=namespace["_filter"],
+        source=f"# _factory({', '.join(map(repr, constants))})\n{source}",
+        _function=namespace["_factory"](*constants),
     )
 
 
@@ -83,8 +86,9 @@ def _generate(
     program: FilterProgram,
     report: ValidationReport,
     mode: ShortCircuitMode,
-) -> str:
-    """Lower ``program`` to the source of ``_filter(packet)``.
+) -> tuple[str, list]:
+    """Lower ``program`` to the source of ``_factory(*constants)``,
+    which returns ``_filter(packet)``, and the constants.
 
     The program is lowered to :class:`repro.core.ir.FilterIR` (which
     constant-folds and value-numbers on the way) and emitted by
@@ -95,8 +99,9 @@ def _generate(
     touching the deep word" programs behave identically — hypothesis
     found this one).
     """
-    lines = ["def _filter(packet):"]
-    indent = "    "
+    constants: list = []
+    lines = ["", "    def _filter(packet):"]  # the def line comes last
+    indent = "        "
     emit = lines.append
 
     guarded = report.needs_runtime_bounds_check or report.may_divide_by_zero
@@ -107,9 +112,13 @@ def _generate(
     emit_ir_body(
         lower_program(program, report, mode), emit, indent,
         terminate=lambda expr: f"return {expr}",
+        constants=constants,
     )
 
     if guarded:
-        emit("    except (IndexError, ZeroDivisionError):")
-        emit("        return False")
-    return "\n".join(lines) + "\n"
+        emit("        except (IndexError, ZeroDivisionError):")
+        emit("            return False")
+    emit("    return _filter")
+    params = ", ".join(f"_k{i}" for i in range(len(constants)))
+    lines[0] = f"def _factory({params}):"
+    return "\n".join(lines) + "\n", constants

@@ -10,6 +10,7 @@ instead of as a distant counterexample.
 import re
 import sys
 import weakref
+from collections.abc import Mapping, Set
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -535,10 +536,12 @@ class TestWordRunCoalescing:
         ]
         entries = [entry(i, p) for i, p in enumerate(programs)]
         mode = ShortCircuitMode.PUSH_RESULT
-        source, _, _ = irgen._emit_chain(entries, {}, mode)
+        source, constants, _, _ = irgen._emit_chain(entries, {}, mode)
         assert re.search(r"if _h\d+ == 0: break", source)
         assert slices(source) == [(0, 4), (0, 4)]
-        chain = irgen._load_factory(source)(*irgen._result_constants(entries))
+        chain = irgen._load_factory(source)(
+            *irgen._result_constants(entries), *constants
+        )
         for packet in (
             p for program in programs for p in boundary_packets(program)
         ):
@@ -637,26 +640,44 @@ class TestChainCache:
 
 
 def module_tables():
-    """Length of every module-level dict, list and set in
-    :mod:`repro.core`, and the size of every ``lru_cache`` there."""
+    """Length of every module-level mapping, set and list in
+    :mod:`repro.core` (weak ones such as ``WeakValueDictionary`` and
+    ``WeakSet`` included), and the size of every ``lru_cache`` there."""
     sizes = {}
     for name, module in list(sys.modules.items()):
         if name != "repro.core" and not name.startswith("repro.core."):
             continue
         for attr, value in vars(module).items():
-            if isinstance(value, (dict, list, set)):
+            if isinstance(value, (Mapping, Set, list)):
                 sizes[name, attr] = len(value)
             elif hasattr(value, "cache_info"):
                 sizes[name, attr] = value.cache_info().currsize
     return sizes
 
 
+def extra_word_rule(dport, extra):
+    """A rule on ``dport`` that also tests word ``7 + extra // 2``,
+    masked when ``extra`` is odd: a chain shape no other ``extra`` has."""
+    tested = word(7 + extra // 2)
+    if extra % 2:
+        tested = tested.masked(0xFF00)
+    return compile_expr(
+        (word(6) == dport) & (word(4) == 6) & (tested == extra << 8),
+        priority=10,
+    )
+
+
+def live_factories(compiled):
+    """The factories every linked node of ``compiled`` was made by."""
+    root = compiled._root
+    links = [root, *root.buckets.values()]
+    if root.fallback is not None:
+        links.append(root.fallback)
+    return {id(link.factory) for link in links}
+
+
 class TestRebindMemory:
-    def test_a_rebind_frees_the_replaced_set_and_program(self):
-        """One SETFILTER of a never-seen rule keeps nothing of what it
-        replaced: the replaced compiled set and the replaced program are
-        freed, and no module-level table in :mod:`repro.core` grows —
-        bind-time work lives on the binding and dies with it."""
+    def make(self):
         demux = PacketFilterDemux(
             engine=Engine.IR, reorder_same_priority=False
         )
@@ -667,14 +688,28 @@ class TestRebindMemory:
             demux.attach(port)
             ports.append(port)
         demux.ir_stats  # compile
+        return demux, ports
 
-        for serial in range(3):
+    def test_a_rebind_frees_the_replaced_set_and_program(self):
+        """One SETFILTER of a never-seen rule keeps nothing of what it
+        replaced: the replaced compiled set and the replaced program are
+        freed, and no module-level table in :mod:`repro.core` grows —
+        bind-time work lives on the binding and dies with it.  The last
+        re-bind is to a never-seen shape, which a process-wide table of
+        shapes would keep."""
+        demux, ports = self.make()
+        for serial in range(4):
             before = module_tables()
             port = ports[5 * serial]
             replaced_set = weakref.ref(demux._ir)
             replaced_program = weakref.ref(port.program)
             demux.detach(port)
-            port.bind_filter(five_tuple(0x7100 + 5 * serial, 0x7200 + serial))
+            if serial == 3:
+                port.bind_filter(extra_word_rule(0x7100 + 5 * serial, 40))
+            else:
+                port.bind_filter(
+                    five_tuple(0x7100 + 5 * serial, 0x7200 + serial)
+                )
             demux.attach(port)
             demux.ir_stats  # compile against the replaced set
             assert replaced_set() is None, "the replaced set is still referenced"
@@ -688,6 +723,25 @@ class TestRebindMemory:
                 if size > before.get(table, 0)
             }
             assert not grown, grown
+
+    def test_shape_table_holds_only_live_shapes(self):
+        """Re-binding one port through 50 distinct shapes leaves the
+        set's shape table holding exactly the factories its linked
+        chains and probe were made by: a shape leaves with its last
+        chain."""
+        demux, ports = self.make()
+        port = ports[3]
+        for extra in range(50):
+            demux.detach(port)
+            port.bind_filter(extra_word_rule(0x7103, extra))
+            demux.attach(port)
+            demux.ir_stats  # compile against the replaced set
+            compiled = demux._ir
+            table = {id(factory) for factory in compiled._shapes.values()}
+            assert table == live_factories(compiled), extra
+        # The five-tuple chains, the re-bound rule's, the empty
+        # fallback and the probe.
+        assert len(compiled._shapes) == 4
 
 
 # ---------------------------------------------------------------------------

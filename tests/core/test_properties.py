@@ -21,7 +21,7 @@ The invariants DESIGN.md §5 promises:
 import ast
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
@@ -253,7 +253,7 @@ EMITTED_NAMES = frozenset({
     "_filter", "_get_byte", "_get_word", "_", "_ONE", "_factory",
     "_chain", "_n", "_dsp", "_map", "_fallback", "_w", "_c",
 })
-NUMBERED_NAME = re.compile(r"(?:t|_a|_h|_r)(\d+)(?:_(\d+))?")
+NUMBERED_NAME = re.compile(r"(?:t|_a|_h|_r|_k)(\d+)(?:_(\d+))?")
 
 
 def emitted_identifiers(source: str) -> set:
@@ -568,13 +568,27 @@ class TestUntrustedWords:
         st.sampled_from(ShortCircuitMode),
     )
     @settings(max_examples=40, deadline=None)
+    # Two five-tuple rules: each tests a run of words as one byte slice.
+    @example(
+        [
+            compile_expr(
+                (word(6) == port) & (word(4) == 6) & (word(5) == 0x0FA0)
+                & (word(0) == 0x0A00) & (word(1) == 0x0001),
+                priority=10,
+            )
+            for port in (1024, 1025)
+        ],
+        ShortCircuitMode.PUSH_RESULT,
+    )
     def test_emitted_identifiers_do_not_derive_from_content(
         self, programs, mode
     ):
         """The source ``COMPILED`` and ``IR`` generate names nothing
         after program content: every identifier is one of a fixed set,
-        or a counter of filters and values below the programs' length —
-        never a literal, an offset or a priority."""
+        or a counter of filters, values and constants below the
+        programs' length — never a literal, an offset or a priority.
+        And no literal is rendered into it as bytes: a byte run the
+        filter compares against is a ``_k<n>`` factory argument."""
         level = LanguageLevel.EXTENDED
         entries, sources = [], []
         for key, program in enumerate(programs):
@@ -587,6 +601,11 @@ class TestUntrustedWords:
         sources.append(compile_ir_set(entries, mode=mode).source)
         bound = 4 * sum(len(program.instructions) for program in programs) + 4
         for source in sources:
+            assert not [
+                node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, bytes)
+            ], source
             for name in emitted_identifiers(source) - EMITTED_NAMES:
                 numbered = NUMBERED_NAME.fullmatch(name)
                 assert numbered is not None, name
