@@ -151,7 +151,7 @@ OWNERS = (
      "docs/LANGUAGE.md, Tooling map: bound filters in try order"),
     ("repro.core.demux._Binding(*)", _STATE),
     ("repro.core.device.ir_gauge*", _IR),
-    ("repro.core.irgen._emit_chain.<locals>.hoist_operand", _IR),
+    ("repro.core.irgen._emit_bodies.<locals>.hoist_operand", _IR),
     ("repro.core.irgen.*", _EMITTED),
     ("repro.core.port.Port.flush", _SPANS),
     ("repro.core.port.ReadTimeoutPolicy.immediate",

@@ -1,13 +1,16 @@
 """Guard: re-binding one rule under the IR engine compiles a chain only
-for a never-seen shape and reads the necessary tests of the buckets it
-changes, not of the set; a cold compile compiles once per chain shape;
-and a packet through the compiled set costs a counted number of
-bytecodes.
+for a never-seen shape, lowers a rule only for a never-seen skeleton and
+reads the necessary tests of the buckets it changes, not of the set; a
+cold compile compiles once per chain shape and lowers once per
+skeleton; and a packet through the compiled set costs a counted number
+of bytecodes.
 
 The incremental re-bind, compiled against the set it replaces, is
-pinned as counts: code objects compiled, rebuilt dispatch-tree nodes and
-entries whose necessary tests are read per re-bind, the last at 128
-and at 2 000 rules under one bound.  The IR passes
+pinned as counts: code objects compiled, rules lowered, rebuilt
+dispatch-tree nodes and entries whose necessary tests are read per
+re-bind, the last two at 128 and at 2 000 rules under one bound.  A
+re-bind that moves the root's key re-links every bucket and lowers
+nothing.  The IR passes
 themselves are pinned as counts by ``test_compiled_shape_at_100_rules``
 (``tests/difftest/test_matrix_smoke.py``), the per-packet path by
 ``test_sim_call_budget.py``'s calls per deliver and, below, by the
@@ -18,7 +21,7 @@ import sys
 
 import pytest
 
-from repro.core import irgen
+from repro.core import irgen, opt
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.irgen import SetEntry, compile_ir_set
@@ -69,6 +72,22 @@ def _counting_loads(monkeypatch) -> list:
 
     monkeypatch.setattr(irgen, "_load_factory", counting)
     return compiled_sources
+
+
+def _counting_lowerings(monkeypatch) -> list:
+    """Patch ``lower_program`` where the set compiler calls it
+    (:mod:`repro.core.opt` and :mod:`repro.core.irgen`) to note each
+    program it lowers, in the returned list."""
+    lower_program = opt.lower_program
+    lowered = []
+
+    def counting(program, *args):
+        lowered.append(program)
+        return lower_program(program, *args)
+
+    monkeypatch.setattr(opt, "lower_program", counting)
+    monkeypatch.setattr(irgen, "lower_program", counting)
+    return lowered
 
 
 def _nodes(tree):
@@ -170,6 +189,76 @@ def test_cold_compile_loads_one_factory_per_shape(monkeypatch, emit):
     )
 
 
+COLD_SKELETONS = 5
+"""Skeletons among :data:`COLD_RULES` :func:`_acl_rule` rules: serials
+0, 1 and 255 compile to constant pushes, and serial 6 equals the
+protocol literal, so each of those four rules has a skeleton of its own
+beside the one the other 996 share."""
+
+
+def test_cold_compile_lowers_once_per_skeleton(monkeypatch, emit):
+    """A cold compile of 1 000 rules lowers one rule of each skeleton
+    and reads the other rules' necessary tests and chains off that
+    rule's template.  Lowered every rule (1 000) before templates.
+    Counted, not timed."""
+    lowered = _counting_lowerings(monkeypatch)
+    programs = [_acl_rule(1024 + slot, slot) for slot in range(COLD_RULES)]
+    compiled = compile_ir_set([
+        SetEntry(slot, program, validate(program), False)
+        for slot, program in enumerate(programs)
+    ])
+    skeletons = {opt.skeleton(program)[0] for program in programs}
+    assert len(skeletons) == COLD_SKELETONS
+    assert len(lowered) <= len(skeletons), (
+        f"{len(lowered)} rules lowered for {len(skeletons)} skeletons"
+    )
+    for slot in (0, 1, 6, 255, COLD_RULES - 1):
+        packet = _acl_packet(1024 + slot, slot)
+        assert compiled.classify(packet) == ((slot,), 1)
+    emit(
+        f"cold compile of {COLD_RULES} rules: {len(lowered)} lowered for "
+        f"{len(skeletons)} skeletons"
+    )
+
+
+def test_a_rebind_that_moves_the_root_key_lowers_nothing(monkeypatch, emit):
+    """A re-bind whose tallies move the root's key regroups the root and
+    re-links every bucket, each chain read off its rule's template under
+    the new probe: no rule is lowered (each bucket's rule was, before
+    templates: 128).  Counted, not timed."""
+    programs = [_acl_rule(1024 + slot, slot) for slot in range(REBIND_RULES)]
+    entries = [
+        SetEntry(slot, program, validate(program), False)
+        for slot, program in enumerate(programs)
+    ]
+    compiled = compile_ir_set(entries)
+    # Ports, serials and the serials' mask are each distinct: the tie
+    # goes to the lowest word.
+    assert compiled.discriminant == (1, 0xFFFF)
+    lowered = _counting_lowerings(monkeypatch)
+    # Slot 3 takes slot 7's serial: words 1 and 5 lose a value, the
+    # port word keeps one per rule.
+    program = _acl_rule(1024 + 3, 7)
+    entries = [entry for entry in entries if entry.key != 3]
+    entries.append(SetEntry(3, program, validate(program), False))
+    previous, compiled = compiled, compile_ir_set(entries, previous=compiled)
+    assert compiled.discriminant == (6, 0xFFFF)
+    kept = {id(link) for link in previous._root.buckets.values()}
+    relinked = [
+        link for link in compiled._root.buckets.values()
+        if id(link) not in kept
+    ]
+    assert len(relinked) == REBIND_RULES
+    assert len(lowered) == 0, f"{len(lowered)} rules lowered"
+    for slot, serial in ((0, 0), (3, 7), (7, 7), (REBIND_RULES - 1, 127)):
+        packet = _acl_packet(1024 + slot, serial)
+        assert compiled.classify(packet) == ((slot,), 1)
+    emit(
+        f"re-bind moving the root key at {REBIND_RULES} rules: "
+        f"{len(relinked)} buckets re-linked, {len(lowered)} rules lowered"
+    )
+
+
 REBIND_READS_SLACK = 2
 """Entries outside the buckets a re-bind changes whose necessary tests
 it may read: the detached entry and the attached one."""
@@ -187,15 +276,21 @@ class _CountedEntry(SetEntry):
 
 
 @pytest.mark.parametrize("rules", [128, 2000])
-def test_rebind_reads_the_changed_buckets_not_the_set(rules, emit):
+def test_rebind_reads_the_changed_buckets_not_the_set(
+    rules, monkeypatch, emit
+):
     """SETFILTER compiled against the set it replaces reads the
     necessary tests of the entries in the buckets it leaves and enters,
     plus :data:`REBIND_READS_SLACK`, whatever the set's size: the root
     applies the delta to the tallies it keeps instead of regrouping
     every entry (which read all of them: 128 and 2 000).  Odd re-binds
-    move the rule into its neighbour's bucket, so a bucket of two is
-    rebuilt; even ones keep its own destination port.  Counted, not
-    timed."""
+    give the rule its neighbour's destination port, even ones keep its
+    own; the root probes the serial's word (ties go to the lowest word),
+    so the changed buckets are those of the detached and attached
+    rules' values there.  Every re-bound
+    rule has a skeleton the set knows, so it is read off its template
+    and lowered only when its chain holds other rules as well (a chain
+    of several entries is emitted cold).  Counted, not timed."""
     entries = [
         _CountedEntry(slot, program, validate(program), False)
         for slot, program in enumerate(
@@ -203,30 +298,41 @@ def test_rebind_reads_the_changed_buckets_not_the_set(rules, emit):
         )
     ]
     compiled = compile_ir_set(entries)
+    lowered = _counting_lowerings(monkeypatch)
     worst = 0
     for serial in range(9):
         slot = (serial * 37) % rules
         entered = 1024 + (slot + serial % 2) % rules
         program = _acl_rule(entered, 0x4000 + serial)  # a never-seen rule
-        entries = [entry for entry in entries if entry.key != slot]
-        entries.append(_CountedEntry(slot, program, validate(program), False))
+        gone = next(entry for entry in entries if entry.key == slot)
+        entries = [entry for entry in entries if entry is not gone]
+        attached = _CountedEntry(slot, program, validate(program), False)
+        entries.append(attached)
+        del lowered[:]
         _READ.clear()
         compiled = compile_ir_set(entries, previous=compiled)
         read = len(_READ)
+        key = compiled.discriminant
         buckets = compiled._root.tree.buckets
-        affected = sum(
-            len(buckets[port].entries)
-            for port in {1024 + slot, entered}
-            if port in buckets
-        )
+        changed = {
+            value: buckets[value]
+            for value in (entry.necessary[key] for entry in (gone, attached))
+            if value in buckets
+        }
+        affected = sum(len(bucket.entries) for bucket in changed.values())
         assert read <= affected + REBIND_READS_SLACK, (
             f"{read} entries read re-binding 1 of {rules} rules into a "
             f"bucket of {affected}"
         )
         worst = max(worst, read - affected)
+        chain = len(buckets[attached.necessary[key]].entries)
+        assert len(lowered) == (0 if chain == 1 else chain), (
+            f"{len(lowered)} rules lowered re-binding into a chain of {chain}"
+        )
     emit(
         f"re-bind at {rules} rules: at most {worst} entries read beyond "
-        f"the changed buckets (slack {REBIND_READS_SLACK})"
+        f"the changed buckets (slack {REBIND_READS_SLACK}), "
+        f"{len(lowered)} rules lowered"
     )
 
 

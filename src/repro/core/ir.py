@@ -148,12 +148,18 @@ class ValueGraph:
     filters are lowered into one shared graph, the same mechanism is
     cross-filter common-subexpression elimination (see
     :func:`repro.core.opt.cse_filter_set`).
+
+    ``folds`` counts the operators folded to a constant from constant
+    operands, bar a compare of one constant with itself: the folds
+    whose outcome depends on the constants' values rather than on which
+    of them are equal (see :func:`repro.core.opt.skeleton`).
     """
 
     def __init__(self) -> None:
         self.nodes: list[Node] = []
         self._ids: dict[Node, int] = {}
         self._faultable: list[bool] = []
+        self.folds = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -206,6 +212,8 @@ class ValueGraph:
         """
         va, vb = self.const_value(a), self.const_value(b)
         if va is not None and vb is not None and kind in _FOLD:
+            if a != b or kind not in COMPARE_KINDS:
+                self.folds += 1
             return self.const(_FOLD[kind](va, vb))
         folded = self._identity(kind, a, b, va, vb)
         if folded is not None:

@@ -33,13 +33,23 @@ Three layers, bottom up:
   shape share one loaded factory: the set keeps a table from shape text
   to factory, handed from set to set, so ``compile()`` runs once per
   shape, and a shape leaves the table with its last linked chain.  The
-  dispatch probe is one more shape.  Nothing is kept process-wide.
+  dispatch probe is one more shape.  Rules of one *skeleton* (the same
+  instruction words, their literals in the same classes:
+  :func:`repro.core.opt.skeleton`) share one lowering: the set keeps a
+  second table, from skeleton to :class:`repro.core.opt.Template`, and a
+  rule whose skeleton it holds is read off, not lowered — its necessary
+  tests filled in from its literals, and its one-entry chain's source
+  and arguments taken from the template's chain for that probe, which
+  is emitted once per skeleton.  Chains of several entries are emitted
+  cold.  A template leaves the table with its last entry.  Nothing is
+  kept process-wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from struct import Struct
 from typing import Callable, Mapping, NamedTuple, Sequence
 from weakref import WeakValueDictionary
 
@@ -50,10 +60,10 @@ from .opt import (
     DispatchTree,
     RootIndex,
     SetEntry,
+    Template,
     dispatch_root,
     live_nodes,
     specialize_filter,
-    value_numbers,
 )
 from .words import get_byte, get_word
 
@@ -316,13 +326,6 @@ def emit_ir_body(
 # -- leaf chains: the unit of compilation ------------------------------------
 
 
-class _Chain(NamedTuple):
-    """What one linked leaf chain keeps for :class:`IRStats`."""
-
-    hoisted: int       #: values the chain preamble computes once
-    facts: tuple       #: per entry: (live nodes, value numbers)
-
-
 #: Globals of every generated function.
 _RUNTIME = {"_get_word": get_word, "_get_byte": get_byte, "_ONE": (0,)}
 
@@ -349,29 +352,40 @@ def _emit_chain(
     context: Mapping[tuple[int, int], int],
     mode: ShortCircuitMode,
     lowered: dict | None = None,
-) -> tuple[str, list, int, tuple]:
-    """Factory source, its constants, hoist count and per-entry stats
-    facts for one leaf chain.  Temporaries and accept flags are named by
-    position in the chain, results come in as ``_r<position>``
-    parameters and the constants as ``_k<i>`` after them, so the text
-    depends only on each entry's shape and copy-all flag in order, the
-    full-word facts :func:`repro.core.opt.specialize_filter` folds away,
-    which values the chain shares, and the mode.  The factory is called
-    as ``_factory(*results, *constants)``.  ``lowered`` holds lowerings
-    the caller already made, taken out as they are used."""
-    chain_graph = ValueGraph()
-    bodies = []
-    facts = []
+) -> tuple[str, list, int, int]:
+    """Factory source, its constants, hoist count and fold count for
+    the leaf chain over ``entries``, each lowered here: ``lowered``
+    holds lowerings the caller already made, taken out as they are
+    used.  See :func:`_emit_bodies`."""
+    lowerings = []
     for entry in entries:
         fir = lowered.pop(entry, None) if lowered else None
         if fir is None:
             fir = lower_program(entry.program, entry.report, mode)
-        live = live_nodes(fir)
-        # A tuple, not the set: once its atoms are seen the collector
-        # untracks it, where a thousand sets held by a compiled filter
-        # set are re-traversed by every full collection.
-        facts.append((len(live), tuple(value_numbers(fir, live))))
-        bodies.append(specialize_filter(fir, chain_graph, context))
+        lowerings.append((fir, entry.copy_all))
+    return _emit_bodies(lowerings, context)
+
+
+def _emit_bodies(
+    lowerings: Sequence[tuple[FilterIR, bool]],
+    context: Mapping[tuple[int, int], int],
+) -> tuple[str, list, int, int]:
+    """Factory source, its constants, hoist count and fold count for
+    one leaf chain over ``lowerings``, each a filter's lowering and its
+    copy-all flag.  Temporaries and accept flags are named by position in the
+    chain, results come in as ``_r<position>`` parameters and the
+    constants as ``_k<i>`` after them, so the text depends only on each
+    body's shape and copy-all flag in order, the full-word facts
+    :func:`repro.core.opt.specialize_filter` folds away, which values
+    the chain shares, and the mode.  The factory is called as
+    ``_factory(*results, *constants)``.  The fold count is the chain
+    graph's :attr:`~repro.core.ir.ValueGraph.folds` after specializing
+    every body to ``context``."""
+    chain_graph = ValueGraph()
+    flags = [copy_all for _, copy_all in lowerings]
+    bodies = [
+        specialize_filter(fir, chain_graph, context) for fir, _ in lowerings
+    ]
     constants: list = []
     lines = ["", "    def _chain(packet, _n):"]  # the def line comes last
 
@@ -414,15 +428,15 @@ def _emit_chain(
         lines.append(f"        {hname} = {expression}")
         hoisted[nid] = hname
 
-    has_copy_all = any(entry.copy_all for entry in entries)
+    has_copy_all = any(flags)
     if has_copy_all:
         lines.append("        _res = []")
-    for position, (entry, fir, live) in enumerate(
-        zip(entries, bodies, body_live)
+    for position, (copy_all, fir, live) in enumerate(
+        zip(flags, bodies, body_live)
     ):
         accept = f"_a{position}"
         guarded = any(chain_graph.faultable(n) for n in live)
-        last = position == len(entries) - 1 and not (has_copy_all or guarded)
+        last = position == len(bodies) - 1 and not (has_copy_all or guarded)
         if last:
             # The last body needs no accept flag: each exit returns.
             indent = "        "
@@ -430,7 +444,7 @@ def _emit_chain(
             def terminate(
                 expr: str,
                 _result: str = f"_r{position}",
-                _miss: str = f"((), {len(entries)})",
+                _miss: str = f"((), {len(bodies)})",
             ) -> str:
                 if expr == "False":
                     return f"return {_miss}"
@@ -467,18 +481,77 @@ def _emit_chain(
         lines.append(f"        if {accept}:")
         if has_copy_all:
             lines.append(f"            _res.append(_r{position})")
-            if not entry.copy_all:
+            if not copy_all:
                 lines.append(f"            return _res, {position + 1}")
         else:
             lines.append(f"            return _r{position}")
     else:
         empty = "_res" if has_copy_all else "()"
-        lines.append(f"        return ({empty}, {len(entries)})")
+        lines.append(f"        return ({empty}, {len(bodies)})")
     lines.append("    return _chain")
-    params = [f"_r{position}" for position in range(len(entries))]
+    params = [f"_r{position}" for position in range(len(bodies))]
     params += [f"_k{i}" for i in range(len(constants))]
     lines[0] = f"def _factory({', '.join(params)}):"
-    return "\n".join(lines) + "\n", constants, len(hoisted), tuple(facts)
+    source = "\n".join(lines) + "\n"
+    return source, constants, len(hoisted), chain_graph.folds
+
+
+# -- templates: one chain emission per skeleton ------------------------------
+
+
+def _template_chain(
+    template: Template, copy_all: bool, word: int | None
+) -> tuple | None:
+    """The one-entry chain of ``template``'s skeleton, specialized to a
+    probe of the whole of packet word ``word`` (None: no probe, or one
+    of a masked word, which specializes nothing): ``(source, hoist
+    count, recipe)``, emitted from the template's own lowering the first
+    time it is asked for and kept on the template.  The recipe names
+    what fills each ``_k<i>``: a slot of the rule's skeleton values, or
+    a run of slots packed to bytes.  None when the specialization folds
+    a constant, so that another rule of the skeleton could emit other
+    text: such a chain is emitted cold for every rule."""
+    key = (copy_all, word)
+    if key not in template.chains:
+        context = {}
+        if word is not None:
+            own = template.necessary(template.values)
+            context[word, 0xFFFF] = own[word, 0xFFFF]
+        source, constants, hoisted, folds = _emit_bodies(
+            [(template.fir, copy_all)], context
+        )
+        template.chains[key] = None if folds else (
+            source, hoisted, _recipe(constants, template.slots)
+        )
+    return template.chains[key]
+
+
+def _recipe(constants: list, slots: Mapping[int, int]) -> tuple:
+    """Each of ``constants`` as the slot its value came from, a bytes
+    run as its packer and the slot of each of its words.  A chain that
+    folded nothing holds only the lowering's constants and the probe
+    value, each in a slot."""
+    recipe = []
+    for constant in constants:
+        if isinstance(constant, bytes):
+            words = tuple(
+                slots[int.from_bytes(constant[i:i + 2], "big")]
+                for i in range(0, len(constant), 2)
+            )
+            recipe.append((Struct(f">{len(words)}H").pack, words))
+        else:
+            recipe.append(slots[constant])
+    return tuple(recipe)
+
+
+def _fill(recipe: tuple, values: tuple) -> list:
+    """The constants ``recipe`` names, for a rule with skeleton
+    ``values``."""
+    return [
+        values[slot] if slot.__class__ is int
+        else slot[0](*map(values.__getitem__, slot[1]))
+        for slot in recipe
+    ]
 
 
 # -- dispatch nodes and whole-set linking ------------------------------------
@@ -517,7 +590,7 @@ class _Link(NamedTuple):
     tree: DispatchTree
     function: Callable              #: function(packet, _n)
     factory: Callable               #: what made it; keeps its shape loaded
-    chain: _Chain | None            #: leaves: the chain's stats facts
+    hoisted: int | None             #: leaves: values the preamble computes
     buckets: Mapping[int, "_Link"]  #: the root: one leaf per bucket value
     fallback: "_Link | None"
     targets: Mapping[int, Callable]  #: the root: the probe's bucket map
@@ -537,7 +610,9 @@ def _link(
     leaves may differ from ``previous``'s, so the bucket maps are copies
     of the previous ones with those values replaced.  ``shapes`` maps
     factory source to the factory loaded from it; only a source it
-    lacks is compiled."""
+    lacks is compiled.  A one-entry leaf whose entry has a template is
+    read off it: the template's chain for the probe, instantiated with
+    the entry's results and literals."""
     if previous is not None and previous.tree is tree:
         return previous
 
@@ -550,13 +625,25 @@ def _link(
     def link_leaf(leaf: DispatchTree, context: dict) -> _Link:
         """``leaf``'s chain, compiled under the probe value ``context``."""
         entries = leaf.entries
-        source, constants, hoisted, facts = _emit_chain(
-            entries, context, mode, lowered
-        )
+        chain = None
+        if len(entries) == 1 and entries[0].template is not None:
+            # A bucket's one entry requires the probed value, so the
+            # probe specializes its own test of a whole word away.
+            entry = entries[0]
+            word = next(
+                (index for index, mask in context if mask == 0xFFFF), None
+            )
+            chain = _template_chain(entry.template, entry.copy_all, word)
+        if chain is not None:
+            source, hoisted, recipe = chain
+            constants = _fill(recipe, entry.values)
+        else:
+            source, constants, hoisted, _ = _emit_chain(
+                entries, context, mode, lowered
+            )
         factory = load(source)
         function = factory(*_result_constants(entries), *constants)
-        chain = _Chain(hoisted, facts)
-        return _Link(leaf, function, factory, chain, {}, None, {})
+        return _Link(leaf, function, factory, hoisted, {}, None, {})
 
     discriminant = tree.discriminant
     if discriminant is None:
@@ -656,6 +743,7 @@ class CompiledIRSet:
     _mode: ShortCircuitMode = field(repr=False)
     _index: RootIndex = field(repr=False)  #: what the next compile patches
     _shapes: WeakValueDictionary = field(repr=False)  #: source -> factory
+    _templates: WeakValueDictionary = field(repr=False)  #: skeleton -> Template
 
     def classify(self, packet: bytes) -> tuple[Sequence, int]:
         return self._root.function(packet, len(packet))
@@ -669,24 +757,31 @@ class CompiledIRSet:
         """Filters, whole-set CSE node counts, dispatch depth, chains
         and hoisted values.  The two node counts equal what
         :func:`repro.core.opt.cse_filter_set` reports for the set,
-        assembled from per-filter facts kept with the chains instead
-        of a whole-set transfer."""
+        assembled from per-filter facts instead of a whole-set
+        transfer: each entry's, which an entry read off a template gets
+        from it here, once."""
         root = self._root
         leaves = (
-            [root] if root.chain else [*root.buckets.values(), root.fallback]
+            [root] if root.hoisted is not None
+            else [*root.buckets.values(), root.fallback]
         )
-        facts: dict[SetEntry, tuple] = {}  # (live nodes, value numbers)
-        for link in leaves:
-            facts.update(zip(link.tree.entries, link.chain.facts))
+        before = 0
+        numbers: set = set()
+        for entry in root.tree.entries:
+            if entry.facts is None:  # read off a template: expand once
+                object.__setattr__(
+                    entry, "facts", entry.template.facts(entry.values)
+                )
+            live, own = entry.facts
+            before += live
+            numbers.update(own)
         return IRStats(
             filters=self.size,
-            nodes_before_cse=sum(before for before, _ in facts.values()),
-            nodes_after_cse=len(
-                set().union(*(numbers for _, numbers in facts.values()))
-            ),
+            nodes_before_cse=before,
+            nodes_after_cse=len(numbers),
             dispatch_depth=root.tree.depth,
             chains=len(leaves),
-            hoisted=sum(link.chain.hoisted for link in leaves),
+            hoisted=sum(link.hoisted for link in leaves),
         )
 
 
@@ -698,8 +793,9 @@ def compile_ir_set(
 ) -> CompiledIRSet:
     """Compile ``entries`` (already validated, in application order):
     group the dispatch tree's root (:func:`repro.core.opt.dispatch_root`),
-    then lower → specialize → emit each leaf chain, ``compile()`` each
-    new chain shape, and link the chains under the root's hash probe.
+    then read off or lower → specialize → emit each leaf chain,
+    ``compile()`` each new chain shape, and link the chains under the
+    root's hash probe.
 
     ``previous`` is the set this one replaces.  The root applies the
     entries detached and attached since ``previous`` to the tallies the
@@ -716,20 +812,25 @@ def compile_ir_set(
     cannot bucket is one chain.  ``previous=None`` is the same compile
     from an empty set.
 
-    A newly attached entry is lowered once: the lowering yields the
-    necessary tests the tree groups by (kept on the entry) and feeds
-    the entry's first chain.  A chain's factory is loaded only when no
-    chain of its shape is linked in ``previous`` or earlier in this
-    compile: the shape table is handed on with the root's tallies.
+    A newly attached entry whose skeleton has a template in the set's
+    template table is not lowered: its necessary tests (kept on the
+    entry, for the tree to group by) and, alone in a leaf, its chain are
+    read off the template by its literals.  Otherwise it is lowered
+    once, the lowering yields its necessary tests, feeds the entry's
+    first chain and becomes its skeleton's template when it can.  A
+    chain's factory is loaded only when no chain of its shape is linked
+    in ``previous`` or earlier in this compile.  Both tables are handed
+    on with the root's tallies and hold their contents weakly.
     """
     shapes = previous._shapes if previous else WeakValueDictionary()
+    templates = previous._templates if previous else WeakValueDictionary()
     if previous is not None and previous._mode is not mode:
         previous = None
     lowered: dict = {}
     tree, index, touched = dispatch_root(
         entries, mode,
         (previous._root.tree, previous._index) if previous else None,
-        lowered,
+        lowered, templates,
     )
     root = _link(
         tree, previous._root if previous else None, mode, lowered, touched,
@@ -742,4 +843,5 @@ def compile_ir_set(
         _mode=mode,
         _index=index,
         _shapes=shapes,
+        _templates=templates,
     )

@@ -36,15 +36,20 @@ order the set was given in, so delivery order is exactly the figure 4-1
 loop's.  A compiled set's root is grouped by :func:`dispatch_root`,
 which keeps the root's tallies with the set (:class:`RootIndex`) so
 that a re-bind patches the buckets it changes instead of regrouping
-every filter.
+every filter, and a filter whose :func:`skeleton` the set has lowered
+before is read off that lowering's :class:`Template` instead of
+lowered (:func:`lower_entry`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import filterfalse
-from typing import Hashable, Mapping, Sequence
+from operator import and_
+from typing import Hashable, Iterable, Mapping, MutableMapping, Sequence
 
+from .instructions import ACTION_FIELD_BITS
 from .interpreter import ShortCircuitMode
 from .ir import (
     COMMUTATIVE_KINDS,
@@ -73,6 +78,9 @@ __all__ = [
     "NecessaryTest",
     "necessary_tests",
     "necessary_equalities",
+    "FIXED_CONSTANTS",
+    "skeleton",
+    "Template",
     "SetEntry",
     "lower_entry",
     "DispatchTree",
@@ -193,7 +201,11 @@ def cse_filter_set(
     return merged, CSEStats(nodes_before=before, nodes_after=len(after))
 
 
-def value_numbers(fir: FilterIR, live: set[int]) -> frozenset:
+def value_numbers(
+    fir: FilterIR,
+    live: Iterable[int],
+    constants: Mapping[int, int] | None = None,
+) -> frozenset:
     """Graph-independent value numbers of ``fir``'s ``live`` nodes.
 
     A node's number is its structure — kind plus operand numbers, with
@@ -201,12 +213,17 @@ def value_numbers(fir: FilterIR, live: set[int]) -> frozenset:
     into *separate* graphs number a shared subexpression identically,
     and the size of the union over a filter set is the live node count
     :func:`cse_filter_set` would find in one shared graph.
+    ``constants`` maps each constant of ``fir`` to the value it is
+    numbered as: a template's lowering numbered as another rule of its
+    skeleton (:meth:`Template.facts`).
     """
     graph = fir.graph
     numbers: dict[int, tuple] = {}
     for nid in sorted(live):  # operands precede their users
         node = graph.node(nid)
-        if node.kind in (CONST, LOAD):
+        if node.kind == CONST and constants is not None:
+            numbers[nid] = (CONST, constants[node.arg0])
+        elif node.kind in (CONST, LOAD):
             numbers[nid] = (node.kind, node.arg0)
         elif node.arg1 is None:
             numbers[nid] = (node.kind, numbers[node.arg0])
@@ -271,7 +288,9 @@ def necessary_equalities(
     return necessary_tests(lower_program(program, report, mode))
 
 
-def necessary_tests(fir: FilterIR) -> frozenset[NecessaryTest]:
+def necessary_tests(
+    fir: FilterIR, weighed: list | None = None
+) -> frozenset[NecessaryTest]:
     """Equality conditions provably necessary for ``fir`` to accept.
 
     Most real filters are conjunctions that include an equality test on
@@ -284,21 +303,24 @@ def necessary_tests(fir: FilterIR) -> frozenset[NecessaryTest]:
     ``or`` either (intersection).  An exit that can return TRUE early
     voids "everything later is necessary", so such programs yield the
     empty set.  Sound but incomplete: always a subset of the true
-    necessary conditions.
+    necessary conditions.  ``weighed``, when given, receives ``(word,
+    masks, value)`` for each equality of a masked word with a constant
+    that the analysis met, kept or not: the constants the word was
+    masked with and the one it was compared to.
     """
     node, const_value = fir.graph.node, fir.graph.const_value
 
-    def field(nid: int) -> tuple[int, int] | None:
-        """(word, mask) when ``nid`` is a load under constant masks."""
-        mask = 0xFFFF
+    def field(nid: int) -> tuple[int, list[int]] | None:
+        """(word, masks) when ``nid`` is a load under constant masks."""
+        masks = []
         while (this := node(nid)).kind == "and":
             nid, other = this.arg0, this.arg1
             if const_value(nid) is not None:
                 nid, other = other, nid
             if const_value(other) is None:
                 return None
-            mask &= const_value(other)
-        return (this.arg0, mask) if this.kind == LOAD else None
+            masks.append(const_value(other))
+        return (this.arg0, masks) if this.kind == LOAD else None
 
     def implied(nid: int) -> frozenset[NecessaryTest]:
         """What ``nid`` being nonzero proves about the packet."""
@@ -311,11 +333,17 @@ def necessary_tests(fir: FilterIR) -> frozenset[NecessaryTest]:
         if this.kind == "eq":
             if const_value(a) is not None:
                 a, b = b, a
-            value, key = const_value(b), field(a)
-            # A constant with bits outside the mask can never be equal;
-            # treated as unanalyzable rather than proving emptiness.
-            if value is not None and key is not None and not value & ~key[1]:
-                return frozenset({NecessaryTest(*key, value)})
+            value, masked = const_value(b), field(a)
+            if value is not None and masked is not None:
+                index, masks = masked
+                if weighed is not None:
+                    weighed.append((index, tuple(masks), value))
+                mask = reduce(and_, masks, 0xFFFF)
+                # A constant with bits outside the mask can never be
+                # equal; treated as unanalyzable rather than proving
+                # emptiness.
+                if not value & ~mask:
+                    return frozenset({NecessaryTest(index, mask, value)})
         return frozenset()
 
     necessary = implied(fir.result)
@@ -326,6 +354,125 @@ def necessary_tests(fir: FilterIR) -> frozenset[NecessaryTest]:
             if not step.when:
                 necessary |= implied(step.cond)
     return necessary
+
+
+FIXED_CONSTANTS = (0x0000, 0x0001, 0x00FF, 0xFF00, 0xFFFF)
+"""The constants a :class:`~repro.core.ir.ValueGraph` may hold whatever
+a program's literals are: what the five constant pushes push and what
+its identities and folded self-compares yield.  They are also the only
+values its identities test for."""
+
+_CLASS = {value: ~i for i, value in enumerate(FIXED_CONSTANTS)}
+
+
+def skeleton(program: FilterProgram) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``program``'s skeleton and the values its slots hold, in one pass
+    over its instructions.
+
+    The skeleton is the instruction words with each ``PUSHLIT`` literal
+    replaced by its class: ``~i`` when it equals ``FIXED_CONSTANTS[i]``,
+    else the position of the first literal equal to it.  A graph interns
+    and applies its identities alike for every program of one skeleton,
+    so they lower to one graph up to their literals' values unless a
+    fold reads those values (:attr:`~repro.core.ir.ValueGraph.folds`).
+    The values are the literals in order, then :data:`FIXED_CONSTANTS`:
+    a :class:`Template`'s slot indexes either.
+    """
+    words = []
+    literals = []
+    first: dict[int, int] = {}
+    for ins in program.instructions:
+        words.append(ins.operator << ACTION_FIELD_BITS | ins.action_code)
+        literal = ins.literal
+        if literal is not None:
+            kind = _CLASS.get(literal)
+            if kind is None:
+                kind = first.setdefault(literal, len(literals))
+            words.append(kind)
+            literals.append(literal)
+    return tuple(words), (*literals, *FIXED_CONSTANTS)
+
+
+@dataclass(eq=False, slots=True, weakref_slot=True)
+class Template:
+    """What lowering a program derives, with each literal value replaced
+    by its slot in :func:`skeleton`'s values: shared by every program of
+    one skeleton, which is read off it instead of lowered.
+
+    Made by :func:`lower_entry` from the first lowering of a skeleton a
+    compile meets, and kept in a table on the compiled set, handed from
+    set to set and held weakly, so a template lives while an entry reads
+    from it.  ``fir`` is that lowering, ``values`` its skeleton values
+    and ``live`` its live nodes; ``slots`` maps each constant in ``fir``
+    to its slot.  ``tests`` are the necessary tests as ``(word, mask
+    slot, value slot)``; ``checks`` are the masked equalities whose
+    value-outside-mask test reads a literal, as ``(mask slot, value
+    slot, outcome in fir)``.  ``chains`` belongs to the backend: the
+    one-entry chain per copy-all flag and probed word
+    (:mod:`repro.core.irgen`).
+    """
+
+    fir: FilterIR
+    values: tuple[int, ...]
+    live: tuple[int, ...]
+    slots: dict[int, int]
+    tests: tuple[tuple[int, int, int], ...]
+    checks: tuple[tuple[int, int, bool], ...]
+    chains: dict = field(default_factory=dict)
+
+    def necessary(self, values: Sequence[int]) -> dict | None:
+        """The necessary tests of the program with skeleton ``values``,
+        as :attr:`SetEntry.necessary`; None when one of its checks comes
+        out otherwise than in ``fir``."""
+        for mask, value, held in self.checks:
+            if (not values[value] & ~values[mask]) is not held:
+                return None
+        return {
+            (word, values[mask]): values[value]
+            for word, mask, value in self.tests
+        }
+
+    def facts(self, values: Sequence[int]) -> tuple[int, tuple]:
+        """Live node count and value numbers of the program with
+        skeleton ``values``, as :attr:`SetEntry.facts`."""
+        constants = {value: values[slot] for value, slot in self.slots.items()}
+        numbers = value_numbers(self.fir, self.live, constants)
+        return len(self.live), tuple(numbers)
+
+
+def _template(
+    fir: FilterIR, tests: frozenset, weighed: list, values: tuple
+) -> Template | None:
+    """``fir``'s :class:`Template`, or None when another program of its
+    skeleton could lower otherwise than by its values: a fold read a
+    constant, a mask combines a literal with another constant, or two
+    necessary tests share a key (which one is kept depends on the
+    values)."""
+    if fir.graph.folds:
+        return None
+    count = len(values) - len(FIXED_CONSTANTS)
+    slots = {value: count + i for i, value in enumerate(FIXED_CONSTANTS)}
+    for slot in range(count):
+        slots.setdefault(values[slot], slot)
+    # Without folds every constant in ``fir`` is a literal or fixed, and
+    # so is an AND of fixed masks: each has a slot.
+    checks = set()
+    for _, masks, value in weighed:
+        if len(masks) > 1 and any(slots[mask] < count for mask in masks):
+            return None
+        mask = slots[reduce(and_, masks, 0xFFFF)]
+        value = slots[value]
+        if mask < count or value < count:
+            checks.add((mask, value, not values[value] & ~values[mask]))
+    keyed = tuple(
+        (test.index, slots[test.mask], slots[test.value]) for test in tests
+    )
+    if len({(word, mask) for word, mask, _ in keyed}) < len(keyed):
+        return None
+    return Template(
+        fir, values, tuple(sorted(live_nodes(fir))), slots, keyed,
+        tuple(checks),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,10 +487,15 @@ class SetEntry:
     compile reuses the previous set's leaves whose entries are the
     same objects in the same order.
 
-    ``necessary`` is the filter's :func:`necessary_tests` as
-    ``{(word, mask): value}``, recorded by :func:`lower_entry` the first
-    time a compile sees the entry; an entry belongs to one short-circuit
-    mode, that of the set it is bound into.
+    The rest is recorded by :func:`lower_entry` the first time a compile
+    sees the entry; an entry belongs to one short-circuit mode, that of
+    the set it is bound into.  ``necessary`` is the filter's
+    :func:`necessary_tests` as ``{(word, mask): value}``.  ``template``
+    is its skeleton's :class:`Template` and ``values`` its skeleton
+    values, when it has one.  ``facts`` are its live node count and
+    value numbers (its share of :class:`repro.core.irgen.IRStats`): of
+    an entry with a template, made from it when the stats are first
+    read.
     """
 
     key: Hashable
@@ -353,16 +505,59 @@ class SetEntry:
     necessary: Mapping[tuple[int, int], int] | None = field(
         default=None, repr=False
     )
+    template: Template | None = field(default=None, repr=False)
+    values: tuple[int, ...] = field(default=(), repr=False)
+    facts: tuple | None = field(default=None, repr=False)
 
 
-def lower_entry(entry: SetEntry, mode: ShortCircuitMode) -> FilterIR:
-    """Lower ``entry``'s program, record its necessary tests on the
-    entry and return the lowering, for the caller to emit the filter's
-    first chain from."""
+def lower_entry(
+    entry: SetEntry,
+    mode: ShortCircuitMode,
+    templates: MutableMapping | None = None,
+) -> FilterIR | None:
+    """Record ``entry``'s necessary tests, and its template or facts, on
+    the entry.
+
+    ``templates`` is a compiled set's table from ``(mode, skeleton)`` to
+    :class:`Template`.  A program whose skeleton it holds is read off
+    the template: its necessary tests are filled in from its literals,
+    nothing is lowered, and None is returned.  Otherwise the program is
+    lowered, the lowering becomes the template of a skeleton the table
+    lacks when it can, and it is returned for the caller to emit the
+    filter's first chain from.
+    """
+    known = None
+    if templates is not None:
+        shape, values = skeleton(entry.program)
+        key = (mode, shape)
+        known = templates.get(key)
+        if known is not None:
+            necessary = known.necessary(values)
+            if necessary is not None:
+                _record(entry, necessary, template=known, values=values)
+                return None
     fir = lower_program(entry.program, entry.report, mode)
-    tests = {test.key: test.value for test in necessary_tests(fir)}
-    object.__setattr__(entry, "necessary", tests)
+    weighed: list = []
+    tests = necessary_tests(fir, weighed)
+    necessary = {test.key: test.value for test in tests}
+    if templates is not None and known is None:
+        template = _template(fir, tests, weighed, values)
+        if template is not None:
+            templates[key] = template
+            _record(entry, necessary, template=template, values=values)
+            return fir
+    live = live_nodes(fir)
+    # A tuple, not the set: once its atoms are seen the collector
+    # untracks it, where a thousand sets held by a compiled filter set
+    # are re-traversed by every full collection.
+    _record(entry, necessary, facts=(len(live), tuple(value_numbers(fir, live))))
     return fir
+
+
+def _record(entry: SetEntry, necessary: dict, **lowered) -> None:
+    object.__setattr__(entry, "necessary", necessary)
+    for name, value in lowered.items():
+        object.__setattr__(entry, name, value)
 
 
 @dataclass(frozen=True)
@@ -540,6 +735,7 @@ def dispatch_root(
     mode: ShortCircuitMode,
     previous: tuple[DispatchTree, RootIndex] | None,
     lowered: dict,
+    templates: MutableMapping | None = None,
 ) -> tuple[DispatchTree, RootIndex, frozenset | None]:
     """The dispatch tree over ``entries`` (in application order) and its
     root index, from the tree and index of the set they replace.
@@ -555,8 +751,9 @@ def dispatch_root(
     compile is this same function; the tree equals
     :func:`build_dispatch_tree`'s over ``entries`` either way.
 
-    An attached entry whose necessary tests are not known is lowered
-    for them (:func:`lower_entry`), in application order, and the
+    An attached entry whose necessary tests are not known gets them
+    from :func:`lower_entry`, in application order: read off its
+    skeleton's template in ``templates``, or lowered, and then the
     lowering is put in ``lowered`` for the caller's first chain.
     Returns ``(tree, index, touched)``: ``touched`` are the bucket
     values whose leaves may differ from the previous tree's, or None
@@ -576,7 +773,9 @@ def dispatch_root(
     attached = tuple(filterfalse(index.members.__contains__, ordered))
     for entry in attached:
         if entry.necessary is None:
-            lowered[entry] = lower_entry(entry, mode)
+            fir = lower_entry(entry, mode, templates)
+            if fir is not None:
+                lowered[entry] = fir
     counts, cover = index.counts, index.cover
     for entry in gone:
         _count(counts, cover, entry.necessary, -1)

@@ -5,14 +5,23 @@ copy-all continuation, every engine — is pinned against a 15-line
 reference implementation over randomized filter sets and packets.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
-from repro.core import irgen
-from repro.core.interpreter import evaluate
-from repro.core.opt import build_dispatch_tree
+from repro.core import irgen, opt
+from repro.core.interpreter import LanguageLevel, ShortCircuitMode, evaluate
+from repro.core.ir import lower_program
+from repro.core.irgen import SetEntry, compile_ir_set
+from repro.core.opt import (
+    FIXED_CONSTANTS,
+    build_dispatch_tree,
+    cse_filter_set,
+    necessary_tests,
+)
 from repro.core.port import Port
+from repro.core.program import FilterProgram, asm
+from repro.core.validator import ValidationError, validate
 from repro.core.words import pack_words
 
 # --- strategies ---------------------------------------------------------
@@ -302,9 +311,9 @@ class TestIncrementalIRCompile:
         paths = []
         dispatch_root = irgen.dispatch_root
 
-        def spy(entries, mode, previous, lowered):
+        def spy(entries, mode, previous, *rest):
             tree, index, touched = dispatch_root(
-                entries, mode, previous, lowered
+                entries, mode, previous, *rest
             )
             if previous is not None:  # not a cold twin's compile
                 paths.append("regroup" if touched is None else "patch")
@@ -375,3 +384,227 @@ class TestIncrementalIRCompile:
                 (first, 2, 3, 0, False), packets,
             )
             assert_equals_cold(tied, packets, f"tie, {first} first")
+
+
+# --- Engine.IR: a rule read off its skeleton's template equals a cold one --
+
+#: Rule shapes over a tuple of literals, each a ``PUSHLIT`` so that it
+#: can hold a fixed constant: the tested words (where a probe can sit)
+#: and the program.  The five-tuple; masked words, one mask a literal,
+#: with the short-circuit's continue constant live; figures 3-8 and 3-9;
+#: the unbucketable disjunction of ``churn_filter``; a second test of
+#: the probed word, which folds against the probe; and a literal sum,
+#: which folds at lowering.
+TEMPLATE_SHAPES = {
+    "five": ((6, 4, 5, 0, 1), lambda l: asm(
+        ("PUSHWORD", 6), ("PUSHLIT", "CAND", l[0]),
+        ("PUSHWORD", 4), ("PUSHLIT", "CAND", l[1]),
+        ("PUSHWORD", 5), ("PUSHLIT", "CAND", l[2]),
+        ("PUSHWORD", 0), ("PUSHLIT", "CAND", l[3]),
+        ("PUSHWORD", 1), ("PUSHLIT", "EQ", l[4]),
+    )),
+    "masked": ((6, 2, 3), lambda l: asm(
+        ("PUSHWORD", 6), ("PUSHLIT", "CAND", l[0]),
+        ("PUSHWORD", 2), ("PUSHLIT", "AND", l[1]), ("PUSHLIT", "EQ", l[2]),
+        ("PUSHWORD", 3), ("PUSHFF00", "AND"), ("PUSHLIT", "EQ", l[3]),
+        "AND", "AND",
+    )),
+    "fig38": ((1, 3), lambda l: asm(
+        ("PUSHWORD", 1), ("PUSHLIT", "EQ", l[0]),
+        ("PUSHWORD", 3), ("PUSH00FF", "AND"), ("PUSHZERO", "GT"),
+        ("PUSHWORD", 3), ("PUSH00FF", "AND"), ("PUSHLIT", "LE", l[1]),
+        "AND", "AND",
+    )),
+    "fig39": ((8, 7, 1), lambda l: asm(
+        ("PUSHWORD", 8), ("PUSHLIT", "CAND", l[0]),
+        ("PUSHWORD", 7), ("PUSHLIT", "CAND", l[1]),
+        ("PUSHWORD", 1), ("PUSHLIT", "EQ", l[2]),
+    )),
+    "either": ((0, 1), lambda l: asm(
+        ("PUSHWORD", 0), ("PUSHLIT", "EQ", l[0]),
+        ("PUSHWORD", 1), ("PUSHLIT", "EQ", l[1]), "OR",
+    )),
+    "below": ((6,), lambda l: asm(
+        ("PUSHWORD", 6), ("PUSHLIT", "CAND", l[0]),
+        ("PUSHWORD", 6), ("PUSHLIT", "LT", l[1]),
+    )),
+    "sum": ((6, 2), lambda l: asm(
+        ("PUSHWORD", 6), ("PUSHLIT", "CAND", l[0]),
+        ("PUSHWORD", 2), ("PUSHLIT", l[1]), ("PUSHLIT", "ADD", l[2]), "EQ",
+    )),
+}
+
+#: Literals of no fixed class: distinct, some inside and some outside
+#: the masks the shapes use.
+OTHER_LITERALS = (2, 6, 0x0100, 0x0101, 0x0F0F, 0x1000, 0x1234, 0x8000)
+
+
+def shape_literals(name):
+    program = TEMPLATE_SHAPES[name][1](range(8))
+    return sum(ins.literal is not None for ins in program)
+
+
+@st.composite
+def template_cases(draw):
+    """A shape, the literals of the rule whose lowering makes the
+    template and of the rule read off it, the fillers that decide the
+    probe above each, copy-all flags and the mode.  The second rule
+    renames the first's literals of no fixed class (keeping its
+    skeleton) except where a literal is drawn afresh."""
+    name = draw(st.sampled_from(sorted(TEMPLATE_SHAPES)))
+    literal = st.sampled_from(FIXED_CONSTANTS + OTHER_LITERALS)
+    count = shape_literals(name)
+    first = draw(st.lists(literal, min_size=count, max_size=count))
+    renamed = dict(zip(OTHER_LITERALS, draw(st.permutations(OTHER_LITERALS))))
+    second = [
+        draw(literal) if draw(st.integers(0, 3)) == 0
+        else renamed.get(value, value)
+        for value in first
+    ]
+    fillers = st.lists(
+        st.tuples(
+            st.sampled_from(TEMPLATE_SHAPES[name][0] + (9,)),
+            st.sampled_from([0xFFFF, 0xFF00]),
+            st.integers(3, 5),
+        ),
+        max_size=3,
+    )
+    before = draw(fillers)
+    after = before if draw(st.booleans()) else draw(fillers)
+    return (
+        name, tuple(first), tuple(second), before, after,
+        draw(st.booleans()), draw(st.booleans()),
+        draw(st.sampled_from(list(ShortCircuitMode))),
+    )
+
+
+def linked_leaves(compiled):
+    """Every linked leaf chain of ``compiled`` and its probe context."""
+    root = compiled._root
+    if root.hoisted is not None:
+        return [(root, {})]
+    key = root.tree.discriminant
+    leaves = [(link, {key: value}) for value, link in root.buckets.items()]
+    return leaves + [(root.fallback, {})]
+
+
+def closure(function):
+    return [cell.cell_contents for cell in function.__closure__ or ()]
+
+
+class TestTemplateReadOff:
+    @given(template_cases())
+    # Each shape with literals of every class that a planted fault in the
+    # skeleton, the template's checks or its recipe would misread.
+    @example(("masked", (7, 0xFFFF, 0x1234, 0x0100),
+              (8, 0x0F0F, 0x1234, 0x0100), [(6, 0xFFFF, 3)],
+              [(6, 0xFFFF, 3)], False, False, ShortCircuitMode.PUSH_RESULT))
+    @example(("masked", (7, 0x0F0F, 0x0101, 0x1234),
+              (8, 0x0F0F, 0x1000, 0x0100), [(6, 0xFFFF, 3)],
+              [(6, 0xFFFF, 3)], False, False, ShortCircuitMode.PUSH_RESULT))
+    @example(("fig38", (2, 0x00FF), (2, 0x1234), [], [], False, False,
+              ShortCircuitMode.PUSH_RESULT))
+    @example(("fig38", (2, 0), (2, 0x1234), [], [], False, False,
+              ShortCircuitMode.PUSH_RESULT))
+    @example(("masked", (7, 1, 0x0100, 0x0100), (8, 0x0F0F, 0x0100, 0x0100),
+              [], [], False, False, ShortCircuitMode.PUSH_RESULT))
+    @example(("masked", (7, 0x0F0F, 0x0100, 0xFF00),
+              (8, 0x0F0F, 0x0100, 0x1000), [], [], False, False,
+              ShortCircuitMode.PUSH_RESULT))
+    @example(("five", (7, 6, 6, 0x0A00, 0x1234), (8, 6, 0x0100, 0x0A00, 0x1234),
+              [(6, 0xFFFF, 3)], [(6, 0xFFFF, 3)], False, False,
+              ShortCircuitMode.PUSH_RESULT))
+    @example(("below", (0x1000, 0x1234), (0x1234, 0x1000), [(6, 0xFFFF, 3)],
+              [(6, 0xFFFF, 3)], False, False, ShortCircuitMode.PUSH_RESULT))
+    @example(("sum", (7, 0x0100, 0xFF00), (8, 0x0101, 0xFF00), [], [],
+              False, False, ShortCircuitMode.PUSH_RESULT))
+    @example(("fig39", (0x1234, 0x0100, 2), (0x1000, 0x8000, 2),
+              [(8, 0xFFFF, 3)], [(8, 0xFFFF, 3)], True, True,
+              ShortCircuitMode.NO_PUSH))
+    @settings(max_examples=120, deadline=None)
+    def test_read_off_equals_cold(self, case):
+        """A rule compiled against a set whose template table knows its
+        skeleton (from another rule's lowering) gets the necessary
+        tests, linked chains and ``IRStats`` a cold compile gives it:
+        every leaf's factory was loaded from the source a cold emission
+        writes, and was called with the arguments a cold emission
+        passes."""
+        name, first, second, before, after, copy_a, copy_b, mode = case
+        build = TEMPLATE_SHAPES[name][1]
+
+        def bound(key, program, copy_all=False):
+            try:
+                report = validate(
+                    program, level=LanguageLevel.EXTENDED, mode=mode
+                )
+            except ValidationError:  # a shape that needs R pushed
+                assume(False)
+            return SetEntry(key, program, report, copy_all)
+
+        def fill(fillers):
+            return [
+                bound(i, compile_expr(
+                    word(index).masked(mask) == value << (mask == 0xFF00) * 8
+                ))
+                for i, (index, mask, value) in enumerate(fillers)
+            ]
+
+        made = bound("rule", FilterProgram(build(first)), copy_a)
+        known = compile_ir_set([*fill(before), made], mode=mode)
+        read = bound("rule", FilterProgram(build(second)), copy_b)
+        entries = [*fill(after), read]
+        patched = compile_ir_set(entries, mode=mode, previous=known)
+
+        cold = lower_program(read.program, read.report, mode)
+        assert read.necessary == {
+            test.key: test.value for test in necessary_tests(cold)
+        }
+        sources = {id(factory): text for text, factory in patched._shapes.items()}
+        for link, context in linked_leaves(patched):
+            chain = link.tree.entries
+            source, constants, _, _ = irgen._emit_chain(chain, context, mode)
+            assert sources[id(link.factory)] == source, context
+            function = irgen._load_factory(source)(
+                *irgen._result_constants(chain), *constants
+            )
+            assert closure(link.function) == closure(function), context
+        fresh = compile_ir_set(
+            [bound(e.key, e.program, e.copy_all) for e in entries], mode=mode
+        )
+        assert patched.stats == fresh.stats
+        _, reference = cse_filter_set(
+            [lower_program(e.program, e.report, mode) for e in entries]
+        )
+        assert patched.stats.nodes_before_cse == reference.nodes_before
+        assert patched.stats.nodes_after_cse == reference.nodes_after
+
+    def test_a_known_skeleton_is_not_lowered(self, monkeypatch):
+        """The second rule of a skeleton, in a bucket of its own under a
+        probe of a word it tests, is read off the first one's template:
+        no lowering, and its chain is the factory the first one's
+        chain was made by."""
+        lowered = []
+
+        def counting(program, *args):
+            lowered.append(program)
+            return lower_program(program, *args)
+
+        monkeypatch.setattr(opt, "lower_program", counting)
+        monkeypatch.setattr(irgen, "lower_program", counting)
+        build = TEMPLATE_SHAPES["five"][1]
+        rules = [
+            SetEntry(slot, program, validate(program), False)
+            for slot, program in enumerate(
+                FilterProgram(build((0x0900 + slot, 6, 0x1000, 2, 7)))
+                for slot in range(3)
+            )
+        ]
+        compiled = compile_ir_set(rules[:2])
+        assert len(lowered) == 1
+        compiled = compile_ir_set(rules, previous=compiled)
+        assert len(lowered) == 1
+        assert rules[2].template is rules[0].template is not None
+        buckets = compiled._root.buckets
+        assert buckets[0x0902].factory is buckets[0x0900].factory
+        packet = pack_words([2, 7, 0, 0, 6, 0x1000, 0x0902])
+        assert compiled.classify(packet) == ((2,), 1)

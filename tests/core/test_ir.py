@@ -743,6 +743,41 @@ class TestRebindMemory:
         # fallback and the probe.
         assert len(compiled._shapes) == 4
 
+    def test_template_table_holds_only_linked_templates(self):
+        """Re-binding one port through 50 skeletons leaves the set's
+        template table holding exactly the templates its entries read
+        from: a replaced rule's template dies with its last entry, and
+        no module-level table grows."""
+        demux, ports = self.make()
+        port = ports[3]
+        tables = module_tables()
+        replaced = None
+        for extra in range(50):
+            demux.detach(port)
+            port.bind_filter(extra_word_rule(0x7103, extra))
+            demux.attach(port)
+            demux.ir_stats  # compile against the replaced set
+            compiled = demux._ir
+            assert isinstance(compiled._templates, weakref.WeakValueDictionary)
+            held = {id(template) for template in compiled._templates.values()}
+            linked = {id(entry.template) for entry in compiled._root.tree.entries}
+            assert held == linked, extra
+            if replaced is not None:
+                assert replaced() is None, f"template of extra {extra - 1} kept"
+            replaced = weakref.ref(next(
+                entry.template for entry in compiled._root.tree.entries
+                if entry.key == 3
+            ))
+        # The five-tuple's two skeletons (port 0x7100 equals the source
+        # port) and the re-bound rule's.
+        assert len(compiled._templates) == 3
+        grown = {
+            table: (tables.get(table, 0), size)
+            for table, size in module_tables().items()
+            if size > tables.get(table, 0)
+        }
+        assert not grown, grown
+
 
 # ---------------------------------------------------------------------------
 # Engine.IR under binding churn
@@ -804,7 +839,8 @@ class TestEngineChurn:
 
     def test_a_never_seen_filter_is_lowered_once(self, monkeypatch):
         # The lowering that yields a filter's necessary tests for the
-        # dispatch tree also feeds its first chain.
+        # dispatch tree also feeds its first chain, and a filter whose
+        # skeleton the set knows is read off its template instead.
         lowered = []
 
         def counting(program, *args, **kwargs):
@@ -815,13 +851,21 @@ class TestEngineChurn:
         monkeypatch.setattr(irgen, "lower_program", counting)
         demux, ports = self.make()
         demux.deliver(b"")
-        assert len(lowered) == len(ports) == len(set(lowered))
+        # Word 7 is tested against 0, 1 and four other values: three
+        # skeletons, each lowered by the first filter that has it.
+        assert len(lowered) == len(set(lowered)) == 3
         original = ports[2].program
         for program, calls in [
-            (compile_expr((word(6) == 0x0900) & (word(7) == 77)), 1),
-            # Seen before, but its tests and chain went with its old
-            # binding: a new binding lowers it once again.
-            (original, 1),
+            (compile_expr((word(6) == 0x0900) & (word(7) == 77)), 0),
+            (
+                compile_expr(
+                    (word(6) == 0x0900) & (word(7) == 78) & (word(8) == 9)
+                ),
+                1,
+            ),
+            # Seen before: its tests and chain went with its old binding,
+            # but ports 3-5 keep its skeleton's template in the set.
+            (original, 0),
         ]:
             del lowered[:]
             demux.detach(ports[2])
