@@ -145,7 +145,7 @@ OWNERS = (
      "docs/LANGUAGE.md, Tooling map: the set-level analysis"),
     ("repro.core.opt.DispatchTree.depth",
      "perfbench: the core.irgen.dispatch_depth metric"),
-    ("repro.core.opt.SetEntry(necessary)", _STATE),
+    ("repro.core.opt.SetEntry(*)", _STATE),
     ("repro.core.demux.PacketFilterDemux.ir_stats", _IR),
     ("repro.core.demux.PacketFilterDemux.attached_ports",
      "docs/LANGUAGE.md, Tooling map: bound filters in try order"),

@@ -40,7 +40,8 @@ Three layers, bottom up:
   rule whose skeleton it holds is read off, not lowered — its necessary
   tests filled in from its literals, and its one-entry chain's source
   and arguments taken from the template's chain for that probe, which
-  is emitted once per skeleton.  Chains of several entries are emitted
+  is emitted once per skeleton and kept in a third table, keyed weakly
+  by template.  Chains of several entries are emitted
   cold.  A template leaves the table with its last entry.  Nothing is
   kept process-wide.
 """
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from struct import Struct
 from typing import Callable, Mapping, NamedTuple, Sequence
-from weakref import WeakValueDictionary
+from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .interpreter import ShortCircuitMode
 from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueGraph
@@ -500,33 +501,41 @@ def _emit_bodies(
 
 
 def _template_chain(
-    template: Template, copy_all: bool, word: int | None
+    template: Template,
+    copy_all: bool,
+    word: int | None,
+    chains: WeakKeyDictionary,
 ) -> tuple | None:
     """The one-entry chain of ``template``'s skeleton, specialized to a
     probe of the whole of packet word ``word`` (None: no probe, or one
     of a masked word, which specializes nothing): ``(source, hoist
     count, recipe)``, emitted from the template's own lowering the first
-    time it is asked for and kept on the template.  The recipe names
-    what fills each ``_k<i>``: a slot of the rule's skeleton values, or
-    a run of slots packed to bytes.  None when the specialization folds
-    a constant, so that another rule of the skeleton could emit other
-    text: such a chain is emitted cold for every rule."""
+    time it is asked for and kept in ``chains`` (the set's table from
+    template to its chains by copy-all flag and probed word).  The
+    recipe names what fills each ``_k<i>``: a slot of the rule's
+    skeleton values, or a run of slots packed to bytes.  None when the
+    specialization folds a constant, so that another rule of the
+    skeleton could emit other text: such a chain is emitted cold for
+    every rule."""
+    own = chains.get(template)
+    if own is None:
+        own = chains[template] = {}
     key = (copy_all, word)
-    if key not in template.chains:
+    if key not in own:
         context = {}
         if word is not None:
-            own = template.necessary(template.values)
-            context[word, 0xFFFF] = own[word, 0xFFFF]
+            tests = template.necessary(template.values)
+            context[word, 0xFFFF] = tests[word, 0xFFFF]
         source, constants, hoisted, folds = _emit_bodies(
             [(template.fir, copy_all)], context
         )
-        template.chains[key] = None if folds else (
-            source, hoisted, _recipe(constants, template.slots)
+        own[key] = None if folds else (
+            source, hoisted, _recipe(constants, template.slot)
         )
-    return template.chains[key]
+    return own[key]
 
 
-def _recipe(constants: list, slots: Mapping[int, int]) -> tuple:
+def _recipe(constants: list, slot: Callable[[int], int]) -> tuple:
     """Each of ``constants`` as the slot its value came from, a bytes
     run as its packer and the slot of each of its words.  A chain that
     folded nothing holds only the lowering's constants and the probe
@@ -535,12 +544,12 @@ def _recipe(constants: list, slots: Mapping[int, int]) -> tuple:
     for constant in constants:
         if isinstance(constant, bytes):
             words = tuple(
-                slots[int.from_bytes(constant[i:i + 2], "big")]
+                slot(int.from_bytes(constant[i:i + 2], "big"))
                 for i in range(0, len(constant), 2)
             )
             recipe.append((Struct(f">{len(words)}H").pack, words))
         else:
-            recipe.append(slots[constant])
+            recipe.append(slot(constant))
     return tuple(recipe)
 
 
@@ -603,6 +612,7 @@ def _link(
     lowered: dict,
     touched: frozenset | None,
     shapes: WeakValueDictionary,
+    chains: WeakKeyDictionary,
 ) -> _Link:
     """Link the set's ``tree``.  ``previous`` is the root link of the set
     being replaced: a leaf the tree builder kept is kept linked as it
@@ -611,8 +621,9 @@ def _link(
     of the previous ones with those values replaced.  ``shapes`` maps
     factory source to the factory loaded from it; only a source it
     lacks is compiled.  A one-entry leaf whose entry has a template is
-    read off it: the template's chain for the probe, instantiated with
-    the entry's results and literals."""
+    read off it: the template's chain for the probe (from ``chains``,
+    see :func:`_template_chain`), instantiated with the entry's results
+    and literals."""
     if previous is not None and previous.tree is tree:
         return previous
 
@@ -633,7 +644,9 @@ def _link(
             word = next(
                 (index for index, mask in context if mask == 0xFFFF), None
             )
-            chain = _template_chain(entry.template, entry.copy_all, word)
+            chain = _template_chain(
+                entry.template, entry.copy_all, word, chains
+            )
         if chain is not None:
             source, hoisted, recipe = chain
             constants = _fill(recipe, entry.values)
@@ -744,6 +757,7 @@ class CompiledIRSet:
     _index: RootIndex = field(repr=False)  #: what the next compile patches
     _shapes: WeakValueDictionary = field(repr=False)  #: source -> factory
     _templates: WeakValueDictionary = field(repr=False)  #: skeleton -> Template
+    _chains: WeakKeyDictionary = field(repr=False)  #: Template -> its chains
 
     def classify(self, packet: bytes) -> tuple[Sequence, int]:
         return self._root.function(packet, len(packet))
@@ -819,11 +833,13 @@ def compile_ir_set(
     once, the lowering yields its necessary tests, feeds the entry's
     first chain and becomes its skeleton's template when it can.  A
     chain's factory is loaded only when no chain of its shape is linked
-    in ``previous`` or earlier in this compile.  Both tables are handed
-    on with the root's tallies and hold their contents weakly.
+    in ``previous`` or earlier in this compile.  The shape and template
+    tables, and the one holding each template's chains, are handed on
+    with the root's tallies and hold their contents weakly.
     """
     shapes = previous._shapes if previous else WeakValueDictionary()
     templates = previous._templates if previous else WeakValueDictionary()
+    chains = previous._chains if previous else WeakKeyDictionary()
     if previous is not None and previous._mode is not mode:
         previous = None
     lowered: dict = {}
@@ -834,7 +850,7 @@ def compile_ir_set(
     )
     root = _link(
         tree, previous._root if previous else None, mode, lowered, touched,
-        shapes,
+        shapes, chains,
     )
     return CompiledIRSet(
         size=len(tree.entries),
@@ -844,4 +860,5 @@ def compile_ir_set(
         _index=index,
         _shapes=shapes,
         _templates=templates,
+        _chains=chains,
     )

@@ -404,12 +404,10 @@ class Template:
     set to set and held weakly, so a template lives while an entry reads
     from it.  ``fir`` is that lowering, ``values`` its skeleton values
     and ``live`` its live nodes; ``slots`` maps each constant in ``fir``
-    to its slot.  ``tests`` are the necessary tests as ``(word, mask
-    slot, value slot)``; ``checks`` are the masked equalities whose
-    value-outside-mask test reads a literal, as ``(mask slot, value
-    slot, outcome in fir)``.  ``chains`` belongs to the backend: the
-    one-entry chain per copy-all flag and probed word
-    (:mod:`repro.core.irgen`).
+    to its slot (read it through :meth:`slot`).  ``tests`` are the
+    necessary tests as ``(word, mask slot, value slot)``; ``checks`` are
+    the masked equalities whose value-outside-mask test reads a literal,
+    as ``(mask slot, value slot, outcome in fir)``.
     """
 
     fir: FilterIR
@@ -418,7 +416,13 @@ class Template:
     slots: dict[int, int]
     tests: tuple[tuple[int, int, int], ...]
     checks: tuple[tuple[int, int, bool], ...]
-    chains: dict = field(default_factory=dict)
+
+    def slot(self, constant: int) -> int:
+        """The slot of the skeleton values that holds ``constant`` of
+        ``fir``: ``values[slot]`` is the same constant of another
+        program of the skeleton, whose skeleton values are ``values``.
+        KeyError when ``constant`` is in no slot."""
+        return self.slots[constant]
 
     def necessary(self, values: Sequence[int]) -> dict | None:
         """The necessary tests of the program with skeleton ``values``,
@@ -735,7 +739,7 @@ def dispatch_root(
     mode: ShortCircuitMode,
     previous: tuple[DispatchTree, RootIndex] | None,
     lowered: dict,
-    templates: MutableMapping | None = None,
+    templates: MutableMapping,
 ) -> tuple[DispatchTree, RootIndex, frozenset | None]:
     """The dispatch tree over ``entries`` (in application order) and its
     root index, from the tree and index of the set they replace.

@@ -746,8 +746,8 @@ class TestRebindMemory:
     def test_template_table_holds_only_linked_templates(self):
         """Re-binding one port through 50 skeletons leaves the set's
         template table holding exactly the templates its entries read
-        from: a replaced rule's template dies with its last entry, and
-        no module-level table grows."""
+        from, and its chain table no others: a replaced rule's template
+        dies with its last entry, and no module-level table grows."""
         demux, ports = self.make()
         port = ports[3]
         tables = module_tables()
@@ -762,6 +762,7 @@ class TestRebindMemory:
             held = {id(template) for template in compiled._templates.values()}
             linked = {id(entry.template) for entry in compiled._root.tree.entries}
             assert held == linked, extra
+            assert {id(template) for template in compiled._chains} <= held
             if replaced is not None:
                 assert replaced() is None, f"template of extra {extra - 1} kept"
             replaced = weakref.ref(next(
