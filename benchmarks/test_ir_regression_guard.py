@@ -1,9 +1,10 @@
 """Guard: re-binding one rule under the IR engine compiles a chain only
-for a never-seen shape, lowers a rule only for a never-seen skeleton and
-reads the necessary tests of the buckets it changes, not of the set; a
-cold compile compiles once per chain shape and lowers once per
-skeleton; and a packet through the compiled set costs a counted number
-of bytecodes.
+for a never-seen shape, lowers a rule only for a never-seen skeleton
+(into a chain of one entry or of several) and reads the necessary tests
+of the buckets it changes, not of the set; a cold compile compiles once
+per chain shape and lowers once per skeleton, chains of several entries
+included; reading a set's ``source`` lowers nothing; and a packet
+through the compiled set costs a counted number of bytecodes.
 
 The incremental re-bind, compiled against the set it replaces, is
 pinned as counts: code objects compiled, rules lowered, rebuilt
@@ -26,8 +27,10 @@ from repro.core.compiler import compile_expr, word
 from repro.core.demux import Engine, PacketFilterDemux
 from repro.core.irgen import SetEntry, compile_ir_set
 from repro.core.port import Port
+from repro.core.program import FilterProgram, asm
 from repro.core.validator import validate
 from repro.core.words import pack_words
+from ruleset_gen import generate_adversarial_ruleset
 
 REBIND_RULES = 128
 
@@ -221,6 +224,116 @@ def test_cold_compile_lowers_once_per_skeleton(monkeypatch, emit):
     )
 
 
+def _entries(programs) -> list:
+    return [
+        SetEntry(slot, program, validate(program), False)
+        for slot, program in enumerate(programs)
+    ]
+
+
+def test_adversarial_compile_and_listing_lower_once_per_skeleton(
+    monkeypatch, emit
+):
+    """A cold compile of the 1 000-rule adversarial set, one bucket of
+    1 000 entries, lowers one rule of each skeleton and builds every
+    other rule of the chain from its skeleton's template; one read of
+    the set's ``source`` lists the linked chain and lowers nothing.
+    Lowered 1 000 + 1 000 while a chain of several entries lowered each
+    of its rules and the listing emitted every chain again.  Counted,
+    not timed."""
+    programs, _ = generate_adversarial_ruleset(COLD_RULES)
+    lowered = _counting_lowerings(monkeypatch)
+    compiled = compile_ir_set(_entries(programs))
+    compiling = len(lowered)
+    (bucket,) = compiled._root.buckets.values()
+    assert len(bucket.tree.entries) == COLD_RULES
+    compiled.source
+    listing = len(lowered) - compiling
+    skeletons = {opt.skeleton(program)[0] for program in programs}
+    assert compiling <= len(skeletons), (
+        f"{compiling} rules lowered for {len(skeletons)} skeletons"
+    )
+    assert listing == 0, f"{listing} rules lowered reading the source"
+    emit(
+        f"cold adversarial compile of {COLD_RULES} rules: {compiling} "
+        f"lowered for {len(skeletons)} skeletons, {listing} by the listing"
+    )
+
+
+CATCH_ALL_RULES = 200
+
+
+def _catch_all() -> FilterProgram:
+    """A rule that accepts every packet, below the ACL's priority: no
+    bucket can hold it apart, so it is merged into every bucket."""
+    return FilterProgram(asm("PUSHONE"), priority=5)
+
+
+def test_catch_all_compile_and_listing_lower_once_per_skeleton(
+    monkeypatch, emit
+):
+    """A cold compile of 200 one-skeleton :func:`_acl_rule` rules and a
+    catch-all, whose every bucket is a chain of two entries, plus one
+    read of its ``source``, lowers one rule of each of the two
+    skeletons.  Lowered 400 + 401 while a chain of several entries
+    lowered each of its rules and the listing emitted every chain again.
+    Counted, not timed."""
+    programs = [
+        _acl_rule(1024 + slot, 1000 + slot) for slot in range(CATCH_ALL_RULES)
+    ]
+    programs.append(_catch_all())
+    assert len({opt.skeleton(program)[0] for program in programs}) == 2
+    lowered = _counting_lowerings(monkeypatch)
+    compiled = compile_ir_set(_entries(programs))
+    buckets = compiled._root.buckets
+    assert len(buckets) == CATCH_ALL_RULES
+    assert all(len(link.tree.entries) == 2 for link in buckets.values())
+    compiled.source
+    assert len(lowered) <= 2, (
+        f"{len(lowered)} rules lowered compiling and listing "
+        f"{CATCH_ALL_RULES} rules and a catch-all"
+    )
+    assert compiled.classify(_acl_packet(1024 + 7, 1007)) == ((7,), 1)
+    assert compiled.classify(_acl_packet(1024 + 7, 1008)) == (
+        (CATCH_ALL_RULES,), 2
+    )
+    emit(
+        f"cold compile and listing of {CATCH_ALL_RULES} rules and a "
+        f"catch-all: {len(lowered)} lowered"
+    )
+
+
+def test_a_rebind_into_a_chain_of_two_lowers_nothing(monkeypatch, emit):
+    """A re-bind of a rule of a known skeleton into a bucket it shares
+    with a catch-all rule builds the two-entry chain from the two
+    templates: no rule is lowered (2 while a chain of several entries
+    lowered each of its rules).  Counted, not timed."""
+    programs = [
+        _acl_rule(1024 + slot, 1000 + slot) for slot in range(REBIND_RULES)
+    ]
+    entries = _entries([*programs, _catch_all()])
+    compiled = compile_ir_set(entries)
+    assert compiled.discriminant == (1, 0xFFFF)  # the serial's word
+    lowered = _counting_lowerings(monkeypatch)
+    for serial in range(9):
+        slot = (serial * 37) % REBIND_RULES
+        program = _acl_rule(1024 + slot, 0x4000 + serial)
+        entries = [entry for entry in entries if entry.key != slot]
+        entries.insert(-1, SetEntry(slot, program, validate(program), False))
+        del lowered[:]
+        compiled = compile_ir_set(entries, previous=compiled)
+        leaf = compiled._root.buckets[(0x4000 + serial) ^ 0x5555]
+        assert [entry.key for entry in leaf.tree.entries] == [
+            slot, REBIND_RULES
+        ]
+        assert len(lowered) == 0, (
+            f"{len(lowered)} rules lowered re-binding into a chain of two"
+        )
+        packet = _acl_packet(1024 + slot, 0x4000 + serial)
+        assert compiled.classify(packet) == ((slot,), 1)
+    emit(f"re-bind into a chain of two: {len(lowered)} rules lowered")
+
+
 def test_a_rebind_that_moves_the_root_key_lowers_nothing(monkeypatch, emit):
     """A re-bind whose tallies move the root's key regroups the root and
     re-links every bucket, each chain read off its rule's template under
@@ -288,9 +401,8 @@ def test_rebind_reads_the_changed_buckets_not_the_set(
     ones keep its own; the root probes the serial's word (ties go to
     the lowest word), so the changed buckets are those of the detached
     and attached rules' values there.  Every re-bound rule has a
-    skeleton the set knows, so it is read off its template and lowered
-    only when its chain holds other rules as well (a chain of several
-    entries is emitted cold).  Counted, not timed."""
+    skeleton the set knows, so it is read off its template and no rule
+    is lowered.  Counted, not timed."""
     entries = [
         _CountedEntry(slot, program, validate(program), False)
         for slot, program in enumerate(
@@ -327,10 +439,7 @@ def test_rebind_reads_the_changed_buckets_not_the_set(
             f"bucket of {affected}"
         )
         worst = max(worst, read - affected)
-        chain = len(buckets[attached.necessary[key]].entries)
-        assert len(lowered) == (0 if chain == 1 else chain), (
-            f"{len(lowered)} rules lowered re-binding into a chain of {chain}"
-        )
+        assert len(lowered) == 0, f"{len(lowered)} rules lowered re-binding"
     emit(
         f"re-bind at {rules} rules: at most {worst} entries read beyond "
         f"the changed buckets (slack {REBIND_READS_SLACK}), "

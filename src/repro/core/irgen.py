@@ -13,10 +13,11 @@ Three layers, bottom up:
   stretch of words.
 
 * A *leaf chain* is the unit of compilation: the filters one dispatch
-  leaf evaluates in order, lowered (:func:`repro.core.ir.lower_program`),
-  *specialized* to the bucket's probe value (a filter's own test of the
-  dispatched field folds away; the probe already paid for it) and
-  emitted as one function.  Values any two bodies in a chain share are
+  leaf evaluates in order, each read off its skeleton's template (below)
+  or lowered (:func:`repro.core.ir.lower_program`), *specialized* to the
+  bucket's probe value (a filter's own test of the dispatched field
+  folds away; the probe already paid for it) and emitted as one
+  function.  Values any two bodies in a chain share are
   hoisted into the chain preamble, loaded through a never-faulting
   padded form so the preamble cannot raise on behalf of a body whose own
   length guard would have exited first.  Result keys and constants stay
@@ -38,12 +39,14 @@ Three layers, bottom up:
   :func:`repro.core.opt.skeleton`) share one lowering: the set keeps a
   second table, from skeleton to :class:`repro.core.opt.Template`, and a
   rule whose skeleton it holds is read off, not lowered — its necessary
-  tests filled in from its literals, and its one-entry chain's source
-  and arguments taken from the template's chain for that probe, which
-  is emitted once per skeleton and kept in a third table, keyed weakly
-  by template.  Chains of several entries are emitted
-  cold.  A template leaves the table with its last entry.  Nothing is
-  kept process-wide.
+  tests filled in from its literals, and every chain it is in built
+  from the template's lowering with the template's constants mapped to
+  its literals.  A one-entry chain's source and arguments are taken
+  from the template's chain for that probe, which is emitted once per
+  skeleton and kept in a third table, keyed weakly by template.  A
+  template leaves the table with its last entry.  Each link keeps the
+  arguments its factory was called with, so the set's listing is read
+  off its links.  Nothing is kept process-wide.
 """
 
 from __future__ import annotations
@@ -352,27 +355,26 @@ def _emit_chain(
     entries: Sequence[SetEntry],
     context: Mapping[tuple[int, int], int],
     mode: ShortCircuitMode,
-    lowered: dict | None = None,
 ) -> tuple[str, list, int, int]:
     """Factory source, its constants, hoist count and fold count for
-    the leaf chain over ``entries``, each lowered here: ``lowered``
-    holds lowerings the caller already made, taken out as they are
-    used.  See :func:`_emit_bodies`."""
-    lowerings = []
-    for entry in entries:
-        fir = lowered.pop(entry, None) if lowered else None
-        if fir is None:
-            fir = lower_program(entry.program, entry.report, mode)
-        lowerings.append((fir, entry.copy_all))
-    return _emit_bodies(lowerings, context)
+    the leaf chain over ``entries``: an entry with a template is read
+    off it, any other is lowered here.  See :func:`_emit_bodies`."""
+    return _emit_bodies([
+        (entry.template.fir, entry.template.constants(entry.values),
+         entry.copy_all) if entry.template is not None
+        else (lower_program(entry.program, entry.report, mode), None,
+              entry.copy_all)
+        for entry in entries
+    ], context)
 
 
 def _emit_bodies(
-    lowerings: Sequence[tuple[FilterIR, bool]],
+    lowerings: Sequence[tuple[FilterIR, Mapping | None, bool]],
     context: Mapping[tuple[int, int], int],
 ) -> tuple[str, list, int, int]:
     """Factory source, its constants, hoist count and fold count for
-    one leaf chain over ``lowerings``, each a filter's lowering and its
+    one leaf chain over ``lowerings``, each a filter's lowering, the map
+    from its constants to the filter's own (None: the same) and its
     copy-all flag.  Temporaries and accept flags are named by position in the
     chain, results come in as ``_r<position>`` parameters and the
     constants as ``_k<i>`` after them, so the text depends only on each
@@ -383,9 +385,10 @@ def _emit_bodies(
     graph's :attr:`~repro.core.ir.ValueGraph.folds` after specializing
     every body to ``context``."""
     chain_graph = ValueGraph()
-    flags = [copy_all for _, copy_all in lowerings]
+    flags = [copy_all for _, _, copy_all in lowerings]
     bodies = [
-        specialize_filter(fir, chain_graph, context) for fir, _ in lowerings
+        specialize_filter(fir, chain_graph, context, own)
+        for fir, own, _ in lowerings
     ]
     constants: list = []
     lines = ["", "    def _chain(packet, _n):"]  # the def line comes last
@@ -515,8 +518,8 @@ def _template_chain(
     recipe names what fills each ``_k<i>``: a slot of the rule's
     skeleton values, or a run of slots packed to bytes.  None when the
     specialization folds a constant, so that another rule of the
-    skeleton could emit other text: such a chain is emitted cold for
-    every rule."""
+    skeleton could emit other text: such a chain is emitted for every
+    rule (:func:`_emit_chain`)."""
     own = chains.get(template)
     if own is None:
         own = chains[template] = {}
@@ -527,10 +530,10 @@ def _template_chain(
             tests = template.necessary(template.values)
             context[word, 0xFFFF] = tests[word, 0xFFFF]
         source, constants, hoisted, folds = _emit_bodies(
-            [(template.fir, copy_all)], context
+            [(template.fir, None, copy_all)], context
         )
         own[key] = None if folds else (
-            source, hoisted, _recipe(constants, template.slot)
+            source, hoisted, _recipe(constants, template.values.index)
         )
     return own[key]
 
@@ -539,7 +542,8 @@ def _recipe(constants: list, slot: Callable[[int], int]) -> tuple:
     """Each of ``constants`` as the slot its value came from, a bytes
     run as its packer and the slot of each of its words.  A chain that
     folded nothing holds only the lowering's constants and the probe
-    value, each in a slot."""
+    value, each in a slot; the first slot holding a value holds the
+    same constant in every program of the skeleton."""
     recipe = []
     for constant in constants:
         if isinstance(constant, bytes):
@@ -588,17 +592,13 @@ _DISPATCH_SOURCE = (
 )
 
 
-def _probe_constants(discriminant: tuple[int, int]) -> tuple[int, int, int]:
-    index, mask = discriminant
-    return 2 * index, 2 * index + 1, mask
-
-
 class _Link(NamedTuple):
     """One dispatch-tree node, linked: what the next compile reuses."""
 
     tree: DispatchTree
     function: Callable              #: function(packet, _n)
     factory: Callable               #: what made it; keeps its shape loaded
+    arguments: tuple                #: what the factory got (root: after map, fallback)
     hoisted: int | None             #: leaves: values the preamble computes
     buckets: Mapping[int, "_Link"]  #: the root: one leaf per bucket value
     fallback: "_Link | None"
@@ -609,7 +609,6 @@ def _link(
     tree: DispatchTree,
     previous: _Link | None,
     mode: ShortCircuitMode,
-    lowered: dict,
     touched: frozenset | None,
     shapes: WeakValueDictionary,
     chains: WeakKeyDictionary,
@@ -651,12 +650,13 @@ def _link(
             source, hoisted, recipe = chain
             constants = _fill(recipe, entry.values)
         else:
-            source, constants, hoisted, _ = _emit_chain(
-                entries, context, mode, lowered
-            )
+            source, constants, hoisted, _ = _emit_chain(entries, context, mode)
         factory = load(source)
-        function = factory(*_result_constants(entries), *constants)
-        return _Link(leaf, function, factory, hoisted, {}, None, {})
+        arguments = (*_result_constants(entries), *constants)
+        return _Link(
+            leaf, factory(*arguments), factory, arguments, hoisted, {}, None,
+            {},
+        )
 
     discriminant = tree.discriminant
     if discriminant is None:
@@ -682,46 +682,40 @@ def _link(
     if fallback is None or fallback.tree is not tree.fallback:
         fallback = link_leaf(tree.fallback, {})
     factory = load(_DISPATCH_SOURCE)
-    function = factory(
-        targets, fallback.function, *_probe_constants(discriminant)
+    index, mask = discriminant
+    arguments = (2 * index, 2 * index + 1, mask)
+    function = factory(targets, fallback.function, *arguments)
+    return _Link(
+        tree, function, factory, arguments, None, buckets, fallback, targets
     )
-    return _Link(tree, function, factory, None, buckets, fallback, targets)
 
 
-def _listing(tree: DispatchTree, mode: ShortCircuitMode) -> str:
-    """Every chain and the dispatch probe of a compiled set as text:
-    the buckets' chains by value, the fallback's, then the probe, each
-    headed by the arguments its factory was called with.
-
-    Emission is a pure function of the tree and the mode, so
-    re-emitting on demand yields the source that was compiled."""
+def _listing(root: _Link, shapes: Mapping[str, Callable]) -> str:
+    """Every chain and the dispatch probe linked under ``root`` as
+    text: the buckets' chains by value, the fallback's, then the probe,
+    each the source its factory was loaded from (the key of ``shapes``,
+    the set's shape table, that holds it) headed by the arguments the
+    factory was called with."""
+    sources = {factory: source for source, factory in shapes.items()}
     blocks: list[str] = []
 
-    def add(header: str, source: str) -> str:
+    def add(kind: str, link: _Link, *nodes: str) -> str:
         name = f"node {len(blocks)}"
-        blocks.append(f"# {name}: {header}\n{source}")
+        arguments = ", ".join([*nodes, *map(repr, link.arguments)])
+        blocks.append(
+            f"# {name}: {kind}, _factory({arguments})\n{sources[link.factory]}"
+        )
         return name
 
-    def chain(leaf: DispatchTree, context: dict) -> str:
-        source, constants, _, _ = _emit_chain(leaf.entries, context, mode)
-        arguments = [*_result_constants(leaf.entries), *constants]
-        return add(f"chain, _factory({', '.join(map(repr, arguments))})", source)
-
-    discriminant = tree.discriminant
-    if discriminant is None:
-        root = chain(tree, {})
+    if root.hoisted is not None:  # a set of one chain
+        name = add("chain", root)
     else:
         mapping = ", ".join(
-            f"{value:#x}: {chain(leaf, {discriminant: value})}"
-            for value, leaf in sorted(tree.buckets.items())
+            f"{value:#x}: {add('chain', link)}"
+            for value, link in sorted(root.buckets.items())
         )
-        fallback = chain(tree.fallback, {})
-        probe = ", ".join(map(repr, _probe_constants(discriminant)))
-        root = add(
-            f"dispatch, _factory({{{mapping}}}, {fallback}, {probe})",
-            _DISPATCH_SOURCE,
-        )
-    blocks.append(f"# classify(packet) = {root}(packet, len(packet))\n")
+        name = add("dispatch", root, f"{{{mapping}}}", add("chain", root.fallback))
+    blocks.append(f"# classify(packet) = {name}(packet, len(packet))\n")
     return "\n".join(blocks)
 
 
@@ -764,7 +758,7 @@ class CompiledIRSet:
 
     @cached_property
     def source(self) -> str:
-        return _listing(self._root.tree, self._mode)
+        return _listing(self._root, self._shapes)
 
     @cached_property
     def stats(self) -> IRStats:
@@ -828,29 +822,31 @@ def compile_ir_set(
 
     A newly attached entry whose skeleton has a template in the set's
     template table is not lowered: its necessary tests (kept on the
-    entry, for the tree to group by) and, alone in a leaf, its chain are
-    read off the template by its literals.  Otherwise it is lowered
-    once, the lowering yields its necessary tests, feeds the entry's
-    first chain and becomes its skeleton's template when it can.  A
-    chain's factory is loaded only when no chain of its shape is linked
-    in ``previous`` or earlier in this compile.  The shape and template
-    tables, and the one holding each template's chains, are handed on
-    with the root's tallies and hold their contents weakly.
+    entry, for the tree to group by) are read off the template by its
+    literals.  Otherwise it is lowered once, for its necessary tests,
+    and the lowering becomes its skeleton's template when it can.  Every
+    chain builds an entry with a template from it, and a one-entry
+    chain's text and arguments are read off the template's chain for
+    its probe; only an entry without a template is lowered again, for
+    each chain it is in.  A chain's factory is loaded only when no chain
+    of its shape is linked in ``previous`` or earlier in this compile.
+    The shape and template tables, and the one holding each template's
+    chains, are handed on with the root's tallies and hold their
+    contents weakly.
     """
     shapes = previous._shapes if previous else WeakValueDictionary()
     templates = previous._templates if previous else WeakValueDictionary()
     chains = previous._chains if previous else WeakKeyDictionary()
     if previous is not None and previous._mode is not mode:
         previous = None
-    lowered: dict = {}
     tree, index, touched = dispatch_root(
         entries, mode,
         (previous._root.tree, previous._index) if previous else None,
-        lowered, templates,
+        templates,
     )
     root = _link(
-        tree, previous._root if previous else None, mode, lowered, touched,
-        shapes, chains,
+        tree, previous._root if previous else None, mode, touched, shapes,
+        chains,
     )
     return CompiledIRSet(
         size=len(tree.entries),

@@ -119,12 +119,16 @@ def transfer_filter(
     graph: ValueGraph,
     *,
     loads: Mapping[int, int] | None = None,
+    constants: Mapping[int, int] | None = None,
 ) -> FilterIR:
     """Re-emit ``fir`` into ``graph`` through the folding constructors.
 
     ``loads`` optionally maps packet word indices to known constant
     values (the dispatch-specialization context); matching ``LOAD``
     nodes are rewritten to constants and the fold cascades from there.
+    ``constants`` optionally maps each constant of ``fir`` to the value
+    it takes in ``graph``: a template's lowering re-emitted as another
+    program of its skeleton (:meth:`Template.constants`).
     A side exit whose condition becomes constant is deleted (never
     taken) or, when it is provably always taken, truncates the filter
     with its verdict — mirroring the lowering-time treatment.
@@ -138,7 +142,9 @@ def transfer_filter(
             return out
         node = src.node(nid)
         if node.kind == CONST:
-            out = graph.const(node.arg0)
+            out = graph.const(
+                node.arg0 if constants is None else constants[node.arg0]
+            )
         elif node.kind == LOAD:
             if loads is not None and node.arg0 in loads:
                 out = graph.const(loads[node.arg0])
@@ -239,8 +245,10 @@ def specialize_filter(
     fir: FilterIR,
     graph: ValueGraph,
     context: Mapping[tuple[int, int], int],
+    constants: Mapping[int, int] | None = None,
 ) -> FilterIR:
-    """Specialize ``fir`` for a dispatch bucket.
+    """Specialize ``fir`` (its constants mapped through ``constants``,
+    as :func:`transfer_filter` does) for a dispatch bucket.
 
     ``context`` maps (word index, mask) discriminants to the value the
     dispatch probe established.  Only full-word facts (mask 0xFFFF) can
@@ -256,7 +264,9 @@ def specialize_filter(
         for (index, mask), value in context.items()
         if mask == 0xFFFF
     }
-    return transfer_filter(fir, graph, loads=loads or None)
+    return transfer_filter(
+        fir, graph, loads=loads or None, constants=constants
+    )
 
 
 @dataclass(frozen=True)
@@ -404,7 +414,7 @@ class Template:
     set to set and held weakly, so a template lives while an entry reads
     from it.  ``fir`` is that lowering, ``values`` its skeleton values
     and ``live`` its live nodes; ``slots`` maps each constant in ``fir``
-    to its slot (read it through :meth:`slot`).  ``tests`` are the
+    to its slot (read it through :meth:`constants`).  ``tests`` are the
     necessary tests as ``(word, mask slot, value slot)``; ``checks`` are
     the masked equalities whose value-outside-mask test reads a literal,
     as ``(mask slot, value slot, outcome in fir)``.
@@ -416,13 +426,6 @@ class Template:
     slots: dict[int, int]
     tests: tuple[tuple[int, int, int], ...]
     checks: tuple[tuple[int, int, bool], ...]
-
-    def slot(self, constant: int) -> int:
-        """The slot of the skeleton values that holds ``constant`` of
-        ``fir``: ``values[slot]`` is the same constant of another
-        program of the skeleton, whose skeleton values are ``values``.
-        KeyError when ``constant`` is in no slot."""
-        return self.slots[constant]
 
     def necessary(self, values: Sequence[int]) -> dict | None:
         """The necessary tests of the program with skeleton ``values``,
@@ -436,11 +439,16 @@ class Template:
             for word, mask, value in self.tests
         }
 
+    def constants(self, values: Sequence[int]) -> dict[int, int]:
+        """Each constant in ``fir`` mapped to the same constant of the
+        program with skeleton ``values``, whose lowering is ``fir`` with
+        its constants so mapped."""
+        return {value: values[slot] for value, slot in self.slots.items()}
+
     def facts(self, values: Sequence[int]) -> tuple[int, tuple]:
         """Live node count and value numbers of the program with
         skeleton ``values``, as :attr:`SetEntry.facts`."""
-        constants = {value: values[slot] for value, slot in self.slots.items()}
-        numbers = value_numbers(self.fir, self.live, constants)
+        numbers = value_numbers(self.fir, self.live, self.constants(values))
         return len(self.live), tuple(numbers)
 
 
@@ -518,17 +526,17 @@ def lower_entry(
     entry: SetEntry,
     mode: ShortCircuitMode,
     templates: MutableMapping | None = None,
-) -> FilterIR | None:
+) -> None:
     """Record ``entry``'s necessary tests, and its template or facts, on
     the entry.
 
     ``templates`` is a compiled set's table from ``(mode, skeleton)`` to
     :class:`Template`.  A program whose skeleton it holds is read off
-    the template: its necessary tests are filled in from its literals,
-    nothing is lowered, and None is returned.  Otherwise the program is
-    lowered, the lowering becomes the template of a skeleton the table
-    lacks when it can, and it is returned for the caller to emit the
-    filter's first chain from.
+    the template: its necessary tests are filled in from its literals
+    and nothing is lowered.  Otherwise the program is lowered, and the
+    lowering becomes the template of a skeleton the table lacks when it
+    can.  Every chain holding an entry with a template reads it off
+    that template too (:func:`repro.core.irgen._emit_chain`).
     """
     known = None
     if templates is not None:
@@ -539,7 +547,7 @@ def lower_entry(
             necessary = known.necessary(values)
             if necessary is not None:
                 _record(entry, necessary, template=known, values=values)
-                return None
+                return
     fir = lower_program(entry.program, entry.report, mode)
     weighed: list = []
     tests = necessary_tests(fir, weighed)
@@ -549,18 +557,17 @@ def lower_entry(
         if template is not None:
             templates[key] = template
             _record(entry, necessary, template=template, values=values)
-            return fir
+            return
     live = live_nodes(fir)
     # A tuple, not the set: once its atoms are seen the collector
     # untracks it, where a thousand sets held by a compiled filter set
     # are re-traversed by every full collection.
     _record(entry, necessary, facts=(len(live), tuple(value_numbers(fir, live))))
-    return fir
 
 
-def _record(entry: SetEntry, necessary: dict, **lowered) -> None:
+def _record(entry: SetEntry, necessary: dict, **fields) -> None:
     object.__setattr__(entry, "necessary", necessary)
-    for name, value in lowered.items():
+    for name, value in fields.items():
         object.__setattr__(entry, name, value)
 
 
@@ -738,7 +745,6 @@ def dispatch_root(
     entries: Sequence[SetEntry],
     mode: ShortCircuitMode,
     previous: tuple[DispatchTree, RootIndex] | None,
-    lowered: dict,
     templates: MutableMapping,
 ) -> tuple[DispatchTree, RootIndex, frozenset | None]:
     """The dispatch tree over ``entries`` (in application order) and its
@@ -757,8 +763,7 @@ def dispatch_root(
 
     An attached entry whose necessary tests are not known gets them
     from :func:`lower_entry`, in application order: read off its
-    skeleton's template in ``templates``, or lowered, and then the
-    lowering is put in ``lowered`` for the caller's first chain.
+    skeleton's template in ``templates``, or lowered.
     Returns ``(tree, index, touched)``: ``touched`` are the bucket
     values whose leaves may differ from the previous tree's, or None
     when the root was regrouped.
@@ -777,9 +782,7 @@ def dispatch_root(
     attached = tuple(filterfalse(index.members.__contains__, ordered))
     for entry in attached:
         if entry.necessary is None:
-            fir = lower_entry(entry, mode, templates)
-            if fir is not None:
-                lowered[entry] = fir
+            lower_entry(entry, mode, templates)
     counts, cover = index.counts, index.cover
     for entry in gone:
         _count(counts, cover, entry.necessary, -1)

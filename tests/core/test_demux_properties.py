@@ -162,12 +162,28 @@ class TestDemuxAgainstOracle:
 
 # --- Engine.IR: a compile that reuses the previous set equals a cold one --
 
+#: Literals of the raw rules: the five fixed constants, two values of no
+#: fixed class, one inside the other's mask, and None, the rule's
+#: bucket value.  A rule's mask and compared value are one literal (an
+#: equal pair) or two.
+RAW_LITERALS = (*FIXED_CONSTANTS, 0x0F0F, 0x0F00, None)
+raw_literal = st.sampled_from(RAW_LITERALS)
+
 churn_steps = st.lists(
     st.tuples(
         st.sampled_from(["attach", "detach", "rebind", "copyall", "reorder"]),
         st.integers(0, 7),     # which attached port
         st.tuples(
-            st.sampled_from(["word", "high", "low", "wild"]),
+            st.one_of(
+                st.sampled_from(["word", "high", "low", "wild"]),
+                st.tuples(  # a raw rule: which word, (mask, compared value)
+                    st.sampled_from(["next", "same"]),
+                    st.one_of(
+                        raw_literal.map(lambda literal: (literal, literal)),
+                        st.tuples(raw_literal, raw_literal),
+                    ),
+                ),
+            ),
             st.integers(0, 3),  # discriminating word index
             st.integers(0, 3),  # required value
             st.integers(0, 1),  # priority: few classes, so ties reorder
@@ -182,7 +198,19 @@ churn_steps = st.lists(
 def churn_filter(kind, field, value, priority):
     """A filter of one of the shapes the dispatch root's paths turn on:
     a whole word, the high or low byte of one (two masks of one word,
-    which can tie), or an unbucketable disjunction."""
+    which can tie), or an unbucketable disjunction.  A raw rule pushes
+    every constant as a ``PUSHLIT`` literal, so that its skeleton holds
+    literals of every class: it requires ``value`` of word ``field``,
+    then compares the next word, or the same one again, under a mask."""
+    if not isinstance(kind, str):
+        which, literals = kind
+        mask, match = (value if v is None else v for v in literals)
+        other = field if which == "same" else (field + 1) % 4
+        return FilterProgram(asm(
+            ("PUSHWORD", field), ("PUSHLIT", "CAND", value),
+            ("PUSHWORD", other), ("PUSHLIT", "AND", mask),
+            ("PUSHLIT", "EQ", match),
+        ), priority=priority)
     if kind == "word":
         expr = word(field) == value
     elif kind == "high":
@@ -253,10 +281,21 @@ def assert_equals_cold(demux, packets, step):
     """``demux``, compiled against the set it replaced, has the
     ``ir_stats``, generated source and dispatch-tree structure of a
     demux compiled from nothing (whose tree is in turn the reference
-    builder's), and delivers as that demux does."""
+    builder's), delivers as that demux does, and holds each entry's
+    necessary tests and links each chain as its entries' own lowerings
+    make them."""
     twin = cold_twin(demux)
     assert demux.ir_stats == twin.ir_stats, step
     assert demux._ir.source == twin._ir.source, step
+    for entry in demux._ir._root.tree.entries:
+        own = lower_program(entry.program, entry.report, demux.mode)
+        assert entry.necessary == {
+            test.key: test.value for test in necessary_tests(own)
+        }, step
+    sources = {id(f): text for text, f in demux._ir._shapes.items()}
+    for link, context in linked_leaves(demux._ir):
+        linked = sources[id(link.factory)], link.arguments
+        assert linked == own_chain(link.tree.entries, context, demux.mode), step
     cold = twin._ir._root.tree
     assert tree_shape(demux._ir._root.tree) == tree_shape(cold), step
     reference = build_dispatch_tree(cold.entries, demux.mode)
@@ -267,21 +306,48 @@ def assert_equals_cold(demux, packets, step):
     drain(demux)
 
 
+def raw_attach(which, mask, match, value):
+    return ("attach", 0, ((which, (mask, match)), 0, value, 0, False))
+
+
 class TestIncrementalIRCompile:
     @given(
         churn_steps,
         st.lists(packet_word_lists, min_size=1, max_size=8),
         st.booleans(),
     )
+    # A rule of each fixed class, then one whose literal has none: they
+    # share a skeleton only if a fixed class is lost.
+    @example(
+        [raw_attach("next", fixed, fixed, 2) for fixed in FIXED_CONSTANTS]
+        + [raw_attach("next", 0x0F0F, 0x0F0F, 3)],
+        [[2, 0x0F0F, 0, 0], [3, 0x0F0F, 0, 0]], False,
+    )
+    # An equal pair, then its mask beside another value in a bucket of
+    # two and in a bucket alone, then the two swapped, whose value has
+    # bits outside its mask.
+    @example(
+        [raw_attach("next", 0x0F0F, 0x0F0F, 2),
+         raw_attach("next", 0x0F0F, 0x0F00, 2),
+         raw_attach("next", 0x0F0F, 0x0F00, 3),
+         raw_attach("next", 0x0F00, 0x0F0F, 3)],
+        [[2, 0x0F0F, 0, 0], [3, 0x0F00, 0, 0]], False,
+    )
+    # One skeleton whose probe folds its low bit test either way.
+    @example(
+        [raw_attach("same", 1, 1, 2), raw_attach("same", 1, 1, 3)],
+        [[2, 0, 0, 0], [3, 0, 0, 0]], False,
+    )
     @settings(max_examples=80, deadline=None)
     def test_every_step_equals_a_cold_compile(self, steps, packet_lists, cached):
         """Attach, detach, SETFILTER re-bind, copy-all flip and
         same-priority reorder each recompile against the previous set,
-        over whole-word, high-byte, low-byte and unbucketable filters
-        (root-key changes, tied masks of one word, the root's patch and
-        regroup paths); after every step the accepting ports,
-        ``ir_stats``, the generated source and the dispatch tree's
-        structure equal those of a demux compiled from nothing."""
+        over whole-word, high-byte, low-byte, unbucketable and raw
+        literal filters (root-key changes, tied masks of one word, the
+        root's patch and regroup paths); after every step the accepting
+        ports, ``ir_stats``, the generated source and the dispatch
+        tree's structure equal those of a demux compiled from nothing,
+        and every entry and chain its own lowering's."""
         packets = [pack_words(words) for words in packet_lists]
         demux = PacketFilterDemux(
             engine=Engine.IR,
@@ -311,9 +377,9 @@ class TestIncrementalIRCompile:
         paths = []
         dispatch_root = irgen.dispatch_root
 
-        def spy(entries, mode, previous, *rest):
+        def spy(entries, mode, previous, templates):
             tree, index, touched = dispatch_root(
-                entries, mode, previous, *rest
+                entries, mode, previous, templates
             )
             if previous is not None:  # not a cold twin's compile
                 paths.append("regroup" if touched is None else "patch")
@@ -492,6 +558,21 @@ def closure(function):
     return [cell.cell_contents for cell in function.__closure__ or ()]
 
 
+def own_chain(chain, context, mode):
+    """Factory source and call arguments of the leaf chain over the
+    entries ``chain`` under the probe ``context``, emitted from each
+    entry's own lowering: what a chain read off templates must equal."""
+    source, constants, _, _ = irgen._emit_bodies(
+        [
+            (lower_program(entry.program, entry.report, mode), None,
+             entry.copy_all)
+            for entry in chain
+        ],
+        context,
+    )
+    return source, (*irgen._result_constants(chain), *constants)
+
+
 class TestTemplateReadOff:
     @given(template_cases())
     # Each shape with literals of every class that a planted fault in the
@@ -561,12 +642,9 @@ class TestTemplateReadOff:
         }
         sources = {id(factory): text for text, factory in patched._shapes.items()}
         for link, context in linked_leaves(patched):
-            chain = link.tree.entries
-            source, constants, _, _ = irgen._emit_chain(chain, context, mode)
+            source, arguments = own_chain(link.tree.entries, context, mode)
             assert sources[id(link.factory)] == source, context
-            function = irgen._load_factory(source)(
-                *irgen._result_constants(chain), *constants
-            )
+            function = irgen._load_factory(source)(*arguments)
             assert closure(link.function) == closure(function), context
         fresh = compile_ir_set(
             [bound(e.key, e.program, e.copy_all) for e in entries], mode=mode
@@ -608,3 +686,85 @@ class TestTemplateReadOff:
         assert buckets[0x0902].factory is buckets[0x0900].factory
         packet = pack_words([2, 7, 0, 0, 6, 0x1000, 0x0902])
         assert compiled.classify(packet) == ((2,), 1)
+
+
+# --- Engine.IR: a chain of several entries equals their own lowerings -----
+
+
+@st.composite
+def several_entry_cases(draw):
+    """Rules whose chains hold several entries: one to three of the
+    shapes above and the unbucketable disjunction (merged into every
+    bucket), at drawn places, over literals of every class (fixed, equal
+    to another, equal to a probed value, other), with copy-all flags;
+    then a warm-up rule per rule, its literals of no fixed class renamed
+    (the same skeleton), whose lowering makes the template the rule is
+    read off; and the mode."""
+    names = draw(st.lists(
+        st.sampled_from(sorted(set(TEMPLATE_SHAPES) - {"either"})),
+        min_size=1, max_size=3,
+    ))
+    names.insert(draw(st.integers(0, len(names))), "either")
+    literal = st.sampled_from(FIXED_CONSTANTS + OTHER_LITERALS[:4])
+    rules = [
+        (name, tuple(draw(st.lists(
+            literal, min_size=shape_literals(name),
+            max_size=shape_literals(name),
+        ))), draw(st.booleans()))
+        for name in names
+    ]
+    renamed = dict(zip(OTHER_LITERALS, draw(st.permutations(OTHER_LITERALS))))
+    warm = [
+        (name, tuple(renamed.get(value, value) for value in literals), False)
+        for name, literals, _ in rules
+    ]
+    return rules, warm, draw(st.sampled_from(list(ShortCircuitMode)))
+
+
+class TestSeveralEntryChains:
+    @given(several_entry_cases())
+    @example((
+        [("five", (7, 6, 6, 0x0A00, 0x1234), False),
+         ("five", (7, 2, 0x0100, 0x0A00, 0x1234), False),
+         ("either", (7, 0x1234), False)],
+        [("five", (8, 6, 6, 0x0A00, 0x0F0F), False),
+         ("five", (8, 6, 0x1000, 0x0A00, 0x0F0F), False),
+         ("either", (8, 0x0F0F), False)],
+        ShortCircuitMode.PUSH_RESULT,
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_chains_equal_their_rules_own_lowerings(self, case):
+        """Every linked chain of a set whose rules are read off
+        templates (another rule's lowering each) was loaded from the
+        source, and called with the arguments, that its entries' own
+        lowerings emit under the same probe: the template's constants
+        are mapped to each rule's literals, chains of several entries
+        included."""
+        rules, warm, mode = case
+
+        def bound(key, name, literals, copy_all):
+            program = FilterProgram(TEMPLATE_SHAPES[name][1](literals))
+            try:
+                report = validate(
+                    program, level=LanguageLevel.EXTENDED, mode=mode
+                )
+            except ValidationError:  # a shape that needs R pushed
+                assume(False)
+            return SetEntry(key, program, report, copy_all)
+
+        known = compile_ir_set(
+            [bound(key, *rule) for key, rule in enumerate(warm)], mode=mode
+        )
+        entries = [bound(key, *rule) for key, rule in enumerate(rules)]
+        compiled = compile_ir_set(entries, mode=mode, previous=known)
+        sources = {
+            id(factory): text for text, factory in compiled._shapes.items()
+        }
+        leaves = linked_leaves(compiled)
+        assert any(len(link.tree.entries) > 1 for link, _ in leaves)
+        for link, context in leaves:
+            source, arguments = own_chain(link.tree.entries, context, mode)
+            assert sources[id(link.factory)] == source, context
+            assert link.arguments == arguments, context
+            function = irgen._load_factory(source)(*arguments)
+            assert closure(link.function) == closure(function), context

@@ -839,9 +839,10 @@ class TestEngineChurn:
         assert demux.flow_cache.hits >= before + len(packets)
 
     def test_a_never_seen_filter_is_lowered_once(self, monkeypatch):
-        # The lowering that yields a filter's necessary tests for the
-        # dispatch tree also feeds its first chain, and a filter whose
-        # skeleton the set knows is read off its template instead.
+        # A filter is lowered once, for the dispatch tree's necessary
+        # tests, and its chain is built from the template that lowering
+        # makes; a filter whose skeleton the set knows is read off its
+        # template instead.
         lowered = []
 
         def counting(program, *args, **kwargs):
