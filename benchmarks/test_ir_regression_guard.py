@@ -78,9 +78,10 @@ def _counting_loads(monkeypatch) -> list:
 
 
 def _counting_lowerings(monkeypatch) -> list:
-    """Patch ``lower_program`` where the set compiler calls it
-    (:mod:`repro.core.opt` and :mod:`repro.core.irgen`) to note each
-    program it lowers, in the returned list."""
+    """Patch ``lower_program`` where the set compiler calls it,
+    :mod:`repro.core.opt` alone (the code generator lowers nothing), to
+    note each program it lowers, in the returned list."""
+    assert not hasattr(irgen, "lower_program"), "irgen lowers rules too"
     lower_program = opt.lower_program
     lowered = []
 
@@ -89,7 +90,6 @@ def _counting_lowerings(monkeypatch) -> list:
         return lower_program(program, *args)
 
     monkeypatch.setattr(opt, "lower_program", counting)
-    monkeypatch.setattr(irgen, "lower_program", counting)
     return lowered
 
 
@@ -332,6 +332,64 @@ def test_a_rebind_into_a_chain_of_two_lowers_nothing(monkeypatch, emit):
         packet = _acl_packet(1024 + slot, 0x4000 + serial)
         assert compiled.classify(packet) == ((slot,), 1)
     emit(f"re-bind into a chain of two: {len(lowered)} rules lowered")
+
+
+def _folding_rule() -> FilterProgram:
+    """A rule whose lowering folds two of its literals (``5 != 7``), so
+    that no other rule of its skeleton can share its template, and that
+    no bucket can hold apart: it is merged into every bucket."""
+    return FilterProgram(asm(
+        ("PUSHWORD", 2), ("PUSHLIT", "EQ", 9), ("PUSHLIT", 5),
+        ("PUSHLIT", "NEQ", 7), "OR",
+    ), priority=5)
+
+
+def test_a_rule_with_its_own_template_is_lowered_once(monkeypatch, emit):
+    """200 one-skeleton :func:`_acl_rule` rules and
+    :func:`_folding_rule`, which is in every bucket's chain: a cold
+    compile plus one ``source`` read lowers one rule of each skeleton,
+    a re-bind of a rule of the known skeleton lowers none, and a
+    re-bind of the folding rule lowers it alone, not again for each
+    chain it is in (203, 1 and 202 while a rule without a shared
+    template was lowered again per chain).  Counted, not timed."""
+    programs = [
+        _acl_rule(1024 + slot, 1000 + slot) for slot in range(CATCH_ALL_RULES)
+    ]
+    entries = _entries([*programs, _folding_rule()])
+    lowered = _counting_lowerings(monkeypatch)
+    compiled = compile_ir_set(entries)
+    buckets = compiled._root.buckets
+    assert len(buckets) == CATCH_ALL_RULES
+    assert all(len(link.tree.entries) == 2 for link in buckets.values())
+    compiled.source
+    cold = len(lowered)
+    assert cold <= 2, (
+        f"{cold} rules lowered compiling and listing {CATCH_ALL_RULES} "
+        "rules and a folding rule"
+    )
+    slot = 7
+    program = _acl_rule(1024 + slot, 0x4000)
+    entries = [entry for entry in entries if entry.key != slot]
+    entries.insert(-1, SetEntry(slot, program, validate(program), False))
+    del lowered[:]
+    compiled = compile_ir_set(entries, previous=compiled)
+    known = len(lowered)
+    assert known == 0, f"{known} rules lowered re-binding a known skeleton"
+    program = _folding_rule()
+    entries[-1] = SetEntry(CATCH_ALL_RULES, program, validate(program), False)
+    del lowered[:]
+    compiled = compile_ir_set(entries, previous=compiled)
+    folding = len(lowered)
+    assert folding == 1, f"{folding} rules lowered re-binding the folding rule"
+    assert compiled.classify(_acl_packet(1024 + slot, 0x4000)) == ((slot,), 1)
+    assert compiled.classify(_acl_packet(1024 + 8, 1009)) == (
+        (CATCH_ALL_RULES,), 2
+    )
+    emit(
+        f"{CATCH_ALL_RULES} rules and a folding rule: {cold} lowered "
+        f"compiling and listing, {known} re-binding a known skeleton, "
+        f"{folding} re-binding the folding rule"
+    )
 
 
 def test_a_rebind_that_moves_the_root_key_lowers_nothing(monkeypatch, emit):

@@ -13,11 +13,10 @@ Three layers, bottom up:
   stretch of words.
 
 * A *leaf chain* is the unit of compilation: the filters one dispatch
-  leaf evaluates in order, each read off its skeleton's template (below)
-  or lowered (:func:`repro.core.ir.lower_program`), *specialized* to the
-  bucket's probe value (a filter's own test of the dispatched field
-  folds away; the probe already paid for it) and emitted as one
-  function.  Values any two bodies in a chain share are
+  leaf evaluates in order, each built from its template (below),
+  *specialized* to the bucket's probe value (a filter's own test of the
+  dispatched field folds away; the probe already paid for it) and
+  emitted as one function.  Values any two bodies in a chain share are
   hoisted into the chain preamble, loaded through a never-faulting
   padded form so the preamble cannot raise on behalf of a body whose own
   length guard would have exited first.  Result keys and constants stay
@@ -34,17 +33,22 @@ Three layers, bottom up:
   shape share one loaded factory: the set keeps a table from shape text
   to factory, handed from set to set, so ``compile()`` runs once per
   shape, and a shape leaves the table with its last linked chain.  The
-  dispatch probe is one more shape.  Rules of one *skeleton* (the same
+  dispatch probe is one more shape.  Rules are lowered only by
+  :func:`repro.core.opt.lower_entry`, which gives every rule a
+  :class:`repro.core.opt.Template`.  Rules of one *skeleton* (the same
   instruction words, their literals in the same classes:
-  :func:`repro.core.opt.skeleton`) share one lowering: the set keeps a
-  second table, from skeleton to :class:`repro.core.opt.Template`, and a
-  rule whose skeleton it holds is read off, not lowered — its necessary
-  tests filled in from its literals, and every chain it is in built
-  from the template's lowering with the template's constants mapped to
-  its literals.  A one-entry chain's source and arguments are taken
-  from the template's chain for that probe, which is emitted once per
-  skeleton and kept in a third table, keyed weakly by template.  A
-  template leaves the table with its last entry.  Each link keeps the
+  :func:`repro.core.opt.skeleton`) share one lowering when they can: the
+  set keeps a second table, from skeleton to template, and a rule whose
+  skeleton it holds is read off, not lowered — its necessary tests
+  filled in from its literals.  A rule whose lowering no other rule can
+  share (it folds a literal, say) has a template of its own.  Every
+  chain builds each rule from its template's lowering with the
+  template's constants mapped to the rule's
+  (:meth:`repro.core.opt.Template.constants`).  A one-entry chain's
+  source is taken from the template's chain for that probe, which is
+  emitted once per template and kept in a third table, keyed weakly by
+  template, and its arguments are that chain's constants so mapped.  A
+  template leaves the tables with its last entry.  Each link keeps the
   arguments its factory was called with, so the set's listing is read
   off its links.  Nothing is kept process-wide.
 """
@@ -53,13 +57,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from struct import Struct
 from typing import Callable, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary, WeakValueDictionary
 
 from .interpreter import ShortCircuitMode
 from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueGraph
-from .ir import lower_program
 from .opt import (
     DispatchTree,
     RootIndex,
@@ -352,18 +354,16 @@ def _result_constants(entries: Sequence[SetEntry]) -> list:
 
 
 def _emit_chain(
-    entries: Sequence[SetEntry],
-    context: Mapping[tuple[int, int], int],
-    mode: ShortCircuitMode,
+    entries: Sequence[SetEntry], context: Mapping[tuple[int, int], int]
 ) -> tuple[str, list, int, int]:
     """Factory source, its constants, hoist count and fold count for
-    the leaf chain over ``entries``: an entry with a template is read
-    off it, any other is lowered here.  See :func:`_emit_bodies`."""
+    the leaf chain over ``entries``, each built from its template's
+    lowering with the template's constants mapped to the entry's
+    (:meth:`repro.core.opt.Template.constants`).  See
+    :func:`_emit_bodies`."""
     return _emit_bodies([
         (entry.template.fir, entry.template.constants(entry.values),
-         entry.copy_all) if entry.template is not None
-        else (lower_program(entry.program, entry.report, mode), None,
-              entry.copy_all)
+         entry.copy_all)
         for entry in entries
     ], context)
 
@@ -509,17 +509,16 @@ def _template_chain(
     word: int | None,
     chains: WeakKeyDictionary,
 ) -> tuple | None:
-    """The one-entry chain of ``template``'s skeleton, specialized to a
-    probe of the whole of packet word ``word`` (None: no probe, or one
-    of a masked word, which specializes nothing): ``(source, hoist
-    count, recipe)``, emitted from the template's own lowering the first
+    """The one-entry chain of ``template``, specialized to a probe of
+    the whole of packet word ``word`` (None: no probe, or one of a
+    masked word, which specializes nothing): ``(source, hoist count,
+    constants)``, emitted from the template's own lowering the first
     time it is asked for and kept in ``chains`` (the set's table from
     template to its chains by copy-all flag and probed word).  The
-    recipe names what fills each ``_k<i>``: a slot of the rule's
-    skeleton values, or a run of slots packed to bytes.  None when the
-    specialization folds a constant, so that another rule of the
-    skeleton could emit other text: such a chain is emitted for every
-    rule (:func:`_emit_chain`)."""
+    constants are the template's own, each bytes run as its words;
+    :func:`_fill` maps them to a rule's.  None when the specialization folds a constant, so that
+    another rule of the template could emit other text: such a chain is
+    emitted for every rule (:func:`_emit_chain`)."""
     own = chains.get(template)
     if own is None:
         own = chains[template] = {}
@@ -532,38 +531,25 @@ def _template_chain(
         source, constants, hoisted, folds = _emit_bodies(
             [(template.fir, None, copy_all)], context
         )
-        own[key] = None if folds else (
-            source, hoisted, _recipe(constants, template.values.index)
-        )
+        own[key] = None if folds else (source, hoisted, [
+            tuple(
+                int.from_bytes(constant[i:i + 2], "big")
+                for i in range(0, len(constant), 2)
+            ) if isinstance(constant, bytes) else constant
+            for constant in constants
+        ])
     return own[key]
 
 
-def _recipe(constants: list, slot: Callable[[int], int]) -> tuple:
-    """Each of ``constants`` as the slot its value came from, a bytes
-    run as its packer and the slot of each of its words.  A chain that
+def _fill(constants: list, mapped: Mapping[int, int]) -> list:
+    """``constants``, a template's chain's, as ``mapped`` (the
+    template's constants mapped to a rule's) makes them: a chain that
     folded nothing holds only the lowering's constants and the probe
-    value, each in a slot; the first slot holding a value holds the
-    same constant in every program of the skeleton."""
-    recipe = []
-    for constant in constants:
-        if isinstance(constant, bytes):
-            words = tuple(
-                slot(int.from_bytes(constant[i:i + 2], "big"))
-                for i in range(0, len(constant), 2)
-            )
-            recipe.append((Struct(f">{len(words)}H").pack, words))
-        else:
-            recipe.append(slot(constant))
-    return tuple(recipe)
-
-
-def _fill(recipe: tuple, values: tuple) -> list:
-    """The constants ``recipe`` names, for a rule with skeleton
-    ``values``."""
+    value, alone or, a tuple of words, packed into a bytes run."""
     return [
-        values[slot] if slot.__class__ is int
-        else slot[0](*map(values.__getitem__, slot[1]))
-        for slot in recipe
+        b"".join([mapped[word].to_bytes(2, "big") for word in constant])
+        if constant.__class__ is tuple else mapped[constant]
+        for constant in constants
     ]
 
 
@@ -608,7 +594,6 @@ class _Link(NamedTuple):
 def _link(
     tree: DispatchTree,
     previous: _Link | None,
-    mode: ShortCircuitMode,
     touched: frozenset | None,
     shapes: WeakValueDictionary,
     chains: WeakKeyDictionary,
@@ -619,10 +604,10 @@ def _link(
     leaves may differ from ``previous``'s, so the bucket maps are copies
     of the previous ones with those values replaced.  ``shapes`` maps
     factory source to the factory loaded from it; only a source it
-    lacks is compiled.  A one-entry leaf whose entry has a template is
-    read off it: the template's chain for the probe (from ``chains``,
-    see :func:`_template_chain`), instantiated with the entry's results
-    and literals."""
+    lacks is compiled.  A one-entry leaf is read off its entry's
+    template: the template's chain for the probe (from ``chains``, see
+    :func:`_template_chain`), instantiated with the entry's results and
+    constants."""
     if previous is not None and previous.tree is tree:
         return previous
 
@@ -636,10 +621,10 @@ def _link(
         """``leaf``'s chain, compiled under the probe value ``context``."""
         entries = leaf.entries
         chain = None
-        if len(entries) == 1 and entries[0].template is not None:
+        if len(entries) == 1:
             # A bucket's one entry requires the probed value, so the
             # probe specializes its own test of a whole word away.
-            entry = entries[0]
+            (entry,) = entries
             word = next(
                 (index for index, mask in context if mask == 0xFFFF), None
             )
@@ -647,10 +632,10 @@ def _link(
                 entry.template, entry.copy_all, word, chains
             )
         if chain is not None:
-            source, hoisted, recipe = chain
-            constants = _fill(recipe, entry.values)
+            source, hoisted, own = chain
+            constants = _fill(own, entry.template.constants(entry.values))
         else:
-            source, constants, hoisted, _ = _emit_chain(entries, context, mode)
+            source, constants, hoisted, _ = _emit_chain(entries, context)
         factory = load(source)
         arguments = (*_result_constants(entries), *constants)
         return _Link(
@@ -801,7 +786,7 @@ def compile_ir_set(
 ) -> CompiledIRSet:
     """Compile ``entries`` (already validated, in application order):
     group the dispatch tree's root (:func:`repro.core.opt.dispatch_root`),
-    then read off or lower → specialize → emit each leaf chain,
+    then read off templates → specialize → emit each leaf chain,
     ``compile()`` each new chain shape, and link the chains under the
     root's hash probe.
 
@@ -823,13 +808,14 @@ def compile_ir_set(
     A newly attached entry whose skeleton has a template in the set's
     template table is not lowered: its necessary tests (kept on the
     entry, for the tree to group by) are read off the template by its
-    literals.  Otherwise it is lowered once, for its necessary tests,
-    and the lowering becomes its skeleton's template when it can.  Every
-    chain builds an entry with a template from it, and a one-entry
-    chain's text and arguments are read off the template's chain for
-    its probe; only an entry without a template is lowered again, for
-    each chain it is in.  A chain's factory is loaded only when no chain
-    of its shape is linked in ``previous`` or earlier in this compile.
+    literals.  Otherwise it is lowered once
+    (:func:`repro.core.opt.lower_entry`), and the lowering becomes its
+    skeleton's template when every rule of the skeleton can share it, or
+    else the entry's own.  Nothing here lowers: every chain builds each
+    entry from its template, and a one-entry chain's text and arguments
+    are read off the template's chain for its probe.  A chain's factory
+    is loaded only when no chain of its shape is linked in ``previous``
+    or earlier in this compile.
     The shape and template tables, and the one holding each template's
     chains, are handed on with the root's tallies and hold their
     contents weakly.
@@ -845,8 +831,7 @@ def compile_ir_set(
         templates,
     )
     root = _link(
-        tree, previous._root if previous else None, mode, touched, shapes,
-        chains,
+        tree, previous._root if previous else None, touched, shapes, chains
     )
     return CompiledIRSet(
         size=len(tree.entries),

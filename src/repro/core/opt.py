@@ -405,15 +405,19 @@ def skeleton(program: FilterProgram) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @dataclass(eq=False, slots=True, weakref_slot=True)
 class Template:
-    """What lowering a program derives, with each literal value replaced
-    by its slot in :func:`skeleton`'s values: shared by every program of
-    one skeleton, which is read off it instead of lowered.
+    """What lowering a program derives, with each constant replaced by
+    its slot in the program's values: every chain holding the program
+    is built from it, and so is every program read off it.
 
-    Made by :func:`lower_entry` from the first lowering of a skeleton a
-    compile meets, and kept in a table on the compiled set, handed from
-    set to set and held weakly, so a template lives while an entry reads
-    from it.  ``fir`` is that lowering, ``values`` its skeleton values
-    and ``live`` its live nodes; ``slots`` maps each constant in ``fir``
+    Made by :func:`lower_entry`.  A skeleton's template is the first
+    lowering of it a compile meets that every program of the skeleton
+    can share; it is kept in a table on the compiled set, handed from
+    set to set and held weakly, so it lives while an entry reads from
+    it.  Any other lowering is its program's own template, which only
+    its entry holds.  ``fir`` is the lowering and ``values`` its
+    program's :func:`skeleton` values, followed in a program's own
+    template by each other constant of the lowering and its tests.
+    ``live`` are its live nodes; ``slots`` maps each constant in ``fir``
     to its slot (read it through :meth:`constants`).  ``tests`` are the
     necessary tests as ``(word, mask slot, value slot)``; ``checks`` are
     the masked equalities whose value-outside-mask test reads a literal,
@@ -454,37 +458,46 @@ class Template:
 
 def _template(
     fir: FilterIR, tests: frozenset, weighed: list, values: tuple
-) -> Template | None:
-    """``fir``'s :class:`Template`, or None when another program of its
-    skeleton could lower otherwise than by its values: a fold read a
-    constant, a mask combines a literal with another constant, or two
-    necessary tests share a key (which one is kept depends on the
-    values)."""
-    if fir.graph.folds:
-        return None
+) -> tuple[Template, bool]:
+    """``fir``'s :class:`Template`, and whether every program of its
+    skeleton can share it: not when one could lower otherwise than by
+    its values, because a fold read a constant, a mask combines a
+    literal with another constant, or two necessary tests share a key
+    (which one is kept depends on the values).  A template no other
+    program can share gives each constant of ``fir`` and each test mask
+    that is neither a literal nor fixed a slot after ``values``, and
+    checks nothing."""
     count = len(values) - len(FIXED_CONSTANTS)
     slots = {value: count + i for i, value in enumerate(FIXED_CONSTANTS)}
     for slot in range(count):
         slots.setdefault(values[slot], slot)
+    live = tuple(sorted(live_nodes(fir)))
+    shared = not fir.graph.folds and len({t.key for t in tests}) == len(tests)
+    checks = set()
     # Without folds every constant in ``fir`` is a literal or fixed, and
     # so is an AND of fixed masks: each has a slot.
-    checks = set()
-    for _, masks, value in weighed:
+    for _, masks, value in weighed if shared else ():
         if len(masks) > 1 and any(slots[mask] < count for mask in masks):
-            return None
+            shared = False
+            break
         mask = slots[reduce(and_, masks, 0xFFFF)]
         value = slots[value]
         if mask < count or value < count:
             checks.add((mask, value, not values[value] & ~values[mask]))
+    if not shared:
+        node = fir.graph.node
+        for constant in [
+            *(node(nid).arg0 for nid in live if node(nid).kind == CONST),
+            *(test.mask for test in tests),
+        ]:
+            if constant not in slots:
+                slots[constant] = len(values)
+                values += (constant,)
     keyed = tuple(
         (test.index, slots[test.mask], slots[test.value]) for test in tests
     )
-    if len({(word, mask) for word, mask, _ in keyed}) < len(keyed):
-        return None
-    return Template(
-        fir, values, tuple(sorted(live_nodes(fir))), slots, keyed,
-        tuple(checks),
-    )
+    checks = tuple(checks) if shared else ()
+    return Template(fir, values, live, slots, keyed, checks), shared
 
 
 @dataclass(frozen=True, eq=False)
@@ -503,11 +516,11 @@ class SetEntry:
     sees the entry; an entry belongs to one short-circuit mode, that of
     the set it is bound into.  ``necessary`` is the filter's
     :func:`necessary_tests` as ``{(word, mask): value}``.  ``template``
-    is its skeleton's :class:`Template` and ``values`` its skeleton
-    values, when it has one.  ``facts`` are its live node count and
-    value numbers (its share of :class:`repro.core.irgen.IRStats`): of
-    an entry with a template, made from it when the stats are first
-    read.
+    is the :class:`Template` it is read off, its skeleton's or its own,
+    and ``values`` what fills that template's slots.  ``facts`` are its
+    live node count and value numbers (its share of
+    :class:`repro.core.irgen.IRStats`), made from its template when the
+    stats are first read.
     """
 
     key: Hashable
@@ -527,48 +540,34 @@ def lower_entry(
     mode: ShortCircuitMode,
     templates: MutableMapping | None = None,
 ) -> None:
-    """Record ``entry``'s necessary tests, and its template or facts, on
-    the entry.
+    """Record ``entry``'s necessary tests, template and values on the
+    entry: the one place a rule is lowered.
 
     ``templates`` is a compiled set's table from ``(mode, skeleton)`` to
     :class:`Template`.  A program whose skeleton it holds is read off
     the template: its necessary tests are filled in from its literals
     and nothing is lowered.  Otherwise the program is lowered, and the
-    lowering becomes the template of a skeleton the table lacks when it
-    can.  Every chain holding an entry with a template reads it off
-    that template too (:func:`repro.core.irgen._emit_chain`).
+    lowering becomes the template of a skeleton the table lacks when
+    every program of the skeleton can share it, or else the entry's own
+    template.  Every chain holding the entry is built from its template
+    (:func:`repro.core.irgen._emit_chain`).
     """
-    known = None
-    if templates is not None:
-        shape, values = skeleton(entry.program)
-        key = (mode, shape)
-        known = templates.get(key)
-        if known is not None:
-            necessary = known.necessary(values)
-            if necessary is not None:
-                _record(entry, necessary, template=known, values=values)
-                return
-    fir = lower_program(entry.program, entry.report, mode)
-    weighed: list = []
-    tests = necessary_tests(fir, weighed)
-    necessary = {test.key: test.value for test in tests}
-    if templates is not None and known is None:
-        template = _template(fir, tests, weighed, values)
-        if template is not None:
+    shape, values = skeleton(entry.program)
+    key = (mode, shape)
+    template = known = None if templates is None else templates.get(key)
+    necessary = None if known is None else known.necessary(values)
+    if necessary is None:
+        fir = lower_program(entry.program, entry.report, mode)
+        weighed: list = []
+        tests = necessary_tests(fir, weighed)
+        template, shared = _template(fir, tests, weighed, values)
+        if shared and known is None and templates is not None:
             templates[key] = template
-            _record(entry, necessary, template=template, values=values)
-            return
-    live = live_nodes(fir)
-    # A tuple, not the set: once its atoms are seen the collector
-    # untracks it, where a thousand sets held by a compiled filter set
-    # are re-traversed by every full collection.
-    _record(entry, necessary, facts=(len(live), tuple(value_numbers(fir, live))))
-
-
-def _record(entry: SetEntry, necessary: dict, **fields) -> None:
+        necessary = {test.key: test.value for test in tests}
+        values = template.values
     object.__setattr__(entry, "necessary", necessary)
-    for name, value in fields.items():
-        object.__setattr__(entry, name, value)
+    object.__setattr__(entry, "template", template)
+    object.__setattr__(entry, "values", values)
 
 
 @dataclass(frozen=True)

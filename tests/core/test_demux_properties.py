@@ -183,6 +183,11 @@ churn_steps = st.lists(
                         st.tuples(raw_literal, raw_literal),
                     ),
                 ),
+                st.tuples(  # a raw rule folding two literals: join, operator
+                    st.sampled_from(["either", "both"]),
+                    st.sampled_from(["XOR", "NEQ", "AND"]),
+                    st.tuples(raw_literal, raw_literal),
+                ),
             ),
             st.integers(0, 3),  # discriminating word index
             st.integers(0, 3),  # required value
@@ -201,7 +206,26 @@ def churn_filter(kind, field, value, priority):
     which can tie), or an unbucketable disjunction.  A raw rule pushes
     every constant as a ``PUSHLIT`` literal, so that its skeleton holds
     literals of every class: it requires ``value`` of word ``field``,
-    then compares the next word, or the same one again, under a mask."""
+    then compares the next word, or the same one again, under a mask.
+    A raw folding rule applies an operator to two literals, which its
+    lowering folds: ``both`` compares the next word with the result, a
+    one-entry leaf in its bucket; ``either`` accepts on the result or on
+    ``value`` of word ``field``, merged into every bucket unless the
+    result is 0."""
+    if not isinstance(kind, str) and len(kind) == 3:
+        join, operator, literals = kind
+        left, right = (value if v is None else v for v in literals)
+        folded = (("PUSHLIT", left), ("PUSHLIT", operator, right))
+        if join == "either":
+            program = asm(
+                ("PUSHWORD", field), ("PUSHLIT", "EQ", value), *folded, "OR"
+            )
+        else:
+            program = asm(
+                ("PUSHWORD", field), ("PUSHLIT", "CAND", value),
+                ("PUSHWORD", (field + 1) % 4), *folded, "EQ",
+            )
+        return FilterProgram(program, priority=priority)
     if not isinstance(kind, str):
         which, literals = kind
         mask, match = (value if v is None else v for v in literals)
@@ -310,6 +334,10 @@ def raw_attach(which, mask, match, value):
     return ("attach", 0, ((which, (mask, match)), 0, value, 0, False))
 
 
+def fold_attach(join, literal, value):
+    return ("attach", 0, ((join, "XOR", (literal, None)), 0, value, 0, False))
+
+
 class TestIncrementalIRCompile:
     @given(
         churn_steps,
@@ -338,16 +366,30 @@ class TestIncrementalIRCompile:
         [raw_attach("same", 1, 1, 2), raw_attach("same", 1, 1, 3)],
         [[2, 0, 0, 0], [3, 0, 0, 0]], False,
     )
+    # A rule read off the template of a rule since detached, alone in
+    # the set: no probe specializes its own test away.
+    @example(
+        [("attach", 0, ("word", 0, value, 0, False)) for value in (2, 3)]
+        + [("detach", 0, ("word", 0, 0, 0, False))],
+        [[2, 0, 0, 0], [3, 0, 0, 0]], False,
+    )
+    # Rules of one skeleton whose lowerings fold two literals to another
+    # value each: alone in their buckets, then merged into every bucket.
+    @example(
+        [fold_attach(join, 0x0F0F, value)
+         for join in ("both", "either") for value in (2, 3)],
+        [[2, 0x0F0D, 0, 0], [3, 0x0F0C, 0, 0]], False,
+    )
     @settings(max_examples=80, deadline=None)
     def test_every_step_equals_a_cold_compile(self, steps, packet_lists, cached):
         """Attach, detach, SETFILTER re-bind, copy-all flip and
         same-priority reorder each recompile against the previous set,
-        over whole-word, high-byte, low-byte, unbucketable and raw
-        literal filters (root-key changes, tied masks of one word, the
-        root's patch and regroup paths); after every step the accepting
-        ports, ``ir_stats``, the generated source and the dispatch
-        tree's structure equal those of a demux compiled from nothing,
-        and every entry and chain its own lowering's."""
+        over whole-word, high-byte, low-byte, unbucketable, raw literal
+        and literal-folding filters (root-key changes, tied masks of one
+        word, the root's patch and regroup paths); after every step the
+        accepting ports, ``ir_stats``, the generated source and the
+        dispatch tree's structure equal those of a demux compiled from
+        nothing, and every entry and chain its own lowering's."""
         packets = [pack_words(words) for words in packet_lists]
         demux = PacketFilterDemux(
             engine=Engine.IR,
@@ -668,7 +710,6 @@ class TestTemplateReadOff:
             return lower_program(program, *args)
 
         monkeypatch.setattr(opt, "lower_program", counting)
-        monkeypatch.setattr(irgen, "lower_program", counting)
         build = TEMPLATE_SHAPES["five"][1]
         rules = [
             SetEntry(slot, program, validate(program), False)

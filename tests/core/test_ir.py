@@ -535,8 +535,9 @@ class TestWordRunCoalescing:
             for dport, host in ((1024, 1), (1025, 3))
         ]
         entries = [entry(i, p) for i, p in enumerate(programs)]
-        mode = ShortCircuitMode.PUSH_RESULT
-        source, constants, _, _ = irgen._emit_chain(entries, {}, mode)
+        for each in entries:
+            opt.lower_entry(each, ShortCircuitMode.PUSH_RESULT)
+        source, constants, _, _ = irgen._emit_chain(entries, {})
         assert re.search(r"if _h\d+ == 0: break", source)
         assert slices(source) == [(0, 4), (0, 4)]
         chain = irgen._load_factory(source)(
@@ -779,6 +780,40 @@ class TestRebindMemory:
         }
         assert not grown, grown
 
+    def test_own_templates_die_with_their_bindings(self):
+        """Re-binding one port through 30 rules of one skeleton whose
+        lowerings fold two literals gives each rule a template of its
+        own: the set's template table never holds it, its chain table
+        keys only templates of linked entries, and each replaced rule's
+        template is freed with its binding."""
+        demux, ports = self.make()
+        port = ports[3]
+        replaced = None
+        for serial in range(30):
+            demux.detach(port)
+            port.bind_filter(FilterProgram(asm(
+                ("PUSHWORD", 6), ("PUSHLIT", "CAND", 0x7103),
+                ("PUSHWORD", 7), ("PUSHLIT", 0x1000 + serial),
+                ("PUSHLIT", "XOR", 0x0F0F), "EQ",
+            ), priority=10))
+            demux.attach(port)
+            demux.ir_stats  # compile against the replaced set
+            compiled = demux._ir
+            entries = compiled._root.tree.entries
+            own = next(entry.template for entry in entries if entry.key == 3)
+            held = {id(template) for template in compiled._templates.values()}
+            linked = {id(entry.template) for entry in entries}
+            assert id(own) not in held, serial
+            assert held <= linked, serial
+            assert own in compiled._chains, serial
+            assert {id(template) for template in compiled._chains} <= linked
+            if replaced is not None:
+                assert replaced() is None, f"serial {serial - 1}'s kept"
+            replaced = weakref.ref(own)
+            packet = pack_words([0, 0, 0, 0, 0, 0, 0x7103, 0x1F0F ^ serial])
+            assert demux.deliver(packet).accepted_by == (3,)
+            port.read_packets()
+
 
 # ---------------------------------------------------------------------------
 # Engine.IR under binding churn
@@ -850,7 +885,6 @@ class TestEngineChurn:
             return lower_program(program, *args, **kwargs)
 
         monkeypatch.setattr(opt, "lower_program", counting)
-        monkeypatch.setattr(irgen, "lower_program", counting)
         demux, ports = self.make()
         demux.deliver(b"")
         # Word 7 is tested against 0, 1 and four other values: three
