@@ -135,9 +135,9 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(
             entries, previous=compiled
         )
         compiles = len(compiled_sources)
-        kept = {id(node) for node in _nodes(previous._root.tree)}
+        kept = {id(node) for node in _nodes(previous._root)}
         rebuilt = [
-            node for node in _nodes(compiled._root.tree)
+            node for node in _nodes(compiled._root)
             if id(node) not in kept
         ]
         assert compiles == new_shape, (
@@ -153,7 +153,7 @@ def test_rebind_against_the_previous_set_rebuilds_one_bucket(
     emit(
         "re-bind against the previous set: 0 chains compiled for a known "
         f"shape, 1 for a new one; {len(rebuilt)} of "
-        f"{len(list(_nodes(compiled._root.tree)))} tree nodes rebuilt"
+        f"{len(list(_nodes(compiled._root)))} tree nodes rebuilt"
     )
 
 
@@ -246,7 +246,7 @@ def test_adversarial_compile_and_listing_lower_once_per_skeleton(
     compiled = compile_ir_set(_entries(programs))
     compiling = len(lowered)
     (bucket,) = compiled._root.buckets.values()
-    assert len(bucket.tree.entries) == COLD_RULES
+    assert len(bucket.entries) == COLD_RULES
     compiled.source
     listing = len(lowered) - compiling
     skeletons = {opt.skeleton(program)[0] for program in programs}
@@ -287,7 +287,7 @@ def test_catch_all_compile_and_listing_lower_once_per_skeleton(
     compiled = compile_ir_set(_entries(programs))
     buckets = compiled._root.buckets
     assert len(buckets) == CATCH_ALL_RULES
-    assert all(len(link.tree.entries) == 2 for link in buckets.values())
+    assert all(len(leaf.entries) == 2 for leaf in buckets.values())
     compiled.source
     assert len(lowered) <= 2, (
         f"{len(lowered)} rules lowered compiling and listing "
@@ -323,7 +323,7 @@ def test_a_rebind_into_a_chain_of_two_lowers_nothing(monkeypatch, emit):
         del lowered[:]
         compiled = compile_ir_set(entries, previous=compiled)
         leaf = compiled._root.buckets[(0x4000 + serial) ^ 0x5555]
-        assert [entry.key for entry in leaf.tree.entries] == [
+        assert [entry.key for entry in leaf.entries] == [
             slot, REBIND_RULES
         ]
         assert len(lowered) == 0, (
@@ -360,7 +360,7 @@ def test_a_rule_with_its_own_template_is_lowered_once(monkeypatch, emit):
     compiled = compile_ir_set(entries)
     buckets = compiled._root.buckets
     assert len(buckets) == CATCH_ALL_RULES
-    assert all(len(link.tree.entries) == 2 for link in buckets.values())
+    assert all(len(leaf.entries) == 2 for leaf in buckets.values())
     compiled.source
     cold = len(lowered)
     assert cold <= 2, (
@@ -387,6 +387,68 @@ def test_a_rule_with_its_own_template_is_lowered_once(monkeypatch, emit):
     )
     emit(
         f"{CATCH_ALL_RULES} rules and a folding rule: {cold} lowered "
+        f"compiling and listing, {known} re-binding a known skeleton, "
+        f"{folding} re-binding the folding rule"
+    )
+
+
+EMITTED_COLD = 2
+"""Chains :func:`test_a_chain_is_emitted_once_per_key` may emit for a
+cold compile and one ``source`` read, and for a re-bind of the folding
+rule: the buckets' one key and the fallback's."""
+
+
+def test_a_chain_is_emitted_once_per_key(monkeypatch, emit):
+    """200 one-skeleton :func:`_acl_rule` rules and
+    :func:`_folding_rule`, which is in every bucket's chain of two: a
+    cold compile plus one ``source`` read emits one chain for the 200
+    buckets and one for the fallback, a re-bind of a rule of the known
+    skeleton emits none, and a re-bind of the folding rule emits one per
+    key again, not one per bucket (201, 1 and 201 while every chain of
+    several entries was emitted each time it was linked).  Counted, not
+    timed."""
+    emit_bodies = irgen._emit_bodies
+    emitted = []
+
+    def counting(lowerings, context):
+        emitted.append(context)
+        return emit_bodies(lowerings, context)
+
+    monkeypatch.setattr(irgen, "_emit_bodies", counting)
+    programs = [
+        _acl_rule(1024 + slot, 1000 + slot) for slot in range(CATCH_ALL_RULES)
+    ]
+    entries = _entries([*programs, _folding_rule()])
+    compiled = compile_ir_set(entries)
+    assert len(compiled._root.buckets) == CATCH_ALL_RULES
+    compiled.source
+    cold = len(emitted)
+    assert cold <= EMITTED_COLD, (
+        f"{cold} chains emitted compiling and listing {CATCH_ALL_RULES} "
+        "rules and a folding rule"
+    )
+    slot = 7
+    program = _acl_rule(1024 + slot, 0x4000)
+    entries = [entry for entry in entries if entry.key != slot]
+    entries.insert(-1, SetEntry(slot, program, validate(program), False))
+    del emitted[:]
+    compiled = compile_ir_set(entries, previous=compiled)
+    known = len(emitted)
+    assert known == 0, f"{known} chains emitted re-binding a known skeleton"
+    program = _folding_rule()
+    entries[-1] = SetEntry(CATCH_ALL_RULES, program, validate(program), False)
+    del emitted[:]
+    compiled = compile_ir_set(entries, previous=compiled)
+    folding = len(emitted)
+    assert folding <= EMITTED_COLD, (
+        f"{folding} chains emitted re-binding the folding rule"
+    )
+    assert compiled.classify(_acl_packet(1024 + slot, 0x4000)) == ((slot,), 1)
+    assert compiled.classify(_acl_packet(1024 + 8, 1009)) == (
+        (CATCH_ALL_RULES,), 2
+    )
+    emit(
+        f"{CATCH_ALL_RULES} rules and a folding rule: {cold} chains emitted "
         f"compiling and listing, {known} re-binding a known skeleton, "
         f"{folding} re-binding the folding rule"
     )
@@ -483,7 +545,7 @@ def test_rebind_reads_the_changed_buckets_not_the_set(
         compiled = compile_ir_set(entries, previous=compiled)
         read = len(_READ)
         key = compiled.discriminant
-        buckets = compiled._root.tree.buckets
+        buckets = compiled._root.buckets
         changed = {
             value: buckets[value]
             for value in (entry.necessary[key] for entry in (gone, attached))

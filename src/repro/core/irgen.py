@@ -23,42 +23,46 @@ Three layers, bottom up:
   out of the emitted code, which is a *factory* closed over them.
 
 * :func:`compile_ir_set` compiles a whole bound filter set: build the
-  dispatch tree (:func:`repro.core.opt.dispatch_root`), compile a chain
-  for every leaf, and link the instantiated chains under one hash probe
-  over the discriminating header word.  Given the set it replaces, it
+  dispatch tree (:func:`repro.core.opt.dispatch_root`), which is also
+  the linked set — each node carries its function, the record of the
+  chain its factory comes from and the arguments the factory got — and
+  link every leaf that has no function yet under one hash probe over
+  the discriminating header word.  Given the set it replaces, it
   applies the entries detached and attached to the root's grouping and
-  keeps every linked leaf whose entries did not change, so a re-bind
-  rebuilds the bucket the filter left and the one it entered and
-  compiles one chain; the rest of the set costs nothing.  Chains of one
-  shape share one loaded factory: the set keeps a table from shape text
-  to factory, handed from set to set, so ``compile()`` runs once per
-  shape, and a shape leaves the table with its last linked chain.  The
-  dispatch probe is one more shape.  Rules are lowered only by
+  keeps every leaf whose entries did not change, linked as it is, so a
+  re-bind links the bucket the filter left and the one it entered; the
+  rest of the set costs nothing.  Rules are lowered only by
   :func:`repro.core.opt.lower_entry`, which gives every rule a
   :class:`repro.core.opt.Template`.  Rules of one *skeleton* (the same
   instruction words, their literals in the same classes:
   :func:`repro.core.opt.skeleton`) share one lowering when they can: the
-  set keeps a second table, from skeleton to template, and a rule whose
+  set keeps a table from skeleton to template, and a rule whose
   skeleton it holds is read off, not lowered — its necessary tests
   filled in from its literals.  A rule whose lowering no other rule can
   share (it folds a literal, say) has a template of its own.  Every
-  chain builds each rule from its template's lowering with the
+  leaf's chain is read off one table, keyed by what the chain's text
+  depends on: the whole words the probe fixes, each entry's template
+  and copy-all flag, and which of the chain's values (the probe's, then
+  each entry's constants) are equal.  The first leaf of a key emits the
+  chain, each rule built from its template's lowering with the
   template's constants mapped to the rule's
-  (:meth:`repro.core.opt.Template.constants`).  A one-entry chain's
-  source is taken from the template's chain for that probe, which is
-  emitted once per template and kept in a third table, keyed weakly by
-  template, and its arguments are that chain's constants so mapped.  A
-  template leaves the tables with its last entry.  Each link keeps the
-  arguments its factory was called with, so the set's listing is read
-  off its links.  Nothing is kept process-wide.
+  (:meth:`repro.core.opt.Template.constants`), and the record keeps
+  where each of the chain's constants first comes among those values;
+  every later leaf of the key fills in its own.  Chains of one text
+  share one loaded factory through a third table, from text to factory,
+  so ``compile()`` runs once per shape; the dispatch probe is one more
+  shape.  The three tables are handed from set to set and hold their
+  contents weakly: a chain record lives while a leaf holds it, a
+  template while an entry reads from it, a shape while a record or the
+  probe holds its factory.  Nothing is kept process-wide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping, NamedTuple, Sequence
-from weakref import WeakKeyDictionary, WeakValueDictionary
+from typing import Callable, Mapping, Sequence
+from weakref import WeakValueDictionary
 
 from .interpreter import ShortCircuitMode
 from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueGraph
@@ -66,7 +70,6 @@ from .opt import (
     DispatchTree,
     RootIndex,
     SetEntry,
-    Template,
     dispatch_root,
     live_nodes,
     specialize_filter,
@@ -500,60 +503,90 @@ def _emit_bodies(
     return source, constants, len(hoisted), chain_graph.folds
 
 
-# -- templates: one chain emission per skeleton ------------------------------
+# -- chains: one emission per key --------------------------------------------
 
 
-def _template_chain(
-    template: Template,
-    copy_all: bool,
-    word: int | None,
-    chains: WeakKeyDictionary,
-) -> tuple | None:
-    """The one-entry chain of ``template``, specialized to a probe of
-    the whole of packet word ``word`` (None: no probe, or one of a
-    masked word, which specializes nothing): ``(source, hoist count,
-    constants)``, emitted from the template's own lowering the first
-    time it is asked for and kept in ``chains`` (the set's table from
-    template to its chains by copy-all flag and probed word).  The
-    constants are the template's own, each bytes run as its words;
-    :func:`_fill` maps them to a rule's.  None when the specialization folds a constant, so that
-    another rule of the template could emit other text: such a chain is
-    emitted for every rule (:func:`_emit_chain`)."""
-    own = chains.get(template)
-    if own is None:
-        own = chains[template] = {}
-    key = (copy_all, word)
-    if key not in own:
-        context = {}
-        if word is not None:
-            tests = template.necessary(template.values)
-            context[word, 0xFFFF] = tests[word, 0xFFFF]
-        source, constants, hoisted, folds = _emit_bodies(
-            [(template.fir, None, copy_all)], context
-        )
-        own[key] = None if folds else (source, hoisted, [
-            tuple(
-                int.from_bytes(constant[i:i + 2], "big")
-                for i in range(0, len(constant), 2)
-            ) if isinstance(constant, bytes) else constant
-            for constant in constants
-        ])
-    return own[key]
+@dataclass(eq=False, slots=True, weakref_slot=True)
+class _Chain:
+    """A linked chain's text and how its arguments are read off.
+
+    ``factory`` was loaded from ``source`` and keeps its shape loaded;
+    ``hoisted`` counts the values the chain's preamble computes (None:
+    the dispatch probe).  ``slots`` give, for each constant the factory
+    takes after the results, the first position of its value among the
+    chain's values (see :func:`_read_off`), a byte run as a tuple of
+    positions, one per word; None when the record serves its own node
+    alone."""
+
+    source: str
+    factory: Callable
+    hoisted: int | None
+    slots: tuple | None
 
 
-def _fill(constants: list, mapped: Mapping[int, int]) -> list:
-    """``constants``, a template's chain's, as ``mapped`` (the
-    template's constants mapped to a rule's) makes them: a chain that
-    folded nothing holds only the lowering's constants and the probe
-    value, alone or, a tuple of words, packed into a bytes run."""
-    return [
-        b"".join([mapped[word].to_bytes(2, "big") for word in constant])
-        if constant.__class__ is tuple else mapped[constant]
-        for constant in constants
-    ]
+def _load(source: str, shapes: WeakValueDictionary) -> Callable:
+    """The factory of ``source`` from ``shapes``, the set's table from
+    source to factory, compiled only when the table lacks it."""
+    factory = shapes.get(source)
+    if factory is None:
+        factory = shapes[source] = _load_factory(source)
+    return factory
 
 
-# -- dispatch nodes and whole-set linking ------------------------------------
+def _read_off(
+    entries: Sequence[SetEntry],
+    context: Mapping[tuple[int, int], int],
+    shapes: WeakValueDictionary,
+    chains: WeakValueDictionary,
+) -> tuple[_Chain, tuple]:
+    """The chain record of the leaf over ``entries`` under the probe
+    ``context``, and the arguments its factory is called with.
+
+    The chain's values are the value of the whole word the probe fixes
+    (a masked probe fixes none), then each entry's template constants
+    mapped to its own (:meth:`repro.core.opt.Template.constants`).  The
+    text depends only on the key: the words fixed, each entry's template
+    and copy-all flag, and which of the values are equal, each given as
+    the first position of its value.  The record of a key is taken from
+    ``chains``, the set's table from key to record; the first leaf of a
+    key emits the chain (:func:`_emit_chain`) and records where each of
+    its constants comes first, and every other fills in its own values.
+    A chain whose emission folded a constant, so that another leaf of
+    its key could emit other text, is kept out of the table."""
+    fixed = [(index, value) for (index, mask), value in context.items()
+             if mask == 0xFFFF]
+    values = [value for _, value in fixed]
+    for entry in entries:
+        values += entry.template.constants(entry.values).values()
+    first: dict[int, int] = {}
+    key = (
+        tuple([index for index, _ in fixed]),
+        tuple([(entry.template, entry.copy_all) for entry in entries]),
+        tuple([first.setdefault(v, i) for i, v in enumerate(values)]),
+    )
+    record = chains.get(key)
+    if record is None:
+        source, constants, hoisted, folds = _emit_chain(entries, context)
+        record = _Chain(source, _load(source, shapes), hoisted, None)
+        if not folds:
+            record.slots = tuple([
+                tuple([
+                    first[int.from_bytes(constant[i:i + 2], "big")]
+                    for i in range(0, len(constant), 2)
+                ]) if isinstance(constant, bytes) else first[constant]
+                for constant in constants
+            ])
+            chains[key] = record
+    else:
+        constants = [
+            b"".join([values[i].to_bytes(2, "big") for i in slot])
+            if slot.__class__ is tuple else values[slot]
+            for slot in record.slots
+        ]
+    return record, (*_result_constants(entries), *constants)
+
+
+# -- the dispatch probe and whole-set linking --------------------------------
 
 
 #: ``factory(map, fallback, offset, offset + 1, mask) -> probe(packet,
@@ -578,126 +611,81 @@ _DISPATCH_SOURCE = (
 )
 
 
-class _Link(NamedTuple):
-    """One dispatch-tree node, linked: what the next compile reuses."""
-
-    tree: DispatchTree
-    function: Callable              #: function(packet, _n)
-    factory: Callable               #: what made it; keeps its shape loaded
-    arguments: tuple                #: what the factory got (root: after map, fallback)
-    hoisted: int | None             #: leaves: values the preamble computes
-    buckets: Mapping[int, "_Link"]  #: the root: one leaf per bucket value
-    fallback: "_Link | None"
-    targets: Mapping[int, Callable]  #: the root: the probe's bucket map
-
-
 def _link(
     tree: DispatchTree,
-    previous: _Link | None,
+    previous: DispatchTree | None,
     touched: frozenset | None,
     shapes: WeakValueDictionary,
-    chains: WeakKeyDictionary,
-) -> _Link:
-    """Link the set's ``tree``.  ``previous`` is the root link of the set
-    being replaced: a leaf the tree builder kept is kept linked as it
-    is.  ``touched`` (a patched tree) names the only bucket values whose
-    leaves may differ from ``previous``'s, so the bucket maps are copies
-    of the previous ones with those values replaced.  ``shapes`` maps
-    factory source to the factory loaded from it; only a source it
-    lacks is compiled.  A one-entry leaf is read off its entry's
-    template: the template's chain for the probe (from ``chains``, see
-    :func:`_template_chain`), instantiated with the entry's results and
-    constants."""
-    if previous is not None and previous.tree is tree:
-        return previous
+    chains: WeakValueDictionary,
+) -> None:
+    """Link the set's ``tree`` in place: give every node that has no
+    ``function`` yet its function, chain record and arguments, and the
+    root its probe's bucket map.  A leaf the tree builder kept from
+    ``previous``, the root of the set being replaced, arrives linked.
+    ``touched`` (a patched tree) names the only bucket values whose
+    leaves may differ from ``previous``'s, so the bucket map is a copy
+    of the previous one with those values replaced.  Each leaf's chain
+    is read off ``chains`` (:func:`_read_off`); ``shapes`` maps factory
+    source to the factory loaded from it."""
 
-    def load(source: str) -> Callable:
-        factory = shapes.get(source)
-        if factory is None:
-            factory = shapes[source] = _load_factory(source)
-        return factory
-
-    def link_leaf(leaf: DispatchTree, context: dict) -> _Link:
-        """``leaf``'s chain, compiled under the probe value ``context``."""
-        entries = leaf.entries
-        chain = None
-        if len(entries) == 1:
-            # A bucket's one entry requires the probed value, so the
-            # probe specializes its own test of a whole word away.
-            (entry,) = entries
-            word = next(
-                (index for index, mask in context if mask == 0xFFFF), None
-            )
-            chain = _template_chain(
-                entry.template, entry.copy_all, word, chains
-            )
-        if chain is not None:
-            source, hoisted, own = chain
-            constants = _fill(own, entry.template.constants(entry.values))
-        else:
-            source, constants, hoisted, _ = _emit_chain(entries, context)
-        factory = load(source)
-        arguments = (*_result_constants(entries), *constants)
-        return _Link(
-            leaf, factory(*arguments), factory, arguments, hoisted, {}, None,
-            {},
+    def link(node: DispatchTree, context: dict) -> None:
+        node.chain, node.arguments = _read_off(
+            node.entries, context, shapes, chains
         )
+        node.function = node.chain.factory(*node.arguments)
 
+    if tree.function is not None:  # the previous set's own root
+        return
     discriminant = tree.discriminant
     if discriminant is None:
-        return link_leaf(tree, {})
-    if previous is not None and previous.tree.discriminant != discriminant:
-        previous = None
-    if previous is None or touched is None:
-        values, buckets, targets = tree.buckets, {}, {}
+        link(tree, {})
+        return
+    if touched is None:
+        values, targets = tree.buckets, {}
     else:
-        values = touched
-        buckets, targets = dict(previous.buckets), dict(previous.targets)
+        values, targets = touched, dict(previous.targets)
     for value in values:
         leaf = tree.buckets.get(value)
         if leaf is None:  # the bucket emptied
-            del buckets[value], targets[value]
+            del targets[value]
             continue
-        link = previous.buckets.get(value) if previous else None
-        if link is None or link.tree is not leaf:
-            link = link_leaf(leaf, {discriminant: value})
-        buckets[value] = link
-        targets[value] = link.function
-    fallback = previous.fallback if previous else None
-    if fallback is None or fallback.tree is not tree.fallback:
-        fallback = link_leaf(tree.fallback, {})
-    factory = load(_DISPATCH_SOURCE)
+        if leaf.function is None:
+            link(leaf, {discriminant: value})
+        targets[value] = leaf.function
+    if tree.fallback.function is None:
+        link(tree.fallback, {})
     index, mask = discriminant
-    arguments = (2 * index, 2 * index + 1, mask)
-    function = factory(targets, fallback.function, *arguments)
-    return _Link(
-        tree, function, factory, arguments, None, buckets, fallback, targets
+    tree.targets = targets
+    tree.chain = _Chain(
+        _DISPATCH_SOURCE, _load(_DISPATCH_SOURCE, shapes), None, None
+    )
+    tree.arguments = (2 * index, 2 * index + 1, mask)
+    tree.function = tree.chain.factory(
+        targets, tree.fallback.function, *tree.arguments
     )
 
 
-def _listing(root: _Link, shapes: Mapping[str, Callable]) -> str:
+def _listing(root: DispatchTree) -> str:
     """Every chain and the dispatch probe linked under ``root`` as
     text: the buckets' chains by value, the fallback's, then the probe,
-    each the source its factory was loaded from (the key of ``shapes``,
-    the set's shape table, that holds it) headed by the arguments the
+    each the source of its chain record headed by the arguments its
     factory was called with."""
-    sources = {factory: source for source, factory in shapes.items()}
     blocks: list[str] = []
 
-    def add(kind: str, link: _Link, *nodes: str) -> str:
+    def add(kind: str, node: DispatchTree, *nodes: str) -> str:
         name = f"node {len(blocks)}"
-        arguments = ", ".join([*nodes, *map(repr, link.arguments)])
+        arguments = ", ".join([*nodes, *map(repr, node.arguments)])
         blocks.append(
-            f"# {name}: {kind}, _factory({arguments})\n{sources[link.factory]}"
+            f"# {name}: {kind}, _factory({arguments})\n{node.chain.source}"
         )
         return name
 
-    if root.hoisted is not None:  # a set of one chain
+    if root.discriminant is None:  # a set of one chain
         name = add("chain", root)
     else:
         mapping = ", ".join(
-            f"{value:#x}: {add('chain', link)}"
-            for value, link in sorted(root.buckets.items())
+            f"{value:#x}: {add('chain', leaf)}"
+            for value, leaf in sorted(root.buckets.items())
         )
         name = add("dispatch", root, f"{{{mapping}}}", add("chain", root.fallback))
     blocks.append(f"# classify(packet) = {name}(packet, len(packet))\n")
@@ -731,19 +719,19 @@ class CompiledIRSet:
 
     size: int
     discriminant: tuple[int, int] | None  #: root (word index, mask)
-    _root: _Link = field(repr=False)
+    _root: DispatchTree = field(repr=False)  #: the tree, linked
     _mode: ShortCircuitMode = field(repr=False)
     _index: RootIndex = field(repr=False)  #: what the next compile patches
     _shapes: WeakValueDictionary = field(repr=False)  #: source -> factory
     _templates: WeakValueDictionary = field(repr=False)  #: skeleton -> Template
-    _chains: WeakKeyDictionary = field(repr=False)  #: Template -> its chains
+    _chains: WeakValueDictionary = field(repr=False)  #: key -> chain record
 
     def classify(self, packet: bytes) -> tuple[Sequence, int]:
         return self._root.function(packet, len(packet))
 
     @cached_property
     def source(self) -> str:
-        return _listing(self._root, self._shapes)
+        return _listing(self._root)
 
     @cached_property
     def stats(self) -> IRStats:
@@ -755,12 +743,12 @@ class CompiledIRSet:
         from it here, once."""
         root = self._root
         leaves = (
-            [root] if root.hoisted is not None
+            [root] if root.discriminant is None
             else [*root.buckets.values(), root.fallback]
         )
         before = 0
         numbers: set = set()
-        for entry in root.tree.entries:
+        for entry in root.entries:
             if entry.facts is None:  # read off a template: expand once
                 object.__setattr__(
                     entry, "facts", entry.template.facts(entry.values)
@@ -772,9 +760,9 @@ class CompiledIRSet:
             filters=self.size,
             nodes_before_cse=before,
             nodes_after_cse=len(numbers),
-            dispatch_depth=root.tree.depth,
+            dispatch_depth=root.depth,
             chains=len(leaves),
-            hoisted=sum(link.hoisted for link in leaves),
+            hoisted=sum(leaf.chain.hoisted for leaf in leaves),
         )
 
 
@@ -786,24 +774,24 @@ def compile_ir_set(
 ) -> CompiledIRSet:
     """Compile ``entries`` (already validated, in application order):
     group the dispatch tree's root (:func:`repro.core.opt.dispatch_root`),
-    then read off templates → specialize → emit each leaf chain,
-    ``compile()`` each new chain shape, and link the chains under the
-    root's hash probe.
+    then read each new leaf's chain off the set's chain table (emitting
+    it the first time its key is met), ``compile()`` each new chain
+    shape, and link the leaves under the root's hash probe.
 
     ``previous`` is the set this one replaces.  The root applies the
     entries detached and attached since ``previous`` to the tallies the
     set keeps (:class:`repro.core.opt.RootIndex`), and every leaf
     whose entries are the same objects in the same order as at the same
-    place in ``previous`` is reused, linked functions included.  A
-    SETFILTER on an N-rule set therefore rebuilds the one bucket the
-    filter lands in and the one it left, compiles one chain, and copies
-    the root's bucket maps with those two values replaced; the other
-    entries are not regrouped.  The root is regrouped (still reusing
-    every unchanged leaf) when the change moves its key, changes an
-    unbucketable filter (merged into every bucket, so every bucket is
-    rebuilt) or reorders the filters both sets hold.  A set the analysis
-    cannot bucket is one chain.  ``previous=None`` is the same compile
-    from an empty set.
+    place in ``previous`` is reused, linked as it is.  A SETFILTER on an
+    N-rule set therefore rebuilds the one bucket the filter lands in and
+    the one it left, links their chains, and copies the root's bucket
+    map with those two values replaced; the other entries are not
+    regrouped.  The root is regrouped (still reusing every unchanged
+    leaf) when the change moves its key, changes an unbucketable filter
+    (merged into every bucket, so every bucket is rebuilt, each read off
+    the one key the buckets share) or reorders the filters both sets
+    hold.  A set the analysis cannot bucket is one chain.
+    ``previous=None`` is the same compile from an empty set.
 
     A newly attached entry whose skeleton has a template in the set's
     template table is not lowered: its necessary tests (kept on the
@@ -811,32 +799,28 @@ def compile_ir_set(
     literals.  Otherwise it is lowered once
     (:func:`repro.core.opt.lower_entry`), and the lowering becomes its
     skeleton's template when every rule of the skeleton can share it, or
-    else the entry's own.  Nothing here lowers: every chain builds each
-    entry from its template, and a one-entry chain's text and arguments
-    are read off the template's chain for its probe.  A chain's factory
-    is loaded only when no chain of its shape is linked in ``previous``
-    or earlier in this compile.
-    The shape and template tables, and the one holding each template's
-    chains, are handed on with the root's tallies and hold their
-    contents weakly.
+    else the entry's own.  Nothing here lowers: a chain is emitted from
+    its entries' templates only when no linked leaf holds a chain of its
+    key (:func:`_read_off`), and its factory is loaded only when no
+    chain of its text is linked in ``previous`` or earlier in this
+    compile.  The shape, template and chain tables are handed on with
+    the root's tallies and hold their contents weakly.
     """
     shapes = previous._shapes if previous else WeakValueDictionary()
     templates = previous._templates if previous else WeakValueDictionary()
-    chains = previous._chains if previous else WeakKeyDictionary()
+    chains = previous._chains if previous else WeakValueDictionary()
     if previous is not None and previous._mode is not mode:
         previous = None
     tree, index, touched = dispatch_root(
         entries, mode,
-        (previous._root.tree, previous._index) if previous else None,
+        (previous._root, previous._index) if previous else None,
         templates,
     )
-    root = _link(
-        tree, previous._root if previous else None, touched, shapes, chains
-    )
+    _link(tree, previous._root if previous else None, touched, shapes, chains)
     return CompiledIRSet(
         size=len(tree.entries),
         discriminant=tree.discriminant,
-        _root=root,
+        _root=tree,
         _mode=mode,
         _index=index,
         _shapes=shapes,

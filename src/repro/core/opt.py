@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import filterfalse
 from operator import and_
-from typing import Hashable, Iterable, Mapping, MutableMapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, MutableMapping, Sequence
 
 from .instructions import ACTION_FIELD_BITS
 from .interpreter import ShortCircuitMode
@@ -570,7 +570,7 @@ def lower_entry(
     object.__setattr__(entry, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class DispatchTree:
     """The section 7 decision table over a filter set: one probe.
 
@@ -582,12 +582,24 @@ class DispatchTree:
     application order.  Entries the analysis could not bucket are
     merged *into every bucket* (and form the fallback), preserving
     total order.  A set no key can split is one leaf.
+
+    A compiled set's tree is also its linked code: the backend
+    (:func:`repro.core.irgen.compile_ir_set`) sets each node's
+    ``function(packet, _n)``, the ``chain`` record its factory comes
+    from and the ``arguments`` the factory got, and the root's
+    ``targets``, the probe's map from bucket value to leaf function,
+    once per node.  A leaf :func:`_leaf` keeps from the tree being
+    replaced is kept linked.
     """
 
     discriminant: tuple[int, int] | None
     buckets: Mapping[int, "DispatchTree"]
     fallback: "DispatchTree | None"
     entries: tuple[SetEntry, ...]
+    function: Callable | None = field(default=None, repr=False)
+    chain: object = field(default=None, repr=False)
+    arguments: tuple = field(default=(), repr=False)
+    targets: Mapping[int, Callable] | None = field(default=None, repr=False)
 
     @property
     def depth(self) -> int:

@@ -175,7 +175,7 @@ churn_steps = st.lists(
         st.integers(0, 7),     # which attached port
         st.tuples(
             st.one_of(
-                st.sampled_from(["word", "high", "low", "wild"]),
+                st.sampled_from(["word", "high", "low", "wild", "or"]),
                 st.tuples(  # a raw rule: which word, (mask, compared value)
                     st.sampled_from(["next", "same"]),
                     st.one_of(
@@ -203,7 +203,11 @@ churn_steps = st.lists(
 def churn_filter(kind, field, value, priority):
     """A filter of one of the shapes the dispatch root's paths turn on:
     a whole word, the high or low byte of one (two masks of one word,
-    which can tie), or an unbucketable disjunction.  A raw rule pushes
+    which can tie), or an unbucketable disjunction: of ``value`` in
+    word ``field`` and in the next word, or (``or``) of ``value`` in
+    word ``field`` and 9 in the word after the next, so that a probe of
+    ``field`` in another bucket folds its own test of that word.  A raw
+    rule pushes
     every constant as a ``PUSHLIT`` literal, so that its skeleton holds
     literals of every class: it requires ``value`` of word ``field``,
     then compares the next word, or the same one again, under a mask.
@@ -241,6 +245,8 @@ def churn_filter(kind, field, value, priority):
         expr = word(field).masked(0xFF00) == value << 8
     elif kind == "low":
         expr = word(field).masked(0x00FF) == value
+    elif kind == "or":
+        expr = (word(field) == value) | (word((field + 2) % 4) == 9)
     else:
         expr = (word(field) == value) | (word((field + 1) % 4) == value)
     return compile_expr(expr, priority=priority)
@@ -311,17 +317,17 @@ def assert_equals_cold(demux, packets, step):
     twin = cold_twin(demux)
     assert demux.ir_stats == twin.ir_stats, step
     assert demux._ir.source == twin._ir.source, step
-    for entry in demux._ir._root.tree.entries:
+    for entry in demux._ir._root.entries:
         own = lower_program(entry.program, entry.report, demux.mode)
         assert entry.necessary == {
             test.key: test.value for test in necessary_tests(own)
         }, step
     sources = {id(f): text for text, f in demux._ir._shapes.items()}
-    for link, context in linked_leaves(demux._ir):
-        linked = sources[id(link.factory)], link.arguments
-        assert linked == own_chain(link.tree.entries, context, demux.mode), step
-    cold = twin._ir._root.tree
-    assert tree_shape(demux._ir._root.tree) == tree_shape(cold), step
+    for leaf, context in linked_leaves(demux._ir):
+        linked = sources[id(leaf.chain.factory)], leaf.arguments
+        assert linked == own_chain(leaf.entries, context, demux.mode), step
+    cold = twin._ir._root
+    assert tree_shape(demux._ir._root) == tree_shape(cold), step
     reference = build_dispatch_tree(cold.entries, demux.mode)
     assert tree_shape(reference) == tree_shape(cold), step
     for packet in packets:
@@ -379,6 +385,13 @@ class TestIncrementalIRCompile:
         [fold_attach(join, 0x0F0F, value)
          for join in ("both", "either") for value in (2, 3)],
         [[2, 0x0F0D, 0, 0], [3, 0x0F0C, 0, 0]], False,
+    )
+    # Two buckets of one skeleton, each merged with an unbucketed rule
+    # that tests the probed word for the first bucket's value.
+    @example(
+        [("attach", 0, (kind, 0, value, 0, False))
+         for kind, value in (("word", 2), ("word", 3), ("or", 2))],
+        [[3, 0, 0, 0], [2, 0, 9, 0]], False,
     )
     @settings(max_examples=80, deadline=None)
     def test_every_step_equals_a_cold_compile(self, steps, packet_lists, cached):
@@ -589,10 +602,10 @@ def template_cases(draw):
 def linked_leaves(compiled):
     """Every linked leaf chain of ``compiled`` and its probe context."""
     root = compiled._root
-    if root.hoisted is not None:
+    if root.discriminant is None:
         return [(root, {})]
-    key = root.tree.discriminant
-    leaves = [(link, {key: value}) for value, link in root.buckets.items()]
+    key = root.discriminant
+    leaves = [(leaf, {key: value}) for value, leaf in root.buckets.items()]
     return leaves + [(root.fallback, {})]
 
 
@@ -683,11 +696,11 @@ class TestTemplateReadOff:
             test.key: test.value for test in necessary_tests(cold)
         }
         sources = {id(factory): text for text, factory in patched._shapes.items()}
-        for link, context in linked_leaves(patched):
-            source, arguments = own_chain(link.tree.entries, context, mode)
-            assert sources[id(link.factory)] == source, context
+        for leaf, context in linked_leaves(patched):
+            source, arguments = own_chain(leaf.entries, context, mode)
+            assert sources[id(leaf.chain.factory)] == source, context
             function = irgen._load_factory(source)(*arguments)
-            assert closure(link.function) == closure(function), context
+            assert closure(leaf.function) == closure(function), context
         fresh = compile_ir_set(
             [bound(e.key, e.program, e.copy_all) for e in entries], mode=mode
         )
@@ -724,7 +737,7 @@ class TestTemplateReadOff:
         assert len(lowered) == 1
         assert rules[2].template is rules[0].template is not None
         buckets = compiled._root.buckets
-        assert buckets[0x0902].factory is buckets[0x0900].factory
+        assert buckets[0x0902].chain.factory is buckets[0x0900].chain.factory
         packet = pack_words([2, 7, 0, 0, 6, 0x1000, 0x0902])
         assert compiled.classify(packet) == ((2,), 1)
 
@@ -802,10 +815,41 @@ class TestSeveralEntryChains:
             id(factory): text for text, factory in compiled._shapes.items()
         }
         leaves = linked_leaves(compiled)
-        assert any(len(link.tree.entries) > 1 for link, _ in leaves)
-        for link, context in leaves:
-            source, arguments = own_chain(link.tree.entries, context, mode)
-            assert sources[id(link.factory)] == source, context
-            assert link.arguments == arguments, context
+        assert any(len(leaf.entries) > 1 for leaf, _ in leaves)
+        for leaf, context in leaves:
+            source, arguments = own_chain(leaf.entries, context, mode)
+            assert sources[id(leaf.chain.factory)] == source, context
+            assert leaf.arguments == arguments, context
             function = irgen._load_factory(source)(*arguments)
-            assert closure(link.function) == closure(function), context
+            assert closure(leaf.function) == closure(function), context
+
+    def test_buckets_of_one_template_pair_keep_their_probe_values(self):
+        """Two buckets of the probed word 6, each a chain of a rule of
+        one skeleton and of an unbucketed rule that also tests word 6
+        for the first bucket's value: each chain is its own rules'
+        emission under its own probe, so in the second bucket the
+        unbucketed rule's test of word 6 is not taken as passed."""
+        programs = [
+            compile_expr((word(6) == 7) & (word(4) == 6), priority=10),
+            compile_expr((word(6) == 8) & (word(4) == 6), priority=10),
+            compile_expr((word(6) == 7) | (word(2) == 9), priority=5),
+        ]
+        compiled = compile_ir_set([
+            SetEntry(key, program, validate(program), False)
+            for key, program in enumerate(programs)
+        ])
+        assert compiled.discriminant == (6, 0xFFFF)
+        sources = {
+            id(factory): text for text, factory in compiled._shapes.items()
+        }
+        for leaf, context in linked_leaves(compiled):
+            source, arguments = own_chain(
+                leaf.entries, context, ShortCircuitMode.PUSH_RESULT
+            )
+            assert sources[id(leaf.chain.factory)] == source, context
+            assert leaf.arguments == arguments, context
+        assert compiled.classify(pack_words([0] * 6 + [8, 0])) == ((), 2)
+        assert compiled.classify(pack_words([0] * 6 + [7, 0])) == ((2,), 2)
+        assert compiled.classify(pack_words([0, 0, 9, 0, 6, 0, 8])) == (
+            (1,), 1
+        )

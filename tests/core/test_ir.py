@@ -671,10 +671,24 @@ def extra_word_rule(dport, extra):
 def live_factories(compiled):
     """The factories every linked node of ``compiled`` was made by."""
     root = compiled._root
-    links = [root, *root.buckets.values()]
+    nodes = [root, *root.buckets.values()]
     if root.fallback is not None:
-        links.append(root.fallback)
-    return {id(link.factory) for link in links}
+        nodes.append(root.fallback)
+    return {id(node.chain.factory) for node in nodes}
+
+
+def keyed_templates(compiled):
+    """The templates named anywhere in the keys of ``compiled``'s chain
+    table."""
+    named = set()
+    parts = list(compiled._chains.keys())
+    while parts:
+        part = parts.pop()
+        if isinstance(part, tuple):
+            parts.extend(part)
+        elif isinstance(part, opt.Template):
+            named.add(id(part))
+    return named
 
 
 class TestRebindMemory:
@@ -761,13 +775,14 @@ class TestRebindMemory:
             compiled = demux._ir
             assert isinstance(compiled._templates, weakref.WeakValueDictionary)
             held = {id(template) for template in compiled._templates.values()}
-            linked = {id(entry.template) for entry in compiled._root.tree.entries}
+            linked = {id(entry.template) for entry in compiled._root.entries}
             assert held == linked, extra
-            assert {id(template) for template in compiled._chains} <= held
+            assert isinstance(compiled._chains, weakref.WeakValueDictionary)
+            assert keyed_templates(compiled) <= linked, extra
             if replaced is not None:
                 assert replaced() is None, f"template of extra {extra - 1} kept"
             replaced = weakref.ref(next(
-                entry.template for entry in compiled._root.tree.entries
+                entry.template for entry in compiled._root.entries
                 if entry.key == 3
             ))
         # The five-tuple's two skeletons (port 0x7100 equals the source
@@ -785,10 +800,11 @@ class TestRebindMemory:
         lowerings fold two literals gives each rule a template of its
         own: the set's template table never holds it, its chain table
         keys only templates of linked entries, and each replaced rule's
-        template is freed with its binding."""
+        template is freed with its binding, and its chain record with
+        the leaf that held it last."""
         demux, ports = self.make()
         port = ports[3]
-        replaced = None
+        replaced = record = None
         for serial in range(30):
             demux.detach(port)
             port.bind_filter(FilterProgram(asm(
@@ -799,17 +815,20 @@ class TestRebindMemory:
             demux.attach(port)
             demux.ir_stats  # compile against the replaced set
             compiled = demux._ir
-            entries = compiled._root.tree.entries
+            entries = compiled._root.entries
             own = next(entry.template for entry in entries if entry.key == 3)
             held = {id(template) for template in compiled._templates.values()}
             linked = {id(entry.template) for entry in entries}
             assert id(own) not in held, serial
             assert held <= linked, serial
-            assert own in compiled._chains, serial
-            assert {id(template) for template in compiled._chains} <= linked
+            keyed = keyed_templates(compiled)
+            assert id(own) in keyed, serial
+            assert keyed <= linked, serial
             if replaced is not None:
                 assert replaced() is None, f"serial {serial - 1}'s kept"
+                assert record() is None, f"serial {serial - 1}'s record kept"
             replaced = weakref.ref(own)
+            record = weakref.ref(compiled._root.buckets[0x7103].chain)
             packet = pack_words([0, 0, 0, 0, 0, 0, 0x7103, 0x1F0F ^ serial])
             assert demux.deliver(packet).accepted_by == (3,)
             port.read_packets()
