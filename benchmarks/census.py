@@ -100,7 +100,6 @@ _STATE = ("state record: each field starts at its default and is counted "
           "or filled in after construction")
 _IR = "docs/PERFORMANCE.md, The filter compiler: pf.ir.* gauges, hoisted values"
 _EMITTED = "ROADMAP item 6(b): the emitted source the mutation oracle edits"
-_TREE = "oracle: the dispatch tree's own reading, checked against the linear scan"
 _IOCTL = ("docs/SIMULATOR.md, Devices: a GETINFO/GETSTATS result is section "
           "3.3's record for the user process that issued the ioctl")
 
@@ -134,17 +133,16 @@ OWNERS = (
     ("repro.core.validator.validate(max_stack)", _BOUNDS),
     ("repro.sim.world.World.run_until_done(max_events)", _BOUNDS),
     ("repro.core.opt.cse_filter_set", "perfbench/tracer.py TARGETS, ROADMAP 1(c)"),
-    ("repro.core.opt.DispatchTree.lookup", _TREE),
+    ("repro.core.opt.build_dispatch_tree",
+     "perfbench/tracer.py TARGETS, ROADMAP 1(c)"),
+    ("repro.core.opt.DispatchTree(*)", _STATE),
     ("repro.sim.clock.EventScheduler.pending",
      "oracle: the scheduler model test counts live events against its model"),
     ("repro.core.interpreter.FilterResult(fault)",
      "oracle: tests/core/reference_interpreter.py builds its results by "
      "keyword, a fault-free one at this default; evaluate() passes all four"),
-    ("repro.core.opt.NecessaryTest.matches", _TREE),
     ("repro.core.opt.necessary_equalities",
      "docs/LANGUAGE.md, Tooling map: the set-level analysis"),
-    ("repro.core.opt.DispatchTree.depth",
-     "perfbench: the core.irgen.dispatch_depth metric"),
     ("repro.core.opt.SetEntry(*)", _STATE),
     ("repro.core.demux.PacketFilterDemux.ir_stats", _IR),
     ("repro.core.demux.PacketFilterDemux.attached_ports",

@@ -2,9 +2,10 @@
 for a never-seen shape, lowers a rule only for a never-seen skeleton
 (into a chain of one entry or of several) and reads the necessary tests
 of the buckets it changes, not of the set; a cold compile compiles once
-per chain shape and lowers once per skeleton, chains of several entries
-included; reading a set's ``source`` lowers nothing; and a packet
-through the compiled set costs a counted number of bytecodes.
+per chain shape (the probe's one factory is loaded at import) and
+lowers once per skeleton, chains of several entries included; reading
+a set's ``source`` lowers nothing; and a packet through the compiled
+set costs a counted number of bytecodes.
 
 The incremental re-bind, compiled against the set it replaces, is
 pinned as counts: code objects compiled, rules lowered, rebuilt
@@ -161,15 +162,17 @@ COLD_RULES = 1000
 COLD_CHAIN_LOADS = 2
 """Chain factories a cold compile of :data:`COLD_RULES` one-shape rules
 may load: the rules' shape and the empty fallback chain's.  The probe
-is one more shape, loaded once."""
+loads none: its one factory is loaded when :mod:`repro.core.irgen` is
+imported."""
 
 
 def test_cold_compile_loads_one_factory_per_shape(monkeypatch, emit):
     """A cold compile of 1 000 rules that differ only in their
     constants compiles each chain shape once, not each chain: the
-    chains and the probe are instantiated from factories the set's
-    shape table already holds.  Loaded 1 002 factories while each chain
-    was its own source text.  Counted, not timed."""
+    chains are instantiated from factories the set's shape table
+    already holds, and the probe from the one loaded at import.  Loaded
+    1 002 factories while each chain was its own source text.  Counted,
+    not timed."""
     compiled_sources = _counting_loads(monkeypatch)
     programs = [_acl_rule(1024 + slot, slot) for slot in range(COLD_RULES)]
     compiled = compile_ir_set([
@@ -179,7 +182,7 @@ def test_cold_compile_loads_one_factory_per_shape(monkeypatch, emit):
     assert compiled.stats.chains == COLD_RULES + 1
     probes = compiled_sources.count(irgen._DISPATCH_SOURCE)
     chains = len(compiled_sources) - probes
-    assert probes == 1, f"{probes} probe factories loaded"
+    assert probes == 0, f"{probes} probe factories loaded"
     assert chains <= COLD_CHAIN_LOADS, (
         f"{chains} chain factories loaded for {COLD_RULES} one-shape rules"
     )

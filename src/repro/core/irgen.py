@@ -50,11 +50,12 @@ Three layers, bottom up:
   where each of the chain's constants first comes among those values;
   every later leaf of the key fills in its own.  Chains of one text
   share one loaded factory through a third table, from text to factory,
-  so ``compile()`` runs once per shape; the dispatch probe is one more
-  shape.  The three tables are handed from set to set and hold their
-  contents weakly: a chain record lives while a leaf holds it, a
-  template while an entry reads from it, a shape while a record or the
-  probe holds its factory.  Nothing is kept process-wide.
+  so ``compile()`` runs once per shape.  The three tables are handed
+  from set to set and hold their contents weakly: a chain record lives
+  while a leaf holds it, a template while an entry reads from it, a
+  shape while a record holds its factory.  Nothing of a program is kept
+  process-wide; the dispatch probe, one text for every set, is one
+  constant chain record loaded at import.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .interpreter import ShortCircuitMode
 from .ir import CONST, INDB, INDW, LOAD, Anchor, Bound, ExitIf, FilterIR, ValueGraph
 from .opt import (
     DispatchTree,
-    RootIndex,
     SetEntry,
     dispatch_root,
     live_nodes,
@@ -515,22 +515,13 @@ class _Chain:
     the dispatch probe).  ``slots`` give, for each constant the factory
     takes after the results, the first position of its value among the
     chain's values (see :func:`_read_off`), a byte run as a tuple of
-    positions, one per word; None when the record serves its own node
-    alone."""
+    positions, one per word; None for the probe and for a record that
+    serves its own node alone."""
 
     source: str
     factory: Callable
     hoisted: int | None
     slots: tuple | None
-
-
-def _load(source: str, shapes: WeakValueDictionary) -> Callable:
-    """The factory of ``source`` from ``shapes``, the set's table from
-    source to factory, compiled only when the table lacks it."""
-    factory = shapes.get(source)
-    if factory is None:
-        factory = shapes[source] = _load_factory(source)
-    return factory
 
 
 def _read_off(
@@ -552,7 +543,9 @@ def _read_off(
     key emits the chain (:func:`_emit_chain`) and records where each of
     its constants comes first, and every other fills in its own values.
     A chain whose emission folded a constant, so that another leaf of
-    its key could emit other text, is kept out of the table."""
+    its key could emit other text, is kept out of the table.  An
+    emitted chain's factory is taken from ``shapes``, the set's table
+    from text to factory, and loaded only when the table lacks it."""
     fixed = [(index, value) for (index, mask), value in context.items()
              if mask == 0xFFFF]
     values = [value for _, value in fixed]
@@ -567,7 +560,10 @@ def _read_off(
     record = chains.get(key)
     if record is None:
         source, constants, hoisted, folds = _emit_chain(entries, context)
-        record = _Chain(source, _load(source, shapes), hoisted, None)
+        factory = shapes.get(source)
+        if factory is None:
+            factory = shapes[source] = _load_factory(source)
+        record = _Chain(source, factory, hoisted, None)
         if not folds:
             record.slots = tuple([
                 tuple([
@@ -610,6 +606,9 @@ _DISPATCH_SOURCE = (
     "    return _dsp\n"
 )
 
+#: The dispatch probe's chain record: one text, loaded once.
+_PROBE = _Chain(_DISPATCH_SOURCE, _load_factory(_DISPATCH_SOURCE), None, None)
+
 
 def _link(
     tree: DispatchTree,
@@ -619,9 +618,10 @@ def _link(
     chains: WeakValueDictionary,
 ) -> None:
     """Link the set's ``tree`` in place: give every node that has no
-    ``function`` yet its function, chain record and arguments, and the
-    root its probe's bucket map.  A leaf the tree builder kept from
-    ``previous``, the root of the set being replaced, arrives linked.
+    ``function`` yet its function, chain record (a root that probes gets
+    :data:`_PROBE`) and arguments, and the root its probe's bucket map.
+    A leaf the tree builder kept from ``previous``, the root of the set
+    being replaced, arrives linked.
     ``touched`` (a patched tree) names the only bucket values whose
     leaves may differ from ``previous``'s, so the bucket map is a copy
     of the previous one with those values replaced.  Each leaf's chain
@@ -656,11 +656,9 @@ def _link(
         link(tree.fallback, {})
     index, mask = discriminant
     tree.targets = targets
-    tree.chain = _Chain(
-        _DISPATCH_SOURCE, _load(_DISPATCH_SOURCE, shapes), None, None
-    )
+    tree.chain = _PROBE
     tree.arguments = (2 * index, 2 * index + 1, mask)
-    tree.function = tree.chain.factory(
+    tree.function = _PROBE.factory(
         targets, tree.fallback.function, *tree.arguments
     )
 
@@ -721,7 +719,6 @@ class CompiledIRSet:
     discriminant: tuple[int, int] | None  #: root (word index, mask)
     _root: DispatchTree = field(repr=False)  #: the tree, linked
     _mode: ShortCircuitMode = field(repr=False)
-    _index: RootIndex = field(repr=False)  #: what the next compile patches
     _shapes: WeakValueDictionary = field(repr=False)  #: source -> factory
     _templates: WeakValueDictionary = field(repr=False)  #: skeleton -> Template
     _chains: WeakValueDictionary = field(repr=False)  #: key -> chain record
@@ -760,7 +757,7 @@ class CompiledIRSet:
             filters=self.size,
             nodes_before_cse=before,
             nodes_after_cse=len(numbers),
-            dispatch_depth=root.depth,
+            dispatch_depth=0 if root.discriminant is None else 1,
             chains=len(leaves),
             hoisted=sum(leaf.chain.hoisted for leaf in leaves),
         )
@@ -779,10 +776,10 @@ def compile_ir_set(
     shape, and link the leaves under the root's hash probe.
 
     ``previous`` is the set this one replaces.  The root applies the
-    entries detached and attached since ``previous`` to the tallies the
-    set keeps (:class:`repro.core.opt.RootIndex`), and every leaf
-    whose entries are the same objects in the same order as at the same
-    place in ``previous`` is reused, linked as it is.  A SETFILTER on an
+    entries detached and attached since ``previous`` to the tallies on
+    its root (:attr:`repro.core.opt.DispatchTree.tallies`), and every
+    leaf whose entries are the same objects in the same order as at the
+    same place in ``previous`` is reused, linked as it is.  A SETFILTER on an
     N-rule set therefore rebuilds the one bucket the filter lands in and
     the one it left, links their chains, and copies the root's bucket
     map with those two values replaced; the other entries are not
@@ -803,26 +800,22 @@ def compile_ir_set(
     its entries' templates only when no linked leaf holds a chain of its
     key (:func:`_read_off`), and its factory is loaded only when no
     chain of its text is linked in ``previous`` or earlier in this
-    compile.  The shape, template and chain tables are handed on with
-    the root's tallies and hold their contents weakly.
+    compile.  The shape, template and chain tables are handed on as the
+    root's tallies are, and hold their contents weakly.
     """
     shapes = previous._shapes if previous else WeakValueDictionary()
     templates = previous._templates if previous else WeakValueDictionary()
     chains = previous._chains if previous else WeakValueDictionary()
     if previous is not None and previous._mode is not mode:
         previous = None
-    tree, index, touched = dispatch_root(
-        entries, mode,
-        (previous._root, previous._index) if previous else None,
-        templates,
-    )
-    _link(tree, previous._root if previous else None, touched, shapes, chains)
+    root = previous._root if previous else None
+    tree, touched = dispatch_root(entries, mode, root, templates)
+    _link(tree, root, touched, shapes, chains)
     return CompiledIRSet(
         size=len(tree.entries),
         discriminant=tree.discriminant,
         _root=tree,
         _mode=mode,
-        _index=index,
         _shapes=shapes,
         _templates=templates,
         _chains=chains,

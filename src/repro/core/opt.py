@@ -28,17 +28,17 @@ test for equality (:func:`necessary_equalities`, read off the same
 lowered IR), and the backend (:mod:`repro.core.irgen`) compiles it into
 one hash probe over leaf chains.  It is an exact drop-in for the linear
 scan: for every packet it yields exactly the candidate filters whose
-necessary conditions the packet satisfies (:meth:`DispatchTree.lookup`
-is the reference reading; a property-based test in
-``tests/core/test_properties.py`` pins the equivalence down).  It
-reorders *predicates*, never priorities: every leaf chain keeps the
-order the set was given in, so delivery order is exactly the figure 4-1
-loop's.  A compiled set's root is grouped by :func:`dispatch_root`,
-which keeps the root's tallies with the set (:class:`RootIndex`) so
-that a re-bind patches the buckets it changes instead of regrouping
-every filter, and a filter whose :func:`skeleton` the set has lowered
-before is read off that lowering's :class:`Template` instead of
-lowered (:func:`lower_entry`).
+necessary conditions the packet satisfies (``lookup`` in
+``tests/core/reference_dispatch.py`` is the reference reading; a
+property-based test in ``tests/core/test_properties.py`` pins the
+equivalence down).  It reorders *predicates*, never priorities: every
+leaf chain keeps the order the set was given in, so delivery order is
+exactly the figure 4-1 loop's.  A compiled set's root is grouped by
+:func:`dispatch_root`, which keeps the root's tallies on the root
+(:attr:`DispatchTree.tallies`) so that a re-bind patches the buckets it
+changes instead of regrouping every filter, and a filter whose
+:func:`skeleton` the set has lowered before is read off that lowering's
+:class:`Template` instead of lowered (:func:`lower_entry`).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ from .ir import (
 )
 from .program import FilterProgram
 from .validator import ValidationReport
-from .words import get_word
 
 __all__ = [
     "live_nodes",
@@ -85,7 +84,6 @@ __all__ = [
     "lower_entry",
     "DispatchTree",
     "build_dispatch_tree",
-    "RootIndex",
     "dispatch_root",
 ]
 
@@ -280,12 +278,6 @@ class NecessaryTest:
     @property
     def key(self) -> tuple[int, int]:
         return (self.index, self.mask)
-
-    def matches(self, packet: bytes) -> bool:
-        try:
-            return (get_word(packet, self.index) & self.mask) == self.value
-        except IndexError:
-            return False
 
 
 def necessary_equalities(
@@ -590,6 +582,12 @@ class DispatchTree:
     ``targets``, the probe's map from bucket value to leaf function,
     once per node.  A leaf :func:`_leaf` keeps from the tree being
     replaced is kept linked.
+
+    The root :func:`dispatch_root` builds also carries ``tallies``, what
+    it groups by: ``(members, counts, cover)``, the entries under it and
+    :func:`_count`'s tallies over them, which is all the key choice
+    reads.  The next compile from the root takes them over, updating
+    them in place, and leaves None ("spent"); a leaf's are None.
     """
 
     discriminant: tuple[int, int] | None
@@ -600,26 +598,7 @@ class DispatchTree:
     chain: object = field(default=None, repr=False)
     arguments: tuple = field(default=(), repr=False)
     targets: Mapping[int, Callable] | None = field(default=None, repr=False)
-
-    @property
-    def depth(self) -> int:
-        return 0 if self.discriminant is None else 1
-
-    def lookup(self, packet: bytes) -> tuple[SetEntry, ...]:
-        """Entries worth evaluating on ``packet``, in application order:
-        every filter the probe did not rule out.  The tree's reference
-        reading — the backend compiles the same probe into a hash
-        lookup."""
-        if self.discriminant is None:
-            return self.entries
-        index, mask = self.discriminant
-        try:
-            value = get_word(packet, index) & mask
-        except IndexError:
-            # Packet too short for the field: every bucketed filter's
-            # necessary PUSHWORD would fault, so only fallbacks apply.
-            return self.fallback.entries
-        return self.buckets.get(value, self.fallback).entries
+    tallies: tuple | None = field(default=None, repr=False)
 
 
 def _leaf(members: tuple, before: DispatchTree | None) -> DispatchTree:
@@ -725,29 +704,6 @@ def _branch(
     return DispatchTree(key, buckets, fallback, ordered)
 
 
-class RootIndex:
-    """What the root of a compiled set's dispatch tree groups by, kept
-    with the set so that the next compile applies the entries detached
-    and attached instead of regrouping every entry.
-
-    ``members`` are the entries under ``tree``, the root it describes;
-    ``counts`` and ``cover`` are :func:`_count`'s tallies over them,
-    which is all the key choice reads.  The bucket member tuples and the
-    unbucketable (fallback) tuple are the tree's own ``buckets`` and
-    ``fallback``.  A compile hands the index on to the set it builds,
-    updating the tallies in place rather than copying them; a second
-    compile from the same previous set finds the index describing
-    another tree and counts from nothing."""
-
-    __slots__ = ("tree", "members", "counts", "cover")
-
-    def __init__(self) -> None:
-        self.tree: DispatchTree | None = None
-        self.members: frozenset = frozenset()
-        self.counts: dict[tuple[int, int], dict[int, int]] = {}
-        self.cover: dict[tuple[int, int], int] = {}
-
-
 def _without(entries: tuple, drop: frozenset) -> tuple:
     return tuple(filterfalse(drop.__contains__, entries)) if drop else entries
 
@@ -755,51 +711,54 @@ def _without(entries: tuple, drop: frozenset) -> tuple:
 def dispatch_root(
     entries: Sequence[SetEntry],
     mode: ShortCircuitMode,
-    previous: tuple[DispatchTree, RootIndex] | None,
+    previous: DispatchTree | None,
     templates: MutableMapping,
-) -> tuple[DispatchTree, RootIndex, frozenset | None]:
-    """The dispatch tree over ``entries`` (in application order) and its
-    root index, from the tree and index of the set they replace.
+) -> tuple[DispatchTree, frozenset | None]:
+    """The dispatch tree over ``entries`` (in application order), from
+    ``previous``, the root of the set they replace.
 
     The delta is the entries detached (in the previous set, not in
-    ``entries``) and attached; the tallies change by those alone.  When
-    the root keeps its key, every changed entry requires a value of it,
-    and the entries both sets hold keep their relative order, only the
-    buckets the changed entries leave or enter are rebuilt and the rest
-    of the root is the previous tree's.  Otherwise the root is regrouped
-    on the key the tallies choose, reusing every leaf that did not
-    change.  ``previous=None`` is the delta from an empty set, so a cold
-    compile is this same function; the tree equals
-    :func:`build_dispatch_tree`'s over ``entries`` either way.
+    ``entries``) and attached; the tallies the previous root carries
+    change by those alone and pass to the new root.  A previous root
+    whose tallies a compile already took (None: spent) is counted from
+    nothing, so a second compile from one set, or one after a compile
+    that raised, regroups.  When the root keeps its key, every changed
+    entry requires a value of it, and the entries both sets hold keep
+    their relative order, only the buckets the changed entries leave or
+    enter are rebuilt and the rest of the root is the previous tree's.
+    Otherwise the root is regrouped on the key the tallies choose,
+    reusing every leaf that did not change.  ``previous=None`` is the
+    delta from an empty set, so a cold compile is this same function;
+    the tree equals :func:`build_dispatch_tree`'s over ``entries``
+    either way.
 
     An attached entry whose necessary tests are not known gets them
     from :func:`lower_entry`, in application order: read off its
     skeleton's template in ``templates``, or lowered.
-    Returns ``(tree, index, touched)``: ``touched`` are the bucket
-    values whose leaves may differ from the previous tree's, or None
-    when the root was regrouped.
+    Returns ``(tree, touched)``: ``touched`` are the bucket values whose
+    leaves may differ from the previous tree's, or None when the root
+    was regrouped.
     """
     ordered = tuple(entries)
-    tree, index = previous if previous is not None else (None, None)
-    if tree is not None and tree.entries == ordered:
-        return tree, index, frozenset()
-    if index is None or index.tree is not tree:
-        index = RootIndex()  # nothing counted: every entry is attached
-    base, index.tree = index.tree, None  # spent until this compile ends
+    tallies = None
+    if previous is not None:
+        if previous.entries == ordered:
+            return previous, frozenset()
+        tallies, previous.tallies = previous.tallies, None  # spent
+    base = None if tallies is None else previous
+    before, counts, cover = tallies or (frozenset(), {}, {})
     members = frozenset(ordered)
     if len(members) != len(ordered):
         raise ValueError("an entry appears twice in one set")
-    gone = index.members - members
-    attached = tuple(filterfalse(index.members.__contains__, ordered))
+    gone = before - members
+    attached = tuple(filterfalse(before.__contains__, ordered))
     for entry in attached:
         if entry.necessary is None:
             lower_entry(entry, mode, templates)
-    counts, cover = index.counts, index.cover
     for entry in gone:
         _count(counts, cover, entry.necessary, -1)
     for entry in attached:
         _count(counts, cover, entry.necessary, 1)
-    index.members = members
     key = _split_key(counts, cover)
     touched = None
     if key is None:
@@ -811,11 +770,11 @@ def dispatch_root(
         or not all(key in entry.necessary for entry in attached)
         or _without(base.entries, gone) != _without(ordered, frozenset(attached))
     ):
-        root = _branch(ordered, key, tree)
+        root = _branch(ordered, key, previous)
     else:
         root, touched = _patch(base, ordered, key, counts[key], gone, attached)
-    index.tree = root
-    return root, index, touched
+    root.tallies = (members, counts, cover)
+    return root, touched
 
 
 def _patch(

@@ -5,6 +5,7 @@ copy-all continuation, every engine — is pinned against a 15-line
 reference implementation over randomized filter sets and packets.
 """
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core.compiler import compile_expr, word
@@ -423,6 +424,57 @@ class TestIncrementalIRCompile:
                 churn_step(demux, op, port, spec, packets)
             assert_equals_cold(demux, packets, op)
 
+    def test_a_second_compile_from_one_set_counts_from_nothing(self):
+        """Two compiles from one set P: the first takes P's root tallies
+        over and leaves them spent, so the second, which detaches and
+        attaches other entries than the first did, regroups from nothing
+        and equals a cold compile in tree shape, source, stats and
+        delivery.  So does a compile from a set whose last compile
+        raised."""
+
+        def entries(rules):
+            return [
+                SetEntry(key, program, validate(program), False)
+                for key, program in rules
+            ]
+
+        def rule(key, value):
+            return key, compile_expr(
+                (word(6) == value) & (word(4) == key), priority=10
+            )
+
+        def assert_cold(compiled, rules):
+            cold = compile_ir_set(entries(rules))
+            assert tree_shape(compiled._root) == tree_shape(cold._root)
+            assert compiled.source == cold.source
+            assert compiled.stats == cold.stats
+            for packet in packets:
+                assert compiled.classify(packet) == cold.classify(packet), (
+                    packet.hex()
+                )
+
+        packets = [
+            pack_words([0, 0, 0, 0, key, 0, value])
+            for key in (*range(8), 20, 21, 30, 31, 99)
+            for value in (*range(100, 108), 300, 301, 99)
+        ] + [b"", bytes(9)]
+        base = [rule(i, 100 + i) for i in range(8)]
+        held = entries(base)
+        previous = compile_ir_set(held)
+        compile_ir_set(
+            held[:-2] + entries([rule(20, 300), rule(21, 301)]),
+            previous=previous,
+        )
+        added = [rule(30, 107), rule(31, 102)]
+        second = compile_ir_set(held[:-1] + entries(added), previous=previous)
+        assert_cold(second, base[:-1] + added)
+
+        previous = compile_ir_set(held)
+        with pytest.raises(ValueError):
+            compile_ir_set([*held, held[0]], previous=previous)
+        again = compile_ir_set(held[:-1] + entries(added), previous=previous)
+        assert_cold(again, base[:-1] + added)
+
     def test_each_root_path(self, monkeypatch):
         """A scripted churn that takes every path of the root at least
         once — patch, key change, an unbucketable filter attached and
@@ -433,12 +485,10 @@ class TestIncrementalIRCompile:
         dispatch_root = irgen.dispatch_root
 
         def spy(entries, mode, previous, templates):
-            tree, index, touched = dispatch_root(
-                entries, mode, previous, templates
-            )
+            tree, touched = dispatch_root(entries, mode, previous, templates)
             if previous is not None:  # not a cold twin's compile
                 paths.append("regroup" if touched is None else "patch")
-            return tree, index, touched
+            return tree, touched
 
         monkeypatch.setattr(irgen, "dispatch_root", spy)
         packets = [

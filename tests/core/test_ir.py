@@ -50,6 +50,8 @@ from repro.difftest import (
     with_drains,
 )
 
+from .reference_dispatch import depth, lookup, matches
+
 
 def lower(program, mode=ShortCircuitMode.PUSH_RESULT):
     return lower_program(program, validate(program, mode=mode), mode)
@@ -317,7 +319,7 @@ class TestDispatchTree:
             ]
         )
         tree = build_dispatch_tree(entries, ShortCircuitMode.PUSH_RESULT)
-        assert tree.depth == 1
+        assert depth(tree) == 1
         assert tree.discriminant == (6, 0xFFFF)
         for value, bucket in tree.buckets.items():
             assert bucket.discriminant is None and not bucket.buckets
@@ -333,10 +335,11 @@ class TestDispatchTree:
             packet = pack_words(words)
             scan = tuple(
                 e for e in entries
-                if NecessaryTest(6, 0xFFFF, e.necessary[(6, 0xFFFF)])
-                .matches(packet)
+                if matches(
+                    NecessaryTest(6, 0xFFFF, e.necessary[(6, 0xFFFF)]), packet
+                )
             )
-            assert tree.lookup(packet) == scan
+            assert lookup(tree, packet) == scan
 
 
 # ---------------------------------------------------------------------------
@@ -669,12 +672,13 @@ def extra_word_rule(dport, extra):
 
 
 def live_factories(compiled):
-    """The factories every linked node of ``compiled`` was made by."""
+    """The factories every linked leaf chain of ``compiled`` was made
+    by."""
     root = compiled._root
-    nodes = [root, *root.buckets.values()]
-    if root.fallback is not None:
-        nodes.append(root.fallback)
-    return {id(node.chain.factory) for node in nodes}
+    if root.discriminant is None:
+        return {id(root.chain.factory)}
+    leaves = [*root.buckets.values(), root.fallback]
+    return {id(leaf.chain.factory) for leaf in leaves}
 
 
 def keyed_templates(compiled):
@@ -741,9 +745,9 @@ class TestRebindMemory:
 
     def test_shape_table_holds_only_live_shapes(self):
         """Re-binding one port through 50 distinct shapes leaves the
-        set's shape table holding exactly the factories its linked
-        chains and probe were made by: a shape leaves with its last
-        chain."""
+        set's shape table holding exactly the factories its linked leaf
+        chains were made by: a shape leaves with its last chain, and the
+        probe, a constant, is never in it."""
         demux, ports = self.make()
         port = ports[3]
         for extra in range(50):
@@ -754,9 +758,9 @@ class TestRebindMemory:
             compiled = demux._ir
             table = {id(factory) for factory in compiled._shapes.values()}
             assert table == live_factories(compiled), extra
-        # The five-tuple chains, the re-bound rule's, the empty
-        # fallback and the probe.
-        assert len(compiled._shapes) == 4
+        # The five-tuple chains, the re-bound rule's and the empty
+        # fallback.
+        assert len(compiled._shapes) == 3
 
     def test_template_table_holds_only_linked_templates(self):
         """Re-binding one port through 50 skeletons leaves the set's
